@@ -71,6 +71,9 @@ func main() {
 		return
 	}
 
+	// Every flag goes into the configuration as the user set it; which
+	// ones a frontend cannot take is the validator's call (RunExperiment
+	// reports it), not a second rule book here.
 	cfg := lrcrace.ExperimentConfig{
 		App:                canonical(*app, *frontend),
 		Frontend:           *frontend,
@@ -78,20 +81,16 @@ func main() {
 		Procs:              *procs,
 		Detect:             true,
 		FirstOnly:          *first,
+		WritesFromDiffs:    *diffs,
 		BarrierWallTimeout: *barrierTimeout,
-	}
-	if *frontend == "go" {
-		cfg.Racy = *racy
-		cfg.HotKeySkew = *hotSkew
-		cfg.OpsPerClient = *ops
-		cfg.Seed = *seed
-		cfg.FirstOnly = false
-		cfg.BarrierWallTimeout = 0
+		Racy:               *racy,
+		HotKeySkew:         *hotSkew,
+		OpsPerClient:       *ops,
+		Seed:               *seed,
 	}
 	if *protocol == "mw" || *diffs {
 		cfg.Protocol = lrcrace.MultiWriter
 	}
-	cfg.WritesFromDiffs = *diffs
 
 	if *metricsAddr != "" {
 		// A live endpoint needs the recorder handle before the run starts,
@@ -125,10 +124,6 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg.Tracer = tw
-	}
-
-	if *frontend == "go" && (*traceOut != "" || *diffs || *protocol == "mw" || *first) {
-		log.Fatal("racefind: -trace, -diff-writes, -first, and -protocol mw apply to the dsm frontend only")
 	}
 
 	res, err := lrcrace.RunExperiment(cfg)

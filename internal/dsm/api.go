@@ -3,7 +3,6 @@ package dsm
 import (
 	"math"
 
-	"lrcrace/internal/dsm/debuglog"
 	"lrcrace/internal/interval"
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
@@ -32,9 +31,6 @@ func (p *Proc) Read(a mem.Addr) uint64 {
 		p.readFaultLocked(pg)
 	}
 	v := p.seg.Word(a)
-	if dbgWatchOn && a == dbgWatch {
-		dbgf("p%d READ  %v (interval %d, state=%d)", p.id, math.Float64frombits(v), p.curIndex, p.state[pg])
-	}
 	if tr := p.sys.cfg.Tracer; tr != nil {
 		tr.Read(p.id, a)
 	}
@@ -98,9 +94,6 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 		}
 	}
 	p.seg.SetWord(a, v)
-	if dbgWatchOn && a == dbgWatch {
-		dbgf("p%d WRITE %v (interval %d)", p.id, math.Float64frombits(v), p.curIndex)
-	}
 	if tr := p.sys.cfg.Tracer; tr != nil {
 		tr.Write(p.id, a)
 	}
@@ -182,7 +175,6 @@ func (p *Proc) readFaultLocked(pg mem.PageID) {
 	p.bumpVTo(p.arrival(d))
 	p.seg.CopyPageIn(pg, rep.Data)
 	p.tel.Emit(p.id, telemetry.KPageFetch, p.vnow, int64(pg), int64(d.From), p.vnow-v)
-	dbgf("p%d read-fetched page %d from p%d word4=%d", p.id, pg, d.From, p.seg.Word(32))
 	p.fetching[pg] = false
 	if p.fetchInv[pg] {
 		// Invalidated mid-fetch: serve this (legally stale) read, but do
@@ -214,7 +206,6 @@ func (p *Proc) ownershipFaultLocked(pg mem.PageID) {
 	p.bumpVTo(p.arrival(d))
 	p.seg.CopyPageIn(pg, rep.Data)
 	p.tel.Emit(p.id, telemetry.KPageFetch, p.vnow, int64(pg), int64(d.From), p.vnow-v)
-	dbgf("p%d got ownership of page %d word4=%d", p.id, pg, p.seg.Word(32))
 	p.owned[pg] = true
 	p.expecting[pg] = false
 	p.state[pg] = pageWritable
@@ -308,9 +299,6 @@ func (p *Proc) flushDiffsLocked() {
 	v := p.vnow
 	for pg, twin := range p.twins {
 		entries := diffPage(p.seg.PageBytes(pg), twin)
-		if debuglog.Enabled() && len(entries) == 0 {
-			dbgf("p%d EMPTY-DIFF page %d at interval %d (twinned but unchanged)", p.id, pg, p.curIndex)
-		}
 		p.st.DiffsFlushed++
 		p.st.DiffWords += int64(len(entries))
 		p.tel.Emit(p.id, telemetry.KDiffFlush, v, int64(pg), int64(len(entries)), 0)
@@ -388,13 +376,6 @@ func (p *Proc) Lock(id int) {
 	if !ok || int(grant.Lock) != id {
 		p.protocolBug("Lock(%d) answered with %#v", id, d.Msg)
 	}
-	if debuglog.Enabled() {
-		ids := ""
-		for _, r := range grant.Intervals {
-			ids += r.ID.String() + " "
-		}
-		dbgf("p%d got lock %d from p%d with [%s]", p.id, id, d.From, ids)
-	}
 	p.bumpVTo(p.arrival(d))
 	p.tel.Emit(p.id, telemetry.KLockAcquired, p.vnow, int64(id), int64(d.From), p.vnow-v)
 	// An acquire begins a new interval.
@@ -443,7 +424,6 @@ func (p *Proc) Unlock(id int) {
 	p.startIntervalLocked()
 	ls.holding = false
 	ls.lastRelV = p.vnow
-	dbgf("p%d unlock %d (pending=%d)", p.id, id, len(ls.pending))
 	if len(ls.pending) > 0 {
 		if len(ls.pending) > 1 {
 			p.protocolBug("lock %d has %d pending grants", id, len(ls.pending))

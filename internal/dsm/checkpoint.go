@@ -324,8 +324,6 @@ func (p *Proc) checkpointLocked() {
 	if removed, freed := cs.GC(p.n); removed > 0 {
 		p.tel.Emit(p.id, telemetry.KCkptGC, p.vnow, int64(removed), freed, 0)
 	}
-	dbgf("p%d checkpoint epoch %d: manifest %dB, chunks %d (%d dedup, %dB new)",
-		p.id, p.epoch, len(manifest), cst.puts, cst.hits, cst.newBytes)
 }
 
 func b2u8(b bool) uint8 {
@@ -405,19 +403,9 @@ func (p *Proc) encodeCheckpointInto(cs *castore.Store) ([]byte, []castore.Addr, 
 	return e.Bytes(), addrs, cst
 }
 
-// encodeCheckpointFullLocked serializes p's state with every payload
-// inlined — the pre-v3 non-deduplicating encoding. Benchmark-only: it
-// exists so BenchmarkCheckpointEncode can compare full vs. chunked cost on
-// identical state; nothing decodes it.
-func (p *Proc) encodeCheckpointFullLocked() []byte {
-	e := &msg.Encoder{}
-	p.encodeCheckpointBody(e, func(b []byte) { e.Blob(b) })
-	return e.Bytes()
-}
-
 // encodeCheckpointBody writes the checkpoint layout, handing each bulky
-// payload (page copies, twins, bitmap words) to put — chunk-address or
-// inline-blob, the layout around it is identical.
+// payload (page copies, twins, bitmap words) to put, which deposits it in
+// the chunk store and writes its address.
 func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func([]byte)) {
 	e.U32(ckptMagic)
 	e.U8(ckptVersion)

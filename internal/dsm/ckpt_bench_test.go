@@ -83,27 +83,14 @@ func mutatePages(s *System, round int, frac int) {
 	}
 }
 
-// BenchmarkCheckpointEncode compares the two checkpoint encoders on
-// identical process state: "full" inlines every payload (the pre-chunking
-// format — what every barrier would cost without structural sharing) and
-// "chunked" deposits payloads in a content-addressed store, paying only
-// for chunks the previous epoch did not already hold. The sub-benchmarks
-// vary the per-epoch write footprint; bytes/epoch is the stored cost of
-// one barrier's checkpoints across all procs.
+// BenchmarkCheckpointEncode measures the chunked checkpoint encoder, which
+// deposits payloads in a content-addressed store and pays only for chunks
+// the previous epoch did not already hold. The sub-benchmarks vary the
+// per-epoch write footprint; bytes/epoch is the stored cost of one
+// barrier's checkpoints across all procs.
 func BenchmarkCheckpointEncode(b *testing.B) {
 	for _, n := range []int{4, 8} {
 		s := benchState(b, n)
-
-		b.Run(fmt.Sprintf("p%d/full", n), func(b *testing.B) {
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				mutatePages(s, i, 4)
-				for _, p := range s.procs {
-					bytes += int64(len(p.encodeCheckpointFullLocked()))
-				}
-			}
-			b.ReportMetric(float64(bytes)/float64(b.N), "bytes/epoch")
-		})
 
 		cases := []struct {
 			name string

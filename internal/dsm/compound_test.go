@@ -15,7 +15,7 @@ import (
 
 // compoundSys is recoverySys generalized to compound faults: several crash
 // plans and an optional checkpoint-corruption plan.
-func compoundSys(t *testing.T, nproc int, proto ProtocolKind, crashes []*CrashPlan, corrupt *CorruptionPlan) *System {
+func compoundSys(t *testing.T, nproc int, proto ProtocolKind, crashes []*CrashPlan, corrupt *CorruptionPlan, rec *telemetry.Recorder) *System {
 	t.Helper()
 	s, err := New(Config{
 		NumProcs:         nproc,
@@ -33,6 +33,7 @@ func compoundSys(t *testing.T, nproc int, proto ProtocolKind, crashes []*CrashPl
 		BarrierWallTimeout: 2 * time.Second,
 		Crashes:            crashes,
 		Corruption:         corrupt,
+		Recorder:           rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +43,7 @@ func compoundSys(t *testing.T, nproc int, proto ProtocolKind, crashes []*CrashPl
 
 func (sc recoveryScenario) runCompound(t *testing.T, crashes []*CrashPlan, corrupt *CorruptionPlan) *System {
 	t.Helper()
-	s := compoundSys(t, 4, sc.proto, crashes, corrupt)
+	s := compoundSys(t, 4, sc.proto, crashes, corrupt, sc.rec)
 	factory := sc.setup(t, s)
 	if err := s.RunEpochs(sc.epochs, factory); err != nil {
 		t.Fatalf("%s (crashes=%v, corrupt=%+v): %v", sc.name, crashes, corrupt, err)
@@ -161,10 +162,9 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 func TestCorruptionTelemetry(t *testing.T) {
 	// The verify failure trips the flight recorder by design; keep the dump
 	// out of the test log.
-	rec := telemetry.Start(telemetry.Config{Procs: 4, Cap: -1, FlightSink: io.Discard})
-	defer telemetry.Stop()
-
+	rec := telemetry.New(telemetry.Config{Procs: 4, Cap: -1, FlightSink: io.Discard})
 	sc := tspScenario()
+	sc.rec = rec
 	crash := &CrashPlan{Victim: 2, Epoch: 2, Point: CrashMidInterval, AfterN: 2}
 	corrupt := &CorruptionPlan{Epoch: 2, Mode: CorruptChunk, Count: 1, Seed: 11}
 	s := sc.runCompound(t, []*CrashPlan{crash}, corrupt)

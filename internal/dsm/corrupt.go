@@ -113,7 +113,6 @@ func (s *System) maybeCorrupt(epoch int32) {
 	}
 	hit := s.ckpts.corruptEpoch(epoch, n, cp)
 	s.tel.Emit(0, telemetry.KCkptCorrupt, 0, int64(epoch), int64(hit), int64(cp.Mode))
-	dbgf("checkpoint corruption injected: epoch %d, %d chunks, %v", epoch, hit, cp.Mode)
 }
 
 // corruptEpoch applies the plan's damage to epoch's chunk closure: the

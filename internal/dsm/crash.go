@@ -246,7 +246,6 @@ func (p *Proc) crashNow() {
 	}
 	p.mu.Unlock()
 	p.tel.Emit(p.id, telemetry.KCrashInjected, v, int64(pt), int64(p.id), 0)
-	dbgf("p%d CRASH injected (%v, vt=%d)", p.id, pt, v)
 	if k, ok := p.sys.nw.(endpointKiller); ok {
 		k.KillEndpoint(p.id)
 	}

@@ -202,14 +202,12 @@ type Config struct {
 	// MaxRecoveries caps coordinated rollbacks per RunEpochs run; 0 → 3.
 	MaxRecoveries int
 
-	// Recorder, when non-nil, scopes this System's telemetry — protocol
+	// Recorder, when non-nil, receives this System's telemetry — protocol
 	// events, fault-injection and retransmission events, flight dumps, and
-	// the event-derived metrics — to the given handle (telemetry.New)
-	// instead of the process-global recorder. This is what lets many
-	// Systems run concurrently in one process without interleaving each
-	// other's rings and registries (see internal/sweep). Nil preserves the
-	// historical behavior: events follow whatever recorder telemetry.Start
-	// has installed globally.
+	// the event-derived metrics (telemetry.New builds one). Each System
+	// records only into its own handle, so many can run concurrently in
+	// one process without interleaving rings and registries (see
+	// internal/sweep). Nil means no telemetry.
 	Recorder *telemetry.Recorder
 }
 
@@ -261,18 +259,17 @@ type Transport interface {
 	Stats() simnet.Stats
 }
 
-func (c *Config) fill() error {
+// Validate reports the first rule the configuration breaks. It changes
+// nothing and builds nothing, so layers above (harness.ValidateRunConfig,
+// and through it the sweep's grid expansion and the service's admission
+// gate) reach the DSM's combination rules by calling it on the Config they
+// would pass to New, instead of restating them.
+func (c *Config) Validate() error {
 	if c.NumProcs < 1 {
 		return fmt.Errorf("dsm: NumProcs = %d", c.NumProcs)
 	}
-	if c.PageSize == 0 {
-		c.PageSize = mem.DefaultPageSize
-	}
 	if c.SharedSize <= 0 {
 		return fmt.Errorf("dsm: SharedSize = %d", c.SharedSize)
-	}
-	if c.Model == (costmodel.Model{}) {
-		c.Model = costmodel.Default()
 	}
 	if c.WritesFromDiffs && c.Protocol != MultiWriter {
 		return fmt.Errorf("dsm: WritesFromDiffs requires the multi-writer protocol")
@@ -280,8 +277,8 @@ func (c *Config) fill() error {
 	if c.ShardedCheck && !c.Detect {
 		return fmt.Errorf("dsm: ShardedCheck distributes the race check and so requires Detect")
 	}
-	if c.BarrierTree == 1 || c.BarrierTree < 0 {
-		return fmt.Errorf("dsm: BarrierTree = %d: the combining tree needs arity ≥ 2 (0 = flat barrier)", c.BarrierTree)
+	if err := CheckBarrierTree(c.BarrierTree); err != nil {
+		return err
 	}
 	if c.Detect && c.Protocol == EagerRC {
 		return fmt.Errorf("dsm: race detection requires LRC metadata (intervals, version vectors, notices) that the eager protocol does not maintain — use SingleWriter or MultiWriter")
@@ -330,6 +327,29 @@ func (c *Config) fill() error {
 	return nil
 }
 
+// CheckBarrierTree reports whether k is a usable Config.BarrierTree value,
+// for callers that hold an arity but no Config yet (a sweep plan's axis).
+func CheckBarrierTree(k int) error {
+	if k == 1 || k < 0 {
+		return fmt.Errorf("dsm: BarrierTree = %d: the combining tree needs arity ≥ 2 (0 = flat barrier)", k)
+	}
+	return nil
+}
+
+// fill validates the configuration and applies the zero-value defaults.
+func (c *Config) fill() error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if c.PageSize == 0 {
+		c.PageSize = mem.DefaultPageSize
+	}
+	if c.Model == (costmodel.Model{}) {
+		c.Model = costmodel.Default()
+	}
+	return nil
+}
+
 // checkpointing reports whether barrier-epoch checkpointing is on — the
 // default; NoCheckpoint opts out.
 func (c *Config) checkpointing() bool { return !c.NoCheckpoint }
@@ -364,7 +384,7 @@ type System struct {
 	procs  []*Proc
 
 	// tel is the telemetry destination every layer of this System emits
-	// through: bound to cfg.Recorder when set, the global shim otherwise.
+	// through: cfg.Recorder, or off when that is nil.
 	tel telemetry.Scope
 
 	allocNext mem.Addr

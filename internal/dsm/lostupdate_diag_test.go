@@ -13,7 +13,6 @@ import (
 // global order. A lost update shows as two sections reading the same value.
 func TestLostUpdateDiagnosis(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
-		EnableDebugLog()
 		s := newSys(t, 4, SingleWriter, false)
 		slots, _ := s.AllocWords("slots", 4)
 		sum, _ := s.AllocWords("sum", 1)
@@ -25,7 +24,6 @@ func TestLostUpdateDiagnosis(t *testing.T) {
 				p.Write(slots+mem.Addr(p.ID()*8), uint64((round+1)*100+p.ID()))
 				v := p.Read(sum)
 				p.Write(sum, v+1)
-				dbgf("p%d CS r%d: read %d wrote %d", p.ID(), round, v, v+1)
 				mu.Lock()
 				trace = append(trace, fmt.Sprintf("p%d r%d: %d -> %d", p.ID(), round, v, v+1))
 				mu.Unlock()
@@ -43,11 +41,10 @@ func TestLostUpdateDiagnosis(t *testing.T) {
 			}
 		}
 		if got != 32 {
-			for _, l := range DebugEvents() {
+			for _, l := range trace {
 				t.Log(l)
 			}
 			t.Fatalf("iter %d: sum = %d, want 32", iter, got)
 		}
-		DisableDebugLog()
 	}
 }

@@ -476,7 +476,6 @@ func (p *Proc) closeIntervalLocked() {
 	p.st.IntervalsCreated++
 	p.tel.Emit(p.id, telemetry.KIntervalClose, p.vnow,
 		int64(rec.ID.Index), int64(len(rec.WriteNotices)), int64(len(rec.ReadNotices)))
-	dbgf("p%d close interval %v vc=%v writes=%v", p.id, rec.ID, rec.VC, rec.WriteNotices)
 }
 
 // startIntervalLocked begins the next interval.
@@ -501,7 +500,6 @@ func (p *Proc) applyIntervalsLocked(recs []*interval.Record) {
 			p.vcur[r.ID.Proc] = r.ID.Index
 		}
 		for _, pg := range r.WriteNotices {
-			dbgf("p%d applies notice %v page %d (owned=%v state=%d)", p.id, r.ID, pg, p.owned[pg], p.state[pg])
 			p.invalidateLocked(pg)
 		}
 	}

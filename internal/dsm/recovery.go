@@ -239,7 +239,6 @@ func (s *System) suspectInfo() (proc int, via string) {
 func (s *System) onLinkDead(from, to int) {
 	s.noteSuspect(to, "link-death")
 	s.tel.Emit(from, telemetry.KCrashDetected, 0, int64(to), 1, 0)
-	dbgf("p%d suspects p%d dead (link retry cap)", from, to)
 	s.nw.Close()
 }
 
@@ -402,7 +401,6 @@ func (s *System) planRollback() (*rollbackPlan, error) {
 			s.tel.Emit(0, telemetry.KCkptVerifyFail, abortedV, int64(re), 0, 0)
 			s.tel.Trip(telemetry.TripCkptVerify,
 				fmt.Sprintf("checkpoint epoch %d failed verification: %v", re, err))
-			dbgf("RECOVERY: epoch %d failed verification (%v), falling back", re, err)
 			continue
 		}
 		plan.epoch, plan.cks, restoredV = re, cks, maxV
@@ -418,8 +416,6 @@ func (s *System) planRollback() (*rollbackPlan, error) {
 	s.recStats.LastReason = via
 	s.recStats.VirtualNS += plan.virtualNS
 	s.tel.Emit(0, telemetry.KRecoveryStart, abortedV, int64(plan.epoch), int64(victim), 0)
-	dbgf("RECOVERY: rolling back to epoch %d (victim p%d via %s, %dns of virtual work lost)",
-		plan.epoch, victim, via, plan.virtualNS)
 	return plan, nil
 }
 
@@ -465,7 +461,6 @@ func (s *System) restoreFromPlan(plan *rollbackPlan) error {
 	s.recStats.WallNS += wall
 	s.tel.Emit(0, telemetry.KRecoveryDone, s.procs[0].vnow,
 		int64(plan.epoch), plan.virtualNS, wall)
-	dbgf("RECOVERY: restored %d procs at epoch %d in %dns wall", len(s.procs), plan.epoch, wall)
 	return nil
 }
 
@@ -525,7 +520,6 @@ func (s *System) reconcileRestored() error {
 			if hs == nil || (!hs.holding && !hs.releasedUngranted) {
 				m.tel.Emit(m.id, telemetry.KLockReclaim, m.vnow,
 					int64(id), int64(ls.lastHolder), 0)
-				dbgf("RECOVERY: manager p%d reclaims lock %d from p%d", m.id, id, ls.lastHolder)
 				ls.lastHolder = -1
 				s.recStats.LocksReclaimed++
 			}
@@ -563,7 +557,6 @@ func (s *System) reconcileRestored() error {
 			if newOwner < 0 {
 				return fmt.Errorf("page %d has no valid copy at the recovery line", pg)
 			}
-			dbgf("RECOVERY: directory re-anchors page %d at p%d (was p%d)", pg, newOwner, o)
 			s.procs[newOwner].owned[pg] = true
 			home.dirOwner[pg] = newOwner
 			s.recStats.PagesReconciled++

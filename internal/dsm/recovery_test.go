@@ -19,7 +19,7 @@ import (
 // the reliable sublayer with an aggressive retry cap (so link death is
 // declared in milliseconds), and the barrier wall timeout as the detection
 // backstop for crashes that leave no survivor→victim traffic.
-func recoverySys(t *testing.T, nproc int, proto ProtocolKind, crash *CrashPlan) *System {
+func recoverySys(t *testing.T, nproc int, proto ProtocolKind, crash *CrashPlan, rec *telemetry.Recorder) *System {
 	t.Helper()
 	s, err := New(Config{
 		NumProcs:   nproc,
@@ -43,6 +43,7 @@ func recoverySys(t *testing.T, nproc int, proto ProtocolKind, crash *CrashPlan) 
 		},
 		BarrierWallTimeout: 2 * time.Second,
 		Crash:              crash,
+		Recorder:           rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +60,7 @@ type recoveryScenario struct {
 	proto  ProtocolKind
 	epochs int32
 	setup  func(t *testing.T, s *System) func() EpochFunc
+	rec    *telemetry.Recorder // nil → the runs record no telemetry
 }
 
 // tspScenario is the paper's TSP shape: a branch-and-bound bound variable
@@ -145,7 +147,7 @@ func stableRaceKeys(reports []race.Report) map[string]bool {
 
 func (sc recoveryScenario) run(t *testing.T, crash *CrashPlan) *System {
 	t.Helper()
-	s := recoverySys(t, 4, sc.proto, crash)
+	s := recoverySys(t, 4, sc.proto, crash, sc.rec)
 	factory := sc.setup(t, s)
 	if err := s.RunEpochs(sc.epochs, factory); err != nil {
 		t.Fatalf("%s (crash=%+v): %v", sc.name, crash, err)
@@ -230,7 +232,7 @@ func TestCrashRecoveryGrid(t *testing.T) {
 // their final-epoch values.
 func TestCrashRecoveryFinalMemory(t *testing.T) {
 	sc := mwScenario()
-	s := recoverySys(t, 4, sc.proto, &CrashPlan{Victim: 3, Epoch: 1, Point: CrashMidInterval, AfterN: 2})
+	s := recoverySys(t, 4, sc.proto, &CrashPlan{Victim: 3, Epoch: 1, Point: CrashMidInterval, AfterN: 2}, nil)
 	words, _ := s.AllocWords("words", 16)
 	counter, _ := s.AllocWords("counter", 1)
 	err := s.RunEpochs(sc.epochs, func() EpochFunc {
@@ -301,10 +303,9 @@ func TestCrashRecoveryCrossValidation(t *testing.T) {
 // metrics: checkpoint, crash-injection/detection, and recovery events must
 // appear, and the dsm_checkpoint_* / dsm_recovery_* counters must move.
 func TestRecoveryTelemetry(t *testing.T) {
-	rec := telemetry.Start(telemetry.Config{Procs: 4, Cap: -1})
-	defer telemetry.Stop()
-
+	rec := telemetry.New(telemetry.Config{Procs: 4, Cap: -1})
 	sc := tspScenario()
+	sc.rec = rec
 	s := sc.run(t, &CrashPlan{Victim: 2, Epoch: 1, Point: CrashMidInterval, AfterN: 2})
 	if rs := s.RecoveryStats(); rs.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1", rs.Recoveries)

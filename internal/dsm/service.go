@@ -142,7 +142,6 @@ func (p *Proc) serializeAcquireLocked(d simnet.Delivery, m *msg.AcquireReq) {
 	}
 	ls := p.lock(id)
 	arr := p.arrival(d) + p.sys.cfg.Model.Handler
-	dbgf("mgr p%d: req lock %d from p%d (lastHolder=%d)", p.id, id, d.From, ls.lastHolder)
 	switch {
 	case ls.lastHolder == -1 || ls.lastHolder == d.From:
 		// First acquisition, or re-acquisition by the last holder: nothing
@@ -204,7 +203,6 @@ func (p *Proc) handleAcquireFwd(d simnet.Delivery, m *msg.AcquireFwd) {
 // tenure, so it waits for our Unlock.
 func (p *Proc) localFwdLocked(id, requester int, theirs vc.VC, arrV int64) {
 	ls := p.lock(id)
-	dbgf("p%d fwd lock %d for p%d (holding=%v awaiting=%v relUngr=%v)", p.id, id, requester, ls.holding, ls.awaiting, ls.releasedUngranted)
 	if ls.releasedUngranted {
 		ls.releasedUngranted = false
 		v := arrV
@@ -284,7 +282,6 @@ func (p *Proc) servePageLocked(requester int, pg mem.PageID, write bool, vtime i
 		p.state[pg] = pageReadOnly
 		p.tel.Emit(p.id, telemetry.KOwnershipXfer, vtime, int64(pg), int64(requester), 0)
 	}
-	dbgf("p%d serves page %d to p%d write=%v word4=%d", p.id, pg, requester, write, p.seg.Word(32))
 	p.send(requester, &msg.PageReply{Page: pg, Ownership: write, Data: data}, vtime)
 }
 

@@ -7,8 +7,6 @@ import (
 
 	"lrcrace/internal/dsm"
 	"lrcrace/internal/mem"
-	"lrcrace/internal/reliable"
-	"lrcrace/internal/telemetry"
 )
 
 // The chaos applications are epoch-structured workloads (dsm.RunEpochs)
@@ -30,7 +28,21 @@ var CrashModes = []string{"none", "single", "double", "recovery"}
 // CorruptModes are the recognized RunConfig.CorruptMode values.
 var CorruptModes = []string{"none", "chunk", "delete"}
 
-const chaosDefaultEpochs = 4
+// The chaos apps' fixed shape: a few small pages, four barrier epochs
+// unless RunConfig.Epochs says otherwise.
+const (
+	chaosDefaultEpochs = 4
+	chaosSharedBytes   = 16 * 1024
+	chaosPageSize      = 1024
+)
+
+// chaosEpochs is the run's barrier-epoch count.
+func chaosEpochs(cfg RunConfig) int32 {
+	if cfg.Epochs == 0 {
+		return chaosDefaultEpochs
+	}
+	return int32(cfg.Epochs)
+}
 
 // IsChaosApp reports whether name is an epoch-structured chaos app.
 func IsChaosApp(name string) bool {
@@ -59,7 +71,8 @@ func chaosMode(m string) string {
 // epoch's line: every process deposits that line on entering the epoch,
 // before the victim dies mid-epoch, so the corruption always lands before
 // rollback planning reads the store.
-func chaosPlans(cfg RunConfig, n int, epochs int32) ([]*dsm.CrashPlan, *dsm.CorruptionPlan, error) {
+func chaosPlans(cfg RunConfig) ([]*dsm.CrashPlan, *dsm.CorruptionPlan, error) {
+	n, epochs := cfg.Procs, chaosEpochs(cfg)
 	crashMode, corruptMode := chaosMode(cfg.CrashMode), chaosMode(cfg.CorruptMode)
 	if crashMode == "none" {
 		if corruptMode != "none" {
@@ -188,69 +201,18 @@ func chaosSetup(name string, s *dsm.System, n int, epochs int32) (func() dsm.Epo
 	return nil, nil, fmt.Errorf("harness: unknown chaos app %q", name)
 }
 
-// runChaos executes one chaos configuration: derive the seed-driven fault
-// plans, run the epoch-structured body under RunEpochs (which converges via
-// repeated rollback), and verify final shared memory against the crash-free
-// execution. The reliable sublayer is always on — link-death detection is
-// how survivors notice a victim — with the same aggressive retry cap the
-// recovery tests use, and the barrier wall timeout as backstop.
-func runChaos(cfg RunConfig) (*Result, error) {
-	n := cfg.Procs
-	epochs := int32(cfg.Epochs)
-	if epochs == 0 {
-		epochs = chaosDefaultEpochs
-	}
-	crashes, corrupt, err := chaosPlans(cfg, n, epochs)
-	if err != nil {
-		return nil, err
-	}
-	rec := cfg.Recorder
-	if rec == nil && cfg.Telemetry != nil {
-		tc := *cfg.Telemetry
-		if tc.Procs == 0 {
-			tc.Procs = n
-		}
-		rec = telemetry.New(tc)
-	}
-	rc := cfg.ReliableConfig
-	if rc.RTO == 0 {
-		rc = reliable.Config{RTO: 2 * time.Millisecond, MaxRTO: 50 * time.Millisecond, MaxRetries: 8}
-	}
-	bwt := cfg.BarrierWallTimeout
-	if bwt == 0 {
-		bwt = 2 * time.Second
-	}
-	sys, err := dsm.New(dsm.Config{
-		NumProcs:           n,
-		SharedSize:         16 * 1024,
-		PageSize:           1024,
-		Protocol:           cfg.Protocol,
-		Detect:             cfg.Detect,
-		ShardedCheck:       cfg.ShardedCheck,
-		BarrierTree:        cfg.BarrierTree,
-		FirstOnly:          cfg.FirstOnly,
-		PageBitmapOverlap:  cfg.PageBitmapOverlap,
-		WritesFromDiffs:    cfg.WritesFromDiffs,
-		RealMsgDelay:       cfg.RealMsgDelay,
-		Faults:             cfg.Faults,
-		Reliable:           true,
-		ReliableConfig:     rc,
-		BarrierWallTimeout: bwt,
-		NoCheckpoint:       cfg.NoCheckpoint,
-		CheckpointRetain:   cfg.CheckpointRetain,
-		Crashes:            crashes,
-		Corruption:         corrupt,
-		Recorder:           rec,
-	})
-	if err != nil {
-		return nil, err
-	}
-	factory, verify, err := chaosSetup(cfg.App, sys, n, epochs)
+// runChaos executes one chaos configuration on sys (built from dsmConfig,
+// which derived the seed-driven fault plans): run the epoch-structured body
+// under RunEpochs (which converges via repeated rollback), and verify final
+// shared memory against the crash-free execution.
+func runChaos(cfg RunConfig, sys *dsm.System) (*Result, error) {
+	epochs := chaosEpochs(cfg)
+	factory, verify, err := chaosSetup(cfg.App, sys, cfg.Procs, epochs)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	if err := sys.RunEpochs(epochs, func() dsm.EpochFunc { return factory() }); err != nil {
+	if err := sys.RunEpochs(epochs, factory); err != nil {
 		return nil, err
 	}
 	wall := time.Since(start)
@@ -259,26 +221,5 @@ func runChaos(cfg RunConfig) (*Result, error) {
 			return nil, fmt.Errorf("harness: %s failed verification: %w", cfg.App, err)
 		}
 	}
-	res := &Result{
-		Cfg:       cfg,
-		Sys:       sys,
-		Model:     sys.Config().Model,
-		VirtualNS: sys.VirtualTime(),
-		WallNS:    wall.Nanoseconds(),
-		Races:     sys.Races(),
-		Det:       sys.DetectorStats(),
-		Net:       sys.NetStats(),
-		MemBytes:  sys.AllocBytes(),
-
-		Checkpoint: sys.CheckpointStats(),
-		Recovery:   sys.RecoveryStats(),
-	}
-	for _, p := range sys.Procs() {
-		res.Procs = append(res.Procs, p.Stats())
-	}
-	if rec != nil {
-		res.Telemetry = rec
-		res.FillMetrics(rec.Metrics())
-	}
-	return res, nil
+	return newResult(cfg, nil, sys, wall), nil
 }

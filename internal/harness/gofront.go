@@ -33,17 +33,10 @@ func KnownFrontend(name string) bool {
 // registered gofront workload, cfg.Procs is the client count, and the
 // result carries the gofront trace and race set in place of the DSM state.
 func runGoFront(cfg RunConfig) (*Result, error) {
-	rec := cfg.Recorder
-	if rec == nil && cfg.Telemetry != nil {
-		tc := *cfg.Telemetry
-		if tc.Procs == 0 {
-			// Rings are per goroutine here; workloads add a few service
-			// goroutines (janitor, actors) on top of the clients. Events
-			// from ids beyond this land on the system ring.
-			tc.Procs = cfg.Procs + 2
-		}
-		rec = telemetry.New(tc)
-	}
+	// Rings are per goroutine here; workloads add a few service goroutines
+	// (janitor, actors) on top of the clients. Events from ids beyond this
+	// land on the system ring.
+	rec := recorderFor(cfg, cfg.Procs+2)
 	start := time.Now()
 	gres, err := gofront.RunWorkload(cfg.App, gofront.WorkloadConfig{
 		Clients:    cfg.Procs,

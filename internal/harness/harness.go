@@ -162,53 +162,20 @@ func Run(cfg RunConfig) (*Result, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 1
 	}
-	if err := ValidateRunConfig(cfg); err != nil {
+	app, dc, err := prepare(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if IsGoFrontend(cfg.Frontend) {
 		return runGoFront(cfg)
 	}
+	dc.Recorder = recorderFor(cfg, cfg.Procs)
+	sys, err := dsm.New(dc)
+	if err != nil {
+		return nil, err
+	}
 	if IsChaosApp(cfg.App) {
-		return runChaos(cfg)
-	}
-	app, err := apps.New(cfg.App, cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	delay := cfg.RealMsgDelay
-	if delay == 0 {
-		delay = appDefaultDelay(cfg.App)
-	}
-	rec := cfg.Recorder
-	if rec == nil && cfg.Telemetry != nil {
-		tc := *cfg.Telemetry
-		if tc.Procs == 0 {
-			tc.Procs = cfg.Procs
-		}
-		rec = telemetry.New(tc)
-	}
-	sys, err := dsm.New(dsm.Config{
-		NumProcs:           cfg.Procs,
-		SharedSize:         app.SharedBytes(),
-		Protocol:           cfg.Protocol,
-		Detect:             cfg.Detect,
-		ShardedCheck:       cfg.ShardedCheck,
-		BarrierTree:        cfg.BarrierTree,
-		FirstOnly:          cfg.FirstOnly,
-		PageBitmapOverlap:  cfg.PageBitmapOverlap,
-		WritesFromDiffs:    cfg.WritesFromDiffs,
-		RealMsgDelay:       delay,
-		Tracer:             cfg.Tracer,
-		Faults:             cfg.Faults,
-		Reliable:           cfg.Reliable,
-		ReliableConfig:     cfg.ReliableConfig,
-		BarrierWallTimeout: cfg.BarrierWallTimeout,
-		NoCheckpoint:       cfg.NoCheckpoint,
-		CheckpointRetain:   cfg.CheckpointRetain,
-		Recorder:           rec,
-	})
-	if err != nil {
-		return nil, err
+		return runChaos(cfg, sys)
 	}
 	if err := app.Setup(sys); err != nil {
 		return nil, err
@@ -223,11 +190,77 @@ func Run(cfg RunConfig) (*Result, error) {
 			return nil, fmt.Errorf("harness: %s failed verification: %w", cfg.App, err)
 		}
 	}
+	return newResult(cfg, app, sys, wall), nil
+}
+
+// recorderFor returns the run's telemetry recorder: the caller's handle
+// when cfg.Recorder is set, one built from cfg.Telemetry (with procs rings
+// unless the config sizes them) otherwise, nil when neither is set.
+func recorderFor(cfg RunConfig, procs int) *telemetry.Recorder {
+	if cfg.Recorder != nil || cfg.Telemetry == nil {
+		return cfg.Recorder
+	}
+	tc := *cfg.Telemetry
+	if tc.Procs == 0 {
+		tc.Procs = procs
+	}
+	return telemetry.New(tc)
+}
+
+// dsmConfig is the one RunConfig → dsm.Config conversion: every DSM run —
+// benchmark or chaos app, executed or merely validated — builds its System
+// from what this returns (plus the recorder). The chaos apps always run
+// over the reliable sublayer — link-death detection is how survivors
+// notice a victim — with the same aggressive retry cap the recovery tests
+// use and the barrier wall timeout as backstop, on a few small pages.
+func dsmConfig(cfg RunConfig, sharedSize int) (dsm.Config, error) {
+	dc := dsm.Config{
+		NumProcs:           cfg.Procs,
+		SharedSize:         sharedSize,
+		Protocol:           cfg.Protocol,
+		Detect:             cfg.Detect,
+		ShardedCheck:       cfg.ShardedCheck,
+		BarrierTree:        cfg.BarrierTree,
+		FirstOnly:          cfg.FirstOnly,
+		PageBitmapOverlap:  cfg.PageBitmapOverlap,
+		WritesFromDiffs:    cfg.WritesFromDiffs,
+		RealMsgDelay:       cfg.RealMsgDelay,
+		Tracer:             cfg.Tracer,
+		Faults:             cfg.Faults,
+		Reliable:           cfg.Reliable,
+		ReliableConfig:     cfg.ReliableConfig,
+		BarrierWallTimeout: cfg.BarrierWallTimeout,
+		NoCheckpoint:       cfg.NoCheckpoint,
+		CheckpointRetain:   cfg.CheckpointRetain,
+	}
+	if dc.RealMsgDelay == 0 {
+		dc.RealMsgDelay = appDefaultDelay(cfg.App)
+	}
+	if !IsChaosApp(cfg.App) {
+		return dc, nil
+	}
+	dc.PageSize = chaosPageSize
+	dc.Reliable = true
+	if dc.ReliableConfig.RTO == 0 {
+		dc.ReliableConfig = reliable.Config{RTO: 2 * time.Millisecond, MaxRTO: 50 * time.Millisecond, MaxRetries: 8}
+	}
+	if dc.BarrierWallTimeout == 0 {
+		dc.BarrierWallTimeout = 2 * time.Second
+	}
+	var err error
+	dc.Crashes, dc.Corruption, err = chaosPlans(cfg)
+	return dc, err
+}
+
+// newResult collects what a finished DSM run produced; app is nil for the
+// chaos apps.
+func newResult(cfg RunConfig, app apps.App, sys *dsm.System, wall time.Duration) *Result {
+	sc := sys.Config()
 	res := &Result{
 		Cfg:       cfg,
 		App:       app,
 		Sys:       sys,
-		Model:     sys.Config().Model,
+		Model:     sc.Model,
 		VirtualNS: sys.VirtualTime(),
 		WallNS:    wall.Nanoseconds(),
 		Races:     sys.Races(),
@@ -241,11 +274,11 @@ func Run(cfg RunConfig) (*Result, error) {
 	for _, p := range sys.Procs() {
 		res.Procs = append(res.Procs, p.Stats())
 	}
-	if rec != nil {
+	if rec := sc.Recorder; rec != nil {
 		res.Telemetry = rec
 		res.FillMetrics(rec.Metrics())
 	}
-	return res, nil
+	return res
 }
 
 // Pair runs the same configuration with detection off (baseline) and on.

@@ -131,12 +131,11 @@ func barrierOnlyTrace(t *testing.T) []byte {
 	// retention GC fires — depends on which process serializes first, which
 	// is real scheduling. Those events are honestly nondeterministic; this
 	// test is about the exporter's virtual-time determinism.
-	sys, err := dsm.New(dsm.Config{NumProcs: procs, SharedSize: procs * ps, Detect: true, NoCheckpoint: true})
+	rec := telemetry.New(telemetry.Config{Procs: procs})
+	sys, err := dsm.New(dsm.Config{NumProcs: procs, SharedSize: procs * ps, Detect: true, NoCheckpoint: true, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := telemetry.Start(telemetry.Config{Procs: procs})
-	defer telemetry.Stop()
 	err = sys.Run(func(p *dsm.Proc) {
 		base := ps * p.ID()
 		for round := 0; round < 3; round++ {
@@ -183,17 +182,17 @@ func TestChromeTraceSameSeedDeterministic(t *testing.T) {
 // up to the failure — to the configured sink.
 func TestFlightRecorderOnRetryCapChaos(t *testing.T) {
 	var sink bytes.Buffer
-	rec := telemetry.Start(telemetry.Config{
+	rec := telemetry.New(telemetry.Config{
 		Procs:      4,
 		FlightN:    64,
 		FlightSink: &sink,
 	})
-	defer telemetry.Stop()
 
 	_, err := Run(RunConfig{
 		App:      "SOR",
 		Scale:    0.05,
 		Procs:    4,
+		Recorder: rec,
 		Protocol: dsm.SingleWriter,
 		Faults:   &simnet.FaultPlan{Seed: 7, Drop: 0.95},
 		Reliable: true,

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -9,67 +10,76 @@ import (
 	"lrcrace/internal/gofront"
 )
 
+// ErrUnknownApp marks the rejection of a DSM-frontend application name
+// that no registry knows (test with errors.Is). The sweep keeps such cells
+// so a typo surfaces as failed cells instead of a silently smaller grid.
+var ErrUnknownApp = errors.New("unknown application")
+
 // ValidateRunConfig checks a configuration without running it: every
 // rejection Run (or the dsm.Config it builds) would raise mid-setup is
-// raised here, up front. It is the admission-time gate of the detection
-// service — a request that fails ValidateRunConfig can never run, so the
-// service refuses it with a typed 4xx instead of burning a pool slot on a
-// doomed System — and Run itself calls it first, so the two can never
-// disagree about what is runnable.
+// raised here, up front. It is the one owner of the run-configuration
+// rules: the sweep's grid expansion keeps exactly the candidates it
+// accepts, the detection service refuses with a 400 carrying its message
+// whatever it rejects — a request that fails here can never run, so no
+// pool slot is burnt on a doomed System — and Run goes through the same
+// code, so none of them can disagree about what is runnable. The DSM's own
+// combination rules (sharded check needs detection, tree arity, lossy wire
+// needs the reliable sublayer, crash plans need checkpoints, ...) are not
+// restated: the dsm.Config the run would be built from is asked.
 func ValidateRunConfig(cfg RunConfig) error {
+	_, _, err := prepare(cfg)
+	return err
+}
+
+// prepare validates cfg and, for the DSM frontend, returns what Run builds
+// the System from: the application (nil for the chaos apps) and the
+// dsm.Config, recorder not yet attached.
+func prepare(cfg RunConfig) (apps.App, dsm.Config, error) {
+	fail := func(format string, args ...interface{}) (apps.App, dsm.Config, error) {
+		return nil, dsm.Config{}, fmt.Errorf("harness: "+format, args...)
+	}
 	if cfg.App == "" {
-		return fmt.Errorf("harness: no application named")
+		return fail("no application named")
 	}
 	if cfg.Procs < 1 {
-		return fmt.Errorf("harness: Procs = %d (want >= 1)", cfg.Procs)
+		return fail("Procs = %d (want >= 1)", cfg.Procs)
 	}
 	if cfg.Scale < 0 {
-		return fmt.Errorf("harness: negative Scale %g", cfg.Scale)
+		return fail("negative Scale %g", cfg.Scale)
 	}
 	if !KnownFrontend(cfg.Frontend) {
-		return fmt.Errorf("harness: unknown frontend %q (have %s)", cfg.Frontend, strings.Join(Frontends, ", "))
+		return fail("unknown frontend %q (have %s)", cfg.Frontend, strings.Join(Frontends, ", "))
 	}
 	if IsGoFrontend(cfg.Frontend) {
-		return validateGoFront(cfg)
+		return nil, dsm.Config{}, validateGoFront(cfg)
 	}
 	if cfg.HotKeySkew != 0 || cfg.Racy || cfg.OpsPerClient != 0 {
-		return fmt.Errorf("harness: HotKeySkew, Racy, and OpsPerClient parameterize go-frontend workloads; set Frontend to \"go\"")
+		return fail("HotKeySkew, Racy, and OpsPerClient parameterize go-frontend workloads; set Frontend to \"go\"")
 	}
-	if cfg.ShardedCheck && !cfg.Detect {
-		return fmt.Errorf("harness: ShardedCheck distributes the race check and so requires Detect")
-	}
-	if cfg.BarrierTree == 1 || cfg.BarrierTree < 0 {
-		return fmt.Errorf("harness: BarrierTree = %d: the combining tree needs arity >= 2 (0 = flat barrier)", cfg.BarrierTree)
-	}
-	if cfg.Faults != nil && !cfg.Reliable &&
-		(cfg.Faults.Drop > 0 || cfg.Faults.Dup > 0 || cfg.Faults.Reorder > 0) {
-		return fmt.Errorf("harness: lossy fault plan requires the Reliable sublayer")
-	}
-	if IsChaosApp(cfg.App) {
-		if chaosMode(cfg.CrashMode) != "none" && cfg.NoCheckpoint {
-			return fmt.Errorf("harness: CrashMode %q requires checkpointing: with NoCheckpoint there is nothing to roll back to", cfg.CrashMode)
+	var app apps.App
+	shared := chaosSharedBytes
+	if !IsChaosApp(cfg.App) {
+		if chaosMode(cfg.CrashMode) != "none" || chaosMode(cfg.CorruptMode) != "none" {
+			return fail("%s is a whole-program benchmark and cannot recover; crash/corruption modes need a chaos app (%s)", cfg.App, chaosAppNames())
 		}
-		epochs := int32(cfg.Epochs)
-		if epochs == 0 {
-			epochs = chaosDefaultEpochs
+		if gofront.IsWorkload(cfg.App) {
+			return fail("%s is a go-frontend workload; set Frontend to \"go\"", cfg.App)
 		}
-		// chaosPlans is the single source of truth for crash/corruption
-		// mode rules; a dry derivation validates without side effects.
-		if _, _, err := chaosPlans(cfg, cfg.Procs, epochs); err != nil {
-			return err
+		var err error
+		if app, err = apps.New(cfg.App, cfg.Scale); err != nil {
+			return fail("%w %q (have %s and chaos apps %s)",
+				ErrUnknownApp, cfg.App, strings.Join(apps.Names(), ", "), chaosAppNames())
 		}
-		return nil
+		shared = app.SharedBytes()
 	}
-	if chaosMode(cfg.CrashMode) != "none" || chaosMode(cfg.CorruptMode) != "none" {
-		return fmt.Errorf("harness: %s is a whole-program benchmark and cannot recover; crash/corruption modes need a chaos app (%s)", cfg.App, chaosAppNames())
+	dc, err := dsmConfig(cfg, shared)
+	if err != nil {
+		return nil, dsm.Config{}, err
 	}
-	for _, n := range apps.Names() {
-		if n == cfg.App {
-			return nil
-		}
+	if err := dc.Validate(); err != nil {
+		return nil, dsm.Config{}, err
 	}
-	return fmt.Errorf("harness: unknown application %q (have %s and chaos apps %s)",
-		cfg.App, strings.Join(apps.Names(), ", "), chaosAppNames())
+	return app, dc, nil
 }
 
 // validateGoFront gates the go-frontend configurations: the app must be a
@@ -94,6 +104,10 @@ func validateGoFront(cfg RunConfig) error {
 		return fmt.Errorf("harness: ShardedCheck is a DSM barrier mechanism; the go frontend checks at sync points")
 	case cfg.BarrierTree != 0:
 		return fmt.Errorf("harness: BarrierTree is a DSM barrier mechanism; the go frontend has no barriers")
+	case cfg.NoCheckpoint:
+		return fmt.Errorf("harness: the go frontend has no checkpoint layer to disable")
+	case cfg.Tracer != nil:
+		return fmt.Errorf("harness: Tracer observes DSM runs; the go frontend keeps its own trace (Result.GoFront)")
 	case cfg.FirstOnly, cfg.PageBitmapOverlap, cfg.WritesFromDiffs:
 		return fmt.Errorf("harness: FirstOnly/PageBitmapOverlap/WritesFromDiffs tune the DSM detector, not the go frontend")
 	case cfg.Faults != nil, cfg.Reliable:

@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"lrcrace/internal/dsm/debuglog"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/simnet"
 	"lrcrace/internal/telemetry"
@@ -68,9 +67,9 @@ type Config struct {
 	// tear the run down for coordinated rollback.
 	OnLinkDead func(from, to int)
 
-	// Telemetry is where retransmission and link-death events go. The zero
-	// Scope follows the process-global recorder; the DSM layer binds it to
-	// the owning System's recorder so concurrent transports stay isolated.
+	// Telemetry is where retransmission and link-death events go; the zero
+	// Scope records nothing. The DSM layer binds it to the owning System's
+	// recorder, so concurrent transports stay isolated.
 	Telemetry telemetry.Scope
 }
 
@@ -262,8 +261,6 @@ func (sl *sendLink) onTimeout() {
 		nun := len(sl.unacked)
 		first := sl.unacked[0]
 		sl.mu.Unlock()
-		debuglog.Logf("reliable: link %d->%d dead: %d unacked after %d retries (first %v seq %d)",
-			sl.from, sl.to, nun, t.cfg.MaxRetries, first.typ, first.seq)
 		t.cfg.Telemetry.Emit(sl.from, telemetry.KLinkDead, first.vtime,
 			int64(sl.to), int64(nun), int64(t.cfg.MaxRetries))
 		t.bumpStats(func(st *simnet.Stats) { st.Errors++ })
@@ -417,7 +414,6 @@ func (rl *recvLink) deliverLocked(d simnet.Delivery, payload []byte) {
 	if err != nil {
 		// Cannot happen over simnet/tcpnet (payloads round-trip before
 		// send); count and drop rather than wedge the protocol.
-		debuglog.Logf("reliable: link %d->%d: corrupt payload: %v", rl.from, rl.at, err)
 		rl.t.bumpStats(func(st *simnet.Stats) { st.Errors++ })
 		return
 	}

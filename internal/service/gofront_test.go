@@ -1,10 +1,11 @@
 package service
 
 import (
-	"errors"
 	"testing"
 	"time"
 
+	"lrcrace/internal/dsm"
+	"lrcrace/internal/harness"
 	"lrcrace/internal/sweep"
 )
 
@@ -75,30 +76,28 @@ func TestGoFrontSession(t *testing.T) {
 func TestGoFrontAdmission(t *testing.T) {
 	svc := New(Config{MaxSessions: 1})
 	defer svc.Close()
-	cases := []struct {
-		name string
-		req  RunRequest
-	}{
-		{"unknown frontend", RunRequest{App: "KV", Frontend: "rust"}},
-		{"go frontend on dsm app", RunRequest{App: "FFT", Frontend: "go"}},
-		{"gofront workload without frontend", RunRequest{App: "KV"}},
-		{"go with protocol", RunRequest{App: "KV", Frontend: "go", Protocol: "mw"}},
-		{"go with sharded check", RunRequest{App: "KV", Frontend: "go", Sharded: true}},
-		{"go without checkpoint layer", RunRequest{App: "KV", Frontend: "go", Checkpoint: boolPtr(false)}},
-		{"hot skew on dsm app", RunRequest{App: "FFT", HotSkew: 0.5}},
-		{"racy on dsm app", RunRequest{App: "FFT", Racy: true}},
-		{"hot skew out of range", RunRequest{App: "KV", Frontend: "go", HotSkew: 1.5}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := svc.Submit(tc.req)
-			var reqErr *RequestError
-			if !errors.As(err, &reqErr) {
-				t.Fatalf("Submit(%+v) = %v, want *RequestError", tc.req, err)
-			}
-		})
-	}
-	if got := len(svc.Sessions()); got != 0 {
-		t.Fatalf("%d sessions admitted by invalid go-frontend requests", got)
-	}
+	checkAdmission(t, svc, []admissionCase{
+		{"unknown frontend", RunRequest{App: "KV", Frontend: "rust"},
+			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "rust"}},
+		{"go frontend on dsm app", RunRequest{App: "FFT", Frontend: "go"},
+			&harness.RunConfig{App: "FFT", Procs: 4, Frontend: "go"}},
+		{"gofront workload without frontend", RunRequest{App: "KV"},
+			&harness.RunConfig{App: "KV", Procs: 4}},
+		{"go with protocol", RunRequest{App: "KV", Frontend: "go", Protocol: "mw"},
+			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", Protocol: dsm.MultiWriter}},
+		{"go with sharded check", RunRequest{App: "KV", Frontend: "go", Sharded: true},
+			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", ShardedCheck: true}},
+		{"go with barrier tree", RunRequest{App: "KV", Frontend: "go", BarrierTree: 2},
+			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", BarrierTree: 2}},
+		{"go without checkpoint layer", RunRequest{App: "KV", Frontend: "go", Checkpoint: boolPtr(false)},
+			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", NoCheckpoint: true}},
+		{"go with crash mode", RunRequest{App: "KV", Frontend: "go", CrashMode: "single"},
+			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", CrashMode: "single"}},
+		{"hot skew on dsm app", RunRequest{App: "FFT", HotSkew: 0.5},
+			&harness.RunConfig{App: "FFT", Procs: 4, HotKeySkew: 0.5}},
+		{"racy on dsm app", RunRequest{App: "FFT", Racy: true},
+			&harness.RunConfig{App: "FFT", Procs: 4, Racy: true}},
+		{"hot skew out of range", RunRequest{App: "KV", Frontend: "go", HotSkew: 1.5},
+			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", HotKeySkew: 1.5}},
+	})
 }

@@ -1,17 +1,15 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
 
-	"lrcrace/internal/apps"
 	"lrcrace/internal/castore"
-	"lrcrace/internal/gofront"
 	"lrcrace/internal/harness"
 	"lrcrace/internal/race"
 	"lrcrace/internal/sweep"
@@ -19,7 +17,7 @@ import (
 )
 
 // RunRequest is what a client submits to open a session: the same axes a
-// sweep cell pins (see sweep.Plan), as one concrete configuration. The
+// sweep cell pins (see sweep.Cell), as one concrete configuration. The
 // zero values of the optional fields take the sweep's defaults (scale 1,
 // 4 procs, single-writer protocol, detection on, checkpointing on).
 type RunRequest struct {
@@ -27,17 +25,18 @@ type RunRequest struct {
 	// DefaultTenant. Per-tenant admission quotas (Config.TenantMaxActive,
 	// TenantMaxQueued) are enforced against this identity, so one noisy
 	// tenant saturates its own quota instead of the whole service.
-	Tenant      string           `json:"tenant,omitempty"`
-	App         string           `json:"app"`
-	Scale       float64          `json:"scale,omitempty"`
-	Procs       int              `json:"procs,omitempty"`
-	Protocol    string           `json:"protocol,omitempty"`
-	Detect      *bool            `json:"detect,omitempty"`
-	Sharded     bool             `json:"sharded,omitempty"`
-	Checkpoint  *bool            `json:"checkpoint,omitempty"`
-	CrashMode   string           `json:"crash_mode,omitempty"`
-	CorruptMode string           `json:"corrupt_mode,omitempty"`
-	Seed        int64            `json:"seed,omitempty"`
+	Tenant      string  `json:"tenant,omitempty"`
+	App         string  `json:"app"`
+	Scale       float64 `json:"scale,omitempty"`
+	Procs       int     `json:"procs,omitempty"`
+	Protocol    string  `json:"protocol,omitempty"`
+	Detect      *bool   `json:"detect,omitempty"`
+	Sharded     bool    `json:"sharded,omitempty"`
+	BarrierTree int     `json:"barrier_tree,omitempty"`
+	Checkpoint  *bool   `json:"checkpoint,omitempty"`
+	CrashMode   string  `json:"crash_mode,omitempty"`
+	CorruptMode string  `json:"corrupt_mode,omitempty"`
+	Seed        int64   `json:"seed,omitempty"`
 	// Frontend selects the execution engine: "" or "dsm" for the simulated
 	// DSM, "go" for the gofront happens-before frontend, whose apps are
 	// the gofront workloads and whose knobs are HotSkew and Racy.
@@ -53,7 +52,9 @@ type RunRequest struct {
 // RequestFor builds the run request that reproduces one sweep cell, with
 // the plan-level fault template and message-delay override. It is the
 // remote-dispatch bridge: submitting the result as a session yields a
-// CellResult interchangeable with running the cell locally.
+// CellResult interchangeable with running the cell locally, so it must
+// carry every Cell field — Cell() is its inverse, and the round trip is
+// pinned field by field (TestRequestCellRoundTrip).
 func RequestFor(c sweep.Cell, faults *sweep.FaultAxis, realMsgDelayUS int64) RunRequest {
 	det, ck := c.Detect, c.Checkpoint
 	return RunRequest{
@@ -63,6 +64,7 @@ func RequestFor(c sweep.Cell, faults *sweep.FaultAxis, realMsgDelayUS int64) Run
 		Protocol:       c.Protocol,
 		Detect:         &det,
 		Sharded:        c.Sharded,
+		BarrierTree:    c.BarrierTree,
 		Checkpoint:     &ck,
 		CrashMode:      c.CrashMode,
 		CorruptMode:    c.CorruptMode,
@@ -75,136 +77,58 @@ func RequestFor(c sweep.Cell, faults *sweep.FaultAxis, realMsgDelayUS int64) Run
 	}
 }
 
-// plan lifts the request into a one-cell sweep plan, which is where the
-// grid's config-time rejection logic already lives.
-func (r *RunRequest) plan() *sweep.Plan {
-	p := &sweep.Plan{
-		Apps:           []string{r.App},
-		Seeds:          []int64{r.Seed},
-		Faults:         r.Faults,
-		RealMsgDelayUS: r.RealMsgDelayUS,
-	}
-	if r.Scale != 0 {
-		p.Scales = []float64{r.Scale}
-	}
-	if r.Procs != 0 {
-		p.Procs = []int{r.Procs}
-	}
-	if r.Protocol != "" {
-		p.Protocols = []string{r.Protocol}
-	}
-	if r.Detect != nil {
-		p.Detect = []bool{*r.Detect}
-	}
-	p.Sharded = []bool{r.Sharded}
-	if r.Checkpoint != nil {
-		p.Checkpoint = []bool{*r.Checkpoint}
-	}
-	if r.CrashMode != "" {
-		p.CrashModes = []string{r.CrashMode}
-	}
-	if r.CorruptMode != "" {
-		p.CorruptModes = []string{r.CorruptMode}
-	}
-	if r.Frontend != "" {
-		p.Frontends = []string{r.Frontend}
-	}
-	if r.HotSkew != 0 {
-		p.HotSkews = []float64{r.HotSkew}
-	}
-	if r.Racy {
-		p.Racy = []bool{true}
-	}
-	return p
-}
-
-// Cell resolves the request to its fully determined grid point, rejecting
-// configurations the DSM would refuse to build or that could never run
-// (unknown app, sharded check without detection, crash modes on
-// non-recoverable apps, corruption without a crash). This is the
-// admission-time validation: a rejected request fails with a
+// Cell resolves the request to its fully determined grid point — the cell
+// the equivalent one-point sweep plan expands to, with the same defaults
+// and the same ID — and its run configuration, rejecting whatever
+// harness.ValidateRunConfig rejects with that validator's message. This is
+// the admission-time validation: a rejected request fails with a
 // *RequestError before any System exists, never mid-run.
 func (r *RunRequest) Cell() (sweep.Cell, harness.RunConfig, error) {
-	if r.App == "" {
-		return sweep.Cell{}, harness.RunConfig{}, &RequestError{Reason: "no application named"}
-	}
-	if !harness.KnownFrontend(r.Frontend) {
-		return sweep.Cell{}, harness.RunConfig{},
-			&RequestError{Reason: fmt.Sprintf("unknown frontend %q (have %v)", r.Frontend, harness.Frontends)}
-	}
-	if !knownApp(r.App) {
-		return sweep.Cell{}, harness.RunConfig{},
-			&RequestError{Reason: fmt.Sprintf("unknown application %q (have %v, chaos apps %v, and go-frontend workloads %v)",
-				r.App, apps.Names(), harness.ChaosAppNames, gofront.Workloads())}
-	}
-	p := r.plan()
-	cells, err := p.Expand()
-	if err != nil {
+	reject := func(err error) (sweep.Cell, harness.RunConfig, error) {
 		return sweep.Cell{}, harness.RunConfig{}, &RequestError{Reason: err.Error()}
 	}
-	if len(cells) != 1 {
-		// Expand silently skips combinations the DSM rejects; name the
-		// reason instead of running to failure.
-		return sweep.Cell{}, harness.RunConfig{}, &RequestError{Reason: rejectReason(r)}
+	c := sweep.Cell{
+		App: r.App, Scale: r.Scale, Procs: r.Procs, Protocol: r.Protocol,
+		Detect: r.Detect == nil || *r.Detect, Sharded: r.Sharded, BarrierTree: r.BarrierTree,
+		Checkpoint: r.Checkpoint == nil || *r.Checkpoint,
+		CrashMode:  r.CrashMode, CorruptMode: r.CorruptMode,
+		HotSkew: r.HotSkew, Racy: r.Racy, Seed: r.Seed,
 	}
-	cfg, err := p.RunConfig(cells[0])
+	if c.Scale == 0 {
+		c.Scale = 1
+	}
+	if c.Procs == 0 {
+		c.Procs = 4
+	}
+	if c.Protocol == "" {
+		c.Protocol = "sw"
+	}
+	if c.CrashMode == "" {
+		c.CrashMode = "none"
+	}
+	if c.CorruptMode == "" {
+		c.CorruptMode = "none"
+	}
+	if harness.IsGoFrontend(r.Frontend) {
+		c.Frontend = r.Frontend
+	}
+	// A plan's seed axis collapses to 0 when nothing consumes the seed;
+	// do the same so the session is named like the cell it reproduces.
+	if r.Faults == nil && c.CrashMode == "none" && c.CorruptMode == "none" && c.Frontend == "" {
+		c.Seed = 0
+	}
+	c.ID = sweep.CellID(c)
+
+	plan := sweep.Plan{Faults: r.Faults, RealMsgDelayUS: r.RealMsgDelayUS}
+	cfg, err := plan.RunConfig(c)
 	if err != nil {
-		return sweep.Cell{}, harness.RunConfig{}, &RequestError{Reason: err.Error()}
+		return reject(err)
 	}
+	cfg.Frontend = r.Frontend // as submitted, so an unknown frontend is the validator's to name
 	if err := harness.ValidateRunConfig(cfg); err != nil {
-		return sweep.Cell{}, harness.RunConfig{}, &RequestError{Reason: err.Error()}
+		return reject(err)
 	}
-	return cells[0], cfg, nil
-}
-
-func knownApp(name string) bool {
-	if harness.IsChaosApp(name) || gofront.IsWorkload(name) {
-		return true
-	}
-	for _, n := range apps.Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// rejectReason names why a one-cell plan expanded to zero cells, in the
-// same terms Expand's skip conditions use.
-func rejectReason(r *RunRequest) string {
-	detect := r.Detect == nil || *r.Detect
-	ckpt := r.Checkpoint == nil || *r.Checkpoint
-	crash := r.CrashMode != "" && r.CrashMode != "none"
-	corrupt := r.CorruptMode != "" && r.CorruptMode != "none"
-	goFr := harness.IsGoFrontend(r.Frontend)
-	switch {
-	case goFr && !gofront.IsWorkload(r.App):
-		return fmt.Sprintf("%q is not a go-frontend workload (have %v)", r.App, gofront.Workloads())
-	case !goFr && gofront.IsWorkload(r.App):
-		return fmt.Sprintf("%q is a go-frontend workload; set frontend to \"go\"", r.App)
-	case goFr && r.Protocol != "" && r.Protocol != "sw":
-		return "the go frontend has no coherence protocol"
-	case goFr && r.Sharded:
-		return "the go frontend checks at sync points, not sharded barriers"
-	case goFr && !ckpt:
-		return "the go frontend has no checkpoint layer to disable"
-	case !goFr && (r.HotSkew != 0 || r.Racy):
-		return "hot_skew and racy parameterize go-frontend workloads; set frontend to \"go\""
-	case r.Sharded && !detect:
-		return "sharded check requires detection"
-	case crash && !harness.IsChaosApp(r.App):
-		return fmt.Sprintf("crash mode %q needs a recoverable chaos app (%v); %s is a whole-program benchmark",
-			r.CrashMode, harness.ChaosAppNames, r.App)
-	case crash && !ckpt:
-		return "crash modes require checkpointing (nothing to roll back to)"
-	case crash && r.Procs == 1:
-		return "crash modes need at least 2 processes (1 leaves no survivor)"
-	case r.CrashMode == "double" && r.Procs > 0 && r.Procs < 3:
-		return "crash mode double needs at least 3 processes for two distinct victims"
-	case corrupt && !crash:
-		return "corruption modes require a crash mode (nothing ever reads the corrupted checkpoints back)"
-	}
-	return "request maps to no runnable configuration"
+	return c, cfg, nil
 }
 
 // RequestError is an admission-time rejection: the request as submitted
@@ -353,8 +277,8 @@ type Config struct {
 	QueueDepth int
 	// SessionTimeout is the per-session wall deadline; 0 → 2 minutes. A
 	// session exceeding it is recorded with sweep.StatusTimeout and its
-	// run goroutine abandoned (bounded, recorder-isolated leak — the same
-	// containment the sweep's cell pool uses).
+	// run goroutine abandoned (sweep.RunGuarded's bounded,
+	// recorder-isolated leak).
 	SessionTimeout time.Duration
 	// StoreCap bounds report-store retention; 0 → DefaultStoreCap.
 	StoreCap int
@@ -666,19 +590,14 @@ func (svc *Service) worker() {
 	}
 }
 
-type sessionOutcome struct {
-	res *harness.Result
-	err error
-}
-
-// runSession executes one session the way the sweep pool runs a cell: its
-// own System, its own scoped recorder, its own goroutine so a wedged run
-// is abandoned at the deadline. The recorder's Observer streams detector
-// output into the report store as it happens.
+// runSession executes one session through the sweep's guarded runner — its
+// own System, its own scoped recorder, abandoned at the deadline if it
+// wedges — so a session's result is the CellResult a local sweep would
+// have recorded for the same cell. The recorder's Observer streams
+// detector output into the report store as it happens.
 func (svc *Service) runSession(sess *Session) {
-	cfg := sess.cfg
 	rec := telemetry.New(telemetry.Config{
-		Procs:      cfg.Procs,
+		Procs:      sess.cfg.Procs,
 		Cap:        svc.cfg.TelemetryCap,
 		FlightSink: io.Discard,
 		Observer: func(e telemetry.Event) {
@@ -689,13 +608,6 @@ func (svc *Service) runSession(sess *Session) {
 				Detail: reason.String() + ": " + detail})
 		},
 	})
-	cfg.Recorder = rec
-	// Mirror the sweep pool: the session deadline doubles as the barrier
-	// wall timeout unless the reliable sublayer (or a chaos app's tight
-	// default) is the crash detector in charge.
-	if cfg.BarrierWallTimeout == 0 && !cfg.Reliable && !harness.IsChaosApp(cfg.App) {
-		cfg.BarrierWallTimeout = svc.cfg.SessionTimeout
-	}
 
 	sess.mu.Lock()
 	sess.state = StateRunning
@@ -704,50 +616,9 @@ func (svc *Service) runSession(sess *Session) {
 	svc.tenantTransition(sess.tenant, 1, 0, 1) // queued → running
 	svc.store.Append(Record{Session: sess.id, Tenant: sess.tenant, Kind: KindSession, Detail: "started"})
 
-	out := make(chan sessionOutcome, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				out <- sessionOutcome{err: fmt.Errorf("panic: %v\n%s", p, debug.Stack())}
-			}
-		}()
-		res, err := harness.Run(cfg)
-		out <- sessionOutcome{res: res, err: err}
-	}()
-
-	timer := time.NewTimer(svc.cfg.SessionTimeout)
-	defer timer.Stop()
-	var result *sweep.CellResult
-	var races []race.Report
-	select {
-	case o := <-out:
-		if o.err != nil {
-			status := sweep.StatusFailed
-			if len(o.err.Error()) > 6 && o.err.Error()[:6] == "panic:" {
-				status = sweep.StatusPanic
-			}
-			result = &sweep.CellResult{ID: sess.ck.ID, Status: status, Error: o.err.Error(),
-				Attempt: 1, Metrics: rec.Metrics().Snapshot().Canonical()}
-		} else {
-			races = o.res.Races
-			result = &sweep.CellResult{
-				ID:            sess.ck.ID,
-				Status:        sweep.StatusOK,
-				Attempt:       1,
-				Races:         len(o.res.Races),
-				DistinctRaces: len(race.DedupByAddr(o.res.Races)),
-				VirtualNS:     o.res.VirtualNS,
-				WallNS:        o.res.WallNS,
-				Metrics:       rec.Metrics().Snapshot().Canonical(),
-			}
-		}
-	case <-timer.C:
-		// Abandon the wedged run goroutine; its System and recorder are
-		// private to this session, so the leak is bounded and harmless.
-		result = &sweep.CellResult{ID: sess.ck.ID, Status: sweep.StatusTimeout, Attempt: 1,
-			Error:   fmt.Sprintf("session exceeded %v", svc.cfg.SessionTimeout),
-			Metrics: rec.Metrics().Snapshot().Canonical()}
-	}
+	// Close waits for in-flight sessions rather than canceling them, so
+	// there is no context to give up on: the deadline is the only way out.
+	result, races := sweep.RunGuarded(context.Background(), sess.ck.ID, sess.cfg, rec, svc.cfg.SessionTimeout, 1)
 
 	sess.mu.Lock()
 	sess.state = StateDone

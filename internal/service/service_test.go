@@ -10,6 +10,7 @@ import (
 
 	"lrcrace/internal/harness"
 	"lrcrace/internal/race"
+	"lrcrace/internal/simnet"
 	"lrcrace/internal/sweep"
 )
 
@@ -245,26 +246,19 @@ func TestOverloadTyped(t *testing.T) {
 	}
 }
 
-// TestAdmissionValidation: requests that can never run are rejected with
-// *RequestError at submission time — no session is admitted, nothing runs.
-func TestAdmissionValidation(t *testing.T) {
-	svc := New(Config{MaxSessions: 1})
-	defer svc.Close()
-	cases := []struct {
-		name string
-		req  RunRequest
-	}{
-		{"empty", RunRequest{}},
-		{"unknown app", RunRequest{App: "NoSuchApp"}},
-		{"sharded without detect", RunRequest{App: "FFT", Sharded: true, Detect: boolPtr(false)}},
-		{"crash on whole-program app", RunRequest{App: "FFT", CrashMode: "single"}},
-		{"crash without checkpointing", RunRequest{App: "ChaosTSP", Procs: 4, CrashMode: "single", Checkpoint: boolPtr(false)}},
-		{"crash with one proc", RunRequest{App: "ChaosTSP", Procs: 1, CrashMode: "single"}},
-		{"double crash with two procs", RunRequest{App: "ChaosMW", Procs: 2, CrashMode: "double"}},
-		{"corruption without crash", RunRequest{App: "ChaosTSP", Procs: 4, CorruptMode: "chunk"}},
-		{"negative scale", RunRequest{App: "FFT", Scale: -1}},
-		{"bogus protocol", RunRequest{App: "FFT", Protocol: "bogus"}},
-	}
+// admissionCase is one request that can never run. cfg is the run
+// configuration it describes: the 400 reason must be word for word what
+// harness.ValidateRunConfig says about that configuration — the service has
+// no admission rules of its own. A nil cfg marks a request refused before
+// a configuration exists (an unparseable protocol name).
+type admissionCase struct {
+	name string
+	req  RunRequest
+	cfg  *harness.RunConfig
+}
+
+func checkAdmission(t *testing.T, svc *Service, cases []admissionCase) {
+	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := svc.Submit(tc.req)
@@ -272,11 +266,53 @@ func TestAdmissionValidation(t *testing.T) {
 			if !errors.As(err, &reqErr) {
 				t.Fatalf("Submit(%+v) = %v, want *RequestError", tc.req, err)
 			}
+			if tc.cfg == nil {
+				return
+			}
+			want := harness.ValidateRunConfig(*tc.cfg)
+			if want == nil {
+				t.Fatalf("validator accepts %+v; the case proves nothing", *tc.cfg)
+			}
+			if reqErr.Reason != want.Error() {
+				t.Errorf("400 reason %q, validator says %q", reqErr.Reason, want)
+			}
 		})
 	}
 	if got := len(svc.Sessions()); got != 0 {
 		t.Fatalf("%d sessions admitted by invalid requests", got)
 	}
+}
+
+// TestAdmissionValidation: requests that can never run are rejected with
+// *RequestError at submission time — no session is admitted, nothing runs.
+func TestAdmissionValidation(t *testing.T) {
+	svc := New(Config{MaxSessions: 1})
+	defer svc.Close()
+	checkAdmission(t, svc, []admissionCase{
+		{"empty", RunRequest{}, &harness.RunConfig{Procs: 4}},
+		{"unknown app", RunRequest{App: "NoSuchApp"}, &harness.RunConfig{App: "NoSuchApp", Procs: 4}},
+		{"sharded without detect", RunRequest{App: "FFT", Sharded: true, Detect: boolPtr(false)},
+			&harness.RunConfig{App: "FFT", Procs: 4, ShardedCheck: true}},
+		{"arity-1 barrier tree", RunRequest{App: "FFT", BarrierTree: 1},
+			&harness.RunConfig{App: "FFT", Procs: 4, Detect: true, BarrierTree: 1}},
+		{"crash on whole-program app", RunRequest{App: "FFT", CrashMode: "single"},
+			&harness.RunConfig{App: "FFT", Procs: 4, CrashMode: "single"}},
+		{"crash without checkpointing", RunRequest{App: "ChaosTSP", Procs: 4, CrashMode: "single", Checkpoint: boolPtr(false)},
+			&harness.RunConfig{App: "ChaosTSP", Procs: 4, CrashMode: "single", NoCheckpoint: true}},
+		{"crash with one proc", RunRequest{App: "ChaosTSP", Procs: 1, CrashMode: "single"},
+			&harness.RunConfig{App: "ChaosTSP", Procs: 1, CrashMode: "single"}},
+		{"double crash with two procs", RunRequest{App: "ChaosMW", Procs: 2, CrashMode: "double"},
+			&harness.RunConfig{App: "ChaosMW", Procs: 2, CrashMode: "double"}},
+		{"corruption without crash", RunRequest{App: "ChaosTSP", Procs: 4, CorruptMode: "chunk"},
+			&harness.RunConfig{App: "ChaosTSP", Procs: 4, CorruptMode: "chunk"}},
+		{"unknown crash mode", RunRequest{App: "ChaosTSP", CrashMode: "thrice"},
+			&harness.RunConfig{App: "ChaosTSP", Procs: 4, CrashMode: "thrice"}},
+		{"negative scale", RunRequest{App: "FFT", Scale: -1}, &harness.RunConfig{App: "FFT", Procs: 4, Scale: -1}},
+		{"negative procs", RunRequest{App: "FFT", Procs: -1}, &harness.RunConfig{App: "FFT", Procs: -1}},
+		{"fault probability above one", RunRequest{App: "TSP", Faults: &sweep.FaultAxis{Drop: 1.5}},
+			&harness.RunConfig{App: "TSP", Procs: 4, Faults: &simnet.FaultPlan{Drop: 1.5}, Reliable: true}},
+		{"bogus protocol", RunRequest{App: "FFT", Protocol: "bogus"}, nil},
+	})
 }
 
 // TestClosedService: Submit after Close returns ErrClosed.

@@ -110,8 +110,8 @@ type Network struct {
 	faults *FaultPlan
 	links  []*faultLink // per ordered pair, indexed from*n+to; nil without faults
 
-	// tel is where fault-injection events go; the zero Scope follows the
-	// process-global recorder. Set before traffic via SetTelemetry.
+	// tel is where fault-injection events go; the zero Scope records
+	// nothing. Set before traffic via SetTelemetry.
 	tel telemetry.Scope
 
 	mu      sync.Mutex
@@ -121,7 +121,7 @@ type Network struct {
 
 // SetTelemetry scopes the network's fault-injection events (WireDrop /
 // WireDup / WireReorder) to a specific recording session, so concurrent
-// networks in one process do not interleave events in the global recorder.
+// networks in one process record into their own Systems' recorders.
 // Like SetMTU it must be called before traffic starts.
 func (nw *Network) SetTelemetry(tel telemetry.Scope) {
 	nw.mu.Lock()

@@ -15,11 +15,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
 	"lrcrace/internal/dsm"
-	"lrcrace/internal/gofront"
 	"lrcrace/internal/harness"
 	"lrcrace/internal/simnet"
 )
@@ -29,9 +29,9 @@ import (
 // the singleton defaults noted on each field, so the zero Plan plus one
 // app is a valid 1-cell sweep.
 //
-// Combinations the DSM rejects are skipped at expansion rather than run to
-// failure: a sharded check requires detection, and a lossy fault plan
-// requires the reliable sublayer (which Expand turns on for those cells).
+// Combinations that cannot run are skipped at expansion rather than run to
+// failure. Expand has no combination rules of its own: it keeps exactly the
+// grid points whose run configuration harness.ValidateRunConfig accepts.
 type Plan struct {
 	// Apps are the benchmark applications to run (required).
 	Apps []string `json:"apps"`
@@ -101,12 +101,6 @@ type FaultAxis struct {
 	JitterUS int64   `json:"jitter_us,omitempty"`
 }
 
-// lossy reports whether the template can violate the reliable-FIFO
-// contract and therefore needs the retransmission sublayer.
-func (f *FaultAxis) lossy() bool {
-	return f != nil && (f.Drop > 0 || f.Dup > 0 || f.Reorder > 0)
-}
-
 // Cell is one expanded grid point: a fully determined run configuration
 // with a stable ID that doubles as its result file name.
 type Cell struct {
@@ -134,7 +128,9 @@ func boolBit(b bool) int {
 	return 0
 }
 
-func cellID(c Cell) string {
+// CellID derives a cell's stable ID from its axis values. Every field of
+// Cell that can differ between two runnable cells appears in it.
+func CellID(c Cell) string {
 	id := fmt.Sprintf("%s-s%g-p%d-%s-d%d-sh%d-ck%d",
 		c.App, c.Scale, c.Procs, c.Protocol,
 		boolBit(c.Detect), boolBit(c.Sharded), boolBit(c.Checkpoint))
@@ -247,14 +243,22 @@ func validMode(mode string, valid []string) bool {
 	return false
 }
 
-// Expand validates the plan and returns its cell list in grid order.
-// Invalid combinations (sharded check without detection) are skipped;
-// duplicate cell IDs (a repeated axis value) are an error.
+// Expand validates the plan and returns its cell list in grid order: the
+// cartesian product of the axes, in Plan field order, minus the points
+// harness.ValidateRunConfig rejects. Values no cell could run with (an
+// unknown protocol, a negative scale, arity 1, a fault probability above
+// 1, ...) are errors rather than skips, as are duplicate cell IDs (a
+// repeated axis value).
 func (p *Plan) Expand() ([]Cell, error) {
 	if len(p.Apps) == 0 {
 		return nil, fmt.Errorf("sweep: plan has no applications")
 	}
 	d := defaults(p)
+	for _, sc := range d.Scales {
+		if sc < 0 {
+			return nil, fmt.Errorf("sweep: negative scale %g", sc)
+		}
+	}
 	for _, proto := range d.Protocols {
 		if _, err := protocolKind(proto); err != nil {
 			return nil, err
@@ -266,8 +270,8 @@ func (p *Plan) Expand() ([]Cell, error) {
 		}
 	}
 	for _, bt := range d.BarrierTrees {
-		if bt == 1 || bt < 0 {
-			return nil, fmt.Errorf("sweep: invalid barrier-tree arity %d (0 = flat, else >= 2)", bt)
+		if err := dsm.CheckBarrierTree(bt); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
 		}
 	}
 	for _, m := range d.CrashModes {
@@ -278,6 +282,11 @@ func (p *Plan) Expand() ([]Cell, error) {
 	for _, m := range d.CorruptModes {
 		if !validMode(m, harness.CorruptModes) {
 			return nil, fmt.Errorf("sweep: unknown corrupt mode %q (want %v)", m, harness.CorruptModes)
+		}
+	}
+	if d.Faults != nil {
+		if err := d.Faults.plan(0).Validate(); err != nil {
+			return nil, fmt.Errorf("sweep: fault template: %w", err)
 		}
 	}
 	// Go-frontend axes default locally (not in defaults()) to keep
@@ -304,115 +313,66 @@ func (p *Plan) Expand() ([]Cell, error) {
 	if len(racies) == 0 {
 		racies = []bool{false}
 	}
+
+	// Walk the product like an odometer, last axis fastest. No axis is
+	// empty after defaulting, so there is at least one candidate.
+	dims := [...]int{len(d.Apps), len(fronts), len(d.Scales), len(d.Procs), len(d.Protocols),
+		len(d.Detect), len(d.Sharded), len(d.BarrierTrees), len(d.Checkpoint),
+		len(d.CrashModes), len(d.CorruptModes), len(hotSkews), len(racies), len(d.Seeds)}
+	var at [len(dims)]int
 	var cells []Cell
 	seen := make(map[string]bool)
-	for _, app := range d.Apps {
-		for _, front := range fronts {
-			goFr := harness.IsGoFrontend(front)
-			if goFr != gofront.IsWorkload(app) {
-				continue // each app runs only under the frontend that knows it
+	for {
+		c := Cell{
+			App: d.Apps[at[0]], Scale: d.Scales[at[2]], Procs: d.Procs[at[3]], Protocol: d.Protocols[at[4]],
+			Detect: d.Detect[at[5]], Sharded: d.Sharded[at[6]], BarrierTree: d.BarrierTrees[at[7]],
+			Checkpoint: d.Checkpoint[at[8]], CrashMode: d.CrashModes[at[9]], CorruptMode: d.CorruptModes[at[10]],
+			HotSkew: hotSkews[at[11]], Racy: racies[at[12]], Seed: d.Seeds[at[13]],
+		}
+		if front := fronts[at[1]]; harness.IsGoFrontend(front) {
+			c.Frontend = front
+		}
+		c.ID = CellID(c)
+		cfg, err := d.RunConfig(c)
+		if err != nil {
+			return nil, err
+		}
+		// An application no registry knows is kept: the typo then shows up
+		// as failed cells, not as a silently smaller (or empty) grid.
+		if err := harness.ValidateRunConfig(cfg); err == nil || errors.Is(err, harness.ErrUnknownApp) {
+			if seen[c.ID] {
+				return nil, fmt.Errorf("sweep: duplicate cell %s (repeated axis value?)", c.ID)
 			}
-			for _, sc := range d.Scales {
-				for _, pc := range d.Procs {
-					for _, proto := range d.Protocols {
-						if goFr && proto != "sw" {
-							continue // the go frontend has no coherence protocol
-						}
-						for _, det := range d.Detect {
-							for _, sh := range d.Sharded {
-								if sh && !det {
-									continue // dsm: sharded check requires detection
-								}
-								if sh && goFr {
-									continue // go frontend checks at sync points, not barriers
-								}
-								for _, bt := range d.BarrierTrees {
-									if bt != 0 && goFr {
-										continue // go frontend has no barriers
-									}
-									for _, ck := range d.Checkpoint {
-										if !ck && goFr {
-											continue // go frontend has no checkpoint layer
-										}
-										for _, cr := range d.CrashModes {
-											crash := cr != "" && cr != "none"
-											if crash && !harness.IsChaosApp(app) {
-												continue // whole-program apps cannot recover
-											}
-											if crash && !ck {
-												continue // dsm: crash plans require checkpointing
-											}
-											if crash && pc < 2 {
-												continue // no valid victim
-											}
-											if cr == "double" && pc < 3 {
-												continue // two distinct victims need three procs
-											}
-											for _, cx := range d.CorruptModes {
-												if cx != "" && cx != "none" && !crash {
-													continue // corruption is only read back under rollback
-												}
-												for _, hk := range hotSkews {
-													if hk != 0 && !goFr {
-														continue // hot-key skew is a go-frontend knob
-													}
-													for _, racy := range racies {
-														if racy && !goFr {
-															continue // racy fast paths are go-frontend plants
-														}
-														for _, seed := range d.Seeds {
-															c := Cell{
-																App: app, Scale: sc, Procs: pc, Protocol: proto,
-																Detect: det, Sharded: sh, BarrierTree: bt, Checkpoint: ck,
-																CrashMode: cr, CorruptMode: cx, Seed: seed,
-																HotSkew: hk, Racy: racy,
-															}
-															if goFr {
-																c.Frontend = front
-															}
-															c.ID = cellID(c)
-															if seen[c.ID] {
-																return nil, fmt.Errorf("sweep: duplicate cell %s (repeated axis value?)", c.ID)
-															}
-															seen[c.ID] = true
-															cells = append(cells, c)
-														}
-													}
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
+			seen[c.ID] = true
+			cells = append(cells, c)
+		}
+		k := len(at) - 1
+		for ; k >= 0; k-- {
+			if at[k]++; at[k] < dims[k] {
+				break
 			}
+			at[k] = 0
+		}
+		if k < 0 {
+			return cells, nil
 		}
 	}
-	return cells, nil
 }
 
-// RunConfig builds the harness configuration for one cell of the plan.
+// RunConfig builds the harness configuration for one cell of the plan. It
+// is the one Cell → RunConfig conversion: every cell field is passed on,
+// meaningful for the cell's frontend or not, and the validator — not this
+// function — decides what a frontend cannot take. The plan-level wire
+// template (Faults, RealMsgDelayUS) describes the simulated network and so
+// reaches DSM cells only.
 func (p *Plan) RunConfig(c Cell) (harness.RunConfig, error) {
 	proto, err := protocolKind(c.Protocol)
 	if err != nil {
 		return harness.RunConfig{}, err
 	}
-	if c.Frontend == "go" {
-		return harness.RunConfig{
-			App:        c.App,
-			Frontend:   c.Frontend,
-			Scale:      c.Scale,
-			Procs:      c.Procs,
-			Detect:     c.Detect,
-			HotKeySkew: c.HotSkew,
-			Racy:       c.Racy,
-			Seed:       c.Seed,
-		}, nil
-	}
 	cfg := harness.RunConfig{
 		App:          c.App,
+		Frontend:     c.Frontend,
 		Scale:        c.Scale,
 		Procs:        c.Procs,
 		Protocol:     proto,
@@ -423,19 +383,30 @@ func (p *Plan) RunConfig(c Cell) (harness.RunConfig, error) {
 		CrashMode:    c.CrashMode,
 		CorruptMode:  c.CorruptMode,
 		ChaosSeed:    uint64(c.Seed),
-		RealMsgDelay: time.Duration(p.RealMsgDelayUS) * time.Microsecond,
+		HotKeySkew:   c.HotSkew,
+		Racy:         c.Racy,
+		Seed:         c.Seed,
 	}
-	if f := p.Faults; f != nil {
-		cfg.Faults = &simnet.FaultPlan{
-			Seed:     c.Seed,
-			Drop:     f.Drop,
-			Dup:      f.Dup,
-			Reorder:  f.Reorder,
-			JitterNS: f.JitterUS * 1000,
-		}
-		cfg.Reliable = f.lossy()
+	if harness.IsGoFrontend(c.Frontend) {
+		return cfg, nil
+	}
+	cfg.RealMsgDelay = time.Duration(p.RealMsgDelayUS) * time.Microsecond
+	if p.Faults != nil {
+		cfg.Faults = p.Faults.plan(c.Seed)
+		cfg.Reliable = cfg.Faults.Lossy()
 	}
 	return cfg, nil
+}
+
+// plan instantiates the template with one cell's seed.
+func (f *FaultAxis) plan(seed int64) *simnet.FaultPlan {
+	return &simnet.FaultPlan{
+		Seed:     seed,
+		Drop:     f.Drop,
+		Dup:      f.Dup,
+		Reorder:  f.Reorder,
+		JitterNS: f.JitterUS * 1000,
+	}
 }
 
 // Fingerprint is the plan's identity for resumability: the SHA-256 of its

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -257,15 +258,8 @@ func (s *Sweep) runCell(ctx context.Context, c Cell) *CellResult {
 	return last
 }
 
-type cellOutcome struct {
-	res *harness.Result
-	err error
-}
-
-// attemptCell is one isolated execution: its own System, its own recorder,
-// its own goroutine so a wedged or panicking run is abandoned at the
-// deadline instead of taking the sweep down. The abandoned goroutine's
-// telemetry stays in its own recorder, so it cannot corrupt later cells.
+// attemptCell is one isolated execution of a cell, with its recorder
+// published to the live endpoint for as long as the attempt runs.
 func (s *Sweep) attemptCell(ctx context.Context, c Cell, attempt int) *CellResult {
 	cfg, err := s.plan.RunConfig(c)
 	if err != nil {
@@ -276,15 +270,6 @@ func (s *Sweep) attemptCell(ctx context.Context, c Cell, attempt int) *CellResul
 		Cap:        s.opts.TelemetryCap,
 		FlightSink: io.Discard, // dumps are served on demand, not spammed to stderr
 	})
-	cfg.Recorder = rec
-	// Chaos cells keep the harness's own tight wall timeout: it doubles as
-	// the crash detector for quiet deaths (a mid-interval victim produces no
-	// link traffic, so only the barrier wall timeout notices it), and a
-	// detector as slow as the cell deadline would read as a wedged cell.
-	if cfg.BarrierWallTimeout == 0 && !cfg.Reliable && !harness.IsChaosApp(cfg.App) {
-		cfg.BarrierWallTimeout = s.opts.CellTimeout
-	}
-
 	s.mu.Lock()
 	s.live[c.ID] = rec
 	s.flight[c.ID] = rec // retained after completion so /flight still answers
@@ -294,50 +279,78 @@ func (s *Sweep) attemptCell(ctx context.Context, c Cell, attempt int) *CellResul
 		delete(s.live, c.ID)
 		s.mu.Unlock()
 	}()
+	res, _ := RunGuarded(ctx, c.ID, cfg, rec, s.opts.CellTimeout, attempt)
+	return res
+}
 
-	out := make(chan cellOutcome, 1)
+// runPanic is the error a panicking run is reported with.
+type runPanic struct{ msg string }
+
+func (p *runPanic) Error() string { return p.msg }
+
+// RunGuarded is the one guarded executor of a run configuration — a sweep
+// cell locally, a session in the detection service: harness.Run on its own
+// goroutine with rec as the run's recorder, so that a panic is caught and a
+// wedged run is abandoned at the timeout instead of taking the caller down.
+// The abandoned goroutine's System and telemetry are private to the run, so
+// the leak is bounded and cannot corrupt later runs. It returns the
+// terminal CellResult (ok, failed, panic, or timeout) under the given id
+// and attempt number, plus the full race reports of an ok run; both are nil
+// when ctx was canceled first.
+func RunGuarded(ctx context.Context, id string, cfg harness.RunConfig, rec *telemetry.Recorder, timeout time.Duration, attempt int) (*CellResult, []race.Report) {
+	cfg.Recorder = rec
+	// The deadline doubles as the barrier wall timeout, so a wedged barrier
+	// aborts itself instead of leaking a live System — except where another
+	// crash detector is in charge: the reliable sublayer's link-death
+	// detection, or a chaos app's own tight timeout, which is what notices
+	// quiet deaths (a mid-interval victim produces no link traffic) and
+	// would read as a wedged run if it were as slow as the deadline.
+	if cfg.BarrierWallTimeout == 0 && !cfg.Reliable && !harness.IsChaosApp(cfg.App) {
+		cfg.BarrierWallTimeout = timeout
+	}
+
+	type outcome struct {
+		res *harness.Result
+		err error
+	}
+	out := make(chan outcome, 1) // the run goroutine's one send never blocks
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
-				out <- cellOutcome{err: fmt.Errorf("panic: %v\n%s", p, debug.Stack())}
+				out <- outcome{err: &runPanic{fmt.Sprintf("panic: %v\n%s", p, debug.Stack())}}
 			}
 		}()
 		res, err := harness.Run(cfg)
-		out <- cellOutcome{res: res, err: err}
+		out <- outcome{res: res, err: err}
 	}()
 
-	timer := time.NewTimer(s.opts.CellTimeout)
+	timer := time.NewTimer(timeout)
 	defer timer.Stop()
+	result := &CellResult{ID: id, Attempt: attempt}
+	var races []race.Report
 	select {
 	case o := <-out:
-		if o.err != nil {
-			status := StatusFailed
-			if len(o.err.Error()) > 6 && o.err.Error()[:6] == "panic:" {
-				status = StatusPanic
-			}
-			return &CellResult{ID: c.ID, Status: status, Error: o.err.Error(), Attempt: attempt,
-				Metrics: rec.Metrics().Snapshot().Canonical()}
-		}
-		return &CellResult{
-			ID:            c.ID,
-			Status:        StatusOK,
-			Attempt:       attempt,
-			Races:         len(o.res.Races),
-			DistinctRaces: len(race.DedupByAddr(o.res.Races)),
-			VirtualNS:     o.res.VirtualNS,
-			WallNS:        o.res.WallNS,
-			Metrics:       rec.Metrics().Snapshot().Canonical(),
+		var panicked *runPanic
+		switch {
+		case errors.As(o.err, &panicked):
+			result.Status, result.Error = StatusPanic, o.err.Error()
+		case o.err != nil:
+			result.Status, result.Error = StatusFailed, o.err.Error()
+		default:
+			races = o.res.Races
+			result.Status = StatusOK
+			result.Races = len(races)
+			result.DistinctRaces = len(race.DedupByAddr(races))
+			result.VirtualNS = o.res.VirtualNS
+			result.WallNS = o.res.WallNS
 		}
 	case <-timer.C:
-		// The run goroutine may be wedged; abandon it. Its System and
-		// recorder are private to this attempt, so the leak is bounded and
-		// harmless to every other cell.
-		return &CellResult{ID: c.ID, Status: StatusTimeout, Attempt: attempt,
-			Error:   fmt.Sprintf("cell exceeded %v", s.opts.CellTimeout),
-			Metrics: rec.Metrics().Snapshot().Canonical()}
+		result.Status, result.Error = StatusTimeout, fmt.Sprintf("run exceeded %v", timeout)
 	case <-ctx.Done():
-		return nil
+		return nil, nil
 	}
+	result.Metrics = rec.Metrics().Snapshot().Canonical()
+	return result, races
 }
 
 // Progress is a point-in-time view of the sweep for the HTTP endpoint.

@@ -19,7 +19,6 @@ import (
 	"net"
 	"sync"
 
-	"lrcrace/internal/dsm/debuglog"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/simnet"
 )
@@ -185,17 +184,17 @@ func (nw *Network) readLoop(owner int, c net.Conn) {
 		vtime := int64(binary.LittleEndian.Uint64(hdr[4:]))
 		plen := binary.LittleEndian.Uint32(hdr[12:])
 		if plen > maxFrame {
-			nw.streamError(owner, c, fmt.Sprintf("oversized frame: %d bytes (max %d)", plen, maxFrame))
+			nw.streamError() // oversized frame
 			return
 		}
 		payload := make([]byte, plen)
 		if _, err := io.ReadFull(c, payload); err != nil {
-			nw.streamError(owner, c, fmt.Sprintf("truncated frame: %v", err))
+			nw.streamError() // truncated frame
 			return
 		}
 		m, err := msg.Unmarshal(payload)
 		if err != nil {
-			nw.streamError(owner, c, fmt.Sprintf("corrupt payload: %v", err))
+			nw.streamError() // corrupt payload
 			return
 		}
 		nw.queues[owner].Push(simnet.Delivery{
@@ -208,20 +207,15 @@ func (nw *Network) readLoop(owner int, c net.Conn) {
 	}
 }
 
-// streamError records a framing/decode failure on a live connection.
-// Failures observed during shutdown are the teardown itself, not stream
-// corruption, and are not counted.
-func (nw *Network) streamError(owner int, c net.Conn, what string) {
+// streamError counts a framing/decode failure on a live connection; the
+// caller then drops the connection. Failures observed during shutdown are
+// the teardown itself, not stream corruption, and are not counted.
+func (nw *Network) streamError() {
 	nw.mu.Lock()
-	closed := nw.closed
-	if !closed {
+	if !nw.closed {
 		nw.stats.Errors++
 	}
 	nw.mu.Unlock()
-	if closed {
-		return
-	}
-	debuglog.Logf("tcpnet: endpoint %d: dropping conn %v: %s", owner, c.RemoteAddr(), what)
 }
 
 // Send implements dsm.Transport.

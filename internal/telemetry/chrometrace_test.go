@@ -20,20 +20,19 @@ type chromeDoc struct {
 	} `json:"traceEvents"`
 }
 
-func synthEvents() {
-	Emit(0, KPageFault, 100_000, 3, 1, 0)
-	Emit(0, KPageFetch, 400_000, 3, 1, 300_000)
-	Emit(1, KLockRequest, 50_000, 2, 0, 0)
-	Emit(1, KLockAcquired, 250_000, 2, 0, 200_000)
-	Emit(0, KBarrierDepart, 900_000, 0, 0, 500_000)
-	Emit(-1, KRetransmit, 600_000, 1, 4, 2)
+func synthEvents(sc Scope) {
+	sc.Emit(0, KPageFault, 100_000, 3, 1, 0)
+	sc.Emit(0, KPageFetch, 400_000, 3, 1, 300_000)
+	sc.Emit(1, KLockRequest, 50_000, 2, 0, 0)
+	sc.Emit(1, KLockAcquired, 250_000, 2, 0, 200_000)
+	sc.Emit(0, KBarrierDepart, 900_000, 0, 0, 500_000)
+	sc.Emit(-1, KRetransmit, 600_000, 1, 4, 2)
 }
 
 func exportTrace(t *testing.T) ([]byte, *chromeDoc) {
 	t.Helper()
-	r := Start(Config{Procs: 2})
-	defer Stop()
-	synthEvents()
+	r := New(Config{Procs: 2})
+	synthEvents(To(r))
 	var b bytes.Buffer
 	if err := r.WriteChromeTrace(&b); err != nil {
 		t.Fatal(err)
@@ -104,19 +103,18 @@ func TestChromeTraceStructure(t *testing.T) {
 // real-time interleavings; the exports must be byte-identical because the
 // exporter sorts canonically by virtual time, not by arrival order.
 func TestChromeTraceDeterministic(t *testing.T) {
-	r1 := Start(Config{Procs: 2})
-	synthEvents()
-	Stop()
+	r1 := New(Config{Procs: 2})
+	synthEvents(To(r1))
 
-	r2 := Start(Config{Procs: 2})
+	r2 := New(Config{Procs: 2})
 	// Same events, reversed emission order (different Seq/Wall values).
-	Emit(-1, KRetransmit, 600_000, 1, 4, 2)
-	Emit(0, KBarrierDepart, 900_000, 0, 0, 500_000)
-	Emit(1, KLockAcquired, 250_000, 2, 0, 200_000)
-	Emit(1, KLockRequest, 50_000, 2, 0, 0)
-	Emit(0, KPageFetch, 400_000, 3, 1, 300_000)
-	Emit(0, KPageFault, 100_000, 3, 1, 0)
-	Stop()
+	sc := To(r2)
+	sc.Emit(-1, KRetransmit, 600_000, 1, 4, 2)
+	sc.Emit(0, KBarrierDepart, 900_000, 0, 0, 500_000)
+	sc.Emit(1, KLockAcquired, 250_000, 2, 0, 200_000)
+	sc.Emit(1, KLockRequest, 50_000, 2, 0, 0)
+	sc.Emit(0, KPageFetch, 400_000, 3, 1, 300_000)
+	sc.Emit(0, KPageFault, 100_000, 3, 1, 0)
 
 	var b1, b2 bytes.Buffer
 	if err := r1.WriteChromeTrace(&b1); err != nil {

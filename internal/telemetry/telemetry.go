@@ -11,24 +11,19 @@
 // reliable retransmission sublayer) one typed event pipeline and one
 // metrics registry, in the low-intrusiveness spirit of Ronsse & De
 // Bosschere's non-intrusive tracing: when recording is off, an event site
-// costs exactly one atomic pointer load (the same discipline the old
-// debuglog kept, which is now a thin shim over this core).
+// costs exactly one nil check.
 //
 // Events are recorded into per-process ring buffers with both virtual
 // (costmodel) and wall timestamps. Exporters include Chrome trace-event
 // JSON (see WriteChromeTrace), which renders a run as a per-process cluster
 // timeline in Perfetto or chrome://tracing.
 //
-// Recorders come in two flavors. Start installs a process-global recorder —
-// the historical single-run mode, still what the debuglog shim and the
-// simplest tools use. New builds a handle-scoped recorder that is never
-// installed globally: thread it to the layers that should record into it
-// (dsm.Config.Recorder, or a Scope built with To) and N recording sessions
-// can coexist in one process without interleaving rings, sequence numbers,
-// or metric registries — the property the sweep orchestrator
-// (internal/sweep) depends on to run a grid of Systems concurrently.
-// Event sites take a Scope; the zero Scope falls back to the global
-// recorder, preserving the one-atomic-load disabled fast path.
+// A Recorder is a handle, never installed process-wide: New builds one,
+// and it records only what is threaded to it (dsm.Config.Recorder, or a
+// Scope built with To), so N recording sessions coexist in one process
+// without interleaving rings, sequence numbers, or metric registries — the
+// property the sweep orchestrator (internal/sweep) depends on to run a grid
+// of Systems concurrently. Event sites take a Scope; the zero Scope is off.
 //
 // The package deliberately imports only the standard library so that any
 // layer of the system can instrument itself without dependency cycles.
@@ -49,7 +44,7 @@ import (
 type Kind uint8
 
 const (
-	// KLog is a free-form formatted string event — the debuglog shim.
+	// KLog is a free-form formatted string event (Scope.Logf).
 	KLog Kind = iota
 	// KPageFault: a protection fault on the local copy. A=page, B=1 write.
 	KPageFault
@@ -278,12 +273,10 @@ type Config struct {
 	// outside [0, Procs) land in a shared system ring.
 	Procs int
 	// Cap is the per-ring capacity in events; 0 → 8192, negative →
-	// unbounded (the debuglog shim uses unbounded so tests see every
-	// event).
+	// unbounded (tests that must see every event).
 	Cap int
-	// CaptureLog records KLog string events (the debuglog shim). Off by
-	// default: typed events carry the same information without the
-	// formatting cost.
+	// CaptureLog records KLog string events (Scope.Logf). Off by default:
+	// typed events carry the same information without the formatting cost.
 	CaptureLog bool
 	// FlightN is how many trailing events a flight dump prints; 0 → 256.
 	FlightN int
@@ -402,10 +395,6 @@ type Recorder struct {
 	trips  atomic.Int64
 }
 
-// active is the installed recorder; nil means every event site is a single
-// atomic load.
-var active atomic.Pointer[Recorder]
-
 // LatencyBuckets are the default histogram bounds for virtual-time
 // latencies, in nanoseconds (50µs … 12.8ms; one wire hop is ~150µs).
 var LatencyBuckets = []float64{
@@ -417,22 +406,10 @@ var LatencyBuckets = []float64{
 // (powers of two up to 256 entries).
 var ShardSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// Start installs a new Recorder as the process-global destination of every
-// zero-Scope event site and returns it. Any previous recorder is replaced
-// (its contents remain readable through the returned value of the Start
-// that created it) — which is exactly why two concurrent runs must NOT
-// share the global: the second Start silently steals the first run's
-// events and metrics. Concurrent sessions use New and scoped handles.
-func Start(cfg Config) *Recorder {
-	r := New(cfg)
-	active.Store(r)
-	return r
-}
-
-// New builds a Recorder without installing it globally: a handle-scoped
-// recording session. Events reach it only through a Scope bound with To
-// (or a layer configured with the handle, e.g. dsm.Config.Recorder), so
-// any number of New recorders can record concurrently in one process.
+// New builds a Recorder: a handle-scoped recording session. Events reach
+// it only through a Scope bound with To (or a layer configured with the
+// handle, e.g. dsm.Config.Recorder), so any number of recorders can record
+// concurrently in one process.
 func New(cfg Config) *Recorder {
 	r := &Recorder{cfg: cfg.withDefaults(), start: time.Now()}
 	r.rings = make([]*ring, r.cfg.Procs+1)
@@ -496,104 +473,39 @@ func New(cfg Config) *Recorder {
 }
 
 // Scope is a nil-safe handle directing one layer's events at a specific
-// recording session. The zero Scope is the process-global shim: events go
-// to whatever recorder Start has installed, or nowhere at the cost of one
-// atomic load. A bound Scope (To) bypasses the global entirely, so
-// concurrent sessions cannot cross-talk. Scopes are values; copy freely.
+// recording session. The zero Scope (and To(nil)) is off: events go
+// nowhere at the cost of one nil check. Scopes are values; copy freely.
 type Scope struct{ r *Recorder }
 
-// To returns a Scope bound to r; To(nil) is the zero (global) Scope.
+// To returns a Scope bound to r; To(nil) is the zero (off) Scope.
 func To(r *Recorder) Scope { return Scope{r: r} }
 
-// Bound reports whether the scope is pinned to a specific recorder rather
-// than following the process-global installation.
-func (s Scope) Bound() bool { return s.r != nil }
-
-// Recorder resolves the scope's destination: the bound recorder, or the
-// currently installed global one (possibly nil).
-func (s Scope) Recorder() *Recorder {
-	if s.r != nil {
-		return s.r
-	}
-	return active.Load()
-}
-
-// Enabled reports whether events emitted through this scope are recorded.
-func (s Scope) Enabled() bool { return s.Recorder() != nil }
-
-// Emit records one typed event through the scope; a no-op costing one
-// pointer check (plus, unbound, one atomic load) when recording is off.
+// Emit records one typed event through the scope; a no-op costing one nil
+// check when the scope is off.
 func (s Scope) Emit(proc int, k Kind, vt int64, a, b, c int64) {
-	r := s.Recorder()
-	if r == nil {
+	if s.r == nil {
 		return
 	}
-	r.emit(proc, k, vt, a, b, c, "")
+	s.r.emit(proc, k, vt, a, b, c, "")
 }
 
 // Logf records one formatted string event through the scope; a no-op
-// unless the resolved recorder has CaptureLog set.
+// unless the scope's recorder has CaptureLog set.
 func (s Scope) Logf(proc int, vt int64, format string, args ...interface{}) {
-	r := s.Recorder()
-	if r == nil || !r.cfg.CaptureLog {
+	if s.r == nil || !s.r.cfg.CaptureLog {
 		return
 	}
-	r.emit(proc, KLog, vt, 0, 0, 0, fmt.Sprintf(format, args...))
+	s.r.emit(proc, KLog, vt, 0, 0, 0, fmt.Sprintf(format, args...))
 }
 
-// Trip triggers the scope's flight recorder (no-op when recording is off).
+// Trip triggers the scope's flight recorder (no-op when the scope is off).
+// Layers call it at the moments the paper's user would want a core dump of
+// the cluster: retry-cap exhaustion, barrier timeout, process panic, peer
+// crash.
 func (s Scope) Trip(reason TripReason, detail string) {
-	if r := s.Recorder(); r != nil {
-		r.Trip(reason, detail)
+	if s.r != nil {
+		s.r.Trip(reason, detail)
 	}
-}
-
-// Stop uninstalls the recorder and returns it for inspection (nil if none
-// was installed). Event sites go back to a single atomic load.
-func Stop() *Recorder {
-	return active.Swap(nil)
-}
-
-// Active returns the installed recorder, or nil.
-func Active() *Recorder { return active.Load() }
-
-// Enabled reports whether events are being recorded.
-func Enabled() bool { return active.Load() != nil }
-
-// LogCaptureEnabled reports whether KLog string events are being recorded
-// (the debuglog shim's enable state).
-func LogCaptureEnabled() bool {
-	r := active.Load()
-	return r != nil && r.cfg.CaptureLog
-}
-
-// Emit records one typed event; it is a no-op costing one atomic load when
-// recording is off. vt is the emitter's virtual clock.
-func Emit(proc int, k Kind, vt int64, a, b, c int64) {
-	r := active.Load()
-	if r == nil {
-		return
-	}
-	r.emit(proc, k, vt, a, b, c, "")
-}
-
-// Logf records one formatted string event (the debuglog shim); it is a
-// no-op unless a recorder with CaptureLog is installed.
-func Logf(proc int, vt int64, format string, args ...interface{}) {
-	r := active.Load()
-	if r == nil || !r.cfg.CaptureLog {
-		return
-	}
-	r.emit(proc, KLog, vt, 0, 0, 0, fmt.Sprintf(format, args...))
-}
-
-// Trip triggers a flight-recorder dump on the global recorder with the
-// given typed reason and a free-form detail line (no-op when recording is
-// off). Layers call it at the moments the paper's user would want a core
-// dump of the cluster: retry-cap exhaustion, barrier timeout, process
-// panic, peer crash.
-func Trip(reason TripReason, detail string) {
-	Scope{}.Trip(reason, detail)
 }
 
 // Trip dumps this recorder's flight buffer with the given typed reason and

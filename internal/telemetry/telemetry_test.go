@@ -7,27 +7,22 @@ import (
 )
 
 func TestDisabledIsNoOp(t *testing.T) {
-	Stop()
-	if Enabled() {
-		t.Fatal("Enabled() with no recorder installed")
-	}
-	// Must not panic or record anywhere.
-	Emit(0, KPageFault, 1, 2, 0, 0)
-	Logf(0, 1, "dropped %d", 7)
-	Trip(TripProcPanic, "nothing installed")
-	if Active() != nil {
-		t.Fatal("Active() non-nil after Stop")
+	// A scope with no recorder must not panic.
+	for _, off := range []Scope{{}, To(nil)} {
+		off.Emit(0, KPageFault, 1, 2, 0, 0)
+		off.Logf(0, 1, "dropped %d", 7)
+		off.Trip(TripProcPanic, "no recorder")
 	}
 }
 
 func TestRecordAndReadBack(t *testing.T) {
-	r := Start(Config{Procs: 2})
-	defer Stop()
+	r := New(Config{Procs: 2})
+	sc := To(r)
 
-	Emit(0, KPageFault, 100, 7, 0, 0)
-	Emit(1, KPageFetch, 250, 7, 0, 150)
-	Emit(-1, KRetransmit, 300, 1, 2, 3)
-	Emit(5, KLinkDead, 400, 1, 2, 3) // out of range → system ring
+	sc.Emit(0, KPageFault, 100, 7, 0, 0)
+	sc.Emit(1, KPageFetch, 250, 7, 0, 150)
+	sc.Emit(-1, KRetransmit, 300, 1, 2, 3)
+	sc.Emit(5, KLinkDead, 400, 1, 2, 3) // out of range → system ring
 
 	if got := len(r.ProcEvents(0)); got != 1 {
 		t.Fatalf("proc 0 retained %d events, want 1", got)
@@ -61,10 +56,10 @@ func TestRecordAndReadBack(t *testing.T) {
 }
 
 func TestRingBounding(t *testing.T) {
-	r := Start(Config{Procs: 1, Cap: 4})
-	defer Stop()
+	r := New(Config{Procs: 1, Cap: 4})
+	sc := To(r)
 	for i := 0; i < 10; i++ {
-		Emit(0, KLockRequest, int64(i), int64(i), 0, 0)
+		sc.Emit(0, KLockRequest, int64(i), int64(i), 0, 0)
 	}
 	evs := r.ProcEvents(0)
 	if len(evs) != 4 {
@@ -82,10 +77,10 @@ func TestRingBounding(t *testing.T) {
 }
 
 func TestUnboundedRing(t *testing.T) {
-	r := Start(Config{Procs: 1, Cap: -1})
-	defer Stop()
+	r := New(Config{Procs: 1, Cap: -1})
+	sc := To(r)
 	for i := 0; i < 10000; i++ {
-		Emit(0, KLog, 0, 0, 0, 0)
+		sc.Emit(0, KLog, 0, 0, 0, 0)
 	}
 	if got := len(r.ProcEvents(0)); got != 10000 {
 		t.Fatalf("unbounded ring retained %d, want 10000", got)
@@ -96,19 +91,14 @@ func TestUnboundedRing(t *testing.T) {
 }
 
 func TestLogfRequiresCapture(t *testing.T) {
-	r := Start(Config{Procs: 1})
-	Logf(0, 0, "not captured")
+	r := New(Config{Procs: 1})
+	To(r).Logf(0, 0, "not captured")
 	if n := len(r.Events()); n != 0 {
 		t.Fatalf("Logf recorded %d events without CaptureLog", n)
 	}
-	Stop()
 
-	r = Start(Config{Procs: 1, CaptureLog: true})
-	defer Stop()
-	if !LogCaptureEnabled() {
-		t.Fatal("LogCaptureEnabled() = false")
-	}
-	Logf(0, 5, "captured %d", 42)
+	r = New(Config{Procs: 1, CaptureLog: true})
+	To(r).Logf(0, 5, "captured %d", 42)
 	evs := r.Events()
 	if len(evs) != 1 || evs[0].Kind != KLog || evs[0].Msg != "captured 42" {
 		t.Fatalf("captured events = %+v", evs)
@@ -117,12 +107,12 @@ func TestLogfRequiresCapture(t *testing.T) {
 
 func TestFlightDump(t *testing.T) {
 	var sink bytes.Buffer
-	r := Start(Config{Procs: 2, FlightN: 3, FlightSink: &sink})
-	defer Stop()
+	r := New(Config{Procs: 2, FlightN: 3, FlightSink: &sink})
+	sc := To(r)
 	for i := 0; i < 8; i++ {
-		Emit(i%2, KBarrierArrive, int64(i*10), int64(i), 0, 0)
+		sc.Emit(i%2, KBarrierArrive, int64(i*10), int64(i), 0, 0)
 	}
-	Trip(TripProcPanic, "unit test trip")
+	sc.Trip(TripProcPanic, "unit test trip")
 	if r.Trips() != 1 {
 		t.Fatalf("Trips() = %d, want 1", r.Trips())
 	}
@@ -145,37 +135,21 @@ func TestFlightDump(t *testing.T) {
 	}
 }
 
-func TestStopReturnsRecorder(t *testing.T) {
-	r := Start(Config{Procs: 1})
-	Emit(0, KRaceFound, 1, 2, 3, 1)
-	got := Stop()
-	if got != r {
-		t.Fatal("Stop() did not return the installed recorder")
-	}
-	if len(got.Events()) != 1 {
-		t.Fatal("recorder contents lost after Stop")
-	}
-	if Stop() != nil {
-		t.Fatal("second Stop() should return nil")
-	}
-}
-
 // BenchmarkEmitDisabled measures the cost of an event site while recording
-// is off: it must stay a single atomic load (sub-nanosecond on modern
+// is off: it must stay a single nil check (sub-nanosecond on modern
 // hardware), the discipline the acceptance criteria pin down.
 func BenchmarkEmitDisabled(b *testing.B) {
-	Stop()
+	var sc Scope
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Emit(0, KPageFault, int64(i), 1, 0, 0)
+		sc.Emit(0, KPageFault, int64(i), 1, 0, 0)
 	}
 }
 
 func BenchmarkEmitEnabled(b *testing.B) {
-	Start(Config{Procs: 1, Cap: 1024})
-	defer Stop()
+	sc := To(New(Config{Procs: 1, Cap: 1024}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Emit(0, KPageFault, int64(i), 1, 0, 0)
+		sc.Emit(0, KPageFault, int64(i), 1, 0, 0)
 	}
 }

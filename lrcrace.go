@@ -207,8 +207,9 @@ func AnalyzeTrace(r io.Reader) ([]Addr, error) { return trace.Analyze(r) }
 // tracer, metrics registry, and flight recorder.
 type (
 	// TelemetryConfig configures a run's event recorder; set it via
-	// ExperimentConfig.Telemetry (or call telemetry.Start around a raw
-	// System.Run). The recorder exports Chrome trace-event JSON
+	// ExperimentConfig.Telemetry, or build the recorder yourself with
+	// NewTelemetryRecorder and set Config.Recorder for a raw System.Run.
+	// The recorder exports Chrome trace-event JSON
 	// (WriteChromeTrace), Prometheus text (Metrics().WriteProm), and flight
 	// dumps (DumpFlight).
 	TelemetryConfig = telemetry.Config
@@ -221,17 +222,12 @@ type (
 	MetricsSnapshot = telemetry.Snapshot
 )
 
-// StartTelemetry installs a global event recorder (see telemetry.Start).
-func StartTelemetry(cfg TelemetryConfig) *TelemetryRecorder { return telemetry.Start(cfg) }
-
-// StopTelemetry uninstalls the recorder and returns it for inspection.
-func StopTelemetry() *TelemetryRecorder { return telemetry.Stop() }
-
-// NewTelemetryRecorder builds a handle-scoped recorder (telemetry.New)
-// without installing it globally. Set it as ExperimentConfig.Recorder to
-// keep the handle while the run executes — a live metrics endpoint can
-// then scrape Metrics().WriteProm mid-run — and to let any number of runs
-// record concurrently in one process without cross-talk.
+// NewTelemetryRecorder builds a recorder (telemetry.New). Set it as
+// Config.Recorder or ExperimentConfig.Recorder and keep the handle while
+// the run executes — a live metrics endpoint can then scrape
+// Metrics().WriteProm mid-run. Each run records only into its own handle,
+// so any number of runs record concurrently in one process without
+// cross-talk.
 func NewTelemetryRecorder(cfg TelemetryConfig) *TelemetryRecorder { return telemetry.New(cfg) }
 
 // Transport is the message-carrying contract; the default is the in-memory
