@@ -78,31 +78,58 @@ func New() *Store {
 // reference per Put and retire it with Unref. A resident chunk whose bytes
 // were tampered with (or deleted out from under its refcount) is healed:
 // the incoming copy hashes to the address by construction, so it is
-// authoritative.
+// authoritative. b is copied only when the store keeps it (new chunk or
+// heal); a clean dedup hit allocates nothing.
 func (s *Store) Put(b []byte) (Addr, bool) {
 	a := Sum(b)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Puts++
 	s.stats.LogicalBytes += int64(len(b))
-	// Keep stored bytes non-nil: nil marks a Delete-faulted chunk.
-	data := append(make([]byte, 0, len(b)), b...)
 	c := s.chunks[a]
-	if c == nil {
-		c = &chunk{data: data}
+	switch {
+	case c == nil:
+		c = &chunk{data: stored(b)}
 		s.chunks[a] = c
 		s.stats.StoredBytes += int64(len(b))
 		s.stats.LiveBytes += int64(len(b))
-	} else {
+	case c.data == nil || !bytes.Equal(c.data, b):
 		s.stats.Hits++
-		if c.data == nil || !bytes.Equal(c.data, b) {
-			s.stats.LiveBytes += int64(len(b) - len(c.data))
-			c.data = data
-			s.stats.Heals++
-		}
+		s.stats.Heals++
+		s.stats.LiveBytes += int64(len(b) - len(c.data))
+		c.data = stored(b)
+	default:
+		s.stats.Hits++
 	}
 	c.refs++
 	return a, c.refs == 1
+}
+
+// stored returns the store's own copy of b. Never nil: a nil data slice
+// marks a Delete-faulted chunk.
+func stored(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
+
+// PutAt is Put for a caller that remembers the address it last deposited
+// these bytes' predecessor under — a checkpointer re-depositing a page that
+// usually has not changed since the previous epoch. The remembered address
+// is a hint that is verified, never trusted: only if a chunk is resident at
+// hint and its bytes equal b is the deposit accounted as the dedup hit Put
+// would have found (same Stats, one more reference, same result), without
+// hashing b. Anything else — nothing at hint, a Deleted or Tampered chunk,
+// different contents — is an ordinary Put, so damaged chunks are healed and
+// counted exactly as without the hint.
+func (s *Store) PutAt(hint Addr, b []byte) (Addr, bool) {
+	s.mu.Lock()
+	if c := s.chunks[hint]; c != nil && c.data != nil && bytes.Equal(c.data, b) {
+		s.stats.Puts++
+		s.stats.LogicalBytes += int64(len(b))
+		s.stats.Hits++
+		c.refs++
+		s.mu.Unlock()
+		return hint, false
+	}
+	s.mu.Unlock()
+	return s.Put(b)
 }
 
 // Get returns a copy of the chunk at a, verifying its contents against the

@@ -3,6 +3,9 @@ package castore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -155,6 +158,145 @@ func TestAddrsSortedDeterministic(t *testing.T) {
 	for i := range addrs {
 		if addrs[i] != again[i] {
 			t.Fatal("Addrs enumeration not stable")
+		}
+	}
+}
+
+// storeImage is everything observable about a store: accounting, and per
+// address the refcount and resident bytes.
+func storeImage(s *Store) (Stats, map[Addr]chunk) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	img := make(map[Addr]chunk, len(s.chunks))
+	for a, c := range s.chunks {
+		img[a] = chunk{data: c.data, refs: c.refs}
+	}
+	return s.stats, img
+}
+
+// TestPutAtMatchesPut: a depositor that remembers addresses (PutAt) and one
+// that does not (Put) leave byte-identical stores — Stats, refcounts,
+// resident data and every returned (address, new) pair — across deposits,
+// fault injection and release, whether the remembered address is right,
+// stale, or nonsense. The hint buys speed, never a different answer.
+func TestPutAtMatchesPut(t *testing.T) {
+	A, B, C := []byte("page contents A"), []byte("page contents B"), []byte("page contents C, longer")
+	empty := []byte{}
+	type op struct {
+		kind    string // put | hint | tamper | delete | unref | drain
+		slot    int    // put: which remembered address to offer and update
+		content []byte
+	}
+	put := func(slot int, b []byte) op { return op{"put", slot, b} }
+	cases := []struct {
+		name string
+		ops  []op
+	}{
+		{"unchanged page re-deposited", []op{put(0, A), put(0, A), put(0, A)}},
+		{"page changes then changes back", []op{put(0, A), put(0, B), put(0, A), put(0, A)}},
+		{"two pages share contents", []op{put(0, A), put(1, A), put(0, A), put(1, B), put(1, A)}},
+		{"tampered chunk healed by the next true deposit", []op{put(0, A), {"tamper", 0, A}, put(0, A), put(0, A)}},
+		{"deleted chunk healed by the next true deposit", []op{put(0, A), {"delete", 0, A}, put(0, A), put(0, A)}},
+		{"hint freed by unref-to-zero", []op{put(0, A), {"drain", 0, A}, put(0, A), put(0, A)}},
+		{"one reference dropped, chunk stays", []op{put(0, A), put(0, A), {"unref", 0, A}, put(0, A)}},
+		{"stale hint names other resident contents", []op{put(0, A), put(1, B), {"hint", 0, B}, put(0, A), {"hint", 1, C}, put(1, B)}},
+		{"stale hint after tamper of the other chunk", []op{put(0, A), put(1, B), {"tamper", 0, B}, {"hint", 0, B}, put(0, A), put(1, B)}},
+		{"empty chunk, deleted and healed", []op{put(0, empty), put(0, empty), {"delete", 0, empty}, put(0, empty), {"tamper", 0, empty}, put(0, empty)}},
+		{"tamper, unref to zero, deposit again", []op{put(0, A), {"tamper", 0, A}, {"drain", 0, A}, put(0, A)}},
+	}
+	// Plus seeded random sequences over the same alphabet.
+	rng := rand.New(rand.NewSource(13))
+	contents := [][]byte{A, B, C, empty}
+	kinds := []string{"put", "put", "put", "put", "hint", "tamper", "delete", "unref", "drain"}
+	for i := 0; i < 200; i++ {
+		var ops []op
+		for j := 0; j < 30; j++ {
+			ops = append(ops, op{kinds[rng.Intn(len(kinds))], rng.Intn(3), contents[rng.Intn(len(contents))]})
+		}
+		cases = append(cases, struct {
+			name string
+			ops  []op
+		}{fmt.Sprintf("random-%d", i), ops})
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plain, hinted := New(), New()
+			var hints [3]Addr
+			for i, o := range tc.ops {
+				a := Sum(o.content)
+				switch o.kind {
+				case "put":
+					wa, wnew := plain.Put(o.content)
+					ga, gnew := hinted.PutAt(hints[o.slot], o.content)
+					if ga != wa || gnew != wnew {
+						t.Fatalf("op %d: PutAt = %v,%v; Put = %v,%v", i, ga, gnew, wa, wnew)
+					}
+					if ga != a {
+						t.Fatalf("op %d: deposit of %q answered with address %v, contents hash to %v", i, o.content, ga, a)
+					}
+					hints[o.slot] = ga
+				case "hint":
+					hints[o.slot] = a
+				case "tamper":
+					if g, w := hinted.Tamper(a), plain.Tamper(a); g != w {
+						t.Fatalf("op %d: Tamper = %v vs %v", i, g, w)
+					}
+				case "delete":
+					if g, w := hinted.Delete(a), plain.Delete(a); g != w {
+						t.Fatalf("op %d: Delete = %v vs %v", i, g, w)
+					}
+				case "unref":
+					plain.Unref(a)
+					hinted.Unref(a)
+				case "drain":
+					for plain.Contains(a) {
+						plain.Unref(a)
+						hinted.Unref(a)
+					}
+				}
+				wst, wimg := storeImage(plain)
+				gst, gimg := storeImage(hinted)
+				if gst != wst {
+					t.Fatalf("op %d (%s): Stats diverge:\n PutAt %+v\n Put   %+v", i, o.kind, gst, wst)
+				}
+				if !reflect.DeepEqual(gimg, wimg) {
+					t.Fatalf("op %d (%s): resident chunks diverge:\n PutAt %v\n Put   %v", i, o.kind, gimg, wimg)
+				}
+			}
+		})
+	}
+}
+
+// TestPutHealCounted pins the heal path the hint must not bypass: offering
+// the true bytes at the address of their tampered copy re-hashes, heals and
+// counts, and only the deposit after that is the hash-free hit.
+func TestPutHealCounted(t *testing.T) {
+	s := New()
+	b := bytes.Repeat([]byte{0xab}, 4096)
+	a, _ := s.PutAt(Addr{}, b)
+	s.Tamper(a)
+	if got, _ := s.PutAt(a, b); got != a {
+		t.Fatalf("healing PutAt answered %v, want %v", got, a)
+	}
+	if st := s.Stats(); st.Heals != 1 || st.Hits != 1 {
+		t.Fatalf("after healing deposit: Heals/Hits = %d/%d, want 1/1", st.Heals, st.Hits)
+	}
+	if got, err := s.Get(a); err != nil || !bytes.Equal(got, b) {
+		t.Fatalf("Get after heal: %v", err)
+	}
+	s.PutAt(a, b)
+	if st := s.Stats(); st.Heals != 1 || st.Hits != 2 || st.Puts != 3 || st.LogicalBytes != 3*4096 {
+		t.Fatalf("after clean hit: %+v", st)
+	}
+	// A clean hit keeps nothing of the caller's buffer and allocates nothing,
+	// with or without the remembered address.
+	for name, deposit := range map[string]func(){
+		"PutAt": func() { s.PutAt(a, b) },
+		"Put":   func() { s.Put(b) },
+	} {
+		if n := testing.AllocsPerRun(100, deposit); n != 0 {
+			t.Errorf("%s of a resident chunk: %v allocs per run, want 0", name, n)
 		}
 	}
 }

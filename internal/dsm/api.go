@@ -17,10 +17,10 @@ import (
 // bit for the word is set in the current interval's bitmap.
 func (p *Proc) Read(a mem.Addr) uint64 {
 	p.mu.Lock()
-	m := &p.sys.cfg.Model
+	m := &p.model
 	p.vnow += m.MemAccess
 	p.st.SharedReads++
-	if p.detect() {
+	if p.detecting {
 		p.vnow += m.ProcCall + m.AccessCheck
 		p.st.TProcCall += m.ProcCall
 		p.st.TAccessCheck += m.AccessCheck
@@ -31,18 +31,30 @@ func (p *Proc) Read(a mem.Addr) uint64 {
 		p.readFaultLocked(pg)
 	}
 	v := p.seg.Word(a)
-	if tr := p.sys.cfg.Tracer; tr != nil {
-		tr.Read(p.id, a)
+	if p.hooked {
+		p.noteAccess(a, false)
 	}
-	if w := p.sys.cfg.Watch; w != nil && a == w.WatchedAddr() {
-		w.NoteAccess(p.id, false)
-	}
-	doCrash := p.shouldCrashLocked(siteAccess)
+	doCrash := p.crashable && p.shouldCrashLocked(siteAccess)
 	p.mu.Unlock()
 	if doCrash {
 		p.crashNow()
 	}
 	return v
+}
+
+// noteAccess reports one shared access to the configured tracer and
+// address watch (p.hooked says at least one is present).
+func (p *Proc) noteAccess(a mem.Addr, write bool) {
+	if tr := p.tracer; tr != nil {
+		if write {
+			tr.Write(p.id, a)
+		} else {
+			tr.Read(p.id, a)
+		}
+	}
+	if w := p.watch; w != nil && a == w.WatchedAddr() {
+		w.NoteAccess(p.id, write)
+	}
 }
 
 // Write stores v to the shared word at a, obtaining write access first
@@ -51,29 +63,29 @@ func (p *Proc) Read(a mem.Addr) uint64 {
 // the base DSM learns write notices without instrumentation.
 func (p *Proc) Write(a mem.Addr, v uint64) {
 	p.mu.Lock()
-	m := &p.sys.cfg.Model
+	m := &p.model
 	p.vnow += m.MemAccess
 	p.st.SharedWrites++
-	if p.detect() {
+	if p.detecting {
 		p.vnow += m.ProcCall + m.AccessCheck
 		p.st.TProcCall += m.ProcCall
 		p.st.TAccessCheck += m.AccessCheck
-		if !p.sys.cfg.WritesFromDiffs {
+		if !p.writesFromDiffs {
 			p.builder.NoteWrite(a)
 		}
 	}
 	pg := p.seg.Page(a)
-	switch p.sys.cfg.Protocol {
+	switch p.proto {
 	case SingleWriter, EagerRC:
 		if !p.owned[pg] {
 			p.ownershipFaultLocked(pg)
-		} else if !p.writtenPages[pg] {
+		} else if !p.writtenPages.has[pg] {
 			// Local protection fault: creates this interval's write notice.
 			p.vnow += m.PageFault
 			p.st.WriteFaults++
 			p.tel.Emit(p.id, telemetry.KPageFault, p.vnow, int64(pg), 1, 0)
 		}
-		p.writtenPages[pg] = true
+		p.writtenPages.add(pg)
 	case MultiWriter:
 		if p.state[pg] == pageInvalid {
 			p.fetchFromHomeLocked(pg, true)
@@ -82,28 +94,25 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 			p.vnow += m.PageFault
 			p.st.WriteFaults++
 			p.tel.Emit(p.id, telemetry.KPageFault, p.vnow, int64(pg), 1, 0)
-			if p.home(pg) != p.id || p.sys.cfg.WritesFromDiffs {
+			if p.home(pg) != p.id || p.writesFromDiffs {
 				twin := make([]byte, p.seg.PageSize)
 				copy(twin, p.seg.PageBytes(pg))
 				p.twins[pg] = twin
 			}
 			p.state[pg] = pageWritable
 		}
-		if !p.sys.cfg.WritesFromDiffs {
-			p.writtenPages[pg] = true
+		if !p.writesFromDiffs {
+			p.writtenPages.add(pg)
 		}
 	}
 	p.seg.SetWord(a, v)
-	if tr := p.sys.cfg.Tracer; tr != nil {
-		tr.Write(p.id, a)
+	if p.hooked {
+		p.noteAccess(a, true)
 	}
-	if w := p.sys.cfg.Watch; w != nil && a == w.WatchedAddr() {
-		w.NoteAccess(p.id, true)
-	}
-	if p.sys.cfg.Protocol != MultiWriter && len(p.pendFwd[pg]) > 0 {
+	if p.proto != MultiWriter && len(p.pendFwd[pg]) > 0 {
 		p.drainPendingFwdsLocked(pg)
 	}
-	doCrash := p.shouldCrashLocked(siteAccess)
+	doCrash := p.crashable && p.shouldCrashLocked(siteAccess)
 	p.mu.Unlock()
 	if doCrash {
 		p.crashNow()
@@ -125,7 +134,7 @@ func (p *Proc) WriteI64(a mem.Addr, v int64) { p.Write(a, uint64(v)) }
 // Compute charges ops units of private computation to the virtual clock.
 func (p *Proc) Compute(ops int64) {
 	p.mu.Lock()
-	p.vnow += ops * p.sys.cfg.Model.ComputeOp
+	p.vnow += ops * p.model.ComputeOp
 	p.st.ComputeOps += ops
 	p.mu.Unlock()
 }
@@ -137,10 +146,10 @@ func (p *Proc) Compute(ops int64) {
 // analysis routines are for private, not shared, data").
 func (p *Proc) PrivateAccess(n int64) {
 	p.mu.Lock()
-	m := &p.sys.cfg.Model
+	m := &p.model
 	p.vnow += n * m.MemAccess
 	p.st.PrivateAccesses += n
-	if p.detect() {
+	if p.detecting {
 		p.vnow += n * (m.ProcCall + m.AccessCheck)
 		p.st.TProcCall += n * m.ProcCall
 		p.st.TAccessCheck += n * m.AccessCheck
@@ -154,11 +163,11 @@ func (p *Proc) PrivateAccess(n int64) {
 // single-writer the request goes through the home directory to the current
 // owner; under multi-writer the home's copy is always current.
 func (p *Proc) readFaultLocked(pg mem.PageID) {
-	if p.sys.cfg.Protocol == MultiWriter {
+	if p.proto == MultiWriter {
 		p.fetchFromHomeLocked(pg, false)
 		return
 	}
-	m := &p.sys.cfg.Model
+	m := &p.model
 	p.vnow += m.PageFault
 	p.st.ReadFaults++
 	p.tel.Emit(p.id, telemetry.KPageFault, p.vnow, int64(pg), 0, 0)
@@ -189,7 +198,7 @@ func (p *Proc) readFaultLocked(pg mem.PageID) {
 // ownershipFaultLocked obtains single-writer ownership (and current
 // contents) of pg via the home directory.
 func (p *Proc) ownershipFaultLocked(pg mem.PageID) {
-	m := &p.sys.cfg.Model
+	m := &p.model
 	p.vnow += m.PageFault
 	p.st.WriteFaults++
 	p.tel.Emit(p.id, telemetry.KPageFault, p.vnow, int64(pg), 1, 0)
@@ -213,7 +222,7 @@ func (p *Proc) ownershipFaultLocked(pg mem.PageID) {
 
 // fetchFromHomeLocked fetches the home copy of pg (multi-writer).
 func (p *Proc) fetchFromHomeLocked(pg mem.PageID, write bool) {
-	m := &p.sys.cfg.Model
+	m := &p.model
 	p.vnow += m.PageFault
 	if write {
 		p.st.WriteFaults++
@@ -256,15 +265,11 @@ func (p *Proc) fetchFromHomeLocked(pg mem.PageID, write bool) {
 // release, paid whether or not anyone will ever read the data — that lazy
 // release consistency defers and piggybacks instead.
 func (p *Proc) eagerReleaseLocked() {
-	if len(p.pendingInval) == 0 {
+	if len(p.pendingInval.pages) == 0 {
 		return
 	}
-	pages := make([]mem.PageID, 0, len(p.pendingInval))
-	for pg := range p.pendingInval {
-		pages = append(pages, pg)
-	}
-	interval.SortPages(pages)
-	p.pendingInval = make(map[mem.PageID]bool)
+	pages := p.pendingInval.sorted()
+	p.pendingInval.clear()
 	v := p.vnow
 	acks := 0
 	for q := 0; q < p.n; q++ {
@@ -292,7 +297,7 @@ func (p *Proc) eagerReleaseLocked() {
 // overwritten with its existing value produces no diff entry and therefore
 // no notice — the paper's "slightly weaker correctness guarantee".
 func (p *Proc) flushDiffsLocked() {
-	if len(p.twins) == 0 && len(p.writtenPages) == 0 {
+	if len(p.twins) == 0 && len(p.writtenPages.pages) == 0 {
 		return
 	}
 	acks := 0
@@ -302,13 +307,13 @@ func (p *Proc) flushDiffsLocked() {
 		p.st.DiffsFlushed++
 		p.st.DiffWords += int64(len(entries))
 		p.tel.Emit(p.id, telemetry.KDiffFlush, v, int64(pg), int64(len(entries)), 0)
-		if p.sys.cfg.WritesFromDiffs && len(entries) > 0 {
+		if p.writesFromDiffs && len(entries) > 0 {
 			base := p.seg.PageBase(pg)
 			for _, e := range entries {
 				addr := base + mem.Addr(int(e.Word)*mem.WordSize)
 				p.builder.NoteWrite(addr)
 			}
-			p.writtenPages[pg] = true
+			p.writtenPages.add(pg)
 		}
 		if p.home(pg) != p.id && len(entries) > 0 {
 			p.send(p.home(pg), &msg.DiffFlush{Page: pg, Entries: entries}, v)
@@ -317,7 +322,7 @@ func (p *Proc) flushDiffsLocked() {
 		delete(p.twins, pg)
 		p.state[pg] = pageReadOnly
 	}
-	for pg := range p.writtenPages {
+	for _, pg := range p.writtenPages.pages {
 		if p.state[pg] == pageWritable {
 			p.state[pg] = pageReadOnly
 		}
@@ -382,7 +387,7 @@ func (p *Proc) Lock(id int) {
 	p.closeIntervalLocked()
 	p.applyIntervalsLocked(grant.Intervals)
 	p.startIntervalLocked()
-	if tr := p.sys.cfg.Tracer; tr != nil {
+	if tr := p.tracer; tr != nil {
 		tr.Acquire(p.id, id)
 	}
 	ls.awaiting = false
@@ -408,14 +413,14 @@ func (p *Proc) Unlock(id int) {
 	if !ls.holding {
 		p.protocolBug("Unlock(%d) while not holding", id)
 	}
-	if tr := p.sys.cfg.Tracer; tr != nil {
+	if tr := p.tracer; tr != nil {
 		tr.Release(p.id, id)
 	}
 	p.tel.Emit(p.id, telemetry.KLockRelease, p.vnow, int64(id), 0, 0)
 	// A release begins a new interval. Snapshot the release-time version
 	// vector first: it caps what any grant for this tenure may carry.
 	p.closeIntervalLocked()
-	if p.sys.cfg.Protocol == EagerRC {
+	if p.proto == EagerRC {
 		// The ERC release may not complete (and the lock may not pass on)
 		// until every process has applied the invalidations.
 		p.eagerReleaseLocked()
@@ -446,7 +451,7 @@ func (p *Proc) Unlock(id int) {
 // the granter's knowledge at the time of the release being matched.
 func (p *Proc) grantLocked(id, requester int, theirs, relVC vc.VC, vtime int64) {
 	var delta []*interval.Record
-	if p.sys.cfg.Protocol != EagerRC {
+	if p.proto != EagerRC {
 		// Under ERC nothing travels on acquires: invalidations already
 		// went out eagerly at the release.
 		delta = p.log.DeltaCapped(theirs, relVC)
@@ -473,11 +478,11 @@ func (p *Proc) Barrier() {
 	p.closeIntervalLocked()
 	p.startIntervalLocked()
 	p.closeIntervalLocked()
-	if tr := p.sys.cfg.Tracer; tr != nil {
+	if tr := p.tracer; tr != nil {
 		tr.BarrierArrive(p.id, p.epoch)
 	}
 
-	if p.sys.cfg.Protocol == EagerRC {
+	if p.proto == EagerRC {
 		// Barrier arrival is a release: push the invalidations now; the
 		// arrive message then carries no consistency information.
 		p.eagerReleaseLocked()
@@ -486,7 +491,7 @@ func (p *Proc) Barrier() {
 		Epoch: p.epoch,
 		VC:    vcToWire(p.vcur),
 	}
-	if p.sys.cfg.Protocol != EagerRC {
+	if p.proto != EagerRC {
 		arr.Intervals = p.epochRecords
 	}
 	recs := arr.Intervals
@@ -533,7 +538,7 @@ func (p *Proc) Barrier() {
 	p.applyIntervalsLocked(rel.Intervals)
 	gvc := vcFromWire(rel.GlobalVC)
 	p.vcur.Merge(gvc)
-	if tr := p.sys.cfg.Tracer; tr != nil {
+	if tr := p.tracer; tr != nil {
 		tr.BarrierDepart(p.id, rel.Epoch)
 	}
 	p.mu.Unlock()

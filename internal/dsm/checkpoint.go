@@ -333,15 +333,6 @@ func b2u8(b bool) uint8 {
 	return 0
 }
 
-func sortedPageSet(m map[mem.PageID]bool) []mem.PageID {
-	out := make([]mem.PageID, 0, len(m))
-	for pg := range m {
-		out = append(out, pg)
-	}
-	interval.SortPages(out)
-	return out
-}
-
 // bitmapChunk serializes an access bitmap's words little-endian — the
 // chunkable payload form of mem.Bitmap.
 func bitmapChunk(b mem.Bitmap) []byte {
@@ -381,7 +372,10 @@ func (p *Proc) encodeCheckpointInto(cs *castore.Store) ([]byte, []castore.Addr, 
 	var addrs []castore.Addr
 	var cst ckptChunkStats
 	e := &msg.Encoder{}
-	chunk := func(b []byte) {
+	// put deposits one bulky payload and writes its address into the
+	// manifest. hint is where the depositor believes these bytes already
+	// live (the zero Addr when it has no idea); the store verifies it.
+	put := func(b []byte, hint castore.Addr) castore.Addr {
 		cst.puts++
 		cst.logicalBytes += int64(len(b))
 		var a castore.Addr
@@ -389,7 +383,7 @@ func (p *Proc) encodeCheckpointInto(cs *castore.Store) ([]byte, []castore.Addr, 
 			a = castore.Sum(b)
 		} else {
 			var isNew bool
-			a, isNew = cs.Put(b)
+			a, isNew = cs.PutAt(hint, b)
 			if isNew {
 				cst.newBytes += int64(len(b))
 			} else {
@@ -398,15 +392,16 @@ func (p *Proc) encodeCheckpointInto(cs *castore.Store) ([]byte, []castore.Addr, 
 			addrs = append(addrs, a)
 		}
 		e.Raw(a[:])
+		return a
 	}
-	p.encodeCheckpointBody(e, chunk)
+	p.encodeCheckpointBody(e, put)
 	return e.Bytes(), addrs, cst
 }
 
 // encodeCheckpointBody writes the checkpoint layout, handing each bulky
 // payload (page copies, twins, bitmap words) to put, which deposits it in
-// the chunk store and writes its address.
-func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func([]byte)) {
+// the chunk store, writes its address and returns it.
+func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func(b []byte, hint castore.Addr) castore.Addr) {
 	e.U32(ckptMagic)
 	e.U8(ckptVersion)
 	e.U16(uint16(p.id))
@@ -417,8 +412,13 @@ func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func([]byte)) {
 	e.VC(p.vcur)
 
 	// Page table and copies. Transient fault state (expecting/fetching/
-	// pendFwd) is quiescent at a barrier and is not serialized.
+	// pendFwd) is quiescent at a barrier and is not serialized. Three pages
+	// in four are byte-identical to the previous epoch's copy, so each is
+	// offered at the address it was last deposited under.
 	np := p.sys.layout.NumPages
+	if p.ckptAddr == nil {
+		p.ckptAddr = make([]castore.Addr, np)
+	}
 	e.U32(uint32(np))
 	for i := 0; i < np; i++ {
 		pg := mem.PageID(i)
@@ -427,7 +427,7 @@ func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func([]byte)) {
 		e.I32(int32(p.dirOwner[pg]))
 		if p.state[pg] != pageInvalid {
 			e.U8(1)
-			put(p.seg.PageBytes(pg))
+			p.ckptAddr[pg] = put(p.seg.PageBytes(pg), p.ckptAddr[pg])
 		} else {
 			e.U8(0)
 		}
@@ -442,11 +442,11 @@ func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func([]byte)) {
 	e.U32(uint32(len(twinPages)))
 	for _, pg := range twinPages {
 		e.I32(int32(pg))
-		put(p.twins[pg])
+		put(p.twins[pg], castore.Addr{})
 	}
 
-	e.Pages(sortedPageSet(p.writtenPages))
-	e.Pages(sortedPageSet(p.pendingInval))
+	e.Pages(p.writtenPages.sorted())
+	e.Pages(p.pendingInval.sorted())
 
 	// Lock table: durable tenure state only. In-flight requests (awaiting,
 	// pending grants, replay deferrals) are transient and re-established by
@@ -488,7 +488,7 @@ func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func([]byte)) {
 		e.IntervalID(en.ID)
 		e.I32(int32(en.Page))
 		e.U8(b2u8(en.Write))
-		put(bitmapChunk(en.Bits))
+		put(bitmapChunk(en.Bits), castore.Addr{})
 	}
 
 	// Race reports and statistics.
@@ -821,13 +821,21 @@ func (p *Proc) restoreFromCheckpoint(ck *procCheckpoint) error {
 	for pg, tw := range ck.Twins {
 		p.twins[pg] = append([]byte(nil), tw...)
 	}
-	p.writtenPages = make(map[mem.PageID]bool, len(ck.Written))
-	for _, pg := range ck.Written {
-		p.writtenPages[pg] = true
+	restoreSet := func(dst *pageSet, pages []mem.PageID) error {
+		dst.clear()
+		for _, pg := range pages {
+			if pg < 0 || int(pg) >= len(ck.Pages) {
+				return fmt.Errorf("dsm: checkpoint names page %d of %d", pg, len(ck.Pages))
+			}
+			dst.add(pg)
+		}
+		return nil
 	}
-	p.pendingInval = make(map[mem.PageID]bool, len(ck.PendingInval))
-	for _, pg := range ck.PendingInval {
-		p.pendingInval[pg] = true
+	if err := restoreSet(&p.writtenPages, ck.Written); err != nil {
+		return err
+	}
+	if err := restoreSet(&p.pendingInval, ck.PendingInval); err != nil {
+		return err
 	}
 	p.locks = make(map[int]*lockState, len(ck.Locks))
 	for _, lk := range ck.Locks {

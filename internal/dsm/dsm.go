@@ -402,6 +402,7 @@ type System struct {
 	stop      chan struct{} // closed when an attempt's app threads have all exited
 
 	recMu      sync.Mutex
+	attemptGen int          // advanced per attempt; stale detector verdicts carry an old one
 	suspect    int          // proc suspected dead this attempt; -1 unknown
 	suspectVia string       // "link-death" | "barrier-timeout" | ""
 	crashSeen  bool         // an injected crashPanic unwound this attempt

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"time"
 
+	"lrcrace/internal/castore"
+	"lrcrace/internal/costmodel"
 	"lrcrace/internal/interval"
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
@@ -23,6 +25,37 @@ const (
 	pageReadOnly
 	pageWritable
 )
+
+// pageSet is a set of pages with constant-time membership and insertion: a
+// flag per page plus the list of flagged pages, so that enumerating and
+// clearing cost the set's size, not the segment's.
+type pageSet struct {
+	has   []bool
+	pages []mem.PageID // the set flags of has, in insertion order
+}
+
+func newPageSet(numPages int) pageSet { return pageSet{has: make([]bool, numPages)} }
+
+func (s *pageSet) add(pg mem.PageID) {
+	if !s.has[pg] {
+		s.has[pg] = true
+		s.pages = append(s.pages, pg)
+	}
+}
+
+func (s *pageSet) clear() {
+	for _, pg := range s.pages {
+		s.has[pg] = false
+	}
+	s.pages = s.pages[:0]
+}
+
+// sorted returns the members as a fresh sorted list (nil when empty).
+func (s *pageSet) sorted() []mem.PageID {
+	out := append([]mem.PageID(nil), s.pages...)
+	interval.SortPages(out)
+	return out
+}
 
 // lockState tracks one lock at one process (holder-side and manager-side
 // state live together; the manager role applies only to locks this process
@@ -103,6 +136,18 @@ type Proc struct {
 	id, n int
 	tel   telemetry.Scope // the owning System's telemetry destination
 
+	// The parts of sys.cfg every shared access consults, copied at newProc
+	// (the configuration is immutable once the System exists) so that the
+	// access path reads them from the Proc it already holds.
+	model           costmodel.Model
+	proto           ProtocolKind
+	detecting       bool
+	writesFromDiffs bool
+	tracer          Tracer
+	watch           AccessWatch
+	hooked          bool // tracer or watch present: accesses call noteAccess
+	crashable       bool // some crash plan targets this process
+
 	mu  sync.Mutex
 	seg *mem.Segment
 
@@ -121,8 +166,8 @@ type Proc struct {
 	epoch    int32
 
 	builder      *interval.Builder
-	writtenPages map[mem.PageID]bool // pages write-faulted in the open interval
-	pendingInval map[mem.PageID]bool // ERC: pages to invalidate at next release
+	writtenPages pageSet // pages write-faulted in the open interval
+	pendingInval pageSet // ERC: pages to invalidate at next release
 	store        *interval.BitmapStore
 	log          *interval.Log
 	epochRecords []*interval.Record
@@ -130,6 +175,14 @@ type Proc struct {
 	locks map[int]*lockState
 
 	replyCh chan simnet.Delivery
+
+	// ckptAddr remembers, per page, the chunk address the page's copy was
+	// last deposited under (allocated at the first checkpoint). It is only
+	// ever offered to the chunk store as a hint that the store verifies
+	// against the page's bytes (castore.Store.PutAt), so a stale entry —
+	// the page changed, or a rollback restored older contents — costs a
+	// hash, never a wrong address.
+	ckptAddr []castore.Addr
 
 	// ckptGate carries one token per barrier departure from the application
 	// thread (sent after checkpointLocked) to the service thread, which
@@ -212,15 +265,26 @@ func newProc(s *System, id int) *Proc {
 		vcur:         vc.New(n),
 		curIndex:     1,
 		builder:      interval.NewBuilder(s.layout),
-		writtenPages: make(map[mem.PageID]bool),
-		pendingInval: make(map[mem.PageID]bool),
+		writtenPages: newPageSet(s.layout.NumPages),
+		pendingInval: newPageSet(s.layout.NumPages),
 		store:        interval.NewBitmapStore(),
 		log:          interval.NewLog(),
 		locks:        make(map[int]*lockState),
 		replyCh:      make(chan simnet.Delivery, 16),
 		ckptGate:     make(chan struct{}, 1),
+
+		model:           s.cfg.Model,
+		proto:           s.cfg.Protocol,
+		detecting:       s.cfg.Detect,
+		writesFromDiffs: s.cfg.WritesFromDiffs,
+		tracer:          s.cfg.Tracer,
+		watch:           s.cfg.Watch,
+		hooked:          s.cfg.Tracer != nil || s.cfg.Watch != nil,
 	}
 	p.vcur[id] = 1
+	for _, cp := range s.crashes {
+		p.crashable = p.crashable || cp.Victim == id
+	}
 	for pg := 0; pg < s.layout.NumPages; pg++ {
 		home := pg % n
 		if home == id {
@@ -228,7 +292,7 @@ func newProc(s *System, id int) *Proc {
 		} else {
 			p.dirOwner[pg] = -1
 		}
-		switch s.cfg.Protocol {
+		switch p.proto {
 		case SingleWriter, EagerRC:
 			if home == id {
 				p.owned[pg] = true
@@ -283,8 +347,6 @@ func (p *Proc) VirtualTime() int64 {
 // every process once a run finishes).
 func (p *Proc) Races() []race.Report { return p.races }
 
-func (p *Proc) detect() bool { return p.sys.cfg.Detect }
-
 func (p *Proc) home(pg mem.PageID) int { return int(pg) % p.n }
 
 // send transmits m with the given virtual send time, returning wire bytes.
@@ -299,7 +361,7 @@ func (p *Proc) arrival(d simnet.Delivery) int64 {
 	if frags < 1 {
 		frags = 1
 	}
-	m := p.sys.cfg.Model
+	m := &p.model
 	return d.VTime + frags*m.MsgLatency + int64(float64(d.Bytes)*m.PerByte)
 }
 
@@ -445,32 +507,28 @@ func (p *Proc) bumpVTo(t int64) {
 // it for the next barrier-arrival message. The caller must then call
 // startIntervalLocked before any further shared access.
 func (p *Proc) closeIntervalLocked() {
-	if p.sys.cfg.Protocol == MultiWriter {
+	if p.proto == MultiWriter {
 		p.flushDiffsLocked()
 	}
 	var rec *interval.Record
 	id := vc.IntervalID{Proc: p.id, Index: p.curIndex}
-	if p.detect() {
+	if p.detecting {
 		nbm := int64(p.builder.BitmapCount())
 		p.st.BitmapsCreated += nbm
 		rec = p.builder.Finish(id, p.vcur, p.epoch, p.store)
-		m := p.sys.cfg.Model
-		setup := m.IntervalSetup + nbm*m.BitmapSetup
+		setup := p.model.IntervalSetup + nbm*p.model.BitmapSetup
 		p.vnow += setup
 		p.st.TCVMMods += setup
 	} else {
 		rec = &interval.Record{ID: id, VC: p.vcur.Copy(), Epoch: p.epoch}
-		for pg := range p.writtenPages {
-			rec.WriteNotices = append(rec.WriteNotices, pg)
-		}
-		interval.SortPages(rec.WriteNotices)
+		rec.WriteNotices = p.writtenPages.sorted()
 	}
-	if p.sys.cfg.Protocol == EagerRC {
-		for pg := range p.writtenPages {
-			p.pendingInval[pg] = true
+	if p.proto == EagerRC {
+		for _, pg := range p.writtenPages.pages {
+			p.pendingInval.add(pg)
 		}
 	}
-	p.writtenPages = make(map[mem.PageID]bool)
+	p.writtenPages.clear()
 	p.log.Add(rec)
 	p.epochRecords = append(p.epochRecords, rec)
 	p.st.IntervalsCreated++
@@ -509,7 +567,7 @@ func (p *Proc) applyIntervalsLocked(recs []*interval.Record) {
 // write notice, unless this process's copy is authoritative (single-writer
 // owner, or multi-writer home whose copy receives diffs eagerly).
 func (p *Proc) invalidateLocked(pg mem.PageID) {
-	switch p.sys.cfg.Protocol {
+	switch p.proto {
 	case SingleWriter, EagerRC:
 		if p.owned[pg] || p.expecting[pg] {
 			return

@@ -159,8 +159,12 @@ func (s *System) recoveryArmed() bool {
 // --- crash suspicion (shared by the reliable sublayer's timer goroutine,
 // app-thread panic recovery, and the rollback driver) ---
 
+// resetSuspectLocked clears the suspicion state for a new attempt and
+// advances the attempt generation, which retires the previous attempt's
+// link-death detector (see onLinkDead).
 func (s *System) resetSuspectLocked() {
 	s.recMu.Lock()
+	s.attemptGen++
 	s.suspect = -1
 	s.suspectVia = ""
 	s.crashSeen = false
@@ -236,10 +240,23 @@ func (s *System) suspectInfo() (proc int, via string) {
 // when recovery is armed: a link to an unresponsive peer exhausted its
 // retry cap, so that peer is suspected dead. The network is shut down to
 // unwind every survivor; the rollback driver takes over from there.
-func (s *System) onLinkDead(from, to int) {
+//
+// gen and nw are the generation and transport of the attempt the handler
+// was installed for. Several links to one dead peer give up within
+// microseconds of each other, each on its own timer goroutine, and the
+// first verdict starts the rollback: a later one can arrive after the next
+// attempt has been built. It must not accuse anyone in that attempt, nor
+// shut its network down — a verdict from a retired generation is dropped.
+func (s *System) onLinkDead(gen int, nw Transport, from, to int) {
+	s.recMu.Lock()
+	stale := gen != s.attemptGen
+	s.recMu.Unlock()
+	if stale {
+		return
+	}
 	s.noteSuspect(to, "link-death")
 	s.tel.Emit(from, telemetry.KCrashDetected, 0, int64(to), 1, 0)
-	s.nw.Close()
+	nw.Close()
 }
 
 // --- attempt runner ---
@@ -250,6 +267,7 @@ func (s *System) onLinkDead(from, to int) {
 // Run and RunEpochs.
 func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 	n := s.cfg.NumProcs
+	s.resetSuspectLocked()
 	if s.cfg.Transport != nil {
 		s.nw = s.cfg.Transport
 	} else {
@@ -263,16 +281,26 @@ func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 	if s.cfg.Reliable {
 		rc := s.cfg.ReliableConfig
 		rc.Telemetry = s.tel
+		var rt *reliable.Transport
 		if s.recoveryArmed() {
-			rc.OnLinkDead = s.onLinkDead
+			gen := s.attemptGen
+			rc.OnLinkDead = func(from, to int) { s.onLinkDead(gen, rt, from, to) }
 		}
-		s.nw = reliable.Wrap(s.nw, n, rc)
+		rt = reliable.Wrap(s.nw, n, rc)
+		s.nw = rt
 	}
-	s.resetSuspectLocked()
 	s.stop = make(chan struct{})
+	prev := s.procs
 	s.procs = make([]*Proc, n)
 	for i := 0; i < n; i++ {
 		s.procs[i] = newProc(s, i)
+		if prev != nil {
+			// The chunk store outlives the attempt, so the addresses the
+			// previous incarnation deposited its pages under are still the
+			// best guess; where the rollback made one stale, PutAt's byte
+			// compare rejects it.
+			s.procs[i].ckptAddr = prev[i].ckptAddr
+		}
 	}
 	if plan != nil {
 		if err := s.restoreFromPlan(plan); err != nil {

@@ -790,6 +790,47 @@ func TestNoteSuspectPrecedence(t *testing.T) {
 	})
 }
 
+// closeCounter is a Transport that only counts Close calls.
+type closeCounter struct {
+	Transport
+	closed int
+}
+
+func (c *closeCounter) Close() { c.closed++ }
+
+// TestStaleLinkDeathIgnored: every survivor's link to a dead peer gives up
+// at nearly the same moment, each on its own timer goroutine; the first
+// verdict starts the rollback, and a later one may be delivered only after
+// the next attempt has been built. Such a verdict belongs to a retired
+// attempt: it must neither accuse anyone in the new one nor shut the new
+// network down (either would roll a healthy run back a second time — the
+// "recoveries = 2, want 1" flake of TestRecoveryTelemetry).
+func TestStaleLinkDeathIgnored(t *testing.T) {
+	s := newSys(t, 4, SingleWriter, false)
+	s.resetSuspectLocked() // attempt 1 begins
+	gen1, nw1 := s.attemptGen, &closeCounter{}
+	s.onLinkDead(gen1, nw1, 0, 2)
+	if p, via := s.suspectInfo(); p != 2 || via != "link-death" || nw1.closed != 1 {
+		t.Fatalf("live verdict: suspect (%d, %q), %d closes; want (2, link-death), 1", p, via, nw1.closed)
+	}
+
+	s.resetSuspectLocked() // rollback: attempt 2 begins
+	nw2 := &closeCounter{}
+	s.onLinkDead(gen1, nw1, 1, 2) // attempt 1's second link gives up late
+	if s.crashDetected() {
+		p, via := s.suspectInfo()
+		t.Errorf("stale link-death accused (%d, %q) in the new attempt", p, via)
+	}
+	if nw1.closed != 1 || nw2.closed != 0 {
+		t.Errorf("stale link-death closed a network: old %d (want 1), new %d (want 0)", nw1.closed, nw2.closed)
+	}
+
+	s.onLinkDead(s.attemptGen, nw2, 3, 1) // the new attempt's own detector still works
+	if p, via := s.suspectInfo(); p != 1 || via != "link-death" || nw2.closed != 1 {
+		t.Errorf("current verdict: suspect (%d, %q), %d closes; want (1, link-death), 1", p, via, nw2.closed)
+	}
+}
+
 // TestCompoundBlameSameEpoch: a quiet death plus a wedged lock chain in
 // one epoch — the victim dies holding a lock, so survivors queued on the
 // lock wedge (a barrier-timeout with no nameable suspect) while the

@@ -228,9 +228,7 @@ func (d *detector) gc() {
 	}
 	clear(d.records[len(kept):])
 	d.records = kept
-	for proc := 0; proc < d.n; proc++ {
-		d.store.DiscardUpTo(proc, horizon[proc])
-	}
+	d.store.DiscardBelow(horizon)
 }
 
 // finishAll closes the current interval of every goroutine that has not

@@ -6,6 +6,8 @@
 package interval
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"lrcrace/internal/mem"
@@ -49,9 +51,7 @@ func containsPage(s []mem.PageID, p mem.PageID) bool {
 
 // SortPages sorts a page list in place (notices are kept sorted so that
 // membership tests and overlap scans are cheap).
-func SortPages(s []mem.PageID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
+func SortPages(s []mem.PageID) { slices.Sort(s) }
 
 // OverlapPages appends to dst every page that appears in both sorted lists
 // and returns the result. This is the page-granularity pre-filter: only
@@ -75,29 +75,63 @@ func OverlapPages(a, b []mem.PageID, dst []mem.PageID) []mem.PageID {
 }
 
 // Builder accumulates the access footprint of the process's current
-// interval: which pages were read/written, and per-page word bitmaps.
+// interval: which pages were read/written, and per-page word bitmaps. As in
+// the paper's analysis routine, recording an access is an index into a
+// page-sized array plus one bit-set: the bitmaps of each side live in a
+// slice indexed by PageID (nil until the page's first touch in the
+// interval), and the pages touched are listed on the side so that closing
+// the interval visits only them.
 type Builder struct {
 	layout mem.Layout
-	read   map[mem.PageID]mem.Bitmap
-	write  map[mem.PageID]mem.Bitmap
+	read   side
+	write  side
+}
+
+// side is one access direction of a Builder.
+type side struct {
+	bits  []mem.Bitmap // indexed by PageID; nil = untouched this interval
+	pages []mem.PageID // the non-nil slots of bits, in first-touch order
+}
+
+// touch allocates page p's bitmap on its first access of the interval.
+func (s *side) touch(p mem.PageID, words int) mem.Bitmap {
+	bm := mem.NewBitmap(words)
+	s.bits[p] = bm
+	s.pages = append(s.pages, p)
+	return bm
+}
+
+// drain sorts the touched-page list — it is the side's notice list — and
+// returns it with the matching bitmaps, leaving the side empty.
+func (s *side) drain() pageBits {
+	if len(s.pages) == 0 {
+		return pageBits{}
+	}
+	out := pageBits{pages: s.pages, bits: make([]mem.Bitmap, len(s.pages))}
+	SortPages(out.pages)
+	for i, p := range out.pages {
+		out.bits[i] = s.bits[p]
+		s.bits[p] = nil
+	}
+	s.pages = nil
+	return out
 }
 
 // NewBuilder returns a Builder for the given segment layout.
 func NewBuilder(l mem.Layout) *Builder {
 	return &Builder{
 		layout: l,
-		read:   make(map[mem.PageID]mem.Bitmap),
-		write:  make(map[mem.PageID]mem.Bitmap),
+		read:   side{bits: make([]mem.Bitmap, l.NumPages)},
+		write:  side{bits: make([]mem.Bitmap, l.NumPages)},
 	}
 }
 
 // NoteRead records a read of the word at a.
 func (b *Builder) NoteRead(a mem.Addr) {
 	p := b.layout.Page(a)
-	bm := b.read[p]
+	bm := b.read.bits[p]
 	if bm == nil {
-		bm = mem.NewBitmap(b.layout.WordsPerPage())
-		b.read[p] = bm
+		bm = b.read.touch(p, b.layout.WordsPerPage())
 	}
 	bm.Set(b.layout.WordInPage(a))
 }
@@ -105,99 +139,126 @@ func (b *Builder) NoteRead(a mem.Addr) {
 // NoteWrite records a write of the word at a.
 func (b *Builder) NoteWrite(a mem.Addr) {
 	p := b.layout.Page(a)
-	bm := b.write[p]
+	bm := b.write.bits[p]
 	if bm == nil {
-		bm = mem.NewBitmap(b.layout.WordsPerPage())
-		b.write[p] = bm
+		bm = b.write.touch(p, b.layout.WordsPerPage())
 	}
 	bm.Set(b.layout.WordInPage(a))
 }
 
 // Empty reports whether no accesses have been recorded.
-func (b *Builder) Empty() bool { return len(b.read) == 0 && len(b.write) == 0 }
+func (b *Builder) Empty() bool { return len(b.read.pages) == 0 && len(b.write.pages) == 0 }
 
 // BitmapCount returns the number of per-page bitmaps currently accumulated
 // (read plus write) — the bitmaps the next Finish will deposit.
-func (b *Builder) BitmapCount() int { return len(b.read) + len(b.write) }
+func (b *Builder) BitmapCount() int { return len(b.read.pages) + len(b.write.pages) }
 
 // WrotePage reports whether any word of page p has been written in the
 // current interval (used by the single-writer protocol to avoid re-sending
 // write faults, and by tests).
-func (b *Builder) WrotePage(p mem.PageID) bool { return b.write[p] != nil }
+func (b *Builder) WrotePage(p mem.PageID) bool { return b.write.bits[p] != nil }
 
 // Finish turns the accumulated footprint into a Record with the given
 // identity and drains the builder for reuse. The per-page bitmaps are
 // deposited into store, keyed by the interval, where they stay until a
-// barrier check list requests them or the epoch is garbage collected.
+// barrier check list requests them or the epoch is garbage collected. The
+// record and the store share the sorted notice lists; neither modifies them.
 func (b *Builder) Finish(id vc.IntervalID, v vc.VC, epoch int32, store *BitmapStore) *Record {
-	r := &Record{ID: id, VC: v.Copy(), Epoch: epoch}
-	for p := range b.read {
-		r.ReadNotices = append(r.ReadNotices, p)
+	rd, wr := b.read.drain(), b.write.drain()
+	if store != nil && len(rd.pages)+len(wr.pages) > 0 {
+		store.put(id, &footprint{read: rd, write: wr})
 	}
-	for p := range b.write {
-		r.WriteNotices = append(r.WriteNotices, p)
-	}
-	SortPages(r.ReadNotices)
-	SortPages(r.WriteNotices)
-	if store != nil {
-		store.put(id, b.read, b.write)
-	}
-	b.read = make(map[mem.PageID]mem.Bitmap)
-	b.write = make(map[mem.PageID]mem.Bitmap)
-	return r
+	return &Record{ID: id, VC: v.Copy(), Epoch: epoch, ReadNotices: rd.pages, WriteNotices: wr.pages}
 }
 
 // BitmapStore retains the word-access bitmaps of locally created intervals
 // until the race-detection pass at the next barrier has consumed them.
 // "Our system only discards trace information when it has been checked for
-// races" (§6.4).
+// races" (§6.4). Bitmaps are kept one footprint per interval — the unit
+// Finish deposits and the garbage collector retires.
 type BitmapStore struct {
-	read  map[key]mem.Bitmap
-	write map[key]mem.Bitmap
+	byID map[vc.IntervalID]*footprint
+	n    int // stored bitmaps, read+write
 }
 
-type key struct {
-	id   vc.IntervalID
-	page mem.PageID
+// footprint is one interval's bitmaps, per access direction.
+type footprint struct{ read, write pageBits }
+
+func (fp *footprint) count() int { return len(fp.read.pages) + len(fp.write.pages) }
+
+// pageBits is one direction of a footprint: a sorted page list and the
+// bitmap of each listed page.
+type pageBits struct {
+	pages []mem.PageID
+	bits  []mem.Bitmap
+}
+
+func (pb *pageBits) get(p mem.PageID) mem.Bitmap {
+	if i, ok := slices.BinarySearch(pb.pages, p); ok {
+		return pb.bits[i]
+	}
+	return nil
+}
+
+// set stores bm as page p's bitmap and reports whether p was new.
+func (pb *pageBits) set(p mem.PageID, bm mem.Bitmap) bool {
+	i, found := slices.BinarySearch(pb.pages, p)
+	if found {
+		pb.bits[i] = bm
+		return false
+	}
+	pb.pages = slices.Insert(pb.pages, i, p)
+	pb.bits = slices.Insert(pb.bits, i, bm)
+	return true
 }
 
 // NewBitmapStore returns an empty store.
 func NewBitmapStore() *BitmapStore {
-	return &BitmapStore{read: make(map[key]mem.Bitmap), write: make(map[key]mem.Bitmap)}
-}
-
-func (s *BitmapStore) put(id vc.IntervalID, read, write map[mem.PageID]mem.Bitmap) {
-	for p, bm := range read {
-		s.read[key{id, p}] = bm
-	}
-	for p, bm := range write {
-		s.write[key{id, p}] = bm
-	}
+	return &BitmapStore{byID: make(map[vc.IntervalID]*footprint)}
 }
 
 // Get returns the read and write bitmaps of interval id on page p; either
 // may be nil if no such access occurred.
 func (s *BitmapStore) Get(id vc.IntervalID, p mem.PageID) (read, write mem.Bitmap) {
-	return s.read[key{id, p}], s.write[key{id, p}]
+	fp := s.byID[id]
+	if fp == nil {
+		return nil, nil
+	}
+	return fp.read.get(p), fp.write.get(p)
 }
 
-// DiscardEpoch drops all bitmaps belonging to intervals with Index <= hi for
+func (s *BitmapStore) put(id vc.IntervalID, fp *footprint) {
+	s.byID[id] = fp
+	s.n += fp.count()
+}
+
+func (s *BitmapStore) drop(id vc.IntervalID, fp *footprint) {
+	s.n -= fp.count()
+	delete(s.byID, id)
+}
+
+// DiscardUpTo drops all bitmaps belonging to intervals with Index <= hi for
 // the given process — called after the barrier's race check completes.
 func (s *BitmapStore) DiscardUpTo(proc int, hi vc.Index) {
-	for k := range s.read {
-		if k.id.Proc == proc && k.id.Index <= hi {
-			delete(s.read, k)
+	for id, fp := range s.byID {
+		if id.Proc == proc && id.Index <= hi {
+			s.drop(id, fp)
 		}
 	}
-	for k := range s.write {
-		if k.id.Proc == proc && k.id.Index <= hi {
-			delete(s.write, k)
+}
+
+// DiscardBelow drops, in one pass, the bitmaps of every interval at or
+// below horizon — DiscardUpTo(p, horizon[p]) for every process p at once.
+func (s *BitmapStore) DiscardBelow(horizon vc.VC) {
+	for id, fp := range s.byID {
+		if id.Proc < len(horizon) && id.Index <= horizon[id.Proc] {
+			s.drop(id, fp)
 		}
 	}
 }
 
 // Len returns the number of stored (interval,page) bitmaps, read+write.
-func (s *BitmapStore) Len() int { return len(s.read) + len(s.write) }
+func (s *BitmapStore) Len() int { return s.n }
 
 // StoredBitmap is one (interval, page) bitmap held by the store, with its
 // access direction — the enumeration form used by checkpointing.
@@ -212,34 +273,49 @@ type StoredBitmap struct {
 // writes, each sorted by (proc, index, page)) so that serialized
 // checkpoints are byte-stable.
 func (s *BitmapStore) Entries() []StoredBitmap {
-	out := make([]StoredBitmap, 0, len(s.read)+len(s.write))
-	collect := func(m map[key]mem.Bitmap, write bool) {
-		start := len(out)
-		for k, bm := range m {
-			out = append(out, StoredBitmap{ID: k.id, Page: k.page, Write: write, Bits: bm})
-		}
-		part := out[start:]
-		sort.Slice(part, func(i, j int) bool {
-			if part[i].ID.Proc != part[j].ID.Proc {
-				return part[i].ID.Proc < part[j].ID.Proc
-			}
-			if part[i].ID.Index != part[j].ID.Index {
-				return part[i].ID.Index < part[j].ID.Index
-			}
-			return part[i].Page < part[j].Page
-		})
+	ids := make([]vc.IntervalID, 0, len(s.byID))
+	for id := range s.byID {
+		ids = append(ids, id)
 	}
-	collect(s.read, false)
-	collect(s.write, true)
+	slices.SortFunc(ids, compareIDs)
+	out := make([]StoredBitmap, 0, s.n)
+	for _, id := range ids {
+		rd := &s.byID[id].read
+		for i, p := range rd.pages {
+			out = append(out, StoredBitmap{ID: id, Page: p, Bits: rd.bits[i]})
+		}
+	}
+	for _, id := range ids {
+		wr := &s.byID[id].write
+		for i, p := range wr.pages {
+			out = append(out, StoredBitmap{ID: id, Page: p, Write: true, Bits: wr.bits[i]})
+		}
+	}
 	return out
 }
 
-// Put inserts one bitmap (the checkpoint-restore inverse of Entries).
+// compareIDs orders interval IDs by (proc, index).
+func compareIDs(a, b vc.IntervalID) int {
+	if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Index, b.Index)
+}
+
+// Put inserts one bitmap (the checkpoint-restore inverse of Entries),
+// replacing any bitmap already stored for that interval, page and side.
 func (s *BitmapStore) Put(id vc.IntervalID, p mem.PageID, write bool, bm mem.Bitmap) {
+	fp := s.byID[id]
+	if fp == nil {
+		fp = &footprint{}
+		s.byID[id] = fp
+	}
+	side := &fp.read
 	if write {
-		s.write[key{id, p}] = bm
-	} else {
-		s.read[key{id, p}] = bm
+		side = &fp.write
+	}
+	if side.set(p, bm) {
+		s.n++
 	}
 }
 
