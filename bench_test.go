@@ -384,52 +384,3 @@ func BenchmarkAccessCheck(b *testing.B) {
 	}
 	_ = costmodel.Default()
 }
-
-// BenchmarkAblationPairScan compares the paper's simple all-pairs interval
-// scan with the index-pruned variant, on epochs where lock chains order
-// most pairs (the situation the paper says makes "the number of comparisons
-// usually quite small").
-func BenchmarkAblationPairScan(b *testing.B) {
-	l, _ := mem.NewLayout(512*mem.DefaultPageSize, mem.DefaultPageSize)
-	// Chained epoch: proc p's interval i has seen everything up to (p,i).
-	mkChained := func(nproc, perProc int) []*interval.Record {
-		var recs []*interval.Record
-		cur := vc.New(nproc)
-		for i := 1; i <= perProc; i++ {
-			for p := 0; p < nproc; p++ {
-				cur[p] = vc.Index(i)
-				recs = append(recs, &interval.Record{
-					ID: vc.IntervalID{Proc: p, Index: vc.Index(i)},
-					VC: cur.Copy(),
-				})
-			}
-		}
-		return recs
-	}
-	for _, shape := range []struct {
-		name string
-		recs []*interval.Record
-	}{
-		{"chained-8x32", mkChained(8, 32)},
-		{"independent-8x32", syntheticEpoch(8, 32, 512, 2, 7)},
-	} {
-		b.Run("all-pairs/"+shape.name, func(b *testing.B) {
-			var cmp float64
-			for i := 0; i < b.N; i++ {
-				d := race.NewDetector(l, race.Options{})
-				d.BuildCheckList(shape.recs)
-				cmp = float64(d.Stats().PairComparisons)
-			}
-			b.ReportMetric(cmp, "comparisons")
-		})
-		b.Run("pruned/"+shape.name, func(b *testing.B) {
-			var cmp float64
-			for i := 0; i < b.N; i++ {
-				d := race.NewDetector(l, race.Options{PrunedPairs: true})
-				d.BuildCheckList(shape.recs)
-				cmp = float64(d.Stats().PairComparisons)
-			}
-			b.ReportMetric(cmp, "comparisons")
-		})
-	}
-}

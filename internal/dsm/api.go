@@ -464,12 +464,13 @@ func (p *Proc) grantLocked(id, requester int, theirs, relVC vc.VC, vtime int64) 
 
 // --- barrier ---
 
-// Barrier performs global synchronization through the barrier master
-// (process 0) and, when detection is on, runs the race-detection pass:
-// arrival messages carry the epoch's interval records (with read and write
-// notices); the release carries everyone's records plus the check list; a
-// second round returns word bitmaps for the check list; the master compares
-// them and reports races with the final done message.
+// Barrier performs global synchronization through the barrier tree rooted
+// at process 0 (tree.go) and, when detection is on, runs the race-detection
+// pass: arrival messages carry the epoch's interval records (with read and
+// write notices); the release carries everyone's records plus the check
+// list; a second round (shard.go) returns word bitmaps for the check list
+// to its owners, who compare them; the root reports races with the final
+// done message.
 func (p *Proc) Barrier() {
 	p.mu.Lock()
 	p.st.Barriers++
@@ -501,32 +502,21 @@ func (p *Proc) Barrier() {
 	p.tel.Emit(p.id, telemetry.KBarrierArrive, v, int64(p.epoch), 0, 0)
 	p.mu.Unlock()
 
-	dest := 0
-	var am msg.Message = arr
-	if t := p.tree; t != nil {
-		// Combining tree: the arrival goes to the tree parent; interior
-		// nodes (and the root) self-address it so their own contribution
-		// enters the reduction through the same service-thread path.
-		am = &msg.TreeArrive{BarrierArrive: *arr}
-		if t.expect > 0 {
-			dest = p.id
-		} else {
-			dest = treeParent(p.id, t.arity)
-		}
+	// The arrival goes to the tree parent; interior nodes (under the star,
+	// the root alone) self-address it so their own contribution enters the
+	// reduction through the same service-thread path.
+	dest := p.id
+	if t := p.tree; t.expect == 0 {
+		dest = treeParent(p.id, t.arity)
 	}
-	nbytes := p.send(dest, am, v)
+	nbytes := p.send(dest, arr, v)
 	p.mu.Lock()
 	p.recordSyncSend(recs, nbytes)
 	p.mu.Unlock()
 
 	d := p.waitReplyTimeout("barrier release")
-	var rel *msg.BarrierRelease
-	switch m := d.Msg.(type) {
-	case *msg.BarrierRelease:
-		rel = m
-	case *msg.TreeRelease:
-		rel = &m.BarrierRelease
-	default:
+	rel, ok := d.Msg.(*msg.BarrierRelease)
+	if !ok {
 		p.protocolBug("barrier arrive answered with %T", d.Msg)
 	}
 
@@ -599,11 +589,10 @@ func (p *Proc) Barrier() {
 func (p *Proc) Consolidate() { p.Barrier() }
 
 // sendBitmaps returns this process's bitmaps for every check-list entry
-// naming one of its intervals — the second barrier round. Under the serial
-// check everything goes to the master in one reply; under the sharded check
-// (ShardOwner present on the release) each entry's bitmaps go to its shard
-// owner, and every distinct owner receives exactly one — possibly empty —
-// reply, so owners can close their collection round by count alone.
+// naming one of its intervals — the second barrier round. Each entry's
+// bitmaps go to its owner (process 0 when the release carries no ShardOwner
+// assignment), and every distinct owner receives exactly one — possibly
+// empty — reply, so owners can close their collection round by count alone.
 func (p *Proc) sendBitmaps(rel *msg.BarrierRelease) {
 	p.mu.Lock()
 	replies := make(map[int]*msg.BitmapReply)

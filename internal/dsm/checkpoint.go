@@ -499,9 +499,9 @@ func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func(b []byte, hint cast
 	encodeProcStats(e, &p.st)
 
 	// Master extras: barrier epoch and the detector's mutable state.
-	if p.id == 0 && p.bar != nil {
+	if p.id == 0 {
 		e.U8(1)
-		e.I32(p.bar.epoch)
+		e.I32(p.tree.epoch)
 		if det := p.sys.detector; det != nil {
 			e.U8(1)
 			st := det.SnapshotState()
@@ -862,10 +862,10 @@ func (p *Proc) restoreFromCheckpoint(ck *procCheckpoint) error {
 	p.races = ck.Races
 	p.st = ck.St
 	if ck.HasMaster {
-		if p.bar == nil {
+		if p.id != 0 {
 			return fmt.Errorf("dsm: master checkpoint restored at non-master proc %d", p.id)
 		}
-		p.bar.epoch = ck.BarEpoch
+		p.tree.epoch = ck.BarEpoch
 		if ck.HasDet && p.sys.detector != nil {
 			p.sys.detector.RestoreState(ck.Det)
 		}

@@ -82,24 +82,29 @@ type Config struct {
 	// WritesFromDiffs (§6.5, MultiWriter only) derives write bitmaps from
 	// diffs instead of store instrumentation. Reads remain instrumented.
 	WritesFromDiffs bool
-	// ShardedCheck distributes the barrier race check: the master
-	// partitions the check list by page across all N processes
+	// ShardedCheck distributes the barrier's bitmap round (shard.go): the
+	// root partitions the check list by page across all N processes
 	// (race.PartitionCheckList), bitmap replies route to each shard's
 	// owner, owners compare their shards in parallel, and results reduce
-	// back to the master up a binary tree (see shard.go). Reported races
-	// and persistent detector state are identical to the serial check's.
-	// Requires Detect.
+	// back to the root up a binary tree. Off, the same round runs with
+	// process 0 as the single owner and no reduction — the paper's serial
+	// check at the barrier master. Reported races and persistent detector
+	// state are identical either way. Requires Detect.
 	ShardedCheck bool
 
-	// BarrierTree selects the combining-tree barrier with the given arity
-	// (≥ 2): arrivals reduce up a k-ary tree rooted at process 0 — each
-	// interior node merging its subtree's interval metadata and building
-	// the check-list slice for the pairs that first meet there — and the
-	// release cascades back down it (see tree.go). 0 selects the flat
-	// centralized barrier, which remains the cross-validation oracle;
-	// reported races and detector state are identical under both. Composes
-	// with ShardedCheck (the tree handles arrivals and the build, the
-	// shards handle the bitmap comparison).
+	// BarrierTree is the arity (≥ 2) of the barrier's arrival tree
+	// (tree.go): arrivals reduce up a k-ary implicit heap rooted at process
+	// 0 — each interior node merging its subtree's interval metadata and
+	// building the check-list slice for the pairs that first meet there —
+	// and the release cascades back down it, cut-through. 0 is arity N−1:
+	// a star whose only interior node is the root, i.e. the paper's flat
+	// centralized barrier, with the release a plain broadcast. It is the
+	// same code either way, so neither is an oracle for the other: the
+	// references are hbdet on the same execution, the pinned flat-serial
+	// literals of crossval_test.go, and race.Detector.BuildCheckList /
+	// Compare, which internal/dsm no longer calls. Composes with
+	// ShardedCheck (the tree shapes arrivals and the build, the shards the
+	// bitmap comparison).
 	BarrierTree int
 
 	// Model is the virtual-time cost model; zero value → costmodel.Default.
@@ -390,8 +395,8 @@ type System struct {
 	allocNext mem.Addr
 	symbols   []Symbol
 
-	detector *race.Detector // lives at the barrier master (proc 0)
-	raceOpts race.Options   // detector options, reused by the distributed build
+	detector *race.Detector // lives at the barrier root (proc 0)
+	raceOpts race.Options   // detector options, for the per-node partial build
 
 	// Crash recovery (see checkpoint.go / recovery.go). crashes is the
 	// merged plan list (Config.Crash + Config.Crashes).
@@ -538,9 +543,9 @@ func (s *System) DetectorStats() race.Stats {
 }
 
 // DetectorState returns a deep snapshot of the detector's persistent state
-// (counters, first-racy-epoch marker, retained racy records). Serial and
-// sharded checks must produce byte-identical snapshots on the same program
-// — the cross-validation oracle for Config.ShardedCheck.
+// (counters, first-racy-epoch marker, retained racy records). Every barrier
+// topology (Config.BarrierTree × Config.ShardedCheck) must produce
+// byte-identical snapshots on the same program.
 func (s *System) DetectorState() race.State {
 	if s.detector == nil {
 		return race.State{}

@@ -1,23 +1,31 @@
 package dsm
 
 import (
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lrcrace/internal/mem"
 	"lrcrace/internal/race"
 )
 
-// newSys builds a small system for tests.
-func newSys(t *testing.T, nproc int, proto ProtocolKind, detect bool) *System {
-	t.Helper()
-	s, err := New(Config{
+// smallConfig describes the small system most tests run on.
+func smallConfig(nproc int, proto ProtocolKind, detect bool) Config {
+	return Config{
 		NumProcs:   nproc,
 		SharedSize: 16 * 1024,
 		PageSize:   1024,
 		Protocol:   proto,
 		Detect:     detect,
-	})
+	}
+}
+
+// newSys builds a small system for tests.
+func newSys(t *testing.T, nproc int, proto ProtocolKind, detect bool) *System {
+	t.Helper()
+	s, err := New(smallConfig(nproc, proto, detect))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,6 +564,77 @@ func TestDetectionSlowsVirtualTime(t *testing.T) {
 	}
 	if sd.procs[0].Stats().ReadNoticeBytes == 0 {
 		t.Error("no read-notice bytes accounted")
+	}
+}
+
+// TestMutualExclusionInvariant verifies at the Go level (independent of DSM
+// memory) that the distributed lock admits one holder at a time, across
+// many iterations and both protocols.
+func TestMutualExclusionInvariant(t *testing.T) {
+	bothProtocols(t, func(t *testing.T, proto ProtocolKind) {
+		for iter := 0; iter < 8; iter++ {
+			s := newSys(t, 4, proto, false)
+			ctr, _ := s.AllocWords("ctr", 1)
+			var holder int32 = -1
+			var breaches int32
+			err := s.Run(func(p *Proc) {
+				for i := 0; i < 8; i++ {
+					p.Lock(1)
+					if !atomic.CompareAndSwapInt32(&holder, -1, int32(p.ID())) {
+						atomic.AddInt32(&breaches, 1)
+					}
+					v := p.Read(ctr)
+					p.Write(ctr, v+1)
+					if !atomic.CompareAndSwapInt32(&holder, int32(p.ID()), -1) {
+						atomic.AddInt32(&breaches, 1)
+					}
+					p.Unlock(1)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if breaches != 0 {
+				t.Fatalf("iter %d: %d mutual-exclusion breaches", iter, breaches)
+			}
+			if got := s.SnapshotWord(ctr); got != 32 {
+				t.Fatalf("iter %d: ctr = %d, want 32 (exclusion held, so this is a staleness bug)", iter, got)
+			}
+		}
+	})
+}
+
+// TestLostUpdateDiagnosis reproduces the rare lost-update failure with a
+// value trace: every critical section logs the value it read and wrote, in
+// global order. A lost update shows as two sections reading the same value.
+func TestLostUpdateDiagnosis(t *testing.T) {
+	for iter := 0; iter < 300; iter++ {
+		s := newSys(t, 4, SingleWriter, false)
+		slots, _ := s.AllocWords("slots", 4)
+		sum, _ := s.AllocWords("sum", 1)
+		var mu sync.Mutex
+		var trace []string
+		err := s.Run(func(p *Proc) {
+			for round := 0; round < 8; round++ {
+				p.Lock(0)
+				p.Write(slots+mem.Addr(p.ID()*8), uint64((round+1)*100+p.ID()))
+				v := p.Read(sum)
+				p.Write(sum, v+1)
+				mu.Lock()
+				trace = append(trace, fmt.Sprintf("p%d r%d: %d -> %d", p.ID(), round, v, v+1))
+				mu.Unlock()
+				p.Unlock(0)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.SnapshotWord(sum); got != 32 {
+			for _, l := range trace {
+				t.Log(l)
+			}
+			t.Fatalf("iter %d: sum = %d, want 32", iter, got)
+		}
 	}
 }
 

@@ -190,16 +190,11 @@ type Proc struct {
 	// (*Proc).awaitCheckpoint. Buffered so the sender never blocks.
 	ckptGate chan struct{}
 
-	// Barrier-master state (proc 0 only).
-	bar *barrierState
-
-	// Combining-tree barrier state (Config.BarrierTree ≥ 2, every
-	// process; see tree.go).
+	// Barrier arrival/reduction state (every process; see tree.go).
 	tree *treeState
 
-	// Sharded-check round state (Config.ShardedCheck, every process);
-	// shardPend parks round messages arriving before our release. See
-	// shard.go.
+	// The open bitmap round, if any (every process); shardPend parks round
+	// messages arriving before our release. See shard.go.
 	shard     *shardState
 	shardPend []simnet.Delivery
 
@@ -213,37 +208,6 @@ type Proc struct {
 	crashAccesses int
 	crashLocks    int
 	firedCrash    *CrashPlan
-}
-
-type barrierState struct {
-	epoch    int32
-	arrived  int
-	records  []*interval.Record
-	gvc      vc.VC
-	maxArr   int64
-	minArr   int64 // earliest virtual arrival this epoch; -1 = none yet
-	check    []race.CheckEntry
-	bmWait   bool
-	bmCount  int
-	bmMaxArr int64
-	bmSource map[bmKey]mem.Bitmap // key.write selects read/write bitmap
-
-	// arrivedFrom / bmFrom track which processes this round has heard
-	// from, so a barrier wall timeout can name the missing (suspected
-	// dead) process.
-	arrivedFrom []bool
-	bmFrom      []bool
-}
-
-type bmKey struct {
-	id    vc.IntervalID
-	page  mem.PageID
-	write bool
-}
-
-// Bitmaps implements race.BitmapSource over the collected replies.
-func (b *barrierState) Bitmaps(id vc.IntervalID, p mem.PageID) (read, write mem.Bitmap) {
-	return b.bmSource[bmKey{id, p, false}], b.bmSource[bmKey{id, p, true}]
 }
 
 func newProc(s *System, id int) *Proc {
@@ -309,17 +273,7 @@ func newProc(s *System, id int) *Proc {
 			}
 		}
 	}
-	if id == 0 {
-		p.bar = &barrierState{
-			gvc:         vc.New(n),
-			minArr:      -1,
-			arrivedFrom: make([]bool, n),
-			bmFrom:      make([]bool, n),
-		}
-	}
-	if k := s.cfg.BarrierTree; k >= 2 {
-		p.tree = newTreeState(id, k, n)
-	}
+	p.tree = newTreeState(id, s.cfg.BarrierTree, n)
 	return p
 }
 
@@ -416,75 +370,49 @@ func (p *Proc) waitReplyTimeout(op string) simnet.Delivery {
 // guessing wrongly would roll the blame onto a healthy process. Leave it
 // to the link-death detector or the crash plan's ground truth to sharpen.
 //
-// Under the combining-tree barrier every interior node holds its own
-// coverage ledger, so blame is multi-hop: a node missing exactly one
-// DIRECT contribution names that child (or itself) — which may itself be
-// a healthy interior node wedged behind a deeper victim; the verdicts
-// from every hop are then reconciled by noteTimeoutVerdict, where a
-// process that accused someone has proven itself alive and so cannot
-// remain the suspect.
+// Every interior node of the barrier tree holds its own coverage ledger,
+// so blame is multi-hop: a node missing exactly one DIRECT contribution
+// names that child (or itself) — which may itself be a healthy interior
+// node wedged behind a deeper victim; the verdicts from every hop are then
+// reconciled by noteTimeoutVerdict, where a process that accused someone
+// has proven itself alive and so cannot remain the suspect. Under the star
+// the root is the only interior node and its direct contributors are all N
+// processes. Once the reduction is out, the root reads the ledger of its
+// own bitmap round instead.
 func (p *Proc) barrierBlame(op string) (suspect int, detail string) {
 	suspect = -1
-	barrierWait := op == "barrier release" || op == "barrier bitmap round"
-	if !barrierWait {
+	if op != "barrier release" && op != "barrier bitmap round" {
 		return suspect, ""
 	}
-	if t := p.tree; t != nil {
-		p.mu.Lock()
-		if t.got > 0 && !t.sent {
-			// Mid-reduction: the subtree never completed. Name the one
-			// missing direct contributor; report the whole uncovered slice
-			// of the subtree for the trip message.
-			var missDirect, uncovered []int
-			for _, c := range append(treeChildren(p.id, t.arity, p.n), p.id) {
-				if !t.from[c] {
-					missDirect = append(missDirect, c)
-				}
-			}
-			for _, q := range treeSubtree(p.id, t.arity, p.n) {
-				if !t.from[q] {
-					uncovered = append(uncovered, q)
-				}
-			}
-			p.mu.Unlock()
-			if len(missDirect) == 1 {
-				suspect = missDirect[0]
-			}
-			if len(uncovered) > 0 && len(uncovered) < p.n {
-				detail = fmt.Sprintf(" (no word from %v)", uncovered)
-			}
-			return suspect, detail
-		}
-		p.mu.Unlock()
-	}
-	if p.bar == nil {
-		return suspect, ""
-	}
+	var direct, missing []int
 	p.mu.Lock()
-	b := p.bar
-	var missing []int
-	from := b.arrivedFrom
-	tracking := b.arrived > 0
-	if b.bmWait {
-		from = b.bmFrom
-		tracking = true
-	}
-	if sh := p.shard; sh != nil && sh.expect > 0 && sh.got < sh.expect {
-		// Sharded check: the master's own shard round tracks who
-		// has sent bitmaps this epoch.
-		from = sh.from
-		tracking = true
-	}
-	if tracking {
-		for q := 0; q < p.n; q++ {
-			if q < len(from) && !from[q] {
+	t, sh := p.tree, p.shard
+	switch {
+	case t.got > 0 && !t.sent:
+		// Mid-reduction: the subtree never completed. Name the one missing
+		// direct contributor; report the whole uncovered slice of the
+		// subtree for the trip message.
+		for _, c := range append(treeChildren(p.id, t.arity, p.n), p.id) {
+			if !t.from[c] {
+				direct = append(direct, c)
+			}
+		}
+		for _, q := range treeSubtree(p.id, t.arity, p.n) {
+			if !t.from[q] {
 				missing = append(missing, q)
 			}
 		}
+	case p.id == 0 && sh != nil && sh.got < sh.expect:
+		for q, ok := range sh.from {
+			if !ok {
+				missing = append(missing, q)
+			}
+		}
+		direct = missing
 	}
 	p.mu.Unlock()
-	if len(missing) == 1 {
-		suspect = missing[0]
+	if len(direct) == 1 {
+		suspect = direct[0]
 	}
 	if len(missing) > 0 && len(missing) < p.n {
 		detail = fmt.Sprintf(" (no word from %v)", missing)

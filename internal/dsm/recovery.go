@@ -11,7 +11,6 @@ import (
 	"lrcrace/internal/reliable"
 	"lrcrace/internal/simnet"
 	"lrcrace/internal/telemetry"
-	"lrcrace/internal/vc"
 )
 
 // Coordinated rollback recovery.
@@ -504,29 +503,12 @@ func (s *System) restoreFromPlan(plan *rollbackPlan) error {
 func (s *System) reconcileRestored() error {
 	n := s.cfg.NumProcs
 
-	// The master's barrier state is rebuilt from the global restore: the
-	// barrier epoch equals the restored process epoch, and the global VC is
-	// the merge of everyone's restored vector (all pre-line intervals are
-	// globally known at a barrier).
-	master := s.procs[0]
-	if master.bar != nil {
-		g := vc.New(n)
-		for _, q := range s.procs {
-			g.Merge(q.vcur)
-		}
-		master.bar.gvc = g
-		master.bar.epoch = master.epoch
-	}
-
-	// Combining-tree barrier: every node's per-epoch reduction state was
-	// clean at its checkpoint (the release resets it before the departure
-	// cut), so a restored node just realigns its tree epoch with its
-	// process epoch.
+	// Every node's per-epoch barrier state was clean at its checkpoint (the
+	// release resets it before the departure cut), so a restored node just
+	// realigns its barrier epoch with its process epoch.
 	for _, q := range s.procs {
-		if t := q.tree; t != nil {
-			t.epoch = q.epoch
-			t.clear(n)
-		}
+		q.tree.epoch = q.epoch
+		q.tree.clear()
 	}
 
 	// Lock reclamation: a manager whose lastHolder has no tenure and no

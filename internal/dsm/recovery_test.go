@@ -15,13 +15,12 @@ import (
 	"lrcrace/internal/telemetry"
 )
 
-// recoverySys builds a system armed for crash recovery: checkpointing on,
-// the reliable sublayer with an aggressive retry cap (so link death is
+// recoveryConfig describes a system armed for crash recovery: checkpointing
+// on, the reliable sublayer with an aggressive retry cap (so link death is
 // declared in milliseconds), and the barrier wall timeout as the detection
 // backstop for crashes that leave no survivor→victim traffic.
-func recoverySys(t *testing.T, nproc int, proto ProtocolKind, crash *CrashPlan, rec *telemetry.Recorder) *System {
-	t.Helper()
-	s, err := New(Config{
+func recoveryConfig(nproc int, proto ProtocolKind, crash *CrashPlan, rec *telemetry.Recorder) Config {
+	return Config{
 		NumProcs:   nproc,
 		SharedSize: 16 * 1024,
 		PageSize:   1024,
@@ -44,7 +43,12 @@ func recoverySys(t *testing.T, nproc int, proto ProtocolKind, crash *CrashPlan, 
 		BarrierWallTimeout: 2 * time.Second,
 		Crash:              crash,
 		Recorder:           rec,
-	})
+	}
+}
+
+func recoverySys(t *testing.T, nproc int, proto ProtocolKind, crash *CrashPlan, rec *telemetry.Recorder) *System {
+	t.Helper()
+	s, err := New(recoveryConfig(nproc, proto, crash, rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,59 +547,47 @@ func TestRandomCrashPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestBarrierResetAcrossEpochs is the satellite test for
-// resetBarrierLocked: after a round that populated every per-epoch field —
-// including the bitmap round's buffers, as a timed-out or crash-aborted
+// TestBarrierResetAcrossEpochs: after a round that populated every
+// per-epoch field of the barrier state — as a timed-out or crash-aborted
 // round would leave them — the reset must clear all of it and advance the
-// epoch, so the next round starts from a clean slate.
+// epoch, so the next round starts from a clean slate; a stale reset for an
+// epoch already passed must change nothing.
 func TestBarrierResetAcrossEpochs(t *testing.T) {
 	s := newSys(t, 3, SingleWriter, true)
 	p := newProc(s, 0)
-	b := p.bar
-	if b == nil {
-		t.Fatal("master proc has no barrier state")
-	}
+	tr := p.tree
 	for round := 0; round < 3; round++ {
-		epochBefore := b.epoch
+		epochBefore := tr.epoch
 		// Dirty every per-epoch field as a mid-round abort would leave it.
-		b.arrived = 2
-		b.arrivedFrom[0] = true
-		b.arrivedFrom[2] = true
-		b.records = append(b.records, nil)
-		b.maxArr = 99
-		b.minArr = 7
-		b.check = []race.CheckEntry{{}}
-		b.bmWait = true
-		b.bmCount = 1
-		b.bmMaxArr = 55
-		b.bmSource = map[bmKey]mem.Bitmap{{page: 1}: nil}
-		b.bmFrom[1] = true
+		tr.got = 2
+		tr.sent = true
+		tr.from[0] = true
+		tr.from[2] = true
+		tr.records = append(tr.records, nil)
+		tr.groups = append(tr.groups, nil)
+		tr.gvc[1] = 9
+		tr.maxArr = 99
+		tr.minArr = 7
+		tr.entries = []race.CheckEntry{{}}
+		tr.merged.PairComparisons = 4
 
-		p.resetBarrierLocked()
+		p.resetTreeLocked(epochBefore)
+		p.resetTreeLocked(epochBefore) // stale: no-op
 
-		if b.epoch != epochBefore+1 {
-			t.Errorf("round %d: epoch %d, want %d", round, b.epoch, epochBefore+1)
+		if tr.epoch != epochBefore+1 {
+			t.Errorf("round %d: epoch %d, want %d", round, tr.epoch, epochBefore+1)
 		}
-		if b.arrived != 0 || b.records != nil || b.check != nil {
-			t.Errorf("round %d: arrival state not reset: arrived=%d records=%v check=%v",
-				round, b.arrived, b.records, b.check)
+		if tr.got != 0 || tr.sent || tr.records != nil || tr.groups != nil || tr.entries != nil {
+			t.Errorf("round %d: arrival state not reset: got=%d sent=%v records=%v groups=%v entries=%v",
+				round, tr.got, tr.sent, tr.records, tr.groups, tr.entries)
 		}
-		if b.maxArr != 0 || b.minArr != -1 {
-			t.Errorf("round %d: arrival clocks not reset: maxArr=%d minArr=%d",
-				round, b.maxArr, b.minArr)
+		if tr.maxArr != 0 || tr.minArr != -1 || tr.merged != (race.BuildStats{}) {
+			t.Errorf("round %d: arrival clocks/work not reset: maxArr=%d minArr=%d merged=%+v",
+				round, tr.maxArr, tr.minArr, tr.merged)
 		}
-		if b.bmWait || b.bmCount != 0 || b.bmMaxArr != 0 || b.bmSource != nil {
-			t.Errorf("round %d: bitmap round not reset: wait=%v count=%d maxArr=%d source=%v",
-				round, b.bmWait, b.bmCount, b.bmMaxArr, b.bmSource)
-		}
-		for i, v := range b.arrivedFrom {
-			if v {
-				t.Errorf("round %d: arrivedFrom[%d] still set", round, i)
-			}
-		}
-		for i, v := range b.bmFrom {
-			if v {
-				t.Errorf("round %d: bmFrom[%d] still set", round, i)
+		for i, v := range tr.from {
+			if v || tr.gvc[i] != 0 {
+				t.Errorf("round %d: from[%d]=%v gvc[%d]=%d still set", round, i, v, i, tr.gvc[i])
 			}
 		}
 	}
@@ -650,10 +642,17 @@ func TestBarrierBlame(t *testing.T) {
 		return newProc(s, 0)
 	}
 
+	// arrived marks the star root's ledger as a round in progress would.
+	arrived := func(p *Proc, from ...int) {
+		for _, q := range from {
+			p.tree.from[q] = true
+		}
+		p.tree.got = len(from)
+	}
+
 	t.Run("non-barrier op never blames", func(t *testing.T) {
 		p := mk()
-		p.bar.arrived = 3
-		p.bar.arrivedFrom[0], p.bar.arrivedFrom[1], p.bar.arrivedFrom[2] = true, true, true
+		arrived(p, 0, 1, 2)
 		// A lock wait wedged behind a dead holder must not blame whoever
 		// has not reached the barrier yet (that includes this process).
 		if suspect, detail := p.barrierBlame("lock grant"); suspect != -1 || detail != "" {
@@ -671,8 +670,7 @@ func TestBarrierBlame(t *testing.T) {
 
 	t.Run("exactly one missing is the suspect", func(t *testing.T) {
 		p := mk()
-		p.bar.arrived = 3
-		p.bar.arrivedFrom[0], p.bar.arrivedFrom[1], p.bar.arrivedFrom[2] = true, true, true
+		arrived(p, 0, 1, 2)
 		suspect, detail := p.barrierBlame("barrier release")
 		if suspect != 3 {
 			t.Errorf("suspect = %d, want 3", suspect)
@@ -684,8 +682,7 @@ func TestBarrierBlame(t *testing.T) {
 
 	t.Run("several missing names nobody", func(t *testing.T) {
 		p := mk()
-		p.bar.arrived = 2
-		p.bar.arrivedFrom[0], p.bar.arrivedFrom[2] = true, true
+		arrived(p, 0, 2)
 		suspect, detail := p.barrierBlame("barrier release")
 		if suspect != -1 {
 			t.Errorf("suspect = %d, want -1 (either of 1, 3 may just be wedged)", suspect)
@@ -704,15 +701,12 @@ func TestBarrierBlame(t *testing.T) {
 
 	t.Run("bitmap round uses its own ledger", func(t *testing.T) {
 		p := mk()
-		// Arrival round complete, bitmap round missing only p2: the flap of
-		// the master's own links during the second round must blame p2, not
-		// whoever the stale arrival ledger shows.
-		p.bar.arrived = n
-		for i := range p.bar.arrivedFrom {
-			p.bar.arrivedFrom[i] = true
-		}
-		p.bar.bmWait = true
-		p.bar.bmFrom[0], p.bar.bmFrom[1], p.bar.bmFrom[3] = true, true, true
+		// Arrival round complete and released, bitmap round missing only p2:
+		// the flap of the root's own links during the second round must
+		// blame p2, not whoever the spent arrival ledger shows.
+		arrived(p, 0, 1, 3)
+		p.tree.sent = true
+		p.shard = &shardState{expect: n, got: n - 1, from: []bool{true, true, false, true}}
 		suspect, _ := p.barrierBlame("barrier bitmap round")
 		if suspect != 2 {
 			t.Errorf("suspect = %d, want 2", suspect)
@@ -721,7 +715,7 @@ func TestBarrierBlame(t *testing.T) {
 
 	t.Run("sharded round uses the shard ledger", func(t *testing.T) {
 		p := mk()
-		p.shard = &shardState{expect: n, got: n - 1, from: []bool{true, false, true, true}}
+		p.shard = &shardState{reduce: true, expect: n, got: n - 1, from: []bool{true, false, true, true}}
 		suspect, _ := p.barrierBlame("barrier bitmap round")
 		if suspect != 1 {
 			t.Errorf("suspect = %d, want 1", suspect)

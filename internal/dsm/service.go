@@ -5,7 +5,6 @@ import (
 
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
-	"lrcrace/internal/race"
 	"lrcrace/internal/simnet"
 	"lrcrace/internal/telemetry"
 	"lrcrace/internal/vc"
@@ -13,8 +12,8 @@ import (
 
 // serviceLoop is the protocol service thread of a process: it handles
 // incoming requests (lock management and forwarding, page directory and
-// ownership, diff application, and — at process 0 — the barrier master) and
-// routes responses to the blocked application thread. This plays the role
+// ownership, diff application, and the barrier pipeline of tree.go and
+// shard.go) and routes responses to the blocked application thread. This plays the role
 // of CVM's request handlers that the underlying system invokes around page
 // faults, synchronization and I/O.
 func (p *Proc) serviceLoop() {
@@ -42,20 +41,12 @@ func (p *Proc) serviceLoop() {
 			p.handleInval(d, m)
 		case *msg.BarrierArrive:
 			p.handleBarrierArrive(d, m)
-		case *msg.BitmapReply:
-			if p.sys.cfg.ShardedCheck {
-				p.handleShardBitmap(d, m)
-			} else {
-				p.handleBitmapReply(d, m)
-			}
-		case *msg.ShardResult:
-			p.handleShardResult(d, m)
-		case *msg.TreeArrive:
-			p.handleTreeArrive(d, m)
 		case *msg.TreeReduce:
 			p.handleTreeReduce(d, m)
-		case *msg.TreeRelease:
-			p.handleTreeRelease(d, m)
+		case *msg.BarrierRelease:
+			p.handleBarrierRelease(d, m)
+		case *msg.BitmapReply, *msg.ShardResult:
+			p.handleShardRound(d)
 		case *msg.AcquireGrant:
 			// Consume the previous tenure's grant obligation *now*, in
 			// message order: any forward processed after this grant targets
@@ -67,19 +58,6 @@ func (p *Proc) serviceLoop() {
 			p.lock(int(m.Lock)).releasedUngranted = false
 			p.mu.Unlock()
 			p.replyCh <- d
-		case *msg.BarrierRelease:
-			if m.NeedBitmaps && len(m.ShardOwner) > 0 {
-				// Establish this epoch's shard round (and drain any round
-				// messages that beat the release here) before the
-				// application thread can observe the release.
-				p.initShardState(d, m)
-			}
-			p.replyCh <- d
-			if !m.NeedBitmaps {
-				// The release is the departure trigger: hold the service
-				// thread until the checkpoint is cut (see awaitCheckpoint).
-				p.awaitCheckpoint()
-			}
 		case *msg.BarrierDone:
 			p.replyCh <- d
 			p.awaitCheckpoint()
@@ -343,159 +321,4 @@ func (p *Proc) handleInval(d simnet.Delivery, m *msg.Inval) {
 	}
 	arr := p.arrival(d) + p.sys.cfg.Model.Handler
 	p.send(d.From, &msg.InvalAck{}, arr)
-}
-
-// --- barrier master (process 0) ---
-
-func (p *Proc) handleBarrierArrive(d simnet.Delivery, m *msg.BarrierArrive) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b := p.bar
-	if b == nil {
-		p.protocolBug("BarrierArrive at non-master")
-	}
-	if m.Epoch != b.epoch {
-		p.protocolBug("BarrierArrive for epoch %d during epoch %d", m.Epoch, b.epoch)
-	}
-	b.records = append(b.records, m.Intervals...)
-	b.gvc.Merge(vcFromWire(m.VC))
-	arrV := p.arrival(d)
-	if arrV > b.maxArr {
-		b.maxArr = arrV
-	}
-	if b.minArr < 0 || arrV < b.minArr {
-		b.minArr = arrV
-	}
-	b.arrivedFrom[d.From] = true
-	b.arrived++
-	if b.arrived < p.n {
-		return
-	}
-
-	// All processes have arrived: the master now has complete and current
-	// information on every interval in the system. Run the comparison
-	// algorithm (detection on) and release.
-	model := p.sys.cfg.Model
-	relV := b.maxArr + model.Handler
-	b.check = nil
-	if p.sys.cfg.Detect {
-		det := p.sys.detector
-		before := det.Stats()
-		b.check = det.BuildCheckList(b.records)
-		after := det.Stats()
-		work := int64(after.PairComparisons-before.PairComparisons)*model.IntervalCompare +
-			int64(after.NoticesScanned-before.NoticesScanned)*model.PageOverlap
-		p.st.TIntervalCmp += work
-		relV += work
-	}
-
-	p.tel.Emit(p.id, telemetry.KBarrierRelease, relV,
-		int64(b.epoch), int64(len(b.records)), b.maxArr-b.minArr)
-	rel := &msg.BarrierRelease{
-		Epoch:       b.epoch,
-		GlobalVC:    vcToWire(b.gvc),
-		Intervals:   b.records,
-		Check:       b.check,
-		NeedBitmaps: len(b.check) > 0,
-	}
-	if p.sys.cfg.ShardedCheck && len(b.check) > 0 {
-		rel.ShardOwner = race.PartitionCheckList(b.check, p.n)
-	}
-	for q := 0; q < p.n; q++ {
-		nbytes := p.send(q, rel, relV)
-		p.recordSyncSend(b.records, nbytes)
-	}
-	switch {
-	case len(b.check) == 0:
-		p.resetBarrierLocked()
-	case p.sys.cfg.ShardedCheck:
-		// Sharded round: collection state lives in p.shard (established
-		// when our own copy of the release arrives); b.check and b.records
-		// are kept for the root's fold, and resetBarrierLocked runs in
-		// finishShardedCheckLocked.
-	default:
-		b.bmWait = true
-		b.bmCount = 0
-		b.bmMaxArr = 0
-		b.bmSource = make(map[bmKey]mem.Bitmap)
-	}
-}
-
-func (p *Proc) handleBitmapReply(d simnet.Delivery, m *msg.BitmapReply) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b := p.bar
-	if b == nil || !b.bmWait {
-		p.protocolBug("unexpected BitmapReply")
-	}
-	if m.Epoch != b.epoch {
-		p.protocolBug("BitmapReply for epoch %d during epoch %d", m.Epoch, b.epoch)
-	}
-	for _, e := range m.Entries {
-		id := vc.IntervalID{Proc: int(e.Proc), Index: vc.Index(e.Index)}
-		if e.Read != nil {
-			b.bmSource[bmKey{id, e.Page, false}] = e.Read
-		}
-		if e.Write != nil {
-			b.bmSource[bmKey{id, e.Page, true}] = e.Write
-		}
-	}
-	if arr := p.arrival(d); arr > b.bmMaxArr {
-		b.bmMaxArr = arr
-	}
-	b.bmFrom[d.From] = true
-	b.bmCount++
-	if b.bmCount < p.n {
-		return
-	}
-
-	model := p.sys.cfg.Model
-	det := p.sys.detector
-	before := det.Stats()
-	races := det.Compare(b.check, b, b.epoch)
-	det.Retain(races, b.records)
-	after := det.Stats()
-	work := int64(after.BitmapsCompared-before.BitmapsCompared) * model.BitmapCompare
-	p.st.TBitmapCmp += work
-	p.st.CheckEntriesCompared += int64(len(b.check))
-	p.st.BitmapsCompared += int64(after.BitmapsCompared - before.BitmapsCompared)
-	doneV := b.bmMaxArr + model.Handler + work
-
-	p.tel.Emit(p.id, telemetry.KRaceCheck, doneV,
-		int64(len(b.check)), int64(after.BitmapsCompared-before.BitmapsCompared), int64(len(races)))
-	for _, r := range races {
-		ww := int64(0)
-		if r.WriteWrite() {
-			ww = 1
-		}
-		p.tel.Emit(p.id, telemetry.KRaceFound, doneV, int64(r.Addr), int64(r.Epoch), ww)
-	}
-	done := &msg.BarrierDone{Epoch: b.epoch, Races: races}
-	for q := 0; q < p.n; q++ {
-		p.send(q, done, doneV)
-	}
-	p.resetBarrierLocked()
-}
-
-// resetBarrierLocked clears every per-epoch field of the master's barrier
-// state — arrival bookkeeping AND the bitmap-round buffers — so the next
-// epoch starts from a clean slate even if this round ended abnormally.
-func (p *Proc) resetBarrierLocked() {
-	b := p.bar
-	b.epoch++
-	b.arrived = 0
-	b.records = nil
-	b.check = nil
-	b.bmWait = false
-	b.bmCount = 0
-	b.bmMaxArr = 0
-	b.bmSource = nil
-	b.maxArr = 0
-	b.minArr = -1
-	for i := range b.arrivedFrom {
-		b.arrivedFrom[i] = false
-	}
-	for i := range b.bmFrom {
-		b.bmFrom[i] = false
-	}
 }

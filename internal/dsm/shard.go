@@ -9,44 +9,50 @@ import (
 	"lrcrace/internal/vc"
 )
 
-// The sharded race check (Config.ShardedCheck) distributes step 5 of the
-// detection procedure, which the serial path runs entirely at the barrier
-// master while every other process idles inside the barrier:
+// The barrier pipeline, continued: scatter → compare → fold → done.
 //
-//  1. The master builds the epoch's check list as usual, then partitions
-//     its entries by page across the N processes
-//     (race.PartitionCheckList) and ships the owner assignment inside the
-//     barrier-release message (BarrierRelease.ShardOwner).
-//  2. Every process sends one BitmapReply per shard owner — the slice of
-//     its bitmaps each owner's entries name — instead of one N-to-1 reply
-//     to the master. A shard owner therefore collects exactly N replies.
-//  3. Each owner compares its shard (race.CompareShard) in parallel with
-//     the others, then the results flow up a binary reduction tree: node p
-//     merges its own shard output with the ShardResults of children 2p+1
-//     and 2p+2 and forwards the merge to parent (p-1)/2.
-//  4. The root (process 0) folds the tree's total into the detector
+// A release with a non-empty check list opens a bitmap round — step 5 of
+// the detection procedure — at every process:
+//
+//  1. The release names an owner for every check entry. Under
+//     Config.ShardedCheck the root partitions the entries by page across
+//     the N processes (race.PartitionCheckList) and ships the assignment
+//     as BarrierRelease.ShardOwner; without it the release carries no
+//     assignment, which means process 0 owns the whole list — the paper's
+//     serial check at the barrier master.
+//  2. Every process sends one BitmapReply per owner — the slice of its
+//     bitmaps that owner's entries name. An owner therefore collects
+//     exactly N replies.
+//  3. Each owner compares its shard (race.CompareShard). Under the sharded
+//     check the results then flow up a binary reduction tree: node p merges
+//     its own shard output with the ShardResults of children 2p+1 and 2p+2
+//     and forwards the merge to parent (p-1)/2. The single owner of the
+//     serial check is the root itself, so there is no fan-in.
+//  4. The root folds the total into the detector
 //     (Detector.FoldShardResults): canonical re-sort, §6.4 first-race
-//     filtering, stats accumulation — leaving race.State byte-identical to
-//     the serial path's — and broadcasts BarrierDone.
+//     filtering, stats accumulation — race.State comes out identical
+//     however the list was split — and broadcasts BarrierDone.
 //
-// The shard round's messages can arrive ahead of the BarrierRelease that
-// establishes the epoch's shard state (the reliable layer retransmits
-// across links independently), so early deliveries park in Proc.shardPend
-// until initShardState drains them.
+// The round's messages can arrive ahead of the BarrierRelease that opens
+// it (the reliable layer retransmits across links independently), so early
+// deliveries park in Proc.shardPend until openCheckRoundLocked drains them.
 
-// shardState is one process's state for the current epoch's sharded check
-// round. It exists from the arrival of a sharded BarrierRelease until the
+// shardState is one process's state for the current epoch's bitmap round.
+// It exists from the arrival of a BarrierRelease with NeedBitmaps until the
 // process has forwarded its subtree's merged result (or, at the root,
 // broadcast BarrierDone).
 type shardState struct {
 	epoch   int32
+	reduce  bool              // sharded: results fan in up the binary tree, KShard* events
 	entries []race.CheckEntry // this process's shard of the check list
+
+	release *msg.BarrierRelease // what opened the round; the root's finish reads it
 
 	expect int // bitmap replies to collect: n if owner, else 0
 	got    int
 	from   []bool               // which procs' replies have arrived
 	maxArr int64                // latest virtual arrival among replies
-	source map[bmKey]mem.Bitmap // collected bitmaps, keyed like the serial round
+	source map[bmKey]mem.Bitmap // collected bitmaps; key.write selects read/write
 
 	kidsLeft int // reduction-tree children yet to report
 	childV   int64
@@ -56,6 +62,12 @@ type shardState struct {
 
 	localDone bool  // own shard compared (immediately true for non-owners)
 	localV    int64 // virtual completion time of the local compare
+}
+
+type bmKey struct {
+	id    vc.IntervalID
+	page  mem.PageID
+	write bool
 }
 
 // Bitmaps implements race.BitmapSource over the shard's collected replies.
@@ -75,35 +87,35 @@ func shardChildren(id, n int) int {
 	return kids
 }
 
-// initShardState is called by the service thread, under message order, when
-// a sharded BarrierRelease arrives: it derives this process's shard, its
-// reply expectation, and its tree fan-in, then drains any round messages
-// that arrived early. Runs before the release is routed to the application
-// thread, so the app thread's sendBitmaps can never race an uninitialized
-// round.
-func (p *Proc) initShardState(d simnet.Delivery, m *msg.BarrierRelease) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// openCheckRoundLocked is called by the service thread, under message
+// order, when a release with NeedBitmaps arrives: it derives this process's
+// shard, its reply expectation, and its reduction fan-in, then drains any
+// round messages that arrived early.
+func (p *Proc) openCheckRoundLocked(d simnet.Delivery, m *msg.BarrierRelease) {
 	if p.shard != nil {
-		p.protocolBug("sharded release for epoch %d while epoch %d round is open", m.Epoch, p.shard.epoch)
+		p.protocolBug("release for epoch %d while epoch %d bitmap round is open", m.Epoch, p.shard.epoch)
 	}
 	sh := &shardState{
-		epoch:    m.Epoch,
-		from:     make([]bool, p.n),
-		source:   make(map[bmKey]mem.Bitmap),
-		kidsLeft: shardChildren(p.id, p.n),
-		localV:   p.arrival(d) + p.sys.cfg.Model.Handler,
+		epoch:   m.Epoch,
+		release: m,
+		reduce:  len(m.ShardOwner) > 0,
+		from:    make([]bool, p.n),
+		source:  make(map[bmKey]mem.Bitmap),
+		localV:  p.arrival(d) + p.sys.cfg.Model.Handler,
 	}
-	owner := false
-	for i, c := range m.Check {
-		if int(m.ShardOwner[i]) == p.id {
-			sh.entries = append(sh.entries, c)
-			owner = true
+	if sh.reduce {
+		sh.kidsLeft = shardChildren(p.id, p.n)
+		for i, c := range m.Check {
+			if int(m.ShardOwner[i]) == p.id {
+				sh.entries = append(sh.entries, c)
+			}
 		}
+	} else if p.id == 0 {
+		sh.entries = m.Check
 	}
 	// An owner owed only empty replies still collects n of them: reply
 	// count, not content, is what closes the round deterministically.
-	if owner {
+	if len(sh.entries) > 0 {
 		sh.expect = p.n
 	} else {
 		sh.localDone = true
@@ -123,8 +135,16 @@ func (p *Proc) bufferShardLocked(d simnet.Delivery) {
 	p.shardPend = append(p.shardPend, d)
 }
 
-// dispatchShardLocked routes a (possibly previously buffered) shard-round
-// message against the current shard state.
+// handleShardRound is the service-thread entry for the bitmap round's two
+// messages, BitmapReply and ShardResult.
+func (p *Proc) handleShardRound(d simnet.Delivery) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.dispatchShardLocked(d)
+}
+
+// dispatchShardLocked routes a (possibly previously buffered) round message
+// against the current round's state.
 func (p *Proc) dispatchShardLocked(d simnet.Delivery) {
 	switch m := d.Msg.(type) {
 	case *msg.BitmapReply:
@@ -132,16 +152,8 @@ func (p *Proc) dispatchShardLocked(d simnet.Delivery) {
 	case *msg.ShardResult:
 		p.shardResultLocked(d, m)
 	default:
-		p.protocolBug("non-shard message %T buffered in shard queue", d.Msg)
+		p.protocolBug("non-round message %T in the bitmap round", d.Msg)
 	}
-}
-
-// handleShardBitmap is the service-thread entry for a BitmapReply under the
-// sharded check.
-func (p *Proc) handleShardBitmap(d simnet.Delivery, m *msg.BitmapReply) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.shardBitmapLocked(d, m)
 }
 
 func (p *Proc) shardBitmapLocked(d simnet.Delivery, m *msg.BitmapReply) {
@@ -196,17 +208,11 @@ func (p *Proc) shardBitmapLocked(d simnet.Delivery, m *msg.BitmapReply) {
 	sh.wordOv += int64(st.WordOverlaps)
 	sh.localDone = true
 	sh.source = nil // the shard's bitmaps are spent
-	p.tel.Emit(p.id, telemetry.KShardCompare, sh.localV,
-		int64(len(sh.entries)), int64(st.BitmapsCompared), work)
+	if sh.reduce {
+		p.tel.Emit(p.id, telemetry.KShardCompare, sh.localV,
+			int64(len(sh.entries)), int64(st.BitmapsCompared), work)
+	}
 	p.advanceShardLocked()
-}
-
-// handleShardResult is the service-thread entry for a child's subtree
-// result.
-func (p *Proc) handleShardResult(d simnet.Delivery, m *msg.ShardResult) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.shardResultLocked(d, m)
 }
 
 func (p *Proc) shardResultLocked(d simnet.Delivery, m *msg.ShardResult) {
@@ -232,51 +238,46 @@ func (p *Proc) shardResultLocked(d simnet.Delivery, m *msg.ShardResult) {
 }
 
 // advanceShardLocked completes this process's role in the round once its
-// own shard is compared and every tree child has reported: interior nodes
-// forward the merge to their parent; the root folds and broadcasts.
+// own shard is compared and every reduction child has reported: the root
+// folds and broadcasts; under the sharded check every other process
+// forwards its merge to its parent.
 func (p *Proc) advanceShardLocked() {
 	sh := p.shard
 	if sh == nil || !sh.localDone || sh.kidsLeft > 0 {
 		return
 	}
-	sendV := sh.localV
-	if sh.childV > sendV {
-		sendV = sh.childV
+	sendV := max(sh.localV, sh.childV)
+	switch {
+	case p.id == 0:
+		p.finishCheckLocked(sh, sendV)
+	case sh.reduce:
+		p.tel.Emit(p.id, telemetry.KShardReduce, sendV,
+			int64(sh.epoch), int64(len(sh.reports)), int64(shardChildren(p.id, p.n)))
+		p.send((p.id-1)/2, &msg.ShardResult{
+			Epoch:           sh.epoch,
+			Races:           sh.reports,
+			BitmapsCompared: sh.bmCmp,
+			WordOverlaps:    sh.wordOv,
+		}, sendV)
 	}
-	if p.id == 0 {
-		p.finishShardedCheckLocked(sh, sendV)
-		p.shard = nil
-		return
-	}
-	p.tel.Emit(p.id, telemetry.KShardReduce, sendV,
-		int64(sh.epoch), int64(len(sh.reports)), int64(shardChildren(p.id, p.n)))
-	p.send((p.id-1)/2, &msg.ShardResult{
-		Epoch:           sh.epoch,
-		Races:           sh.reports,
-		BitmapsCompared: sh.bmCmp,
-		WordOverlaps:    sh.wordOv,
-	}, sendV)
 	p.shard = nil
 }
 
-// finishShardedCheckLocked is the root's round completion: fold the tree's
-// merged results into the detector — restoring the serial report order and
+// finishCheckLocked is the root's round completion: fold the round's merged
+// results into the detector — restoring the canonical report order and
 // applying §6.4 filtering, so race.State (and therefore checkpoints) come
-// out byte-identical to the serial path — then broadcast BarrierDone.
-func (p *Proc) finishShardedCheckLocked(sh *shardState, doneV int64) {
-	b := p.bar
-	if b == nil || sh.epoch != b.epoch {
-		p.protocolBug("sharded round completed for epoch %d at barrier epoch %d", sh.epoch, b.epoch)
-	}
+// out the same however the check list was split — then broadcast
+// BarrierDone.
+func (p *Proc) finishCheckLocked(sh *shardState, doneV int64) {
 	det := p.sys.detector
 	races := det.FoldShardResults(sh.reports, race.ShardStats{
 		BitmapsCompared: int(sh.bmCmp),
 		WordOverlaps:    int(sh.wordOv),
-	}, b.epoch)
-	det.Retain(races, b.records)
+	}, sh.epoch)
+	det.Retain(races, sh.release.Intervals)
 
 	p.tel.Emit(p.id, telemetry.KRaceCheck, doneV,
-		int64(len(b.check)), sh.bmCmp, int64(len(races)))
+		int64(len(sh.release.Check)), sh.bmCmp, int64(len(races)))
 	for _, r := range races {
 		ww := int64(0)
 		if r.WriteWrite() {
@@ -284,9 +285,8 @@ func (p *Proc) finishShardedCheckLocked(sh *shardState, doneV int64) {
 		}
 		p.tel.Emit(p.id, telemetry.KRaceFound, doneV, int64(r.Addr), int64(r.Epoch), ww)
 	}
-	done := &msg.BarrierDone{Epoch: b.epoch, Races: races}
+	done := &msg.BarrierDone{Epoch: sh.epoch, Races: races}
 	for q := 0; q < p.n; q++ {
 		p.send(q, done, doneV)
 	}
-	p.resetBarrierLocked()
 }

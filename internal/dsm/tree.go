@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"lrcrace/internal/interval"
-	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/race"
 	"lrcrace/internal/simnet"
@@ -12,32 +11,32 @@ import (
 	"lrcrace/internal/vc"
 )
 
-// Combining-tree barrier (Config.BarrierTree).
+// The barrier pipeline: arrive → reduce → build → release.
 //
-// The flat barrier funnels all N arrivals — and the whole check-list build
-// — through process 0. With BarrierTree: k (arity k ≥ 2; children of p are
-// kp+1…kp+k, parent ⌊(p−1)/k⌋, root 0), arrivals instead reduce up a
-// combining tree: each interior node waits for its own arrival plus one
+// Every barrier runs over an implicit-heap tree rooted at process 0
+// (children of p are kp+1…kp+k, parent ⌊(p−1)/k⌋). Config.BarrierTree picks
+// the arity k; 0 is the star, arity N−1, whose only interior node is the
+// root — the paper's centralized barrier master. Every process sends its
+// BarrierArrive to its parent, interior nodes to themselves, so a node's
+// own contribution enters the reduction through the same service-thread
+// path as its children's. A node waits for its own arrival plus one
 // fully-reduced contribution per child, merges their interval records and
-// vectors, runs the partial check-list build over the pairs that first
-// meet at this node (race.BuildPartialCheckList — every cross-process pair
-// spans two contributions at exactly one node, the LCA of the two
-// processes), and forwards one TreeReduce to its parent. The root folds
-// the partial lists (race.FoldCheckLists) into the same barrierState the
-// flat master uses, so the release payload, the bitmap rounds (serial or
-// sharded), checkpoints, and recovery all run unchanged — and the reported
-// races and detector state are byte-identical to the flat oracle's.
+// vectors, runs the partial check-list build over the pairs that first meet
+// at this node (race.BuildPartialCheckList — every cross-process pair spans
+// two contributions at exactly one node, the LCA of the two processes), and
+// forwards one TreeReduce to its parent. The root folds the partial lists
+// (race.FoldCheckLists) into the canonical check list — under the star
+// every pair meets at the root and the fold is the whole build — and sends
+// itself the BarrierRelease.
 //
-// The release cascades down the same tree: the root sends one TreeRelease
-// to itself; every node forwards a copy to its children before departing,
-// so the release reaches depth d in d hops instead of one N-way broadcast.
-// Forwarding is cut-through, not store-and-forward: a node re-stamps the
-// copy one header latency after its parent's send time, so the payload's
-// transmission delay is charged once per receiver (in arrival()) rather
-// than once per hop — the same accounting the flat master's broadcast
-// gets, where every receiver is charged independently off one send time.
-// Each extra tree level therefore costs one MsgLatency, not a full
-// re-serialization of the records and check list.
+// The release cascades down the same tree: every node forwards the copy it
+// received to its children before departing. Under the star that is the
+// root's N-way broadcast, every copy stamped with the root's send time.
+// Under a tree forwarding is cut-through, not store-and-forward: a node
+// re-stamps the copy one header latency after its parent's send time, so
+// the payload's transmission delay is charged once per receiver (in
+// arrival()) rather than once per hop, and each extra tree level costs one
+// MsgLatency, not a full re-serialization of the records and check list.
 //
 // Epoch safety needs no buffering: a node forwards the release to a child
 // before resetting its own per-epoch state, and the child cannot reach the
@@ -69,13 +68,14 @@ func treeSubtree(id, k, n int) []int {
 	return out
 }
 
-// treeState is one process's per-epoch combining-tree bookkeeping. Leaves
-// have expect == 0 and contribute nothing locally; interior nodes (and the
+// treeState is one process's per-epoch barrier bookkeeping. Leaves have
+// expect == 0 and contribute nothing locally; interior nodes (and the
 // root) collect expect = len(children)+1 contributions — their own arrival
-// travels through the network as a self-addressed TreeArrive so every
+// travels through the network as a self-addressed BarrierArrive so every
 // contribution takes the same path.
 type treeState struct {
 	arity  int
+	star   bool // Config.BarrierTree == 0: no release re-stamp, no KTree* events
 	expect int
 
 	epoch int32
@@ -83,7 +83,7 @@ type treeState struct {
 	sent  bool // this epoch's reduction (or root release) has been emitted
 
 	// from marks which processes the collected contributions cover — a
-	// TreeArrive covers its sender, a TreeReduce covers the sender's whole
+	// BarrierArrive covers its sender, a TreeReduce covers the sender's whole
 	// subtree. Only this node's own subtree positions are ever set; the
 	// coverage ledger is what multi-hop crash blame reads.
 	from []bool
@@ -98,9 +98,15 @@ type treeState struct {
 	merged  race.BuildStats
 }
 
+// newTreeState lays out process id's node for Config.BarrierTree = k.
 func newTreeState(id, k, n int) *treeState {
+	star := k == 0
+	if star {
+		k = max(n-1, 1)
+	}
 	t := &treeState{
 		arity:  k,
+		star:   star,
 		gvc:    vc.New(n),
 		minArr: -1,
 		from:   make([]bool, n),
@@ -112,33 +118,31 @@ func newTreeState(id, k, n int) *treeState {
 }
 
 // clear resets the per-epoch fields (everything but arity/expect/epoch).
-func (t *treeState) clear(n int) {
+func (t *treeState) clear() {
 	t.got = 0
 	t.sent = false
 	t.records = nil
 	t.groups = nil
 	t.entries = nil
 	t.merged = race.BuildStats{}
-	t.gvc = vc.New(n)
 	t.maxArr = 0
 	t.minArr = -1
-	for i := range t.from {
-		t.from[i] = false
-	}
+	clear(t.gvc)
+	clear(t.from)
 }
 
-// handleTreeArrive merges one process's own barrier arrival into this
+// handleBarrierArrive merges one process's own barrier arrival into this
 // node's reduction (service thread; interior nodes and the root only —
 // including the node's own self-addressed arrival).
-func (p *Proc) handleTreeArrive(d simnet.Delivery, m *msg.TreeArrive) {
+func (p *Proc) handleBarrierArrive(d simnet.Delivery, m *msg.BarrierArrive) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	t := p.tree
-	if t == nil || t.expect == 0 {
-		p.protocolBug("TreeArrive at a tree leaf (or tree barrier off)")
+	if t.expect == 0 {
+		p.protocolBug("BarrierArrive at a tree leaf")
 	}
 	if m.Epoch != t.epoch {
-		p.protocolBug("TreeArrive for epoch %d during epoch %d", m.Epoch, t.epoch)
+		p.protocolBug("BarrierArrive for epoch %d during epoch %d", m.Epoch, t.epoch)
 	}
 	arrV := p.arrival(d)
 	p.treeContributeLocked(d.From, []int{d.From}, m.Intervals, vcFromWire(m.VC), arrV, arrV, nil, race.BuildStats{})
@@ -150,8 +154,8 @@ func (p *Proc) handleTreeReduce(d simnet.Delivery, m *msg.TreeReduce) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	t := p.tree
-	if t == nil || t.expect == 0 {
-		p.protocolBug("TreeReduce at a tree leaf (or tree barrier off)")
+	if t.expect == 0 {
+		p.protocolBug("TreeReduce at a tree leaf")
 	}
 	if m.Epoch != t.epoch {
 		p.protocolBug("TreeReduce for epoch %d during epoch %d", m.Epoch, t.epoch)
@@ -209,7 +213,13 @@ func (p *Proc) treeCompleteLocked() {
 		entries, bst := race.BuildPartialCheckList(p.sys.raceOpts, t.groups)
 		work = bst.PairComparisons*model.IntervalCompare + bst.NoticesScanned*model.PageOverlap
 		p.st.TIntervalCmp += work
-		t.entries = append(t.entries, entries...)
+		if t.entries == nil {
+			// No child brought entries (always so under the star): adopt the
+			// list instead of copying it.
+			t.entries = entries
+		} else {
+			t.entries = append(t.entries, entries...)
+		}
 		t.merged.Add(bst)
 	}
 	doneV := t.maxArr + model.Handler + work
@@ -233,96 +243,80 @@ func (p *Proc) treeCompleteLocked() {
 		return
 	}
 
-	// Root: fold the distributed build into the flat master's barrierState,
-	// so everything downstream of the release — bitmap rounds, checkpoint
-	// extras, recovery reconciliation — runs exactly as under the flat
-	// barrier.
-	b := p.bar
-	if b == nil || t.epoch != b.epoch {
-		p.protocolBug("tree reduction complete for epoch %d at barrier epoch %d", t.epoch, b.epoch)
-	}
-	b.records = t.records
-	b.gvc.Merge(t.gvc)
-	b.maxArr = t.maxArr
-	b.minArr = t.minArr
-	b.check = nil
+	// Root: every interval of the epoch is here, complete and current. Fold
+	// the distributed build into the canonical check list and release.
+	var check []race.CheckEntry
 	if p.sys.cfg.Detect {
-		b.check = p.sys.detector.FoldCheckLists(len(t.records), t.entries, t.merged)
+		check = p.sys.detector.FoldCheckLists(len(t.records), t.entries, t.merged)
 	}
-
 	p.tel.Emit(p.id, telemetry.KBarrierRelease, doneV,
-		int64(b.epoch), int64(len(b.records)), b.maxArr-b.minArr)
-	rel := &msg.TreeRelease{BarrierRelease: msg.BarrierRelease{
-		Epoch:       b.epoch,
-		GlobalVC:    vcToWire(b.gvc),
-		Intervals:   b.records,
-		Check:       b.check,
-		NeedBitmaps: len(b.check) > 0,
-	}}
-	if p.sys.cfg.ShardedCheck && len(b.check) > 0 {
-		rel.ShardOwner = race.PartitionCheckList(b.check, p.n)
+		int64(t.epoch), int64(len(t.records)), t.maxArr-t.minArr)
+	rel := &msg.BarrierRelease{
+		Epoch:       t.epoch,
+		GlobalVC:    vcToWire(t.gvc),
+		Intervals:   t.records,
+		Check:       check,
+		NeedBitmaps: len(check) > 0,
 	}
-	// One self-send starts the cascade; handleTreeRelease forwards to the
+	if p.sys.cfg.ShardedCheck && len(check) > 0 {
+		rel.ShardOwner = race.PartitionCheckList(check, p.n)
+	}
+	// One self-send starts the cascade; handleBarrierRelease forwards to the
 	// children — sending copies here too would deliver the release twice.
 	nbytes := p.send(p.id, rel, doneV)
-	p.recordSyncSend(b.records, nbytes)
-	switch {
-	case len(b.check) == 0:
-		p.resetBarrierLocked()
-	case p.sys.cfg.ShardedCheck:
-		// Kept for the sharded round's fold (finishShardedCheckLocked).
-	default:
-		b.bmWait = true
-		b.bmCount = 0
-		b.bmMaxArr = 0
-		b.bmSource = make(map[bmKey]mem.Bitmap)
-	}
+	p.recordSyncSend(t.records, nbytes)
 }
 
-// handleTreeRelease runs at every process when its copy of the release
+// handleBarrierRelease runs at every process when its copy of the release
 // arrives (service thread): forward the cascade to the tree children FIRST
 // — before resetting, so per-link FIFO keeps next-epoch contributions
-// behind this epoch's release — then reset the per-epoch tree state and
-// hand the release to the application thread.
-func (p *Proc) handleTreeRelease(d simnet.Delivery, m *msg.TreeRelease) {
+// behind this epoch's release — then reset the per-epoch tree state, open
+// the epoch's bitmap round if there is one (before the application thread
+// can observe the release, so its sendBitmaps never races an unopened
+// round), and hand the release to the application thread.
+func (p *Proc) handleBarrierRelease(d simnet.Delivery, m *msg.BarrierRelease) {
 	p.mu.Lock()
 	t := p.tree
-	if t == nil {
-		p.mu.Unlock()
-		p.protocolBug("TreeRelease with the tree barrier off")
+	// The star's root broadcasts: every copy carries the root's send time.
+	// A tree node forwards cut-through: the copy leaves one header latency
+	// after the parent's send time, while the payload is still streaming in,
+	// so a child's arrival() charges the transmission delay once end-to-end
+	// instead of once per hop.
+	fwdV := d.VTime
+	if !t.star {
+		fwdV += p.sys.cfg.Model.MsgLatency
 	}
-	arr := p.arrival(d) + p.sys.cfg.Model.Handler
-	// Cut-through forwarding: the copy leaves one header latency after the
-	// parent's send time, while the payload is still streaming in, so a
-	// child's arrival() charges the transmission delay once end-to-end
-	// instead of once per hop. The node's own processing still waits for
-	// the full payload (arr above).
-	fwdV := d.VTime + p.sys.cfg.Model.MsgLatency
 	kids := treeChildren(p.id, t.arity, p.n)
 	for _, c := range kids {
-		fwd := &msg.TreeRelease{BarrierRelease: m.BarrierRelease}
-		nbytes := p.send(c, fwd, fwdV)
+		nbytes := p.send(c, m, fwdV)
 		p.recordSyncSend(m.Intervals, nbytes)
 	}
-	p.tel.Emit(p.id, telemetry.KTreeRelease, arr, int64(m.Epoch), int64(len(kids)), 0)
-	p.resetTreeLocked(m.Epoch)
-	p.mu.Unlock()
-	if m.NeedBitmaps && p.sys.cfg.ShardedCheck && len(m.ShardOwner) > 0 {
-		p.initShardState(d, &m.BarrierRelease)
+	if !t.star {
+		p.tel.Emit(p.id, telemetry.KTreeRelease, p.arrival(d)+p.sys.cfg.Model.Handler,
+			int64(m.Epoch), int64(len(kids)), 0)
 	}
+	p.resetTreeLocked(m.Epoch)
+	if m.NeedBitmaps {
+		p.openCheckRoundLocked(d, m)
+	}
+	p.mu.Unlock()
 	p.replyCh <- d
 	if !m.NeedBitmaps {
+		// The release is the departure trigger: hold the service thread
+		// until the checkpoint is cut (see awaitCheckpoint).
 		p.awaitCheckpoint()
 	}
 }
 
-// resetTreeLocked advances the tree state past the released epoch.
-// Idempotent: a stale call for an already-reset epoch is a no-op.
+// resetTreeLocked advances the tree state past the released epoch, clearing
+// every per-epoch field so the next epoch starts from a clean slate even if
+// this round ended abnormally. Idempotent: a stale call for an
+// already-reset epoch is a no-op.
 func (p *Proc) resetTreeLocked(epoch int32) {
 	t := p.tree
-	if t == nil || t.epoch != epoch {
+	if t.epoch != epoch {
 		return
 	}
 	t.epoch++
-	t.clear(p.n)
+	t.clear()
 }

@@ -22,9 +22,9 @@ func FuzzUnmarshal(f *testing.F) {
 		&RelAck{Ack: 11},
 		&BarrierRelease{Epoch: 3, GlobalVC: []uint32{7}, ShardOwner: []int32{0, 2, 1}, NeedBitmaps: true},
 		&ShardResult{Epoch: 4, BitmapsCompared: 8, WordOverlaps: 2},
-		&TreeArrive{BarrierArrive: BarrierArrive{Epoch: 2, VC: []uint32{1, 2}}},
+		&BarrierArrive{Epoch: 2, VC: []uint32{1, 2}},
 		&TreeReduce{Epoch: 2, VC: []uint32{3, 4}, MinArr: 17, PairComparisons: 5, NoticesScanned: 12},
-		&TreeRelease{BarrierRelease: BarrierRelease{Epoch: 2, GlobalVC: []uint32{6}, NeedBitmaps: true}},
+		&BarrierRelease{Epoch: 2, GlobalVC: []uint32{6}, NeedBitmaps: true},
 	}
 	for _, m := range seeds {
 		f.Add(Marshal(m))

@@ -51,12 +51,10 @@ const (
 	// comparison-work counters, sent to its tree parent.
 	TShardResult
 
-	// Combining-tree barrier (Config.BarrierTree): a leaf's arrival at its
-	// tree parent, an interior node's merged subtree reduction to its
-	// parent, and the root's release cascading back down hop by hop.
-	TTreeArrive
+	// Combining-tree barrier (Config.BarrierTree): an interior node's merged
+	// subtree reduction to its tree parent. Arrivals and the release travel
+	// as BarrierArrive / BarrierRelease under every topology.
 	TTreeReduce
-	TTreeRelease
 )
 
 var typeNames = map[Type]string{
@@ -68,7 +66,7 @@ var typeNames = map[Type]string{
 	TBitmapReply: "BitmapReply", TBarrierDone: "BarrierDone",
 	TRelData: "RelData", TRelAck: "RelAck",
 	TShardResult: "ShardResult",
-	TTreeArrive:  "TreeArrive", TTreeReduce: "TreeReduce", TTreeRelease: "TreeRelease",
+	TTreeReduce:  "TreeReduce",
 }
 
 func (t Type) String() string {
@@ -79,7 +77,7 @@ func (t Type) String() string {
 }
 
 // NumTypes bounds Type values for stats arrays.
-const NumTypes = int(TTreeRelease) + 1
+const NumTypes = int(TTreeReduce) + 1
 
 // Message is a wire message.
 type Message interface {
@@ -135,12 +133,8 @@ func Unmarshal(b []byte) (Message, error) {
 		m = &RelAck{Ack: d.U32()}
 	case TShardResult:
 		m = decodeShardResult(d)
-	case TTreeArrive:
-		m = &TreeArrive{BarrierArrive: *decodeBarrierArrive(d)}
 	case TTreeReduce:
 		m = decodeTreeReduce(d)
-	case TTreeRelease:
-		m = &TreeRelease{BarrierRelease: *decodeBarrierRelease(d)}
 	default:
 		return nil, fmt.Errorf("msg: unknown type %d: %w", uint8(t), ErrCorrupt)
 	}
@@ -678,19 +672,7 @@ func decodeShardResult(d *Decoder) *ShardResult {
 	return m
 }
 
-// --- combining-tree barrier messages ---
-
-// TreeArrive is a process's barrier arrival under the combining-tree
-// barrier (Config.BarrierTree): the same payload as BarrierArrive — epoch,
-// current vector, and the epoch's interval records with their notices —
-// but addressed to the process's tree parent rather than the master, where
-// it is merged into the subtree reduction instead of a flat count.
-type TreeArrive struct {
-	BarrierArrive
-}
-
-// Type implements Message.
-func (*TreeArrive) Type() Type { return TTreeArrive }
+// --- combining-tree barrier ---
 
 // TreeReduce carries a fully-reduced subtree up one hop of the combining
 // tree: the merged interval records and vector of every process in the
@@ -762,17 +744,6 @@ func decodeTreeReduce(d *Decoder) *TreeReduce {
 	m.NoticesScanned = d.I64()
 	return m
 }
-
-// TreeRelease is the root's release cascading down the combining tree:
-// the same payload as BarrierRelease, but each interior node forwards a
-// copy to its children before departing, so the release reaches every
-// process in tree-depth hops instead of one N-way broadcast.
-type TreeRelease struct {
-	BarrierRelease
-}
-
-// Type implements Message.
-func (*TreeRelease) Type() Type { return TTreeRelease }
 
 // EncodeReport writes one race report through e — the BarrierDone encoding,
 // exported for the checkpoint codec.

@@ -151,15 +151,10 @@ func TestRoundTripBarrier(t *testing.T) {
 	}
 }
 
+// TestRoundTripTreeBarrier covers the one message only the combining tree
+// sends; its arrivals and release are BarrierArrive / BarrierRelease
+// (TestRoundTripBarrier).
 func TestRoundTripTreeBarrier(t *testing.T) {
-	arr := &TreeArrive{BarrierArrive: BarrierArrive{
-		Epoch: 3, VC: []uint32{5, 6, 7}, Intervals: []*interval.Record{sampleRecord()},
-	}}
-	gotA := roundTrip(t, arr).(*TreeArrive)
-	if gotA.Epoch != 3 || !reflect.DeepEqual(gotA.VC, arr.VC) || len(gotA.Intervals) != 1 {
-		t.Errorf("TreeArrive: %+v", gotA)
-	}
-
 	red := &TreeReduce{
 		Epoch:     3,
 		VC:        []uint32{9, 8, 7},
@@ -184,22 +179,6 @@ func TestRoundTripTreeBarrier(t *testing.T) {
 	empty := roundTrip(t, &TreeReduce{Epoch: 5, MinArr: -1}).(*TreeReduce)
 	if empty.Epoch != 5 || empty.MinArr != -1 || len(empty.Entries) != 0 {
 		t.Errorf("empty TreeReduce: %+v", empty)
-	}
-
-	rel := &TreeRelease{BarrierRelease: BarrierRelease{
-		Epoch:     3,
-		GlobalVC:  []uint32{9, 9, 9},
-		Intervals: []*interval.Record{sampleRecord()},
-		Check: []race.CheckEntry{
-			{A: vc.IntervalID{Proc: 0, Index: 1}, B: vc.IntervalID{Proc: 1, Index: 2}, Page: 4},
-		},
-		ShardOwner:  []int32{2},
-		NeedBitmaps: true,
-	}}
-	gotRel := roundTrip(t, rel).(*TreeRelease)
-	if !gotRel.NeedBitmaps || len(gotRel.Check) != 1 || gotRel.Check[0] != rel.Check[0] ||
-		!reflect.DeepEqual(gotRel.ShardOwner, rel.ShardOwner) {
-		t.Errorf("TreeRelease: %+v", gotRel)
 	}
 }
 
@@ -246,10 +225,8 @@ func TestUnmarshalErrors(t *testing.T) {
 		&RelData{Seq: 1, Ack: 2, Payload: []byte{1, 2, 3}},
 		&RelAck{Ack: 7},
 		&ShardResult{Epoch: 1, Races: []race.Report{{}}, BitmapsCompared: 4, WordOverlaps: 1},
-		&TreeArrive{BarrierArrive: BarrierArrive{Epoch: 1, VC: []uint32{1}, Intervals: []*interval.Record{sampleRecord()}}},
 		&TreeReduce{Epoch: 1, VC: []uint32{1}, Intervals: []*interval.Record{sampleRecord()},
 			MinArr: 9, Entries: []race.CheckEntry{{Page: 3}}, PairComparisons: 2},
-		&TreeRelease{BarrierRelease: BarrierRelease{Epoch: 1, GlobalVC: []uint32{1}, ShardOwner: []int32{0}, NeedBitmaps: true}},
 	}
 	for _, m := range msgs {
 		full := Marshal(m)

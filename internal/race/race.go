@@ -124,15 +124,6 @@ type Options struct {
 	// ablation benchmark compares their cost.
 	PageBitmapOverlap bool
 
-	// PrunedPairs replaces the paper's "very simple" all-pairs interval
-	// scan with an index-ordered variant that skips ordered prefixes
-	// outright: for a given interval σ_q^j, every interval of process p
-	// with index ≤ vc(σ_q^j)[p] precedes it and need not be examined.
-	// This is the bypassing the paper notes program/synchronization order
-	// makes possible ("the same act that creates intervals also removes
-	// many interval pairs from consideration"). Results are identical;
-	// PairComparisons counts only the candidates actually examined.
-	PrunedPairs bool
 	// NumPages must be set when PageBitmapOverlap is true.
 	NumPages int
 }
@@ -177,6 +168,10 @@ func (d *Detector) Stats() Stats { return d.stats }
 // interval pair then page. Records must all belong to the same epoch; intervals of
 // earlier epochs are separated from them by the previous barrier and so are
 // ordered with respect to them — they never need to be examined.
+//
+// This is the pure-function reference for steps 2–3: the DSM barrier builds
+// the same list with BuildPartialCheckList per tree node and FoldCheckLists
+// at the root, and the tests (and bench/) hold that path to this one.
 func (d *Detector) BuildCheckList(records []*interval.Record) []CheckEntry {
 	d.stats.Epochs++
 	d.stats.IntervalsTotal += len(records)
@@ -200,21 +195,17 @@ func (d *Detector) BuildCheckList(records []*interval.Record) []CheckEntry {
 			entries = append(entries, CheckEntry{A: a.ID, B: b.ID, Page: p})
 		}
 	}
-	if d.opts.PrunedPairs {
-		d.prunedScan(records, examine)
-	} else {
-		for i := 0; i < len(records); i++ {
-			for j := i + 1; j < len(records); j++ {
-				a, b := records[i], records[j]
-				if a.ID.Proc == b.ID.Proc {
-					continue // totally ordered by program order
-				}
-				d.stats.PairComparisons++
-				if !vc.Concurrent(a.ID, a.VC, b.ID, b.VC) {
-					continue
-				}
-				examine(a, b)
+	for i := 0; i < len(records); i++ {
+		for j := i + 1; j < len(records); j++ {
+			a, b := records[i], records[j]
+			if a.ID.Proc == b.ID.Proc {
+				continue // totally ordered by program order
 			}
+			d.stats.PairComparisons++
+			if !vc.Concurrent(a.ID, a.VC, b.ID, b.VC) {
+				continue
+			}
+			examine(a, b)
 		}
 	}
 	d.stats.IntervalsInvolved += len(involved)
@@ -238,53 +229,6 @@ func sortCheckEntries(entries []CheckEntry) {
 		}
 		return a.Page < b.Page
 	})
-}
-
-// prunedScan enumerates exactly the concurrent cross-process pairs using
-// per-process index order: for each interval b and each other process p,
-// intervals of p with index ≤ b.VC[p] precede b and are skipped without a
-// comparison; the remainder need only the reverse-direction test.
-func (d *Detector) prunedScan(records []*interval.Record, examine func(a, b *interval.Record)) {
-	byProc := map[int][]*interval.Record{}
-	for _, r := range records {
-		byProc[r.ID.Proc] = append(byProc[r.ID.Proc], r)
-	}
-	var procs []int
-	for p := range byProc {
-		sort.Slice(byProc[p], func(i, j int) bool { return byProc[p][i].ID.Index < byProc[p][j].ID.Index })
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	for pi := 0; pi < len(procs); pi++ {
-		for qi := pi + 1; qi < len(procs); qi++ {
-			d.stats.PairComparisons += prunedProcPair(
-				byProc[procs[pi]], byProc[procs[qi]], procs[pi], procs[qi], examine)
-		}
-	}
-}
-
-// prunedProcPair runs the index-ordered pruned scan over one process pair:
-// as are pLow's intervals and bs are pHigh's (pLow < pHigh), each ascending
-// by index. It returns the number of candidate pairs actually compared and
-// calls examine for each concurrent one. Shared by the serial prunedScan
-// and the distributed build (BuildPartialCheckList), whose per-proc-pair
-// decomposition must count and examine exactly the same pairs.
-func prunedProcPair(as, bs []*interval.Record, pLow, pHigh int, examine func(a, b *interval.Record)) int {
-	compared := 0
-	for _, b := range bs {
-		// Skip the prefix of pLow-intervals b has already seen.
-		seen := b.VC[pLow]
-		start := sort.Search(len(as), func(i int) bool { return as[i].ID.Index > seen })
-		for _, a := range as[start:] {
-			// a ⊀ b by construction; b ≺ a iff a saw b's index.
-			compared++
-			if a.VC[pHigh] >= b.ID.Index {
-				continue
-			}
-			examine(a, b)
-		}
-	}
-	return compared
 }
 
 func lessID(a, b vc.IntervalID) bool {
@@ -358,11 +302,10 @@ func dedupPages(pages []mem.PageID) []mem.PageID {
 }
 
 // BitmapSource supplies the word-access bitmaps named by check entries (§5;
-// write bitmaps are diff-derived in multi-writer mode per §6.5). At the
-// barrier master this is backed by the bitmaps returned in the second
-// barrier round — or, under Config.ShardedCheck, each shard owner backs one
-// from the per-owner bitmap round; in single-process use it is backed
-// directly by a BitmapStore.
+// write bitmaps are diff-derived in multi-writer mode per §6.5). In the DSM
+// each owner of check entries backs one from the bitmap replies of the
+// second barrier round; in single-process use it is backed directly by a
+// BitmapStore.
 type BitmapSource interface {
 	Bitmaps(id vc.IntervalID, p mem.PageID) (read, write mem.Bitmap)
 }
@@ -378,8 +321,9 @@ func (s StoreSource) Bitmaps(id vc.IntervalID, p mem.PageID) (read, write mem.Bi
 // Compare runs step 5: the §5 word-bitmap comparison over the check list.
 // It returns the data races found, applying §6.4 first-race filtering if
 // enabled. epoch tags the reports. The comparison itself is CompareShard
-// over the full list; the sharded barrier path runs CompareShard per shard
-// on worker processes and folds the tree-reduced results back here via
+// over the full list. This is the pure-function reference for step 5: the
+// DSM barrier runs CompareShard at each owner of a slice of the list (one
+// owner, process 0, unless Config.ShardedCheck) and folds the results with
 // FoldShardResults, which leaves the detector in this same state.
 func (d *Detector) Compare(entries []CheckEntry, src BitmapSource, epoch int32) []Report {
 	reports, st := CompareShard(d.layout, entries, src, epoch)

@@ -340,70 +340,6 @@ func TestPropertyPageBitmapOverlapEquivalent(t *testing.T) {
 	}
 }
 
-// canonicalEntries normalizes check-list orientation for comparison.
-func canonicalEntries(es []CheckEntry) map[CheckEntry]bool {
-	out := make(map[CheckEntry]bool, len(es))
-	for _, e := range es {
-		if lessID(e.B, e.A) {
-			e.A, e.B = e.B, e.A
-		}
-		out[e] = true
-	}
-	return out
-}
-
-// TestPropertyPrunedPairsEquivalent: the index-pruned scan finds exactly
-// the same check list as the all-pairs scan, with no more comparisons.
-func TestPropertyPrunedPairsEquivalent(t *testing.T) {
-	l := testLayout(t)
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		recs, _, _ := randomEpoch(r, l)
-		d1 := NewDetector(l, Options{})
-		d2 := NewDetector(l, Options{PrunedPairs: true})
-		e1 := canonicalEntries(d1.BuildCheckList(recs))
-		e2 := canonicalEntries(d2.BuildCheckList(recs))
-		if len(e1) != len(e2) {
-			return false
-		}
-		for k := range e1 {
-			if !e2[k] {
-				return false
-			}
-		}
-		// Pruning must not examine more pairs than the naive scan, and the
-		// concurrent-pair counts must agree exactly.
-		return d2.Stats().PairComparisons <= d1.Stats().PairComparisons &&
-			d2.Stats().ConcurrentPairs == d1.Stats().ConcurrentPairs &&
-			d2.Stats().OverlappingPairs == d1.Stats().OverlappingPairs
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestPrunedPairsSkipsOrderedChains: a fully lock-ordered epoch needs zero
-// comparisons under pruning (every pair's ordered prefix covers it).
-func TestPrunedPairsSkipsOrderedChains(t *testing.T) {
-	l := testLayout(t)
-	// A chain: σ0^1 ≺ σ1^1 ≺ σ2^1 (each sees all previous).
-	recs := []*interval.Record{
-		{ID: vc.IntervalID{Proc: 0, Index: 1}, VC: vc.VC{1, 0, 0}},
-		{ID: vc.IntervalID{Proc: 1, Index: 1}, VC: vc.VC{1, 1, 0}},
-		{ID: vc.IntervalID{Proc: 2, Index: 1}, VC: vc.VC{1, 1, 1}},
-	}
-	naive := NewDetector(l, Options{})
-	naive.BuildCheckList(recs)
-	pruned := NewDetector(l, Options{PrunedPairs: true})
-	pruned.BuildCheckList(recs)
-	if naive.Stats().PairComparisons != 3 {
-		t.Errorf("naive comparisons = %d, want 3", naive.Stats().PairComparisons)
-	}
-	if pruned.Stats().PairComparisons != 0 {
-		t.Errorf("pruned comparisons = %d, want 0 (all pairs chain-ordered)", pruned.Stats().PairComparisons)
-	}
-}
-
 // TestExplain covers the derivation renderer and report retention.
 func TestExplain(t *testing.T) {
 	l := testLayout(t)

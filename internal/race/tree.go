@@ -1,29 +1,30 @@
 package race
 
 import (
-	"sort"
-
 	"lrcrace/internal/interval"
 	"lrcrace/internal/mem"
 	"lrcrace/internal/vc"
 )
 
-// Distributed check-list build (Config.BarrierTree).
+// Distributed check-list build.
 //
-// Under the combining-tree barrier, steps 2–3 of the detection procedure —
-// the concurrent-interval search and page-notice intersection that the
-// serial path runs entirely at the barrier master — are partitioned across
-// the interior tree nodes. Each node merges the interval records of its
-// direct contributions (its own arrival plus one pre-merged subtree per
-// child) and examines exactly the pairs that SPAN two contributions: a
-// cross-process pair is cross-contribution at precisely one node, the
-// lowest common ancestor of the two processes' leaves, so summed over the
-// whole tree the examined pairs are exactly the cross-process pairs the
-// serial BuildCheckList examines, each once. The per-node partial check
-// lists and work counters ride up the tree on TreeReduce messages; the
-// root folds them (Detector.FoldCheckLists) into the detector, restoring
-// the canonical order — leaving the check list and race.Stats
-// byte-identical to the serial oracle's.
+// The DSM barrier runs steps 2–3 of the detection procedure — the
+// concurrent-interval search and page-notice intersection that
+// Detector.BuildCheckList performs in one call over all of an epoch's
+// records — partitioned across the interior nodes of its arrival tree.
+// Each node merges the interval records of its direct contributions (its
+// own arrival plus one pre-merged subtree per child) and examines exactly
+// the pairs that SPAN two contributions: a cross-process pair is
+// cross-contribution at precisely one node, the lowest common ancestor of
+// the two processes' leaves, so summed over the whole tree the examined
+// pairs are exactly the cross-process pairs BuildCheckList examines, each
+// once. (Under the default star, Config.BarrierTree = 0, the root is the
+// only interior node and its contributions are one group per process.) The
+// per-node partial check lists and work counters ride up the tree on
+// TreeReduce messages; the root folds them (Detector.FoldCheckLists) into
+// the detector, restoring the canonical order — leaving the check list and
+// race.Stats byte-identical to BuildCheckList's, the reference the tests
+// hold this path to.
 
 // BuildStats counts the interval-pair search work of one partial
 // check-list build — the per-node slice of the Stats counters the serial
@@ -91,18 +92,9 @@ func BuildPartialCheckList(opts Options, groups [][]*interval.Record) ([]CheckEn
 			entries = append(entries, CheckEntry{A: a.ID, B: b.ID, Page: p})
 		}
 	}
-	if opts.PrunedPairs {
-		st.PairComparisons = prunedCrossGroups(groups, examine)
-	} else {
-		allPairsCrossGroups(groups, &st, examine)
-	}
-	return entries, st
-}
-
-// allPairsCrossGroups is the "very simple" all-pairs scan restricted to
-// cross-group pairs: every cross-process pair spanning two groups is
-// version-vector-compared (and counted) exactly once.
-func allPairsCrossGroups(groups [][]*interval.Record, st *BuildStats, examine func(a, b *interval.Record)) {
+	// The "very simple" all-pairs scan restricted to cross-group pairs: every
+	// cross-process pair spanning two groups is version-vector-compared (and
+	// counted) exactly once.
 	for gi := 0; gi < len(groups); gi++ {
 		for gj := gi + 1; gj < len(groups); gj++ {
 			for _, a := range groups[gi] {
@@ -119,38 +111,7 @@ func allPairsCrossGroups(groups [][]*interval.Record, st *BuildStats, examine fu
 			}
 		}
 	}
-}
-
-// prunedCrossGroups is the PrunedPairs variant: the serial pruned scan
-// decomposes into independent per-process-pair scans, so running the same
-// scan for exactly the process pairs that span two groups compares (and
-// counts) the same candidates the serial scan does for those pairs.
-func prunedCrossGroups(groups [][]*interval.Record, examine func(a, b *interval.Record)) int64 {
-	byProc := map[int][]*interval.Record{}
-	groupOf := map[int]int{}
-	for gi, g := range groups {
-		for _, r := range g {
-			byProc[r.ID.Proc] = append(byProc[r.ID.Proc], r)
-			groupOf[r.ID.Proc] = gi
-		}
-	}
-	var procs []int
-	for p := range byProc {
-		sort.Slice(byProc[p], func(i, j int) bool { return byProc[p][i].ID.Index < byProc[p][j].ID.Index })
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	var compared int64
-	for pi := 0; pi < len(procs); pi++ {
-		for qi := pi + 1; qi < len(procs); qi++ {
-			p, q := procs[pi], procs[qi]
-			if groupOf[p] == groupOf[q] {
-				continue
-			}
-			compared += int64(prunedProcPair(byProc[p], byProc[q], p, q, examine))
-		}
-	}
-	return compared
+	return entries, st
 }
 
 // FoldCheckLists folds a combining tree's merged build output into the

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"lrcrace/internal/interval"
 	"lrcrace/internal/mem"
@@ -82,15 +83,13 @@ func randomEpochRecords(r *rand.Rand, l mem.Layout, nproc int) [][]*interval.Rec
 
 // TestDistributedBuildMatchesSerial: the combining tree's folded check
 // list and Stats must be byte-identical to a serial BuildCheckList over
-// the same records, across arities, process counts, and every overlap /
-// pair-scan option mode.
+// the same records, across arities, process counts, and both overlap
+// implementations.
 func TestDistributedBuildMatchesSerial(t *testing.T) {
 	l := testLayout(t)
 	optModes := []Options{
 		{},
 		{PageBitmapOverlap: true, NumPages: l.NumPages},
-		{PrunedPairs: true},
-		{PrunedPairs: true, PageBitmapOverlap: true, NumPages: l.NumPages},
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -150,5 +149,67 @@ func TestFoldCheckListsCanonicalOrder(t *testing.T) {
 	st := d.Stats()
 	if st.CheckEntries != 3 || st.IntervalsInvolved != 4 || st.IntervalsTotal != 4 || st.Epochs != 1 {
 		t.Fatalf("fold stats = %+v", st)
+	}
+}
+
+// TestPropertyStarAndSingleOwnerMatchReference pins the two degenerate
+// topologies the DSM barrier runs when Config.BarrierTree and
+// Config.ShardedCheck are off: a partial build over one group per process
+// (the star: every pair meets at the root) folded with FoldCheckLists must
+// equal BuildCheckList, and one CompareShard over the whole list (a shard
+// round with a single owner) folded with FoldShardResults must equal
+// Compare — check list, reports and Stats, over random epochs and every
+// Options combination. Two epochs per detector so FirstOnly suppression is
+// exercised on both sides.
+func TestPropertyStarAndSingleOwnerMatchReference(t *testing.T) {
+	l := testLayout(t)
+	var optModes []Options
+	for _, first := range []bool{false, true} {
+		optModes = append(optModes,
+			Options{FirstOnly: first},
+			Options{FirstOnly: first, PageBitmapOverlap: true, NumPages: l.NumPages})
+	}
+	f := func(seed int64) bool {
+		for _, opts := range optModes {
+			r := rand.New(rand.NewSource(seed))
+			ref := NewDetector(l, opts)
+			got := NewDetector(l, opts)
+			for epoch := int32(0); epoch < 2; epoch++ {
+				recs, store, _ := randomEpoch(r, l)
+				src := StoreSource{store}
+				wantList := ref.BuildCheckList(recs)
+				wantReports := ref.Compare(wantList, src, epoch)
+
+				byProc := map[int][]*interval.Record{}
+				for _, rec := range recs {
+					byProc[rec.ID.Proc] = append(byProc[rec.ID.Proc], rec)
+				}
+				var groups [][]*interval.Record
+				for p := 0; p < len(byProc); p++ {
+					groups = append(groups, byProc[p])
+				}
+				entries, bst := BuildPartialCheckList(opts, groups)
+				list := got.FoldCheckLists(len(recs), entries, bst)
+				cand, sst := CompareShard(l, list, src, epoch)
+				reports := got.FoldShardResults(cand, sst, epoch)
+
+				if len(list) != len(wantList) || (len(list) > 0 && !reflect.DeepEqual(list, wantList)) {
+					t.Logf("seed %d opts %+v epoch %d: check list %v, want %v", seed, opts, epoch, list, wantList)
+					return false
+				}
+				if len(reports) != len(wantReports) || (len(reports) > 0 && !reflect.DeepEqual(reports, wantReports)) {
+					t.Logf("seed %d opts %+v epoch %d: reports %v, want %v", seed, opts, epoch, reports, wantReports)
+					return false
+				}
+				if got.Stats() != ref.Stats() {
+					t.Logf("seed %d opts %+v epoch %d: Stats %+v, want %+v", seed, opts, epoch, got.Stats(), ref.Stats())
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }

@@ -94,30 +94,10 @@ func (r *RunRequest) Cell() (sweep.Cell, harness.RunConfig, error) {
 		CrashMode:  r.CrashMode, CorruptMode: r.CorruptMode,
 		HotSkew: r.HotSkew, Racy: r.Racy, Seed: r.Seed,
 	}
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
-	if c.Procs == 0 {
-		c.Procs = 4
-	}
-	if c.Protocol == "" {
-		c.Protocol = "sw"
-	}
-	if c.CrashMode == "" {
-		c.CrashMode = "none"
-	}
-	if c.CorruptMode == "" {
-		c.CorruptMode = "none"
-	}
 	if harness.IsGoFrontend(r.Frontend) {
 		c.Frontend = r.Frontend
 	}
-	// A plan's seed axis collapses to 0 when nothing consumes the seed;
-	// do the same so the session is named like the cell it reproduces.
-	if r.Faults == nil && c.CrashMode == "none" && c.CorruptMode == "none" && c.Frontend == "" {
-		c.Seed = 0
-	}
-	c.ID = sweep.CellID(c)
+	c = c.Defaulted(r.Faults != nil)
 
 	plan := sweep.Plan{Faults: r.Faults, RealMsgDelayUS: r.RealMsgDelayUS}
 	cfg, err := plan.RunConfig(c)

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"lrcrace/internal/dsm"
@@ -169,16 +170,47 @@ func protocolKind(name string) (dsm.ProtocolKind, error) {
 	return 0, fmt.Errorf("sweep: unknown protocol %q (want sw or mw)", name)
 }
 
+// Defaulted returns c the way a plan names the grid point: each scalar axis
+// c leaves at its zero value takes the axis's singleton default (scale 1, 4
+// processes, "sw", crash and corrupt mode "none"), the seed collapses to 0
+// when nothing in the run consumes it — no wire-fault template (faults), no
+// chaos mode, not the go frontend — and ID is set to match. It is the one
+// statement of those defaults: Plan expansion fills its empty axes from it
+// and the service names a single submitted run with it.
+func (c Cell) Defaulted(faults bool) Cell {
+	if c.Scale == 0 {
+		c.Scale = 1
+	}
+	if c.Procs == 0 {
+		c.Procs = 4
+	}
+	if c.Protocol == "" {
+		c.Protocol = "sw"
+	}
+	if c.CrashMode == "" {
+		c.CrashMode = "none"
+	}
+	if c.CorruptMode == "" {
+		c.CorruptMode = "none"
+	}
+	if !faults && !chaoticMode(c.CrashMode) && !chaoticMode(c.CorruptMode) && c.Frontend == "" {
+		c.Seed = 0
+	}
+	c.ID = CellID(c)
+	return c
+}
+
 func defaults(p *Plan) Plan {
 	d := *p
+	one := Cell{}.Defaulted(false)
 	if len(d.Scales) == 0 {
-		d.Scales = []float64{1}
+		d.Scales = []float64{one.Scale}
 	}
 	if len(d.Procs) == 0 {
-		d.Procs = []int{4}
+		d.Procs = []int{one.Procs}
 	}
 	if len(d.Protocols) == 0 {
-		d.Protocols = []string{"sw"}
+		d.Protocols = []string{one.Protocol}
 	}
 	if len(d.Detect) == 0 {
 		d.Detect = []bool{true}
@@ -193,13 +225,13 @@ func defaults(p *Plan) Plan {
 		d.Checkpoint = []bool{true}
 	}
 	if len(d.CrashModes) == 0 {
-		d.CrashModes = []string{"none"}
+		d.CrashModes = []string{one.CrashMode}
 	}
 	if len(d.CorruptModes) == 0 {
-		d.CorruptModes = []string{"none"}
+		d.CorruptModes = []string{one.CorruptMode}
 	}
 	if len(d.Seeds) == 0 || (d.Faults == nil && !d.chaotic() && !d.goFront()) {
-		d.Seeds = []int64{0}
+		d.Seeds = []int64{one.Seed}
 	}
 	return d
 }
@@ -218,18 +250,11 @@ func (p *Plan) goFront() bool {
 // chaotic reports whether any axis value injects seed-driven process
 // faults, making the Seeds axis meaningful without wire faults.
 func (p *Plan) chaotic() bool {
-	for _, m := range p.CrashModes {
-		if m != "" && m != "none" {
-			return true
-		}
-	}
-	for _, m := range p.CorruptModes {
-		if m != "" && m != "none" {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(p.CrashModes, chaoticMode) || slices.ContainsFunc(p.CorruptModes, chaoticMode)
 }
+
+// chaoticMode reports whether a crash or corruption mode injects faults.
+func chaoticMode(m string) bool { return m != "" && m != "none" }
 
 func validMode(mode string, valid []string) bool {
 	if mode == "" {

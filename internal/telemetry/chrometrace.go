@@ -17,8 +17,7 @@ import (
 //
 // Wait-shaped events (lock waits, barrier waits, page fetches) export as
 // complete ("X") slices spanning their virtual duration; everything else
-// is an instant event. KLog string events are exported only when log
-// capture was on.
+// is an instant event.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
@@ -96,10 +95,7 @@ func eventLess(a, b Event) bool {
 	if a.B != b.B {
 		return a.B < b.B
 	}
-	if a.C != b.C {
-		return a.C < b.C
-	}
-	return a.Msg < b.Msg
+	return a.C < b.C
 }
 
 // chromeEvent is one trace-event JSON object. encoding/json marshals map
@@ -130,8 +126,6 @@ func chromeFor(e Event, tid int) chromeEvent {
 		ce.Dur = float64(durNS) * usPerNs
 	}
 	switch e.Kind {
-	case KLog:
-		args["msg"] = e.Msg
 	case KPageFault:
 		args["page"] = e.A
 		if e.B != 0 {

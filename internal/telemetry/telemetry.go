@@ -44,10 +44,8 @@ import (
 type Kind uint8
 
 const (
-	// KLog is a free-form formatted string event (Scope.Logf).
-	KLog Kind = iota
 	// KPageFault: a protection fault on the local copy. A=page, B=1 write.
-	KPageFault
+	KPageFault Kind = iota
 	// KPageFetch: a remote page copy arrived and was applied.
 	// A=page, B=source proc, C=fetch latency (virtual ns).
 	KPageFetch
@@ -158,7 +156,6 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	KLog:            "Log",
 	KPageFault:      "PageFault",
 	KPageFetch:      "PageFetch",
 	KOwnershipXfer:  "OwnershipXfer",
@@ -251,7 +248,6 @@ type Event struct {
 	A    int64 // kind-specific args; see the Kind docs
 	B    int64
 	C    int64
-	Msg  string // KLog only
 }
 
 // String renders the event for flight dumps and debugging.
@@ -259,9 +255,6 @@ func (e Event) String() string {
 	who := fmt.Sprintf("p%d", e.Proc)
 	if e.Proc < 0 {
 		who = "sys"
-	}
-	if e.Kind == KLog {
-		return fmt.Sprintf("[%6d] %-3s vt=%-12d %s", e.Seq, who, e.VT, e.Msg)
 	}
 	return fmt.Sprintf("[%6d] %-3s vt=%-12d %-14s a=%d b=%d c=%d",
 		e.Seq, who, e.VT, e.Kind, e.A, e.B, e.C)
@@ -275,9 +268,6 @@ type Config struct {
 	// Cap is the per-ring capacity in events; 0 → 8192, negative →
 	// unbounded (tests that must see every event).
 	Cap int
-	// CaptureLog records KLog string events (Scope.Logf). Off by default:
-	// typed events carry the same information without the formatting cost.
-	CaptureLog bool
 	// FlightN is how many trailing events a flight dump prints; 0 → 256.
 	FlightN int
 	// FlightSink receives flight-recorder dumps; nil → os.Stderr.
@@ -486,16 +476,7 @@ func (s Scope) Emit(proc int, k Kind, vt int64, a, b, c int64) {
 	if s.r == nil {
 		return
 	}
-	s.r.emit(proc, k, vt, a, b, c, "")
-}
-
-// Logf records one formatted string event through the scope; a no-op
-// unless the scope's recorder has CaptureLog set.
-func (s Scope) Logf(proc int, vt int64, format string, args ...interface{}) {
-	if s.r == nil || !s.r.cfg.CaptureLog {
-		return
-	}
-	s.r.emit(proc, KLog, vt, 0, 0, 0, fmt.Sprintf(format, args...))
+	s.r.emit(proc, k, vt, a, b, c)
 }
 
 // Trip triggers the scope's flight recorder (no-op when the scope is off).
@@ -524,7 +505,7 @@ func (r *Recorder) Trip(reason TripReason, detail string) {
 // Trips returns how many flight dumps this recorder has produced.
 func (r *Recorder) Trips() int64 { return r.trips.Load() }
 
-func (r *Recorder) emit(proc int, k Kind, vt int64, a, b, c int64, msg string) {
+func (r *Recorder) emit(proc int, k Kind, vt int64, a, b, c int64) {
 	e := Event{
 		Seq:  r.seq.Add(1),
 		Proc: int32(proc),
@@ -532,7 +513,6 @@ func (r *Recorder) emit(proc int, k Kind, vt int64, a, b, c int64, msg string) {
 		VT:   vt,
 		Wall: int64(time.Since(r.start)),
 		A:    a, B: b, C: c,
-		Msg: msg,
 	}
 	r.ring(proc).add(e)
 	r.evCount[k].Add(1)

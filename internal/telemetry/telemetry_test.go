@@ -10,7 +10,6 @@ func TestDisabledIsNoOp(t *testing.T) {
 	// A scope with no recorder must not panic.
 	for _, off := range []Scope{{}, To(nil)} {
 		off.Emit(0, KPageFault, 1, 2, 0, 0)
-		off.Logf(0, 1, "dropped %d", 7)
 		off.Trip(TripProcPanic, "no recorder")
 	}
 }
@@ -80,28 +79,13 @@ func TestUnboundedRing(t *testing.T) {
 	r := New(Config{Procs: 1, Cap: -1})
 	sc := To(r)
 	for i := 0; i < 10000; i++ {
-		sc.Emit(0, KLog, 0, 0, 0, 0)
+		sc.Emit(0, KPageFault, 0, 0, 0, 0)
 	}
 	if got := len(r.ProcEvents(0)); got != 10000 {
 		t.Fatalf("unbounded ring retained %d, want 10000", got)
 	}
 	if r.Dropped() != 0 {
 		t.Fatalf("Dropped() = %d, want 0", r.Dropped())
-	}
-}
-
-func TestLogfRequiresCapture(t *testing.T) {
-	r := New(Config{Procs: 1})
-	To(r).Logf(0, 0, "not captured")
-	if n := len(r.Events()); n != 0 {
-		t.Fatalf("Logf recorded %d events without CaptureLog", n)
-	}
-
-	r = New(Config{Procs: 1, CaptureLog: true})
-	To(r).Logf(0, 5, "captured %d", 42)
-	evs := r.Events()
-	if len(evs) != 1 || evs[0].Kind != KLog || evs[0].Msg != "captured 42" {
-		t.Fatalf("captured events = %+v", evs)
 	}
 }
 
