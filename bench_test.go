@@ -2,7 +2,9 @@
 // plus ablations of the design choices called out in DESIGN.md. Full-size
 // reproduction output comes from cmd/benchtables; these testing.B benches
 // run reduced inputs so `go test -bench=.` finishes in minutes and report
-// the papers' headline metrics via ReportMetric.
+// the papers' headline metrics via ReportMetric. Wall-clock kernel timings
+// (vc compare, bitmap intersect, message round trip, access check) live in
+// the bench/ ledger, not here.
 package lrcrace_test
 
 import (
@@ -12,12 +14,10 @@ import (
 	"testing"
 
 	"lrcrace"
-	"lrcrace/internal/costmodel"
 	"lrcrace/internal/harness"
 	"lrcrace/internal/instr"
 	"lrcrace/internal/interval"
 	"lrcrace/internal/mem"
-	"lrcrace/internal/msg"
 	"lrcrace/internal/race"
 	"lrcrace/internal/vc"
 )
@@ -319,68 +319,4 @@ func BenchmarkAblationOnlineVsPostmortem(b *testing.B) {
 		b.ReportMetric(n, "distinct-races")
 		b.ReportMetric(sz, "trace-bytes")
 	})
-}
-
-// --- microbenchmarks of the constant-time primitives the paper leans on ---
-
-// BenchmarkVectorConcurrencyCheck: the two-integer-comparison concurrency
-// test at the heart of the detector.
-func BenchmarkVectorConcurrencyCheck(b *testing.B) {
-	a := vc.IntervalID{Proc: 0, Index: 5}
-	c := vc.IntervalID{Proc: 1, Index: 7}
-	avc := vc.VC{5, 2, 9, 1}
-	cvc := vc.VC{4, 7, 3, 0}
-	for i := 0; i < b.N; i++ {
-		if !vc.Concurrent(a, avc, c, cvc) {
-			b.Fatal("should be concurrent")
-		}
-	}
-}
-
-// BenchmarkBitmapCompare: the word-bitmap intersection (constant in page
-// size) that decides false versus true sharing.
-func BenchmarkBitmapCompare(b *testing.B) {
-	x := mem.NewBitmap(1024)
-	y := mem.NewBitmap(1024)
-	for i := 0; i < 1024; i += 7 {
-		x.Set(i)
-	}
-	for i := 3; i < 1024; i += 11 {
-		y.Set(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Intersects(y)
-	}
-}
-
-// BenchmarkMessageRoundTrip: wire encode+decode of a notice-carrying
-// message (the bandwidth unit behind Table 3).
-func BenchmarkMessageRoundTrip(b *testing.B) {
-	rec := &interval.Record{
-		ID:           vc.IntervalID{Proc: 3, Index: 17},
-		VC:           vc.VC{1, 2, 3, 17, 0, 0, 0, 9},
-		WriteNotices: []mem.PageID{2, 9, 77},
-		ReadNotices:  []mem.PageID{1, 2, 3, 50, 51, 52, 53},
-	}
-	m := &msg.AcquireGrant{Lock: 5, Intervals: []*interval.Record{rec, rec, rec}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := msg.Marshal(m)
-		if _, err := msg.Unmarshal(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAccessCheck: the runtime analysis-routine bounds check that every
-// instrumented access pays (the "Access Check" column of Figure 3). The
-// virtual-time model charges it at costmodel.Default().AccessCheck.
-func BenchmarkAccessCheck(b *testing.B) {
-	c := &instr.Checker{Lo: 1 << 16, Hi: 1 << 24}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Check(uint64(i) * 64)
-	}
-	_ = costmodel.Default()
 }

@@ -42,7 +42,6 @@ func main() {
 	queue := flag.Int("queue", 64, "admitted sessions waiting for a slot before submissions get 503")
 	sessionTimeout := flag.Duration("session-timeout", 2*time.Minute, "per-session wall deadline")
 	storeCap := flag.Int("store-cap", service.DefaultStoreCap, "report-store retention (records)")
-	subBuf := flag.Int("subscriber-buf", service.DefaultSubscriberBuf, "per-subscriber buffer (records)")
 	keepDone := flag.Int("keep-done", 1024, "finished sessions kept queryable")
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace for in-flight HTTP requests")
 	dataDir := flag.String("data", "", "durable report-store directory: records persist to a content-addressed segment log and replay on restart (empty = in-memory only)")
@@ -56,7 +55,6 @@ func main() {
 		QueueDepth:      *queue,
 		SessionTimeout:  *sessionTimeout,
 		StoreCap:        *storeCap,
-		SubscriberBuf:   *subBuf,
 		KeepDone:        *keepDone,
 		DataDir:         *dataDir,
 		StoreSyncEvery:  *storeSync,

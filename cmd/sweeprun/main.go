@@ -101,11 +101,29 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	var summary *sweep.Summary
+	// One pool runs the grid either way; -remote only swaps what runs a
+	// cell: the local guarded runner, or a session on a racedsvc node.
+	var exec sweep.Executor
+	var dispatch *service.Dispatcher
 	if *remote != "" {
-		summary, err = runRemote(ctx, s, plan, cli.Strings(*remote), *tenant, *workers)
-	} else {
-		summary, err = s.Run(ctx)
+		addrs := cli.Strings(*remote)
+		dispatch = service.NewDispatcher(addrs, service.DispatchConfig{
+			Logf: func(format string, args ...interface{}) {
+				fmt.Fprintf(os.Stderr, format+"\n", args...)
+			},
+		}).Tenant(*tenant)
+		exec = dispatch.Executor(plan)
+		fmt.Printf("remote dispatch: %d pending cells -> %d node(s)\n", s.Summary().Missing, len(addrs))
+	}
+	summary, err := s.RunWith(ctx, exec)
+	if dispatch != nil {
+		for _, ns := range dispatch.Stats() {
+			fmt.Printf("node %s: %d cells, %d failures, %d breaker trips\n",
+				ns.Addr, ns.Dispatched, ns.Failures, ns.BreakerTrips)
+		}
+		if n := dispatch.Redispatches(); n > 0 {
+			fmt.Printf("failover re-dispatches: %d\n", n)
+		}
 	}
 	if err != nil {
 		// An interrupted sweep still summarizes what finished; the
@@ -131,35 +149,6 @@ func main() {
 	if summary.OK != summary.Total {
 		os.Exit(1)
 	}
-}
-
-// runRemote dispatches every pending cell across the detection-service
-// nodes as sessions and merges the returned results through sweep.Record
-// — the same results map and checkpoint files a local run uses, so the
-// summary, metrics document, and resume behavior are identical to
-// running locally. With several nodes, cells go to the least-loaded live
-// node and fail over to survivors when a node dies mid-run.
-func runRemote(ctx context.Context, s *sweep.Sweep, plan *sweep.Plan, addrs []string, tenant string, workers int) (*sweep.Summary, error) {
-	if len(addrs) == 0 {
-		return s.Summary(), fmt.Errorf("remote dispatch: no node addresses")
-	}
-	d := service.NewDispatcher(addrs, service.DispatchConfig{
-		Workers: workers,
-		Logf: func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	}).Tenant(tenant)
-	pending := s.Pending()
-	fmt.Printf("remote dispatch: %d pending cells -> %d node(s)\n", len(pending), len(addrs))
-	err := d.Run(ctx, pending, plan.Faults, plan.RealMsgDelayUS, s.Record)
-	for _, ns := range d.Stats() {
-		fmt.Printf("node %s: %d cells, %d failures, %d breaker trips\n",
-			ns.Addr, ns.Dispatched, ns.Failures, ns.BreakerTrips)
-	}
-	if n := d.Redispatches(); n > 0 {
-		fmt.Printf("failover re-dispatches: %d\n", n)
-	}
-	return s.Summary(), err
 }
 
 type axisFlags struct {

@@ -77,8 +77,6 @@ type Config struct {
 	Detect bool
 	// FirstRacesOnly applies §6.4 first-race filtering at the master.
 	FirstOnly bool
-	// PageBitmapOverlap selects the §6.2 page-list overlap implementation.
-	PageBitmapOverlap bool
 	// WritesFromDiffs (§6.5, MultiWriter only) derives write bitmaps from
 	// diffs instead of store instrumentation. Reads remain instrumented.
 	WritesFromDiffs bool
@@ -204,9 +202,6 @@ type Config struct {
 	// checkpointing.
 	Corruption *CorruptionPlan
 
-	// MaxRecoveries caps coordinated rollbacks per RunEpochs run; 0 → 3.
-	MaxRecoveries int
-
 	// Recorder, when non-nil, receives this System's telemetry — protocol
 	// events, fault-injection and retransmission events, flight dumps, and
 	// the event-derived metrics (telemetry.New builds one). Each System
@@ -326,9 +321,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("dsm: Corruption is only observable during rollback; schedule a crash (Crash/Crashes) to trigger one")
 		}
 	}
-	if c.MaxRecoveries < 0 {
-		return fmt.Errorf("dsm: MaxRecoveries = %d", c.MaxRecoveries)
-	}
 	return nil
 }
 
@@ -430,9 +422,8 @@ func New(cfg Config) (*System, error) {
 	s := &System{cfg: cfg, layout: l, tel: telemetry.To(cfg.Recorder), crashes: cfg.crashPlans()}
 	if cfg.Detect {
 		s.raceOpts = race.Options{
-			FirstOnly:         cfg.FirstOnly,
-			PageBitmapOverlap: cfg.PageBitmapOverlap,
-			NumPages:          l.NumPages,
+			FirstOnly: cfg.FirstOnly,
+			NumPages:  l.NumPages,
 		}
 		s.detector = race.NewDetector(l, s.raceOpts)
 	}

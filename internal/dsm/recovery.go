@@ -98,6 +98,9 @@ func (s *System) RunEpochs(epochs int32, appFactory func() EpochFunc) error {
 	return err
 }
 
+// maxRecoveries caps coordinated rollbacks per RunEpochs run.
+const maxRecoveries = 3
+
 func (s *System) runEpochs(epochs int32, appFactory func() EpochFunc) error {
 	s.ran = true
 	s.epochMode = true
@@ -108,10 +111,6 @@ func (s *System) runEpochs(epochs int32, appFactory func() EpochFunc) error {
 	if s.cfg.checkpointing() && s.ckpts == nil {
 		s.ckpts = NewCheckpointStore()
 		s.ckpts.SetRetain(s.cfg.CheckpointRetain)
-	}
-	maxRec := s.cfg.MaxRecoveries
-	if maxRec <= 0 {
-		maxRec = 3
 	}
 	var plan *rollbackPlan
 	for {
@@ -130,7 +129,7 @@ func (s *System) runEpochs(epochs int32, appFactory func() EpochFunc) error {
 			s.runErr = nil
 			return nil
 		}
-		if !s.crashDetected() || !s.canRecover() || s.recStats.Recoveries >= maxRec {
+		if !s.crashDetected() || !s.canRecover() || s.recStats.Recoveries >= maxRecoveries {
 			s.runErr = err
 			return err
 		}

@@ -494,13 +494,6 @@ func TestCrashConfigValidation(t *testing.T) {
 		t.Error("victim out of range accepted")
 	}
 
-	badRec := base()
-	badRec.Crash = &CrashPlan{Victim: 1}
-	badRec.MaxRecoveries = -1
-	if _, err := New(badRec); err == nil {
-		t.Error("negative MaxRecoveries accepted")
-	}
-
 	badVT := base()
 	badVT.Crash = &CrashPlan{Victim: 1, Point: CrashAtVTime}
 	if _, err := New(badVT); err == nil {

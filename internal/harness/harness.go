@@ -47,12 +47,11 @@ type RunConfig struct {
 	// workload default scaled by Scale).
 	OpsPerClient int
 	// Seed drives the go-frontend scheduler and traffic PRNGs.
-	Seed              int64
-	Protocol          dsm.ProtocolKind
-	Detect            bool
-	FirstOnly         bool
-	PageBitmapOverlap bool
-	WritesFromDiffs   bool
+	Seed            int64
+	Protocol        dsm.ProtocolKind
+	Detect          bool
+	FirstOnly       bool
+	WritesFromDiffs bool
 	// ShardedCheck distributes the barrier-time race check across all
 	// processes (check-list partition by page, binary-tree result
 	// reduction) instead of serializing it at the master. Requires Detect.
@@ -81,10 +80,6 @@ type RunConfig struct {
 	// run records the serialized recovery state alongside the paper's
 	// metrics (see Result.Checkpoint and docs/ROBUSTNESS.md).
 	NoCheckpoint bool
-	// CheckpointRetain overrides how many epoch lines the checkpoint store
-	// keeps behind the newest common epoch (dsm.Config.CheckpointRetain):
-	// 0 → the default tail of 2, negative → keep everything.
-	CheckpointRetain int
 	// CrashMode selects deterministic crash injection for the chaos
 	// applications ("ChaosTSP", "ChaosMW"): "" or "none" (off), "single",
 	// "double" (two victims), "recovery" (second crash arms only during
@@ -222,7 +217,6 @@ func dsmConfig(cfg RunConfig, sharedSize int) (dsm.Config, error) {
 		ShardedCheck:       cfg.ShardedCheck,
 		BarrierTree:        cfg.BarrierTree,
 		FirstOnly:          cfg.FirstOnly,
-		PageBitmapOverlap:  cfg.PageBitmapOverlap,
 		WritesFromDiffs:    cfg.WritesFromDiffs,
 		RealMsgDelay:       cfg.RealMsgDelay,
 		Tracer:             cfg.Tracer,
@@ -231,7 +225,6 @@ func dsmConfig(cfg RunConfig, sharedSize int) (dsm.Config, error) {
 		ReliableConfig:     cfg.ReliableConfig,
 		BarrierWallTimeout: cfg.BarrierWallTimeout,
 		NoCheckpoint:       cfg.NoCheckpoint,
-		CheckpointRetain:   cfg.CheckpointRetain,
 	}
 	if dc.RealMsgDelay == 0 {
 		dc.RealMsgDelay = appDefaultDelay(cfg.App)

@@ -152,31 +152,36 @@ func (s *Suite) pair(app string, procs int) (*Result, *Result, error) {
 	return base, det, nil
 }
 
-// Prefill runs every application's pair at the suite's process count, at
-// most workers at a time (0 → one per application). A failed pair does not
-// stop the others; the first error is returned.
-func (s *Suite) Prefill(workers int) error {
+// Prefill runs every application's pair at each of procCounts (none → the
+// suite's process count), at most workers at a time (0 → all at once). A
+// failed pair does not stop the others; the first error is returned.
+func (s *Suite) Prefill(workers int, procCounts ...int) error {
+	if len(procCounts) == 0 {
+		procCounts = []int{s.Procs}
+	}
 	if workers <= 0 {
-		workers = len(AppNames)
+		workers = len(AppNames) * len(procCounts)
 	}
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
 	for _, app := range AppNames {
-		wg.Add(1)
-		go func(app string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if _, _, err := s.pair(app, s.Procs); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
+		for _, procs := range procCounts {
+			wg.Add(1)
+			go func(app string, procs int) {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				if _, _, err := s.pair(app, procs); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
 				}
-				mu.Unlock()
-			}
-		}(app)
+			}(app, procs)
+		}
 	}
 	wg.Wait()
 	return firstErr

@@ -108,8 +108,8 @@ func validateGoFront(cfg RunConfig) error {
 		return fmt.Errorf("harness: the go frontend has no checkpoint layer to disable")
 	case cfg.Tracer != nil:
 		return fmt.Errorf("harness: Tracer observes DSM runs; the go frontend keeps its own trace (Result.GoFront)")
-	case cfg.FirstOnly, cfg.PageBitmapOverlap, cfg.WritesFromDiffs:
-		return fmt.Errorf("harness: FirstOnly/PageBitmapOverlap/WritesFromDiffs tune the DSM detector, not the go frontend")
+	case cfg.FirstOnly, cfg.WritesFromDiffs:
+		return fmt.Errorf("harness: FirstOnly/WritesFromDiffs tune the DSM detector, not the go frontend")
 	case cfg.Faults != nil, cfg.Reliable:
 		return fmt.Errorf("harness: the go frontend has no wire to fault or retransmit")
 	case chaosMode(cfg.CrashMode) != "none", chaosMode(cfg.CorruptMode) != "none":

@@ -18,8 +18,8 @@ import (
 
 // Client talks to a running detection service: submit sessions, wait for
 // their results, tail the report store. It is the dispatch half of
-// distributed sweeps — `sweeprun -remote <addr>` drives every pending
-// cell through RunCell and merges the returned results via sweep.Record.
+// distributed sweeps — `sweeprun -remote <addr>` runs every pending cell
+// through RunCell (behind a Dispatcher) as the sweep's executor.
 type Client struct {
 	// Base is the service root, e.g. "http://127.0.0.1:8321".
 	Base string

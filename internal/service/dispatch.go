@@ -13,8 +13,6 @@ import (
 
 // DispatchConfig tunes the multi-node dispatcher.
 type DispatchConfig struct {
-	// Workers is how many cells run concurrently across all nodes; 0 → 4.
-	Workers int
 	// MaxAttempts bounds how many nodes one cell is tried on before it
 	// fails; 0 → max(3, 2×nodes).
 	MaxAttempts int
@@ -29,8 +27,6 @@ type DispatchConfig struct {
 	// health-probes it before trusting it with a cell (half-open).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// HealthTimeout bounds each health probe; 0 → 2s.
-	HealthTimeout time.Duration
 	// Rand supplies backoff jitter in [0,1); nil → math/rand.
 	Rand func() float64
 	// Logf receives dispatch progress (failovers, breaker trips); nil →
@@ -38,10 +34,10 @@ type DispatchConfig struct {
 	Logf func(format string, args ...interface{})
 }
 
+// healthTimeout bounds each health probe.
+const healthTimeout = 2 * time.Second
+
 func (c DispatchConfig) withDefaults(nodes int) DispatchConfig {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 2 * nodes
 		if c.MaxAttempts < 3 {
@@ -59,9 +55,6 @@ func (c DispatchConfig) withDefaults(nodes int) DispatchConfig {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 2 * time.Second
 	}
 	if c.Rand == nil {
 		c.Rand = mrand.Float64
@@ -102,9 +95,10 @@ type NodeStats struct {
 // (refused connection, mid-session disconnect, shutdown) re-dispatches
 // the cell to a survivor with jittered backoff. Repeatedly failing nodes
 // are quarantined by a per-node circuit breaker and re-admitted through a
-// health probe. Results are merged by the caller through the same
-// sweep.Record path a local run uses, so the output stays byte-identical
-// to a single-node or local sweep.
+// health probe. It is an executor, not a pool: sweep.RunWith feeds it
+// cells (see Executor) and adopts the results exactly as it adopts a local
+// run's, so the output stays byte-identical to a single-node or local
+// sweep.
 type Dispatcher struct {
 	cfg   DispatchConfig
 	mu    sync.Mutex
@@ -194,7 +188,7 @@ func (d *Dispatcher) pick(ctx context.Context) (*node, error) {
 		best.inflight++
 		d.mu.Unlock()
 		if probe {
-			hctx, cancel := context.WithTimeout(ctx, d.cfg.HealthTimeout)
+			hctx, cancel := context.WithTimeout(ctx, healthTimeout)
 			err := best.client.Health(hctx)
 			cancel()
 			if err != nil {
@@ -293,51 +287,11 @@ func (d *Dispatcher) RunCell(ctx context.Context, cell sweep.Cell, faults *sweep
 	}
 }
 
-// Run drives every cell through RunCell with Workers concurrent slots,
-// delivering each result to record as it lands (record must be safe for
-// concurrent use — sweep.Record is). It returns the first cell error, but
-// keeps dispatching the remaining cells so one poisoned cell does not
-// strand the sweep.
-func (d *Dispatcher) Run(ctx context.Context, cells []sweep.Cell, faults *sweep.FaultAxis, realMsgDelayUS int64, record func(*sweep.CellResult) error) error {
-	jobs := make(chan sweep.Cell)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
+// Executor is the dispatcher as a sweep executor for plan's cells: RunCell
+// under the plan-level fault template and message-delay override the grid
+// was expanded with.
+func (d *Dispatcher) Executor(plan *sweep.Plan) sweep.Executor {
+	return func(ctx context.Context, c sweep.Cell) (*sweep.CellResult, error) {
+		return d.RunCell(ctx, c, plan.Faults, plan.RealMsgDelayUS)
 	}
-	for i := 0; i < d.cfg.Workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range jobs {
-				res, err := d.RunCell(ctx, c, faults, realMsgDelayUS)
-				if err != nil {
-					fail(fmt.Errorf("cell %s: %w", c.ID, err))
-					continue
-				}
-				if err := record(res); err != nil {
-					fail(err)
-				}
-			}
-		}()
-	}
-feed:
-	for _, c := range cells {
-		select {
-		case jobs <- c:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
 }

@@ -101,7 +101,6 @@ func TestDispatchFailoverByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDispatcher([]string{ts0.URL, ts1.URL}, DispatchConfig{
-		Workers:          2,
 		MaxAttempts:      8,
 		Backoff:          20 * time.Millisecond,
 		MaxBackoff:       200 * time.Millisecond,
@@ -113,7 +112,8 @@ func TestDispatchFailoverByteIdentical(t *testing.T) {
 
 	runErr := make(chan error, 1)
 	go func() {
-		runErr <- d.Run(ctx, s.Pending(), failoverPlan().Faults, failoverPlan().RealMsgDelayUS, s.Record)
+		_, err := s.RunWith(ctx, d.Executor(failoverPlan()))
+		runErr <- err
 	}()
 
 	// Kill node 0 the moment it has live work: in-flight long-polls are cut
@@ -186,7 +186,6 @@ func TestDispatchServiceRestartSameRaceSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDispatcher([]string{addr}, DispatchConfig{
-		Workers:          2,
 		MaxAttempts:      20,
 		Backoff:          20 * time.Millisecond,
 		MaxBackoff:       200 * time.Millisecond,
@@ -197,7 +196,8 @@ func TestDispatchServiceRestartSameRaceSet(t *testing.T) {
 	})
 	runErr := make(chan error, 1)
 	go func() {
-		runErr <- d.Run(ctx, s.Pending(), failoverPlan().Faults, failoverPlan().RealMsgDelayUS, s.Record)
+		_, err := s.RunWith(ctx, d.Executor(failoverPlan()))
+		runErr <- err
 	}()
 
 	// Kill the node mid-sweep: cut the HTTP plane, then stop the service
@@ -261,7 +261,7 @@ func TestDispatchRequestErrorNotRetried(t *testing.T) {
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	d := NewDispatcher([]string{ts.URL}, DispatchConfig{Workers: 1})
+	d := NewDispatcher([]string{ts.URL}, DispatchConfig{})
 	_, err := d.RunCell(context.Background(), sweep.Cell{ID: "bogus", App: "NoSuchApp", Procs: 2}, nil, 0)
 	var reqErr *RequestError
 	if !errors.As(err, &reqErr) {

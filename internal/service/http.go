@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,7 +25,8 @@ import (
 //	                                ?session=<id>, ?max=<n>; ?wait=<dur>
 //	                                long-polls for new records
 //	GET  /reports/stream          — SSE: one `data:` record per line,
-//	                                ?since/?session as above
+//	                                ?since/?session as above (the same
+//	                                cursor loop as the long-poll)
 //	GET  /metrics                 — Prometheus text: service gauges plus
 //	                                every session's series, session-labeled
 //	GET  /flight/{id}             — flight-recorder dump of one session
@@ -176,23 +178,15 @@ func (svc *Service) handleReports(w http.ResponseWriter, r *http.Request) {
 	if max <= 0 || max > 10000 {
 		max = 10000
 	}
-	recs, lost, next := svc.store.Since(since, session, max)
-	if len(recs) == 0 {
-		if wait := parseWait(r); wait > 0 {
-			sub := svc.store.Subscribe(session, 1)
-			defer sub.Close()
-			// Re-check under the subscription so an append between the
-			// first read and Subscribe cannot be slept through.
-			if recs, lost, next = svc.store.Since(since, session, max); len(recs) == 0 {
-				select {
-				case <-sub.C():
-				case <-time.After(wait):
-				case <-r.Context().Done():
-					return
-				}
-				recs, lost, next = svc.store.Since(since, session, max)
-			}
-		}
+	// One read of the reader loop: without ?wait the deadline has already
+	// passed, so an empty window answers at once instead of parking.
+	sub := svc.store.Subscribe(session, since)
+	defer sub.Close()
+	ctx, cancel := context.WithTimeout(r.Context(), parseWait(r))
+	defer cancel()
+	recs, lost, next, _ := sub.poll(ctx, max)
+	if r.Context().Err() != nil {
+		return
 	}
 	if recs == nil {
 		recs = []Record{}
@@ -200,9 +194,10 @@ func (svc *Service) handleReports(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ReportBatch{Records: recs, Next: next, Lost: lost})
 }
 
-// handleStream is the SSE feed: replay from ?since, then follow the
-// subscriber, healing buffer gaps by replaying from the store so every
-// retained record is delivered exactly once, in sequence order.
+// handleStream is the SSE feed: the reader loop from ?since until the
+// client goes away. Catching up and tailing live are the same reads, so
+// every retained record is delivered exactly once, in sequence order, and
+// a retention overrun arrives as one explicit truncated record.
 func (svc *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -211,49 +206,24 @@ func (svc *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	since, _ := strconv.ParseUint(q.Get("since"), 10, 64)
-	session := q.Get("session")
+	// Attach before the headers go out: a client that has its response is
+	// a client whose reader Append already wakes.
+	sub := svc.store.Subscribe(q.Get("session"), since)
+	defer sub.Close()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-
-	sub := svc.store.Subscribe(session, svc.cfg.SubscriberBuf)
-	defer sub.Close()
-	last := since
-	emit := func(rec Record) {
-		b, _ := json.Marshal(rec)
-		fmt.Fprintf(w, "id: %d\ndata: %s\n\n", rec.Seq, b)
-		last = rec.Seq
-	}
-	// replay pulls everything after the cursor straight from the store —
-	// the initial catch-up, and the gap-healing path after buffer drops.
-	replay := func() {
-		recs, lost, _ := svc.store.Since(last, session, 0)
-		if lost > 0 {
-			emit(Record{Seq: last + lost, Session: session, Kind: KindTruncated,
-				Detail: fmt.Sprintf("%d records dropped by store retention", lost)})
+	fl.Flush()
+	for {
+		recs, err := sub.Next(r.Context())
+		if err != nil {
+			return
 		}
 		for _, rec := range recs {
-			emit(rec)
+			b, _ := json.Marshal(rec) // a Record of strings and integers always marshals
+			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", rec.Seq, b)
 		}
 		fl.Flush()
-	}
-	replay()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case rec := <-sub.C():
-			if sub.TakeGap() {
-				// The buffer dropped records; the store still has them.
-				replay()
-				continue
-			}
-			if rec.Seq <= last {
-				continue // already delivered by a replay
-			}
-			emit(rec)
-			fl.Flush()
-		}
 	}
 }
 

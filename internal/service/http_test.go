@@ -162,7 +162,7 @@ func TestHTTPReportsLongPoll(t *testing.T) {
 		ch <- res{batch: b, err: err}
 	}()
 
-	time.Sleep(100 * time.Millisecond) // let the poller park
+	waitSubscribers(t, svc.Store(), 1) // the poller is attached: its window was empty
 	svc.Store().Append(Record{Session: "x", Kind: KindSession, Detail: "poke"})
 
 	select {
@@ -175,6 +175,17 @@ func TestHTTPReportsLongPoll(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("long-poll never woke up")
+	}
+}
+
+// waitSubscribers blocks until n readers are attached to the store.
+func waitSubscribers(t *testing.T, st *Store, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); st.Subscribers() != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d readers attached, want %d", st.Subscribers(), n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -282,16 +293,17 @@ func TestHTTPStreamMidRunExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestHTTPStreamGapHealing: a stream whose subscriber buffer is too small
-// for the burst still delivers everything by replaying from the store.
+// TestHTTPStreamGapHealing: a stream that cannot keep up with a burst
+// still delivers everything — a reader holds no records, so there is no
+// buffer to overflow and no gap to heal: it reads on from its cursor.
 func TestHTTPStreamGapHealing(t *testing.T) {
-	svc, ts, _ := newTestServer(t, Config{MaxSessions: 1, SubscriberBuf: 2})
+	svc, ts, _ := newTestServer(t, Config{MaxSessions: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
 	// Park a stream on the empty store first, then burst appends at it:
-	// a 2-slot buffer cannot hold the burst, so delivery must go through
-	// the gap-healing replay path.
+	// one pending wake-up stands for however many records land before the
+	// reader gets to run.
 	ready := make(chan struct{})
 	done := make(chan []Record, 1)
 	go func() {
@@ -320,7 +332,10 @@ func TestHTTPStreamGapHealing(t *testing.T) {
 		done <- out
 	}()
 	<-ready
-	time.Sleep(100 * time.Millisecond) // let the subscriber attach
+	// The response headers are out, so the reader is attached.
+	if n := svc.Store().Subscribers(); n != 1 {
+		t.Fatalf("%d readers attached once the stream answered, want 1", n)
+	}
 	for i := 0; i < 100; i++ {
 		svc.Store().Append(Record{Session: "burst", Kind: KindRace, Addr: uint64(i)})
 	}

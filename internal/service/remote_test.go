@@ -14,9 +14,9 @@ import (
 
 // TestRemoteDispatchByteIdentical is the distributed-sweep acceptance
 // test: the same 2×2 grid executed (a) by a local sweep pool and (b) by
-// dispatching every cell to a detection service and merging the returned
-// results through sweep.Record produces a byte-identical plan manifest
-// and a byte-identical aggregated metrics document.
+// running the same sweep pool with a detection-service client as its
+// executor produces a byte-identical plan manifest and a byte-identical
+// aggregated metrics document.
 func TestRemoteDispatchByteIdentical(t *testing.T) {
 	mkPlan := func() *sweep.Plan {
 		return &sweep.Plan{
@@ -43,8 +43,8 @@ func TestRemoteDispatchByteIdentical(t *testing.T) {
 		t.Fatalf("local sweep not clean: %+v", sumLocal)
 	}
 
-	// Remote: the same grid through a service, merged via Record — the
-	// exact loop `sweeprun -remote` runs.
+	// Remote: the same grid through a service, as the pool's executor —
+	// what `sweeprun -remote` runs, minus the dispatcher's failover.
 	svc := New(Config{MaxSessions: 4})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -56,21 +56,13 @@ func TestRemoteDispatchByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pending := remote.Pending()
-	if len(pending) != 4 {
-		t.Fatalf("pending = %d cells, want 4", len(pending))
+	if pending := remote.Summary().Missing; pending != 4 {
+		t.Fatalf("pending = %d cells, want 4", pending)
 	}
-	for _, c := range pending {
-		res, err := client.RunCell(ctx, c, nil, 0)
-		if err != nil {
-			t.Fatalf("cell %s: %v", c.ID, err)
-		}
-		if res.ID != c.ID {
-			t.Fatalf("service returned result for %q, submitted %q", res.ID, c.ID)
-		}
-		if err := remote.Record(res); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := remote.RunWith(ctx, func(ctx context.Context, c sweep.Cell) (*sweep.CellResult, error) {
+		return client.RunCell(ctx, c, nil, 0)
+	}); err != nil {
+		t.Fatal(err)
 	}
 	sumRemote := remote.Summary()
 	if sumRemote.OK != sumRemote.Total || sumRemote.Missing != 0 {
@@ -92,7 +84,7 @@ func TestRemoteDispatchByteIdentical(t *testing.T) {
 
 	// The deterministic aggregated metrics document must be byte-identical:
 	// the service ran each cell with the same scoped-recorder setup the
-	// local pool uses, and Record merged through the same path.
+	// local pool uses, and the pool adopted the results the same way.
 	var bufLocal, bufRemote bytes.Buffer
 	if err := local.WriteMetricsJSON(&bufLocal); err != nil {
 		t.Fatal(err)
@@ -122,7 +114,7 @@ func TestRemoteDispatchByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := resumed.Pending(); len(p) != 0 {
-		t.Errorf("resume after remote dispatch still has %d pending cells", len(p))
+	if p := resumed.Summary().Missing; p != 0 {
+		t.Errorf("resume after remote dispatch still has %d pending cells", p)
 	}
 }

@@ -262,11 +262,6 @@ type Config struct {
 	SessionTimeout time.Duration
 	// StoreCap bounds report-store retention; 0 → DefaultStoreCap.
 	StoreCap int
-	// SubscriberBuf bounds each subscriber's buffer; 0 → DefaultSubscriberBuf.
-	SubscriberBuf int
-	// TelemetryCap is each session recorder's per-ring event capacity;
-	// 0 → 4096 (the sweep's default), negative → unbounded.
-	TelemetryCap int
 	// KeepDone bounds how many finished sessions stay queryable; 0 → 1024.
 	// Older finished sessions are evicted (their store records remain).
 	KeepDone int
@@ -296,9 +291,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionTimeout <= 0 {
 		c.SessionTimeout = 2 * time.Minute
-	}
-	if c.TelemetryCap == 0 {
-		c.TelemetryCap = 4096
 	}
 	if c.KeepDone <= 0 {
 		c.KeepDone = 1024
@@ -372,7 +364,7 @@ func Open(cfg Config) (*Service, ReplayInfo, error) {
 	return svc, info, nil
 }
 
-// Store returns the service's report store (for subscriptions).
+// Store returns the service's report store (for in-process readers).
 func (svc *Service) Store() *Store { return svc.store }
 
 // Submit validates and admits one run request. It returns *RequestError
@@ -578,7 +570,7 @@ func (svc *Service) worker() {
 func (svc *Service) runSession(sess *Session) {
 	rec := telemetry.New(telemetry.Config{
 		Procs:      sess.cfg.Procs,
-		Cap:        svc.cfg.TelemetryCap,
+		Cap:        sweep.TelemetryCap,
 		FlightSink: io.Discard,
 		Observer: func(e telemetry.Event) {
 			svc.observe(sess.id, sess.tenant, e)

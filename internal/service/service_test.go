@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -156,8 +157,24 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 // order, and its transcript equals the final store contents.
 func TestSubscriberReplayMatchesStore(t *testing.T) {
 	svc := New(Config{MaxSessions: 4, QueueDepth: 16})
-	sub := svc.Store().Subscribe("", 8192)
+	sub := svc.Store().Subscribe("", 0)
 	defer sub.Close()
+
+	// Tail live, concurrently with the sessions, until told the store is
+	// final; then one last read picks up whatever the tail had not yet.
+	ctx, stop := context.WithCancel(context.Background())
+	transcript := make(chan []Record, 1)
+	go func() {
+		var got []Record
+		for {
+			recs, err := sub.Next(ctx)
+			got = append(got, recs...)
+			if err != nil {
+				transcript <- got
+				return
+			}
+		}
+	}()
 
 	var sessions []*Session
 	for _, req := range []RunRequest{
@@ -175,19 +192,15 @@ func TestSubscriberReplayMatchesStore(t *testing.T) {
 		<-sess.Done()
 	}
 	svc.Close()
+	stop()
+	got := <-transcript
+	rest, _ := sub.Next(ctx)
+	got = append(got, rest...)
 
-	var got []Record
-drain:
-	for {
-		select {
-		case r := <-sub.C():
-			got = append(got, r)
-		default:
-			break drain
+	for _, r := range got {
+		if r.Kind == KindTruncated {
+			t.Fatalf("reader reported truncation under default retention: %+v", r)
 		}
-	}
-	if sub.TakeGap() {
-		t.Fatal("oversized subscriber buffer still dropped records")
 	}
 	want, lost, _ := svc.Store().Since(0, "", 0)
 	if lost != 0 {

@@ -17,6 +17,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -41,9 +42,9 @@ const (
 	// KindSession marks session lifecycle: admitted, started, finished
 	// (the Detail field says which, and with what terminal status).
 	KindSession RecordKind = "session"
-	// KindTruncated is synthesized by a stream when retention dropped
-	// records between the subscriber's cursor and the oldest retained
-	// record; Detail carries how many were lost.
+	// KindTruncated is synthesized by a reader when retention dropped
+	// records between its cursor and the oldest retained record; Detail
+	// carries how many were lost.
 	KindTruncated RecordKind = "truncated"
 )
 
@@ -71,10 +72,10 @@ type Record struct {
 
 // Store is the bounded append-only report log: records get monotonic
 // sequence numbers starting at 1, retention keeps the most recent cap
-// records (older ones are dropped, counted), and subscribers are notified
-// through bounded per-subscriber buffers with drop-oldest semantics — a
-// slow reader can never block an appender, only lose its place (which it
-// recovers by replaying from its cursor; see Subscriber).
+// records (older ones are dropped, counted), and readers are cursors into
+// it: Since is the only read path, and an attached reader (see Subscriber)
+// adds nothing but a wake-up — a slow reader can never block an appender,
+// only fall behind retention, which Since reports as an exact lost count.
 type Store struct {
 	mu      sync.Mutex
 	cap     int
@@ -107,7 +108,8 @@ func NewStore(cap int) *Store {
 }
 
 // Append assigns the next sequence number to r, retains it, persists it
-// when the store is durable, and notifies matching subscribers. It
+// when the store is durable, and wakes the attached readers it matches
+// (a non-blocking signal; the record itself stays in the store). It
 // returns the stored record.
 func (s *Store) Append(r Record) Record {
 	s.mu.Lock()
@@ -137,7 +139,10 @@ func (s *Store) Append(r Record) Record {
 	}
 	for sub := range s.subs {
 		if sub.session == "" || sub.session == r.Session {
-			sub.push(r)
+			select {
+			case sub.wake <- struct{}{}:
+			default: // a wake-up is already pending
+			}
 		}
 	}
 	s.mu.Unlock()
@@ -163,7 +168,7 @@ type ReplayInfo struct {
 // segment log in dir: every record ever appended is framed, hashed, and
 // fsync'd per opts, and on reopen the log is replayed — verifying each
 // chunk against its address — so sequence numbers, session views, and
-// subscriber replay cursors resume exactly where they stopped. A tail
+// reader cursors resume exactly where they stopped. A tail
 // that fails verification (tampered chunk, torn write, undecodable
 // record, out-of-order sequence) is truncated at the last good record
 // and surfaced as an explicit KindTruncated record carrying the next
@@ -198,7 +203,7 @@ func OpenStore(dir string, cap int, opts castore.SegLogOptions) (*Store, ReplayI
 }
 
 // restore re-adopts one replayed record without assigning a new sequence
-// number or notifying subscribers (none can exist during replay).
+// number or waking readers (none can exist during replay).
 func (s *Store) restore(r Record) {
 	s.recs = append(s.recs, r)
 	s.next = r.Seq + 1
@@ -281,21 +286,25 @@ func (s *Store) LogStats() castore.SegLogStats {
 
 // Since returns retained records with Seq > since, filtered to one
 // session when session is non-empty, at most max of them (0 → no limit).
-// lost is how many matching-window records retention already dropped
-// (since < first-1 means the caller's cursor points into the dropped
+// lost is how many records between the cursor and the oldest retained one
+// retention already dropped (the caller's cursor points into the dropped
 // range); next is the store's current tail cursor — passing it back as
 // since resumes exactly after the returned batch only when the batch was
 // not truncated by max.
 func (s *Store) Since(since uint64, session string, max int) (recs []Record, lost uint64, next uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if since+1 < s.first {
-		lost = s.first - since - 1
+	// recs is contiguous from first, so the cursor is an index, not a scan.
+	start := uint64(0)
+	if since >= s.first {
+		start = since - s.first + 1
+	} else {
+		lost = s.first - 1 - since
 	}
-	for _, r := range s.recs {
-		if r.Seq <= since {
-			continue
-		}
+	if n := uint64(len(s.recs)); start > n {
+		start = n
+	}
+	for _, r := range s.recs[start:] {
 		if session != "" && r.Session != session {
 			continue
 		}
@@ -334,103 +343,80 @@ func (s *Store) Dropped() uint64 {
 	return s.dropped
 }
 
-// Subscribers returns how many subscribers are attached.
+// Subscribers returns how many readers are attached.
 func (s *Store) Subscribers() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.subs)
 }
 
-// DefaultSubscriberBuf is the default per-subscriber buffer, in records.
-const DefaultSubscriberBuf = 256
-
-// Subscriber is one live tail of the store: a bounded buffer of records
-// plus a gap flag. When the buffer overflows, the store drops the
-// subscriber's oldest buffered record (never blocking the appender),
-// counts the drop, and raises the gap flag; the reader heals the gap by
-// replaying from its cursor with Since, which preserves exactly-once
-// in-order delivery as long as retention still holds the records (and
-// reports the loss explicitly when it does not).
+// Subscriber is one reader of the store: a cursor plus a wake-up. No
+// record travels through it — every batch is read from the store with
+// Since(cursor), so delivery is exactly-once and in sequence order by
+// construction, and a reader that falls behind retention learns exactly how
+// much it lost. Append only signals the wake channel, without blocking, so
+// a slow reader never holds up an appender. The cursor belongs to the one
+// goroutine that calls Next.
 type Subscriber struct {
 	store   *Store
-	session string // "" subscribes to the merged view
-	ch      chan Record
-
-	mu      sync.Mutex
-	gap     bool
-	dropped uint64
-	closed  bool
+	session string        // "" reads the merged view
+	wake    chan struct{} // capacity 1: "the view grew since your last read"
+	last    uint64        // cursor: Seq of the last record delivered
 }
 
-// Subscribe attaches a subscriber for one session ("" for the merged
-// view) with a buffer of buf records (0 → DefaultSubscriberBuf). Close it
-// when done.
-func (s *Store) Subscribe(session string, buf int) *Subscriber {
-	if buf <= 0 {
-		buf = DefaultSubscriberBuf
-	}
-	sub := &Subscriber{store: s, session: session, ch: make(chan Record, buf)}
+// Subscribe attaches a reader of one session ("" for the merged view)
+// whose cursor starts after sequence number since. Close it when done.
+func (s *Store) Subscribe(session string, since uint64) *Subscriber {
+	sub := &Subscriber{store: s, session: session, wake: make(chan struct{}, 1), last: since}
 	s.mu.Lock()
 	s.subs[sub] = struct{}{}
 	s.mu.Unlock()
 	return sub
 }
 
-// push delivers r without ever blocking: on a full buffer it evicts the
-// oldest buffered record to make room (drop-oldest) and marks the gap.
-// Called with the store lock held, so pushes are ordered; the reader may
-// race a drain against the eviction, in which case the send can still
-// fail — the gap flag covers that record too.
-func (sub *Subscriber) push(r Record) {
-	select {
-	case sub.ch <- r:
-		return
-	default:
-	}
-	sub.mu.Lock()
-	sub.gap = true
-	sub.dropped++
-	sub.mu.Unlock()
-	select {
-	case <-sub.ch:
-	default:
-	}
-	select {
-	case sub.ch <- r:
-	default:
+// poll is the one read loop every consumer shares: Since(cursor), and when
+// that is empty wait for Append's wake-up (or ctx) and read again. The
+// results are Since's; the cursor advances past them — past the batch, or
+// past the lost range when retention dropped everything the reader had not
+// seen yet.
+func (sub *Subscriber) poll(ctx context.Context, max int) (recs []Record, lost, next uint64, err error) {
+	for {
+		recs, lost, next = sub.store.Since(sub.last, sub.session, max)
+		if len(recs) > 0 {
+			sub.last = next
+			return recs, lost, next, nil
+		}
+		if lost > 0 {
+			sub.last += lost
+			return nil, lost, next, nil
+		}
+		select {
+		case <-sub.wake:
+		case <-ctx.Done():
+			return nil, 0, next, ctx.Err()
+		}
 	}
 }
 
-// C is the subscriber's record channel. After a drop the channel's
-// contents have a hole; callers must check TakeGap before trusting
-// continuity and replay via the store when it reports true.
-func (sub *Subscriber) C() <-chan Record { return sub.ch }
-
-// TakeGap reports and clears the gap flag: true means at least one record
-// was dropped from the buffer since the last call, and the reader should
-// re-sync from the store with Since(cursor).
-func (sub *Subscriber) TakeGap() bool {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	g := sub.gap
-	sub.gap = false
-	return g
+// Next blocks until the store holds records after the cursor and returns
+// them in sequence order, each exactly once across calls. When retention
+// dropped records the reader had not seen, the batch starts with one
+// synthesized KindTruncated record standing in for the hole: its Seq is
+// the last lost sequence number and its Detail the exact count. The error
+// is ctx's, when it ends first.
+func (sub *Subscriber) Next(ctx context.Context) ([]Record, error) {
+	before := sub.last
+	recs, lost, _, err := sub.poll(ctx, 0)
+	if lost > 0 {
+		recs = append([]Record{{Seq: before + lost, Session: sub.session, Kind: KindTruncated,
+			Detail: fmt.Sprintf("%d records dropped by store retention", lost)}}, recs...)
+	}
+	return recs, err
 }
 
-// DroppedRecords returns how many records this subscriber's buffer has
-// evicted or refused.
-func (sub *Subscriber) DroppedRecords() uint64 {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	return sub.dropped
-}
-
-// Close detaches the subscriber from the store. Safe to call twice.
+// Close detaches the reader from the store. Safe to call twice.
 func (sub *Subscriber) Close() {
 	sub.store.mu.Lock()
 	delete(sub.store.subs, sub)
 	sub.store.mu.Unlock()
-	sub.mu.Lock()
-	sub.closed = true
-	sub.mu.Unlock()
 }

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"testing"
+	"time"
 )
 
 func TestStoreSeqsAndSince(t *testing.T) {
@@ -77,9 +79,17 @@ func TestStoreRetention(t *testing.T) {
 	}
 }
 
+// expired is a context that is already done: Next under it reads what is
+// already there and never parks.
+func expired() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
 func TestSubscriberDelivery(t *testing.T) {
 	st := NewStore(100)
-	sub := st.Subscribe("", 16)
+	sub := st.Subscribe("", 0)
 	defer sub.Close()
 	if st.Subscribers() != 1 {
 		t.Fatalf("Subscribers() = %d, want 1", st.Subscribers())
@@ -87,70 +97,109 @@ func TestSubscriberDelivery(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		st.Append(Record{Session: "s", Kind: KindRace, Addr: uint64(i)})
 	}
-	for i := 0; i < 5; i++ {
-		r := <-sub.C()
+	recs, err := sub.Next(context.Background())
+	if err != nil || len(recs) != 5 {
+		t.Fatalf("Next = %d records, %v; want 5", len(recs), err)
+	}
+	for i, r := range recs {
 		if r.Seq != uint64(i+1) {
 			t.Fatalf("delivery %d got seq %d", i, r.Seq)
 		}
+		if r.Kind == KindTruncated {
+			t.Fatal("truncation reported without a retention overrun")
+		}
 	}
-	if sub.TakeGap() {
-		t.Fatal("gap reported without overflow")
+	// Delivered means delivered: the cursor moved past the batch.
+	if recs, err := sub.Next(expired()); len(recs) != 0 || err == nil {
+		t.Fatalf("second Next = %v, %v; want nothing new", recs, err)
 	}
 }
 
 func TestSubscriberSessionFilter(t *testing.T) {
 	st := NewStore(100)
-	sub := st.Subscribe("b", 16)
+	sub := st.Subscribe("b", 0)
 	defer sub.Close()
 	st.Append(Record{Session: "a", Kind: KindRace})
 	st.Append(Record{Session: "b", Kind: KindRace})
 	st.Append(Record{Session: "a", Kind: KindRace})
-	r := <-sub.C()
-	if r.Session != "b" || r.Seq != 2 {
-		t.Fatalf("filtered subscriber got %+v", r)
+	recs, err := sub.Next(context.Background())
+	if err != nil || len(recs) != 1 || recs[0].Session != "b" || recs[0].Seq != 2 {
+		t.Fatalf("filtered subscriber got %+v, %v", recs, err)
 	}
+	if recs, _ := sub.Next(expired()); len(recs) != 0 {
+		t.Fatalf("unexpected extra delivery %+v", recs)
+	}
+	// Another session's append is not this reader's wake-up.
 	select {
-	case r := <-sub.C():
-		t.Fatalf("unexpected extra delivery %+v", r)
+	case <-sub.wake: // the token the "b" append left, unless Next took it
+	default:
+	}
+	st.Append(Record{Session: "a", Kind: KindRace})
+	select {
+	case <-sub.wake:
+		t.Fatal("reader of session b woken by session a")
 	default:
 	}
 }
 
-func TestSubscriberDropOldestAndGap(t *testing.T) {
-	st := NewStore(100)
-	sub := st.Subscribe("", 4)
+// TestSubscriberWakesParkedReader: a reader parked on an empty window is
+// woken by the append, and an appender facing a reader that never reads is
+// never held up.
+func TestSubscriberWakesParkedReader(t *testing.T) {
+	st := NewStore(0)
+	idle := st.Subscribe("", 0) // attached, never reads
+	defer idle.Close()
+	sub := st.Subscribe("", 0)
 	defer sub.Close()
-	// Nobody drains: 10 appends into a 4-slot buffer must drop 6, keep the
-	// newest 4, and raise the gap flag — without ever blocking Append.
-	for i := 0; i < 10; i++ {
+	got := make(chan []Record, 1)
+	go func() {
+		recs, _ := sub.Next(context.Background())
+		got <- recs
+	}()
+	for i := 0; i < 1000; i++ {
 		st.Append(Record{Session: "s", Kind: KindRace, Addr: uint64(i)})
 	}
-	if got := sub.DroppedRecords(); got != 6 {
-		t.Fatalf("DroppedRecords = %d, want 6", got)
+	select {
+	case recs := <-got:
+		if len(recs) == 0 || recs[0].Seq != 1 {
+			t.Fatalf("parked reader woke to %d records, not starting at seq 1", len(recs))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked reader never woke")
 	}
-	if !sub.TakeGap() {
-		t.Fatal("overflow did not raise the gap flag")
+}
+
+// TestSubscriberTruncatedExact: a reader overrun by retention gets one
+// truncated record whose Seq and count are exactly the hole, then the
+// retained window, and no second truncation for the same hole.
+func TestSubscriberTruncatedExact(t *testing.T) {
+	st := NewStore(8)
+	sub := st.Subscribe("", 2)
+	defer sub.Close()
+	for i := 0; i < 20; i++ {
+		st.Append(Record{Session: "s", Kind: KindRace})
 	}
-	if sub.TakeGap() {
-		t.Fatal("TakeGap did not clear the flag")
+	recs, err := sub.Next(context.Background())
+	if err != nil || len(recs) != 9 {
+		t.Fatalf("Next = %d records, %v; want truncated + 8", len(recs), err)
 	}
-	// Drop-oldest: the survivors are the newest records, in order.
-	for want := uint64(7); want <= 10; want++ {
-		r := <-sub.C()
-		if r.Seq != want {
-			t.Fatalf("survivor seq %d, want %d", r.Seq, want)
+	if tr := recs[0]; tr.Kind != KindTruncated || tr.Seq != 12 || tr.Detail != "10 records dropped by store retention" {
+		t.Fatalf("truncation record %+v; want seq 12 covering 3..12", tr)
+	}
+	for i, r := range recs[1:] {
+		if r.Seq != uint64(13+i) {
+			t.Fatalf("retained window out of order: %+v", recs[1:])
 		}
 	}
-	// The gap heals by replaying from the cursor before the hole.
-	recs, lost, _ := st.Since(2, "", 0)
-	if lost != 0 || len(recs) != 8 || recs[0].Seq != 3 {
-		t.Fatalf("replay = %d recs from %d lost=%d", len(recs), recs[0].Seq, lost)
+	st.Append(Record{Session: "s", Kind: KindRace})
+	if recs, _ := sub.Next(context.Background()); len(recs) != 1 || recs[0].Seq != 21 {
+		t.Fatalf("after the hole: %+v, want just seq 21", recs)
 	}
 }
 
 func TestSubscriberCloseDetaches(t *testing.T) {
 	st := NewStore(100)
-	sub := st.Subscribe("", 4)
+	sub := st.Subscribe("", 0)
 	sub.Close()
 	sub.Close() // idempotent
 	if st.Subscribers() != 0 {
@@ -158,8 +207,8 @@ func TestSubscriberCloseDetaches(t *testing.T) {
 	}
 	st.Append(Record{Session: "s"})
 	select {
-	case r := <-sub.C():
-		t.Fatalf("closed subscriber received %+v", r)
+	case <-sub.wake:
+		t.Fatal("closed subscriber was woken")
 	default:
 	}
 }

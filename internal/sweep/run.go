@@ -70,10 +70,11 @@ type Options struct {
 	// Dir, when non-empty, persists the manifest and per-cell results
 	// there, making the sweep resumable (see manifest.go).
 	Dir string
-	// TelemetryCap is the per-ring event capacity of each cell's recorder;
-	// 0 → 4096, negative → unbounded.
-	TelemetryCap int
 }
+
+// TelemetryCap is the per-ring event capacity of every run's recorder — a
+// sweep cell's and a service session's alike.
+const TelemetryCap = 4096
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -82,16 +83,14 @@ func (o Options) withDefaults() Options {
 	if o.CellTimeout <= 0 {
 		o.CellTimeout = 2 * time.Minute
 	}
-	if o.TelemetryCap == 0 {
-		o.TelemetryCap = 4096
-	}
 	return o
 }
 
 // Sweep is one orchestrated grid execution: the expanded plan, the results
 // gathered so far, and the live per-cell recorders the HTTP endpoint
-// serves. Create with New, execute with Run; the read-side accessors are
-// safe to call concurrently with Run (that is the point of them).
+// serves. Create with New, execute with Run (or RunWith, to run the cells
+// somewhere else); the read-side accessors are safe to call concurrently
+// with Run (that is the point of them).
 type Sweep struct {
 	plan  *Plan
 	opts  Options
@@ -99,9 +98,12 @@ type Sweep struct {
 
 	mu      sync.Mutex
 	results map[string]*CellResult
-	live    map[string]*telemetry.Recorder // recorders of cells in flight
-	flight  map[string]*telemetry.Recorder // latest recorder per cell, kept for /flight
-	start   time.Time
+	// live holds the cells in flight and, for cells running in this
+	// process, the current attempt's recorder (nil for a cell an Executor
+	// runs elsewhere).
+	live   map[string]*telemetry.Recorder
+	flight map[string]*telemetry.Recorder // latest recorder per cell, kept for /flight
+	start  time.Time
 }
 
 // New expands the plan and, when opts.Dir is set, loads any previous
@@ -135,58 +137,32 @@ func New(plan *Plan, opts Options) (*Sweep, error) {
 // Cells returns the expanded grid in plan order.
 func (s *Sweep) Cells() []Cell { return s.cells }
 
-// Pending returns the cells that still lack a terminal result, in plan
-// order — what Run would execute, or what a remote dispatcher should
-// submit. Resume-aware: cells loaded from the checkpoint directory are
-// not pending.
-func (s *Sweep) Pending() []Cell {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Cell
-	for _, c := range s.cells {
-		if r, ok := s.results[c.ID]; !ok || !r.Status.Terminal() {
-			out = append(out, c)
-		}
-	}
-	return out
-}
+// Executor runs one cell to its terminal result. A nil result with a nil
+// error means the context was canceled first; an error means the cell could
+// not be run at all (as opposed to run and failed, which is a result).
+// Either way the cell stays pending, and a resumed sweep runs it again.
+type Executor func(ctx context.Context, c Cell) (*CellResult, error)
 
-// Record adopts an externally produced terminal result for one of the
-// sweep's cells — the merge half of remote dispatch (`sweeprun -remote`):
-// a result fetched from a detection-service session lands in the same
-// in-memory results map and, when the sweep has a checkpoint directory,
-// the same atomically written cell file as a locally run cell, so
-// summaries, metrics documents, and resume behave identically.
-func (s *Sweep) Record(r *CellResult) error {
-	if r == nil || !r.Status.Terminal() {
-		return fmt.Errorf("sweep: Record needs a terminal result")
-	}
-	known := false
-	for _, c := range s.cells {
-		if c.ID == r.ID {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("sweep: result for unknown cell %q", r.ID)
-	}
-	s.mu.Lock()
-	s.results[r.ID] = r
-	s.mu.Unlock()
-	if s.opts.Dir != "" {
-		return writeCellResult(s.opts.Dir, r)
-	}
-	return nil
-}
+// Run executes the sweep in this process: RunWith under the local guarded
+// runner (own System, own recorder, retries, deadline — see RunGuarded).
+func (s *Sweep) Run(ctx context.Context) (*Summary, error) { return s.RunWith(ctx, nil) }
 
-// Run executes every cell that does not already have a terminal result,
-// at most Options.Workers at a time. A failed, wedged, or panicking cell
-// is recorded and the sweep continues; Run's error is reserved for the
-// sweep's own machinery (context cancellation, checkpoint I/O). The
+// RunWith executes every cell that does not already have a terminal
+// result through exec (nil → the local guarded runner), at most
+// Options.Workers at a time. Whatever exec is — this process, or a
+// dispatcher handing cells to detection-service nodes — results land in
+// the same results map, cell files and progress ledger, so summaries,
+// metrics documents and resume cannot tell the difference. A failed,
+// wedged, or panicking cell is a result and the sweep continues; the
+// returned error is reserved for the machinery (a cell exec could not run
+// or mislabeled, checkpoint I/O, context cancellation) and reported after
+// the pool drains, so one poisoned cell does not strand the rest. The
 // returned Summary covers all cells, including ones loaded from a
 // previous interrupted run.
-func (s *Sweep) Run(ctx context.Context) (*Summary, error) {
+func (s *Sweep) RunWith(ctx context.Context, exec Executor) (*Summary, error) {
+	if exec == nil {
+		exec = s.runCell
+	}
 	s.mu.Lock()
 	s.start = time.Now()
 	pending := make([]Cell, 0, len(s.cells))
@@ -199,28 +175,19 @@ func (s *Sweep) Run(ctx context.Context) (*Summary, error) {
 
 	jobs := make(chan Cell)
 	var wg sync.WaitGroup
-	var ioMu sync.Mutex
-	var ioErr error
+	var errMu sync.Mutex
+	var firstErr error
 	for i := 0; i < s.opts.Workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for c := range jobs {
-				res := s.runCell(ctx, c)
-				if res == nil {
-					continue // canceled mid-cell; leave it missing for resume
-				}
-				s.mu.Lock()
-				s.results[c.ID] = res
-				s.mu.Unlock()
-				if s.opts.Dir != "" {
-					if err := writeCellResult(s.opts.Dir, res); err != nil {
-						ioMu.Lock()
-						if ioErr == nil {
-							ioErr = err
-						}
-						ioMu.Unlock()
+				if err := s.execCell(ctx, exec, c); err != nil {
+					errMu.Lock()
+					if firstErr == nil {
+						firstErr = err
 					}
+					errMu.Unlock()
 				}
 			}
 		}()
@@ -235,31 +202,62 @@ feed:
 	}
 	close(jobs)
 	wg.Wait()
-	if ioErr != nil {
-		return s.Summary(), ioErr
+	if firstErr != nil {
+		return s.Summary(), firstErr
 	}
 	return s.Summary(), ctx.Err()
 }
 
-// runCell executes one cell with attempt/panic/deadline isolation. It
-// returns nil when the context was canceled before a terminal outcome.
-func (s *Sweep) runCell(ctx context.Context, c Cell) *CellResult {
+// execCell runs one cell through exec, shown as running for as long as it
+// takes, and adopts its result: into the results map and, when the sweep
+// has a checkpoint directory, its cell file.
+func (s *Sweep) execCell(ctx context.Context, exec Executor, c Cell) error {
+	s.mu.Lock()
+	s.live[c.ID] = nil
+	s.mu.Unlock()
+	res, err := exec(ctx, c)
+	s.mu.Lock()
+	delete(s.live, c.ID)
+	s.mu.Unlock()
+	switch {
+	case err != nil:
+		return fmt.Errorf("cell %s: %w", c.ID, err)
+	case res == nil:
+		return nil // canceled mid-cell; leave it missing for resume
+	case res.ID != c.ID || !res.Status.Terminal():
+		// An executor that dropped an axis on the way out comes back under
+		// another cell's ID; adopting that would be a silent mixed grid.
+		return fmt.Errorf("cell %s: executor returned a result for %q with status %q", c.ID, res.ID, res.Status)
+	}
+	s.mu.Lock()
+	s.results[c.ID] = res
+	s.mu.Unlock()
+	if s.opts.Dir != "" {
+		return writeCellResult(s.opts.Dir, res)
+	}
+	return nil
+}
+
+// runCell is the local Executor: one cell with attempt/panic/deadline
+// isolation. It returns nil when the context was canceled before a
+// terminal outcome.
+func (s *Sweep) runCell(ctx context.Context, c Cell) (*CellResult, error) {
 	attempts := 1 + s.opts.Retries
 	var last *CellResult
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if ctx.Err() != nil {
-			return nil
+			return nil, nil
 		}
 		last = s.attemptCell(ctx, c, attempt)
 		if last == nil || last.Status == StatusOK || last.Status == StatusTimeout {
-			return last
+			break
 		}
 	}
-	return last
+	return last, nil
 }
 
 // attemptCell is one isolated execution of a cell, with its recorder
-// published to the live endpoint for as long as the attempt runs.
+// published to the live endpoint for as long as the cell runs.
 func (s *Sweep) attemptCell(ctx context.Context, c Cell, attempt int) *CellResult {
 	cfg, err := s.plan.RunConfig(c)
 	if err != nil {
@@ -267,18 +265,13 @@ func (s *Sweep) attemptCell(ctx context.Context, c Cell, attempt int) *CellResul
 	}
 	rec := telemetry.New(telemetry.Config{
 		Procs:      c.Procs,
-		Cap:        s.opts.TelemetryCap,
+		Cap:        TelemetryCap,
 		FlightSink: io.Discard, // dumps are served on demand, not spammed to stderr
 	})
 	s.mu.Lock()
 	s.live[c.ID] = rec
 	s.flight[c.ID] = rec // retained after completion so /flight still answers
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.live, c.ID)
-		s.mu.Unlock()
-	}()
 	res, _ := RunGuarded(ctx, c.ID, cfg, rec, s.opts.CellTimeout, attempt)
 	return res
 }
@@ -394,7 +387,7 @@ func (s *Sweep) Progress() Progress {
 				p.Failed++
 			}
 			p.Races += r.Races
-		} else if _, running := s.live[c.ID]; running {
+		} else if _, running := s.live[c.ID]; running { // here or at an Executor's node
 			cs.Status = "running"
 			p.Running++
 		}
@@ -415,7 +408,9 @@ func (s *Sweep) snapshots() map[string]*telemetry.Snapshot {
 		}
 	}
 	for id, rec := range s.live {
-		out[id] = rec.Metrics().Snapshot()
+		if rec != nil {
+			out[id] = rec.Metrics().Snapshot()
+		}
 	}
 	return out
 }

@@ -3,9 +3,12 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -276,5 +279,70 @@ func TestCellTimeout(t *testing.T) {
 	}
 	if got := status["SOR-s0.25-p2-sw-d1-sh0-ck1-seed0"]; got != StatusOK {
 		t.Errorf("SOR cell status %q, want ok (timeout must not poison the sweep)", got)
+	}
+}
+
+// TestRunWithExecutorError: a cell the executor could not run is not a
+// result — it stays pending for resume and surfaces as RunWith's error,
+// but only after the pool has drained, so the other cells still land; a
+// result returned under another cell's ID is refused the same way. While
+// an executor holds a cell, /sweep shows it running.
+func TestRunWithExecutorError(t *testing.T) {
+	plan := planFFTSOR()
+	dir := t.TempDir()
+	s, err := New(plan, Options{Workers: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := s.Cells()
+	poisoned, mislabeled := cells[0].ID, cells[1].ID
+	errNode := errors.New("node unreachable")
+	sum, err := s.RunWith(context.Background(), func(ctx context.Context, c Cell) (*CellResult, error) {
+		running := false
+		for _, cs := range s.Progress().Cells {
+			running = running || (cs.ID == c.ID && cs.Status == "running")
+		}
+		if !running {
+			t.Errorf("cell %s not shown running while its executor runs", c.ID)
+		}
+		switch c.ID {
+		case poisoned:
+			return nil, errNode
+		case mislabeled:
+			return &CellResult{ID: poisoned, Status: StatusOK, Attempt: 1}, nil
+		}
+		return &CellResult{ID: c.ID, Status: StatusOK, Attempt: 1}, nil
+	})
+	if err == nil || !(errors.Is(err, errNode) || strings.Contains(err.Error(), mislabeled)) {
+		t.Fatalf("RunWith error = %v, want the first of the two cell errors", err)
+	}
+	if sum.OK != 2 || sum.Missing != 2 {
+		t.Fatalf("after a poisoned and a mislabeled cell: %+v, want 2 ok, 2 missing", sum)
+	}
+	if p := s.Progress(); p.Running != 0 {
+		t.Errorf("%d cells still shown running after the pool drained", p.Running)
+	}
+
+	// Resume re-runs exactly the two cells that never got a result.
+	resumed, err := New(plan, Options{Workers: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reran []string
+	var mu sync.Mutex
+	sum, err = resumed.RunWith(context.Background(), func(ctx context.Context, c Cell) (*CellResult, error) {
+		mu.Lock()
+		reran = append(reran, c.ID)
+		mu.Unlock()
+		return &CellResult{ID: c.ID, Status: StatusOK, Attempt: 1}, nil
+	})
+	if err != nil || sum.OK != 4 {
+		t.Fatalf("resume: %v, %+v", err, sum)
+	}
+	want := []string{poisoned, mislabeled}
+	sort.Strings(reran)
+	sort.Strings(want)
+	if strings.Join(reran, " ") != strings.Join(want, " ") {
+		t.Errorf("resume re-ran %v, want %v", reran, want)
 	}
 }
