@@ -148,23 +148,39 @@ func syntheticEpoch(nproc, perProc, pages, noticeLen int, seed int64) []*interva
 // BenchmarkAblationPageOverlap compares the two §6.2 page-list overlap
 // implementations: sorted-list merge (default) versus system-page bitmaps.
 func BenchmarkAblationPageOverlap(b *testing.B) {
-	l, _ := mem.NewLayout(512*mem.DefaultPageSize, mem.DefaultPageSize)
+	const pages = 512
+	scratchA, scratchB := mem.NewBitmap(pages), mem.NewBitmap(pages)
 	for _, noticeLen := range []int{4, 32, 128} {
-		recs := syntheticEpoch(8, 8, 512, noticeLen, 42)
+		recs := syntheticEpoch(8, 8, pages, noticeLen, 42)
+		// Every cross-process pair of the epoch, as the check-list build
+		// visits them (all 64 intervals are pairwise concurrent).
+		allPairs := func(overlap func(a, b *interval.Record) []mem.PageID) int {
+			n := 0
+			for i, a := range recs {
+				for _, c := range recs[i+1:] {
+					if a.ID.Proc != c.ID.Proc {
+						n += len(overlap(a, c))
+					}
+				}
+			}
+			return n
+		}
 		b.Run(fmt.Sprintf("lists/notices=%d", noticeLen), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				d := race.NewDetector(l, race.Options{})
-				d.BuildCheckList(recs)
+				benchSink += allPairs(race.OverlapViaMerge)
 			}
 		})
 		b.Run(fmt.Sprintf("bitmaps/notices=%d", noticeLen), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				d := race.NewDetector(l, race.Options{PageBitmapOverlap: true, NumPages: 512})
-				d.BuildCheckList(recs)
+				benchSink += allPairs(func(a, c *interval.Record) []mem.PageID {
+					return race.OverlapViaBitmaps(scratchA, scratchB, a, c)
+				})
 			}
 		})
 	}
 }
+
+var benchSink int
 
 // BenchmarkAblationProtocol compares the single-writer protocol the paper
 // ran against the §6.5 multi-writer diff protocol, and the diff-derived

@@ -30,7 +30,7 @@ func main() {
 		// a chunk-deduplicated manifest the rollback below restores from.
 		Reliable:           true,            // link death detects the crash
 		BarrierWallTimeout: 5 * time.Second, // backstop for quiet deaths
-		Crash:              plan,
+		Crashes:            []*lrcrace.CrashPlan{plan},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -185,7 +185,7 @@ type endpointKiller interface {
 // this victim; the firing plan is recorded on the process for crashNow.
 func (p *Proc) shouldCrashLocked(site crashSite) bool {
 	var countedAccess, countedLock bool
-	for _, cp := range p.sys.crashes {
+	for _, cp := range p.sys.cfg.Crashes {
 		if cp.Victim != p.id || cp.fired.Load() {
 			continue
 		}

@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"lrcrace/internal/costmodel"
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/race"
@@ -105,9 +104,6 @@ type Config struct {
 	// bitmap comparison).
 	BarrierTree int
 
-	// Model is the virtual-time cost model; zero value → costmodel.Default.
-	Model costmodel.Model
-
 	// Tracer, if non-nil, receives a linearized trace of shared accesses
 	// and synchronization events, for cross-validation against reference
 	// detectors (see internal/hbdet).
@@ -183,17 +179,13 @@ type Config struct {
 	// negative → keep every epoch.
 	CheckpointRetain int
 
-	// Crash schedules the injected fail-stop death of one process (see
-	// CrashPlan). Requires checkpointing (NoCheckpoint false), the
-	// built-in simulated network (Transport == nil), and at least one
-	// failure-detection path: Reliable (link retry-cap exhaustion) or
-	// BarrierWallTimeout > 0.
-	Crash *CrashPlan
-
-	// Crashes schedules additional crash plans for compound faults — two
-	// victims in one epoch, or a second crash armed only during recovery
-	// (CrashPlan.DuringRecovery). Same requirements as Crash; Crash and
-	// Crashes merge into one plan list.
+	// Crashes schedules the injected fail-stop deaths of processes (see
+	// CrashPlan): one plan, or several for compound faults — two victims
+	// in one epoch, or a second crash armed only during recovery
+	// (CrashPlan.DuringRecovery). Requires checkpointing (NoCheckpoint
+	// false), the built-in simulated network (Transport == nil), and at
+	// least one failure-detection path: Reliable (link retry-cap
+	// exhaustion) or BarrierWallTimeout > 0.
 	Crashes []*CrashPlan
 
 	// Corruption schedules deterministic damage to stored checkpoint
@@ -294,8 +286,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("dsm: %w", err)
 		}
 	}
-	if plans := c.crashPlans(); len(plans) > 0 {
-		for _, cp := range plans {
+	if len(c.Crashes) > 0 {
+		for _, cp := range c.Crashes {
 			if err := cp.Validate(c.NumProcs); err != nil {
 				return fmt.Errorf("dsm: %w", err)
 			}
@@ -317,8 +309,8 @@ func (c *Config) Validate() error {
 		if c.NoCheckpoint {
 			return fmt.Errorf("dsm: Corruption attacks stored checkpoints and so requires checkpointing")
 		}
-		if len(c.crashPlans()) == 0 {
-			return fmt.Errorf("dsm: Corruption is only observable during rollback; schedule a crash (Crash/Crashes) to trigger one")
+		if len(c.Crashes) == 0 {
+			return fmt.Errorf("dsm: Corruption is only observable during rollback; schedule a crash (Crashes) to trigger one")
 		}
 	}
 	return nil
@@ -341,28 +333,12 @@ func (c *Config) fill() error {
 	if c.PageSize == 0 {
 		c.PageSize = mem.DefaultPageSize
 	}
-	if c.Model == (costmodel.Model{}) {
-		c.Model = costmodel.Default()
-	}
 	return nil
 }
 
 // checkpointing reports whether barrier-epoch checkpointing is on — the
 // default; NoCheckpoint opts out.
 func (c *Config) checkpointing() bool { return !c.NoCheckpoint }
-
-// crashPlans merges the single-plan convenience field and the compound
-// list into one slice, in a stable order.
-func (c *Config) crashPlans() []*CrashPlan {
-	if c.Crash == nil && len(c.Crashes) == 0 {
-		return nil
-	}
-	plans := make([]*CrashPlan, 0, 1+len(c.Crashes))
-	if c.Crash != nil {
-		plans = append(plans, c.Crash)
-	}
-	return append(plans, c.Crashes...)
-}
 
 // Symbol names an allocated shared variable, for mapping race addresses
 // back to source-level names (the paper does this with symbol tables).
@@ -390,10 +366,8 @@ type System struct {
 	detector *race.Detector // lives at the barrier root (proc 0)
 	raceOpts race.Options   // detector options, for the per-node partial build
 
-	// Crash recovery (see checkpoint.go / recovery.go). crashes is the
-	// merged plan list (Config.Crash + Config.Crashes).
+	// Crash recovery (see checkpoint.go / recovery.go).
 	ckpts     *CheckpointStore
-	crashes   []*CrashPlan
 	epochMode bool
 	recStats  RecoveryStats
 	stop      chan struct{} // closed when an attempt's app threads have all exited
@@ -419,12 +393,9 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, layout: l, tel: telemetry.To(cfg.Recorder), crashes: cfg.crashPlans()}
+	s := &System{cfg: cfg, layout: l, tel: telemetry.To(cfg.Recorder)}
 	if cfg.Detect {
-		s.raceOpts = race.Options{
-			FirstOnly: cfg.FirstOnly,
-			NumPages:  l.NumPages,
-		}
+		s.raceOpts = race.Options{FirstOnly: cfg.FirstOnly}
 		s.detector = race.NewDetector(l, s.raceOpts)
 	}
 	return s, nil

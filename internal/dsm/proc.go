@@ -136,9 +136,10 @@ type Proc struct {
 	id, n int
 	tel   telemetry.Scope // the owning System's telemetry destination
 
-	// The parts of sys.cfg every shared access consults, copied at newProc
-	// (the configuration is immutable once the System exists) so that the
-	// access path reads them from the Proc it already holds.
+	// The cost model (costmodel.Default) and the parts of sys.cfg every
+	// shared access consults, copied at newProc (the configuration is
+	// immutable once the System exists) so that the access path reads them
+	// from the Proc it already holds.
 	model           costmodel.Model
 	proto           ProtocolKind
 	detecting       bool
@@ -237,7 +238,7 @@ func newProc(s *System, id int) *Proc {
 		replyCh:      make(chan simnet.Delivery, 16),
 		ckptGate:     make(chan struct{}, 1),
 
-		model:           s.cfg.Model,
+		model:           costmodel.Default(),
 		proto:           s.cfg.Protocol,
 		detecting:       s.cfg.Detect,
 		writesFromDiffs: s.cfg.WritesFromDiffs,
@@ -246,7 +247,7 @@ func newProc(s *System, id int) *Proc {
 		hooked:          s.cfg.Tracer != nil || s.cfg.Watch != nil,
 	}
 	p.vcur[id] = 1
-	for _, cp := range s.crashes {
+	for _, cp := range s.cfg.Crashes {
 		p.crashable = p.crashable || cp.Victim == id
 	}
 	for pg := 0; pg < s.layout.NumPages; pg++ {

@@ -151,7 +151,7 @@ func (s *System) canRecover() bool {
 // recoveryArmed reports whether link-death suspicion should feed the
 // recovery machinery rather than just abort the run.
 func (s *System) recoveryArmed() bool {
-	return len(s.crashes) > 0 || (s.epochMode && s.cfg.checkpointing())
+	return len(s.cfg.Crashes) > 0 || (s.epochMode && s.cfg.checkpointing())
 }
 
 // --- crash suspicion (shared by the reliable sublayer's timer goroutine,
@@ -402,7 +402,7 @@ func (s *System) planRollback() (*rollbackPlan, error) {
 	suspect, via := s.suspectInfo()
 	victim := suspect
 	if victim < 0 {
-		for _, cp := range s.crashes {
+		for _, cp := range s.cfg.Crashes {
 			if cp.Fired() {
 				// Detection could not name the victim (e.g. a worker's timeout
 				// with no master-side bookkeeping); fall back to the crash

@@ -20,7 +20,7 @@ import (
 // declared in milliseconds), and the barrier wall timeout as the detection
 // backstop for crashes that leave no survivor→victim traffic.
 func recoveryConfig(nproc int, proto ProtocolKind, crash *CrashPlan, rec *telemetry.Recorder) Config {
-	return Config{
+	cfg := Config{
 		NumProcs:   nproc,
 		SharedSize: 16 * 1024,
 		PageSize:   1024,
@@ -41,9 +41,12 @@ func recoveryConfig(nproc int, proto ProtocolKind, crash *CrashPlan, rec *teleme
 			MaxRetries: 8,
 		},
 		BarrierWallTimeout: 2 * time.Second,
-		Crash:              crash,
 		Recorder:           rec,
 	}
+	if crash != nil {
+		cfg.Crashes = []*CrashPlan{crash}
+	}
+	return cfg
 }
 
 func recoverySys(t *testing.T, nproc int, proto ProtocolKind, crash *CrashPlan, rec *telemetry.Recorder) *System {
@@ -463,39 +466,39 @@ func TestCrashConfigValidation(t *testing.T) {
 		}
 	}
 	ok := base()
-	ok.Crash = &CrashPlan{Victim: 1}
+	ok.Crashes = []*CrashPlan{{Victim: 1}}
 	if _, err := New(ok); err != nil {
 		t.Fatalf("valid crash config rejected: %v", err)
 	}
 
 	noCkpt := base()
 	noCkpt.NoCheckpoint = true
-	noCkpt.Crash = &CrashPlan{Victim: 1}
+	noCkpt.Crashes = []*CrashPlan{{Victim: 1}}
 	if _, err := New(noCkpt); err == nil {
 		t.Error("Crash without Checkpoint accepted")
 	}
 
 	noDetect := base()
 	noDetect.BarrierWallTimeout = 0
-	noDetect.Crash = &CrashPlan{Victim: 1}
+	noDetect.Crashes = []*CrashPlan{{Victim: 1}}
 	if _, err := New(noDetect); err == nil {
 		t.Error("Crash with no failure-detection path accepted")
 	}
 
 	master := base()
-	master.Crash = &CrashPlan{Victim: 0}
+	master.Crashes = []*CrashPlan{{Victim: 0}}
 	if _, err := New(master); err == nil {
 		t.Error("crash of the barrier master accepted")
 	}
 
 	outOfRange := base()
-	outOfRange.Crash = &CrashPlan{Victim: 2}
+	outOfRange.Crashes = []*CrashPlan{{Victim: 2}}
 	if _, err := New(outOfRange); err == nil {
 		t.Error("victim out of range accepted")
 	}
 
 	badVT := base()
-	badVT.Crash = &CrashPlan{Victim: 1, Point: CrashAtVTime}
+	badVT.Crashes = []*CrashPlan{{Victim: 1, Point: CrashAtVTime}}
 	if _, err := New(badVT); err == nil {
 		t.Error("CrashAtVTime without VTime accepted")
 	}
@@ -508,7 +511,7 @@ func TestCrashConfigValidation(t *testing.T) {
 
 	corruptNoCkpt := base()
 	corruptNoCkpt.NoCheckpoint = true
-	corruptNoCkpt.Crash = &CrashPlan{Victim: 1}
+	corruptNoCkpt.Crashes = []*CrashPlan{{Victim: 1}}
 	corruptNoCkpt.Corruption = &CorruptionPlan{Epoch: 1, Count: 1}
 	if _, err := New(corruptNoCkpt); err == nil {
 		t.Error("Corruption with NoCheckpoint accepted")

@@ -119,7 +119,7 @@ func (p *Proc) serializeAcquireLocked(d simnet.Delivery, m *msg.AcquireReq) {
 		rec.RecordGrantOrder(id, d.From)
 	}
 	ls := p.lock(id)
-	arr := p.arrival(d) + p.sys.cfg.Model.Handler
+	arr := p.arrival(d) + p.model.Handler
 	switch {
 	case ls.lastHolder == -1 || ls.lastHolder == d.From:
 		// First acquisition, or re-acquisition by the last holder: nothing
@@ -171,7 +171,7 @@ func (p *Proc) retryDeferredLocked(id int) {
 func (p *Proc) handleAcquireFwd(d simnet.Delivery, m *msg.AcquireFwd) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	arr := p.arrival(d) + p.sys.cfg.Model.Handler
+	arr := p.arrival(d) + p.model.Handler
 	p.localFwdLocked(int(m.Lock), int(m.Requester), vcFromWire(m.VC), arr)
 }
 
@@ -204,7 +204,7 @@ func (p *Proc) handlePageReq(d simnet.Delivery, m *msg.PageReq) {
 	if p.home(pg) != p.id {
 		p.protocolBug("PageReq for page %d at non-home", pg)
 	}
-	arr := p.arrival(d) + p.sys.cfg.Model.Handler
+	arr := p.arrival(d) + p.model.Handler
 
 	if p.sys.cfg.Protocol == MultiWriter {
 		// The home copy is always current (diffs are flushed eagerly at
@@ -238,7 +238,7 @@ func (p *Proc) handlePageFwd(d simnet.Delivery, m *msg.PageFwd) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pg := m.Page
-	arr := p.arrival(d) + p.sys.cfg.Model.Handler
+	arr := p.arrival(d) + p.model.Handler
 	switch {
 	case p.owned[pg]:
 		p.servePageLocked(int(m.Requester), pg, m.Write, arr)
@@ -307,7 +307,7 @@ func (p *Proc) handleDiffFlush(d simnet.Delivery, m *msg.DiffFlush) {
 			}
 		}
 	}
-	arr := p.arrival(d) + p.sys.cfg.Model.Handler
+	arr := p.arrival(d) + p.model.Handler
 	p.send(d.From, &msg.DiffAck{}, arr)
 }
 
@@ -319,6 +319,6 @@ func (p *Proc) handleInval(d simnet.Delivery, m *msg.Inval) {
 	for _, pg := range m.Pages {
 		p.invalidateLocked(pg)
 	}
-	arr := p.arrival(d) + p.sys.cfg.Model.Handler
+	arr := p.arrival(d) + p.model.Handler
 	p.send(d.From, &msg.InvalAck{}, arr)
 }

@@ -101,7 +101,7 @@ func (p *Proc) openCheckRoundLocked(d simnet.Delivery, m *msg.BarrierRelease) {
 		reduce:  len(m.ShardOwner) > 0,
 		from:    make([]bool, p.n),
 		source:  make(map[bmKey]mem.Bitmap),
-		localV:  p.arrival(d) + p.sys.cfg.Model.Handler,
+		localV:  p.arrival(d) + p.model.Handler,
 	}
 	if sh.reduce {
 		sh.kidsLeft = shardChildren(p.id, p.n)
@@ -192,7 +192,7 @@ func (p *Proc) shardBitmapLocked(d simnet.Delivery, m *msg.BitmapReply) {
 	// All replies in: compare this shard. The work is charged to THIS
 	// process — the point of sharding is that the comparison cost lands
 	// where it runs, visible in the per-proc counters and timings.
-	model := p.sys.cfg.Model
+	model := p.model
 	reports, st := race.CompareShard(p.sys.layout, sh.entries, sh, sh.epoch)
 	work := int64(st.BitmapsCompared) * model.BitmapCompare
 	p.st.TBitmapCmp += work
@@ -230,7 +230,7 @@ func (p *Proc) shardResultLocked(d simnet.Delivery, m *msg.ShardResult) {
 	sh.reports = append(sh.reports, m.Races...)
 	sh.bmCmp += m.BitmapsCompared
 	sh.wordOv += m.WordOverlaps
-	if arr := p.arrival(d) + p.sys.cfg.Model.Handler; arr > sh.childV {
+	if arr := p.arrival(d) + p.model.Handler; arr > sh.childV {
 		sh.childV = arr
 	}
 	sh.kidsLeft--

@@ -207,7 +207,7 @@ func (p *Proc) treeCompleteLocked() {
 	if t.sent {
 		p.protocolBug("tree reduction for epoch %d already sent", t.epoch)
 	}
-	model := p.sys.cfg.Model
+	model := p.model
 	var work int64
 	if p.sys.cfg.Detect {
 		entries, bst := race.BuildPartialCheckList(p.sys.raceOpts, t.groups)
@@ -284,7 +284,7 @@ func (p *Proc) handleBarrierRelease(d simnet.Delivery, m *msg.BarrierRelease) {
 	// instead of once per hop.
 	fwdV := d.VTime
 	if !t.star {
-		fwdV += p.sys.cfg.Model.MsgLatency
+		fwdV += p.model.MsgLatency
 	}
 	kids := treeChildren(p.id, t.arity, p.n)
 	for _, c := range kids {
@@ -292,7 +292,7 @@ func (p *Proc) handleBarrierRelease(d simnet.Delivery, m *msg.BarrierRelease) {
 		p.recordSyncSend(m.Intervals, nbytes)
 	}
 	if !t.star {
-		p.tel.Emit(p.id, telemetry.KTreeRelease, p.arrival(d)+p.sys.cfg.Model.Handler,
+		p.tel.Emit(p.id, telemetry.KTreeRelease, p.arrival(d)+p.model.Handler,
 			int64(m.Epoch), int64(len(kids)), 0)
 	}
 	p.resetTreeLocked(m.Epoch)

@@ -28,21 +28,12 @@ var CrashModes = []string{"none", "single", "double", "recovery"}
 // CorruptModes are the recognized RunConfig.CorruptMode values.
 var CorruptModes = []string{"none", "chunk", "delete"}
 
-// The chaos apps' fixed shape: a few small pages, four barrier epochs
-// unless RunConfig.Epochs says otherwise.
+// The chaos apps' fixed shape: a few small pages, four barrier epochs.
 const (
-	chaosDefaultEpochs = 4
-	chaosSharedBytes   = 16 * 1024
-	chaosPageSize      = 1024
+	chaosEpochs      int32 = 4 // ≥ 2: a crash needs a checkpoint line to roll back to
+	chaosSharedBytes       = 16 * 1024
+	chaosPageSize          = 1024
 )
-
-// chaosEpochs is the run's barrier-epoch count.
-func chaosEpochs(cfg RunConfig) int32 {
-	if cfg.Epochs == 0 {
-		return chaosDefaultEpochs
-	}
-	return int32(cfg.Epochs)
-}
 
 // IsChaosApp reports whether name is an epoch-structured chaos app.
 func IsChaosApp(name string) bool {
@@ -72,7 +63,7 @@ func chaosMode(m string) string {
 // before the victim dies mid-epoch, so the corruption always lands before
 // rollback planning reads the store.
 func chaosPlans(cfg RunConfig) ([]*dsm.CrashPlan, *dsm.CorruptionPlan, error) {
-	n, epochs := cfg.Procs, chaosEpochs(cfg)
+	n, epochs := cfg.Procs, chaosEpochs
 	crashMode, corruptMode := chaosMode(cfg.CrashMode), chaosMode(cfg.CorruptMode)
 	if crashMode == "none" {
 		if corruptMode != "none" {
@@ -80,10 +71,6 @@ func chaosPlans(cfg RunConfig) ([]*dsm.CrashPlan, *dsm.CorruptionPlan, error) {
 		}
 		return nil, nil, nil
 	}
-	if epochs < 2 {
-		return nil, nil, fmt.Errorf("harness: CrashMode %q needs at least 2 epochs, got %d", crashMode, epochs)
-	}
-
 	first := dsm.RandomCrashPlan(cfg.ChaosSeed, n, epochs)
 	if first == nil {
 		return nil, nil, fmt.Errorf("harness: %d procs leave no valid crash victim", n)
@@ -206,20 +193,17 @@ func chaosSetup(name string, s *dsm.System, n int, epochs int32) (func() dsm.Epo
 // under RunEpochs (which converges via repeated rollback), and verify final
 // shared memory against the crash-free execution.
 func runChaos(cfg RunConfig, sys *dsm.System) (*Result, error) {
-	epochs := chaosEpochs(cfg)
-	factory, verify, err := chaosSetup(cfg.App, sys, cfg.Procs, epochs)
+	factory, verify, err := chaosSetup(cfg.App, sys, cfg.Procs, chaosEpochs)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	if err := sys.RunEpochs(epochs, factory); err != nil {
+	if err := sys.RunEpochs(chaosEpochs, factory); err != nil {
 		return nil, err
 	}
 	wall := time.Since(start)
-	if !cfg.SkipVerify {
-		if err := verify(); err != nil {
-			return nil, fmt.Errorf("harness: %s failed verification: %w", cfg.App, err)
-		}
+	if err := verify(); err != nil {
+		return nil, fmt.Errorf("harness: %s failed verification: %w", cfg.App, err)
 	}
 	return newResult(cfg, nil, sys, wall), nil
 }

@@ -93,8 +93,6 @@ type RunConfig struct {
 	CorruptMode string
 	// ChaosSeed drives the seed-derived crash/corruption plans.
 	ChaosSeed uint64
-	// Epochs is the chaos applications' barrier-epoch count; 0 → 4.
-	Epochs int
 	// Telemetry, when non-nil, builds a handle-scoped telemetry recorder
 	// for the run (Procs defaults to the run's process count). The recorder
 	// is private to this run — concurrent Runs in one process do not share
@@ -108,8 +106,6 @@ type RunConfig struct {
 	Recorder *telemetry.Recorder
 	// Tracer optionally observes the run (reference detectors, trace logs).
 	Tracer dsm.Tracer
-	// Verify runs the application's result check (on by default via Run).
-	SkipVerify bool
 }
 
 // Result collects everything a run produced.
@@ -180,10 +176,8 @@ func Run(cfg RunConfig) (*Result, error) {
 		return nil, err
 	}
 	wall := time.Since(start)
-	if !cfg.SkipVerify {
-		if err := app.Verify(sys); err != nil {
-			return nil, fmt.Errorf("harness: %s failed verification: %w", cfg.App, err)
-		}
+	if err := app.Verify(sys); err != nil {
+		return nil, fmt.Errorf("harness: %s failed verification: %w", cfg.App, err)
 	}
 	return newResult(cfg, app, sys, wall), nil
 }
@@ -248,12 +242,11 @@ func dsmConfig(cfg RunConfig, sharedSize int) (dsm.Config, error) {
 // newResult collects what a finished DSM run produced; app is nil for the
 // chaos apps.
 func newResult(cfg RunConfig, app apps.App, sys *dsm.System, wall time.Duration) *Result {
-	sc := sys.Config()
 	res := &Result{
 		Cfg:       cfg,
 		App:       app,
 		Sys:       sys,
-		Model:     sc.Model,
+		Model:     costmodel.Default(),
 		VirtualNS: sys.VirtualTime(),
 		WallNS:    wall.Nanoseconds(),
 		Races:     sys.Races(),
@@ -267,7 +260,7 @@ func newResult(cfg RunConfig, app apps.App, sys *dsm.System, wall time.Duration)
 	for _, p := range sys.Procs() {
 		res.Procs = append(res.Procs, p.Stats())
 	}
-	if rec := sc.Recorder; rec != nil {
+	if rec := sys.Config().Recorder; rec != nil {
 		res.Telemetry = rec
 		res.FillMetrics(rec.Metrics())
 	}

@@ -117,15 +117,6 @@ type Options struct {
 	// it with everything after it, all first races fall in the earliest
 	// epoch that contains any race; later epochs are suppressed.
 	FirstOnly bool
-
-	// PageBitmapOverlap selects the §6.2 alternative page-list overlap
-	// implementation: O(pages-in-system) bitmap intersection instead of
-	// the O(n²)-flavored sorted-list merge. Results are identical; the
-	// ablation benchmark compares their cost.
-	PageBitmapOverlap bool
-
-	// NumPages must be set when PageBitmapOverlap is true.
-	NumPages int
 }
 
 // Detector is the barrier master's race-detection state. It persists across
@@ -141,22 +132,11 @@ type Detector struct {
 	// ExplainReport can reconstruct derivations after epoch metadata is
 	// discarded.
 	racyRecords map[vc.IntervalID]*interval.Record
-
-	scratchA, scratchB mem.Bitmap // page-bitmap scratch for §6.2 mode
 }
 
 // NewDetector returns a detector for a segment with the given layout.
 func NewDetector(l mem.Layout, opts Options) *Detector {
-	d := &Detector{opts: opts, layout: l, firstRacyEpoch: -1}
-	if opts.PageBitmapOverlap {
-		n := opts.NumPages
-		if n == 0 {
-			n = l.NumPages
-		}
-		d.scratchA = mem.NewBitmap(n)
-		d.scratchB = mem.NewBitmap(n)
-	}
-	return d
+	return &Detector{opts: opts, layout: l, firstRacyEpoch: -1}
 }
 
 // Stats returns accumulated counters.
@@ -243,15 +223,13 @@ func lessID(a, b vc.IntervalID) bool {
 func (d *Detector) overlap(a, b *interval.Record) []mem.PageID {
 	d.stats.NoticesScanned += len(a.WriteNotices) + len(a.ReadNotices) +
 		len(b.WriteNotices) + len(b.ReadNotices)
-	if d.opts.PageBitmapOverlap {
-		return overlapViaBitmaps(d.scratchA, d.scratchB, a, b)
-	}
-	return overlapViaMerge(a, b)
+	return OverlapViaMerge(a, b)
 }
 
-// overlapViaMerge is the sorted-list-merge page-overlap implementation. The
-// result is a sorted page set, symmetric in (a, b).
-func overlapViaMerge(a, b *interval.Record) []mem.PageID {
+// OverlapViaMerge is the sorted-list-merge page-overlap implementation, the
+// one the detector uses. The result is a sorted page set, symmetric in
+// (a, b).
+func OverlapViaMerge(a, b *interval.Record) []mem.PageID {
 	var pages []mem.PageID
 	pages = interval.OverlapPages(a.WriteNotices, b.WriteNotices, pages)
 	pages = interval.OverlapPages(a.WriteNotices, b.ReadNotices, pages)
@@ -259,9 +237,12 @@ func overlapViaMerge(a, b *interval.Record) []mem.PageID {
 	return dedupPages(pages)
 }
 
-// overlapViaBitmaps is the §6.2 linear-in-system-pages variant. scratchA
-// and scratchB must be sized to the system's page count.
-func overlapViaBitmaps(scratchA, scratchB mem.Bitmap, a, b *interval.Record) []mem.PageID {
+// OverlapViaBitmaps is the §6.2 alternative: O(pages-in-system) bitmap
+// intersection instead of the O(n²)-flavored list merge. scratchA and
+// scratchB must be sized to the system's page count. It returns what
+// OverlapViaMerge returns (TestPropertyPageBitmapOverlapEquivalent) and no
+// detector path calls it; BenchmarkAblationPageOverlap compares their cost.
+func OverlapViaBitmaps(scratchA, scratchB mem.Bitmap, a, b *interval.Record) []mem.PageID {
 	setBits := func(bm mem.Bitmap, lists ...[]mem.PageID) {
 		bm.Reset()
 		for _, l := range lists {

@@ -2,6 +2,7 @@ package race
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -312,28 +313,25 @@ func TestPropertyDetectorMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestPropertyPageBitmapOverlapEquivalent: §6.2 bitmap page lists produce
-// identical check lists and races to the sorted-list merge.
+// TestPropertyPageBitmapOverlapEquivalent: the §6.2 bitmap page-list
+// overlap returns exactly the sorted-list merge's pages — the only input a
+// check list takes from either — for every record pair of random epochs.
 func TestPropertyPageBitmapOverlapEquivalent(t *testing.T) {
 	l := testLayout(t)
+	scratchA, scratchB := mem.NewBitmap(l.NumPages), mem.NewBitmap(l.NumPages)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		recs, store, _ := randomEpoch(r, l)
-		d1 := NewDetector(l, Options{})
-		d2 := NewDetector(l, Options{PageBitmapOverlap: true})
-		e1 := d1.BuildCheckList(recs)
-		e2 := d2.BuildCheckList(recs)
-		if len(e1) != len(e2) {
-			return false
-		}
-		for i := range e1 {
-			if e1[i] != e2[i] {
-				return false
+		recs, _, _ := randomEpoch(r, l)
+		for i, a := range recs {
+			for _, b := range recs[i+1:] {
+				merge, bitmaps := OverlapViaMerge(a, b), OverlapViaBitmaps(scratchA, scratchB, a, b)
+				if len(merge) != len(bitmaps) || (len(merge) > 0 && !reflect.DeepEqual(merge, bitmaps)) {
+					t.Logf("seed %d, %v × %v: merge %v, bitmaps %v", seed, a.ID, b.ID, merge, bitmaps)
+					return false
+				}
 			}
 		}
-		r1 := d1.Compare(e1, StoreSource{store}, 0)
-		r2 := d2.Compare(e2, StoreSource{store}, 0)
-		return len(r1) == len(r2)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -2,7 +2,6 @@ package race
 
 import (
 	"lrcrace/internal/interval"
-	"lrcrace/internal/mem"
 	"lrcrace/internal/vc"
 )
 
@@ -56,21 +55,12 @@ func (s *BuildStats) Add(o BuildStats) {
 // together.
 //
 // The function is stateless — callable at any process, not just one
-// holding a Detector — and allocates its own scratch bitmaps when
-// opts.PageBitmapOverlap is set (opts.NumPages must then be positive).
-// Entry orientation matches the serial build: A is the interval that sorts
-// first by (process, index).
-func BuildPartialCheckList(opts Options, groups [][]*interval.Record) ([]CheckEntry, BuildStats) {
+// holding a Detector — and no option changes the build, so the Options
+// argument is unused. Entry orientation matches the serial build: A is the
+// interval that sorts first by (process, index).
+func BuildPartialCheckList(_ Options, groups [][]*interval.Record) ([]CheckEntry, BuildStats) {
 	var st BuildStats
 	var entries []CheckEntry
-	var scratchA, scratchB mem.Bitmap
-	if opts.PageBitmapOverlap {
-		if opts.NumPages <= 0 {
-			panic("race: BuildPartialCheckList: PageBitmapOverlap requires NumPages")
-		}
-		scratchA = mem.NewBitmap(opts.NumPages)
-		scratchB = mem.NewBitmap(opts.NumPages)
-	}
 	examine := func(a, b *interval.Record) {
 		if lessID(b.ID, a.ID) {
 			a, b = b, a
@@ -78,12 +68,7 @@ func BuildPartialCheckList(opts Options, groups [][]*interval.Record) ([]CheckEn
 		st.ConcurrentPairs++
 		st.NoticesScanned += int64(len(a.WriteNotices) + len(a.ReadNotices) +
 			len(b.WriteNotices) + len(b.ReadNotices))
-		var pages []mem.PageID
-		if opts.PageBitmapOverlap {
-			pages = overlapViaBitmaps(scratchA, scratchB, a, b)
-		} else {
-			pages = overlapViaMerge(a, b)
-		}
+		pages := OverlapViaMerge(a, b)
 		if len(pages) == 0 {
 			return
 		}

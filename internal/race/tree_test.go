@@ -87,10 +87,7 @@ func randomEpochRecords(r *rand.Rand, l mem.Layout, nproc int) [][]*interval.Rec
 // implementations.
 func TestDistributedBuildMatchesSerial(t *testing.T) {
 	l := testLayout(t)
-	optModes := []Options{
-		{},
-		{PageBitmapOverlap: true, NumPages: l.NumPages},
-	}
+	optModes := []Options{{}}
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		nproc := 2 + r.Intn(8) // 2..9
@@ -165,9 +162,7 @@ func TestPropertyStarAndSingleOwnerMatchReference(t *testing.T) {
 	l := testLayout(t)
 	var optModes []Options
 	for _, first := range []bool{false, true} {
-		optModes = append(optModes,
-			Options{FirstOnly: first},
-			Options{FirstOnly: first, PageBitmapOverlap: true, NumPages: l.NumPages})
+		optModes = append(optModes, Options{FirstOnly: first})
 	}
 	f := func(seed int64) bool {
 		for _, opts := range optModes {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"lrcrace/internal/castore"
+	"lrcrace/internal/telemetry/promtest"
 )
 
 // runOne submits req and waits for the session to finish.
@@ -211,8 +212,8 @@ func TestDurableTamperedTail(t *testing.T) {
 	if info.Truncation == "" {
 		t.Fatal("tampered tail replayed without a truncation report")
 	}
-	if svc2.Store().Truncations() != 1 {
-		t.Fatalf("truncations = %d, want 1", svc2.Store().Truncations())
+	if n := svc2.reg.Snapshot().Counters["svc_store_truncations_total"]; n != 1 {
+		t.Fatalf("svc_store_truncations_total = %d, want 1", n)
 	}
 	recs, _, _ := svc2.Store().Since(0, "", 0)
 	lastRec := recs[len(recs)-1]
@@ -316,16 +317,20 @@ func TestTenantQuota(t *testing.T) {
 
 	// The ledger: noisy admitted 1 rejected 1, quiet admitted 1 rejected 0,
 	// and both quotas fully released after completion.
-	stats := svc.TenantStats()
-	byName := map[string]TenantStat{}
-	for _, s := range stats {
-		byName[s.Tenant] = s
+	svc.collect()
+	snap := svc.reg.Snapshot()
+	ledger := func(tenant string) [4]float64 {
+		l := `{tenant="` + tenant + `"}`
+		return [4]float64{
+			float64(snap.Counters["svc_tenant_admitted_total"+l]), float64(snap.Counters["svc_tenant_rejected_total"+l]),
+			snap.Gauges["svc_tenant_queued"+l], snap.Gauges["svc_tenant_running"+l],
+		}
 	}
-	if s := byName["noisy"]; s.Admitted != 1 || s.Rejected != 1 || s.Queued+s.Running != 0 {
-		t.Errorf("noisy ledger %+v", s)
+	if got := ledger("noisy"); got != [4]float64{1, 1, 0, 0} {
+		t.Errorf("noisy ledger (admitted, rejected, queued, running) = %v", got)
 	}
-	if s := byName["quiet"]; s.Admitted != 1 || s.Rejected != 0 || s.Queued+s.Running != 0 {
-		t.Errorf("quiet ledger %+v", s)
+	if got := ledger("quiet"); got != [4]float64{1, 0, 0, 0} {
+		t.Errorf("quiet ledger (admitted, rejected, queued, running) = %v", got)
 	}
 
 	// After quota release the noisy tenant is admitted again.
@@ -362,6 +367,19 @@ func TestTenantMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// Series that only ever grow are declared counters; levels stay gauges.
+	types := promtest.Check(t, body)
+	for fam, want := range map[string]string{
+		"svc_tenant_admitted_total": "counter",
+		"svc_tenant_rejected_total": "counter",
+		"svc_store_replayed_total":  "counter",
+		"svc_tenant_queued":         "gauge",
+		"svc_store_log_segments":    "gauge",
+	} {
+		if types[fam] != want {
+			t.Errorf("# TYPE %s = %q, want %s", fam, types[fam], want)
 		}
 	}
 }

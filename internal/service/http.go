@@ -5,12 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"lrcrace/internal/sweep"
+	"lrcrace/internal/telemetry"
 )
 
 // Handler returns the service's HTTP surface, sharing one mux with the
@@ -27,8 +26,9 @@ import (
 //	GET  /reports/stream          — SSE: one `data:` record per line,
 //	                                ?since/?session as above (the same
 //	                                cursor loop as the long-poll)
-//	GET  /metrics                 — Prometheus text: service gauges plus
-//	                                every session's series, session-labeled
+//	GET  /metrics                 — Prometheus text: the service's own
+//	                                registry (svc_*), then every session's
+//	                                series, session-labeled
 //	GET  /flight/{id}             — flight-recorder dump of one session
 //
 // Commands wrap this handler with the shared /healthz and /version
@@ -229,69 +229,9 @@ func (svc *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 
 func (svc *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	counts := svc.Counts()
-	for _, g := range []struct {
-		name, help string
-		v          int
-	}{
-		{"svc_sessions_queued", "Sessions admitted and waiting for a pool slot.", counts[StateQueued]},
-		{"svc_sessions_running", "Sessions currently executing.", counts[StateRunning]},
-		{"svc_sessions_done", "Retained sessions with a terminal result.", counts[StateDone]},
-		{"svc_sessions_canceled", "Sessions canceled by shutdown.", counts[StateCanceled]},
-		{"svc_store_records", "Records currently retained by the report store.", svc.store.Len()},
-		{"svc_store_appended_total", "Records ever appended to the report store.", int(svc.store.Appended())},
-		{"svc_store_dropped_total", "Records discarded by report-store retention.", int(svc.store.Dropped())},
-		{"svc_subscribers", "Live report-store subscribers.", svc.store.Subscribers()},
-		{"svc_store_durable", "1 when the report store persists to a segment log.", boolGauge(svc.store.Durable())},
-		{"svc_store_replayed_total", "Records restored from the durable log at startup.", svc.store.Replayed()},
-		{"svc_store_truncations_total", "Corrupt log tails verified and cut off on replay.", svc.store.Truncations()},
-		{"svc_store_persist_failures_total", "Appends that failed to reach the durable log.", svc.store.PersistFailures()},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.v)
-	}
-	if ls := svc.store.LogStats(); svc.store.Durable() {
-		for _, g := range []struct {
-			name, help string
-			v          int64
-		}{
-			{"svc_store_log_segments", "Segment files in the durable report log.", int64(ls.Segments)},
-			{"svc_store_log_bytes", "Bytes across the durable report log's segments.", ls.DiskBytes},
-			{"svc_store_log_fsyncs_total", "fsync calls the durable report log has issued.", ls.Fsyncs},
-		} {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.v)
-		}
-	}
-	writeTenantProm(w, svc.TenantStats())
-	sweep.WriteSnapshotsProm(w, "session", svc.snapshots())
-}
-
-func boolGauge(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// writeTenantProm emits the per-tenant admission ledger as tenant-labeled
-// series, one block per metric so HELP/TYPE headers appear once.
-func writeTenantProm(w io.Writer, stats []TenantStat) {
-	if len(stats) == 0 {
-		return
-	}
-	for _, m := range []struct {
-		name, help string
-		v          func(TenantStat) int64
-	}{
-		{"svc_tenant_queued", "Sessions queued per tenant.", func(t TenantStat) int64 { return int64(t.Queued) }},
-		{"svc_tenant_running", "Sessions running per tenant.", func(t TenantStat) int64 { return int64(t.Running) }},
-		{"svc_tenant_admitted_total", "Sessions ever admitted per tenant.", func(t TenantStat) int64 { return t.Admitted }},
-		{"svc_tenant_rejected_total", "Submissions rejected by per-tenant quota.", func(t TenantStat) int64 { return t.Rejected }},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", m.name, m.help, m.name)
-		for _, t := range stats {
-			fmt.Fprintf(w, "%s{tenant=%q} %d\n", m.name, t.Tenant, m.v(t))
-		}
-	}
+	svc.collect()
+	svc.reg.WriteProm(w)
+	telemetry.WriteKeyedProm(w, "session", svc.snapshots())
 }
 
 func (svc *Service) handleFlight(w http.ResponseWriter, r *http.Request) {

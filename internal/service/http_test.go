@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"lrcrace/internal/telemetry/promtest"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server, *Client) {
@@ -382,5 +384,9 @@ func TestHTTPMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if types := promtest.Check(t, body); types["svc_store_appended_total"] != "counter" || types["svc_sessions_done"] != "gauge" {
+		t.Errorf("# TYPE svc_store_appended_total = %q, svc_sessions_done = %q; want counter, gauge",
+			types["svc_store_appended_total"], types["svc_sessions_done"])
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -314,12 +313,21 @@ type Service struct {
 	sessions map[string]*Session
 	order    []string // session IDs in admission order
 	tenants  map[string]*tenantCounts
+
+	// reg holds the service's own series (svc_*), as opposed to its
+	// sessions': /metrics is this registry followed by the sessions' keyed
+	// snapshots. Counters are incremented where their events happen; the
+	// gauges mirror the ledgers above and are set at scrape time (collect).
+	reg         *telemetry.Registry
+	stateGauges map[SessionState]*telemetry.Gauge
 }
 
-// tenantCounts is one tenant's admission-control ledger.
+// tenantCounts is one tenant's admission-control ledger; the two gauges
+// publish queued and running, the two counters are the only copy of theirs.
 type tenantCounts struct {
-	queued, running    int
-	admitted, rejected int64
+	queued, running           int
+	queuedGauge, runningGauge *telemetry.Gauge
+	admitted, rejected        *telemetry.Counter
 }
 
 // New builds an in-memory service and starts its worker pool. It panics
@@ -340,21 +348,34 @@ func New(cfg Config) *Service {
 // number, and any verified-and-truncated corrupt tail.
 func Open(cfg Config) (*Service, ReplayInfo, error) {
 	svc := &Service{
-		cfg:      cfg.withDefaults(),
-		quit:     make(chan struct{}),
-		sessions: make(map[string]*Session),
-		tenants:  make(map[string]*tenantCounts),
+		cfg:         cfg.withDefaults(),
+		quit:        make(chan struct{}),
+		sessions:    make(map[string]*Session),
+		tenants:     make(map[string]*tenantCounts),
+		reg:         telemetry.NewRegistry(),
+		stateGauges: make(map[SessionState]*telemetry.Gauge),
+	}
+	for _, g := range []struct {
+		state      SessionState
+		name, help string
+	}{
+		{StateQueued, "svc_sessions_queued", "Sessions admitted and waiting for a pool slot."},
+		{StateRunning, "svc_sessions_running", "Sessions currently executing."},
+		{StateDone, "svc_sessions_done", "Retained sessions with a terminal result."},
+		{StateCanceled, "svc_sessions_canceled", "Sessions canceled by shutdown."},
+	} {
+		svc.stateGauges[g.state] = svc.reg.Gauge(g.name, g.help)
 	}
 	var info ReplayInfo
 	if svc.cfg.DataDir != "" {
-		store, ri, err := OpenStore(svc.cfg.DataDir, svc.cfg.StoreCap,
-			castore.SegLogOptions{SyncEvery: svc.cfg.StoreSyncEvery})
+		store, ri, err := openStore(svc.cfg.DataDir, svc.cfg.StoreCap,
+			castore.SegLogOptions{SyncEvery: svc.cfg.StoreSyncEvery}, svc.reg)
 		if err != nil {
 			return nil, ReplayInfo{}, err
 		}
 		svc.store, info = store, ri
 	} else {
-		svc.store = NewStore(svc.cfg.StoreCap)
+		svc.store = newStore(svc.cfg.StoreCap, svc.reg)
 	}
 	svc.queue = make(chan *Session, svc.cfg.QueueDepth)
 	for i := 0; i < svc.cfg.MaxSessions; i++ {
@@ -388,20 +409,26 @@ func (svc *Service) Submit(req RunRequest) (*Session, error) {
 	}
 	tc := svc.tenants[tenant]
 	if tc == nil {
-		tc = &tenantCounts{}
+		l := telemetry.Label{Key: "tenant", Value: tenant}
+		tc = &tenantCounts{
+			queuedGauge:  svc.reg.Gauge("svc_tenant_queued", "Sessions queued per tenant.", l),
+			runningGauge: svc.reg.Gauge("svc_tenant_running", "Sessions running per tenant.", l),
+			admitted:     svc.reg.Counter("svc_tenant_admitted_total", "Sessions ever admitted per tenant.", l),
+			rejected:     svc.reg.Counter("svc_tenant_rejected_total", "Submissions rejected by per-tenant quota.", l),
+		}
 		svc.tenants[tenant] = tc
 	}
 	// Per-tenant quotas come before the global queue check: a tenant at
 	// its quota is told so with a 429 even when the queue has room, and a
 	// tenant within quota competes for the queue like anyone else.
 	if lim := svc.cfg.TenantMaxActive; lim > 0 && tc.queued+tc.running >= lim {
-		tc.rejected++
+		tc.rejected.Add(1)
 		active := tc.queued + tc.running
 		svc.mu.Unlock()
 		return nil, &QuotaError{Tenant: tenant, Active: active, Limit: lim, Scope: "sessions"}
 	}
 	if lim := svc.cfg.TenantMaxQueued; lim > 0 && tc.queued >= lim {
-		tc.rejected++
+		tc.rejected.Add(1)
 		active := tc.queued + tc.running
 		svc.mu.Unlock()
 		return nil, &QuotaError{Tenant: tenant, Active: active, Limit: lim, Scope: "queue"}
@@ -424,7 +451,7 @@ func (svc *Service) Submit(req RunRequest) (*Session, error) {
 		return nil, &OverloadError{Queued: queued, Limit: svc.cfg.QueueDepth}
 	}
 	tc.queued++
-	tc.admitted++
+	tc.admitted.Add(1)
 	svc.sessions[sess.id] = sess
 	svc.order = append(svc.order, sess.id)
 	svc.evictDoneLocked()
@@ -442,28 +469,6 @@ func (svc *Service) tenantTransition(tenant string, dq, dr, run int) {
 		tc.running += run - dr
 	}
 	svc.mu.Unlock()
-}
-
-// TenantStat is one tenant's admission-control ledger for the metrics
-// surface.
-type TenantStat struct {
-	Tenant          string
-	Queued, Running int
-	Admitted        int64
-	Rejected        int64
-}
-
-// TenantStats returns every tenant's ledger, sorted by tenant name.
-func (svc *Service) TenantStats() []TenantStat {
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
-	out := make([]TenantStat, 0, len(svc.tenants))
-	for name, tc := range svc.tenants {
-		out = append(out, TenantStat{Tenant: name, Queued: tc.queued, Running: tc.running,
-			Admitted: tc.admitted, Rejected: tc.rejected})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
 }
 
 // evictDoneLocked drops the oldest finished sessions beyond KeepDone.
@@ -625,6 +630,22 @@ func (svc *Service) observe(session, tenant string, e telemetry.Event) {
 	case telemetry.KRecoveryDone:
 		svc.store.Append(Record{Session: session, Tenant: tenant, Kind: KindRecovery, VT: e.VT,
 			Detail: fmt.Sprintf("recovered at epoch %d (%d virtual ns re-executed)", e.A, e.B)})
+	}
+}
+
+// collect refreshes the plane gauges from the ledgers they mirror: session
+// states, the store's sizes, each tenant's queue.
+func (svc *Service) collect() {
+	counts := svc.Counts()
+	for state, g := range svc.stateGauges {
+		g.Set(float64(counts[state]))
+	}
+	svc.store.collect()
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	for _, tc := range svc.tenants {
+		tc.queuedGauge.Set(float64(tc.queued))
+		tc.runningGauge.Set(float64(tc.running))
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"lrcrace/internal/castore"
+	"lrcrace/internal/telemetry"
 )
 
 // RecordKind classifies one report-store record.
@@ -77,22 +78,28 @@ type Record struct {
 // adds nothing but a wake-up — a slow reader can never block an appender,
 // only fall behind retention, which Since reports as an exact lost count.
 type Store struct {
-	mu      sync.Mutex
-	cap     int
-	recs    []Record // recs[0].Seq == first; contiguous
-	first   uint64   // seq of recs[0]; 1 when nothing dropped yet
-	next    uint64   // next seq to assign
-	dropped uint64   // records lost to retention
-	subs    map[*Subscriber]struct{}
+	mu    sync.Mutex
+	cap   int
+	recs  []Record // recs[0].Seq == first; contiguous
+	first uint64   // seq of recs[0]; 1 when nothing dropped yet
+	next  uint64   // next seq to assign
+	subs  map[*Subscriber]struct{}
+	m     storeMetrics
 
 	// Durability (nil log → memory-only store; see OpenStore). The log
 	// holds the full append history, so retention bounds memory, not
 	// replayable history.
-	log          *castore.SegLog
-	replayed     int
-	truncations  int
-	persistFails int
-	persistErr   error // first persistence failure, kept for diagnostics
+	log        *castore.SegLog
+	persistErr error // first persistence failure, kept for diagnostics
+}
+
+// storeMetrics are the store's series on the service's /metrics. The
+// counters are the store's only copy of each count, incremented where the
+// event happens; the gauges are read off the store at scrape time (collect).
+type storeMetrics struct {
+	records, subscribers, durable                          *telemetry.Gauge
+	appended, dropped, replayed, truncations, persistFails *telemetry.Counter
+	logSegments, logBytes, logFsyncs                       *telemetry.Gauge // durable stores only
 }
 
 // DefaultStoreCap is the default retention bound, in records.
@@ -100,11 +107,38 @@ const DefaultStoreCap = 65536
 
 // NewStore builds a store retaining at most cap records (0 →
 // DefaultStoreCap).
-func NewStore(cap int) *Store {
+func NewStore(cap int) *Store { return newStore(cap, telemetry.NewRegistry()) }
+
+// newStore is NewStore publishing its series through reg. Registration
+// order is exposition order.
+func newStore(cap int, reg *telemetry.Registry) *Store {
 	if cap <= 0 {
 		cap = DefaultStoreCap
 	}
-	return &Store{cap: cap, first: 1, next: 1, subs: make(map[*Subscriber]struct{})}
+	return &Store{cap: cap, first: 1, next: 1, subs: make(map[*Subscriber]struct{}), m: storeMetrics{
+		records:      reg.Gauge("svc_store_records", "Records currently retained by the report store."),
+		appended:     reg.Counter("svc_store_appended_total", "Records ever appended to the report store."),
+		dropped:      reg.Counter("svc_store_dropped_total", "Records discarded by report-store retention."),
+		subscribers:  reg.Gauge("svc_subscribers", "Live report-store subscribers."),
+		durable:      reg.Gauge("svc_store_durable", "1 when the report store persists to a segment log."),
+		replayed:     reg.Counter("svc_store_replayed_total", "Records restored from the durable log at startup."),
+		truncations:  reg.Counter("svc_store_truncations_total", "Corrupt log tails verified and cut off on replay."),
+		persistFails: reg.Counter("svc_store_persist_failures_total", "Appends that failed to reach the durable log."),
+	}}
+}
+
+// collect refreshes the store's gauges.
+func (s *Store) collect() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m.records.Set(float64(len(s.recs)))
+	s.m.subscribers.Set(float64(len(s.subs)))
+	if s.log != nil {
+		ls := s.log.Stats()
+		s.m.logSegments.Set(float64(ls.Segments))
+		s.m.logBytes.Set(float64(ls.DiskBytes))
+		s.m.logFsyncs.Set(float64(ls.Fsyncs))
+	}
 }
 
 // Append assigns the next sequence number to r, retains it, persists it
@@ -115,12 +149,13 @@ func (s *Store) Append(r Record) Record {
 	s.mu.Lock()
 	r.Seq = s.next
 	s.next++
+	s.m.appended.Add(1)
 	s.recs = append(s.recs, r)
 	if len(s.recs) > s.cap {
 		n := len(s.recs) - s.cap
 		s.recs = s.recs[n:]
 		s.first += uint64(n)
-		s.dropped += uint64(n)
+		s.m.dropped.Add(int64(n))
 	}
 	if s.log != nil {
 		b, err := json.Marshal(r)
@@ -131,7 +166,7 @@ func (s *Store) Append(r Record) Record {
 			// The in-memory store keeps serving; the failure is surfaced
 			// through PersistErr and the svc_store_persist_failures metric
 			// rather than taking the whole service plane down.
-			s.persistFails++
+			s.m.persistFails.Add(1)
 			if s.persistErr == nil {
 				s.persistErr = err
 			}
@@ -174,7 +209,12 @@ type ReplayInfo struct {
 // and surfaced as an explicit KindTruncated record carrying the next
 // sequence number, never restored blindly and never a panic.
 func OpenStore(dir string, cap int, opts castore.SegLogOptions) (*Store, ReplayInfo, error) {
-	s := NewStore(cap)
+	return openStore(dir, cap, opts, telemetry.NewRegistry())
+}
+
+// openStore is OpenStore publishing its series through reg.
+func openStore(dir string, cap int, opts castore.SegLogOptions, reg *telemetry.Registry) (*Store, ReplayInfo, error) {
+	s := newStore(cap, reg)
 	expect := uint64(1)
 	log, trunc, err := castore.OpenSegLog(dir, opts, func(payload []byte) error {
 		var r Record
@@ -192,9 +232,13 @@ func OpenStore(dir string, cap int, opts castore.SegLogOptions) (*Store, ReplayI
 		return nil, ReplayInfo{}, fmt.Errorf("service: opening report store: %w", err)
 	}
 	s.log = log
+	s.m.durable.Set(1)
+	s.m.logSegments = reg.Gauge("svc_store_log_segments", "Segment files in the durable report log.")
+	s.m.logBytes = reg.Gauge("svc_store_log_bytes", "Bytes across the durable report log's segments.")
+	s.m.logFsyncs = reg.Gauge("svc_store_log_fsyncs_total", "fsync calls the durable report log has issued.")
 	info := ReplayInfo{Records: int(expect - 1), LastSeq: expect - 1}
 	if trunc != nil {
-		s.truncations++
+		s.m.truncations.Add(1)
 		info.Truncation = trunc.String()
 		s.Append(Record{Kind: KindTruncated,
 			Detail: "report log truncated on replay: " + trunc.String()})
@@ -207,12 +251,13 @@ func OpenStore(dir string, cap int, opts castore.SegLogOptions) (*Store, ReplayI
 func (s *Store) restore(r Record) {
 	s.recs = append(s.recs, r)
 	s.next = r.Seq + 1
+	s.m.appended.Add(1)
+	s.m.replayed.Add(1)
 	if len(s.recs) > s.cap {
-		s.recs = s.recs[len(s.recs)-s.cap:]
+		s.recs = s.recs[1:]
+		s.first++
+		s.m.dropped.Add(1)
 	}
-	s.first = s.recs[0].Seq
-	s.dropped = s.first - 1
-	s.replayed++
 }
 
 // Sync flushes any unsynced appends of a durable store; a no-op for
@@ -245,43 +290,11 @@ func (s *Store) Durable() bool {
 	return s.log != nil
 }
 
-// Replayed returns how many records the store restored at open.
-func (s *Store) Replayed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replayed
-}
-
-// Truncations returns how many corrupt log tails this store has cut off.
-func (s *Store) Truncations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.truncations
-}
-
-// PersistFailures returns how many appends failed to reach the log.
-func (s *Store) PersistFailures() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.persistFails
-}
-
 // PersistErr returns the first persistence failure, or nil.
 func (s *Store) PersistErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.persistErr
-}
-
-// LogStats returns the underlying segment log's accounting (zero for
-// memory-only stores).
-func (s *Store) LogStats() castore.SegLogStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		return castore.SegLogStats{}
-	}
-	return s.log.Stats()
 }
 
 // Since returns retained records with Seq > since, filtered to one
@@ -330,18 +343,10 @@ func (s *Store) Len() int {
 }
 
 // Appended returns how many records have ever been appended.
-func (s *Store) Appended() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next - 1
-}
+func (s *Store) Appended() uint64 { return uint64(s.m.appended.Value()) }
 
 // Dropped returns how many records retention has discarded.
-func (s *Store) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
+func (s *Store) Dropped() uint64 { return uint64(s.m.dropped.Value()) }
 
 // Subscribers returns how many readers are attached.
 func (s *Store) Subscribers() int {

@@ -103,15 +103,14 @@ func (s *Sweep) MetricsDoc() *MetricsDoc {
 	doc := &MetricsDoc{
 		Fingerprint: s.plan.Fingerprint(),
 		Cells:       make(map[string]*telemetry.Snapshot),
+		Aggregate:   telemetry.NewSnapshot(),
 	}
-	var snaps []*telemetry.Snapshot
 	for _, c := range s.cells {
 		if r, ok := s.results[c.ID]; ok && r.Status.Terminal() && r.Metrics != nil {
 			doc.Cells[c.ID] = r.Metrics
-			snaps = append(snaps, r.Metrics)
+			doc.Aggregate.Merge(r.Metrics)
 		}
 	}
-	doc.Aggregate = mergeSnapshots(snaps)
 	return doc
 }
 
@@ -120,48 +119,4 @@ func (s *Sweep) WriteMetricsJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s.MetricsDoc())
-}
-
-// mergeSnapshots sums counters and gauges key-wise and merges histograms
-// whose bucket structures agree (mismatched ones keep the first seen —
-// cannot happen across cells of one sweep, which share the registration
-// code). Gauges sum because every gauge the harness publishes is a
-// per-run total (virtual ns, memory bytes, checkpoint counts).
-func mergeSnapshots(snaps []*telemetry.Snapshot) *telemetry.Snapshot {
-	out := &telemetry.Snapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]telemetry.HistSnapshot),
-	}
-	for _, s := range snaps {
-		for k, v := range s.Counters {
-			out.Counters[k] += v
-		}
-		for k, v := range s.Gauges {
-			out.Gauges[k] += v
-		}
-		for k, h := range s.Histograms {
-			have, ok := out.Histograms[k]
-			if !ok {
-				out.Histograms[k] = copyHist(h)
-				continue
-			}
-			if len(have.Buckets) != len(h.Buckets) {
-				continue
-			}
-			have.Count += h.Count
-			have.Sum += h.Sum
-			for i := range have.Buckets {
-				have.Buckets[i].Count += h.Buckets[i].Count
-			}
-			out.Histograms[k] = have
-		}
-	}
-	return out
-}
-
-func copyHist(h telemetry.HistSnapshot) telemetry.HistSnapshot {
-	c := h
-	c.Buckets = append([]telemetry.BucketCount(nil), h.Buckets...)
-	return c
 }

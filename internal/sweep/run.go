@@ -104,6 +104,10 @@ type Sweep struct {
 	live   map[string]*telemetry.Recorder
 	flight map[string]*telemetry.Recorder // latest recorder per cell, kept for /flight
 	start  time.Time
+
+	// reg holds the sweep's own series (sweep_*), as opposed to its cells';
+	// /metrics is this registry followed by the cells' keyed snapshots.
+	reg *telemetry.Registry
 }
 
 // New expands the plan and, when opts.Dir is set, loads any previous
@@ -121,6 +125,7 @@ func New(plan *Plan, opts Options) (*Sweep, error) {
 		results: make(map[string]*CellResult),
 		live:    make(map[string]*telemetry.Recorder),
 		flight:  make(map[string]*telemetry.Recorder),
+		reg:     telemetry.NewRegistry(),
 	}
 	if s.opts.Dir != "" {
 		loaded, err := initDir(s.opts.Dir, plan, cells)
@@ -394,6 +399,25 @@ func (s *Sweep) Progress() Progress {
 		p.Cells = append(p.Cells, cs)
 	}
 	return p
+}
+
+// collect refreshes the sweep's own series from the progress ledger, which
+// stays the only copy of each number: all six are gauges set at scrape time.
+func (s *Sweep) collect() {
+	p := s.Progress()
+	for _, g := range []struct {
+		name, help string
+		v          int
+	}{
+		{"sweep_cells_total", "Cells in the sweep grid.", p.Total},
+		{"sweep_cells_done", "Cells with a terminal result.", p.Done},
+		{"sweep_cells_ok", "Cells that completed and verified.", p.OK},
+		{"sweep_cells_failed", "Cells that failed, timed out, or panicked.", p.Failed},
+		{"sweep_cells_running", "Cells currently in flight.", p.Running},
+		{"sweep_races_total", "Dynamic race reports across finished cells.", p.Races},
+	} {
+		s.reg.Gauge(g.name, g.help).Set(float64(g.v))
+	}
 }
 
 // snapshots returns every cell's metrics snapshot: finished cells from

@@ -3,20 +3,17 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"sort"
 	"strings"
-	"time"
 
 	"lrcrace/internal/telemetry"
 )
 
 // Handler returns the sweep's live HTTP surface:
 //
-//	/metrics       — Prometheus text: sweep progress gauges, every cell's
-//	                 series labeled cell="<id>" (finished cells from their
+//	/metrics       — Prometheus text: the sweep's own registry (sweep_*
+//	                 progress gauges), then every cell's series labeled
+//	                 cell="<id>" (finished cells from their
 //	                 canonical results, in-flight cells straight off their
 //	                 recorders), and unlabeled aggregate sums per family
 //	/sweep         — JSON progress (Progress)
@@ -36,28 +33,6 @@ func (s *Sweep) Handler() http.Handler {
 		fmt.Fprint(w, "lrcrace sweep: /metrics (Prometheus text), /sweep (JSON progress), /flight/<cell-id> (flight dump)\n")
 	})
 	return mux
-}
-
-// Serve listens on addr (e.g. ":9090" or "127.0.0.1:0") and serves Handler
-// in the background, returning the server and the bound address. The
-// server carries read-header/read/write/idle timeouts so a stalled or
-// malicious scraper cannot pin a connection forever. Stop it gracefully
-// with srv.Shutdown (drains in-flight scrapes) or abruptly with
-// srv.Close; commands share that scaffolding via cmd/internal/cli.
-func (s *Sweep) Serve(addr string) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("sweep: metrics listener: %w", err)
-	}
-	srv := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go srv.Serve(ln)
-	return srv, ln.Addr().String(), nil
 }
 
 func (s *Sweep) handleSweep(w http.ResponseWriter, _ *http.Request) {
@@ -80,176 +55,7 @@ func (s *Sweep) handleFlight(w http.ResponseWriter, r *http.Request) {
 
 func (s *Sweep) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := s.Progress()
-	for _, g := range []struct {
-		name, help string
-		v          int
-	}{
-		{"sweep_cells_total", "Cells in the sweep grid.", p.Total},
-		{"sweep_cells_done", "Cells with a terminal result.", p.Done},
-		{"sweep_cells_ok", "Cells that completed and verified.", p.OK},
-		{"sweep_cells_failed", "Cells that failed, timed out, or panicked.", p.Failed},
-		{"sweep_cells_running", "Cells currently in flight.", p.Running},
-		{"sweep_races_total", "Dynamic race reports across finished cells.", p.Races},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.v)
-	}
-	WriteSnapshotsProm(w, "cell", s.snapshots())
-}
-
-// injectLabel prefixes a snapshot series key's label set with label="id".
-func injectLabel(key, label, id string) string {
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		return key[:i] + `{` + label + `="` + id + `",` + key[i+1:]
-	}
-	return key + `{` + label + `="` + id + `"}`
-}
-
-// baseName strips the label set off a snapshot series key.
-func baseName(key string) string {
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		return key[:i]
-	}
-	return key
-}
-
-// WriteSnapshotsProm renders a keyed set of snapshots as one valid
-// Prometheus text exposition: each family appears once (# TYPE emitted a
-// single time), carrying every snapshot's series with an injected
-// label="key" pair (the sweep labels cells cell="<id>", the detection
-// service labels sessions session="<id>"), and — for counters and gauges
-// — an unlabeled aggregate sum per original series. Histograms are
-// rendered per key only. Ordering is fully deterministic: families, keys,
-// and series names all sort lexicographically.
-func WriteSnapshotsProm(w io.Writer, label string, cells map[string]*telemetry.Snapshot) {
-	ids := make([]string, 0, len(cells))
-	for id := range cells {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	for _, fam := range snapshotFamilies(cells, func(s *telemetry.Snapshot) []string {
-		return int64Keys(s.Counters)
-	}) {
-		fmt.Fprintf(w, "# TYPE %s counter\n", fam)
-		agg := make(map[string]int64)
-		for _, id := range ids {
-			s := cells[id]
-			for _, k := range familyKeys(int64Keys(s.Counters), fam) {
-				fmt.Fprintf(w, "%s %d\n", injectLabel(k, label, id), s.Counters[k])
-				agg[k] += s.Counters[k]
-			}
-		}
-		for _, k := range sortedKeys(agg) {
-			fmt.Fprintf(w, "%s %d\n", k, agg[k])
-		}
-	}
-
-	for _, fam := range snapshotFamilies(cells, func(s *telemetry.Snapshot) []string {
-		return float64Keys(s.Gauges)
-	}) {
-		fmt.Fprintf(w, "# TYPE %s gauge\n", fam)
-		agg := make(map[string]float64)
-		for _, id := range ids {
-			s := cells[id]
-			for _, k := range familyKeys(float64Keys(s.Gauges), fam) {
-				fmt.Fprintf(w, "%s %g\n", injectLabel(k, label, id), s.Gauges[k])
-				agg[k] += s.Gauges[k]
-			}
-		}
-		for _, k := range sortedKeys(agg) {
-			fmt.Fprintf(w, "%s %g\n", k, agg[k])
-		}
-	}
-
-	for _, fam := range snapshotFamilies(cells, func(s *telemetry.Snapshot) []string {
-		return histKeys(s.Histograms)
-	}) {
-		fmt.Fprintf(w, "# TYPE %s histogram\n", fam)
-		for _, id := range ids {
-			s := cells[id]
-			for _, k := range familyKeys(histKeys(s.Histograms), fam) {
-				h := s.Histograms[k]
-				inner := ""
-				if i := strings.IndexByte(k, '{'); i >= 0 {
-					inner = k[i+1 : len(k)-1]
-				}
-				lbl := func(extra string) string {
-					parts := []string{label + `="` + id + `"`}
-					if inner != "" {
-						parts = append(parts, inner)
-					}
-					if extra != "" {
-						parts = append(parts, extra)
-					}
-					return strings.Join(parts, ",")
-				}
-				for _, b := range h.Buckets {
-					fmt.Fprintf(w, "%s_bucket{%s} %d\n", fam, lbl(fmt.Sprintf("le=%q", fmtG(b.LE))), b.Count)
-				}
-				fmt.Fprintf(w, "%s_bucket{%s} %d\n", fam, lbl(`le="+Inf"`), h.Count)
-				fmt.Fprintf(w, "%s_sum{%s} %g\n", fam, lbl(""), h.Sum)
-				fmt.Fprintf(w, "%s_count{%s} %d\n", fam, lbl(""), h.Count)
-			}
-		}
-	}
-}
-
-func fmtG(v float64) string { return fmt.Sprintf("%g", v) }
-
-func int64Keys(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-func float64Keys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-func histKeys(m map[string]telemetry.HistSnapshot) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// snapshotFamilies returns the sorted union of family base names across
-// every cell's keys of one metric class.
-func snapshotFamilies(cells map[string]*telemetry.Snapshot, keys func(*telemetry.Snapshot) []string) []string {
-	set := make(map[string]bool)
-	for _, s := range cells {
-		for _, k := range keys(s) {
-			set[baseName(k)] = true
-		}
-	}
-	return sortedKeys(set)
-}
-
-// familyKeys filters keys to one family, sorted.
-func familyKeys(keys []string, fam string) []string {
-	var out []string
-	for _, k := range keys {
-		if baseName(k) == fam {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
+	s.collect()
+	s.reg.WriteProm(w)
+	telemetry.WriteKeyedProm(w, "cell", s.snapshots())
 }

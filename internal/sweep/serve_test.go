@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"io"
@@ -11,53 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"lrcrace/internal/telemetry/promtest"
 )
-
-// promLine matches one Prometheus text-format sample:
-// name{labels} value — labels optional, value a Go float.
-var promLine = regexp.MustCompile(
-	`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*,?\})? -?[0-9].*$`)
-
-// checkPromText validates a /metrics body: every non-comment line is a
-// well-formed sample and every family declares its # TYPE exactly once.
-func checkPromText(t *testing.T, body string) {
-	t.Helper()
-	typed := map[string]bool{}
-	sc := bufio.NewScanner(strings.NewReader(body))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lines := 0
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		lines++
-		if strings.HasPrefix(line, "# TYPE ") {
-			fields := strings.Fields(line)
-			if len(fields) != 4 {
-				t.Errorf("malformed TYPE line: %q", line)
-				continue
-			}
-			if typed[fields[2]] {
-				t.Errorf("family %s declared # TYPE twice", fields[2])
-			}
-			typed[fields[2]] = true
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !promLine.MatchString(line) {
-			t.Errorf("unparseable metrics line: %q", line)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if lines == 0 {
-		t.Error("empty /metrics body")
-	}
-}
 
 func get(t *testing.T, url string) (int, string) {
 	t.Helper()
@@ -119,7 +74,7 @@ func TestServeLiveMetrics(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics mid-run: status %d", code)
 	}
-	checkPromText(t, body)
+	promtest.Check(t, body)
 	if !strings.Contains(body, "sweep_cells_total 4") {
 		t.Errorf("/metrics missing sweep_cells_total 4:\n%.400s", body)
 	}
@@ -153,7 +108,7 @@ func TestServeLiveMetrics(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics post-run: status %d", code)
 	}
-	checkPromText(t, body)
+	promtest.Check(t, body)
 	cells, _ := plan.Expand()
 	for _, c := range cells {
 		if !strings.Contains(body, `cell="`+c.ID+`"`) {
@@ -166,5 +121,27 @@ func TestServeLiveMetrics(t *testing.T) {
 	// Cell-free aggregate lines exist alongside the labeled ones.
 	if !regexp.MustCompile(`(?m)^telemetry_events_total\{kind="BarrierArrive"\} \d+$`).MatchString(body) {
 		t.Error("final /metrics missing cell-free aggregate for telemetry_events_total")
+	}
+}
+
+// TestMetricsEscapesCellID: Expand keeps a cell whose app no registry knows
+// (it fails at run time, with metrics), so a cell ID is outside input and
+// must reach /metrics escaped like any label value. Spliced in raw, an app
+// named x"y made the whole exposition unparseable.
+func TestMetricsEscapesCellID(t *testing.T) {
+	s, err := New(&Plan{Apps: []string{`x"y`}, Procs: []int{2}}, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := s.Run(context.Background())
+	if err != nil || sum.Failed != 1 {
+		t.Fatalf("sweep of an unknown app: %+v, %v (want one failed cell)", sum, err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	_, body := get(t, srv.URL+"/metrics")
+	promtest.Check(t, body)
+	if !strings.Contains(body, `{cell="x\"y-`) {
+		t.Errorf("/metrics does not carry the escaped cell ID:\n%.600s", body)
 	}
 }

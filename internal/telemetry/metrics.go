@@ -134,6 +134,17 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
+// snapshot freezes the histogram with cumulative bucket counts.
+func (h *Histogram) snapshot() HistSnapshot {
+	hs := HistSnapshot{Count: h.Count(), Sum: h.Sum()}
+	cum := int64(0)
+	for i, b := range h.bounds {
+		cum += h.counts[i].Load()
+		hs.Buckets = append(hs.Buckets, BucketCount{LE: b, Count: cum})
+	}
+	return hs
+}
+
 // Counter returns (creating if needed) the counter name{labels}.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	r.mu.Lock()
@@ -168,12 +179,19 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	}).(*Histogram)
 }
 
+// formatFloat is the registry's sample format: integral values print as
+// integers, everything else in Go's shortest round-trip form.
 func formatFloat(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return strconv.FormatInt(int64(v), 10)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return formatG(v)
 }
+
+// formatG is the snapshot renderer's sample format, %g: what a keyed
+// /metrics has always carried for gauge values and histogram bounds, kept
+// so those series stay byte-stable for scrapers.
+func formatG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // WriteProm writes the registry in the Prometheus text exposition format,
 // deterministically ordered (families in registration order, series in
@@ -181,46 +199,67 @@ func formatFloat(v float64) string {
 func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	p := promWriter{w: w}
 	for _, name := range r.order {
 		f := r.families[name]
-		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
-			return err
-		}
+		p.header(f.name, f.help, f.typ)
 		for _, lk := range f.order {
-			m := f.series[lk]
-			switch v := m.(type) {
+			switch v := f.series[lk].(type) {
 			case *Counter:
-				fmt.Fprintf(w, "%s %d\n", seriesName(f.name, lk), v.Value())
+				p.sample(f.name, lk, strconv.FormatInt(v.Value(), 10))
 			case *Gauge:
-				fmt.Fprintf(w, "%s %s\n", seriesName(f.name, lk), formatFloat(v.Value()))
+				p.sample(f.name, lk, formatFloat(v.Value()))
 			case *Histogram:
-				cum := int64(0)
-				for i, b := range v.bounds {
-					cum += v.counts[i].Load()
-					fmt.Fprintf(w, "%s %d\n",
-						seriesName(f.name+"_bucket", joinLabels(lk, fmt.Sprintf("le=%q", formatFloat(b)))), cum)
-				}
-				cum += v.counts[len(v.bounds)].Load()
-				fmt.Fprintf(w, "%s %d\n",
-					seriesName(f.name+"_bucket", joinLabels(lk, `le="+Inf"`)), cum)
-				fmt.Fprintf(w, "%s %s\n", seriesName(f.name+"_sum", lk), formatFloat(v.Sum()))
-				fmt.Fprintf(w, "%s %d\n", seriesName(f.name+"_count", lk), v.Count())
+				p.histogram(f.name, lk, v.snapshot(), formatFloat)
 			}
 		}
 	}
-	return nil
+	return p.err
 }
 
-func joinLabels(lk, extra string) string {
-	if lk == "" {
-		return extra
+// promWriter is the one emitter of exposition lines: Registry.WriteProm
+// and WriteKeyedProm both go through it. The first write error sticks.
+type promWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (p *promWriter) printf(format string, args ...interface{}) {
+	if p.err == nil {
+		_, p.err = fmt.Fprintf(p.w, format, args...)
 	}
-	return lk + "," + extra
+}
+
+// header opens a family: its # HELP line when there is help text, and its
+// one # TYPE line.
+func (p *promWriter) header(name, help, typ string) {
+	if help != "" {
+		p.printf("# HELP %s %s\n", name, help)
+	}
+	p.printf("# TYPE %s %s\n", name, typ)
+}
+
+func (p *promWriter) sample(name, lk, value string) {
+	p.printf("%s %s\n", seriesName(name, lk), value)
+}
+
+// histogram writes one histogram series — cumulative buckets, the implicit
+// +Inf bucket, sum and count — with format rendering bounds and sum.
+func (p *promWriter) histogram(name, lk string, h HistSnapshot, format func(float64) string) {
+	for _, b := range h.Buckets {
+		p.sample(name+"_bucket", joinLabels(lk, fmt.Sprintf("le=%q", format(b.LE))), strconv.FormatInt(b.Count, 10))
+	}
+	p.sample(name+"_bucket", joinLabels(lk, `le="+Inf"`), strconv.FormatInt(h.Count, 10))
+	p.sample(name+"_sum", lk, format(h.Sum))
+	p.sample(name+"_count", lk, strconv.FormatInt(h.Count, 10))
+}
+
+// joinLabels joins two rendered label lists, either of which may be empty.
+func joinLabels(a, b string) string {
+	if a == "" || b == "" {
+		return a + b
+	}
+	return a + "," + b
 }
 
 // HistSnapshot is a Histogram frozen for serialization. Bucket counts are
@@ -247,15 +286,29 @@ type Snapshot struct {
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot freezes the registry.
-func (r *Registry) Snapshot() *Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := &Snapshot{
+// NewSnapshot returns an empty snapshot: the zero of Merge.
+func NewSnapshot() *Snapshot {
+	return &Snapshot{
 		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]float64),
 		Histograms: make(map[string]HistSnapshot),
 	}
+}
+
+// splitKey splits a series key into its family name and rendered label
+// list: name{k="v",...} → (name, `k="v",...`), name → (name, "").
+func splitKey(key string) (name, lk string) {
+	if i := strings.IndexByte(key, '{'); i >= 0 {
+		return key[:i], strings.TrimSuffix(key[i+1:], "}")
+	}
+	return key, ""
+}
+
+// Snapshot freezes the registry.
+func (r *Registry) Snapshot() *Snapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := NewSnapshot()
 	for _, name := range r.order {
 		f := r.families[name]
 		for _, lk := range f.order {
@@ -266,13 +319,7 @@ func (r *Registry) Snapshot() *Snapshot {
 			case *Gauge:
 				s.Gauges[key] = v.Value()
 			case *Histogram:
-				hs := HistSnapshot{Count: v.Count(), Sum: v.Sum()}
-				cum := int64(0)
-				for i, b := range v.bounds {
-					cum += v.counts[i].Load()
-					hs.Buckets = append(hs.Buckets, BucketCount{LE: b, Count: cum})
-				}
-				s.Histograms[key] = hs
+				s.Histograms[key] = v.snapshot()
 			}
 		}
 	}
@@ -299,10 +346,7 @@ var wallDependentSeries = map[string]bool{
 // its family is not wall-dependent, and it is not the Retransmit or
 // LinkDead event count (both produced by real timers).
 func canonicalKey(key string) bool {
-	base := key
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		base = key[:i]
-	}
+	base, _ := splitKey(key)
 	if wallDependentSeries[base] {
 		return false
 	}
@@ -323,24 +367,18 @@ func canonicalKey(key string) bool {
 // per-type net_* traffic counters by timer-driven resends; byte-identical
 // aggregation is guaranteed only for grids without the reliable sublayer.)
 func (s *Snapshot) Canonical() *Snapshot {
-	out := &Snapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistSnapshot),
+	return &Snapshot{
+		Counters:   canonicalSeries(s.Counters),
+		Gauges:     canonicalSeries(s.Gauges),
+		Histograms: canonicalSeries(s.Histograms),
 	}
-	for k, v := range s.Counters {
+}
+
+func canonicalSeries[V any](m map[string]V) map[string]V {
+	out := make(map[string]V)
+	for k, v := range m {
 		if canonicalKey(k) {
-			out.Counters[k] = v
-		}
-	}
-	for k, v := range s.Gauges {
-		if canonicalKey(k) {
-			out.Gauges[k] = v
-		}
-	}
-	for k, v := range s.Histograms {
-		if canonicalKey(k) {
-			out.Histograms[k] = v
+			out[k] = v
 		}
 	}
 	return out
@@ -348,15 +386,131 @@ func (s *Snapshot) Canonical() *Snapshot {
 
 // CounterTotal sums every counter series of the family name (e.g. all
 // net_bytes_total{type=...} series). A series with no labels contributes
-// its value directly.
+// its value directly, and a full series key selects that one series.
 func (s *Snapshot) CounterTotal(name string) int64 {
 	var n int64
 	for k, v := range s.Counters {
-		if k == name || strings.HasPrefix(k, name+"{") {
+		if base, _ := splitKey(k); base == name || k == name {
 			n += v
 		}
 	}
 	return n
+}
+
+// Merge adds o into s: counters and gauges sum key-wise, histograms merge
+// when their bucket structures agree (a mismatched one keeps what s already
+// holds — it cannot happen between runs that share the registration code).
+// Gauges sum because every gauge a run publishes is a per-run total
+// (virtual ns, memory bytes, checkpoint counts). It is the one place
+// snapshots are summed: a sweep's aggregate document and the unlabeled
+// rows of a keyed /metrics are both folds of Merge over NewSnapshot.
+func (s *Snapshot) Merge(o *Snapshot) {
+	for k, v := range o.Counters {
+		s.Counters[k] += v
+	}
+	for k, v := range o.Gauges {
+		s.Gauges[k] += v
+	}
+	for k, h := range o.Histograms {
+		have, ok := s.Histograms[k]
+		if !ok {
+			h.Buckets = append([]BucketCount(nil), h.Buckets...)
+			s.Histograms[k] = h
+			continue
+		}
+		if len(have.Buckets) != len(h.Buckets) {
+			continue
+		}
+		have.Count += h.Count
+		have.Sum += h.Sum
+		for i := range have.Buckets {
+			have.Buckets[i].Count += h.Buckets[i].Count
+		}
+		s.Histograms[k] = have
+	}
+}
+
+// keys returns the sorted series keys of one exposition type.
+func (s *Snapshot) keys(typ string) []string {
+	switch typ {
+	case "counter":
+		return sortedKeys(s.Counters)
+	case "gauge":
+		return sortedKeys(s.Gauges)
+	}
+	return sortedKeys(s.Histograms)
+}
+
+// write emits the series key of exposition type typ, when s has it, with
+// lead prepended to its label list.
+func (s *Snapshot) write(p *promWriter, typ, key, lead string) {
+	name, lk := splitKey(key)
+	lk = joinLabels(lead, lk)
+	switch typ {
+	case "counter":
+		if v, ok := s.Counters[key]; ok {
+			p.sample(name, lk, strconv.FormatInt(v, 10))
+		}
+	case "gauge":
+		if v, ok := s.Gauges[key]; ok {
+			p.sample(name, lk, formatG(v))
+		}
+	default:
+		if h, ok := s.Histograms[key]; ok {
+			p.histogram(name, lk, h, formatG)
+		}
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// WriteKeyedProm renders a keyed set of snapshots as one valid Prometheus
+// text exposition: each family appears once (# TYPE emitted a single
+// time), carrying every snapshot's series with a leading label="id" pair
+// (the sweep labels cells cell="<id>", the detection service labels
+// sessions session="<id>"; the id is escaped like any label value), and —
+// for counters and gauges — the unlabeled aggregate row per original
+// series, which is Merge over the snapshots in id order. Histograms are
+// rendered per id only. Ordering is fully deterministic: counters, then
+// gauges, then histograms; families, ids and series keys sorted.
+func WriteKeyedProm(w io.Writer, label string, snaps map[string]*Snapshot) error {
+	ids := sortedKeys(snaps)
+	agg := NewSnapshot()
+	leads := make([]string, len(ids)) // each id's rendered label="id" pair
+	for i, id := range ids {
+		agg.Merge(snaps[id])
+		leads[i] = labelKey([]Label{{label, id}})
+	}
+	p := promWriter{w: w}
+	for _, typ := range []string{"counter", "gauge", "histogram"} {
+		// agg holds the union of every snapshot's keys.
+		families := make(map[string][]string)
+		for _, key := range agg.keys(typ) {
+			name, _ := splitKey(key)
+			families[name] = append(families[name], key)
+		}
+		for _, name := range sortedKeys(families) {
+			p.header(name, "", typ)
+			for i, id := range ids {
+				for _, key := range families[name] {
+					snaps[id].write(&p, typ, key, leads[i])
+				}
+			}
+			if typ != "histogram" {
+				for _, key := range families[name] {
+					agg.write(&p, typ, key, "")
+				}
+			}
+		}
+	}
+	return p.err
 }
 
 // MarshalJSON renders the snapshot with deterministic key order (Go maps

@@ -3,8 +3,13 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"lrcrace/internal/telemetry/promtest"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -106,6 +111,9 @@ func TestSnapshotAndCounterTotal(t *testing.T) {
 	if got := s.CounterTotal("net_bytes_total"); got != 150 {
 		t.Fatalf("CounterTotal = %d, want 150 (must not include net_bytes)", got)
 	}
+	if got := s.CounterTotal(`net_bytes_total{type="B"}`); got != 50 {
+		t.Fatalf("CounterTotal of a full series key = %d, want that series' 50", got)
+	}
 	if s.Gauges["run_ns"] != 42 {
 		t.Fatalf("snapshot gauge = %v", s.Gauges["run_ns"])
 	}
@@ -141,5 +149,112 @@ func TestLabelKeyOrderInsensitive(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `m{x="1",y="2"} 0`) {
 		t.Fatalf("labels not sorted in exposition:\n%s", buf.String())
+	}
+}
+
+// keyedFixture loads the fixed three-snapshot input whose rendering and
+// aggregate were recorded at the commit before WriteKeyedProm and Merge
+// existed (sweep.WriteSnapshotsProm, sweep.mergeSnapshots).
+func keyedFixture(t *testing.T) map[string]*Snapshot {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/keyed_input.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in map[string]*Snapshot
+	if err := json.Unmarshal(raw, &in); err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// TestKeyedPromMatchesRecorded holds WriteKeyedProm to the recorded
+// exposition byte for byte, except the one documented difference: an id is
+// now escaped like any other label value (the recording spliced x"y in raw,
+// which no parser accepts).
+func TestKeyedPromMatchesRecorded(t *testing.T) {
+	want, err := os.ReadFile("testdata/keyed_parent.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := WriteKeyedProm(&got, "cell", keyedFixture(t)); err != nil {
+		t.Fatal(err)
+	}
+	escaped := strings.ReplaceAll(string(want), `cell="x"y-`, `cell="x\"y-`)
+	if escaped == string(want) {
+		t.Fatal("recorded exposition has no raw-quote id; the fixture lost its escaping case")
+	}
+	if got.String() != escaped {
+		t.Fatalf("WriteKeyedProm output:\n%s\nwant:\n%s", got.String(), escaped)
+	}
+	types := promtest.Check(t, got.String())
+	if types["net_msgs"] != "counter" || types["net_msgs_total"] != "counter" || types["run_procs"] != "gauge" {
+		t.Fatalf("family types = %v", types)
+	}
+}
+
+// TestMergeMatchesRecorded folds Merge over the fixture in id order and
+// compares with the recorded aggregate document.
+func TestMergeMatchesRecorded(t *testing.T) {
+	want, err := os.ReadFile("testdata/merge_parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := keyedFixture(t)
+	agg := NewSnapshot()
+	for _, id := range sortedKeys(in) {
+		agg.Merge(in[id])
+	}
+	got, err := json.MarshalIndent(agg, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got)+"\n" != string(want) {
+		t.Fatalf("Merge aggregate:\n%s\nwant:\n%s", got, want)
+	}
+	// Merge copies bucket slices: the inputs are untouched.
+	if h := in["FFT-s0.25-p2"].Histograms["dsm_barrier_wait_ns"]; h.Count != 6 || h.Buckets[1].Count != 4 {
+		t.Fatalf("Merge mutated its input: %+v", h)
+	}
+}
+
+// TestPropertyMergeCommutes: Merge(a, b) == Merge(b, a) for random
+// snapshots over a shared key space (same bucket structure per key, as runs
+// sharing the registration code have).
+func TestPropertyMergeCommutes(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	keys := []string{"a_total", `a_total{k="v"}`, "a", `b{x="1",y="2"}`, "c_ns"}
+	random := func() *Snapshot {
+		s := NewSnapshot()
+		for _, k := range keys {
+			if rng.Intn(3) > 0 {
+				s.Counters[k] = rng.Int63n(1 << 40)
+			}
+			if rng.Intn(3) > 0 {
+				s.Gauges[k] = rng.Float64() * 1e9
+			}
+			if rng.Intn(3) > 0 {
+				h := HistSnapshot{Sum: rng.Float64() * 1e6}
+				for i := 0; i <= len(k)%3; i++ {
+					h.Count += rng.Int63n(100)
+					h.Buckets = append(h.Buckets, BucketCount{LE: float64(10 * (i + 1)), Count: h.Count})
+				}
+				s.Histograms[k] = h
+			}
+		}
+		return s
+	}
+	merged := func(a, b *Snapshot) *Snapshot {
+		out := NewSnapshot()
+		out.Merge(a)
+		out.Merge(b)
+		return out
+	}
+	for i := 0; i < 200; i++ {
+		a, b := random(), random()
+		if ab, ba := merged(a, b), merged(b, a); !reflect.DeepEqual(ab, ba) {
+			t.Fatalf("iteration %d: Merge(a,b) = %+v, Merge(b,a) = %+v", i, ab, ba)
+		}
 	}
 }

@@ -101,12 +101,12 @@ func New(cfg Config) (*System, error) { return dsm.New(cfg) }
 
 // Crash tolerance (see docs/ROBUSTNESS.md): always-on barrier-epoch
 // checkpointing (disable with Config.NoCheckpoint), injected fail-stop
-// crashes (Config.Crash, Config.Crashes), checkpoint corruption
+// crashes (Config.Crashes), checkpoint corruption
 // (Config.Corruption), and coordinated rollback recovery via
 // System.RunEpochs.
 type (
 	// CrashPlan schedules the deterministic fail-stop death of one process;
-	// set it via Config.Crash (or several via Config.Crashes). Recovery
+	// set one or several via Config.Crashes. Recovery
 	// requires checkpointing (the default) plus a detection path
 	// (Config.Reliable or Config.BarrierWallTimeout).
 	CrashPlan = dsm.CrashPlan

@@ -153,7 +153,7 @@ func TestFacadeCrashRecovery(t *testing.T) {
 		Detect:             true,
 		Reliable:           true,
 		BarrierWallTimeout: 5 * time.Second,
-		Crash:              &lrcrace.CrashPlan{Victim: 1, Epoch: 1, Point: lrcrace.CrashMidInterval},
+		Crashes:            []*lrcrace.CrashPlan{{Victim: 1, Epoch: 1, Point: lrcrace.CrashMidInterval}},
 	})
 	if err != nil {
 		t.Fatal(err)
