@@ -27,6 +27,11 @@ const gcEvery = 64
 // interval and are retired, bounding the history — the Go-frontend
 // analogue of "our system only discards trace information when it has
 // been checked for races" (§6.4).
+//
+// The detector owns its history outright: each retained record carries its
+// own interval.Footprint, so the check reads a pair's bitmaps straight off
+// the two records (no interval-keyed store to hash into), and the horizon
+// GC drops a record and its bitmaps in one step.
 type detector struct {
 	p       *Program
 	n       int
@@ -36,8 +41,7 @@ type detector struct {
 	idx     []vc.Index
 	vcs     []vc.VC
 	bld     []*interval.Builder
-	store   *interval.BitmapStore
-	records []*interval.Record
+	records []retained // in close order
 	reports []race.Report
 
 	closes          int
@@ -49,12 +53,38 @@ type detector struct {
 	wordOverlaps    int
 	recordsGCed     int
 
-	pageScratch []mem.PageID
+	// Per-close scratch, reused so a close that reports nothing allocates
+	// nothing per retained record.
+	pageScratch  []mem.PageID
+	entryScratch []race.CheckEntry
+	pair         pairSource
+}
+
+// retained is one closed interval still held for checking: the record's
+// identity, clock and notices, with the word bitmaps beside them.
+type retained struct {
+	ID           vc.IntervalID
+	VC           vc.VC
+	WriteNotices []mem.PageID
+	ReadNotices  []mem.PageID
+	fp           *interval.Footprint
+}
+
+// pairSource is the race.BitmapSource of one concurrent pair: the check
+// entries handed to race.CompareShard name only its two intervals.
+type pairSource struct{ a, b *retained }
+
+// Bitmaps implements race.BitmapSource.
+func (ps *pairSource) Bitmaps(id vc.IntervalID, p mem.PageID) (read, write mem.Bitmap) {
+	if id == ps.a.ID {
+		return ps.a.fp.Get(p)
+	}
+	return ps.b.fp.Get(p)
 }
 
 func newDetector(p *Program) *detector {
 	n := p.cfg.MaxGs
-	d := &detector{
+	return &detector{
 		p:       p,
 		n:       n,
 		enabled: p.cfg.Detect,
@@ -63,10 +93,6 @@ func newDetector(p *Program) *detector {
 		vcs:     make([]vc.VC, n),
 		bld:     make([]*interval.Builder, n),
 	}
-	if d.enabled {
-		d.store = interval.NewBitmapStore()
-	}
-	return d
 }
 
 // startG opens goroutine g's first interval with the spawning parent's
@@ -106,12 +132,14 @@ func (d *detector) closeInterval(g int) vc.VC {
 	rel := d.vcs[g].Copy()
 	if d.enabled && !d.bld[g].Empty() {
 		id := vc.IntervalID{Proc: g, Index: d.idx[g]}
-		r := d.bld[g].Finish(id, d.vcs[g], 0, d.store)
+		r, fp := d.bld[g].FinishFootprint(id, d.vcs[g], 0)
 		d.intervals++
 		d.p.scope.Emit(g, telemetry.KIntervalClose, d.p.vt,
 			int64(d.idx[g]), int64(len(r.WriteNotices)), int64(len(r.ReadNotices)))
-		d.check(r)
-		d.records = append(d.records, r)
+		d.records = append(d.records, retained{
+			ID: r.ID, VC: r.VC, WriteNotices: r.WriteNotices, ReadNotices: r.ReadNotices, fp: fp,
+		})
+		d.check()
 	}
 	d.idx[g]++
 	d.vcs[g][g] = d.idx[g]
@@ -130,13 +158,16 @@ func (d *detector) join(g int, rel vc.VC) {
 	}
 }
 
-// check compares the newly closed record r against every retained record
-// of another goroutine that is concurrent with it: page-notice overlap
-// pre-filter, then the word-bitmap comparison kernel.
-func (d *detector) check(r *interval.Record) {
+// check compares the newly closed record — the last retained one — against
+// every earlier retained record of another goroutine that is concurrent
+// with it: page-notice overlap pre-filter, then the word-bitmap comparison
+// kernel, once per concurrent pair.
+func (d *detector) check() {
+	last := len(d.records) - 1
+	r := &d.records[last]
 	pairs, bitmaps, found := 0, 0, 0
-	var entries []race.CheckEntry
-	for _, s := range d.records {
+	for i := range d.records[:last] {
+		s := &d.records[i]
 		if s.ID.Proc == r.ID.Proc {
 			continue
 		}
@@ -154,32 +185,33 @@ func (d *detector) check(r *interval.Record) {
 			continue
 		}
 		interval.SortPages(pages)
-		last := mem.PageID(-1)
+		entries := d.entryScratch[:0]
+		prev := mem.PageID(-1)
 		for _, pg := range pages {
-			if pg == last {
+			if pg == prev {
 				continue
 			}
-			last = pg
+			prev = pg
 			entries = append(entries, race.CheckEntry{A: s.ID, B: r.ID, Page: pg})
 		}
-	}
-	d.pairsExamined += pairs
-	if len(entries) > 0 {
-		reports, st := race.CompareShard(d.p.layout, entries, race.StoreSource{Store: d.store}, 0)
+		d.entryScratch = entries
+		d.pair = pairSource{a: s, b: r}
+		reports, st := race.CompareShard(d.p.layout, entries, &d.pair, 0)
 		d.checkEntries += len(entries)
 		d.bitmapsCompared += st.BitmapsCompared
 		d.wordOverlaps += st.WordOverlaps
-		bitmaps = st.BitmapsCompared
-		found = len(reports)
+		bitmaps += st.BitmapsCompared
+		found += len(reports)
 		d.reports = append(d.reports, reports...)
 	}
+	d.pairsExamined += pairs
 	d.p.scope.Emit(r.ID.Proc, telemetry.KGoCheck, d.p.vt, int64(pairs), int64(bitmaps), int64(found))
 }
 
-// gc retires records at or below the knowledge horizon: the pointwise
-// minimum of every live goroutine's version vector. Such a record precedes
-// every interval any live goroutine can still open (vectors only grow), so
-// it can never again appear in a concurrent pair.
+// gc retires records — each with its bitmaps — at or below the knowledge
+// horizon: the pointwise minimum of every live goroutine's version vector.
+// Such a record precedes every interval any live goroutine can still open
+// (vectors only grow), so it can never again appear in a concurrent pair.
 //
 // A blocked goroutine contributes not its stale current clock but that
 // clock merged with its resume lower bound (futureLB): the clock it is
@@ -228,7 +260,6 @@ func (d *detector) gc() {
 	}
 	clear(d.records[len(kept):])
 	d.records = kept
-	d.store.DiscardBelow(horizon)
 }
 
 // finishAll closes the current interval of every goroutine that has not

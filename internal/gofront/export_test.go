@@ -1,0 +1,11 @@
+package gofront
+
+import "lrcrace/internal/telemetry"
+
+// RunRandomProgram runs the seeded random program genProg(seed) with
+// detection on, recording into rec — the randomized family, exported to
+// the external pinned-reference test (which must import the KV workloads,
+// and they import this package).
+func RunRandomProgram(seed int64, rec *telemetry.Recorder) *Result {
+	return genProg(seed).runWith(Config{Seed: seed, Detect: true, Recorder: rec})
+}

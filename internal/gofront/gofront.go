@@ -23,6 +23,8 @@ package gofront
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 
 	"lrcrace/internal/mem"
@@ -98,7 +100,6 @@ type G struct {
 	id     int
 	state  gstate
 	resume chan struct{}
-	reason string // why blocked, for deadlock diagnostics
 
 	// Completion slots for blocking ops, filled by the waking peer.
 	recvVal uint64
@@ -129,11 +130,12 @@ type Program struct {
 	rng    *rand.Rand
 	scope  telemetry.Scope
 
-	gs     []*G
-	parked chan struct{}
+	gs        []*G
+	parked    chan struct{}
+	abandoned bool // set as Run returns: a resumed goroutine exits
 
 	det   *detector
-	trace []Event
+	trace [][]Event // traceChunk-sized chunks; finish flattens them
 	vt    int64
 
 	syms     []Symbol
@@ -199,7 +201,9 @@ func (p *Program) newG() *G {
 // exited or the remainder are deadlocked (a deadlock is recorded, not
 // fatal: the trace prefix and all closed intervals are still checked, so
 // cross-validation covers deadlocking programs too). Run may be called
-// once.
+// once. It ends the OS goroutines of a deadlocked program's blocked
+// goroutines with runtime.Goexit as it returns, so their deferred calls run
+// then and must not use the Program.
 func (p *Program) Run(root func(*G)) *Result {
 	if p.ran {
 		panic("gofront: Run called twice")
@@ -230,7 +234,14 @@ func (p *Program) Run(root func(*G)) *Result {
 		g.resume <- struct{}{}
 		<-p.parked
 	}
-	return p.finish()
+	res := p.finish()
+	p.abandoned = true
+	for _, g := range p.gs {
+		if g.state == gBlocked {
+			g.resume <- struct{}{}
+		}
+	}
+	return res
 }
 
 // startG begins goroutine g with the parent's release clock (nil for the
@@ -270,14 +281,15 @@ func (g *G) yield() {
 	}
 	g.p.parked <- struct{}{}
 	<-g.resume
+	if g.p.abandoned {
+		runtime.Goexit()
+	}
 }
 
 // block parks the goroutine until a peer completes its pending op.
-func (g *G) block(reason string) {
+func (g *G) block() {
 	g.state = gBlocked
-	g.reason = reason
 	g.yield()
-	g.reason = ""
 }
 
 // wake marks a blocked goroutine runnable (its pending op was completed by
@@ -321,7 +333,7 @@ func (g *G) Join(t *G) {
 	}
 	t.joiners = append(t.joiners, g)
 	g.futureLB = func() vcClock { return p.det.vcs[t.id] }
-	g.block(fmt.Sprintf("join g%d", t.id))
+	g.block()
 }
 
 // Load reads the shared word at a.
@@ -344,8 +356,18 @@ func (g *G) Store(a mem.Addr, v uint64) {
 	p.seg.SetWord(a, v)
 }
 
+// traceChunk is the event count of one trace chunk. The trace grows a
+// chunk at a time and finish copies it out once at its final size, where
+// regrowing one slice of 48-byte events by 1.25x would allocate about five
+// times the final trace.
+const traceChunk = 1024
+
 func (p *Program) emit(op Op, g, obj, seq, seq2 int, a mem.Addr) {
-	p.trace = append(p.trace, Event{Op: op, G: g, Obj: obj, Seq: seq, Seq2: seq2, Addr: a})
+	if n := len(p.trace); n == 0 || len(p.trace[n-1]) == traceChunk {
+		p.trace = append(p.trace, make([]Event, 0, traceChunk))
+	}
+	last := &p.trace[len(p.trace)-1]
+	*last = append(*last, Event{Op: op, G: g, Obj: obj, Seq: seq, Seq2: seq2, Addr: a})
 	if op > OpStore { // sync ops only; loads/stores would flood the rings
 		p.scope.Emit(g, telemetry.KGoSync, p.vt, int64(op), int64(obj), int64(p.det.idx[g]))
 	}
@@ -435,7 +457,7 @@ func (p *Program) finish() *Result {
 	return &Result{
 		Races:      deduped,
 		RacyAddrs:  addrs,
-		Trace:      p.trace,
+		Trace:      slices.Concat(p.trace...),
 		Stats:      p.stats,
 		NumGs:      len(p.gs),
 		VirtualNS:  p.vt,

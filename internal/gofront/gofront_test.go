@@ -3,7 +3,9 @@ package gofront
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"lrcrace/internal/mem"
 )
@@ -323,8 +325,10 @@ func TestTransitiveChannelChain(t *testing.T) {
 }
 
 // A deadlocked program still reports the races of its executed prefix and
-// still cross-validates.
+// still cross-validates, and its parked goroutines end once Run returns —
+// fuzzing runs thousands of deadlocking programs per second.
 func TestDeadlockedProgramStillChecks(t *testing.T) {
+	before := runtime.NumGoroutine()
 	var x mem.Addr
 	res := runProg(t, 1, func(p *Program) func(*G) {
 		x = p.Alloc("x", 1)
@@ -342,6 +346,12 @@ func TestDeadlockedProgramStillChecks(t *testing.T) {
 		t.Fatal("want Deadlocked")
 	}
 	wantRacy(t, res, x)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after a deadlocked run, %d before", n, before)
+	}
 }
 
 // Same seed, same program: byte-identical trace and race set. Different
@@ -430,5 +440,43 @@ func TestDetectOff(t *testing.T) {
 	}
 	if hb := RacyAddrsHB(res.Trace, res.NumGs); len(hb) != 1 || hb[0] != x {
 		t.Fatalf("replay on detect-off trace = %v, want [%v]", hb, x)
+	}
+}
+
+// Closing an interval allocates a fixed count however many concurrent
+// records it is checked against: the per-pair path — vector compare, page
+// filter, check entries, bitmap compare — reuses detector scratch and reads
+// bitmaps off the records, so a close that reports nothing allocates only
+// its own record, footprint and clocks.
+func TestCloseAllocsIndependentOfRetained(t *testing.T) {
+	closeAllocs := func(retained int) float64 {
+		p := New(Config{MaxGs: retained + 1, Detect: true})
+		d := p.det
+		for g := 0; g <= retained; g++ {
+			d.startG(g, nil)
+		}
+		// Goroutine g writes word g of page 0: every record overlaps the
+		// probe's page, none its word.
+		for g := 1; g <= retained; g++ {
+			d.noteWrite(g, mem.Addr(g*mem.WordSize))
+			d.closeInterval(g)
+		}
+		base := len(d.records)
+		entries := d.checkEntries
+		allocs := testing.AllocsPerRun(50, func() {
+			d.noteRead(0, 0)
+			d.closeInterval(0)
+			d.records = d.records[:base]
+		})
+		if got := d.checkEntries - entries; got != 51*retained {
+			t.Fatalf("%d retained: %d check entries over 51 closes, want %d", retained, got, 51*retained)
+		}
+		if len(d.reports) != 0 {
+			t.Fatalf("%d retained: %d reports, want none", retained, len(d.reports))
+		}
+		return allocs
+	}
+	if few, many := closeAllocs(2), closeAllocs(32); few != many {
+		t.Fatalf("a close allocates %v times against 2 retained records but %v against 32", few, many)
 	}
 }

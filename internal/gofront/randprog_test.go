@@ -106,7 +106,13 @@ func (p *rprog) genScript(rng *rand.Rand, depth int) []rinst {
 
 // run executes the generated program under gofront and returns the result.
 func (p *rprog) run(seed int64, detect bool) *Result {
-	prog := New(Config{MaxGs: rpMaxGs, Seed: seed, Detect: detect})
+	return p.runWith(Config{Seed: seed, Detect: detect})
+}
+
+// runWith is run under cfg; MaxGs is the generator's budget.
+func (p *rprog) runWith(cfg Config) *Result {
+	cfg.MaxGs = rpMaxGs
+	prog := New(cfg)
 	base := prog.Alloc("s", p.words)
 	addr := func(w int) mem.Addr { return base + mem.Addr(w*mem.WordSize) }
 	mus := make([]*Mutex, p.numMu)
@@ -245,6 +251,26 @@ func TestRandomProgramsDetectOffReplay(t *testing.T) {
 			t.Fatalf("seed %d: detect-off replay mismatch: %v vs %v", seed, on.RacyAddrs, want)
 		}
 	}
+}
+
+// FuzzRandomProgram carries the randomized cross-validation to any
+// generator seed: the interval detector's racy address set must equal
+// hbdet's replay of the identical trace, and turning detection off must not
+// move the trace.
+func FuzzRandomProgram(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		p := genProg(seed)
+		on := p.run(seed, true)
+		if want := RacyAddrsHB(on.Trace, on.NumGs); !reflect.DeepEqual(on.RacyAddrs, want) {
+			t.Fatalf("seed %d: racy addr mismatch\n gofront: %v\n hbdet:   %v", seed, on.RacyAddrs, want)
+		}
+		if off := p.run(seed, false); !reflect.DeepEqual(on.Trace, off.Trace) {
+			t.Fatalf("seed %d: detect on/off changed the trace", seed)
+		}
+	})
 }
 
 func init() {

@@ -69,7 +69,7 @@ func (ch *Chan) Send(g *G, v uint64) {
 		}
 		g.sendVal, g.rel = v, rel
 		ch.sendq = append(ch.sendq, g)
-		g.block(fmt.Sprintf("send chan %d", ch.id))
+		g.block()
 		return
 	}
 	if len(ch.buf) < ch.cap {
@@ -80,7 +80,7 @@ func (ch *Chan) Send(g *G, v uint64) {
 	}
 	g.sendVal, g.rel = v, rel
 	ch.sendq = append(ch.sendq, g)
-	g.block(fmt.Sprintf("send chan %d (full)", ch.id))
+	g.block()
 }
 
 // Recv receives from the channel; ok is false for the zero value of a
@@ -107,7 +107,7 @@ func (ch *Chan) Recv(g *G) (v uint64, ok bool) {
 		}
 		g.rel = rel
 		ch.recvq = append(ch.recvq, g)
-		g.block(fmt.Sprintf("recv chan %d", ch.id))
+		g.block()
 		return g.recvVal, g.recvOK
 	}
 	if len(ch.buf) > 0 {
@@ -124,7 +124,7 @@ func (ch *Chan) Recv(g *G) (v uint64, ok bool) {
 	}
 	g.rel = rel
 	ch.recvq = append(ch.recvq, g)
-	g.block(fmt.Sprintf("recv chan %d (empty)", ch.id))
+	g.block()
 	return g.recvVal, g.recvOK
 }
 
@@ -278,7 +278,7 @@ func (m *Mutex) Lock(g *G) {
 		}
 		return nil
 	}
-	g.block(fmt.Sprintf("lock mutex %d", m.id))
+	g.block()
 }
 
 // Unlock releases the mutex and hands it to the head waiter, if any.
@@ -352,7 +352,7 @@ func (m *RWMutex) RLock(g *G) {
 		}
 		return nil
 	}
-	g.block(fmt.Sprintf("rlock rwmutex %d", m.id))
+	g.block()
 }
 
 // RUnlock drops a read lock; when the last reader leaves, a waiting
@@ -399,7 +399,7 @@ func (m *RWMutex) Lock(g *G) {
 		}
 		return nil
 	}
-	g.block(fmt.Sprintf("lock rwmutex %d", m.id))
+	g.block()
 }
 
 // Unlock drops the write lock; all queued readers are admitted together,
@@ -523,5 +523,5 @@ func (w *WaitGroup) Wait(g *G) {
 	// The waiter will join the cycle release clock, which accumulates every
 	// Done of the running cycle — the Dones merged so far bound it below.
 	g.futureLB = func() vcClock { return w.acc }
-	g.block(fmt.Sprintf("wait wg %d", w.id))
+	g.block()
 }

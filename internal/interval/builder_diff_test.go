@@ -173,16 +173,10 @@ func TestBuilderDifferential(t *testing.T) {
 				}
 				ids = append(ids, id)
 				check("after finish")
-			default: // garbage-collect, either entry point
-				if rng.Intn(2) == 0 {
-					hi := vc.Index(rng.Intn(int(idx[p]) + 1))
-					store.DiscardUpTo(p, hi)
-					shared.discard(func(id vc.IntervalID) bool { return id.Proc == p && id.Index <= hi })
-				} else {
-					h := vc.VC{vc.Index(rng.Intn(int(idx[0]) + 1)), vc.Index(rng.Intn(int(idx[1]) + 1))}
-					store.DiscardBelow(h)
-					shared.discard(func(id vc.IntervalID) bool { return id.Index <= h[id.Proc] })
-				}
+			default: // garbage-collect
+				hi := vc.Index(rng.Intn(int(idx[p]) + 1))
+				store.DiscardUpTo(p, hi)
+				shared.discard(func(id vc.IntervalID) bool { return id.Proc == p && id.Index <= hi })
 				check("after discard")
 			}
 		}

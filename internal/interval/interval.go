@@ -158,33 +158,58 @@ func (b *Builder) BitmapCount() int { return len(b.read.pages) + len(b.write.pag
 // write faults, and by tests).
 func (b *Builder) WrotePage(p mem.PageID) bool { return b.write.bits[p] != nil }
 
-// Finish turns the accumulated footprint into a Record with the given
-// identity and drains the builder for reuse. The per-page bitmaps are
-// deposited into store, keyed by the interval, where they stay until a
-// barrier check list requests them or the epoch is garbage collected. The
-// record and the store share the sorted notice lists; neither modifies them.
-func (b *Builder) Finish(id vc.IntervalID, v vc.VC, epoch int32, store *BitmapStore) *Record {
+// FinishFootprint turns the accumulated accesses into a Record with the
+// given identity and the interval's Footprint, and drains the builder for
+// reuse. The record and the footprint share the sorted notice lists;
+// neither modifies them. The footprint is nil when the interval recorded no
+// access.
+func (b *Builder) FinishFootprint(id vc.IntervalID, v vc.VC, epoch int32) (*Record, *Footprint) {
 	rd, wr := b.read.drain(), b.write.drain()
-	if store != nil && len(rd.pages)+len(wr.pages) > 0 {
-		store.put(id, &footprint{read: rd, write: wr})
+	r := &Record{ID: id, VC: v.Copy(), Epoch: epoch, ReadNotices: rd.pages, WriteNotices: wr.pages}
+	if len(rd.pages)+len(wr.pages) == 0 {
+		return r, nil
 	}
-	return &Record{ID: id, VC: v.Copy(), Epoch: epoch, ReadNotices: rd.pages, WriteNotices: wr.pages}
+	return r, &Footprint{read: rd, write: wr}
+}
+
+// Finish is FinishFootprint with the footprint deposited into store, keyed
+// by the interval, where it stays until a barrier check list requests it or
+// the epoch is garbage collected.
+func (b *Builder) Finish(id vc.IntervalID, v vc.VC, epoch int32, store *BitmapStore) *Record {
+	r, fp := b.FinishFootprint(id, v, epoch)
+	if store != nil && fp != nil {
+		store.put(id, fp)
+	}
+	return r
 }
 
 // BitmapStore retains the word-access bitmaps of locally created intervals
 // until the race-detection pass at the next barrier has consumed them.
 // "Our system only discards trace information when it has been checked for
-// races" (§6.4). Bitmaps are kept one footprint per interval — the unit
+// races" (§6.4). Bitmaps are kept one Footprint per interval — the unit
 // Finish deposits and the garbage collector retires.
 type BitmapStore struct {
-	byID map[vc.IntervalID]*footprint
+	byID map[vc.IntervalID]*Footprint
 	n    int // stored bitmaps, read+write
 }
 
-// footprint is one interval's bitmaps, per access direction.
-type footprint struct{ read, write pageBits }
+// Footprint is one interval's word-access bitmaps, per access direction:
+// for each of read and write, the sorted page list (the interval's notices)
+// and the bitmap of every listed page. It is the unit a BitmapStore holds
+// and retires, and the unit a detector that keeps its own records — the Go
+// frontend's close-time check — holds beside each record instead.
+type Footprint struct{ read, write pageBits }
 
-func (fp *footprint) count() int { return len(fp.read.pages) + len(fp.write.pages) }
+// Get returns the read and write bitmaps of page p; either may be nil if
+// no such access occurred. A nil Footprint has no bitmaps.
+func (fp *Footprint) Get(p mem.PageID) (read, write mem.Bitmap) {
+	if fp == nil {
+		return nil, nil
+	}
+	return fp.read.get(p), fp.write.get(p)
+}
+
+func (fp *Footprint) count() int { return len(fp.read.pages) + len(fp.write.pages) }
 
 // pageBits is one direction of a footprint: a sorted page list and the
 // bitmap of each listed page.
@@ -214,25 +239,21 @@ func (pb *pageBits) set(p mem.PageID, bm mem.Bitmap) bool {
 
 // NewBitmapStore returns an empty store.
 func NewBitmapStore() *BitmapStore {
-	return &BitmapStore{byID: make(map[vc.IntervalID]*footprint)}
+	return &BitmapStore{byID: make(map[vc.IntervalID]*Footprint)}
 }
 
 // Get returns the read and write bitmaps of interval id on page p; either
 // may be nil if no such access occurred.
 func (s *BitmapStore) Get(id vc.IntervalID, p mem.PageID) (read, write mem.Bitmap) {
-	fp := s.byID[id]
-	if fp == nil {
-		return nil, nil
-	}
-	return fp.read.get(p), fp.write.get(p)
+	return s.byID[id].Get(p)
 }
 
-func (s *BitmapStore) put(id vc.IntervalID, fp *footprint) {
+func (s *BitmapStore) put(id vc.IntervalID, fp *Footprint) {
 	s.byID[id] = fp
 	s.n += fp.count()
 }
 
-func (s *BitmapStore) drop(id vc.IntervalID, fp *footprint) {
+func (s *BitmapStore) drop(id vc.IntervalID, fp *Footprint) {
 	s.n -= fp.count()
 	delete(s.byID, id)
 }
@@ -242,16 +263,6 @@ func (s *BitmapStore) drop(id vc.IntervalID, fp *footprint) {
 func (s *BitmapStore) DiscardUpTo(proc int, hi vc.Index) {
 	for id, fp := range s.byID {
 		if id.Proc == proc && id.Index <= hi {
-			s.drop(id, fp)
-		}
-	}
-}
-
-// DiscardBelow drops, in one pass, the bitmaps of every interval at or
-// below horizon — DiscardUpTo(p, horizon[p]) for every process p at once.
-func (s *BitmapStore) DiscardBelow(horizon vc.VC) {
-	for id, fp := range s.byID {
-		if id.Proc < len(horizon) && id.Index <= horizon[id.Proc] {
 			s.drop(id, fp)
 		}
 	}
@@ -307,7 +318,7 @@ func compareIDs(a, b vc.IntervalID) int {
 func (s *BitmapStore) Put(id vc.IntervalID, p mem.PageID, write bool, bm mem.Bitmap) {
 	fp := s.byID[id]
 	if fp == nil {
-		fp = &footprint{}
+		fp = &Footprint{}
 		s.byID[id] = fp
 	}
 	side := &fp.read
