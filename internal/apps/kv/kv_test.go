@@ -98,7 +98,7 @@ func TestKVCrossValidates(t *testing.T) {
 				res := run(t, name, gofront.WorkloadConfig{
 					Seed: seed, Detect: true, Racy: racy, HotKeySkew: 0.6,
 				})
-				want := gofront.RacyAddrsHB(res.Trace, res.NumGs)
+				want := gofront.RacyAddrsHB(res.Trace(), res.NumGs)
 				if !reflect.DeepEqual(res.RacyAddrs, want) {
 					t.Fatalf("%s racy=%v seed %d: gofront %v != hbdet %v",
 						name, racy, seed, res.RacyAddrs, want)
@@ -119,7 +119,7 @@ func TestKVDeterministic(t *testing.T) {
 			if s1, s2 := render(r1), render(r2); s1 != s2 {
 				t.Fatalf("%s racy=%v: rendered race set not deterministic:\n%s\nvs\n%s", name, racy, s1, s2)
 			}
-			if !reflect.DeepEqual(r1.Trace, r2.Trace) {
+			if !reflect.DeepEqual(r1.Trace(), r2.Trace()) {
 				t.Fatalf("%s racy=%v: trace not deterministic", name, racy)
 			}
 			if r1.Stats != r2.Stats {

@@ -11,17 +11,22 @@
 // the DSM detector checks at barriers.
 //
 // Programs execute under a deterministic cooperative scheduler: exactly one
-// modeled goroutine runs at a time, control is handed off through a baton
-// channel pair, and a seeded PRNG picks the next runnable goroutine at each
-// yield point. The same seed therefore produces the same linearization, the
-// same trace, and the same race set — which is what makes the package's
-// cross-validation contract testable: the linearized trace replays through
-// the classic per-access detector (internal/hbdet) via ReplayHB, and the
-// two detectors must flag identical racy-address sets.
+// modeled goroutine runs at a time, and at each yield point a seeded PRNG
+// picks the next runnable goroutine. The yielding goroutine makes that pick
+// itself and hands the baton straight to the chosen goroutine's resume
+// channel — one channel hand-off per scheduling step, none when it picks
+// itself; Run only starts the first goroutine and waits for the one that
+// finds nothing runnable. The same seed therefore produces the same
+// linearization, the same trace, and the same race set — which is what
+// makes the package's cross-validation contract testable: the linearized
+// trace replays through the classic per-access detector (internal/hbdet)
+// via ReplayHB, and the two detectors must flag identical racy-address
+// sets.
 package gofront
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -86,10 +91,10 @@ type Symbol struct {
 type gstate uint8
 
 const (
-	gRunnable gstate = iota
+	gDone gstate = iota // also a new G's zero state, before newG counts it
+	gRunnable
 	gRunning
 	gBlocked
-	gDone
 )
 
 // G is one modeled goroutine. All its methods must be called from inside
@@ -98,7 +103,7 @@ const (
 type G struct {
 	p      *Program
 	id     int
-	state  gstate
+	state  gstate // changed only through Program.setState
 	resume chan struct{}
 
 	// Completion slots for blocking ops, filled by the waking peer.
@@ -130,12 +135,17 @@ type Program struct {
 	rng    *rand.Rand
 	scope  telemetry.Scope
 
-	gs        []*G
-	parked    chan struct{}
-	abandoned bool // set as Run returns: a resumed goroutine exits
+	gs []*G
+	// ready has bit g.id set exactly while g is gRunnable; nReady and
+	// nBlocked count the gRunnable and gBlocked goroutines. setState keeps
+	// all three in step with the G states.
+	ready            []uint64
+	nReady, nBlocked int
+	idle             chan struct{} // sent by the goroutine that finds nothing runnable
+	abandoned        bool          // set as Run returns: a resumed goroutine exits
 
 	det   *detector
-	trace [][]Event // traceChunk-sized chunks; finish flattens them
+	trace [][]Event // traceChunk-sized chunks; Result.Trace flattens them
 	vt    int64
 
 	syms     []Symbol
@@ -161,7 +171,7 @@ func New(cfg Config) *Program {
 		seg:    mem.NewSegment(layout),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		scope:  telemetry.To(cfg.Recorder),
-		parked: make(chan struct{}),
+		idle:   make(chan struct{}),
 	}
 	p.det = newDetector(p)
 	return p
@@ -191,10 +201,67 @@ func (p *Program) newG() *G {
 	if len(p.gs) >= p.cfg.MaxGs {
 		panic(fmt.Sprintf("gofront: goroutine limit MaxGs=%d exceeded", p.cfg.MaxGs))
 	}
-	g := &G{p: p, id: len(p.gs), state: gRunnable, resume: make(chan struct{})}
+	g := &G{p: p, id: len(p.gs), resume: make(chan struct{})}
 	p.gs = append(p.gs, g)
+	if g.id%64 == 0 {
+		p.ready = append(p.ready, 0)
+	}
+	p.setState(g, gRunnable)
 	p.stats.Goroutines++
 	return g
+}
+
+// setState moves g to state s, keeping the ready set and the counts in
+// step.
+func (p *Program) setState(g *G, s gstate) {
+	switch g.state {
+	case gRunnable:
+		p.ready[g.id/64] &^= 1 << (g.id % 64)
+		p.nReady--
+	case gBlocked:
+		p.nBlocked--
+	}
+	switch s {
+	case gRunnable:
+		p.ready[g.id/64] |= 1 << (g.id % 64)
+		p.nReady++
+	case gBlocked:
+		p.nBlocked++
+	}
+	g.state = s
+}
+
+// pick makes one scheduling step: it draws k uniformly below the runnable
+// count and runs the k-th runnable goroutine in id order, or returns nil
+// when none is runnable.
+func (p *Program) pick() *G {
+	if p.nReady == 0 {
+		return nil
+	}
+	k := p.rng.Intn(p.nReady)
+	w := 0
+	for n := bits.OnesCount64(p.ready[w]); k >= n; n = bits.OnesCount64(p.ready[w]) {
+		k -= n
+		w++
+	}
+	word := p.ready[w]
+	for ; k > 0; k-- {
+		word &= word - 1 // drop the lowest set bit
+	}
+	g := p.gs[w*64+bits.TrailingZeros64(word)]
+	p.setState(g, gRunning)
+	p.vt += costSched
+	p.stats.SchedSteps++
+	return g
+}
+
+// handOff passes the baton to next, or tells Run that nothing is runnable.
+func (p *Program) handOff(next *G) {
+	if next == nil {
+		p.idle <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
 }
 
 // Run executes root as goroutine 0 and schedules until every goroutine has
@@ -210,30 +277,9 @@ func (p *Program) Run(root func(*G)) *Result {
 	}
 	p.ran = true
 	p.startG(p.newG(), nil, root)
-
-	runnable := make([]*G, 0, p.cfg.MaxGs)
-	for {
-		runnable = runnable[:0]
-		blocked := false
-		for _, g := range p.gs {
-			switch g.state {
-			case gRunnable:
-				runnable = append(runnable, g)
-			case gBlocked:
-				blocked = true
-			}
-		}
-		if len(runnable) == 0 {
-			p.deadlocked = blocked
-			break
-		}
-		g := runnable[p.rng.Intn(len(runnable))]
-		g.state = gRunning
-		p.vt += costSched
-		p.stats.SchedSteps++
-		g.resume <- struct{}{}
-		<-p.parked
-	}
+	p.handOff(p.pick())
+	<-p.idle
+	p.deadlocked = p.nBlocked > 0
 	res := p.finish()
 	p.abandoned = true
 	for _, g := range p.gs {
@@ -256,7 +302,7 @@ func (p *Program) startG(g *G, parentRel vcClock, fn func(*G)) {
 }
 
 // exit closes the goroutine's final interval, publishes its release clock
-// to joiners, and parks for good.
+// to joiners, and passes the baton on for good.
 func (g *G) exit() {
 	p := g.p
 	p.vt += costSync
@@ -265,37 +311,44 @@ func (g *G) exit() {
 	for _, j := range g.joiners {
 		p.det.join(j.id, g.final)
 		p.emit(OpJoin, j.id, g.id, 0, 0, 0)
-		j.state = gRunnable
+		p.setState(j, gRunnable)
 	}
 	g.joiners = nil
-	g.state = gDone
-	p.parked <- struct{}{}
+	p.setState(g, gDone)
+	p.handOff(p.pick())
 }
 
-// yield hands the baton back to the scheduler. If the state is still
-// gRunning the goroutine stays runnable (a preemption point); ops that
-// block set gBlocked first.
+// yield is a scheduling point. If the state is still gRunning the
+// goroutine stays runnable (a preemption point); ops that block set
+// gBlocked first. It picks the next goroutine itself: on picking itself it
+// simply returns, otherwise it hands the baton over and parks until it is
+// picked again.
 func (g *G) yield() {
+	p := g.p
 	if g.state == gRunning {
-		g.state = gRunnable
+		p.setState(g, gRunnable)
 	}
-	g.p.parked <- struct{}{}
+	next := p.pick()
+	if next == g {
+		return
+	}
+	p.handOff(next)
 	<-g.resume
-	if g.p.abandoned {
+	if p.abandoned {
 		runtime.Goexit()
 	}
 }
 
 // block parks the goroutine until a peer completes its pending op.
 func (g *G) block() {
-	g.state = gBlocked
+	g.p.setState(g, gBlocked)
 	g.yield()
 }
 
 // wake marks a blocked goroutine runnable (its pending op was completed by
 // the caller).
 func (g *G) wake() {
-	g.state = gRunnable
+	g.p.setState(g, gRunnable)
 	g.futureLB = nil
 }
 
@@ -357,9 +410,9 @@ func (g *G) Store(a mem.Addr, v uint64) {
 }
 
 // traceChunk is the event count of one trace chunk. The trace grows a
-// chunk at a time and finish copies it out once at its final size, where
-// regrowing one slice of 48-byte events by 1.25x would allocate about five
-// times the final trace.
+// chunk at a time, where regrowing one slice of 48-byte events by 1.25x
+// would allocate about five times the final trace, and is flattened only
+// when Result.Trace is called.
 const traceChunk = 1024
 
 func (p *Program) emit(op Op, g, obj, seq, seq2 int, a mem.Addr) {
@@ -403,10 +456,7 @@ type Result struct {
 	// RacyAddrs is the sorted distinct address set — the cross-validation
 	// currency against hbdet.
 	RacyAddrs []mem.Addr
-	// Trace is the linearized event stream; ReplayHB drives the reference
-	// detector from it.
-	Trace []Event
-	Stats Stats
+	Stats     Stats
 	// NumGs is the goroutine count (the clock width ReplayHB needs).
 	NumGs      int
 	VirtualNS  int64
@@ -414,7 +464,14 @@ type Result struct {
 	Symbols    []Symbol
 
 	layout mem.Layout
+	trace  [][]Event
 }
+
+// Trace returns the linearized event stream, the input ReplayHB drives the
+// reference detector from. Each call flattens the run's trace chunks into
+// a new slice: only cross-validation reads the trace, so runs that never
+// ask for it never pay for the copy.
+func (r *Result) Trace() []Event { return slices.Concat(r.trace...) }
 
 // SymbolAt resolves a modeled address to "name[i]" via the Alloc table.
 func (r *Result) SymbolAt(a mem.Addr) (string, bool) {
@@ -457,13 +514,13 @@ func (p *Program) finish() *Result {
 	return &Result{
 		Races:      deduped,
 		RacyAddrs:  addrs,
-		Trace:      slices.Concat(p.trace...),
 		Stats:      p.stats,
 		NumGs:      len(p.gs),
 		VirtualNS:  p.vt,
 		Deadlocked: p.deadlocked,
 		Symbols:    p.syms,
 		layout:     p.layout,
+		trace:      p.trace,
 	}
 }
 

@@ -18,7 +18,7 @@ func runProg(t *testing.T, seed int64, setup func(p *Program) func(*G)) *Result 
 	p := New(Config{Seed: seed, Detect: true, MaxGs: 16})
 	root := setup(p)
 	res := p.Run(root)
-	hb := RacyAddrsHB(res.Trace, res.NumGs)
+	hb := RacyAddrsHB(res.Trace(), res.NumGs)
 	if !addrsEqual(res.RacyAddrs, hb) {
 		t.Fatalf("cross-validation mismatch:\n  gofront: %v\n  hbdet:   %v", res.RacyAddrs, hb)
 	}
@@ -346,11 +346,147 @@ func TestDeadlockedProgramStillChecks(t *testing.T) {
 		t.Fatal("want Deadlocked")
 	}
 	wantRacy(t, res, x)
+	waitGoroutines(t, before, "a deadlocked run")
+}
+
+// waitGoroutines fails t unless the process's goroutine count falls back to
+// before within a few seconds. A modeled goroutine's OS goroutine may still
+// be returning from its final hand-off as Run returns, so the count is
+// polled, not read once.
+func waitGoroutines(t *testing.T, before int, after string) {
+	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
 		runtime.Gosched()
 	}
 	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines after a deadlocked run, %d before", n, before)
+		t.Fatalf("%d goroutines after %s, %d before", n, after, before)
+	}
+}
+
+// Every OS goroutine a run starts has ended once Run returns, whether the
+// program finished, deadlocked, or never handed the baton to another
+// goroutine. The ready set and its counts agree with the final states.
+func TestRunLifecycle(t *testing.T) {
+	const selfYields = 50
+	progs := []struct {
+		name       string
+		deadlocked bool
+		steps      int64 // scheduling steps the run must take; 0: unchecked
+		body       func(p *Program) func(*G)
+	}{
+		{"clean", false, 0, func(p *Program) func(*G) {
+			x := p.Alloc("x", 1)
+			mu := p.NewMutex()
+			ch := p.NewChan(1)
+			return func(g *G) {
+				var ws []*G
+				for i := 0; i < 4; i++ {
+					ws = append(ws, g.Go(func(g *G) {
+						mu.Lock(g)
+						g.Store(x, g.Load(x)+1)
+						mu.Unlock(g)
+						ch.Send(g, 1)
+					}))
+				}
+				for range ws {
+					ch.Recv(g)
+				}
+				for _, w := range ws {
+					g.Join(w)
+				}
+			}
+		}},
+		{"deadlocked", true, 0, func(p *Program) func(*G) {
+			ch := p.NewChan(0)
+			return func(g *G) {
+				for i := 0; i < 3; i++ {
+					g.Go(func(g *G) { ch.Recv(g) }) // never paired
+				}
+				ch.Recv(g)
+			}
+		}},
+		// One goroutine: every yield picks the yielder itself, so the run
+		// makes no channel hand-off between its first schedule and its exit.
+		// It takes one step per yield plus the first.
+		{"self-pick", false, selfYields + 1, func(p *Program) func(*G) {
+			x := p.Alloc("x", 1)
+			mu := p.NewMutex()
+			return func(g *G) {
+				for i := 0; i < selfYields/2; i++ {
+					mu.Lock(g)
+					g.Store(x, uint64(i))
+					mu.Unlock(g)
+				}
+			}
+		}},
+	}
+	for _, pr := range progs {
+		t.Run(pr.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			p := New(Config{Seed: 3, Detect: true})
+			res := p.Run(pr.body(p))
+			if res.Deadlocked != pr.deadlocked {
+				t.Fatalf("Deadlocked = %v, want %v", res.Deadlocked, pr.deadlocked)
+			}
+			if hb := RacyAddrsHB(res.Trace(), res.NumGs); !addrsEqual(res.RacyAddrs, hb) {
+				t.Fatalf("cross-validation mismatch: gofront %v, hbdet %v", res.RacyAddrs, hb)
+			}
+			blocked := 0
+			for _, g := range p.gs {
+				if g.state == gBlocked {
+					blocked++
+				} else if g.state != gDone {
+					t.Fatalf("g%d ended in state %d", g.id, g.state)
+				}
+			}
+			if p.nReady != 0 || p.nBlocked != blocked || p.ready[0] != 0 {
+				t.Fatalf("ready set %b, %d ready, %d blocked; want empty, 0, %d", p.ready, p.nReady, p.nBlocked, blocked)
+			}
+			if pr.steps != 0 && res.Stats.SchedSteps != pr.steps {
+				t.Fatalf("%d scheduling steps, want %d", res.Stats.SchedSteps, pr.steps)
+			}
+			waitGoroutines(t, before, "Run returned")
+		})
+	}
+}
+
+// With more than 64 goroutines the ready set spans two words: the
+// scheduler still draws over every runnable goroutine, and the detector
+// still agrees with the hbdet replay.
+func TestReadySetSpansWords(t *testing.T) {
+	const maxGs = 70
+	for seed := int64(0); seed < 8; seed++ {
+		p := New(Config{Seed: seed, Detect: true, MaxGs: maxGs})
+		xs := p.Alloc("xs", maxGs)
+		shared := p.Alloc("shared", 1)
+		counter := p.Alloc("counter", 1)
+		mu := p.NewMutex()
+		wg := p.NewWaitGroup()
+		res := p.Run(func(g *G) {
+			wg.Add(g, maxGs-1)
+			for i := 1; i < maxGs; i++ {
+				i := i
+				g.Go(func(g *G) {
+					g.Store(xs+mem.Addr(i*mem.WordSize), uint64(i))
+					mu.Lock(g)
+					g.Store(counter, g.Load(counter)+1)
+					mu.Unlock(g)
+					if i >= 62 { // unsynchronized, on both sides of the word boundary
+						g.Store(shared, uint64(i))
+					}
+					wg.Done(g)
+				})
+			}
+			wg.Wait(g)
+			_ = g.Load(counter)
+		})
+		if len(p.ready) != 2 || res.NumGs != maxGs || res.Deadlocked {
+			t.Fatalf("seed %d: %d ready words, %d goroutines, deadlocked %v", seed, len(p.ready), res.NumGs, res.Deadlocked)
+		}
+		if hb := RacyAddrsHB(res.Trace(), res.NumGs); !addrsEqual(res.RacyAddrs, hb) {
+			t.Fatalf("seed %d: cross-validation mismatch: gofront %v, hbdet %v", seed, res.RacyAddrs, hb)
+		}
+		wantRacy(t, res, shared)
 	}
 }
 
@@ -373,7 +509,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 		})
 	}
 	r1, r2 := build(7), build(7)
-	if !reflect.DeepEqual(r1.Trace, r2.Trace) {
+	if !reflect.DeepEqual(r1.Trace(), r2.Trace()) {
 		t.Fatal("same seed produced different traces")
 	}
 	if fmt.Sprint(r1.Races) != fmt.Sprint(r2.Races) {
@@ -406,7 +542,7 @@ func TestHorizonGC(t *testing.T) {
 		t.Fatal("horizon GC never retired a record")
 	}
 	wantRacy(t, res, y)
-	hb := RacyAddrsHB(res.Trace, res.NumGs)
+	hb := RacyAddrsHB(res.Trace(), res.NumGs)
 	if !addrsEqual(res.RacyAddrs, hb) {
 		t.Fatalf("cross-validation mismatch after GC: %v vs %v", res.RacyAddrs, hb)
 	}
@@ -438,7 +574,7 @@ func TestDetectOff(t *testing.T) {
 	if len(res.Races) != 0 || res.Stats.Intervals != 0 {
 		t.Fatalf("detect-off run produced races/intervals: %+v", res.Stats)
 	}
-	if hb := RacyAddrsHB(res.Trace, res.NumGs); len(hb) != 1 || hb[0] != x {
+	if hb := RacyAddrsHB(res.Trace(), res.NumGs); len(hb) != 1 || hb[0] != x {
 		t.Fatalf("replay on detect-off trace = %v, want [%v]", hb, x)
 	}
 }

@@ -193,10 +193,10 @@ func TestRandomProgramsCrossValidate(t *testing.T) {
 		p := genProg(seed)
 		res := p.run(seed, true)
 		got := res.RacyAddrs
-		want := RacyAddrsHB(res.Trace, res.NumGs)
+		want := RacyAddrsHB(res.Trace(), res.NumGs)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: racy addr mismatch\n gofront: %v\n hbdet:   %v\n trace (%d events): %v",
-				seed, got, want, len(res.Trace), res.Trace)
+				seed, got, want, len(res.Trace()), res.Trace())
 		}
 		if len(got) > 0 {
 			racy++
@@ -224,7 +224,7 @@ func TestRandomProgramsDeterministic(t *testing.T) {
 		p := genProg(seed)
 		r1 := p.run(seed, true)
 		r2 := p.run(seed, true)
-		if !reflect.DeepEqual(r1.Trace, r2.Trace) {
+		if !reflect.DeepEqual(r1.Trace(), r2.Trace()) {
 			t.Fatalf("seed %d: trace not deterministic", seed)
 		}
 		if !reflect.DeepEqual(r1.RacyAddrs, r2.RacyAddrs) {
@@ -244,10 +244,10 @@ func TestRandomProgramsDetectOffReplay(t *testing.T) {
 		p := genProg(seed)
 		on := p.run(seed, true)
 		off := p.run(seed, false)
-		if !reflect.DeepEqual(on.Trace, off.Trace) {
+		if !reflect.DeepEqual(on.Trace(), off.Trace()) {
 			t.Fatalf("seed %d: detect on/off changed the trace", seed)
 		}
-		if want := RacyAddrsHB(off.Trace, off.NumGs); !reflect.DeepEqual(on.RacyAddrs, want) {
+		if want := RacyAddrsHB(off.Trace(), off.NumGs); !reflect.DeepEqual(on.RacyAddrs, want) {
 			t.Fatalf("seed %d: detect-off replay mismatch: %v vs %v", seed, on.RacyAddrs, want)
 		}
 	}
@@ -264,10 +264,10 @@ func FuzzRandomProgram(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		p := genProg(seed)
 		on := p.run(seed, true)
-		if want := RacyAddrsHB(on.Trace, on.NumGs); !reflect.DeepEqual(on.RacyAddrs, want) {
+		if want := RacyAddrsHB(on.Trace(), on.NumGs); !reflect.DeepEqual(on.RacyAddrs, want) {
 			t.Fatalf("seed %d: racy addr mismatch\n gofront: %v\n hbdet:   %v", seed, on.RacyAddrs, want)
 		}
-		if off := p.run(seed, false); !reflect.DeepEqual(on.Trace, off.Trace) {
+		if off := p.run(seed, false); !reflect.DeepEqual(on.Trace(), off.Trace()) {
 			t.Fatalf("seed %d: detect on/off changed the trace", seed)
 		}
 	})
