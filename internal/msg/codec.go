@@ -11,7 +11,6 @@ package msg
 
 import (
 	"errors"
-	"fmt"
 
 	"lrcrace/internal/mem"
 	"lrcrace/internal/vc"
@@ -103,7 +102,8 @@ type Decoder struct {
 // NewDecoder wraps b.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
-// Err returns the first error encountered.
+// err2 reports whether decoding has failed or fewer than need bytes are
+// left, recording ErrTruncated in the latter case.
 func (d *Decoder) err2(need int) bool {
 	if d.err != nil {
 		return true
@@ -242,15 +242,4 @@ func (d *Decoder) Bitmap() mem.Bitmap {
 		b[i] = d.U64()
 	}
 	return b
-}
-
-// check is a helper for final validation in Unmarshal.
-func finish(d *Decoder, t Type) error {
-	if d.err != nil {
-		return fmt.Errorf("decoding %v: %w", t, d.err)
-	}
-	if !d.Done() {
-		return fmt.Errorf("decoding %v: %w (trailing bytes)", t, ErrCorrupt)
-	}
-	return nil
 }
