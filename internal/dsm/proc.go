@@ -320,38 +320,46 @@ func (p *Proc) arrival(d simnet.Delivery) int64 {
 	return d.VTime + frags*m.MsgLatency + int64(float64(d.Bytes)*m.PerByte)
 }
 
-// waitReply blocks the application thread for the next response-class
-// message. It must be called without mu held.
-func (p *Proc) waitReply() simnet.Delivery {
-	d, ok := <-p.replyCh
+// await is every application-thread reply wait: called with mu held, it
+// releases mu, blocks for the next response-class message, retakes mu and
+// advances the virtual clock to the reply's arrival. The reply must be an M;
+// anything else is a protocol bug. op names the wait in timeouts and bug
+// reports.
+func await[M msg.Message](p *Proc, op string) (M, simnet.Delivery) {
+	p.mu.Unlock()
+	d := p.waitReplyTimeout(op)
+	p.mu.Lock()
+	m, ok := d.Msg.(M)
 	if !ok {
-		panic("dsm: network shut down while waiting for a reply")
+		p.protocolBug("%s answered with %T", op, d.Msg)
 	}
-	return d
+	p.bumpVTo(p.arrival(d))
+	return m, d
 }
 
-// waitReplyTimeout is waitReply with the configured barrier wall timeout:
-// if the reply does not arrive within BarrierWallTimeout of real time, the
-// process panics with a typed timeoutPanic, which aborts the run (the run
-// loop trips the flight recorder, preserving the events leading up to the
-// hang) and — under crash recovery — doubles as the failure detector. At
-// the barrier master the panic names the processes the current round has
-// not heard from; when exactly one is missing it becomes the crash
-// suspect. A zero timeout waits forever.
+// waitReplyTimeout blocks (without mu) for the next response-class message,
+// at most the configured barrier wall timeout of real time: a reply that
+// does not arrive in time panics the process with a typed timeoutPanic,
+// which aborts the run (the run loop trips the flight recorder, preserving
+// the events leading up to the hang) and — under crash recovery — doubles
+// as the failure detector. At the barrier master the panic names the
+// processes the current round has not heard from; when exactly one is
+// missing it becomes the crash suspect. A zero timeout waits forever.
 func (p *Proc) waitReplyTimeout(op string) simnet.Delivery {
 	to := p.sys.cfg.BarrierWallTimeout
-	if to <= 0 {
-		return p.waitReply()
+	var expired <-chan time.Time // nil, never ready, without a timeout
+	if to > 0 {
+		t := time.NewTimer(to)
+		defer t.Stop()
+		expired = t.C
 	}
-	t := time.NewTimer(to)
-	defer t.Stop()
 	select {
 	case d, ok := <-p.replyCh:
 		if !ok {
 			panic("dsm: network shut down while waiting for a reply")
 		}
 		return d
-	case <-t.C:
+	case <-expired:
 		tp := timeoutPanic{proc: p.id, op: op, timeout: to, suspect: -1}
 		tp.suspect, tp.detail = p.barrierBlame(op)
 		panic(tp)

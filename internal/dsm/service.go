@@ -209,7 +209,7 @@ func (p *Proc) handlePageReq(d simnet.Delivery, m *msg.PageReq) {
 	if p.sys.cfg.Protocol == MultiWriter {
 		// The home copy is always current (diffs are flushed eagerly at
 		// releases), so serve it directly.
-		p.replyPageLocked(d.From, pg, false, arr)
+		p.servePageLocked(d.From, pg, false, arr)
 		return
 	}
 
@@ -250,8 +250,9 @@ func (p *Proc) handlePageFwd(d simnet.Delivery, m *msg.PageFwd) {
 	}
 }
 
-// servePageLocked answers a fault from the owned copy; a write fault
-// transfers ownership (single-writer migration).
+// servePageLocked answers a fault from the local copy — the owner's, or the
+// multi-writer home's; a write fault transfers ownership (single-writer
+// migration).
 func (p *Proc) servePageLocked(requester int, pg mem.PageID, write bool, vtime int64) {
 	data := make([]byte, p.seg.PageSize)
 	copy(data, p.seg.PageBytes(pg))
@@ -261,13 +262,6 @@ func (p *Proc) servePageLocked(requester int, pg mem.PageID, write bool, vtime i
 		p.tel.Emit(p.id, telemetry.KOwnershipXfer, vtime, int64(pg), int64(requester), 0)
 	}
 	p.send(requester, &msg.PageReply{Page: pg, Ownership: write, Data: data}, vtime)
-}
-
-// replyPageLocked serves the local (home) copy without ownership transfer.
-func (p *Proc) replyPageLocked(requester int, pg mem.PageID, ownership bool, vtime int64) {
-	data := make([]byte, p.seg.PageSize)
-	copy(data, p.seg.PageBytes(pg))
-	p.send(requester, &msg.PageReply{Page: pg, Ownership: ownership, Data: data}, vtime)
 }
 
 // drainPendingFwdsLocked services page forwards queued while ownership was
