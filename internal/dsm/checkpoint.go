@@ -496,7 +496,9 @@ func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func(b []byte, hint cast
 	for _, r := range p.races {
 		msg.EncodeReport(e, r)
 	}
-	encodeProcStats(e, &p.st)
+	for _, f := range procStatsFields(&p.st) {
+		e.I64(*f)
+	}
 
 	// Master extras: barrier epoch and the detector's mutable state.
 	if p.id == 0 {
@@ -505,7 +507,9 @@ func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func(b []byte, hint cast
 		if det := p.sys.detector; det != nil {
 			e.U8(1)
 			st := det.SnapshotState()
-			encodeRaceStats(e, st.Stats)
+			for _, f := range raceStatsFields(&st.Stats) {
+				e.I64(int64(*f))
+			}
 			e.I32(st.FirstRacyEpoch)
 			e.U32(uint32(len(st.RacyRecords)))
 			for _, r := range st.RacyRecords {
@@ -519,23 +523,10 @@ func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func(b []byte, hint cast
 	}
 }
 
-func encodeProcStats(e *msg.Encoder, st *Stats) {
-	for _, v := range []int64{
-		st.SharedReads, st.SharedWrites, st.PrivateAccesses,
-		st.ReadFaults, st.WriteFaults, st.IntervalsCreated,
-		st.LockAcquires, st.Barriers, st.DiffsFlushed, st.DiffWords,
-		st.ComputeOps,
-		st.TProcCall, st.TAccessCheck, st.TCVMMods, st.TIntervalCmp, st.TBitmapCmp,
-		st.ReadNoticeBytes, st.SyncMsgBytes, st.BitmapsCreated, st.BitmapsSent,
-		st.CheckEntriesCompared, st.BitmapsCompared,
-	} {
-		e.I64(v)
-	}
-}
-
-func decodeProcStats(d *msg.Decoder) Stats {
-	var st Stats
-	for _, f := range []*int64{
+// procStatsFields lists the checkpointed Stats counters in manifest order,
+// for encoding and decoding alike; each is written as an I64.
+func procStatsFields(st *Stats) [22]*int64 {
+	return [...]*int64{
 		&st.SharedReads, &st.SharedWrites, &st.PrivateAccesses,
 		&st.ReadFaults, &st.WriteFaults, &st.IntervalsCreated,
 		&st.LockAcquires, &st.Barriers, &st.DiffsFlushed, &st.DiffWords,
@@ -543,32 +534,16 @@ func decodeProcStats(d *msg.Decoder) Stats {
 		&st.TProcCall, &st.TAccessCheck, &st.TCVMMods, &st.TIntervalCmp, &st.TBitmapCmp,
 		&st.ReadNoticeBytes, &st.SyncMsgBytes, &st.BitmapsCreated, &st.BitmapsSent,
 		&st.CheckEntriesCompared, &st.BitmapsCompared,
-	} {
-		*f = d.I64()
-	}
-	return st
-}
-
-func encodeRaceStats(e *msg.Encoder, st race.Stats) {
-	for _, v := range []int{
-		st.Epochs, st.IntervalsTotal, st.PairComparisons, st.ConcurrentPairs,
-		st.OverlappingPairs, st.IntervalsInvolved, st.CheckEntries,
-		st.NoticesScanned, st.BitmapsCompared, st.WordOverlaps, st.SuppressedReports,
-	} {
-		e.I64(int64(v))
 	}
 }
 
-func decodeRaceStats(d *msg.Decoder) race.Stats {
-	var st race.Stats
-	for _, f := range []*int{
+// raceStatsFields is procStatsFields for the master's race.Stats.
+func raceStatsFields(st *race.Stats) [11]*int {
+	return [...]*int{
 		&st.Epochs, &st.IntervalsTotal, &st.PairComparisons, &st.ConcurrentPairs,
 		&st.OverlappingPairs, &st.IntervalsInvolved, &st.CheckEntries,
 		&st.NoticesScanned, &st.BitmapsCompared, &st.WordOverlaps, &st.SuppressedReports,
-	} {
-		*f = int(d.I64())
 	}
-	return st
 }
 
 // ckptPage is one page-table entry of a decoded checkpoint.
@@ -758,13 +733,17 @@ func decodeCheckpoint(b []byte, chunks chunkSource) (*procCheckpoint, error) {
 	for i := 0; i < nr && d.Err() == nil; i++ {
 		ck.Races = append(ck.Races, msg.DecodeReport(d))
 	}
-	ck.St = decodeProcStats(d)
+	for _, f := range procStatsFields(&ck.St) {
+		*f = d.I64()
+	}
 	if d.U8() != 0 {
 		ck.HasMaster = true
 		ck.BarEpoch = d.I32()
 		if d.U8() != 0 {
 			ck.HasDet = true
-			ck.Det.Stats = decodeRaceStats(d)
+			for _, f := range raceStatsFields(&ck.Det.Stats) {
+				*f = int(d.I64())
+			}
 			ck.Det.FirstRacyEpoch = d.I32()
 			ndr, err := ckptCount(d, "racy record", 12)
 			if err != nil {
