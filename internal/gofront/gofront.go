@@ -48,16 +48,18 @@ const (
 	costSched  = 8
 )
 
+// The modeled shared segment is 64 KiB, in 512-byte detector pages (the
+// page-granularity pre-filter of the race check).
+const (
+	memBytes  = 1 << 16
+	pageBytes = 512
+)
+
 // Config sizes one modeled program.
 type Config struct {
 	// MaxGs bounds the goroutine count and fixes the version-vector width.
 	// 0 → 16.
 	MaxGs int
-	// MemBytes is the modeled shared segment size. 0 → 64 KiB.
-	MemBytes int
-	// PageBytes is the detector page size (the page-granularity race-check
-	// pre-filter). 0 → 512.
-	PageBytes int
 	// Seed drives the scheduler's runnable-goroutine choice.
 	Seed int64
 	// Detect enables the interval detector. The trace is recorded either
@@ -71,12 +73,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxGs <= 0 {
 		c.MaxGs = 16
-	}
-	if c.MemBytes <= 0 {
-		c.MemBytes = 1 << 16
-	}
-	if c.PageBytes <= 0 {
-		c.PageBytes = 512
 	}
 	return c
 }
@@ -161,7 +157,7 @@ type Program struct {
 // New returns a Program for cfg.
 func New(cfg Config) *Program {
 	cfg = cfg.withDefaults()
-	layout, err := mem.NewLayout(cfg.MemBytes, cfg.PageBytes)
+	layout, err := mem.NewLayout(memBytes, pageBytes)
 	if err != nil {
 		panic(fmt.Sprintf("gofront: bad layout: %v", err))
 	}

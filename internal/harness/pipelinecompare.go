@@ -246,11 +246,9 @@ func (s *Suite) runApp(app string, procs int, candidate func(*dsm.Config)) (pipe
 		App:          app,
 		Scale:        scale,
 		Procs:        procs,
-		Protocol:     s.Protocol,
 		Detect:       true,
 		ShardedCheck: topo.ShardedCheck,
 		BarrierTree:  topo.BarrierTree,
-		RealMsgDelay: s.RealMsgDelay,
 		Telemetry:    &telemetry.Config{Cap: -1},
 	})
 	if err != nil {

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
-	"lrcrace/internal/dsm"
 	"lrcrace/internal/instr"
 )
 
@@ -64,17 +62,12 @@ var PaperScaleFactors = map[string]float64{
 	"Water": 3.375,
 }
 
-// Suite runs and caches baseline/detection pairs for table generation.
+// Suite runs and caches baseline/detection pairs for table generation:
+// every pair runs the paper's single-writer protocol with each
+// application's default real-latency coupling and checkpointing on.
 type Suite struct {
-	Scale    float64
-	Procs    int
-	Protocol dsm.ProtocolKind
-	// RealMsgDelay overrides the per-app default when nonzero.
-	RealMsgDelay time.Duration
-	// NoCheckpoint runs every pair with the (default-on) barrier-epoch
-	// checkpointing disabled, removing the recovery-state overhead from the
-	// metrics document next to the detection-slowdown tables.
-	NoCheckpoint bool
+	Scale float64
+	Procs int
 	// Canonical strips wall-clock-dependent series from the metrics
 	// document (telemetry.Snapshot.Canonical), so deterministic workloads
 	// produce byte-identical JSON across runs.
@@ -131,14 +124,7 @@ func (s *Suite) pair(app string, procs int) (*Result, *Result, error) {
 	if scale == 0 {
 		scale = s.Scale
 	}
-	base, det, err := Pair(RunConfig{
-		App:          app,
-		Scale:        scale,
-		Procs:        procs,
-		Protocol:     s.Protocol,
-		RealMsgDelay: s.RealMsgDelay,
-		NoCheckpoint: s.NoCheckpoint,
-	})
+	base, det, err := Pair(RunConfig{App: app, Scale: scale, Procs: procs})
 	s.mu.Lock()
 	if err == nil {
 		s.cache[key] = [2]*Result{base, det}

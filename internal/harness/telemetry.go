@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 
+	"lrcrace/internal/dsm"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/telemetry"
 )
@@ -151,7 +152,7 @@ func (s *Suite) WriteMetricsJSON(w io.Writer) error {
 	doc := suiteMetrics{
 		Scale:    s.Scale,
 		Procs:    s.Procs,
-		Protocol: s.Protocol.String(),
+		Protocol: dsm.SingleWriter.String(),
 		Apps:     make(map[string]*suiteAppMetrics),
 	}
 	for _, app := range AppNames {

@@ -39,6 +39,14 @@ type Inner interface {
 	Stats() simnet.Stats
 }
 
+// The retransmission timeout doubles after every timer expiry, and a
+// receiver owes an immediate pure RelAck after ackEvery deliveries without
+// reverse traffic.
+const (
+	backoff  = 2
+	ackEvery = 4
+)
+
 // Config tunes the reliability timers. The zero value selects defaults
 // sized for in-process tests: fast enough that a 10% drop rate costs
 // milliseconds, slow enough that acknowledgments usually win the race
@@ -46,8 +54,6 @@ type Inner interface {
 type Config struct {
 	// RTO is the initial retransmission timeout (default 2ms).
 	RTO time.Duration
-	// Backoff multiplies the RTO after every timer expiry (default 2).
-	Backoff float64
 	// MaxRTO caps the backed-off timeout (default 100ms).
 	MaxRTO time.Duration
 	// MaxRetries is the number of consecutive unacknowledged
@@ -57,9 +63,6 @@ type Config struct {
 	// AckDelay is how long a receiver waits for reverse traffic to
 	// piggyback on before sending a pure RelAck (default 500µs).
 	AckDelay time.Duration
-	// AckEvery forces an immediate pure RelAck after this many deliveries
-	// without reverse traffic (default 4).
-	AckEvery int
 	// OnLinkDead, when non-nil, is called (once per link, off the timer
 	// goroutine) when a link exhausts MaxRetries instead of shutting the
 	// whole transport down. The owner decides what dies: the crash-recovery
@@ -77,9 +80,6 @@ func (c Config) withDefaults() Config {
 	if c.RTO <= 0 {
 		c.RTO = 2 * time.Millisecond
 	}
-	if c.Backoff < 1 {
-		c.Backoff = 2
-	}
 	if c.MaxRTO <= 0 {
 		c.MaxRTO = 100 * time.Millisecond
 	}
@@ -88,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AckDelay <= 0 {
 		c.AckDelay = 500 * time.Microsecond
-	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = 4
 	}
 	return c
 }
@@ -290,8 +287,7 @@ func (sl *sendLink) onTimeout() {
 	}
 	t.cfg.Telemetry.Emit(sl.from, telemetry.KRetransmit, sl.unacked[0].vtime,
 		int64(sl.to), int64(len(sl.unacked)), int64(sl.retries))
-	sl.rto = time.Duration(float64(sl.rto) * t.cfg.Backoff)
-	if sl.rto > t.cfg.MaxRTO {
+	if sl.rto *= backoff; sl.rto > t.cfg.MaxRTO {
 		sl.rto = t.cfg.MaxRTO
 	}
 	sl.timer.Reset(sl.rto)
@@ -378,7 +374,7 @@ func (rl *recvLink) handleData(d simnet.Delivery, m *msg.RelData) {
 			rl.expected++
 		}
 		rl.ackOwed++
-		if rl.ackOwed >= t.cfg.AckEvery {
+		if rl.ackOwed >= ackEvery {
 			rl.sendPureAckLocked()
 		} else if rl.ackTimer == nil {
 			rl.ackTimer = time.AfterFunc(t.cfg.AckDelay, rl.onAckDelay)
@@ -574,5 +570,5 @@ func (t *Transport) Stats() simnet.Stats {
 
 // String describes the configuration (debug aid).
 func (t *Transport) String() string {
-	return fmt.Sprintf("reliable{n=%d rto=%v backoff=%g maxRetries=%d}", t.n, t.cfg.RTO, t.cfg.Backoff, t.cfg.MaxRetries)
+	return fmt.Sprintf("reliable{n=%d rto=%v maxRTO=%v maxRetries=%d}", t.n, t.cfg.RTO, t.cfg.MaxRTO, t.cfg.MaxRetries)
 }
