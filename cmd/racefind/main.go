@@ -153,24 +153,7 @@ func main() {
 		fmt.Printf("%s on %d goroutines, go frontend (seed %d, hot-skew %g, racy %v)\n",
 			cfg.App, gf.NumGs, cfg.Seed, cfg.HotKeySkew, cfg.Racy)
 		fmt.Printf("virtual runtime %.1f ms\n\n", float64(res.VirtualNS)/1e6)
-		distinct := lrcrace.DedupRaces(res.Races)
-		if len(distinct) == 0 {
-			fmt.Println("no data races detected")
-		} else {
-			fmt.Printf("%d dynamic race reports, %d distinct:\n", len(res.Races), len(distinct))
-			for _, r := range distinct {
-				name := fmt.Sprintf("0x%x", uint64(r.Addr))
-				if sym, ok := gf.SymbolAt(r.Addr); ok {
-					name = sym
-				}
-				kind := "read-write"
-				if r.WriteWrite() {
-					kind = "write-write"
-				}
-				fmt.Printf("  %-11s race on %-14q (addr 0x%x, epoch %d)\n",
-					kind, name, uint64(r.Addr), r.Epoch)
-			}
-		}
+		printRaces(res, 14, false)
 		s := gf.Stats
 		fmt.Printf("\nfrontend: %d goroutines, %d loads, %d stores, %d sync ops\n",
 			s.Goroutines, s.Loads, s.Stores, s.Syncs)
@@ -186,30 +169,7 @@ func main() {
 		*procs, cfg.Protocol)
 	fmt.Printf("result verified; virtual runtime %.1f ms\n\n",
 		float64(res.VirtualNS)/1e6)
-
-	distinct := lrcrace.DedupRaces(res.Races)
-	if len(distinct) == 0 {
-		fmt.Println("no data races detected")
-	} else {
-		fmt.Printf("%d dynamic race reports, %d distinct:\n", len(res.Races), len(distinct))
-		for _, r := range distinct {
-			name := fmt.Sprintf("0x%x", uint64(r.Addr))
-			if sym, ok := res.Sys.SymbolAt(r.Addr); ok {
-				name = sym.Name
-			}
-			kind := "read-write"
-			if r.WriteWrite() {
-				kind = "write-write"
-			}
-			fmt.Printf("  %-11s race on %-10q (addr 0x%x, epoch %d)\n",
-				kind, name, uint64(r.Addr), r.Epoch)
-			if *explain {
-				if text, ok := res.Sys.ExplainRace(r); ok {
-					fmt.Println(indent(text, "      "))
-				}
-			}
-		}
-	}
+	printRaces(res, 10, *explain)
 
 	d := res.Det
 	fmt.Printf("\ndetector: %d epochs, %d intervals, %d vector comparisons,\n",
@@ -218,6 +178,31 @@ func main() {
 		d.ConcurrentPairs, d.OverlappingPairs, d.BitmapsCompared)
 	if d.SuppressedReports > 0 {
 		fmt.Printf("          %d later-epoch reports suppressed by first-race filtering\n", d.SuppressedReports)
+	}
+}
+
+// printRaces lists the run's distinct races, each under its variable's name
+// quoted and padded to width; explain adds each race's happens-before
+// derivation (DSM runs only).
+func printRaces(res *lrcrace.ExperimentResult, width int, explain bool) {
+	distinct := lrcrace.DedupRaces(res.Races)
+	if len(distinct) == 0 {
+		fmt.Println("no data races detected")
+		return
+	}
+	fmt.Printf("%d dynamic race reports, %d distinct:\n", len(res.Races), len(distinct))
+	for _, r := range distinct {
+		kind := "read-write"
+		if r.WriteWrite() {
+			kind = "write-write"
+		}
+		fmt.Printf("  %-11s race on %-*q (addr 0x%x, epoch %d)\n",
+			kind, width, res.VarName(r.Addr), uint64(r.Addr), r.Epoch)
+		if explain {
+			if text, ok := res.Sys.ExplainRace(r); ok {
+				fmt.Println(indent(text, "      "))
+			}
+		}
 	}
 }
 

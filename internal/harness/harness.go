@@ -13,6 +13,7 @@ import (
 	"lrcrace/internal/costmodel"
 	"lrcrace/internal/dsm"
 	"lrcrace/internal/gofront"
+	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/race"
 	"lrcrace/internal/reliable"
@@ -332,14 +333,23 @@ func (r *Result) MsgOverheadPct() float64 {
 	for _, st := range r.Procs {
 		rn += st.ReadNoticeBytes
 	}
-	total := r.Net.TotalBytes()
-	bm := r.Net.Bytes[msg.TBitmapReply] + r.Net.Bytes[msg.TShardResult] +
-		r.Net.Bytes[msg.TBarrierDone]
-	rest := total - bm - rn
+	_, bm := r.bitmapRound()
+	rest := r.Net.TotalBytes() - bm - rn
 	if rest <= 0 {
 		return 0
 	}
 	return 100 * float64(rn) / float64(rest)
+}
+
+// bitmapRound sums the wire messages and bytes of the detector's extra
+// barrier round: bitmap replies, shard-result reductions (sharded check
+// only) and done messages.
+func (r *Result) bitmapRound() (msgs, bytes int64) {
+	for _, t := range []msg.Type{msg.TBitmapReply, msg.TShardResult, msg.TBarrierDone} {
+		msgs += r.Net.Messages[t]
+		bytes += r.Net.Bytes[t]
+	}
+	return msgs, bytes
 }
 
 // AccessRates returns instrumented shared and private accesses per virtual
@@ -388,12 +398,7 @@ func Breakdown(base, det *Result) Overheads {
 		intervalCmp += st.TIntervalCmp
 		bitmapCmp += st.TBitmapCmp
 	}
-	// Extra barrier round: bitmap replies, shard-result reductions (sharded
-	// check only), and done messages.
-	bmBytes := det.Net.Bytes[msg.TBitmapReply] + det.Net.Bytes[msg.TShardResult] +
-		det.Net.Bytes[msg.TBarrierDone]
-	bmMsgs := det.Net.Messages[msg.TBitmapReply] + det.Net.Messages[msg.TShardResult] +
-		det.Net.Messages[msg.TBarrierDone]
+	bmMsgs, bmBytes := det.bitmapRound()
 	bmWire := float64(bmBytes)*m.PerByte + float64(bmMsgs*m.MsgLatency)/n
 
 	o := Overheads{
@@ -412,18 +417,24 @@ func (r *Result) RacyVariables() []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, rep := range race.DedupByAddr(r.Races) {
-		name := fmt.Sprintf("0x%x", uint64(rep.Addr))
-		if r.GoFront != nil {
-			if sym, ok := r.GoFront.SymbolAt(rep.Addr); ok {
-				name = sym
-			}
-		} else if sym, ok := r.Sys.SymbolAt(rep.Addr); ok {
-			name = sym.Name
-		}
-		if !seen[name] {
+		if name := r.VarName(rep.Addr); !seen[name] {
 			seen[name] = true
 			out = append(out, name)
 		}
 	}
 	return out
+}
+
+// VarName names the shared variable at a through the run's symbol table —
+// the DSM's or the go frontend's — or spells the address when no symbol
+// covers it.
+func (r *Result) VarName(a mem.Addr) string {
+	if r.GoFront != nil {
+		if sym, ok := r.GoFront.SymbolAt(a); ok {
+			return sym
+		}
+	} else if sym, ok := r.Sys.SymbolAt(a); ok {
+		return sym.Name
+	}
+	return fmt.Sprintf("0x%x", uint64(a))
 }

@@ -272,10 +272,8 @@ func NewSuite(scale float64, procs int) *Suite { return harness.NewSuite(scale, 
 // statistics); it needs no runs.
 func WriteTable2(w io.Writer) { harness.Table2(w) }
 
-// Apps lists the registered benchmark applications.
-func Apps() []string {
-	return []string{"FFT", "SOR", "TSP", "Water"}
-}
+// Apps lists the paper's four benchmark applications, in its table order.
+func Apps() []string { return append([]string(nil), harness.AppNames...) }
 
 // Go-native frontend (internal/gofront, docs/GOFRONT.md): the same
 // interval/vector-clock detector applied to Go concurrency primitives —
