@@ -45,7 +45,7 @@ func main() {
 	keepDone := flag.Int("keep-done", 1024, "finished sessions kept queryable")
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace for in-flight HTTP requests")
 	dataDir := flag.String("data", "", "durable report-store directory: records persist to a content-addressed segment log and replay on restart (empty = in-memory only)")
-	storeSync := flag.Int("store-sync", 1, "fsync the report log every N records (1 = every record durable before the append returns; negative = only on shutdown)")
+	storeSync := flag.Int("store-sync", 1, "report-log durability: any value >= 0 group-commits (appends never wait on fsync; a record is visible, and a session admitted or done, only once it is durable); negative = records visible at once, fsync only on shutdown")
 	tenantMaxActive := flag.Int("tenant-max-active", 0, "per-tenant cap on queued+running sessions; beyond it that tenant gets 429 (0 = unlimited)")
 	tenantMaxQueued := flag.Int("tenant-max-queued", 0, "per-tenant cap on queued sessions (0 = unlimited)")
 	flag.Parse()

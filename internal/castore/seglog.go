@@ -23,8 +23,10 @@ import (
 //
 // Entries accumulate in numbered segment files (seg-000001.log, ...)
 // that rotate at MaxSegmentBytes. Appends fsync on a configurable
-// cadence (SyncEvery); Close and Sync flush unconditionally. The log is
-// safe for concurrent use.
+// cadence (SyncEvery); Close and Sync flush unconditionally. Sync runs
+// its fsync outside the log's lock, so appends proceed while it waits on
+// the disk: a caller that syncs on its own schedule (the report store's
+// committer) gets group commit. The log is safe for concurrent use.
 type SegLog struct {
 	mu   sync.Mutex
 	dir  string
@@ -39,8 +41,11 @@ type SegLog struct {
 	appended  int64
 	replayed  int64
 	fsyncs    int64
-	unsynced  int
+	synced    int64 // appends covered by the last fsync; appended-synced are not yet durable
 	closed    bool
+
+	// sync is the fsync; tests replace it (SetSyncFunc) to hold one open.
+	sync func(*os.File) error
 }
 
 // SegLogOptions tunes a segment log.
@@ -114,7 +119,7 @@ func OpenSegLog(dir string, opts SegLogOptions, onEntry func(payload []byte) err
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("castore: creating log dir: %w", err)
 	}
-	l := &SegLog{dir: dir, opts: opts}
+	l := &SegLog{dir: dir, opts: opts, sync: (*os.File).Sync}
 
 	idxs, err := segIndexes(dir)
 	if err != nil {
@@ -308,8 +313,7 @@ func (l *SegLog) Append(payload []byte) (Addr, error) {
 	l.segBytes += int64(len(buf))
 	l.diskBytes += int64(len(buf))
 	l.appended++
-	l.unsynced++
-	if l.opts.SyncEvery > 0 && l.unsynced >= l.opts.SyncEvery {
+	if l.opts.SyncEvery > 0 && l.appended-l.synced >= int64(l.opts.SyncEvery) {
 		if err := l.syncLocked(); err != nil {
 			return a, err
 		}
@@ -329,25 +333,49 @@ func (l *SegLog) rotateLocked() error {
 }
 
 func (l *SegLog) syncLocked() error {
-	if l.unsynced == 0 {
+	if l.synced == l.appended {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.sync(l.f); err != nil {
 		return fmt.Errorf("castore: fsync: %w", err)
 	}
 	l.fsyncs++
-	l.unsynced = 0
+	l.synced = l.appended
 	return nil
 }
 
-// Sync flushes any unsynced appends to disk.
+// Sync flushes every append made before it was called to disk. The fsync
+// runs without the log's lock, so concurrent appends are not held up by
+// it; they are covered by the next Sync.
 func (l *SegLog) Sync() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	if l.closed || l.synced == l.appended {
+		l.mu.Unlock()
 		return nil
 	}
-	return l.syncLocked()
+	f, upto, sync := l.f, l.appended, l.sync
+	l.mu.Unlock()
+	err := sync(f)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed || f != l.f || upto <= l.synced {
+		// Close, a rotation, or a concurrent Sync already synced these
+		// appends (Close and rotation closed f too, so err may be theirs).
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("castore: fsync: %w", err)
+	}
+	l.fsyncs++
+	l.synced = upto
+	return nil
+}
+
+// SetSyncFunc replaces the log's fsync, for tests that need one to block.
+func (l *SegLog) SetSyncFunc(sync func(*os.File) error) {
+	l.mu.Lock()
+	l.sync = sync
+	l.mu.Unlock()
 }
 
 // Close syncs and closes the log. Further appends fail; safe to call

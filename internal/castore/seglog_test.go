@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -255,4 +256,76 @@ func TestSegLogSyncCadence(t *testing.T) {
 		t.Fatalf("no-op Sync still fsynced: %d", st.Fsyncs)
 	}
 	l.Close()
+}
+
+// TestSegLogConcurrentSyncRotate runs appends, unlocked Syncs, and
+// rotation (a 64-byte segment limit rotates every few entries) at once:
+// every entry replays afterwards, and no fsync is counted that did not
+// cover a new append or seal a segment.
+func TestSegLogConcurrentSyncRotate(t *testing.T) {
+	const (
+		appenders = 4
+		perApp    = 100
+	)
+	dir := t.TempDir()
+	l, _, _ := openCollect(t, dir, SegLogOptions{MaxSegmentBytes: 64, SyncEvery: -1})
+	stop := make(chan struct{})
+	var syncers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		syncers.Add(1)
+		go func() {
+			defer syncers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := l.Sync(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var wg sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; i < perApp; i++ {
+				if _, err := l.Append([]byte(fmt.Sprintf("a%d-%03d", a, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
+	close(stop)
+	syncers.Wait()
+	check := func(when string) {
+		st := l.Stats()
+		if rotations := int64(st.Segments - 1); st.Fsyncs > st.Appended+rotations {
+			t.Fatalf("%s: %d fsyncs for %d appends and %d rotations", when, st.Fsyncs, st.Appended, rotations)
+		}
+	}
+	check("before Close")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Close")
+
+	l2, got, trunc := openCollect(t, dir, SegLogOptions{MaxSegmentBytes: 64})
+	defer l2.Close()
+	if trunc != nil {
+		t.Fatalf("concurrently written log truncated: %v", trunc)
+	}
+	seen := map[string]bool{}
+	for _, p := range got {
+		seen[string(p)] = true
+	}
+	if len(got) != appenders*perApp || len(seen) != len(got) {
+		t.Fatalf("replayed %d entries (%d distinct), want %d", len(got), len(seen), appenders*perApp)
+	}
 }

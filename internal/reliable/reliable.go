@@ -108,6 +108,9 @@ type Transport struct {
 	killed []bool // endpoints taken down by KillEndpoint
 
 	wg sync.WaitGroup
+	// timers counts timer callbacks in flight (see enter); Close waits for
+	// it to drain, so no callback emits telemetry after Close returns.
+	timers sync.WaitGroup
 }
 
 // Wrap builds the reliability sublayer over inner for n endpoints and
@@ -179,10 +182,17 @@ type oooEntry struct {
 	payload []byte
 }
 
-func (t *Transport) isClosed() bool {
+// enter admits a timer callback unless the transport is closed; an
+// admitted callback calls t.timers.Done when it finishes. Every Add happens
+// under t.mu before closed is set, so Close's Wait sees all of them.
+func (t *Transport) enter() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.closed
+	if t.closed {
+		return false
+	}
+	t.timers.Add(1)
+	return true
 }
 
 func (t *Transport) bumpStats(f func(st *simnet.Stats)) {
@@ -245,11 +255,31 @@ func (t *Transport) Send(from, to int, m msg.Message, vtime int64) int {
 // link after MaxRetries consecutive silent rounds.
 func (sl *sendLink) onTimeout() {
 	t := sl.t
+	if !t.enter() {
+		return
+	}
+	if sl.retransmit() {
+		// Leave the count before shutting anything down: the link-dead
+		// handler and Close both end in Close, which waits for it.
+		t.timers.Done()
+		if h := t.cfg.OnLinkDead; h != nil {
+			h(sl.from, sl.to)
+		} else {
+			t.Close()
+		}
+		return
+	}
+	t.timers.Done()
+}
+
+// retransmit is onTimeout's body; it reports whether the link just died.
+func (sl *sendLink) retransmit() (dead bool) {
+	t := sl.t
 	sl.mu.Lock()
-	if sl.dead || t.isClosed() || len(sl.unacked) == 0 {
+	if sl.dead || len(sl.unacked) == 0 {
 		sl.timer = nil
 		sl.mu.Unlock()
-		return
+		return false
 	}
 	sl.retries++
 	if sl.retries > t.cfg.MaxRetries {
@@ -264,12 +294,7 @@ func (sl *sendLink) onTimeout() {
 		t.cfg.Telemetry.Trip(telemetry.TripLinkDead,
 			fmt.Sprintf("reliable: link %d->%d dead after %d retries (%d unacked, first %v seq %d)",
 				sl.from, sl.to, t.cfg.MaxRetries, nun, first.typ, first.seq))
-		if h := t.cfg.OnLinkDead; h != nil {
-			h(sl.from, sl.to)
-		} else {
-			t.Close()
-		}
-		return
+		return true
 	}
 	rl := t.recv[sl.from*t.n+sl.to]
 	ack := rl.cumAck()
@@ -292,6 +317,7 @@ func (sl *sendLink) onTimeout() {
 	}
 	sl.timer.Reset(sl.rto)
 	sl.mu.Unlock()
+	return false
 }
 
 // handleAck applies a cumulative acknowledgment to the link.
@@ -424,11 +450,13 @@ func (rl *recvLink) deliverLocked(d simnet.Delivery, payload []byte) {
 
 // onAckDelay fires when no reverse traffic appeared to piggyback on.
 func (rl *recvLink) onAckDelay() {
+	if !rl.t.enter() {
+		return
+	}
+	defer rl.t.timers.Done()
 	rl.mu.Lock()
 	rl.ackTimer = nil
-	if !rl.t.isClosed() {
-		rl.sendPureAckLocked()
-	}
+	rl.sendPureAckLocked()
 	rl.mu.Unlock()
 }
 
@@ -526,8 +554,9 @@ func (t *Transport) KillEndpoint(proc int) {
 	t.out[proc].Kill()
 }
 
-// Close implements dsm.Transport: stop timers, shut the inner transport,
-// and wait for the pumps to drain.
+// Close implements dsm.Transport: stop timers, wait for the callbacks
+// already running, shut the inner transport, and wait for the pumps to
+// drain.
 func (t *Transport) Close() {
 	t.mu.Lock()
 	if t.closed {
@@ -543,6 +572,7 @@ func (t *Transport) Close() {
 	for _, rl := range t.recv {
 		rl.stop()
 	}
+	t.timers.Wait()
 	t.inner.Close()
 	t.wg.Wait()
 	for _, q := range t.out {

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"lrcrace/internal/castore"
 )
 
 // TestPropertyReadersExactlyOnce is the delivery contract as a property:
@@ -15,7 +17,10 @@ import (
 // reader's transcript is strictly increasing (exactly-once, in order),
 // every hole in it is covered by exactly one truncated record whose Seq and
 // count are exactly the hole, there is no truncated record without a hole,
-// and a reader that retention never overran has the whole history.
+// and a reader that retention never overran has the whole history. The
+// durable cases run the same property over a group-committing store, where
+// readers see only what the committer has published (and retention can
+// drop records before they were ever visible).
 func TestPropertyReadersExactlyOnce(t *testing.T) {
 	const (
 		appenders = 4
@@ -24,17 +29,27 @@ func TestPropertyReadersExactlyOnce(t *testing.T) {
 		total     = appenders * perApp
 	)
 	for _, tc := range []struct {
-		name string
-		cap  int
+		name    string
+		cap     int
+		durable bool
 	}{
-		{"overrun", 32},  // stalled readers lose their place
-		{"keeps-up", 0},  // default retention holds everything
-		{"one-slot", 1},  // the degenerate window
-		{"exact", total}, // holds exactly the history
+		{"overrun", 32, false},  // stalled readers lose their place
+		{"keeps-up", 0, false},  // default retention holds everything
+		{"one-slot", 1, false},  // the degenerate window
+		{"exact", total, false}, // holds exactly the history
+		{"durable/overrun", 32, true},
+		{"durable/keeps-up", 0, true},
 	} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
 				st := NewStore(tc.cap)
+				if tc.durable {
+					var err error
+					if st, _, err = OpenStore(t.TempDir(), tc.cap, castore.SegLogOptions{}); err != nil {
+						t.Fatal(err)
+					}
+					defer st.Close()
+				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 

@@ -269,9 +269,12 @@ type Config struct {
 	// on the next Open, restoring sequence numbers and replay cursors
 	// exactly. Requires Open (New panics on open failure).
 	DataDir string
-	// StoreSyncEvery is the durable store's fsync cadence in records;
-	// 0 → 1 (every record durable before Append returns), negative →
-	// only sync on Close. Ignored without DataDir.
+	// StoreSyncEvery picks the durable store's mode. Any value >= 0 (0
+	// and 1 included) group-commits: appends never wait on fsync, one
+	// committer goroutine fsyncs batches, and nothing is visible to a
+	// reader, and no admission or completion acknowledged, before it is on
+	// disk. Negative makes records visible at once and syncs only on
+	// Close. Ignored without DataDir.
 	StoreSyncEvery int
 	// TenantMaxActive caps one tenant's queued+running sessions; beyond
 	// it, that tenant's submissions get *QuotaError while other tenants
@@ -456,7 +459,9 @@ func (svc *Service) Submit(req RunRequest) (*Session, error) {
 	svc.order = append(svc.order, sess.id)
 	svc.evictDoneLocked()
 	svc.mu.Unlock()
-	svc.store.Append(Record{Session: sess.id, Tenant: tenant, Kind: KindSession, Detail: "admitted: " + cell.ID})
+	// The admission is acknowledged only once its record is durable.
+	rec := svc.store.Append(Record{Session: sess.id, Tenant: tenant, Kind: KindSession, Detail: "admitted: " + cell.ID})
+	svc.store.Commit(rec.Seq)
 	return sess, nil
 }
 
@@ -597,14 +602,16 @@ func (svc *Service) runSession(sess *Session) {
 	// there is no context to give up on: the deadline is the only way out.
 	result, races := sweep.RunGuarded(context.Background(), sess.ck.ID, sess.cfg, rec, svc.cfg.SessionTimeout, 1)
 
+	svc.tenantTransition(sess.tenant, 0, 1, 0) // running → done frees quota
+	// The session reports done only once its "finished" record is durable.
+	fin := svc.store.Append(Record{Session: sess.id, Tenant: sess.tenant, Kind: KindSession,
+		Detail: fmt.Sprintf("finished: %s (%d races)", result.Status, result.Races)})
+	svc.store.Commit(fin.Seq)
 	sess.mu.Lock()
 	sess.state = StateDone
 	sess.result = result
 	sess.races = races
 	sess.mu.Unlock()
-	svc.tenantTransition(sess.tenant, 0, 1, 0) // running → done frees quota
-	svc.store.Append(Record{Session: sess.id, Tenant: sess.tenant, Kind: KindSession,
-		Detail: fmt.Sprintf("finished: %s (%d races)", result.Status, result.Races)})
 	close(sess.done)
 }
 

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"time"
 
 	"lrcrace/internal/castore"
 	"lrcrace/internal/telemetry"
@@ -77,20 +78,37 @@ type Record struct {
 // it: Since is the only read path, and an attached reader (see Subscriber)
 // adds nothing but a wake-up — a slow reader can never block an appender,
 // only fall behind retention, which Since reports as an exact lost count.
+//
+// Readers see records up to the visible watermark only. A memory-only
+// store moves it on every Append; a group-committing durable store (see
+// OpenStore) moves it from its committer goroutine, after the fsync that
+// put the records on disk.
 type Store struct {
-	mu    sync.Mutex
-	cap   int
-	recs  []Record // recs[0].Seq == first; contiguous
-	first uint64   // seq of recs[0]; 1 when nothing dropped yet
-	next  uint64   // next seq to assign
-	subs  map[*Subscriber]struct{}
-	m     storeMetrics
+	mu      sync.Mutex
+	cap     int
+	recs    []Record // recs[0].Seq == first; contiguous
+	first   uint64   // seq of recs[0]; 1 when nothing dropped yet
+	next    uint64   // next seq to assign
+	visible uint64   // highest seq readers may see; <= next-1
+	subs    map[*Subscriber]struct{}
+	m       storeMetrics
+	// published is signalled (on mu) whenever visible advances.
+	published *sync.Cond
 
 	// Durability (nil log → memory-only store; see OpenStore). The log
 	// holds the full append history, so retention bounds memory, not
 	// replayable history.
 	log        *castore.SegLog
 	persistErr error // first persistence failure, kept for diagnostics
+
+	// Group commit: while grouped, Append only writes and kicks the
+	// committer, which fsyncs and publishes. Close closes quit (once),
+	// waits for stopped, and clears grouped after its own final sync.
+	grouped  bool
+	kick     chan struct{}
+	quit     chan struct{}
+	stopped  chan struct{}
+	stopOnce sync.Once
 }
 
 // storeMetrics are the store's series on the service's /metrics. The
@@ -99,8 +117,16 @@ type Store struct {
 type storeMetrics struct {
 	records, subscribers, durable                          *telemetry.Gauge
 	appended, dropped, replayed, truncations, persistFails *telemetry.Counter
-	logSegments, logBytes, logFsyncs                       *telemetry.Gauge // durable stores only
+	logSegments, logBytes, logFsyncs                       *telemetry.Gauge     // durable stores only
+	commitRecords, fsyncSeconds                            *telemetry.Histogram // group-committing stores only
 }
+
+// Bucket bounds of the committer's two histograms: records made durable
+// by one commit round, and its fsync's wall time in seconds.
+var (
+	commitRecordBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+	fsyncSecondBuckets  = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1}
+)
 
 // DefaultStoreCap is the default retention bound, in records.
 const DefaultStoreCap = 65536
@@ -115,7 +141,7 @@ func newStore(cap int, reg *telemetry.Registry) *Store {
 	if cap <= 0 {
 		cap = DefaultStoreCap
 	}
-	return &Store{cap: cap, first: 1, next: 1, subs: make(map[*Subscriber]struct{}), m: storeMetrics{
+	s := &Store{cap: cap, first: 1, next: 1, subs: make(map[*Subscriber]struct{}), m: storeMetrics{
 		records:      reg.Gauge("svc_store_records", "Records currently retained by the report store."),
 		appended:     reg.Counter("svc_store_appended_total", "Records ever appended to the report store."),
 		dropped:      reg.Counter("svc_store_dropped_total", "Records discarded by report-store retention."),
@@ -125,6 +151,8 @@ func newStore(cap int, reg *telemetry.Registry) *Store {
 		truncations:  reg.Counter("svc_store_truncations_total", "Corrupt log tails verified and cut off on replay."),
 		persistFails: reg.Counter("svc_store_persist_failures_total", "Appends that failed to reach the durable log."),
 	}}
+	s.published = sync.NewCond(&s.mu)
+	return s
 }
 
 // collect refreshes the store's gauges.
@@ -141,8 +169,11 @@ func (s *Store) collect() {
 	}
 }
 
-// Append assigns the next sequence number to r, retains it, persists it
-// when the store is durable, and wakes the attached readers it matches
+// Append assigns the next sequence number to r, retains it, and writes it
+// to the log when the store is durable. It never waits for an fsync: in a
+// group-committing store the record becomes visible to readers, and
+// Commit(r.Seq) returns, once the committer has made it durable; otherwise
+// it is visible at once. Publishing wakes the attached readers it matches
 // (a non-blocking signal; the record itself stays in the store). It
 // returns the stored record.
 func (s *Store) Append(r Record) Record {
@@ -172,16 +203,93 @@ func (s *Store) Append(r Record) Record {
 			}
 		}
 	}
+	if s.grouped {
+		select {
+		case s.kick <- struct{}{}:
+		default: // a commit round is already due
+		}
+	} else {
+		s.publishLocked(r.Seq)
+	}
+	s.mu.Unlock()
+	return r
+}
+
+// publishLocked makes every record through upto visible: it advances the
+// watermark, releases Commit waiters, and wakes the readers whose view
+// grew.
+func (s *Store) publishLocked(upto uint64) {
+	if upto <= s.visible {
+		return
+	}
+	from := s.visible
+	s.visible = upto
+	s.published.Broadcast()
 	for sub := range s.subs {
-		if sub.session == "" || sub.session == r.Session {
+		if sub.session == "" || s.holdsSessionLocked(sub.session, from, upto) {
 			select {
 			case sub.wake <- struct{}{}:
 			default: // a wake-up is already pending
 			}
 		}
 	}
+}
+
+// holdsSessionLocked reports whether a retained record in (from, upto]
+// belongs to session.
+func (s *Store) holdsSessionLocked(session string, from, upto uint64) bool {
+	for seq := max(from+1, s.first); seq <= upto; seq++ {
+		if s.recs[seq-s.first].Session == session {
+			return true
+		}
+	}
+	return false
+}
+
+// Commit blocks until record seq is visible: in a group-committing store,
+// until it is on disk. The service calls it before acknowledging anything
+// a record describes.
+func (s *Store) Commit(seq uint64) {
+	s.mu.Lock()
+	for s.visible < seq {
+		s.published.Wait()
+	}
 	s.mu.Unlock()
-	return r
+}
+
+// commitLoop is the group-commit goroutine: each round fsyncs everything
+// appended so far in one SegLog.Sync and publishes it. Appends that land
+// during the fsync kick the next round, so under load one fsync covers
+// every record written while the previous one ran.
+func (s *Store) commitLoop() {
+	defer close(s.stopped)
+	for {
+		select {
+		case <-s.kick:
+		case <-s.quit:
+			return
+		}
+		s.mu.Lock()
+		upto := s.next - 1 // Append writes under mu, so the log holds all of these
+		s.mu.Unlock()
+		start := time.Now()
+		err := s.log.Sync()
+		took := time.Since(start)
+		s.mu.Lock()
+		n := upto - s.visible
+		if err != nil {
+			// As with a failed write: count it, keep it for PersistErr, and
+			// keep serving from memory rather than wedge every reader.
+			s.m.persistFails.Add(int64(n))
+			if s.persistErr == nil {
+				s.persistErr = err
+			}
+		}
+		s.publishLocked(upto)
+		s.mu.Unlock()
+		s.m.commitRecords.Observe(float64(n))
+		s.m.fsyncSeconds.Observe(took.Seconds())
+	}
 }
 
 // ReplayInfo summarizes what OpenStore restored from its data directory.
@@ -201,9 +309,13 @@ type ReplayInfo struct {
 
 // OpenStore opens a durable report store over the content-addressed
 // segment log in dir: every record ever appended is framed, hashed, and
-// fsync'd per opts, and on reopen the log is replayed — verifying each
-// chunk against its address — so sequence numbers, session views, and
-// reader cursors resume exactly where they stopped. A tail
+// fsync'd, and on reopen the log is replayed — verifying each chunk
+// against its address — so sequence numbers, session views, and reader
+// cursors resume exactly where they stopped. opts.SyncEvery picks one of
+// two modes: >= 0 group-commits (Append only writes; a committer
+// goroutine fsyncs batches, and a record is visible once it is durable),
+// negative fsyncs only on Close, with records visible at once.
+// opts.MaxSegmentBytes passes through to the log. A tail
 // that fails verification (tampered chunk, torn write, undecodable
 // record, out-of-order sequence) is truncated at the last good record
 // and surfaced as an explicit KindTruncated record carrying the next
@@ -216,7 +328,8 @@ func OpenStore(dir string, cap int, opts castore.SegLogOptions) (*Store, ReplayI
 func openStore(dir string, cap int, opts castore.SegLogOptions, reg *telemetry.Registry) (*Store, ReplayInfo, error) {
 	s := newStore(cap, reg)
 	expect := uint64(1)
-	log, trunc, err := castore.OpenSegLog(dir, opts, func(payload []byte) error {
+	logOpts := castore.SegLogOptions{SyncEvery: -1, MaxSegmentBytes: opts.MaxSegmentBytes}
+	log, trunc, err := castore.OpenSegLog(dir, logOpts, func(payload []byte) error {
 		var r Record
 		if err := json.Unmarshal(payload, &r); err != nil {
 			return fmt.Errorf("undecodable record: %w", err)
@@ -236,12 +349,22 @@ func openStore(dir string, cap int, opts castore.SegLogOptions, reg *telemetry.R
 	s.m.logSegments = reg.Gauge("svc_store_log_segments", "Segment files in the durable report log.")
 	s.m.logBytes = reg.Gauge("svc_store_log_bytes", "Bytes across the durable report log's segments.")
 	s.m.logFsyncs = reg.Gauge("svc_store_log_fsyncs_total", "fsync calls the durable report log has issued.")
+	if opts.SyncEvery >= 0 {
+		s.m.commitRecords = reg.Histogram("svc_store_commit_records",
+			"Records the report store's committer made durable per commit round (at most one fsync).", commitRecordBuckets)
+		s.m.fsyncSeconds = reg.Histogram("svc_store_fsync_seconds",
+			"Wall time of one commit round's fsync of the report log.", fsyncSecondBuckets)
+		s.grouped = true
+		s.kick, s.quit, s.stopped = make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
+		go s.commitLoop()
+	}
 	info := ReplayInfo{Records: int(expect - 1), LastSeq: expect - 1}
 	if trunc != nil {
 		s.m.truncations.Add(1)
 		info.Truncation = trunc.String()
-		s.Append(Record{Kind: KindTruncated,
+		r := s.Append(Record{Kind: KindTruncated,
 			Detail: "report log truncated on replay: " + trunc.String()})
+		s.Commit(r.Seq)
 	}
 	return s, info, nil
 }
@@ -251,6 +374,7 @@ func openStore(dir string, cap int, opts castore.SegLogOptions, reg *telemetry.R
 func (s *Store) restore(r Record) {
 	s.recs = append(s.recs, r)
 	s.next = r.Seq + 1
+	s.visible = r.Seq
 	s.m.appended.Add(1)
 	s.m.replayed.Add(1)
 	if len(s.recs) > s.cap {
@@ -260,27 +384,26 @@ func (s *Store) restore(r Record) {
 	}
 }
 
-// Sync flushes any unsynced appends of a durable store; a no-op for
-// memory-only stores.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		return nil
-	}
-	return s.log.Sync()
-}
-
-// Close syncs and closes a durable store's log (appends after Close stay
-// in memory and count as persistence failures); a no-op for memory-only
-// stores.
+// Close stops the committer, then syncs and closes a durable store's log
+// and publishes everything appended so far (appends after Close stay in
+// memory, are visible at once, and count as persistence failures); a
+// no-op for memory-only stores.
 func (s *Store) Close() error {
+	if s.quit != nil {
+		s.stopOnce.Do(func() {
+			close(s.quit)
+			<-s.stopped
+		})
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log == nil {
 		return nil
 	}
-	return s.log.Close()
+	err := s.log.Close()
+	s.grouped = false
+	s.publishLocked(s.next - 1)
+	return err
 }
 
 // Durable reports whether the store persists its records.
@@ -297,13 +420,13 @@ func (s *Store) PersistErr() error {
 	return s.persistErr
 }
 
-// Since returns retained records with Seq > since, filtered to one
-// session when session is non-empty, at most max of them (0 → no limit).
-// lost is how many records between the cursor and the oldest retained one
-// retention already dropped (the caller's cursor points into the dropped
-// range); next is the store's current tail cursor — passing it back as
-// since resumes exactly after the returned batch only when the batch was
-// not truncated by max.
+// Since returns retained visible records with Seq > since, filtered to
+// one session when session is non-empty, at most max of them (0 → no
+// limit). lost is how many records between the cursor and the oldest
+// retained one retention already dropped (the caller's cursor points into
+// the dropped range); next is the store's current visible tail cursor —
+// passing it back as since resumes exactly after the returned batch only
+// when the batch was not truncated by max.
 func (s *Store) Since(since uint64, session string, max int) (recs []Record, lost uint64, next uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -314,10 +437,12 @@ func (s *Store) Since(since uint64, session string, max int) (recs []Record, los
 	} else {
 		lost = s.first - 1 - since
 	}
-	if n := uint64(len(s.recs)); start > n {
-		start = n
+	end := uint64(0) // recs[:end] are visible
+	if s.visible >= s.first {
+		end = s.visible - s.first + 1
 	}
-	for _, r := range s.recs[start:] {
+	start = min(start, end)
+	for _, r := range s.recs[start:end] {
 		if session != "" && r.Session != session {
 			continue
 		}
@@ -327,10 +452,18 @@ func (s *Store) Since(since uint64, session string, max int) (recs []Record, los
 		}
 	}
 	next = since
-	if n := len(recs); n > 0 {
+	switch n := len(recs); {
+	case n > 0:
 		next = recs[n-1].Seq
-	} else if s.next > 1 {
-		next = s.next - 1
+	case lost > 0:
+		// Past the hole, even where retention dropped records before they
+		// were visible: a cursor handed back must not count them twice.
+		next = s.first - 1
+		if s.visible > next {
+			next = s.visible
+		}
+	case s.visible > 0:
+		next = s.visible
 	}
 	return recs, lost, next
 }
