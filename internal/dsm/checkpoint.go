@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,7 +15,6 @@ import (
 	"lrcrace/internal/msg"
 	"lrcrace/internal/race"
 	"lrcrace/internal/telemetry"
-	"lrcrace/internal/vc"
 )
 
 // Barrier-epoch checkpointing.
@@ -26,8 +26,8 @@ import (
 // so at each departure every process serializes its recovery state — page
 // copies and protocol rights, twins, version vector, interval log and
 // stored bitmaps, lock table, accumulated race reports, statistics, and
-// (at process 0) the detector state — through the same codec style
-// internal/msg uses for wire messages.
+// (at process 0) the detector state — with internal/msg's wire walker, the
+// same one that encodes and decodes the wire messages.
 //
 // Since ckptVersion 3 the serialized form is a *manifest*: the bulky
 // payloads (page copies, twins, bitmap words) live in a content-addressed
@@ -60,21 +60,16 @@ const (
 const CheckpointVersion = ckptVersion
 
 // Typed decode failures. ErrCheckpointCorrupt covers damage to the
-// manifest itself (truncation, bit flips, implausible counts);
-// ErrCheckpointChunk covers an unresolvable chunk closure (a referenced
-// chunk is missing from the store or fails its hash check). Rollback
-// treats both the same way — the epoch is unusable and an older line must
-// be tried — but telemetry and tests distinguish them.
+// manifest itself (truncation, bit flips, implausible counts, a state the
+// decoding process cannot take); ErrCheckpointChunk covers an unresolvable
+// chunk closure (a referenced chunk is missing from the store or fails its
+// hash check). Rollback treats both the same way — the epoch is unusable
+// and an older line must be tried — but telemetry and tests distinguish
+// them.
 var (
 	ErrCheckpointCorrupt = errors.New("dsm: checkpoint corrupt")
 	ErrCheckpointChunk   = errors.New("dsm: checkpoint chunk unresolvable")
 )
-
-// chunkSource resolves chunk addresses during manifest decoding.
-// *castore.Store implements it; tests substitute fault-injecting stores.
-type chunkSource interface {
-	Get(castore.Addr) ([]byte, error)
-}
 
 // CheckpointStats summarizes checkpoint activity for a run. Count and the
 // byte totals are cumulative over the run, surviving rollback
@@ -326,13 +321,6 @@ func (p *Proc) checkpointLocked() {
 	}
 }
 
-func b2u8(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // bitmapChunk serializes an access bitmap's words little-endian — the
 // chunkable payload form of mem.Bitmap.
 func bitmapChunk(b mem.Bitmap) []byte {
@@ -351,85 +339,220 @@ func chunkBitmap(b []byte) mem.Bitmap {
 	return bm
 }
 
-// encodeCheckpointLocked serializes the checkpointable state of p as a
-// ckptVersion-3 manifest without depositing chunks anywhere: addresses are
-// computed (the hash is the address, store or no store) but the contents
-// are dropped. Used by round-trip tests; the checkpointing path proper is
-// encodeCheckpointInto.
-func (p *Proc) encodeCheckpointLocked() []byte {
-	b, _, _ := p.encodeCheckpointInto(nil)
-	return b
+// encodeCheckpointInto serializes the checkpointable state of p, chunking
+// the bulky payloads into cs (nil → hash-only: the addresses are computed,
+// the contents dropped). It returns the manifest, the chunk references
+// taken (one per manifest reference; the caller owns them and hands them to
+// CheckpointStore.Put), and the encode's chunking stats. The caller holds
+// p.mu (the service thread mutates this state under the same lock, so the
+// capture is atomic with respect to message handling).
+func (p *Proc) encodeCheckpointInto(cs *castore.Store) ([]byte, []castore.Addr, ckptChunkStats) {
+	w := &ckptWire{Wire: msg.Wire{E: &msg.Encoder{}}, store: cs}
+	if p.id == 0 && p.sys.detector != nil {
+		st := p.sys.detector.SnapshotState()
+		w.det = &st
+	}
+	p.checkpointLayout(w)
+	return w.E.Bytes(), w.addrs, w.cst
 }
 
-// encodeCheckpointInto serializes the checkpointable state of p, chunking
-// the bulky payloads into cs (nil → hash-only, nothing stored). It returns
-// the manifest, the chunk references taken (one per manifest reference;
-// the caller owns them and hands them to CheckpointStore.Put), and the
-// encode's chunking stats. The caller holds p.mu (the service thread
-// mutates this state under the same lock, so the capture is atomic with
-// respect to message handling).
-func (p *Proc) encodeCheckpointInto(cs *castore.Store) ([]byte, []castore.Addr, ckptChunkStats) {
-	var addrs []castore.Addr
-	var cst ckptChunkStats
-	e := &msg.Encoder{}
-	// put deposits one bulky payload and writes its address into the
-	// manifest. hint is where the depositor believes these bytes already
-	// live (the zero Addr when it has no idea); the store verifies it.
-	put := func(b []byte, hint castore.Addr) castore.Addr {
-		cst.puts++
-		cst.logicalBytes += int64(len(b))
-		var a castore.Addr
-		if cs == nil {
-			a = castore.Sum(b)
-		} else {
-			var isNew bool
-			a, isNew = cs.PutAt(hint, b)
-			if isNew {
-				cst.newBytes += int64(len(b))
-			} else {
-				cst.hits++
-			}
-			addrs = append(addrs, a)
+// decodeCheckpoint decodes manifest b into a fresh process id of s,
+// resolving every chunk reference through chunks (nil → none resolve),
+// which verifies each chunk against its address. At process 0 of a
+// detecting system it also returns the detector state the manifest
+// carries; nothing outside the returned process is touched. Errors are
+// typed: ErrCheckpointChunk for an unresolvable closure,
+// ErrCheckpointCorrupt for anything else. It never panics, whatever the
+// input.
+func decodeCheckpoint(s *System, id int, b []byte, chunks *castore.Store) (*Proc, *race.State, error) {
+	p := newProc(s, id)
+	d := msg.NewDecoder(b)
+	w := &ckptWire{Wire: msg.Wire{D: d}, store: chunks}
+	if id == 0 && s.detector != nil {
+		w.det = &race.State{}
+	}
+	p.checkpointLayout(w)
+	if !d.Done() {
+		d.Fail(errors.New("trailing bytes"))
+	}
+	if err := d.Err(); err != nil {
+		if !errors.Is(err, ErrCheckpointChunk) {
+			err = fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
 		}
-		e.Raw(a[:])
+		return nil, nil, err
+	}
+	return p, w.det, nil
+}
+
+// ckptWire walks a checkpoint manifest: the msg walker plus the one shape
+// only a checkpoint has, the chunk reference.
+type ckptWire struct {
+	msg.Wire
+	// store is where encoding deposits chunks (nil → hash only) and where
+	// decoding resolves addresses (nil → none resolve).
+	store *castore.Store
+	addrs []castore.Addr // encoding: the references taken
+	cst   ckptChunkStats
+	det   *race.State // the master's detector state; nil → none
+}
+
+// chunk moves a bulky payload as its 32-byte address. Encoding deposits *b
+// at hint — where the caller believes these bytes already live, the zero
+// Addr when it has no idea; the store verifies it — and writes the address
+// the bytes landed at. Decoding reads an address and resolves it through
+// the verifying store into *b. Either way it returns the address.
+func (w *ckptWire) chunk(hint castore.Addr, b *[]byte) castore.Addr {
+	var a castore.Addr
+	if w.D != nil {
+		copy(a[:], w.D.Raw(addrSize))
+		switch {
+		case w.D.Err() != nil:
+		case w.store == nil:
+			w.D.Fail(fmt.Errorf("%w: %s: no chunk store", ErrCheckpointChunk, a))
+		default:
+			data, err := w.store.Get(a)
+			if err != nil {
+				w.D.Fail(fmt.Errorf("%w: %v", ErrCheckpointChunk, err))
+			}
+			*b = data
+		}
 		return a
 	}
-	p.encodeCheckpointBody(e, put)
-	return e.Bytes(), addrs, cst
+	w.cst.puts++
+	w.cst.logicalBytes += int64(len(*b))
+	if w.store == nil {
+		a = castore.Sum(*b)
+	} else {
+		var isNew bool
+		a, isNew = w.store.PutAt(hint, *b)
+		if isNew {
+			w.cst.newBytes += int64(len(*b))
+		} else {
+			w.cst.hits++
+		}
+		w.addrs = append(w.addrs, a)
+	}
+	w.E.Raw(a[:])
+	return a
 }
 
-// encodeCheckpointBody writes the checkpoint layout, handing each bulky
-// payload (page copies, twins, bitmap words) to put, which deposits it in
-// the chunk store, writes its address and returns it.
-func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func(b []byte, hint castore.Addr) castore.Addr) {
-	e.U32(ckptMagic)
-	e.U8(ckptVersion)
-	e.U16(uint16(p.id))
-	e.U16(uint16(p.n))
-	e.I32(p.epoch)
-	e.U32(uint32(p.curIndex))
-	e.I64(p.vnow)
-	e.VC(p.vcur)
+// fail rejects the manifest being decoded; the first failure sticks.
+func (w *ckptWire) fail(format string, args ...any) {
+	w.D.Fail(fmt.Errorf(format, args...))
+}
+
+// pageSet moves a page set as its sorted page list.
+func (w *ckptWire) pageSet(s *pageSet, np int) {
+	pages := s.sorted()
+	w.Pages(&pages)
+	if w.D != nil && w.pageList(pages, np) {
+		for _, pg := range pages {
+			s.add(pg)
+		}
+	}
+}
+
+// pageList reports whether a decoded page list is strictly ascending within
+// [0, np), failing the decode if not.
+func (w *ckptWire) pageList(pages []mem.PageID, np int) bool {
+	if !ascending(pages, cmp.Compare[mem.PageID]) ||
+		len(pages) > 0 && (pages[0] < 0 || int(pages[len(pages)-1]) >= np) {
+		w.fail("list of %d pages out of order or outside [0, %d)", len(pages), np)
+		return false
+	}
+	return true
+}
+
+// ascending reports whether xs strictly increases under compare: the order
+// the encoder writes every set and map in, so a decoded list in any other
+// order (or with a duplicate) is not one it wrote.
+func ascending[T any](xs []T, compare func(a, b T) int) bool {
+	for i := 1; i < len(xs); i++ {
+		if compare(xs[i-1], xs[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func compareRecords(a, b *interval.Record) int { return interval.CompareIDs(a.ID, b.ID) }
+
+// compareBitmaps orders stored bitmaps as BitmapStore.Entries lists them:
+// reads before writes, then by interval and page.
+func compareBitmaps(a, b interval.StoredBitmap) int {
+	if a.Write != b.Write {
+		if b.Write {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Or(interval.CompareIDs(a.ID, b.ID), cmp.Compare(a.Page, b.Page))
+}
+
+// checkpointLayout states the checkpoint format once, in manifest order,
+// for encoding and decoding alike. Decoding writes into a fresh process and
+// checks each field where it is read: the header must name this process,
+// the page table must match the layout, page copies must be page-sized,
+// page sets must lie in the layout, the master's extras must sit at
+// process 0 and match whether the system detects, and flags must be 0 or
+// 1. Counts are bounded by the bytes left, and sets and maps (twins, page
+// sets, locks, the interval log, stored bitmaps, racy records) must come in
+// the strictly ascending order the encoder writes them in — so an accepted
+// manifest re-encodes to its own bytes.
+func (p *Proc) checkpointLayout(w *ckptWire) {
+	dec := w.D != nil
+	magic, version, id, n := uint32(ckptMagic), uint8(ckptVersion), p.id, p.n
+	msg.N32(w.Wire, &magic)
+	msg.N8(w.Wire, &version)
+	msg.N16(w.Wire, &id)
+	msg.N16(w.Wire, &n)
+	switch {
+	case !dec:
+	case magic != ckptMagic:
+		w.fail("bad magic")
+	case version != ckptVersion:
+		w.fail("unsupported version %d", version)
+	case id != p.id || n != p.n:
+		w.fail("checkpoint of proc %d/%d decoded at proc %d/%d", id, n, p.id, p.n)
+	}
+	msg.N32(w.Wire, &p.epoch)
+	msg.N32(w.Wire, &p.curIndex)
+	msg.N64(w.Wire, &p.vnow)
+	w.VC(&p.vcur)
 
 	// Page table and copies. Transient fault state (expecting/fetching/
 	// pendFwd) is quiescent at a barrier and is not serialized. Three pages
 	// in four are byte-identical to the previous epoch's copy, so each is
-	// offered at the address it was last deposited under.
-	np := p.sys.layout.NumPages
+	// offered at the address it was last deposited under; a process decoded
+	// from a checkpoint remembers the addresses it was restored from.
+	np := len(p.state)
 	if p.ckptAddr == nil {
 		p.ckptAddr = make([]castore.Addr, np)
 	}
-	e.U32(uint32(np))
+	if got, _ := w.Count(np, 7); dec && got != np {
+		w.fail("checkpoint has %d pages, layout has %d", got, np)
+	}
 	for i := 0; i < np; i++ {
 		pg := mem.PageID(i)
-		e.U8(uint8(p.state[pg]))
-		e.U8(b2u8(p.owned[pg]))
-		e.I32(int32(p.dirOwner[pg]))
-		if p.state[pg] != pageInvalid {
-			e.U8(1)
-			p.ckptAddr[pg] = put(p.seg.PageBytes(pg), p.ckptAddr[pg])
-		} else {
-			e.U8(0)
+		msg.N8(w.Wire, &p.state[pg])
+		w.Flag(&p.owned[pg])
+		msg.N32(w.Wire, &p.dirOwner[pg])
+		valid := p.state[pg] != pageInvalid
+		hasCopy := valid
+		w.Flag(&hasCopy)
+		if dec && (hasCopy != valid || p.state[pg] > pageWritable) {
+			w.fail("page %d: state %d with copy %v", pg, p.state[pg], hasCopy)
+		}
+		if hasCopy {
+			b := p.seg.PageBytes(pg)
+			p.ckptAddr[pg] = w.chunk(p.ckptAddr[pg], &b)
+			switch {
+			case !dec:
+			case len(b) != p.seg.PageSize:
+				w.fail("page %d copy has %d bytes, page size is %d", pg, len(b), p.seg.PageSize)
+			default:
+				p.seg.CopyPageIn(pg, b)
+			}
 		}
 	}
 
@@ -439,14 +562,23 @@ func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func(b []byte, hint cast
 		twinPages = append(twinPages, pg)
 	}
 	interval.SortPages(twinPages)
-	e.U32(uint32(len(twinPages)))
-	for _, pg := range twinPages {
-		e.I32(int32(pg))
-		put(p.twins[pg], castore.Addr{})
+	if k, ok := w.Count(len(twinPages), 4+addrSize); dec && ok {
+		twinPages = make([]mem.PageID, k)
+	}
+	for i := range twinPages {
+		msg.N32(w.Wire, &twinPages[i])
+		tw := p.twins[twinPages[i]]
+		w.chunk(castore.Addr{}, &tw)
+		if dec {
+			p.twins[twinPages[i]] = tw
+		}
+	}
+	if dec {
+		w.pageList(twinPages, np)
 	}
 
-	e.Pages(p.writtenPages.sorted())
-	e.Pages(p.pendingInval.sorted())
+	w.pageSet(&p.writtenPages, np)
+	w.pageSet(&p.pendingInval, np)
 
 	// Lock table: durable tenure state only. In-flight requests (awaiting,
 	// pending grants, replay deferrals) are transient and re-established by
@@ -456,75 +588,100 @@ func (p *Proc) encodeCheckpointBody(e *msg.Encoder, put func(b []byte, hint cast
 		lockIDs = append(lockIDs, id)
 	}
 	sort.Ints(lockIDs)
-	e.U32(uint32(len(lockIDs)))
-	for _, id := range lockIDs {
-		ls := p.locks[id]
-		e.I32(int32(id))
-		e.U8(b2u8(ls.holding))
-		e.U8(b2u8(ls.releasedUngranted))
-		e.I64(ls.lastRelV)
-		if ls.relVC != nil {
-			e.U8(1)
-			e.VC(ls.relVC)
-		} else {
-			e.U8(0)
+	if k, ok := w.Count(len(lockIDs), 19); dec && ok {
+		lockIDs = make([]int, k)
+	}
+	for i := range lockIDs {
+		msg.N32(w.Wire, &lockIDs[i])
+		if dec {
+			p.locks[lockIDs[i]] = &lockState{}
 		}
-		e.I32(int32(ls.lastHolder))
+		ls := p.locks[lockIDs[i]]
+		w.Flag(&ls.holding)
+		w.Flag(&ls.releasedUngranted)
+		msg.N64(w.Wire, &ls.lastRelV)
+		released := ls.relVC != nil
+		w.Flag(&released)
+		if released {
+			w.VC(&ls.relVC)
+		}
+		msg.N32(w.Wire, &ls.lastHolder)
+	}
+	if dec && !ascending(lockIDs, cmp.Compare[int]) {
+		w.fail("lock table out of order")
 	}
 
 	// Interval log, current-epoch record queue, and stored access bitmaps.
 	logRecs := p.log.Records()
-	e.U32(uint32(len(logRecs)))
-	for _, r := range logRecs {
-		msg.EncodeRecord(e, r)
+	w.Records(&logRecs)
+	if dec {
+		if !ascending(logRecs, compareRecords) {
+			w.fail("interval log out of order")
+		}
+		for _, r := range logRecs {
+			p.log.Add(r)
+		}
 	}
-	e.U32(uint32(len(p.epochRecords)))
-	for _, r := range p.epochRecords {
-		msg.EncodeRecord(e, r)
-	}
+	w.Records(&p.epochRecords)
 	ents := p.store.Entries()
-	e.U32(uint32(len(ents)))
-	for _, en := range ents {
-		e.IntervalID(en.ID)
-		e.I32(int32(en.Page))
-		e.U8(b2u8(en.Write))
-		put(bitmapChunk(en.Bits), castore.Addr{})
+	if k, ok := w.Count(len(ents), 11+addrSize); dec && ok {
+		ents = make([]interval.StoredBitmap, k)
+	}
+	for i := range ents {
+		en := &ents[i]
+		w.ID(&en.ID)
+		msg.N32(w.Wire, &en.Page)
+		w.Flag(&en.Write)
+		words := bitmapChunk(en.Bits)
+		w.chunk(castore.Addr{}, &words)
+		switch {
+		case !dec:
+		case len(words)%8 != 0:
+			w.fail("bitmap chunk of %d bytes", len(words))
+		default:
+			p.store.Put(en.ID, en.Page, en.Write, chunkBitmap(words))
+		}
+	}
+	if dec && !ascending(ents, compareBitmaps) {
+		w.fail("stored bitmaps out of order")
 	}
 
 	// Race reports and statistics.
-	e.U32(uint32(len(p.races)))
-	for _, r := range p.races {
-		msg.EncodeReport(e, r)
-	}
+	w.Reports(&p.races)
 	for _, f := range procStatsFields(&p.st) {
-		e.I64(*f)
+		msg.N64(w.Wire, f)
 	}
 
 	// Master extras: barrier epoch and the detector's mutable state.
-	if p.id == 0 {
-		e.U8(1)
-		e.I32(p.tree.epoch)
-		if det := p.sys.detector; det != nil {
-			e.U8(1)
-			st := det.SnapshotState()
-			for _, f := range raceStatsFields(&st.Stats) {
-				e.I64(int64(*f))
-			}
-			e.I32(st.FirstRacyEpoch)
-			e.U32(uint32(len(st.RacyRecords)))
-			for _, r := range st.RacyRecords {
-				msg.EncodeRecord(e, r)
-			}
-		} else {
-			e.U8(0)
+	master, detecting := p.id == 0, w.det != nil
+	w.Flag(&master)
+	if dec && master != (p.id == 0) {
+		w.fail("master extras %v at proc %d", master, p.id)
+	}
+	if !master {
+		return
+	}
+	msg.N32(w.Wire, &p.tree.epoch)
+	hasDet := detecting
+	w.Flag(&hasDet)
+	if dec && hasDet != detecting {
+		w.fail("detector state %v in a system detecting %v", hasDet, detecting)
+		return
+	}
+	if detecting {
+		for _, f := range raceStatsFields(&w.det.Stats) {
+			msg.N64(w.Wire, f)
 		}
-	} else {
-		e.U8(0)
+		msg.N32(w.Wire, &w.det.FirstRacyEpoch)
+		w.Records(&w.det.RacyRecords)
+		if dec && !ascending(w.det.RacyRecords, compareRecords) {
+			w.fail("racy records out of order")
+		}
 	}
 }
 
-// procStatsFields lists the checkpointed Stats counters in manifest order,
-// for encoding and decoding alike; each is written as an I64.
+// procStatsFields lists the checkpointed Stats counters in manifest order;
+// each is written as an I64.
 func procStatsFields(st *Stats) [22]*int64 {
 	return [...]*int64{
 		&st.SharedReads, &st.SharedWrites, &st.PrivateAccesses,
@@ -544,310 +701,4 @@ func raceStatsFields(st *race.Stats) [11]*int {
 		&st.OverlappingPairs, &st.IntervalsInvolved, &st.CheckEntries,
 		&st.NoticesScanned, &st.BitmapsCompared, &st.WordOverlaps, &st.SuppressedReports,
 	}
-}
-
-// ckptPage is one page-table entry of a decoded checkpoint.
-type ckptPage struct {
-	State    pageState
-	Owned    bool
-	DirOwner int
-	Data     []byte // nil if the copy was invalid
-}
-
-// ckptLock is one lock-table entry of a decoded checkpoint.
-type ckptLock struct {
-	ID                int
-	Holding           bool
-	ReleasedUngranted bool
-	LastRelV          int64
-	RelVC             vc.VC // nil if never released
-	LastHolder        int
-}
-
-// procCheckpoint is the decoded form of one process checkpoint, chunk
-// references already resolved and verified.
-type procCheckpoint struct {
-	ID       int
-	N        int
-	Epoch    int32
-	CurIndex vc.Index
-	Vnow     int64
-	Vcur     vc.VC
-
-	Pages        []ckptPage
-	Twins        map[mem.PageID][]byte
-	Written      []mem.PageID
-	PendingInval []mem.PageID
-	Locks        []ckptLock
-	Log          []*interval.Record
-	EpochRecords []*interval.Record
-	Bitmaps      []interval.StoredBitmap
-	Races        []race.Report
-	St           Stats
-
-	HasMaster bool
-	BarEpoch  int32
-	HasDet    bool
-	Det       race.State
-}
-
-// ckptCount reads an element count and sanity-bounds it against the bytes
-// left in the manifest, so a bit-flipped count cannot drive a giant
-// allocation before the decoder notices the truncation.
-func ckptCount(d *msg.Decoder, what string, minSize int) (int, error) {
-	n := int(d.U32())
-	if err := d.Err(); err != nil {
-		return 0, fmt.Errorf("%w: %s count: %v", ErrCheckpointCorrupt, what, err)
-	}
-	if minSize < 1 {
-		minSize = 1
-	}
-	if n > d.Remaining()/minSize {
-		return 0, fmt.Errorf("%w: %s count %d exceeds %d remaining bytes",
-			ErrCheckpointCorrupt, what, n, d.Remaining())
-	}
-	return n, nil
-}
-
-// decodeCheckpoint parses a serialized manifest, resolving every chunk
-// reference through chunks — which verifies each chunk's contents against
-// its address. Errors are typed: ErrCheckpointCorrupt for manifest damage,
-// ErrCheckpointChunk for an unresolvable closure. It never panics,
-// whatever the input.
-func decodeCheckpoint(b []byte, chunks chunkSource) (*procCheckpoint, error) {
-	d := msg.NewDecoder(b)
-	if d.U32() != ckptMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCheckpointCorrupt)
-	}
-	if v := d.U8(); v != ckptVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCheckpointCorrupt, v)
-	}
-	resolve := func(what string) ([]byte, error) {
-		raw := d.Raw(addrSize)
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %s address: %v", ErrCheckpointCorrupt, what, err)
-		}
-		var a castore.Addr
-		copy(a[:], raw)
-		if chunks == nil {
-			return nil, fmt.Errorf("%w: %s %s: no chunk source", ErrCheckpointChunk, what, a)
-		}
-		data, err := chunks.Get(a)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrCheckpointChunk, what, err)
-		}
-		return data, nil
-	}
-	ck := &procCheckpoint{
-		ID:       int(d.U16()),
-		N:        int(d.U16()),
-		Epoch:    d.I32(),
-		CurIndex: vc.Index(d.U32()),
-		Vnow:     d.I64(),
-		Vcur:     d.VC(),
-	}
-	np, err := ckptCount(d, "page", 7)
-	if err != nil {
-		return nil, err
-	}
-	ck.Pages = make([]ckptPage, np)
-	for i := 0; i < np && d.Err() == nil; i++ {
-		pg := &ck.Pages[i]
-		pg.State = pageState(d.U8())
-		pg.Owned = d.U8() != 0
-		pg.DirOwner = int(d.I32())
-		if d.U8() != 0 {
-			if pg.Data, err = resolve("page copy"); err != nil {
-				return nil, err
-			}
-		}
-	}
-	ntw, err := ckptCount(d, "twin", 4+addrSize)
-	if err != nil {
-		return nil, err
-	}
-	ck.Twins = make(map[mem.PageID][]byte, ntw)
-	for i := 0; i < ntw && d.Err() == nil; i++ {
-		pg := mem.PageID(d.I32())
-		tw, err := resolve("twin")
-		if err != nil {
-			return nil, err
-		}
-		ck.Twins[pg] = tw
-	}
-	ck.Written = d.Pages()
-	ck.PendingInval = d.Pages()
-	nlk, err := ckptCount(d, "lock", 19)
-	if err != nil {
-		return nil, err
-	}
-	ck.Locks = make([]ckptLock, nlk)
-	for i := 0; i < nlk && d.Err() == nil; i++ {
-		lk := &ck.Locks[i]
-		lk.ID = int(d.I32())
-		lk.Holding = d.U8() != 0
-		lk.ReleasedUngranted = d.U8() != 0
-		lk.LastRelV = d.I64()
-		if d.U8() != 0 {
-			lk.RelVC = d.VC()
-		}
-		lk.LastHolder = int(d.I32())
-	}
-	nlog, err := ckptCount(d, "log record", 12)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nlog && d.Err() == nil; i++ {
-		ck.Log = append(ck.Log, msg.DecodeRecord(d))
-	}
-	nep, err := ckptCount(d, "epoch record", 12)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nep && d.Err() == nil; i++ {
-		ck.EpochRecords = append(ck.EpochRecords, msg.DecodeRecord(d))
-	}
-	nbm, err := ckptCount(d, "bitmap", 11+addrSize)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nbm && d.Err() == nil; i++ {
-		var en interval.StoredBitmap
-		en.ID = d.IntervalID()
-		en.Page = mem.PageID(d.I32())
-		en.Write = d.U8() != 0
-		words, err := resolve("bitmap")
-		if err != nil {
-			return nil, err
-		}
-		if len(words)%8 != 0 {
-			return nil, fmt.Errorf("%w: bitmap chunk of %d bytes", ErrCheckpointCorrupt, len(words))
-		}
-		en.Bits = chunkBitmap(words)
-		ck.Bitmaps = append(ck.Bitmaps, en)
-	}
-	nr, err := ckptCount(d, "race report", 8)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nr && d.Err() == nil; i++ {
-		ck.Races = append(ck.Races, msg.DecodeReport(d))
-	}
-	for _, f := range procStatsFields(&ck.St) {
-		*f = d.I64()
-	}
-	if d.U8() != 0 {
-		ck.HasMaster = true
-		ck.BarEpoch = d.I32()
-		if d.U8() != 0 {
-			ck.HasDet = true
-			for _, f := range raceStatsFields(&ck.Det.Stats) {
-				*f = int(d.I64())
-			}
-			ck.Det.FirstRacyEpoch = d.I32()
-			ndr, err := ckptCount(d, "racy record", 12)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < ndr && d.Err() == nil; i++ {
-				ck.Det.RacyRecords = append(ck.Det.RacyRecords, msg.DecodeRecord(d))
-			}
-		}
-	}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-	}
-	if !d.Done() {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrCheckpointCorrupt)
-	}
-	return ck, nil
-}
-
-// restoreFromCheckpoint overwrites a freshly built process with the state
-// of a decoded checkpoint. The chunk closure was already resolved and
-// integrity-checked during decoding — a tampered or missing chunk fails
-// decodeCheckpoint with a typed error and never reaches this point.
-// Called before the service and application threads start, so no locking
-// is needed.
-func (p *Proc) restoreFromCheckpoint(ck *procCheckpoint) error {
-	if ck.ID != p.id || ck.N != p.n {
-		return fmt.Errorf("dsm: checkpoint for proc %d/%d restored at proc %d/%d",
-			ck.ID, ck.N, p.id, p.n)
-	}
-	if len(ck.Pages) != p.sys.layout.NumPages {
-		return fmt.Errorf("dsm: checkpoint has %d pages, layout has %d",
-			len(ck.Pages), p.sys.layout.NumPages)
-	}
-	p.epoch = ck.Epoch
-	p.curIndex = ck.CurIndex
-	p.vnow = ck.Vnow
-	p.vcur = ck.Vcur.Copy()
-	for i := range ck.Pages {
-		pg := mem.PageID(i)
-		cp := &ck.Pages[i]
-		p.state[pg] = cp.State
-		p.owned[pg] = cp.Owned
-		p.dirOwner[pg] = cp.DirOwner
-		if cp.Data != nil {
-			if len(cp.Data) != p.seg.PageSize {
-				return fmt.Errorf("dsm: checkpoint page %d has %d bytes, page size is %d",
-					pg, len(cp.Data), p.seg.PageSize)
-			}
-			p.seg.CopyPageIn(pg, cp.Data)
-		}
-	}
-	p.twins = make(map[mem.PageID][]byte, len(ck.Twins))
-	for pg, tw := range ck.Twins {
-		p.twins[pg] = append([]byte(nil), tw...)
-	}
-	restoreSet := func(dst *pageSet, pages []mem.PageID) error {
-		dst.clear()
-		for _, pg := range pages {
-			if pg < 0 || int(pg) >= len(ck.Pages) {
-				return fmt.Errorf("dsm: checkpoint names page %d of %d", pg, len(ck.Pages))
-			}
-			dst.add(pg)
-		}
-		return nil
-	}
-	if err := restoreSet(&p.writtenPages, ck.Written); err != nil {
-		return err
-	}
-	if err := restoreSet(&p.pendingInval, ck.PendingInval); err != nil {
-		return err
-	}
-	p.locks = make(map[int]*lockState, len(ck.Locks))
-	for _, lk := range ck.Locks {
-		ls := &lockState{
-			holding:           lk.Holding,
-			releasedUngranted: lk.ReleasedUngranted,
-			lastRelV:          lk.LastRelV,
-			lastHolder:        lk.LastHolder,
-		}
-		if lk.RelVC != nil {
-			ls.relVC = lk.RelVC.Copy()
-		}
-		p.locks[lk.ID] = ls
-	}
-	p.log = interval.NewLog()
-	for _, r := range ck.Log {
-		p.log.Add(r)
-	}
-	p.epochRecords = ck.EpochRecords
-	p.store = interval.NewBitmapStore()
-	for _, en := range ck.Bitmaps {
-		p.store.Put(en.ID, en.Page, en.Write, en.Bits)
-	}
-	p.races = ck.Races
-	p.st = ck.St
-	if ck.HasMaster {
-		if p.id != 0 {
-			return fmt.Errorf("dsm: master checkpoint restored at non-master proc %d", p.id)
-		}
-		p.tree.epoch = ck.BarEpoch
-		if ck.HasDet && p.sys.detector != nil {
-			p.sys.detector.RestoreState(ck.Det)
-		}
-	}
-	return nil
 }

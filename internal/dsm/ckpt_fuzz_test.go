@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -8,19 +9,25 @@ import (
 	"lrcrace/internal/mem"
 )
 
-// fuzzSeedCheckpoints runs a small two-process, two-epoch workload and
-// returns every manifest it deposited together with the chunk store the
-// manifests reference — real encoder output as the fuzz corpus.
-func fuzzSeedCheckpoints(f *testing.F, proto ProtocolKind) ([][]byte, *castore.Store) {
-	f.Helper()
-	s, err := New(Config{
+// fuzzConfig is the geometry of the fuzz seed runs and of the twin system
+// the fuzzer decodes into.
+func fuzzConfig(proto ProtocolKind) Config {
+	return Config{
 		NumProcs:         2,
 		SharedSize:       8 * 1024,
 		PageSize:         1024,
 		Protocol:         proto,
 		Detect:           true,
 		CheckpointRetain: -1,
-	})
+	}
+}
+
+// fuzzSeedCheckpoints runs a small two-process, two-epoch workload and
+// returns every manifest it deposited together with the chunk store the
+// manifests reference — real encoder output as the fuzz corpus.
+func fuzzSeedCheckpoints(f *testing.F, proto ProtocolKind) ([][]byte, *castore.Store) {
+	f.Helper()
+	s, err := New(fuzzConfig(proto))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -53,14 +60,46 @@ func fuzzSeedCheckpoints(f *testing.F, proto ProtocolKind) ([][]byte, *castore.S
 	return manifests, s.ckpts.Chunks()
 }
 
-// FuzzDecodeCheckpoint: decodeCheckpoint must never panic, whatever the
-// bytes — a checkpoint is read back at the most fragile moment there is,
+// decodeIntoTwin decodes manifest b into a fresh process id of twin and, at
+// process 0, restores the decoded detector state into twin's detector, so
+// the process re-encodes exactly the state it was decoded from.
+func decodeIntoTwin(twin *System, id int, b []byte, chunks *castore.Store) (*Proc, error) {
+	p, det, err := decodeCheckpoint(twin, id, b, chunks)
+	if det != nil {
+		twin.detector.RestoreState(*det)
+	}
+	return p, err
+}
+
+// TestCheckpointFlagsCanonical: a flag byte other than 0 or 1 is manifest
+// damage, not a second spelling of true.
+func TestCheckpointFlagsCanonical(t *testing.T) {
+	s := racyMWScenario().run(t, nil)
+	blob := append([]byte(nil), s.ckpts.Get(1, 1)...)
+	if _, _, err := decodeCheckpoint(s, 1, blob, s.ckpts.Chunks()); err != nil {
+		t.Fatal(err)
+	}
+	owned := 25 + 2 + 4*4 + 4 + 1 // header, 4-entry VC, page count, page 0's state
+	blob[owned] += 2
+	if _, _, err := decodeCheckpoint(s, 1, blob, s.ckpts.Chunks()); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("owned flag byte %d: err = %v, want ErrCheckpointCorrupt", blob[owned], err)
+	}
+}
+
+// FuzzDecodeCheckpoint: decoding must never panic, whatever the bytes — a
+// checkpoint is read back at the most fragile moment there is,
 // mid-recovery — and every rejection must carry one of the two typed
 // errors so the rollback planner can fall back instead of crashing.
+// Decoding is canonical: a manifest it accepts re-encodes, hash-only, to
+// exactly its bytes.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	manifests, chunks := fuzzSeedCheckpoints(f, MultiWriter)
 	swManifests, swChunks := fuzzSeedCheckpoints(f, SingleWriter)
 	manifests = append(manifests, swManifests...)
+	twin, err := New(fuzzConfig(MultiWriter))
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	for _, m := range manifests {
 		f.Add(m)
@@ -79,26 +118,18 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, src := range []*castore.Store{chunks, swChunks, nil} {
-			ck, err := decodeCheckpoint(data, chunkSourceOrNil(src))
-			if err != nil {
-				if !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrCheckpointChunk) {
-					t.Fatalf("untyped decode error: %v", err)
+			for id := 0; id < 2; id++ {
+				p, err := decodeIntoTwin(twin, id, data, src)
+				if err != nil {
+					if !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrCheckpointChunk) {
+						t.Fatalf("untyped decode error: %v", err)
+					}
+					continue
 				}
-				continue
-			}
-			if ck == nil {
-				t.Fatal("nil checkpoint without error")
+				if again, _, _ := p.encodeCheckpointInto(nil); !bytes.Equal(again, data) {
+					t.Fatalf("accepted manifest re-encodes to different bytes:\n in  %x\n out %x", data, again)
+				}
 			}
 		}
 	})
-}
-
-// chunkSourceOrNil converts a possibly-nil *castore.Store into the
-// chunkSource interface without producing a non-nil interface wrapping a
-// nil pointer.
-func chunkSourceOrNil(s *castore.Store) chunkSource {
-	if s == nil {
-		return nil
-	}
-	return s
 }

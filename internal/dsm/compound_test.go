@@ -156,6 +156,24 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 	}
 }
 
+// TestFullRestartResetsDetector: when the only stored line fails
+// verification, rollback restarts from the initial state — the detector
+// included. A lock-free run makes the detector state deterministic, so the
+// restarted run must end with exactly the crash-free run's: nothing the
+// aborted attempt's barrier-1 check counted or retained may survive.
+func TestFullRestartResetsDetector(t *testing.T) {
+	sc := racyMWScenario()
+	want := sc.run(t, nil).DetectorState()
+	crash := &CrashPlan{Victim: 2, Epoch: 1, Point: CrashMidInterval, AfterN: 1}
+	s := sc.runCompound(t, []*CrashPlan{crash}, &CorruptionPlan{Epoch: 1})
+	if rs := s.RecoveryStats(); rs.Recoveries != 1 || rs.LastEpoch != 0 || rs.VerifyFailures != 1 {
+		t.Fatalf("recovery stats %+v, want one full restart after one verify failure", rs)
+	}
+	if got := s.DetectorState(); !reflect.DeepEqual(got, want) {
+		t.Errorf("detector state after a full restart:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestCorruptionTelemetry: the compound-fault path leaves a full audit
 // trail — corruption-injected and verify-failure events, the CkptVerify
 // trip, and the dsm_ckpt_* counters.
@@ -214,7 +232,7 @@ func TestTamperedCheckpointRejected(t *testing.T) {
 	if blob == nil {
 		t.Fatal("no checkpoint for proc 1 epoch 2")
 	}
-	if _, err := decodeCheckpoint(blob, s.ckpts.Chunks()); err != nil {
+	if _, _, err := decodeCheckpoint(s, 1, blob, s.ckpts.Chunks()); err != nil {
 		t.Fatalf("pristine checkpoint failed to decode: %v", err)
 	}
 
@@ -226,7 +244,7 @@ func TestTamperedCheckpointRejected(t *testing.T) {
 	if !s.ckpts.Chunks().Tamper(addrs[0]) {
 		t.Fatal("tamper failed")
 	}
-	_, err := decodeCheckpoint(blob, s.ckpts.Chunks())
+	_, _, err := decodeCheckpoint(s, 1, blob, s.ckpts.Chunks())
 	if !errors.Is(err, ErrCheckpointChunk) {
 		t.Fatalf("tampered checkpoint decoded with err = %v, want ErrCheckpointChunk", err)
 	}
@@ -235,7 +253,7 @@ func TestTamperedCheckpointRejected(t *testing.T) {
 	if !s.ckpts.Chunks().Delete(addrs[0]) {
 		t.Fatal("delete failed")
 	}
-	if _, err := decodeCheckpoint(blob, s.ckpts.Chunks()); !errors.Is(err, ErrCheckpointChunk) {
+	if _, _, err := decodeCheckpoint(s, 1, blob, s.ckpts.Chunks()); !errors.Is(err, ErrCheckpointChunk) {
 		t.Fatalf("missing-chunk checkpoint decoded with err = %v, want ErrCheckpointChunk", err)
 	}
 }

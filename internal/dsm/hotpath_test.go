@@ -89,8 +89,8 @@ func waterScenario() recoveryScenario {
 // TestCheckpointHintsChangeNothing: the per-page remembered chunk addresses
 // are an accelerator only. Every checkpoint a run deposited — encoded with
 // whatever the process remembered at that barrier: nothing at the first,
-// warm addresses later, and after a rollback the aborted attempt's stale
-// ones — is byte-identical, manifest and chunk references, to re-encoding
+// warm addresses later, and after a rollback the ones it was decoded from —
+// is byte-identical, manifest and chunk references, to re-encoding
 // the same state with no remembered addresses, with all of them right, and
 // with all of them wrong; and the chunk store accounts the three the same.
 func TestCheckpointHintsChangeNothing(t *testing.T) {
@@ -122,14 +122,11 @@ func TestCheckpointHintsChangeNothing(t *testing.T) {
 						if !ok {
 							t.Fatalf("no checkpoint for proc %d epoch %d", proc, epoch)
 						}
-						ck, err := decodeCheckpoint(stored.manifest, chunks)
+						fresh, err := decodeIntoTwin(twin, proc, stored.manifest, chunks)
 						if err != nil {
 							t.Fatalf("proc %d epoch %d: %v", proc, epoch, err)
 						}
-						fresh := newProc(twin, proc)
-						if err := fresh.restoreFromCheckpoint(ck); err != nil {
-							t.Fatalf("restore proc %d epoch %d: %v", proc, epoch, err)
-						}
+						fresh.ckptAddr = nil // forget the addresses it was decoded from
 
 						type encoding struct {
 							cst   ckptChunkStats

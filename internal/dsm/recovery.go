@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lrcrace/internal/mem"
+	"lrcrace/internal/race"
 	"lrcrace/internal/reliable"
 	"lrcrace/internal/simnet"
 	"lrcrace/internal/telemetry"
@@ -71,10 +72,11 @@ func (t timeoutPanic) String() string {
 
 // rollbackPlan is the decoded restore set a recovery attempt starts from.
 type rollbackPlan struct {
-	epoch     int32             // recovery line; 0 → restart from scratch
-	cks       []*procCheckpoint // per-proc checkpoints; nil when epoch == 0
-	virtualNS int64             // virtual time being rolled back
-	started   time.Time         // wall-clock start of the rollback
+	epoch     int32      // recovery line; 0 → restart from scratch
+	procs     []*Proc    // processes decoded at the line; nil when epoch == 0
+	det       race.State // the detector's state at the line
+	virtualNS int64      // virtual time being rolled back
+	started   time.Time  // wall-clock start of the rollback
 	victim    int
 }
 
@@ -259,10 +261,10 @@ func (s *System) onLinkDead(gen int, nw Transport, from, to int) {
 
 // --- attempt runner ---
 
-// attempt builds a fresh transport and process set (restored from plan's
-// checkpoints when non-nil), runs body on every process, and returns the
-// root-cause error, if any. This is the single execution path behind both
-// Run and RunEpochs.
+// attempt builds a fresh transport, adopts plan's decoded processes (or
+// builds fresh ones: no plan, or a restart from scratch), runs body on
+// every process, and returns the root-cause error, if any. This is the
+// single execution path behind both Run and RunEpochs.
 func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 	n := s.cfg.NumProcs
 	s.resetSuspectLocked()
@@ -288,16 +290,14 @@ func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 		s.nw = rt
 	}
 	s.stop = make(chan struct{})
-	prev := s.procs
-	s.procs = make([]*Proc, n)
-	for i := 0; i < n; i++ {
-		s.procs[i] = newProc(s, i)
-		if prev != nil {
-			// The chunk store outlives the attempt, so the addresses the
-			// previous incarnation deposited its pages under are still the
-			// best guess; where the rollback made one stale, PutAt's byte
-			// compare rejects it.
-			s.procs[i].ckptAddr = prev[i].ckptAddr
+	s.procs = nil
+	if plan != nil {
+		s.procs = plan.procs // nil when the plan restarts from scratch
+	}
+	if s.procs == nil {
+		s.procs = make([]*Proc, n)
+		for i := range s.procs {
+			s.procs[i] = newProc(s, i)
 		}
 	}
 	if plan != nil {
@@ -390,13 +390,15 @@ func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 // --- rollback ---
 
 // planRollback selects the recovery line and decodes every process's
-// checkpoint at it, verifying each manifest's chunk closure (the address
-// is the hash, so decoding IS the integrity check). A line whose closure
-// does not verify — a chunk tampered with, deleted, or a manifest
-// bit-flipped — is rejected with a telemetry trip and rollback falls back
-// to the next older epoch; if no stored epoch verifies, the plan is a
-// full restart from the initial state (epoch 0). Called after a
-// crash-aborted attempt has fully wound down.
+// checkpoint at it into a fresh process, verifying each manifest's chunk
+// closure (the address is the hash, so decoding IS the integrity check).
+// A line whose closure does not verify — a chunk tampered with, deleted,
+// or a manifest bit-flipped — is rejected with a telemetry trip and
+// rollback falls back to the next older epoch; if no stored epoch
+// verifies, the plan is a full restart from the initial state (epoch 0,
+// and a new detector's state). Nothing shared is touched until the next
+// attempt adopts the plan. Called after a crash-aborted attempt has fully
+// wound down.
 func (s *System) planRollback() (*rollbackPlan, error) {
 	n := s.cfg.NumProcs
 	suspect, via := s.suspectInfo()
@@ -418,10 +420,14 @@ func (s *System) planRollback() (*rollbackPlan, error) {
 		via = "crash-observed"
 	}
 	abortedV := s.VirtualTime()
-	plan := &rollbackPlan{started: time.Now(), victim: victim}
+	plan := &rollbackPlan{
+		started: time.Now(),
+		victim:  victim,
+		det:     race.NewDetector(s.layout, s.raceOpts).SnapshotState(),
+	}
 	var restoredV int64
 	for re := s.ckpts.LatestCommonEpoch(n); re > 0; re-- {
-		cks, maxV, err := s.decodeLine(re, n)
+		procs, det, maxV, err := s.decodeLine(re, n)
 		if err != nil {
 			s.recStats.VerifyFailures++
 			s.tel.Emit(0, telemetry.KCkptVerifyFail, abortedV, int64(re), 0, 0)
@@ -429,7 +435,7 @@ func (s *System) planRollback() (*rollbackPlan, error) {
 				fmt.Sprintf("checkpoint epoch %d failed verification: %v", re, err))
 			continue
 		}
-		plan.epoch, plan.cks, restoredV = re, cks, maxV
+		plan.epoch, plan.procs, plan.det, restoredV = re, procs, det, maxV
 		break
 	}
 	plan.virtualNS = abortedV - restoredV
@@ -445,43 +451,42 @@ func (s *System) planRollback() (*rollbackPlan, error) {
 	return plan, nil
 }
 
-// decodeLine decodes and verifies all n checkpoints at epoch re, returning
-// the restore set and the highest restored virtual clock. Any missing
-// manifest, decode failure, or unresolvable chunk fails the whole line.
-func (s *System) decodeLine(re int32, n int) ([]*procCheckpoint, int64, error) {
-	cks := make([]*procCheckpoint, n)
+// decodeLine decodes and verifies all n checkpoints at epoch re into fresh
+// processes, returning them, the detector state the master's checkpoint
+// carries, and the highest restored virtual clock. Any missing manifest,
+// decode failure, or unresolvable chunk fails the whole line.
+func (s *System) decodeLine(re int32, n int) ([]*Proc, race.State, int64, error) {
+	procs := make([]*Proc, n)
+	var det race.State
 	var maxV int64
-	chunks := s.ckpts.Chunks()
-	for i := 0; i < n; i++ {
+	for i := range procs {
 		raw := s.ckpts.Get(i, re)
 		if raw == nil {
-			return nil, 0, fmt.Errorf("no checkpoint for proc %d at epoch %d", i, re)
+			return nil, det, 0, fmt.Errorf("no checkpoint for proc %d at epoch %d", i, re)
 		}
-		ck, err := decodeCheckpoint(raw, chunks)
+		p, st, err := decodeCheckpoint(s, i, raw, s.ckpts.Chunks())
 		if err != nil {
-			return nil, 0, fmt.Errorf("proc %d epoch %d: %w", i, re, err)
+			return nil, det, 0, fmt.Errorf("proc %d epoch %d: %w", i, re, err)
 		}
-		if ck.Vnow > maxV {
-			maxV = ck.Vnow
+		if st != nil {
+			det = *st
 		}
-		cks[i] = ck
+		maxV = max(maxV, p.vnow)
+		procs[i] = p
 	}
-	return cks, maxV, nil
+	return procs, det, maxV, nil
 }
 
-// restoreFromPlan overwrites the freshly built process set with the
-// recovery line's checkpoints and reconciles cross-process state. Runs
-// inside attempt, before any goroutine starts.
+// restoreFromPlan puts the detector back to its state at the recovery line
+// — on every rollback, a full restart included — and reconciles the
+// adopted processes' cross-process state. Runs inside attempt, before any
+// goroutine starts.
 func (s *System) restoreFromPlan(plan *rollbackPlan) error {
-	if plan.cks != nil {
-		for i, p := range s.procs {
-			if err := p.restoreFromCheckpoint(plan.cks[i]); err != nil {
-				return err
-			}
-		}
-		if err := s.reconcileRestored(); err != nil {
-			return err
-		}
+	if s.detector != nil {
+		s.detector.RestoreState(plan.det)
+	}
+	if err := s.reconcileRestored(); err != nil {
+		return err
 	}
 	wall := time.Since(plan.started).Nanoseconds()
 	s.recStats.WallNS += wall

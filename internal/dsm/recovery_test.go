@@ -389,19 +389,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 					if blob == nil {
 						t.Fatalf("no checkpoint for proc %d epoch %d", proc, epoch)
 					}
-					ck, err := decodeCheckpoint(blob, s.ckpts.Chunks())
+					fresh, err := decodeIntoTwin(twin, proc, blob, s.ckpts.Chunks())
 					if err != nil {
 						t.Fatalf("proc %d epoch %d: %v", proc, epoch, err)
 					}
-					if ck.ID != proc || ck.Epoch != epoch {
+					if fresh.id != proc || fresh.epoch != epoch {
 						t.Fatalf("checkpoint header says proc %d epoch %d, stored under proc %d epoch %d",
-							ck.ID, ck.Epoch, proc, epoch)
+							fresh.id, fresh.epoch, proc, epoch)
 					}
-					fresh := newProc(twin, proc)
-					if err := fresh.restoreFromCheckpoint(ck); err != nil {
-						t.Fatalf("restore proc %d epoch %d: %v", proc, epoch, err)
-					}
-					if again := fresh.encodeCheckpointLocked(); !bytes.Equal(blob, again) {
+					if again, _, _ := fresh.encodeCheckpointInto(nil); !bytes.Equal(blob, again) {
 						t.Fatalf("proc %d epoch %d: re-encoded checkpoint differs (%d vs %d bytes)",
 							proc, epoch, len(blob), len(again))
 					}
@@ -414,11 +410,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 			// Corruption is rejected, not misparsed.
 			blob := append([]byte(nil), s.ckpts.Get(1, 1)...)
-			if _, err := decodeCheckpoint(blob[:len(blob)-3], s.ckpts.Chunks()); err == nil {
+			if _, _, err := decodeCheckpoint(s, 1, blob[:len(blob)-3], s.ckpts.Chunks()); err == nil {
 				t.Error("truncated checkpoint decoded without error")
 			}
 			blob[0] ^= 0xff
-			if _, err := decodeCheckpoint(blob, s.ckpts.Chunks()); err == nil {
+			if _, _, err := decodeCheckpoint(s, 1, blob, s.ckpts.Chunks()); err == nil {
 				t.Error("bad magic accepted")
 			}
 		})

@@ -51,7 +51,6 @@ func ComputeEnhancements(base, det *Result) Enhancements {
 		private += st.PrivateAccesses
 	}
 	calls := reads + writes + private
-	instr := float64(calls) * float64(m.InstrCost()) / n / bt * 100
 	procCall := float64(calls) * float64(m.ProcCall) / n / bt * 100
 	storeInstr := float64(writes) * float64(m.InstrCost()) / n / bt * 100
 	ipa := IPAFraction * float64(private) * float64(m.InstrCost()) / n / bt * 100
@@ -70,7 +69,6 @@ func ComputeEnhancements(base, det *Result) Enhancements {
 	if calls > 0 {
 		e.PrivateShare = float64(private) / float64(calls)
 	}
-	_ = instr
 	return e
 }
 

@@ -68,7 +68,7 @@ func (m *refModel) entries() []StoredBitmap {
 		sort.Slice(part, func(i, j int) bool {
 			a, b := part[i], part[j]
 			if a.ID != b.ID {
-				return compareIDs(a.ID, b.ID) < 0
+				return CompareIDs(a.ID, b.ID) < 0
 			}
 			return a.Page < b.Page
 		})

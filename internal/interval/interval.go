@@ -288,7 +288,7 @@ func (s *BitmapStore) Entries() []StoredBitmap {
 	for id := range s.byID {
 		ids = append(ids, id)
 	}
-	slices.SortFunc(ids, compareIDs)
+	slices.SortFunc(ids, CompareIDs)
 	out := make([]StoredBitmap, 0, s.n)
 	for _, id := range ids {
 		rd := &s.byID[id].read
@@ -305,8 +305,8 @@ func (s *BitmapStore) Entries() []StoredBitmap {
 	return out
 }
 
-// compareIDs orders interval IDs by (proc, index).
-func compareIDs(a, b vc.IntervalID) int {
+// CompareIDs orders interval IDs by (proc, index).
+func CompareIDs(a, b vc.IntervalID) int {
 	if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
 		return c
 	}

@@ -118,6 +118,15 @@ func (d *Decoder) err2(need int) bool {
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
 
+// Fail records err as the decoding error unless one is already recorded —
+// for a caller whose checks on the decoded values fail — and turns every
+// later read into a zero.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
 // Done reports whether the whole buffer was consumed without error.
 func (d *Decoder) Done() bool { return d.err == nil && d.off == len(d.buf) }
 
@@ -166,15 +175,6 @@ func (d *Decoder) Raw(n int) []byte {
 	copy(b, d.buf[d.off:])
 	d.off += n
 	return b
-}
-
-// Remaining returns the number of unread bytes (0 once an error is set) —
-// the bound sanity checks on untrusted element counts compare against.
-func (d *Decoder) Remaining() int {
-	if d.err != nil {
-		return 0
-	}
-	return len(d.buf) - d.off
 }
 
 // Blob reads a length-prefixed byte slice.

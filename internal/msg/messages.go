@@ -75,7 +75,7 @@ const NumTypes = int(TTreeReduce) + 1
 // (Unmarshal).
 type Message interface {
 	Type() Type
-	layout(w wire)
+	layout(w Wire)
 }
 
 // newMessage returns a zero message of type t, or nil for an unknown type.
@@ -125,7 +125,7 @@ func newMessage(t Type) Message {
 func Marshal(m Message) []byte {
 	var e Encoder
 	e.U8(uint8(m.Type()))
-	m.layout(wire{e: &e})
+	m.layout(Wire{E: &e})
 	return e.Bytes()
 }
 
@@ -134,7 +134,7 @@ func Unmarshal(b []byte) (Message, error) {
 	d := NewDecoder(b)
 	t := Type(d.U8())
 	m := newMessage(t)
-	w := wire{d: d}
+	w := Wire{D: d}
 	// Each layout is called on its concrete type: through the Message
 	// interface the decoder would escape to the heap on every message.
 	// DiffAck and InvalAck have no fields.
@@ -183,29 +183,6 @@ func Unmarshal(b []byte) (Message, error) {
 	return m, nil
 }
 
-// EncodeRecord writes one interval record through e — the same encoding the
-// lock-grant and barrier messages use. Exported so the checkpoint codec
-// (internal/dsm) can serialize interval logs byte-compatibly with the wire.
-func EncodeRecord(e *Encoder, r *interval.Record) { wire{e: e}.record(r) }
-
-// DecodeRecord is the inverse of EncodeRecord.
-func DecodeRecord(d *Decoder) *interval.Record {
-	r := &interval.Record{}
-	wire{d: d}.record(r)
-	return r
-}
-
-// EncodeReport writes one race report through e — the BarrierDone encoding,
-// exported for the checkpoint codec.
-func EncodeReport(e *Encoder, r race.Report) { wire{e: e}.report(&r) }
-
-// DecodeReport is the inverse of EncodeReport.
-func DecodeReport(d *Decoder) race.Report {
-	var r race.Report
-	wire{d: d}.report(&r)
-	return r
-}
-
 // RecordReadNoticeBytes returns the wire bytes attributable to read notices
 // in a set of records — the bandwidth the race detector adds to
 // synchronization messages (Table 3, "Msg Ohead").
@@ -228,8 +205,8 @@ type AcquireReq struct {
 }
 
 func (*AcquireReq) Type() Type { return TAcquireReq }
-func (m *AcquireReq) layout(w wire) {
-	n32(w, &m.Lock)
+func (m *AcquireReq) layout(w Wire) {
+	N32(w, &m.Lock)
 	w.clock(&m.VC)
 }
 
@@ -241,9 +218,9 @@ type AcquireFwd struct {
 }
 
 func (*AcquireFwd) Type() Type { return TAcquireFwd }
-func (m *AcquireFwd) layout(w wire) {
-	n32(w, &m.Lock)
-	n32(w, &m.Requester)
+func (m *AcquireFwd) layout(w Wire) {
+	N32(w, &m.Lock)
+	N32(w, &m.Requester)
 	w.clock(&m.VC)
 }
 
@@ -256,9 +233,9 @@ type AcquireGrant struct {
 }
 
 func (*AcquireGrant) Type() Type { return TAcquireGrant }
-func (m *AcquireGrant) layout(w wire) {
-	n32(w, &m.Lock)
-	w.records(&m.Intervals)
+func (m *AcquireGrant) layout(w Wire) {
+	N32(w, &m.Lock)
+	w.Records(&m.Intervals)
 }
 
 // --- page messages ---
@@ -271,9 +248,9 @@ type PageReq struct {
 }
 
 func (*PageReq) Type() Type { return TPageReq }
-func (m *PageReq) layout(w wire) {
-	n32(w, &m.Page)
-	w.flag(&m.Write)
+func (m *PageReq) layout(w Wire) {
+	N32(w, &m.Page)
+	w.Flag(&m.Write)
 }
 
 // PageFwd is the home directory forwarding a fault to the current owner.
@@ -284,10 +261,10 @@ type PageFwd struct {
 }
 
 func (*PageFwd) Type() Type { return TPageFwd }
-func (m *PageFwd) layout(w wire) {
-	n32(w, &m.Page)
-	n32(w, &m.Requester)
-	w.flag(&m.Write)
+func (m *PageFwd) layout(w Wire) {
+	N32(w, &m.Page)
+	N32(w, &m.Requester)
+	w.Flag(&m.Write)
 }
 
 // PageReply delivers page contents; Ownership marks a single-writer
@@ -299,9 +276,9 @@ type PageReply struct {
 }
 
 func (*PageReply) Type() Type { return TPageReply }
-func (m *PageReply) layout(w wire) {
-	n32(w, &m.Page)
-	w.flag(&m.Ownership)
+func (m *PageReply) layout(w Wire) {
+	N32(w, &m.Page)
+	w.Flag(&m.Ownership)
 	w.blob(&m.Data)
 }
 
@@ -321,8 +298,8 @@ type DiffFlush struct {
 }
 
 func (*DiffFlush) Type() Type { return TDiffFlush }
-func (m *DiffFlush) layout(w wire) {
-	n32(w, &m.Page)
+func (m *DiffFlush) layout(w Wire) {
+	N32(w, &m.Page)
 	w.diffs(&m.Entries)
 }
 
@@ -331,7 +308,7 @@ func (m *DiffFlush) layout(w wire) {
 type DiffAck struct{}
 
 func (*DiffAck) Type() Type  { return TDiffAck }
-func (*DiffAck) layout(wire) {}
+func (*DiffAck) layout(Wire) {}
 
 // Inval carries the page invalidations a releaser pushes to every other
 // process under eager release consistency (ERC). Under LRC the same
@@ -342,14 +319,14 @@ type Inval struct {
 }
 
 func (*Inval) Type() Type      { return TInval }
-func (m *Inval) layout(w wire) { w.pages(&m.Pages) }
+func (m *Inval) layout(w Wire) { w.Pages(&m.Pages) }
 
 // InvalAck acknowledges an Inval: an ERC release may not complete until
 // every process has applied the invalidations.
 type InvalAck struct{}
 
 func (*InvalAck) Type() Type  { return TInvalAck }
-func (*InvalAck) layout(wire) {}
+func (*InvalAck) layout(Wire) {}
 
 // --- barrier messages ---
 
@@ -362,10 +339,10 @@ type BarrierArrive struct {
 }
 
 func (*BarrierArrive) Type() Type { return TBarrierArrive }
-func (m *BarrierArrive) layout(w wire) {
-	n32(w, &m.Epoch)
+func (m *BarrierArrive) layout(w Wire) {
+	N32(w, &m.Epoch)
 	w.clock(&m.VC)
-	w.records(&m.Intervals)
+	w.Records(&m.Intervals)
 }
 
 // BarrierRelease is the master's release: the union of epoch intervals (so
@@ -388,13 +365,13 @@ type BarrierRelease struct {
 }
 
 func (*BarrierRelease) Type() Type { return TBarrierRelease }
-func (m *BarrierRelease) layout(w wire) {
-	n32(w, &m.Epoch)
+func (m *BarrierRelease) layout(w Wire) {
+	N32(w, &m.Epoch)
 	w.clock(&m.GlobalVC)
-	w.records(&m.Intervals)
+	w.Records(&m.Intervals)
 	w.checks(&m.Check)
 	w.owners(&m.ShardOwner)
-	w.flag(&m.NeedBitmaps)
+	w.Flag(&m.NeedBitmaps)
 }
 
 // BitmapEntry returns the access bitmaps of one (interval, page) named by
@@ -415,8 +392,8 @@ type BitmapReply struct {
 }
 
 func (*BitmapReply) Type() Type { return TBitmapReply }
-func (m *BitmapReply) layout(w wire) {
-	n32(w, &m.Epoch)
+func (m *BitmapReply) layout(w Wire) {
+	N32(w, &m.Epoch)
 	w.bitmaps(&m.Entries)
 }
 
@@ -428,9 +405,9 @@ type BarrierDone struct {
 }
 
 func (*BarrierDone) Type() Type { return TBarrierDone }
-func (m *BarrierDone) layout(w wire) {
-	n32(w, &m.Epoch)
-	w.reports(&m.Races)
+func (m *BarrierDone) layout(w Wire) {
+	N32(w, &m.Epoch)
+	w.Reports(&m.Races)
 }
 
 // --- reliability sublayer envelopes ---
@@ -448,9 +425,9 @@ type RelData struct {
 }
 
 func (*RelData) Type() Type { return TRelData }
-func (m *RelData) layout(w wire) {
-	n32(w, &m.Seq)
-	n32(w, &m.Ack)
+func (m *RelData) layout(w Wire) {
+	N32(w, &m.Seq)
+	N32(w, &m.Ack)
 	w.blob(&m.Payload)
 }
 
@@ -462,7 +439,7 @@ type RelAck struct {
 }
 
 func (*RelAck) Type() Type      { return TRelAck }
-func (m *RelAck) layout(w wire) { n32(w, &m.Ack) }
+func (m *RelAck) layout(w Wire) { N32(w, &m.Ack) }
 
 // ShardResult carries a subtree's merged race candidates up the binary
 // reduction tree of the sharded check: the sender's own shard comparison
@@ -478,11 +455,11 @@ type ShardResult struct {
 
 // Type implements Message.
 func (*ShardResult) Type() Type { return TShardResult }
-func (m *ShardResult) layout(w wire) {
-	n32(w, &m.Epoch)
-	w.reports(&m.Races)
-	n64(w, &m.BitmapsCompared)
-	n64(w, &m.WordOverlaps)
+func (m *ShardResult) layout(w Wire) {
+	N32(w, &m.Epoch)
+	w.Reports(&m.Races)
+	N64(w, &m.BitmapsCompared)
+	N64(w, &m.WordOverlaps)
 }
 
 // --- combining-tree barrier ---
@@ -508,215 +485,236 @@ type TreeReduce struct {
 
 // Type implements Message.
 func (*TreeReduce) Type() Type { return TTreeReduce }
-func (m *TreeReduce) layout(w wire) {
-	n32(w, &m.Epoch)
+func (m *TreeReduce) layout(w Wire) {
+	N32(w, &m.Epoch)
 	w.clock(&m.VC)
-	w.records(&m.Intervals)
-	n64(w, &m.MinArr)
+	w.Records(&m.Intervals)
+	N64(w, &m.MinArr)
 	w.checks(&m.Entries)
-	n64(w, &m.PairComparisons)
-	n64(w, &m.ConcurrentPairs)
-	n64(w, &m.OverlappingPairs)
-	n64(w, &m.NoticesScanned)
+	N64(w, &m.PairComparisons)
+	N64(w, &m.ConcurrentPairs)
+	N64(w, &m.OverlappingPairs)
+	N64(w, &m.NoticesScanned)
 }
 
 // --- wire shapes ---
 
-// wire walks one layout in one direction: it encodes into e when d is nil
-// and decodes from d otherwise. It travels by value, so a concrete layout
-// call keeps the decoder on the caller's stack.
-type wire struct {
-	e *Encoder
-	d *Decoder
+// Wire walks one layout in one direction: it encodes into E when D is nil
+// and decodes from D otherwise. It travels by value, so a concrete layout
+// call keeps the decoder on the caller's stack. The message layouts above
+// are its first user; the checkpoint manifest (internal/dsm) is its second,
+// so interval records and race reports have one encoding in both.
+type Wire struct {
+	E *Encoder
+	D *Decoder
 }
 
-// n8, n32 and n64 move a fixed-width number of any integer type whose
-// values fit the width.
-func n8[T ~uint8](w wire, p *T) {
-	if w.d != nil {
-		*p = T(w.d.U8())
+// N8, N16, N32 and N64 move a fixed-width number of any integer type whose
+// values fit the width. N32 decodes an int sign-extended, so -1 survives.
+func N8[T ~uint8](w Wire, p *T) {
+	if w.D != nil {
+		*p = T(w.D.U8())
 	} else {
-		w.e.U8(uint8(*p))
+		w.E.U8(uint8(*p))
 	}
 }
 
-func n32[T ~int32 | ~uint32 | ~int](w wire, p *T) {
-	if w.d != nil {
-		*p = T(w.d.U32())
+func N16[T ~uint16 | ~int](w Wire, p *T) {
+	if w.D != nil {
+		*p = T(w.D.U16())
 	} else {
-		w.e.U32(uint32(*p))
+		w.E.U16(uint16(*p))
 	}
 }
 
-func n64[T ~int64 | ~uint64](w wire, p *T) {
-	if w.d != nil {
-		*p = T(w.d.U64())
+func N32[T ~int32 | ~uint32 | ~int](w Wire, p *T) {
+	if w.D != nil {
+		*p = T(int32(w.D.U32()))
 	} else {
-		w.e.U64(uint64(*p))
+		w.E.U32(uint32(*p))
 	}
 }
 
-// flag moves a bool as one byte, 1 for true. Any other nonzero byte is
-// ErrCorrupt, so an accepted message re-encodes to the bytes it came from.
-func (w wire) flag(p *bool) {
-	if w.d == nil {
+func N64[T ~int64 | ~uint64 | ~int](w Wire, p *T) {
+	if w.D != nil {
+		*p = T(w.D.U64())
+	} else {
+		w.E.U64(uint64(*p))
+	}
+}
+
+// Flag moves a bool as one byte, 1 for true. Any other nonzero byte is
+// ErrCorrupt, so an accepted buffer re-encodes to the bytes it came from.
+func (w Wire) Flag(p *bool) {
+	if w.D == nil {
 		var b uint8
 		if *p {
 			b = 1
 		}
-		w.e.U8(b)
+		w.E.U8(b)
 		return
 	}
-	switch w.d.U8() {
+	switch w.D.U8() {
 	case 0:
 		*p = false
 	case 1:
 		*p = true
 	default:
-		w.d.err = ErrCorrupt
+		w.D.Fail(ErrCorrupt)
 	}
 }
 
-// count moves the 32-bit length of a list whose elements take at least
+// Count moves the 32-bit length of a list whose elements take at least
 // minSize bytes each. Decoding, it reports false when the rest of the
-// buffer cannot hold that many.
-func (w wire) count(n, minSize int) (int, bool) {
-	if w.d == nil {
-		w.e.U32(uint32(n))
+// buffer cannot hold that many. The list shapes below leave a decoded list
+// nil when it is empty.
+func (w Wire) Count(n, minSize int) (int, bool) {
+	if w.D == nil {
+		w.E.U32(uint32(n))
 		return n, true
 	}
-	n = int(w.d.U32())
-	return n, !w.d.err2(minSize * n)
+	n = int(w.D.U32())
+	return n, !w.D.err2(minSize * n)
 }
 
 // clock moves a version vector in its message form: a 16-bit count, then
 // one 32-bit entry per process.
-func (w wire) clock(p *[]uint32) {
-	if w.d == nil {
-		w.e.U16(uint16(len(*p)))
+func (w Wire) clock(p *[]uint32) {
+	if w.D == nil {
+		w.E.U16(uint16(len(*p)))
 		for _, x := range *p {
-			w.e.U32(x)
+			w.E.U32(x)
 		}
 		return
 	}
-	n := int(w.d.U16())
-	if w.d.err2(4 * n) {
+	n := int(w.D.U16())
+	if w.D.err2(4 * n) {
 		return
 	}
 	v := make([]uint32, n)
 	for i := range v {
-		v[i] = w.d.U32()
+		v[i] = w.D.U32()
 	}
 	*p = v
 }
 
-func (w wire) blob(p *[]byte) {
-	if w.d != nil {
-		*p = w.d.Blob()
+// VC moves a version vector in its record form.
+func (w Wire) VC(p *vc.VC) {
+	if w.D != nil {
+		*p = w.D.VC()
 	} else {
-		w.e.Blob(*p)
+		w.E.VC(*p)
 	}
 }
 
-func (w wire) pages(p *[]mem.PageID) {
-	if w.d != nil {
-		*p = w.d.Pages()
+func (w Wire) blob(p *[]byte) {
+	if w.D != nil {
+		*p = w.D.Blob()
 	} else {
-		w.e.Pages(*p)
+		w.E.Blob(*p)
 	}
 }
 
-func (w wire) bitmap(p *mem.Bitmap) {
-	if w.d != nil {
-		*p = w.d.Bitmap()
+// Pages moves a page list.
+func (w Wire) Pages(p *[]mem.PageID) {
+	if w.D != nil {
+		*p = w.D.Pages()
 	} else {
-		w.e.Bitmap(*p)
+		w.E.Pages(*p)
 	}
 }
 
-func (w wire) id(p *vc.IntervalID) {
-	if w.d != nil {
-		*p = w.d.IntervalID()
+func (w Wire) bitmap(p *mem.Bitmap) {
+	if w.D != nil {
+		*p = w.D.Bitmap()
 	} else {
-		w.e.IntervalID(*p)
+		w.E.Bitmap(*p)
 	}
 }
 
-func (w wire) record(r *interval.Record) {
-	w.id(&r.ID)
-	if w.d != nil {
-		r.VC = w.d.VC()
+// ID moves an interval identifier.
+func (w Wire) ID(p *vc.IntervalID) {
+	if w.D != nil {
+		*p = w.D.IntervalID()
 	} else {
-		w.e.VC(r.VC)
+		w.E.IntervalID(*p)
 	}
-	n32(w, &r.Epoch)
-	w.pages(&r.WriteNotices)
-	w.pages(&r.ReadNotices)
 }
 
-func (w wire) records(p *[]*interval.Record) {
-	n, ok := w.count(len(*p), 1)
+// Record moves one interval record.
+func (w Wire) Record(r *interval.Record) {
+	w.ID(&r.ID)
+	w.VC(&r.VC)
+	N32(w, &r.Epoch)
+	w.Pages(&r.WriteNotices)
+	w.Pages(&r.ReadNotices)
+}
+
+// Records moves a counted list of interval records (20 bytes at least
+// each: ID, empty VC, epoch, two empty notice lists).
+func (w Wire) Records(p *[]*interval.Record) {
+	n, ok := w.Count(len(*p), 20)
 	if !ok {
 		return
 	}
-	if w.d != nil {
+	if w.D != nil && n > 0 {
 		*p = make([]*interval.Record, n)
 		for i := range *p {
 			(*p)[i] = &interval.Record{}
 		}
 	}
 	for _, r := range *p {
-		w.record(r)
+		w.Record(r)
 	}
 }
 
-func (w wire) checks(p *[]race.CheckEntry) {
-	n, ok := w.count(len(*p), 1)
+func (w Wire) checks(p *[]race.CheckEntry) {
+	n, ok := w.Count(len(*p), 16)
 	if !ok {
 		return
 	}
-	if w.d != nil {
+	if w.D != nil && n > 0 {
 		*p = make([]race.CheckEntry, n)
 	}
 	for i := range *p {
 		c := &(*p)[i]
-		w.id(&c.A)
-		w.id(&c.B)
-		n32(w, &c.Page)
+		w.ID(&c.A)
+		w.ID(&c.B)
+		N32(w, &c.Page)
 	}
 }
 
-// owners moves BarrierRelease.ShardOwner, which decodes as nil when empty.
-func (w wire) owners(p *[]int32) {
-	n, ok := w.count(len(*p), 4)
+func (w Wire) owners(p *[]int32) {
+	n, ok := w.Count(len(*p), 4)
 	if !ok {
 		return
 	}
-	if w.d != nil && n > 0 {
+	if w.D != nil && n > 0 {
 		*p = make([]int32, n)
 	}
 	for i := range *p {
-		n32(w, &(*p)[i])
+		N32(w, &(*p)[i])
 	}
 }
 
-func (w wire) report(r *race.Report) {
-	n32(w, &r.Page)
-	n32(w, &r.Word)
-	n64(w, &r.Addr)
-	n32(w, &r.Epoch)
-	w.id(&r.A.Interval)
-	n8(w, &r.A.Kind)
-	w.id(&r.B.Interval)
-	n8(w, &r.B.Kind)
+func (w Wire) report(r *race.Report) {
+	N32(w, &r.Page)
+	N32(w, &r.Word)
+	N64(w, &r.Addr)
+	N32(w, &r.Epoch)
+	w.ID(&r.A.Interval)
+	N8(w, &r.A.Kind)
+	w.ID(&r.B.Interval)
+	N8(w, &r.B.Kind)
 }
 
-func (w wire) reports(p *[]race.Report) {
-	n, ok := w.count(len(*p), 1)
+// Reports moves a counted list of race reports (34 bytes each).
+func (w Wire) Reports(p *[]race.Report) {
+	n, ok := w.Count(len(*p), 34)
 	if !ok {
 		return
 	}
-	if w.d != nil {
+	if w.D != nil && n > 0 {
 		*p = make([]race.Report, n)
 	}
 	for i := range *p {
@@ -724,33 +722,33 @@ func (w wire) reports(p *[]race.Report) {
 	}
 }
 
-func (w wire) diffs(p *[]DiffEntry) {
-	n, ok := w.count(len(*p), 12)
+func (w Wire) diffs(p *[]DiffEntry) {
+	n, ok := w.Count(len(*p), 12)
 	if !ok {
 		return
 	}
-	if w.d != nil {
+	if w.D != nil && n > 0 {
 		*p = make([]DiffEntry, n)
 	}
 	for i := range *p {
-		n32(w, &(*p)[i].Word)
-		n64(w, &(*p)[i].Val)
+		N32(w, &(*p)[i].Word)
+		N64(w, &(*p)[i].Val)
 	}
 }
 
-func (w wire) bitmaps(p *[]BitmapEntry) {
-	n, ok := w.count(len(*p), 1)
+func (w Wire) bitmaps(p *[]BitmapEntry) {
+	n, ok := w.Count(len(*p), 20)
 	if !ok {
 		return
 	}
-	if w.d != nil {
+	if w.D != nil && n > 0 {
 		*p = make([]BitmapEntry, n)
 	}
 	for i := range *p {
 		be := &(*p)[i]
-		n32(w, &be.Proc)
-		n32(w, &be.Index)
-		n32(w, &be.Page)
+		N32(w, &be.Proc)
+		N32(w, &be.Index)
+		N32(w, &be.Page)
 		w.bitmap(&be.Read)
 		w.bitmap(&be.Write)
 	}

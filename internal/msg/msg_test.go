@@ -243,8 +243,8 @@ func TestRecordReadNoticeBytes(t *testing.T) {
 	a := &interval.Record{ID: vc.IntervalID{}, VC: vc.New(2), WriteNotices: []mem.PageID{1, 2, 3}}
 	b := &interval.Record{ID: vc.IntervalID{}, VC: vc.New(2), ReadNotices: []mem.PageID{1, 2, 3}}
 	var ea, eb Encoder
-	EncodeRecord(&ea, a)
-	EncodeRecord(&eb, b)
+	Wire{E: &ea}.Record(a)
+	Wire{E: &eb}.Record(b)
 	if ea.Len() != eb.Len() {
 		t.Errorf("read/write notice sizes differ: %d vs %d", ea.Len(), eb.Len())
 	}

@@ -98,8 +98,7 @@ type Store struct {
 	// Durability (nil log → memory-only store; see OpenStore). The log
 	// holds the full append history, so retention bounds memory, not
 	// replayable history.
-	log        *castore.SegLog
-	persistErr error // first persistence failure, kept for diagnostics
+	log *castore.SegLog
 
 	// Group commit: while grouped, Append only writes and kicks the
 	// committer, which fsyncs and publishes. Close closes quit (once),
@@ -195,12 +194,9 @@ func (s *Store) Append(r Record) Record {
 		}
 		if err != nil {
 			// The in-memory store keeps serving; the failure is surfaced
-			// through PersistErr and the svc_store_persist_failures metric
-			// rather than taking the whole service plane down.
+			// through the svc_store_persist_failures metric rather than
+			// taking the whole service plane down.
 			s.m.persistFails.Add(1)
-			if s.persistErr == nil {
-				s.persistErr = err
-			}
 		}
 	}
 	if s.grouped {
@@ -278,12 +274,9 @@ func (s *Store) commitLoop() {
 		s.mu.Lock()
 		n := upto - s.visible
 		if err != nil {
-			// As with a failed write: count it, keep it for PersistErr, and
-			// keep serving from memory rather than wedge every reader.
+			// As with a failed write: count it and keep serving from memory
+			// rather than wedge every reader.
 			s.m.persistFails.Add(int64(n))
-			if s.persistErr == nil {
-				s.persistErr = err
-			}
 		}
 		s.publishLocked(upto)
 		s.mu.Unlock()
@@ -411,13 +404,6 @@ func (s *Store) Durable() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.log != nil
-}
-
-// PersistErr returns the first persistence failure, or nil.
-func (s *Store) PersistErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.persistErr
 }
 
 // Since returns retained visible records with Seq > since, filtered to
