@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	mrand "math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -29,9 +27,6 @@ type Client struct {
 	// Tenant, when non-empty, is stamped on every submitted request so the
 	// service accounts the sessions (and enforces quotas) against it.
 	Tenant string
-	// Rand supplies backoff jitter in [0,1); nil → math/rand. Tests pin it
-	// for determinism.
-	Rand func() float64
 }
 
 // NewClient builds a client for addr ("host:port" or a full http URL).
@@ -107,77 +102,58 @@ func parseRetryAfter(h http.Header) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-func (c *Client) getJSON(ctx context.Context, path string, out interface{}) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
+// call is the client's one round trip: send in (when non-nil) as a JSON
+// body, decode a 2xx reply into out (nil → discard it), and turn any other
+// status into apiErrorOf's typed error.
+func (c *Client) call(ctx context.Context, method, path string, in, out interface{}) error {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
 	if err != nil {
 		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
+	reply, err := io.ReadAll(resp.Body)
+	switch {
+	case err != nil:
 		return err
+	case resp.StatusCode/100 != 2:
+		return apiErrorOf(resp.StatusCode, resp.Header, reply)
+	case out == nil:
+		return nil
 	}
-	if resp.StatusCode/100 != 2 {
-		return apiErrorOf(resp.StatusCode, resp.Header, body)
-	}
-	return json.Unmarshal(body, out)
+	return json.Unmarshal(reply, out)
 }
 
 // Health checks the service's /healthz endpoint.
 func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("service: /healthz returned %d", resp.StatusCode)
-	}
-	return nil
+	return c.call(ctx, http.MethodGet, "/healthz", nil, nil)
 }
 
 // Submit opens a session. The returned errors mirror Service.Submit:
-// *RequestError (never retryable), *OverloadError and ErrClosed
-// (retryable after backoff).
+// *RequestError (never retryable), *OverloadError and *QuotaError (the
+// node is busy: retryable after backoff), and ErrClosed (the node is
+// going away).
 func (c *Client) Submit(ctx context.Context, r RunRequest) (SessionInfo, error) {
 	if r.Tenant == "" {
 		r.Tenant = c.Tenant
 	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/sessions", bytes.NewReader(b))
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return SessionInfo{}, apiErrorOf(resp.StatusCode, resp.Header, body)
-	}
 	var info SessionInfo
-	if err := json.Unmarshal(body, &info); err != nil {
-		return SessionInfo{}, err
-	}
-	return info, nil
+	err := c.call(ctx, http.MethodPost, "/sessions", r, &info)
+	return info, err
 }
 
 // Wait long-polls the session until it reaches a terminal state (or ctx
@@ -185,7 +161,7 @@ func (c *Client) Submit(ctx context.Context, r RunRequest) (SessionInfo, error) 
 func (c *Client) Wait(ctx context.Context, id string) (SessionInfo, error) {
 	for {
 		var info SessionInfo
-		if err := c.getJSON(ctx, "/sessions/"+id+"?wait=30s", &info); err != nil {
+		if err := c.call(ctx, http.MethodGet, "/sessions/"+id+"?wait=30s", nil, &info); err != nil {
 			return SessionInfo{}, err
 		}
 		switch info.State {
@@ -205,45 +181,20 @@ func (c *Client) Reports(ctx context.Context, session string, since uint64, max 
 		path += "&session=" + session
 	}
 	var batch ReportBatch
-	err := c.getJSON(ctx, path, &batch)
+	err := c.call(ctx, http.MethodGet, path, nil, &batch)
 	return batch, err
 }
 
-// RunCell runs one sweep cell remotely: submit (retrying overload and
-// tenant-quota rejections with jittered backoff), wait, and return the
+// RunCell runs one sweep cell remotely, once: submit, wait, and return the
 // cell's result — interchangeable with running the cell in a local sweep
 // pool. faults and realMsgDelayUS carry the plan-level template the
-// cell's grid was expanded under.
+// cell's grid was expanded under. It never retries: an admission rejection
+// comes back as the typed *OverloadError or *QuotaError, and the
+// Dispatcher decides when, and on which node, to try again.
 func (c *Client) RunCell(ctx context.Context, cell sweep.Cell, faults *sweep.FaultAxis, realMsgDelayUS int64) (*sweep.CellResult, error) {
-	req := RequestFor(cell, faults, realMsgDelayUS)
-	backoff := 50 * time.Millisecond
-	var info SessionInfo
-	for {
-		var err error
-		info, err = c.Submit(ctx, req)
-		if err == nil {
-			break
-		}
-		retryAfter, retryable := retryableAfter(err)
-		if !retryable {
-			return nil, err
-		}
-		// The server's Retry-After wins over our own schedule; either way
-		// the wait is jittered so a fleet of rejected cells does not retry
-		// in lockstep and re-overload the node in one synchronized wave.
-		wait := backoff
-		if retryAfter > 0 {
-			wait = retryAfter
-		}
-		wait += time.Duration(float64(wait) * c.rand())
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if backoff *= 2; backoff > time.Second {
-			backoff = time.Second
-		}
+	info, err := c.Submit(ctx, RequestFor(cell, faults, realMsgDelayUS))
+	if err != nil {
+		return nil, err
 	}
 	final, err := c.Wait(ctx, info.ID)
 	if err != nil {
@@ -253,26 +204,4 @@ func (c *Client) RunCell(ctx context.Context, cell sweep.Cell, faults *sweep.Fau
 		return nil, fmt.Errorf("service: session %s ended %s without a result", info.ID, final.State)
 	}
 	return final.Result, nil
-}
-
-// retryableAfter classifies a Submit error: overload and tenant-quota
-// rejections clear on their own (sessions finish), so they are worth
-// retrying, with the server's Retry-After when it sent one.
-func retryableAfter(err error) (time.Duration, bool) {
-	var ovl *OverloadError
-	if errors.As(err, &ovl) {
-		return ovl.RetryAfter, true
-	}
-	var quo *QuotaError
-	if errors.As(err, &quo) {
-		return quo.RetryAfter, true
-	}
-	return 0, false
-}
-
-func (c *Client) rand() float64 {
-	if c.Rand != nil {
-		return c.Rand()
-	}
-	return mrand.Float64()
 }

@@ -112,21 +112,25 @@ func TestAPIErrorDecode(t *testing.T) {
 	})
 }
 
-// TestRunCellHonorsRetryAfter: a 503 with Retry-After overrides the
-// client's own 50ms backoff schedule, and the jitter source is consulted
-// so rejected fleets don't retry in lockstep.
-func TestRunCellHonorsRetryAfter(t *testing.T) {
+// busyNode is a stub detection service that answers its first `rejects`
+// submissions with 503 (plus Retry-After: 1 when retryAfter is set), then
+// admits session "s1", which is done at once with an ok result for cell.
+// Every submission must carry tenant. It counts submissions.
+func busyNode(t *testing.T, cell sweep.Cell, tenant string, rejects int32, retryAfter bool) (*httptest.Server, *atomic.Int32) {
+	t.Helper()
 	var submits atomic.Int32
-	cell := sweep.Cell{ID: "FFT-test", App: "FFT", Scale: 0.25, Procs: 2}
 	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {})
 	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, r *http.Request) {
 		var req RunRequest
 		json.NewDecoder(r.Body).Decode(&req)
-		if req.Tenant != "team-a" {
-			t.Errorf("client did not stamp its tenant: %+v", req)
+		if req.Tenant != tenant {
+			t.Errorf("submission carries tenant %q, want %q", req.Tenant, tenant)
 		}
-		if submits.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
+		if submits.Add(1) <= rejects {
+			if retryAfter {
+				w.Header().Set("Retry-After", "1")
+			}
 			w.WriteHeader(http.StatusServiceUnavailable)
 			w.Write([]byte("busy, come back"))
 			return
@@ -138,28 +142,24 @@ func TestRunCellHonorsRetryAfter(t *testing.T) {
 			Result: &sweep.CellResult{ID: cell.ID, Status: sweep.StatusOK}})
 	})
 	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return ts, &submits
+}
 
-	jitterCalls := 0
+// TestClientRunCellMakesOneAttempt: the client never retries. A busy
+// node's 503 comes straight back as the typed rejection, Retry-After
+// attached, after one submission; retrying is the dispatcher's job.
+func TestClientRunCellMakesOneAttempt(t *testing.T) {
+	cell := sweep.Cell{ID: "FFT-test", App: "FFT", Scale: 0.25, Procs: 2}
+	ts, submits := busyNode(t, cell, "team-a", 1, true)
 	client := NewClient(ts.URL)
 	client.Tenant = "team-a"
-	client.Rand = func() float64 { jitterCalls++; return 0 }
-	start := time.Now()
-	res, err := client.RunCell(context.Background(), cell, nil, 0)
-	if err != nil {
-		t.Fatal(err)
+	_, err := client.RunCell(context.Background(), cell, nil, 0)
+	var ovl *OverloadError
+	if !errors.As(err, &ovl) || ovl.RetryAfter != time.Second {
+		t.Fatalf("got %T %v, want *OverloadError with Retry-After 1s", err, err)
 	}
-	if res.ID != cell.ID {
-		t.Fatalf("result %+v", res)
-	}
-	if got := submits.Load(); got != 2 {
-		t.Fatalf("submits = %d, want 2 (one rejection, one success)", got)
-	}
-	if jitterCalls == 0 {
-		t.Error("backoff never consulted the jitter source")
-	}
-	// The server said 1s; the client's own schedule would have waited 50ms.
-	if el := time.Since(start); el < 900*time.Millisecond {
-		t.Errorf("retried after %v; Retry-After: 1 was ignored", el)
+	if got := submits.Load(); got != 1 {
+		t.Errorf("submits = %d, want 1", got)
 	}
 }

@@ -13,12 +13,15 @@ import (
 
 // DispatchConfig tunes the multi-node dispatcher.
 type DispatchConfig struct {
-	// MaxAttempts bounds how many nodes one cell is tried on before it
-	// fails; 0 → max(3, 2×nodes).
+	// MaxAttempts bounds how many node failures one cell survives before
+	// it fails; 0 → max(3, 2×nodes). Admission rejections (a full queue, a
+	// tenant quota) do not count: the cell never ran.
 	MaxAttempts int
-	// Backoff is the base redispatch delay after a node failure, doubling
-	// per attempt up to MaxBackoff; 0 → 100ms (cap 0 → 2s). Every wait is
-	// jittered so failed cells do not stampede the survivors in lockstep.
+	// Backoff is the base delay before a cell is tried again, after a node
+	// failure or an admission rejection alike, doubling per retry up to
+	// MaxBackoff; 0 → 100ms (cap 0 → 2s). A server's Retry-After replaces
+	// the base. Every wait is jittered so retried cells do not stampede
+	// the nodes in lockstep.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
 	// BreakerThreshold is how many consecutive failures open a node's
@@ -77,34 +80,38 @@ type node struct {
 
 	dispatched   int64
 	failures     int64
+	rejections   int64
 	breakerTrips int64
 }
 
-// NodeStats is one node's dispatch accounting.
+// NodeStats is one node's dispatch accounting. Rejections counts the
+// node's admission rejections (full queue, tenant quota): the node was
+// healthy but busy, so they never count toward its breaker.
 type NodeStats struct {
 	Addr         string
 	Inflight     int
 	Dispatched   int64
 	Failures     int64
+	Rejections   int64
 	BreakerTrips int64
 	BreakerOpen  bool
 }
 
 // Dispatcher fans sweep cells out across several detection-service nodes:
 // each cell goes to the least-loaded live node, and a node failure
-// (refused connection, mid-session disconnect, shutdown) re-dispatches
-// the cell to a survivor with jittered backoff. Repeatedly failing nodes
-// are quarantined by a per-node circuit breaker and re-admitted through a
-// health probe. It is an executor, not a pool: sweep.RunWith feeds it
-// cells (see Executor) and adopts the results exactly as it adopts a local
+// (refused connection, mid-session disconnect, shutdown) or a busy node's
+// admission rejection sends the cell to another node with jittered
+// backoff. Repeatedly failing nodes are quarantined by a per-node circuit
+// breaker and re-admitted through a health probe. Its RunCell loop is the
+// only place a remote cell is retried; the Client under it makes one
+// attempt. It is an executor, not a pool: sweep.RunWith feeds it cells
+// (see Executor) and adopts the results exactly as it adopts a local
 // run's, so the output stays byte-identical to a single-node or local
 // sweep.
 type Dispatcher struct {
 	cfg   DispatchConfig
 	mu    sync.Mutex
 	nodes []*node
-
-	redispatches int64
 }
 
 // NewDispatcher builds a dispatcher over the given node addresses
@@ -136,26 +143,20 @@ func (d *Dispatcher) Stats() []NodeStats {
 	for _, n := range d.nodes {
 		out = append(out, NodeStats{
 			Addr: n.client.Base, Inflight: n.inflight,
-			Dispatched: n.dispatched, Failures: n.failures,
+			Dispatched: n.dispatched, Failures: n.failures, Rejections: n.rejections,
 			BreakerTrips: n.breakerTrips, BreakerOpen: n.openUntil.After(now),
 		})
 	}
 	return out
 }
 
-// Redispatches returns how many cell attempts were moved to another node
-// after a failure.
-func (d *Dispatcher) Redispatches() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.redispatches
-}
-
 // pick selects the least-loaded node whose breaker is closed, reserving
-// an inflight slot. A node coming out of cooldown is health-probed first
-// (half-open); a failed probe re-trips its breaker and selection moves
-// on. When every breaker is open, pick waits for the earliest cooldown.
-func (d *Dispatcher) pick(ctx context.Context) (*node, error) {
+// an inflight slot. A retried cell passes the node its last attempt ran
+// on as avoid, which is picked only when no other node is eligible. A
+// node coming out of cooldown is health-probed first (half-open); a
+// failed probe re-trips its breaker and selection moves on. When every
+// breaker is open, pick waits for the earliest cooldown.
+func (d *Dispatcher) pick(ctx context.Context, avoid *node) (*node, error) {
 	for {
 		d.mu.Lock()
 		now := time.Now()
@@ -168,7 +169,7 @@ func (d *Dispatcher) pick(ctx context.Context) (*node, error) {
 				}
 				continue
 			}
-			if best == nil || n.inflight < best.inflight {
+			if best == nil || best == avoid || (n != avoid && n.inflight < best.inflight) {
 				best = n
 			}
 		}
@@ -177,10 +178,8 @@ func (d *Dispatcher) pick(ctx context.Context) (*node, error) {
 			if earliest.IsZero() {
 				return nil, errors.New("service: dispatch: no nodes configured")
 			}
-			select {
-			case <-time.After(time.Until(earliest) + 10*time.Millisecond):
-			case <-ctx.Done():
-				return nil, ctx.Err()
+			if err := sleep(ctx, time.Until(earliest)+10*time.Millisecond); err != nil {
+				return nil, err
 			}
 			continue
 		}
@@ -193,10 +192,10 @@ func (d *Dispatcher) pick(ctx context.Context) (*node, error) {
 			cancel()
 			if err != nil {
 				d.release(best)
-				d.noteFailure(best, err)
 				if ctx.Err() != nil {
 					return nil, ctx.Err()
 				}
+				d.noteFailure(best, err)
 				continue
 			}
 			d.mu.Lock()
@@ -239,47 +238,53 @@ func (d *Dispatcher) noteFailure(n *node, err error) {
 	}
 }
 
-// RunCell runs one cell with failover: pick a node, run, and on node
-// failure (anything but an admission-time *RequestError) re-dispatch to
-// another pick after a jittered, doubling backoff, up to MaxAttempts.
+// RunCell runs one cell, and is the one retry loop a remote cell has:
+// pick a node and make one attempt there (Client.RunCell), then act on
+// how it ended. A result, or an admission-time *RequestError (no node will
+// ever run the request), ends the loop. A busy node's admission rejection
+// (*OverloadError, *QuotaError) is not charged to the node and does not
+// use up an attempt. Anything else is a node failure, charged to the
+// node's breaker, and the cell fails once it has seen MaxAttempts of
+// them. Either way the cell waits a jittered, doubling backoff, or the
+// server's Retry-After, and is sent to another node if one is eligible.
 func (d *Dispatcher) RunCell(ctx context.Context, cell sweep.Cell, faults *sweep.FaultAxis, realMsgDelayUS int64) (*sweep.CellResult, error) {
 	backoff := d.cfg.Backoff
-	for attempt := 1; ; attempt++ {
-		n, err := d.pick(ctx)
-		if err != nil {
+	var n *node
+	for failures := 0; ; {
+		var err error
+		if n, err = d.pick(ctx, n); err != nil {
 			return nil, err
 		}
 		res, err := n.client.RunCell(ctx, cell, faults, realMsgDelayUS)
 		d.release(n)
-		if err == nil {
-			d.noteSuccess(n)
-			return res, nil
-		}
 		var reqErr *RequestError
-		if errors.As(err, &reqErr) {
-			// The node is healthy; the request itself can never run. No
-			// other node will accept it either.
+		retryAfter, busy := rejection(err)
+		switch {
+		case err == nil || errors.As(err, &reqErr):
 			d.noteSuccess(n)
+			return res, err
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
+		case busy:
+			d.mu.Lock()
+			n.rejections++
+			d.mu.Unlock()
+		default:
+			d.noteFailure(n, err)
+			if failures++; failures >= d.cfg.MaxAttempts {
+				return nil, fmt.Errorf("service: dispatch: cell %s failed on %d attempts, last node %s: %w",
+					cell.ID, failures, n.client.Base, err)
+			}
+		}
+		wait := backoff
+		if retryAfter > 0 {
+			wait = retryAfter
+		}
+		wait += time.Duration(float64(wait) * d.cfg.Rand())
+		d.cfg.Logf("dispatch: cell %s: %s: %v; retrying in %v (%d/%d node failures)",
+			cell.ID, n.client.Base, err, wait.Round(time.Millisecond), failures, d.cfg.MaxAttempts)
+		if err := sleep(ctx, wait); err != nil {
 			return nil, err
-		}
-		d.noteFailure(n, err)
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if attempt >= d.cfg.MaxAttempts {
-			return nil, fmt.Errorf("service: dispatch: cell %s failed on %d attempts, last node %s: %w",
-				cell.ID, attempt, n.client.Base, err)
-		}
-		d.mu.Lock()
-		d.redispatches++
-		d.mu.Unlock()
-		wait := backoff + time.Duration(float64(backoff)*d.cfg.Rand())
-		d.cfg.Logf("dispatch: cell %s failed on %s (%v); re-dispatching in %v (attempt %d/%d)",
-			cell.ID, n.client.Base, err, wait.Round(time.Millisecond), attempt+1, d.cfg.MaxAttempts)
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return nil, ctx.Err()
 		}
 		if backoff *= 2; backoff > d.cfg.MaxBackoff {
 			backoff = d.cfg.MaxBackoff
@@ -287,11 +292,44 @@ func (d *Dispatcher) RunCell(ctx context.Context, cell sweep.Cell, faults *sweep
 	}
 }
 
+// rejection reports whether err is a busy node's admission rejection — a
+// full queue or a tenant at its quota, both of which clear as sessions
+// finish — and the server's Retry-After when it sent one.
+func rejection(err error) (time.Duration, bool) {
+	var ovl *OverloadError
+	if errors.As(err, &ovl) {
+		return ovl.RetryAfter, true
+	}
+	var quo *QuotaError
+	if errors.As(err, &quo) {
+		return quo.RetryAfter, true
+	}
+	return 0, false
+}
+
+// sleep waits for d, or returns ctx's error if it ends first.
+func sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // Executor is the dispatcher as a sweep executor for plan's cells: RunCell
 // under the plan-level fault template and message-delay override the grid
-// was expanded with.
+// was expanded with. A cell cut short by ctx comes back as neither result
+// nor error, as sweep.Executor asks, so the cell stays pending and the
+// sweep reports the cancellation rather than a failed cell.
 func (d *Dispatcher) Executor(plan *sweep.Plan) sweep.Executor {
 	return func(ctx context.Context, c sweep.Cell) (*sweep.CellResult, error) {
-		return d.RunCell(ctx, c, plan.Faults, plan.RealMsgDelayUS)
+		res, err := d.RunCell(ctx, c, plan.Faults, plan.RealMsgDelayUS)
+		if err != nil && ctx.Err() != nil {
+			return nil, nil
+		}
+		return res, err
 	}
 }

@@ -135,8 +135,8 @@ func TestDispatchFailoverByteIdentical(t *testing.T) {
 	if err := <-runErr; err != nil {
 		t.Fatalf("dispatch with a killed node did not complete: %v", err)
 	}
-	if d.Redispatches() == 0 {
-		t.Error("no re-dispatches recorded despite the mid-run kill")
+	if d.Stats()[0].Failures == 0 {
+		t.Error("no failure charged to the killed node despite the mid-run kill")
 	}
 
 	sum := s.Summary()
@@ -250,6 +250,115 @@ func TestDispatchServiceRestartSameRaceSet(t *testing.T) {
 			t.Errorf("cell %s: restarted run %d races, local %d (race set must survive the kill)",
 				r.ID, r.Races, localRaces[r.ID])
 		}
+	}
+}
+
+// TestDispatchHonorsRetryAfter: a busy node's 503 with Retry-After
+// overrides the dispatcher's own 20ms backoff, the jitter source is
+// consulted so rejected fleets don't retry in lockstep, and the rejection
+// is counted as one, not charged to the node as a failure.
+func TestDispatchHonorsRetryAfter(t *testing.T) {
+	cell := sweep.Cell{ID: "FFT-test", App: "FFT", Scale: 0.25, Procs: 2}
+	ts, submits := busyNode(t, cell, "team-a", 1, true)
+	jitterCalls := 0
+	d := NewDispatcher([]string{ts.URL}, DispatchConfig{
+		Backoff: 20 * time.Millisecond,
+		Rand:    func() float64 { jitterCalls++; return 0 },
+		Logf:    t.Logf,
+	}).Tenant("team-a")
+	start := time.Now()
+	res, err := d.RunCell(context.Background(), cell, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ID != cell.ID {
+		t.Fatalf("result %+v", res)
+	}
+	if got := submits.Load(); got != 2 {
+		t.Fatalf("submits = %d, want 2 (one rejection, one success)", got)
+	}
+	if jitterCalls == 0 {
+		t.Error("backoff never consulted the jitter source")
+	}
+	// The server said 1s; the dispatcher's own schedule would have waited 20ms.
+	if el := time.Since(start); el < 900*time.Millisecond {
+		t.Errorf("retried after %v; Retry-After: 1 was ignored", el)
+	}
+	ns := d.Stats()[0]
+	if ns.Rejections != 1 || ns.Failures != 0 || ns.BreakerTrips != 0 || ns.Dispatched != 1 {
+		t.Errorf("node stats %+v, want 1 rejection, 0 failures, 1 cell", ns)
+	}
+}
+
+// TestDispatchBusyNodeDoesNotPinCell: a cell rejected by a busy node is
+// retried on another node. Rejections are the dispatcher's to retry, so
+// the busy node's inflight slot is freed and the next pick avoids it; the
+// node is not charged a failure, because it is healthy.
+func TestDispatchBusyNodeDoesNotPinCell(t *testing.T) {
+	cell := sweep.Cell{ID: "FFT-test", App: "FFT", Scale: 0.25, Procs: 2, Detect: true}
+	busy, _ := busyNode(t, cell, DefaultTenant, 1<<30, false)
+	svc := New(Config{MaxSessions: 1})
+	defer svc.Close()
+	live := httptest.NewServer(svc.Handler())
+	defer live.Close()
+
+	d := NewDispatcher([]string{busy.URL, live.URL}, DispatchConfig{
+		Backoff: 20 * time.Millisecond,
+		Rand:    func() float64 { return 0.5 },
+		Logf:    t.Logf,
+	}).Tenant(DefaultTenant)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	res, err := d.RunCell(ctx, cell, nil, 0)
+	if err != nil {
+		t.Fatalf("cell pinned to the busy node: %v", err)
+	}
+	if res.Status != sweep.StatusOK {
+		t.Fatalf("result %+v", res)
+	}
+	st := d.Stats()
+	if st[0].Rejections == 0 || st[0].Failures != 0 || st[0].BreakerTrips != 0 {
+		t.Errorf("busy node %+v, want rejections and no failures", st[0])
+	}
+	if st[1].Dispatched != 1 {
+		t.Errorf("live node %+v, want the cell", st[1])
+	}
+}
+
+// TestDispatchCanceledSweepReportsCancellation: a remote sweep interrupted
+// mid-cell ends the way a local one does. RunWith returns the context's
+// error itself, not a cell's failure to run, and the interrupted cells
+// stay pending for a resume.
+func TestDispatchCanceledSweepReportsCancellation(t *testing.T) {
+	svc := New(Config{MaxSessions: 2})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	s, err := sweep.New(failoverPlan(), sweep.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDispatcher([]string{ts.URL}, DispatchConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() {
+		_, err := s.RunWith(ctx, d.Executor(failoverPlan()))
+		runErr <- err
+	}()
+	for deadline := time.Now().Add(time.Minute); svc.Counts()[StateRunning] == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the service never started a session")
+		}
+		time.Sleep(500 * time.Microsecond)
+	}
+	cancel()
+	// RunWith's contract is to return ctx.Err() bare, so == is the check.
+	if err := <-runErr; err != context.Canceled {
+		t.Errorf("RunWith returned %v, want context.Canceled itself", err)
+	}
+	if sum := s.Summary(); sum.Missing == 0 {
+		t.Errorf("no cell left pending after the interruption: %+v", sum)
 	}
 }
 

@@ -65,7 +65,8 @@ type Options struct {
 	// wedged barrier aborts itself instead of leaking a live System.
 	CellTimeout time.Duration
 	// Retries is how many extra attempts a failed or panicking cell gets
-	// before its failure is recorded; timeouts are never retried.
+	// before its failure is recorded; timeouts are never retried. It
+	// applies to the local runner only: an Executor's result is final.
 	Retries int
 	// Dir, when non-empty, persists the manifest and per-cell results
 	// there, making the sweep resumable (see manifest.go).
