@@ -492,13 +492,16 @@ func compareBitmaps(a, b interval.StoredBitmap) int {
 // checkpointLayout states the checkpoint format once, in manifest order,
 // for encoding and decoding alike. Decoding writes into a fresh process and
 // checks each field where it is read: the header must name this process,
-// the page table must match the layout, page copies must be page-sized,
-// page sets must lie in the layout, the master's extras must sit at
-// process 0 and match whether the system detects, and flags must be 0 or
-// 1. Counts are bounded by the bytes left, and sets and maps (twins, page
-// sets, locks, the interval log, stored bitmaps, racy records) must come in
-// the strictly ascending order the encoder writes them in — so an accepted
-// manifest re-encodes to its own bytes.
+// the page table must match the layout, a home page's directory owner must
+// name a process (and any other page's must be -1), page copies and twins
+// must be page-sized, page sets and stored bitmaps must lie in the layout, a
+// stored bitmap must have a page's word count, a lock's last holder must
+// be -1 or name a process, the master's extras must sit at process 0 and
+// match whether the system detects, and flags must be 0 or 1. Counts are
+// bounded by the bytes left, and sets and maps (twins, page sets, locks,
+// the interval log, stored bitmaps, racy records) must come in the strictly
+// ascending order the encoder writes them in — so an accepted manifest
+// re-encodes to its own bytes.
 func (p *Proc) checkpointLayout(w *ckptWire) {
 	dec := w.D != nil
 	magic, version, id, n := uint32(ckptMagic), uint8(ckptVersion), p.id, p.n
@@ -537,6 +540,12 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 		msg.N8(w.Wire, &p.state[pg])
 		w.Flag(&p.owned[pg])
 		msg.N32(w.Wire, &p.dirOwner[pg])
+		if dec {
+			o, home := p.dirOwner[pg], int(pg)%p.n == p.id
+			if home && (o < 0 || o >= p.n) || !home && o != -1 {
+				w.fail("page %d: directory owner %d at proc %d/%d", pg, o, p.id, p.n)
+			}
+		}
 		valid := p.state[pg] != pageInvalid
 		hasCopy := valid
 		w.Flag(&hasCopy)
@@ -569,7 +578,11 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 		msg.N32(w.Wire, &twinPages[i])
 		tw := p.twins[twinPages[i]]
 		w.chunk(castore.Addr{}, &tw)
-		if dec {
+		switch {
+		case !dec:
+		case len(tw) != p.seg.PageSize:
+			w.fail("twin of page %d has %d bytes, page size is %d", twinPages[i], len(tw), p.seg.PageSize)
+		default:
 			p.twins[twinPages[i]] = tw
 		}
 	}
@@ -606,6 +619,9 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 			w.VC(&ls.relVC)
 		}
 		msg.N32(w.Wire, &ls.lastHolder)
+		if dec && (ls.lastHolder < -1 || ls.lastHolder >= p.n) {
+			w.fail("lock %d: last holder %d outside [-1, %d)", lockIDs[i], ls.lastHolder, p.n)
+		}
 	}
 	if dec && !ascending(lockIDs, cmp.Compare[int]) {
 		w.fail("lock table out of order")
@@ -627,6 +643,7 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 	if k, ok := w.Count(len(ents), 11+addrSize); dec && ok {
 		ents = make([]interval.StoredBitmap, k)
 	}
+	bitmapBytes := (p.seg.PageSize/mem.WordSize + 63) / 64 * 8 // one page's mem.Bitmap
 	for i := range ents {
 		en := &ents[i]
 		w.ID(&en.ID)
@@ -636,8 +653,10 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 		w.chunk(castore.Addr{}, &words)
 		switch {
 		case !dec:
-		case len(words)%8 != 0:
-			w.fail("bitmap chunk of %d bytes", len(words))
+		case en.Page < 0 || int(en.Page) >= np:
+			w.fail("bitmap of page %d outside [0, %d)", en.Page, np)
+		case len(words) != bitmapBytes:
+			w.fail("bitmap chunk of %d bytes, a page's bitmap has %d", len(words), bitmapBytes)
 		default:
 			p.store.Put(en.ID, en.Page, en.Write, chunkBitmap(words))
 		}

@@ -7,6 +7,7 @@ import (
 
 	"lrcrace/internal/castore"
 	"lrcrace/internal/mem"
+	"lrcrace/internal/vc"
 )
 
 // fuzzConfig is the geometry of the fuzz seed runs and of the twin system
@@ -83,6 +84,47 @@ func TestCheckpointFlagsCanonical(t *testing.T) {
 	blob[owned] += 2
 	if _, _, err := decodeCheckpoint(s, 1, blob, s.ckpts.Chunks()); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("owned flag byte %d: err = %v, want ErrCheckpointCorrupt", blob[owned], err)
+	}
+}
+
+// TestCheckpointRangeChecks: a manifest naming a directory owner, lock
+// holder, twin or stored bitmap that reconciliation or the next diff would
+// index out of range with is manifest damage. Each case damages one field
+// of a decoded process and re-encodes it, so the rest of the manifest
+// stays valid and its chunks resolve.
+func TestCheckpointRangeChecks(t *testing.T) {
+	s := racyMWScenario().run(t, nil)
+	const id = 1 // proc 1 of 4 is the home of page 1, not of page 0
+	n, np, wpp := s.cfg.NumProcs, s.layout.NumPages, s.layout.WordsPerPage()
+	bm := vc.IntervalID{Proc: id, Index: 1}
+	cases := []struct {
+		name   string
+		damage func(p *Proc)
+	}{
+		{"undamaged", func(p *Proc) {}},
+		{"home directory owner", func(p *Proc) { p.dirOwner[1] = n }},
+		{"foreign directory owner", func(p *Proc) { p.dirOwner[0] = 0 }},
+		{"lock last holder", func(p *Proc) { p.locks[9] = &lockState{lastHolder: n} }},
+		{"lock last holder below -1", func(p *Proc) { p.locks[9] = &lockState{lastHolder: -2} }},
+		{"twin length", func(p *Proc) { p.twins[0] = make([]byte, p.seg.PageSize-1) }},
+		{"bitmap page", func(p *Proc) { p.store.Put(bm, mem.PageID(np), true, mem.NewBitmap(wpp)) }},
+		{"bitmap words", func(p *Proc) { p.store.Put(bm, 0, true, mem.NewBitmap(wpp+64)) }},
+	}
+	for _, c := range cases {
+		p, _, err := decodeCheckpoint(s, id, s.ckpts.Get(id, 1), s.ckpts.Chunks())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.damage(p)
+		blob, _, _ := p.encodeCheckpointInto(s.ckpts.Chunks())
+		_, _, err = decodeCheckpoint(s, id, blob, s.ckpts.Chunks())
+		if c.name == "undamaged" {
+			if err != nil {
+				t.Fatalf("re-encoded manifest: %v", err)
+			}
+		} else if !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCheckpointCorrupt", c.name, err)
+		}
 	}
 }
 

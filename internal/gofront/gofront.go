@@ -10,25 +10,25 @@
 // interval are checked against the retained concurrent history exactly as
 // the DSM detector checks at barriers.
 //
-// Programs execute under a deterministic cooperative scheduler: exactly one
-// modeled goroutine runs at a time, and at each yield point a seeded PRNG
-// picks the next runnable goroutine. The yielding goroutine makes that pick
-// itself and hands the baton straight to the chosen goroutine's resume
-// channel — one channel hand-off per scheduling step, none when it picks
-// itself; Run only starts the first goroutine and waits for the one that
-// finds nothing runnable. The same seed therefore produces the same
-// linearization, the same trace, and the same race set — which is what
-// makes the package's cross-validation contract testable: the linearized
-// trace replays through the classic per-access detector (internal/hbdet)
-// via ReplayHB, and the two detectors must flag identical racy-address
-// sets.
+// Programs execute under a deterministic cooperative scheduler: every
+// modeled goroutine is a coroutine (iter.Pull), exactly one runs at a time,
+// and at each yield point a seeded PRNG picks the next runnable goroutine.
+// The yielding goroutine makes that pick itself: on picking itself it runs
+// on, otherwise it leaves the pick for Run's loop and suspends, and the loop
+// resumes the pick — one coroutine switch per scheduling step, no goroutine
+// wake. The same seed therefore produces the same linearization, the same
+// trace, and the same race set — which is what makes the package's
+// cross-validation contract testable: the linearized trace replays through
+// the classic per-access detector (internal/hbdet) via ReplayHB, and the two
+// detectors must flag identical racy-address sets. A panic in a modeled
+// goroutine (send on a closed channel, unlock by a non-holder) reaches Run's
+// caller.
 package gofront
 
 import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
 
@@ -94,13 +94,19 @@ const (
 )
 
 // G is one modeled goroutine. All its methods must be called from inside
-// the goroutine's own body function (they assume the caller holds the
-// scheduler baton).
+// the goroutine's own body function (they assume the caller is the running
+// coroutine).
 type G struct {
-	p      *Program
-	id     int
-	state  gstate // changed only through Program.setState
-	resume chan struct{}
+	p     *Program
+	id    int
+	state gstate // changed only through Program.setState
+
+	// The goroutine's coroutine: Run's loop resumes it with next, yield
+	// suspends it with park (false once stop was called), and Run ends it
+	// with stop as it returns.
+	next func() (struct{}, bool)
+	stop func()
+	park func(struct{}) bool
 
 	// Completion slots for blocking ops, filled by the waking peer.
 	recvVal uint64
@@ -137,8 +143,8 @@ type Program struct {
 	// all three in step with the G states.
 	ready            []uint64
 	nReady, nBlocked int
-	idle             chan struct{} // sent by the goroutine that finds nothing runnable
-	abandoned        bool          // set as Run returns: a resumed goroutine exits
+	baton            *G   // the pick a suspending or exiting goroutine leaves for Run's loop
+	finished         bool // set once Run has its result or a panic: yield and exit touch nothing
 
 	det   *detector
 	trace [][]Event // traceChunk-sized chunks; Result.Trace flattens them
@@ -167,15 +173,14 @@ func New(cfg Config) *Program {
 		seg:    mem.NewSegment(layout),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		scope:  telemetry.To(cfg.Recorder),
-		idle:   make(chan struct{}),
 	}
 	p.det = newDetector(p)
 	return p
 }
 
 // Alloc reserves words consecutive shared words under name and returns the
-// base address. Callable during setup or from a running goroutine (both
-// hold the baton).
+// base address. Callable during setup or from a running goroutine (never
+// both at once).
 func (p *Program) Alloc(name string, words int) mem.Addr {
 	if words <= 0 {
 		panic("gofront: Alloc of <= 0 words")
@@ -197,7 +202,7 @@ func (p *Program) newG() *G {
 	if len(p.gs) >= p.cfg.MaxGs {
 		panic(fmt.Sprintf("gofront: goroutine limit MaxGs=%d exceeded", p.cfg.MaxGs))
 	}
-	g := &G{p: p, id: len(p.gs), resume: make(chan struct{})}
+	g := &G{p: p, id: len(p.gs)}
 	p.gs = append(p.gs, g)
 	if g.id%64 == 0 {
 		p.ready = append(p.ready, 0)
@@ -249,103 +254,6 @@ func (p *Program) pick() *G {
 	p.vt += costSched
 	p.stats.SchedSteps++
 	return g
-}
-
-// handOff passes the baton to next, or tells Run that nothing is runnable.
-func (p *Program) handOff(next *G) {
-	if next == nil {
-		p.idle <- struct{}{}
-		return
-	}
-	next.resume <- struct{}{}
-}
-
-// Run executes root as goroutine 0 and schedules until every goroutine has
-// exited or the remainder are deadlocked (a deadlock is recorded, not
-// fatal: the trace prefix and all closed intervals are still checked, so
-// cross-validation covers deadlocking programs too). Run may be called
-// once. It ends the OS goroutines of a deadlocked program's blocked
-// goroutines with runtime.Goexit as it returns, so their deferred calls run
-// then and must not use the Program.
-func (p *Program) Run(root func(*G)) *Result {
-	if p.ran {
-		panic("gofront: Run called twice")
-	}
-	p.ran = true
-	p.startG(p.newG(), nil, root)
-	p.handOff(p.pick())
-	<-p.idle
-	p.deadlocked = p.nBlocked > 0
-	res := p.finish()
-	p.abandoned = true
-	for _, g := range p.gs {
-		if g.state == gBlocked {
-			g.resume <- struct{}{}
-		}
-	}
-	return res
-}
-
-// startG begins goroutine g with the parent's release clock (nil for the
-// root) and launches its OS goroutine, which waits for its first schedule.
-func (p *Program) startG(g *G, parentRel vcClock, fn func(*G)) {
-	p.det.startG(g.id, parentRel)
-	go func() {
-		<-g.resume
-		fn(g)
-		g.exit()
-	}()
-}
-
-// exit closes the goroutine's final interval, publishes its release clock
-// to joiners, and passes the baton on for good.
-func (g *G) exit() {
-	p := g.p
-	p.vt += costSync
-	g.final = p.det.closeInterval(g.id)
-	p.emit(OpExit, g.id, g.id, 0, 0, 0)
-	for _, j := range g.joiners {
-		p.det.join(j.id, g.final)
-		p.emit(OpJoin, j.id, g.id, 0, 0, 0)
-		p.setState(j, gRunnable)
-	}
-	g.joiners = nil
-	p.setState(g, gDone)
-	p.handOff(p.pick())
-}
-
-// yield is a scheduling point. If the state is still gRunning the
-// goroutine stays runnable (a preemption point); ops that block set
-// gBlocked first. It picks the next goroutine itself: on picking itself it
-// simply returns, otherwise it hands the baton over and parks until it is
-// picked again.
-func (g *G) yield() {
-	p := g.p
-	if g.state == gRunning {
-		p.setState(g, gRunnable)
-	}
-	next := p.pick()
-	if next == g {
-		return
-	}
-	p.handOff(next)
-	<-g.resume
-	if p.abandoned {
-		runtime.Goexit()
-	}
-}
-
-// block parks the goroutine until a peer completes its pending op.
-func (g *G) block() {
-	g.p.setState(g, gBlocked)
-	g.yield()
-}
-
-// wake marks a blocked goroutine runnable (its pending op was completed by
-// the caller).
-func (g *G) wake() {
-	g.p.setState(g, gRunnable)
-	g.futureLB = nil
 }
 
 // Go spawns fn as a new goroutine. The spawn is a release edge: the

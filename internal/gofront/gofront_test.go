@@ -350,9 +350,8 @@ func TestDeadlockedProgramStillChecks(t *testing.T) {
 }
 
 // waitGoroutines fails t unless the process's goroutine count falls back to
-// before within a few seconds. A modeled goroutine's OS goroutine may still
-// be returning from its final hand-off as Run returns, so the count is
-// polled, not read once.
+// before within a few seconds. The count is polled, not read once, so that
+// a goroutine some other test left winding down does not fail this one.
 func waitGoroutines(t *testing.T, before int, after string) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
@@ -363,18 +362,44 @@ func waitGoroutines(t *testing.T, before int, after string) {
 	}
 }
 
-// Every OS goroutine a run starts has ended once Run returns, whether the
-// program finished, deadlocked, or never handed the baton to another
-// goroutine. The ready set and its counts agree with the final states.
+// deadlockBody spawns three goroutines that block on a receive nobody
+// pairs, and blocks the root on it too. With recovers, each spawned
+// goroutine recovers whatever unwinds it, the stop signal included.
+func deadlockBody(recovers bool) func(p *Program) func(*G) {
+	return func(p *Program) func(*G) {
+		ch := p.NewChan(0)
+		x := p.Alloc("x", 1)
+		return func(g *G) {
+			for i := 0; i < 3; i++ {
+				g.Go(func(g *G) {
+					if recovers {
+						defer func() { recover() }()
+					}
+					g.Store(x, uint64(i))
+					ch.Recv(g) // never paired
+				})
+			}
+			ch.Recv(g)
+		}
+	}
+}
+
+// Every goroutine a run starts has ended once Run returns, whether the
+// program finished, deadlocked, panicked, or never switched to another
+// goroutine. A blocked goroutine that recovers the stop signal exits
+// without touching the Program, so the Program still matches its Result and
+// the run matches the same program without the recover. The ready set and its counts agree
+// with the final states.
 func TestRunLifecycle(t *testing.T) {
 	const selfYields = 50
 	progs := []struct {
 		name       string
 		deadlocked bool
-		steps      int64 // scheduling steps the run must take; 0: unchecked
+		steps      int64  // scheduling steps the run must take; 0: unchecked
+		panics     string // the value Run must panic with; "": none
 		body       func(p *Program) func(*G)
 	}{
-		{"clean", false, 0, func(p *Program) func(*G) {
+		{"clean", false, 0, "", func(p *Program) func(*G) {
 			x := p.Alloc("x", 1)
 			mu := p.NewMutex()
 			ch := p.NewChan(1)
@@ -396,19 +421,27 @@ func TestRunLifecycle(t *testing.T) {
 				}
 			}
 		}},
-		{"deadlocked", true, 0, func(p *Program) func(*G) {
+		{"deadlocked", true, 0, "", deadlockBody(false)},
+		{"deadlocked-recover", true, 0, "", deadlockBody(true)},
+		// One goroutine blocks with a deferred recover, another may not
+		// have run yet, and the root panics: every goroutine is stopped, and
+		// the panic still reaches Run's caller.
+		{"panics", false, 0, "model bug", func(p *Program) func(*G) {
 			ch := p.NewChan(0)
+			y := p.Alloc("y", 1)
 			return func(g *G) {
-				for i := 0; i < 3; i++ {
-					g.Go(func(g *G) { ch.Recv(g) }) // never paired
-				}
-				ch.Recv(g)
+				g.Go(func(g *G) {
+					defer func() { recover() }()
+					ch.Recv(g)
+				})
+				g.Go(func(g *G) { g.Store(y, 1) })
+				panic("model bug")
 			}
 		}},
 		// One goroutine: every yield picks the yielder itself, so the run
-		// makes no channel hand-off between its first schedule and its exit.
+		// makes no coroutine switch between its first schedule and its exit.
 		// It takes one step per yield plus the first.
-		{"self-pick", false, selfYields + 1, func(p *Program) func(*G) {
+		{"self-pick", false, selfYields + 1, "", func(p *Program) func(*G) {
 			x := p.Alloc("x", 1)
 			mu := p.NewMutex()
 			return func(g *G) {
@@ -420,16 +453,33 @@ func TestRunLifecycle(t *testing.T) {
 			}
 		}},
 	}
+	results := map[string]*Result{}
 	for _, pr := range progs {
 		t.Run(pr.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			p := New(Config{Seed: 3, Detect: true})
-			res := p.Run(pr.body(p))
+			var res *Result
+			func() {
+				defer func() {
+					if r := recover(); r != pr.panics && (r != nil || pr.panics != "") {
+						t.Fatalf("Run panicked with %v, want %q", r, pr.panics)
+					}
+				}()
+				res = p.Run(pr.body(p))
+			}()
+			waitGoroutines(t, before, "Run returned")
+			if pr.panics != "" {
+				return
+			}
+			results[pr.name] = res
 			if res.Deadlocked != pr.deadlocked {
 				t.Fatalf("Deadlocked = %v, want %v", res.Deadlocked, pr.deadlocked)
 			}
 			if hb := RacyAddrsHB(res.Trace(), res.NumGs); !addrsEqual(res.RacyAddrs, hb) {
 				t.Fatalf("cross-validation mismatch: gofront %v, hbdet %v", res.RacyAddrs, hb)
+			}
+			if p.vt != res.VirtualNS || p.stats != res.Stats {
+				t.Fatalf("the Program moved after its Result: %d virtual ns, %+v; Result %d, %+v", p.vt, p.stats, res.VirtualNS, res.Stats)
 			}
 			blocked := 0
 			for _, g := range p.gs {
@@ -445,7 +495,90 @@ func TestRunLifecycle(t *testing.T) {
 			if pr.steps != 0 && res.Stats.SchedSteps != pr.steps {
 				t.Fatalf("%d scheduling steps, want %d", res.Stats.SchedSteps, pr.steps)
 			}
-			waitGoroutines(t, before, "Run returned")
+		})
+	}
+	plain, recovered := results["deadlocked"], results["deadlocked-recover"]
+	if plain == nil || recovered == nil {
+		return // one was filtered out or has failed already
+	}
+	if !reflect.DeepEqual(plain.Trace(), recovered.Trace()) || plain.Stats != recovered.Stats || plain.VirtualNS != recovered.VirtualNS {
+		t.Fatal("a deferred recover in a blocked goroutine changed the run")
+	}
+}
+
+// A stopped goroutine whose deferred call hands its mutex on, and so
+// yields, takes no scheduling step: yield refuses a finished run, and the
+// goroutine it woke is still stopped.
+func TestStoppedGoroutineTakesNoStep(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := New(Config{Seed: 1, Detect: true})
+	mu := p.NewMutex()
+	ch := p.NewChan(0)
+	res := p.Run(func(g *G) {
+		mu.Lock(g)
+		g.Go(func(g *G) { mu.Lock(g) }) // queues behind the root
+		defer func() {
+			recover()
+			mu.Unlock(g)
+		}()
+		ch.Recv(g) // never paired
+	})
+	if !res.Deadlocked {
+		t.Fatal("want Deadlocked")
+	}
+	if p.stats.SchedSteps != res.Stats.SchedSteps {
+		t.Fatalf("%d scheduling steps after Run returned, %d in its Result", p.stats.SchedSteps, res.Stats.SchedSteps)
+	}
+	waitGoroutines(t, before, "Run returned")
+}
+
+// A panic in a modeled goroutine reaches Run's caller with its own value,
+// whether the goroutine panicking is the root or not and whatever the other
+// goroutines are doing, and every goroutine the run started has ended.
+func TestModelPanicReachesCaller(t *testing.T) {
+	progs := []struct {
+		name, want string
+		body       func(p *Program) func(*G)
+	}{
+		{"send on closed channel", "gofront: send on closed channel 0", func(p *Program) func(*G) {
+			ch := p.NewChan(1)
+			return func(g *G) {
+				ch.Close(g)
+				w := g.Go(func(g *G) { ch.Send(g, 1) })
+				g.Join(w)
+			}
+		}},
+		{"unlock by non-holder", "gofront: unlock of mutex 0 by non-holder g1", func(p *Program) func(*G) {
+			mu := p.NewMutex()
+			ch := p.NewChan(0)
+			return func(g *G) {
+				mu.Lock(g)
+				g.Go(func(g *G) { mu.Unlock(g) })
+				ch.Recv(g) // the root blocks while g1 panics
+			}
+		}},
+		{"goroutine limit", "gofront: goroutine limit MaxGs=16 exceeded", func(p *Program) func(*G) {
+			ch := p.NewChan(0)
+			return func(g *G) {
+				for {
+					g.Go(func(g *G) { ch.Recv(g) })
+				}
+			}
+		}},
+	}
+	for _, pr := range progs {
+		t.Run(pr.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			p := New(Config{Seed: 5, Detect: true})
+			func() {
+				defer func() {
+					if r := recover(); r != pr.want {
+						t.Fatalf("Run panicked with %v, want %q", r, pr.want)
+					}
+				}()
+				p.Run(pr.body(p))
+			}()
+			waitGoroutines(t, before, "Run panicked")
 		})
 	}
 }

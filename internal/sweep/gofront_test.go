@@ -2,9 +2,31 @@ package sweep
 
 import (
 	"context"
+	"io"
 	"strings"
 	"testing"
+	"time"
+
+	"lrcrace/internal/gofront"
+	"lrcrace/internal/harness"
+	"lrcrace/internal/telemetry"
 )
+
+// panicWorkload names a test-only gofront workload whose spawned goroutine
+// closes a channel the root already closed.
+const panicWorkload = "ClosesClosedChan"
+
+func init() {
+	gofront.RegisterWorkload(panicWorkload, "test only: a goroutine closes a closed channel",
+		func(cfg gofront.WorkloadConfig) (*gofront.Result, error) {
+			p := gofront.New(gofront.Config{Seed: cfg.Seed, Detect: cfg.Detect, Recorder: cfg.Recorder})
+			ch := p.NewChan(0)
+			return p.Run(func(g *gofront.G) {
+				ch.Close(g)
+				g.Join(g.Go(func(g *gofront.G) { ch.Close(g) }))
+			}), nil
+		})
+}
 
 // TestExpandGoFrontAxes: a mixed plan pairs DSM apps with dsm cells and
 // gofront workloads with go cells, go-only knobs never leak onto dsm cells,
@@ -125,5 +147,20 @@ func TestGoFrontSweepEndToEnd(t *testing.T) {
 	}
 	if racyFound == 0 {
 		t.Fatal("no racy cell found a race")
+	}
+}
+
+// TestGoFrontModelPanicFailsCell: a panic inside a modeled goroutine
+// reaches RunGuarded's recover, so the cell fails with the model's message
+// and the process lives on.
+func TestGoFrontModelPanicFailsCell(t *testing.T) {
+	cfg := harness.RunConfig{App: panicWorkload, Frontend: "go", Procs: 2, Detect: true}
+	rec := telemetry.New(telemetry.Config{Procs: cfg.Procs, Cap: TelemetryCap, FlightSink: io.Discard})
+	res, races := RunGuarded(context.Background(), "panic-cell", cfg, rec, time.Minute, 1)
+	if res == nil || res.Status != StatusPanic || !strings.Contains(res.Error, "gofront: close of closed channel 0") {
+		t.Fatalf("cell result %+v, want a panic naming the closed channel", res)
+	}
+	if races != nil {
+		t.Fatalf("a panicked cell returned %d races", len(races))
 	}
 }
