@@ -117,7 +117,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			},
 		}).Tenant(*tenant)
-		exec = dispatch.Executor(plan)
+		exec = dispatch.Executor()
 		fmt.Printf("remote dispatch: %d pending cells -> %d node(s)\n", s.Summary().Missing, len(addrs))
 	}
 	summary, err := s.RunWith(ctx, exec)

@@ -187,12 +187,12 @@ func (c *Client) Reports(ctx context.Context, session string, since uint64, max 
 
 // RunCell runs one sweep cell remotely, once: submit, wait, and return the
 // cell's result — interchangeable with running the cell in a local sweep
-// pool. faults and realMsgDelayUS carry the plan-level template the
-// cell's grid was expanded under. It never retries: an admission rejection
-// comes back as the typed *OverloadError or *QuotaError, and the
-// Dispatcher decides when, and on which node, to try again.
-func (c *Client) RunCell(ctx context.Context, cell sweep.Cell, faults *sweep.FaultAxis, realMsgDelayUS int64) (*sweep.CellResult, error) {
-	info, err := c.Submit(ctx, RequestFor(cell, faults, realMsgDelayUS))
+// pool, since the cell's request carries everything the local run would
+// use. It never retries: an admission rejection comes back as the typed
+// *OverloadError or *QuotaError, and the Dispatcher decides when, and on
+// which node, to try again.
+func (c *Client) RunCell(ctx context.Context, cell sweep.Cell) (*sweep.CellResult, error) {
+	info, err := c.Submit(ctx, cell.Request)
 	if err != nil {
 		return nil, err
 	}

@@ -150,11 +150,11 @@ func busyNode(t *testing.T, cell sweep.Cell, tenant string, rejects int32, retry
 // node's 503 comes straight back as the typed rejection, Retry-After
 // attached, after one submission; retrying is the dispatcher's job.
 func TestClientRunCellMakesOneAttempt(t *testing.T) {
-	cell := sweep.Cell{ID: "FFT-test", App: "FFT", Scale: 0.25, Procs: 2}
+	cell := sweep.Cell{ID: "FFT-test", Request: sweep.Request{App: "FFT", Scale: 0.25, Procs: 2}}
 	ts, submits := busyNode(t, cell, "team-a", 1, true)
 	client := NewClient(ts.URL)
 	client.Tenant = "team-a"
-	_, err := client.RunCell(context.Background(), cell, nil, 0)
+	_, err := client.RunCell(context.Background(), cell)
 	var ovl *OverloadError
 	if !errors.As(err, &ovl) || ovl.RetryAfter != time.Second {
 		t.Fatalf("got %T %v, want *OverloadError with Retry-After 1s", err, err)

@@ -247,7 +247,7 @@ func (d *Dispatcher) noteFailure(n *node, err error) {
 // node's breaker, and the cell fails once it has seen MaxAttempts of
 // them. Either way the cell waits a jittered, doubling backoff, or the
 // server's Retry-After, and is sent to another node if one is eligible.
-func (d *Dispatcher) RunCell(ctx context.Context, cell sweep.Cell, faults *sweep.FaultAxis, realMsgDelayUS int64) (*sweep.CellResult, error) {
+func (d *Dispatcher) RunCell(ctx context.Context, cell sweep.Cell) (*sweep.CellResult, error) {
 	backoff := d.cfg.Backoff
 	var n *node
 	for failures := 0; ; {
@@ -255,7 +255,7 @@ func (d *Dispatcher) RunCell(ctx context.Context, cell sweep.Cell, faults *sweep
 		if n, err = d.pick(ctx, n); err != nil {
 			return nil, err
 		}
-		res, err := n.client.RunCell(ctx, cell, faults, realMsgDelayUS)
+		res, err := n.client.RunCell(ctx, cell)
 		d.release(n)
 		var reqErr *RequestError
 		retryAfter, busy := rejection(err)
@@ -319,14 +319,13 @@ func sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Executor is the dispatcher as a sweep executor for plan's cells: RunCell
-// under the plan-level fault template and message-delay override the grid
-// was expanded with. A cell cut short by ctx comes back as neither result
-// nor error, as sweep.Executor asks, so the cell stays pending and the
-// sweep reports the cancellation rather than a failed cell.
-func (d *Dispatcher) Executor(plan *sweep.Plan) sweep.Executor {
+// Executor is the dispatcher as a sweep executor: RunCell for each cell. A
+// cell cut short by ctx comes back as neither result nor error, as
+// sweep.Executor asks, so the cell stays pending and the sweep reports the
+// cancellation rather than a failed cell.
+func (d *Dispatcher) Executor() sweep.Executor {
 	return func(ctx context.Context, c sweep.Cell) (*sweep.CellResult, error) {
-		res, err := d.RunCell(ctx, c, plan.Faults, plan.RealMsgDelayUS)
+		res, err := d.RunCell(ctx, c)
 		if err != nil && ctx.Err() != nil {
 			return nil, nil
 		}

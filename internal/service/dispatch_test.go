@@ -112,7 +112,7 @@ func TestDispatchFailoverByteIdentical(t *testing.T) {
 
 	runErr := make(chan error, 1)
 	go func() {
-		_, err := s.RunWith(ctx, d.Executor(failoverPlan()))
+		_, err := s.RunWith(ctx, d.Executor())
 		runErr <- err
 	}()
 
@@ -196,7 +196,7 @@ func TestDispatchServiceRestartSameRaceSet(t *testing.T) {
 	})
 	runErr := make(chan error, 1)
 	go func() {
-		_, err := s.RunWith(ctx, d.Executor(failoverPlan()))
+		_, err := s.RunWith(ctx, d.Executor())
 		runErr <- err
 	}()
 
@@ -258,7 +258,7 @@ func TestDispatchServiceRestartSameRaceSet(t *testing.T) {
 // consulted so rejected fleets don't retry in lockstep, and the rejection
 // is counted as one, not charged to the node as a failure.
 func TestDispatchHonorsRetryAfter(t *testing.T) {
-	cell := sweep.Cell{ID: "FFT-test", App: "FFT", Scale: 0.25, Procs: 2}
+	cell := sweep.Cell{ID: "FFT-test", Request: sweep.Request{App: "FFT", Scale: 0.25, Procs: 2}}
 	ts, submits := busyNode(t, cell, "team-a", 1, true)
 	jitterCalls := 0
 	d := NewDispatcher([]string{ts.URL}, DispatchConfig{
@@ -267,7 +267,7 @@ func TestDispatchHonorsRetryAfter(t *testing.T) {
 		Logf:    t.Logf,
 	}).Tenant("team-a")
 	start := time.Now()
-	res, err := d.RunCell(context.Background(), cell, nil, 0)
+	res, err := d.RunCell(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestDispatchHonorsRetryAfter(t *testing.T) {
 // the busy node's inflight slot is freed and the next pick avoids it; the
 // node is not charged a failure, because it is healthy.
 func TestDispatchBusyNodeDoesNotPinCell(t *testing.T) {
-	cell := sweep.Cell{ID: "FFT-test", App: "FFT", Scale: 0.25, Procs: 2, Detect: true}
+	cell := sweep.Cell{ID: "FFT-test", Request: sweep.Request{App: "FFT", Scale: 0.25, Procs: 2}}
 	busy, _ := busyNode(t, cell, DefaultTenant, 1<<30, false)
 	svc := New(Config{MaxSessions: 1})
 	defer svc.Close()
@@ -309,7 +309,7 @@ func TestDispatchBusyNodeDoesNotPinCell(t *testing.T) {
 	}).Tenant(DefaultTenant)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	res, err := d.RunCell(ctx, cell, nil, 0)
+	res, err := d.RunCell(ctx, cell)
 	if err != nil {
 		t.Fatalf("cell pinned to the busy node: %v", err)
 	}
@@ -343,7 +343,7 @@ func TestDispatchCanceledSweepReportsCancellation(t *testing.T) {
 	defer cancel()
 	runErr := make(chan error, 1)
 	go func() {
-		_, err := s.RunWith(ctx, d.Executor(failoverPlan()))
+		_, err := s.RunWith(ctx, d.Executor())
 		runErr <- err
 	}()
 	for deadline := time.Now().Add(time.Minute); svc.Counts()[StateRunning] == 0; {
@@ -371,7 +371,7 @@ func TestDispatchRequestErrorNotRetried(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	d := NewDispatcher([]string{ts.URL}, DispatchConfig{})
-	_, err := d.RunCell(context.Background(), sweep.Cell{ID: "bogus", App: "NoSuchApp", Procs: 2}, nil, 0)
+	_, err := d.RunCell(context.Background(), sweep.Cell{ID: "bogus", Request: sweep.Request{App: "NoSuchApp", Procs: 2}})
 	var reqErr *RequestError
 	if !errors.As(err, &reqErr) {
 		t.Fatalf("invalid cell returned %T (%v), want *RequestError", err, err)

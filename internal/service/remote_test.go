@@ -12,109 +12,175 @@ import (
 	"lrcrace/internal/sweep"
 )
 
+// chaosSeedPlan is a grid whose Seeds axis is kept alive by its chaotic
+// crash axis, so it also reaches the cells that consume no seed: FFT runs
+// under seed 0 and seed 1, as two cells with two IDs. A service that
+// re-decides such a cell's seed names its result after the other cell.
+func chaosSeedPlan() *sweep.Plan {
+	return &sweep.Plan{
+		Apps:       []string{"ChaosTSP", "FFT"},
+		Scales:     []float64{0.25},
+		Procs:      []int{2},
+		CrashModes: []string{"none", "single"},
+		Seeds:      []int64{0, 1},
+	}
+}
+
+// runLocal runs the plan in a local sweep pool with a checkpoint dir.
+func runLocal(t *testing.T, ctx context.Context, plan *sweep.Plan) (*sweep.Sweep, string) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := sweep.New(plan, sweep.Options{Workers: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := s.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.OK != sum.Total {
+		t.Fatalf("local sweep not clean: %+v", sum)
+	}
+	return s, dir
+}
+
+func metricsDoc(t *testing.T, s *sweep.Sweep) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteMetricsJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestRemoteDispatchByteIdentical is the distributed-sweep acceptance
-// test: the same 2×2 grid executed (a) by a local sweep pool and (b) by
-// running the same sweep pool with a detection-service client as its
-// executor produces a byte-identical plan manifest and a byte-identical
-// aggregated metrics document.
+// test: each grid executed (a) by a local sweep pool and (b) by the same
+// sweep pool with a detection-service client as its executor finishes
+// every cell ok under its own ID, with equal race counts per cell and a
+// byte-identical plan manifest. Where two local runs of a grid produce the
+// same aggregated metrics document, the remote run must produce it too; a
+// grid whose local runs already differ is left out of that comparison, and
+// the test log says so.
 func TestRemoteDispatchByteIdentical(t *testing.T) {
-	mkPlan := func() *sweep.Plan {
-		return &sweep.Plan{
-			Apps:   []string{"FFT", "SOR"},
-			Scales: []float64{0.25},
-			Procs:  []int{2},
-			Detect: []bool{true, false},
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
+	for _, tc := range []struct {
+		name string
+		plan func() *sweep.Plan
+	}{
+		{"fft-sor", func() *sweep.Plan {
+			return &sweep.Plan{
+				Apps:   []string{"FFT", "SOR"},
+				Scales: []float64{0.25},
+				Procs:  []int{2},
+				Detect: []bool{true, false},
+			}
+		}},
+		{"chaos-seeds", chaosSeedPlan},
+		// A non-lossy wire template and a message-delay override ride on
+		// each cell's request.
+		{"jitter-delay", func() *sweep.Plan {
+			return &sweep.Plan{
+				Apps:           []string{"FFT", "SOR"},
+				Scales:         []float64{0.25},
+				Procs:          []int{2},
+				Seeds:          []int64{0, 1},
+				Faults:         &sweep.FaultAxis{JitterUS: 20},
+				RealMsgDelayUS: 50,
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
 
-	// Local reference.
-	dirLocal := t.TempDir()
-	local, err := sweep.New(mkPlan(), sweep.Options{Workers: 2, Dir: dirLocal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sumLocal, err := local.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sumLocal.OK != sumLocal.Total {
-		t.Fatalf("local sweep not clean: %+v", sumLocal)
-	}
+			// Local reference, twice: is the metrics document deterministic?
+			local, dirLocal := runLocal(t, ctx, tc.plan())
+			again, _ := runLocal(t, ctx, tc.plan())
+			docLocal := metricsDoc(t, local)
+			compareMetrics := bytes.Equal(docLocal, metricsDoc(t, again))
+			if !compareMetrics {
+				t.Logf("%s: two local runs produce different metrics documents; metrics comparison dropped", tc.name)
+			}
 
-	// Remote: the same grid through a service, as the pool's executor —
-	// what `sweeprun -remote` runs, minus the dispatcher's failover.
-	svc := New(Config{MaxSessions: 4})
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	defer svc.Close()
-	client := NewClient(ts.URL)
+			// Remote: the same grid through a service, as the pool's executor —
+			// what `sweeprun -remote` runs, minus the dispatcher's failover.
+			svc := New(Config{MaxSessions: 4})
+			ts := httptest.NewServer(svc.Handler())
+			defer ts.Close()
+			defer svc.Close()
+			client := NewClient(ts.URL)
 
-	dirRemote := t.TempDir()
-	remote, err := sweep.New(mkPlan(), sweep.Options{Workers: 2, Dir: dirRemote})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pending := remote.Summary().Missing; pending != 4 {
-		t.Fatalf("pending = %d cells, want 4", pending)
-	}
-	if _, err := remote.RunWith(ctx, func(ctx context.Context, c sweep.Cell) (*sweep.CellResult, error) {
-		return client.RunCell(ctx, c, nil, 0)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sumRemote := remote.Summary()
-	if sumRemote.OK != sumRemote.Total || sumRemote.Missing != 0 {
-		t.Fatalf("remote sweep not clean: %+v", sumRemote)
-	}
+			dirRemote := t.TempDir()
+			remote, err := sweep.New(tc.plan(), sweep.Options{Workers: 2, Dir: dirRemote})
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := len(remote.Cells())
+			if pending := remote.Summary().Missing; pending != total {
+				t.Fatalf("pending = %d cells, want %d", pending, total)
+			}
+			if _, err := remote.RunWith(ctx, func(ctx context.Context, c sweep.Cell) (*sweep.CellResult, error) {
+				return client.RunCell(ctx, c)
+			}); err != nil {
+				t.Fatal(err)
+			}
 
-	// The manifests must be byte-identical (same plan, same grid).
-	mLocal, err := os.ReadFile(filepath.Join(dirLocal, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mRemote, err := os.ReadFile(filepath.Join(dirRemote, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mLocal, mRemote) {
-		t.Error("manifest.json differs between local and remote execution")
-	}
+			// Every cell ok under its own ID, with the local distinct race
+			// count, and the local dynamic count wherever two local runs agree
+			// on it: a crash cell may report a re-executed interval's race
+			// again, and whether it does follows the host schedule.
+			localRaces, againRaces := map[string]sweep.CellResult{}, map[string]int{}
+			for _, r := range local.Summary().Cells {
+				localRaces[r.ID] = r
+			}
+			for _, r := range again.Summary().Cells {
+				againRaces[r.ID] = r.Races
+			}
+			sumRemote := remote.Summary()
+			if sumRemote.OK != total || sumRemote.Missing != 0 || len(sumRemote.Cells) != total {
+				t.Fatalf("remote sweep not clean: %+v", sumRemote)
+			}
+			for i, r := range sumRemote.Cells {
+				if r.ID != remote.Cells()[i].ID || r.Status != sweep.StatusOK {
+					t.Errorf("cell %s: remote result %s %s", remote.Cells()[i].ID, r.ID, r.Status)
+				}
+				l := localRaces[r.ID]
+				if r.DistinctRaces != l.DistinctRaces {
+					t.Errorf("cell %s: remote %d distinct races, local %d", r.ID, r.DistinctRaces, l.DistinctRaces)
+				}
+				if r.Races != l.Races && l.Races == againRaces[r.ID] {
+					t.Errorf("cell %s: remote %d races, local %d", r.ID, r.Races, l.Races)
+				}
+			}
 
-	// The deterministic aggregated metrics document must be byte-identical:
-	// the service ran each cell with the same scoped-recorder setup the
-	// local pool uses, and the pool adopted the results the same way.
-	var bufLocal, bufRemote bytes.Buffer
-	if err := local.WriteMetricsJSON(&bufLocal); err != nil {
-		t.Fatal(err)
-	}
-	if err := remote.WriteMetricsJSON(&bufRemote); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bufLocal.Bytes(), bufRemote.Bytes()) {
-		t.Errorf("aggregated metrics JSON differs: local %d bytes, remote %d bytes",
-			bufLocal.Len(), bufRemote.Len())
-	}
+			// The manifests must be byte-identical (same plan, same grid).
+			mLocal, err := os.ReadFile(filepath.Join(dirLocal, "manifest.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mRemote, err := os.ReadFile(filepath.Join(dirRemote, "manifest.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mLocal, mRemote) {
+				t.Error("manifest.json differs between local and remote execution")
+			}
 
-	// Race counts agree cell by cell.
-	localRaces := map[string]int{}
-	for _, r := range sumLocal.Cells {
-		localRaces[r.ID] = r.Races
-	}
-	for _, r := range sumRemote.Cells {
-		if r.Races != localRaces[r.ID] {
-			t.Errorf("cell %s: remote %d races, local %d", r.ID, r.Races, localRaces[r.ID])
-		}
-	}
+			// The service ran each cell with the same scoped-recorder setup the
+			// local pool uses, and the pool adopted the results the same way.
+			if docRemote := metricsDoc(t, remote); compareMetrics && !bytes.Equal(docLocal, docRemote) {
+				t.Errorf("aggregated metrics JSON differs: local %d bytes, remote %d bytes",
+					len(docLocal), len(docRemote))
+			}
 
-	// The remote directory resumes like a local one: everything terminal,
-	// nothing pending.
-	resumed, err := sweep.New(mkPlan(), sweep.Options{Dir: dirRemote})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := resumed.Summary().Missing; p != 0 {
-		t.Errorf("resume after remote dispatch still has %d pending cells", p)
+			// The remote directory resumes like a local one: everything
+			// terminal, nothing pending.
+			resumed, err := sweep.New(tc.plan(), sweep.Options{Dir: dirRemote})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := resumed.Summary().Missing; p != 0 {
+				t.Errorf("resume after remote dispatch still has %d pending cells", p)
+			}
+		})
 	}
 }

@@ -1,91 +1,107 @@
 package service
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"lrcrace/internal/harness"
 	"lrcrace/internal/sweep"
 )
 
-// roundTrip sends one cell through the remote-dispatch bridge and back:
-// the request built for it must resolve to the same cell (same ID, so
-// Sweep.Record files the result where it belongs) and to the run
-// configuration a local sweep would have executed.
-func roundTrip(t *testing.T, plan *sweep.Plan, c sweep.Cell) {
+// overTheWire sends a request through its JSON wire format and resolves
+// what arrives the way Service.Submit does.
+func overTheWire(t *testing.T, r RunRequest) (sweep.Cell, harness.RunConfig) {
 	t.Helper()
-	wantCfg, err := plan.RunConfig(c)
+	b, err := json.Marshal(r)
 	if err != nil {
-		t.Fatalf("%s: %v", c.ID, err)
+		t.Fatal(err)
 	}
-	if err := harness.ValidateRunConfig(wantCfg); err != nil {
-		t.Fatalf("%s is not a runnable cell: %v", c.ID, err)
+	var back RunRequest
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
 	}
-	req := RequestFor(c, plan.Faults, plan.RealMsgDelayUS)
-	got, gotCfg, err := req.Cell()
+	c, cfg, err := back.Defaulted().Resolve()
 	if err != nil {
-		t.Fatalf("%s: request %+v rejected: %v", c.ID, req, err)
+		t.Fatalf("%s rejected: %v", b, err)
 	}
-	if got != c {
-		t.Errorf("cell changed in the round trip:\nsent %+v\n got %+v", c, got)
-	}
-	if !reflect.DeepEqual(gotCfg, wantCfg) {
-		t.Errorf("%s: run configuration changed in the round trip:\nlocal  %+v\nremote %+v", c.ID, wantCfg, gotCfg)
-	}
+	return c, cfg
 }
 
-// TestRequestCellRoundTrip walks sweep.Cell field by field: with each one
-// set away from the base cell's value (in a cell that is valid with it
-// set), RequestFor then Cell() must be the identity. A field RunRequest
-// does not carry fails here — as BarrierTree did, which a node silently
-// ran flat — and so does a field added to Cell without an entry below.
+// TestRequestCellRoundTrip walks RunRequest field by field: with each one
+// set away from its default (in a request that is valid with it set), the
+// request must resolve to the same cell and run configuration after a JSON
+// round trip as before it. A field without a JSON name, or tagged "-", is
+// what a remote cell would silently drop — as BarrierTree once was, which
+// a node ran flat — and fails here, as does a new field without an entry
+// below.
 func TestRequestCellRoundTrip(t *testing.T) {
-	base := sweep.Cell{App: "FFT", Scale: 1, Procs: 4, Protocol: "sw",
-		Checkpoint: true, CrashMode: "none", CorruptMode: "none"}
-	goCell := func(c *sweep.Cell) { c.App, c.Frontend = "KV", "go" }
-	chaos := func(c *sweep.Cell) { c.App, c.CrashMode = "ChaosTSP", "single" }
-	set := map[string]func(c *sweep.Cell){
-		"App":         func(c *sweep.Cell) { c.App = "SOR" },
-		"Scale":       func(c *sweep.Cell) { c.Scale = 0.5 },
-		"Procs":       func(c *sweep.Cell) { c.Procs = 2 },
-		"Protocol":    func(c *sweep.Cell) { c.Protocol = "mw" },
-		"Detect":      func(c *sweep.Cell) { c.Detect = true },
-		"Sharded":     func(c *sweep.Cell) { c.Detect, c.Sharded = true, true },
-		"BarrierTree": func(c *sweep.Cell) { c.BarrierTree = 2 },
-		"Checkpoint":  func(c *sweep.Cell) { c.Checkpoint = false },
-		"CrashMode":   chaos,
-		"CorruptMode": func(c *sweep.Cell) { chaos(c); c.CorruptMode = "chunk" },
-		"Frontend":    goCell,
-		"HotSkew":     func(c *sweep.Cell) { goCell(c); c.HotSkew = 0.5 },
-		"Racy":        func(c *sweep.Cell) { goCell(c); c.Racy = true },
-		"Seed":        func(c *sweep.Cell) { goCell(c); c.Seed = 3 },
+	goReq := func(r *RunRequest) { r.App, r.Frontend = "KV", "go" }
+	chaos := func(r *RunRequest) { r.App, r.CrashMode = "ChaosTSP", "single" }
+	set := map[string]func(r *RunRequest){
+		"Tenant":         func(r *RunRequest) { r.Tenant = "team-a" },
+		"App":            func(r *RunRequest) { r.App = "SOR" },
+		"Scale":          func(r *RunRequest) { r.Scale = 0.5 },
+		"Procs":          func(r *RunRequest) { r.Procs = 2 },
+		"Protocol":       func(r *RunRequest) { r.Protocol = "mw" },
+		"Detect":         func(r *RunRequest) { r.Detect = boolPtr(false) },
+		"Sharded":        func(r *RunRequest) { r.Sharded = true },
+		"BarrierTree":    func(r *RunRequest) { r.BarrierTree = 2 },
+		"Checkpoint":     func(r *RunRequest) { r.Checkpoint = boolPtr(false) },
+		"CrashMode":      chaos,
+		"CorruptMode":    func(r *RunRequest) { chaos(r); r.CorruptMode = "chunk" },
+		"Seed":           func(r *RunRequest) { chaos(r); r.Seed = 3 },
+		"Frontend":       goReq,
+		"HotSkew":        func(r *RunRequest) { goReq(r); r.HotSkew = 0.5 },
+		"Racy":           func(r *RunRequest) { goReq(r); r.Racy = true },
+		"Faults":         func(r *RunRequest) { r.Faults = &sweep.FaultAxis{Drop: 0.05, JitterUS: 10} },
+		"RealMsgDelayUS": func(r *RunRequest) { r.RealMsgDelayUS = 20 },
+	}
+	base := RunRequest{App: "FFT"}
+	baseCell, baseCfg, err := base.Defaulted().Resolve()
+	if err != nil {
+		t.Fatal(err)
 	}
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		if name == "ID" {
-			continue // derived from the others
+		f := typ.Field(i)
+		if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name == "" || name == "-" {
+			t.Errorf("RunRequest.%s has no JSON name, so a remote cell would not carry it", f.Name)
 		}
-		mutate, ok := set[name]
+		mutate, ok := set[f.Name]
 		if !ok {
-			t.Errorf("sweep.Cell has a field %s this test does not set: add it here, to RunRequest, RequestFor and Cell()", name)
+			t.Errorf("RunRequest has a field %s this test does not set: add it here", f.Name)
 			continue
 		}
-		c := base
-		mutate(&c)
-		if reflect.DeepEqual(reflect.ValueOf(c).Field(i).Interface(), reflect.ValueOf(base).Field(i).Interface()) {
-			t.Fatalf("mutation for %s leaves the field at its base value", name)
+		r := base
+		mutate(&r)
+		want, wantCfg, err := r.Defaulted().Resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
 		}
-		c.ID = sweep.CellID(c)
-		roundTrip(t, &sweep.Plan{}, c)
+		if reflect.DeepEqual(want, baseCell) && reflect.DeepEqual(wantCfg, baseCfg) {
+			t.Fatalf("mutation for %s resolves like the base request", f.Name)
+		}
+		got, gotCfg := overTheWire(t, r)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: cell changed in the JSON round trip:\nsent %+v\n got %+v", f.Name, want, got)
+		}
+		if !reflect.DeepEqual(gotCfg, wantCfg) {
+			t.Errorf("%s: run configuration changed in the JSON round trip:\nsent %+v\n got %+v", f.Name, wantCfg, gotCfg)
+		}
 	}
 }
 
-// TestRequestCellRoundTripGrid: every cell of a plan that reaches all the
+// TestRequestCellRoundTripGrid: every cell of plans that reach all the
 // axes at once — both frontends, chaos apps, tree and sharded barriers, a
-// wire-fault template — survives the round trip unchanged.
+// wire-fault template, a seed axis kept alive by chaos cells only — arrives
+// at a node as the same cell (same ID, so the sweep files the result where
+// it belongs) with the run configuration a local sweep would execute.
 func TestRequestCellRoundTripGrid(t *testing.T) {
-	plan := &sweep.Plan{
+	for _, plan := range []*sweep.Plan{{
 		Apps:           []string{"Water", "ChaosMW", "KV"},
 		Frontends:      []string{"dsm", "go"},
 		Scales:         []float64{0.25, 1},
@@ -102,24 +118,61 @@ func TestRequestCellRoundTripGrid(t *testing.T) {
 		Seeds:          []int64{0, 7},
 		Faults:         &sweep.FaultAxis{Drop: 0.02, JitterUS: 5},
 		RealMsgDelayUS: 15,
+	}, chaosSeedPlan()} {
+		cells, err := plan.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			wantCfg, err := c.RunConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotCfg := overTheWire(t, c.Request)
+			if !reflect.DeepEqual(got, c) {
+				t.Errorf("cell changed in the round trip:\nsent %+v\n got %+v", c, got)
+			}
+			if !reflect.DeepEqual(gotCfg, wantCfg) {
+				t.Errorf("%s: run configuration changed in the round trip:\nlocal  %+v\nremote %+v", c.ID, wantCfg, gotCfg)
+			}
+		}
 	}
-	cells, err := plan.Expand()
+}
+
+// TestRequestDocExampleBytes pins the wire format through the request body
+// docs/SERVICE.md shows: it decodes with no unknown field and re-encodes to
+// these bytes (field names, order, and what omitempty drops).
+func TestRequestDocExampleBytes(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/SERVICE.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) < 100 {
-		t.Fatalf("grid expanded to only %d cells", len(cells))
+	m := regexp.MustCompile("(?s)## Sessions and admission control.*?```json\\n(.*?)```").FindSubmatch(doc)
+	if m == nil {
+		t.Fatal("no example request body in docs/SERVICE.md")
 	}
-	for _, c := range cells {
-		roundTrip(t, plan, c)
+	dec := json.NewDecoder(strings.NewReader(string(m[1])))
+	dec.DisallowUnknownFields()
+	var r RunRequest
+	if err := dec.Decode(&r); err != nil {
+		t.Fatalf("docs/SERVICE.md example: %v", err)
+	}
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"tenant":"ci","app":"Water","scale":1,"procs":4,"protocol":"sw","detect":true,"checkpoint":true,` +
+		`"crash_mode":"none","corrupt_mode":"none","frontend":"dsm","faults":{"drop":0.05,"jitter_us":10}}`
+	if string(b) != want {
+		t.Errorf("example body encodes to\n%s\nwant\n%s", b, want)
 	}
 }
 
 // TestRequestCellIDs pins the request schema's other fixed point: sparse
 // bodies — what a hand-written client sends — take the sweep's defaults
 // and seed collapse, so existing clients keep naming the cells they always
-// named (the IDs below were recorded when Cell() still expanded a one-point
-// sweep.Plan).
+// named (the IDs below were recorded when the service still expanded a
+// one-point sweep.Plan).
 func TestRequestCellIDs(t *testing.T) {
 	lossy := &sweep.FaultAxis{Drop: 0.05}
 	for _, tc := range []struct {
@@ -144,7 +197,7 @@ func TestRequestCellIDs(t *testing.T) {
 		// session has none and has always ignored it.
 		{RunRequest{App: "KV", Frontend: "go", Faults: lossy, RealMsgDelayUS: 10, Protocol: "sw", CrashMode: "none"}, "KV-s1-p4-sw-d1-sh0-ck1-go-seed0"},
 	} {
-		c, _, err := tc.req.Cell()
+		c, _, err := tc.req.Defaulted().Resolve()
 		if err != nil {
 			t.Errorf("%+v: %v", tc.req, err)
 			continue

@@ -15,100 +15,11 @@ import (
 	"lrcrace/internal/telemetry"
 )
 
-// RunRequest is what a client submits to open a session: the same axes a
-// sweep cell pins (see sweep.Cell), as one concrete configuration. The
-// zero values of the optional fields take the sweep's defaults (scale 1,
-// 4 procs, single-writer protocol, detection on, checkpointing on).
-type RunRequest struct {
-	// Tenant names the client the session is accounted to; empty maps to
-	// DefaultTenant. Per-tenant admission quotas (Config.TenantMaxActive,
-	// TenantMaxQueued) are enforced against this identity, so one noisy
-	// tenant saturates its own quota instead of the whole service.
-	Tenant      string  `json:"tenant,omitempty"`
-	App         string  `json:"app"`
-	Scale       float64 `json:"scale,omitempty"`
-	Procs       int     `json:"procs,omitempty"`
-	Protocol    string  `json:"protocol,omitempty"`
-	Detect      *bool   `json:"detect,omitempty"`
-	Sharded     bool    `json:"sharded,omitempty"`
-	BarrierTree int     `json:"barrier_tree,omitempty"`
-	Checkpoint  *bool   `json:"checkpoint,omitempty"`
-	CrashMode   string  `json:"crash_mode,omitempty"`
-	CorruptMode string  `json:"corrupt_mode,omitempty"`
-	Seed        int64   `json:"seed,omitempty"`
-	// Frontend selects the execution engine: "" or "dsm" for the simulated
-	// DSM, "go" for the gofront happens-before frontend, whose apps are
-	// the gofront workloads and whose knobs are HotSkew and Racy.
-	Frontend string           `json:"frontend,omitempty"`
-	HotSkew  float64          `json:"hot_skew,omitempty"`
-	Racy     bool             `json:"racy,omitempty"`
-	Faults   *sweep.FaultAxis `json:"faults,omitempty"`
-	// RealMsgDelayUS overrides the per-app real-latency coupling
-	// (microseconds); 0 keeps the app default.
-	RealMsgDelayUS int64 `json:"real_msg_delay_us,omitempty"`
-}
-
-// RequestFor builds the run request that reproduces one sweep cell, with
-// the plan-level fault template and message-delay override. It is the
-// remote-dispatch bridge: submitting the result as a session yields a
-// CellResult interchangeable with running the cell locally, so it must
-// carry every Cell field — Cell() is its inverse, and the round trip is
-// pinned field by field (TestRequestCellRoundTrip).
-func RequestFor(c sweep.Cell, faults *sweep.FaultAxis, realMsgDelayUS int64) RunRequest {
-	det, ck := c.Detect, c.Checkpoint
-	return RunRequest{
-		App:            c.App,
-		Scale:          c.Scale,
-		Procs:          c.Procs,
-		Protocol:       c.Protocol,
-		Detect:         &det,
-		Sharded:        c.Sharded,
-		BarrierTree:    c.BarrierTree,
-		Checkpoint:     &ck,
-		CrashMode:      c.CrashMode,
-		CorruptMode:    c.CorruptMode,
-		Seed:           c.Seed,
-		Frontend:       c.Frontend,
-		HotSkew:        c.HotSkew,
-		Racy:           c.Racy,
-		Faults:         faults,
-		RealMsgDelayUS: realMsgDelayUS,
-	}
-}
-
-// Cell resolves the request to its fully determined grid point — the cell
-// the equivalent one-point sweep plan expands to, with the same defaults
-// and the same ID — and its run configuration, rejecting whatever
-// harness.ValidateRunConfig rejects with that validator's message. This is
-// the admission-time validation: a rejected request fails with a
-// *RequestError before any System exists, never mid-run.
-func (r *RunRequest) Cell() (sweep.Cell, harness.RunConfig, error) {
-	reject := func(err error) (sweep.Cell, harness.RunConfig, error) {
-		return sweep.Cell{}, harness.RunConfig{}, &RequestError{Reason: err.Error()}
-	}
-	c := sweep.Cell{
-		App: r.App, Scale: r.Scale, Procs: r.Procs, Protocol: r.Protocol,
-		Detect: r.Detect == nil || *r.Detect, Sharded: r.Sharded, BarrierTree: r.BarrierTree,
-		Checkpoint: r.Checkpoint == nil || *r.Checkpoint,
-		CrashMode:  r.CrashMode, CorruptMode: r.CorruptMode,
-		HotSkew: r.HotSkew, Racy: r.Racy, Seed: r.Seed,
-	}
-	if harness.IsGoFrontend(r.Frontend) {
-		c.Frontend = r.Frontend
-	}
-	c = c.Defaulted(r.Faults != nil)
-
-	plan := sweep.Plan{Faults: r.Faults, RealMsgDelayUS: r.RealMsgDelayUS}
-	cfg, err := plan.RunConfig(c)
-	if err != nil {
-		return reject(err)
-	}
-	cfg.Frontend = r.Frontend // as submitted, so an unknown frontend is the validator's to name
-	if err := harness.ValidateRunConfig(cfg); err != nil {
-		return reject(err)
-	}
-	return c, cfg, nil
-}
+// RunRequest is what a client submits to open a session: one sweep grid
+// point as a concrete configuration, in the wire format sweep.Request
+// defines. A sweep cell is an ID plus this request, so a remote cell is
+// submitted as it is.
+type RunRequest = sweep.Request
 
 // RequestError is an admission-time rejection: the request as submitted
 // can never run, so the service refuses it up front (HTTP 400) instead of
@@ -391,15 +302,17 @@ func Open(cfg Config) (*Service, ReplayInfo, error) {
 // Store returns the service's report store (for in-process readers).
 func (svc *Service) Store() *Store { return svc.store }
 
-// Submit validates and admits one run request. It returns *RequestError
-// for requests that can never run (map to HTTP 400), *QuotaError when
-// the request's tenant is at its per-tenant quota (429), *OverloadError
-// when the global queue is full (503), and ErrClosed during shutdown
-// (503).
+// Submit validates and admits one run request, defaulted and resolved to
+// its cell (sweep.Request.Defaulted, then Resolve), so a submitted sweep
+// cell keeps its ID and run configuration. It returns *RequestError for
+// whatever the validator rejects, before any System exists (map to HTTP
+// 400), *QuotaError when the request's tenant is at its per-tenant quota
+// (429), *OverloadError when the global queue is full (503), and ErrClosed
+// during shutdown (503).
 func (svc *Service) Submit(req RunRequest) (*Session, error) {
-	cell, cfg, err := req.Cell()
+	cell, cfg, err := req.Defaulted().Resolve()
 	if err != nil {
-		return nil, err
+		return nil, &RequestError{Reason: err.Error()}
 	}
 	tenant := req.Tenant
 	if tenant == "" {

@@ -30,7 +30,7 @@ func raceKeys(reports []race.Report) []string {
 // harness — the reference a service session must match.
 func runStandalone(t *testing.T, req RunRequest) *harness.Result {
 	t.Helper()
-	_, cfg, err := req.Cell()
+	_, cfg, err := req.Defaulted().Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

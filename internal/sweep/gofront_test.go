@@ -65,7 +65,7 @@ func TestExpandGoFrontAxes(t *testing.T) {
 			if !strings.Contains(c.ID, "-go") {
 				t.Fatalf("go cell ID missing go suffix: %s", c.ID)
 			}
-			cfg, err := p.RunConfig(c)
+			cfg, err := c.RunConfig()
 			if err != nil {
 				t.Fatal(err)
 			}

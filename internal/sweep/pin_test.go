@@ -139,11 +139,12 @@ func TestExpandKeepsWhatValidatorAccepts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		// Keyed on the whole cell: a dsm candidate with a go-only knob set
-		// shares its ID with the kept cell that has the knob clear.
-		kept := map[Cell]bool{}
+		// A dsm candidate with a go-only knob set shares its ID with the
+		// kept cell that has the knob clear, so a candidate is kept only
+		// when the whole cell under its ID matches.
+		kept := map[string]Cell{}
 		for _, c := range cells {
-			kept[c] = true
+			kept[c.ID] = c
 		}
 		d := defaults(p)
 		fronts, hotSkews, racies := d.Frontends, d.HotSkews, d.Racy
@@ -171,21 +172,23 @@ func TestExpandKeepsWhatValidatorAccepts(t *testing.T) {
 													for _, hk := range hotSkews {
 														for _, racy := range racies {
 															for _, seed := range d.Seeds {
-																c := Cell{App: app, Scale: sc, Procs: pc, Protocol: proto,
-																	Detect: det, Sharded: sh, BarrierTree: bt, Checkpoint: ck,
-																	CrashMode: cr, CorruptMode: cx, HotSkew: hk, Racy: racy, Seed: seed}
+																r := Request{App: app, Scale: sc, Procs: pc, Protocol: proto,
+																	Detect: &det, Sharded: sh, BarrierTree: bt, Checkpoint: &ck,
+																	CrashMode: cr, CorruptMode: cx, HotSkew: hk, Racy: racy, Seed: seed,
+																	Faults: p.Faults, RealMsgDelayUS: p.RealMsgDelayUS}
 																if front == "go" {
-																	c.Frontend = front
+																	r.Frontend = front
 																}
-																c.ID = CellID(c)
-																cfg, err := p.RunConfig(c)
+																cfg, err := r.RunConfig()
 																if err != nil {
 																	t.Fatal(err)
 																}
 																candidates++
+																k, ok := kept[CellID(r)]
+																isKept := ok && reflect.DeepEqual(k.Request, r)
 																verr := harness.ValidateRunConfig(cfg)
-																if kept[c] != (verr == nil) {
-																	t.Errorf("%s: candidate %+v kept=%v but validator says %v", name, c, kept[c], verr)
+																if isKept != (verr == nil) {
+																	t.Errorf("%s: candidate %+v kept=%v but validator says %v", name, r, isKept, verr)
 																}
 															}
 														}

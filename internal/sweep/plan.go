@@ -102,25 +102,49 @@ type FaultAxis struct {
 	JitterUS int64   `json:"jitter_us,omitempty"`
 }
 
-// Cell is one expanded grid point: a fully determined run configuration
-// with a stable ID that doubles as its result file name.
-type Cell struct {
-	ID          string  `json:"id"`
+// Request is one run of the grid as a single concrete configuration: what a
+// cell carries, and what a client submits to the detection service to open
+// a session (service.RunRequest is this type). The JSON tags are that
+// service's wire format. Zero optional fields take the sweep's defaults
+// (see Defaulted); a nil Detect or Checkpoint means on.
+type Request struct {
+	// Tenant names the client a service session is accounted to; empty maps
+	// to service.DefaultTenant. Per-tenant admission quotas are enforced
+	// against this identity, so one noisy tenant saturates its own quota
+	// instead of the whole service. It is not part of the run.
+	Tenant      string  `json:"tenant,omitempty"`
 	App         string  `json:"app"`
-	Scale       float64 `json:"scale"`
-	Procs       int     `json:"procs"`
-	Protocol    string  `json:"protocol"`
-	Detect      bool    `json:"detect"`
-	Sharded     bool    `json:"sharded"`
+	Scale       float64 `json:"scale,omitempty"`
+	Procs       int     `json:"procs,omitempty"`
+	Protocol    string  `json:"protocol,omitempty"`
+	Detect      *bool   `json:"detect,omitempty"`
+	Sharded     bool    `json:"sharded,omitempty"`
 	BarrierTree int     `json:"barrier_tree,omitempty"`
-	Checkpoint  bool    `json:"checkpoint"`
+	Checkpoint  *bool   `json:"checkpoint,omitempty"`
 	CrashMode   string  `json:"crash_mode,omitempty"`
 	CorruptMode string  `json:"corrupt_mode,omitempty"`
-	Frontend    string  `json:"frontend,omitempty"` // "" = dsm
-	HotSkew     float64 `json:"hot_skew,omitempty"`
-	Racy        bool    `json:"racy,omitempty"`
-	Seed        int64   `json:"seed"`
+	Seed        int64   `json:"seed,omitempty"`
+	// Frontend selects the execution engine: "" or "dsm" for the simulated
+	// DSM, "go" for the gofront happens-before frontend, whose apps are
+	// the gofront workloads and whose knobs are HotSkew and Racy.
+	Frontend string     `json:"frontend,omitempty"`
+	HotSkew  float64    `json:"hot_skew,omitempty"`
+	Racy     bool       `json:"racy,omitempty"`
+	Faults   *FaultAxis `json:"faults,omitempty"`
+	// RealMsgDelayUS overrides the per-app real-latency coupling
+	// (microseconds); 0 keeps the app default.
+	RealMsgDelayUS int64 `json:"real_msg_delay_us,omitempty"`
 }
+
+// Cell is one expanded grid point: a fully determined request with a
+// stable ID that doubles as its result file name.
+type Cell struct {
+	ID string `json:"id"`
+	Request
+}
+
+func (r Request) detect() bool     { return r.Detect == nil || *r.Detect }
+func (r Request) checkpoint() bool { return r.Checkpoint == nil || *r.Checkpoint }
 
 func boolBit(b bool) int {
 	if b {
@@ -129,35 +153,35 @@ func boolBit(b bool) int {
 	return 0
 }
 
-// CellID derives a cell's stable ID from its axis values. Every field of
-// Cell that can differ between two runnable cells appears in it.
-func CellID(c Cell) string {
+// CellID derives a cell's stable ID from its axis values. Every run field
+// that can differ between two runnable cells of one plan appears in it.
+func CellID(r Request) string {
 	id := fmt.Sprintf("%s-s%g-p%d-%s-d%d-sh%d-ck%d",
-		c.App, c.Scale, c.Procs, c.Protocol,
-		boolBit(c.Detect), boolBit(c.Sharded), boolBit(c.Checkpoint))
+		r.App, r.Scale, r.Procs, r.Protocol,
+		boolBit(r.detect()), boolBit(r.Sharded), boolBit(r.checkpoint()))
 	// Tree-barrier and chaos suffixes only when active, so pre-existing
 	// sweep checkpoints keep their cell names.
-	if c.BarrierTree != 0 {
-		id += fmt.Sprintf("-bt%d", c.BarrierTree)
+	if r.BarrierTree != 0 {
+		id += fmt.Sprintf("-bt%d", r.BarrierTree)
 	}
-	if c.CrashMode != "" && c.CrashMode != "none" {
-		id += "-cr" + c.CrashMode
+	if r.CrashMode != "" && r.CrashMode != "none" {
+		id += "-cr" + r.CrashMode
 	}
-	if c.CorruptMode != "" && c.CorruptMode != "none" {
-		id += "-cx" + c.CorruptMode
+	if r.CorruptMode != "" && r.CorruptMode != "none" {
+		id += "-cx" + r.CorruptMode
 	}
 	// Go-frontend suffixes only on "go" cells, so dsm cell names — and
 	// therefore pre-existing sweep checkpoints — are untouched.
-	if c.Frontend == "go" {
+	if r.Frontend == "go" {
 		id += "-go"
-		if c.HotSkew != 0 {
-			id += fmt.Sprintf("-hk%g", c.HotSkew)
+		if r.HotSkew != 0 {
+			id += fmt.Sprintf("-hk%g", r.HotSkew)
 		}
-		if c.Racy {
+		if r.Racy {
 			id += "-racy"
 		}
 	}
-	return fmt.Sprintf("%s-seed%d", id, c.Seed)
+	return fmt.Sprintf("%s-seed%d", id, r.Seed)
 }
 
 func protocolKind(name string) (dsm.ProtocolKind, error) {
@@ -170,39 +194,40 @@ func protocolKind(name string) (dsm.ProtocolKind, error) {
 	return 0, fmt.Errorf("sweep: unknown protocol %q (want sw or mw)", name)
 }
 
-// Defaulted returns c the way a plan names the grid point: each scalar axis
-// c leaves at its zero value takes the axis's singleton default (scale 1, 4
-// processes, "sw", crash and corrupt mode "none"), the seed collapses to 0
-// when nothing in the run consumes it — no wire-fault template (faults), no
-// chaos mode, not the go frontend — and ID is set to match. It is the one
+// Defaulted returns r the way a plan names the grid point: each scalar
+// field r leaves at its zero value takes the axis's singleton default
+// (scale 1, 4 processes, "sw", crash and corrupt mode "none"). The seed is
+// decided only for a request whose crash mode Defaulted fills in: it
+// collapses to 0 unless the run consumes it (a wire-fault template or the
+// go frontend). A request that states its crash mode — every expanded cell
+// does — comes from a plan that has already decided its seed. It is the one
 // statement of those defaults: Plan expansion fills its empty axes from it
-// and the service names a single submitted run with it.
-func (c Cell) Defaulted(faults bool) Cell {
-	if c.Scale == 0 {
-		c.Scale = 1
+// and the service names a submitted run with it.
+func (r Request) Defaulted() Request {
+	if r.Scale == 0 {
+		r.Scale = 1
 	}
-	if c.Procs == 0 {
-		c.Procs = 4
+	if r.Procs == 0 {
+		r.Procs = 4
 	}
-	if c.Protocol == "" {
-		c.Protocol = "sw"
+	if r.Protocol == "" {
+		r.Protocol = "sw"
 	}
-	if c.CrashMode == "" {
-		c.CrashMode = "none"
+	if r.CrashMode == "" {
+		r.CrashMode = "none"
+		if r.Faults == nil && !harness.IsGoFrontend(r.Frontend) {
+			r.Seed = 0
+		}
 	}
-	if c.CorruptMode == "" {
-		c.CorruptMode = "none"
+	if r.CorruptMode == "" {
+		r.CorruptMode = "none"
 	}
-	if !faults && !chaoticMode(c.CrashMode) && !chaoticMode(c.CorruptMode) && c.Frontend == "" {
-		c.Seed = 0
-	}
-	c.ID = CellID(c)
-	return c
+	return r
 }
 
 func defaults(p *Plan) Plan {
 	d := *p
-	one := Cell{}.Defaulted(false)
+	one := Request{}.Defaulted()
 	if len(d.Scales) == 0 {
 		d.Scales = []float64{one.Scale}
 	}
@@ -348,23 +373,19 @@ func (p *Plan) Expand() ([]Cell, error) {
 	var cells []Cell
 	seen := make(map[string]bool)
 	for {
-		c := Cell{
+		r := Request{
 			App: d.Apps[at[0]], Scale: d.Scales[at[2]], Procs: d.Procs[at[3]], Protocol: d.Protocols[at[4]],
-			Detect: d.Detect[at[5]], Sharded: d.Sharded[at[6]], BarrierTree: d.BarrierTrees[at[7]],
-			Checkpoint: d.Checkpoint[at[8]], CrashMode: d.CrashModes[at[9]], CorruptMode: d.CorruptModes[at[10]],
+			Detect: ptr(d.Detect[at[5]]), Sharded: d.Sharded[at[6]], BarrierTree: d.BarrierTrees[at[7]],
+			Checkpoint: ptr(d.Checkpoint[at[8]]), CrashMode: d.CrashModes[at[9]], CorruptMode: d.CorruptModes[at[10]],
 			HotSkew: hotSkews[at[11]], Racy: racies[at[12]], Seed: d.Seeds[at[13]],
+			Faults: d.Faults, RealMsgDelayUS: d.RealMsgDelayUS,
 		}
 		if front := fronts[at[1]]; harness.IsGoFrontend(front) {
-			c.Frontend = front
-		}
-		c.ID = CellID(c)
-		cfg, err := d.RunConfig(c)
-		if err != nil {
-			return nil, err
+			r.Frontend = front
 		}
 		// An application no registry knows is kept: the typo then shows up
 		// as failed cells, not as a silently smaller (or empty) grid.
-		if err := harness.ValidateRunConfig(cfg); err == nil || errors.Is(err, harness.ErrUnknownApp) {
+		if c, _, err := r.Resolve(); err == nil || errors.Is(err, harness.ErrUnknownApp) {
 			if seen[c.ID] {
 				return nil, fmt.Errorf("sweep: duplicate cell %s (repeated axis value?)", c.ID)
 			}
@@ -384,40 +405,55 @@ func (p *Plan) Expand() ([]Cell, error) {
 	}
 }
 
-// RunConfig builds the harness configuration for one cell of the plan. It
-// is the one Cell → RunConfig conversion: every cell field is passed on,
-// meaningful for the cell's frontend or not, and the validator — not this
-// function — decides what a frontend cannot take. The plan-level wire
-// template (Faults, RealMsgDelayUS) describes the simulated network and so
-// reaches DSM cells only.
-func (p *Plan) RunConfig(c Cell) (harness.RunConfig, error) {
-	proto, err := protocolKind(c.Protocol)
+func ptr[T any](v T) *T { return &v }
+
+// Resolve names the request as given with the ID of its grid point, and
+// builds its run configuration, returning whatever error
+// harness.ValidateRunConfig (or an unknown protocol) rejects it with. It is
+// the one Request → (Cell, RunConfig) step: Expand keeps the grid points
+// it accepts, and the service admits a submitted request, defaulted, only
+// when it accepts.
+func (r Request) Resolve() (Cell, harness.RunConfig, error) {
+	cfg, err := r.RunConfig()
+	if err == nil {
+		err = harness.ValidateRunConfig(cfg)
+	}
+	return Cell{ID: CellID(r), Request: r}, cfg, err
+}
+
+// RunConfig builds the harness configuration for the request. Every field
+// is passed on, meaningful for the request's frontend or not, and the
+// validator — not this function — decides what a frontend cannot take. The
+// wire template (Faults, RealMsgDelayUS) describes the simulated network
+// and so reaches DSM runs only.
+func (r Request) RunConfig() (harness.RunConfig, error) {
+	proto, err := protocolKind(r.Protocol)
 	if err != nil {
 		return harness.RunConfig{}, err
 	}
 	cfg := harness.RunConfig{
-		App:          c.App,
-		Frontend:     c.Frontend,
-		Scale:        c.Scale,
-		Procs:        c.Procs,
+		App:          r.App,
+		Frontend:     r.Frontend,
+		Scale:        r.Scale,
+		Procs:        r.Procs,
 		Protocol:     proto,
-		Detect:       c.Detect,
-		ShardedCheck: c.Sharded,
-		BarrierTree:  c.BarrierTree,
-		NoCheckpoint: !c.Checkpoint,
-		CrashMode:    c.CrashMode,
-		CorruptMode:  c.CorruptMode,
-		ChaosSeed:    uint64(c.Seed),
-		HotKeySkew:   c.HotSkew,
-		Racy:         c.Racy,
-		Seed:         c.Seed,
+		Detect:       r.detect(),
+		ShardedCheck: r.Sharded,
+		BarrierTree:  r.BarrierTree,
+		NoCheckpoint: !r.checkpoint(),
+		CrashMode:    r.CrashMode,
+		CorruptMode:  r.CorruptMode,
+		ChaosSeed:    uint64(r.Seed),
+		HotKeySkew:   r.HotSkew,
+		Racy:         r.Racy,
+		Seed:         r.Seed,
 	}
-	if harness.IsGoFrontend(c.Frontend) {
+	if harness.IsGoFrontend(r.Frontend) {
 		return cfg, nil
 	}
-	cfg.RealMsgDelay = time.Duration(p.RealMsgDelayUS) * time.Microsecond
-	if p.Faults != nil {
-		cfg.Faults = p.Faults.plan(c.Seed)
+	cfg.RealMsgDelay = time.Duration(r.RealMsgDelayUS) * time.Microsecond
+	if r.Faults != nil {
+		cfg.Faults = r.Faults.plan(r.Seed)
 		cfg.Reliable = cfg.Faults.Lossy()
 	}
 	return cfg, nil

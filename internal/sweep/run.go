@@ -265,7 +265,7 @@ func (s *Sweep) runCell(ctx context.Context, c Cell) (*CellResult, error) {
 // attemptCell is one isolated execution of a cell, with its recorder
 // published to the live endpoint for as long as the cell runs.
 func (s *Sweep) attemptCell(ctx context.Context, c Cell, attempt int) *CellResult {
-	cfg, err := s.plan.RunConfig(c)
+	cfg, err := c.RunConfig()
 	if err != nil {
 		return &CellResult{ID: c.ID, Status: StatusFailed, Error: err.Error(), Attempt: attempt}
 	}

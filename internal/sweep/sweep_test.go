@@ -46,7 +46,7 @@ func TestExpand(t *testing.T) {
 			t.Fatalf("duplicate cell ID %s", c.ID)
 		}
 		seen[c.ID] = true
-		if c.Sharded && !c.Detect {
+		if c.Sharded && !*c.Detect {
 			t.Fatalf("invalid combination expanded: %s", c.ID)
 		}
 	}
@@ -77,7 +77,7 @@ func TestExpandBarrierTreeAxis(t *testing.T) {
 	}
 	var flat, bt2 bool
 	for _, c := range cells {
-		rc, err := p.RunConfig(c)
+		rc, err := c.RunConfig()
 		if err != nil {
 			t.Fatal(err)
 		}
