@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"reflect"
 	"regexp"
@@ -101,7 +102,13 @@ func TestRequestCellRoundTrip(t *testing.T) {
 // at a node as the same cell (same ID, so the sweep files the result where
 // it belongs) with the run configuration a local sweep would execute.
 func TestRequestCellRoundTripGrid(t *testing.T) {
-	for _, plan := range []*sweep.Plan{{
+	// An empty crash mode is "none": the grid must not differ.
+	blankCrash := chaosSeedPlan()
+	blankCrash.CrashModes = []string{"", "single"}
+	for _, tc := range []struct {
+		plan               *sweep.Plan
+		minCells, maxCells int
+	}{{&sweep.Plan{
 		Apps:           []string{"Water", "ChaosMW", "KV"},
 		Frontends:      []string{"dsm", "go"},
 		Scales:         []float64{0.25, 1},
@@ -118,10 +125,13 @@ func TestRequestCellRoundTripGrid(t *testing.T) {
 		Seeds:          []int64{0, 7},
 		Faults:         &sweep.FaultAxis{Drop: 0.02, JitterUS: 5},
 		RealMsgDelayUS: 15,
-	}, chaosSeedPlan()} {
-		cells, err := plan.Expand()
+	}, 100, math.MaxInt}, {chaosSeedPlan(), 6, 6}, {blankCrash, 6, 6}} {
+		cells, err := tc.plan.Expand()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := len(cells); n < tc.minCells || n > tc.maxCells {
+			t.Fatalf("grid expanded to %d cells, want %d to %d", n, tc.minCells, tc.maxCells)
 		}
 		for _, c := range cells {
 			wantCfg, err := c.RunConfig()

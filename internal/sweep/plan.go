@@ -12,6 +12,7 @@
 package sweep
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -371,14 +372,17 @@ func (p *Plan) Expand() ([]Cell, error) {
 		len(d.CrashModes), len(d.CorruptModes), len(hotSkews), len(racies), len(d.Seeds)}
 	var at [len(dims)]int
 	var cells []Cell
+	// Every cell states its modes (an empty axis value names "none"), so
+	// a node's Defaulted leaves the seed the plan decided alone.
+	one := Request{}.Defaulted()
 	seen := make(map[string]bool)
 	for {
 		r := Request{
 			App: d.Apps[at[0]], Scale: d.Scales[at[2]], Procs: d.Procs[at[3]], Protocol: d.Protocols[at[4]],
 			Detect: ptr(d.Detect[at[5]]), Sharded: d.Sharded[at[6]], BarrierTree: d.BarrierTrees[at[7]],
-			Checkpoint: ptr(d.Checkpoint[at[8]]), CrashMode: d.CrashModes[at[9]], CorruptMode: d.CorruptModes[at[10]],
-			HotSkew: hotSkews[at[11]], Racy: racies[at[12]], Seed: d.Seeds[at[13]],
-			Faults: d.Faults, RealMsgDelayUS: d.RealMsgDelayUS,
+			Checkpoint: ptr(d.Checkpoint[at[8]]), CrashMode: cmp.Or(d.CrashModes[at[9]], one.CrashMode),
+			CorruptMode: cmp.Or(d.CorruptModes[at[10]], one.CorruptMode), HotSkew: hotSkews[at[11]],
+			Racy: racies[at[12]], Seed: d.Seeds[at[13]], Faults: d.Faults, RealMsgDelayUS: d.RealMsgDelayUS,
 		}
 		if front := fronts[at[1]]; harness.IsGoFrontend(front) {
 			r.Frontend = front
