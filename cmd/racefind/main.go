@@ -23,10 +23,10 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"strings"
+	"time"
 
 	"lrcrace"
 	"lrcrace/cmd/internal/cli"
@@ -98,17 +98,17 @@ func main() {
 		// registry while the experiment executes.
 		rec := lrcrace.NewTelemetryRecorder(lrcrace.TelemetryConfig{FlightN: *flight, Procs: *procs})
 		cfg.Recorder = rec
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			rec.Metrics().WriteProm(w)
 		})
-		go http.Serve(ln, mux)
-		fmt.Printf("live metrics: http://%s/metrics\n", ln.Addr())
+		srv, addr, err := cli.Serve(*metricsAddr, cli.Mux(mux), 30*time.Second)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer cli.Shutdown(srv, 2*time.Second)
+		fmt.Printf("live metrics: http://%s/metrics\n", addr)
 	} else if *chromeOut != "" || *metricsOut != "" || *flight > 0 {
 		cfg.Telemetry = &lrcrace.TelemetryConfig{FlightN: *flight}
 	}

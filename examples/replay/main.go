@@ -35,14 +35,16 @@ func worker(ctr, status lrcrace.Addr) func(p *lrcrace.Proc) {
 
 func build(rec *lrcrace.SyncRecord, enf *lrcrace.Enforcer, watch *lrcrace.SiteCollector) (*lrcrace.System, lrcrace.Addr, lrcrace.Addr) {
 	cfg := lrcrace.Config{NumProcs: procs, SharedSize: 8192, Detect: true}
+	// Run 1 records and run 2 watches, each through Config.Tracer. The nil
+	// checks matter: a nil pointer stored in the interface is not nil.
 	if rec != nil {
-		cfg.SyncRecorder = rec
+		cfg.Tracer = rec
 	}
 	if enf != nil {
 		cfg.SyncEnforcer = enf
 	}
 	if watch != nil {
-		cfg.Watch = watch
+		cfg.Tracer = watch
 	}
 	sys, err := lrcrace.New(cfg)
 	if err != nil {

@@ -30,8 +30,8 @@ func (p *Proc) Read(a mem.Addr) uint64 {
 		p.fetchPageLocked(pg, false)
 	}
 	v := p.seg.Word(a)
-	if p.hooked {
-		p.noteAccess(a, false)
+	if tr := p.tracer; tr != nil {
+		tr.Read(p.id, a)
 	}
 	doCrash := p.crashable && p.shouldCrashLocked(siteAccess)
 	p.mu.Unlock()
@@ -39,21 +39,6 @@ func (p *Proc) Read(a mem.Addr) uint64 {
 		p.crashNow()
 	}
 	return v
-}
-
-// noteAccess reports one shared access to the configured tracer and
-// address watch (p.hooked says at least one is present).
-func (p *Proc) noteAccess(a mem.Addr, write bool) {
-	if tr := p.tracer; tr != nil {
-		if write {
-			tr.Write(p.id, a)
-		} else {
-			tr.Read(p.id, a)
-		}
-	}
-	if w := p.watch; w != nil && a == w.WatchedAddr() {
-		w.NoteAccess(p.id, write)
-	}
 }
 
 // Write stores v to the shared word at a, obtaining write access first
@@ -105,8 +90,8 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 		}
 	}
 	p.seg.SetWord(a, v)
-	if p.hooked {
-		p.noteAccess(a, true)
+	if tr := p.tracer; tr != nil {
+		tr.Write(p.id, a)
 	}
 	if p.proto != MultiWriter && len(p.pendFwd[pg]) > 0 {
 		p.drainPendingFwdsLocked(pg)

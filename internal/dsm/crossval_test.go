@@ -229,11 +229,28 @@ func randomSchedule(seed int64) (nproc int, sched [][][]schedOp) {
 	return nproc, sched
 }
 
+// tee fans one run's events out to several tracers.
+type tee []Tracer
+
+func (t tee) each(f func(Tracer)) {
+	for _, tr := range t {
+		f(tr)
+	}
+}
+
+func (t tee) Read(p int, a mem.Addr)       { t.each(func(tr Tracer) { tr.Read(p, a) }) }
+func (t tee) Write(p int, a mem.Addr)      { t.each(func(tr Tracer) { tr.Write(p, a) }) }
+func (t tee) Acquire(p, l int)             { t.each(func(tr Tracer) { tr.Acquire(p, l) }) }
+func (t tee) Release(p, l int)             { t.each(func(tr Tracer) { tr.Release(p, l) }) }
+func (t tee) BarrierArrive(p int, e int32) { t.each(func(tr Tracer) { tr.BarrierArrive(p, e) }) }
+func (t tee) BarrierDepart(p int, e int32) { t.each(func(tr Tracer) { tr.BarrierDepart(p, e) }) }
+
 // runSchedule executes the schedule under the pipeline with an hbdet
-// reference attached to the same execution, checks that both detectors flag
-// exactly the same addresses, and returns the run's outcome.
+// reference and the sync-order recorder rec attached to the same execution,
+// checks that both detectors flag exactly the same addresses, and returns
+// the run's outcome.
 func runSchedule(t *testing.T, pl pipeline, proto ProtocolKind, nproc int, sched [][][]schedOp,
-	rec SyncRecorder, enf SyncEnforcer) outcome {
+	rec *replay.SyncRecord, enf SyncEnforcer) outcome {
 	t.Helper()
 	hb := hbdet.New(nproc)
 	s, err := New(pl.on(Config{
@@ -242,8 +259,7 @@ func runSchedule(t *testing.T, pl pipeline, proto ProtocolKind, nproc int, sched
 		PageSize:     512,
 		Protocol:     proto,
 		Detect:       true,
-		Tracer:       hb,
-		SyncRecorder: rec,
+		Tracer:       tee{hb, rec},
 		SyncEnforcer: enf,
 	}))
 	if err != nil {
@@ -288,7 +304,8 @@ func runSchedule(t *testing.T, pl pipeline, proto ProtocolKind, nproc int, sched
 // runRandomized runs one seed's schedule under the star (recording the
 // lock-grant order, §6.1 run 1) and then under each pipeline with a sync
 // Enforcer replaying that order — making the executions equivalent and the
-// comparison exact. Every run is also held against hbdet.
+// comparison exact. Every run is also held against hbdet, and every replay
+// must re-record the order it replayed.
 func runRandomized(t *testing.T, seed int64, proto ProtocolKind, pipes []pipeline) {
 	t.Helper()
 	nproc, sched := randomSchedule(seed)
@@ -298,7 +315,11 @@ func runRandomized(t *testing.T, seed int64, proto ProtocolKind, pipes []pipelin
 		if pl == flatPipe {
 			continue
 		}
-		got := runSchedule(t, pl, proto, nproc, sched, nil, replay.NewEnforcer(rec))
+		again := replay.NewSyncRecord()
+		got := runSchedule(t, pl, proto, nproc, sched, again, replay.NewEnforcer(rec))
+		if !again.Equal(rec) {
+			t.Fatalf("%s %v seed %d: replay re-recorded a different lock order", pl.name, proto, seed)
+		}
 		got.mustEqual(t, flat, pl.name)
 	}
 }

@@ -104,22 +104,18 @@ type Config struct {
 	// bitmap comparison).
 	BarrierTree int
 
-	// Tracer, if non-nil, receives a linearized trace of shared accesses
-	// and synchronization events, for cross-validation against reference
-	// detectors (see internal/hbdet).
+	// Tracer, if non-nil, observes every shared access and synchronization
+	// event, each Release before the Acquire it enables. It is the DSM's
+	// one observer seam: hbdet.Detector, trace.Writer, and the §6.1
+	// scheme's replay.SyncRecord (run 1's lock order) and
+	// replay.SiteCollector (run 2's access sites) all attach here.
 	Tracer Tracer
 
-	// SyncRecorder, if non-nil, receives the per-lock tenure serialization
-	// order as the managers establish it — run 1 of the §6.1 two-run
-	// reference-identification scheme.
-	SyncRecorder SyncRecorder
 	// SyncEnforcer, if non-nil, constrains lock-manager serialization to a
-	// previously recorded order — run 2 of the scheme. Requests arriving
-	// ahead of their recorded turn are deferred by the manager.
+	// previously recorded order — run 2 of the §6.1 two-run
+	// reference-identification scheme. Requests arriving ahead of their
+	// recorded turn are deferred by the manager.
 	SyncEnforcer SyncEnforcer
-	// Watch, if non-nil, captures the call sites of accesses to one shared
-	// address (the conflicting address from run 1).
-	Watch AccessWatch
 
 	// Transport overrides the message transport; nil → the in-memory
 	// simulated network. The transport must deliver reliably and preserve
@@ -205,8 +201,13 @@ type Config struct {
 
 // Tracer observes the execution. Calls are ordered consistently with the
 // run: a Release is always delivered before the Acquire it enables, and all
-// of an epoch's BarrierArrive calls precede its BarrierDepart calls.
-// Implementations must be safe for concurrent use.
+// of an epoch's BarrierArrive calls precede its BarrierDepart calls. So the
+// per-lock sequence of Acquire calls is the tenure order the lock managers
+// serialized, which is what replay.SyncRecord records. Implementations must
+// be safe for concurrent use. There are four: hbdet.Detector (the
+// happens-before reference), trace.Writer (the post-mortem log),
+// replay.SyncRecord (§6.1 run 1) and replay.SiteCollector (§6.1 run 2: the
+// call sites of accesses to one address).
 type Tracer interface {
 	Read(proc int, addr mem.Addr)
 	Write(proc int, addr mem.Addr)
@@ -216,23 +217,12 @@ type Tracer interface {
 	BarrierDepart(proc int, epoch int32)
 }
 
-// SyncRecorder observes lock-manager serialization decisions.
-type SyncRecorder interface {
-	RecordGrantOrder(lock, requester int)
-}
-
 // SyncEnforcer gates lock-manager serialization during replay. MayProceed
 // reports whether requester may take the next tenure of lock now (and, if
 // so, consumes that turn); a false return defers the request until the
 // recorded predecessor has been serialized.
 type SyncEnforcer interface {
 	MayProceed(lock, requester int) bool
-}
-
-// AccessWatch captures accesses to a single watched address.
-type AccessWatch interface {
-	WatchedAddr() mem.Addr
-	NoteAccess(proc int, write bool)
 }
 
 // Transport carries the DSM's messages. The default is the in-memory

@@ -145,8 +145,6 @@ type Proc struct {
 	detecting       bool
 	writesFromDiffs bool
 	tracer          Tracer
-	watch           AccessWatch
-	hooked          bool // tracer or watch present: accesses call noteAccess
 	crashable       bool // some crash plan targets this process
 
 	mu  sync.Mutex
@@ -243,8 +241,6 @@ func newProc(s *System, id int) *Proc {
 		detecting:       s.cfg.Detect,
 		writesFromDiffs: s.cfg.WritesFromDiffs,
 		tracer:          s.cfg.Tracer,
-		watch:           s.cfg.Watch,
-		hooked:          s.cfg.Tracer != nil || s.cfg.Watch != nil,
 	}
 	p.vcur[id] = 1
 	for _, cp := range s.cfg.Crashes {

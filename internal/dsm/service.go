@@ -115,9 +115,6 @@ func (p *Proc) handleAcquireReq(d simnet.Delivery, m *msg.AcquireReq) {
 // the lock and routes the grant or forward.
 func (p *Proc) serializeAcquireLocked(d simnet.Delivery, m *msg.AcquireReq) {
 	id := int(m.Lock)
-	if rec := p.sys.cfg.SyncRecorder; rec != nil {
-		rec.RecordGrantOrder(id, d.From)
-	}
 	ls := p.lock(id)
 	arr := p.arrival(d) + p.model.Handler
 	switch {

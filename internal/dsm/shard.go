@@ -75,17 +75,9 @@ func (s *shardState) Bitmaps(id vc.IntervalID, p mem.PageID) (read, write mem.Bi
 	return s.source[bmKey{id, p, false}], s.source[bmKey{id, p, true}]
 }
 
-// shardChildren returns how many reduction-tree children proc id has in an
-// n-process system (children of p are 2p+1 and 2p+2; the root is proc 0).
-func shardChildren(id, n int) int {
-	kids := 0
-	for _, c := range []int{2*id + 1, 2*id + 2} {
-		if c < n {
-			kids++
-		}
-	}
-	return kids
-}
+// shardArity is the arity of the sharded check's reduction tree: the same
+// implicit heap as the barrier tree (treeParent, treeChildren), binary.
+const shardArity = 2
 
 // openCheckRoundLocked is called by the service thread, under message
 // order, when a release with NeedBitmaps arrives: it derives this process's
@@ -104,7 +96,7 @@ func (p *Proc) openCheckRoundLocked(d simnet.Delivery, m *msg.BarrierRelease) {
 		localV:  p.arrival(d) + p.model.Handler,
 	}
 	if sh.reduce {
-		sh.kidsLeft = shardChildren(p.id, p.n)
+		sh.kidsLeft = len(treeChildren(p.id, shardArity, p.n))
 		for i, c := range m.Check {
 			if int(m.ShardOwner[i]) == p.id {
 				sh.entries = append(sh.entries, c)
@@ -252,8 +244,8 @@ func (p *Proc) advanceShardLocked() {
 		p.finishCheckLocked(sh, sendV)
 	case sh.reduce:
 		p.tel.Emit(p.id, telemetry.KShardReduce, sendV,
-			int64(sh.epoch), int64(len(sh.reports)), int64(shardChildren(p.id, p.n)))
-		p.send((p.id-1)/2, &msg.ShardResult{
+			int64(sh.epoch), int64(len(sh.reports)), int64(len(treeChildren(p.id, shardArity, p.n))))
+		p.send(treeParent(p.id, shardArity), &msg.ShardResult{
 			Epoch:           sh.epoch,
 			Races:           sh.reports,
 			BitmapsCompared: sh.bmCmp,

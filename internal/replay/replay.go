@@ -12,6 +12,9 @@
 //     execution's synchronization ordering deterministic, and gathers
 //     call-site information only for accesses to the conflicting address.
 //
+// The recorder (SyncRecord) and the collector (SiteCollector) attach as
+// dsm.Config.Tracer, the enforcer (Enforcer) as dsm.Config.SyncEnforcer.
+//
 // The "program counter" captured in run 2 is a real Go caller PC, resolved
 // to function, file and line — the honest analogue of the Alpha PC plus
 // symbol table the paper describes.
@@ -19,7 +22,9 @@ package replay
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -28,6 +33,7 @@ import (
 
 // SyncRecord is the synchronization order of one run: for every lock, the
 // sequence of processes granted tenures, in manager serialization order.
+// It is a dsm.Tracer that notes Acquire calls and ignores everything else.
 type SyncRecord struct {
 	mu    sync.Mutex
 	order map[int][]int
@@ -38,13 +44,22 @@ func NewSyncRecord() *SyncRecord {
 	return &SyncRecord{order: make(map[int][]int)}
 }
 
-// RecordGrantOrder implements the dsm recording hook: requester was
-// serialized as the next tenure of lock.
-func (r *SyncRecord) RecordGrantOrder(lock, requester int) {
+// Acquire records proc as the next tenure of lock. A tracer sees each
+// Release before the Acquire it enables, so per lock these calls arrive in
+// the managers' serialization order.
+func (r *SyncRecord) Acquire(proc, lock int) {
 	r.mu.Lock()
-	r.order[lock] = append(r.order[lock], requester)
+	r.order[lock] = append(r.order[lock], proc)
 	r.mu.Unlock()
 }
+
+// The other dsm.Tracer events do not change a lock's tenure order.
+
+func (*SyncRecord) Read(int, mem.Addr)       {}
+func (*SyncRecord) Write(int, mem.Addr)      {}
+func (*SyncRecord) Release(int, int)         {}
+func (*SyncRecord) BarrierArrive(int, int32) {}
+func (*SyncRecord) BarrierDepart(int, int32) {}
 
 // Order returns the recorded tenure sequence for lock.
 func (r *SyncRecord) Order(lock int) []int {
@@ -70,21 +85,7 @@ func (r *SyncRecord) Equal(o *SyncRecord) bool {
 	defer r.mu.Unlock()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if len(r.order) != len(o.order) {
-		return false
-	}
-	for l, seq := range r.order {
-		oseq := o.order[l]
-		if len(seq) != len(oseq) {
-			return false
-		}
-		for i := range seq {
-			if seq[i] != oseq[i] {
-				return false
-			}
-		}
-	}
-	return true
+	return maps.EqualFunc(r.order, o.order, slices.Equal[[]int])
 }
 
 // Enforcer replays a SyncRecord: the lock manager consults it to decide
@@ -139,8 +140,8 @@ func (s AccessSite) String() string {
 }
 
 // SiteCollector gathers the call sites of accesses to one address — the
-// run-2 instrumentation of the two-run scheme. It implements the dsm watch
-// hook.
+// run-2 instrumentation of the two-run scheme. It is a dsm.Tracer that
+// notes Read and Write calls on Addr and ignores everything else.
 type SiteCollector struct {
 	Addr mem.Addr
 
@@ -154,21 +155,39 @@ func NewSiteCollector(addr mem.Addr) *SiteCollector {
 	return &SiteCollector{Addr: addr, seen: make(map[uintptr]bool)}
 }
 
-// WatchedAddr implements the dsm watch hook.
-func (c *SiteCollector) WatchedAddr() mem.Addr { return c.Addr }
+// Read notes a read of Addr.
+func (c *SiteCollector) Read(proc int, a mem.Addr) { c.note(proc, a, false) }
 
-// NoteAccess implements the dsm watch hook: record the first application
-// frame above the DSM access layer, deduplicated by PC.
-func (c *SiteCollector) NoteAccess(proc int, write bool) {
+// Write notes a write of Addr.
+func (c *SiteCollector) Write(proc int, a mem.Addr) { c.note(proc, a, true) }
+
+// Synchronization events carry no access site.
+
+func (*SiteCollector) Acquire(int, int)         {}
+func (*SiteCollector) Release(int, int)         {}
+func (*SiteCollector) BarrierArrive(int, int32) {}
+func (*SiteCollector) BarrierDepart(int, int32) {}
+
+// note records, for an access to Addr, the first application frame above
+// the DSM access layer, deduplicated by PC. Every frame below the first
+// internal/dsm frame is the tracer's own (this collector, or a tee fanning
+// out to it), and every internal/dsm frame is the access layer.
+func (c *SiteCollector) note(proc int, a mem.Addr, write bool) {
+	if a != c.Addr {
+		return
+	}
 	var pcs [16]uintptr
 	n := runtime.Callers(2, pcs[:])
 	frames := runtime.CallersFrames(pcs[:n])
+	inDSM := false
 	for {
 		f, more := frames.Next()
 		if f.Function == "" {
 			return
 		}
-		if !strings.Contains(f.Function, "internal/dsm.") {
+		if strings.Contains(f.Function, "internal/dsm.") {
+			inDSM = true
+		} else if inDSM {
 			c.mu.Lock()
 			if !c.seen[f.PC] {
 				c.seen[f.PC] = true

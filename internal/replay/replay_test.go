@@ -9,11 +9,34 @@ import (
 	"lrcrace/internal/race"
 )
 
+// The Tracer assertions live in a test file: replay.go cannot import dsm,
+// because dsm's own tests import replay.
+var (
+	_ dsm.Tracer = (*SyncRecord)(nil)
+	_ dsm.Tracer = (*SiteCollector)(nil)
+)
+
+// tee fans one run's events out to several tracers.
+type tee []dsm.Tracer
+
+func (t tee) each(f func(dsm.Tracer)) {
+	for _, tr := range t {
+		f(tr)
+	}
+}
+
+func (t tee) Read(p int, a mem.Addr)       { t.each(func(tr dsm.Tracer) { tr.Read(p, a) }) }
+func (t tee) Write(p int, a mem.Addr)      { t.each(func(tr dsm.Tracer) { tr.Write(p, a) }) }
+func (t tee) Acquire(p, l int)             { t.each(func(tr dsm.Tracer) { tr.Acquire(p, l) }) }
+func (t tee) Release(p, l int)             { t.each(func(tr dsm.Tracer) { tr.Release(p, l) }) }
+func (t tee) BarrierArrive(p int, e int32) { t.each(func(tr dsm.Tracer) { tr.BarrierArrive(p, e) }) }
+func (t tee) BarrierDepart(p int, e int32) { t.each(func(tr dsm.Tracer) { tr.BarrierDepart(p, e) }) }
+
 func TestSyncRecordBasics(t *testing.T) {
 	r := NewSyncRecord()
-	r.RecordGrantOrder(1, 0)
-	r.RecordGrantOrder(1, 2)
-	r.RecordGrantOrder(3, 1)
+	r.Acquire(0, 1)
+	r.Acquire(2, 1)
+	r.Acquire(1, 3)
 	if got := r.Order(1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("Order(1) = %v", got)
 	}
@@ -25,13 +48,13 @@ func TestSyncRecordBasics(t *testing.T) {
 	}
 
 	o := NewSyncRecord()
-	o.RecordGrantOrder(1, 0)
-	o.RecordGrantOrder(1, 2)
-	o.RecordGrantOrder(3, 1)
+	o.Acquire(0, 1)
+	o.Acquire(2, 1)
+	o.Acquire(1, 3)
 	if !r.Equal(o) {
 		t.Error("identical records not equal")
 	}
-	o.RecordGrantOrder(3, 2)
+	o.Acquire(2, 3)
 	if r.Equal(o) {
 		t.Error("different records equal")
 	}
@@ -39,8 +62,8 @@ func TestSyncRecordBasics(t *testing.T) {
 
 func TestEnforcerOrder(t *testing.T) {
 	r := NewSyncRecord()
-	r.RecordGrantOrder(0, 2)
-	r.RecordGrantOrder(0, 1)
+	r.Acquire(2, 0)
+	r.Acquire(1, 0)
 	e := NewEnforcer(r)
 	if e.MayProceed(0, 1) {
 		t.Error("out-of-turn request allowed")
@@ -88,14 +111,18 @@ func TestTwoRunScheme(t *testing.T) {
 			PageSize:   1024,
 			Detect:     true,
 		}
+		var tracers tee
 		if rec != nil {
-			cfg.SyncRecorder = rec
+			tracers = append(tracers, rec)
 		}
 		if enf != nil {
 			cfg.SyncEnforcer = enf
 		}
 		if watch != nil {
-			cfg.Watch = watch
+			tracers = append(tracers, watch)
+		}
+		if len(tracers) > 0 {
+			cfg.Tracer = tracers
 		}
 		sys, err := dsm.New(cfg)
 		if err != nil {
@@ -167,7 +194,7 @@ func TestReplayDeterminism(t *testing.T) {
 	mk := func(rec *SyncRecord, enf *Enforcer) *SyncRecord {
 		cfg := dsm.Config{NumProcs: 3, SharedSize: 4 * 1024, PageSize: 1024}
 		out := NewSyncRecord()
-		cfg.SyncRecorder = out
+		cfg.Tracer = out
 		if enf != nil {
 			cfg.SyncEnforcer = enf
 		}

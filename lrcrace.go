@@ -20,7 +20,8 @@
 //     address with symbol-table resolution;
 //   - §6.4 first-race filtering (Config.FirstOnly), §6.5 diff-derived write
 //     detection (Config.WritesFromDiffs), and the §6.1 two-run replay
-//     scheme (SyncRecord/Enforcer/SiteCollector);
+//     scheme (SyncRecord and SiteCollector attach via Config.Tracer,
+//     Enforcer via Config.SyncEnforcer);
 //   - the four benchmark applications of the paper's evaluation (FFT, SOR,
 //     TSP with its deliberately racy tour bound, Water with the seeded
 //     Splash2 write-write bug), and the experiment harness that regenerates
@@ -166,11 +167,11 @@ func DedupRaces(rs []Race) []Race { return race.DedupByAddr(rs) }
 
 // Replay (§6.1 two-run reference identification).
 type (
-	// SyncRecord stores a run's per-lock tenure order (run 1).
+	// SyncRecord records run 1's per-lock tenure order via Config.Tracer.
 	SyncRecord = replay.SyncRecord
-	// Enforcer replays a recorded order (run 2).
+	// Enforcer replays a recorded order in run 2 via Config.SyncEnforcer.
 	Enforcer = replay.Enforcer
-	// SiteCollector captures call sites of accesses to a watched address.
+	// SiteCollector captures run 2's racing call sites via Config.Tracer.
 	SiteCollector = replay.SiteCollector
 	// AccessSite is one captured racing instruction.
 	AccessSite = replay.AccessSite
@@ -190,8 +191,6 @@ type (
 	// TraceWriter logs every access and synchronization event; attach it
 	// via Config.Tracer.
 	TraceWriter = trace.Writer
-	// TraceReader iterates a trace log.
-	TraceReader = trace.Reader
 )
 
 // NewTraceWriter starts a trace log on w for an nprocs-process run.

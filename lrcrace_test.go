@@ -59,7 +59,7 @@ func TestFacadeHBDetector(t *testing.T) {
 func TestFacadeReplay(t *testing.T) {
 	rec := lrcrace.NewSyncRecord()
 	sys, _ := lrcrace.New(lrcrace.Config{
-		NumProcs: 2, SharedSize: 4096, Detect: true, SyncRecorder: rec,
+		NumProcs: 2, SharedSize: 4096, Detect: true, Tracer: rec,
 	})
 	x, _ := sys.AllocWords("x", 1)
 	worker := func(p *lrcrace.Proc) {
@@ -79,7 +79,7 @@ func TestFacadeReplay(t *testing.T) {
 	watch := lrcrace.NewSiteCollector(races[0].Addr)
 	sys2, _ := lrcrace.New(lrcrace.Config{
 		NumProcs: 2, SharedSize: 4096, Detect: true,
-		SyncEnforcer: lrcrace.NewEnforcer(rec), Watch: watch,
+		SyncEnforcer: lrcrace.NewEnforcer(rec), Tracer: watch,
 	})
 	if _, err := sys2.AllocWords("x", 1); err != nil {
 		t.Fatal(err)
