@@ -17,63 +17,20 @@ var updatePins = flag.Bool("update-pins", false, "rewrite testdata/expand_pins.j
 // cell-ID list and the fingerprint of each were recorded before Expand's
 // hand-written skip rules were replaced by the validator, and an existing
 // -dir sweep of any of them must still resume. Between them they reach
-// every axis and every combination rule.
-func pinnedPlans() map[string]*Plan {
-	return map[string]*Plan{
-		"defaults": {Apps: []string{"FFT"}},
-		"dsm-grid": {
-			Apps:       []string{"FFT", "SOR", "TSP", "Water"},
-			Scales:     []float64{0.25, 1},
-			Procs:      []int{2, 4},
-			Protocols:  []string{"sw", "mw"},
-			Detect:     []bool{true, false},
-			Checkpoint: []bool{true, false},
-			Seeds:      []int64{0, 1}, // collapsed: nothing consumes it
-		},
-		"sharded-detect": {
-			Apps:    []string{"Water", "TSP"},
-			Procs:   []int{4, 8},
-			Detect:  []bool{true, false},
-			Sharded: []bool{false, true},
-		},
-		"barrier-trees": {
-			Apps:         []string{"Water"},
-			Procs:        []int{4, 8, 16},
-			Sharded:      []bool{false, true},
-			BarrierTrees: []int{0, 2, 4},
-		},
-		"chaos": {
-			Apps:         []string{"ChaosTSP", "ChaosMW", "FFT"},
-			Procs:        []int{1, 2, 3, 4},
-			Checkpoint:   []bool{true, false},
-			CrashModes:   []string{"none", "single", "double", "recovery"},
-			CorruptModes: []string{"none", "chunk", "delete"},
-			Seeds:        []int64{0, 1},
-		},
-		"gofront": {
-			Apps:       []string{"KV", "Sessions"},
-			Frontends:  []string{"go"},
-			Procs:      []int{2, 4},
-			Detect:     []bool{true, false},
-			Checkpoint: []bool{true, false},
-			HotSkews:   []float64{0, 0.8},
-			Racy:       []bool{false, true},
-			Seeds:      []int64{0, 1, 2},
-		},
-		"mixed-faults": {
-			Apps:           []string{"TSP", "KV", "ChaosMW"},
-			Frontends:      []string{"dsm", "go"},
-			Protocols:      []string{"sw", "mw"},
-			Sharded:        []bool{false, true},
-			BarrierTrees:   []int{0, 2},
-			CrashModes:     []string{"none", "single"},
-			HotSkews:       []float64{0, 0.5},
-			Racy:           []bool{false, true},
-			Seeds:          []int64{0, 1},
-			Faults:         &FaultAxis{Drop: 0.05, JitterUS: 10},
-			RealMsgDelayUS: 20,
-		},
+// every axis and every combination rule (dsm-grid's two seeds collapse:
+// nothing consumes them). They live in testdata/pinned_plans.json because
+// harness's TestDSMConfigPinned runs every cell of them too.
+func pinnedPlans(t testing.TB) map[string]*Plan {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "pinned_plans.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	var plans map[string]*Plan
+	if err := json.Unmarshal(b, &plans); err != nil {
+		t.Fatal(err)
+	}
+	return plans
 }
 
 type expandPin struct {
@@ -84,7 +41,7 @@ type expandPin struct {
 func TestExpandPinned(t *testing.T) {
 	path := filepath.Join("testdata", "expand_pins.json")
 	got := map[string]expandPin{}
-	for name, p := range pinnedPlans() {
+	for name, p := range pinnedPlans(t) {
 		cells, err := p.Expand()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -134,7 +91,7 @@ func TestExpandPinned(t *testing.T) {
 // configuration harness.ValidateRunConfig accepts. Expand has no
 // combination rules of its own to drift from the validator's.
 func TestExpandKeepsWhatValidatorAccepts(t *testing.T) {
-	for name, p := range pinnedPlans() {
+	for name, p := range pinnedPlans(t) {
 		cells, err := p.Expand()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
