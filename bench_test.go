@@ -191,8 +191,8 @@ func BenchmarkAblationProtocol(b *testing.B) {
 		cfg  harness.RunConfig
 	}{
 		{"single-writer", harness.RunConfig{App: "Water", Scale: 1, Procs: 4, Detect: true}},
-		{"multi-writer", harness.RunConfig{App: "Water", Scale: 1, Procs: 4, Detect: true, Protocol: lrcrace.MultiWriter}},
-		{"multi-writer-diff-detect", harness.RunConfig{App: "Water", Scale: 1, Procs: 4, Detect: true, Protocol: lrcrace.MultiWriter, WritesFromDiffs: true}},
+		{"multi-writer", harness.RunConfig{App: "Water", Scale: 1, Procs: 4, Detect: true, DSM: lrcrace.Config{Protocol: lrcrace.MultiWriter}}},
+		{"multi-writer-diff-detect", harness.RunConfig{App: "Water", Scale: 1, Procs: 4, Detect: true, DSM: lrcrace.Config{Protocol: lrcrace.MultiWriter, WritesFromDiffs: true}}},
 	}
 	for _, c := range cfgs {
 		b.Run(c.name, func(b *testing.B) {

@@ -74,22 +74,30 @@ func main() {
 	// Every flag goes into the configuration as the user set it; which
 	// ones a frontend cannot take is the validator's call (RunExperiment
 	// reports it), not a second rule book here.
-	cfg := lrcrace.ExperimentConfig{
-		App:                canonical(*app, *frontend),
-		Frontend:           *frontend,
-		Scale:              *scale,
-		Procs:              *procs,
-		Detect:             true,
-		FirstOnly:          *first,
-		WritesFromDiffs:    *diffs,
-		BarrierWallTimeout: *barrierTimeout,
-		Racy:               *racy,
-		HotKeySkew:         *hotSkew,
-		OpsPerClient:       *ops,
-		Seed:               *seed,
+	proto, err := parseProtocol(*protocol)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	if *protocol == "mw" || *diffs {
-		cfg.Protocol = lrcrace.MultiWriter
+	if *diffs {
+		proto = lrcrace.MultiWriter
+	}
+	cfg := lrcrace.ExperimentConfig{
+		App:          canonical(*app, *frontend),
+		Frontend:     *frontend,
+		Scale:        *scale,
+		Procs:        *procs,
+		Detect:       true,
+		Racy:         *racy,
+		HotKeySkew:   *hotSkew,
+		OpsPerClient: *ops,
+		Seed:         *seed,
+		DSM: lrcrace.Config{
+			Protocol:           proto,
+			FirstOnly:          *first,
+			WritesFromDiffs:    *diffs,
+			BarrierWallTimeout: *barrierTimeout,
+		},
 	}
 
 	if *metricsAddr != "" {
@@ -123,7 +131,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg.Tracer = tw
+		cfg.DSM.Tracer = tw
 	}
 
 	res, err := lrcrace.RunExperiment(cfg)
@@ -166,7 +174,7 @@ func main() {
 
 	fmt.Printf("%s (%s, %s) on %d processes, %s protocol\n",
 		res.App.Name(), res.App.InputDesc(), res.App.SyncKinds(),
-		*procs, cfg.Protocol)
+		*procs, cfg.DSM.Protocol)
 	fmt.Printf("result verified; virtual runtime %.1f ms\n\n",
 		float64(res.VirtualNS)/1e6)
 	printRaces(res, 10, *explain)
@@ -218,6 +226,17 @@ func indent(text, prefix string) string {
 		lines[i] = prefix + l
 	}
 	return strings.Join(lines, "\n")
+}
+
+// parseProtocol reads the -protocol flag: sw or mw.
+func parseProtocol(name string) (lrcrace.Protocol, error) {
+	switch name {
+	case "sw":
+		return lrcrace.SingleWriter, nil
+	case "mw":
+		return lrcrace.MultiWriter, nil
+	}
+	return 0, fmt.Errorf("unknown protocol %q (want sw or mw)", name)
 }
 
 func canonical(app, frontend string) string {

@@ -5,8 +5,22 @@ import (
 	"path/filepath"
 	"testing"
 
+	"lrcrace"
 	"lrcrace/internal/telemetry/promtest"
 )
+
+func TestParseProtocol(t *testing.T) {
+	for in, want := range map[string]lrcrace.Protocol{"sw": lrcrace.SingleWriter, "mw": lrcrace.MultiWriter} {
+		if got, err := parseProtocol(in); err != nil || got != want {
+			t.Errorf("parseProtocol(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"bogus", "", "MW", "multi-writer"} {
+		if got, err := parseProtocol(in); err == nil {
+			t.Errorf("parseProtocol(%q) = %v, want a usage error", in, got)
+		}
+	}
+}
 
 func TestIndent(t *testing.T) {
 	got := indent("a\nb\n", "> ")

@@ -111,9 +111,8 @@ type CheckpointStore struct {
 	byProc map[int]map[int32]ckptEntry
 	chunks *castore.Store
 
-	// retain is the epoch tail kept by GC: 0 → keep 2 (the recovery line
-	// and one fallback), negative → keep everything.
-	retain int
+	// keepAll turns GC off: every epoch survives.
+	keepAll bool
 
 	count             int
 	manifestBytes     int64 // cumulative, new keys only
@@ -135,13 +134,18 @@ func NewCheckpointStore() *CheckpointStore {
 // Chunks returns the embedded content-addressed chunk store.
 func (cs *CheckpointStore) Chunks() *castore.Store { return cs.chunks }
 
-// SetRetain configures the retention-GC tail: how many epochs at and below
-// the recovery line survive a sweep. 0 keeps the default of 2 (the line
-// plus one fallback for verify failures); negative keeps everything.
-func (cs *CheckpointStore) SetRetain(epochs int) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.retain = epochs
+// ckptRetain is the retention-GC tail: how many epochs at and below the
+// recovery line survive a sweep (the line plus one fallback for verify
+// failures).
+const ckptRetain = 2
+
+// initCheckpoints creates the run's checkpoint store, once, when
+// checkpointing is on.
+func (s *System) initCheckpoints() {
+	if s.cfg.checkpointing() && s.ckpts == nil {
+		s.ckpts = NewCheckpointStore()
+		s.ckpts.keepAll = s.keepCkpts
+	}
 }
 
 // Put deposits proc's checkpoint manifest for epoch along with the chunk
@@ -221,21 +225,17 @@ func (cs *CheckpointStore) haveAll(epoch int32, n int) bool {
 }
 
 // GC retires every epoch superseded by the recovery line, keeping the
-// configured tail (the line itself plus retain−1 older epochs as
+// ckptRetain tail (the line itself plus ckptRetain−1 older epochs as
 // verify-failure fallbacks). It returns the number of manifests retired
 // and the resident bytes released (chunks freed transitively through
 // their refcounts).
 func (cs *CheckpointStore) GC(n int) (removed int, freed int64) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if cs.retain < 0 {
+	if cs.keepAll {
 		return 0, 0
 	}
-	retain := cs.retain
-	if retain == 0 {
-		retain = 2
-	}
-	cutoff := cs.latestCommonLocked(n) - int32(retain)
+	cutoff := cs.latestCommonLocked(n) - ckptRetain
 	if cutoff < 1 {
 		return 0, 0
 	}

@@ -14,16 +14,16 @@ import (
 func benchState(b *testing.B, n int) *System {
 	b.Helper()
 	s, err := New(Config{
-		NumProcs:         n,
-		SharedSize:       64 * 1024,
-		PageSize:         1024,
-		Protocol:         SingleWriter,
-		Detect:           true,
-		CheckpointRetain: -1,
+		NumProcs:   n,
+		SharedSize: 64 * 1024,
+		PageSize:   1024,
+		Protocol:   SingleWriter,
+		Detect:     true,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	s.keepCkpts = true
 	// Four pages per proc, every word distinct across procs and pages so
 	// chunks cannot dedup by accident — only genuine structural sharing
 	// (an unchanged page across epochs) may hit.

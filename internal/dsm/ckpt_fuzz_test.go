@@ -14,12 +14,11 @@ import (
 // the fuzzer decodes into.
 func fuzzConfig(proto ProtocolKind) Config {
 	return Config{
-		NumProcs:         2,
-		SharedSize:       8 * 1024,
-		PageSize:         1024,
-		Protocol:         proto,
-		Detect:           true,
-		CheckpointRetain: -1,
+		NumProcs:   2,
+		SharedSize: 8 * 1024,
+		PageSize:   1024,
+		Protocol:   proto,
+		Detect:     true,
 	}
 }
 
@@ -32,6 +31,7 @@ func fuzzSeedCheckpoints(f *testing.F, proto ProtocolKind) ([][]byte, *castore.S
 	if err != nil {
 		f.Fatal(err)
 	}
+	s.keepCkpts = true
 	words, err := s.AllocWords("w", 8)
 	if err != nil {
 		f.Fatal(err)

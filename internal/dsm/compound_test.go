@@ -18,13 +18,12 @@ import (
 func compoundSys(t *testing.T, nproc int, proto ProtocolKind, crashes []*CrashPlan, corrupt *CorruptionPlan, rec *telemetry.Recorder) *System {
 	t.Helper()
 	s, err := New(Config{
-		NumProcs:         nproc,
-		SharedSize:       16 * 1024,
-		PageSize:         1024,
-		Protocol:         proto,
-		Detect:           true,
-		Reliable:         true,
-		CheckpointRetain: -1,
+		NumProcs:   nproc,
+		SharedSize: 16 * 1024,
+		PageSize:   1024,
+		Protocol:   proto,
+		Detect:     true,
+		Reliable:   true,
 		ReliableConfig: reliable.Config{
 			RTO:        2 * time.Millisecond,
 			MaxRTO:     50 * time.Millisecond,
@@ -38,6 +37,7 @@ func compoundSys(t *testing.T, nproc int, proto ProtocolKind, crashes []*CrashPl
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.keepCkpts = true
 	return s
 }
 
@@ -331,7 +331,7 @@ func TestCheckpointStoreGC(t *testing.T) {
 		t.Errorf("idempotent GC removed %d/%d bytes", r2, f2)
 	}
 	// Unbounded retention disables GC entirely.
-	cs.SetRetain(-1)
+	cs.keepAll = true
 	for p := 0; p < nproc; p++ {
 		deposit(p, 6)
 		deposit(p, 7)

@@ -434,6 +434,7 @@ func crashGrid(t *testing.T, pl pipeline, plans func() []*CrashPlan, blame bool)
 				if err != nil {
 					t.Fatal(err)
 				}
+				s.keepCkpts = true
 				if err := s.RunEpochs(sc.epochs, sc.setup(t, s)); err != nil {
 					t.Fatalf("%s (crash=%+v): %v", sc.name, crash, err)
 				}

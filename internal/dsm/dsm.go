@@ -169,12 +169,6 @@ type Config struct {
 	// plans).
 	NoCheckpoint bool
 
-	// CheckpointRetain is the retention tail of the checkpoint store: how
-	// many epochs at and below the recovery line survive the per-barrier
-	// GC sweep. 0 → 2 (the line plus one fallback for verify failures);
-	// negative → keep every epoch.
-	CheckpointRetain int
-
 	// Crashes schedules the injected fail-stop deaths of processes (see
 	// CrashPlan): one plan, or several for compound faults — two victims
 	// in one epoch, or a second crash armed only during recovery
@@ -358,6 +352,7 @@ type System struct {
 
 	// Crash recovery (see checkpoint.go / recovery.go).
 	ckpts     *CheckpointStore
+	keepCkpts bool // test seam: the store never collects an epoch
 	epochMode bool
 	recStats  RecoveryStats
 	stop      chan struct{} // closed when an attempt's app threads have all exited
@@ -456,10 +451,7 @@ func (s *System) Run(app func(p *Proc)) error {
 
 func (s *System) run(app func(p *Proc)) error {
 	s.ran = true
-	if s.cfg.checkpointing() {
-		s.ckpts = NewCheckpointStore()
-		s.ckpts.SetRetain(s.cfg.CheckpointRetain)
-	}
+	s.initCheckpoints()
 	s.runErr = s.attempt(func(p *Proc) {
 		app(p)
 		p.Barrier() // final global synchronization = last detection pass

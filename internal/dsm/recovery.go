@@ -110,10 +110,7 @@ func (s *System) runEpochs(epochs int32, appFactory func() EpochFunc) error {
 		s.runErr = fmt.Errorf("dsm: RunEpochs(%d): need at least one epoch", epochs)
 		return s.runErr
 	}
-	if s.cfg.checkpointing() && s.ckpts == nil {
-		s.ckpts = NewCheckpointStore()
-		s.ckpts.SetRetain(s.cfg.CheckpointRetain)
-	}
+	s.initCheckpoints()
 	var plan *rollbackPlan
 	for {
 		app := appFactory()

@@ -27,9 +27,6 @@ func recoveryConfig(nproc int, proto ProtocolKind, crash *CrashPlan, rec *teleme
 		Protocol:   proto,
 		Detect:     true,
 		Reliable:   true,
-		// Keep every epoch line: the round-trip and grid tests below assert
-		// on checkpoints the default retention tail would have collected.
-		CheckpointRetain: -1,
 		// Tuned to detect a dead endpoint in ~a quarter second. Do not make
 		// this much tighter: under -race a scheduler stall of a few
 		// milliseconds on a healthy process is routine, and a retry budget
@@ -55,6 +52,9 @@ func recoverySys(t *testing.T, nproc int, proto ProtocolKind, crash *CrashPlan, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Keep every epoch line: the round-trip and grid tests assert on
+	// checkpoints the retention tail would have collected.
+	s.keepCkpts = true
 	return s
 }
 

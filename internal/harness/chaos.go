@@ -63,7 +63,7 @@ func chaosMode(m string) string {
 // before the victim dies mid-epoch, so the corruption always lands before
 // rollback planning reads the store.
 func chaosPlans(cfg RunConfig) ([]*dsm.CrashPlan, *dsm.CorruptionPlan, error) {
-	n, epochs := cfg.Procs, chaosEpochs
+	n, epochs, seed := cfg.Procs, chaosEpochs, uint64(cfg.Seed)
 	crashMode, corruptMode := chaosMode(cfg.CrashMode), chaosMode(cfg.CorruptMode)
 	if crashMode == "none" {
 		if corruptMode != "none" {
@@ -71,7 +71,7 @@ func chaosPlans(cfg RunConfig) ([]*dsm.CrashPlan, *dsm.CorruptionPlan, error) {
 		}
 		return nil, nil, nil
 	}
-	first := dsm.RandomCrashPlan(cfg.ChaosSeed, n, epochs)
+	first := dsm.RandomCrashPlan(seed, n, epochs)
 	if first == nil {
 		return nil, nil, fmt.Errorf("harness: %d procs leave no valid crash victim", n)
 	}
@@ -86,14 +86,14 @@ func chaosPlans(cfg RunConfig) ([]*dsm.CrashPlan, *dsm.CorruptionPlan, error) {
 		if n < 3 {
 			return nil, nil, fmt.Errorf("harness: CrashMode double needs at least 3 procs for two distinct victims, got %d", n)
 		}
-		second := dsm.RandomCrashPlan(cfg.ChaosSeed+0xd0b51e, n, epochs)
+		second := dsm.RandomCrashPlan(seed+0xd0b51e, n, epochs)
 		second.Epoch = first.Epoch // two victims in the same epoch
 		if second.Victim == first.Victim {
 			second.Victim = 1 + second.Victim%(n-1)
 		}
 		crashes = append(crashes, second)
 	case "recovery":
-		second := dsm.RandomCrashPlan(cfg.ChaosSeed+0x5ec0fd, n, epochs)
+		second := dsm.RandomCrashPlan(seed+0x5ec0fd, n, epochs)
 		second.Epoch = first.Epoch // strikes the re-executed epoch
 		second.DuringRecovery = true
 		crashes = append(crashes, second)
@@ -105,9 +105,9 @@ func chaosPlans(cfg RunConfig) ([]*dsm.CrashPlan, *dsm.CorruptionPlan, error) {
 	switch corruptMode {
 	case "none":
 	case "chunk":
-		corrupt = &dsm.CorruptionPlan{Epoch: first.Epoch, Mode: dsm.CorruptChunk, Seed: cfg.ChaosSeed ^ 0xc0ffee}
+		corrupt = &dsm.CorruptionPlan{Epoch: first.Epoch, Mode: dsm.CorruptChunk, Seed: seed ^ 0xc0ffee}
 	case "delete":
-		corrupt = &dsm.CorruptionPlan{Epoch: first.Epoch, Mode: dsm.DeleteChunk, Seed: cfg.ChaosSeed ^ 0xc0ffee}
+		corrupt = &dsm.CorruptionPlan{Epoch: first.Epoch, Mode: dsm.DeleteChunk, Seed: seed ^ 0xc0ffee}
 	default:
 		return nil, nil, fmt.Errorf("harness: unknown CorruptMode %q (want %s)", corruptMode, strings.Join(CorruptModes, "|"))
 	}

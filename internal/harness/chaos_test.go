@@ -16,11 +16,11 @@ import (
 // variables as the fault-free run, and shows nonzero retransmit counters.
 func TestChaosSoakSOR(t *testing.T) {
 	base := RunConfig{
-		App:      "SOR",
-		Scale:    0.05,
-		Procs:    4,
-		Protocol: dsm.SingleWriter,
-		Detect:   true,
+		App:    "SOR",
+		Scale:  0.05,
+		Procs:  4,
+		Detect: true,
+		DSM:    dsm.Config{Protocol: dsm.SingleWriter},
 	}
 	clean, err := Run(base)
 	if err != nil {
@@ -69,7 +69,7 @@ func TestChaosApps(t *testing.T) {
 				t.Parallel()
 				r, err := Run(RunConfig{
 					App: app, Procs: 4, Detect: true,
-					CrashMode: mode, ChaosSeed: 3,
+					CrashMode: mode, Seed: 3,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -95,7 +95,7 @@ func TestChaosCorruption(t *testing.T) {
 			t.Parallel()
 			r, err := Run(RunConfig{
 				App: "ChaosTSP", Procs: 4, Detect: true,
-				CrashMode: "single", CorruptMode: corrupt, ChaosSeed: 3,
+				CrashMode: "single", CorruptMode: corrupt, Seed: 3,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -122,7 +122,7 @@ func TestChaosConfigRejected(t *testing.T) {
 		{"unknown crash mode", RunConfig{App: "ChaosTSP", Procs: 4, CrashMode: "thrice"}},
 		{"unknown corrupt mode", RunConfig{App: "ChaosTSP", Procs: 4, CrashMode: "single", CorruptMode: "scribble"}},
 		{"double crash needs three procs", RunConfig{App: "ChaosMW", Procs: 2, CrashMode: "double"}},
-		{"crash with checkpointing off", RunConfig{App: "ChaosTSP", Procs: 4, CrashMode: "single", NoCheckpoint: true}},
+		{"crash with checkpointing off", RunConfig{App: "ChaosTSP", Procs: 4, CrashMode: "single", DSM: dsm.Config{NoCheckpoint: true}}},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -79,12 +79,17 @@ func pinInputs(t *testing.T) []struct {
 
 	add("racefind-water", harness.RunConfig{
 		App: "Water", Scale: 0.25, Procs: 4, Detect: true,
-		Protocol: dsm.MultiWriter, WritesFromDiffs: true, FirstOnly: true,
-		BarrierWallTimeout: 30 * time.Second, Tracer: pinTracer{},
+		DSM: dsm.Config{
+			Protocol: dsm.MultiWriter, WritesFromDiffs: true, FirstOnly: true,
+			BarrierWallTimeout: 30 * time.Second, Tracer: pinTracer{},
+		},
 	})
 	add("lossy-tsp", harness.RunConfig{
-		App: "TSP", Scale: 0.25, Procs: 4, Detect: true, Reliable: true,
-		Faults: &simnet.FaultPlan{Seed: 3, Drop: 0.05, Dup: 0.02, Reorder: 0.1, JitterNS: 5000},
+		App: "TSP", Scale: 0.25, Procs: 4, Detect: true,
+		DSM: dsm.Config{
+			Reliable: true,
+			Faults:   &simnet.FaultPlan{Seed: 3, Drop: 0.05, Dup: 0.02, Reorder: 0.1, JitterNS: 5000},
+		},
 	})
 	for _, app := range harness.ChaosAppNames {
 		for _, crash := range harness.CrashModes {
@@ -92,13 +97,13 @@ func pinInputs(t *testing.T) []struct {
 				for _, seed := range []int64{0, 1, 7} {
 					add(fmt.Sprintf("%s-%s-%s-seed%d", app, crash, corrupt, seed), harness.RunConfig{
 						App: app, Procs: 4, Detect: true, CrashMode: crash, CorruptMode: corrupt,
-						Seed: seed, ChaosSeed: uint64(seed),
+						Seed: seed,
 					})
 				}
 			}
 		}
 	}
-	add("fft-no-checkpoint", harness.RunConfig{App: "FFT", Scale: 0.25, Procs: 4, Detect: true, NoCheckpoint: true})
+	add("fft-no-checkpoint", harness.RunConfig{App: "FFT", Scale: 0.25, Procs: 4, Detect: true, DSM: dsm.Config{NoCheckpoint: true}})
 	return in
 }
 

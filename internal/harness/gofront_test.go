@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"lrcrace/internal/dsm"
 	"lrcrace/internal/simnet"
@@ -74,11 +76,11 @@ func TestGoFrontValidation(t *testing.T) {
 		{App: "FFT", Frontend: "go", Procs: 2},
 		{App: "KV", Frontend: "go", Procs: 2, HotKeySkew: 1.5},
 		{App: "KV", Frontend: "go", Procs: 2, OpsPerClient: -1},
-		{App: "KV", Frontend: "go", Procs: 2, Protocol: dsm.MultiWriter},
-		{App: "KV", Frontend: "go", Procs: 2, Detect: true, ShardedCheck: true},
-		{App: "KV", Frontend: "go", Procs: 2, BarrierTree: 2},
-		{App: "KV", Frontend: "go", Procs: 2, Reliable: true},
-		{App: "KV", Frontend: "go", Procs: 2, Faults: &simnet.FaultPlan{Drop: 0.1}},
+		{App: "KV", Frontend: "go", Procs: 2, DSM: dsm.Config{Protocol: dsm.MultiWriter}},
+		{App: "KV", Frontend: "go", Procs: 2, Detect: true, DSM: dsm.Config{ShardedCheck: true}},
+		{App: "KV", Frontend: "go", Procs: 2, DSM: dsm.Config{BarrierTree: 2}},
+		{App: "KV", Frontend: "go", Procs: 2, DSM: dsm.Config{Reliable: true}},
+		{App: "KV", Frontend: "go", Procs: 2, DSM: dsm.Config{Faults: &simnet.FaultPlan{Drop: 0.1}}},
 		{App: "KV", Frontend: "go", Procs: 2, CrashMode: "single"},
 		{App: "FFT", Procs: 2, Racy: true},
 		{App: "FFT", Procs: 2, HotKeySkew: 0.5},
@@ -89,4 +91,63 @@ func TestGoFrontValidation(t *testing.T) {
 			t.Fatalf("case %d (%+v): invalid config accepted", i, cfg)
 		}
 	}
+
+	// A go run takes no DSM settings: each dsm.Config field, set alone, is
+	// rejected by name.
+	typ := reflect.TypeOf(dsm.Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		cfg := ok
+		reflect.ValueOf(&cfg.DSM).Elem().Field(i).Set(nonZero(f.Type))
+		if err := ValidateRunConfig(cfg); err == nil || !strings.Contains(err.Error(), "DSM."+f.Name+" ") {
+			t.Errorf("go run with DSM.%s set: err = %v, want a rejection naming the field", f.Name, err)
+		}
+	}
+	two := ok
+	two.DSM = dsm.Config{Reliable: true, BarrierWallTimeout: time.Second}
+	if err := ValidateRunConfig(two); err == nil || !strings.Contains(err.Error(), "DSM.Reliable, DSM.BarrierWallTimeout set") {
+		t.Errorf("go run with two DSM fields set: err = %v, want both named", err)
+	}
+
+	// A DSM run rejects each field the harness derives, set in its DSM.
+	for _, name := range []string{"NumProcs", "SharedSize", "PageSize", "Detect", "Crashes", "Corruption", "Recorder"} {
+		f, _ := typ.FieldByName(name)
+		for _, app := range []string{"FFT", "ChaosTSP"} {
+			cfg := RunConfig{App: app, Procs: 4, Detect: true}
+			reflect.ValueOf(&cfg.DSM).Elem().FieldByIndex(f.Index).Set(nonZero(f.Type))
+			if err := ValidateRunConfig(cfg); err == nil || !strings.Contains(err.Error(), "DSM."+name+" ") {
+				t.Errorf("%s run with derived DSM.%s set: err = %v, want a rejection naming the field", app, name, err)
+			}
+		}
+	}
+}
+
+// anyHook implements every interface-typed dsm.Config field; its methods
+// are never called.
+type anyHook struct {
+	dsm.Tracer
+	dsm.SyncEnforcer
+	dsm.Transport
+}
+
+// nonZero returns a non-zero value of t, for the dsm.Config field kinds.
+func nonZero(t reflect.Type) reflect.Value {
+	v := reflect.New(t).Elem()
+	switch t.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Pointer:
+		v.Set(reflect.New(t.Elem()))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(t, 1, 1))
+	case reflect.Struct:
+		v.Field(0).Set(nonZero(t.Field(0).Type))
+	case reflect.Interface:
+		v.Set(reflect.ValueOf(anyHook{}))
+	default:
+		panic("nonZero: unhandled kind " + t.Kind().String())
+	}
+	return v
 }

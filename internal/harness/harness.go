@@ -29,7 +29,17 @@ import (
 	_ "lrcrace/internal/apps/water"
 )
 
-// RunConfig describes one experiment run.
+// DSM names dsm.Config inside RunConfig: embedding the alias makes the
+// field cfg.DSM while its fields still read as cfg.Protocol, cfg.Faults, ...
+type DSM = dsm.Config
+
+// RunConfig describes one experiment run: what to run and how big, plus
+// the DSM configuration to run it on. Every DSM knob is a field of the
+// embedded DSM, stated once there. The harness derives NumProcs,
+// SharedSize, PageSize, Detect, Crashes, Corruption and Recorder, so those
+// stay zero in DSM; a go-frontend run takes no DSM settings at all. Check
+// a RunConfig with ValidateRunConfig: the promoted DSM.Validate sees only
+// the DSM half.
 type RunConfig struct {
 	App   string  // "FFT", "SOR", "TSP", "Water" — or a gofront workload
 	Scale float64 // problem scale; 0 → 1 (laptop default)
@@ -47,40 +57,13 @@ type RunConfig struct {
 	// OpsPerClient overrides the go-frontend per-client op count (0 → the
 	// workload default scaled by Scale).
 	OpsPerClient int
-	// Seed drives the go-frontend scheduler and traffic PRNGs.
-	Seed            int64
-	Protocol        dsm.ProtocolKind
-	Detect          bool
-	FirstOnly       bool
-	WritesFromDiffs bool
-	// ShardedCheck distributes the barrier-time race check across all
-	// processes (check-list partition by page, binary-tree result
-	// reduction) instead of serializing it at the master. Requires Detect.
-	ShardedCheck bool
-	// BarrierTree replaces the flat all-to-master barrier with a combining
-	// tree of this arity (dsm.Config.BarrierTree): arrivals reduce up the
-	// tree with per-hop partial check-list builds, releases broadcast down.
-	// 0 → flat barrier; arity ≥ 2 otherwise. Composes with ShardedCheck.
-	BarrierTree int
-	// RealMsgDelay couples real scheduling to wire latency; needed by the
-	// lock-queue application (TSP) at small scales. 0 → per-app default.
-	RealMsgDelay time.Duration
-	// Faults injects deterministic wire faults (drops, duplicates,
-	// reordering, jitter) into the simulated network; a lossy plan
-	// requires Reliable.
-	Faults *simnet.FaultPlan
-	// Reliable layers CVM-style end-to-end retransmission over the wire.
-	Reliable bool
-	// ReliableConfig tunes the retransmission sublayer's timers.
-	ReliableConfig reliable.Config
-	// BarrierWallTimeout bounds the real time a process waits for a
-	// barrier release before tripping the flight recorder and aborting.
-	BarrierWallTimeout time.Duration
-	// NoCheckpoint disables the always-on barrier-epoch checkpointing, for
-	// measuring the DSM without the recovery layer's cost. By default every
-	// run records the serialized recovery state alongside the paper's
-	// metrics (see Result.Checkpoint and docs/ROBUSTNESS.md).
-	NoCheckpoint bool
+	// Seed drives the go-frontend scheduler and traffic PRNGs, and the
+	// chaos apps' seed-derived crash and corruption plans.
+	Seed   int64
+	Detect bool
+	// DSM configures the simulated DSM; a zero RealMsgDelay takes the
+	// app's default (TSP needs real-latency coupling at small scales).
+	DSM
 	// CrashMode selects deterministic crash injection for the chaos
 	// applications ("ChaosTSP", "ChaosMW"): "" or "none" (off), "single",
 	// "double" (two victims), "recovery" (second crash arms only during
@@ -92,8 +75,6 @@ type RunConfig struct {
 	// (drop payload). Requires a CrashMode so recovery exercises the
 	// verify-then-fallback path.
 	CorruptMode string
-	// ChaosSeed drives the seed-derived crash/corruption plans.
-	ChaosSeed uint64
 	// Telemetry, when non-nil, builds a handle-scoped telemetry recorder
 	// for the run (Procs defaults to the run's process count). The recorder
 	// is private to this run — concurrent Runs in one process do not share
@@ -105,8 +86,6 @@ type RunConfig struct {
 	// handle for the whole run, which is what lets a live /metrics endpoint
 	// scrape a run in flight. Takes precedence over Telemetry.
 	Recorder *telemetry.Recorder
-	// Tracer optionally observes the run (reference detectors, trace logs).
-	Tracer dsm.Tracer
 }
 
 // Result collects everything a run produced.
@@ -127,7 +106,7 @@ type Result struct {
 	// Checkpoint and Recovery summarize the run's crash-tolerance costs:
 	// how many barrier-epoch checkpoints were serialized and how large, and
 	// what any coordinated rollbacks cost in re-executed virtual time and
-	// restore wall time. Zero-valued only when RunConfig.NoCheckpoint
+	// restore wall time. Zero-valued only when RunConfig.DSM.NoCheckpoint
 	// disabled the layer.
 	Checkpoint dsm.CheckpointStats
 	Recovery   dsm.RecoveryStats
@@ -199,28 +178,14 @@ func recorderFor(cfg RunConfig, procs int) *telemetry.Recorder {
 
 // dsmConfig is the one RunConfig → dsm.Config conversion: every DSM run —
 // benchmark or chaos app, executed or merely validated — builds its System
-// from what this returns (plus the recorder). The chaos apps always run
-// over the reliable sublayer — link-death detection is how survivors
-// notice a victim — with the same aggressive retry cap the recovery tests
-// use and the barrier wall timeout as backstop, on a few small pages.
+// from what this returns (plus the recorder): cfg.DSM with the fields the
+// harness derives filled in. The chaos apps always run over the reliable
+// sublayer — link-death detection is how survivors notice a victim — with
+// the same aggressive retry cap the recovery tests use and the barrier wall
+// timeout as backstop, on a few small pages.
 func dsmConfig(cfg RunConfig, sharedSize int) (dsm.Config, error) {
-	dc := dsm.Config{
-		NumProcs:           cfg.Procs,
-		SharedSize:         sharedSize,
-		Protocol:           cfg.Protocol,
-		Detect:             cfg.Detect,
-		ShardedCheck:       cfg.ShardedCheck,
-		BarrierTree:        cfg.BarrierTree,
-		FirstOnly:          cfg.FirstOnly,
-		WritesFromDiffs:    cfg.WritesFromDiffs,
-		RealMsgDelay:       cfg.RealMsgDelay,
-		Tracer:             cfg.Tracer,
-		Faults:             cfg.Faults,
-		Reliable:           cfg.Reliable,
-		ReliableConfig:     cfg.ReliableConfig,
-		BarrierWallTimeout: cfg.BarrierWallTimeout,
-		NoCheckpoint:       cfg.NoCheckpoint,
-	}
+	dc := cfg.DSM
+	dc.NumProcs, dc.SharedSize, dc.Detect = cfg.Procs, sharedSize, cfg.Detect
 	if dc.RealMsgDelay == 0 {
 		dc.RealMsgDelay = appDefaultDelay(cfg.App)
 	}

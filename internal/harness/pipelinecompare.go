@@ -233,24 +233,15 @@ func (prog syntheticProgram) run(procs int, candidate func(*dsm.Config)) (pipeli
 }
 
 // runApp runs one benchmark application with detection on under the
-// candidate's topology (the two barrier-pipeline fields are all a
-// RunConfig carries of it).
+// candidate's topology.
 func (s *Suite) runApp(app string, procs int, candidate func(*dsm.Config)) (pipelineOutcome, error) {
-	var topo dsm.Config
-	candidate(&topo)
 	scale := s.Scale * PaperScaleFactors[app]
 	if scale == 0 {
 		scale = s.Scale
 	}
-	res, err := Run(RunConfig{
-		App:          app,
-		Scale:        scale,
-		Procs:        procs,
-		Detect:       true,
-		ShardedCheck: topo.ShardedCheck,
-		BarrierTree:  topo.BarrierTree,
-		Telemetry:    &telemetry.Config{Cap: -1},
-	})
+	cfg := RunConfig{App: app, Scale: scale, Procs: procs, Detect: true, Telemetry: &telemetry.Config{Cap: -1}}
+	candidate(&cfg.DSM)
+	res, err := Run(cfg)
 	if err != nil {
 		return pipelineOutcome{}, err
 	}

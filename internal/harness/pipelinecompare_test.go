@@ -191,7 +191,7 @@ func TestTreeCompareSmoke(t *testing.T) {
 
 // TestRunConfigBarrierTree: the harness-level gate mirrors the DSM's.
 func TestRunConfigBarrierTree(t *testing.T) {
-	bad := RunConfig{App: "TSP", Procs: 2, BarrierTree: 1}
+	bad := RunConfig{App: "TSP", Procs: 2, DSM: dsm.Config{BarrierTree: 1}}
 	if err := ValidateRunConfig(bad); err == nil {
 		t.Error("BarrierTree=1 accepted")
 	}
@@ -199,7 +199,7 @@ func TestRunConfigBarrierTree(t *testing.T) {
 	if err := ValidateRunConfig(bad); err == nil {
 		t.Error("BarrierTree=-3 accepted")
 	}
-	good := RunConfig{App: "TSP", Procs: 2, BarrierTree: 2}
+	good := RunConfig{App: "TSP", Procs: 2, DSM: dsm.Config{BarrierTree: 2}}
 	if err := ValidateRunConfig(good); err != nil {
 		t.Errorf("BarrierTree=2 rejected: %v", err)
 	}

@@ -193,12 +193,14 @@ func TestFlightRecorderOnRetryCapChaos(t *testing.T) {
 		Scale:    0.05,
 		Procs:    4,
 		Recorder: rec,
-		Protocol: dsm.SingleWriter,
-		Faults:   &simnet.FaultPlan{Seed: 7, Drop: 0.95},
-		Reliable: true,
-		ReliableConfig: reliable.Config{
-			RTO:        200 * time.Microsecond,
-			MaxRetries: 2,
+		DSM: dsm.Config{
+			Protocol: dsm.SingleWriter,
+			Faults:   &simnet.FaultPlan{Seed: 7, Drop: 0.95},
+			Reliable: true,
+			ReliableConfig: reliable.Config{
+				RTO:        200 * time.Microsecond,
+				MaxRetries: 2,
+			},
 		},
 	})
 	if err == nil {

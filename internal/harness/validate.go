@@ -3,6 +3,8 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 
 	"lrcrace/internal/apps"
@@ -56,6 +58,10 @@ func prepare(cfg RunConfig) (apps.App, dsm.Config, error) {
 	if cfg.HotKeySkew != 0 || cfg.Racy || cfg.OpsPerClient != 0 {
 		return fail("HotKeySkew, Racy, and OpsPerClient parameterize go-frontend workloads; set Frontend to \"go\"")
 	}
+	derived := slices.DeleteFunc(setFields(&cfg.DSM), func(f string) bool { return !slices.Contains(derivedFields, f) })
+	if len(derived) > 0 {
+		return fail("derived field DSM.%s set: the harness fills it in from Procs, App, Detect, the chaos modes and Recorder", strings.Join(derived, ", DSM."))
+	}
 	var app apps.App
 	shared := chaosSharedBytes
 	if !IsChaosApp(cfg.App) {
@@ -82,10 +88,27 @@ func prepare(cfg RunConfig) (apps.App, dsm.Config, error) {
 	return app, dc, nil
 }
 
+// derivedFields are the dsm.Config fields dsmConfig and Run fill in, which a
+// RunConfig's DSM must leave zero.
+var derivedFields = []string{"NumProcs", "SharedSize", "PageSize", "Detect", "Crashes", "Corruption", "Recorder"}
+
+// setFields names the fields of c that are not at their zero value.
+func setFields(c *dsm.Config) []string {
+	v := reflect.ValueOf(c).Elem()
+	var set []string
+	for i := 0; i < v.NumField(); i++ {
+		if !v.Field(i).IsZero() {
+			set = append(set, v.Type().Field(i).Name)
+		}
+	}
+	return set
+}
+
 // validateGoFront gates the go-frontend configurations: the app must be a
 // registered gofront workload, the workload knobs must be in range, and
-// every DSM-only mechanism must be off — the gofront engine has no pages,
-// wire, barrier tree, or checkpoint store to configure.
+// the run takes no DSM settings — the gofront engine has no pages, wire,
+// barrier tree, or checkpoint store to configure, and keeps its own trace
+// (Result.GoFront) instead of a Tracer.
 func validateGoFront(cfg RunConfig) error {
 	if !gofront.IsWorkload(cfg.App) {
 		return fmt.Errorf("harness: unknown go-frontend workload %q (have %s)",
@@ -97,22 +120,10 @@ func validateGoFront(cfg RunConfig) error {
 	if cfg.OpsPerClient < 0 {
 		return fmt.Errorf("harness: negative OpsPerClient %d", cfg.OpsPerClient)
 	}
-	switch {
-	case cfg.Protocol != dsm.SingleWriter:
-		return fmt.Errorf("harness: the go frontend has no coherence protocol; leave Protocol at its default")
-	case cfg.ShardedCheck:
-		return fmt.Errorf("harness: ShardedCheck is a DSM barrier mechanism; the go frontend checks at sync points")
-	case cfg.BarrierTree != 0:
-		return fmt.Errorf("harness: BarrierTree is a DSM barrier mechanism; the go frontend has no barriers")
-	case cfg.NoCheckpoint:
-		return fmt.Errorf("harness: the go frontend has no checkpoint layer to disable")
-	case cfg.Tracer != nil:
-		return fmt.Errorf("harness: Tracer observes DSM runs; the go frontend keeps its own trace (Result.GoFront)")
-	case cfg.FirstOnly, cfg.WritesFromDiffs:
-		return fmt.Errorf("harness: FirstOnly/WritesFromDiffs tune the DSM detector, not the go frontend")
-	case cfg.Faults != nil, cfg.Reliable:
-		return fmt.Errorf("harness: the go frontend has no wire to fault or retransmit")
-	case chaosMode(cfg.CrashMode) != "none", chaosMode(cfg.CorruptMode) != "none":
+	if set := setFields(&cfg.DSM); len(set) > 0 {
+		return fmt.Errorf("harness: a go-frontend run takes no DSM settings; DSM.%s set", strings.Join(set, ", DSM."))
+	}
+	if chaosMode(cfg.CrashMode) != "none" || chaosMode(cfg.CorruptMode) != "none" {
 		return fmt.Errorf("harness: crash/corruption modes need a DSM chaos app, not a go-frontend workload")
 	}
 	return nil

@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"lrcrace/internal/dsm"
 )
 
 // TestValidateRunConfig pins the admission-time gate: every configuration
@@ -30,10 +32,10 @@ func TestValidateRunConfig(t *testing.T) {
 		{RunConfig{App: "FFT", Procs: 0}, "Procs"},
 		{RunConfig{App: "FFT", Procs: 2, Scale: -1}, "Scale"},
 		{RunConfig{App: "Nope", Procs: 2}, "unknown application"},
-		{RunConfig{App: "FFT", Procs: 2, ShardedCheck: true}, "requires Detect"},
+		{RunConfig{App: "FFT", Procs: 2, DSM: dsm.Config{ShardedCheck: true}}, "requires Detect"},
 		{RunConfig{App: "FFT", Procs: 2, CrashMode: "single"}, "chaos app"},
 		{RunConfig{App: "TSP", Procs: 2, CorruptMode: "chunk"}, "chaos app"},
-		{RunConfig{App: "ChaosTSP", Procs: 4, CrashMode: "single", NoCheckpoint: true}, "checkpointing"},
+		{RunConfig{App: "ChaosTSP", Procs: 4, CrashMode: "single", DSM: dsm.Config{NoCheckpoint: true}}, "checkpointing"},
 		{RunConfig{App: "ChaosTSP", Procs: 4, CorruptMode: "chunk"}, "CrashMode"},
 		{RunConfig{App: "ChaosMW", Procs: 2, CrashMode: "double"}, "procs"},
 		{RunConfig{App: "ChaosTSP", Procs: 4, CrashMode: "thrice"}, "CrashMode"},
@@ -53,7 +55,7 @@ func TestValidateRunConfig(t *testing.T) {
 // TestRunRejectsInvalidConfigEarly: Run itself goes through the same
 // gate, so a doomed configuration fails before any System is built.
 func TestRunRejectsInvalidConfigEarly(t *testing.T) {
-	if _, err := Run(RunConfig{App: "FFT", Procs: 2, ShardedCheck: true}); err == nil {
+	if _, err := Run(RunConfig{App: "FFT", Procs: 2, DSM: dsm.Config{ShardedCheck: true}}); err == nil {
 		t.Error("Run accepted ShardedCheck without Detect")
 	}
 	if _, err := Run(RunConfig{App: "Nope", Procs: 2}); err == nil {

@@ -84,13 +84,13 @@ func TestGoFrontAdmission(t *testing.T) {
 		{"gofront workload without frontend", RunRequest{App: "KV"},
 			&harness.RunConfig{App: "KV", Procs: 4}},
 		{"go with protocol", RunRequest{App: "KV", Frontend: "go", Protocol: "mw"},
-			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", Protocol: dsm.MultiWriter}},
+			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", DSM: dsm.Config{Protocol: dsm.MultiWriter}}},
 		{"go with sharded check", RunRequest{App: "KV", Frontend: "go", Sharded: true},
-			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", ShardedCheck: true}},
+			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", DSM: dsm.Config{ShardedCheck: true}}},
 		{"go with barrier tree", RunRequest{App: "KV", Frontend: "go", BarrierTree: 2},
-			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", BarrierTree: 2}},
+			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", DSM: dsm.Config{BarrierTree: 2}}},
 		{"go without checkpoint layer", RunRequest{App: "KV", Frontend: "go", Checkpoint: boolPtr(false)},
-			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", NoCheckpoint: true}},
+			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", DSM: dsm.Config{NoCheckpoint: true}}},
 		{"go with crash mode", RunRequest{App: "KV", Frontend: "go", CrashMode: "single"},
 			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", CrashMode: "single"}},
 		{"hot skew on dsm app", RunRequest{App: "FFT", HotSkew: 0.5},

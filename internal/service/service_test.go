@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lrcrace/internal/dsm"
 	"lrcrace/internal/harness"
 	"lrcrace/internal/race"
 	"lrcrace/internal/simnet"
@@ -305,13 +306,13 @@ func TestAdmissionValidation(t *testing.T) {
 		{"empty", RunRequest{}, &harness.RunConfig{Procs: 4}},
 		{"unknown app", RunRequest{App: "NoSuchApp"}, &harness.RunConfig{App: "NoSuchApp", Procs: 4}},
 		{"sharded without detect", RunRequest{App: "FFT", Sharded: true, Detect: boolPtr(false)},
-			&harness.RunConfig{App: "FFT", Procs: 4, ShardedCheck: true}},
+			&harness.RunConfig{App: "FFT", Procs: 4, DSM: dsm.Config{ShardedCheck: true}}},
 		{"arity-1 barrier tree", RunRequest{App: "FFT", BarrierTree: 1},
-			&harness.RunConfig{App: "FFT", Procs: 4, Detect: true, BarrierTree: 1}},
+			&harness.RunConfig{App: "FFT", Procs: 4, Detect: true, DSM: dsm.Config{BarrierTree: 1}}},
 		{"crash on whole-program app", RunRequest{App: "FFT", CrashMode: "single"},
 			&harness.RunConfig{App: "FFT", Procs: 4, CrashMode: "single"}},
 		{"crash without checkpointing", RunRequest{App: "ChaosTSP", Procs: 4, CrashMode: "single", Checkpoint: boolPtr(false)},
-			&harness.RunConfig{App: "ChaosTSP", Procs: 4, CrashMode: "single", NoCheckpoint: true}},
+			&harness.RunConfig{App: "ChaosTSP", Procs: 4, CrashMode: "single", DSM: dsm.Config{NoCheckpoint: true}}},
 		{"crash with one proc", RunRequest{App: "ChaosTSP", Procs: 1, CrashMode: "single"},
 			&harness.RunConfig{App: "ChaosTSP", Procs: 1, CrashMode: "single"}},
 		{"double crash with two procs", RunRequest{App: "ChaosMW", Procs: 2, CrashMode: "double"},
@@ -323,7 +324,7 @@ func TestAdmissionValidation(t *testing.T) {
 		{"negative scale", RunRequest{App: "FFT", Scale: -1}, &harness.RunConfig{App: "FFT", Procs: 4, Scale: -1}},
 		{"negative procs", RunRequest{App: "FFT", Procs: -1}, &harness.RunConfig{App: "FFT", Procs: -1}},
 		{"fault probability above one", RunRequest{App: "TSP", Faults: &sweep.FaultAxis{Drop: 1.5}},
-			&harness.RunConfig{App: "TSP", Procs: 4, Faults: &simnet.FaultPlan{Drop: 1.5}, Reliable: true}},
+			&harness.RunConfig{App: "TSP", Procs: 4, DSM: dsm.Config{Faults: &simnet.FaultPlan{Drop: 1.5}, Reliable: true}}},
 		{"bogus protocol", RunRequest{App: "FFT", Protocol: "bogus"}, nil},
 	})
 }

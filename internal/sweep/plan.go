@@ -49,7 +49,7 @@ type Plan struct {
 	// skipped for cells whose Detect is false (the DSM rejects it).
 	Sharded []bool `json:"sharded,omitempty"`
 	// BarrierTrees are combining-tree barrier arities
-	// (harness.RunConfig.BarrierTree): 0 is the flat barrier, k ≥ 2 a
+	// (dsm.Config.BarrierTree): 0 is the flat barrier, k ≥ 2 a
 	// k-ary combining tree; empty → [0].
 	BarrierTrees []int `json:"barrier_trees,omitempty"`
 	// Checkpoint are barrier-epoch-checkpointing settings; empty → [true]
@@ -436,29 +436,30 @@ func (r Request) RunConfig() (harness.RunConfig, error) {
 		return harness.RunConfig{}, err
 	}
 	cfg := harness.RunConfig{
-		App:          r.App,
-		Frontend:     r.Frontend,
-		Scale:        r.Scale,
-		Procs:        r.Procs,
-		Protocol:     proto,
-		Detect:       r.detect(),
-		ShardedCheck: r.Sharded,
-		BarrierTree:  r.BarrierTree,
-		NoCheckpoint: !r.checkpoint(),
-		CrashMode:    r.CrashMode,
-		CorruptMode:  r.CorruptMode,
-		ChaosSeed:    uint64(r.Seed),
-		HotKeySkew:   r.HotSkew,
-		Racy:         r.Racy,
-		Seed:         r.Seed,
+		App:         r.App,
+		Frontend:    r.Frontend,
+		Scale:       r.Scale,
+		Procs:       r.Procs,
+		Detect:      r.detect(),
+		CrashMode:   r.CrashMode,
+		CorruptMode: r.CorruptMode,
+		HotKeySkew:  r.HotSkew,
+		Racy:        r.Racy,
+		Seed:        r.Seed,
+		DSM: dsm.Config{
+			Protocol:     proto,
+			ShardedCheck: r.Sharded,
+			BarrierTree:  r.BarrierTree,
+			NoCheckpoint: !r.checkpoint(),
+		},
 	}
 	if harness.IsGoFrontend(r.Frontend) {
 		return cfg, nil
 	}
-	cfg.RealMsgDelay = time.Duration(r.RealMsgDelayUS) * time.Microsecond
+	cfg.DSM.RealMsgDelay = time.Duration(r.RealMsgDelayUS) * time.Microsecond
 	if r.Faults != nil {
-		cfg.Faults = r.Faults.plan(r.Seed)
-		cfg.Reliable = cfg.Faults.Lossy()
+		cfg.DSM.Faults = r.Faults.plan(r.Seed)
+		cfg.DSM.Reliable = cfg.DSM.Faults.Lossy()
 	}
 	return cfg, nil
 }

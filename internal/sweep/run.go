@@ -298,14 +298,15 @@ func (p *runPanic) Error() string { return p.msg }
 // when ctx was canceled first.
 func RunGuarded(ctx context.Context, id string, cfg harness.RunConfig, rec *telemetry.Recorder, timeout time.Duration, attempt int) (*CellResult, []race.Report) {
 	cfg.Recorder = rec
-	// The deadline doubles as the barrier wall timeout, so a wedged barrier
-	// aborts itself instead of leaking a live System — except where another
-	// crash detector is in charge: the reliable sublayer's link-death
-	// detection, or a chaos app's own tight timeout, which is what notices
-	// quiet deaths (a mid-interval victim produces no link traffic) and
-	// would read as a wedged run if it were as slow as the deadline.
-	if cfg.BarrierWallTimeout == 0 && !cfg.Reliable && !harness.IsChaosApp(cfg.App) {
-		cfg.BarrierWallTimeout = timeout
+	// On the DSM the deadline doubles as the barrier wall timeout, so a
+	// wedged barrier aborts itself instead of leaking a live System —
+	// except where another crash detector is in charge: the reliable
+	// sublayer's link-death detection, or a chaos app's own tight timeout,
+	// which is what notices quiet deaths (a mid-interval victim produces
+	// no link traffic) and would read as a wedged run if it were as slow
+	// as the deadline. A go run has no barrier and takes no DSM settings.
+	if !harness.IsGoFrontend(cfg.Frontend) && cfg.DSM.BarrierWallTimeout == 0 && !cfg.DSM.Reliable && !harness.IsChaosApp(cfg.App) {
+		cfg.DSM.BarrierWallTimeout = timeout
 	}
 
 	type outcome struct {

@@ -82,7 +82,7 @@ func TestExpandBarrierTreeAxis(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rc.BarrierTree != c.BarrierTree {
-			t.Fatalf("cell %s: RunConfig.BarrierTree = %d, want %d", c.ID, rc.BarrierTree, c.BarrierTree)
+			t.Fatalf("cell %s: RunConfig.DSM.BarrierTree = %d, want %d", c.ID, rc.DSM.BarrierTree, c.BarrierTree)
 		}
 		switch c.BarrierTree {
 		case 0:

@@ -250,7 +250,14 @@ func NewHBDetector(n int) *HBDetector { return hbdet.New(n) }
 
 // Experiments.
 type (
-	// ExperimentConfig describes one harness run.
+	// ExperimentConfig describes one harness run. Its DSM field is the
+	// Config the run's System is built from, minus what the harness
+	// derives (NumProcs, SharedSize, Detect, Recorder):
+	//
+	//	lrcrace.ExperimentConfig{
+	//		App: "Water", Procs: 4, Detect: true,
+	//		DSM: lrcrace.Config{Protocol: lrcrace.MultiWriter, FirstOnly: true},
+	//	}
 	ExperimentConfig = harness.RunConfig
 	// ExperimentResult carries a run's metrics.
 	ExperimentResult = harness.Result
