@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Waits until the service on each given local port answers /healthz,
 # polling every 0.2 s for up to 10 s per port, and fails naming the first
-# port that never does. The smoke jobs run it after starting each racedsvc.
+# port that never does. start-racedsvc.sh runs it after starting each
+# racedsvc.
 #
 # usage: wait-healthz.sh PORT [PORT ...]
 set -euo pipefail

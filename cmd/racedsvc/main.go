@@ -12,7 +12,7 @@
 //	racedsvc -addr :8321
 //	racedsvc -addr :8321 -max-sessions 8 -queue 128 -session-timeout 5m
 //	racedsvc -addr :8321 -data /var/lib/racedsvc        # durable report store
-//	racedsvc -addr :8321 -tenant-max-active 4           # per-tenant quotas
+//	racedsvc -addr :8321 -tenant-max-active 4           # per-tenant quota
 //
 // Then:
 //
@@ -47,7 +47,6 @@ func main() {
 	dataDir := flag.String("data", "", "durable report-store directory: records persist to a content-addressed segment log and replay on restart (empty = in-memory only)")
 	storeSync := flag.Int("store-sync", 1, "report-log durability: any value >= 0 group-commits (appends never wait on fsync; a record is visible, and a session admitted or done, only once it is durable); negative = records visible at once, fsync only on shutdown")
 	tenantMaxActive := flag.Int("tenant-max-active", 0, "per-tenant cap on queued+running sessions; beyond it that tenant gets 429 (0 = unlimited)")
-	tenantMaxQueued := flag.Int("tenant-max-queued", 0, "per-tenant cap on queued sessions (0 = unlimited)")
 	flag.Parse()
 
 	svc, replay, err := service.Open(service.Config{
@@ -59,7 +58,6 @@ func main() {
 		DataDir:         *dataDir,
 		StoreSyncEvery:  *storeSync,
 		TenantMaxActive: *tenantMaxActive,
-		TenantMaxQueued: *tenantMaxQueued,
 	})
 	if err != nil {
 		log.Fatalf("racedsvc: opening report store: %v", err)

@@ -112,10 +112,8 @@ func main() {
 	var dispatch *service.Dispatcher
 	if *remote != "" {
 		addrs := cli.Strings(*remote)
-		dispatch = service.NewDispatcher(addrs, service.DispatchConfig{
-			Logf: func(format string, args ...interface{}) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
+		dispatch = service.NewDispatcher(addrs, func(format string, args ...interface{}) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}).Tenant(*tenant)
 		exec = dispatch.Executor()
 		fmt.Printf("remote dispatch: %d pending cells -> %d node(s)\n", s.Summary().Missing, len(addrs))
@@ -163,12 +161,16 @@ type axisFlags struct {
 
 func buildPlan(planFile string, a axisFlags) (*sweep.Plan, error) {
 	if planFile != "" {
-		b, err := os.ReadFile(planFile)
+		f, err := os.Open(planFile)
 		if err != nil {
 			return nil, err
 		}
+		defer f.Close()
+		// A misspelled axis would otherwise be dropped and run at its default.
 		var p sweep.Plan
-		if err := json.Unmarshal(b, &p); err != nil {
+		dec := json.NewDecoder(f)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&p); err != nil {
 			return nil, fmt.Errorf("parsing %s: %w", planFile, err)
 		}
 		return &p, nil

@@ -22,7 +22,7 @@ import (
 // payload-agnostic.
 //
 // Entries accumulate in numbered segment files (seg-000001.log, ...)
-// that rotate at MaxSegmentBytes. Appends fsync on a configurable
+// that rotate at maxSegmentBytes. Appends fsync on a configurable
 // cadence (SyncEvery); Close and Sync flush unconditionally. Sync runs
 // its fsync outside the log's lock, so appends proceed while it waits on
 // the disk: a caller that syncs on its own schedule (the report store's
@@ -35,6 +35,7 @@ type SegLog struct {
 	f        *os.File // active segment, opened O_APPEND
 	seg      int      // active segment index (1-based)
 	segBytes int64    // bytes in the active segment
+	maxSeg   int64    // rotation size: maxSegmentBytes; tests shrink it
 
 	segments  int
 	diskBytes int64
@@ -54,17 +55,11 @@ type SegLogOptions struct {
 	// (every append is durable before Append returns), negative → never
 	// fsync automatically (Sync and Close still flush).
 	SyncEvery int
-	// MaxSegmentBytes rotates to a fresh segment file once the active one
-	// reaches this size; 0 → 4 MiB.
-	MaxSegmentBytes int64
 }
 
 func (o SegLogOptions) withDefaults() SegLogOptions {
 	if o.SyncEvery == 0 {
 		o.SyncEvery = 1
-	}
-	if o.MaxSegmentBytes <= 0 {
-		o.MaxSegmentBytes = 4 << 20
 	}
 	return o
 }
@@ -103,6 +98,10 @@ const (
 	segNamePattern = "seg-*.log"
 )
 
+// maxSegmentBytes is the size at which the active segment is sealed and
+// the next one started.
+const maxSegmentBytes = 4 << 20
+
 func segName(idx int) string { return fmt.Sprintf(segNameFormat, idx) }
 
 // OpenSegLog opens (creating if necessary) the segment log in dir and
@@ -119,7 +118,7 @@ func OpenSegLog(dir string, opts SegLogOptions, onEntry func(payload []byte) err
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("castore: creating log dir: %w", err)
 	}
-	l := &SegLog{dir: dir, opts: opts, sync: (*os.File).Sync}
+	l := &SegLog{dir: dir, opts: opts, maxSeg: maxSegmentBytes, sync: (*os.File).Sync}
 
 	idxs, err := segIndexes(dir)
 	if err != nil {
@@ -297,7 +296,7 @@ func (l *SegLog) Append(payload []byte) (Addr, error) {
 	if l.closed {
 		return a, errors.New("castore: segment log closed")
 	}
-	if l.segBytes >= l.opts.MaxSegmentBytes {
+	if l.segBytes >= l.maxSeg {
 		if err := l.rotateLocked(); err != nil {
 			return a, err
 		}

@@ -23,6 +23,15 @@ func openCollect(t *testing.T, dir string, opts SegLogOptions) (*SegLog, [][]byt
 	return l, got, trunc
 }
 
+// openSmallSegs is openCollect with the log's segment size shrunk to
+// segBytes, so a few appends force a rotation.
+func openSmallSegs(t *testing.T, dir string, segBytes int64, opts SegLogOptions) (*SegLog, [][]byte, *Truncation) {
+	t.Helper()
+	l, got, trunc := openCollect(t, dir, opts)
+	l.maxSeg = segBytes
+	return l, got, trunc
+}
+
 func TestSegLogRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, got, trunc := openCollect(t, dir, SegLogOptions{})
@@ -61,7 +70,7 @@ func TestSegLogRoundTrip(t *testing.T) {
 
 func TestSegLogRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, _, _ := openCollect(t, dir, SegLogOptions{MaxSegmentBytes: 128, SyncEvery: -1})
+	l, _, _ := openSmallSegs(t, dir, 128, SegLogOptions{SyncEvery: -1})
 	for i := 0; i < 50; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf("payload-%03d", i))); err != nil {
 			t.Fatal(err)
@@ -72,7 +81,7 @@ func TestSegLogRotation(t *testing.T) {
 	}
 	l.Close()
 
-	l2, got, trunc := openCollect(t, dir, SegLogOptions{MaxSegmentBytes: 128})
+	l2, got, trunc := openSmallSegs(t, dir, 128, SegLogOptions{})
 	defer l2.Close()
 	if trunc != nil {
 		t.Fatalf("rotated log truncated: %v", trunc)
@@ -205,7 +214,7 @@ func TestSegLogRejectedEntryTruncates(t *testing.T) {
 
 func TestSegLogSegmentGapTruncates(t *testing.T) {
 	dir := t.TempDir()
-	l, _, _ := openCollect(t, dir, SegLogOptions{MaxSegmentBytes: 64, SyncEvery: -1})
+	l, _, _ := openSmallSegs(t, dir, 64, SegLogOptions{SyncEvery: -1})
 	for i := 0; i < 30; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf("payload-%03d", i))); err != nil {
 			t.Fatal(err)
@@ -219,7 +228,7 @@ func TestSegLogSegmentGapTruncates(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, segName(idxs[1]))); err != nil {
 		t.Fatal(err)
 	}
-	l2, got, trunc := openCollect(t, dir, SegLogOptions{MaxSegmentBytes: 64})
+	l2, got, trunc := openSmallSegs(t, dir, 64, SegLogOptions{})
 	defer l2.Close()
 	if trunc == nil || !strings.Contains(trunc.Reason, "segment gap") {
 		t.Fatalf("gap replay returned truncation %v, want a segment-gap reason", trunc)
@@ -268,7 +277,7 @@ func TestSegLogConcurrentSyncRotate(t *testing.T) {
 		perApp    = 100
 	)
 	dir := t.TempDir()
-	l, _, _ := openCollect(t, dir, SegLogOptions{MaxSegmentBytes: 64, SyncEvery: -1})
+	l, _, _ := openSmallSegs(t, dir, 64, SegLogOptions{SyncEvery: -1})
 	stop := make(chan struct{})
 	var syncers sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -316,7 +325,7 @@ func TestSegLogConcurrentSyncRotate(t *testing.T) {
 	}
 	check("after Close")
 
-	l2, got, trunc := openCollect(t, dir, SegLogOptions{MaxSegmentBytes: 64})
+	l2, got, trunc := openSmallSegs(t, dir, 64, SegLogOptions{})
 	defer l2.Close()
 	if trunc != nil {
 		t.Fatalf("concurrently written log truncated: %v", trunc)

@@ -78,24 +78,6 @@ func (c *CorruptionPlan) Validate() error {
 // Fired reports whether the plan's damage has been injected.
 func (c *CorruptionPlan) Fired() bool { return c.fired.Load() }
 
-// RandomCorruptionPlan derives a corruption plan deterministically from
-// seed for a run of the given epoch count: a seed-driven target epoch and
-// chunk count with the requested damage mode. The same seed always
-// produces the same plan; nil if the run has no checkpointed epoch to
-// attack.
-func RandomCorruptionPlan(seed uint64, epochs int32, mode CorruptMode) *CorruptionPlan {
-	if epochs < 1 {
-		return nil
-	}
-	next := splitmix64(seed)
-	return &CorruptionPlan{
-		Epoch: 1 + int32(next()%uint64(epochs)),
-		Mode:  mode,
-		Count: 1 + int(next()%2),
-		Seed:  next(),
-	}
-}
-
 // maybeCorrupt fires the system's corruption plan once all processes have
 // deposited checkpoints for epoch. Called from checkpointLocked after
 // each deposit; the CAS makes the racing depositors inject exactly once.

@@ -39,12 +39,15 @@ type Inner interface {
 	Stats() simnet.Stats
 }
 
-// The retransmission timeout doubles after every timer expiry, and a
-// receiver owes an immediate pure RelAck after ackEvery deliveries without
-// reverse traffic.
+// The retransmission timeout doubles after every timer expiry. A receiver
+// owes an immediate pure RelAck after ackEvery deliveries without reverse
+// traffic; otherwise it waits a quarter of the initial RTO (RTO/ackDelayDiv)
+// for reverse traffic to piggyback on before sending one, which leaves the
+// acknowledgment time to beat the sender's retransmission timer.
 const (
-	backoff  = 2
-	ackEvery = 4
+	backoff     = 2
+	ackEvery    = 4
+	ackDelayDiv = 4
 )
 
 // Config tunes the reliability timers. The zero value selects defaults
@@ -60,9 +63,6 @@ type Config struct {
 	// retransmission rounds on one link before the link is declared dead
 	// and the transport shuts down (default 15).
 	MaxRetries int
-	// AckDelay is how long a receiver waits for reverse traffic to
-	// piggyback on before sending a pure RelAck (default 500µs).
-	AckDelay time.Duration
 	// OnLinkDead, when non-nil, is called (once per link, off the timer
 	// goroutine) when a link exhausts MaxRetries instead of shutting the
 	// whole transport down. The owner decides what dies: the crash-recovery
@@ -85,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 15
-	}
-	if c.AckDelay <= 0 {
-		c.AckDelay = 500 * time.Microsecond
 	}
 	return c
 }
@@ -403,7 +400,7 @@ func (rl *recvLink) handleData(d simnet.Delivery, m *msg.RelData) {
 		if rl.ackOwed >= ackEvery {
 			rl.sendPureAckLocked()
 		} else if rl.ackTimer == nil {
-			rl.ackTimer = time.AfterFunc(t.cfg.AckDelay, rl.onAckDelay)
+			rl.ackTimer = time.AfterFunc(t.cfg.RTO/ackDelayDiv, rl.onAckDelay)
 		}
 	case m.Seq > rl.expected:
 		if _, dup := rl.ooo[m.Seq]; dup {
@@ -415,7 +412,7 @@ func (rl *recvLink) handleData(d simnet.Delivery, m *msg.RelData) {
 		// sender hears our cumulative position soon even without reverse
 		// traffic.
 		if rl.ackTimer == nil {
-			rl.ackTimer = time.AfterFunc(t.cfg.AckDelay, rl.onAckDelay)
+			rl.ackTimer = time.AfterFunc(t.cfg.RTO/ackDelayDiv, rl.onAckDelay)
 		}
 	default:
 		// Duplicate of an already-delivered envelope: the retransmission

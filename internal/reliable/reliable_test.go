@@ -10,9 +10,8 @@ import (
 
 func fastCfg() Config {
 	return Config{
-		RTO:      500 * time.Microsecond,
-		MaxRTO:   10 * time.Millisecond,
-		AckDelay: 200 * time.Microsecond,
+		RTO:    500 * time.Microsecond,
+		MaxRTO: 10 * time.Millisecond,
 	}
 }
 

@@ -11,62 +11,20 @@ import (
 	"lrcrace/internal/sweep"
 )
 
-// DispatchConfig tunes the multi-node dispatcher.
-type DispatchConfig struct {
-	// MaxAttempts bounds how many node failures one cell survives before
-	// it fails; 0 → max(3, 2×nodes). Admission rejections (a full queue, a
-	// tenant quota) do not count: the cell never ran.
-	MaxAttempts int
-	// Backoff is the base delay before a cell is tried again, after a node
-	// failure or an admission rejection alike, doubling per retry up to
-	// MaxBackoff; 0 → 100ms (cap 0 → 2s). A server's Retry-After replaces
-	// the base. Every wait is jittered so retried cells do not stampede
-	// the nodes in lockstep.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// BreakerThreshold is how many consecutive failures open a node's
-	// circuit breaker; 0 → 3. An open breaker keeps the node out of
-	// selection for BreakerCooldown (0 → 2s), after which the next pick
-	// health-probes it before trusting it with a cell (half-open).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Rand supplies backoff jitter in [0,1); nil → math/rand.
-	Rand func() float64
-	// Logf receives dispatch progress (failovers, breaker trips); nil →
-	// silent.
-	Logf func(format string, args ...interface{})
-}
-
-// healthTimeout bounds each health probe.
-const healthTimeout = 2 * time.Second
-
-func (c DispatchConfig) withDefaults(nodes int) DispatchConfig {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 2 * nodes
-		if c.MaxAttempts < 3 {
-			c.MaxAttempts = 3
-		}
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 100 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.Rand == nil {
-		c.Rand = mrand.Float64
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...interface{}) {}
-	}
-	return c
-}
+// The dispatcher's retry schedule. A retried cell waits dispatchBackoff,
+// doubling per retry up to maxDispatchBackoff, or the server's Retry-After
+// when it sent one; every wait is jittered so retried cells do not
+// stampede the nodes in lockstep. breakerThreshold consecutive failures
+// open a node's circuit breaker, which keeps the node out of selection for
+// breakerCooldown; the next pick then health-probes it before trusting it
+// with a cell (half-open). healthTimeout bounds each health probe.
+const (
+	dispatchBackoff    = 100 * time.Millisecond
+	maxDispatchBackoff = 2 * time.Second
+	breakerThreshold   = 3
+	breakerCooldown    = 2 * time.Second
+	healthTimeout      = 2 * time.Second
+)
 
 // node is one detection service the dispatcher can assign cells to. All
 // mutable state is guarded by the dispatcher's mutex.
@@ -109,16 +67,36 @@ type NodeStats struct {
 // run's, so the output stays byte-identical to a single-node or local
 // sweep.
 type Dispatcher struct {
-	cfg   DispatchConfig
+	logf func(format string, args ...interface{})
+	// maxAttempts bounds how many node failures one cell survives before
+	// it fails: max(3, 2×nodes). Admission rejections (a full queue, a
+	// tenant quota) do not count: the cell never ran.
+	maxAttempts int
+	// The retry schedule and breaker (the constants above; tests shorten
+	// them) and the jitter source, in [0,1).
+	backoff, maxBackoff time.Duration
+	breakerThreshold    int
+	breakerCooldown     time.Duration
+	rand                func() float64
+
 	mu    sync.Mutex
 	nodes []*node
 }
 
 // NewDispatcher builds a dispatcher over the given node addresses
 // ("host:port" or full URLs). Every node starts unverified: the first
-// pick health-probes it.
-func NewDispatcher(addrs []string, cfg DispatchConfig) *Dispatcher {
-	d := &Dispatcher{cfg: cfg.withDefaults(len(addrs))}
+// pick health-probes it. logf receives dispatch progress (failovers,
+// breaker trips); nil is silent.
+func NewDispatcher(addrs []string, logf func(format string, args ...interface{})) *Dispatcher {
+	if logf == nil {
+		logf = func(string, ...interface{}) {}
+	}
+	d := &Dispatcher{
+		logf: logf, maxAttempts: max(3, 2*len(addrs)),
+		backoff: dispatchBackoff, maxBackoff: maxDispatchBackoff,
+		breakerThreshold: breakerThreshold, breakerCooldown: breakerCooldown,
+		rand: mrand.Float64,
+	}
 	for _, a := range addrs {
 		d.nodes = append(d.nodes, &node{client: NewClient(a), needProbe: true})
 	}
@@ -225,16 +203,16 @@ func (d *Dispatcher) noteFailure(n *node, err error) {
 	n.consec++
 	n.failures++
 	tripped := false
-	if n.consec >= d.cfg.BreakerThreshold && !n.openUntil.After(time.Now()) {
-		n.openUntil = time.Now().Add(d.cfg.BreakerCooldown)
+	if n.consec >= d.breakerThreshold && !n.openUntil.After(time.Now()) {
+		n.openUntil = time.Now().Add(d.breakerCooldown)
 		n.needProbe = true
 		n.breakerTrips++
 		tripped = true
 	}
 	d.mu.Unlock()
 	if tripped {
-		d.cfg.Logf("dispatch: node %s breaker open for %v after %d consecutive failures (last: %v)",
-			n.client.Base, d.cfg.BreakerCooldown, d.cfg.BreakerThreshold, err)
+		d.logf("dispatch: node %s breaker open for %v after %d consecutive failures (last: %v)",
+			n.client.Base, d.breakerCooldown, d.breakerThreshold, err)
 	}
 }
 
@@ -244,11 +222,11 @@ func (d *Dispatcher) noteFailure(n *node, err error) {
 // ever run the request), ends the loop. A busy node's admission rejection
 // (*OverloadError, *QuotaError) is not charged to the node and does not
 // use up an attempt. Anything else is a node failure, charged to the
-// node's breaker, and the cell fails once it has seen MaxAttempts of
+// node's breaker, and the cell fails once it has seen maxAttempts of
 // them. Either way the cell waits a jittered, doubling backoff, or the
 // server's Retry-After, and is sent to another node if one is eligible.
 func (d *Dispatcher) RunCell(ctx context.Context, cell sweep.Cell) (*sweep.CellResult, error) {
-	backoff := d.cfg.Backoff
+	backoff := d.backoff
 	var n *node
 	for failures := 0; ; {
 		var err error
@@ -271,7 +249,7 @@ func (d *Dispatcher) RunCell(ctx context.Context, cell sweep.Cell) (*sweep.CellR
 			d.mu.Unlock()
 		default:
 			d.noteFailure(n, err)
-			if failures++; failures >= d.cfg.MaxAttempts {
+			if failures++; failures >= d.maxAttempts {
 				return nil, fmt.Errorf("service: dispatch: cell %s failed on %d attempts, last node %s: %w",
 					cell.ID, failures, n.client.Base, err)
 			}
@@ -280,14 +258,14 @@ func (d *Dispatcher) RunCell(ctx context.Context, cell sweep.Cell) (*sweep.CellR
 		if retryAfter > 0 {
 			wait = retryAfter
 		}
-		wait += time.Duration(float64(wait) * d.cfg.Rand())
-		d.cfg.Logf("dispatch: cell %s: %s: %v; retrying in %v (%d/%d node failures)",
-			cell.ID, n.client.Base, err, wait.Round(time.Millisecond), failures, d.cfg.MaxAttempts)
+		wait += time.Duration(float64(wait) * d.rand())
+		d.logf("dispatch: cell %s: %s: %v; retrying in %v (%d/%d node failures)",
+			cell.ID, n.client.Base, err, wait.Round(time.Millisecond), failures, d.maxAttempts)
 		if err := sleep(ctx, wait); err != nil {
 			return nil, err
 		}
-		if backoff *= 2; backoff > d.cfg.MaxBackoff {
-			backoff = d.cfg.MaxBackoff
+		if backoff *= 2; backoff > d.maxBackoff {
+			backoff = d.maxBackoff
 		}
 	}
 }

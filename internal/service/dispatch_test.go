@@ -100,15 +100,10 @@ func TestDispatchFailoverByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDispatcher([]string{ts0.URL, ts1.URL}, DispatchConfig{
-		MaxAttempts:      8,
-		Backoff:          20 * time.Millisecond,
-		MaxBackoff:       200 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  200 * time.Millisecond,
-		Rand:             func() float64 { return 0.5 },
-		Logf:             t.Logf,
-	})
+	d := NewDispatcher([]string{ts0.URL, ts1.URL}, t.Logf)
+	d.maxAttempts, d.backoff, d.maxBackoff = 8, 20*time.Millisecond, 200*time.Millisecond
+	d.breakerThreshold, d.breakerCooldown = 2, 200*time.Millisecond
+	d.rand = func() float64 { return 0.5 }
 
 	runErr := make(chan error, 1)
 	go func() {
@@ -185,15 +180,10 @@ func TestDispatchServiceRestartSameRaceSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDispatcher([]string{addr}, DispatchConfig{
-		MaxAttempts:      20,
-		Backoff:          20 * time.Millisecond,
-		MaxBackoff:       200 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  100 * time.Millisecond,
-		Rand:             func() float64 { return 0.5 },
-		Logf:             t.Logf,
-	})
+	d := NewDispatcher([]string{addr}, t.Logf)
+	d.maxAttempts, d.backoff, d.maxBackoff = 20, 20*time.Millisecond, 200*time.Millisecond
+	d.breakerThreshold, d.breakerCooldown = 2, 100*time.Millisecond
+	d.rand = func() float64 { return 0.5 }
 	runErr := make(chan error, 1)
 	go func() {
 		_, err := s.RunWith(ctx, d.Executor())
@@ -261,11 +251,9 @@ func TestDispatchHonorsRetryAfter(t *testing.T) {
 	cell := sweep.Cell{ID: "FFT-test", Request: sweep.Request{App: "FFT", Scale: 0.25, Procs: 2}}
 	ts, submits := busyNode(t, cell, "team-a", 1, true)
 	jitterCalls := 0
-	d := NewDispatcher([]string{ts.URL}, DispatchConfig{
-		Backoff: 20 * time.Millisecond,
-		Rand:    func() float64 { jitterCalls++; return 0 },
-		Logf:    t.Logf,
-	}).Tenant("team-a")
+	d := NewDispatcher([]string{ts.URL}, t.Logf).Tenant("team-a")
+	d.backoff = 20 * time.Millisecond
+	d.rand = func() float64 { jitterCalls++; return 0 }
 	start := time.Now()
 	res, err := d.RunCell(context.Background(), cell)
 	if err != nil {
@@ -302,11 +290,9 @@ func TestDispatchBusyNodeDoesNotPinCell(t *testing.T) {
 	live := httptest.NewServer(svc.Handler())
 	defer live.Close()
 
-	d := NewDispatcher([]string{busy.URL, live.URL}, DispatchConfig{
-		Backoff: 20 * time.Millisecond,
-		Rand:    func() float64 { return 0.5 },
-		Logf:    t.Logf,
-	}).Tenant(DefaultTenant)
+	d := NewDispatcher([]string{busy.URL, live.URL}, t.Logf).Tenant(DefaultTenant)
+	d.backoff = 20 * time.Millisecond
+	d.rand = func() float64 { return 0.5 }
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	res, err := d.RunCell(ctx, cell)
@@ -338,7 +324,7 @@ func TestDispatchCanceledSweepReportsCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDispatcher([]string{ts.URL}, DispatchConfig{})
+	d := NewDispatcher([]string{ts.URL}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	runErr := make(chan error, 1)
@@ -370,7 +356,7 @@ func TestDispatchRequestErrorNotRetried(t *testing.T) {
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	d := NewDispatcher([]string{ts.URL}, DispatchConfig{})
+	d := NewDispatcher([]string{ts.URL}, nil)
 	_, err := d.RunCell(context.Background(), sweep.Cell{ID: "bogus", Request: sweep.Request{App: "NoSuchApp", Procs: 2}})
 	var reqErr *RequestError
 	if !errors.As(err, &reqErr) {

@@ -104,8 +104,12 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 }
 
 func (svc *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// A misspelled field would otherwise be dropped, and the session would
+	// run some other cell than the one asked for.
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Code: codeInvalidRequest, Error: "parsing request body: " + err.Error()})
 		return
 	}

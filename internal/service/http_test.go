@@ -138,6 +138,76 @@ func TestHTTPTypedErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPUnknownFieldRejected: a request with a misspelled field is a 400
+// invalid_request naming the field, not a run of whatever cell the
+// remaining fields spell (here the flat, serial FFT cell instead of a tree
+// barrier with a sharded check).
+func TestHTTPUnknownFieldRejected(t *testing.T) {
+	svc, ts, _ := newTestServer(t, Config{MaxSessions: 1})
+	resp, err := http.Post(ts.URL+"/sessions", "application/json",
+		strings.NewReader(`{"app":"FFT","scale":0.05,"procs":2,"barier_tree":2,"shardedd":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ae apiError
+	if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || ae.Code != codeInvalidRequest {
+		t.Fatalf("misspelled field: status %d code %q (%s)", resp.StatusCode, ae.Code, ae.Error)
+	}
+	if !strings.Contains(ae.Error, `"barier_tree"`) {
+		t.Errorf("error %q does not name the unknown field", ae.Error)
+	}
+	if n := len(svc.Sessions()); n != 0 {
+		t.Errorf("%d sessions admitted from a rejected request", n)
+	}
+}
+
+// TestHTTPFinishedSessionsEvicted: beyond KeepDone, admission evicts the
+// oldest finished sessions. They answer 404, the newer ones stay
+// queryable, and the evicted sessions' records stay in the report store.
+func TestHTTPFinishedSessionsEvicted(t *testing.T) {
+	svc, ts, client := newTestServer(t, Config{MaxSessions: 1, KeepDone: 2})
+	req := RunRequest{App: "FFT", Scale: 0.25, Procs: 2}
+	var ids []string
+	for i := 0; i < 4; i++ {
+		ids = append(ids, runOne(t, svc, req).ID())
+	}
+	// Eviction runs at admission: this submission finds four finished
+	// sessions and keeps the newest two.
+	runOne(t, svc, req)
+
+	for i, id := range ids {
+		resp, err := http.Get(ts.URL + "/sessions/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		want := http.StatusOK
+		if i < 2 {
+			want = http.StatusNotFound
+		}
+		if resp.StatusCode != want {
+			t.Errorf("session %d (%s): status %d, want %d", i, id, resp.StatusCode, want)
+		}
+	}
+	for _, id := range ids[:2] {
+		batch, err := client.Reports(context.Background(), id, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var finished bool
+		for _, r := range batch.Records {
+			finished = finished || (r.Kind == KindSession && strings.HasPrefix(r.Detail, "finished: "))
+		}
+		if !finished {
+			t.Errorf("evicted session %s lost its store records: %+v", id, batch.Records)
+		}
+	}
+}
+
 // TestHTTPReportsLongPoll: a /reports?wait= request parked on an empty
 // window returns as soon as a record lands.
 func TestHTTPReportsLongPoll(t *testing.T) {

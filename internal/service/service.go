@@ -51,15 +51,13 @@ func (e *OverloadError) Error() string {
 const DefaultTenant = "default"
 
 // QuotaError is the typed per-tenant admission rejection: the tenant is
-// at its concurrent-session or queue-depth quota. Only that tenant is
-// affected — other tenants keep being admitted — so clients should back
-// off and retry (HTTP 429). Scope is "sessions" (TenantMaxActive) or
-// "queue" (TenantMaxQueued).
+// at its session quota (TenantMaxActive). Only that tenant is affected —
+// other tenants keep being admitted — so clients should back off and
+// retry (HTTP 429).
 type QuotaError struct {
 	Tenant string
 	Active int // the tenant's queued+running sessions at rejection time
 	Limit  int
-	Scope  string
 	// RetryAfter mirrors OverloadError.RetryAfter on the client side.
 	RetryAfter time.Duration
 	// Detail carries the raw server message on the client side, where the
@@ -71,8 +69,8 @@ func (e *QuotaError) Error() string {
 	if e.Detail != "" {
 		return "service: tenant quota: " + e.Detail
 	}
-	return fmt.Sprintf("service: tenant %q over its %s quota: %d active (limit %d)",
-		e.Tenant, e.Scope, e.Active, e.Limit)
+	return fmt.Sprintf("service: tenant %q over its session quota: %d active (limit %d)",
+		e.Tenant, e.Active, e.Limit)
 }
 
 // ErrClosed rejects submissions to a service that is shutting down.
@@ -187,12 +185,11 @@ type Config struct {
 	// disk. Negative makes records visible at once and syncs only on
 	// Close. Ignored without DataDir.
 	StoreSyncEvery int
-	// TenantMaxActive caps one tenant's queued+running sessions; beyond
-	// it, that tenant's submissions get *QuotaError while other tenants
-	// are unaffected. 0 → unlimited (global admission still applies).
+	// TenantMaxActive caps one tenant's queued+running sessions, and so
+	// also its share of the queue; beyond it, that tenant's submissions
+	// get *QuotaError while other tenants are unaffected. 0 → unlimited
+	// (global admission still applies).
 	TenantMaxActive int
-	// TenantMaxQueued caps one tenant's share of the queue; 0 → unlimited.
-	TenantMaxQueued int
 }
 
 func (c Config) withDefaults() Config {
@@ -334,20 +331,13 @@ func (svc *Service) Submit(req RunRequest) (*Session, error) {
 		}
 		svc.tenants[tenant] = tc
 	}
-	// Per-tenant quotas come before the global queue check: a tenant at
-	// its quota is told so with a 429 even when the queue has room, and a
-	// tenant within quota competes for the queue like anyone else.
-	if lim := svc.cfg.TenantMaxActive; lim > 0 && tc.queued+tc.running >= lim {
+	// The per-tenant quota comes before the global queue check: a tenant
+	// at its quota is told so with a 429 even when the queue has room, and
+	// a tenant within quota competes for the queue like anyone else.
+	if lim, active := svc.cfg.TenantMaxActive, tc.queued+tc.running; lim > 0 && active >= lim {
 		tc.rejected.Add(1)
-		active := tc.queued + tc.running
 		svc.mu.Unlock()
-		return nil, &QuotaError{Tenant: tenant, Active: active, Limit: lim, Scope: "sessions"}
-	}
-	if lim := svc.cfg.TenantMaxQueued; lim > 0 && tc.queued >= lim {
-		tc.rejected.Add(1)
-		active := tc.queued + tc.running
-		svc.mu.Unlock()
-		return nil, &QuotaError{Tenant: tenant, Active: active, Limit: lim, Scope: "queue"}
+		return nil, &QuotaError{Tenant: tenant, Active: active, Limit: lim}
 	}
 	svc.nextID++
 	sess := &Session{

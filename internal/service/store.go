@@ -307,8 +307,7 @@ type ReplayInfo struct {
 // cursors resume exactly where they stopped. opts.SyncEvery picks one of
 // two modes: >= 0 group-commits (Append only writes; a committer
 // goroutine fsyncs batches, and a record is visible once it is durable),
-// negative fsyncs only on Close, with records visible at once.
-// opts.MaxSegmentBytes passes through to the log. A tail
+// negative fsyncs only on Close, with records visible at once. A tail
 // that fails verification (tampered chunk, torn write, undecodable
 // record, out-of-order sequence) is truncated at the last good record
 // and surfaced as an explicit KindTruncated record carrying the next
@@ -321,8 +320,7 @@ func OpenStore(dir string, cap int, opts castore.SegLogOptions) (*Store, ReplayI
 func openStore(dir string, cap int, opts castore.SegLogOptions, reg *telemetry.Registry) (*Store, ReplayInfo, error) {
 	s := newStore(cap, reg)
 	expect := uint64(1)
-	logOpts := castore.SegLogOptions{SyncEvery: -1, MaxSegmentBytes: opts.MaxSegmentBytes}
-	log, trunc, err := castore.OpenSegLog(dir, logOpts, func(payload []byte) error {
+	log, trunc, err := castore.OpenSegLog(dir, castore.SegLogOptions{SyncEvery: -1}, func(payload []byte) error {
 		var r Record
 		if err := json.Unmarshal(payload, &r); err != nil {
 			return fmt.Errorf("undecodable record: %w", err)

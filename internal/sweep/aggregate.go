@@ -23,6 +23,9 @@ type Summary struct {
 	// Missing cells have no terminal result (the sweep was interrupted);
 	// rerunning the same plan over the same directory completes them.
 	Missing int `json:"missing"`
+	// Running lists the missing cells in flight, here or at an executor's
+	// node; empty once the sweep has finished.
+	Running []string `json:"running,omitempty"`
 
 	Races         int   `json:"races"`
 	DistinctRaces int   `json:"distinct_races"`
@@ -41,6 +44,9 @@ func (s *Sweep) Summary() *Summary {
 		r, ok := s.results[c.ID]
 		if !ok || !r.Status.Terminal() {
 			sum.Missing++
+			if _, running := s.live[c.ID]; running {
+				sum.Running = append(sum.Running, c.ID)
+			}
 			continue
 		}
 		switch r.Status {

@@ -353,70 +353,20 @@ func RunGuarded(ctx context.Context, id string, cfg harness.RunConfig, rec *tele
 	return result, races
 }
 
-// Progress is a point-in-time view of the sweep for the HTTP endpoint.
-type Progress struct {
-	Total   int    `json:"total"`
-	Done    int    `json:"done"`
-	OK      int    `json:"ok"`
-	Failed  int    `json:"failed"` // failed + timeout + panic
-	Running int    `json:"running"`
-	Races   int    `json:"races"`
-	Elapsed string `json:"elapsed,omitempty"`
-
-	Cells []CellStatus `json:"cells"`
-}
-
-// CellStatus is one cell's line in the progress view.
-type CellStatus struct {
-	ID      string `json:"id"`
-	Status  Status `json:"status"` // "" → not started, "running" → in flight
-	Races   int    `json:"races,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	Error   string `json:"error,omitempty"`
-}
-
-// Progress returns the sweep's current state; safe during Run.
-func (s *Sweep) Progress() Progress {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := Progress{Total: len(s.cells)}
-	if !s.start.IsZero() {
-		p.Elapsed = time.Since(s.start).Round(time.Millisecond).String()
-	}
-	for _, c := range s.cells {
-		cs := CellStatus{ID: c.ID}
-		if r, ok := s.results[c.ID]; ok && r.Status.Terminal() {
-			cs.Status, cs.Races, cs.Attempt, cs.Error = r.Status, r.Races, r.Attempt, r.Error
-			p.Done++
-			if r.Status == StatusOK {
-				p.OK++
-			} else {
-				p.Failed++
-			}
-			p.Races += r.Races
-		} else if _, running := s.live[c.ID]; running { // here or at an Executor's node
-			cs.Status = "running"
-			p.Running++
-		}
-		p.Cells = append(p.Cells, cs)
-	}
-	return p
-}
-
-// collect refreshes the sweep's own series from the progress ledger, which
-// stays the only copy of each number: all six are gauges set at scrape time.
+// collect refreshes the sweep's own series from the summary, which stays
+// the only tally of the results: all six are gauges set at scrape time.
 func (s *Sweep) collect() {
-	p := s.Progress()
+	sum := s.Summary()
 	for _, g := range []struct {
 		name, help string
 		v          int
 	}{
-		{"sweep_cells_total", "Cells in the sweep grid.", p.Total},
-		{"sweep_cells_done", "Cells with a terminal result.", p.Done},
-		{"sweep_cells_ok", "Cells that completed and verified.", p.OK},
-		{"sweep_cells_failed", "Cells that failed, timed out, or panicked.", p.Failed},
-		{"sweep_cells_running", "Cells currently in flight.", p.Running},
-		{"sweep_races_total", "Dynamic race reports across finished cells.", p.Races},
+		{"sweep_cells_total", "Cells in the sweep grid.", sum.Total},
+		{"sweep_cells_done", "Cells with a terminal result.", sum.Total - sum.Missing},
+		{"sweep_cells_ok", "Cells that completed and verified.", sum.OK},
+		{"sweep_cells_failed", "Cells that failed, timed out, or panicked.", sum.Failed + sum.Timeout + sum.Panicked},
+		{"sweep_cells_running", "Cells currently in flight.", len(sum.Running)},
+		{"sweep_races_total", "Dynamic race reports across finished cells.", sum.Races},
 	} {
 		s.reg.Gauge(g.name, g.help).Set(float64(g.v))
 	}

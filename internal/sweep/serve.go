@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"time"
 
 	"lrcrace/internal/telemetry"
 )
@@ -16,7 +17,8 @@ import (
 //	                 cell="<id>" (finished cells from their
 //	                 canonical results, in-flight cells straight off their
 //	                 recorders), and unlabeled aggregate sums per family
-//	/sweep         — JSON progress (Progress)
+//	/sweep         — JSON progress: the Summary so far, which lists the
+//	                 cells in flight, plus the wall time since Run began
 //	/flight/<id>   — flight-recorder dump of a cell's latest attempt
 //
 // All endpoints are read-only and safe to scrape while Run executes.
@@ -36,10 +38,20 @@ func (s *Sweep) Handler() http.Handler {
 }
 
 func (s *Sweep) handleSweep(w http.ResponseWriter, _ *http.Request) {
+	s.mu.Lock()
+	start := s.start
+	s.mu.Unlock()
+	view := struct {
+		*Summary
+		Elapsed string `json:"elapsed,omitempty"`
+	}{Summary: s.Summary()}
+	if !start.IsZero() {
+		view.Elapsed = time.Since(start).Round(time.Millisecond).String()
+	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(s.Progress())
+	enc.Encode(view)
 }
 
 func (s *Sweep) handleFlight(w http.ResponseWriter, r *http.Request) {

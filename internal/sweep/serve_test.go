@@ -30,8 +30,8 @@ func get(t *testing.T, url string) (int, string) {
 
 // TestServeLiveMetrics scrapes the HTTP surface while a sweep is running
 // and again after it finishes: /metrics must be valid Prometheus text both
-// times, /sweep must decode as Progress, and /flight/<id> must dump a
-// started cell's recorder.
+// times, /sweep must decode as the Summary with the elapsed time, and
+// /flight/<id> must dump a started cell's recorder.
 func TestServeLiveMetrics(t *testing.T) {
 	// One worker over four cells keeps the sweep observably "running".
 	plan := planFFTSOR()
@@ -60,11 +60,10 @@ func TestServeLiveMetrics(t *testing.T) {
 			t.Fatal("no cell started within 10s")
 		default:
 		}
-		for _, cs := range s.Progress().Cells {
-			if cs.Status != "" {
-				started = cs.ID
-				break
-			}
+		if sum := s.Summary(); len(sum.Running) > 0 {
+			started = sum.Running[0]
+		} else if len(sum.Cells) > 0 {
+			started = sum.Cells[0].ID
 		}
 		if started == "" {
 			time.Sleep(time.Millisecond)
@@ -83,12 +82,18 @@ func TestServeLiveMetrics(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/sweep: status %d", code)
 	}
-	var p Progress
+	var p struct {
+		Summary
+		Elapsed string `json:"elapsed"`
+	}
 	if err := json.Unmarshal([]byte(body), &p); err != nil {
-		t.Fatalf("/sweep body does not decode as Progress: %v", err)
+		t.Fatalf("/sweep body does not decode as Summary: %v", err)
 	}
 	if p.Total != 4 {
 		t.Errorf("/sweep Total = %d, want 4", p.Total)
+	}
+	if p.Elapsed == "" {
+		t.Error("/sweep lost the elapsed time")
 	}
 
 	if code, _ := get(t, srv.URL+"/flight/"+started); code != http.StatusOK {

@@ -207,7 +207,8 @@ func TestResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preloaded := sB.Progress().Done
+	pre := sB.Summary()
+	preloaded := pre.Total - pre.Missing
 	if preloaded != len(copied) {
 		t.Fatalf("resume loaded %d cells, want %d", preloaded, len(copied))
 	}
@@ -299,8 +300,8 @@ func TestRunWithExecutorError(t *testing.T) {
 	errNode := errors.New("node unreachable")
 	sum, err := s.RunWith(context.Background(), func(ctx context.Context, c Cell) (*CellResult, error) {
 		running := false
-		for _, cs := range s.Progress().Cells {
-			running = running || (cs.ID == c.ID && cs.Status == "running")
+		for _, id := range s.Summary().Running {
+			running = running || id == c.ID
 		}
 		if !running {
 			t.Errorf("cell %s not shown running while its executor runs", c.ID)
@@ -319,8 +320,8 @@ func TestRunWithExecutorError(t *testing.T) {
 	if sum.OK != 2 || sum.Missing != 2 {
 		t.Fatalf("after a poisoned and a mislabeled cell: %+v, want 2 ok, 2 missing", sum)
 	}
-	if p := s.Progress(); p.Running != 0 {
-		t.Errorf("%d cells still shown running after the pool drained", p.Running)
+	if running := s.Summary().Running; len(running) != 0 {
+		t.Errorf("%d cells still shown running after the pool drained", len(running))
 	}
 
 	// Resume re-runs exactly the two cells that never got a result.

@@ -155,12 +155,6 @@ func RandomCrashPlan(seed uint64, nprocs int, epochs int32) *CrashPlan {
 	return dsm.RandomCrashPlan(seed, nprocs, epochs)
 }
 
-// RandomCorruptionPlan derives a deterministic checkpoint-corruption plan
-// from a seed — the storage-fault analogue of RandomCrashPlan.
-func RandomCorruptionPlan(seed uint64, epochs int32, mode CorruptMode) *CorruptionPlan {
-	return dsm.RandomCorruptionPlan(seed, epochs, mode)
-}
-
 // DedupRaces collapses dynamic race reports to one representative per
 // (address, kind), preserving order — the form in which races are printed.
 func DedupRaces(rs []Race) []Race { return race.DedupByAddr(rs) }
