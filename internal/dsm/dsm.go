@@ -225,7 +225,9 @@ type SyncEnforcer interface {
 // DSM over an actual network stack, as CVM was.
 type Transport interface {
 	// Send serializes m toward process to, tagged with the sender's
-	// virtual clock, and returns the wire size in bytes.
+	// virtual clock, and returns the wire size in bytes. Send has
+	// serialized m when it returns and keeps no reference to it, so the
+	// caller may hand it live state (a page it then goes on writing).
 	Send(from, to int, m msg.Message, vtime int64) int
 	// Recv blocks for the next delivery to proc; ok is false after Close.
 	Recv(proc int) (simnet.Delivery, bool)

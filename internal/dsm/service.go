@@ -251,14 +251,14 @@ func (p *Proc) handlePageFwd(d simnet.Delivery, m *msg.PageFwd) {
 // multi-writer home's; a write fault transfers ownership (single-writer
 // migration).
 func (p *Proc) servePageLocked(requester int, pg mem.PageID, write bool, vtime int64) {
-	data := make([]byte, p.seg.PageSize)
-	copy(data, p.seg.PageBytes(pg))
 	if write {
 		p.owned[pg] = false
 		p.state[pg] = pageReadOnly
 		p.tel.Emit(p.id, telemetry.KOwnershipXfer, vtime, int64(pg), int64(requester), 0)
 	}
-	p.send(requester, &msg.PageReply{Page: pg, Ownership: write, Data: data}, vtime)
+	// The reply carries the live page: Send serializes it before returning,
+	// and p.mu keeps every writer out until then.
+	p.send(requester, &msg.PageReply{Page: pg, Ownership: write, Data: p.seg.PageBytes(pg)}, vtime)
 }
 
 // drainPendingFwdsLocked services page forwards queued while ownership was

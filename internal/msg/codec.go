@@ -190,15 +190,36 @@ func (d *Decoder) Blob() []byte {
 }
 
 // VC reads a version vector.
-func (d *Decoder) VC() vc.VC {
+func (d *Decoder) VC() vc.VC { return d.vcFrom(nil, 1) }
+
+// vcFrom reads a version vector into the front of *slab and advances *slab
+// past it; a nil slab gives the vector its own allocation. A slab too short
+// for the vector is replaced by one sized for left vectors of this length,
+// but no larger than the rest of the buffer could fill, so a list of
+// vectors that share one length decodes into one allocation. The vector's
+// capacity ends at its length: an append to it reallocates instead of
+// writing over the next vector in the slab.
+func (d *Decoder) vcFrom(slab *vc.VC, left int) vc.VC {
 	n := int(d.U16())
-	if d.err != nil || n > 1024 {
-		if n > 1024 {
-			d.err = ErrCorrupt
-		}
+	if n > 1024 {
+		d.Fail(ErrCorrupt)
+	}
+	if d.err2(4 * n) {
 		return nil
 	}
-	v := make(vc.VC, n)
+	if n == 0 {
+		return vc.VC{}
+	}
+	var v vc.VC
+	if slab == nil {
+		v = make(vc.VC, n)
+	} else {
+		if len(*slab) < n {
+			*slab = make(vc.VC, min(n*left, (len(d.buf)-d.off)/4))
+		}
+		v = (*slab)[:n:n]
+		*slab = (*slab)[n:]
+	}
 	for i := range v {
 		v[i] = vc.Index(d.U32())
 	}

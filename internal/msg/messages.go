@@ -122,25 +122,41 @@ func newMessage(t Type) Message {
 }
 
 // Marshal serializes m with a leading type byte.
-func Marshal(m Message) []byte {
-	var e Encoder
+func Marshal(m Message) []byte { return AppendMarshal(nil, m) }
+
+// AppendMarshal appends the bytes Marshal(m) returns to dst and returns the
+// extended buffer, so a sender that reuses dst encodes without allocating.
+func AppendMarshal(dst []byte, m Message) []byte {
+	e := Encoder{buf: dst}
 	e.U8(uint8(m.Type()))
-	m.layout(Wire{E: &e})
-	return e.Bytes()
+	walk(m, Wire{E: &e})
+	return e.buf
 }
 
-// Unmarshal parses a buffer produced by Marshal.
+// Unmarshal parses a buffer produced by Marshal. The message it returns
+// shares no memory with b.
 func Unmarshal(b []byte) (Message, error) {
 	d := NewDecoder(b)
 	t := Type(d.U8())
 	m := newMessage(t)
-	w := Wire{D: d}
-	// Each layout is called on its concrete type: through the Message
-	// interface the decoder would escape to the heap on every message.
-	// DiffAck and InvalAck have no fields.
-	switch m := m.(type) {
-	case nil:
+	if m == nil {
 		return nil, fmt.Errorf("msg: unknown type %d: %w", uint8(t), ErrCorrupt)
+	}
+	walk(m, Wire{D: d})
+	if d.err != nil {
+		return nil, fmt.Errorf("decoding %v: %w", t, d.err)
+	}
+	if !d.Done() {
+		return nil, fmt.Errorf("decoding %v: %w (trailing bytes)", t, ErrCorrupt)
+	}
+	return m, nil
+}
+
+// walk runs m's layout on w. Each layout is called on its concrete type:
+// through the Message interface the encoder or decoder would escape to the
+// heap on every message. DiffAck and InvalAck have no fields.
+func walk(m Message, w Wire) {
+	switch m := m.(type) {
 	case *AcquireReq:
 		m.layout(w)
 	case *AcquireFwd:
@@ -174,13 +190,6 @@ func Unmarshal(b []byte) (Message, error) {
 	case *TreeReduce:
 		m.layout(w)
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("decoding %v: %w", t, d.err)
-	}
-	if !d.Done() {
-		return nil, fmt.Errorf("decoding %v: %w (trailing bytes)", t, ErrCorrupt)
-	}
-	return m, nil
 }
 
 // RecordReadNoticeBytes returns the wire bytes attributable to read notices
@@ -642,30 +651,49 @@ func (w Wire) ID(p *vc.IntervalID) {
 }
 
 // Record moves one interval record.
-func (w Wire) Record(r *interval.Record) {
+func (w Wire) Record(r *interval.Record) { w.record(r, nil, 1) }
+
+// record moves one interval record. Decoding, it carves the record's VC
+// from *slab, which has room for up to left vectors (see Decoder.vcFrom);
+// a nil slab gives the VC an allocation of its own.
+func (w Wire) record(r *interval.Record, slab *vc.VC, left int) {
 	w.ID(&r.ID)
-	w.VC(&r.VC)
+	if w.D != nil {
+		r.VC = w.D.vcFrom(slab, left)
+	} else {
+		w.E.VC(r.VC)
+	}
 	N32(w, &r.Epoch)
 	w.Pages(&r.WriteNotices)
 	w.Pages(&r.ReadNotices)
 }
 
 // Records moves a counted list of interval records (20 bytes at least
-// each: ID, empty VC, epoch, two empty notice lists).
+// each: ID, empty VC, epoch, two empty notice lists). Decoding, the records
+// share one []interval.Record slab and their VCs one vc.VC slab, instead
+// of one allocation per record and per vector.
 func (w Wire) Records(p *[]*interval.Record) {
 	n, ok := w.Count(len(*p), 20)
 	if !ok {
 		return
 	}
-	if w.D != nil && n > 0 {
-		*p = make([]*interval.Record, n)
-		for i := range *p {
-			(*p)[i] = &interval.Record{}
+	if w.D == nil {
+		for _, r := range *p {
+			w.Record(r)
 		}
+		return
 	}
-	for _, r := range *p {
-		w.Record(r)
+	if n == 0 {
+		return
 	}
+	recs := make([]interval.Record, n)
+	ptrs := make([]*interval.Record, n)
+	var vcs vc.VC
+	for i := range recs {
+		ptrs[i] = &recs[i]
+		w.record(&recs[i], &vcs, n-i)
+	}
+	*p = ptrs
 }
 
 func (w Wire) checks(p *[]race.CheckEntry) {

@@ -6,6 +6,7 @@ import (
 
 	"lrcrace/internal/msg"
 	"lrcrace/internal/simnet"
+	"lrcrace/internal/wiretest"
 )
 
 func fastCfg() Config {
@@ -249,4 +250,12 @@ func TestChaosSoakManyMessages(t *testing.T) {
 	if st.Retransmits == 0 || st.TotalDropped() == 0 {
 		t.Errorf("soak exercised nothing: retransmits=%d dropped=%d", st.Retransmits, st.TotalDropped())
 	}
+}
+
+func TestSendSharesNothing(t *testing.T) {
+	rt := wrapFaulty(t, 2, nil)
+	defer rt.Close()
+	wiretest.SendSharesNothing(t,
+		func(m msg.Message) { rt.Send(0, 1, m, 0) },
+		func() msg.Message { d, _ := rt.Recv(1); return d.Msg })
 }

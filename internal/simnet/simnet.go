@@ -8,6 +8,14 @@
 // results of Table 3 come from real encodings. Virtual transmission time is
 // computed by the receiver from the sender's virtual send time and the
 // byte count (see costmodel).
+//
+// The wire allocates only what the receiver keeps. Send encodes into a
+// pooled buffer (GetBuf, msg.AppendMarshal) and returns it to the pool once
+// Unmarshal has copied every field out; decoded interval records and their
+// version vectors come from one slab per list. Send has serialized the
+// message when it returns and keeps no reference to it — the contract
+// dsm.Transport states — so a sender may pass live state. A Queue forgets
+// each delivery it hands out.
 package simnet
 
 import (
@@ -163,13 +171,16 @@ func (nw *Network) Size() int { return nw.n }
 // Send marshals m, accounts for it, and enqueues it at to, returning the
 // wire size in bytes. vtime is the sender's virtual clock at the moment of
 // sending. The message is re-parsed before delivery so sender and receiver
-// never share memory.
+// never share memory, and Send keeps no reference to m once it returns.
 func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
 	if to < 0 || to >= nw.n {
 		panic(fmt.Sprintf("simnet: send to invalid endpoint %d", to))
 	}
-	wire := msg.Marshal(m)
+	buf := GetBuf()
+	wire := msg.AppendMarshal(*buf, m)
 	parsed, err := msg.Unmarshal(wire)
+	*buf = wire
+	PutBuf(buf)
 	if err != nil {
 		panic(fmt.Sprintf("simnet: message %v does not survive the wire: %v", m.Type(), err))
 	}
@@ -230,16 +241,45 @@ func (nw *Network) Stats() Stats {
 	return nw.stats
 }
 
+// maxPooledBuf bounds the encode buffers kept for reuse, so one rare huge
+// message (a release with a long check list) does not pin its buffer.
+const maxPooledBuf = 1 << 20
+
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// GetBuf returns an empty encode buffer from the pool shared by the
+// transports. Append to *b (msg.AppendMarshal), store the result back in *b
+// and hand b to PutBuf once nothing reads it any more.
+func GetBuf() *[]byte {
+	b := bufPool.Get().(*[]byte)
+	*b = (*b)[:0]
+	return b
+}
+
+// PutBuf returns b to the pool. The caller must not touch *b afterwards.
+func PutBuf(b *[]byte) {
+	if cap(*b) <= maxPooledBuf {
+		bufPool.Put(b)
+	}
+}
+
 // Queue is an unbounded FIFO of deliveries with blocking Pop. Unbounded
 // capacity keeps the protocol deadlock-free regardless of traffic bursts
 // (real CVM relies on kernel socket buffering plus retransmission for the
 // same property). It is shared by every transport in the tree: simnet's
 // endpoints, tcpnet's per-endpoint inboxes, and reliable's resequenced
 // delivery queues.
+//
+// The deliveries sit in a ring that doubles when full and is otherwise
+// reused, so its capacity follows the longest the queue has been, not the
+// number of messages it has carried. Pop zeroes the slot it empties: a
+// delivered message stays reachable only from its receiver.
 type Queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []Delivery
+	ring   []Delivery
+	head   int // index of the oldest delivery
+	n      int // number of deliveries queued
 	closed bool
 }
 
@@ -257,7 +297,14 @@ func (q *Queue) Push(d Delivery) {
 	if q.closed {
 		return
 	}
-	q.items = append(q.items, d)
+	if q.n == len(q.ring) {
+		grown := make([]Delivery, max(16, 2*len(q.ring)))
+		k := copy(grown, q.ring[q.head:])
+		copy(grown[k:], q.ring[:q.head])
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)%len(q.ring)] = d
+	q.n++
 	q.cond.Signal()
 }
 
@@ -266,14 +313,16 @@ func (q *Queue) Push(d Delivery) {
 func (q *Queue) Pop() (Delivery, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.n == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return Delivery{}, false
 	}
-	d := q.items[0]
-	q.items = q.items[1:]
+	d := q.ring[q.head]
+	q.ring[q.head] = Delivery{}
+	q.head = (q.head + 1) % len(q.ring)
+	q.n--
 	return d, true
 }
 
@@ -291,7 +340,8 @@ func (q *Queue) Close() {
 func (q *Queue) Kill() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.items = nil
+	clear(q.ring)
+	q.head, q.n = 0, 0
 	q.closed = true
 	q.cond.Broadcast()
 }

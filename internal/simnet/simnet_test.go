@@ -1,10 +1,15 @@
 package simnet
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
+	"lrcrace/internal/interval"
+	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
+	"lrcrace/internal/vc"
+	"lrcrace/internal/wiretest"
 )
 
 func TestSendRecvRoundTrip(t *testing.T) {
@@ -176,5 +181,96 @@ func TestSetMTUFloor(t *testing.T) {
 	d, _ := nw.Recv(0)
 	if d.Frags != 1 {
 		t.Errorf("tiny message fragmented: %d", d.Frags)
+	}
+}
+
+func TestSendSharesNothing(t *testing.T) {
+	nw := New(2)
+	defer nw.Close()
+	wiretest.SendSharesNothing(t,
+		func(m msg.Message) { nw.Send(0, 1, m, 0) },
+		func() msg.Message { d, _ := nw.Recv(1); return d.Msg })
+}
+
+// TestSendAllocatesOnlyTheDecode: Send encodes into a pooled buffer, so a
+// send and its receive allocate no more than decoding the same bytes does.
+func TestSendAllocatesOnlyTheDecode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	nw := New(2)
+	defer nw.Close()
+	for _, m := range []msg.Message{
+		&msg.PageReply{Page: 3, Data: make([]byte, 4096)},
+		&msg.AcquireGrant{Lock: 1, Intervals: []*interval.Record{
+			{VC: vc.VC{1, 2, 3, 4}, WriteNotices: []mem.PageID{1, 2}, ReadNotices: []mem.PageID{3}},
+			{VC: vc.VC{5, 6, 7, 8}, WriteNotices: []mem.PageID{4}},
+		}},
+	} {
+		wire := msg.Marshal(m)
+		decode := testing.AllocsPerRun(200, func() {
+			if _, err := msg.Unmarshal(wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+		sendRecv := testing.AllocsPerRun(200, func() {
+			nw.Send(0, 1, m, 0)
+			nw.Recv(1)
+		})
+		if sendRecv > decode {
+			t.Errorf("%v: Send+Recv allocates %v times, Unmarshal alone %v", m.Type(), sendRecv, decode)
+		}
+	}
+}
+
+// TestQueueForgetsDelivered interleaves 10⁵ pushes and pops: the ring
+// grows only with the queue's length, and every slot Pop has emptied is
+// zero, so a delivered message is not kept alive by the queue.
+func TestQueueForgetsDelivered(t *testing.T) {
+	const total = 100_000
+	q := NewQueue()
+	rng := rand.New(rand.NewSource(1))
+	pushed, popped, longest := 0, 0, 0
+	for popped < total {
+		for k := rng.Intn(8); k >= 0 && pushed < total; k-- {
+			q.Push(Delivery{From: pushed, Msg: &msg.PageReq{Page: mem.PageID(pushed)}})
+			pushed++
+		}
+		longest = max(longest, pushed-popped)
+		for k := rng.Intn(8); k >= 0 && popped < pushed; k-- {
+			d, ok := q.Pop()
+			if !ok || d.From != popped {
+				t.Fatalf("pop %d: got From %d ok %v", popped, d.From, ok)
+			}
+			popped++
+			if s := q.ring[(q.head+len(q.ring)-1)%len(q.ring)]; s != (Delivery{}) {
+				t.Fatalf("pop %d left its slot holding %+v", popped, s)
+			}
+		}
+	}
+	for i, s := range q.ring {
+		if s != (Delivery{}) {
+			t.Fatalf("drained ring still holds %+v in slot %d", s, i)
+		}
+	}
+	if c := cap(q.ring); c > max(16, 2*longest) {
+		t.Errorf("ring capacity %d after a longest queue of %d", c, longest)
+	}
+}
+
+func TestQueueKillForgetsQueued(t *testing.T) {
+	q := NewQueue()
+	for i := 0; i < 20; i++ {
+		q.Push(Delivery{From: i, Msg: &msg.DiffAck{}})
+	}
+	q.Pop()
+	q.Kill()
+	for i, s := range q.ring {
+		if s != (Delivery{}) {
+			t.Fatalf("slot %d survives Kill: %+v", i, s)
+		}
+	}
+	if _, ok := q.Pop(); ok {
+		t.Error("Pop after Kill delivered")
 	}
 }

@@ -218,9 +218,15 @@ func (nw *Network) streamError() {
 	nw.mu.Unlock()
 }
 
-// Send implements dsm.Transport.
+// Send implements dsm.Transport. The frame — header and marshaled message —
+// is built in one pooled buffer and written with one Write; the buffer goes
+// back to the pool before Send returns, so Send keeps no reference to m.
 func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
-	wire := msg.Marshal(m)
+	buf := simnet.GetBuf()
+	defer simnet.PutBuf(buf)
+	frame := msg.AppendMarshal(append(*buf, make([]byte, frameHeader)...), m)
+	*buf = frame
+	wire := frame[frameHeader:]
 	frags := (len(wire) + nw.mtu - 1) / nw.mtu
 	if frags < 1 {
 		frags = 1
@@ -254,20 +260,17 @@ func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
 	if c == nil {
 		return size // torn down
 	}
-	hdr := make([]byte, frameHeader)
-	binary.LittleEndian.PutUint16(hdr[0:], uint16(from))
-	binary.LittleEndian.PutUint16(hdr[2:], uint16(frags))
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(vtime))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(wire)))
+	binary.LittleEndian.PutUint16(frame[0:], uint16(from))
+	binary.LittleEndian.PutUint16(frame[2:], uint16(frags))
+	binary.LittleEndian.PutUint64(frame[4:], uint64(vtime))
+	binary.LittleEndian.PutUint32(frame[12:], uint32(len(wire)))
 
 	mu := &nw.sendMu[from][to]
 	mu.Lock()
-	_, err1 := c.Write(hdr)
-	_, err2 := c.Write(wire)
+	// A failed write means the receiver is gone (the shutdown path); the
+	// frame still counts as sent.
+	_, _ = c.Write(frame)
 	mu.Unlock()
-	if err1 != nil || err2 != nil {
-		return size // receiver gone (shutdown path)
-	}
 	return size
 }
 

@@ -9,6 +9,7 @@ import (
 	"lrcrace/internal/msg"
 	"lrcrace/internal/race"
 	"lrcrace/internal/simnet"
+	"lrcrace/internal/wiretest"
 )
 
 func TestSendRecvAcrossSockets(t *testing.T) {
@@ -201,5 +202,18 @@ func TestCorruptFrameCounted(t *testing.T) {
 	}
 	if got := nw.Stats().Errors; got != 1 {
 		t.Errorf("Errors = %d, want 1", got)
+	}
+}
+
+func TestSendSharesNothing(t *testing.T) {
+	nw, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	for _, to := range []int{0, 1} { // loopback, then across a socket
+		wiretest.SendSharesNothing(t,
+			func(m msg.Message) { nw.Send(0, to, m, 0) },
+			func() msg.Message { d, _ := nw.Recv(to); return d.Msg })
 	}
 }
