@@ -53,7 +53,6 @@ func main() {
 	dup := flag.Float64("dup", 0, "fault template: per-message duplication probability")
 	reorder := flag.Float64("reorder", 0, "fault template: per-message reorder probability")
 	jitterUS := flag.Int64("jitter-us", 0, "fault template: max extra latency jitter (µs)")
-	msgDelayUS := flag.Int64("msg-delay-us", 0, "override the per-app real message delay (µs)")
 
 	workers := flag.Int("workers", 4, "cells run concurrently")
 	cellTimeout := flag.Duration("cell-timeout", 2*time.Minute, "per-cell wall-time deadline")
@@ -71,7 +70,7 @@ func main() {
 		detect: *detect, sharded: *sharded, barrierTree: *barrierTree, checkpoint: *checkpoint,
 		crash: *crash, corrupt: *corrupt, seeds: *seeds,
 		frontends: *frontends, hotSkews: *hotSkews, racy: *racy,
-		drop: *drop, dup: *dup, reorder: *reorder, jitterUS: *jitterUS, msgDelayUS: *msgDelayUS,
+		drop: *drop, dup: *dup, reorder: *reorder, jitterUS: *jitterUS,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -156,7 +155,7 @@ type axisFlags struct {
 	barrierTree, checkpoint, crash, corrupt, seeds  string
 	frontends, hotSkews, racy                       string
 	drop, dup, reorder                              float64
-	jitterUS, msgDelayUS                            int64
+	jitterUS                                        int64
 }
 
 func buildPlan(planFile string, a axisFlags) (*sweep.Plan, error) {
@@ -175,7 +174,7 @@ func buildPlan(planFile string, a axisFlags) (*sweep.Plan, error) {
 		}
 		return &p, nil
 	}
-	p := &sweep.Plan{Apps: cli.Strings(a.apps), RealMsgDelayUS: a.msgDelayUS}
+	p := &sweep.Plan{Apps: cli.Strings(a.apps)}
 	if len(p.Apps) == 0 {
 		return nil, fmt.Errorf("no applications: set -apps or -plan")
 	}

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"time"
 
 	"lrcrace"
 	"lrcrace/internal/apps/tsp"
@@ -24,10 +23,9 @@ func main() {
 
 	app := tsp.New(tsp.Config{Cities: *cities})
 	sys, err := lrcrace.New(lrcrace.Config{
-		NumProcs:     *procs,
-		SharedSize:   app.SharedBytes(),
-		Detect:       true,
-		RealMsgDelay: 20 * time.Microsecond,
+		NumProcs:   *procs,
+		SharedSize: app.SharedBytes(),
+		Detect:     true,
 	})
 	if err != nil {
 		log.Fatal(err)

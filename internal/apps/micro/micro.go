@@ -4,8 +4,8 @@
 // which must stay clean; the tests run every pattern under both LRC
 // protocols and cross-check against the happens-before reference detector.
 //
-// Patterns use Go channels (invisible to the DSM) to pin real-time phase
-// orderings where a pattern's outcome depends on them. Note that metadata
+// Patterns use gates (dsm.Gate, invisible to the DSM's ordering metadata)
+// to pin phase orderings where a pattern's outcome depends on them. Note that metadata
 // concurrency is what the detector judges: two accesses with no DSM
 // synchronization chain between them are concurrent — and must be flagged —
 // even if real time happened to serialize them. The gating only removes
@@ -26,10 +26,10 @@ type Pattern struct {
 	// Vars lists the shared variables to allocate, one word each, in
 	// order. Patterns address them by name.
 	Vars []string
-	// Worker is the per-process body; gates is a per-pattern set of Go
-	// channels the pattern may use for real-time staging.
-	Worker func(p *dsm.Proc, v map[string]mem.Addr, gates map[string]chan struct{})
-	// Gates names the staging channels to create for each run.
+	// Worker is the per-process body; gates is a per-pattern set of gates
+	// the pattern may use for staging.
+	Worker func(p *dsm.Proc, v map[string]mem.Addr, gates map[string]*dsm.Gate)
+	// Gates names the staging gates to create for each run.
 	Gates []string
 	// WantRacy and WantClean partition Vars by expected detector outcome.
 	WantRacy  []string
@@ -57,7 +57,7 @@ func All() []Pattern {
 			Name:  "unsync-counter",
 			Procs: 3,
 			Vars:  []string{"x"},
-			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]chan struct{}) {
+			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]*dsm.Gate) {
 				for i := 0; i < 3; i++ {
 					p.Write(v["x"], p.Read(v["x"])+1)
 				}
@@ -68,7 +68,7 @@ func All() []Pattern {
 			Name:  "locked-counter",
 			Procs: 3,
 			Vars:  []string{"x"},
-			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]chan struct{}) {
+			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]*dsm.Gate) {
 				for i := 0; i < 3; i++ {
 					p.Lock(0)
 					p.Write(v["x"], p.Read(v["x"])+1)
@@ -82,13 +82,13 @@ func All() []Pattern {
 			Procs: 2,
 			Vars:  []string{"data", "flag"},
 			Gates: []string{"published"},
-			Worker: func(p *dsm.Proc, v map[string]mem.Addr, g map[string]chan struct{}) {
+			Worker: func(p *dsm.Proc, v map[string]mem.Addr, g map[string]*dsm.Gate) {
 				if p.ID() == 0 {
 					p.Write(v["data"], 42)
 					p.Write(v["flag"], 1) // publish without a release
-					close(g["published"])
+					g["published"].Open()
 				} else {
-					<-g["published"] // real time only; no DSM acquire
+					p.Wait(g["published"]) // staging only; no DSM acquire
 					if p.Read(v["flag"]) != 0 {
 						_ = p.Read(v["data"])
 					}
@@ -101,15 +101,15 @@ func All() []Pattern {
 			Procs: 2,
 			Vars:  []string{"data", "flag"},
 			Gates: []string{"published"},
-			Worker: func(p *dsm.Proc, v map[string]mem.Addr, g map[string]chan struct{}) {
+			Worker: func(p *dsm.Proc, v map[string]mem.Addr, g map[string]*dsm.Gate) {
 				if p.ID() == 0 {
 					p.Lock(0)
 					p.Write(v["data"], 42)
 					p.Write(v["flag"], 1)
 					p.Unlock(0)
-					close(g["published"])
+					g["published"].Open()
 				} else {
-					<-g["published"]
+					p.Wait(g["published"])
 					p.Lock(0) // proper acquire pairing
 					if p.Read(v["flag"]) != 0 {
 						_ = p.Read(v["data"])
@@ -123,7 +123,7 @@ func All() []Pattern {
 			Name:  "barrier-phased",
 			Procs: 4,
 			Vars:  []string{"a", "b", "c", "d"},
-			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]chan struct{}) {
+			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]*dsm.Gate) {
 				mine := []string{"a", "b", "c", "d"}[p.ID()]
 				p.Write(v[mine], uint64(p.ID()))
 				p.Barrier()
@@ -138,16 +138,16 @@ func All() []Pattern {
 			Procs: 3,
 			Vars:  []string{"x"},
 			Gates: []string{"lockersDone"},
-			Worker: func(p *dsm.Proc, v map[string]mem.Addr, g map[string]chan struct{}) {
+			Worker: func(p *dsm.Proc, v map[string]mem.Addr, g map[string]*dsm.Gate) {
 				if p.ID() < 2 {
 					p.Lock(0)
 					p.Write(v["x"], p.Read(v["x"])+1)
 					p.Unlock(0)
 					if p.ID() == 0 {
-						close(g["lockersDone"])
+						g["lockersDone"].Open()
 					}
 				} else {
-					<-g["lockersDone"]
+					p.Wait(g["lockersDone"])
 					p.Write(v["x"], 99) // no lock: races with both lockers
 				}
 			},
@@ -157,7 +157,7 @@ func All() []Pattern {
 			Name:  "false-sharing-only",
 			Procs: 4,
 			Vars:  []string{"w0", "w1", "w2", "w3"},
-			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]chan struct{}) {
+			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]*dsm.Gate) {
 				mine := []string{"w0", "w1", "w2", "w3"}[p.ID()]
 				for i := 0; i < 4; i++ {
 					p.Write(v[mine], uint64(i)) // same page, disjoint words
@@ -169,7 +169,7 @@ func All() []Pattern {
 			Name:  "read-only-sharing",
 			Procs: 4,
 			Vars:  []string{"table"},
-			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]chan struct{}) {
+			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]*dsm.Gate) {
 				if p.ID() == 0 {
 					p.Write(v["table"], 7)
 				}
@@ -185,7 +185,7 @@ func All() []Pattern {
 			Procs: 3,
 			Vars:  []string{"x"},
 			Gates: []string{"h0", "h1"},
-			Worker: func(p *dsm.Proc, v map[string]mem.Addr, g map[string]chan struct{}) {
+			Worker: func(p *dsm.Proc, v map[string]mem.Addr, g map[string]*dsm.Gate) {
 				// P0 writes x under lock 0; P1 bridges lock 0 → lock 1;
 				// P2 reads x under lock 1 only. Ordering is transitive
 				// through P1, so no race.
@@ -194,16 +194,16 @@ func All() []Pattern {
 					p.Lock(0)
 					p.Write(v["x"], 1)
 					p.Unlock(0)
-					close(g["h0"])
+					g["h0"].Open()
 				case 1:
-					<-g["h0"]
+					p.Wait(g["h0"])
 					p.Lock(0)
 					p.Unlock(0)
 					p.Lock(1)
 					p.Unlock(1)
-					close(g["h1"])
+					g["h1"].Open()
 				case 2:
-					<-g["h1"]
+					p.Wait(g["h1"])
 					p.Lock(1)
 					_ = p.Read(v["x"])
 					p.Unlock(1)
@@ -216,15 +216,15 @@ func All() []Pattern {
 			Procs: 2,
 			Vars:  []string{"x"},
 			Gates: []string{"first"},
-			Worker: func(p *dsm.Proc, v map[string]mem.Addr, g map[string]chan struct{}) {
+			Worker: func(p *dsm.Proc, v map[string]mem.Addr, g map[string]*dsm.Gate) {
 				// Both sides lock — but different locks, so no ordering.
 				if p.ID() == 0 {
 					p.Lock(0)
 					p.Write(v["x"], 1)
 					p.Unlock(0)
-					close(g["first"])
+					g["first"].Open()
 				} else {
-					<-g["first"]
+					p.Wait(g["first"])
 					p.Lock(1)
 					p.Write(v["x"], 2)
 					p.Unlock(1)
@@ -237,13 +237,13 @@ func All() []Pattern {
 			Procs: 2,
 			Vars:  []string{"flag", "payload"},
 			Gates: []string{"written"},
-			Worker: func(p *dsm.Proc, v map[string]mem.Addr, g map[string]chan struct{}) {
+			Worker: func(p *dsm.Proc, v map[string]mem.Addr, g map[string]*dsm.Gate) {
 				if p.ID() == 0 {
 					p.Write(v["payload"], 11)
 					p.Write(v["flag"], 1)
-					close(g["written"])
+					g["written"].Open()
 				} else {
-					<-g["written"]
+					p.Wait(g["written"])
 					for i := 0; i < 4; i++ { // home-made spin "synchronization"
 						if p.Read(v["flag"]) != 0 {
 							break
@@ -261,7 +261,7 @@ func All() []Pattern {
 			Name:  "later-epoch-race",
 			Procs: 2,
 			Vars:  []string{"quiet", "noisy"},
-			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]chan struct{}) {
+			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]*dsm.Gate) {
 				if p.ID() == 0 {
 					p.Write(v["quiet"], 1)
 				}
@@ -276,7 +276,7 @@ func All() []Pattern {
 			Name:  "disjoint-locks-disjoint-data",
 			Procs: 4,
 			Vars:  []string{"evenCtr", "oddCtr"},
-			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]chan struct{}) {
+			Worker: func(p *dsm.Proc, v map[string]mem.Addr, _ map[string]*dsm.Gate) {
 				name := "evenCtr"
 				lock := 0
 				if p.ID()%2 == 1 {

@@ -32,9 +32,9 @@ func runPattern(t *testing.T, pt Pattern, proto dsm.ProtocolKind) (lrcRacy, hbRa
 	if err != nil {
 		t.Fatal(err)
 	}
-	gates := make(map[string]chan struct{}, len(pt.Gates))
+	gates := make(map[string]*dsm.Gate, len(pt.Gates))
 	for _, g := range pt.Gates {
-		gates[g] = make(chan struct{})
+		gates[g] = &dsm.Gate{}
 	}
 	if err := sys.Run(func(p *dsm.Proc) { pt.Worker(p, vars, gates) }); err != nil {
 		t.Fatal(err)
@@ -168,9 +168,9 @@ func TestCorpusOverTCP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gates := map[string]chan struct{}{}
+			gates := map[string]*dsm.Gate{}
 			for _, g := range pt.Gates {
-				gates[g] = make(chan struct{})
+				gates[g] = &dsm.Gate{}
 			}
 			if err := sys.Run(func(p *dsm.Proc) { pt.Worker(p, vars, gates) }); err != nil {
 				t.Fatal(err)

@@ -2,7 +2,6 @@ package tsp
 
 import (
 	"testing"
-	"time"
 
 	"lrcrace/internal/dsm"
 	"lrcrace/internal/race"
@@ -15,9 +14,6 @@ func runTSP(t *testing.T, cfg Config, procs int, detect bool) (*TSP, *dsm.System
 		NumProcs:   procs,
 		SharedSize: app.SharedBytes(),
 		Detect:     detect,
-		// Couple real scheduling to wire latency so the work queue is
-		// actually shared among processes at this tiny scale.
-		RealMsgDelay: 30 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"encoding/binary"
 	"math"
 
 	"lrcrace/internal/interval"
@@ -15,7 +16,6 @@ import (
 // analysis routine is charged (procedure call + access check) and the read
 // bit for the word is set in the current interval's bitmap.
 func (p *Proc) Read(a mem.Addr) uint64 {
-	p.mu.Lock()
 	m := &p.model
 	p.vnow += m.MemAccess
 	p.st.SharedReads++
@@ -27,15 +27,13 @@ func (p *Proc) Read(a mem.Addr) uint64 {
 	}
 	pg := p.seg.Page(a)
 	if p.state[pg] == pageInvalid {
-		p.fetchPageLocked(pg, false)
+		p.fetchPage(pg, false)
 	}
 	v := p.seg.Word(a)
 	if tr := p.tracer; tr != nil {
 		tr.Read(p.id, a)
 	}
-	doCrash := p.crashable && p.shouldCrashLocked(siteAccess)
-	p.mu.Unlock()
-	if doCrash {
+	if p.crashable && p.shouldCrash(siteAccess) {
 		p.crashNow()
 	}
 	return v
@@ -46,7 +44,6 @@ func (p *Proc) Read(a mem.Addr) uint64 {
 // write to a page in each interval takes a protection fault, which is how
 // the base DSM learns write notices without instrumentation.
 func (p *Proc) Write(a mem.Addr, v uint64) {
-	p.mu.Lock()
 	m := &p.model
 	p.vnow += m.MemAccess
 	p.st.SharedWrites++
@@ -62,7 +59,7 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 	switch p.proto {
 	case SingleWriter, EagerRC:
 		if !p.owned[pg] {
-			p.fetchPageLocked(pg, true)
+			p.fetchPage(pg, true)
 		} else if !p.writtenPages.has[pg] {
 			// Local protection fault: creates this interval's write notice.
 			p.vnow += m.PageFault
@@ -72,7 +69,7 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 		p.writtenPages.add(pg)
 	case MultiWriter:
 		if p.state[pg] == pageInvalid {
-			p.fetchPageLocked(pg, true)
+			p.fetchPage(pg, true)
 		}
 		if p.state[pg] == pageReadOnly {
 			p.vnow += m.PageFault
@@ -94,11 +91,9 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 		tr.Write(p.id, a)
 	}
 	if p.proto != MultiWriter && len(p.pendFwd[pg]) > 0 {
-		p.drainPendingFwdsLocked(pg)
+		p.drainPendingFwds(pg)
 	}
-	doCrash := p.crashable && p.shouldCrashLocked(siteAccess)
-	p.mu.Unlock()
-	if doCrash {
+	if p.crashable && p.shouldCrash(siteAccess) {
 		p.crashNow()
 	}
 }
@@ -117,10 +112,8 @@ func (p *Proc) WriteI64(a mem.Addr, v int64) { p.Write(a, uint64(v)) }
 
 // Compute charges ops units of private computation to the virtual clock.
 func (p *Proc) Compute(ops int64) {
-	p.mu.Lock()
 	p.vnow += ops * p.model.ComputeOp
 	p.st.ComputeOps += ops
-	p.mu.Unlock()
 }
 
 // PrivateAccess models n loads/stores that ATOM could not statically prove
@@ -129,7 +122,6 @@ func (p *Proc) Compute(ops int64) {
 // cost in the paper's applications ("the majority of run-time calls to our
 // analysis routines are for private, not shared, data").
 func (p *Proc) PrivateAccess(n int64) {
-	p.mu.Lock()
 	m := &p.model
 	p.vnow += n * m.MemAccess
 	p.st.PrivateAccesses += n
@@ -138,17 +130,16 @@ func (p *Proc) PrivateAccess(n int64) {
 		p.st.TProcCall += n * m.ProcCall
 		p.st.TAccessCheck += n * m.AccessCheck
 	}
-	p.mu.Unlock()
 }
 
 // --- page faults ---
 
-// fetchPageLocked services a fault on pg through its home. A write fault
+// fetchPage services a fault on pg through its home. A write fault
 // under single-writer (or ERC) asks for ownership and the current contents,
 // which the home's directory routes to the current owner; every other fault
 // fetches a read-only copy — under multi-writer the home's own, which is
 // always current.
-func (p *Proc) fetchPageLocked(pg mem.PageID, write bool) {
+func (p *Proc) fetchPage(pg mem.PageID, write bool) {
 	p.vnow += p.model.PageFault
 	wr := int64(0)
 	if write {
@@ -192,12 +183,12 @@ func (p *Proc) fetchPageLocked(pg mem.PageID, write bool) {
 	}
 }
 
-// eagerReleaseLocked performs an ERC release: broadcast invalidations for
+// eagerRelease performs an ERC release: broadcast invalidations for
 // every page written since the last release to all other processes and wait
 // for their acknowledgments. This is the eager traffic — O(P) messages per
 // release, paid whether or not anyone will ever read the data — that lazy
 // release consistency defers and piggybacks instead.
-func (p *Proc) eagerReleaseLocked() {
+func (p *Proc) eagerRelease() {
 	if len(p.pendingInval.pages) == 0 {
 		return
 	}
@@ -217,13 +208,13 @@ func (p *Proc) eagerReleaseLocked() {
 	}
 }
 
-// flushDiffsLocked computes and flushes the diffs of all twinned pages to
+// flushDiffs computes and flushes the diffs of all twinned pages to
 // their homes, waiting for acknowledgments, and write-protects written
 // pages again so the next interval re-faults. Under WritesFromDiffs the
 // diffs also provide the write bitmaps and write notices (§6.5): a word
 // overwritten with its existing value produces no diff entry and therefore
 // no notice — the paper's "slightly weaker correctness guarantee".
-func (p *Proc) flushDiffsLocked() {
+func (p *Proc) flushDiffs() {
 	if len(p.twins) == 0 && len(p.writtenPages.pages) == 0 {
 		return
 	}
@@ -262,15 +253,9 @@ func (p *Proc) flushDiffsLocked() {
 // diffPage returns the words at which page and twin differ.
 func diffPage(page, twin []byte) []msg.DiffEntry {
 	var out []msg.DiffEntry
-	for w := 0; w*mem.WordSize < len(page); w++ {
-		off := w * mem.WordSize
-		var a, b uint64
-		for i := 0; i < mem.WordSize; i++ {
-			a |= uint64(page[off+i]) << (8 * i)
-			b |= uint64(twin[off+i]) << (8 * i)
-		}
-		if a != b {
-			out = append(out, msg.DiffEntry{Word: uint32(w), Val: a})
+	for off := 0; off < len(page); off += mem.WordSize {
+		if a := binary.LittleEndian.Uint64(page[off:]); a != binary.LittleEndian.Uint64(twin[off:]) {
+			out = append(out, msg.DiffEntry{Word: uint32(off / mem.WordSize), Val: a})
 		}
 	}
 	return out
@@ -284,7 +269,7 @@ func diffPage(page, twin []byte) []msg.DiffEntry {
 // holder has seen but this process has not. Applying them invalidates
 // pages named by their write notices — the lazy part of LRC.
 func (p *Proc) Lock(id int) {
-	p.mu.Lock()
+	p.yield()
 	ls := p.lock(id)
 	if ls.holding {
 		p.protocolBug("recursive Lock(%d)", id)
@@ -300,9 +285,9 @@ func (p *Proc) Lock(id int) {
 	}
 	p.tel.Emit(p.id, telemetry.KLockAcquired, p.vnow, int64(id), int64(d.From), p.vnow-v)
 	// An acquire begins a new interval.
-	p.closeIntervalLocked()
-	p.applyIntervalsLocked(grant.Intervals)
-	p.startIntervalLocked()
+	p.closeInterval()
+	p.applyIntervals(grant.Intervals)
+	p.startInterval()
 	if tr := p.tracer; tr != nil {
 		tr.Acquire(p.id, id)
 	}
@@ -312,9 +297,7 @@ func (p *Proc) Lock(id int) {
 	// has been served (the chain passed through them to reach us); any
 	// leftover obligation was consumed by the manager's self-grant path.
 	ls.releasedUngranted = false
-	doCrash := p.shouldCrashLocked(siteLock)
-	p.mu.Unlock()
-	if doCrash {
+	if p.shouldCrash(siteLock) {
 		p.crashNow()
 	}
 }
@@ -324,7 +307,7 @@ func (p *Proc) Lock(id int) {
 // acquirer carries complete consistency information. If a forwarded
 // request is already queued, the grant is sent immediately.
 func (p *Proc) Unlock(id int) {
-	p.mu.Lock()
+	p.yield()
 	ls := p.lock(id)
 	if !ls.holding {
 		p.protocolBug("Unlock(%d) while not holding", id)
@@ -335,14 +318,14 @@ func (p *Proc) Unlock(id int) {
 	p.tel.Emit(p.id, telemetry.KLockRelease, p.vnow, int64(id), 0, 0)
 	// A release begins a new interval. Snapshot the release-time version
 	// vector first: it caps what any grant for this tenure may carry.
-	p.closeIntervalLocked()
+	p.closeInterval()
 	if p.proto == EagerRC {
 		// The ERC release may not complete (and the lock may not pass on)
 		// until every process has applied the invalidations.
-		p.eagerReleaseLocked()
+		p.eagerRelease()
 	}
 	ls.relVC = p.vcur.Copy()
-	p.startIntervalLocked()
+	p.startInterval()
 	ls.holding = false
 	ls.lastRelV = p.vnow
 	if len(ls.pending) > 0 {
@@ -355,17 +338,16 @@ func (p *Proc) Unlock(id int) {
 		if pg.arrV > v {
 			v = pg.arrV
 		}
-		p.grantLocked(id, pg.requester, pg.theirVC, ls.relVC, v)
+		p.grant(id, pg.requester, pg.theirVC, ls.relVC, v)
 	} else {
 		ls.releasedUngranted = true
 	}
-	p.mu.Unlock()
 }
 
-// grantLocked sends an AcquireGrant for lock id to requester, with the
+// grant sends an AcquireGrant for lock id to requester, with the
 // interval delta computed against the requester's version vector, capped to
 // the granter's knowledge at the time of the release being matched.
-func (p *Proc) grantLocked(id, requester int, theirs, relVC vc.VC, vtime int64) {
+func (p *Proc) grant(id, requester int, theirs, relVC vc.VC, vtime int64) {
 	var delta []*interval.Record
 	if p.proto != EagerRC {
 		// Under ERC nothing travels on acquires: invalidations already
@@ -388,13 +370,13 @@ func (p *Proc) grantLocked(id, requester int, theirs, relVC vc.VC, vtime int64) 
 // to its owners, who compare them; the root reports races with the final
 // done message.
 func (p *Proc) Barrier() {
-	p.mu.Lock()
+	p.yield()
 	p.st.Barriers++
 	// Two interval structures per barrier, as in CVM: the computation
 	// interval and the (empty) arrival interval.
-	p.closeIntervalLocked()
-	p.startIntervalLocked()
-	p.closeIntervalLocked()
+	p.closeInterval()
+	p.startInterval()
+	p.closeInterval()
 	if tr := p.tracer; tr != nil {
 		tr.BarrierArrive(p.id, p.epoch)
 	}
@@ -402,7 +384,7 @@ func (p *Proc) Barrier() {
 	if p.proto == EagerRC {
 		// Barrier arrival is a release: push the invalidations now; the
 		// arrive message then carries no consistency information.
-		p.eagerReleaseLocked()
+		p.eagerRelease()
 	}
 	arr := &msg.BarrierArrive{
 		Epoch: p.epoch,
@@ -419,7 +401,7 @@ func (p *Proc) Barrier() {
 
 	// The arrival goes to the tree parent; interior nodes (under the star,
 	// the root alone) self-address it so their own contribution enters the
-	// reduction through the same service-thread path.
+	// reduction through the same handler.
 	dest := p.id
 	if t := p.tree; t.expect == 0 {
 		dest = treeParent(p.id, t.arity)
@@ -429,7 +411,7 @@ func (p *Proc) Barrier() {
 	if rel.Epoch != p.epoch {
 		p.protocolBug("barrier release for epoch %d at epoch %d", rel.Epoch, p.epoch)
 	}
-	p.applyIntervalsLocked(rel.Intervals)
+	p.applyIntervals(rel.Intervals)
 	gvc := vcFromWire(rel.GlobalVC)
 	p.vcur.Merge(gvc)
 	if tr := p.tracer; tr != nil {
@@ -437,13 +419,12 @@ func (p *Proc) Barrier() {
 	}
 
 	if rel.NeedBitmaps {
-		if p.shouldCrashLocked(siteBitmap) {
+		if p.shouldCrash(siteBitmap) {
 			// Die between receiving the release and sending our bitmap
 			// reply, wedging the master mid-comparison.
-			p.mu.Unlock()
 			p.crashNow()
 		}
-		p.sendBitmapsLocked(rel)
+		p.sendBitmaps(rel)
 		done, _ := await[*msg.BarrierDone](p, "barrier bitmap round")
 		p.races = append(p.races, done.Races...)
 	}
@@ -455,17 +436,14 @@ func (p *Proc) Barrier() {
 	p.log.PruneBefore(gvc)
 	p.tel.Emit(p.id, telemetry.KBarrierDepart, p.vnow, int64(p.epoch), 0, p.vnow-v)
 	p.epoch++
-	p.startIntervalLocked()
+	p.startInterval()
 	if p.sys.ckpts != nil {
 		// The barrier departure is the recovery line: serialize this
-		// process's recovery state as of the start of the new epoch, then
-		// release the service thread, which has been holding back every
-		// message ordered after the departure trigger so none of them can
-		// contaminate the checkpoint (see awaitCheckpoint).
-		p.checkpointLocked()
-		p.ckptGate <- struct{}{}
+		// process's recovery state as of the start of the new epoch. The
+		// scheduler ran this coroutine the moment the departure trigger was
+		// handled, so no message ordered after it has been handled here yet.
+		p.checkpoint()
 	}
-	p.mu.Unlock()
 }
 
 // Consolidate runs a global metadata consolidation (§6.3). In CVM this
@@ -479,13 +457,13 @@ func (p *Proc) Barrier() {
 // reported (races within each consolidated batch are).
 func (p *Proc) Consolidate() { p.Barrier() }
 
-// sendBitmapsLocked returns this process's bitmaps for every check-list
+// sendBitmaps returns this process's bitmaps for every check-list
 // entry naming one of its intervals — the second barrier round. Each
 // entry's bitmaps go to its owner (process 0 when the release carries no
 // ShardOwner assignment), and every distinct owner receives exactly one —
 // possibly empty — reply, so owners can close their collection round by
 // count alone.
-func (p *Proc) sendBitmapsLocked(rel *msg.BarrierRelease) {
+func (p *Proc) sendBitmaps(rel *msg.BarrierRelease) {
 	replies := make(map[int]*msg.BitmapReply)
 	var order []int // owners in first-appearance order, for deterministic sends
 	replyTo := func(to int) *msg.BitmapReply {

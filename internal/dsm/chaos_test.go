@@ -50,22 +50,22 @@ func runFigure2(t *testing.T, s *System, p1SecondWrite, p2Write int) []race.Repo
 	t.Helper()
 	page0, _ := s.Alloc("page0", 1024)
 	addr := func(word int) mem.Addr { return page0 + mem.Addr(word*8) }
-	p1Released := make(chan struct{})
-	p2Acquired := make(chan struct{})
+	p1Released := &Gate{}
+	p2Acquired := &Gate{}
 	err := s.Run(func(p *Proc) {
 		if p.ID() == 0 {
 			p.Lock(0)
 			p.Write(addr(0), 1)
 			p.Unlock(0)
-			close(p1Released)
-			<-p2Acquired
+			p1Released.Open()
+			p.Wait(p2Acquired)
 			p.Write(addr(p1SecondWrite), 2)
 		} else {
-			<-p1Released
+			p.Wait(p1Released)
 			p.Lock(0)
 			p.Write(addr(p2Write), 3)
 			p.Unlock(0)
-			close(p2Acquired)
+			p2Acquired.Open()
 		}
 	})
 	if err != nil {
@@ -108,30 +108,30 @@ func TestChaosFigure2SameRaces(t *testing.T) {
 // paper's Figure 5 missing-synchronization queue on the given system:
 // P1 publishes without a release pairing, P2 consumes without an acquire,
 // P3 scribbles into the consumed slot afterwards. Every access is gated
-// by channels, so the race set is identical run to run.
+// by gates, so the race set is identical run to run.
 func runFigure5(t *testing.T, s *System) []race.Report {
 	t.Helper()
 	qPtr, _ := s.AllocWords("qPtr", 1)
 	qEmpty, _ := s.AllocWords("qEmpty", 1)
 	buf, _ := s.AllocWords("buf", 64)
-	p1Done := make(chan struct{})
-	p2Done := make(chan struct{})
+	p1Done := &Gate{}
+	p2Done := &Gate{}
 	err := s.Run(func(p *Proc) {
 		switch p.ID() {
 		case 0:
 			p.Write(buf+mem.Addr(32*8), 99)
 			p.Write(qPtr, 32)
 			p.Write(qEmpty, 0)
-			close(p1Done)
+			p1Done.Open()
 		case 1:
-			<-p1Done
+			p.Wait(p1Done)
 			if p.Read(qEmpty) == 0 {
 				idx := p.Read(qPtr)
 				p.Read(buf + mem.Addr(idx*8))
 			}
-			close(p2Done)
+			p2Done.Open()
 		case 2:
-			<-p2Done
+			p.Wait(p2Done)
 			p.Write(buf+mem.Addr(32*8), 7)
 		}
 	})

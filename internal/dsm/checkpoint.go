@@ -300,11 +300,11 @@ type ckptChunkStats struct {
 	logicalBytes int64 // bytes of all referenced chunks
 }
 
-// checkpointLocked serializes this process's recovery state and deposits
+// checkpoint serializes this process's recovery state and deposits
 // it in the system's checkpoint store. Called at barrier departure (after
 // epoch++ and the new interval's start, so the checkpoint is exactly the
-// state execution resumes from) with p.mu held.
-func (p *Proc) checkpointLocked() {
+// state execution resumes from).
+func (p *Proc) checkpoint() {
 	cs := p.sys.ckpts
 	start := time.Now()
 	manifest, addrs, cst := p.encodeCheckpointInto(cs.Chunks())
@@ -343,9 +343,9 @@ func chunkBitmap(b []byte) mem.Bitmap {
 // the bulky payloads into cs (nil → hash-only: the addresses are computed,
 // the contents dropped). It returns the manifest, the chunk references
 // taken (one per manifest reference; the caller owns them and hands them to
-// CheckpointStore.Put), and the encode's chunking stats. The caller holds
-// p.mu (the service thread mutates this state under the same lock, so the
-// capture is atomic with respect to message handling).
+// CheckpointStore.Put), and the encode's chunking stats. No handler runs
+// during the capture (one thread of control, sched.go), so it is atomic
+// with respect to message handling.
 func (p *Proc) encodeCheckpointInto(cs *castore.Store) ([]byte, []castore.Addr, ckptChunkStats) {
 	w := &ckptWire{Wire: msg.Wire{E: &msg.Encoder{}}, store: cs}
 	if p.id == 0 && p.sys.detector != nil {

@@ -23,9 +23,7 @@ func TestConsolidateDetectsAndPrunes(t *testing.T) {
 			}
 			p.Consolidate()
 			if p.ID() == 1 {
-				p.mu.Lock()
 				logSizes <- p.log.Len()
-				p.mu.Unlock()
 			}
 		}
 	})

@@ -79,7 +79,7 @@ func (c *CorruptionPlan) Validate() error {
 func (c *CorruptionPlan) Fired() bool { return c.fired.Load() }
 
 // maybeCorrupt fires the system's corruption plan once all processes have
-// deposited checkpoints for epoch. Called from checkpointLocked after
+// deposited checkpoints for epoch. Called from checkpoint after
 // each deposit; the CAS makes the racing depositors inject exactly once.
 func (s *System) maybeCorrupt(epoch int32) {
 	cp := s.cfg.Corruption

@@ -52,10 +52,10 @@ func (c CrashPoint) String() string {
 // (Config.Crashes) for compound faults: two victims in the same epoch, or
 // a second crash arming only once recovery has begun (DuringRecovery).
 //
-// The victim dies abruptly: its network endpoint is killed (queued traffic
-// discarded, later sends dropped on the floor) and its application thread
-// stops. Nothing is announced — survivors must detect the death through
-// reliable-link retry-cap exhaustion or the barrier wall timeout, as on
+// The victim dies abruptly: its application coroutine stops, nothing
+// delivered to it is handled any more, and it sends and acknowledges
+// nothing. Nothing is announced — survivors must detect the death through
+// reliable-link retry-cap exhaustion or a wait that can never end, as on
 // real hardware.
 type CrashPlan struct {
 	// Victim is the process to kill, in [1, NumProcs). Process 0 (the
@@ -159,9 +159,9 @@ const (
 	siteBitmap
 )
 
-// crashPanic is the typed panic a victim's application thread dies with.
-// The run loop recognizes it and — unlike every other panic — does NOT
-// shut the network down: the survivors must notice the silence themselves.
+// crashPanic is the typed panic a victim's application coroutine dies
+// with. The scheduler recognizes it and — unlike a genuine panic — does NOT
+// end the attempt: the survivors must notice the silence themselves.
 type crashPanic struct {
 	proc  int
 	point CrashPoint
@@ -171,19 +171,19 @@ func (c crashPanic) String() string {
 	return fmt.Sprintf("proc %d crashed (injected, %v)", c.proc, c.point)
 }
 
-// endpointKiller is the optional transport capability crash injection
-// needs; simnet.Network and reliable.Transport both provide it.
+// endpointKiller is the optional transport capability that silences a
+// crashed process's own sends and acknowledgments; reliable.Transport
+// provides it. (On any transport, the scheduler handles nothing more for a
+// crashed process.)
 type endpointKiller interface {
 	KillEndpoint(proc int)
 }
 
-// shouldCrashLocked consults every armed crash plan at one
-// instrumentation site. Must be called with p.mu held; the caller must
-// release p.mu before acting on a true return (crashNow panics, and a
-// panic holding p.mu would wedge the service thread). The per-process
-// site counters advance once per visit, shared by all plans targeting
-// this victim; the firing plan is recorded on the process for crashNow.
-func (p *Proc) shouldCrashLocked(site crashSite) bool {
+// shouldCrash consults every armed crash plan at one instrumentation site;
+// the caller acts on a true return with crashNow. The per-process site
+// counters advance once per visit, shared by all plans targeting this
+// victim; the firing plan is recorded on the process for crashNow.
+func (p *Proc) shouldCrash(site crashSite) bool {
 	var countedAccess, countedLock bool
 	for _, cp := range p.sys.cfg.Crashes {
 		if cp.Victim != p.id || cp.fired.Load() {
@@ -234,17 +234,15 @@ func (p *Proc) shouldCrashLocked(site crashSite) bool {
 	return false
 }
 
-// crashNow kills this process: its transport endpoint dies (discarding
-// queued traffic; the service loop exits when its Recv returns false) and
-// the application thread unwinds with a crashPanic. Called without p.mu.
+// crashNow kills this process: its transport endpoint goes silent and the
+// application coroutine unwinds with a crashPanic, upon which the
+// scheduler drops every delivery to the process.
 func (p *Proc) crashNow() {
-	p.mu.Lock()
 	v := p.vnow
 	pt := CrashMidInterval
 	if p.firedCrash != nil {
 		pt = p.firedCrash.Point
 	}
-	p.mu.Unlock()
 	p.tel.Emit(p.id, telemetry.KCrashInjected, v, int64(pt), int64(p.id), 0)
 	if k, ok := p.sys.nw.(endpointKiller); ok {
 		k.KillEndpoint(p.id)

@@ -115,12 +115,12 @@ func runLockChain(t *testing.T, s *System) {
 	counter, _ := s.AllocWords("counter", 1)
 	slots, _ := s.AllocWords("slots", n)
 	after, _ := s.AllocWords("after", 3)
-	var tok [epochs][n + 1]chan struct{}
+	var tok [epochs][n + 1]*Gate
 	for e := range tok {
 		for i := range tok[e] {
-			tok[e][i] = make(chan struct{})
+			tok[e][i] = &Gate{}
 		}
-		close(tok[e][0])
+		tok[e][0].Open()
 	}
 	err := s.Run(func(p *Proc) {
 		id := p.ID()
@@ -129,11 +129,11 @@ func runLockChain(t *testing.T, s *System) {
 			if id == n-1 {
 				p.Read(counter)
 			}
-			<-tok[e][id]
+			p.Wait(tok[e][id])
 			p.Lock(0)
 			p.Write(counter, p.Read(counter)+1)
 			p.Unlock(0)
-			close(tok[e][id+1])
+			tok[e][id+1].Open()
 			if id%3 == e {
 				p.Write(after+mem.Addr(e*8), uint64(id))
 			}
@@ -535,10 +535,8 @@ func TestTreeBlameNamesDeepVictim(t *testing.T) {
 	}
 	// Simulate the wedge by hand: p1 holds its own arrival but not p3's.
 	p1 := s.Procs()[1]
-	p1.mu.Lock()
 	p1.tree.got = 1
 	p1.tree.from[1] = true
-	p1.mu.Unlock()
 	suspect, detail := p1.barrierBlame("barrier release")
 	if suspect != 3 {
 		t.Errorf("interior blame = p%d, want p3 (detail %q)", suspect, detail)
@@ -547,11 +545,9 @@ func TestTreeBlameNamesDeepVictim(t *testing.T) {
 	// Root missing the whole left subtree cannot name one victim (both 1
 	// and 3 are uncovered) but must say which procs never contributed.
 	p0 := s.Procs()[0]
-	p0.mu.Lock()
 	p0.tree.got = 2
 	p0.tree.from[0] = true
 	p0.tree.from[2] = true
-	p0.mu.Unlock()
 	suspect, detail = p0.barrierBlame("barrier release")
 	if suspect != 1 {
 		t.Errorf("root blame = p%d, want its missing direct child p1", suspect)
@@ -594,7 +590,7 @@ func TestEarlyRoundMessagesBuffered(t *testing.T) {
 		{From: 0, Msg: &msg.BitmapReply{Epoch: 1}},
 	}
 	for _, d := range early {
-		p.handleShardRound(d)
+		p.dispatchShard(d)
 	}
 	if p.shard != nil || len(p.shardPend) != len(early) {
 		t.Fatalf("before the release: round open = %v, %d parked, want closed and %d",
@@ -603,9 +599,7 @@ func TestEarlyRoundMessagesBuffered(t *testing.T) {
 
 	rel := &msg.BarrierRelease{Epoch: 0, NeedBitmaps: true,
 		Check: []race.CheckEntry{{Page: 1}}, ShardOwner: []int32{1}}
-	p.mu.Lock()
-	p.openCheckRoundLocked(simnet.Delivery{From: 0, Msg: rel}, rel)
-	p.mu.Unlock()
+	p.openCheckRound(simnet.Delivery{From: 0, Msg: rel}, rel)
 
 	sh := p.shard
 	if sh == nil {

@@ -11,10 +11,12 @@
 //	(iii) an extra message round at barriers to retrieve word-level access
 //	      bitmaps when the check list is non-empty.
 //
-// Each DSM "process" is a goroutine pair (application thread + protocol
-// service thread) with its own private copy of the shared segment;
-// processes communicate only through serialized messages on a simulated
-// network. Two coherence protocols are provided behind one interface,
+// Each DSM "process" is a coroutine running the application, plus the
+// protocol handlers called for each message delivered to it, with its own
+// private copy of the shared segment; processes communicate only through
+// serialized messages on a simulated network. One scheduler per run
+// (sched.go) steps them all in virtual-time order, so an input has exactly
+// one interleaving. Two coherence protocols are provided behind one interface,
 // mirroring CVM's design: the single-writer ownership-migration protocol
 // the paper ran, and the multi-writer home-based diff protocol of its §6.5.
 package dsm
@@ -141,21 +143,16 @@ type Config struct {
 	// ReliableConfig tunes the sublayer's timers; zero value → defaults.
 	ReliableConfig reliable.Config
 
-	// BarrierWallTimeout, when positive, bounds the *real* time a process
-	// will wait for a barrier release (or the barrier's bitmap round). On
-	// expiry the telemetry flight recorder is tripped — preserving the
-	// events leading up to the hang — and the run aborts with an error.
-	// Zero means wait forever (the default; deterministic tests should not
-	// depend on wall-clock timing).
+	// BarrierWallTimeout, when positive, bounds the *real* time the run
+	// waits on a transport's real-time sources (tcpnet's sockets, the
+	// reliable sublayer's timers) while every process is blocked. On
+	// expiry each blocked wait fails as a timeout: the telemetry flight
+	// recorder is tripped — preserving the events leading up to the hang —
+	// and the run aborts with an error. Zero means wait forever. On the
+	// simulated network alone nothing can arrive while everything is
+	// blocked, so such a deadlock fails the same way at once, whatever
+	// this is.
 	BarrierWallTimeout time.Duration
-
-	// RealMsgDelay, when positive, makes each process's service thread
-	// sleep this long before handling a message, coupling real scheduling
-	// to the modeled wire latency. Without it a process exchanging
-	// messages only with itself (e.g. a lock manager re-acquiring its own
-	// lock) runs arbitrarily faster in real time than remote peers, which
-	// can starve centralized-work-queue applications at tiny scales.
-	RealMsgDelay time.Duration
 
 	// NoCheckpoint disables barrier-epoch checkpointing, which is ON by
 	// default: at every barrier departure each process serializes its
@@ -230,8 +227,16 @@ type Transport interface {
 	// caller may hand it live state (a page it then goes on writing).
 	Send(from, to int, m msg.Message, vtime int64) int
 	// Recv blocks for the next delivery to proc; ok is false after Close.
+	// The reliable sublayer reads the transport under it this way.
 	Recv(proc int) (simnet.Delivery, bool)
-	// Close shuts the transport down, unblocking all receivers.
+	// Next returns a delivery queued for any process, each process's in
+	// arrival order, and that process. With none queued it waits only on
+	// real-time sources (sockets, timers) — at most wait, without bound
+	// when wait is negative, not at all when it is zero — and otherwise
+	// reports why nothing came: simnet.ErrClosed, simnet.ErrQuiet (nothing
+	// can arrive: every delivery comes from Send) or simnet.ErrTimeout.
+	Next(wait time.Duration) (to int, d simnet.Delivery, err error)
+	// Close shuts the transport down, waking a waiting Next.
 	Close()
 	// Stats returns traffic counters.
 	Stats() simnet.Stats
@@ -357,7 +362,7 @@ type System struct {
 	keepCkpts bool // test seam: the store never collects an epoch
 	epochMode bool
 	recStats  RecoveryStats
-	stop      chan struct{} // closed when an attempt's app threads have all exited
+	sched     *sched // the current attempt's
 
 	recMu      sync.Mutex
 	attemptGen int          // advanced per attempt; stale detector verdicts carry an old one
@@ -438,10 +443,12 @@ func (s *System) SymbolAt(addr mem.Addr) (Symbol, bool) {
 // Symbols returns the allocation table.
 func (s *System) Symbols() []Symbol { return s.symbols }
 
-// Run executes app once per process, each on its own goroutine with its own
-// protocol service thread, and blocks until every process has finished and
-// passed the implicit final barrier (at which the last race-detection pass
-// runs). It may be called once.
+// Run executes app once per process, each as its own coroutine, and blocks
+// until every process has finished and passed the implicit final barrier
+// (at which the last race-detection pass runs). It may be called once. The
+// processes take turns on one thread, so app must not wait on another
+// process through Go synchronization (a channel, a mutex): it would wait
+// forever. A Gate orders processes without DSM synchronization.
 func (s *System) Run(app func(p *Proc)) error {
 	var err error
 	s.runOnce.Do(func() { err = s.run(app) })

@@ -58,7 +58,7 @@ func TestERCEagerInvalidation(t *testing.T) {
 	run := func(proto ProtocolKind) (staleReads int64) {
 		s := newSys(t, 2, proto, false)
 		x, _ := s.AllocWords("x", 1)
-		writerDone := make(chan struct{})
+		writerDone := &Gate{}
 		readerSaw := make(chan uint64, 1)
 		err := s.Run(func(p *Proc) {
 			if p.ID() == 0 {
@@ -69,12 +69,12 @@ func TestERCEagerInvalidation(t *testing.T) {
 				p.Lock(0)
 				p.Write(x, 2)
 				p.Unlock(0) // ERC: invalidates P1's copy right here
-				close(writerDone)
+				writerDone.Open()
 				p.Barrier()
 			} else {
 				p.Barrier()
-				_ = p.Read(x) // cache the page
-				<-writerDone  // writer's release has fully completed
+				_ = p.Read(x)      // cache the page
+				p.Wait(writerDone) // writer's release has fully completed
 				// No acquire of lock 0: under LRC this read legally
 				// returns the stale cached 1; under ERC the copy was
 				// invalidated at the writer's release, so the fault

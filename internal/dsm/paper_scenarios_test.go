@@ -20,22 +20,22 @@ func TestPaperFigure2EndToEnd(t *testing.T) {
 		// Real-time gates pin the figure's ordering: P1's release precedes
 		// P2's acquire, and P1's second write follows P2's critical section
 		// (so it cannot learn of it through any chain).
-		p1Released := make(chan struct{})
-		p2Acquired := make(chan struct{})
+		p1Released := &Gate{}
+		p2Acquired := &Gate{}
 		err := s.Run(func(p *Proc) {
 			if p.ID() == 0 { // P1
 				p.Lock(0)
 				p.Write(addr(0), 1) // w1(x)
 				p.Unlock(0)
-				close(p1Released)
-				<-p2Acquired
+				p1Released.Open()
+				p.Wait(p2Acquired)
 				p.Write(addr(p1SecondWrite), 2) // the unsynchronized second write
 			} else { // P2
-				<-p1Released
+				p.Wait(p1Released)
 				p.Lock(0) // acquire corresponding to P1's release
 				p.Write(addr(p2Write), 3)
 				p.Unlock(0)
-				close(p2Acquired)
+				p2Acquired.Open()
 			}
 		})
 		if err != nil {
@@ -70,15 +70,15 @@ func TestPaperFigure5Scenario(t *testing.T) {
 	qEmpty, _ := s.AllocWords("qEmpty", 1)
 	buf, _ := s.AllocWords("buf", 64)
 
-	p1Done := make(chan struct{})
+	p1Done := &Gate{}
 	err := s.Run(func(p *Proc) {
 		switch p.ID() {
 		case 0: // P1: publishes the queue WITHOUT a release pairing
 			p.Write(qPtr, 32)
 			p.Write(qEmpty, 0)
-			close(p1Done)
+			p1Done.Open()
 		case 1: // P2: consumes WITHOUT an acquire pairing
-			<-p1Done // real-time ordering only — invisible to the DSM
+			p.Wait(p1Done) // real-time ordering only — invisible to the DSM
 			if p.Read(qEmpty) == 0 {
 				ptr := p.Read(qPtr)
 				// On this weak-memory system the read may see the old
@@ -87,7 +87,7 @@ func TestPaperFigure5Scenario(t *testing.T) {
 				p.Write(buf+mem.Addr(ptr%40+1)*8, 2)
 			}
 		case 2: // P3: concurrent writer into the same buffer region
-			<-p1Done
+			p.Wait(p1Done)
 			for w := 0; w < 42; w++ {
 				p.Write(buf+mem.Addr(w%64)*8, 9)
 			}

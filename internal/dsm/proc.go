@@ -2,8 +2,6 @@ package dsm
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"lrcrace/internal/castore"
 	"lrcrace/internal/costmodel"
@@ -128,9 +126,10 @@ type Stats struct {
 	BitmapsCompared      int64
 }
 
-// Proc is one DSM process: an application thread running the user's code
-// against the shared-memory API, plus a protocol service thread handling
-// incoming requests, sharing state under mu.
+// Proc is one DSM process: a coroutine running the user's code against the
+// shared-memory API, and the protocol handlers the scheduler calls for each
+// message delivered to it (sched.go). Both touch its state without a lock:
+// the scheduler runs one of them at a time.
 type Proc struct {
 	sys   *System
 	id, n int
@@ -147,7 +146,6 @@ type Proc struct {
 	tracer          Tracer
 	crashable       bool // some crash plan targets this process
 
-	mu  sync.Mutex
 	seg *mem.Segment
 
 	state     []pageState
@@ -173,7 +171,15 @@ type Proc struct {
 
 	locks map[int]*lockState
 
-	replyCh chan simnet.Delivery
+	// The application coroutine and its scheduling state (sched.go).
+	resume  func() (struct{}, bool)
+	stop    func()
+	park    func(struct{}) bool
+	run     runState
+	waitOp  string            // what a blocked coroutine waits for
+	abort   any               // the panic a blocked coroutine is resumed to raise
+	replies []simnet.Delivery // handled responses the application has not taken
+	crashed bool              // an injected crash killed the process
 
 	// ckptAddr remembers, per page, the chunk address the page's copy was
 	// last deposited under (allocated at the first checkpoint). It is only
@@ -182,12 +188,6 @@ type Proc struct {
 	// the page changed, or a rollback restored older contents — costs a
 	// hash, never a wrong address.
 	ckptAddr []castore.Addr
-
-	// ckptGate carries one token per barrier departure from the application
-	// thread (sent after checkpointLocked) to the service thread, which
-	// waits for it after routing the departure-trigger message; see
-	// (*Proc).awaitCheckpoint. Buffered so the sender never blocks.
-	ckptGate chan struct{}
 
 	// Barrier arrival/reduction state (every process; see tree.go).
 	tree *treeState
@@ -233,8 +233,6 @@ func newProc(s *System, id int) *Proc {
 		store:        interval.NewBitmapStore(),
 		log:          interval.NewLog(),
 		locks:        make(map[int]*lockState),
-		replyCh:      make(chan simnet.Delivery, 16),
-		ckptGate:     make(chan struct{}, 1),
 
 		model:           costmodel.Default(),
 		proto:           s.cfg.Protocol,
@@ -281,18 +279,10 @@ func (p *Proc) ID() int { return p.id }
 func (p *Proc) N() int { return p.n }
 
 // Stats returns a snapshot of the per-process counters.
-func (p *Proc) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.st
-}
+func (p *Proc) Stats() Stats { return p.st }
 
 // VirtualTime returns the process's virtual clock.
-func (p *Proc) VirtualTime() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.vnow
-}
+func (p *Proc) VirtualTime() int64 { return p.vnow }
 
 // Races returns the races this process has been told about (identical at
 // every process once a run finishes).
@@ -302,6 +292,7 @@ func (p *Proc) home(pg mem.PageID) int { return int(pg) % p.n }
 
 // send transmits m with the given virtual send time, returning wire bytes.
 func (p *Proc) send(to int, m msg.Message, vtime int64) int {
+	p.sys.sched.quiet = false
 	return p.sys.nw.Send(p.id, to, m, vtime)
 }
 
@@ -316,15 +307,12 @@ func (p *Proc) arrival(d simnet.Delivery) int64 {
 	return d.VTime + frags*m.MsgLatency + int64(float64(d.Bytes)*m.PerByte)
 }
 
-// await is every application-thread reply wait: called with mu held, it
-// releases mu, blocks for the next response-class message, retakes mu and
-// advances the virtual clock to the reply's arrival. The reply must be an M;
-// anything else is a protocol bug. op names the wait in timeouts and bug
-// reports.
+// await is every application reply wait: it blocks for the next
+// response-class message and advances the virtual clock to the reply's
+// arrival. The reply must be an M; anything else is a protocol bug. op
+// names the wait in timeouts and bug reports.
 func await[M msg.Message](p *Proc, op string) (M, simnet.Delivery) {
-	p.mu.Unlock()
-	d := p.waitReplyTimeout(op)
-	p.mu.Lock()
+	d := p.waitReply(op)
 	m, ok := d.Msg.(M)
 	if !ok {
 		p.protocolBug("%s answered with %T", op, d.Msg)
@@ -333,37 +321,12 @@ func await[M msg.Message](p *Proc, op string) (M, simnet.Delivery) {
 	return m, d
 }
 
-// waitReplyTimeout blocks (without mu) for the next response-class message,
-// at most the configured barrier wall timeout of real time: a reply that
-// does not arrive in time panics the process with a typed timeoutPanic,
-// which aborts the run (the run loop trips the flight recorder, preserving
-// the events leading up to the hang) and — under crash recovery — doubles
-// as the failure detector. At the barrier master the panic names the
-// processes the current round has not heard from; when exactly one is
-// missing it becomes the crash suspect. A zero timeout waits forever.
-func (p *Proc) waitReplyTimeout(op string) simnet.Delivery {
-	to := p.sys.cfg.BarrierWallTimeout
-	var expired <-chan time.Time // nil, never ready, without a timeout
-	if to > 0 {
-		t := time.NewTimer(to)
-		defer t.Stop()
-		expired = t.C
-	}
-	select {
-	case d, ok := <-p.replyCh:
-		if !ok {
-			panic("dsm: network shut down while waiting for a reply")
-		}
-		return d
-	case <-expired:
-		tp := timeoutPanic{proc: p.id, op: op, timeout: to, suspect: -1}
-		tp.suspect, tp.detail = p.barrierBlame(op)
-		panic(tp)
-	}
-}
-
 // barrierBlame derives a crash suspect from the barrier round's
-// bookkeeping after a reply wait timed out on op. Only a barrier wait may
+// bookkeeping after a wait on op timed out or deadlocked (a timeoutPanic:
+// the scheduler raises one in every blocked process when nothing more can
+// arrive, or nothing did within Config.BarrierWallTimeout). At the barrier
+// master it names the processes the current round has not heard from; when
+// exactly one is missing it becomes the crash suspect. Only a barrier wait may
 // name suspects: there, a missing process has demonstrably gone silent.
 // During any other wait (a lock grant wedged by a dead holder, say) the
 // arrival ledger reflects who has merely not reached the barrier yet —
@@ -390,7 +353,6 @@ func (p *Proc) barrierBlame(op string) (suspect int, detail string) {
 		return suspect, ""
 	}
 	var direct, missing []int
-	p.mu.Lock()
 	t, sh := p.tree, p.shard
 	switch {
 	case t.got > 0 && !t.sent:
@@ -415,7 +377,6 @@ func (p *Proc) barrierBlame(op string) (suspect int, detail string) {
 		}
 		direct = missing
 	}
-	p.mu.Unlock()
 	if len(direct) == 1 {
 		suspect = direct[0]
 	}
@@ -432,16 +393,16 @@ func (p *Proc) bumpVTo(t int64) {
 	}
 }
 
-// --- interval lifecycle (application thread only) ---
+// --- interval lifecycle (application coroutine only) ---
 
-// closeIntervalLocked ends the open interval: flushes diffs (multi-writer),
+// closeInterval ends the open interval: flushes diffs (multi-writer),
 // materializes the interval record (always, even when empty — one interval
 // structure per synchronization operation, as in CVM), logs it, and queues
 // it for the next barrier-arrival message. The caller must then call
-// startIntervalLocked before any further shared access.
-func (p *Proc) closeIntervalLocked() {
+// startInterval before any further shared access.
+func (p *Proc) closeInterval() {
 	if p.proto == MultiWriter {
-		p.flushDiffsLocked()
+		p.flushDiffs()
 	}
 	var rec *interval.Record
 	id := vc.IntervalID{Proc: p.id, Index: p.curIndex}
@@ -469,16 +430,16 @@ func (p *Proc) closeIntervalLocked() {
 		int64(rec.ID.Index), int64(len(rec.WriteNotices)), int64(len(rec.ReadNotices)))
 }
 
-// startIntervalLocked begins the next interval.
-func (p *Proc) startIntervalLocked() {
+// startInterval begins the next interval.
+func (p *Proc) startInterval() {
 	p.curIndex++
 	p.vcur[p.id] = p.curIndex
 }
 
-// applyIntervalsLocked merges foreign interval records received on a
+// applyIntervals merges foreign interval records received on a
 // synchronization message: log them, advance the version vector, and
 // invalidate local copies of pages their write notices name.
-func (p *Proc) applyIntervalsLocked(recs []*interval.Record) {
+func (p *Proc) applyIntervals(recs []*interval.Record) {
 	for _, r := range recs {
 		if r.ID.Proc == p.id {
 			continue
@@ -491,15 +452,15 @@ func (p *Proc) applyIntervalsLocked(recs []*interval.Record) {
 			p.vcur[r.ID.Proc] = r.ID.Index
 		}
 		for _, pg := range r.WriteNotices {
-			p.invalidateLocked(pg)
+			p.invalidate(pg)
 		}
 	}
 }
 
-// invalidateLocked discards the local copy of pg in response to a foreign
+// invalidate discards the local copy of pg in response to a foreign
 // write notice, unless this process's copy is authoritative (single-writer
 // owner, or multi-writer home whose copy receives diffs eagerly).
-func (p *Proc) invalidateLocked(pg mem.PageID) {
+func (p *Proc) invalidate(pg mem.PageID) {
 	switch p.proto {
 	case SingleWriter, EagerRC:
 		if p.owned[pg] || p.expecting[pg] {
@@ -519,8 +480,8 @@ func (p *Proc) invalidateLocked(pg mem.PageID) {
 		// A read fetch is in flight; its reply may carry data older than
 		// this invalidation. Let the racing read complete with that legal
 		// value, but discard the copy immediately afterwards so later
-		// reads re-fetch (matters under ERC, where the service thread
-		// applies invalidations concurrently with application faults).
+		// reads re-fetch (matters under ERC, where a handler applies
+		// invalidations while the application waits on a fault).
 		p.fetchInv[pg] = true
 	}
 	p.state[pg] = pageInvalid

@@ -3,8 +3,6 @@ package dsm
 import (
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"lrcrace/internal/mem"
@@ -54,10 +52,11 @@ type RecoveryStats struct {
 	LastReason string // "link-death" or "barrier-timeout"
 }
 
-// timeoutPanic is the typed panic a reply wait raises when the barrier
-// wall timeout expires. It carries the suspected dead process when the
-// barrier master can name it (a proc missing from the arrival or
-// bitmap-round bookkeeping); -1 otherwise.
+// timeoutPanic is the typed panic a blocked wait raises when nothing more
+// can arrive (timeout 0: a deadlock) or nothing did within the barrier wall
+// timeout. It carries the suspected dead process when the barrier master
+// can name it (a proc missing from the arrival or bitmap-round
+// bookkeeping); -1 otherwise.
 type timeoutPanic struct {
 	proc    int
 	op      string
@@ -67,6 +66,9 @@ type timeoutPanic struct {
 }
 
 func (t timeoutPanic) String() string {
+	if t.timeout == 0 {
+		return fmt.Sprintf("%s timed out: deadlock, nothing runnable and nothing in flight%s", t.op, t.detail)
+	}
 	return fmt.Sprintf("%s timed out after %v%s", t.op, t.timeout, t.detail)
 }
 
@@ -88,7 +90,7 @@ type rollbackPlan struct {
 // failed epoch; see RecoveryStats for what that cost.
 //
 // appFactory is invoked once per execution attempt, so per-run state inside
-// the returned closure (channel gates, local counters) starts fresh after a
+// the returned closure (gates, local counters) starts fresh after a
 // rollback. Epoch bodies must not couple across epochs through such state:
 // recovery re-executes only the failed epoch, not the ones before it.
 func (s *System) RunEpochs(epochs int32, appFactory func() EpochFunc) error {
@@ -154,7 +156,7 @@ func (s *System) recoveryArmed() bool {
 }
 
 // --- crash suspicion (shared by the reliable sublayer's timer goroutine,
-// app-thread panic recovery, and the rollback driver) ---
+// the scheduler's panic classification, and the rollback driver) ---
 
 // resetSuspectLocked clears the suspicion state for a new attempt and
 // advances the attempt generation, which retires the previous attempt's
@@ -286,7 +288,6 @@ func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 		rt = reliable.Wrap(s.nw, n, rc)
 		s.nw = rt
 	}
-	s.stop = make(chan struct{})
 	s.procs = nil
 	if plan != nil {
 		s.procs = plan.procs // nil when the plan restarts from scratch
@@ -303,85 +304,7 @@ func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 		}
 	}
 
-	var svcWG, appWG sync.WaitGroup
-	for _, p := range s.procs {
-		svcWG.Add(1)
-		go func(p *Proc) {
-			defer svcWG.Done()
-			p.serviceLoop()
-		}(p)
-	}
-
-	// Error classes, from most to least diagnostic: a genuine bug beats the
-	// injected crash, which beats the detection timeout it provoked, which
-	// beats the secondary "network shut down" panics either induces.
-	const (
-		errShutdown = iota
-		errTimeout
-		errCrash
-		errGenuine
-	)
-	errs := make([]error, n)
-	ranks := make([]int, n)
-	for i, p := range s.procs {
-		appWG.Add(1)
-		go func(i int, p *Proc) {
-			defer appWG.Done()
-			defer func() {
-				r := recover()
-				if r == nil {
-					return
-				}
-				errs[i] = fmt.Errorf("dsm: proc %d panicked: %v", i, r)
-				switch pv := r.(type) {
-				case crashPanic:
-					ranks[i] = errCrash
-					s.noteCrash()
-					// An injected crash does NOT shut the network down:
-					// nothing announces a real machine's death either. The
-					// survivors must detect it themselves, via link
-					// retry-cap exhaustion or the barrier wall timeout.
-					return
-				case timeoutPanic:
-					ranks[i] = errTimeout
-					s.noteTimeoutVerdict(i, pv.suspect)
-					s.tel.Trip(telemetry.TripBarrierTimeout,
-						fmt.Sprintf("proc %d: %v", i, pv))
-					s.tel.Emit(i, telemetry.KCrashDetected, 0, int64(pv.suspect), 0, 0)
-				default:
-					ranks[i] = errGenuine
-					if strings.Contains(fmt.Sprint(r), "network shut down") {
-						ranks[i] = errShutdown
-					} else {
-						// Dump the flight recorder for the root cause only,
-						// not for every secondary panic it induces.
-						s.tel.Trip(telemetry.TripProcPanic,
-							fmt.Sprintf("proc %d panicked: %v", i, r))
-					}
-				}
-				// Unblock peers waiting on this process.
-				s.nw.Close()
-			}()
-			body(p)
-		}(i, p)
-	}
-	appWG.Wait()
-	// All application threads are done: break any service thread still
-	// gated on a checkpoint that will never be cut (its app thread died
-	// between popping the departure trigger and checkpointing), then shut
-	// the transport down so the service loops drain and exit.
-	close(s.stop)
-	s.nw.Close()
-	svcWG.Wait()
-
-	var best error
-	bestRank := -1
-	for i, e := range errs {
-		if e != nil && ranks[i] > bestRank {
-			best, bestRank = e, ranks[i]
-		}
-	}
-	return best
+	return s.schedule(body)
 }
 
 // --- rollback ---
@@ -477,7 +400,7 @@ func (s *System) decodeLine(re int32, n int) ([]*Proc, race.State, int64, error)
 // restoreFromPlan puts the detector back to its state at the recovery line
 // — on every rollback, a full restart included — and reconciles the
 // adopted processes' cross-process state. Runs inside attempt, before any
-// goroutine starts.
+// process starts.
 func (s *System) restoreFromPlan(plan *rollbackPlan) error {
 	if s.detector != nil {
 		s.detector.RestoreState(plan.det)

@@ -563,8 +563,8 @@ func TestBarrierResetAcrossEpochs(t *testing.T) {
 		tr.entries = []race.CheckEntry{{}}
 		tr.merged.PairComparisons = 4
 
-		p.resetTreeLocked(epochBefore)
-		p.resetTreeLocked(epochBefore) // stale: no-op
+		p.resetTree(epochBefore)
+		p.resetTree(epochBefore) // stale: no-op
 
 		if tr.epoch != epochBefore+1 {
 			t.Errorf("round %d: epoch %d, want %d", round, tr.epoch, epochBefore+1)

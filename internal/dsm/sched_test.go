@@ -1,0 +1,149 @@
+package dsm_test
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"lrcrace/internal/apps"
+	_ "lrcrace/internal/apps/tsp"
+	_ "lrcrace/internal/apps/water"
+	"lrcrace/internal/dsm"
+	"lrcrace/internal/mem"
+)
+
+// runApp runs one registered application on a fresh System and checks its
+// answer.
+func runApp(t *testing.T, name string, scale float64, procs int, proto dsm.ProtocolKind, tr dsm.Tracer) *dsm.System {
+	t.Helper()
+	app, err := apps.New(name, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := dsm.New(dsm.Config{
+		NumProcs:   procs,
+		SharedSize: app.SharedBytes(),
+		Protocol:   proto,
+		Detect:     true,
+		Tracer:     tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Setup(sys); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(app.Worker); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Verify(sys); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestSameInputSameRun: the lock applications, whose lock managers
+// serialize requests in the order they are handled, run one interleaving
+// per input. Two runs of a configuration agree on virtual time, traffic,
+// every process's counters and the race list.
+func TestSameInputSameRun(t *testing.T) {
+	for _, app := range []struct {
+		name  string
+		scale float64
+	}{{"TSP", 0.02}, {"Water", 0.25}} {
+		for _, procs := range []int{2, 4} {
+			for _, proto := range []dsm.ProtocolKind{dsm.SingleWriter, dsm.MultiWriter} {
+				t.Run(fmt.Sprintf("%s/p%d/%v", app.name, procs, proto), func(t *testing.T) {
+					a := runApp(t, app.name, app.scale, procs, proto, nil)
+					b := runApp(t, app.name, app.scale, procs, proto, nil)
+					if va, vb := a.VirtualTime(), b.VirtualTime(); va != vb {
+						t.Errorf("virtual time %d, then %d", va, vb)
+					}
+					if na, nb := a.NetStats(), b.NetStats(); na != nb {
+						t.Errorf("traffic differs:\n%+v\n%+v", na, nb)
+					}
+					for i, p := range a.Procs() {
+						if sa, sb := p.Stats(), b.Procs()[i].Stats(); sa != sb {
+							t.Errorf("p%d stats differ:\n%+v\n%+v", i, sa, sb)
+						}
+					}
+					if !reflect.DeepEqual(a.Races(), b.Races()) {
+						t.Errorf("race lists differ: %d reports, then %d", len(a.Races()), len(b.Races()))
+					}
+				})
+			}
+		}
+	}
+}
+
+// lockCounter counts each process's acquisitions of one lock.
+type lockCounter struct {
+	lock int
+	mu   sync.Mutex
+	n    map[int]int
+}
+
+func (c *lockCounter) Acquire(proc, lock int) {
+	if lock == c.lock {
+		c.mu.Lock()
+		c.n[proc]++
+		c.mu.Unlock()
+	}
+}
+func (*lockCounter) Read(int, mem.Addr)       {}
+func (*lockCounter) Write(int, mem.Addr)      {}
+func (*lockCounter) Release(int, int)         {}
+func (*lockCounter) BarrierArrive(int, int32) {}
+func (*lockCounter) BarrierDepart(int, int32) {}
+
+// TestTinyWorkQueueShared: at a scale where the work queue holds a handful
+// of prefixes, the manager of the queue lock (process 0) re-acquires it
+// without a message hop. Lock is a scheduling point, so that cannot run
+// ahead of its peers' earlier requests: every process gets the lock.
+func TestTinyWorkQueueShared(t *testing.T) {
+	for _, procs := range []int{2, 4} {
+		c := &lockCounter{lock: 0, n: map[int]int{}} // tsp.QLock
+		runApp(t, "TSP", 0.02, procs, dsm.SingleWriter, c)
+		for p := 0; p < procs; p++ {
+			if c.n[p] == 0 {
+				t.Errorf("%d procs: p%d never acquired the work-queue lock (acquires %v)", procs, p, c.n)
+			}
+		}
+	}
+}
+
+// TestDeadlockFailsFast: process 1 waits for a lock process 0 never
+// releases, with no wall timeout set. On the simulated network nothing can
+// arrive once every process is blocked, so the run fails at once with a
+// timeout-class error naming the wait, instead of hanging.
+func TestDeadlockFailsFast(t *testing.T) {
+	sys, err := dsm.New(dsm.Config{NumProcs: 2, SharedSize: mem.DefaultPageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := &dsm.Gate{}
+	start := time.Now()
+	err = sys.Run(func(p *dsm.Proc) {
+		if p.ID() == 0 {
+			p.Lock(0) // and never Unlock
+			held.Open()
+			return
+		}
+		p.Wait(held)
+		p.Lock(0)
+	})
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("deadlock took %v to surface", elapsed)
+	}
+	if err == nil || !strings.Contains(err.Error(), "timed out: deadlock") {
+		t.Fatalf("err = %v, want a deadlock timeout", err)
+	}
+	// Process 0 waits at the final barrier for process 1, which waits for
+	// the lock: the error names the wait and the process it lacks.
+	if !strings.Contains(err.Error(), "barrier release") || !strings.Contains(err.Error(), "[1]") {
+		t.Errorf("err = %v, want it to name the barrier wait and p1", err)
+	}
+}

@@ -1,8 +1,6 @@
 package dsm
 
 import (
-	"time"
-
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/simnet"
@@ -10,83 +8,47 @@ import (
 	"lrcrace/internal/vc"
 )
 
-// serviceLoop is the protocol service thread of a process: it handles
-// incoming requests (lock management and forwarding, page directory and
-// ownership, diff application, and the barrier pipeline of tree.go and
-// shard.go) and routes responses to the blocked application thread. This plays the role
-// of CVM's request handlers that the underlying system invokes around page
-// faults, synchronization and I/O.
-func (p *Proc) serviceLoop() {
-	for {
-		d, ok := p.sys.nw.Recv(p.id)
-		if !ok {
-			close(p.replyCh)
-			return
-		}
-		if delay := p.sys.cfg.RealMsgDelay; delay > 0 {
-			time.Sleep(delay)
-		}
-		switch m := d.Msg.(type) {
-		case *msg.AcquireReq:
-			p.handleAcquireReq(d, m)
-		case *msg.AcquireFwd:
-			p.handleAcquireFwd(d, m)
-		case *msg.PageReq:
-			p.handlePageReq(d, m)
-		case *msg.PageFwd:
-			p.handlePageFwd(d, m)
-		case *msg.DiffFlush:
-			p.handleDiffFlush(d, m)
-		case *msg.Inval:
-			p.handleInval(d, m)
-		case *msg.BarrierArrive:
-			p.handleBarrierArrive(d, m)
-		case *msg.TreeReduce:
-			p.handleTreeReduce(d, m)
-		case *msg.BarrierRelease:
-			p.handleBarrierRelease(d, m)
-		case *msg.BitmapReply, *msg.ShardResult:
-			p.handleShardRound(d)
-		case *msg.AcquireGrant:
-			// Consume the previous tenure's grant obligation *now*, in
-			// message order: any forward processed after this grant targets
-			// the tenure this grant begins, and must queue for its Unlock.
-			// (Clearing only when the application thread pops the grant
-			// would let a forward slip through on the stale flag and grant
-			// the lock to two processes at once.)
-			p.mu.Lock()
-			p.lock(int(m.Lock)).releasedUngranted = false
-			p.mu.Unlock()
-			p.replyCh <- d
-		case *msg.BarrierDone:
-			p.replyCh <- d
-			p.awaitCheckpoint()
-		case *msg.PageReply, *msg.DiffAck, *msg.InvalAck:
-			p.replyCh <- d
-		default:
-			p.protocolBug("unhandled message %T", d.Msg)
-		}
-	}
-}
-
-// awaitCheckpoint holds the service thread, immediately after it routed a
-// barrier-departure trigger (a BarrierRelease with no bitmap round, or a
-// BarrierDone) to the application thread, until that thread has serialized
-// its barrier-epoch checkpoint. The departure is the recovery line; without
-// this gate the service thread could apply a faster process's next-epoch
-// messages — a lock serialization at the manager, a diff flush at the home
-// — before the checkpoint is cut, leaking post-line state into it that
-// rollback reconciliation cannot undo. The application thread is
-// necessarily blocked waiting for the trigger (the barrier is fully
-// synchronous), so the wait is bounded by its local departure work; the
-// stop channel breaks the wait if that thread dies without checkpointing.
-func (p *Proc) awaitCheckpoint() {
-	if p.sys.ckpts == nil {
-		return
-	}
-	select {
-	case <-p.ckptGate:
-	case <-p.sys.stop:
+// handle is the protocol service of a process, which the scheduler calls
+// for each message delivered to it: it handles requests (lock management
+// and forwarding, page directory and ownership, diff application, and the
+// barrier pipeline of tree.go and shard.go) and hands responses to the
+// waiting application. This plays the role of CVM's request handlers that
+// the underlying system invokes around page faults, synchronization and I/O.
+func (p *Proc) handle(d simnet.Delivery) {
+	switch m := d.Msg.(type) {
+	case *msg.AcquireReq:
+		p.handleAcquireReq(d, m)
+	case *msg.AcquireFwd:
+		p.handleAcquireFwd(d, m)
+	case *msg.PageReq:
+		p.handlePageReq(d, m)
+	case *msg.PageFwd:
+		p.handlePageFwd(d, m)
+	case *msg.DiffFlush:
+		p.handleDiffFlush(d, m)
+	case *msg.Inval:
+		p.handleInval(d, m)
+	case *msg.BarrierArrive:
+		p.handleBarrierArrive(d, m)
+	case *msg.TreeReduce:
+		p.handleTreeReduce(d, m)
+	case *msg.BarrierRelease:
+		p.handleBarrierRelease(d, m)
+	case *msg.BitmapReply, *msg.ShardResult:
+		p.dispatchShard(d)
+	case *msg.AcquireGrant:
+		// Consume the previous tenure's grant obligation *now*, in message
+		// order: any forward handled after this grant targets the tenure
+		// this grant begins, and must queue for its Unlock. (Clearing only
+		// when the application takes the grant would let a forward slip
+		// through on the stale flag and grant the lock to two processes at
+		// once.)
+		p.lock(int(m.Lock)).releasedUngranted = false
+		p.reply(d)
+	case *msg.BarrierDone, *msg.PageReply, *msg.DiffAck, *msg.InvalAck:
+		p.reply(d)
+	default:
+		p.protocolBug("unhandled message %T", d.Msg)
 	}
 }
 
@@ -96,8 +58,6 @@ func (p *Proc) awaitCheckpoint() {
 // request arriving ahead of its recorded turn is deferred until the
 // recorded predecessor has been serialized.
 func (p *Proc) handleAcquireReq(d simnet.Delivery, m *msg.AcquireReq) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	id := int(m.Lock)
 	if id%p.n != p.id {
 		p.protocolBug("AcquireReq for lock %d at non-manager", id)
@@ -107,13 +67,13 @@ func (p *Proc) handleAcquireReq(d simnet.Delivery, m *msg.AcquireReq) {
 		ls.deferred = append(ls.deferred, deferredReq{d: d, m: m})
 		return
 	}
-	p.serializeAcquireLocked(d, m)
-	p.retryDeferredLocked(id)
+	p.serializeAcquire(d, m)
+	p.retryDeferred(id)
 }
 
-// serializeAcquireLocked establishes the requester as the next tenure of
+// serializeAcquire establishes the requester as the next tenure of
 // the lock and routes the grant or forward.
-func (p *Proc) serializeAcquireLocked(d simnet.Delivery, m *msg.AcquireReq) {
+func (p *Proc) serializeAcquire(d simnet.Delivery, m *msg.AcquireReq) {
 	id := int(m.Lock)
 	ls := p.lock(id)
 	arr := p.arrival(d) + p.model.Handler
@@ -124,7 +84,7 @@ func (p *Proc) serializeAcquireLocked(d simnet.Delivery, m *msg.AcquireReq) {
 		if d.From == p.id {
 			// Self-grant: consume our previous tenure's grant obligation
 			// synchronously. A later request may be routed to us via the
-			// direct localFwdLocked call below (no message hop) while this
+			// direct localFwd call below (no message hop) while this
 			// grant still sits in our own inbox; the flag must already be
 			// down by then, or that forward would be granted from the
 			// stale obligation and two processes would hold the lock.
@@ -135,7 +95,7 @@ func (p *Proc) serializeAcquireLocked(d simnet.Delivery, m *msg.AcquireReq) {
 	case ls.lastHolder == p.id:
 		// The manager itself was the last holder: grant (or queue) locally.
 		p.tel.Emit(p.id, telemetry.KLockForward, arr, int64(id), int64(d.From), int64(ls.lastHolder))
-		p.localFwdLocked(id, d.From, vcFromWire(m.VC), arr)
+		p.localFwd(id, d.From, vcFromWire(m.VC), arr)
 	default:
 		p.tel.Emit(p.id, telemetry.KLockForward, arr, int64(id), int64(d.From), int64(ls.lastHolder))
 		p.send(ls.lastHolder, &msg.AcquireFwd{Lock: m.Lock, Requester: int32(d.From), VC: m.VC}, arr)
@@ -143,9 +103,9 @@ func (p *Proc) serializeAcquireLocked(d simnet.Delivery, m *msg.AcquireReq) {
 	ls.lastHolder = d.From
 }
 
-// retryDeferredLocked re-examines replay-deferred requests; serializing one
+// retryDeferred re-examines replay-deferred requests; serializing one
 // may unblock the next.
-func (p *Proc) retryDeferredLocked(id int) {
+func (p *Proc) retryDeferred(id int) {
 	enf := p.sys.cfg.SyncEnforcer
 	if enf == nil {
 		return
@@ -156,7 +116,7 @@ func (p *Proc) retryDeferredLocked(id int) {
 		for i, dr := range ls.deferred {
 			if enf.MayProceed(id, dr.d.From) {
 				ls.deferred = append(ls.deferred[:i], ls.deferred[i+1:]...)
-				p.serializeAcquireLocked(dr.d, dr.m)
+				p.serializeAcquire(dr.d, dr.m)
 				progress = true
 				break
 			}
@@ -166,17 +126,15 @@ func (p *Proc) retryDeferredLocked(id int) {
 
 // handleAcquireFwd runs the previous-holder role for a forwarded request.
 func (p *Proc) handleAcquireFwd(d simnet.Delivery, m *msg.AcquireFwd) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	arr := p.arrival(d) + p.model.Handler
-	p.localFwdLocked(int(m.Lock), int(m.Requester), vcFromWire(m.VC), arr)
+	p.localFwd(int(m.Lock), int(m.Requester), vcFromWire(m.VC), arr)
 }
 
-// localFwdLocked routes a forwarded request at the last holder: if our most
+// localFwd routes a forwarded request at the last holder: if our most
 // recent tenure has ended and still owes a grant, this forward targets it —
 // grant now. Otherwise the forward follows our current (or upcoming)
 // tenure, so it waits for our Unlock.
-func (p *Proc) localFwdLocked(id, requester int, theirs vc.VC, arrV int64) {
+func (p *Proc) localFwd(id, requester int, theirs vc.VC, arrV int64) {
 	ls := p.lock(id)
 	if ls.releasedUngranted {
 		ls.releasedUngranted = false
@@ -184,7 +142,7 @@ func (p *Proc) localFwdLocked(id, requester int, theirs vc.VC, arrV int64) {
 		if ls.lastRelV > v {
 			v = ls.lastRelV
 		}
-		p.grantLocked(id, requester, theirs, ls.relVC, v)
+		p.grant(id, requester, theirs, ls.relVC, v)
 		return
 	}
 	if !ls.holding && !ls.awaiting {
@@ -195,8 +153,6 @@ func (p *Proc) localFwdLocked(id, requester int, theirs vc.VC, arrV int64) {
 
 // handlePageReq runs the home-directory role for a page fault.
 func (p *Proc) handlePageReq(d simnet.Delivery, m *msg.PageReq) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	pg := m.Page
 	if p.home(pg) != p.id {
 		p.protocolBug("PageReq for page %d at non-home", pg)
@@ -206,7 +162,7 @@ func (p *Proc) handlePageReq(d simnet.Delivery, m *msg.PageReq) {
 	if p.sys.cfg.Protocol == MultiWriter {
 		// The home copy is always current (diffs are flushed eagerly at
 		// releases), so serve it directly.
-		p.servePageLocked(d.From, pg, false, arr)
+		p.servePage(d.From, pg, false, arr)
 		return
 	}
 
@@ -214,7 +170,7 @@ func (p *Proc) handlePageReq(d simnet.Delivery, m *msg.PageReq) {
 	if owner == p.id {
 		switch {
 		case p.owned[pg]:
-			p.servePageLocked(d.From, pg, m.Write, arr)
+			p.servePage(d.From, pg, m.Write, arr)
 		case p.expecting[pg]:
 			// The home is itself re-acquiring ownership; serve once the
 			// transfer lands.
@@ -232,13 +188,11 @@ func (p *Proc) handlePageReq(d simnet.Delivery, m *msg.PageReq) {
 
 // handlePageFwd runs the current-owner role for a forwarded fault.
 func (p *Proc) handlePageFwd(d simnet.Delivery, m *msg.PageFwd) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	pg := m.Page
 	arr := p.arrival(d) + p.model.Handler
 	switch {
 	case p.owned[pg]:
-		p.servePageLocked(int(m.Requester), pg, m.Write, arr)
+		p.servePage(int(m.Requester), pg, m.Write, arr)
 	case p.expecting[pg]:
 		// Ownership is in flight to us; serve once it arrives.
 		p.pendFwd[pg] = append(p.pendFwd[pg], *m)
@@ -247,31 +201,30 @@ func (p *Proc) handlePageFwd(d simnet.Delivery, m *msg.PageFwd) {
 	}
 }
 
-// servePageLocked answers a fault from the local copy — the owner's, or the
+// servePage answers a fault from the local copy — the owner's, or the
 // multi-writer home's; a write fault transfers ownership (single-writer
 // migration).
-func (p *Proc) servePageLocked(requester int, pg mem.PageID, write bool, vtime int64) {
+func (p *Proc) servePage(requester int, pg mem.PageID, write bool, vtime int64) {
 	if write {
 		p.owned[pg] = false
 		p.state[pg] = pageReadOnly
 		p.tel.Emit(p.id, telemetry.KOwnershipXfer, vtime, int64(pg), int64(requester), 0)
 	}
-	// The reply carries the live page: Send serializes it before returning,
-	// and p.mu keeps every writer out until then.
+	// The reply carries the live page: Send serializes it before returning.
 	p.send(requester, &msg.PageReply{Page: pg, Ownership: write, Data: p.seg.PageBytes(pg)}, vtime)
 }
 
-// drainPendingFwdsLocked services page forwards queued while ownership was
-// in flight. Called by the application thread right after it has performed
+// drainPendingFwds services page forwards queued while ownership was
+// in flight. Called by the application right after it has performed
 // the write that faulted the page in.
-func (p *Proc) drainPendingFwdsLocked(pg mem.PageID) {
+func (p *Proc) drainPendingFwds(pg mem.PageID) {
 	pending := p.pendFwd[pg]
 	p.pendFwd[pg] = nil
 	for _, m := range pending {
 		if !p.owned[pg] {
 			p.protocolBug("lost ownership of page %d while draining forwards", pg)
 		}
-		p.servePageLocked(int(m.Requester), pg, m.Write, p.vnow)
+		p.servePage(int(m.Requester), pg, m.Write, p.vnow)
 	}
 }
 
@@ -280,8 +233,6 @@ func (p *Proc) drainPendingFwdsLocked(pg mem.PageID) {
 // is updated too so the home's own next diff contains only its own writes —
 // the standard TreadMarks trick.
 func (p *Proc) handleDiffFlush(d simnet.Delivery, m *msg.DiffFlush) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	pg := m.Page
 	if p.home(pg) != p.id {
 		p.protocolBug("DiffFlush for page %d at non-home", pg)
@@ -305,10 +256,8 @@ func (p *Proc) handleDiffFlush(d simnet.Delivery, m *msg.DiffFlush) {
 // handleInval applies an ERC release's eager invalidations and
 // acknowledges them.
 func (p *Proc) handleInval(d simnet.Delivery, m *msg.Inval) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, pg := range m.Pages {
-		p.invalidateLocked(pg)
+		p.invalidate(pg)
 	}
 	arr := p.arrival(d) + p.model.Handler
 	p.send(d.From, &msg.InvalAck{}, arr)

@@ -35,7 +35,7 @@ import (
 //
 // The round's messages can arrive ahead of the BarrierRelease that opens
 // it (the reliable layer retransmits across links independently), so early
-// deliveries park in Proc.shardPend until openCheckRoundLocked drains them.
+// deliveries park in Proc.shardPend until openCheckRound drains them.
 
 // shardState is one process's state for the current epoch's bitmap round.
 // It exists from the arrival of a BarrierRelease with NeedBitmaps until the
@@ -79,11 +79,11 @@ func (s *shardState) Bitmaps(id vc.IntervalID, p mem.PageID) (read, write mem.Bi
 // implicit heap as the barrier tree (treeParent, treeChildren), binary.
 const shardArity = 2
 
-// openCheckRoundLocked is called by the service thread, under message
-// order, when a release with NeedBitmaps arrives: it derives this process's
+// openCheckRound is called by the release handler, in message order,
+// when a release with NeedBitmaps arrives: it derives this process's
 // shard, its reply expectation, and its reduction fan-in, then drains any
 // round messages that arrived early.
-func (p *Proc) openCheckRoundLocked(d simnet.Delivery, m *msg.BarrierRelease) {
+func (p *Proc) openCheckRound(d simnet.Delivery, m *msg.BarrierRelease) {
 	if p.shard != nil {
 		p.protocolBug("release for epoch %d while epoch %d bitmap round is open", m.Epoch, p.shard.epoch)
 	}
@@ -116,42 +116,35 @@ func (p *Proc) openCheckRoundLocked(d simnet.Delivery, m *msg.BarrierRelease) {
 	pend := p.shardPend
 	p.shardPend = nil
 	for _, pd := range pend {
-		p.dispatchShardLocked(pd)
+		p.dispatchShard(pd)
 	}
-	p.advanceShardLocked()
+	p.advanceShard()
 }
 
-// bufferShardLocked parks a round message that arrived before this
+// bufferShard parks a round message that arrived before this
 // process's BarrierRelease for its epoch.
-func (p *Proc) bufferShardLocked(d simnet.Delivery) {
+func (p *Proc) bufferShard(d simnet.Delivery) {
 	p.shardPend = append(p.shardPend, d)
 }
 
-// handleShardRound is the service-thread entry for the bitmap round's two
-// messages, BitmapReply and ShardResult.
-func (p *Proc) handleShardRound(d simnet.Delivery) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.dispatchShardLocked(d)
-}
-
-// dispatchShardLocked routes a (possibly previously buffered) round message
+// dispatchShard is the handler for the bitmap round's two messages,
+// BitmapReply and ShardResult, and routes one (possibly buffered earlier)
 // against the current round's state.
-func (p *Proc) dispatchShardLocked(d simnet.Delivery) {
+func (p *Proc) dispatchShard(d simnet.Delivery) {
 	switch m := d.Msg.(type) {
 	case *msg.BitmapReply:
-		p.shardBitmapLocked(d, m)
+		p.shardBitmap(d, m)
 	case *msg.ShardResult:
-		p.shardResultLocked(d, m)
+		p.shardResult(d, m)
 	default:
 		p.protocolBug("non-round message %T in the bitmap round", d.Msg)
 	}
 }
 
-func (p *Proc) shardBitmapLocked(d simnet.Delivery, m *msg.BitmapReply) {
+func (p *Proc) shardBitmap(d simnet.Delivery, m *msg.BitmapReply) {
 	sh := p.shard
 	if sh == nil || m.Epoch > sh.epoch {
-		p.bufferShardLocked(d)
+		p.bufferShard(d)
 		return
 	}
 	if m.Epoch < sh.epoch {
@@ -204,13 +197,13 @@ func (p *Proc) shardBitmapLocked(d simnet.Delivery, m *msg.BitmapReply) {
 		p.tel.Emit(p.id, telemetry.KShardCompare, sh.localV,
 			int64(len(sh.entries)), int64(st.BitmapsCompared), work)
 	}
-	p.advanceShardLocked()
+	p.advanceShard()
 }
 
-func (p *Proc) shardResultLocked(d simnet.Delivery, m *msg.ShardResult) {
+func (p *Proc) shardResult(d simnet.Delivery, m *msg.ShardResult) {
 	sh := p.shard
 	if sh == nil || m.Epoch > sh.epoch {
-		p.bufferShardLocked(d)
+		p.bufferShard(d)
 		return
 	}
 	if m.Epoch < sh.epoch {
@@ -226,14 +219,14 @@ func (p *Proc) shardResultLocked(d simnet.Delivery, m *msg.ShardResult) {
 		sh.childV = arr
 	}
 	sh.kidsLeft--
-	p.advanceShardLocked()
+	p.advanceShard()
 }
 
-// advanceShardLocked completes this process's role in the round once its
+// advanceShard completes this process's role in the round once its
 // own shard is compared and every reduction child has reported: the root
 // folds and broadcasts; under the sharded check every other process
 // forwards its merge to its parent.
-func (p *Proc) advanceShardLocked() {
+func (p *Proc) advanceShard() {
 	sh := p.shard
 	if sh == nil || !sh.localDone || sh.kidsLeft > 0 {
 		return
@@ -241,7 +234,7 @@ func (p *Proc) advanceShardLocked() {
 	sendV := max(sh.localV, sh.childV)
 	switch {
 	case p.id == 0:
-		p.finishCheckLocked(sh, sendV)
+		p.finishCheck(sh, sendV)
 	case sh.reduce:
 		p.tel.Emit(p.id, telemetry.KShardReduce, sendV,
 			int64(sh.epoch), int64(len(sh.reports)), int64(len(treeChildren(p.id, shardArity, p.n))))
@@ -255,12 +248,12 @@ func (p *Proc) advanceShardLocked() {
 	p.shard = nil
 }
 
-// finishCheckLocked is the root's round completion: fold the round's merged
+// finishCheck is the root's round completion: fold the round's merged
 // results into the detector — restoring the canonical report order and
 // applying §6.4 filtering, so race.State (and therefore checkpoints) come
 // out the same however the check list was split — then broadcast
 // BarrierDone.
-func (p *Proc) finishCheckLocked(sh *shardState, doneV int64) {
+func (p *Proc) finishCheck(sh *shardState, doneV int64) {
 	det := p.sys.detector
 	races := det.FoldShardResults(sh.reports, race.ShardStats{
 		BitmapsCompared: int(sh.bmCmp),

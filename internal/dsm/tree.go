@@ -18,8 +18,8 @@ import (
 // the arity k; 0 is the star, arity N−1, whose only interior node is the
 // root — the paper's centralized barrier master. Every process sends its
 // BarrierArrive to its parent, interior nodes to themselves, so a node's
-// own contribution enters the reduction through the same service-thread
-// path as its children's. A node waits for its own arrival plus one
+// own contribution enters the reduction through the same handler as its
+// children's. A node waits for its own arrival plus one
 // fully-reduced contribution per child, merges their interval records and
 // vectors, runs the partial check-list build over the pairs that first meet
 // at this node (race.BuildPartialCheckList — every cross-process pair spans
@@ -132,11 +132,9 @@ func (t *treeState) clear() {
 }
 
 // handleBarrierArrive merges one process's own barrier arrival into this
-// node's reduction (service thread; interior nodes and the root only —
-// including the node's own self-addressed arrival).
+// node's reduction (interior nodes and the root only — including the node's
+// own self-addressed arrival).
 func (p *Proc) handleBarrierArrive(d simnet.Delivery, m *msg.BarrierArrive) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	t := p.tree
 	if t.expect == 0 {
 		p.protocolBug("BarrierArrive at a tree leaf")
@@ -145,14 +143,12 @@ func (p *Proc) handleBarrierArrive(d simnet.Delivery, m *msg.BarrierArrive) {
 		p.protocolBug("BarrierArrive for epoch %d during epoch %d", m.Epoch, t.epoch)
 	}
 	arrV := p.arrival(d)
-	p.treeContributeLocked(d.From, []int{d.From}, m.Intervals, vcFromWire(m.VC), arrV, arrV, nil, race.BuildStats{})
+	p.treeContribute(d.From, []int{d.From}, m.Intervals, vcFromWire(m.VC), arrV, arrV, nil, race.BuildStats{})
 }
 
 // handleTreeReduce merges a child's fully-reduced subtree into this node's
-// reduction (service thread).
+// reduction.
 func (p *Proc) handleTreeReduce(d simnet.Delivery, m *msg.TreeReduce) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	t := p.tree
 	if t.expect == 0 {
 		p.protocolBug("TreeReduce at a tree leaf")
@@ -166,14 +162,14 @@ func (p *Proc) handleTreeReduce(d simnet.Delivery, m *msg.TreeReduce) {
 		OverlappingPairs: m.OverlappingPairs,
 		NoticesScanned:   m.NoticesScanned,
 	}
-	p.treeContributeLocked(d.From, treeSubtree(d.From, t.arity, p.n),
+	p.treeContribute(d.From, treeSubtree(d.From, t.arity, p.n),
 		m.Intervals, vcFromWire(m.VC), p.arrival(d), m.MinArr, m.Entries, bst)
 }
 
-// treeContributeLocked records one contribution (an arrival or a subtree
+// treeContribute records one contribution (an arrival or a subtree
 // reduction) covering the given processes, and completes the node once
 // every expected contribution is in.
-func (p *Proc) treeContributeLocked(from int, covers []int, recs []*interval.Record,
+func (p *Proc) treeContribute(from int, covers []int, recs []*interval.Record,
 	v vc.VC, arrV, minArr int64, entries []race.CheckEntry, bst race.BuildStats) {
 	t := p.tree
 	for _, q := range covers {
@@ -195,14 +191,14 @@ func (p *Proc) treeContributeLocked(from int, covers []int, recs []*interval.Rec
 	t.merged.Add(bst)
 	t.got++
 	if t.got == t.expect {
-		p.treeCompleteLocked()
+		p.treeComplete()
 	}
 }
 
-// treeCompleteLocked runs when the node's subtree is fully reduced: the
+// treeComplete runs when the node's subtree is fully reduced: the
 // partial check-list build over this node's cross-contribution pairs, then
 // either one TreeReduce up (interior node) or the fold and release (root).
-func (p *Proc) treeCompleteLocked() {
+func (p *Proc) treeComplete() {
 	t := p.tree
 	if t.sent {
 		p.protocolBug("tree reduction for epoch %d already sent", t.epoch)
@@ -268,14 +264,13 @@ func (p *Proc) treeCompleteLocked() {
 }
 
 // handleBarrierRelease runs at every process when its copy of the release
-// arrives (service thread): forward the cascade to the tree children FIRST
-// — before resetting, so per-link FIFO keeps next-epoch contributions
-// behind this epoch's release — then reset the per-epoch tree state, open
-// the epoch's bitmap round if there is one (before the application thread
-// can observe the release, so its sendBitmaps never races an unopened
-// round), and hand the release to the application thread.
+// arrives: forward the cascade to the tree children FIRST — before
+// resetting, so per-link FIFO keeps next-epoch contributions behind this
+// epoch's release — then reset the per-epoch tree state, open the epoch's
+// bitmap round if there is one (before the application can observe the
+// release, so its sendBitmaps never meets an unopened round), and hand the
+// release to the application.
 func (p *Proc) handleBarrierRelease(d simnet.Delivery, m *msg.BarrierRelease) {
-	p.mu.Lock()
 	t := p.tree
 	// The star's root broadcasts: every copy carries the root's send time.
 	// A tree node forwards cut-through: the copy leaves one header latency
@@ -295,24 +290,18 @@ func (p *Proc) handleBarrierRelease(d simnet.Delivery, m *msg.BarrierRelease) {
 		p.tel.Emit(p.id, telemetry.KTreeRelease, p.arrival(d)+p.model.Handler,
 			int64(m.Epoch), int64(len(kids)), 0)
 	}
-	p.resetTreeLocked(m.Epoch)
+	p.resetTree(m.Epoch)
 	if m.NeedBitmaps {
-		p.openCheckRoundLocked(d, m)
+		p.openCheckRound(d, m)
 	}
-	p.mu.Unlock()
-	p.replyCh <- d
-	if !m.NeedBitmaps {
-		// The release is the departure trigger: hold the service thread
-		// until the checkpoint is cut (see awaitCheckpoint).
-		p.awaitCheckpoint()
-	}
+	p.reply(d)
 }
 
-// resetTreeLocked advances the tree state past the released epoch, clearing
+// resetTree advances the tree state past the released epoch, clearing
 // every per-epoch field so the next epoch starts from a clean slate even if
 // this round ended abnormally. Idempotent: a stale call for an
 // already-reset epoch is a no-op.
-func (p *Proc) resetTreeLocked(epoch int32) {
+func (p *Proc) resetTree(epoch int32) {
 	t := p.tree
 	if t.epoch != epoch {
 		return

@@ -61,8 +61,7 @@ type RunConfig struct {
 	// chaos apps' seed-derived crash and corruption plans.
 	Seed   int64
 	Detect bool
-	// DSM configures the simulated DSM; a zero RealMsgDelay takes the
-	// app's default (TSP needs real-latency coupling at small scales).
+	// DSM configures the simulated DSM.
 	DSM
 	// CrashMode selects deterministic crash injection for the chaos
 	// applications ("ChaosTSP", "ChaosMW"): "" or "none" (off), "single",
@@ -118,14 +117,6 @@ type Result struct {
 	// GoFront is the go-frontend result when RunConfig.Frontend was "go";
 	// Sys, Model, Det, Net, and Procs stay zero-valued for such runs.
 	GoFront *gofront.Result
-}
-
-// appDefaultDelay gives TSP its real-latency coupling by default.
-func appDefaultDelay(app string) time.Duration {
-	if app == "TSP" {
-		return 20 * time.Microsecond
-	}
-	return 0
 }
 
 // Run executes one configuration and verifies the application result.
@@ -186,9 +177,6 @@ func recorderFor(cfg RunConfig, procs int) *telemetry.Recorder {
 func dsmConfig(cfg RunConfig, sharedSize int) (dsm.Config, error) {
 	dc := cfg.DSM
 	dc.NumProcs, dc.SharedSize, dc.Detect = cfg.Procs, sharedSize, cfg.Detect
-	if dc.RealMsgDelay == 0 {
-		dc.RealMsgDelay = appDefaultDelay(cfg.App)
-	}
 	if !IsChaosApp(cfg.App) {
 		return dc, nil
 	}

@@ -30,8 +30,8 @@ import (
 	"lrcrace/internal/telemetry"
 )
 
-// Inner is the transport being wrapped (structurally identical to
-// dsm.Transport; both simnet.Network and tcpnet.Network satisfy it).
+// Inner is the transport being wrapped (dsm.Transport minus Next; both
+// simnet.Network and tcpnet.Network satisfy it).
 type Inner interface {
 	Send(from, to int, m msg.Message, vtime int64) int
 	Recv(proc int) (simnet.Delivery, bool)
@@ -95,9 +95,9 @@ type Transport struct {
 	n     int
 	cfg   Config
 
-	out  []*simnet.Queue // resequenced per-endpoint delivery queues
-	send []*sendLink     // [from*n+to]
-	recv []*recvLink     // [at*n+from]
+	out  *simnet.Inbox // resequenced deliveries, one queue per endpoint
+	send []*sendLink   // [from*n+to]
+	recv []*recvLink   // [at*n+from]
 
 	mu     sync.Mutex
 	st     simnet.Stats
@@ -117,13 +117,10 @@ func Wrap(inner Inner, n int, cfg Config) *Transport {
 		inner:  inner,
 		n:      n,
 		cfg:    cfg.withDefaults(),
-		out:    make([]*simnet.Queue, n),
+		out:    simnet.NewInbox(n, true),
 		send:   make([]*sendLink, n*n),
 		recv:   make([]*recvLink, n*n),
 		killed: make([]bool, n),
-	}
-	for i := 0; i < n; i++ {
-		t.out[i] = simnet.NewQueue()
 	}
 	for from := 0; from < n; from++ {
 		for to := 0; to < n; to++ {
@@ -436,7 +433,7 @@ func (rl *recvLink) deliverLocked(d simnet.Delivery, payload []byte) {
 		rl.t.bumpStats(func(st *simnet.Stats) { st.Errors++ })
 		return
 	}
-	rl.t.out[rl.at].Push(simnet.Delivery{
+	rl.t.out.Push(rl.at, simnet.Delivery{
 		From:  d.From,
 		VTime: d.VTime,
 		Bytes: d.Bytes,
@@ -498,7 +495,6 @@ func (t *Transport) pump(at int) {
 	for {
 		d, ok := t.inner.Recv(at)
 		if !ok {
-			t.out[at].Close()
 			return
 		}
 		switch m := d.Msg.(type) {
@@ -509,20 +505,26 @@ func (t *Transport) pump(at int) {
 			t.send[at*t.n+d.From].handleAck(m.Ack)
 		default:
 			// Self-sends (and any non-enveloped traffic) pass through.
-			t.out[at].Push(d)
+			t.out.Push(at, d)
 		}
 	}
 }
 
-// Recv implements dsm.Transport.
+// Recv blocks for proc's next resequenced delivery; ok is false after
+// Close.
 func (t *Transport) Recv(proc int) (simnet.Delivery, bool) {
-	return t.out[proc].Pop()
+	return t.out.Recv(proc)
+}
+
+// Next implements dsm.Transport. Deliveries come from the pumps and timers,
+// real-time sources, so Next waits for them (see simnet.Inbox.Next).
+func (t *Transport) Next(wait time.Duration) (int, simnet.Delivery, error) {
+	return t.out.Next(wait)
 }
 
 // KillEndpoint simulates a process crash at proc: the victim stops
-// sending (including retransmissions), its inner endpoint is killed if the
-// inner transport supports it, and its delivery queue is discarded so its
-// blocked Recv returns ok=false immediately. Links from survivors TO the
+// sending (including retransmissions) and acknowledging; what still reaches
+// it is the crashed receiver's to ignore. Links from survivors TO the
 // victim are left running on purpose — their retransmission timers are
 // exactly how the survivors detect the death (retry-cap exhaustion →
 // OnLinkDead).
@@ -545,10 +547,6 @@ func (t *Transport) KillEndpoint(proc int) {
 	for from := 0; from < t.n; from++ {
 		t.recv[proc*t.n+from].stop()
 	}
-	if k, ok := t.inner.(interface{ KillEndpoint(int) }); ok {
-		k.KillEndpoint(proc)
-	}
-	t.out[proc].Kill()
 }
 
 // Close implements dsm.Transport: stop timers, wait for the callbacks
@@ -572,9 +570,7 @@ func (t *Transport) Close() {
 	t.timers.Wait()
 	t.inner.Close()
 	t.wg.Wait()
-	for _, q := range t.out {
-		q.Close()
-	}
+	t.out.Close()
 }
 
 // Stats implements dsm.Transport. Messages/Bytes are the sublayer's own

@@ -17,16 +17,15 @@ import (
 
 // failoverPlan is the grid the dispatch tests run: deterministic apps, so
 // every execution — local pool, healthy multi-node, multi-node with a
-// kill — must produce byte-identical manifests and metrics. The real
-// message delay keeps each cell running long enough that a mid-run kill
+// kill — must produce byte-identical manifests and metrics. Scale 2 keeps
+// each FFT cell running long enough (≈ 150 ms) that a mid-run kill
 // demonstrably interrupts sessions.
 func failoverPlan() *sweep.Plan {
 	return &sweep.Plan{
-		Apps:           []string{"FFT", "SOR"},
-		Scales:         []float64{0.25},
-		Procs:          []int{2},
-		Detect:         []bool{true, false},
-		RealMsgDelayUS: 1000,
+		Apps:   []string{"FFT", "SOR"},
+		Scales: []float64{2},
+		Procs:  []int{2},
+		Detect: []bool{true, false},
 	}
 }
 

@@ -277,10 +277,10 @@ func TestTenantQuota(t *testing.T) {
 	client := NewClient(ts.URL)
 	ctx := context.Background()
 
-	// RealMsgDelayUS couples virtual message latency to real time, keeping
-	// the first session running long enough that the quota is demonstrably
-	// held while it executes (the submits below take microseconds).
-	req := RunRequest{App: "FFT", Scale: 0.25, Procs: 2, Tenant: "noisy", RealMsgDelayUS: 2000}
+	// Scale 2 keeps the first session running long enough (≈ 150 ms) that
+	// the quota is demonstrably held while it executes (the submits below
+	// take microseconds).
+	req := RunRequest{App: "FFT", Scale: 2, Procs: 2, Tenant: "noisy"}
 	first, err := client.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)

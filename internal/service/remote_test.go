@@ -59,10 +59,10 @@ func metricsDoc(t *testing.T, s *sweep.Sweep) []byte {
 // every cell ok under its own ID, with equal race counts per cell and a
 // byte-identical plan manifest. A grid whose metrics are reproducible must
 // produce the same aggregated metrics document in two local runs, and the
-// remote run must produce it too. A grid that recovers from crashes or
-// delays messages in real time has metrics that follow the host schedule
-// (two local runs may or may not agree), so it is left out of that
-// comparison, and the test log says so.
+// remote run must produce it too. A grid that recovers from crashes, over
+// the reliable sublayer's real-time timers, has metrics that follow the
+// host schedule (two local runs may or may not agree), so it is left out of
+// that comparison, and the test log says so.
 func TestRemoteDispatchByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -79,18 +79,16 @@ func TestRemoteDispatchByteIdentical(t *testing.T) {
 			}
 		}, 4, true},
 		{"chaos-seeds", chaosSeedPlan, 6, false},
-		// A non-lossy wire template and a message-delay override ride on
-		// each cell's request.
+		// A non-lossy wire template rides on each cell's request.
 		{"jitter-delay", func() *sweep.Plan {
 			return &sweep.Plan{
-				Apps:           []string{"FFT", "SOR"},
-				Scales:         []float64{0.25},
-				Procs:          []int{2},
-				Seeds:          []int64{0, 1},
-				Faults:         &sweep.FaultAxis{JitterUS: 20},
-				RealMsgDelayUS: 50,
+				Apps:   []string{"FFT", "SOR"},
+				Scales: []float64{0.25},
+				Procs:  []int{2},
+				Seeds:  []int64{0, 1},
+				Faults: &sweep.FaultAxis{JitterUS: 20},
 			}
-		}, 4, false},
+		}, 4, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)

@@ -43,23 +43,22 @@ func TestRequestCellRoundTrip(t *testing.T) {
 	goReq := func(r *RunRequest) { r.App, r.Frontend = "KV", "go" }
 	chaos := func(r *RunRequest) { r.App, r.CrashMode = "ChaosTSP", "single" }
 	set := map[string]func(r *RunRequest){
-		"Tenant":         func(r *RunRequest) { r.Tenant = "team-a" },
-		"App":            func(r *RunRequest) { r.App = "SOR" },
-		"Scale":          func(r *RunRequest) { r.Scale = 0.5 },
-		"Procs":          func(r *RunRequest) { r.Procs = 2 },
-		"Protocol":       func(r *RunRequest) { r.Protocol = "mw" },
-		"Detect":         func(r *RunRequest) { r.Detect = boolPtr(false) },
-		"Sharded":        func(r *RunRequest) { r.Sharded = true },
-		"BarrierTree":    func(r *RunRequest) { r.BarrierTree = 2 },
-		"Checkpoint":     func(r *RunRequest) { r.Checkpoint = boolPtr(false) },
-		"CrashMode":      chaos,
-		"CorruptMode":    func(r *RunRequest) { chaos(r); r.CorruptMode = "chunk" },
-		"Seed":           func(r *RunRequest) { chaos(r); r.Seed = 3 },
-		"Frontend":       goReq,
-		"HotSkew":        func(r *RunRequest) { goReq(r); r.HotSkew = 0.5 },
-		"Racy":           func(r *RunRequest) { goReq(r); r.Racy = true },
-		"Faults":         func(r *RunRequest) { r.Faults = &sweep.FaultAxis{Drop: 0.05, JitterUS: 10} },
-		"RealMsgDelayUS": func(r *RunRequest) { r.RealMsgDelayUS = 20 },
+		"Tenant":      func(r *RunRequest) { r.Tenant = "team-a" },
+		"App":         func(r *RunRequest) { r.App = "SOR" },
+		"Scale":       func(r *RunRequest) { r.Scale = 0.5 },
+		"Procs":       func(r *RunRequest) { r.Procs = 2 },
+		"Protocol":    func(r *RunRequest) { r.Protocol = "mw" },
+		"Detect":      func(r *RunRequest) { r.Detect = boolPtr(false) },
+		"Sharded":     func(r *RunRequest) { r.Sharded = true },
+		"BarrierTree": func(r *RunRequest) { r.BarrierTree = 2 },
+		"Checkpoint":  func(r *RunRequest) { r.Checkpoint = boolPtr(false) },
+		"CrashMode":   chaos,
+		"CorruptMode": func(r *RunRequest) { chaos(r); r.CorruptMode = "chunk" },
+		"Seed":        func(r *RunRequest) { chaos(r); r.Seed = 3 },
+		"Frontend":    goReq,
+		"HotSkew":     func(r *RunRequest) { goReq(r); r.HotSkew = 0.5 },
+		"Racy":        func(r *RunRequest) { goReq(r); r.Racy = true },
+		"Faults":      func(r *RunRequest) { r.Faults = &sweep.FaultAxis{Drop: 0.05, JitterUS: 10} },
 	}
 	base := RunRequest{App: "FFT"}
 	baseCell, baseCfg, err := base.Defaulted().Resolve()
@@ -109,22 +108,21 @@ func TestRequestCellRoundTripGrid(t *testing.T) {
 		plan               *sweep.Plan
 		minCells, maxCells int
 	}{{&sweep.Plan{
-		Apps:           []string{"Water", "ChaosMW", "KV"},
-		Frontends:      []string{"dsm", "go"},
-		Scales:         []float64{0.25, 1},
-		Procs:          []int{3, 4},
-		Protocols:      []string{"sw", "mw"},
-		Detect:         []bool{true, false},
-		Sharded:        []bool{false, true},
-		BarrierTrees:   []int{0, 2},
-		Checkpoint:     []bool{true, false},
-		CrashModes:     []string{"none", "double"},
-		CorruptModes:   []string{"none", "delete"},
-		HotSkews:       []float64{0, 0.8},
-		Racy:           []bool{false, true},
-		Seeds:          []int64{0, 7},
-		Faults:         &sweep.FaultAxis{Drop: 0.02, JitterUS: 5},
-		RealMsgDelayUS: 15,
+		Apps:         []string{"Water", "ChaosMW", "KV"},
+		Frontends:    []string{"dsm", "go"},
+		Scales:       []float64{0.25, 1},
+		Procs:        []int{3, 4},
+		Protocols:    []string{"sw", "mw"},
+		Detect:       []bool{true, false},
+		Sharded:      []bool{false, true},
+		BarrierTrees: []int{0, 2},
+		Checkpoint:   []bool{true, false},
+		CrashModes:   []string{"none", "double"},
+		CorruptModes: []string{"none", "delete"},
+		HotSkews:     []float64{0, 0.8},
+		Racy:         []bool{false, true},
+		Seeds:        []int64{0, 7},
+		Faults:       &sweep.FaultAxis{Drop: 0.02, JitterUS: 5},
 	}, 100, math.MaxInt}, {chaosSeedPlan(), 6, 6}, {blankCrash, 6, 6}} {
 		cells, err := tc.plan.Expand()
 		if err != nil {
@@ -196,7 +194,7 @@ func TestRequestCellIDs(t *testing.T) {
 		{RunRequest{App: "Water", Sharded: true}, "Water-s1-p4-sw-d1-sh1-ck1-seed0"},
 		{RunRequest{App: "Water", BarrierTree: 2}, "Water-s1-p4-sw-d1-sh0-ck1-bt2-seed0"},
 		{RunRequest{App: "FFT", Checkpoint: boolPtr(false)}, "FFT-s1-p4-sw-d1-sh0-ck0-seed0"},
-		{RunRequest{App: "TSP", Faults: lossy, Seed: 2, RealMsgDelayUS: 20}, "TSP-s1-p4-sw-d1-sh0-ck1-seed2"},
+		{RunRequest{App: "TSP", Faults: lossy, Seed: 2}, "TSP-s1-p4-sw-d1-sh0-ck1-seed2"},
 		{RunRequest{App: "TSP", Faults: &sweep.FaultAxis{JitterUS: 5}, Seed: 2}, "TSP-s1-p4-sw-d1-sh0-ck1-seed2"},
 		{RunRequest{App: "ChaosTSP", CrashMode: "single", CorruptMode: "chunk", Seed: 3}, "ChaosTSP-s1-p4-sw-d1-sh0-ck1-crsingle-cxchunk-seed3"},
 		{RunRequest{App: "ChaosMW", Seed: 3}, "ChaosMW-s1-p4-sw-d1-sh0-ck1-seed0"},
@@ -205,7 +203,7 @@ func TestRequestCellIDs(t *testing.T) {
 		{RunRequest{App: "Sessions", Frontend: "go", Detect: boolPtr(false), Procs: 2, Scale: 0.5}, "Sessions-s0.5-p2-sw-d0-sh0-ck1-go-seed0"},
 		// The wire template describes the simulated network; a go-frontend
 		// session has none and has always ignored it.
-		{RunRequest{App: "KV", Frontend: "go", Faults: lossy, RealMsgDelayUS: 10, Protocol: "sw", CrashMode: "none"}, "KV-s1-p4-sw-d1-sh0-ck1-go-seed0"},
+		{RunRequest{App: "KV", Frontend: "go", Faults: lossy, Protocol: "sw", CrashMode: "none"}, "KV-s1-p4-sw-d1-sh0-ck1-go-seed0"},
 	} {
 		c, _, err := tc.req.Defaulted().Resolve()
 		if err != nil {

@@ -14,13 +14,15 @@
 // Unmarshal has copied every field out; decoded interval records and their
 // version vectors come from one slab per list. Send has serialized the
 // message when it returns and keeps no reference to it — the contract
-// dsm.Transport states — so a sender may pass live state. A Queue forgets
+// dsm.Transport states — so a sender may pass live state. An Inbox forgets
 // each delivery it hands out.
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"lrcrace/internal/msg"
 	"lrcrace/internal/telemetry"
@@ -111,9 +113,9 @@ func (s Stats) TotalDuplicated() int64 {
 // Network connects n endpoints with unbounded queues. Delivery is
 // reliable, ordered FIFO by default; SetFaults makes the wire lossy.
 type Network struct {
-	n      int
-	mtu    int
-	queues []*Queue
+	n   int
+	mtu int
+	in  *Inbox
 
 	faults *FaultPlan
 	links  []*faultLink // per ordered pair, indexed from*n+to; nil without faults
@@ -142,11 +144,7 @@ func (nw *Network) SetTelemetry(tel telemetry.Scope) {
 
 // New returns a network with n endpoints, numbered 0..n-1, and DefaultMTU.
 func New(n int) *Network {
-	nw := &Network{n: n, mtu: DefaultMTU, queues: make([]*Queue, n)}
-	for i := range nw.queues {
-		nw.queues[i] = NewQueue()
-	}
-	return nw
+	return &Network{n: n, mtu: DefaultMTU, in: NewInbox(n, false)}
 }
 
 // SetMTU overrides the fragmentation threshold. It must be called before
@@ -200,7 +198,7 @@ func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
 	if nw.faults == nil || from == to {
 		// Self-sends never traverse the wire (loopback), so they are
 		// exempt from fault injection even in chaos mode.
-		nw.queues[to].Push(d)
+		nw.in.Push(to, d)
 		return size
 	}
 	nw.sendFaulty(from, to, d, m.Type(), frags, size)
@@ -209,7 +207,14 @@ func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
 
 // Recv blocks until a message for proc arrives; ok is false after Close.
 func (nw *Network) Recv(proc int) (Delivery, bool) {
-	return nw.queues[proc].Pop()
+	return nw.in.Recv(proc)
+}
+
+// Next returns a delivery queued for any endpoint, and that endpoint. Every
+// delivery comes from Send, so Next never waits: with nothing queued,
+// nothing can arrive, and the error is ErrQuiet (ErrClosed after Close).
+func (nw *Network) Next(wait time.Duration) (int, Delivery, error) {
+	return nw.in.Next(wait)
 }
 
 // Close shuts down all endpoints; blocked Recv calls return ok=false after
@@ -217,21 +222,7 @@ func (nw *Network) Recv(proc int) (Delivery, bool) {
 // holding back for reordering).
 func (nw *Network) Close() {
 	nw.flushHeld()
-	for _, q := range nw.queues {
-		q.Close()
-	}
-}
-
-// KillEndpoint simulates a process crash at proc: its queue is discarded
-// and closed, so the victim's blocked Recv returns ok=false and every
-// later Send to it is silently dropped on the floor (a packet to a dead
-// host). Other endpoints are unaffected — survivors only learn of the
-// death through their own timeouts.
-func (nw *Network) KillEndpoint(proc int) {
-	if proc < 0 || proc >= nw.n {
-		panic(fmt.Sprintf("simnet: kill invalid endpoint %d", proc))
-	}
-	nw.queues[proc].Kill()
+	nw.in.Close()
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -263,85 +254,150 @@ func PutBuf(b *[]byte) {
 	}
 }
 
-// Queue is an unbounded FIFO of deliveries with blocking Pop. Unbounded
-// capacity keeps the protocol deadlock-free regardless of traffic bursts
-// (real CVM relies on kernel socket buffering plus retransmission for the
-// same property). It is shared by every transport in the tree: simnet's
-// endpoints, tcpnet's per-endpoint inboxes, and reliable's resequenced
-// delivery queues.
-//
-// The deliveries sit in a ring that doubles when full and is otherwise
-// reused, so its capacity follows the longest the queue has been, not the
-// number of messages it has carried. Pop zeroes the slot it empties: a
-// delivered message stays reachable only from its receiver.
-type Queue struct {
+// The errors Next reports when it returns no delivery.
+var (
+	// ErrClosed: the transport was shut down and everything queued has
+	// been delivered.
+	ErrClosed = errors.New("simnet: transport closed")
+	// ErrQuiet: nothing is queued and nothing can arrive — every delivery
+	// comes from Send, so only the caller's own next step can queue one.
+	ErrQuiet = errors.New("simnet: nothing queued and nothing in flight")
+	// ErrTimeout: nothing arrived from a real-time source within the wait.
+	ErrTimeout = errors.New("simnet: nothing arrived in time")
+)
+
+// Inbox is the receive side every transport in the tree shares — simnet's
+// endpoints, tcpnet's sockets, reliable's resequenced deliveries: one FIFO
+// of deliveries per endpoint under one lock, so a reader can take the next
+// delivery of one endpoint (Recv) or of any (Next). Unbounded capacity
+// keeps the protocol deadlock-free regardless of traffic bursts (real CVM
+// relies on kernel socket buffering plus retransmission for the same
+// property). live says whether deliveries can arrive from anything but the
+// reader's own sends — a socket reader, a retransmission timer — which is
+// what Next may wait for.
+type Inbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	ring   []Delivery
-	head   int // index of the oldest delivery
-	n      int // number of deliveries queued
+	cond   *sync.Cond // broadcast on every Push and Close
+	qs     []fifo
+	queued int // deliveries in qs
 	closed bool
+	live   bool
 }
 
-// NewQueue returns an empty open queue.
-func NewQueue() *Queue {
-	q := &Queue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+// NewInbox returns an open inbox of n endpoints.
+func NewInbox(n int, live bool) *Inbox {
+	b := &Inbox{qs: make([]fifo, n), live: live}
+	b.cond = sync.NewCond(&b.mu)
+	return b
 }
 
-// Push appends d; after Close it is a no-op (a packet to a dead host).
-func (q *Queue) Push(d Delivery) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
+// Push queues d at endpoint to; after Close it is a no-op.
+func (b *Inbox) Push(to int, d Delivery) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.closed {
+		b.qs[to].push(d)
+		b.queued++
+		b.cond.Broadcast()
 	}
-	if q.n == len(q.ring) {
-		grown := make([]Delivery, max(16, 2*len(q.ring)))
-		k := copy(grown, q.ring[q.head:])
-		copy(grown[k:], q.ring[:q.head])
-		q.ring, q.head = grown, 0
-	}
-	q.ring[(q.head+q.n)%len(q.ring)] = d
-	q.n++
-	q.cond.Signal()
 }
 
-// Pop blocks for the next delivery; ok is false once the queue is closed
-// and drained.
-func (q *Queue) Pop() (Delivery, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.n == 0 && !q.closed {
-		q.cond.Wait()
+// Recv blocks for endpoint to's next delivery; ok is false once the inbox
+// is closed and that endpoint drained.
+func (b *Inbox) Recv(to int) (Delivery, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for b.qs[to].n == 0 && !b.closed {
+		b.cond.Wait()
 	}
-	if q.n == 0 {
+	d, ok := b.qs[to].pop()
+	if ok {
+		b.queued--
+	}
+	return d, ok
+}
+
+// Next returns a delivery queued for any endpoint, lowest endpoint first,
+// each endpoint's in arrival order, and that endpoint. With none queued it
+// waits for a live inbox's real-time sources — at most wait, without bound
+// when wait is negative, not at all when it is zero — and otherwise reports
+// why nothing came: ErrClosed, ErrQuiet (not live) or ErrTimeout.
+func (b *Inbox) Next(wait time.Duration) (int, Delivery, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.live || wait == 0 {
+		return b.popAnyLocked()
+	}
+	expired := false
+	if wait > 0 {
+		defer time.AfterFunc(wait, func() {
+			b.mu.Lock()
+			expired = true
+			b.cond.Broadcast()
+			b.mu.Unlock()
+		}).Stop()
+	}
+	for b.queued == 0 && !b.closed && !expired {
+		b.cond.Wait()
+	}
+	return b.popAnyLocked()
+}
+
+// popAnyLocked takes the lowest endpoint's next delivery; with none queued
+// it reports why (see Next).
+func (b *Inbox) popAnyLocked() (int, Delivery, error) {
+	for to := 0; b.queued > 0 && to < len(b.qs); to++ {
+		if d, ok := b.qs[to].pop(); ok {
+			b.queued--
+			return to, d, nil
+		}
+	}
+	switch {
+	case b.closed:
+		return -1, Delivery{}, ErrClosed
+	case !b.live:
+		return -1, Delivery{}, ErrQuiet
+	}
+	return -1, Delivery{}, ErrTimeout
+}
+
+// Close shuts every endpoint: readers drain what is queued, then return.
+func (b *Inbox) Close() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = true
+	b.cond.Broadcast()
+}
+
+// fifo is one endpoint's queue. The deliveries sit in a ring that doubles
+// when full and is otherwise reused, so its capacity follows the longest
+// the queue has been, not the number of messages it has carried. pop zeroes
+// the slot it empties: a delivered message stays reachable only from its
+// receiver.
+type fifo struct {
+	ring []Delivery
+	head int // index of the oldest delivery
+	n    int // number of deliveries queued
+}
+
+func (f *fifo) push(d Delivery) {
+	if f.n == len(f.ring) {
+		grown := make([]Delivery, max(16, 2*len(f.ring)))
+		k := copy(grown, f.ring[f.head:])
+		copy(grown[k:], f.ring[:f.head])
+		f.ring, f.head = grown, 0
+	}
+	f.ring[(f.head+f.n)%len(f.ring)] = d
+	f.n++
+}
+
+func (f *fifo) pop() (Delivery, bool) {
+	if f.n == 0 {
 		return Delivery{}, false
 	}
-	d := q.ring[q.head]
-	q.ring[q.head] = Delivery{}
-	q.head = (q.head + 1) % len(q.ring)
-	q.n--
+	d := f.ring[f.head]
+	f.ring[f.head] = Delivery{}
+	f.head = (f.head + 1) % len(f.ring)
+	f.n--
 	return d, true
-}
-
-// Close marks the queue closed and wakes blocked Pops.
-func (q *Queue) Close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
-}
-
-// Kill closes the queue and discards everything still queued, so blocked
-// Pops return ok=false immediately instead of draining — the crash-fault
-// version of Close.
-func (q *Queue) Kill() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	clear(q.ring)
-	q.head, q.n = 0, 0
-	q.closed = true
-	q.cond.Broadcast()
 }

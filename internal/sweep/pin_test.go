@@ -132,7 +132,7 @@ func TestExpandKeepsWhatValidatorAccepts(t *testing.T) {
 																r := Request{App: app, Scale: sc, Procs: pc, Protocol: proto,
 																	Detect: &det, Sharded: sh, BarrierTree: bt, Checkpoint: &ck,
 																	CrashMode: cr, CorruptMode: cx, HotSkew: hk, Racy: racy, Seed: seed,
-																	Faults: p.Faults, RealMsgDelayUS: p.RealMsgDelayUS}
+																	Faults: p.Faults}
 																if front == "go" {
 																	r.Frontend = front
 																}

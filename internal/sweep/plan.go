@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"lrcrace/internal/dsm"
 	"lrcrace/internal/harness"
@@ -89,9 +88,6 @@ type Plan struct {
 	// Faults, when non-nil, applies this fault template to every cell,
 	// with the cell's seed. Lossy templates imply the reliable sublayer.
 	Faults *FaultAxis `json:"faults,omitempty"`
-	// RealMsgDelayUS overrides the per-app real-latency coupling when
-	// nonzero (microseconds).
-	RealMsgDelayUS int64 `json:"real_msg_delay_us,omitempty"`
 }
 
 // FaultAxis is the wire-fault template a plan applies across the grid
@@ -132,9 +128,6 @@ type Request struct {
 	HotSkew  float64    `json:"hot_skew,omitempty"`
 	Racy     bool       `json:"racy,omitempty"`
 	Faults   *FaultAxis `json:"faults,omitempty"`
-	// RealMsgDelayUS overrides the per-app real-latency coupling
-	// (microseconds); 0 keeps the app default.
-	RealMsgDelayUS int64 `json:"real_msg_delay_us,omitempty"`
 }
 
 // Cell is one expanded grid point: a fully determined request with a
@@ -382,7 +375,7 @@ func (p *Plan) Expand() ([]Cell, error) {
 			Detect: ptr(d.Detect[at[5]]), Sharded: d.Sharded[at[6]], BarrierTree: d.BarrierTrees[at[7]],
 			Checkpoint: ptr(d.Checkpoint[at[8]]), CrashMode: cmp.Or(d.CrashModes[at[9]], one.CrashMode),
 			CorruptMode: cmp.Or(d.CorruptModes[at[10]], one.CorruptMode), HotSkew: hotSkews[at[11]],
-			Racy: racies[at[12]], Seed: d.Seeds[at[13]], Faults: d.Faults, RealMsgDelayUS: d.RealMsgDelayUS,
+			Racy: racies[at[12]], Seed: d.Seeds[at[13]], Faults: d.Faults,
 		}
 		if front := fronts[at[1]]; harness.IsGoFrontend(front) {
 			r.Frontend = front
@@ -428,7 +421,7 @@ func (r Request) Resolve() (Cell, harness.RunConfig, error) {
 // RunConfig builds the harness configuration for the request. Every field
 // is passed on, meaningful for the request's frontend or not, and the
 // validator — not this function — decides what a frontend cannot take. The
-// wire template (Faults, RealMsgDelayUS) describes the simulated network
+// wire template (Faults) describes the simulated network
 // and so reaches DSM runs only.
 func (r Request) RunConfig() (harness.RunConfig, error) {
 	proto, err := protocolKind(r.Protocol)
@@ -456,7 +449,6 @@ func (r Request) RunConfig() (harness.RunConfig, error) {
 	if harness.IsGoFrontend(r.Frontend) {
 		return cfg, nil
 	}
-	cfg.DSM.RealMsgDelay = time.Duration(r.RealMsgDelayUS) * time.Microsecond
 	if r.Faults != nil {
 		cfg.DSM.Faults = r.Faults.plan(r.Seed)
 		cfg.DSM.Reliable = cfg.DSM.Faults.Lossy()

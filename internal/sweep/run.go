@@ -290,7 +290,8 @@ func (p *runPanic) Error() string { return p.msg }
 // RunGuarded is the one guarded executor of a run configuration — a sweep
 // cell locally, a session in the detection service: harness.Run on its own
 // goroutine with rec as the run's recorder, so that a panic is caught and a
-// wedged run is abandoned at the timeout instead of taking the caller down.
+// wedged run is abandoned at the timeout instead of taking the caller down
+// (a deadlocked DSM run on the simulated network fails by itself at once).
 // The abandoned goroutine's System and telemetry are private to the run, so
 // the leak is bounded and cannot corrupt later runs. It returns the
 // terminal CellResult (ok, failed, panic, or timeout) under the given id
@@ -298,16 +299,6 @@ func (p *runPanic) Error() string { return p.msg }
 // when ctx was canceled first.
 func RunGuarded(ctx context.Context, id string, cfg harness.RunConfig, rec *telemetry.Recorder, timeout time.Duration, attempt int) (*CellResult, []race.Report) {
 	cfg.Recorder = rec
-	// On the DSM the deadline doubles as the barrier wall timeout, so a
-	// wedged barrier aborts itself instead of leaking a live System —
-	// except where another crash detector is in charge: the reliable
-	// sublayer's link-death detection, or a chaos app's own tight timeout,
-	// which is what notices quiet deaths (a mid-interval victim produces
-	// no link traffic) and would read as a wedged run if it were as slow
-	// as the deadline. A go run has no barrier and takes no DSM settings.
-	if !harness.IsGoFrontend(cfg.Frontend) && cfg.DSM.BarrierWallTimeout == 0 && !cfg.DSM.Reliable && !harness.IsChaosApp(cfg.App) {
-		cfg.DSM.BarrierWallTimeout = timeout
-	}
 
 	type outcome struct {
 		res *harness.Result

@@ -260,9 +260,10 @@ func TestCellFailureIsolation(t *testing.T) {
 // TestCellTimeout: a cell exceeding the deadline is recorded as timed out
 // while the rest of the grid completes.
 func TestCellTimeout(t *testing.T) {
-	// SOR at scale 0.25 finishes in milliseconds even with the Go race
-	// detector on; TSP at the same scale runs for several seconds.
-	plan := &Plan{Apps: []string{"TSP", "SOR"}, Scales: []float64{0.25}, Procs: []int{2}}
+	// SOR at scale 4 finishes in well under a second even with the Go race
+	// detector on; TSP at the same scale (14 cities) searches for several
+	// seconds.
+	plan := &Plan{Apps: []string{"TSP", "SOR"}, Scales: []float64{4}, Procs: []int{2}}
 	s, err := New(plan, Options{Workers: 2, CellTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -275,10 +276,10 @@ func TestCellTimeout(t *testing.T) {
 	for _, r := range sum.Cells {
 		status[r.ID] = r.Status
 	}
-	if got := status["TSP-s0.25-p2-sw-d1-sh0-ck1-seed0"]; got != StatusTimeout {
+	if got := status["TSP-s4-p2-sw-d1-sh0-ck1-seed0"]; got != StatusTimeout {
 		t.Errorf("TSP cell status %q, want timeout", got)
 	}
-	if got := status["SOR-s0.25-p2-sw-d1-sh0-ck1-seed0"]; got != StatusOK {
+	if got := status["SOR-s4-p2-sw-d1-sh0-ck1-seed0"]; got != StatusOK {
 		t.Errorf("SOR cell status %q, want ok (timeout must not poison the sweep)", got)
 	}
 }

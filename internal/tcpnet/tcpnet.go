@@ -18,6 +18,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"lrcrace/internal/msg"
 	"lrcrace/internal/simnet"
@@ -38,7 +39,7 @@ type Network struct {
 	conns     [][]net.Conn   // conns[from][to], nil on the diagonal
 	sendMu    [][]sync.Mutex // one writer lock per connection
 
-	queues []*simnet.Queue
+	in *simnet.Inbox
 
 	mu     sync.Mutex
 	stats  simnet.Stats
@@ -52,11 +53,7 @@ func New(n int) (*Network, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("tcpnet: n = %d", n)
 	}
-	nw := &Network{n: n, mtu: simnet.DefaultMTU}
-	nw.queues = make([]*simnet.Queue, n)
-	for i := range nw.queues {
-		nw.queues[i] = simnet.NewQueue()
-	}
+	nw := &Network{n: n, mtu: simnet.DefaultMTU, in: simnet.NewInbox(n, true)}
 	nw.conns = make([][]net.Conn, n)
 	nw.sendMu = make([][]sync.Mutex, n)
 	for i := range nw.conns {
@@ -197,7 +194,7 @@ func (nw *Network) readLoop(owner int, c net.Conn) {
 			nw.streamError() // corrupt payload
 			return
 		}
-		nw.queues[owner].Push(simnet.Delivery{
+		nw.in.Push(owner, simnet.Delivery{
 			From:  from,
 			VTime: vtime,
 			Bytes: len(payload) + frags*simnet.UDPOverhead,
@@ -249,7 +246,7 @@ func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
 		if err != nil {
 			panic(fmt.Sprintf("tcpnet: message %v does not survive the wire: %v", m.Type(), err))
 		}
-		nw.queues[to].Push(simnet.Delivery{From: from, VTime: vtime, Bytes: size, Frags: frags, Msg: parsed})
+		nw.in.Push(to, simnet.Delivery{From: from, VTime: vtime, Bytes: size, Frags: frags, Msg: parsed})
 		return size
 	}
 
@@ -274,9 +271,15 @@ func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
 	return size
 }
 
-// Recv implements dsm.Transport.
+// Recv blocks for proc's next delivery; ok is false after Close.
 func (nw *Network) Recv(proc int) (simnet.Delivery, bool) {
-	return nw.queues[proc].Pop()
+	return nw.in.Recv(proc)
+}
+
+// Next implements dsm.Transport: the socket readers are real-time sources,
+// so Next waits for them (see simnet.Inbox.Next).
+func (nw *Network) Next(wait time.Duration) (int, simnet.Delivery, error) {
+	return nw.in.Next(wait)
 }
 
 // Close implements dsm.Transport: tear down sockets and unblock receivers.
@@ -302,9 +305,7 @@ func (nw *Network) Close() {
 		}
 	}
 	nw.wg.Wait()
-	for _, q := range nw.queues {
-		q.Close()
-	}
+	nw.in.Close()
 }
 
 // Stats implements dsm.Transport.

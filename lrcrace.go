@@ -64,6 +64,10 @@ type (
 	System = dsm.System
 	// Proc is the per-process handle the worker function receives.
 	Proc = dsm.Proc
+	// Gate orders processes without DSM synchronization (Open, then
+	// Proc.Wait). Processes take turns on one thread, so a worker must not
+	// wait on another process through a Go channel or mutex.
+	Gate = dsm.Gate
 	// Protocol selects the coherence protocol.
 	Protocol = dsm.ProtocolKind
 	// Symbol names an allocated shared variable.
