@@ -50,7 +50,8 @@ type Stats struct {
 	Chunks    int   // chunks currently resident
 	LiveBytes int64 // bytes currently resident
 
-	Puts         int64 // total Put calls
+	Puts         int64 // total Put and PutAt calls
+	Hashed       int64 // of those, deposits that hashed b: every Put, and each PutAt whose hints failed
 	Hits         int64 // Puts deduplicated against a resident chunk
 	StoredBytes  int64 // bytes of chunks that were new at deposit time
 	LogicalBytes int64 // bytes across all Puts, as if nothing deduped
@@ -85,6 +86,7 @@ func (s *Store) Put(b []byte) (Addr, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Puts++
+	s.stats.Hashed++
 	s.stats.LogicalBytes += int64(len(b))
 	c := s.chunks[a]
 	switch {
@@ -105,28 +107,38 @@ func (s *Store) Put(b []byte) (Addr, bool) {
 	return a, c.refs == 1
 }
 
-// stored returns the store's own copy of b. Never nil: a nil data slice
-// marks a Delete-faulted chunk.
-func stored(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
+// stored returns the store's own copy of b, which it does not zero before
+// overwriting. Never nil: a nil data slice marks a Delete-faulted chunk.
+func stored(b []byte) []byte { return append([]byte{}, b...) }
 
-// PutAt is Put for a caller that remembers the address it last deposited
-// these bytes' predecessor under — a checkpointer re-depositing a page that
-// usually has not changed since the previous epoch. The remembered address
-// is a hint that is verified, never trusted: only if a chunk is resident at
-// hint and its bytes equal b is the deposit accounted as the dedup hit Put
-// would have found (same Stats, one more reference, same result), without
-// hashing b. Anything else — nothing at hint, a Deleted or Tampered chunk,
-// different contents — is an ordinary Put, so damaged chunks are healed and
-// counted exactly as without the hint.
-func (s *Store) PutAt(hint Addr, b []byte) (Addr, bool) {
+// PutAt is Put for a caller that remembers where these bytes may already
+// live: own, the address it last deposited their predecessor under (a
+// checkpointer re-depositing a page that usually has not changed since the
+// previous epoch), and shared, the address anyone last deposited under for
+// the same purpose (another process's copy of the same page, deposited at
+// the same barrier). Both are hints that are verified, never trusted: only
+// if a chunk is resident at a hint and its bytes equal b is the deposit
+// accounted as the dedup hit Put would have found (same Stats bar Hashed,
+// one more reference, same result), without hashing b. Anything else —
+// nothing at either hint, a Deleted or Tampered chunk, different contents —
+// is an ordinary Put, so damaged chunks are healed and counted exactly as
+// without the hints.
+func (s *Store) PutAt(own, shared Addr, b []byte) (Addr, bool) {
+	hints := [2]Addr{own, shared}
+	n := len(hints)
+	if shared == own {
+		n = 1
+	}
 	s.mu.Lock()
-	if c := s.chunks[hint]; c != nil && c.data != nil && bytes.Equal(c.data, b) {
-		s.stats.Puts++
-		s.stats.LogicalBytes += int64(len(b))
-		s.stats.Hits++
-		c.refs++
-		s.mu.Unlock()
-		return hint, false
+	for _, hint := range hints[:n] {
+		if c := s.chunks[hint]; c != nil && c.data != nil && bytes.Equal(c.data, b) {
+			s.stats.Puts++
+			s.stats.LogicalBytes += int64(len(b))
+			s.stats.Hits++
+			c.refs++
+			s.mu.Unlock()
+			return hint, false
+		}
 	}
 	s.mu.Unlock()
 	return s.Put(b)

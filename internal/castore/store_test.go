@@ -174,20 +174,24 @@ func storeImage(s *Store) (Stats, map[Addr]chunk) {
 	return s.stats, img
 }
 
-// TestPutAtMatchesPut: a depositor that remembers addresses (PutAt) and one
-// that does not (Put) leave byte-identical stores — Stats, refcounts,
-// resident data and every returned (address, new) pair — across deposits,
-// fault injection and release, whether the remembered address is right,
-// stale, or nonsense. The hint buys speed, never a different answer.
+// TestPutAtMatchesPut: depositors that remember addresses (PutAt, each
+// with its own hint per slot and one hint per slot shared by both) and one
+// that does not (Put) leave byte-identical stores — Stats bar Hashed,
+// refcounts, resident data and every returned (address, new) pair — across
+// deposits, fault injection and release, whether either remembered address
+// is right, stale, or nonsense. The hints buy hashes saved, never a
+// different answer.
 func TestPutAtMatchesPut(t *testing.T) {
 	A, B, C := []byte("page contents A"), []byte("page contents B"), []byte("page contents C, longer")
 	empty := []byte{}
 	type op struct {
-		kind    string // put | hint | tamper | delete | unref | drain
-		slot    int    // put: which remembered address to offer and update
+		kind    string // put | hint | shared | tamper | delete | unref | drain
+		slot    int    // put, hint, shared: which remembered addresses to offer and update
 		content []byte
+		who     int // put, hint: which of the two depositors
 	}
-	put := func(slot int, b []byte) op { return op{"put", slot, b} }
+	put := func(slot int, b []byte) op { return op{"put", slot, b, 0} }
+	put1 := func(slot int, b []byte) op { return op{"put", slot, b, 1} }
 	cases := []struct {
 		name string
 		ops  []op
@@ -195,23 +199,29 @@ func TestPutAtMatchesPut(t *testing.T) {
 		{"unchanged page re-deposited", []op{put(0, A), put(0, A), put(0, A)}},
 		{"page changes then changes back", []op{put(0, A), put(0, B), put(0, A), put(0, A)}},
 		{"two pages share contents", []op{put(0, A), put(1, A), put(0, A), put(1, B), put(1, A)}},
-		{"tampered chunk healed by the next true deposit", []op{put(0, A), {"tamper", 0, A}, put(0, A), put(0, A)}},
-		{"deleted chunk healed by the next true deposit", []op{put(0, A), {"delete", 0, A}, put(0, A), put(0, A)}},
-		{"hint freed by unref-to-zero", []op{put(0, A), {"drain", 0, A}, put(0, A), put(0, A)}},
-		{"one reference dropped, chunk stays", []op{put(0, A), put(0, A), {"unref", 0, A}, put(0, A)}},
-		{"stale hint names other resident contents", []op{put(0, A), put(1, B), {"hint", 0, B}, put(0, A), {"hint", 1, C}, put(1, B)}},
-		{"stale hint after tamper of the other chunk", []op{put(0, A), put(1, B), {"tamper", 0, B}, {"hint", 0, B}, put(0, A), put(1, B)}},
-		{"empty chunk, deleted and healed", []op{put(0, empty), put(0, empty), {"delete", 0, empty}, put(0, empty), {"tamper", 0, empty}, put(0, empty)}},
-		{"tamper, unref to zero, deposit again", []op{put(0, A), {"tamper", 0, A}, {"drain", 0, A}, put(0, A)}},
+		{"tampered chunk healed by the next true deposit", []op{put(0, A), {"tamper", 0, A, 0}, put(0, A), put(0, A)}},
+		{"deleted chunk healed by the next true deposit", []op{put(0, A), {"delete", 0, A, 0}, put(0, A), put(0, A)}},
+		{"hint freed by unref-to-zero", []op{put(0, A), {"drain", 0, A, 0}, put(0, A), put(0, A)}},
+		{"one reference dropped, chunk stays", []op{put(0, A), put(0, A), {"unref", 0, A, 0}, put(0, A)}},
+		{"stale hint names other resident contents", []op{put(0, A), put(1, B), {"hint", 0, B, 0}, put(0, A), {"hint", 1, C, 0}, put(1, B)}},
+		{"stale hint after tamper of the other chunk", []op{put(0, A), put(1, B), {"tamper", 0, B, 0}, {"hint", 0, B, 0}, put(0, A), put(1, B)}},
+		{"empty chunk, deleted and healed", []op{put(0, empty), put(0, empty), {"delete", 0, empty, 0}, put(0, empty), {"tamper", 0, empty, 0}, put(0, empty)}},
+		{"tamper, unref to zero, deposit again", []op{put(0, A), {"tamper", 0, A, 0}, {"drain", 0, A, 0}, put(0, A)}},
+		{"second depositor finds the first's copy", []op{put(0, A), put1(0, A), put(0, B), put1(0, B), put1(0, B)}},
+		{"second depositor's copy differs", []op{put(0, A), put1(0, B), put(0, A), put1(0, A)}},
+		{"shared hint tampered, own hint empty", []op{put(0, A), {"tamper", 0, A, 0}, put1(0, A), put1(0, A)}},
+		{"shared hint deleted", []op{put(0, A), {"delete", 0, A, 0}, put1(0, A), put(0, A)}},
+		{"shared hint names other resident contents", []op{put(0, A), put(1, B), {"shared", 0, B, 0}, put1(0, A), {"shared", 1, C, 0}, put1(1, B)}},
+		{"both hints wrong", []op{put(0, A), put(1, B), {"hint", 0, B, 1}, {"shared", 0, B, 0}, put1(0, A), put1(0, A)}},
 	}
 	// Plus seeded random sequences over the same alphabet.
 	rng := rand.New(rand.NewSource(13))
 	contents := [][]byte{A, B, C, empty}
-	kinds := []string{"put", "put", "put", "put", "hint", "tamper", "delete", "unref", "drain"}
+	kinds := []string{"put", "put", "put", "put", "hint", "shared", "tamper", "delete", "unref", "drain"}
 	for i := 0; i < 200; i++ {
 		var ops []op
 		for j := 0; j < 30; j++ {
-			ops = append(ops, op{kinds[rng.Intn(len(kinds))], rng.Intn(3), contents[rng.Intn(len(contents))]})
+			ops = append(ops, op{kinds[rng.Intn(len(kinds))], rng.Intn(3), contents[rng.Intn(len(contents))], rng.Intn(2)})
 		}
 		cases = append(cases, struct {
 			name string
@@ -222,22 +232,26 @@ func TestPutAtMatchesPut(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			plain, hinted := New(), New()
-			var hints [3]Addr
+			var own [2][3]Addr
+			var shared [3]Addr
 			for i, o := range tc.ops {
 				a := Sum(o.content)
 				switch o.kind {
 				case "put":
 					wa, wnew := plain.Put(o.content)
-					ga, gnew := hinted.PutAt(hints[o.slot], o.content)
+					ga, gnew := hinted.PutAt(own[o.who][o.slot], shared[o.slot], o.content)
 					if ga != wa || gnew != wnew {
 						t.Fatalf("op %d: PutAt = %v,%v; Put = %v,%v", i, ga, gnew, wa, wnew)
 					}
 					if ga != a {
 						t.Fatalf("op %d: deposit of %q answered with address %v, contents hash to %v", i, o.content, ga, a)
 					}
-					hints[o.slot] = ga
+					own[o.who][o.slot] = ga
+					shared[o.slot] = ga
 				case "hint":
-					hints[o.slot] = a
+					own[o.who][o.slot] = a
+				case "shared":
+					shared[o.slot] = a
 				case "tamper":
 					if g, w := hinted.Tamper(a), plain.Tamper(a); g != w {
 						t.Fatalf("op %d: Tamper = %v vs %v", i, g, w)
@@ -257,6 +271,10 @@ func TestPutAtMatchesPut(t *testing.T) {
 				}
 				wst, wimg := storeImage(plain)
 				gst, gimg := storeImage(hinted)
+				if wst.Hashed != wst.Puts || gst.Hashed > wst.Hashed {
+					t.Fatalf("op %d (%s): Hashed %d of %d Puts, %d of %d PutAts", i, o.kind, wst.Hashed, wst.Puts, gst.Hashed, gst.Puts)
+				}
+				wst.Hashed, gst.Hashed = 0, 0
 				if gst != wst {
 					t.Fatalf("op %d (%s): Stats diverge:\n PutAt %+v\n Put   %+v", i, o.kind, gst, wst)
 				}
@@ -274,9 +292,9 @@ func TestPutAtMatchesPut(t *testing.T) {
 func TestPutHealCounted(t *testing.T) {
 	s := New()
 	b := bytes.Repeat([]byte{0xab}, 4096)
-	a, _ := s.PutAt(Addr{}, b)
+	a, _ := s.PutAt(Addr{}, Addr{}, b)
 	s.Tamper(a)
-	if got, _ := s.PutAt(a, b); got != a {
+	if got, _ := s.PutAt(a, Addr{}, b); got != a {
 		t.Fatalf("healing PutAt answered %v, want %v", got, a)
 	}
 	if st := s.Stats(); st.Heals != 1 || st.Hits != 1 {
@@ -285,15 +303,17 @@ func TestPutHealCounted(t *testing.T) {
 	if got, err := s.Get(a); err != nil || !bytes.Equal(got, b) {
 		t.Fatalf("Get after heal: %v", err)
 	}
-	s.PutAt(a, b)
-	if st := s.Stats(); st.Heals != 1 || st.Hits != 2 || st.Puts != 3 || st.LogicalBytes != 3*4096 {
-		t.Fatalf("after clean hit: %+v", st)
+	s.PutAt(a, Addr{}, b)
+	s.PutAt(Addr{}, a, b)
+	if st := s.Stats(); st.Heals != 1 || st.Hits != 3 || st.Puts != 4 || st.LogicalBytes != 4*4096 || st.Hashed != 2 {
+		t.Fatalf("after clean hits at either hint: %+v, want only the first deposit and the heal hashed", st)
 	}
 	// A clean hit keeps nothing of the caller's buffer and allocates nothing,
 	// with or without the remembered address.
 	for name, deposit := range map[string]func(){
-		"PutAt": func() { s.PutAt(a, b) },
-		"Put":   func() { s.Put(b) },
+		"PutAt":              func() { s.PutAt(a, Addr{}, b) },
+		"PutAt, shared hint": func() { s.PutAt(Addr{}, a, b) },
+		"Put":                func() { s.Put(b) },
 	} {
 		if n := testing.AllocsPerRun(100, deposit); n != 0 {
 			t.Errorf("%s of a resident chunk: %v allocs per run, want 0", name, n)

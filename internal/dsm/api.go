@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 
@@ -76,9 +77,7 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 			p.st.WriteFaults++
 			p.tel.Emit(p.id, telemetry.KPageFault, p.vnow, int64(pg), 1, 0)
 			if p.home(pg) != p.id || p.writesFromDiffs {
-				twin := make([]byte, p.seg.PageSize)
-				copy(twin, p.seg.PageBytes(pg))
-				p.twins[pg] = twin
+				p.twins[pg] = bytes.Clone(p.seg.PageBytes(pg))
 			}
 			p.state[pg] = pageWritable
 		}
@@ -165,7 +164,12 @@ func (p *Proc) fetchPage(pg mem.PageID, write bool) {
 		p.protocolBug("fault on page %d (ownership %v) answered with page %d (ownership %v)",
 			pg, own, rep.Page, rep.Ownership)
 	}
-	p.seg.CopyPageIn(pg, rep.Data)
+	if len(rep.Data) != p.seg.PageSize {
+		p.protocolBug("fault on page %d answered with %d bytes, page size is %d",
+			pg, len(rep.Data), p.seg.PageSize)
+	}
+	// The delivered message is ours (Transport): its bytes become the frame.
+	p.seg.AdoptPage(pg, rep.Data)
 	p.tel.Emit(p.id, telemetry.KPageFetch, p.vnow, int64(pg), int64(d.From), p.vnow-v)
 	if own {
 		p.owned[pg] = true
@@ -221,7 +225,7 @@ func (p *Proc) flushDiffs() {
 	acks := 0
 	v := p.vnow
 	for pg, twin := range p.twins {
-		entries := diffPage(p.seg.PageBytes(pg), twin)
+		entries := diffPage(p.seg.PageView(pg), twin)
 		p.st.DiffsFlushed++
 		p.st.DiffWords += int64(len(entries))
 		p.tel.Emit(p.id, telemetry.KDiffFlush, v, int64(pg), int64(len(entries)), 0)

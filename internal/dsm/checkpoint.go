@@ -114,6 +114,14 @@ type CheckpointStore struct {
 	// keepAll turns GC off: every epoch survives.
 	keepAll bool
 
+	// pageAddr remembers, per page, the chunk address any process last
+	// deposited its copy of the page under. At a barrier every process
+	// that holds a page usually holds the same bytes, so after the first
+	// deposit the rest are offered there as a second hint that the chunk
+	// store verifies (castore.Store.PutAt). Only encodes touch it, and the
+	// scheduler runs them one at a time. nil → no shared hints.
+	pageAddr []castore.Addr
+
 	count             int
 	manifestBytes     int64 // cumulative, new keys only
 	liveManifestBytes int64
@@ -145,6 +153,7 @@ func (s *System) initCheckpoints() {
 	if s.cfg.checkpointing() && s.ckpts == nil {
 		s.ckpts = NewCheckpointStore()
 		s.ckpts.keepAll = s.keepCkpts
+		s.ckpts.pageAddr = make([]castore.Addr, s.layout.NumPages)
 	}
 }
 
@@ -307,7 +316,7 @@ type ckptChunkStats struct {
 func (p *Proc) checkpoint() {
 	cs := p.sys.ckpts
 	start := time.Now()
-	manifest, addrs, cst := p.encodeCheckpointInto(cs.Chunks())
+	manifest, addrs, cst := p.encodeCheckpointInto(cs.Chunks(), cs.pageAddr)
 	cs.Put(p.id, p.epoch, manifest, addrs)
 	cs.addEncodeNS(time.Since(start).Nanoseconds())
 	p.tel.Emit(p.id, telemetry.KCheckpoint, p.vnow,
@@ -341,13 +350,15 @@ func chunkBitmap(b []byte) mem.Bitmap {
 
 // encodeCheckpointInto serializes the checkpointable state of p, chunking
 // the bulky payloads into cs (nil → hash-only: the addresses are computed,
-// the contents dropped). It returns the manifest, the chunk references
+// the contents dropped). Each page copy is also offered at pageAddr's entry
+// for the page, which is then set to where the copy landed (nil → no
+// shared hints). It returns the manifest, the chunk references
 // taken (one per manifest reference; the caller owns them and hands them to
 // CheckpointStore.Put), and the encode's chunking stats. No handler runs
 // during the capture (one thread of control, sched.go), so it is atomic
 // with respect to message handling.
-func (p *Proc) encodeCheckpointInto(cs *castore.Store) ([]byte, []castore.Addr, ckptChunkStats) {
-	w := &ckptWire{Wire: msg.Wire{E: &msg.Encoder{}}, store: cs}
+func (p *Proc) encodeCheckpointInto(cs *castore.Store, pageAddr []castore.Addr) ([]byte, []castore.Addr, ckptChunkStats) {
+	w := &ckptWire{Wire: msg.Wire{E: &msg.Encoder{}}, store: cs, pageAddr: pageAddr}
 	if p.id == 0 && p.sys.detector != nil {
 		st := p.sys.detector.SnapshotState()
 		w.det = &st
@@ -394,14 +405,19 @@ type ckptWire struct {
 	addrs []castore.Addr // encoding: the references taken
 	cst   ckptChunkStats
 	det   *race.State // the master's detector state; nil → none
+
+	// pageAddr is the per-page shared hint table (CheckpointStore.pageAddr)
+	// when encoding into a store; nil → none.
+	pageAddr []castore.Addr
 }
 
 // chunk moves a bulky payload as its 32-byte address. Encoding deposits *b
-// at hint — where the caller believes these bytes already live, the zero
-// Addr when it has no idea; the store verifies it — and writes the address
-// the bytes landed at. Decoding reads an address and resolves it through
-// the verifying store into *b. Either way it returns the address.
-func (w *ckptWire) chunk(hint castore.Addr, b *[]byte) castore.Addr {
+// at two hints — own, where this process last deposited these bytes'
+// predecessor, and shared, where any process did; the zero Addr for no
+// idea; the store verifies both — and writes the address the bytes landed
+// at. Decoding reads an address and resolves it through the verifying store
+// into *b. Either way it returns the address.
+func (w *ckptWire) chunk(own, shared castore.Addr, b *[]byte) castore.Addr {
 	var a castore.Addr
 	if w.D != nil {
 		copy(a[:], w.D.Raw(addrSize))
@@ -424,7 +440,7 @@ func (w *ckptWire) chunk(hint castore.Addr, b *[]byte) castore.Addr {
 		a = castore.Sum(*b)
 	} else {
 		var isNew bool
-		a, isNew = w.store.PutAt(hint, *b)
+		a, isNew = w.store.PutAt(own, shared, *b)
 		if isNew {
 			w.cst.newBytes += int64(len(*b))
 		} else {
@@ -526,8 +542,11 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 	// Page table and copies. Transient fault state (expecting/fetching/
 	// pendFwd) is quiescent at a barrier and is not serialized. Three pages
 	// in four are byte-identical to the previous epoch's copy, so each is
-	// offered at the address it was last deposited under; a process decoded
-	// from a checkpoint remembers the addresses it was restored from.
+	// offered at the address it was last deposited under (a process decoded
+	// from a checkpoint remembers the addresses it was restored from), and
+	// at the address another process deposited its copy under at this
+	// barrier. A page without a frame is encoded from the zero page and
+	// decoded into a frame of its own.
 	np := len(p.state)
 	if p.ckptAddr == nil {
 		p.ckptAddr = make([]castore.Addr, np)
@@ -553,14 +572,21 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 			w.fail("page %d: state %d with copy %v", pg, p.state[pg], hasCopy)
 		}
 		if hasCopy {
-			b := p.seg.PageBytes(pg)
-			p.ckptAddr[pg] = w.chunk(p.ckptAddr[pg], &b)
+			b := p.seg.PageView(pg)
+			var shared castore.Addr
+			if w.pageAddr != nil {
+				shared = w.pageAddr[pg]
+			}
+			p.ckptAddr[pg] = w.chunk(p.ckptAddr[pg], shared, &b)
 			switch {
 			case !dec:
+				if w.pageAddr != nil {
+					w.pageAddr[pg] = p.ckptAddr[pg]
+				}
 			case len(b) != p.seg.PageSize:
 				w.fail("page %d copy has %d bytes, page size is %d", pg, len(b), p.seg.PageSize)
 			default:
-				p.seg.CopyPageIn(pg, b)
+				p.seg.AdoptPage(pg, b)
 			}
 		}
 	}
@@ -577,7 +603,7 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 	for i := range twinPages {
 		msg.N32(w.Wire, &twinPages[i])
 		tw := p.twins[twinPages[i]]
-		w.chunk(castore.Addr{}, &tw)
+		w.chunk(castore.Addr{}, castore.Addr{}, &tw)
 		switch {
 		case !dec:
 		case len(tw) != p.seg.PageSize:
@@ -650,7 +676,7 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 		msg.N32(w.Wire, &en.Page)
 		w.Flag(&en.Write)
 		words := bitmapChunk(en.Bits)
-		w.chunk(castore.Addr{}, &words)
+		w.chunk(castore.Addr{}, castore.Addr{}, &words)
 		switch {
 		case !dec:
 		case en.Page < 0 || int(en.Page) >= np:

@@ -106,7 +106,7 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 				st := castore.New()
 				// Prime the store: epoch one pays the full closure once.
 				for _, p := range s.procs {
-					p.encodeCheckpointInto(st)
+					p.encodeCheckpointInto(st, nil)
 				}
 				b.ResetTimer()
 				var bytes int64
@@ -116,7 +116,7 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 					}
 					pre := st.Stats().LiveBytes
 					for _, p := range s.procs {
-						m, _, _ := p.encodeCheckpointInto(st)
+						m, _, _ := p.encodeCheckpointInto(st, nil)
 						bytes += int64(len(m))
 					}
 					bytes += st.Stats().LiveBytes - pre

@@ -116,7 +116,7 @@ func TestCheckpointRangeChecks(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.damage(p)
-		blob, _, _ := p.encodeCheckpointInto(s.ckpts.Chunks())
+		blob, _, _ := p.encodeCheckpointInto(s.ckpts.Chunks(), nil)
 		_, _, err = decodeCheckpoint(s, id, blob, s.ckpts.Chunks())
 		if c.name == "undamaged" {
 			if err != nil {
@@ -168,7 +168,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 					}
 					continue
 				}
-				if again, _, _ := p.encodeCheckpointInto(nil); !bytes.Equal(again, data) {
+				if again, _, _ := p.encodeCheckpointInto(nil, nil); !bytes.Equal(again, data) {
 					t.Fatalf("accepted manifest re-encodes to different bytes:\n in  %x\n out %x", data, again)
 				}
 			}

@@ -70,7 +70,7 @@ func (k ProtocolKind) String() string {
 type Config struct {
 	NumProcs   int
 	SharedSize int // bytes of shared segment (rounded up to pages)
-	PageSize   int // 0 → mem.DefaultPageSize
+	PageSize   int // a power of two; 0 → mem.DefaultPageSize
 	Protocol   ProtocolKind
 
 	// Detect enables the race detector: access instrumentation, read
@@ -227,7 +227,10 @@ type Transport interface {
 	// caller may hand it live state (a page it then goes on writing).
 	Send(from, to int, m msg.Message, vtime int64) int
 	// Recv blocks for the next delivery to proc; ok is false after Close.
-	// The reliable sublayer reads the transport under it this way.
+	// The reliable sublayer reads the transport under it this way. A
+	// delivered message, by Recv or Next, belongs to the receiver: nothing
+	// else references it or what it points to, so the receiver may keep
+	// parts of it (a fetched PageReply's Data becomes its page frame).
 	Recv(proc int) (simnet.Delivery, bool)
 	// Next returns a delivery queued for any process, each process's in
 	// arrival order, and that process. With none queued it waits only on
@@ -253,6 +256,11 @@ func (c *Config) Validate() error {
 	}
 	if c.SharedSize <= 0 {
 		return fmt.Errorf("dsm: SharedSize = %d", c.SharedSize)
+	}
+	if c.PageSize != 0 {
+		if _, err := mem.NewLayout(c.SharedSize, c.PageSize); err != nil {
+			return fmt.Errorf("dsm: PageSize = %d: %w", c.PageSize, err)
+		}
 	}
 	if c.WritesFromDiffs && c.Protocol != MultiWriter {
 		return fmt.Errorf("dsm: WritesFromDiffs requires the multi-writer protocol")

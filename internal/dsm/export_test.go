@@ -1,0 +1,17 @@
+package dsm
+
+import "lrcrace/internal/castore"
+
+// Frames returns how many pages of p's copy of the segment have a frame.
+func (p *Proc) Frames() int { return p.seg.Resident() }
+
+// ChunkStats returns the checkpoint chunk store's accounting.
+func (s *System) ChunkStats() castore.Stats { return s.ckpts.Chunks().Stats() }
+
+// OfferOwnCkptHintsOnly makes the run's checkpoints offer each page at its
+// own process's remembered address only, as if no process shared hints.
+// Call it before Run.
+func (s *System) OfferOwnCkptHintsOnly() {
+	s.initCheckpoints()
+	s.ckpts.pageAddr = nil
+}

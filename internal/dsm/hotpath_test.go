@@ -3,6 +3,7 @@ package dsm
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lrcrace/internal/castore"
@@ -86,13 +87,15 @@ func waterScenario() recoveryScenario {
 	}
 }
 
-// TestCheckpointHintsChangeNothing: the per-page remembered chunk addresses
-// are an accelerator only. Every checkpoint a run deposited — encoded with
-// whatever the process remembered at that barrier: nothing at the first,
-// warm addresses later, and after a rollback the ones it was decoded from —
-// is byte-identical, manifest and chunk references, to re-encoding
-// the same state with no remembered addresses, with all of them right, and
-// with all of them wrong; and the chunk store accounts the three the same.
+// TestCheckpointHintsChangeNothing: the per-page remembered chunk addresses,
+// the process's own and the ones shared between processes, are an
+// accelerator only. Every checkpoint a run deposited — encoded with
+// whatever the process and the store remembered at that barrier: nothing
+// at the first, warm addresses later, and after a rollback the ones it was
+// decoded from — is byte-identical, manifest and chunk references, to
+// re-encoding the same state with no remembered addresses, with all of
+// either kind right, and with all of them wrong; the chunk store accounts
+// them all the same, and a right hint saves a page its hash.
 func TestCheckpointHintsChangeNothing(t *testing.T) {
 	crashes := map[string]func() *CrashPlan{
 		"crash-free": func() *CrashPlan { return nil },
@@ -116,6 +119,9 @@ func TestCheckpointHintsChangeNothing(t *testing.T) {
 				}
 				twin := recoverySys(t, 4, sc.proto, nil, nil)
 				chunks := s.ckpts.Chunks()
+				if s.ckpts.pageAddr == nil {
+					t.Fatal("the run kept no shared page hints")
+				}
 				for proc := 0; proc < 4; proc++ {
 					for epoch := int32(1); epoch <= sc.epochs; epoch++ {
 						stored, ok := s.ckpts.byProc[proc][epoch]
@@ -132,9 +138,10 @@ func TestCheckpointHintsChangeNothing(t *testing.T) {
 							cst   ckptChunkStats
 							delta castore.Stats
 						}
-						encode := func(what string) encoding {
+						var hashed int64 // by the last encode
+						encode := func(what string, shared []castore.Addr) encoding {
 							before := chunks.Stats()
-							manifest, addrs, cst := fresh.encodeCheckpointInto(chunks)
+							manifest, addrs, cst := fresh.encodeCheckpointInto(chunks, shared)
 							after := chunks.Stats()
 							for _, a := range addrs {
 								chunks.Unref(a)
@@ -145,24 +152,49 @@ func TestCheckpointHintsChangeNothing(t *testing.T) {
 							if !reflect.DeepEqual(addrs, stored.addrs) {
 								t.Fatalf("proc %d epoch %d, %s addresses: chunk references differ", proc, epoch, what)
 							}
+							hashed = after.Hashed - before.Hashed
 							return encoding{cst, castore.Stats{
 								Puts: after.Puts - before.Puts, Hits: after.Hits - before.Hits,
 								StoredBytes: after.StoredBytes - before.StoredBytes, LogicalBytes: after.LogicalBytes - before.LogicalBytes,
 								Heals: after.Heals - before.Heals, Chunks: after.Chunks - before.Chunks, LiveBytes: after.LiveBytes - before.LiveBytes,
 							}}
 						}
-						cold := encode("no remembered")
+						cold := encode("no remembered", nil)
+						coldHashed := hashed
 						if fresh.ckptAddr == nil {
 							t.Fatal("encoding remembered no addresses")
 						}
-						warm := encode("warm")
+						right := slices.Clone(fresh.ckptAddr)
+						pages := int64(0) // page copies in the checkpoint
+						for _, a := range right {
+							if a != (castore.Addr{}) {
+								pages++
+							}
+						}
+						warm := encode("warm", nil)
+						if want := coldHashed - pages; hashed != want {
+							t.Errorf("proc %d epoch %d: warm own hints hashed %d chunks, want %d", proc, epoch, hashed, want)
+						}
 						// Every remembered address names another page's chunk.
-						first := fresh.ckptAddr[0]
-						copy(fresh.ckptAddr, fresh.ckptAddr[1:])
-						fresh.ckptAddr[len(fresh.ckptAddr)-1] = first
-						stale := encode("stale")
-						if warm != cold || stale != cold {
-							t.Fatalf("proc %d epoch %d: accounting differs:\n cold  %+v\n warm  %+v\n stale %+v", proc, epoch, cold, warm, stale)
+						wrong := append(slices.Clone(right[1:]), right[0])
+						copy(fresh.ckptAddr, wrong)
+						stale := encode("stale", nil)
+						// The cross-process hint: right, wrong, and wrong
+						// beside a wrong own hint. Encoding overwrites the
+						// table it is given, so each gets its own copy.
+						clear(fresh.ckptAddr)
+						shared := encode("shared", slices.Clone(right))
+						if want := coldHashed - pages; hashed != want {
+							t.Errorf("proc %d epoch %d: right shared hints hashed %d chunks, want %d", proc, epoch, hashed, want)
+						}
+						clear(fresh.ckptAddr)
+						sharedWrong := encode("wrong shared", slices.Clone(wrong))
+						copy(fresh.ckptAddr, wrong)
+						bothWrong := encode("both wrong", slices.Clone(wrong))
+						for _, e := range []encoding{warm, stale, shared, sharedWrong, bothWrong} {
+							if e != cold {
+								t.Fatalf("proc %d epoch %d: accounting differs:\n cold %+v\n got  %+v", proc, epoch, cold, e)
+							}
 						}
 						if cold.delta.Puts == 0 || cold.delta.Hits != cold.delta.Puts || cold.delta.Heals != 0 {
 							t.Fatalf("proc %d epoch %d: re-encoding resident state: %+v, want all hits", proc, epoch, cold.delta)
@@ -176,17 +208,28 @@ func TestCheckpointHintsChangeNothing(t *testing.T) {
 
 // TestAccessPathAllocs: with detection on, a shared access to a page that is
 // resident (and, for writes, already write-faulted in this interval) is
-// index arithmetic and bit-sets under the process lock — no allocation.
+// index arithmetic and bit-sets under the process lock — no allocation. The
+// first write to a page the process has never held allocates its frame,
+// exactly one; a read of such a page allocates none.
 func TestAccessPathAllocs(t *testing.T) {
 	bothProtocols(t, func(t *testing.T, proto ProtocolKind) {
 		s := newSys(t, 4, proto, true)
 		p := newProc(s, 0)
-		// Pages 0 and 4 are homed at process 0: owned (single-writer) or the
-		// always-current home copy (multi-writer); no message is needed.
+		// Pages 0, 4 and 8 are homed at process 0: owned (single-writer) or
+		// the always-current home copy (multi-writer); no message is needed.
 		addrs := []mem.Addr{s.layout.PageBase(0) + 16, s.layout.PageBase(4), s.layout.PageBase(0) + 512}
-		for _, a := range addrs {
+		if f := p.seg.Resident(); f != 0 {
+			t.Fatalf("a new process holds %d frames, want 0", f)
+		}
+		if v := p.Read(s.layout.PageBase(8)); v != 0 || p.seg.Resident() != 0 {
+			t.Fatalf("read of a page never held: %d with %d frames, want 0 with none", v, p.seg.Resident())
+		}
+		for i, a := range addrs {
 			p.Write(a, 1)
 			p.Read(a)
+			if want := min(i+1, 2); p.seg.Resident() != want {
+				t.Fatalf("after touching %d addresses on 2 pages: %d frames, want %d", i+1, p.seg.Resident(), want)
+			}
 		}
 		i := 0
 		if n := testing.AllocsPerRun(1000, func() {
@@ -198,6 +241,36 @@ func TestAccessPathAllocs(t *testing.T) {
 		}
 		if st := p.Stats(); st.SharedReads < 1000 || st.WriteFaults != 2 {
 			t.Errorf("stats %+v: want ≥1000 reads and exactly the 2 first-touch write faults", st)
+		}
+		if p.seg.Resident() != 2 {
+			t.Errorf("%d frames after the loop, want 2", p.seg.Resident())
+		}
+
+		// Without detection's per-interval bitmaps, the first write to a
+		// page never held allocates the frame and nothing else (once the
+		// write-fault list has grown).
+		cfg := smallConfig(4, proto, false)
+		cfg.SharedSize = 64 * cfg.PageSize
+		qs, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := newProc(qs, 0)
+		var fresh []mem.PageID // homed at process 0
+		for pg := mem.PageID(0); int(pg) < q.seg.NumPages; pg += 4 {
+			fresh = append(fresh, pg)
+			q.writtenPages.add(pg)
+		}
+		q.writtenPages.clear()
+		next := 0
+		if n := testing.AllocsPerRun(len(fresh)-1, func() {
+			q.Write(q.seg.PageBase(fresh[next])+8, 1)
+			next++
+		}); n != 1 {
+			t.Errorf("first write to a page never held: %v allocs per run, want 1 (the frame)", n)
+		}
+		if q.seg.Resident() != len(fresh) {
+			t.Errorf("%d frames after writing %d pages", q.seg.Resident(), len(fresh))
 		}
 	})
 }

@@ -397,7 +397,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 						t.Fatalf("checkpoint header says proc %d epoch %d, stored under proc %d epoch %d",
 							fresh.id, fresh.epoch, proc, epoch)
 					}
-					if again, _, _ := fresh.encodeCheckpointInto(nil); !bytes.Equal(blob, again) {
+					if again, _, _ := fresh.encodeCheckpointInto(nil, nil); !bytes.Equal(blob, again) {
 						t.Fatalf("proc %d epoch %d: re-encoded checkpoint differs (%d vs %d bytes)",
 							proc, epoch, len(blob), len(again))
 					}

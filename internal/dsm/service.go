@@ -210,8 +210,9 @@ func (p *Proc) servePage(requester int, pg mem.PageID, write bool, vtime int64) 
 		p.state[pg] = pageReadOnly
 		p.tel.Emit(p.id, telemetry.KOwnershipXfer, vtime, int64(pg), int64(requester), 0)
 	}
-	// The reply carries the live page: Send serializes it before returning.
-	p.send(requester, &msg.PageReply{Page: pg, Ownership: write, Data: p.seg.PageBytes(pg)}, vtime)
+	// The reply carries the live page (or the zero page, if this process
+	// never needed a frame for it): Send serializes it before returning.
+	p.send(requester, &msg.PageReply{Page: pg, Ownership: write, Data: p.seg.PageView(pg)}, vtime)
 }
 
 // drainPendingFwds services page forwards queued while ownership was

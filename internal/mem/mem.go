@@ -6,9 +6,18 @@
 // dynamically allocated shared data region of the application (CVM allocates
 // all shared memory dynamically, which is what allows ATOM to statically
 // eliminate accesses through the static-data base register).
+//
+// A process's copy of the segment holds page frames on demand, as CVM maps
+// a frame when the process first faults on the page: a page has no frame
+// until it is first written or its contents arrive, and a page without one
+// reads as zero.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 const (
 	// WordSize is the access granularity in bytes. The paper tracks
@@ -31,33 +40,38 @@ type PageID int32
 
 // Layout describes the paging geometry of a segment.
 type Layout struct {
-	PageSize int // bytes per page; must be a multiple of WordSize
+	PageSize int // bytes per page; a power of two of at least WordSize
 	NumPages int
+	shift    uint // log2(PageSize)
 }
 
-// NewLayout validates and builds a layout covering size bytes.
+// NewLayout validates and builds a layout covering size bytes. The page
+// size must be a power of two, so that page arithmetic is shifts and masks.
 func NewLayout(size, pageSize int) (Layout, error) {
-	if pageSize <= 0 || pageSize%WordSize != 0 {
-		return Layout{}, fmt.Errorf("mem: page size %d not a positive multiple of %d", pageSize, WordSize)
+	if pageSize < WordSize || pageSize&(pageSize-1) != 0 {
+		return Layout{}, fmt.Errorf("mem: page size %d is not a power of two of at least %d", pageSize, WordSize)
 	}
 	if size <= 0 {
 		return Layout{}, fmt.Errorf("mem: segment size %d not positive", size)
 	}
 	np := (size + pageSize - 1) / pageSize
-	return Layout{PageSize: pageSize, NumPages: np}, nil
+	return Layout{PageSize: pageSize, NumPages: np, shift: uint(bits.TrailingZeros(uint(pageSize)))}, nil
 }
 
 // Size returns the total byte size of the segment.
 func (l Layout) Size() int { return l.PageSize * l.NumPages }
 
 // Page returns the page containing a.
-func (l Layout) Page(a Addr) PageID { return PageID(int(a) / l.PageSize) }
+func (l Layout) Page(a Addr) PageID { return PageID(a >> l.shift) }
+
+// offset returns the byte offset of a within its page.
+func (l Layout) offset(a Addr) int { return int(a & Addr(l.PageSize-1)) }
 
 // WordInPage returns the word index of a within its page.
-func (l Layout) WordInPage(a Addr) int { return (int(a) % l.PageSize) / WordSize }
+func (l Layout) WordInPage(a Addr) int { return l.offset(a) / WordSize }
 
 // PageBase returns the address of the first byte of page p.
-func (l Layout) PageBase(p PageID) Addr { return Addr(int(p) * l.PageSize) }
+func (l Layout) PageBase(p PageID) Addr { return Addr(p) << l.shift }
 
 // WordsPerPage returns the number of words per page.
 func (l Layout) WordsPerPage() int { return l.PageSize / WordSize }
@@ -69,45 +83,79 @@ func (l Layout) Contains(a Addr) bool {
 
 // Segment is one process's local copy of the shared address space. Each DSM
 // process holds its own Segment; coherence traffic (page fetches, diffs)
-// moves bytes between them.
+// moves bytes between them. It holds one frame per page, allocated when the
+// page is first needed: SetWord and PageBytes allocate a zeroed frame,
+// AdoptPage installs a caller's. A page without a frame reads as zero.
 type Segment struct {
 	Layout
-	data []byte
+	frames [][]byte // one per page; nil until first needed
+	zero   []byte   // PageView's all-zero page; allocated on first use
 }
 
-// NewSegment allocates a zeroed segment with the given layout.
+// NewSegment returns a segment with the given layout and no frames.
 func NewSegment(l Layout) *Segment {
-	return &Segment{Layout: l, data: make([]byte, l.Size())}
+	return &Segment{Layout: l, frames: make([][]byte, l.NumPages)}
 }
 
 // Word reads the 8-byte word at a (little-endian).
 func (s *Segment) Word(a Addr) uint64 {
-	b := s.data[a : a+WordSize]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	f := s.frames[s.Page(a)]
+	if f == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(f[s.offset(a):])
 }
 
 // SetWord writes the 8-byte word at a (little-endian).
 func (s *Segment) SetWord(a Addr, v uint64) {
-	b := s.data[a : a+WordSize]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
+	f := s.frames[s.Page(a)]
+	if f == nil {
+		f = s.PageBytes(s.Page(a))
+	}
+	binary.LittleEndian.PutUint64(f[s.offset(a):], v)
 }
 
-// Page returns the byte slice backing page p; the caller must not retain it
-// across coherence operations.
+// PageBytes returns the frame backing page p, allocating a zeroed one if
+// the page has none. The caller may write through it but must not retain
+// it across coherence operations: AdoptPage replaces it.
 func (s *Segment) PageBytes(p PageID) []byte {
-	base := int(p) * s.PageSize
-	return s.data[base : base+s.PageSize]
+	f := s.frames[p]
+	if f == nil {
+		f = make([]byte, s.PageSize)
+		s.frames[p] = f
+	}
+	return f
 }
 
-// CopyPageIn overwrites page p with src (len must equal PageSize).
-func (s *Segment) CopyPageIn(p PageID, src []byte) {
-	copy(s.PageBytes(p), src)
+// PageView returns page p's contents for reading without allocating a
+// frame: the frame, or an all-zero page shared by every frameless page of
+// the segment. The caller must not write through it.
+func (s *Segment) PageView(p PageID) []byte {
+	if f := s.frames[p]; f != nil {
+		return f
+	}
+	if s.zero == nil {
+		s.zero = make([]byte, s.PageSize)
+	}
+	return s.zero
+}
+
+// AdoptPage makes b the frame of page p, without copying it; the segment
+// owns b from then on. It panics unless len(b) is the page size.
+func (s *Segment) AdoptPage(p PageID, b []byte) {
+	if len(b) != s.PageSize {
+		panic(fmt.Sprintf("mem: AdoptPage(%d) of %d bytes, page size is %d", p, len(b), s.PageSize))
+	}
+	s.frames[p] = b
+}
+
+// Resident returns the number of pages that have a frame.
+func (s *Segment) Resident() int {
+	n := 0
+	for _, f := range s.frames {
+		if f != nil {
+			n++
+		}
+	}
+	return n
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -75,19 +76,100 @@ func TestSegmentPageCopy(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i)
 	}
-	s.CopyPageIn(1, src)
+	s.AdoptPage(1, src)
 	if s.Word(256) != 0x0706050403020100 {
-		t.Errorf("word after CopyPageIn = %#x", s.Word(256))
+		t.Errorf("word after AdoptPage = %#x", s.Word(256))
 	}
 	got := s.PageBytes(1)
 	for i := range src {
-		if got[i] != src[i] {
-			t.Fatalf("PageBytes[%d] = %d, want %d", i, got[i], src[i])
+		if got[i] != byte(i) {
+			t.Fatalf("PageBytes[%d] = %d, want %d", i, got[i], i)
 		}
 	}
 	// Page 0 untouched.
 	if s.Word(0) != 0 {
 		t.Errorf("page 0 corrupted: %#x", s.Word(0))
+	}
+}
+
+// TestNewLayoutPageSizes: page arithmetic is shifts and masks, so a page
+// size must be a power of two (and hold at least one word).
+func TestNewLayoutPageSizes(t *testing.T) {
+	for _, tc := range []struct {
+		pageSize int
+		ok       bool
+	}{
+		{256, true}, {512, true}, {1024, true}, {8192, true}, {WordSize, true},
+		{24, false}, {8200, false}, {12, false}, {4, false}, {0, false}, {-8, false}, {3 * 1024, false},
+	} {
+		l, err := NewLayout(64*1024, tc.pageSize)
+		if (err == nil) != tc.ok {
+			t.Errorf("NewLayout(64 KiB, %d): err = %v, want ok = %v", tc.pageSize, err, tc.ok)
+			continue
+		}
+		if !tc.ok {
+			continue
+		}
+		// Shift arithmetic agrees with division on every word of a few pages.
+		for a := Addr(0); a < Addr(4*tc.pageSize) && l.Contains(a); a += WordSize {
+			if pg, w := l.Page(a), l.WordInPage(a); int(pg) != int(a)/tc.pageSize || w != int(a)%tc.pageSize/WordSize {
+				t.Fatalf("page size %d, addr %d: Page/WordInPage = %d/%d", tc.pageSize, a, pg, w)
+			}
+			if base := l.PageBase(l.Page(a)); int(base) != int(a)/tc.pageSize*tc.pageSize {
+				t.Fatalf("page size %d, addr %d: PageBase = %d", tc.pageSize, a, base)
+			}
+		}
+	}
+}
+
+// TestSegmentFramesOnDemand: a page has a frame only once it is written or
+// adopted; until then it reads as zero, and viewing it allocates none.
+func TestSegmentFramesOnDemand(t *testing.T) {
+	l, _ := NewLayout(4*256, 256)
+	s := NewSegment(l)
+	if s.Resident() != 0 {
+		t.Fatalf("new segment has %d frames, want 0", s.Resident())
+	}
+	if v := s.Word(l.PageBase(2) + 8); v != 0 {
+		t.Errorf("untouched page reads %#x, want 0", v)
+	}
+	view := s.PageView(2)
+	if len(view) != 256 || cap(view) != 256 || !bytes.Equal(view, make([]byte, 256)) {
+		t.Errorf("view of an untouched page: len %d cap %d, not all zero", len(view), cap(view))
+	}
+	if s.Resident() != 0 {
+		t.Fatalf("reading and viewing allocated %d frames, want 0", s.Resident())
+	}
+	s.SetWord(l.PageBase(1)+16, 7)
+	if s.Resident() != 1 || s.Word(l.PageBase(1)+16) != 7 {
+		t.Fatalf("after one write: %d frames, word %d; want 1 frame, word 7", s.Resident(), s.Word(l.PageBase(1)+16))
+	}
+	if n := testing.AllocsPerRun(100, func() { s.SetWord(l.PageBase(1)+24, s.Word(l.PageBase(1))+1) }); n != 0 {
+		t.Errorf("access to a page with a frame: %v allocs, want 0", n)
+	}
+
+	b := make([]byte, 256)
+	b[0] = 9
+	s.AdoptPage(3, b)
+	if s.Resident() != 2 || s.Word(l.PageBase(3)) != 9 {
+		t.Fatalf("after AdoptPage: %d frames, word %d; want 2 frames, word 9", s.Resident(), s.Word(l.PageBase(3)))
+	}
+	s.SetWord(l.PageBase(3)+8, 5)
+	if &s.PageBytes(3)[0] != &b[0] || b[8] != 5 {
+		t.Error("AdoptPage copied the slice instead of keeping it")
+	}
+	for _, n := range []int{0, 255, 257, 512} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AdoptPage of %d bytes did not panic", n)
+				}
+			}()
+			s.AdoptPage(0, make([]byte, n))
+		}()
+	}
+	if s.Resident() != 2 {
+		t.Errorf("a rejected AdoptPage installed a frame: %d frames", s.Resident())
 	}
 }
 

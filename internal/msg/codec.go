@@ -171,20 +171,19 @@ func (d *Decoder) Raw(n int) []byte {
 	if d.err2(n) {
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:])
+	b := append([]byte{}, d.buf[d.off:d.off+n]...) // a copy, not zeroed first
 	d.off += n
 	return b
 }
 
-// Blob reads a length-prefixed byte slice.
+// Blob reads a length-prefixed byte slice into its own allocation, which
+// the caller owns: it shares nothing with the decoded buffer.
 func (d *Decoder) Blob() []byte {
 	n := int(d.U32())
 	if d.err2(n) {
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:])
+	b := append([]byte{}, d.buf[d.off:d.off+n]...) // a copy, not zeroed first
 	d.off += n
 	return b
 }
