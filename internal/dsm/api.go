@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"lrcrace/internal/interval"
 	"lrcrace/internal/mem"
@@ -78,6 +79,7 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 			p.tel.Emit(p.id, telemetry.KPageFault, p.vnow, int64(pg), 1, 0)
 			if p.home(pg) != p.id || p.writesFromDiffs {
 				p.twins[pg] = bytes.Clone(p.seg.PageBytes(pg))
+				p.twinned.add(pg)
 			}
 			p.state[pg] = pageWritable
 		}
@@ -213,18 +215,21 @@ func (p *Proc) eagerRelease() {
 }
 
 // flushDiffs computes and flushes the diffs of all twinned pages to
-// their homes, waiting for acknowledgments, and write-protects written
-// pages again so the next interval re-faults. Under WritesFromDiffs the
-// diffs also provide the write bitmaps and write notices (§6.5): a word
-// overwritten with its existing value produces no diff entry and therefore
-// no notice — the paper's "slightly weaker correctness guarantee".
+// their homes, in page order, waiting for acknowledgments, and
+// write-protects written pages again so the next interval re-faults. Under
+// WritesFromDiffs the diffs also provide the write bitmaps and write
+// notices (§6.5): a word overwritten with its existing value produces no
+// diff entry and therefore no notice — the paper's "slightly weaker
+// correctness guarantee".
 func (p *Proc) flushDiffs() {
-	if len(p.twins) == 0 && len(p.writtenPages.pages) == 0 {
+	if len(p.twinned.pages) == 0 && len(p.writtenPages.pages) == 0 {
 		return
 	}
 	acks := 0
 	v := p.vnow
-	for pg, twin := range p.twins {
+	slices.Sort(p.twinned.pages)
+	for _, pg := range p.twinned.pages {
+		twin := p.twins[pg]
 		entries := diffPage(p.seg.PageView(pg), twin)
 		p.st.DiffsFlushed++
 		p.st.DiffWords += int64(len(entries))
@@ -241,9 +246,10 @@ func (p *Proc) flushDiffs() {
 			p.send(p.home(pg), &msg.DiffFlush{Page: pg, Entries: entries}, v)
 			acks++
 		}
-		delete(p.twins, pg)
+		p.twins[pg] = nil
 		p.state[pg] = pageReadOnly
 	}
+	p.twinned.clear()
 	for _, pg := range p.writtenPages.pages {
 		if p.state[pg] == pageWritable {
 			p.state[pg] = pageReadOnly
@@ -468,7 +474,7 @@ func (p *Proc) Consolidate() { p.Barrier() }
 // possibly empty — reply, so owners can close their collection round by
 // count alone.
 func (p *Proc) sendBitmaps(rel *msg.BarrierRelease) {
-	replies := make(map[int]*msg.BitmapReply)
+	replies := make([]*msg.BitmapReply, p.n)
 	var order []int // owners in first-appearance order, for deterministic sends
 	replyTo := func(to int) *msg.BitmapReply {
 		r := replies[to]
@@ -486,18 +492,15 @@ func (p *Proc) sendBitmaps(rel *msg.BarrierRelease) {
 	} else {
 		replyTo(0)
 	}
-	// A page has exactly one shard owner, so one global dedup map suffices
-	// even with several replies in flight.
-	seen := make(map[bmKey]bool)
+	// A page has exactly one shard owner, so one dedup suffices even with
+	// several replies in flight: sent[pg] lists the intervals whose
+	// bitmaps of page pg are already in a reply (a handful per page).
+	sent := make([][]vc.Index, p.sys.layout.NumPages)
 	addSide := func(to int, id vc.IntervalID, page mem.PageID) {
-		if id.Proc != p.id {
+		if id.Proc != p.id || slices.Contains(sent[page], id.Index) {
 			return
 		}
-		k := bmKey{id, page, false}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
+		sent[page] = append(sent[page], id.Index)
 		rd, wr := p.store.Get(id, page)
 		if rd == nil && wr == nil {
 			return

@@ -493,6 +493,12 @@ func ascending[T any](xs []T, compare func(a, b T) int) bool {
 
 func compareRecords(a, b *interval.Record) int { return interval.CompareIDs(a.ID, b.ID) }
 
+// procsIn reports whether every record of an ascending list names a
+// process in [0, n) (decoded IDs are never negative).
+func procsIn(recs []*interval.Record, n int) bool {
+	return len(recs) == 0 || recs[len(recs)-1].ID.Proc < n
+}
+
 // compareBitmaps orders stored bitmaps as BitmapStore.Entries lists them:
 // reads before writes, then by interval and page.
 func compareBitmaps(a, b interval.StoredBitmap) int {
@@ -592,24 +598,33 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 	}
 
 	// Twins (multi-writer pristine copies), sorted by page.
-	twinPages := make([]mem.PageID, 0, len(p.twins))
-	for pg := range p.twins {
-		twinPages = append(twinPages, pg)
+	var twinPages []mem.PageID
+	for pg, tw := range p.twins {
+		if tw != nil {
+			twinPages = append(twinPages, mem.PageID(pg))
+		}
 	}
-	interval.SortPages(twinPages)
 	if k, ok := w.Count(len(twinPages), 4+addrSize); dec && ok {
 		twinPages = make([]mem.PageID, k)
 	}
 	for i := range twinPages {
-		msg.N32(w.Wire, &twinPages[i])
-		tw := p.twins[twinPages[i]]
+		pg := twinPages[i]
+		msg.N32(w.Wire, &pg)
+		twinPages[i] = pg
+		var tw []byte
+		if !dec {
+			tw = p.twins[pg]
+		}
 		w.chunk(castore.Addr{}, castore.Addr{}, &tw)
 		switch {
 		case !dec:
+		case pg < 0 || int(pg) >= len(p.twins):
+			w.fail("twin of page %d outside [0, %d)", pg, len(p.twins))
 		case len(tw) != p.seg.PageSize:
-			w.fail("twin of page %d has %d bytes, page size is %d", twinPages[i], len(tw), p.seg.PageSize)
+			w.fail("twin of page %d has %d bytes, page size is %d", pg, len(tw), p.seg.PageSize)
 		default:
-			p.twins[twinPages[i]] = tw
+			p.twins[pg] = tw
+			p.twinned.add(pg)
 		}
 	}
 	if dec {
@@ -657,8 +672,8 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 	logRecs := p.log.Records()
 	w.Records(&logRecs)
 	if dec {
-		if !ascending(logRecs, compareRecords) {
-			w.fail("interval log out of order")
+		if !ascending(logRecs, compareRecords) || !procsIn(logRecs, p.n) {
+			w.fail("interval log out of order or naming a process outside [0, %d)", p.n)
 		}
 		for _, r := range logRecs {
 			p.log.Add(r)
@@ -681,6 +696,8 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 		case !dec:
 		case en.Page < 0 || int(en.Page) >= np:
 			w.fail("bitmap of page %d outside [0, %d)", en.Page, np)
+		case en.ID.Proc >= p.n:
+			w.fail("bitmap of interval %v outside processes [0, %d)", en.ID, p.n)
 		case len(words) != bitmapBytes:
 			w.fail("bitmap chunk of %d bytes, a page's bitmap has %d", len(words), bitmapBytes)
 		default:
@@ -719,8 +736,8 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 		}
 		msg.N32(w.Wire, &w.det.FirstRacyEpoch)
 		w.Records(&w.det.RacyRecords)
-		if dec && !ascending(w.det.RacyRecords, compareRecords) {
-			w.fail("racy records out of order")
+		if dec && (!ascending(w.det.RacyRecords, compareRecords) || !procsIn(w.det.RacyRecords, p.n)) {
+			w.fail("racy records out of order or naming a process outside [0, %d)", p.n)
 		}
 	}
 }

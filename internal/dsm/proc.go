@@ -156,7 +156,10 @@ type Proc struct {
 	dirOwner  []int           // directory (home role): current owner of pages homed here; -1 elsewhere
 	pendFwd   [][]msg.PageFwd // page requests queued until ownership arrives
 
-	twins map[mem.PageID][]byte // multi-writer: pristine copies for diffing
+	// Multi-writer only: pristine copies for diffing, indexed by page (nil =
+	// no twin); twinned lists the twinned pages so a flush visits only them.
+	twins   [][]byte
+	twinned pageSet
 
 	vcur     vc.VC
 	curIndex vc.Index
@@ -224,7 +227,6 @@ func newProc(s *System, id int) *Proc {
 		fetchInv:     make([]bool, s.layout.NumPages),
 		dirOwner:     make([]int, s.layout.NumPages),
 		pendFwd:      make([][]msg.PageFwd, s.layout.NumPages),
-		twins:        make(map[mem.PageID][]byte),
 		vcur:         vc.New(n),
 		curIndex:     1,
 		builder:      interval.NewBuilder(s.layout),
@@ -241,6 +243,10 @@ func newProc(s *System, id int) *Proc {
 		tracer:          s.cfg.Tracer,
 	}
 	p.vcur[id] = 1
+	if p.proto == MultiWriter {
+		p.twins = make([][]byte, s.layout.NumPages)
+		p.twinned = newPageSet(s.layout.NumPages)
+	}
 	for _, cp := range s.cfg.Crashes {
 		p.crashable = p.crashable || cp.Victim == id
 	}
@@ -470,7 +476,7 @@ func (p *Proc) invalidate(pg mem.PageID) {
 		if p.home(pg) == p.id {
 			return
 		}
-		if _, twinned := p.twins[pg]; twinned {
+		if p.twins[pg] != nil {
 			// Cannot happen: intervals close (and flush) before notices
 			// are applied. Guard anyway.
 			return

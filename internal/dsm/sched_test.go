@@ -13,23 +13,25 @@ import (
 	_ "lrcrace/internal/apps/water"
 	"lrcrace/internal/dsm"
 	"lrcrace/internal/mem"
+	"lrcrace/internal/telemetry"
 )
 
 // runApp runs one registered application on a fresh System and checks its
 // answer.
 func runApp(t *testing.T, name string, scale float64, procs int, proto dsm.ProtocolKind, tr dsm.Tracer) *dsm.System {
 	t.Helper()
+	return runAppWith(t, name, scale, dsm.Config{NumProcs: procs, Protocol: proto, Detect: true, Tracer: tr})
+}
+
+// runAppWith is runApp under cfg, which gets the application's segment size.
+func runAppWith(t *testing.T, name string, scale float64, cfg dsm.Config) *dsm.System {
+	t.Helper()
 	app, err := apps.New(name, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := dsm.New(dsm.Config{
-		NumProcs:   procs,
-		SharedSize: app.SharedBytes(),
-		Protocol:   proto,
-		Detect:     true,
-		Tracer:     tr,
-	})
+	cfg.SharedSize = app.SharedBytes()
+	sys, err := dsm.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,9 @@ func runApp(t *testing.T, name string, scale float64, procs int, proto dsm.Proto
 // TestSameInputSameRun: the lock applications, whose lock managers
 // serialize requests in the order they are handled, run one interleaving
 // per input. Two runs of a configuration agree on virtual time, traffic,
-// every process's counters and the race list.
+// every process's counters, the race list and the recorded event sequence
+// (wall-clock stamps aside) — which a walk over a Go map anywhere on the
+// protocol path would shuffle.
 func TestSameInputSameRun(t *testing.T) {
 	for _, app := range []struct {
 		name  string
@@ -57,8 +61,22 @@ func TestSameInputSameRun(t *testing.T) {
 		for _, procs := range []int{2, 4} {
 			for _, proto := range []dsm.ProtocolKind{dsm.SingleWriter, dsm.MultiWriter} {
 				t.Run(fmt.Sprintf("%s/p%d/%v", app.name, procs, proto), func(t *testing.T) {
-					a := runApp(t, app.name, app.scale, procs, proto, nil)
-					b := runApp(t, app.name, app.scale, procs, proto, nil)
+					run := func() (*dsm.System, []telemetry.Event) {
+						rec := telemetry.New(telemetry.Config{Procs: procs, Cap: -1})
+						sys := runAppWith(t, app.name, app.scale,
+							dsm.Config{NumProcs: procs, Protocol: proto, Detect: true, Recorder: rec})
+						evs := rec.Events()
+						for i := range evs {
+							evs[i].Wall = 0
+						}
+						return sys, evs
+					}
+					a, ea := run()
+					b, eb := run()
+					if i := firstDiff(ea, eb); i >= 0 {
+						t.Errorf("event sequences differ at event %d of %d/%d: %v, then %v",
+							i, len(ea), len(eb), at(ea, i), at(eb, i))
+					}
 					if va, vb := a.VirtualTime(), b.VirtualTime(); va != vb {
 						t.Errorf("virtual time %d, then %d", va, vb)
 					}
@@ -77,6 +95,27 @@ func TestSameInputSameRun(t *testing.T) {
 			}
 		}
 	}
+}
+
+// firstDiff returns the first index at which a and b differ, or -1.
+func firstDiff(a, b []telemetry.Event) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// at renders event i of evs, or "end" past the last.
+func at(evs []telemetry.Event, i int) string {
+	if i < len(evs) {
+		return evs[i].String()
+	}
+	return "end"
 }
 
 // lockCounter counts each process's acquisitions of one lock.

@@ -1,6 +1,10 @@
 package dsm
 
 import (
+	"cmp"
+	"slices"
+	"sort"
+
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/race"
@@ -50,9 +54,9 @@ type shardState struct {
 
 	expect int // bitmap replies to collect: n if owner, else 0
 	got    int
-	from   []bool               // which procs' replies have arrived
-	maxArr int64                // latest virtual arrival among replies
-	source map[bmKey]mem.Bitmap // collected bitmaps; key.write selects read/write
+	from   []bool              // which procs' replies have arrived
+	maxArr int64               // latest virtual arrival among replies
+	source [][]msg.BitmapEntry // source[q]: q's reply entries, by (index, page) once all are in
 
 	kidsLeft int // reduction-tree children yet to report
 	childV   int64
@@ -64,15 +68,25 @@ type shardState struct {
 	localV    int64 // virtual completion time of the local compare
 }
 
-type bmKey struct {
-	id    vc.IntervalID
-	page  mem.PageID
-	write bool
+// compareEntries orders one process's bitmap entries by (index, page).
+func compareEntries(a, b msg.BitmapEntry) int {
+	return cmp.Or(cmp.Compare(a.Index, b.Index), cmp.Compare(a.Page, b.Page))
 }
 
 // Bitmaps implements race.BitmapSource over the shard's collected replies.
 func (s *shardState) Bitmaps(id vc.IntervalID, p mem.PageID) (read, write mem.Bitmap) {
-	return s.source[bmKey{id, p, false}], s.source[bmKey{id, p, true}]
+	if uint(id.Proc) >= uint(len(s.source)) {
+		return nil, nil
+	}
+	ents, idx := s.source[id.Proc], uint32(id.Index)
+	i := sort.Search(len(ents), func(i int) bool {
+		e := &ents[i]
+		return e.Index > idx || e.Index == idx && e.Page >= p
+	})
+	if i == len(ents) || ents[i].Index != idx || ents[i].Page != p {
+		return nil, nil
+	}
+	return ents[i].Read, ents[i].Write
 }
 
 // shardArity is the arity of the sharded check's reduction tree: the same
@@ -92,7 +106,7 @@ func (p *Proc) openCheckRound(d simnet.Delivery, m *msg.BarrierRelease) {
 		release: m,
 		reduce:  len(m.ShardOwner) > 0,
 		from:    make([]bool, p.n),
-		source:  make(map[bmKey]mem.Bitmap),
+		source:  make([][]msg.BitmapEntry, p.n),
 		localV:  p.arrival(d) + p.model.Handler,
 	}
 	if sh.reduce {
@@ -156,15 +170,16 @@ func (p *Proc) shardBitmap(d simnet.Delivery, m *msg.BitmapReply) {
 	if sh.from[d.From] {
 		p.protocolBug("duplicate BitmapReply from p%d", d.From)
 	}
+	// A process returns bitmaps of its own intervals only, each (interval,
+	// page) once: anything else would make the lookup ambiguous.
 	for _, e := range m.Entries {
-		id := vc.IntervalID{Proc: int(e.Proc), Index: vc.Index(e.Index)}
-		if e.Read != nil {
-			sh.source[bmKey{id, e.Page, false}] = e.Read
-		}
-		if e.Write != nil {
-			sh.source[bmKey{id, e.Page, true}] = e.Write
+		if int(e.Proc) != d.From {
+			p.protocolBug("BitmapReply from p%d carries a bitmap of interval (%d, %d) page %d",
+				d.From, e.Proc, e.Index, e.Page)
 		}
 	}
+	// The delivered reply is ours (Transport): its entries become the source.
+	sh.source[d.From] = m.Entries
 	if arr := p.arrival(d); arr > sh.maxArr {
 		sh.maxArr = arr
 	}
@@ -172,6 +187,15 @@ func (p *Proc) shardBitmap(d simnet.Delivery, m *msg.BitmapReply) {
 	sh.got++
 	if sh.got < sh.expect {
 		return
+	}
+	for q, ents := range sh.source {
+		slices.SortFunc(ents, compareEntries)
+		for i := 1; i < len(ents); i++ {
+			if compareEntries(ents[i-1], ents[i]) == 0 {
+				p.protocolBug("BitmapReply from p%d carries interval (%d, %d) page %d twice",
+					q, ents[i].Proc, ents[i].Index, ents[i].Page)
+			}
+		}
 	}
 
 	// All replies in: compare this shard. The work is charged to THIS

@@ -187,10 +187,17 @@ func (b *Builder) Finish(id vc.IntervalID, v vc.VC, epoch int32, store *BitmapSt
 // until the race-detection pass at the next barrier has consumed them.
 // "Our system only discards trace information when it has been checked for
 // races" (§6.4). Bitmaps are kept one Footprint per interval — the unit
-// Finish deposits and the garbage collector retires.
+// Finish deposits and the garbage collector retires — in a slice per
+// process ordered by interval index, so a lookup is a binary search and
+// retiring a checked epoch is a prefix cut.
 type BitmapStore struct {
-	byID map[vc.IntervalID]*Footprint
-	n    int // stored bitmaps, read+write
+	byProc [][]storedFootprint // byProc[q]: q's footprints, ascending by index
+}
+
+// storedFootprint is one interval's entry in a BitmapStore.
+type storedFootprint struct {
+	index vc.Index
+	fp    *Footprint
 }
 
 // Footprint is one interval's word-access bitmaps, per access direction:
@@ -225,51 +232,73 @@ func (pb *pageBits) get(p mem.PageID) mem.Bitmap {
 	return nil
 }
 
-// set stores bm as page p's bitmap and reports whether p was new.
-func (pb *pageBits) set(p mem.PageID, bm mem.Bitmap) bool {
+// set stores bm as page p's bitmap.
+func (pb *pageBits) set(p mem.PageID, bm mem.Bitmap) {
 	i, found := slices.BinarySearch(pb.pages, p)
 	if found {
 		pb.bits[i] = bm
-		return false
+		return
 	}
 	pb.pages = slices.Insert(pb.pages, i, p)
 	pb.bits = slices.Insert(pb.bits, i, bm)
-	return true
 }
 
 // NewBitmapStore returns an empty store.
-func NewBitmapStore() *BitmapStore {
-	return &BitmapStore{byID: make(map[vc.IntervalID]*Footprint)}
+func NewBitmapStore() *BitmapStore { return &BitmapStore{} }
+
+// find returns the position of interval id's footprint in its process's
+// slice, or where it would be inserted, and whether it is present.
+func (s *BitmapStore) find(id vc.IntervalID) (int, bool) {
+	if uint(id.Proc) >= uint(len(s.byProc)) {
+		return 0, false
+	}
+	return slices.BinarySearchFunc(s.byProc[id.Proc], id.Index,
+		func(e storedFootprint, x vc.Index) int { return cmp.Compare(e.index, x) })
 }
 
 // Get returns the read and write bitmaps of interval id on page p; either
 // may be nil if no such access occurred.
 func (s *BitmapStore) Get(id vc.IntervalID, p mem.PageID) (read, write mem.Bitmap) {
-	return s.byID[id].Get(p)
+	if i, ok := s.find(id); ok {
+		return s.byProc[id.Proc][i].fp.Get(p)
+	}
+	return nil, nil
 }
 
-func (s *BitmapStore) put(id vc.IntervalID, fp *Footprint) {
-	s.byID[id] = fp
-	s.n += fp.count()
+// slot returns interval id's entry, inserting one without a footprint if
+// the store has none.
+func (s *BitmapStore) slot(id vc.IntervalID) *storedFootprint {
+	i, ok := s.find(id)
+	if !ok {
+		s.byProc = growTo(s.byProc, id.Proc)
+		s.byProc[id.Proc] = slices.Insert(s.byProc[id.Proc], i, storedFootprint{index: id.Index})
+	}
+	return &s.byProc[id.Proc][i]
 }
 
-func (s *BitmapStore) drop(id vc.IntervalID, fp *Footprint) {
-	s.n -= fp.count()
-	delete(s.byID, id)
-}
+// put deposits fp as interval id's footprint, replacing any held one.
+func (s *BitmapStore) put(id vc.IntervalID, fp *Footprint) { s.slot(id).fp = fp }
 
 // DiscardUpTo drops all bitmaps belonging to intervals with Index <= hi for
 // the given process — called after the barrier's race check completes.
 func (s *BitmapStore) DiscardUpTo(proc int, hi vc.Index) {
-	for id, fp := range s.byID {
-		if id.Proc == proc && id.Index <= hi {
-			s.drop(id, fp)
-		}
+	if uint(proc) >= uint(len(s.byProc)) {
+		return
 	}
+	fps := s.byProc[proc]
+	s.byProc[proc] = slices.Delete(fps, 0, sort.Search(len(fps), func(i int) bool { return fps[i].index > hi }))
 }
 
 // Len returns the number of stored (interval,page) bitmaps, read+write.
-func (s *BitmapStore) Len() int { return s.n }
+func (s *BitmapStore) Len() int {
+	n := 0
+	for _, fps := range s.byProc {
+		for _, e := range fps {
+			n += e.fp.count()
+		}
+	}
+	return n
+}
 
 // StoredBitmap is one (interval, page) bitmap held by the store, with its
 // access direction — the enumeration form used by checkpointing.
@@ -284,22 +313,19 @@ type StoredBitmap struct {
 // writes, each sorted by (proc, index, page)) so that serialized
 // checkpoints are byte-stable.
 func (s *BitmapStore) Entries() []StoredBitmap {
-	ids := make([]vc.IntervalID, 0, len(s.byID))
-	for id := range s.byID {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, CompareIDs)
-	out := make([]StoredBitmap, 0, s.n)
-	for _, id := range ids {
-		rd := &s.byID[id].read
-		for i, p := range rd.pages {
-			out = append(out, StoredBitmap{ID: id, Page: p, Bits: rd.bits[i]})
-		}
-	}
-	for _, id := range ids {
-		wr := &s.byID[id].write
-		for i, p := range wr.pages {
-			out = append(out, StoredBitmap{ID: id, Page: p, Write: true, Bits: wr.bits[i]})
+	out := make([]StoredBitmap, 0, s.Len())
+	for _, write := range []bool{false, true} {
+		for q, fps := range s.byProc {
+			for _, e := range fps {
+				side := &e.fp.read
+				if write {
+					side = &e.fp.write
+				}
+				id := vc.IntervalID{Proc: q, Index: e.index}
+				for i, p := range side.pages {
+					out = append(out, StoredBitmap{ID: id, Page: p, Write: write, Bits: side.bits[i]})
+				}
+			}
 		}
 	}
 	return out
@@ -316,56 +342,92 @@ func CompareIDs(a, b vc.IntervalID) int {
 // Put inserts one bitmap (the checkpoint-restore inverse of Entries),
 // replacing any bitmap already stored for that interval, page and side.
 func (s *BitmapStore) Put(id vc.IntervalID, p mem.PageID, write bool, bm mem.Bitmap) {
-	fp := s.byID[id]
-	if fp == nil {
-		fp = &Footprint{}
-		s.byID[id] = fp
+	e := s.slot(id)
+	if e.fp == nil {
+		e.fp = &Footprint{}
 	}
-	side := &fp.read
+	side := &e.fp.read
 	if write {
-		side = &fp.write
+		side = &e.fp.write
 	}
-	if side.set(p, bm) {
-		s.n++
+	side.set(p, bm)
+}
+
+// growTo returns s extended with empty slots so that index q is valid.
+func growTo[T any](s [][]T, q int) [][]T {
+	if q < len(s) {
+		return s
 	}
+	return append(s, make([][]T, q+1-len(s))...)
 }
 
 // Log is a process's table of known interval records — its own and those
 // received via synchronization messages — used to compute the consistency
-// deltas appended to lock grants and barrier messages.
+// deltas appended to lock grants and barrier messages. Records are kept in
+// a slice per process ordered by interval index: a version-vector entry
+// v[q] = i covers exactly a prefix of q's slice, so a delta is one suffix
+// per process and garbage collection one prefix cut per process.
 type Log struct {
-	byID map[vc.IntervalID]*Record
+	byProc [][]*Record // byProc[q]: q's records, ascending by index
 }
 
 // NewLog returns an empty log.
-func NewLog() *Log { return &Log{byID: make(map[vc.IntervalID]*Record)} }
+func NewLog() *Log { return &Log{} }
 
-// Add inserts r (no-op if already present).
+// above returns the position of the first record in recs with an index
+// above x — len(recs) if there is none. Searching for "above x" rather than
+// "at least x+1" keeps an index of math.MaxUint32 from wrapping.
+func above(recs []*Record, x vc.Index) int {
+	lo, hi := 0, len(recs) // a closure-free sort.Search: this is the delta's hot loop
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if recs[m].ID.Index <= x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// Add inserts r (no-op if already present). In the common, in-order case
+// the insertion is an append.
 func (l *Log) Add(r *Record) {
-	if _, ok := l.byID[r.ID]; !ok {
-		l.byID[r.ID] = r
+	l.byProc = growTo(l.byProc, r.ID.Proc)
+	recs := l.byProc[r.ID.Proc]
+	if i := above(recs, r.ID.Index); i == 0 || recs[i-1].ID.Index != r.ID.Index {
+		l.byProc[r.ID.Proc] = slices.Insert(recs, i, r)
 	}
 }
 
 // Get returns the record for id, or nil.
-func (l *Log) Get(id vc.IntervalID) *Record { return l.byID[id] }
+func (l *Log) Get(id vc.IntervalID) *Record {
+	if uint(id.Proc) >= uint(len(l.byProc)) {
+		return nil
+	}
+	recs := l.byProc[id.Proc]
+	if i := above(recs, id.Index); i > 0 && recs[i-1].ID.Index == id.Index {
+		return recs[i-1]
+	}
+	return nil
+}
 
 // Len returns the number of records held.
-func (l *Log) Len() int { return len(l.byID) }
+func (l *Log) Len() int {
+	n := 0
+	for _, recs := range l.byProc {
+		n += len(recs)
+	}
+	return n
+}
 
 // Records returns every held record sorted by (proc, index) — the
 // deterministic enumeration checkpointing serializes.
 func (l *Log) Records() []*Record {
-	out := make([]*Record, 0, len(l.byID))
-	for _, r := range l.byID {
-		out = append(out, r)
+	out := make([]*Record, 0, l.Len())
+	for _, recs := range l.byProc {
+		out = append(out, recs...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.Proc != out[j].ID.Proc {
-			return out[i].ID.Proc < out[j].ID.Proc
-		}
-		return out[i].ID.Index < out[j].ID.Index
-	})
 	return out
 }
 
@@ -381,24 +443,28 @@ func (l *Log) Delta(theirs vc.VC) []*Record { return l.DeltaCapped(theirs, nil) 
 // *at the release*, not what the granter happens to know by grant time
 // (knowledge gained after the release is not ordered before the acquire,
 // and leaking it would create false happens-before-1 edges that hide
-// races). A nil cap means no restriction.
+// races). A nil cap means no restriction. The result is, per process q,
+// the run of q's records above theirs[q] and at most cap[q]; it is sized
+// before it is filled, so the result slice is the only allocation.
 func (l *Log) DeltaCapped(theirs, cap vc.VC) []*Record {
-	var out []*Record
-	for id, r := range l.byID {
-		if id.Index <= theirs[id.Proc] {
-			continue
+	run := func(q int) []*Record {
+		recs := l.byProc[q]
+		if cap != nil {
+			recs = recs[:above(recs, cap[q])]
 		}
-		if cap != nil && id.Index > cap[id.Proc] {
-			continue
-		}
-		out = append(out, r)
+		return recs[above(recs, theirs[q]):]
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.Proc != out[j].ID.Proc {
-			return out[i].ID.Proc < out[j].ID.Proc
-		}
-		return out[i].ID.Index < out[j].ID.Index
-	})
+	n := 0
+	for q := range l.byProc {
+		n += len(run(q))
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Record, 0, n)
+	for q := range l.byProc {
+		out = append(out, run(q)...)
+	}
 	return out
 }
 
@@ -407,9 +473,7 @@ func (l *Log) DeltaCapped(theirs, cap vc.VC) []*Record {
 // below the horizon can never appear in a future delta. This is the
 // consistency-information garbage collection CVM runs at barriers.
 func (l *Log) PruneBefore(horizon vc.VC) {
-	for id := range l.byID {
-		if id.Index <= horizon[id.Proc] {
-			delete(l.byID, id)
-		}
+	for q, recs := range l.byProc {
+		l.byProc[q] = slices.Delete(recs, 0, above(recs, horizon[q]))
 	}
 }

@@ -2,6 +2,7 @@ package race
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"lrcrace/internal/interval"
@@ -60,17 +61,14 @@ func (d *Detector) Retain(reports []Report, records []*interval.Record) {
 	if len(reports) == 0 {
 		return
 	}
-	if d.racyRecords == nil {
-		d.racyRecords = make(map[vc.IntervalID]*interval.Record)
-	}
-	wanted := map[vc.IntervalID]bool{}
+	wanted := make([]vc.IntervalID, 0, 2*len(reports))
 	for _, r := range reports {
-		wanted[r.A.Interval] = true
-		wanted[r.B.Interval] = true
+		wanted = append(wanted, r.A.Interval, r.B.Interval)
 	}
+	slices.SortFunc(wanted, interval.CompareIDs)
 	for _, rec := range records {
-		if wanted[rec.ID] {
-			d.racyRecords[rec.ID] = rec.Clone()
+		if _, ok := slices.BinarySearchFunc(wanted, rec.ID, interval.CompareIDs); ok {
+			d.racyRecords.Add(rec.Clone())
 		}
 	}
 }
@@ -79,8 +77,8 @@ func (d *Detector) Retain(reports []Report, records []*interval.Record) {
 // interval records retained at detection time. ok is false if the report's
 // intervals are unknown (e.g. it came from a different detector).
 func (d *Detector) ExplainReport(r Report) (string, bool) {
-	a := d.racyRecords[r.A.Interval]
-	b := d.racyRecords[r.B.Interval]
+	a := d.racyRecords.Get(r.A.Interval)
+	b := d.racyRecords.Get(r.B.Interval)
 	if a == nil || b == nil {
 		return "", false
 	}

@@ -22,6 +22,7 @@ package race
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lrcrace/internal/interval"
@@ -131,12 +132,12 @@ type Detector struct {
 	// racyRecords retains the interval records behind reported races so
 	// ExplainReport can reconstruct derivations after epoch metadata is
 	// discarded.
-	racyRecords map[vc.IntervalID]*interval.Record
+	racyRecords *interval.Log
 }
 
 // NewDetector returns a detector for a segment with the given layout.
 func NewDetector(l mem.Layout, opts Options) *Detector {
-	return &Detector{opts: opts, layout: l, firstRacyEpoch: -1}
+	return &Detector{opts: opts, layout: l, firstRacyEpoch: -1, racyRecords: interval.NewLog()}
 }
 
 // Stats returns accumulated counters.
@@ -161,7 +162,6 @@ func (d *Detector) BuildCheckList(records []*interval.Record) []CheckEntry {
 	records = append([]*interval.Record(nil), records...)
 	sort.Slice(records, func(i, j int) bool { return lessID(records[i].ID, records[j].ID) })
 	var entries []CheckEntry
-	involved := make(map[vc.IntervalID]bool)
 	examine := func(a, b *interval.Record) {
 		d.stats.ConcurrentPairs++
 		pages := d.overlap(a, b)
@@ -169,8 +169,6 @@ func (d *Detector) BuildCheckList(records []*interval.Record) []CheckEntry {
 			return
 		}
 		d.stats.OverlappingPairs++
-		involved[a.ID] = true
-		involved[b.ID] = true
 		for _, p := range pages {
 			entries = append(entries, CheckEntry{A: a.ID, B: b.ID, Page: p})
 		}
@@ -188,10 +186,30 @@ func (d *Detector) BuildCheckList(records []*interval.Record) []CheckEntry {
 			examine(a, b)
 		}
 	}
-	d.stats.IntervalsInvolved += len(involved)
-	d.stats.CheckEntries += len(entries)
 	sortCheckEntries(entries)
+	d.stats.IntervalsInvolved += countIntervals(entries)
+	d.stats.CheckEntries += len(entries)
 	return entries
+}
+
+// countIntervals returns the number of distinct intervals named by a
+// check list in canonical order. There the entries of one A interval are
+// adjacent, and within them those of one B interval, so each A run
+// contributes A once and each pair contributes B once to a list of
+// (proc, index) keys that one sort and compaction count.
+func countIntervals(entries []CheckEntry) int {
+	key := func(id vc.IntervalID) uint64 { return uint64(id.Proc)<<32 | uint64(id.Index) }
+	var keys []uint64
+	for i, e := range entries {
+		switch {
+		case i == 0 || e.A != entries[i-1].A:
+			keys = append(keys, key(e.A), key(e.B))
+		case e.B != entries[i-1].B:
+			keys = append(keys, key(e.B))
+		}
+	}
+	slices.Sort(keys)
+	return len(slices.Compact(keys))
 }
 
 // sortCheckEntries establishes the canonical check-list order — interval

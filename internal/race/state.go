@@ -1,11 +1,6 @@
 package race
 
-import (
-	"sort"
-
-	"lrcrace/internal/interval"
-	"lrcrace/internal/vc"
-)
+import "lrcrace/internal/interval"
 
 // State is the checkpointable portion of a Detector: the accumulated work
 // statistics, the first-racy-epoch marker behind §6.4 first-race
@@ -24,15 +19,9 @@ type State struct {
 // SnapshotState returns a deep copy of the detector's mutable state.
 func (d *Detector) SnapshotState() State {
 	s := State{Stats: d.stats, FirstRacyEpoch: d.firstRacyEpoch}
-	for _, r := range d.racyRecords {
+	for _, r := range d.racyRecords.Records() {
 		s.RacyRecords = append(s.RacyRecords, r.Clone())
 	}
-	sort.Slice(s.RacyRecords, func(i, j int) bool {
-		if s.RacyRecords[i].ID.Proc != s.RacyRecords[j].ID.Proc {
-			return s.RacyRecords[i].ID.Proc < s.RacyRecords[j].ID.Proc
-		}
-		return s.RacyRecords[i].ID.Index < s.RacyRecords[j].ID.Index
-	})
 	return s
 }
 
@@ -41,11 +30,8 @@ func (d *Detector) SnapshotState() State {
 func (d *Detector) RestoreState(s State) {
 	d.stats = s.Stats
 	d.firstRacyEpoch = s.FirstRacyEpoch
-	d.racyRecords = nil
-	if len(s.RacyRecords) > 0 {
-		d.racyRecords = make(map[vc.IntervalID]*interval.Record, len(s.RacyRecords))
-		for _, r := range s.RacyRecords {
-			d.racyRecords[r.ID] = r.Clone()
-		}
+	d.racyRecords = interval.NewLog()
+	for _, r := range s.RacyRecords {
+		d.racyRecords.Add(r.Clone())
 	}
 }

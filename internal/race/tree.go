@@ -113,13 +113,8 @@ func (d *Detector) FoldCheckLists(nrecords int, entries []CheckEntry, bst BuildS
 	d.stats.ConcurrentPairs += int(bst.ConcurrentPairs)
 	d.stats.OverlappingPairs += int(bst.OverlappingPairs)
 	d.stats.NoticesScanned += int(bst.NoticesScanned)
-	involved := make(map[vc.IntervalID]bool)
-	for _, e := range entries {
-		involved[e.A] = true
-		involved[e.B] = true
-	}
-	d.stats.IntervalsInvolved += len(involved)
-	d.stats.CheckEntries += len(entries)
 	sortCheckEntries(entries)
+	d.stats.IntervalsInvolved += countIntervals(entries)
+	d.stats.CheckEntries += len(entries)
 	return entries
 }
