@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"lrcrace/internal/mem"
 )
 
 // Addr is a chunk address: the SHA-256 of the chunk's contents.
@@ -62,7 +64,10 @@ type Stats struct {
 }
 
 // Store is a refcounted content-addressed chunk store. Safe for concurrent
-// use.
+// use. Chunk contents live in buffers from the page-frame pool
+// (mem.GetFrame); no buffer the store holds ever leaves it, so a chunk's
+// buffer goes back to the pool when an Unref frees the chunk, a heal
+// replaces its contents or a Delete fault drops them.
 type Store struct {
 	mu     sync.Mutex
 	chunks map[Addr]*chunk
@@ -91,7 +96,7 @@ func (s *Store) Put(b []byte) (Addr, bool) {
 	c := s.chunks[a]
 	switch {
 	case c == nil:
-		c = &chunk{data: stored(b)}
+		c = &chunk{data: pooledCopy(b)}
 		s.chunks[a] = c
 		s.stats.StoredBytes += int64(len(b))
 		s.stats.LiveBytes += int64(len(b))
@@ -99,7 +104,8 @@ func (s *Store) Put(b []byte) (Addr, bool) {
 		s.stats.Hits++
 		s.stats.Heals++
 		s.stats.LiveBytes += int64(len(b) - len(c.data))
-		c.data = stored(b)
+		mem.PutFrame(c.data)
+		c.data = pooledCopy(b)
 	default:
 		s.stats.Hits++
 	}
@@ -107,9 +113,14 @@ func (s *Store) Put(b []byte) (Addr, bool) {
 	return a, c.refs == 1
 }
 
-// stored returns the store's own copy of b, which it does not zero before
-// overwriting. Never nil: a nil data slice marks a Delete-faulted chunk.
-func stored(b []byte) []byte { return append([]byte{}, b...) }
+// pooledCopy returns a copy of b in a buffer from the frame pool, which it
+// does not zero before overwriting. Never nil: as a chunk's data, nil marks
+// a Delete-faulted chunk.
+func pooledCopy(b []byte) []byte {
+	c := mem.GetFrame(len(b))
+	copy(c, b)
+	return c
+}
 
 // PutAt is Put for a caller that remembers where these bytes may already
 // live: own, the address it last deposited their predecessor under (a
@@ -145,8 +156,10 @@ func (s *Store) PutAt(own, shared Addr, b []byte) (Addr, bool) {
 }
 
 // Get returns a copy of the chunk at a, verifying its contents against the
-// address. It returns ErrMissing if nothing is stored there and ErrCorrupt
-// if the stored bytes no longer hash to a.
+// address. The copy is the caller's, in a buffer from mem.GetFrame, so a
+// caller done with it may hand it to mem.PutFrame. It returns ErrMissing if
+// nothing is stored there and ErrCorrupt if the stored bytes no longer hash
+// to a.
 func (s *Store) Get(a Addr) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -157,7 +170,7 @@ func (s *Store) Get(a Addr) ([]byte, error) {
 	if Sum(c.data) != a {
 		return nil, fmt.Errorf("%w: %s", ErrCorrupt, a)
 	}
-	return append([]byte(nil), c.data...), nil
+	return pooledCopy(c.data), nil
 }
 
 // Contains reports whether a chunk is resident at a (tampered or not).
@@ -181,6 +194,7 @@ func (s *Store) Unref(a Addr) {
 	if c.refs <= 0 {
 		s.stats.FreedBytes += int64(len(c.data))
 		s.stats.LiveBytes -= int64(len(c.data))
+		mem.PutFrame(c.data)
 		delete(s.chunks, a)
 	}
 }
@@ -246,6 +260,7 @@ func (s *Store) Delete(a Addr) bool {
 	}
 	s.stats.Deletes++
 	s.stats.LiveBytes -= int64(len(c.data))
+	mem.PutFrame(c.data)
 	c.data = nil
 	return true
 }

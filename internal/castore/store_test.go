@@ -180,12 +180,17 @@ func storeImage(s *Store) (Stats, map[Addr]chunk) {
 // refcounts, resident data and every returned (address, new) pair — across
 // deposits, fault injection and release, whether either remembered address
 // is right, stale, or nonsense. The hints buy hashes saved, never a
-// different answer.
+// different answer. Page-sized contents (P, Q, R: a power of two long) live
+// in pooled buffers, so a chunk freed by a drain, heal or delete hands its
+// buffer to the next deposit of that size; Get answers the same from both
+// stores after every step (for the step's contents) and at the end (for
+// all).
 func TestPutAtMatchesPut(t *testing.T) {
 	A, B, C := []byte("page contents A"), []byte("page contents B"), []byte("page contents C, longer")
 	empty := []byte{}
+	P, Q, R := bytes.Repeat([]byte{0x11}, 64), bytes.Repeat([]byte{0x22}, 64), bytes.Repeat([]byte("page R, "), 8)
 	type op struct {
-		kind    string // put | hint | shared | tamper | delete | unref | drain
+		kind    string // put | hint | shared | tamper | delete | unref | drain | get | missing
 		slot    int    // put, hint, shared: which remembered addresses to offer and update
 		content []byte
 		who     int // put, hint: which of the two depositors
@@ -213,10 +218,14 @@ func TestPutAtMatchesPut(t *testing.T) {
 		{"shared hint deleted", []op{put(0, A), {"delete", 0, A, 0}, put1(0, A), put(0, A)}},
 		{"shared hint names other resident contents", []op{put(0, A), put(1, B), {"shared", 0, B, 0}, put1(0, A), {"shared", 1, C, 0}, put1(1, B)}},
 		{"both hints wrong", []op{put(0, A), put(1, B), {"hint", 0, B, 1}, {"shared", 0, B, 0}, put1(0, A), put1(0, A)}},
+		{"drained chunk's buffer holds the next deposit", []op{put(0, P), {"drain", 0, P, 0}, put(0, Q), {"missing", 0, P, 0}, {"get", 0, Q, 0}}},
+		{"tampered chunk drained, no flipped bit in the next deposit", []op{put(0, P), {"tamper", 0, P, 0}, {"drain", 0, P, 0}, put(0, R), {"get", 0, R, 0}, {"missing", 0, P, 0}}},
+		{"healed chunk's old buffer holds the next deposit", []op{put(0, P), {"tamper", 0, P, 0}, put(0, P), put(1, Q), {"get", 0, P, 0}, {"get", 0, Q, 0}}},
+		{"deleted chunk's buffer holds the next deposit", []op{put(0, P), {"delete", 0, P, 0}, put(1, Q), {"missing", 0, P, 0}, put(0, P), {"get", 0, P, 0}, {"get", 0, Q, 0}}},
 	}
 	// Plus seeded random sequences over the same alphabet.
 	rng := rand.New(rand.NewSource(13))
-	contents := [][]byte{A, B, C, empty}
+	contents := [][]byte{A, B, C, empty, P, Q, R}
 	kinds := []string{"put", "put", "put", "put", "hint", "shared", "tamper", "delete", "unref", "drain"}
 	for i := 0; i < 200; i++ {
 		var ops []op
@@ -234,6 +243,17 @@ func TestPutAtMatchesPut(t *testing.T) {
 			plain, hinted := New(), New()
 			var own [2][3]Addr
 			var shared [3]Addr
+			// sameGets checks that both stores answer Get alike after op i.
+			sameGets := func(i int, cs ...[]byte) {
+				t.Helper()
+				for _, c := range cs {
+					wb, werr := plain.Get(Sum(c))
+					gb, gerr := hinted.Get(Sum(c))
+					if !bytes.Equal(gb, wb) || errors.Is(gerr, ErrMissing) != errors.Is(werr, ErrMissing) || errors.Is(gerr, ErrCorrupt) != errors.Is(werr, ErrCorrupt) {
+						t.Fatalf("after op %d: Get(%q) = %q, %v from PutAt's store, %q, %v from Put's", i, c, gb, gerr, wb, werr)
+					}
+				}
+			}
 			for i, o := range tc.ops {
 				a := Sum(o.content)
 				switch o.kind {
@@ -268,6 +288,16 @@ func TestPutAtMatchesPut(t *testing.T) {
 						plain.Unref(a)
 						hinted.Unref(a)
 					}
+				case "get", "missing":
+					for _, s := range []*Store{plain, hinted} {
+						got, err := s.Get(a)
+						if o.kind == "get" && (err != nil || !bytes.Equal(got, o.content)) {
+							t.Fatalf("op %d: Get(%q) = %q, %v", i, o.content, got, err)
+						}
+						if o.kind == "missing" && !errors.Is(err, ErrMissing) {
+							t.Fatalf("op %d: Get(%q) after release: %v, want ErrMissing", i, o.content, err)
+						}
+					}
 				}
 				wst, wimg := storeImage(plain)
 				gst, gimg := storeImage(hinted)
@@ -281,7 +311,9 @@ func TestPutAtMatchesPut(t *testing.T) {
 				if !reflect.DeepEqual(gimg, wimg) {
 					t.Fatalf("op %d (%s): resident chunks diverge:\n PutAt %v\n Put   %v", i, o.kind, gimg, wimg)
 				}
+				sameGets(i, o.content)
 			}
+			sameGets(len(tc.ops), contents...)
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package dsm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -78,7 +77,9 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 			p.st.WriteFaults++
 			p.tel.Emit(p.id, telemetry.KPageFault, p.vnow, int64(pg), 1, 0)
 			if p.home(pg) != p.id || p.writesFromDiffs {
-				p.twins[pg] = bytes.Clone(p.seg.PageBytes(pg))
+				tw := mem.GetFrame(p.seg.PageSize)
+				copy(tw, p.seg.PageBytes(pg))
+				p.twins[pg] = tw
 				p.twinned.add(pg)
 			}
 			p.state[pg] = pageWritable
@@ -170,7 +171,8 @@ func (p *Proc) fetchPage(pg mem.PageID, write bool) {
 		p.protocolBug("fault on page %d answered with %d bytes, page size is %d",
 			pg, len(rep.Data), p.seg.PageSize)
 	}
-	// The delivered message is ours (Transport): its bytes become the frame.
+	// The delivered message is ours (Transport): its bytes become the frame,
+	// and the frame they replace goes back to the pool.
 	p.seg.AdoptPage(pg, rep.Data)
 	p.tel.Emit(p.id, telemetry.KPageFetch, p.vnow, int64(pg), int64(d.From), p.vnow-v)
 	if own {
@@ -246,6 +248,7 @@ func (p *Proc) flushDiffs() {
 			p.send(p.home(pg), &msg.DiffFlush{Page: pg, Entries: entries}, v)
 			acks++
 		}
+		mem.PutFrame(twin) // diffed: the entries hold what the flush needs
 		p.twins[pg] = nil
 		p.state[pg] = pageReadOnly
 	}

@@ -230,7 +230,8 @@ type Transport interface {
 	// The reliable sublayer reads the transport under it this way. A
 	// delivered message, by Recv or Next, belongs to the receiver: nothing
 	// else references it or what it points to, so the receiver may keep
-	// parts of it (a fetched PageReply's Data becomes its page frame).
+	// parts of it (a fetched PageReply's Data, a pooled frame, becomes its
+	// page frame, and the frame it replaces goes back to the pool).
 	Recv(proc int) (simnet.Delivery, bool)
 	// Next returns a delivery queued for any process, each process's in
 	// arrival order, and that process. With none queued it waits only on

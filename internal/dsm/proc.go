@@ -278,6 +278,18 @@ func newProc(s *System, id int) *Proc {
 	return p
 }
 
+// release returns p's page frames and twins to the frame pool. Call it
+// only on a process nothing reads again: one a rollback replaces.
+func (p *Proc) release() {
+	p.seg.Release()
+	for pg, tw := range p.twins {
+		if tw != nil {
+			mem.PutFrame(tw)
+			p.twins[pg] = nil
+		}
+	}
+}
+
 // ID returns the process number (0..N-1).
 func (p *Proc) ID() int { return p.id }
 

@@ -288,6 +288,9 @@ func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 		rt = reliable.Wrap(s.nw, n, rc)
 		s.nw = rt
 	}
+	for _, p := range s.procs {
+		p.release() // the aborted attempt's: the plan's or fresh ones replace them
+	}
 	s.procs = nil
 	if plan != nil {
 		s.procs = plan.procs // nil when the plan restarts from scratch

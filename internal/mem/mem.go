@@ -84,8 +84,14 @@ func (l Layout) Contains(a Addr) bool {
 // Segment is one process's local copy of the shared address space. Each DSM
 // process holds its own Segment; coherence traffic (page fetches, diffs)
 // moves bytes between them. It holds one frame per page, allocated when the
-// page is first needed: SetWord and PageBytes allocate a zeroed frame,
-// AdoptPage installs a caller's. A page without a frame reads as zero.
+// page is first needed: SetWord allocates a zeroed frame, PageBytes takes
+// one from the pool (GetFrame) and zeroes it, AdoptPage installs a
+// caller's. A page without a frame reads as zero.
+//
+// The segment owns its frames. A frame it gives up — replaced by
+// AdoptPage, or dropped by Release — goes back to the pool at once, so no
+// one may keep a slice from PageBytes or PageView across an operation that
+// can replace the frame.
 type Segment struct {
 	Layout
 	frames [][]byte // one per page; nil until first needed
@@ -106,22 +112,26 @@ func (s *Segment) Word(a Addr) uint64 {
 	return binary.LittleEndian.Uint64(f[s.offset(a):])
 }
 
-// SetWord writes the 8-byte word at a (little-endian).
+// SetWord writes the 8-byte word at a (little-endian). A page's first
+// write installs a new zeroed frame rather than one from the pool: the
+// pool's call would make SetWord too costly to inline.
 func (s *Segment) SetWord(a Addr, v uint64) {
 	f := s.frames[s.Page(a)]
 	if f == nil {
-		f = s.PageBytes(s.Page(a))
+		f = make([]byte, s.PageSize)
+		s.frames[s.Page(a)] = f
 	}
 	binary.LittleEndian.PutUint64(f[s.offset(a):], v)
 }
 
-// PageBytes returns the frame backing page p, allocating a zeroed one if
-// the page has none. The caller may write through it but must not retain
-// it across coherence operations: AdoptPage replaces it.
+// PageBytes returns the frame backing page p, installing a zeroed one from
+// the pool if the page has none. The caller may write through it but must
+// not retain it across coherence operations: AdoptPage replaces it.
 func (s *Segment) PageBytes(p PageID) []byte {
 	f := s.frames[p]
 	if f == nil {
-		f = make([]byte, s.PageSize)
+		f = GetFrame(s.PageSize)
+		clear(f)
 		s.frames[p] = f
 	}
 	return f
@@ -141,12 +151,28 @@ func (s *Segment) PageView(p PageID) []byte {
 }
 
 // AdoptPage makes b the frame of page p, without copying it; the segment
-// owns b from then on. It panics unless len(b) is the page size.
+// owns b from then on, and the frame b replaces goes back to the pool
+// (PutFrame). It panics unless len(b) is the page size.
 func (s *Segment) AdoptPage(p PageID, b []byte) {
 	if len(b) != s.PageSize {
 		panic(fmt.Sprintf("mem: AdoptPage(%d) of %d bytes, page size is %d", p, len(b), s.PageSize))
 	}
+	if old := s.frames[p]; old != nil && &old[0] != &b[0] {
+		PutFrame(old)
+	}
 	s.frames[p] = b
+}
+
+// Release returns every frame to the pool; each page then reads as zero.
+// Call it only on a segment nothing will read again through a slice it
+// handed out.
+func (s *Segment) Release() {
+	for p, f := range s.frames {
+		if f != nil {
+			PutFrame(f)
+			s.frames[p] = nil
+		}
+	}
 }
 
 // Resident returns the number of pages that have a frame.

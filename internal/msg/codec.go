@@ -176,15 +176,17 @@ func (d *Decoder) Raw(n int) []byte {
 	return b
 }
 
-// Blob reads a length-prefixed byte slice into its own allocation, which
-// the caller owns: it shares nothing with the decoded buffer.
+// Blob reads a length-prefixed byte slice into a buffer of its own, which
+// the caller owns: it shares nothing with the decoded buffer. The buffer
+// comes from the page-frame pool (mem.GetFrame), so a page image the
+// receiver later drops can be recycled.
 func (d *Decoder) Blob() []byte {
 	n := int(d.U32())
 	if d.err2(n) {
 		return nil
 	}
-	b := append([]byte{}, d.buf[d.off:d.off+n]...) // a copy, not zeroed first
-	d.off += n
+	b := mem.GetFrame(n)
+	d.off += copy(b, d.buf[d.off:d.off+n]) // a copy, not zeroed first
 	return b
 }
 

@@ -11,9 +11,12 @@ import (
 // FuzzUnmarshal: arbitrary bytes must never panic the decoder, and
 // anything it accepts must re-encode to exactly the bytes it came from —
 // decoding is canonical, so no two encodings mean the same message.
-// AppendMarshal must add exactly Marshal's bytes after any prefix, and the
-// records of a decoded list, which share slabs, must not share memory: an
-// append to one record's slices leaves every other record as it was.
+// AppendMarshal must add exactly Marshal's bytes after any prefix. A
+// decoded message must share no memory with its input — overwriting the
+// input leaves what the message encodes to unchanged, page images drawn
+// from the frame pool included — and the records of a decoded list, which
+// share slabs, must not share memory with each other: an append to one
+// record's slices leaves every other record as it was.
 func FuzzUnmarshal(f *testing.F) {
 	for _, m := range wireCorpus() {
 		f.Add(Marshal(m))
@@ -22,13 +25,20 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{0xFF, 0x00, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Unmarshal(data)
+		in := bytes.Clone(data) // the fuzzer's input must not be written
+		m, err := Unmarshal(in)
 		if err != nil {
 			return // rejected: fine
 		}
 		re := Marshal(m)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted %v %x re-encodes as %x", m.Type(), data, re)
+		}
+		for i := range in {
+			in[i] = ^in[i]
+		}
+		if got := Marshal(m); !bytes.Equal(got, data) {
+			t.Fatalf("%v: overwriting the decoded buffer changed the message: it re-encodes as %x, was %x", m.Type(), got, data)
 		}
 		prefix := data[: len(data)/2 : len(data)/2]
 		if got, want := AppendMarshal(prefix, m), append(bytes.Clone(prefix), re...); !bytes.Equal(got, want) {

@@ -277,7 +277,8 @@ func (m *PageFwd) layout(w Wire) {
 }
 
 // PageReply delivers page contents; Ownership marks a single-writer
-// ownership transfer.
+// ownership transfer. A decoded PageReply's Data is a buffer from the
+// page-frame pool (mem.GetFrame) that the receiver owns.
 type PageReply struct {
 	Page      mem.PageID
 	Ownership bool

@@ -12,10 +12,12 @@
 // The wire allocates only what the receiver keeps. Send encodes into a
 // pooled buffer (GetBuf, msg.AppendMarshal) and returns it to the pool once
 // Unmarshal has copied every field out; decoded interval records and their
-// version vectors come from one slab per list. Send has serialized the
-// message when it returns and keeps no reference to it — the contract
-// dsm.Transport states — so a sender may pass live state. An Inbox forgets
-// each delivery it hands out.
+// version vectors come from one slab per list, and a PageReply's page image
+// from the page-frame pool (mem.GetFrame), to which the receiving DSM
+// returns the frame it replaces. Send has serialized the message when it
+// returns and keeps no reference to it — the contract dsm.Transport states
+// — so a sender may pass live state. An Inbox forgets each delivery it
+// hands out.
 package simnet
 
 import (
