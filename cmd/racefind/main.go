@@ -15,7 +15,6 @@
 //	racefind -app TSP -trace-out tsp.json    # Chrome/Perfetto cluster timeline
 //	racefind -app TSP -metrics-out tsp.prom  # Prometheus-style metrics
 //	racefind -app TSP -flight-recorder 256   # dump last events on failure
-//	racefind -app TSP -barrier-timeout 30s   # abort (and dump) a stalled barrier
 package main
 
 import (
@@ -50,7 +49,6 @@ func main() {
 	chromeOut := flag.String("trace-out", "", "write the run's protocol events as Chrome trace-event JSON (open in Perfetto or chrome://tracing)")
 	metricsOut := flag.String("metrics-out", "", "write the run's metrics in Prometheus text format")
 	flight := flag.Int("flight-recorder", 0, "arm the flight recorder: dump the last N events to stderr if the run fails (0 = off)")
-	barrierTimeout := flag.Duration("barrier-timeout", 0, "abort if a barrier round stalls this long in real time (trips the flight recorder; 0 = wait forever)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the run's live metrics as Prometheus text on this address under /metrics")
 	flag.Parse()
 
@@ -93,10 +91,9 @@ func main() {
 		OpsPerClient: *ops,
 		Seed:         *seed,
 		DSM: lrcrace.Config{
-			Protocol:           proto,
-			FirstOnly:          *first,
-			WritesFromDiffs:    *diffs,
-			BarrierWallTimeout: *barrierTimeout,
+			Protocol:        proto,
+			FirstOnly:       *first,
+			WritesFromDiffs: *diffs,
 		},
 	}
 

@@ -1,8 +1,8 @@
 // Command crashrecovery kills a process mid-epoch and shows the system
 // survive it: every process serializes its recovery state at each barrier
 // departure (a checkpoint), survivors detect the death through the
-// reliable layer's retry cap (with a barrier wall timeout as backstop for
-// quiet deaths), and the run rolls all processes back to the last common
+// reliable layer's retry cap (or, for a death nothing is sent to, as a
+// deadlock), and the run rolls all processes back to the last common
 // barrier epoch, reclaims the victim's locks, and re-executes. The final
 // memory — and the detector's race report — match a crash-free run. See
 // docs/ROBUSTNESS.md for the failure model and recovery protocol.
@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"lrcrace"
 )
@@ -28,9 +27,8 @@ func main() {
 		Detect:     true,
 		// Checkpointing is on by default: every barrier departure deposits
 		// a chunk-deduplicated manifest the rollback below restores from.
-		Reliable:           true,            // link death detects the crash
-		BarrierWallTimeout: 5 * time.Second, // backstop for quiet deaths
-		Crashes:            []*lrcrace.CrashPlan{plan},
+		Reliable: true, // link death detects the crash
+		Crashes:  []*lrcrace.CrashPlan{plan},
 	})
 	if err != nil {
 		log.Fatal(err)

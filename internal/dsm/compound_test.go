@@ -6,10 +6,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
-	"time"
 
 	"lrcrace/internal/castore"
-	"lrcrace/internal/reliable"
 	"lrcrace/internal/telemetry"
 )
 
@@ -24,15 +22,9 @@ func compoundSys(t *testing.T, nproc int, proto ProtocolKind, crashes []*CrashPl
 		Protocol:   proto,
 		Detect:     true,
 		Reliable:   true,
-		ReliableConfig: reliable.Config{
-			RTO:        2 * time.Millisecond,
-			MaxRTO:     50 * time.Millisecond,
-			MaxRetries: 8,
-		},
-		BarrierWallTimeout: 2 * time.Second,
-		Crashes:            crashes,
-		Corruption:         corrupt,
-		Recorder:           rec,
+		Crashes:    crashes,
+		Corruption: corrupt,
+		Recorder:   rec,
 	})
 	if err != nil {
 		t.Fatal(err)

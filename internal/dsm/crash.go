@@ -172,9 +172,9 @@ func (c crashPanic) String() string {
 }
 
 // endpointKiller is the optional transport capability that silences a
-// crashed process's own sends and acknowledgments; reliable.Transport
-// provides it. (On any transport, the scheduler handles nothing more for a
-// crashed process.)
+// crashed process's own sends, retransmissions and acknowledgments;
+// reliable.Transport provides it. (On any transport, the scheduler handles
+// nothing more for a crashed process.)
 type endpointKiller interface {
 	KillEndpoint(proc int)
 }

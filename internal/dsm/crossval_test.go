@@ -562,14 +562,11 @@ func TestTreeBlameNamesDeepVictim(t *testing.T) {
 		{{0, 1}, {1, 3}}, // root first, then interior
 		{{1, 3}, {0, 1}}, // interior first, then root
 	} {
-		s.resetSuspectLocked()
+		s.resetSuspect()
 		for _, acc := range order {
 			s.noteTimeoutVerdict(acc[0], acc[1])
 		}
-		s.recMu.Lock()
-		got := s.suspect
-		s.recMu.Unlock()
-		if got != 3 {
+		if got := s.suspect; got != 3 {
 			t.Errorf("order %v: converged on p%d, want p3", order, got)
 		}
 	}

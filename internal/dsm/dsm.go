@@ -31,7 +31,6 @@ import (
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/race"
-	"lrcrace/internal/reliable"
 	"lrcrace/internal/simnet"
 	"lrcrace/internal/telemetry"
 )
@@ -121,8 +120,7 @@ type Config struct {
 
 	// Transport overrides the message transport; nil → the in-memory
 	// simulated network. The transport must deliver reliably and preserve
-	// per-sender-pair FIFO order (both simnet and tcpnet do) — or Reliable
-	// must be set to restore that contract on top of it.
+	// per-sender-pair FIFO order, as tcpnet does.
 	Transport Transport
 
 	// Faults makes the simulated network lossy: a deterministic,
@@ -134,24 +132,23 @@ type Config struct {
 	Faults *simnet.FaultPlan
 
 	// Reliable layers the CVM-style end-to-end retransmission sublayer
-	// (internal/reliable) over the transport: per-link sequence numbers,
-	// cumulative piggybacked ACKs, timeout retransmission with backoff,
-	// and receiver-side dedup/resequencing. This is what lets the DSM run
-	// unchanged over a lossy wire, exactly as CVM ran over raw UDP.
+	// (internal/reliable) over the simulated network: per-link sequence
+	// numbers, cumulative piggybacked ACKs, timeout retransmission with
+	// backoff, and receiver-side dedup/resequencing. This is what lets the
+	// DSM run unchanged over a lossy wire, exactly as CVM ran over raw
+	// UDP. Its deadlines are virtual and fire when the scheduler has
+	// nothing else to do, so a lossy run is one interleaving per input.
+	// Only valid with the built-in network (Transport == nil).
 	Reliable bool
 
-	// ReliableConfig tunes the sublayer's timers; zero value → defaults.
-	ReliableConfig reliable.Config
-
 	// BarrierWallTimeout, when positive, bounds the *real* time the run
-	// waits on a transport's real-time sources (tcpnet's sockets, the
-	// reliable sublayer's timers) while every process is blocked. On
-	// expiry each blocked wait fails as a timeout: the telemetry flight
-	// recorder is tripped — preserving the events leading up to the hang —
-	// and the run aborts with an error. Zero means wait forever. On the
-	// simulated network alone nothing can arrive while everything is
-	// blocked, so such a deadlock fails the same way at once, whatever
-	// this is.
+	// waits on tcpnet's sockets, the only real-time source, while every
+	// process is blocked. On expiry each blocked wait fails as a timeout:
+	// the telemetry flight recorder is tripped — preserving the events
+	// leading up to the hang — and the run aborts with an error. Zero means
+	// wait forever. On the simulated network nothing can arrive while
+	// everything is blocked and no retransmission is pending, so such a
+	// deadlock fails the same way at once, whatever this is.
 	BarrierWallTimeout time.Duration
 
 	// NoCheckpoint disables barrier-epoch checkpointing, which is ON by
@@ -170,9 +167,9 @@ type Config struct {
 	// CrashPlan): one plan, or several for compound faults — two victims
 	// in one epoch, or a second crash armed only during recovery
 	// (CrashPlan.DuringRecovery). Requires checkpointing (NoCheckpoint
-	// false), the built-in simulated network (Transport == nil), and at
-	// least one failure-detection path: Reliable (link retry-cap
-	// exhaustion) or BarrierWallTimeout > 0.
+	// false) and the built-in simulated network (Transport == nil), on
+	// which survivors detect a death by link retry-cap exhaustion
+	// (Reliable) or, at once, as a deadlock.
 	Crashes []*CrashPlan
 
 	// Corruption schedules deterministic damage to stored checkpoint
@@ -226,19 +223,16 @@ type Transport interface {
 	// serialized m when it returns and keeps no reference to it, so the
 	// caller may hand it live state (a page it then goes on writing).
 	Send(from, to int, m msg.Message, vtime int64) int
-	// Recv blocks for the next delivery to proc; ok is false after Close.
-	// The reliable sublayer reads the transport under it this way. A
-	// delivered message, by Recv or Next, belongs to the receiver: nothing
-	// else references it or what it points to, so the receiver may keep
-	// parts of it (a fetched PageReply's Data, a pooled frame, becomes its
-	// page frame, and the frame it replaces goes back to the pool).
-	Recv(proc int) (simnet.Delivery, bool)
 	// Next returns a delivery queued for any process, each process's in
 	// arrival order, and that process. With none queued it waits only on
-	// real-time sources (sockets, timers) — at most wait, without bound
+	// real-time sources (tcpnet's sockets) — at most wait, without bound
 	// when wait is negative, not at all when it is zero — and otherwise
 	// reports why nothing came: simnet.ErrClosed, simnet.ErrQuiet (nothing
-	// can arrive: every delivery comes from Send) or simnet.ErrTimeout.
+	// can arrive: every delivery comes from Send) or simnet.ErrTimeout. A
+	// delivered message belongs to the receiver: nothing else references
+	// it or what it points to, so the receiver may keep parts of it (a
+	// fetched PageReply's Data, a pooled frame, becomes its page frame, and
+	// the frame it replaces goes back to the pool).
 	Next(wait time.Duration) (to int, d simnet.Delivery, err error)
 	// Close shuts the transport down, waking a waiting Next.
 	Close()
@@ -278,6 +272,12 @@ func (c *Config) Validate() error {
 	if c.Faults != nil && c.Transport != nil {
 		return fmt.Errorf("dsm: Faults applies only to the built-in simulated network (Transport must be nil)")
 	}
+	if c.Reliable && c.Transport != nil {
+		// Deadlines fired whenever the scheduler is stuck would resend on
+		// sockets whose data is merely slow, and in the end declare a live
+		// link dead.
+		return fmt.Errorf("dsm: Reliable applies only to the built-in simulated network (Transport must be nil); a custom transport must itself be reliable and FIFO")
+	}
 	if c.Faults.Lossy() && !c.Reliable {
 		return fmt.Errorf("dsm: a lossy FaultPlan (drop/dup/reorder) breaks the reliable-FIFO contract the protocol assumes; set Reliable to layer end-to-end retransmission over it")
 	}
@@ -297,9 +297,6 @@ func (c *Config) Validate() error {
 		}
 		if c.Transport != nil {
 			return fmt.Errorf("dsm: crash plans require the built-in simulated network (Transport must be nil)")
-		}
-		if !c.Reliable && c.BarrierWallTimeout <= 0 {
-			return fmt.Errorf("dsm: crash plans require a failure-detection path: set Reliable (link retry-cap exhaustion) or BarrierWallTimeout (barrier wall timeout)")
 		}
 	}
 	if c.Corruption != nil {
@@ -373,8 +370,6 @@ type System struct {
 	recStats  RecoveryStats
 	sched     *sched // the current attempt's
 
-	recMu      sync.Mutex
-	attemptGen int          // advanced per attempt; stale detector verdicts carry an old one
 	suspect    int          // proc suspected dead this attempt; -1 unknown
 	suspectVia string       // "link-death" | "barrier-timeout" | ""
 	crashSeen  bool         // an injected crashPanic unwound this attempt

@@ -342,7 +342,8 @@ func await[M msg.Message](p *Proc, op string) (M, simnet.Delivery) {
 // barrierBlame derives a crash suspect from the barrier round's
 // bookkeeping after a wait on op timed out or deadlocked (a timeoutPanic:
 // the scheduler raises one in every blocked process when nothing more can
-// arrive, or nothing did within Config.BarrierWallTimeout). At the barrier
+// arrive and no retransmission is pending, or nothing came from tcpnet's
+// sockets within Config.BarrierWallTimeout). At the barrier
 // master it names the processes the current round has not heard from; when
 // exactly one is missing it becomes the crash suspect. Only a barrier wait may
 // name suspects: there, a missing process has demonstrably gone silent.

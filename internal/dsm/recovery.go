@@ -18,8 +18,9 @@ import (
 // victim's endpoint goes silent and stays silent. Survivors detect the
 // death through one of two paths — the reliable sublayer's retry-cap
 // exhaustion (a link to the victim dies after MaxRetries unacked
-// retransmissions), or the barrier wall timeout on any blocked reply wait
-// — and shut the network down, unwinding every process. The driver then
+// retransmissions), or the timeout every blocked reply wait raises once
+// nothing more can arrive — and shut the network down, unwinding every
+// process. Both fire on the scheduler's virtual clock. The driver then
 // performs a coordinated rollback: it picks the latest epoch for which
 // every process holds a checkpoint (the recovery line), rebuilds ALL N
 // processes from their checkpoints at that line — the replacement for the
@@ -155,29 +156,24 @@ func (s *System) recoveryArmed() bool {
 	return len(s.cfg.Crashes) > 0 || (s.epochMode && s.cfg.checkpointing())
 }
 
-// --- crash suspicion (shared by the reliable sublayer's timer goroutine,
-// the scheduler's panic classification, and the rollback driver) ---
+// --- crash suspicion (the scheduler's panic classification and the
+// reliable sublayer's link-death handler, both on the attempt's one thread
+// of control, feed it; the rollback driver reads it after the attempt) ---
 
-// resetSuspectLocked clears the suspicion state for a new attempt and
-// advances the attempt generation, which retires the previous attempt's
-// link-death detector (see onLinkDead).
-func (s *System) resetSuspectLocked() {
-	s.recMu.Lock()
-	s.attemptGen++
+// resetSuspect clears the suspicion state for a new attempt.
+func (s *System) resetSuspect() {
 	s.suspect = -1
 	s.suspectVia = ""
 	s.crashSeen = false
 	s.aliveProcs = nil
-	s.recMu.Unlock()
 }
 
 // noteSuspect records a detection verdict of an attempt. Link-death is
-// hard evidence — the peer's receive pump acknowledged nothing across the
-// whole retry budget — and overrides an earlier circumstantial
-// barrier-timeout verdict; otherwise the first verdict wins and later
-// detections may only sharpen an unidentified suspect.
+// hard evidence — the peer acknowledged nothing across the whole retry
+// budget — and overrides an earlier circumstantial barrier-timeout
+// verdict; otherwise the first verdict wins and later detections may only
+// sharpen an unidentified suspect.
 func (s *System) noteSuspect(proc int, via string) {
-	s.recMu.Lock()
 	switch {
 	case s.suspectVia == "":
 		s.suspect, s.suspectVia = proc, via
@@ -186,7 +182,6 @@ func (s *System) noteSuspect(proc int, via string) {
 	case s.suspect < 0 && proc >= 0:
 		s.suspect = proc
 	}
-	s.recMu.Unlock()
 }
 
 // noteTimeoutVerdict reconciles one process's barrier-timeout blame before
@@ -197,9 +192,8 @@ func (s *System) noteSuspect(proc int, via string) {
 // accuser displaces any earlier circumstantial verdict naming IT, and a
 // verdict naming a proven-alive process is discarded (kept only as an
 // unidentified detection). The final suspect is therefore the same
-// whichever order the survivors' timeouts fire in.
+// whichever order the survivors' timeouts are raised in.
 func (s *System) noteTimeoutVerdict(accuser, suspect int) {
-	s.recMu.Lock()
 	if s.aliveProcs == nil {
 		s.aliveProcs = make(map[int]bool)
 	}
@@ -210,52 +204,27 @@ func (s *System) noteTimeoutVerdict(accuser, suspect int) {
 	if suspect >= 0 && s.aliveProcs[suspect] {
 		suspect = -1
 	}
-	s.recMu.Unlock()
 	s.noteSuspect(suspect, "barrier-timeout")
-}
-
-func (s *System) noteCrash() {
-	s.recMu.Lock()
-	s.crashSeen = true
-	s.recMu.Unlock()
 }
 
 // crashDetected reports whether the last attempt ended in a crash-class
 // failure (injected crash observed, or a survivor-side detection fired) as
 // opposed to a genuine application or protocol error.
 func (s *System) crashDetected() bool {
-	s.recMu.Lock()
-	defer s.recMu.Unlock()
 	return s.crashSeen || s.suspectVia != ""
 }
 
 func (s *System) suspectInfo() (proc int, via string) {
-	s.recMu.Lock()
-	defer s.recMu.Unlock()
 	return s.suspect, s.suspectVia
 }
 
-// onLinkDead is installed as the reliable sublayer's dead-link handler
-// when recovery is armed: a link to an unresponsive peer exhausted its
-// retry cap, so that peer is suspected dead. The network is shut down to
-// unwind every survivor; the rollback driver takes over from there.
-//
-// gen and nw are the generation and transport of the attempt the handler
-// was installed for. Several links to one dead peer give up within
-// microseconds of each other, each on its own timer goroutine, and the
-// first verdict starts the rollback: a later one can arrive after the next
-// attempt has been built. It must not accuse anyone in that attempt, nor
-// shut its network down — a verdict from a retired generation is dropped.
-func (s *System) onLinkDead(gen int, nw Transport, from, to int) {
-	s.recMu.Lock()
-	stale := gen != s.attemptGen
-	s.recMu.Unlock()
-	if stale {
-		return
-	}
+// onLinkDead is the reliable sublayer's dead-link handler when recovery is
+// armed: a link to an unresponsive peer exhausted its retry cap, so that
+// peer is suspected dead. The sublayer then shuts the network down, which
+// unwinds every survivor; the rollback driver takes over from there.
+func (s *System) onLinkDead(from, to int) {
 	s.noteSuspect(to, "link-death")
 	s.tel.Emit(from, telemetry.KCrashDetected, 0, int64(to), 1, 0)
-	nw.Close()
 }
 
 // --- attempt runner ---
@@ -266,7 +235,7 @@ func (s *System) onLinkDead(gen int, nw Transport, from, to int) {
 // single execution path behind both Run and RunEpochs.
 func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 	n := s.cfg.NumProcs
-	s.resetSuspectLocked()
+	s.resetSuspect()
 	if s.cfg.Transport != nil {
 		s.nw = s.cfg.Transport
 	} else {
@@ -276,17 +245,13 @@ func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 			return err
 		}
 		s.nw = nw
-	}
-	if s.cfg.Reliable {
-		rc := s.cfg.ReliableConfig
-		rc.Telemetry = s.tel
-		var rt *reliable.Transport
-		if s.recoveryArmed() {
-			gen := s.attemptGen
-			rc.OnLinkDead = func(from, to int) { s.onLinkDead(gen, rt, from, to) }
+		if s.cfg.Reliable {
+			rc := reliable.Config{Telemetry: s.tel}
+			if s.recoveryArmed() {
+				rc.OnLinkDead = s.onLinkDead
+			}
+			s.nw = reliable.Wrap(nw, n, rc)
 		}
-		rt = reliable.Wrap(s.nw, n, rc)
-		s.nw = rt
 	}
 	for _, p := range s.procs {
 		p.release() // the aborted attempt's: the plan's or fresh ones replace them

@@ -36,8 +36,13 @@ import (
 //   - Lock, Unlock and Barrier are scheduling points even when they send
 //     nothing, so a manager re-acquiring its own lock cannot run ahead of
 //     its peers' earlier requests.
-//   - With nothing runnable and nothing buffered, the transport is asked
-//     for a delivery; it waits only on real-time sources, at most
+//   - With nothing runnable and nothing buffered, a transport with
+//     deadlines of its own (reliable.Transport) fires the earliest: a
+//     retransmission, a delayed acknowledgment, or a link's death. Its
+//     clock is virtual, so every retry happens in one order and nothing
+//     waits in real time.
+//   - With no deadline left, the transport is asked for a delivery; only
+//     tcpnet's sockets are a real-time source, waited on for at most
 //     Config.BarrierWallTimeout. If none comes every blocked coroutine
 //     raises a timeoutPanic — at once on the simulated network, where
 //     nothing can arrive: a deadlock.
@@ -215,9 +220,17 @@ func (sc *sched) deliver() {
 	}
 }
 
-// stuck runs when nothing is runnable and nothing is buffered: wait for a
-// real-time source, and if nothing comes, fail every blocked coroutine —
-// with a timeoutPanic, or the shutdown panic once the transport is closed.
+// advancer is the optional transport capability of firing deadlines kept
+// on the scheduler's clock; reliable.Transport provides it. Advance
+// reports whether it did anything.
+type advancer interface {
+	Advance() bool
+}
+
+// stuck runs when nothing is runnable and nothing is buffered: fire the
+// transport's earliest deadline or wait for a real-time source, and if
+// neither yields anything, fail every blocked coroutine — with a
+// timeoutPanic, or the shutdown panic once the transport is closed.
 func (sc *sched) stuck() {
 	wait := sc.s.cfg.BarrierWallTimeout
 	if wait == 0 {
@@ -225,6 +238,10 @@ func (sc *sched) stuck() {
 	}
 	var err error
 	if !sc.closed {
+		if a, ok := sc.s.nw.(advancer); ok && a.Advance() {
+			sc.quiet = false
+			return
+		}
 		var to int
 		var d simnet.Delivery
 		if to, d, err = sc.s.nw.Next(wait); err == nil {
@@ -267,7 +284,7 @@ func (sc *sched) exit(p *Proc, r any) {
 		// link retry-cap exhaustion, or the wait that can never end.
 		sc.ranks[i] = errCrash
 		p.crashed = true
-		s.noteCrash()
+		s.crashSeen = true
 	case timeoutPanic:
 		sc.ranks[i] = errTimeout
 		s.noteTimeoutVerdict(i, pv.suspect)

@@ -13,6 +13,7 @@ import (
 	_ "lrcrace/internal/apps/water"
 	"lrcrace/internal/dsm"
 	"lrcrace/internal/mem"
+	"lrcrace/internal/simnet"
 	"lrcrace/internal/telemetry"
 )
 
@@ -49,10 +50,12 @@ func runAppWith(t *testing.T, name string, scale float64, cfg dsm.Config) *dsm.S
 
 // TestSameInputSameRun: the lock applications, whose lock managers
 // serialize requests in the order they are handled, run one interleaving
-// per input. Two runs of a configuration agree on virtual time, traffic,
-// every process's counters, the race list and the recorded event sequence
-// (wall-clock stamps aside) — which a walk over a Go map anywhere on the
-// protocol path would shuffle.
+// per input — over a lossy wire under the reliable sublayer and through a
+// crash and its rollback too, since retransmissions and link deaths fire
+// on the scheduler's clock. Two runs of a configuration agree on virtual
+// time, traffic, every process's counters, the race list and the recorded
+// event sequence (wall-clock stamps aside) — which a walk over a Go map
+// anywhere on the protocol path would shuffle.
 func TestSameInputSameRun(t *testing.T) {
 	for _, app := range []struct {
 		name  string
@@ -61,40 +64,114 @@ func TestSameInputSameRun(t *testing.T) {
 		for _, procs := range []int{2, 4} {
 			for _, proto := range []dsm.ProtocolKind{dsm.SingleWriter, dsm.MultiWriter} {
 				t.Run(fmt.Sprintf("%s/p%d/%v", app.name, procs, proto), func(t *testing.T) {
-					run := func() (*dsm.System, []telemetry.Event) {
-						rec := telemetry.New(telemetry.Config{Procs: procs, Cap: -1})
-						sys := runAppWith(t, app.name, app.scale,
+					sameRun(t, func(rec *telemetry.Recorder) *dsm.System {
+						return runAppWith(t, app.name, app.scale,
 							dsm.Config{NumProcs: procs, Protocol: proto, Detect: true, Recorder: rec})
-						evs := rec.Events()
-						for i := range evs {
-							evs[i].Wall = 0
-						}
-						return sys, evs
-					}
-					a, ea := run()
-					b, eb := run()
-					if i := firstDiff(ea, eb); i >= 0 {
-						t.Errorf("event sequences differ at event %d of %d/%d: %v, then %v",
-							i, len(ea), len(eb), at(ea, i), at(eb, i))
-					}
-					if va, vb := a.VirtualTime(), b.VirtualTime(); va != vb {
-						t.Errorf("virtual time %d, then %d", va, vb)
-					}
-					if na, nb := a.NetStats(), b.NetStats(); na != nb {
-						t.Errorf("traffic differs:\n%+v\n%+v", na, nb)
-					}
-					for i, p := range a.Procs() {
-						if sa, sb := p.Stats(), b.Procs()[i].Stats(); sa != sb {
-							t.Errorf("p%d stats differ:\n%+v\n%+v", i, sa, sb)
-						}
-					}
-					if !reflect.DeepEqual(a.Races(), b.Races()) {
-						t.Errorf("race lists differ: %d reports, then %d", len(a.Races()), len(b.Races()))
-					}
+					})
 				})
 			}
 		}
 	}
+	t.Run("TSP/p4/lossy", func(t *testing.T) {
+		sys := sameRun(t, func(rec *telemetry.Recorder) *dsm.System {
+			return runAppWith(t, "TSP", 0.02, dsm.Config{
+				NumProcs: 4, Detect: true, Recorder: rec, Reliable: true,
+				Faults: &simnet.FaultPlan{Seed: 5, Drop: 0.1, Dup: 0.05, Reorder: 0.1, MaxReorder: 3},
+			})
+		})
+		if st := sys.NetStats(); st.Retransmits == 0 || st.Deduped == 0 || st.Reordered == 0 {
+			t.Errorf("the lossy wire exercised too little: %d retransmits, %d deduped, %d reordered",
+				st.Retransmits, st.Deduped, st.Reordered)
+		}
+	})
+	for _, point := range []dsm.CrashPoint{dsm.CrashMidInterval, dsm.CrashHoldingLock} {
+		t.Run(fmt.Sprintf("crash/%v", point), func(t *testing.T) {
+			sys := sameRun(t, func(rec *telemetry.Recorder) *dsm.System {
+				return runCrashEpochs(t, &dsm.CrashPlan{Victim: 2, Epoch: 1, Point: point}, rec)
+			})
+			if rs := sys.RecoveryStats(); rs.Recoveries != 1 {
+				t.Errorf("%d recoveries, want 1", rs.Recoveries)
+			}
+		})
+	}
+}
+
+// sameRun runs a configuration twice, each time recording into a fresh
+// unbounded recorder, reports every way the two runs differ, and returns
+// the first.
+func sameRun(t *testing.T, run func(rec *telemetry.Recorder) *dsm.System) *dsm.System {
+	t.Helper()
+	once := func() (*dsm.System, []telemetry.Event) {
+		rec := telemetry.New(telemetry.Config{Procs: 4, Cap: -1})
+		sys := run(rec)
+		evs := rec.Events()
+		for i := range evs {
+			evs[i].Wall = 0
+			if evs[i].Kind == telemetry.KRecoveryDone {
+				evs[i].C = 0 // the rollback's wall time
+			}
+		}
+		return sys, evs
+	}
+	a, ea := once()
+	b, eb := once()
+	if i := firstDiff(ea, eb); i >= 0 {
+		t.Errorf("event sequences differ at event %d of %d/%d: %v, then %v",
+			i, len(ea), len(eb), at(ea, i), at(eb, i))
+	}
+	if va, vb := a.VirtualTime(), b.VirtualTime(); va != vb {
+		t.Errorf("virtual time %d, then %d", va, vb)
+	}
+	if na, nb := a.NetStats(), b.NetStats(); na != nb {
+		t.Errorf("traffic differs:\n%+v\n%+v", na, nb)
+	}
+	for i, p := range a.Procs() {
+		if sa, sb := p.Stats(), b.Procs()[i].Stats(); sa != sb {
+			t.Errorf("p%d stats differ:\n%+v\n%+v", i, sa, sb)
+		}
+	}
+	if !reflect.DeepEqual(a.Races(), b.Races()) {
+		t.Errorf("race lists differ: %d reports, then %d", len(a.Races()), len(b.Races()))
+	}
+	ra, rb := a.RecoveryStats(), b.RecoveryStats()
+	ra.WallNS, rb.WallNS = 0, 0
+	if ra != rb {
+		t.Errorf("recovery differs:\n%+v\n%+v", ra, rb)
+	}
+	return a
+}
+
+// runCrashEpochs runs three epochs of lock-ordered increments and one racy
+// write per process on four processes over the reliable sublayer, with
+// crash injected, and checks that no increment was lost or doubled across
+// the rollback.
+func runCrashEpochs(t *testing.T, crash *dsm.CrashPlan, rec *telemetry.Recorder) *dsm.System {
+	t.Helper()
+	sys, err := dsm.New(dsm.Config{
+		NumProcs: 4, SharedSize: 16 * 1024, PageSize: 1024, Detect: true,
+		Reliable: true, Crashes: []*dsm.CrashPlan{crash}, Recorder: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter, _ := sys.AllocWords("counter", 1)
+	racy, _ := sys.AllocWords("racy", 1)
+	const epochs = 3
+	err = sys.RunEpochs(epochs, func() dsm.EpochFunc {
+		return func(p *dsm.Proc, e int32) {
+			p.Lock(0)
+			p.Write(counter, p.Read(counter)+1)
+			p.Unlock(0)
+			p.Write(racy, uint64(p.ID()))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.SnapshotWord(counter); got != 4*epochs {
+		t.Errorf("counter = %d, want %d", got, 4*epochs)
+	}
+	return sys
 }
 
 // firstDiff returns the first index at which a and b differ, or -1.

@@ -60,28 +60,54 @@ func TestChaosSoakSOR(t *testing.T) {
 // TestChaosApps runs every chaos application through every crash mode:
 // the epoch-structured workloads must converge through rollback and pass
 // their own verification (exactly-once lock-ordered updates, per-proc
-// slots at their final values) whatever the injected failure.
+// slots at their final values) whatever the injected failure. Each run is
+// made twice and must repeat exactly — retries and link deaths fire on the
+// scheduler's clock — and so must the crash cell of sweep's chaos-seeds
+// grid (ChaosTSP-s1-p2-sw-d1-sh0-ck1-crsingle-seed0).
 func TestChaosApps(t *testing.T) {
+	type cell struct {
+		name string
+		cfg  RunConfig
+	}
+	var cells []cell
 	for _, app := range ChaosAppNames {
 		for _, mode := range CrashModes {
-			app, mode := app, mode
-			t.Run(fmt.Sprintf("%s/%s", app, mode), func(t *testing.T) {
-				t.Parallel()
-				r, err := Run(RunConfig{
-					App: app, Procs: 4, Detect: true,
-					CrashMode: mode, Seed: 3,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mode != "none" && r.Recovery.Recoveries < 1 {
-					t.Errorf("crash mode %q performed no recovery", mode)
-				}
-				if r.Checkpoint.Count == 0 {
-					t.Error("chaos run deposited no checkpoints")
-				}
-			})
+			cells = append(cells, cell{fmt.Sprintf("%s/%s", app, mode),
+				RunConfig{App: app, Procs: 4, Detect: true, CrashMode: mode, Seed: 3}})
 		}
+	}
+	cells = append(cells, cell{"ChaosTSP/p2-single-seed0",
+		RunConfig{App: "ChaosTSP", Scale: 1, Procs: 2, Detect: true, CrashMode: "single"}})
+	for _, c := range cells {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			r, err := Run(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.cfg.CrashMode != "none" && r.Recovery.Recoveries < 1 {
+				t.Errorf("crash mode %q performed no recovery", c.cfg.CrashMode)
+			}
+			if r.Checkpoint.Count == 0 {
+				t.Error("chaos run deposited no checkpoints")
+			}
+			again, err := Run(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(r.Races, again.Races) {
+				t.Errorf("race reports differ between two runs: %d, then %d", len(r.Races), len(again.Races))
+			}
+			if r.VirtualNS != again.VirtualNS || r.Net != again.Net || !reflect.DeepEqual(r.Procs, again.Procs) {
+				t.Errorf("runs differ: virtual %d vs %d ns, traffic equal %v, process stats equal %v",
+					r.VirtualNS, again.VirtualNS, r.Net == again.Net, reflect.DeepEqual(r.Procs, again.Procs))
+			}
+			r.Recovery.WallNS, again.Recovery.WallNS = 0, 0
+			if r.Recovery != again.Recovery {
+				t.Errorf("recovery differs:\n%+v\n%+v", r.Recovery, again.Recovery)
+			}
+		})
 	}
 }
 

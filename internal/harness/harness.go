@@ -16,7 +16,6 @@ import (
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/race"
-	"lrcrace/internal/reliable"
 	"lrcrace/internal/simnet"
 	"lrcrace/internal/telemetry"
 
@@ -171,9 +170,8 @@ func recorderFor(cfg RunConfig, procs int) *telemetry.Recorder {
 // benchmark or chaos app, executed or merely validated — builds its System
 // from what this returns (plus the recorder): cfg.DSM with the fields the
 // harness derives filled in. The chaos apps always run over the reliable
-// sublayer — link-death detection is how survivors notice a victim — with
-// the same aggressive retry cap the recovery tests use and the barrier wall
-// timeout as backstop, on a few small pages.
+// sublayer — link-death detection is how survivors notice a victim — on a
+// few small pages.
 func dsmConfig(cfg RunConfig, sharedSize int) (dsm.Config, error) {
 	dc := cfg.DSM
 	dc.NumProcs, dc.SharedSize, dc.Detect = cfg.Procs, sharedSize, cfg.Detect
@@ -182,12 +180,6 @@ func dsmConfig(cfg RunConfig, sharedSize int) (dsm.Config, error) {
 	}
 	dc.PageSize = chaosPageSize
 	dc.Reliable = true
-	if dc.ReliableConfig.RTO == 0 {
-		dc.ReliableConfig = reliable.Config{RTO: 2 * time.Millisecond, MaxRTO: 50 * time.Millisecond, MaxRetries: 8}
-	}
-	if dc.BarrierWallTimeout == 0 {
-		dc.BarrierWallTimeout = 2 * time.Second
-	}
 	var err error
 	dc.Crashes, dc.Corruption, err = chaosPlans(cfg)
 	return dc, err

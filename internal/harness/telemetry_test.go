@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"lrcrace/internal/dsm"
 	"lrcrace/internal/mem"
-	"lrcrace/internal/reliable"
 	"lrcrace/internal/simnet"
 	"lrcrace/internal/telemetry"
 )
@@ -197,14 +195,10 @@ func TestFlightRecorderOnRetryCapChaos(t *testing.T) {
 			Protocol: dsm.SingleWriter,
 			Faults:   &simnet.FaultPlan{Seed: 7, Drop: 0.95},
 			Reliable: true,
-			ReliableConfig: reliable.Config{
-				RTO:        200 * time.Microsecond,
-				MaxRetries: 2,
-			},
 		},
 	})
 	if err == nil {
-		t.Fatal("run survived a 95 percent drop wire with a 2-round retry cap")
+		t.Fatal("run survived a 95 percent drop wire")
 	}
 	if rec.Trips() == 0 {
 		t.Fatal("flight recorder never tripped")

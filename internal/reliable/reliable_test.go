@@ -2,19 +2,11 @@ package reliable
 
 import (
 	"testing"
-	"time"
 
 	"lrcrace/internal/msg"
 	"lrcrace/internal/simnet"
 	"lrcrace/internal/wiretest"
 )
-
-func fastCfg() Config {
-	return Config{
-		RTO:    500 * time.Microsecond,
-		MaxRTO: 10 * time.Millisecond,
-	}
-}
 
 func wrapFaulty(t *testing.T, n int, plan *simnet.FaultPlan) *Transport {
 	t.Helper()
@@ -24,7 +16,7 @@ func wrapFaulty(t *testing.T, n int, plan *simnet.FaultPlan) *Transport {
 			t.Fatal(err)
 		}
 	}
-	return Wrap(nw, n, fastCfg())
+	return Wrap(nw, n, Config{})
 }
 
 func TestReliableNoFaultsPassThrough(t *testing.T) {
@@ -99,17 +91,11 @@ func TestDuplicatedWireDeliveredOnce(t *testing.T) {
 			t.Fatalf("delivery %d has vtime %d: duplicate slipped through", i, d.VTime)
 		}
 	}
-	// No more deliveries may be pending: every wire duplicate was deduped.
-	done := make(chan struct{})
-	go func() {
-		if _, ok := rt.Recv(1); ok {
-			t.Error("extra delivery: dedup failed")
-		}
-		close(done)
-	}()
-	time.Sleep(5 * time.Millisecond)
-	rt.Close()
-	<-done
+	// No more deliveries may be pending: every wire duplicate was deduped,
+	// and once the acknowledgments settle Recv finds nothing to wait for.
+	if _, ok := rt.Recv(1); ok {
+		t.Error("extra delivery: dedup failed")
+	}
 	if st := rt.Stats(); st.Deduped == 0 {
 		t.Error("Deduped = 0 with Dup=1.0")
 	}
@@ -141,28 +127,20 @@ func TestPiggybackSuppressesPureAcks(t *testing.T) {
 	// reverse ACK, so pure RelAcks should (almost) never be needed. Allow
 	// the final exchange's delayed ack.
 	rt := wrapFaulty(t, 2, nil)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			d, ok := rt.Recv(1)
-			if !ok {
-				return
-			}
-			pg := d.Msg.(*msg.PageReq).Page
-			rt.Send(1, 0, &msg.PageReply{Page: pg}, 0)
-		}
-	}()
+	defer rt.Close()
 	const n = 20
 	for i := 0; i < n; i++ {
 		rt.Send(0, 1, &msg.PageReq{Page: 9}, int64(i))
+		d, ok := rt.Recv(1)
+		if !ok {
+			t.Fatal("request lost mid ping-pong")
+		}
+		rt.Send(1, 0, &msg.PageReply{Page: d.Msg.(*msg.PageReq).Page}, 0)
 		if _, ok := rt.Recv(0); !ok {
-			t.Fatal("closed mid ping-pong")
+			t.Fatal("reply lost mid ping-pong")
 		}
 	}
 	st := rt.Stats()
-	rt.Close()
-	<-done
 	if st.Messages[msg.TRelAck] > 4 {
 		t.Errorf("ping-pong sent %d pure acks; piggybacking is not working", st.Messages[msg.TRelAck])
 	}
@@ -173,26 +151,62 @@ func TestPiggybackSuppressesPureAcks(t *testing.T) {
 
 func TestPureAckWithoutReverseTraffic(t *testing.T) {
 	// One-directional traffic: without piggybacking opportunities the
-	// delayed-ack timer must still acknowledge, or the sender would
-	// retransmit forever and eventually kill the link.
+	// delayed-ack deadline must still acknowledge, or the sender would
+	// retransmit forever and eventually kill the link. Six deliveries: the
+	// fourth owes an immediate ack, the last two a delayed one.
 	rt := wrapFaulty(t, 2, nil)
 	defer rt.Close()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 6; i++ {
 		rt.Send(0, 1, &msg.DiffFlush{Page: 1}, int64(i))
 		rt.Recv(1)
 	}
-	// Give the ack timer time to fire and the sender to settle.
-	time.Sleep(20 * time.Millisecond)
-	st := rt.Stats()
-	if st.Messages[msg.TRelAck] == 0 {
-		t.Error("no pure acks on a one-way stream")
+	// Settle: fire deadlines until nothing is left to retry.
+	for settle := 0; rt.Advance(); settle++ {
+		if settle == 100 {
+			t.Fatal("deadlines still firing after 100 rounds")
+		}
 	}
-	// The sender's queue must be empty (acks consumed) — observable as no
-	// runaway retransmissions after the settle window.
+	st := rt.Stats()
+	if got := st.Messages[msg.TRelAck]; got != 2 {
+		t.Errorf("%d pure acks on a one-way stream, want 2 (one after ackEvery deliveries, one delayed)", got)
+	}
+	// The sender's queue must be empty (acks consumed): no retransmission
+	// ran, and none is pending.
+	if st.Retransmits > 0 {
+		t.Errorf("%d retransmissions on a lossless one-way stream", st.Retransmits)
+	}
 	before := st.Retransmits
-	time.Sleep(20 * time.Millisecond)
+	if rt.Advance() {
+		t.Error("a deadline is still pending after the acks")
+	}
 	if after := rt.Stats().Retransmits; after > before {
 		t.Errorf("retransmissions still running after acks: %d -> %d", before, after)
+	}
+}
+
+// TestLinkDeathAfterRetryCap: on a wire that loses everything, a reader's
+// wait fires the link's retransmission deadline MaxRetries times, then
+// declares the link dead, tells the owner, and shuts the transport down.
+func TestLinkDeathAfterRetryCap(t *testing.T) {
+	nw := simnet.New(2)
+	if err := nw.SetFaults(&simnet.FaultPlan{Seed: 3, Drop: 1.0}); err != nil {
+		t.Fatal(err)
+	}
+	var dead [][2]int
+	rt := Wrap(nw, 2, Config{OnLinkDead: func(from, to int) { dead = append(dead, [2]int{from, to}) }})
+	rt.Send(0, 1, &msg.PageReq{Page: 4}, 10)
+	if _, ok := rt.Recv(1); ok {
+		t.Fatal("delivery over a wire that drops everything")
+	}
+	if len(dead) != 1 || dead[0] != [2]int{0, 1} {
+		t.Errorf("OnLinkDead calls = %v, want one for 0->1", dead)
+	}
+	st := rt.Stats()
+	if st.Retransmits != MaxRetries || st.Errors != 1 {
+		t.Errorf("retransmits = %d, errors = %d; want %d, 1", st.Retransmits, st.Errors, MaxRetries)
+	}
+	if _, _, err := rt.Next(0); err != simnet.ErrClosed {
+		t.Errorf("Next after link death: %v, want ErrClosed", err)
 	}
 }
 
@@ -218,16 +232,10 @@ func TestChaosSoakManyMessages(t *testing.T) {
 	})
 	defer rt.Close()
 	const n = 300
-	go func() {
-		for i := 0; i < n; i++ {
-			rt.Send(0, 1, &msg.PageReply{Page: 1, Data: []byte{byte(i), byte(i >> 8)}}, int64(i))
-		}
-	}()
-	go func() {
-		for i := 0; i < n; i++ {
-			rt.Send(1, 0, &msg.PageReply{Page: 2, Data: []byte{byte(i), byte(i >> 8)}}, int64(i))
-		}
-	}()
+	for i := 0; i < n; i++ {
+		rt.Send(0, 1, &msg.PageReply{Page: 1, Data: []byte{byte(i), byte(i >> 8)}}, int64(i))
+		rt.Send(1, 0, &msg.PageReply{Page: 2, Data: []byte{byte(i), byte(i >> 8)}}, int64(i))
+	}
 	check := func(at int) {
 		for i := 0; i < n; i++ {
 			d, ok := rt.Recv(at)
@@ -242,10 +250,8 @@ func TestChaosSoakManyMessages(t *testing.T) {
 			}
 		}
 	}
-	doneCh := make(chan struct{})
-	go func() { check(0); close(doneCh) }()
+	check(0)
 	check(1)
-	<-doneCh
 	st := rt.Stats()
 	if st.Retransmits == 0 || st.TotalDropped() == 0 {
 		t.Errorf("soak exercised nothing: retransmits=%d dropped=%d", st.Retransmits, st.TotalDropped())

@@ -57,18 +57,15 @@ func metricsDoc(t *testing.T, s *sweep.Sweep) []byte {
 // test: each grid executed (a) by a local sweep pool and (b) by the same
 // sweep pool with a detection-service client as its executor finishes
 // every cell ok under its own ID, with equal race counts per cell and a
-// byte-identical plan manifest. A grid whose metrics are reproducible must
-// produce the same aggregated metrics document in two local runs, and the
-// remote run must produce it too. A grid that recovers from crashes, over
-// the reliable sublayer's real-time timers, has metrics that follow the
-// host schedule (two local runs may or may not agree), so it is left out of
-// that comparison, and the test log says so.
+// byte-identical plan manifest. Every grid must produce the same
+// aggregated metrics document in two local runs, and the remote run must
+// produce it too — the crash-recovering chaos grid included, since its
+// retries and link deaths fire on the scheduler's virtual clock.
 func TestRemoteDispatchByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		plan         func() *sweep.Plan
-		cells        int
-		reproducible bool // metrics document independent of the host schedule
+		name  string
+		plan  func() *sweep.Plan
+		cells int
 	}{
 		{"fft-sor", func() *sweep.Plan {
 			return &sweep.Plan{
@@ -77,8 +74,8 @@ func TestRemoteDispatchByteIdentical(t *testing.T) {
 				Procs:  []int{2},
 				Detect: []bool{true, false},
 			}
-		}, 4, true},
-		{"chaos-seeds", chaosSeedPlan, 6, false},
+		}, 4},
+		{"chaos-seeds", chaosSeedPlan, 6},
 		// A non-lossy wire template rides on each cell's request.
 		{"jitter-delay", func() *sweep.Plan {
 			return &sweep.Plan{
@@ -88,23 +85,19 @@ func TestRemoteDispatchByteIdentical(t *testing.T) {
 				Seeds:  []int64{0, 1},
 				Faults: &sweep.FaultAxis{JitterUS: 20},
 			}
-		}, 4, true},
+		}, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 
-			// Local reference. A reproducible grid runs twice first, to show
-			// that its metrics document is deterministic at all.
+			// Local reference, run twice first, to show that its metrics
+			// document is deterministic at all.
 			local, dirLocal := runLocal(t, ctx, tc.plan())
 			docLocal := metricsDoc(t, local)
-			if tc.reproducible {
-				again, _ := runLocal(t, ctx, tc.plan())
-				if !bytes.Equal(docLocal, metricsDoc(t, again)) {
-					t.Fatalf("%s: two local runs produce different metrics documents", tc.name)
-				}
-			} else {
-				t.Logf("%s: metrics follow the host schedule; metrics comparison dropped", tc.name)
+			again, _ := runLocal(t, ctx, tc.plan())
+			if !bytes.Equal(docLocal, metricsDoc(t, again)) {
+				t.Fatalf("%s: two local runs produce different metrics documents", tc.name)
 			}
 
 			// Remote: the same grid through a service, as the pool's executor —
@@ -130,12 +123,8 @@ func TestRemoteDispatchByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Every cell ok under its own ID, with the local distinct race
-			// count, and the local dynamic count for every cell that injects
-			// no crash or corruption. A recovered cell may report a
-			// re-executed interval's race again, and whether it does follows
-			// the host schedule (docs/ROBUSTNESS.md, "Determinism and
-			// guarantees"), so only its distinct race set is fixed.
+			// Every cell ok under its own ID, with the local distinct and
+			// dynamic race counts.
 			localRaces := map[string]sweep.CellResult{}
 			for _, r := range local.Summary().Cells {
 				localRaces[r.ID] = r
@@ -153,8 +142,7 @@ func TestRemoteDispatchByteIdentical(t *testing.T) {
 				if r.DistinctRaces != l.DistinctRaces {
 					t.Errorf("cell %s: remote %d distinct races, local %d", r.ID, r.DistinctRaces, l.DistinctRaces)
 				}
-				recovers := (c.CrashMode != "" && c.CrashMode != "none") || (c.CorruptMode != "" && c.CorruptMode != "none")
-				if r.Races != l.Races && !recovers {
+				if r.Races != l.Races {
 					t.Errorf("cell %s: remote %d races, local %d", r.ID, r.Races, l.Races)
 				}
 			}
@@ -174,7 +162,7 @@ func TestRemoteDispatchByteIdentical(t *testing.T) {
 
 			// The service ran each cell with the same scoped-recorder setup the
 			// local pool uses, and the pool adopted the results the same way.
-			if docRemote := metricsDoc(t, remote); tc.reproducible && !bytes.Equal(docLocal, docRemote) {
+			if docRemote := metricsDoc(t, remote); !bytes.Equal(docLocal, docRemote) {
 				t.Errorf("aggregated metrics JSON differs: local %d bytes, remote %d bytes",
 					len(docLocal), len(docRemote))
 			}

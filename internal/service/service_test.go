@@ -69,15 +69,14 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 	}
 	const copies = 8 // 4 configs × 8 = 32 sessions
 
-	// References first, single-tenant. The distinct race set (addresses ×
-	// write-write) is schedule-independent for all four configurations; the
-	// raw dynamic report count is not for the chaos apps (their racing
-	// accesses ride the reliable sublayer's real timers), so equality is
-	// asserted on the deduplicated sets.
+	// References first, single-tenant. Every configuration runs one
+	// interleaving per input, so each session must match its reference's
+	// distinct race set (addresses × write-write) and dynamic report count.
 	wantRaces := make([][]string, len(reqs))
+	wantReports := make([]int, len(reqs))
 	for i, req := range reqs {
 		res := runStandalone(t, req)
-		wantRaces[i] = raceKeys(res.Races)
+		wantRaces[i], wantReports[i] = raceKeys(res.Races), len(res.Races)
 	}
 	// The chaos configurations must actually race, or the cross-talk check
 	// below is vacuous.
@@ -119,9 +118,9 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 		if got := raceKeys(sess.Races()); fmt.Sprint(got) != fmt.Sprint(wantRaces[i]) {
 			t.Errorf("session %s (%s): races %v, standalone %v", sess.ID(), reqs[i].App, got, wantRaces[i])
 		}
-		if res.Races != len(sess.Races()) || res.DistinctRaces != len(wantRaces[i]) {
-			t.Errorf("session %s (%s): result counts %d/%d, want %d/%d", sess.ID(), reqs[i].App,
-				res.Races, res.DistinctRaces, len(sess.Races()), len(wantRaces[i]))
+		if res.Races != wantReports[i] || len(sess.Races()) != wantReports[i] || res.DistinctRaces != len(wantRaces[i]) {
+			t.Errorf("session %s (%s): result counts %d/%d, %d reports kept, want %d/%d", sess.ID(), reqs[i].App,
+				res.Races, res.DistinctRaces, len(sess.Races()), wantReports[i], len(wantRaces[i]))
 		}
 		// FFT's virtual-time simulation is schedule-independent: every
 		// tenant's canonical snapshot must be byte-identical. A single

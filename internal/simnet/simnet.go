@@ -67,7 +67,7 @@ type Stats struct {
 	Reordered  int64
 
 	// Reliability sublayer (internal/reliable).
-	Retransmits  int64 // data packets resent by the retransmission timer
+	Retransmits  int64 // data packets resent on a retransmission deadline
 	RetransBytes int64 // wire bytes of those resends (also in Bytes)
 	Deduped      int64 // receiver-side duplicate suppressions
 
@@ -268,19 +268,18 @@ var (
 	ErrTimeout = errors.New("simnet: nothing arrived in time")
 )
 
-// Inbox is the receive side every transport in the tree shares — simnet's
-// endpoints, tcpnet's sockets, reliable's resequenced deliveries: one FIFO
-// of deliveries per endpoint under one lock, so a reader can take the next
-// delivery of one endpoint (Recv) or of any (Next). Unbounded capacity
+// Inbox is the receive side of simnet's endpoints and tcpnet's sockets: one
+// FIFO of deliveries per endpoint under one lock, so a reader can take the
+// next delivery of one endpoint (Recv) or of any (Next). Unbounded capacity
 // keeps the protocol deadlock-free regardless of traffic bursts (real CVM
 // relies on kernel socket buffering plus retransmission for the same
 // property). live says whether deliveries can arrive from anything but the
-// reader's own sends — a socket reader, a retransmission timer — which is
-// what Next may wait for.
+// reader's own sends, which is what Next may wait for; only tcpnet's socket
+// readers are such a source.
 type Inbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond // broadcast on every Push and Close
-	qs     []fifo
+	qs     []FIFO
 	queued int // deliveries in qs
 	closed bool
 	live   bool
@@ -288,7 +287,7 @@ type Inbox struct {
 
 // NewInbox returns an open inbox of n endpoints.
 func NewInbox(n int, live bool) *Inbox {
-	b := &Inbox{qs: make([]fifo, n), live: live}
+	b := &Inbox{qs: make([]FIFO, n), live: live}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -298,7 +297,7 @@ func (b *Inbox) Push(to int, d Delivery) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.closed {
-		b.qs[to].push(d)
+		b.qs[to].Push(d)
 		b.queued++
 		b.cond.Broadcast()
 	}
@@ -312,7 +311,7 @@ func (b *Inbox) Recv(to int) (Delivery, bool) {
 	for b.qs[to].n == 0 && !b.closed {
 		b.cond.Wait()
 	}
-	d, ok := b.qs[to].pop()
+	d, ok := b.qs[to].Pop()
 	if ok {
 		b.queued--
 	}
@@ -349,7 +348,7 @@ func (b *Inbox) Next(wait time.Duration) (int, Delivery, error) {
 // it reports why (see Next).
 func (b *Inbox) popAnyLocked() (int, Delivery, error) {
 	for to := 0; b.queued > 0 && to < len(b.qs); to++ {
-		if d, ok := b.qs[to].pop(); ok {
+		if d, ok := b.qs[to].Pop(); ok {
 			b.queued--
 			return to, d, nil
 		}
@@ -371,18 +370,19 @@ func (b *Inbox) Close() {
 	b.cond.Broadcast()
 }
 
-// fifo is one endpoint's queue. The deliveries sit in a ring that doubles
-// when full and is otherwise reused, so its capacity follows the longest
-// the queue has been, not the number of messages it has carried. pop zeroes
-// the slot it empties: a delivered message stays reachable only from its
-// receiver.
-type fifo struct {
+// FIFO is one endpoint's queue of deliveries; the zero value is empty. The
+// deliveries sit in a ring that doubles when full and is otherwise reused,
+// so its capacity follows the longest the queue has been, not the number of
+// messages it has carried. Pop zeroes the slot it empties: a delivered
+// message stays reachable only from its receiver.
+type FIFO struct {
 	ring []Delivery
 	head int // index of the oldest delivery
 	n    int // number of deliveries queued
 }
 
-func (f *fifo) push(d Delivery) {
+// Push appends d.
+func (f *FIFO) Push(d Delivery) {
 	if f.n == len(f.ring) {
 		grown := make([]Delivery, max(16, 2*len(f.ring)))
 		k := copy(grown, f.ring[f.head:])
@@ -393,7 +393,8 @@ func (f *fifo) push(d Delivery) {
 	f.n++
 }
 
-func (f *fifo) pop() (Delivery, bool) {
+// Pop removes and returns the oldest delivery; ok is false when empty.
+func (f *FIFO) Pop() (Delivery, bool) {
 	if f.n == 0 {
 		return Delivery{}, false
 	}

@@ -59,10 +59,8 @@ type CellResult struct {
 type Options struct {
 	// Workers is the number of cells run concurrently; 0 → 4.
 	Workers int
-	// CellTimeout bounds one attempt's wall time; 0 → 2 minutes. The run's
-	// barrier wall timeout is set from it too (unless the plan is lossy and
-	// the reliable sublayer's own link-death detection is in charge), so a
-	// wedged barrier aborts itself instead of leaking a live System.
+	// CellTimeout bounds one attempt's wall time; 0 → 2 minutes. A wedged
+	// simulated run fails on its own at once, as a deadlock.
 	CellTimeout time.Duration
 	// Retries is how many extra attempts a failed or panicking cell gets
 	// before its failure is recorded; timeouts are never retried. It

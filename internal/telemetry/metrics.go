@@ -326,12 +326,12 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// wallDependentSeries are the metric families whose values depend on
-// wall-clock scheduling rather than the deterministic virtual-time
-// simulation: end-to-end wall times, restore wall times, and everything
-// the reliable sublayer's real retransmission timers drive. Canonical
-// strips them so that two runs of the same deterministic workload snapshot
-// to byte-identical JSON.
+// wallDependentSeries are the metric families Canonical strips: the ones
+// whose values depend on wall-clock time (end-to-end and restore wall
+// times), trip counts, and the reliable sublayer's retransmission
+// counters. The last are deterministic — retries fire on the scheduler's
+// virtual clock — but they describe the repair of a lossy wire, not the
+// paper's traffic, and stay out of the pinned canonical documents.
 var wallDependentSeries = map[string]bool{
 	"run_wall_ns":                true,
 	"run_recovery_wall_ns":       true,
@@ -343,8 +343,8 @@ var wallDependentSeries = map[string]bool{
 }
 
 // canonicalKey reports whether a series key survives canonicalization:
-// its family is not wall-dependent, and it is not the Retransmit or
-// LinkDead event count (both produced by real timers).
+// its family is not stripped, and it is not the Retransmit or LinkDead
+// event count.
 func canonicalKey(key string) bool {
 	base, _ := splitKey(key)
 	if wallDependentSeries[base] {
@@ -357,15 +357,14 @@ func canonicalKey(key string) bool {
 	return true
 }
 
-// Canonical returns a copy of the snapshot with every wall-clock-dependent
-// series removed (see wallDependentSeries): run/recovery wall times, trip
-// counts, and the retransmission counters the reliable sublayer's real
-// timers drive. What remains is a function of the deterministic
-// virtual-time simulation alone, so deterministic workloads canonicalize
-// to byte-identical JSON across runs — the form the sweep aggregator and
-// golden tests pin. (Note: a run with Config.Reliable still inflates
-// per-type net_* traffic counters by timer-driven resends; byte-identical
-// aggregation is guaranteed only for grids without the reliable sublayer.)
+// Canonical returns a copy of the snapshot with the series of
+// wallDependentSeries removed: run/recovery wall times, trip counts, and
+// the reliable sublayer's retransmission counters. What remains is a
+// function of the deterministic virtual-time simulation alone, so every
+// workload — lossy and crash-recovering ones included — canonicalizes to
+// byte-identical JSON across runs: the form the sweep aggregator and
+// golden tests pin. (A run with Config.Reliable counts its resends in the
+// per-type net_* traffic counters too, deterministically.)
 func (s *Snapshot) Canonical() *Snapshot {
 	return &Snapshot{
 		Counters:   canonicalSeries(s.Counters),

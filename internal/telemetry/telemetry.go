@@ -83,8 +83,9 @@ const (
 	KRaceFound
 	// KDiffFlush: a twinned page's diff was flushed home. A=page, B=words.
 	KDiffFlush
-	// KRetransmit: the reliable sublayer's timer resent a link's unacked
-	// envelopes. A=dest proc, B=envelopes resent, C=retry round.
+	// KRetransmit: a reliable-sublayer retransmission deadline resent a
+	// link's unacked envelopes. A=dest proc, B=envelopes resent, C=retry
+	// round.
 	KRetransmit
 	// KLinkDead: a link exhausted its retry cap and the transport shut
 	// down. A=dest proc, B=unacked envelopes, C=retry cap.

@@ -111,9 +111,9 @@ func New(cfg Config) (*System, error) { return dsm.New(cfg) }
 // System.RunEpochs.
 type (
 	// CrashPlan schedules the deterministic fail-stop death of one process;
-	// set one or several via Config.Crashes. Recovery
-	// requires checkpointing (the default) plus a detection path
-	// (Config.Reliable or Config.BarrierWallTimeout).
+	// set one or several via Config.Crashes. Recovery requires
+	// checkpointing (the default); survivors detect the death by link
+	// retry-cap exhaustion (Config.Reliable) or, at once, as a deadlock.
 	CrashPlan = dsm.CrashPlan
 	// CorruptionPlan deterministically damages stored checkpoint chunks, so
 	// rollback must verify and fall back; set it via Config.Corruption.

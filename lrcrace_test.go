@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"lrcrace"
 )
@@ -148,12 +147,11 @@ func TestFacadeTCPTransport(t *testing.T) {
 // and finish with correct memory (see docs/ROBUSTNESS.md).
 func TestFacadeCrashRecovery(t *testing.T) {
 	sys, err := lrcrace.New(lrcrace.Config{
-		NumProcs:           3,
-		SharedSize:         8192,
-		Detect:             true,
-		Reliable:           true,
-		BarrierWallTimeout: 5 * time.Second,
-		Crashes:            []*lrcrace.CrashPlan{{Victim: 1, Epoch: 1, Point: lrcrace.CrashMidInterval}},
+		NumProcs:   3,
+		SharedSize: 8192,
+		Detect:     true,
+		Reliable:   true,
+		Crashes:    []*lrcrace.CrashPlan{{Victim: 1, Epoch: 1, Point: lrcrace.CrashMidInterval}},
 	})
 	if err != nil {
 		t.Fatal(err)
