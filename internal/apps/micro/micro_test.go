@@ -8,7 +8,6 @@ import (
 	"lrcrace/internal/hbdet"
 	"lrcrace/internal/mem"
 	"lrcrace/internal/race"
-	"lrcrace/internal/tcpnet"
 )
 
 // runPattern executes one pattern under the given protocol, returning the
@@ -136,60 +135,5 @@ func TestCorpusShape(t *testing.T) {
 	}
 	if len(seen) < 10 {
 		t.Errorf("corpus has only %d patterns", len(seen))
-	}
-}
-
-// TestCorpusOverTCP runs two representative patterns over the real-sockets
-// transport: detection outcomes must be transport-independent.
-func TestCorpusOverTCP(t *testing.T) {
-	for _, name := range []string{"unsync-counter", "locked-counter"} {
-		var pt Pattern
-		for _, cand := range All() {
-			if cand.Name == name {
-				pt = cand
-			}
-		}
-		t.Run(name, func(t *testing.T) {
-			tr, err := tcpnet.New(pt.Procs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys, err := dsm.New(dsm.Config{
-				NumProcs:   pt.Procs,
-				SharedSize: 4096,
-				PageSize:   1024,
-				Detect:     true,
-				Transport:  tr,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			vars, err := pt.Alloc(sys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gates := map[string]*dsm.Gate{}
-			for _, g := range pt.Gates {
-				gates[g] = &dsm.Gate{}
-			}
-			if err := sys.Run(func(p *dsm.Proc) { pt.Worker(p, vars, gates) }); err != nil {
-				t.Fatal(err)
-			}
-			racy := map[string]bool{}
-			for _, r := range race.DedupByAddr(sys.Races()) {
-				sym, _ := sys.SymbolAt(r.Addr)
-				racy[sym.Name] = true
-			}
-			for _, want := range pt.WantRacy {
-				if !racy[want] {
-					t.Errorf("expected race on %q over TCP", want)
-				}
-			}
-			for _, want := range pt.WantClean {
-				if racy[want] {
-					t.Errorf("false positive on %q over TCP", want)
-				}
-			}
-		})
 	}
 }

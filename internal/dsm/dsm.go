@@ -26,7 +26,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
@@ -118,15 +117,9 @@ type Config struct {
 	// recorded turn are deferred by the manager.
 	SyncEnforcer SyncEnforcer
 
-	// Transport overrides the message transport; nil → the in-memory
-	// simulated network. The transport must deliver reliably and preserve
-	// per-sender-pair FIFO order, as tcpnet does.
-	Transport Transport
-
 	// Faults makes the simulated network lossy: a deterministic,
 	// seed-driven plan of per-link drops, duplications, bounded
-	// reordering, and latency jitter (see simnet.FaultPlan). Only valid
-	// with the default simnet transport (Transport == nil). A plan with
+	// reordering, and latency jitter (see simnet.FaultPlan). A plan with
 	// drop/dup/reorder requires Reliable, since the protocol assumes
 	// reliable FIFO links.
 	Faults *simnet.FaultPlan
@@ -138,18 +131,7 @@ type Config struct {
 	// DSM run unchanged over a lossy wire, exactly as CVM ran over raw
 	// UDP. Its deadlines are virtual and fire when the scheduler has
 	// nothing else to do, so a lossy run is one interleaving per input.
-	// Only valid with the built-in network (Transport == nil).
 	Reliable bool
-
-	// BarrierWallTimeout, when positive, bounds the *real* time the run
-	// waits on tcpnet's sockets, the only real-time source, while every
-	// process is blocked. On expiry each blocked wait fails as a timeout:
-	// the telemetry flight recorder is tripped — preserving the events
-	// leading up to the hang — and the run aborts with an error. Zero means
-	// wait forever. On the simulated network nothing can arrive while
-	// everything is blocked and no retransmission is pending, so such a
-	// deadlock fails the same way at once, whatever this is.
-	BarrierWallTimeout time.Duration
 
 	// NoCheckpoint disables barrier-epoch checkpointing, which is ON by
 	// default: at every barrier departure each process serializes its
@@ -167,8 +149,7 @@ type Config struct {
 	// CrashPlan): one plan, or several for compound faults — two victims
 	// in one epoch, or a second crash armed only during recovery
 	// (CrashPlan.DuringRecovery). Requires checkpointing (NoCheckpoint
-	// false) and the built-in simulated network (Transport == nil), on
-	// which survivors detect a death by link retry-cap exhaustion
+	// false). Survivors detect a death by link retry-cap exhaustion
 	// (Reliable) or, at once, as a deadlock.
 	Crashes []*CrashPlan
 
@@ -213,10 +194,9 @@ type SyncEnforcer interface {
 	MayProceed(lock, requester int) bool
 }
 
-// Transport carries the DSM's messages. The default is the in-memory
-// simulated network (internal/simnet); internal/tcpnet provides the same
-// contract over real loopback TCP sockets, making the system a user-level
-// DSM over an actual network stack, as CVM was.
+// Transport carries the DSM's messages: the simulated network
+// (internal/simnet), wrapped in the reliability sublayer (internal/reliable)
+// when Config.Reliable is set.
 type Transport interface {
 	// Send serializes m toward process to, tagged with the sender's
 	// virtual clock, and returns the wire size in bytes. Send has
@@ -224,17 +204,15 @@ type Transport interface {
 	// caller may hand it live state (a page it then goes on writing).
 	Send(from, to int, m msg.Message, vtime int64) int
 	// Next returns a delivery queued for any process, each process's in
-	// arrival order, and that process. With none queued it waits only on
-	// real-time sources (tcpnet's sockets) — at most wait, without bound
-	// when wait is negative, not at all when it is zero — and otherwise
-	// reports why nothing came: simnet.ErrClosed, simnet.ErrQuiet (nothing
-	// can arrive: every delivery comes from Send) or simnet.ErrTimeout. A
-	// delivered message belongs to the receiver: nothing else references
-	// it or what it points to, so the receiver may keep parts of it (a
-	// fetched PageReply's Data, a pooled frame, becomes its page frame, and
-	// the frame it replaces goes back to the pool).
-	Next(wait time.Duration) (to int, d simnet.Delivery, err error)
-	// Close shuts the transport down, waking a waiting Next.
+	// arrival order, and that process. It never waits: with none queued it
+	// reports simnet.ErrQuiet (nothing can arrive: every delivery comes
+	// from Send) or, after Close, simnet.ErrClosed. A delivered message
+	// belongs to the receiver: nothing else references it or what it
+	// points to, so the receiver may keep parts of it (a fetched
+	// PageReply's Data, a pooled frame, becomes its page frame, and the
+	// frame it replaces goes back to the pool).
+	Next() (to int, d simnet.Delivery, err error)
+	// Close shuts the transport down.
 	Close()
 	// Stats returns traffic counters.
 	Stats() simnet.Stats
@@ -269,15 +247,6 @@ func (c *Config) Validate() error {
 	if c.Detect && c.Protocol == EagerRC {
 		return fmt.Errorf("dsm: race detection requires LRC metadata (intervals, version vectors, notices) that the eager protocol does not maintain — use SingleWriter or MultiWriter")
 	}
-	if c.Faults != nil && c.Transport != nil {
-		return fmt.Errorf("dsm: Faults applies only to the built-in simulated network (Transport must be nil)")
-	}
-	if c.Reliable && c.Transport != nil {
-		// Deadlines fired whenever the scheduler is stuck would resend on
-		// sockets whose data is merely slow, and in the end declare a live
-		// link dead.
-		return fmt.Errorf("dsm: Reliable applies only to the built-in simulated network (Transport must be nil); a custom transport must itself be reliable and FIFO")
-	}
 	if c.Faults.Lossy() && !c.Reliable {
 		return fmt.Errorf("dsm: a lossy FaultPlan (drop/dup/reorder) breaks the reliable-FIFO contract the protocol assumes; set Reliable to layer end-to-end retransmission over it")
 	}
@@ -294,9 +263,6 @@ func (c *Config) Validate() error {
 		}
 		if c.NoCheckpoint {
 			return fmt.Errorf("dsm: crash plans require checkpointing: recovery restores from barrier-epoch checkpoints")
-		}
-		if c.Transport != nil {
-			return fmt.Errorf("dsm: crash plans require the built-in simulated network (Transport must be nil)")
 		}
 	}
 	if c.Corruption != nil {
@@ -365,7 +331,8 @@ type System struct {
 
 	// Crash recovery (see checkpoint.go / recovery.go).
 	ckpts     *CheckpointStore
-	keepCkpts bool // test seam: the store never collects an epoch
+	keepCkpts bool                      // test seam: the store never collects an epoch
+	wrapNet   func(Transport) Transport // test seam: wraps each attempt's built transport
 	epochMode bool
 	recStats  RecoveryStats
 	sched     *sched // the current attempt's

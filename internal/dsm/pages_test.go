@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
@@ -61,12 +60,12 @@ func TestPageSizeMustBePowerOfTwo(t *testing.T) {
 // resizeReplies is a transport that changes the length of every PageReply
 // it delivers by delta bytes.
 type resizeReplies struct {
-	*simnet.Network
+	Transport
 	delta int
 }
 
-func (r resizeReplies) Next(wait time.Duration) (int, simnet.Delivery, error) {
-	to, d, err := r.Network.Next(wait)
+func (r resizeReplies) Next() (int, simnet.Delivery, error) {
+	to, d, err := r.Transport.Next()
 	if rep, ok := d.Msg.(*msg.PageReply); ok && err == nil {
 		if r.delta < 0 {
 			rep.Data = rep.Data[:len(rep.Data)+r.delta]
@@ -89,11 +88,11 @@ func TestFetchRejectsWrongLengthReply(t *testing.T) {
 func testWrongLengthReply(t *testing.T, delta int) {
 	bothProtocols(t, func(t *testing.T, proto ProtocolKind) {
 		cfg := smallConfig(2, proto, false)
-		cfg.Transport = resizeReplies{simnet.New(2), delta}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.wrapNet = func(nw Transport) Transport { return resizeReplies{nw, delta} }
 		err = s.Run(func(p *Proc) {
 			if p.ID() == 1 {
 				p.Read(s.Layout().PageBase(2)) // homed at process 0

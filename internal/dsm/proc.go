@@ -340,13 +340,12 @@ func await[M msg.Message](p *Proc, op string) (M, simnet.Delivery) {
 }
 
 // barrierBlame derives a crash suspect from the barrier round's
-// bookkeeping after a wait on op timed out or deadlocked (a timeoutPanic:
+// bookkeeping after a wait on op deadlocked (a timeoutPanic:
 // the scheduler raises one in every blocked process when nothing more can
-// arrive and no retransmission is pending, or nothing came from tcpnet's
-// sockets within Config.BarrierWallTimeout). At the barrier
-// master it names the processes the current round has not heard from; when
-// exactly one is missing it becomes the crash suspect. Only a barrier wait may
-// name suspects: there, a missing process has demonstrably gone silent.
+// arrive and no retransmission is pending). At the barrier master it names
+// the processes the current round has not heard from; when exactly one is
+// missing it becomes the crash suspect. Only a barrier wait may name
+// suspects: there, a missing process has demonstrably gone silent.
 // During any other wait (a lock grant wedged by a dead holder, say) the
 // arrival ledger reflects who has merely not reached the barrier yet —
 // this process included — not who died, so the suspect stays -1.

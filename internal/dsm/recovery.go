@@ -54,23 +54,18 @@ type RecoveryStats struct {
 }
 
 // timeoutPanic is the typed panic a blocked wait raises when nothing more
-// can arrive (timeout 0: a deadlock) or nothing did within the barrier wall
-// timeout. It carries the suspected dead process when the barrier master
-// can name it (a proc missing from the arrival or bitmap-round
-// bookkeeping); -1 otherwise.
+// can arrive: a deadlock. It carries the suspected dead process when the
+// barrier master can name it (a proc missing from the arrival or
+// bitmap-round bookkeeping); -1 otherwise.
 type timeoutPanic struct {
 	proc    int
 	op      string
-	timeout time.Duration
 	suspect int
 	detail  string
 }
 
 func (t timeoutPanic) String() string {
-	if t.timeout == 0 {
-		return fmt.Sprintf("%s timed out: deadlock, nothing runnable and nothing in flight%s", t.op, t.detail)
-	}
-	return fmt.Sprintf("%s timed out after %v%s", t.op, t.timeout, t.detail)
+	return fmt.Sprintf("%s timed out: deadlock, nothing runnable and nothing in flight%s", t.op, t.detail)
 }
 
 // rollbackPlan is the decoded restore set a recovery attempt starts from.
@@ -145,9 +140,9 @@ func (s *System) runEpochs(epochs int32, appFactory func() EpochFunc) error {
 }
 
 // canRecover reports whether coordinated rollback is possible: checkpoints
-// are being taken and the transport can be rebuilt (the built-in simnet).
+// are being taken.
 func (s *System) canRecover() bool {
-	return s.cfg.checkpointing() && s.ckpts != nil && s.cfg.Transport == nil
+	return s.cfg.checkpointing() && s.ckpts != nil
 }
 
 // recoveryArmed reports whether link-death suspicion should feed the
@@ -236,22 +231,21 @@ func (s *System) onLinkDead(from, to int) {
 func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 	n := s.cfg.NumProcs
 	s.resetSuspect()
-	if s.cfg.Transport != nil {
-		s.nw = s.cfg.Transport
-	} else {
-		nw := simnet.New(n)
-		nw.SetTelemetry(s.tel)
-		if err := nw.SetFaults(s.cfg.Faults); err != nil {
-			return err
+	nw := simnet.New(n)
+	nw.SetTelemetry(s.tel)
+	if err := nw.SetFaults(s.cfg.Faults); err != nil {
+		return err
+	}
+	s.nw = nw
+	if s.cfg.Reliable {
+		rc := reliable.Config{Telemetry: s.tel}
+		if s.recoveryArmed() {
+			rc.OnLinkDead = s.onLinkDead
 		}
-		s.nw = nw
-		if s.cfg.Reliable {
-			rc := reliable.Config{Telemetry: s.tel}
-			if s.recoveryArmed() {
-				rc.OnLinkDead = s.onLinkDead
-			}
-			s.nw = reliable.Wrap(nw, n, rc)
-		}
+		s.nw = reliable.Wrap(nw, n, rc)
+	}
+	if s.wrapNet != nil {
+		s.nw = s.wrapNet(s.nw)
 	}
 	for _, p := range s.procs {
 		p.release() // the aborted attempt's: the plan's or fresh ones replace them

@@ -41,11 +41,9 @@ import (
 //     retransmission, a delayed acknowledgment, or a link's death. Its
 //     clock is virtual, so every retry happens in one order and nothing
 //     waits in real time.
-//   - With no deadline left, the transport is asked for a delivery; only
-//     tcpnet's sockets are a real-time source, waited on for at most
-//     Config.BarrierWallTimeout. If none comes every blocked coroutine
-//     raises a timeoutPanic — at once on the simulated network, where
-//     nothing can arrive: a deadlock.
+//   - With no deadline left nothing can arrive, since every delivery
+//     comes from a send: every blocked coroutine raises a timeoutPanic at
+//     once, a deadlock.
 
 // runState is where a process's coroutine stands.
 type runState uint8
@@ -165,7 +163,7 @@ func (s *System) schedule(body func(p *Proc)) error {
 // drain moves everything the transport has queued into the link FIFOs.
 func (sc *sched) drain() {
 	for !sc.closed && !sc.quiet {
-		to, d, err := sc.s.nw.Next(0)
+		to, d, err := sc.s.nw.Next()
 		if err != nil {
 			sc.closed, sc.quiet = err == simnet.ErrClosed, err == simnet.ErrQuiet
 			return
@@ -228,27 +226,13 @@ type advancer interface {
 }
 
 // stuck runs when nothing is runnable and nothing is buffered: fire the
-// transport's earliest deadline or wait for a real-time source, and if
-// neither yields anything, fail every blocked coroutine — with a
-// timeoutPanic, or the shutdown panic once the transport is closed.
+// transport's earliest deadline, or, with none left, fail every blocked
+// coroutine — with a timeoutPanic, or the shutdown panic once the
+// transport is closed.
 func (sc *sched) stuck() {
-	wait := sc.s.cfg.BarrierWallTimeout
-	if wait == 0 {
-		wait = -1 // no bound
-	}
-	var err error
-	if !sc.closed {
-		if a, ok := sc.s.nw.(advancer); ok && a.Advance() {
-			sc.quiet = false
-			return
-		}
-		var to int
-		var d simnet.Delivery
-		if to, d, err = sc.s.nw.Next(wait); err == nil {
-			sc.buffer(to, d)
-			return
-		}
-		sc.closed = err == simnet.ErrClosed
+	if a, ok := sc.s.nw.(advancer); ok && !sc.closed && a.Advance() {
+		sc.quiet = false
+		return
 	}
 	for _, p := range sc.procs {
 		if p.run != blocked {
@@ -258,9 +242,6 @@ func (sc *sched) stuck() {
 			p.abort = "dsm: network shut down while waiting for a reply"
 		} else {
 			tp := timeoutPanic{proc: p.id, op: p.waitOp, suspect: -1}
-			if err == simnet.ErrTimeout {
-				tp.timeout = wait
-			}
 			tp.suspect, tp.detail = p.barrierBlame(p.waitOp)
 			p.abort = tp
 		}

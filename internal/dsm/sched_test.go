@@ -232,9 +232,9 @@ func TestTinyWorkQueueShared(t *testing.T) {
 }
 
 // TestDeadlockFailsFast: process 1 waits for a lock process 0 never
-// releases, with no wall timeout set. On the simulated network nothing can
-// arrive once every process is blocked, so the run fails at once with a
-// timeout-class error naming the wait, instead of hanging.
+// releases. Nothing can arrive once every process is blocked, so the run
+// fails at once with a timeout-class error naming the wait, instead of
+// hanging.
 func TestDeadlockFailsFast(t *testing.T) {
 	sys, err := dsm.New(dsm.Config{NumProcs: 2, SharedSize: mem.DefaultPageSize})
 	if err != nil {

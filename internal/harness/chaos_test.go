@@ -1,19 +1,25 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"sort"
 	"testing"
 
 	"lrcrace/internal/dsm"
 	"lrcrace/internal/simnet"
+	"lrcrace/internal/telemetry"
 )
 
 // TestChaosSoakSOR is the acceptance soak: a full application kernel (SOR)
 // runs over the reliability sublayer on a wire with 10% drop, 5% dup and
 // reordering, passes its result verification, reports the same racy
 // variables as the fault-free run, and shows nonzero retransmit counters.
+// Its canonical metrics snapshot, the form a sweep pins, keeps those
+// counters and is byte-identical across two runs.
 func TestChaosSoakSOR(t *testing.T) {
 	base := RunConfig{
 		App:    "SOR",
@@ -54,6 +60,30 @@ func TestChaosSoakSOR(t *testing.T) {
 	}
 	if st.Errors != 0 {
 		t.Errorf("reliability layer reported %d errors (dead links)", st.Errors)
+	}
+
+	canonical := func() []byte {
+		cfg := chaos
+		cfg.Telemetry = &telemetry.Config{FlightSink: io.Discard}
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := r.MetricsSnapshot().Canonical()
+		if n := snap.CounterTotal("net_retransmits_total"); n != st.Retransmits {
+			t.Errorf("canonical net_retransmits_total = %d, want %d", n, st.Retransmits)
+		}
+		if snap.Counters[`telemetry_events_total{kind="Retransmit"}`] == 0 {
+			t.Error("canonical snapshot lost the Retransmit event count")
+		}
+		b, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if a, b := canonical(), canonical(); !bytes.Equal(a, b) {
+		t.Errorf("canonical snapshots of two lossy runs differ (%d vs %d bytes)", len(a), len(b))
 	}
 }
 

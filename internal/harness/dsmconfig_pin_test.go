@@ -81,7 +81,7 @@ func pinInputs(t *testing.T) []struct {
 		App: "Water", Scale: 0.25, Procs: 4, Detect: true,
 		DSM: dsm.Config{
 			Protocol: dsm.MultiWriter, WritesFromDiffs: true, FirstOnly: true,
-			BarrierWallTimeout: 30 * time.Second, Tracer: pinTracer{},
+			Tracer: pinTracer{},
 		},
 	})
 	add("lossy-tsp", harness.RunConfig{

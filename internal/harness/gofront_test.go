@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"lrcrace/internal/dsm"
 	"lrcrace/internal/simnet"
@@ -104,8 +103,8 @@ func TestGoFrontValidation(t *testing.T) {
 		}
 	}
 	two := ok
-	two.DSM = dsm.Config{Reliable: true, BarrierWallTimeout: time.Second}
-	if err := ValidateRunConfig(two); err == nil || !strings.Contains(err.Error(), "DSM.Reliable, DSM.BarrierWallTimeout set") {
+	two.DSM = dsm.Config{Reliable: true, NoCheckpoint: true}
+	if err := ValidateRunConfig(two); err == nil || !strings.Contains(err.Error(), "DSM.Reliable, DSM.NoCheckpoint set") {
 		t.Errorf("go run with two DSM fields set: err = %v, want both named", err)
 	}
 
@@ -127,7 +126,6 @@ func TestGoFrontValidation(t *testing.T) {
 type anyHook struct {
 	dsm.Tracer
 	dsm.SyncEnforcer
-	dsm.Transport
 }
 
 // nonZero returns a non-zero value of t, for the dsm.Config field kinds.

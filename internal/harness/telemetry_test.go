@@ -117,20 +117,14 @@ func TestTelemetryTSPExport(t *testing.T) {
 }
 
 // barrierOnlyTrace runs a dsm-level workload in which every process writes
-// only pages homed at it and synchronizes by barrier — every virtual
-// timestamp is then independent of real scheduling — and returns the Chrome
-// trace export.
+// only pages homed at it and synchronizes by barrier, checkpointing at each
+// departure, and returns the Chrome trace export.
 func barrierOnlyTrace(t *testing.T) []byte {
 	t.Helper()
 	const procs = 4
 	ps := mem.DefaultPageSize
-	// Checkpointing off: the content-addressed chunk store dedups across
-	// processes, so whether a chunk write is a put or a dedup hit — and when
-	// retention GC fires — depends on which process serializes first, which
-	// is real scheduling. Those events are honestly nondeterministic; this
-	// test is about the exporter's virtual-time determinism.
 	rec := telemetry.New(telemetry.Config{Procs: procs})
-	sys, err := dsm.New(dsm.Config{NumProcs: procs, SharedSize: procs * ps, Detect: true, NoCheckpoint: true, Recorder: rec})
+	sys, err := dsm.New(dsm.Config{NumProcs: procs, SharedSize: procs * ps, Detect: true, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +140,25 @@ func barrierOnlyTrace(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return chromeTrace(t, rec)
+}
+
+// appTrace returns a function that makes one detection run of app at scale
+// 0.1 on 4 processes and returns its Chrome trace export.
+func appTrace(app string) func(t *testing.T) []byte {
+	return func(t *testing.T) []byte {
+		t.Helper()
+		rec := telemetry.New(telemetry.Config{Procs: 4})
+		if _, err := Run(RunConfig{App: app, Scale: 0.1, Procs: 4, Detect: true, Recorder: rec}); err != nil {
+			t.Fatal(err)
+		}
+		return chromeTrace(t, rec)
+	}
+}
+
+// chromeTrace returns rec's Chrome trace export.
+func chromeTrace(t *testing.T, rec *telemetry.Recorder) []byte {
+	t.Helper()
 	var b bytes.Buffer
 	if err := rec.WriteChromeTrace(&b); err != nil {
 		t.Fatal(err)
@@ -154,22 +167,33 @@ func barrierOnlyTrace(t *testing.T) []byte {
 }
 
 // TestChromeTraceSameSeedDeterministic asserts the exported timeline of a
-// deterministic workload is byte-identical across runs: virtual timestamps
-// come from the cost model and the exporter orders canonically, so real
-// goroutine scheduling must not leak into the artifact.
+// run is byte-identical across runs: the scheduler runs one interleaving per
+// input, virtual timestamps come from the cost model and the exporter orders
+// canonically. The lock programs (TSP, Water) and checkpointing are covered.
 func TestChromeTraceSameSeedDeterministic(t *testing.T) {
-	t1 := barrierOnlyTrace(t)
-	t2 := barrierOnlyTrace(t)
-	if !bytes.Equal(t1, t2) {
-		t.Fatal("chrome trace differs across identical runs")
-	}
-	// And it is a loadable, non-trivial document.
-	var doc map[string]interface{}
-	if err := json.Unmarshal(t1, &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if !bytes.Contains(t1, []byte("BarrierArrive")) {
-		t.Error("trace carries no barrier events")
+	for _, c := range []struct {
+		name  string
+		trace func(t *testing.T) []byte
+	}{
+		{"barrier-only", barrierOnlyTrace},
+		{"TSP", appTrace("TSP")},
+		{"Water", appTrace("Water")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t1 := c.trace(t)
+			t2 := c.trace(t)
+			if !bytes.Equal(t1, t2) {
+				t.Fatalf("chrome trace differs across identical runs (%d vs %d bytes)", len(t1), len(t2))
+			}
+			// And it is a loadable, non-trivial document.
+			var doc map[string]interface{}
+			if err := json.Unmarshal(t1, &doc); err != nil {
+				t.Fatalf("trace is not valid JSON: %v", err)
+			}
+			if !bytes.Contains(t1, []byte("BarrierArrive")) {
+				t.Error("trace carries no barrier events")
+			}
+		})
 	}
 }
 

@@ -39,13 +39,11 @@ import (
 	"lrcrace/internal/telemetry"
 )
 
-// Inner is the wire being wrapped: one on which every delivery comes from
-// a Send, so that a read with nothing queued means nothing is in flight
-// (simnet.Network). Sockets (tcpnet) are reliable and FIFO already and are
-// not wrapped.
+// Inner is the wire being wrapped (simnet.Network): every delivery comes
+// from a Send, so a read with nothing queued means nothing is in flight.
 type Inner interface {
 	Send(from, to int, m msg.Message, vtime int64) int
-	Next(wait time.Duration) (int, simnet.Delivery, error)
+	Next() (int, simnet.Delivery, error)
 	Close()
 	Stats() simnet.Stats
 }
@@ -189,7 +187,7 @@ func (t *Transport) Send(from, to int, m msg.Message, vtime int64) int {
 func (t *Transport) drain() bool {
 	handled := false
 	for {
-		at, d, err := t.inner.Next(0)
+		at, d, err := t.inner.Next()
 		if err != nil {
 			return handled
 		}
@@ -385,7 +383,7 @@ func (t *Transport) Recv(proc int) (simnet.Delivery, bool) {
 // holds and returns the lowest endpoint's next delivery, or reports
 // simnet.ErrQuiet (the scheduler then calls Advance) or, after Close and
 // once everything queued is delivered, simnet.ErrClosed.
-func (t *Transport) Next(time.Duration) (int, simnet.Delivery, error) {
+func (t *Transport) Next() (int, simnet.Delivery, error) {
 	t.drain()
 	for to := 0; t.queued > 0 && to < t.n; to++ {
 		if d, ok := t.out[to].Pop(); ok {

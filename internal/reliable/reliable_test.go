@@ -205,7 +205,7 @@ func TestLinkDeathAfterRetryCap(t *testing.T) {
 	if st.Retransmits != MaxRetries || st.Errors != 1 {
 		t.Errorf("retransmits = %d, errors = %d; want %d, 1", st.Retransmits, st.Errors, MaxRetries)
 	}
-	if _, _, err := rt.Next(0); err != simnet.ErrClosed {
+	if _, _, err := rt.Next(); err != simnet.ErrClosed {
 		t.Errorf("Next after link death: %v, want ErrClosed", err)
 	}
 }

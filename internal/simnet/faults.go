@@ -153,8 +153,8 @@ func (nw *Network) sendFaulty(from, to int, d Delivery, t msg.Type, frags, size 
 		nw.mu.Unlock()
 		nw.tel.Emit(from, telemetry.KWireDrop, d.VTime, int64(to), int64(t), 0)
 	case plan.Dup > 0 && lf.rng.Float64() < plan.Dup:
-		nw.in.Push(to, d)
-		nw.in.Push(to, d)
+		nw.in.push(to, d)
+		nw.in.push(to, d)
 		nw.mu.Lock()
 		nw.stats.Duplicated[t]++
 		// The extra copy crossed the wire too.
@@ -172,7 +172,7 @@ func (nw *Network) sendFaulty(from, to int, d Delivery, t msg.Type, frags, size 
 		nw.mu.Unlock()
 		nw.tel.Emit(from, telemetry.KWireReorder, d.VTime, int64(to), int64(t), 0)
 	default:
-		nw.in.Push(to, d)
+		nw.in.push(to, d)
 	}
 
 	// Release held messages whose delay has expired — after the current
@@ -180,7 +180,7 @@ func (nw *Network) sendFaulty(from, to int, d Delivery, t msg.Type, frags, size 
 	kept := lf.held[:0]
 	for _, h := range lf.held {
 		if h.after <= 0 {
-			nw.in.Push(to, h.d)
+			nw.in.push(to, h.d)
 		} else {
 			kept = append(kept, h)
 		}
@@ -199,7 +199,7 @@ func (nw *Network) flushHeld() {
 			lf := nw.links[from*nw.n+to]
 			lf.mu.Lock()
 			for _, h := range lf.held {
-				nw.in.Push(to, h.d)
+				nw.in.push(to, h.d)
 			}
 			lf.held = nil
 			lf.mu.Unlock()

@@ -16,7 +16,7 @@
 // from the page-frame pool (mem.GetFrame), to which the receiving DSM
 // returns the frame it replaces. Send has serialized the message when it
 // returns and keeps no reference to it — the contract dsm.Transport states
-// — so a sender may pass live state. An Inbox forgets each delivery it
+// — so a sender may pass live state. The inbox forgets each delivery it
 // hands out.
 package simnet
 
@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"lrcrace/internal/msg"
 	"lrcrace/internal/telemetry"
@@ -71,8 +70,8 @@ type Stats struct {
 	RetransBytes int64 // wire bytes of those resends (also in Bytes)
 	Deduped      int64 // receiver-side duplicate suppressions
 
-	// Receiver-side framing/decode failures (tcpnet stream desync,
-	// oversized or corrupt frames).
+	// Transport-level errors the reliability sublayer counts: links it
+	// declared dead and payloads that did not decode.
 	Errors int64
 }
 
@@ -117,7 +116,7 @@ func (s Stats) TotalDuplicated() int64 {
 type Network struct {
 	n   int
 	mtu int
-	in  *Inbox
+	in  *inbox
 
 	faults *FaultPlan
 	links  []*faultLink // per ordered pair, indexed from*n+to; nil without faults
@@ -146,7 +145,7 @@ func (nw *Network) SetTelemetry(tel telemetry.Scope) {
 
 // New returns a network with n endpoints, numbered 0..n-1, and DefaultMTU.
 func New(n int) *Network {
-	return &Network{n: n, mtu: DefaultMTU, in: NewInbox(n, false)}
+	return &Network{n: n, mtu: DefaultMTU, in: newInbox(n)}
 }
 
 // SetMTU overrides the fragmentation threshold. It must be called before
@@ -200,7 +199,7 @@ func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
 	if nw.faults == nil || from == to {
 		// Self-sends never traverse the wire (loopback), so they are
 		// exempt from fault injection even in chaos mode.
-		nw.in.Push(to, d)
+		nw.in.push(to, d)
 		return size
 	}
 	nw.sendFaulty(from, to, d, m.Type(), frags, size)
@@ -209,14 +208,14 @@ func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
 
 // Recv blocks until a message for proc arrives; ok is false after Close.
 func (nw *Network) Recv(proc int) (Delivery, bool) {
-	return nw.in.Recv(proc)
+	return nw.in.recv(proc)
 }
 
 // Next returns a delivery queued for any endpoint, and that endpoint. Every
 // delivery comes from Send, so Next never waits: with nothing queued,
 // nothing can arrive, and the error is ErrQuiet (ErrClosed after Close).
-func (nw *Network) Next(wait time.Duration) (int, Delivery, error) {
-	return nw.in.Next(wait)
+func (nw *Network) Next() (int, Delivery, error) {
+	return nw.in.next()
 }
 
 // Close shuts down all endpoints; blocked Recv calls return ok=false after
@@ -224,7 +223,7 @@ func (nw *Network) Next(wait time.Duration) (int, Delivery, error) {
 // holding back for reordering).
 func (nw *Network) Close() {
 	nw.flushHeld()
-	nw.in.Close()
+	nw.in.close()
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -264,36 +263,30 @@ var (
 	// ErrQuiet: nothing is queued and nothing can arrive — every delivery
 	// comes from Send, so only the caller's own next step can queue one.
 	ErrQuiet = errors.New("simnet: nothing queued and nothing in flight")
-	// ErrTimeout: nothing arrived from a real-time source within the wait.
-	ErrTimeout = errors.New("simnet: nothing arrived in time")
 )
 
-// Inbox is the receive side of simnet's endpoints and tcpnet's sockets: one
-// FIFO of deliveries per endpoint under one lock, so a reader can take the
-// next delivery of one endpoint (Recv) or of any (Next). Unbounded capacity
-// keeps the protocol deadlock-free regardless of traffic bursts (real CVM
-// relies on kernel socket buffering plus retransmission for the same
-// property). live says whether deliveries can arrive from anything but the
-// reader's own sends, which is what Next may wait for; only tcpnet's socket
-// readers are such a source.
-type Inbox struct {
+// inbox is the receive side of the endpoints: one FIFO of deliveries per
+// endpoint under one lock, so a reader can take the next delivery of one
+// endpoint (recv) or of any (next). Unbounded capacity keeps the protocol
+// deadlock-free regardless of traffic bursts (real CVM relies on kernel
+// socket buffering plus retransmission for the same property).
+type inbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond // broadcast on every Push and Close
+	cond   *sync.Cond // broadcast on every push and close
 	qs     []FIFO
 	queued int // deliveries in qs
 	closed bool
-	live   bool
 }
 
-// NewInbox returns an open inbox of n endpoints.
-func NewInbox(n int, live bool) *Inbox {
-	b := &Inbox{qs: make([]FIFO, n), live: live}
+// newInbox returns an open inbox of n endpoints.
+func newInbox(n int) *inbox {
+	b := &inbox{qs: make([]FIFO, n)}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-// Push queues d at endpoint to; after Close it is a no-op.
-func (b *Inbox) Push(to int, d Delivery) {
+// push queues d at endpoint to; after close it is a no-op.
+func (b *inbox) push(to int, d Delivery) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.closed {
@@ -303,9 +296,9 @@ func (b *Inbox) Push(to int, d Delivery) {
 	}
 }
 
-// Recv blocks for endpoint to's next delivery; ok is false once the inbox
+// recv blocks for endpoint to's next delivery; ok is false once the inbox
 // is closed and that endpoint drained.
-func (b *Inbox) Recv(to int) (Delivery, bool) {
+func (b *inbox) recv(to int) (Delivery, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for b.qs[to].n == 0 && !b.closed {
@@ -318,52 +311,26 @@ func (b *Inbox) Recv(to int) (Delivery, bool) {
 	return d, ok
 }
 
-// Next returns a delivery queued for any endpoint, lowest endpoint first,
-// each endpoint's in arrival order, and that endpoint. With none queued it
-// waits for a live inbox's real-time sources — at most wait, without bound
-// when wait is negative, not at all when it is zero — and otherwise reports
-// why nothing came: ErrClosed, ErrQuiet (not live) or ErrTimeout.
-func (b *Inbox) Next(wait time.Duration) (int, Delivery, error) {
+// next returns a delivery queued for any endpoint, lowest endpoint first,
+// each endpoint's in arrival order, and that endpoint. It never waits: with
+// none queued it reports ErrClosed after close and ErrQuiet before.
+func (b *inbox) next() (int, Delivery, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.live || wait == 0 {
-		return b.popAnyLocked()
-	}
-	expired := false
-	if wait > 0 {
-		defer time.AfterFunc(wait, func() {
-			b.mu.Lock()
-			expired = true
-			b.cond.Broadcast()
-			b.mu.Unlock()
-		}).Stop()
-	}
-	for b.queued == 0 && !b.closed && !expired {
-		b.cond.Wait()
-	}
-	return b.popAnyLocked()
-}
-
-// popAnyLocked takes the lowest endpoint's next delivery; with none queued
-// it reports why (see Next).
-func (b *Inbox) popAnyLocked() (int, Delivery, error) {
 	for to := 0; b.queued > 0 && to < len(b.qs); to++ {
 		if d, ok := b.qs[to].Pop(); ok {
 			b.queued--
 			return to, d, nil
 		}
 	}
-	switch {
-	case b.closed:
+	if b.closed {
 		return -1, Delivery{}, ErrClosed
-	case !b.live:
-		return -1, Delivery{}, ErrQuiet
 	}
-	return -1, Delivery{}, ErrTimeout
+	return -1, Delivery{}, ErrQuiet
 }
 
-// Close shuts every endpoint: readers drain what is queued, then return.
-func (b *Inbox) Close() {
+// close shuts every endpoint: readers drain what is queued, then return.
+func (b *inbox) close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.closed = true

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"lrcrace/internal/interval"
 	"lrcrace/internal/mem"
@@ -225,22 +224,22 @@ func TestSendAllocatesOnlyTheDecode(t *testing.T) {
 }
 
 // TestInboxForgetsDelivered interleaves 10⁵ pushes and pops: the ring
-// grows only with the queue's length, and every slot Recv has emptied is
+// grows only with the queue's length, and every slot recv has emptied is
 // zero, so a delivered message is not kept alive by the inbox.
 func TestInboxForgetsDelivered(t *testing.T) {
 	const total = 100_000
-	b := NewInbox(1, false)
+	b := newInbox(1)
 	q := &b.qs[0]
 	rng := rand.New(rand.NewSource(1))
 	pushed, popped, longest := 0, 0, 0
 	for popped < total {
 		for k := rng.Intn(8); k >= 0 && pushed < total; k-- {
-			b.Push(0, Delivery{From: pushed, Msg: &msg.PageReq{Page: mem.PageID(pushed)}})
+			b.push(0, Delivery{From: pushed, Msg: &msg.PageReq{Page: mem.PageID(pushed)}})
 			pushed++
 		}
 		longest = max(longest, pushed-popped)
 		for k := rng.Intn(8); k >= 0 && popped < pushed; k-- {
-			d, ok := b.Recv(0)
+			d, ok := b.recv(0)
 			if !ok || d.From != popped {
 				t.Fatalf("pop %d: got From %d ok %v", popped, d.From, ok)
 			}
@@ -260,30 +259,21 @@ func TestInboxForgetsDelivered(t *testing.T) {
 	}
 }
 
-// TestInboxNext: Next serves the lowest endpoint first; an inbox that is
-// not live reports ErrQuiet when empty, and a live one waits for a
-// real-time source, up to its bound, and reports the shutdown.
+// TestInboxNext: next serves the lowest endpoint first, reports ErrQuiet
+// when empty and ErrClosed after close.
 func TestInboxNext(t *testing.T) {
-	quiet := NewInbox(2, false)
-	quiet.Push(1, Delivery{From: 7, Msg: &msg.DiffAck{}})
-	quiet.Push(0, Delivery{From: 9, Msg: &msg.DiffAck{}})
-	if to, d, err := quiet.Next(0); err != nil || to != 0 || d.From != 9 {
-		t.Errorf("Next = %d, %+v, %v; want endpoint 0's delivery", to, d, err)
+	b := newInbox(2)
+	b.push(1, Delivery{From: 7, Msg: &msg.DiffAck{}})
+	b.push(0, Delivery{From: 9, Msg: &msg.DiffAck{}})
+	if to, d, err := b.next(); err != nil || to != 0 || d.From != 9 {
+		t.Errorf("next = %d, %+v, %v; want endpoint 0's delivery", to, d, err)
 	}
-	quiet.Next(0)
-	if _, _, err := quiet.Next(-1); err != ErrQuiet {
-		t.Errorf("Next on an empty inbox: %v, want ErrQuiet", err)
+	b.next()
+	if _, _, err := b.next(); err != ErrQuiet {
+		t.Errorf("next on an empty inbox: %v, want ErrQuiet", err)
 	}
-	b := NewInbox(3, true)
-	if _, _, err := b.Next(time.Millisecond); err != ErrTimeout {
-		t.Errorf("bounded wait on nothing: %v, want ErrTimeout", err)
-	}
-	go b.Push(2, Delivery{From: 1, Msg: &msg.DiffAck{}})
-	if to, d, err := b.Next(-1); err != nil || to != 2 || d.From != 1 {
-		t.Errorf("unbounded wait = %d, %+v, %v; want endpoint 2's delivery", to, d, err)
-	}
-	go b.Close()
-	if _, _, err := b.Next(-1); err != ErrClosed {
-		t.Errorf("wait across Close: %v, want ErrClosed", err)
+	b.close()
+	if _, _, err := b.next(); err != ErrClosed {
+		t.Errorf("next after close: %v, want ErrClosed", err)
 	}
 }

@@ -326,45 +326,25 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// wallDependentSeries are the metric families Canonical strips: the ones
-// whose values depend on wall-clock time (end-to-end and restore wall
-// times), trip counts, and the reliable sublayer's retransmission
-// counters. The last are deterministic — retries fire on the scheduler's
-// virtual clock — but they describe the repair of a lossy wire, not the
-// paper's traffic, and stay out of the pinned canonical documents.
+// wallDependentSeries are the metric families Canonical strips: end-to-end
+// and restore wall times, and the flight recorder's trip count. Everything
+// else, the reliable sublayer's retransmission and dedup counters included
+// (its retries fire on the scheduler's virtual clock), repeats exactly.
 var wallDependentSeries = map[string]bool{
 	"run_wall_ns":                true,
 	"run_recovery_wall_ns":       true,
 	"dsm_recovery_wall_ns_total": true,
-	"net_retransmits_total":      true,
-	"net_retrans_bytes_total":    true,
-	"net_deduped_total":          true,
 	"telemetry_trips_total":      true,
 }
 
-// canonicalKey reports whether a series key survives canonicalization:
-// its family is not stripped, and it is not the Retransmit or LinkDead
-// event count.
-func canonicalKey(key string) bool {
-	base, _ := splitKey(key)
-	if wallDependentSeries[base] {
-		return false
-	}
-	if base == "telemetry_events_total" &&
-		(strings.Contains(key, `kind="Retransmit"`) || strings.Contains(key, `kind="LinkDead"`)) {
-		return false
-	}
-	return true
-}
-
 // Canonical returns a copy of the snapshot with the series of
-// wallDependentSeries removed: run/recovery wall times, trip counts, and
-// the reliable sublayer's retransmission counters. What remains is a
-// function of the deterministic virtual-time simulation alone, so every
-// workload — lossy and crash-recovering ones included — canonicalizes to
-// byte-identical JSON across runs: the form the sweep aggregator and
-// golden tests pin. (A run with Config.Reliable counts its resends in the
-// per-type net_* traffic counters too, deterministically.)
+// wallDependentSeries removed. What remains is a function of the
+// deterministic virtual-time simulation alone, so every workload — lossy
+// and crash-recovering ones included — canonicalizes to byte-identical JSON
+// across runs: the form the sweep aggregator and golden tests pin. A lossy
+// run's wire repair stays in it: net_retransmits_total,
+// net_retrans_bytes_total, net_deduped_total and the Retransmit and
+// LinkDead event counts.
 func (s *Snapshot) Canonical() *Snapshot {
 	return &Snapshot{
 		Counters:   canonicalSeries(s.Counters),
@@ -376,7 +356,7 @@ func (s *Snapshot) Canonical() *Snapshot {
 func canonicalSeries[V any](m map[string]V) map[string]V {
 	out := make(map[string]V)
 	for k, v := range m {
-		if canonicalKey(k) {
+		if base, _ := splitKey(k); !wallDependentSeries[base] {
 			out[k] = v
 		}
 	}

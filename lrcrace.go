@@ -51,7 +51,6 @@ import (
 	"lrcrace/internal/race"
 	"lrcrace/internal/replay"
 	"lrcrace/internal/simnet"
-	"lrcrace/internal/tcpnet"
 	"lrcrace/internal/telemetry"
 	"lrcrace/internal/trace"
 )
@@ -226,15 +225,6 @@ type (
 // so any number of runs record concurrently in one process without
 // cross-talk.
 func NewTelemetryRecorder(cfg TelemetryConfig) *TelemetryRecorder { return telemetry.New(cfg) }
-
-// Transport is the message-carrying contract; the default is the in-memory
-// simulated network.
-type Transport = dsm.Transport
-
-// NewTCPTransport builds a real loopback-TCP transport for n processes:
-// the whole DSM, detector included, then runs over actual kernel sockets
-// (pass it via Config.Transport).
-func NewTCPTransport(n int) (Transport, error) { return tcpnet.New(n) }
 
 // Reference detector (cross-validation).
 type (

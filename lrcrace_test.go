@@ -118,30 +118,6 @@ func TestFacadeTable2(t *testing.T) {
 	}
 }
 
-// TestFacadeTCPTransport runs the quickstart flow over real sockets.
-func TestFacadeTCPTransport(t *testing.T) {
-	tr, err := lrcrace.NewTCPTransport(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := lrcrace.New(lrcrace.Config{
-		NumProcs: 2, SharedSize: 8192, Detect: true, Transport: tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, _ := sys.AllocWords("x", 1)
-	if err := sys.Run(func(p *lrcrace.Proc) {
-		p.Write(x, uint64(p.ID()))
-		p.Barrier()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if races := lrcrace.DedupRaces(sys.Races()); len(races) != 1 {
-		t.Errorf("races over TCP = %v", races)
-	}
-}
-
 // TestFacadeCrashRecovery drives the documented crash-tolerance flow:
 // inject a fail-stop death, recover from the barrier-epoch checkpoints,
 // and finish with correct memory (see docs/ROBUSTNESS.md).
