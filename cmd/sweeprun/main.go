@@ -56,7 +56,6 @@ func main() {
 
 	workers := flag.Int("workers", 4, "cells run concurrently")
 	cellTimeout := flag.Duration("cell-timeout", 2*time.Minute, "per-cell wall-time deadline")
-	retries := flag.Int("retries", 0, "extra attempts for failed/panicking cells (local runs only)")
 	dir := flag.String("dir", "", "checkpoint directory: persist per-cell results and resume an interrupted grid")
 	out := flag.String("out", "", "write the summary JSON here")
 	metricsOut := flag.String("metrics-out", "", "write the aggregated metrics JSON here (deterministic)")
@@ -75,16 +74,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *remote != "" && *retries > 0 {
-		// A node runs each session once and its result is final; the
-		// dispatcher retries node failures and busy nodes, not results.
-		log.Fatal("-retries applies to local runs only; -remote retries node failures and admission rejections itself")
-	}
 
 	s, err := sweep.New(plan, sweep.Options{
 		Workers:     *workers,
 		CellTimeout: *cellTimeout,
-		Retries:     *retries,
 		Dir:         *dir,
 	})
 	if err != nil {

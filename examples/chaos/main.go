@@ -23,8 +23,7 @@ func main() {
 			Drop:    0.10, // 10% of packets vanish
 			Dup:     0.05, // 5% arrive twice
 			Reorder: 0.10, // 10% are held back a few sends
-		},
-		Reliable: true, // required for a lossy plan
+		}, // a lossy plan brings the reliability sublayer with it
 	})
 	if err != nil {
 		log.Fatal(err)

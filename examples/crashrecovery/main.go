@@ -26,9 +26,10 @@ func main() {
 		SharedSize: 16 * 1024,
 		Detect:     true,
 		// Checkpointing is on by default: every barrier departure deposits
-		// a chunk-deduplicated manifest the rollback below restores from.
-		Reliable: true, // link death detects the crash
-		Crashes:  []*lrcrace.CrashPlan{plan},
+		// a chunk-deduplicated manifest the rollback below restores from,
+		// and a crash plan brings the reliability sublayer, whose link
+		// death detects the crash.
+		Crashes: []*lrcrace.CrashPlan{plan},
 	})
 	if err != nil {
 		log.Fatal(err)

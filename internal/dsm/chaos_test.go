@@ -1,10 +1,12 @@
 package dsm
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"lrcrace/internal/mem"
+	"lrcrace/internal/msg"
 	"lrcrace/internal/race"
 	"lrcrace/internal/simnet"
 )
@@ -26,7 +28,6 @@ func newChaosSys(t *testing.T, nproc int, proto ProtocolKind, detect bool, seed 
 		Protocol:   proto,
 		Detect:     detect,
 		Faults:     chaosPlan(seed),
-		Reliable:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,32 +193,97 @@ func TestChaosDeterministicRaceSets(t *testing.T) {
 	}
 }
 
-// TestChaosRequiresReliable: the config layer refuses a lossy plan
-// without the reliability sublayer.
-func TestChaosRequiresReliable(t *testing.T) {
-	_, err := New(Config{
-		NumProcs:   2,
-		SharedSize: 4096,
-		Faults:     chaosPlan(1),
-	})
-	if err == nil {
-		t.Fatal("lossy FaultPlan without Reliable accepted")
-	}
-	// A malformed plan is rejected at New, not deferred to Run.
+// TestFaultPlanCheckedAtNew: a malformed plan is rejected at New, not
+// deferred to Run, and jitter alone, which preserves the FIFO/reliable
+// contract, is accepted.
+func TestFaultPlanCheckedAtNew(t *testing.T) {
 	if _, err := New(Config{
 		NumProcs:   2,
 		SharedSize: 4096,
 		Faults:     &simnet.FaultPlan{Seed: 1, Drop: 1.5},
-		Reliable:   true,
 	}); err == nil {
 		t.Fatal("Drop=1.5 accepted at New")
 	}
-	// Jitter alone preserves the FIFO/reliable contract and is allowed.
 	if _, err := New(Config{
 		NumProcs:   2,
 		SharedSize: 4096,
 		Faults:     &simnet.FaultPlan{Seed: 1, JitterNS: 1000},
 	}); err != nil {
 		t.Fatalf("jitter-only plan rejected: %v", err)
+	}
+}
+
+// TestSublayerDerived: the run carries the reliability sublayer exactly
+// when the wire is lossy or recovery is armed (crash plans, or RunEpochs
+// with checkpointing), across wire × entry point × crash plan. A run
+// without it sends no acknowledgment.
+func TestSublayerDerived(t *testing.T) {
+	wires := []struct {
+		name   string
+		faults *simnet.FaultPlan
+	}{
+		{"none", nil},
+		{"jitter", &simnet.FaultPlan{Seed: 3, JitterNS: 5000}},
+		{"lossy", chaosPlan(3)},
+	}
+	entries := []struct {
+		name         string
+		epochs, ckpt bool
+	}{
+		{"Run", false, true},
+		{"RunEpochs", true, true},
+		{"RunEpochs-NoCheckpoint", true, false},
+	}
+	for _, w := range wires {
+		for _, e := range entries {
+			for _, crash := range []bool{false, true} {
+				if crash && !e.ckpt {
+					continue // crash plans require checkpointing
+				}
+				name := fmt.Sprintf("%s/%s/crash=%v", w.name, e.name, crash)
+				t.Run(name, func(t *testing.T) {
+					cfg := Config{
+						NumProcs: 3, SharedSize: 4096, PageSize: 1024, Detect: true,
+						Faults: w.faults, NoCheckpoint: !e.ckpt,
+					}
+					if crash {
+						cfg.Crashes = []*CrashPlan{{Victim: 1, Epoch: 1, Point: CrashMidInterval}}
+					}
+					s, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					x, _ := s.AllocWords("x", 1)
+					body := func(p *Proc, _ int32) {
+						p.Lock(0)
+						p.Write(x, p.Read(x)+1)
+						p.Unlock(0)
+					}
+					if e.epochs {
+						err = s.RunEpochs(2, func() EpochFunc { return body })
+					} else {
+						err = s.Run(func(p *Proc) {
+							body(p, 0)
+							p.Barrier()
+							body(p, 1)
+						})
+					}
+					// Run does not roll back, so its crash ends the run.
+					if wantErr := crash && !e.epochs; (err != nil) != wantErr {
+						t.Fatalf("run error = %v, want error %v", err, wantErr)
+					}
+					if crash && !s.CrashFired(0) {
+						t.Error("the crash plan never fired")
+					}
+					want := w.faults.Lossy() || crash || (e.epochs && e.ckpt)
+					if got := s.CarriesSublayer(); got != want {
+						t.Errorf("carries the sublayer = %v, want %v", got, want)
+					}
+					if acks := s.NetStats().Messages[msg.TRelAck]; !want && acks != 0 {
+						t.Errorf("%d acknowledgments without the sublayer", acks)
+					}
+				})
+			}
+		}
 	}
 }

@@ -21,7 +21,6 @@ func compoundSys(t *testing.T, nproc int, proto ProtocolKind, crashes []*CrashPl
 		PageSize:   1024,
 		Protocol:   proto,
 		Detect:     true,
-		Reliable:   true,
 		Crashes:    crashes,
 		Corruption: corrupt,
 		Recorder:   rec,
@@ -65,7 +64,7 @@ func TestCompoundTwoVictimCrash(t *testing.T) {
 			if rs.Recoveries < 1 || rs.Recoveries > 2 {
 				t.Errorf("recoveries = %d, want 1 or 2 (both victims may die in one attempt)", rs.Recoveries)
 			}
-			if !crashes[0].Fired() && !crashes[1].Fired() {
+			if !s.CrashFired(0) && !s.CrashFired(1) {
 				t.Error("neither crash plan fired")
 			}
 			if got := stableRaceKeys(s.Races()); !reflect.DeepEqual(got, baseRaces) {
@@ -94,8 +93,8 @@ func TestCompoundCrashDuringRecovery(t *testing.T) {
 			if rs.Recoveries != 2 {
 				t.Errorf("recoveries = %d, want 2 (initial crash + crash during recovery)", rs.Recoveries)
 			}
-			if !crashes[0].Fired() || !crashes[1].Fired() {
-				t.Errorf("plans fired = %v/%v, want both", crashes[0].Fired(), crashes[1].Fired())
+			if !s.CrashFired(0) || !s.CrashFired(1) {
+				t.Errorf("plans fired = %v/%v, want both", s.CrashFired(0), s.CrashFired(1))
 			}
 			if got := stableRaceKeys(s.Races()); !reflect.DeepEqual(got, baseRaces) {
 				t.Errorf("race set differs from crash-free run:\ncrash-free: %v\nrecovered:  %v",
@@ -122,10 +121,10 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 					crash := &CrashPlan{Victim: 2, Epoch: 2, Point: CrashMidInterval, AfterN: 2}
 					corrupt := &CorruptionPlan{Epoch: 2, Mode: mode, Count: 2, Seed: 7}
 					s := sc.runCompound(t, []*CrashPlan{crash}, corrupt)
-					if !crash.Fired() {
+					if !s.CrashFired(0) {
 						t.Fatal("crash plan never fired")
 					}
-					if !corrupt.Fired() {
+					if !s.CorruptionFired() {
 						t.Fatal("corruption plan never fired")
 					}
 					rs := s.RecoveryStats()

@@ -3,7 +3,6 @@ package dsm
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"lrcrace/internal/castore"
 	"lrcrace/internal/telemetry"
@@ -35,9 +34,9 @@ func (m CorruptMode) String() string {
 // CorruptionPlan schedules deterministic damage to stored checkpoint
 // state — the storage-fault sibling of CrashPlan (process death) and
 // simnet.FaultPlan (wire faults). Once every process has deposited its
-// checkpoint for Epoch, the plan fires exactly once: Count chunks of that
-// epoch's closure, chosen by a seeded PRNG over the sorted address list,
-// are tampered with or deleted.
+// checkpoint for Epoch, the plan fires exactly once per System: Count
+// chunks of that epoch's closure, chosen by a seeded PRNG over the sorted
+// address list, are tampered with or deleted.
 //
 // Corruption is silent until a rollback tries to use the damaged epoch;
 // then manifest decoding detects the broken closure (the address is the
@@ -55,8 +54,6 @@ type CorruptionPlan struct {
 	Count int
 	// Seed drives the deterministic chunk choice.
 	Seed uint64
-
-	fired atomic.Bool
 }
 
 // Validate checks the plan.
@@ -75,24 +72,20 @@ func (c *CorruptionPlan) Validate() error {
 	return nil
 }
 
-// Fired reports whether the plan's damage has been injected.
-func (c *CorruptionPlan) Fired() bool { return c.fired.Load() }
-
 // maybeCorrupt fires the system's corruption plan once all processes have
-// deposited checkpoints for epoch. Called from checkpoint after
-// each deposit; the CAS makes the racing depositors inject exactly once.
+// deposited checkpoints for epoch. Called from checkpoint after each
+// deposit; the System's corruptFired makes it inject once per run, even
+// when a rollback re-deposits the epoch.
 func (s *System) maybeCorrupt(epoch int32) {
 	cp := s.cfg.Corruption
-	if cp == nil || epoch != cp.Epoch || cp.fired.Load() {
+	if cp == nil || epoch != cp.Epoch || s.corruptFired {
 		return
 	}
 	n := s.cfg.NumProcs
 	if !s.ckpts.haveAll(epoch, n) {
 		return
 	}
-	if !cp.fired.CompareAndSwap(false, true) {
-		return
-	}
+	s.corruptFired = true
 	hit := s.ckpts.corruptEpoch(epoch, n, cp)
 	s.tel.Emit(0, telemetry.KCkptCorrupt, 0, int64(epoch), int64(hit), int64(cp.Mode))
 }

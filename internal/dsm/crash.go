@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"lrcrace/internal/telemetry"
 )
@@ -46,9 +45,10 @@ func (c CrashPoint) String() string {
 
 // CrashPlan schedules the crash of one process, deterministically — the
 // process-death analogue of simnet.FaultPlan's wire faults. Each plan
-// fires at most once per System: after a coordinated rollback the
-// re-executed epoch runs free of that plan's crash, exactly like a machine
-// that is rebooted once. A system can carry several plans
+// fires at most once per System (the System keeps that state, so one
+// Config can build any number of Systems): after a coordinated rollback
+// the re-executed epoch runs free of that plan's crash, exactly like a
+// machine that is rebooted once. A system can carry several plans
 // (Config.Crashes) for compound faults: two victims in the same epoch, or
 // a second crash arming only once recovery has begun (DuringRecovery).
 //
@@ -79,8 +79,6 @@ type CrashPlan struct {
 	// least one coordinated rollback has happened — a second failure
 	// striking while the system is still healing from the first.
 	DuringRecovery bool
-
-	fired atomic.Bool
 }
 
 // Validate checks the plan against a system of n processes.
@@ -105,9 +103,6 @@ func (c *CrashPlan) Validate(n int) error {
 	}
 	return nil
 }
-
-// Fired reports whether the plan's crash has been injected.
-func (c *CrashPlan) Fired() bool { return c.fired.Load() }
 
 func (c *CrashPlan) afterN() int {
 	if c.AfterN <= 0 {
@@ -171,22 +166,14 @@ func (c crashPanic) String() string {
 	return fmt.Sprintf("proc %d crashed (injected, %v)", c.proc, c.point)
 }
 
-// endpointKiller is the optional transport capability that silences a
-// crashed process's own sends, retransmissions and acknowledgments;
-// reliable.Transport provides it. (On any transport, the scheduler handles
-// nothing more for a crashed process.)
-type endpointKiller interface {
-	KillEndpoint(proc int)
-}
-
 // shouldCrash consults every armed crash plan at one instrumentation site;
 // the caller acts on a true return with crashNow. The per-process site
 // counters advance once per visit, shared by all plans targeting this
 // victim; the firing plan is recorded on the process for crashNow.
 func (p *Proc) shouldCrash(site crashSite) bool {
 	var countedAccess, countedLock bool
-	for _, cp := range p.sys.cfg.Crashes {
-		if cp.Victim != p.id || cp.fired.Load() {
+	for i, cp := range p.sys.cfg.Crashes {
+		if cp.Victim != p.id || p.sys.crashFired[i] {
 			continue
 		}
 		if cp.DuringRecovery && p.sys.recStats.Recoveries == 0 {
@@ -226,15 +213,15 @@ func (p *Proc) shouldCrash(site crashSite) bool {
 		default:
 			continue
 		}
-		if cp.fired.CompareAndSwap(false, true) {
-			p.firedCrash = cp
-			return true
-		}
+		p.sys.crashFired[i] = true
+		p.firedCrash = cp
+		return true
 	}
 	return false
 }
 
-// crashNow kills this process: its transport endpoint goes silent and the
+// crashNow kills this process: its endpoint in the reliability sublayer
+// goes silent (no sends, retransmissions or acknowledgments) and the
 // application coroutine unwinds with a crashPanic, upon which the
 // scheduler drops every delivery to the process.
 func (p *Proc) crashNow() {
@@ -244,8 +231,8 @@ func (p *Proc) crashNow() {
 		pt = p.firedCrash.Point
 	}
 	p.tel.Emit(p.id, telemetry.KCrashInjected, v, int64(pt), int64(p.id), 0)
-	if k, ok := p.sys.nw.(endpointKiller); ok {
-		k.KillEndpoint(p.id)
+	if rel := p.sys.rel; rel != nil {
+		rel.KillEndpoint(p.id)
 	}
 	panic(crashPanic{proc: p.id, point: pt})
 }

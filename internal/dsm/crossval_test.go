@@ -424,8 +424,9 @@ func TestTreePaperScenariosMatchSerial(t *testing.T) { paperScenariosMatch(t, tr
 // recovered run must report exactly the races of the flat crash-free
 // baseline (two independent equalities in one: pipeline == flat and
 // recovered == crash-free). With blame set, suspect naming must also
-// converge on exactly the true victim. plans builds a fresh grid per
-// scenario: a CrashPlan fires once.
+// converge on exactly the true victim. plans returns the grid; each
+// System keeps its own firing state, so every scenario's runs fire the
+// same plans afresh.
 func crashGrid(t *testing.T, pl pipeline, plans func() []*CrashPlan, blame bool) {
 	for _, sc := range []recoveryScenario{tspScenario(), mwScenario()} {
 		t.Run(sc.name, func(t *testing.T) {

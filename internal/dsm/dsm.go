@@ -30,6 +30,7 @@ import (
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/race"
+	"lrcrace/internal/reliable"
 	"lrcrace/internal/simnet"
 	"lrcrace/internal/telemetry"
 )
@@ -119,19 +120,10 @@ type Config struct {
 
 	// Faults makes the simulated network lossy: a deterministic,
 	// seed-driven plan of per-link drops, duplications, bounded
-	// reordering, and latency jitter (see simnet.FaultPlan). A plan with
-	// drop/dup/reorder requires Reliable, since the protocol assumes
-	// reliable FIFO links.
+	// reordering, and latency jitter (see simnet.FaultPlan). The protocol
+	// assumes reliable FIFO links, so a plan with drop/dup/reorder makes
+	// the run carry the reliability sublayer (see Transport).
 	Faults *simnet.FaultPlan
-
-	// Reliable layers the CVM-style end-to-end retransmission sublayer
-	// (internal/reliable) over the simulated network: per-link sequence
-	// numbers, cumulative piggybacked ACKs, timeout retransmission with
-	// backoff, and receiver-side dedup/resequencing. This is what lets the
-	// DSM run unchanged over a lossy wire, exactly as CVM ran over raw
-	// UDP. Its deadlines are virtual and fire when the scheduler has
-	// nothing else to do, so a lossy run is one interleaving per input.
-	Reliable bool
 
 	// NoCheckpoint disables barrier-epoch checkpointing, which is ON by
 	// default: at every barrier departure each process serializes its
@@ -149,8 +141,9 @@ type Config struct {
 	// CrashPlan): one plan, or several for compound faults — two victims
 	// in one epoch, or a second crash armed only during recovery
 	// (CrashPlan.DuringRecovery). Requires checkpointing (NoCheckpoint
-	// false). Survivors detect a death by link retry-cap exhaustion
-	// (Reliable) or, at once, as a deadlock.
+	// false). Survivors detect a death by link retry-cap exhaustion in the
+	// reliability sublayer every recovering run carries, or, at once, as a
+	// deadlock.
 	Crashes []*CrashPlan
 
 	// Corruption schedules deterministic damage to stored checkpoint
@@ -196,7 +189,13 @@ type SyncEnforcer interface {
 
 // Transport carries the DSM's messages: the simulated network
 // (internal/simnet), wrapped in the reliability sublayer (internal/reliable)
-// when Config.Reliable is set.
+// when the run needs it — the wire is lossy (Config.Faults) or recovery is
+// armed (crash plans, or RunEpochs with checkpointing). The sublayer is
+// the CVM-style end-to-end retransmission that lets the DSM run unchanged
+// over a lossy wire, exactly as CVM ran over raw UDP, and its link deaths
+// are how survivors name a crashed peer. Its deadlines are virtual and
+// fire when the scheduler has nothing else to do, so such a run is still
+// one interleaving per input.
 type Transport interface {
 	// Send serializes m toward process to, tagged with the sender's
 	// virtual clock, and returns the wire size in bytes. Send has
@@ -246,9 +245,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Detect && c.Protocol == EagerRC {
 		return fmt.Errorf("dsm: race detection requires LRC metadata (intervals, version vectors, notices) that the eager protocol does not maintain — use SingleWriter or MultiWriter")
-	}
-	if c.Faults.Lossy() && !c.Reliable {
-		return fmt.Errorf("dsm: a lossy FaultPlan (drop/dup/reorder) breaks the reliable-FIFO contract the protocol assumes; set Reliable to layer end-to-end retransmission over it")
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -333,9 +329,17 @@ type System struct {
 	ckpts     *CheckpointStore
 	keepCkpts bool                      // test seam: the store never collects an epoch
 	wrapNet   func(Transport) Transport // test seam: wraps each attempt's built transport
+	rel       *reliable.Transport       // the current attempt's sublayer; nil when the run needs none
 	epochMode bool
 	recStats  RecoveryStats
 	sched     *sched // the current attempt's
+
+	// Injection state, kept for the whole run across its rollback
+	// attempts (a plan fires at most once per System; DuringRecovery
+	// plans wait for a rollback): crashFired[i] is whether
+	// cfg.Crashes[i] has fired.
+	crashFired   []bool
+	corruptFired bool
 
 	suspect    int          // proc suspected dead this attempt; -1 unknown
 	suspectVia string       // "link-death" | "barrier-timeout" | ""
@@ -356,7 +360,7 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, layout: l, tel: telemetry.To(cfg.Recorder)}
+	s := &System{cfg: cfg, layout: l, tel: telemetry.To(cfg.Recorder), crashFired: make([]bool, len(cfg.Crashes))}
 	if cfg.Detect {
 		s.raceOpts = race.Options{FirstOnly: cfg.FirstOnly}
 		s.detector = race.NewDetector(l, s.raceOpts)

@@ -15,3 +15,13 @@ func (s *System) OfferOwnCkptHintsOnly() {
 	s.initCheckpoints()
 	s.ckpts.pageAddr = nil
 }
+
+// CrashFired reports whether the run fired cfg.Crashes[i].
+func (s *System) CrashFired(i int) bool { return s.crashFired[i] }
+
+// CorruptionFired reports whether the run fired cfg.Corruption.
+func (s *System) CorruptionFired() bool { return s.corruptFired }
+
+// CarriesSublayer reports whether the run's last attempt carried the
+// reliability sublayer.
+func (s *System) CarriesSublayer() bool { return s.rel != nil }

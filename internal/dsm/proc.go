@@ -206,7 +206,7 @@ type Proc struct {
 
 	// Crash-plan trigger counters (see crash.go); only the victim's are
 	// ever advanced, shared across plans targeting this process.
-	// firedCrash is the plan whose CAS this process won.
+	// firedCrash is the plan that killed this process.
 	crashAccesses int
 	crashLocks    int
 	firedCrash    *CrashPlan

@@ -145,8 +145,9 @@ func (s *System) canRecover() bool {
 	return s.cfg.checkpointing() && s.ckpts != nil
 }
 
-// recoveryArmed reports whether link-death suspicion should feed the
-// recovery machinery rather than just abort the run.
+// recoveryArmed reports whether the run must detect and name a crashed
+// process: the run carries the reliability sublayer, and its link deaths
+// feed the recovery machinery rather than just abort the run.
 func (s *System) recoveryArmed() bool {
 	return len(s.cfg.Crashes) > 0 || (s.epochMode && s.cfg.checkpointing())
 }
@@ -227,7 +228,9 @@ func (s *System) onLinkDead(from, to int) {
 // attempt builds a fresh transport, adopts plan's decoded processes (or
 // builds fresh ones: no plan, or a restart from scratch), runs body on
 // every process, and returns the root-cause error, if any. This is the
-// single execution path behind both Run and RunEpochs.
+// single execution path behind both Run and RunEpochs. The transport
+// carries the reliability sublayer exactly when the run needs it: the wire
+// is lossy, or recovery is armed and a link death must name the victim.
 func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 	n := s.cfg.NumProcs
 	s.resetSuspect()
@@ -236,13 +239,14 @@ func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 	if err := nw.SetFaults(s.cfg.Faults); err != nil {
 		return err
 	}
-	s.nw = nw
-	if s.cfg.Reliable {
+	s.nw, s.rel = nw, nil
+	if armed := s.recoveryArmed(); armed || s.cfg.Faults.Lossy() {
 		rc := reliable.Config{Telemetry: s.tel}
-		if s.recoveryArmed() {
+		if armed {
 			rc.OnLinkDead = s.onLinkDead
 		}
-		s.nw = reliable.Wrap(nw, n, rc)
+		s.rel = reliable.Wrap(nw, n, rc)
+		s.nw = s.rel
 	}
 	if s.wrapNet != nil {
 		s.nw = s.wrapNet(s.nw)
@@ -286,8 +290,8 @@ func (s *System) planRollback() (*rollbackPlan, error) {
 	suspect, via := s.suspectInfo()
 	victim := suspect
 	if victim < 0 {
-		for _, cp := range s.cfg.Crashes {
-			if cp.Fired() {
+		for i, cp := range s.cfg.Crashes {
+			if s.crashFired[i] {
 				// Detection could not name the victim (e.g. a worker's timeout
 				// with no master-side bookkeeping); fall back to the crash
 				// plan's ground truth for labeling. Recovery itself never needs

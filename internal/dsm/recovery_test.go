@@ -24,7 +24,6 @@ func recoveryConfig(nproc int, proto ProtocolKind, crash *CrashPlan, rec *teleme
 		PageSize:   1024,
 		Protocol:   proto,
 		Detect:     true,
-		Reliable:   true,
 		Recorder:   rec,
 	}
 	if crash != nil {
@@ -185,7 +184,7 @@ func TestCrashRecoveryGrid(t *testing.T) {
 				plan := plan
 				t.Run(fmt.Sprintf("%v-p%d-e%d", plan.Point, plan.Victim, plan.Epoch), func(t *testing.T) {
 					s := sc.run(t, plan)
-					if !plan.Fired() {
+					if !s.CrashFired(0) {
 						t.Fatal("crash plan never fired")
 					}
 					rs := s.RecoveryStats()

@@ -218,19 +218,12 @@ func (sc *sched) deliver() {
 	}
 }
 
-// advancer is the optional transport capability of firing deadlines kept
-// on the scheduler's clock; reliable.Transport provides it. Advance
-// reports whether it did anything.
-type advancer interface {
-	Advance() bool
-}
-
 // stuck runs when nothing is runnable and nothing is buffered: fire the
-// transport's earliest deadline, or, with none left, fail every blocked
-// coroutine — with a timeoutPanic, or the shutdown panic once the
+// reliability sublayer's earliest deadline, or, with none left, fail every
+// blocked coroutine — with a timeoutPanic, or the shutdown panic once the
 // transport is closed.
 func (sc *sched) stuck() {
-	if a, ok := sc.s.nw.(advancer); ok && !sc.closed && a.Advance() {
+	if rel := sc.s.rel; rel != nil && !sc.closed && rel.Advance() {
 		sc.quiet = false
 		return
 	}

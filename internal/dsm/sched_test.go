@@ -75,13 +75,26 @@ func TestSameInputSameRun(t *testing.T) {
 	t.Run("TSP/p4/lossy", func(t *testing.T) {
 		sys := sameRun(t, func(rec *telemetry.Recorder) *dsm.System {
 			return runAppWith(t, "TSP", 0.02, dsm.Config{
-				NumProcs: 4, Detect: true, Recorder: rec, Reliable: true,
+				NumProcs: 4, Detect: true, Recorder: rec,
 				Faults: &simnet.FaultPlan{Seed: 5, Drop: 0.1, Dup: 0.05, Reorder: 0.1, MaxReorder: 3},
 			})
 		})
 		if st := sys.NetStats(); st.Retransmits == 0 || st.Deduped == 0 || st.Reordered == 0 {
 			t.Errorf("the lossy wire exercised too little: %d retransmits, %d deduped, %d reordered",
 				st.Retransmits, st.Deduped, st.Reordered)
+		}
+	})
+	// Checkpointed epochs arm recovery, so even a crash-free run on a
+	// lossless wire carries the sublayer and its deadlines.
+	t.Run("epochs/checkpointed", func(t *testing.T) {
+		sys := sameRun(t, func(rec *telemetry.Recorder) *dsm.System {
+			return runCrashEpochs(t, nil, rec)
+		})
+		if !sys.CarriesSublayer() {
+			t.Error("checkpointed RunEpochs ran without the reliability sublayer")
+		}
+		if rs := sys.RecoveryStats(); rs.Recoveries != 0 {
+			t.Errorf("%d recoveries, want 0", rs.Recoveries)
 		}
 	})
 	for _, point := range []dsm.CrashPoint{dsm.CrashMidInterval, dsm.CrashHoldingLock} {
@@ -141,16 +154,17 @@ func sameRun(t *testing.T, run func(rec *telemetry.Recorder) *dsm.System) *dsm.S
 	return a
 }
 
-// runCrashEpochs runs three epochs of lock-ordered increments and one racy
-// write per process on four processes over the reliable sublayer, with
-// crash injected, and checks that no increment was lost or doubled across
-// the rollback.
+// runCrashEpochs runs three checkpointed epochs of lock-ordered increments
+// and one racy write per process on four processes, with crash injected
+// unless it is nil, and checks that no increment was lost or doubled
+// across the rollback.
 func runCrashEpochs(t *testing.T, crash *dsm.CrashPlan, rec *telemetry.Recorder) *dsm.System {
 	t.Helper()
-	sys, err := dsm.New(dsm.Config{
-		NumProcs: 4, SharedSize: 16 * 1024, PageSize: 1024, Detect: true,
-		Reliable: true, Crashes: []*dsm.CrashPlan{crash}, Recorder: rec,
-	})
+	cfg := dsm.Config{NumProcs: 4, SharedSize: 16 * 1024, PageSize: 1024, Detect: true, Recorder: rec}
+	if crash != nil {
+		cfg.Crashes = []*dsm.CrashPlan{crash}
+	}
+	sys, err := dsm.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ func TestChaosSoakSOR(t *testing.T) {
 
 	chaos := base
 	chaos.Faults = &simnet.FaultPlan{Seed: 20260805, Drop: 0.10, Dup: 0.05, Reorder: 0.10, MaxReorder: 3}
-	chaos.Reliable = true
 	dirty, err := Run(chaos) // Run verifies the SOR result internally
 	if err != nil {
 		t.Fatal(err)

@@ -87,8 +87,7 @@ func pinInputs(t *testing.T) []struct {
 	add("lossy-tsp", harness.RunConfig{
 		App: "TSP", Scale: 0.25, Procs: 4, Detect: true,
 		DSM: dsm.Config{
-			Reliable: true,
-			Faults:   &simnet.FaultPlan{Seed: 3, Drop: 0.05, Dup: 0.02, Reorder: 0.1, JitterNS: 5000},
+			Faults: &simnet.FaultPlan{Seed: 3, Drop: 0.05, Dup: 0.02, Reorder: 0.1, JitterNS: 5000},
 		},
 	})
 	for _, app := range harness.ChaosAppNames {

@@ -78,7 +78,6 @@ func TestGoFrontValidation(t *testing.T) {
 		{App: "KV", Frontend: "go", Procs: 2, DSM: dsm.Config{Protocol: dsm.MultiWriter}},
 		{App: "KV", Frontend: "go", Procs: 2, Detect: true, DSM: dsm.Config{ShardedCheck: true}},
 		{App: "KV", Frontend: "go", Procs: 2, DSM: dsm.Config{BarrierTree: 2}},
-		{App: "KV", Frontend: "go", Procs: 2, DSM: dsm.Config{Reliable: true}},
 		{App: "KV", Frontend: "go", Procs: 2, DSM: dsm.Config{Faults: &simnet.FaultPlan{Drop: 0.1}}},
 		{App: "KV", Frontend: "go", Procs: 2, CrashMode: "single"},
 		{App: "FFT", Procs: 2, Racy: true},
@@ -103,8 +102,8 @@ func TestGoFrontValidation(t *testing.T) {
 		}
 	}
 	two := ok
-	two.DSM = dsm.Config{Reliable: true, NoCheckpoint: true}
-	if err := ValidateRunConfig(two); err == nil || !strings.Contains(err.Error(), "DSM.Reliable, DSM.NoCheckpoint set") {
+	two.DSM = dsm.Config{FirstOnly: true, NoCheckpoint: true}
+	if err := ValidateRunConfig(two); err == nil || !strings.Contains(err.Error(), "DSM.FirstOnly, DSM.NoCheckpoint set") {
 		t.Errorf("go run with two DSM fields set: err = %v, want both named", err)
 	}
 

@@ -169,9 +169,8 @@ func recorderFor(cfg RunConfig, procs int) *telemetry.Recorder {
 // dsmConfig is the one RunConfig → dsm.Config conversion: every DSM run —
 // benchmark or chaos app, executed or merely validated — builds its System
 // from what this returns (plus the recorder): cfg.DSM with the fields the
-// harness derives filled in. The chaos apps always run over the reliable
-// sublayer — link-death detection is how survivors notice a victim — on a
-// few small pages.
+// harness derives filled in. The chaos apps run on a few small pages with
+// the crash and corruption plans their modes name.
 func dsmConfig(cfg RunConfig, sharedSize int) (dsm.Config, error) {
 	dc := cfg.DSM
 	dc.NumProcs, dc.SharedSize, dc.Detect = cfg.Procs, sharedSize, cfg.Detect
@@ -179,7 +178,6 @@ func dsmConfig(cfg RunConfig, sharedSize int) (dsm.Config, error) {
 		return dc, nil
 	}
 	dc.PageSize = chaosPageSize
-	dc.Reliable = true
 	var err error
 	dc.Crashes, dc.Corruption, err = chaosPlans(cfg)
 	return dc, err

@@ -218,7 +218,6 @@ func TestFlightRecorderOnRetryCapChaos(t *testing.T) {
 		DSM: dsm.Config{
 			Protocol: dsm.SingleWriter,
 			Faults:   &simnet.FaultPlan{Seed: 7, Drop: 0.95},
-			Reliable: true,
 		},
 	})
 	if err == nil {

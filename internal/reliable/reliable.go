@@ -39,15 +39,6 @@ import (
 	"lrcrace/internal/telemetry"
 )
 
-// Inner is the wire being wrapped (simnet.Network): every delivery comes
-// from a Send, so a read with nothing queued means nothing is in flight.
-type Inner interface {
-	Send(from, to int, m msg.Message, vtime int64) int
-	Next() (int, simnet.Delivery, error)
-	Close()
-	Stats() simnet.Stats
-}
-
 // The retransmission timeout starts at RTO and doubles on every expiry up
 // to MaxRTO; a link whose envelopes stay unacknowledged through MaxRetries
 // consecutive expiries is dead. A receiver owes an immediate pure RelAck
@@ -78,10 +69,12 @@ type Config struct {
 	Telemetry telemetry.Scope
 }
 
-// Transport implements dsm.Transport over an unreliable Inner. It is not
-// safe for concurrent use.
+// Transport implements dsm.Transport over the simulated network, which a
+// FaultPlan may make lossy. Every delivery on that wire comes from a Send,
+// so a read with nothing queued means nothing is in flight. It is not safe
+// for concurrent use.
 type Transport struct {
-	inner Inner
+	inner *simnet.Network
 	n     int
 	cfg   Config
 
@@ -97,7 +90,7 @@ type Transport struct {
 }
 
 // Wrap builds the reliability sublayer over inner for n endpoints.
-func Wrap(inner Inner, n int, cfg Config) *Transport {
+func Wrap(inner *simnet.Network, n int, cfg Config) *Transport {
 	t := &Transport{
 		inner:  inner,
 		n:      n,

@@ -503,7 +503,7 @@ func (svc *Service) runSession(sess *Session) {
 
 	// Close waits for in-flight sessions rather than canceling them, so
 	// there is no context to give up on: the deadline is the only way out.
-	result, races := sweep.RunGuarded(context.Background(), sess.ck.ID, sess.cfg, rec, svc.cfg.SessionTimeout, 1)
+	result, races := sweep.RunGuarded(context.Background(), sess.ck.ID, sess.cfg, rec, svc.cfg.SessionTimeout)
 
 	svc.tenantTransition(sess.tenant, 0, 1, 0) // running → done frees quota
 	// The session reports done only once its "finished" record is durable.

@@ -323,7 +323,7 @@ func TestAdmissionValidation(t *testing.T) {
 		{"negative scale", RunRequest{App: "FFT", Scale: -1}, &harness.RunConfig{App: "FFT", Procs: 4, Scale: -1}},
 		{"negative procs", RunRequest{App: "FFT", Procs: -1}, &harness.RunConfig{App: "FFT", Procs: -1}},
 		{"fault probability above one", RunRequest{App: "TSP", Faults: &sweep.FaultAxis{Drop: 1.5}},
-			&harness.RunConfig{App: "TSP", Procs: 4, DSM: dsm.Config{Faults: &simnet.FaultPlan{Drop: 1.5}, Reliable: true}}},
+			&harness.RunConfig{App: "TSP", Procs: 4, DSM: dsm.Config{Faults: &simnet.FaultPlan{Drop: 1.5}}}},
 		{"bogus protocol", RunRequest{App: "FFT", Protocol: "bogus"}, nil},
 	})
 }

@@ -87,8 +87,8 @@ type heldDelivery struct {
 	after int
 }
 
-// SetFaults installs a fault plan. Like SetMTU it must be called before
-// traffic starts and panics otherwise; it returns an error for a
+// SetFaults installs a fault plan. Like SetTelemetry it must be called
+// before traffic starts and panics otherwise; it returns an error for a
 // malformed plan. A nil plan keeps the wire perfectly reliable.
 func (nw *Network) SetFaults(p *FaultPlan) error {
 	if p == nil {

@@ -180,6 +180,5 @@ func TestSealedAfterTraffic(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("SetMTU", func() { nw.SetMTU(4096) })
 	mustPanic("SetFaults", func() { nw.SetFaults(&FaultPlan{Seed: 1}) })
 }

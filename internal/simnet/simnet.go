@@ -114,9 +114,8 @@ func (s Stats) TotalDuplicated() int64 {
 // Network connects n endpoints with unbounded queues. Delivery is
 // reliable, ordered FIFO by default; SetFaults makes the wire lossy.
 type Network struct {
-	n   int
-	mtu int
-	in  *inbox
+	n  int
+	in *inbox
 
 	faults *FaultPlan
 	links  []*faultLink // per ordered pair, indexed from*n+to; nil without faults
@@ -127,13 +126,13 @@ type Network struct {
 
 	mu      sync.Mutex
 	stats   Stats
-	started bool // first Send seen; SetMTU/SetFaults are sealed after this
+	started bool // first Send seen; SetTelemetry/SetFaults are sealed after this
 }
 
 // SetTelemetry scopes the network's fault-injection events (WireDrop /
 // WireDup / WireReorder) to a specific recording session, so concurrent
 // networks in one process record into their own Systems' recorders.
-// Like SetMTU it must be called before traffic starts.
+// It must be called before traffic starts.
 func (nw *Network) SetTelemetry(tel telemetry.Scope) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
@@ -143,25 +142,9 @@ func (nw *Network) SetTelemetry(tel telemetry.Scope) {
 	nw.tel = tel
 }
 
-// New returns a network with n endpoints, numbered 0..n-1, and DefaultMTU.
+// New returns a network with n endpoints, numbered 0..n-1.
 func New(n int) *Network {
-	return &Network{n: n, mtu: DefaultMTU, in: newInbox(n)}
-}
-
-// SetMTU overrides the fragmentation threshold. It must be called before
-// traffic starts: changing the threshold mid-run would silently skew the
-// per-fragment latency accounting, so it panics once a message has been
-// sent.
-func (nw *Network) SetMTU(bytes int) {
-	if bytes < 128 {
-		bytes = 128
-	}
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	if nw.started {
-		panic("simnet: SetMTU after traffic has started")
-	}
-	nw.mtu = bytes
+	return &Network{n: n, in: newInbox(n)}
 }
 
 // Size returns the number of endpoints.
@@ -183,7 +166,7 @@ func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
 	if err != nil {
 		panic(fmt.Sprintf("simnet: message %v does not survive the wire: %v", m.Type(), err))
 	}
-	frags := (len(wire) + nw.mtu - 1) / nw.mtu
+	frags := (len(wire) + DefaultMTU - 1) / DefaultMTU
 	if frags < 1 {
 		frags = 1
 	}

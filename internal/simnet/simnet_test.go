@@ -149,10 +149,9 @@ func TestSendInvalidEndpointPanics(t *testing.T) {
 // TestFragmentation: payloads above the MTU count as multiple datagrams.
 func TestFragmentation(t *testing.T) {
 	nw := New(2)
-	nw.SetMTU(256)
 	defer nw.Close()
 	small := &msg.PageReply{Page: 1, Data: make([]byte, 100)}
-	big := &msg.PageReply{Page: 2, Data: make([]byte, 1000)}
+	big := &msg.PageReply{Page: 2, Data: make([]byte, 3*DefaultMTU+100)}
 	nw.Send(0, 1, small, 0)
 	nw.Send(0, 1, big, 0)
 
@@ -161,26 +160,15 @@ func TestFragmentation(t *testing.T) {
 		t.Errorf("small frags = %d", d1.Frags)
 	}
 	d2, _ := nw.Recv(1)
-	if d2.Frags < 4 { // ~1010 wire bytes / 256
-		t.Errorf("big frags = %d, want >=4", d2.Frags)
+	if d2.Frags != 4 { // just over three MTUs
+		t.Errorf("big frags = %d, want 4", d2.Frags)
 	}
-	if d2.Bytes <= 1000+UDPOverhead {
+	if d2.Bytes <= len(big.Data)+UDPOverhead {
 		t.Errorf("fragmented payload should pay per-fragment headers: %d", d2.Bytes)
 	}
 	s := nw.Stats()
 	if s.Messages[msg.TPageReply] != int64(1+d2.Frags) {
 		t.Errorf("message count = %d, want %d", s.Messages[msg.TPageReply], 1+d2.Frags)
-	}
-}
-
-func TestSetMTUFloor(t *testing.T) {
-	nw := New(1)
-	nw.SetMTU(1) // clamped to 128
-	defer nw.Close()
-	nw.Send(0, 0, &msg.DiffAck{}, 0)
-	d, _ := nw.Recv(0)
-	if d.Frags != 1 {
-		t.Errorf("tiny message fragmented: %d", d.Frags)
 	}
 }
 

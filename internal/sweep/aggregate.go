@@ -79,10 +79,10 @@ func (s *Summary) WriteJSON(w io.Writer) error {
 func (s *Summary) WriteTable(w io.Writer) error {
 	fmt.Fprintf(w, "sweep %0.12s: %d cells — %d ok, %d failed, %d timeout, %d panicked, %d missing; %d races (%d distinct)\n",
 		s.Fingerprint, s.Total, s.OK, s.Failed, s.Timeout, s.Panicked, s.Missing, s.Races, s.DistinctRaces)
-	fmt.Fprintf(w, "%-40s %-8s %7s %8s %14s %12s\n", "cell", "status", "races", "attempt", "virtual ms", "wall ms")
+	fmt.Fprintf(w, "%-40s %-8s %7s %14s %12s\n", "cell", "status", "races", "virtual ms", "wall ms")
 	for _, r := range s.Cells {
-		fmt.Fprintf(w, "%-40s %-8s %7d %8d %14.1f %12.0f\n",
-			r.ID, r.Status, r.Races, r.Attempt, float64(r.VirtualNS)/1e6, float64(r.WallNS)/1e6)
+		fmt.Fprintf(w, "%-40s %-8s %7d %14.1f %12.0f\n",
+			r.ID, r.Status, r.Races, float64(r.VirtualNS)/1e6, float64(r.WallNS)/1e6)
 	}
 	if _, err := fmt.Fprintln(w); err != nil {
 		return err

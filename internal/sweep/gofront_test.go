@@ -156,7 +156,7 @@ func TestGoFrontSweepEndToEnd(t *testing.T) {
 func TestGoFrontModelPanicFailsCell(t *testing.T) {
 	cfg := harness.RunConfig{App: panicWorkload, Frontend: "go", Procs: 2, Detect: true}
 	rec := telemetry.New(telemetry.Config{Procs: cfg.Procs, Cap: TelemetryCap, FlightSink: io.Discard})
-	res, races := RunGuarded(context.Background(), "panic-cell", cfg, rec, time.Minute, 1)
+	res, races := RunGuarded(context.Background(), "panic-cell", cfg, rec, time.Minute)
 	if res == nil || res.Status != StatusPanic || !strings.Contains(res.Error, "gofront: close of closed channel 0") {
 		t.Fatalf("cell result %+v, want a panic naming the closed channel", res)
 	}

@@ -451,7 +451,6 @@ func (r Request) RunConfig() (harness.RunConfig, error) {
 	}
 	if r.Faults != nil {
 		cfg.DSM.Faults = r.Faults.plan(r.Seed)
-		cfg.DSM.Reliable = cfg.DSM.Faults.Lossy()
 	}
 	return cfg, nil
 }

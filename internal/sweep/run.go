@@ -21,7 +21,7 @@ type Status string
 // interrupted before it finished) has no status; resuming re-runs it.
 const (
 	StatusOK      Status = "ok"      // run completed and verified
-	StatusFailed  Status = "failed"  // run returned an error on every attempt
+	StatusFailed  Status = "failed"  // run returned an error
 	StatusTimeout Status = "timeout" // run exceeded the per-cell deadline
 	StatusPanic   Status = "panic"   // run panicked (caught; sweep continued)
 )
@@ -38,10 +38,9 @@ func (s Status) Terminal() bool {
 
 // CellResult is the persisted outcome of one cell.
 type CellResult struct {
-	ID      string `json:"id"`
-	Status  Status `json:"status"`
-	Error   string `json:"error,omitempty"`
-	Attempt int    `json:"attempt"` // 1-based attempt that produced this result
+	ID     string `json:"id"`
+	Status Status `json:"status"`
+	Error  string `json:"error,omitempty"`
 
 	Races         int   `json:"races"`
 	DistinctRaces int   `json:"distinct_races"`
@@ -59,13 +58,9 @@ type CellResult struct {
 type Options struct {
 	// Workers is the number of cells run concurrently; 0 → 4.
 	Workers int
-	// CellTimeout bounds one attempt's wall time; 0 → 2 minutes. A wedged
+	// CellTimeout bounds one cell's wall time; 0 → 2 minutes. A wedged
 	// simulated run fails on its own at once, as a deadlock.
 	CellTimeout time.Duration
-	// Retries is how many extra attempts a failed or panicking cell gets
-	// before its failure is recorded; timeouts are never retried. It
-	// applies to the local runner only: an Executor's result is final.
-	Retries int
 	// Dir, when non-empty, persists the manifest and per-cell results
 	// there, making the sweep resumable (see manifest.go).
 	Dir string
@@ -98,8 +93,7 @@ type Sweep struct {
 	mu      sync.Mutex
 	results map[string]*CellResult
 	// live holds the cells in flight and, for cells running in this
-	// process, the current attempt's recorder (nil for a cell an Executor
-	// runs elsewhere).
+	// process, their recorders (nil for a cell an Executor runs elsewhere).
 	live   map[string]*telemetry.Recorder
 	flight map[string]*telemetry.Recorder // latest recorder per cell, kept for /flight
 	start  time.Time
@@ -148,7 +142,7 @@ func (s *Sweep) Cells() []Cell { return s.cells }
 type Executor func(ctx context.Context, c Cell) (*CellResult, error)
 
 // Run executes the sweep in this process: RunWith under the local guarded
-// runner (own System, own recorder, retries, deadline — see RunGuarded).
+// runner (own System, own recorder, deadline — see RunGuarded).
 func (s *Sweep) Run(ctx context.Context) (*Summary, error) { return s.RunWith(ctx, nil) }
 
 // RunWith executes every cell that does not already have a terminal
@@ -242,30 +236,18 @@ func (s *Sweep) execCell(ctx context.Context, exec Executor, c Cell) error {
 	return nil
 }
 
-// runCell is the local Executor: one cell with attempt/panic/deadline
-// isolation. It returns nil when the context was canceled before a
-// terminal outcome.
+// runCell is the local Executor: one isolated execution of a cell, with
+// panic and deadline isolation and its recorder published to the live
+// endpoint for as long as the cell runs. It returns nil when the context
+// was canceled before a terminal outcome. A failed cell is not run again:
+// a run is one interleaving per input, so it would fail the same way.
 func (s *Sweep) runCell(ctx context.Context, c Cell) (*CellResult, error) {
-	attempts := 1 + s.opts.Retries
-	var last *CellResult
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if ctx.Err() != nil {
-			return nil, nil
-		}
-		last = s.attemptCell(ctx, c, attempt)
-		if last == nil || last.Status == StatusOK || last.Status == StatusTimeout {
-			break
-		}
+	if ctx.Err() != nil {
+		return nil, nil
 	}
-	return last, nil
-}
-
-// attemptCell is one isolated execution of a cell, with its recorder
-// published to the live endpoint for as long as the cell runs.
-func (s *Sweep) attemptCell(ctx context.Context, c Cell, attempt int) *CellResult {
 	cfg, err := c.RunConfig()
 	if err != nil {
-		return &CellResult{ID: c.ID, Status: StatusFailed, Error: err.Error(), Attempt: attempt}
+		return &CellResult{ID: c.ID, Status: StatusFailed, Error: err.Error()}, nil
 	}
 	rec := telemetry.New(telemetry.Config{
 		Procs:      c.Procs,
@@ -276,8 +258,8 @@ func (s *Sweep) attemptCell(ctx context.Context, c Cell, attempt int) *CellResul
 	s.live[c.ID] = rec
 	s.flight[c.ID] = rec // retained after completion so /flight still answers
 	s.mu.Unlock()
-	res, _ := RunGuarded(ctx, c.ID, cfg, rec, s.opts.CellTimeout, attempt)
-	return res
+	res, _ := RunGuarded(ctx, c.ID, cfg, rec, s.opts.CellTimeout)
+	return res, nil
 }
 
 // runPanic is the error a panicking run is reported with.
@@ -292,10 +274,10 @@ func (p *runPanic) Error() string { return p.msg }
 // (a deadlocked DSM run on the simulated network fails by itself at once).
 // The abandoned goroutine's System and telemetry are private to the run, so
 // the leak is bounded and cannot corrupt later runs. It returns the
-// terminal CellResult (ok, failed, panic, or timeout) under the given id
-// and attempt number, plus the full race reports of an ok run; both are nil
-// when ctx was canceled first.
-func RunGuarded(ctx context.Context, id string, cfg harness.RunConfig, rec *telemetry.Recorder, timeout time.Duration, attempt int) (*CellResult, []race.Report) {
+// terminal CellResult (ok, failed, panic, or timeout) under the given id,
+// plus the full race reports of an ok run; both are nil when ctx was
+// canceled first.
+func RunGuarded(ctx context.Context, id string, cfg harness.RunConfig, rec *telemetry.Recorder, timeout time.Duration) (*CellResult, []race.Report) {
 	cfg.Recorder = rec
 
 	type outcome struct {
@@ -315,7 +297,7 @@ func RunGuarded(ctx context.Context, id string, cfg harness.RunConfig, rec *tele
 
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	result := &CellResult{ID: id, Attempt: attempt}
+	result := &CellResult{ID: id}
 	var races []race.Report
 	select {
 	case o := <-out:

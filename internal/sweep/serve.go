@@ -19,7 +19,7 @@ import (
 //	                 recorders), and unlabeled aggregate sums per family
 //	/sweep         — JSON progress: the Summary so far, which lists the
 //	                 cells in flight, plus the wall time since Run began
-//	/flight/<id>   — flight-recorder dump of a cell's latest attempt
+//	/flight/<id>   — flight-recorder dump of a cell's run
 //
 // All endpoints are read-only and safe to scrape while Run executes.
 func (s *Sweep) Handler() http.Handler {

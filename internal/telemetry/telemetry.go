@@ -273,9 +273,6 @@ type Config struct {
 	FlightN int
 	// FlightSink receives flight-recorder dumps; nil → os.Stderr.
 	FlightSink io.Writer
-	// Metrics is the registry event-derived metrics update; nil → a fresh
-	// registry, retrievable via Recorder.Metrics.
-	Metrics *Registry
 	// Observer, when non-nil, receives every recorded event synchronously
 	// on the emitting goroutine, after the event has landed in its ring.
 	// It is how a live consumer (the detection service's report store)
@@ -301,9 +298,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlightSink == nil {
 		c.FlightSink = os.Stderr
-	}
-	if c.Metrics == nil {
-		c.Metrics = NewRegistry()
 	}
 	return c
 }
@@ -350,10 +344,11 @@ func (r *ring) events() []Event {
 // Recorder is one recording session: per-process rings, a metrics
 // registry, and the flight-dump sink.
 type Recorder struct {
-	cfg   Config
-	start time.Time
-	seq   atomic.Uint64
-	rings []*ring // cfg.Procs + 1; the last is the system ring
+	cfg     Config
+	metrics *Registry // what event-derived metrics update
+	start   time.Time
+	seq     atomic.Uint64
+	rings   []*ring // cfg.Procs + 1; the last is the system ring
 
 	// Pre-resolved event-derived metrics (avoids registry lookups on the
 	// emit path).
@@ -402,12 +397,12 @@ var ShardSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 // handle, e.g. dsm.Config.Recorder), so any number of recorders can record
 // concurrently in one process.
 func New(cfg Config) *Recorder {
-	r := &Recorder{cfg: cfg.withDefaults(), start: time.Now()}
+	r := &Recorder{cfg: cfg.withDefaults(), metrics: NewRegistry(), start: time.Now()}
 	r.rings = make([]*ring, r.cfg.Procs+1)
 	for i := range r.rings {
 		r.rings[i] = &ring{cap: r.cfg.Cap}
 	}
-	m := r.cfg.Metrics
+	m := r.metrics
 	for k := Kind(0); k < numKinds; k++ {
 		r.evCount[k] = m.Counter("telemetry_events_total",
 			"Protocol events recorded, by kind.", Label{"kind", k.String()})
@@ -584,7 +579,7 @@ func (r *Recorder) ring(proc int) *ring {
 func (r *Recorder) Procs() int { return r.cfg.Procs }
 
 // Metrics returns the recorder's metrics registry.
-func (r *Recorder) Metrics() *Registry { return r.cfg.Metrics }
+func (r *Recorder) Metrics() *Registry { return r.metrics }
 
 // ProcEvents returns the retained events of one process's ring (proc -1 or
 // out of range selects the system ring) in record order.

@@ -79,8 +79,8 @@ type (
 	DetectorStats = race.Stats
 	// FaultPlan injects deterministic wire faults (drops, duplicates,
 	// reordering, latency jitter) into the simulated network; set it via
-	// Config.Faults. A lossy plan requires Config.Reliable, which layers
-	// CVM-style end-to-end retransmission over the faulty wire.
+	// Config.Faults. A lossy plan makes the run layer CVM-style end-to-end
+	// retransmission over the faulty wire.
 	FaultPlan = simnet.FaultPlan
 	// NetStats are the per-message-type wire counters a run accumulates,
 	// including fault-injection and retransmission counts.
@@ -112,7 +112,7 @@ type (
 	// CrashPlan schedules the deterministic fail-stop death of one process;
 	// set one or several via Config.Crashes. Recovery requires
 	// checkpointing (the default); survivors detect the death by link
-	// retry-cap exhaustion (Config.Reliable) or, at once, as a deadlock.
+	// retry-cap exhaustion or, at once, as a deadlock.
 	CrashPlan = dsm.CrashPlan
 	// CorruptionPlan deterministically damages stored checkpoint chunks, so
 	// rollback must verify and fall back; set it via Config.Corruption.

@@ -126,7 +126,6 @@ func TestFacadeCrashRecovery(t *testing.T) {
 		NumProcs:   3,
 		SharedSize: 8192,
 		Detect:     true,
-		Reliable:   true,
 		Crashes:    []*lrcrace.CrashPlan{{Victim: 1, Epoch: 1, Point: lrcrace.CrashMidInterval}},
 	})
 	if err != nil {
@@ -156,6 +155,40 @@ func TestFacadeCrashRecovery(t *testing.T) {
 	for p := 0; p < 3; p++ {
 		if got := sys.SnapshotWord(slots + lrcrace.Addr(p*8)); got != epochs {
 			t.Errorf("slot %d = %d after recovery, want %d", p, got, epochs)
+		}
+	}
+}
+
+// TestFacadeConfigReuse: a Config is a value to build Systems from. Its
+// crash plan fires once in each System built from it, so a second System
+// from the same Config crashes and recovers just like the first.
+func TestFacadeConfigReuse(t *testing.T) {
+	cfg := lrcrace.Config{
+		NumProcs:   3,
+		SharedSize: 8192,
+		Detect:     true,
+		Crashes:    []*lrcrace.CrashPlan{{Victim: 1, Epoch: 1, Point: lrcrace.CrashMidInterval}},
+	}
+	for i := 0; i < 2; i++ {
+		sys, err := lrcrace.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots, err := sys.AllocWords("slots", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sys.RunEpochs(3, func() lrcrace.EpochFunc {
+			return func(p *lrcrace.Proc, e int32) {
+				a := slots + lrcrace.Addr(p.ID()*8)
+				p.Write(a, p.Read(a)+1)
+			}
+		})
+		if err != nil {
+			t.Fatalf("system %d: %v", i, err)
+		}
+		if rs := sys.RecoveryStats(); rs.Recoveries != 1 {
+			t.Errorf("system %d recovered %d times, want 1", i, rs.Recoveries)
 		}
 	}
 }
