@@ -3,6 +3,7 @@ package dsm
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lrcrace/internal/mem"
@@ -213,19 +214,22 @@ func TestFaultPlanCheckedAtNew(t *testing.T) {
 	}
 }
 
+// sublayerWires are the three kinds of wire a run can have: reliable,
+// reliable but jittered, and lossy.
+var sublayerWires = []struct {
+	name   string
+	faults *simnet.FaultPlan
+}{
+	{"none", nil},
+	{"jitter", &simnet.FaultPlan{Seed: 3, JitterNS: 5000}},
+	{"lossy", chaosPlan(3)},
+}
+
 // TestSublayerDerived: the run carries the reliability sublayer exactly
 // when the wire is lossy or recovery is armed (crash plans, or RunEpochs
 // with checkpointing), across wire × entry point × crash plan. A run
 // without it sends no acknowledgment.
 func TestSublayerDerived(t *testing.T) {
-	wires := []struct {
-		name   string
-		faults *simnet.FaultPlan
-	}{
-		{"none", nil},
-		{"jitter", &simnet.FaultPlan{Seed: 3, JitterNS: 5000}},
-		{"lossy", chaosPlan(3)},
-	}
 	entries := []struct {
 		name         string
 		epochs, ckpt bool
@@ -234,11 +238,13 @@ func TestSublayerDerived(t *testing.T) {
 		{"RunEpochs", true, true},
 		{"RunEpochs-NoCheckpoint", true, false},
 	}
-	for _, w := range wires {
+	for _, w := range sublayerWires {
 		for _, e := range entries {
 			for _, crash := range []bool{false, true} {
-				if crash && !e.ckpt {
-					continue // crash plans require checkpointing
+				if crash && (!e.ckpt || !e.epochs) {
+					// Crash plans require checkpointing, and Run refuses
+					// them (TestRunRefusesCrashPlans).
+					continue
 				}
 				name := fmt.Sprintf("%s/%s/crash=%v", w.name, e.name, crash)
 				t.Run(name, func(t *testing.T) {
@@ -268,9 +274,8 @@ func TestSublayerDerived(t *testing.T) {
 							body(p, 1)
 						})
 					}
-					// Run does not roll back, so its crash ends the run.
-					if wantErr := crash && !e.epochs; (err != nil) != wantErr {
-						t.Fatalf("run error = %v, want error %v", err, wantErr)
+					if err != nil {
+						t.Fatal(err)
 					}
 					if crash && !s.CrashFired(0) {
 						t.Error("the crash plan never fired")
@@ -285,5 +290,31 @@ func TestSublayerDerived(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestRunRefusesCrashPlans: Run never rolls back, so a crash plan could
+// only end its run when it fired. Run refuses the plan before anything
+// runs, on every wire, and names the entry point that recovers.
+func TestRunRefusesCrashPlans(t *testing.T) {
+	for _, w := range sublayerWires {
+		t.Run(w.name, func(t *testing.T) {
+			s, err := New(Config{
+				NumProcs: 3, SharedSize: 4096, PageSize: 1024, Detect: true, Faults: w.faults,
+				Crashes: []*CrashPlan{{Victim: 1, Epoch: 1, Point: CrashMidInterval}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ran := false
+			err = s.Run(func(p *Proc) { ran = true })
+			if err == nil || !strings.Contains(err.Error(), "crash plans need RunEpochs") {
+				t.Fatalf("Run = %v, want the error that crash plans need RunEpochs", err)
+			}
+			if ran || s.CrashFired(0) || s.NetStats().TotalMessages() != 0 {
+				t.Errorf("Run started the processes (ran %v, crash fired %v, %d messages)",
+					ran, s.CrashFired(0), s.NetStats().TotalMessages())
+			}
+		})
 	}
 }

@@ -22,6 +22,7 @@
 package dsm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -202,14 +203,23 @@ type Transport interface {
 	// serialized m when it returns and keeps no reference to it, so the
 	// caller may hand it live state (a page it then goes on writing).
 	Send(from, to int, m msg.Message, vtime int64) int
+	// Forward re-sends d, a message the caller has received, toward
+	// process to with the given virtual send time, and returns the wire
+	// size in bytes, which is what Send would return for d.Msg. The
+	// message was serialized once, for its byte count, when it was first
+	// sent; Forward may deliver the very copy the caller holds, so every
+	// receiver of a forwarded message shares it and must treat it, and
+	// everything it points to, as read-only.
+	Forward(from, to int, d simnet.Delivery, vtime int64) int
 	// Next returns a delivery queued for any process, each process's in
 	// arrival order, and that process. It never waits: with none queued it
 	// reports simnet.ErrQuiet (nothing can arrive: every delivery comes
-	// from Send) or, after Close, simnet.ErrClosed. A delivered message
-	// belongs to the receiver: nothing else references it or what it
-	// points to, so the receiver may keep parts of it (a fetched
+	// from Send or Forward) or, after Close, simnet.ErrClosed. A sent
+	// message belongs to the receiver: nothing else references it or what
+	// it points to, so the receiver may keep parts of it (a fetched
 	// PageReply's Data, a pooled frame, becomes its page frame, and the
-	// frame it replaces goes back to the pool).
+	// frame it replaces goes back to the pool). A forwarded one is shared
+	// and read-only (Forward).
 	Next() (to int, d simnet.Delivery, err error)
 	// Close shuts the transport down.
 	Close()
@@ -423,7 +433,9 @@ func (s *System) Symbols() []Symbol { return s.symbols }
 // (at which the last race-detection pass runs). It may be called once. The
 // processes take turns on one thread, so app must not wait on another
 // process through Go synchronization (a channel, a mutex): it would wait
-// forever. A Gate orders processes without DSM synchronization.
+// forever. A Gate orders processes without DSM synchronization. Run never
+// rolls back, so it refuses a Config with crash plans before anything
+// runs: only RunEpochs recovers from a crash.
 func (s *System) Run(app func(p *Proc)) error {
 	var err error
 	s.runOnce.Do(func() { err = s.run(app) })
@@ -435,6 +447,10 @@ func (s *System) Run(app func(p *Proc)) error {
 
 func (s *System) run(app func(p *Proc)) error {
 	s.ran = true
+	if len(s.cfg.Crashes) > 0 {
+		s.runErr = errors.New("dsm: Run cannot recover from Config.Crashes; crash plans need RunEpochs")
+		return s.runErr
+	}
 	s.initCheckpoints()
 	s.runErr = s.attempt(func(p *Proc) {
 		app(p)
@@ -481,8 +497,13 @@ func (s *System) DetectorState() race.State {
 	return s.detector.SnapshotState()
 }
 
-// NetStats returns traffic counters.
-func (s *System) NetStats() simnet.Stats { return s.nw.Stats() }
+// NetStats returns traffic counters; they are zero before a run starts.
+func (s *System) NetStats() simnet.Stats {
+	if s.nw == nil {
+		return simnet.Stats{}
+	}
+	return s.nw.Stats()
+}
 
 // Procs returns the process runtimes (valid after Run for stats reading).
 func (s *System) Procs() []*Proc { return s.procs }

@@ -30,8 +30,12 @@ import (
 // itself the BarrierRelease.
 //
 // The release cascades down the same tree: every node forwards the copy it
-// received to its children before departing. Under the star that is the
-// root's N-way broadcast, every copy stamped with the root's send time.
+// received to its children before departing (Transport.Forward). The
+// release is serialized once, by the root's self-send, for its byte count;
+// every forward charges the wire those bytes again but delivers the same
+// decoded copy, so all N processes share one release and read it only.
+// Under the star that is the root's N-way broadcast, every copy stamped
+// with the root's send time.
 // Under a tree forwarding is cut-through, not store-and-forward: a node
 // re-stamps the copy one header latency after its parent's send time, so
 // the payload's transmission delay is charged once per receiver (in
@@ -269,7 +273,9 @@ func (p *Proc) treeComplete() {
 // epoch's release — then reset the per-epoch tree state, open the epoch's
 // bitmap round if there is one (before the application can observe the
 // release, so its sendBitmaps never meets an unopened round), and hand the
-// release to the application.
+// release to the application. The forwarded copy may be m itself, shared
+// with every process below this one, so nothing here or downstream writes
+// to it.
 func (p *Proc) handleBarrierRelease(d simnet.Delivery, m *msg.BarrierRelease) {
 	t := p.tree
 	// The star's root broadcasts: every copy carries the root's send time.
@@ -283,7 +289,8 @@ func (p *Proc) handleBarrierRelease(d simnet.Delivery, m *msg.BarrierRelease) {
 	}
 	kids := treeChildren(p.id, t.arity, p.n)
 	for _, c := range kids {
-		nbytes := p.send(c, m, fwdV)
+		p.sys.sched.quiet = false
+		nbytes := p.sys.nw.Forward(p.id, c, d, fwdV)
 		p.recordSyncSend(m.Intervals, nbytes)
 	}
 	if !t.star {

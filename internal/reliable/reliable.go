@@ -175,6 +175,13 @@ func (t *Transport) Send(from, to int, m msg.Message, vtime int64) int {
 	return wire
 }
 
+// Forward implements dsm.Transport. A data envelope carries the payload's
+// bytes for retransmission anyway, so forwarding the received message d is
+// sending it again.
+func (t *Transport) Forward(from, to int, d simnet.Delivery, vtime int64) int {
+	return t.Send(from, to, d.Msg, vtime)
+}
+
 // drain handles every envelope the wire holds, and those the handling
 // itself sends, and reports whether there was any.
 func (t *Transport) drain() bool {

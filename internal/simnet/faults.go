@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"lrcrace/internal/msg"
 	"lrcrace/internal/telemetry"
 )
 
@@ -130,7 +129,8 @@ func linkSeed(seed int64, from, to int) int64 {
 // sendFaulty runs one message through the link's fault injector. All
 // decisions and queue pushes happen under the link lock, so the fault
 // sequence is a pure function of the link's send order.
-func (nw *Network) sendFaulty(from, to int, d Delivery, t msg.Type, frags, size int) {
+func (nw *Network) sendFaulty(to int, d Delivery) {
+	from, t := d.From, d.Msg.Type()
 	plan := nw.faults
 	lf := nw.links[from*nw.n+to]
 	lf.mu.Lock()
@@ -158,8 +158,8 @@ func (nw *Network) sendFaulty(from, to int, d Delivery, t msg.Type, frags, size 
 		nw.mu.Lock()
 		nw.stats.Duplicated[t]++
 		// The extra copy crossed the wire too.
-		nw.stats.Messages[t] += int64(frags)
-		nw.stats.Bytes[t] += int64(size)
+		nw.stats.Messages[t] += int64(d.Frags)
+		nw.stats.Bytes[t] += int64(d.Bytes)
 		nw.mu.Unlock()
 		nw.tel.Emit(from, telemetry.KWireDup, d.VTime, int64(to), int64(t), 0)
 	case plan.Reorder > 0 && lf.rng.Float64() < plan.Reorder:

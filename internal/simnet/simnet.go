@@ -18,6 +18,13 @@
 // returns and keeps no reference to it — the contract dsm.Transport states
 // — so a sender may pass live state. The inbox forgets each delivery it
 // hands out.
+//
+// Forward is the one exception to "every delivery re-parses": it re-sends a
+// message the caller received, charging the wire the bytes and fragments
+// that message was serialized to once, and delivers the same decoded copy.
+// The DSM forwards its barrier release this way, so a release is encoded
+// and parsed once per epoch, not once per receiver; the receivers of a
+// forwarded message share it and treat it as read-only.
 package simnet
 
 import (
@@ -155,9 +162,6 @@ func (nw *Network) Size() int { return nw.n }
 // sending. The message is re-parsed before delivery so sender and receiver
 // never share memory, and Send keeps no reference to m once it returns.
 func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
-	if to < 0 || to >= nw.n {
-		panic(fmt.Sprintf("simnet: send to invalid endpoint %d", to))
-	}
 	buf := GetBuf()
 	wire := msg.AppendMarshal(*buf, m)
 	parsed, err := msg.Unmarshal(wire)
@@ -171,22 +175,42 @@ func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
 		frags = 1
 	}
 	size := len(wire) + frags*UDPOverhead
+	return nw.transmit(to, Delivery{From: from, VTime: vtime, Bytes: size, Frags: frags, Msg: parsed})
+}
 
+// Forward re-sends d, a delivery the caller has received, from endpoint
+// from to endpoint to with the virtual send time vtime, and returns the
+// wire size in bytes.
+// The wire is charged exactly as Send would charge it — d.Bytes and
+// d.Frags under d.Msg's type, and the same fault injection — but the
+// message is neither encoded nor parsed again: to receives d.Msg itself.
+// Every receiver of a forwarded message shares that one decoded copy, so
+// each must treat it as read-only.
+func (nw *Network) Forward(from, to int, d Delivery, vtime int64) int {
+	return nw.transmit(to, Delivery{From: from, VTime: vtime, Bytes: d.Bytes, Frags: d.Frags, Msg: d.Msg})
+}
+
+// transmit accounts for d and enqueues it at to, through the fault
+// injector unless it is a self-send, and returns its wire size.
+func (nw *Network) transmit(to int, d Delivery) int {
+	if to < 0 || to >= nw.n {
+		panic(fmt.Sprintf("simnet: send to invalid endpoint %d", to))
+	}
+	t := d.Msg.Type()
 	nw.mu.Lock()
 	nw.started = true
-	nw.stats.Messages[m.Type()] += int64(frags)
-	nw.stats.Bytes[m.Type()] += int64(size)
+	nw.stats.Messages[t] += int64(d.Frags)
+	nw.stats.Bytes[t] += int64(d.Bytes)
 	nw.mu.Unlock()
 
-	d := Delivery{From: from, VTime: vtime, Bytes: size, Frags: frags, Msg: parsed}
-	if nw.faults == nil || from == to {
+	if nw.faults == nil || d.From == to {
 		// Self-sends never traverse the wire (loopback), so they are
 		// exempt from fault injection even in chaos mode.
 		nw.in.push(to, d)
-		return size
+		return d.Bytes
 	}
-	nw.sendFaulty(from, to, d, m.Type(), frags, size)
-	return size
+	nw.sendFaulty(to, d)
+	return d.Bytes
 }
 
 // Recv blocks until a message for proc arrives; ok is false after Close.
@@ -195,8 +219,9 @@ func (nw *Network) Recv(proc int) (Delivery, bool) {
 }
 
 // Next returns a delivery queued for any endpoint, and that endpoint. Every
-// delivery comes from Send, so Next never waits: with nothing queued,
-// nothing can arrive, and the error is ErrQuiet (ErrClosed after Close).
+// delivery comes from Send or Forward, so Next never waits: with nothing
+// queued, nothing can arrive, and the error is ErrQuiet (ErrClosed after
+// Close).
 func (nw *Network) Next() (int, Delivery, error) {
 	return nw.in.next()
 }
@@ -244,7 +269,8 @@ var (
 	// been delivered.
 	ErrClosed = errors.New("simnet: transport closed")
 	// ErrQuiet: nothing is queued and nothing can arrive — every delivery
-	// comes from Send, so only the caller's own next step can queue one.
+	// comes from Send or Forward, so only the caller's own next step can
+	// queue one.
 	ErrQuiet = errors.New("simnet: nothing queued and nothing in flight")
 )
 

@@ -265,3 +265,63 @@ func TestInboxNext(t *testing.T) {
 		t.Errorf("next after close: %v, want ErrClosed", err)
 	}
 }
+
+// TestForwardChargesLikeSend: forwarding a delivered message charges the
+// wire exactly what sending it again would — the same size and fragments,
+// the same counters, the same fault decisions on a faulty link — but hands
+// the receiver the forwarder's decoded copy instead of a new one.
+func TestForwardChargesLikeSend(t *testing.T) {
+	plans := []*FaultPlan{nil, {Seed: 5, Drop: 0.2, Dup: 0.2, Reorder: 0.2, JitterNS: 1000}}
+	for _, plan := range plans {
+		for _, m := range []msg.Message{
+			&msg.PageReq{Page: 7},
+			&msg.PageReply{Page: 2, Data: make([]byte, 3*DefaultMTU+100)}, // fragmented
+		} {
+			// Both networks deliver m to 0 by loopback; then 0 passes it
+			// on to 1 twenty times, re-sending it on one network and
+			// forwarding the delivery on the other.
+			sent, fwd := New(2), New(2)
+			if err := sent.SetFaults(plan); err != nil {
+				t.Fatal(err)
+			}
+			if err := fwd.SetFaults(plan); err != nil {
+				t.Fatal(err)
+			}
+			sent.Send(0, 0, m, 0)
+			fwd.Send(0, 0, m, 0)
+			sent.Recv(0)
+			d, _ := fwd.Recv(0)
+			if m.Type() == msg.TPageReply && d.Frags != 4 {
+				t.Fatalf("%v: %d fragments, want 4", m.Type(), d.Frags)
+			}
+			for i := 0; i < 20; i++ {
+				want := sent.Send(0, 1, d.Msg, int64(i))
+				if got := fwd.Forward(0, 1, d, int64(i)); got != want {
+					t.Fatalf("%v: Forward returned %d bytes, Send %d", m.Type(), got, want)
+				}
+			}
+			if got, want := fwd.Stats(), sent.Stats(); got != want {
+				t.Errorf("%v, faults %v: Forward stats %+v, Send stats %+v", m.Type(), plan != nil, got, want)
+			}
+			sent.Close()
+			fwd.Close()
+			for {
+				_, ws, werr := sent.Next()
+				_, gs, gerr := fwd.Next()
+				if werr != gerr {
+					t.Fatalf("%v: delivery schedules differ in length", m.Type())
+				}
+				if werr != nil {
+					break
+				}
+				if gs.Msg != d.Msg {
+					t.Fatalf("%v: forwarded delivery carries a new copy", m.Type())
+				}
+				gs.Msg, ws.Msg = nil, nil
+				if gs != ws {
+					t.Fatalf("%v: forwarded delivery %+v, sent %+v", m.Type(), gs, ws)
+				}
+			}
+		}
+	}
+}
