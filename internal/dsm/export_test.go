@@ -1,6 +1,9 @@
 package dsm
 
-import "lrcrace/internal/castore"
+import (
+	"lrcrace/internal/castore"
+	"lrcrace/internal/simnet"
+)
 
 // Frames returns how many pages of p's copy of the segment have a frame.
 func (p *Proc) Frames() int { return p.seg.Resident() }
@@ -25,3 +28,13 @@ func (s *System) CorruptionFired() bool { return s.corruptFired }
 // CarriesSublayer reports whether the run's last attempt carried the
 // reliability sublayer.
 func (s *System) CarriesSublayer() bool { return s.rel != nil }
+
+// UpdatePins reports whether the test run rewrites pinned testdata.
+func UpdatePins() bool { return *updatePins }
+
+// SeeDeliveries calls f with each delivery the scheduler hands to a
+// handler, with its virtual arrival at the receiver, before the handler
+// runs. Call it before Run.
+func (s *System) SeeDeliveries(f func(to int, d simnet.Delivery, arrival int64)) {
+	s.seeDelivery = func(to int, d simnet.Delivery) { f(to, d, s.procs[to].arrival(d)) }
+}
