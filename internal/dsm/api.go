@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -232,7 +233,10 @@ func (p *Proc) flushDiffs() {
 	slices.Sort(p.twinned.pages)
 	for _, pg := range p.twinned.pages {
 		twin := p.twins[pg]
-		entries := diffPage(p.seg.PageView(pg), twin)
+		// The flush is serialized by the send, so one buffer serves
+		// every page.
+		entries := diffPage(p.diffBuf[:0], p.seg.PageView(pg), twin)
+		p.diffBuf = entries
 		p.st.DiffsFlushed++
 		p.st.DiffWords += int64(len(entries))
 		p.tel.Emit(p.id, telemetry.KDiffFlush, v, int64(pg), int64(len(entries)), 0)
@@ -263,12 +267,23 @@ func (p *Proc) flushDiffs() {
 	}
 }
 
-// diffPage returns the words at which page and twin differ.
-func diffPage(page, twin []byte) []msg.DiffEntry {
-	var out []msg.DiffEntry
-	for off := 0; off < len(page); off += mem.WordSize {
-		if a := binary.LittleEndian.Uint64(page[off:]); a != binary.LittleEndian.Uint64(twin[off:]) {
-			out = append(out, msg.DiffEntry{Word: uint32(off / mem.WordSize), Val: a})
+// diffBlock is the stride diffPage compares whole before it looks at words.
+const diffBlock = 64
+
+// diffPage appends the words at which page and twin differ to out. A
+// twinned page usually differs in a handful of words, so it compares
+// diffBlock bytes at a time and scans words only inside a block that
+// differs.
+func diffPage(out []msg.DiffEntry, page, twin []byte) []msg.DiffEntry {
+	for start := 0; start < len(page); start += diffBlock {
+		end := min(start+diffBlock, len(page))
+		if bytes.Equal(page[start:end], twin[start:end]) {
+			continue
+		}
+		for off := start; off < end; off += mem.WordSize {
+			if a := binary.LittleEndian.Uint64(page[off:]); a != binary.LittleEndian.Uint64(twin[off:]) {
+				out = append(out, msg.DiffEntry{Word: uint32(off / mem.WordSize), Val: a})
+			}
 		}
 	}
 	return out
@@ -477,16 +492,19 @@ func (p *Proc) Consolidate() { p.Barrier() }
 // possibly empty — reply, so owners can close their collection round by
 // count alone.
 func (p *Proc) sendBitmaps(rel *msg.BarrierRelease) {
-	replies := make([]*msg.BitmapReply, p.n)
-	var order []int // owners in first-appearance order, for deterministic sends
+	b := &p.bitmaps
+	if b.replies == nil {
+		b.replies = make([]msg.BitmapReply, p.n)
+		b.inRound = make([]bool, p.n)
+		b.sent = make([][]vc.Index, p.sys.layout.NumPages)
+	}
 	replyTo := func(to int) *msg.BitmapReply {
-		r := replies[to]
-		if r == nil {
-			r = &msg.BitmapReply{Epoch: rel.Epoch}
-			replies[to] = r
-			order = append(order, to)
+		if !b.inRound[to] {
+			b.inRound[to] = true
+			b.order = append(b.order, to)
+			b.replies[to] = msg.BitmapReply{Epoch: rel.Epoch, Entries: b.replies[to].Entries[:0]}
 		}
-		return r
+		return &b.replies[to]
 	}
 	if len(rel.ShardOwner) > 0 {
 		for _, o := range rel.ShardOwner {
@@ -498,12 +516,14 @@ func (p *Proc) sendBitmaps(rel *msg.BarrierRelease) {
 	// A page has exactly one shard owner, so one dedup suffices even with
 	// several replies in flight: sent[pg] lists the intervals whose
 	// bitmaps of page pg are already in a reply (a handful per page).
-	sent := make([][]vc.Index, p.sys.layout.NumPages)
 	addSide := func(to int, id vc.IntervalID, page mem.PageID) {
-		if id.Proc != p.id || slices.Contains(sent[page], id.Index) {
+		if id.Proc != p.id || slices.Contains(b.sent[page], id.Index) {
 			return
 		}
-		sent[page] = append(sent[page], id.Index)
+		if len(b.sent[page]) == 0 {
+			b.pages = append(b.pages, page)
+		}
+		b.sent[page] = append(b.sent[page], id.Index)
 		rd, wr := p.store.Get(id, page)
 		if rd == nil && wr == nil {
 			return
@@ -531,7 +551,28 @@ func (p *Proc) sendBitmaps(rel *msg.BarrierRelease) {
 		addSide(to, c.A, c.Page)
 		addSide(to, c.B, c.Page)
 	}
-	for _, to := range order {
-		p.send(to, replies[to], p.vnow)
+	// Send serializes each reply and keeps no reference to it, so the
+	// scratch is free again once the sends return.
+	for _, to := range b.order {
+		r := &b.replies[to]
+		p.send(to, r, p.vnow)
+		clear(r.Entries) // drop the bitmaps until the next round
+		b.inRound[to] = false
 	}
+	for _, pg := range b.pages {
+		b.sent[pg] = b.sent[pg][:0]
+	}
+	b.order, b.pages = b.order[:0], b.pages[:0]
+}
+
+// bitmapScratch is what sendBitmaps builds, kept from barrier to barrier:
+// one reply per owner (its Entries reused), the owners in first-appearance
+// order for deterministic sends, and the per-page dedup lists with the
+// pages that have one.
+type bitmapScratch struct {
+	replies []msg.BitmapReply
+	inRound []bool
+	order   []int
+	sent    [][]vc.Index
+	pages   []mem.PageID
 }

@@ -356,15 +356,20 @@ func chunkBitmap(b []byte) mem.Bitmap {
 // taken (one per manifest reference; the caller owns them and hands them to
 // CheckpointStore.Put), and the encode's chunking stats. No handler runs
 // during the capture (one thread of control, sched.go), so it is atomic
-// with respect to message handling.
+// with respect to message handling. The manifest's buffer starts an eighth
+// longer than p's previous manifest, which a process's next one rarely
+// outgrows.
 func (p *Proc) encodeCheckpointInto(cs *castore.Store, pageAddr []castore.Addr) ([]byte, []castore.Addr, ckptChunkStats) {
-	w := &ckptWire{Wire: msg.Wire{E: &msg.Encoder{}}, store: cs, pageAddr: pageAddr}
+	buf := make([]byte, 0, p.manifestLen+p.manifestLen/8)
+	w := &ckptWire{Wire: msg.Wire{E: msg.NewEncoder(buf)}, store: cs, pageAddr: pageAddr}
 	if p.id == 0 && p.sys.detector != nil {
 		st := p.sys.detector.SnapshotState()
 		w.det = &st
 	}
 	p.checkpointLayout(w)
-	return w.E.Bytes(), w.addrs, w.cst
+	manifest := w.E.Bytes()
+	p.manifestLen = len(manifest)
+	return manifest, w.addrs, w.cst
 }
 
 // decodeCheckpoint decodes manifest b into a fresh process id of s,

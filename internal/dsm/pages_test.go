@@ -2,7 +2,10 @@ package dsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,25 +60,6 @@ func TestPageSizeMustBePowerOfTwo(t *testing.T) {
 	}
 }
 
-// resizeReplies is a transport that changes the length of every PageReply
-// it delivers by delta bytes.
-type resizeReplies struct {
-	Transport
-	delta int
-}
-
-func (r resizeReplies) Next() (int, simnet.Delivery, error) {
-	to, d, err := r.Transport.Next()
-	if rep, ok := d.Msg.(*msg.PageReply); ok && err == nil {
-		if r.delta < 0 {
-			rep.Data = rep.Data[:len(rep.Data)+r.delta]
-		} else {
-			rep.Data = append(rep.Data, make([]byte, r.delta)...)
-		}
-	}
-	return to, d, err
-}
-
 // TestFetchRejectsWrongLengthReply: a page reply that is not one page long
 // is a protocol bug naming the page and both lengths — not a short copy
 // that keeps the old tail of the page, nor a truncated long one.
@@ -92,7 +76,16 @@ func testWrongLengthReply(t *testing.T, delta int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.wrapNet = func(nw Transport) Transport { return resizeReplies{nw, delta} }
+		// Change the length of every PageReply before it is handled.
+		s.seeDelivery = func(_ int, d simnet.Delivery) {
+			if rep, ok := d.Msg.(*msg.PageReply); ok {
+				if delta < 0 {
+					rep.Data = rep.Data[:len(rep.Data)+delta]
+				} else {
+					rep.Data = append(rep.Data, make([]byte, delta)...)
+				}
+			}
+		}
 		err = s.Run(func(p *Proc) {
 			if p.ID() == 1 {
 				p.Read(s.Layout().PageBase(2)) // homed at process 0
@@ -148,4 +141,51 @@ func TestFetchedPageSharesNothing(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDiffPageMatchesWordLoop: diffPage, which skips blocks that did not
+// change, returns exactly what comparing every word does, on random
+// page/twin pairs of every page size from one word to 4 KiB, with
+// differences in the first word, the last word, across a block boundary,
+// and in random words.
+func TestDiffPageMatchesWordLoop(t *testing.T) {
+	wordLoop := func(page, twin []byte) []msg.DiffEntry {
+		var out []msg.DiffEntry
+		for off := 0; off < len(page); off += mem.WordSize {
+			if a := binary.LittleEndian.Uint64(page[off:]); a != binary.LittleEndian.Uint64(twin[off:]) {
+				out = append(out, msg.DiffEntry{Word: uint32(off / mem.WordSize), Val: a})
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(1))
+	for size := mem.WordSize; size <= 4096; size *= 2 {
+		words := size / mem.WordSize
+		for trial := 0; trial < 200; trial++ {
+			twin := make([]byte, size)
+			rng.Read(twin)
+			page := slices.Clone(twin)
+			flip := func(w int) { page[w*mem.WordSize+rng.Intn(mem.WordSize)] ^= byte(1 + rng.Intn(255)) }
+			switch trial % 5 {
+			case 0:
+				flip(0)
+			case 1:
+				flip(words - 1)
+			case 2:
+				flip(0)
+				flip(words - 1)
+			case 3:
+				if w := diffBlock / mem.WordSize; w < words {
+					flip(w - 1)
+					flip(w)
+				}
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				flip(rng.Intn(words))
+			}
+			if got, want := diffPage(nil, page, twin), wordLoop(page, twin); !slices.Equal(got, want) {
+				t.Fatalf("size %d trial %d: diffPage %v, word loop %v", size, trial, got, want)
+			}
+		}
+	}
 }

@@ -210,6 +210,15 @@ type Proc struct {
 	crashAccesses int
 	crashLocks    int
 	firedCrash    *CrashPlan
+
+	// Scratch reused from barrier to barrier: each bitmap round's
+	// per-sender state (openCheckRound), what sendBitmaps builds, and
+	// flushDiffs' diff buffer; the length of the last checkpoint manifest.
+	roundFrom   []bool
+	roundSource [][]msg.BitmapEntry
+	bitmaps     bitmapScratch
+	diffBuf     []msg.DiffEntry
+	manifestLen int
 }
 
 func newProc(s *System, id int) *Proc {
@@ -310,7 +319,6 @@ func (p *Proc) home(pg mem.PageID) int { return int(pg) % p.n }
 
 // send transmits m with the given virtual send time, returning wire bytes.
 func (p *Proc) send(to int, m msg.Message, vtime int64) int {
-	p.sys.sched.quiet = false
 	return p.sys.nw.Send(p.id, to, m, vtime)
 }
 

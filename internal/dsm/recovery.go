@@ -239,7 +239,7 @@ func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 	if err := nw.SetFaults(s.cfg.Faults); err != nil {
 		return err
 	}
-	s.nw, s.rel = nw, nil
+	s.nw, s.wire, s.rel = nw, nw, nil
 	if armed := s.recoveryArmed(); armed || s.cfg.Faults.Lossy() {
 		rc := reliable.Config{Telemetry: s.tel}
 		if armed {

@@ -85,9 +85,10 @@ func (p *Proc) serializeAcquire(d simnet.Delivery, m *msg.AcquireReq) {
 			// Self-grant: consume our previous tenure's grant obligation
 			// synchronously. A later request may be routed to us via the
 			// direct localFwd call below (no message hop) while this
-			// grant still sits in our own inbox; the flag must already be
-			// down by then, or that forward would be granted from the
-			// stale obligation and two processes would hold the lock.
+			// grant still sits in our own loopback link; the flag must
+			// already be down by then, or that forward would be granted
+			// from the stale obligation and two processes would hold the
+			// lock.
 			ls.releasedUngranted = false
 		}
 		p.tel.Emit(p.id, telemetry.KLockGrant, arr, int64(id), int64(d.From), 0)

@@ -101,19 +101,33 @@ func (p *Proc) openCheckRound(d simnet.Delivery, m *msg.BarrierRelease) {
 	if p.shard != nil {
 		p.protocolBug("release for epoch %d while epoch %d bitmap round is open", m.Epoch, p.shard.epoch)
 	}
+	if p.roundFrom == nil {
+		p.roundFrom, p.roundSource = make([]bool, p.n), make([][]msg.BitmapEntry, p.n)
+	}
+	clear(p.roundFrom)
+	clear(p.roundSource)
 	sh := &shardState{
 		epoch:   m.Epoch,
 		release: m,
 		reduce:  len(m.ShardOwner) > 0,
-		from:    make([]bool, p.n),
-		source:  make([][]msg.BitmapEntry, p.n),
+		from:    p.roundFrom,
+		source:  p.roundSource,
 		localV:  p.arrival(d) + p.model.Handler,
 	}
 	if sh.reduce {
 		sh.kidsLeft = len(treeChildren(p.id, shardArity, p.n))
-		for i, c := range m.Check {
-			if int(m.ShardOwner[i]) == p.id {
-				sh.entries = append(sh.entries, c)
+		mine := 0
+		for _, o := range m.ShardOwner {
+			if int(o) == p.id {
+				mine++
+			}
+		}
+		if mine > 0 {
+			sh.entries = make([]race.CheckEntry, 0, mine)
+			for i, c := range m.Check {
+				if int(m.ShardOwner[i]) == p.id {
+					sh.entries = append(sh.entries, c)
+				}
 			}
 		}
 	} else if p.id == 0 {

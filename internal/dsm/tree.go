@@ -289,7 +289,6 @@ func (p *Proc) handleBarrierRelease(d simnet.Delivery, m *msg.BarrierRelease) {
 	}
 	kids := treeChildren(p.id, t.arity, p.n)
 	for _, c := range kids {
-		p.sys.sched.quiet = false
 		nbytes := p.sys.nw.Forward(p.id, c, d, fwdV)
 		p.recordSyncSend(m.Intervals, nbytes)
 	}

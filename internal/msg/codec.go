@@ -27,6 +27,10 @@ type Encoder struct {
 	buf []byte
 }
 
+// NewEncoder returns an encoder that appends to buf, so a caller that
+// knows roughly how long the encoding will be can size it up front.
+func NewEncoder(buf []byte) *Encoder { return &Encoder{buf: buf} }
+
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
 

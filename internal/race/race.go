@@ -21,7 +21,9 @@
 package race
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -133,6 +135,9 @@ type Detector struct {
 	// ExplainReport can reconstruct derivations after epoch metadata is
 	// discarded.
 	racyRecords *interval.Log
+
+	spans []indexSpan // countIntervals' scratch
+	marks []uint64
 }
 
 // NewDetector returns a detector for a segment with the given layout.
@@ -187,46 +192,84 @@ func (d *Detector) BuildCheckList(records []*interval.Record) []CheckEntry {
 		}
 	}
 	sortCheckEntries(entries)
-	d.stats.IntervalsInvolved += countIntervals(entries)
+	d.stats.IntervalsInvolved += d.countIntervals(entries)
 	d.stats.CheckEntries += len(entries)
 	return entries
 }
 
 // countIntervals returns the number of distinct intervals named by a
-// check list in canonical order. There the entries of one A interval are
-// adjacent, and within them those of one B interval, so each A run
-// contributes A once and each pair contributes B once to a list of
-// (proc, index) keys that one sort and compaction count.
-func countIntervals(entries []CheckEntry) int {
-	key := func(id vc.IntervalID) uint64 { return uint64(id.Proc)<<32 | uint64(id.Index) }
-	var keys []uint64
-	for i, e := range entries {
-		switch {
-		case i == 0 || e.A != entries[i-1].A:
-			keys = append(keys, key(e.A), key(e.B))
-		case e.B != entries[i-1].B:
-			keys = append(keys, key(e.B))
+// check list. It marks each interval in a bitmap per process that spans
+// the indices the list names for that process; the bitmaps are the
+// detector's scratch, so a steady run of epochs allocates nothing here.
+func (d *Detector) countIntervals(entries []CheckEntry) int {
+	spans := d.spans[:0]
+	note := func(id vc.IntervalID) {
+		for len(spans) <= id.Proc {
+			spans = append(spans, indexSpan{lo: math.MaxUint32})
+		}
+		sp := &spans[id.Proc]
+		sp.lo, sp.hi = min(sp.lo, id.Index), max(sp.hi, id.Index)
+	}
+	for _, e := range entries {
+		note(e.A)
+		note(e.B)
+	}
+	words := 0
+	for i := range spans {
+		if sp := &spans[i]; sp.lo <= sp.hi {
+			sp.off = words
+			words += int(sp.hi-sp.lo)/64 + 1
 		}
 	}
-	slices.Sort(keys)
-	return len(slices.Compact(keys))
+	marks := slices.Grow(d.marks[:0], words)[:words]
+	clear(marks)
+	n := 0
+	mark := func(id vc.IntervalID) {
+		sp := &spans[id.Proc]
+		bit := int(id.Index - sp.lo)
+		w, m := &marks[sp.off+bit/64], uint64(1)<<(bit%64)
+		if *w&m == 0 {
+			*w |= m
+			n++
+		}
+	}
+	for _, e := range entries {
+		mark(e.A)
+		mark(e.B)
+	}
+	d.spans, d.marks = spans, marks
+	return n
+}
+
+// indexSpan is the range of one process's interval indices a check list
+// names, and where its bitmap starts in countIntervals' scratch.
+type indexSpan struct {
+	lo, hi vc.Index
+	off    int
 }
 
 // sortCheckEntries establishes the canonical check-list order — interval
 // pair (A then B), then page. BuildCheckList emits it directly; the
 // distributed build (FoldCheckLists) restores it after merging per-node
-// partial lists, which is what keeps the two paths byte-identical.
+// partial lists, which is what keeps the two paths byte-identical. Entries
+// that compare equal are equal, so the sort needs no stability.
 func sortCheckEntries(entries []CheckEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.A != b.A {
-			return lessID(a.A, b.A)
+	slices.SortFunc(entries, func(a, b CheckEntry) int {
+		switch {
+		case a.A != b.A:
+			return compareID(a.A, b.A)
+		case a.B != b.B:
+			return compareID(a.B, b.B)
 		}
-		if a.B != b.B {
-			return lessID(a.B, b.B)
-		}
-		return a.Page < b.Page
+		return cmp.Compare(a.Page, b.Page)
 	})
+}
+
+func compareID(a, b vc.IntervalID) int {
+	if lessID(a, b) {
+		return -1
+	}
+	return 1
 }
 
 func lessID(a, b vc.IntervalID) bool {

@@ -385,3 +385,27 @@ func TestExplain(t *testing.T) {
 		t.Error("unknown report explained")
 	}
 }
+
+// TestCountIntervalsMatchesSet: countIntervals counts the distinct
+// intervals of random check lists in canonical order as a set does, on
+// one detector reused across lists of different shapes.
+func TestCountIntervalsMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	d := NewDetector(testLayout(t), Options{})
+	for trial := 0; trial < 500; trial++ {
+		procs, base := 1+rng.Intn(8), vc.Index(rng.Intn(1000))
+		id := func() vc.IntervalID {
+			return vc.IntervalID{Proc: rng.Intn(procs), Index: base + vc.Index(rng.Intn(1+rng.Intn(300)))}
+		}
+		entries := make([]CheckEntry, rng.Intn(60))
+		want := map[vc.IntervalID]bool{}
+		for i := range entries {
+			entries[i] = CheckEntry{A: id(), B: id(), Page: mem.PageID(rng.Intn(4))}
+			want[entries[i].A], want[entries[i].B] = true, true
+		}
+		sortCheckEntries(entries)
+		if got := d.countIntervals(entries); got != len(want) {
+			t.Fatalf("trial %d: counted %d intervals, want %d", trial, got, len(want))
+		}
+	}
+}

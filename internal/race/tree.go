@@ -114,7 +114,7 @@ func (d *Detector) FoldCheckLists(nrecords int, entries []CheckEntry, bst BuildS
 	d.stats.OverlappingPairs += int(bst.OverlappingPairs)
 	d.stats.NoticesScanned += int(bst.NoticesScanned)
 	sortCheckEntries(entries)
-	d.stats.IntervalsInvolved += countIntervals(entries)
+	d.stats.IntervalsInvolved += d.countIntervals(entries)
 	d.stats.CheckEntries += len(entries)
 	return entries
 }

@@ -13,15 +13,20 @@
 // retry cap.
 //
 // The layer is a single-threaded state machine: it has no goroutine, timer
-// or lock. A read (Next, Recv) handles every envelope the wire holds
-// inline, acknowledgments included. Each link keeps its retransmission and
-// delayed-acknowledgment deadlines in virtual nanoseconds on the layer's
-// own clock, which moves only when Advance fires the earliest of them. The
-// DSM scheduler calls Advance when nothing is runnable and nothing is
-// buffered — the moment a real network sits idle until a timer goes off —
-// so every retry and every link death happens in one deterministic order,
-// with no real-time wait. A retransmission keeps its original send's
-// virtual time, so retrying moves no process's clock.
+// or lock, and no queue of its own. It sits between the wire and the link
+// FIFOs (simnet.Network.Intercept): each envelope is handled the moment the
+// wire delivers it, and what it carries in sequence goes straight into its
+// link's FIFO. The one thing it defers is a pure acknowledgment a receiver
+// owes: Flush sends those, and the DSM scheduler calls it wherever it
+// takes stock of what is queued, so a sender's run of sends is never
+// interleaved with the acknowledgments they provoke. Each link keeps its
+// retransmission and delayed-acknowledgment deadlines in virtual
+// nanoseconds on the layer's own clock, which moves only when Advance
+// fires the earliest of them. The DSM scheduler calls Advance when nothing
+// is runnable and nothing is queued — the moment a real network sits idle
+// until a timer goes off — so every retry and every link death happens in
+// one deterministic order, with no real-time wait. A retransmission keeps
+// its original send's virtual time, so retrying moves no process's clock.
 //
 // Stats accounting stays honest for the paper's bandwidth tables: every
 // data envelope (first transmission and every retransmission) is charged
@@ -71,18 +76,17 @@ type Config struct {
 
 // Transport implements dsm.Transport over the simulated network, which a
 // FaultPlan may make lossy. Every delivery on that wire comes from a Send,
-// so a read with nothing queued means nothing is in flight. It is not safe
-// for concurrent use.
+// so with nothing queued and no deadline pending nothing is in flight. It
+// is not safe for concurrent use.
 type Transport struct {
 	inner *simnet.Network
 	n     int
 	cfg   Config
 
-	out    []simnet.FIFO // resequenced deliveries, one queue per endpoint
-	queued int           // deliveries in out
-	send   []sendLink    // [from*n+to]
-	recv   []recvLink    // [at*n+from]
-	now    int64         // virtual ns: the deadline Advance fired last
+	send []sendLink // [from*n+to]
+	recv []recvLink // [at*n+from]
+	owed []owedAck  // pure acknowledgments due since the last Flush, in the order they fell due
+	now  int64      // virtual ns: the deadline Advance fired last
 
 	st     simnet.Stats
 	closed bool
@@ -95,7 +99,6 @@ func Wrap(inner *simnet.Network, n int, cfg Config) *Transport {
 		inner:  inner,
 		n:      n,
 		cfg:    cfg,
-		out:    make([]simnet.FIFO, n),
 		send:   make([]sendLink, n*n),
 		recv:   make([]recvLink, n*n),
 		killed: make([]bool, n),
@@ -104,6 +107,7 @@ func Wrap(inner *simnet.Network, n int, cfg Config) *Transport {
 		t.send[i].nextSeq = 1
 		t.recv[i].expected = 1
 	}
+	inner.Intercept(t.receive)
 	return t
 }
 
@@ -136,6 +140,13 @@ type recvLink struct {
 type oooEntry struct {
 	d       simnet.Delivery
 	payload []byte
+}
+
+// owedAck is a pure acknowledgment of at's position on the stream from
+// peer, fallen due and not yet sent.
+type owedAck struct {
+	at, peer int
+	ack      uint32
 }
 
 func (t *Transport) count(typ msg.Type, wire int) {
@@ -182,28 +193,19 @@ func (t *Transport) Forward(from, to int, d simnet.Delivery, vtime int64) int {
 	return t.Send(from, to, d.Msg, vtime)
 }
 
-// drain handles every envelope the wire holds, and those the handling
-// itself sends, and reports whether there was any.
-func (t *Transport) drain() bool {
-	handled := false
-	for {
-		at, d, err := t.inner.Next()
-		if err != nil {
-			return handled
-		}
-		handled = true
-		if t.killed[at] {
-			continue // a crashed host hears nothing
-		}
-		switch m := d.Msg.(type) {
-		case *msg.RelData:
-			t.ack(at, d.From, m.Ack)
-			t.data(at, d, m)
-		case *msg.RelAck:
-			t.ack(at, d.From, m.Ack)
-		default:
-			t.push(at, d) // self-sends pass through
-		}
+// receive handles one delivery the wire makes at at.
+func (t *Transport) receive(at int, d simnet.Delivery) {
+	if t.killed[at] {
+		return // a crashed host hears nothing
+	}
+	switch m := d.Msg.(type) {
+	case *msg.RelData:
+		t.ack(at, d.From, m.Ack)
+		t.data(at, d, m)
+	case *msg.RelAck:
+		t.ack(at, d.From, m.Ack)
+	default:
+		t.inner.Push(at, d) // self-sends pass through
 	}
 }
 
@@ -240,7 +242,7 @@ func (t *Transport) data(at int, d simnet.Delivery, m *msg.RelData) {
 			rl.expected++
 		}
 		if rl.ackOwed++; rl.ackOwed >= ackEvery {
-			t.pureAck(at, d.From)
+			t.owe(at, d.From)
 			return
 		}
 	case m.Seq > rl.expected:
@@ -259,7 +261,7 @@ func (t *Transport) data(at int, d simnet.Delivery, m *msg.RelData) {
 		// that crossed our ACK, or a wire-level duplicate. Re-ack at once
 		// so the sender stands down.
 		t.st.Deduped++
-		t.pureAck(at, d.From)
+		t.owe(at, d.From)
 		return
 	}
 	if rl.ackDue == 0 {
@@ -267,7 +269,7 @@ func (t *Transport) data(at int, d simnet.Delivery, m *msg.RelData) {
 	}
 }
 
-// deliver unwraps the payload into at's delivery queue, keeping the
+// deliver unwraps the payload into its link's FIFO, keeping the
 // envelope's wire metadata (so the virtual cost model charges the arrival
 // exactly as the unwrapped transport would).
 func (t *Transport) deliver(at int, d simnet.Delivery, payload []byte) {
@@ -279,30 +281,41 @@ func (t *Transport) deliver(at int, d simnet.Delivery, payload []byte) {
 		return
 	}
 	d.Msg = inner
-	t.push(at, d)
+	t.inner.Push(at, d)
 }
 
-func (t *Transport) push(at int, d simnet.Delivery) {
-	t.out[at].Push(d)
-	t.queued++
-}
-
-// pureAck sends at's cumulative position on the stream from peer.
-func (t *Transport) pureAck(at, peer int) {
+// owe notes that at owes peer a pure acknowledgment of its current
+// position on the stream from peer; Flush sends it.
+func (t *Transport) owe(at, peer int) {
 	rl := &t.recv[at*t.n+peer]
-	wire := t.inner.Send(at, peer, &msg.RelAck{Ack: rl.expected - 1}, 0)
+	t.owed = append(t.owed, owedAck{at, peer, rl.expected - 1})
 	rl.ackOwed, rl.ackDue = 0, 0
-	t.count(msg.TRelAck, wire)
 }
 
-// Advance makes the sublayer progress with nothing else to do: it handles
-// what the wire holds or, with nothing there, fires the earliest pending
+// Flush sends every pure acknowledgment owed, in the order they fell due,
+// and those their arrival makes due in turn, and reports whether there was
+// any.
+func (t *Transport) Flush() bool {
+	if len(t.owed) == 0 {
+		return false
+	}
+	for i := 0; i < len(t.owed); i++ {
+		a := t.owed[i]
+		wire := t.inner.Send(a.at, a.peer, &msg.RelAck{Ack: a.ack}, 0)
+		t.count(msg.TRelAck, wire)
+	}
+	t.owed = t.owed[:0]
+	return true
+}
+
+// Advance makes the sublayer progress with nothing else to do: it sends
+// the acknowledgments owed or, with none, fires the earliest pending
 // deadline — a delayed acknowledgment before a retransmission due at the
 // same instant, a lower link before a higher one. It reports whether it
 // did anything; false means nothing is in flight and nothing will be
 // retried, so a reader still waiting waits forever.
 func (t *Transport) Advance() bool {
-	if t.drain() {
+	if t.Flush() {
 		return true
 	}
 	if t.closed {
@@ -324,7 +337,8 @@ func (t *Transport) Advance() bool {
 	}
 	t.now = due
 	if isAck {
-		t.pureAck(best/t.n, best%t.n)
+		t.owe(best/t.n, best%t.n)
+		t.Flush()
 	} else {
 		t.retransmit(best/t.n, best%t.n)
 	}
@@ -365,36 +379,19 @@ func (t *Transport) retransmit(from, to int) {
 	sl.due = t.now + sl.rto
 }
 
-// Recv returns proc's next resequenced delivery, advancing the sublayer
-// (see Advance) until there is one; ok is false once none can come.
+// Recv returns proc's next resequenced delivery (simnet.Network.Recv),
+// advancing the sublayer (see Advance) until there is one; ok is false
+// once none can come. It never waits in real time.
 func (t *Transport) Recv(proc int) (simnet.Delivery, bool) {
 	for {
-		if d, ok := t.out[proc].Pop(); ok {
-			t.queued--
+		t.Flush()
+		if d, ok := t.inner.Recv(proc); ok {
 			return d, true
 		}
 		if !t.Advance() {
 			return simnet.Delivery{}, false
 		}
 	}
-}
-
-// Next implements dsm.Transport. It never waits: it handles what the wire
-// holds and returns the lowest endpoint's next delivery, or reports
-// simnet.ErrQuiet (the scheduler then calls Advance) or, after Close and
-// once everything queued is delivered, simnet.ErrClosed.
-func (t *Transport) Next() (int, simnet.Delivery, error) {
-	t.drain()
-	for to := 0; t.queued > 0 && to < t.n; to++ {
-		if d, ok := t.out[to].Pop(); ok {
-			t.queued--
-			return to, d, nil
-		}
-	}
-	if t.closed {
-		return -1, simnet.Delivery{}, simnet.ErrClosed
-	}
-	return -1, simnet.Delivery{}, simnet.ErrQuiet
 }
 
 // KillEndpoint simulates a process crash at proc: the victim stops
@@ -412,8 +409,8 @@ func (t *Transport) KillEndpoint(proc int) {
 	}
 }
 
-// Close implements dsm.Transport: no deadline fires any more, and the
-// inner transport shuts down. What it still holds is delivered by Next.
+// Close stops the sublayer: no deadline fires any more, and the wire shuts
+// down (simnet.Network.Close). What is queued stays queued.
 func (t *Transport) Close() {
 	if !t.closed {
 		t.closed = true

@@ -205,8 +205,8 @@ func TestLinkDeathAfterRetryCap(t *testing.T) {
 	if st.Retransmits != MaxRetries || st.Errors != 1 {
 		t.Errorf("retransmits = %d, errors = %d; want %d, 1", st.Retransmits, st.Errors, MaxRetries)
 	}
-	if _, _, err := rt.Next(); err != simnet.ErrClosed {
-		t.Errorf("Next after link death: %v, want ErrClosed", err)
+	if !nw.Closed() || rt.Advance() {
+		t.Error("the wire is still open, or a deadline still fires, after link death")
 	}
 }
 

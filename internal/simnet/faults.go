@@ -3,7 +3,6 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"lrcrace/internal/telemetry"
 )
@@ -74,7 +73,6 @@ func (p *FaultPlan) Validate() error {
 // faultLink is the injection state of one directed link: its PRNG and the
 // messages currently held back for reordering.
 type faultLink struct {
-	mu   sync.Mutex
 	rng  *rand.Rand
 	held []heldDelivery
 }
@@ -100,18 +98,14 @@ func (nw *Network) SetFaults(p *FaultPlan) error {
 	if plan.Reorder > 0 && plan.MaxReorder == 0 {
 		plan.MaxReorder = 3
 	}
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	if nw.started {
 		panic("simnet: SetFaults after traffic has started")
 	}
 	nw.faults = &plan
-	nw.links = make([]*faultLink, nw.n*nw.n)
+	nw.fault = make([]faultLink, nw.n*nw.n)
 	for from := 0; from < nw.n; from++ {
 		for to := 0; to < nw.n; to++ {
-			nw.links[from*nw.n+to] = &faultLink{
-				rng: rand.New(rand.NewSource(linkSeed(plan.Seed, from, to))),
-			}
+			nw.fault[from*nw.n+to].rng = rand.New(rand.NewSource(linkSeed(plan.Seed, from, to)))
 		}
 	}
 	return nil
@@ -126,15 +120,12 @@ func linkSeed(seed int64, from, to int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// sendFaulty runs one message through the link's fault injector. All
-// decisions and queue pushes happen under the link lock, so the fault
-// sequence is a pure function of the link's send order.
+// sendFaulty runs one message through the link's fault injector. The
+// fault sequence is a pure function of the link's send order.
 func (nw *Network) sendFaulty(to int, d Delivery) {
 	from, t := d.From, d.Msg.Type()
 	plan := nw.faults
-	lf := nw.links[from*nw.n+to]
-	lf.mu.Lock()
-	defer lf.mu.Unlock()
+	lf := &nw.fault[from*nw.n+to]
 
 	// Age held messages first: the current send is one more message they
 	// are delayed past.
@@ -148,31 +139,25 @@ func (nw *Network) sendFaulty(to int, d Delivery) {
 
 	switch {
 	case plan.Drop > 0 && lf.rng.Float64() < plan.Drop:
-		nw.mu.Lock()
 		nw.stats.Dropped[t]++
-		nw.mu.Unlock()
 		nw.tel.Emit(from, telemetry.KWireDrop, d.VTime, int64(to), int64(t), 0)
 	case plan.Dup > 0 && lf.rng.Float64() < plan.Dup:
-		nw.in.push(to, d)
-		nw.in.push(to, d)
-		nw.mu.Lock()
+		nw.arrive(to, d)
+		nw.arrive(to, d)
 		nw.stats.Duplicated[t]++
 		// The extra copy crossed the wire too.
 		nw.stats.Messages[t] += int64(d.Frags)
 		nw.stats.Bytes[t] += int64(d.Bytes)
-		nw.mu.Unlock()
 		nw.tel.Emit(from, telemetry.KWireDup, d.VTime, int64(to), int64(t), 0)
 	case plan.Reorder > 0 && lf.rng.Float64() < plan.Reorder:
 		lf.held = append(lf.held, heldDelivery{
 			d:     d,
 			after: 1 + lf.rng.Intn(plan.MaxReorder),
 		})
-		nw.mu.Lock()
 		nw.stats.Reordered++
-		nw.mu.Unlock()
 		nw.tel.Emit(from, telemetry.KWireReorder, d.VTime, int64(to), int64(t), 0)
 	default:
-		nw.in.push(to, d)
+		nw.arrive(to, d)
 	}
 
 	// Release held messages whose delay has expired — after the current
@@ -180,7 +165,7 @@ func (nw *Network) sendFaulty(to int, d Delivery) {
 	kept := lf.held[:0]
 	for _, h := range lf.held {
 		if h.after <= 0 {
-			nw.in.push(to, h.d)
+			nw.arrive(to, h.d)
 		} else {
 			kept = append(kept, h)
 		}
@@ -188,21 +173,13 @@ func (nw *Network) sendFaulty(to int, d Delivery) {
 	lf.held = kept
 }
 
-// flushHeld releases every delayed message (link order preserved) so a
+// flushHeld delivers every delayed message (link order preserved) so a
 // shutdown drains rather than strands them.
 func (nw *Network) flushHeld() {
-	if nw.links == nil {
-		return
-	}
-	for from := 0; from < nw.n; from++ {
-		for to := 0; to < nw.n; to++ {
-			lf := nw.links[from*nw.n+to]
-			lf.mu.Lock()
-			for _, h := range lf.held {
-				nw.in.push(to, h.d)
-			}
-			lf.held = nil
-			lf.mu.Unlock()
+	for i := range nw.fault {
+		for _, h := range nw.fault[i].held {
+			nw.arrive(i%nw.n, h.d)
 		}
+		nw.fault[i].held = nil
 	}
 }

@@ -1,5 +1,6 @@
 // Package simnet is the simulated interconnect of the DSM: one endpoint per
-// process, unbounded FIFO delivery, and per-message-type traffic statistics.
+// process, one unbounded FIFO per directed link, and per-message-type
+// traffic statistics.
 //
 // It substitutes for the paper's 155 Mbit ATM + UDP transport. Every send
 // marshals the message to bytes and every delivery re-parses those bytes,
@@ -16,8 +17,17 @@
 // from the page-frame pool (mem.GetFrame), to which the receiving DSM
 // returns the frame it replaces. Send has serialized the message when it
 // returns and keeps no reference to it — the contract dsm.Transport states
-// — so a sender may pass live state. The inbox forgets each delivery it
-// hands out.
+// — so a sender may pass live state.
+//
+// A delivery waits in exactly one place: the FIFO of its directed link.
+// Send appends to it before returning, and so does the fault injector when
+// it releases a message it held back; a reader takes from it directly
+// (Recv, or Link for a reader that orders the links itself, as the DSM
+// scheduler does, hearing of each new head through OnHead). The
+// reliability sublayer takes the wire's deliveries instead (Intercept) and
+// appends them once they are in sequence (Push). A FIFO forgets each
+// delivery it hands out. A Network belongs to one thread: nothing in it
+// waits or locks.
 //
 // Forward is the one exception to "every delivery re-parses": it re-sends a
 // message the caller received, charging the wire the bytes and fragments
@@ -28,7 +38,6 @@
 package simnet
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -118,22 +127,30 @@ func (s Stats) TotalDuplicated() int64 {
 	return n
 }
 
-// Network connects n endpoints with unbounded queues. Delivery is
-// reliable, ordered FIFO by default; SetFaults makes the wire lossy.
+// Network connects n endpoints with one unbounded FIFO per directed link,
+// where each delivery waits until it is taken (Recv, or the reader Link
+// serves). Delivery is reliable and FIFO by default; SetFaults makes the
+// wire lossy. A Network belongs to one thread: it has no lock.
 type Network struct {
-	n  int
-	in *inbox
+	n     int
+	links []FIFO // [from*n+to]
+
+	// intercept, when set, takes every delivery the wire makes instead of
+	// its link's FIFO; onHead is told when a delivery lands in an empty
+	// FIFO. See Intercept and OnHead.
+	intercept func(to int, d Delivery)
+	onHead    func(to int, d Delivery)
 
 	faults *FaultPlan
-	links  []*faultLink // per ordered pair, indexed from*n+to; nil without faults
+	fault  []faultLink // per ordered pair, indexed from*n+to; nil without faults
 
 	// tel is where fault-injection events go; the zero Scope records
 	// nothing. Set before traffic via SetTelemetry.
 	tel telemetry.Scope
 
-	mu      sync.Mutex
 	stats   Stats
 	started bool // first Send seen; SetTelemetry/SetFaults are sealed after this
+	closed  bool
 }
 
 // SetTelemetry scopes the network's fault-injection events (WireDrop /
@@ -141,8 +158,6 @@ type Network struct {
 // networks in one process record into their own Systems' recorders.
 // It must be called before traffic starts.
 func (nw *Network) SetTelemetry(tel telemetry.Scope) {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	if nw.started {
 		panic("simnet: SetTelemetry after traffic has started")
 	}
@@ -151,11 +166,22 @@ func (nw *Network) SetTelemetry(tel telemetry.Scope) {
 
 // New returns a network with n endpoints, numbered 0..n-1.
 func New(n int) *Network {
-	return &Network{n: n, in: newInbox(n)}
+	return &Network{n: n, links: make([]FIFO, n*n)}
 }
 
 // Size returns the number of endpoints.
 func (nw *Network) Size() int { return nw.n }
+
+// Intercept routes every delivery the wire makes — sends, forwards and
+// fault-injected copies, in the order they arrive — to f instead of the
+// link FIFOs. f hands on what it accepts with Push. The reliability
+// sublayer installs itself here to unwrap its envelopes.
+func (nw *Network) Intercept(f func(to int, d Delivery)) { nw.intercept = f }
+
+// OnHead makes Push call f with each delivery that lands in an empty link
+// FIFO, that is, becomes its link's head. A reader that orders the links
+// by their heads (the DSM scheduler) learns of each new head this way.
+func (nw *Network) OnHead(f func(to int, d Delivery)) { nw.onHead = f }
 
 // Send marshals m, accounts for it, and enqueues it at to, returning the
 // wire size in bytes. vtime is the sender's virtual clock at the moment of
@@ -190,56 +216,80 @@ func (nw *Network) Forward(from, to int, d Delivery, vtime int64) int {
 	return nw.transmit(to, Delivery{From: from, VTime: vtime, Bytes: d.Bytes, Frags: d.Frags, Msg: d.Msg})
 }
 
-// transmit accounts for d and enqueues it at to, through the fault
+// transmit accounts for d and delivers it at to, through the fault
 // injector unless it is a self-send, and returns its wire size.
 func (nw *Network) transmit(to int, d Delivery) int {
 	if to < 0 || to >= nw.n {
 		panic(fmt.Sprintf("simnet: send to invalid endpoint %d", to))
 	}
 	t := d.Msg.Type()
-	nw.mu.Lock()
 	nw.started = true
 	nw.stats.Messages[t] += int64(d.Frags)
 	nw.stats.Bytes[t] += int64(d.Bytes)
-	nw.mu.Unlock()
 
 	if nw.faults == nil || d.From == to {
 		// Self-sends never traverse the wire (loopback), so they are
 		// exempt from fault injection even in chaos mode.
-		nw.in.push(to, d)
+		nw.arrive(to, d)
 		return d.Bytes
 	}
 	nw.sendFaulty(to, d)
 	return d.Bytes
 }
 
-// Recv blocks until a message for proc arrives; ok is false after Close.
+// arrive hands a delivery the wire makes to the interceptor or to its
+// link's FIFO. A closed network delivers nothing.
+func (nw *Network) arrive(to int, d Delivery) {
+	switch {
+	case nw.closed:
+	case nw.intercept != nil:
+		nw.intercept(to, d)
+	default:
+		nw.Push(to, d)
+	}
+}
+
+// Push appends d to the FIFO of the link from d.From to to, bypassing
+// the interceptor: it is how the reliability sublayer hands on the
+// deliveries it has put back in order.
+func (nw *Network) Push(to int, d Delivery) {
+	f := &nw.links[d.From*nw.n+to]
+	f.Push(d)
+	if f.n == 1 && nw.onHead != nil {
+		nw.onHead(to, d)
+	}
+}
+
+// Link returns the FIFO of the link from endpoint from to endpoint to.
+// A reader may Peek at and Pop it directly.
+func (nw *Network) Link(from, to int) *FIFO { return &nw.links[from*nw.n+to] }
+
+// Recv returns the next delivery queued for proc, taking the links into
+// proc lowest sender first; ok is false when none is queued. Recv never
+// waits: every delivery comes from a Send or Forward, which has queued it
+// by the time it returns.
 func (nw *Network) Recv(proc int) (Delivery, bool) {
-	return nw.in.recv(proc)
+	for from := 0; from < nw.n; from++ {
+		if d, ok := nw.links[from*nw.n+proc].Pop(); ok {
+			return d, true
+		}
+	}
+	return Delivery{}, false
 }
 
-// Next returns a delivery queued for any endpoint, and that endpoint. Every
-// delivery comes from Send or Forward, so Next never waits: with nothing
-// queued, nothing can arrive, and the error is ErrQuiet (ErrClosed after
-// Close).
-func (nw *Network) Next() (int, Delivery, error) {
-	return nw.in.next()
-}
-
-// Close shuts down all endpoints; blocked Recv calls return ok=false after
-// draining queued messages (including any the fault injector was still
-// holding back for reordering).
+// Close shuts the wire down: messages the fault injector was holding back
+// for reordering are delivered, and later sends are charged but dropped.
+// Recv goes on returning what is queued.
 func (nw *Network) Close() {
 	nw.flushHeld()
-	nw.in.close()
+	nw.closed = true
 }
 
+// Closed reports whether Close has been called.
+func (nw *Network) Closed() bool { return nw.closed }
+
 // Stats returns a snapshot of the traffic counters.
-func (nw *Network) Stats() Stats {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.stats
-}
+func (nw *Network) Stats() Stats { return nw.stats }
 
 // maxPooledBuf bounds the encode buffers kept for reuse, so one rare huge
 // message (a release with a long check list) does not pin its buffer.
@@ -263,94 +313,11 @@ func PutBuf(b *[]byte) {
 	}
 }
 
-// The errors Next reports when it returns no delivery.
-var (
-	// ErrClosed: the transport was shut down and everything queued has
-	// been delivered.
-	ErrClosed = errors.New("simnet: transport closed")
-	// ErrQuiet: nothing is queued and nothing can arrive — every delivery
-	// comes from Send or Forward, so only the caller's own next step can
-	// queue one.
-	ErrQuiet = errors.New("simnet: nothing queued and nothing in flight")
-)
-
-// inbox is the receive side of the endpoints: one FIFO of deliveries per
-// endpoint under one lock, so a reader can take the next delivery of one
-// endpoint (recv) or of any (next). Unbounded capacity keeps the protocol
-// deadlock-free regardless of traffic bursts (real CVM relies on kernel
-// socket buffering plus retransmission for the same property).
-type inbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond // broadcast on every push and close
-	qs     []FIFO
-	queued int // deliveries in qs
-	closed bool
-}
-
-// newInbox returns an open inbox of n endpoints.
-func newInbox(n int) *inbox {
-	b := &inbox{qs: make([]FIFO, n)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// push queues d at endpoint to; after close it is a no-op.
-func (b *inbox) push(to int, d Delivery) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.closed {
-		b.qs[to].Push(d)
-		b.queued++
-		b.cond.Broadcast()
-	}
-}
-
-// recv blocks for endpoint to's next delivery; ok is false once the inbox
-// is closed and that endpoint drained.
-func (b *inbox) recv(to int) (Delivery, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.qs[to].n == 0 && !b.closed {
-		b.cond.Wait()
-	}
-	d, ok := b.qs[to].Pop()
-	if ok {
-		b.queued--
-	}
-	return d, ok
-}
-
-// next returns a delivery queued for any endpoint, lowest endpoint first,
-// each endpoint's in arrival order, and that endpoint. It never waits: with
-// none queued it reports ErrClosed after close and ErrQuiet before.
-func (b *inbox) next() (int, Delivery, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for to := 0; b.queued > 0 && to < len(b.qs); to++ {
-		if d, ok := b.qs[to].Pop(); ok {
-			b.queued--
-			return to, d, nil
-		}
-	}
-	if b.closed {
-		return -1, Delivery{}, ErrClosed
-	}
-	return -1, Delivery{}, ErrQuiet
-}
-
-// close shuts every endpoint: readers drain what is queued, then return.
-func (b *inbox) close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.closed = true
-	b.cond.Broadcast()
-}
-
-// FIFO is one endpoint's queue of deliveries; the zero value is empty. The
-// deliveries sit in a ring that doubles when full and is otherwise reused,
-// so its capacity follows the longest the queue has been, not the number of
-// messages it has carried. Pop zeroes the slot it empties: a delivered
-// message stays reachable only from its receiver.
+// FIFO is one link's queue of deliveries; the zero value is empty. The
+// deliveries sit in a ring whose length is a power of two, doubled when
+// full and otherwise reused, so its capacity follows the longest the queue
+// has been, not the number of messages it has carried. Pop zeroes the slot
+// it empties: a delivered message stays reachable only from its receiver.
 type FIFO struct {
 	ring []Delivery
 	head int // index of the oldest delivery
@@ -360,13 +327,22 @@ type FIFO struct {
 // Push appends d.
 func (f *FIFO) Push(d Delivery) {
 	if f.n == len(f.ring) {
-		grown := make([]Delivery, max(16, 2*len(f.ring)))
+		grown := make([]Delivery, max(4, 2*len(f.ring)))
 		k := copy(grown, f.ring[f.head:])
 		copy(grown[k:], f.ring[:f.head])
 		f.ring, f.head = grown, 0
 	}
-	f.ring[(f.head+f.n)%len(f.ring)] = d
+	f.ring[(f.head+f.n)&(len(f.ring)-1)] = d
 	f.n++
+}
+
+// Peek returns the oldest delivery without removing it; nil when empty.
+// The pointer is valid until the next Push or Pop.
+func (f *FIFO) Peek() *Delivery {
+	if f.n == 0 {
+		return nil
+	}
+	return &f.ring[f.head]
 }
 
 // Pop removes and returns the oldest delivery; ok is false when empty.
@@ -376,7 +352,7 @@ func (f *FIFO) Pop() (Delivery, bool) {
 	}
 	d := f.ring[f.head]
 	f.ring[f.head] = Delivery{}
-	f.head = (f.head + 1) % len(f.ring)
+	f.head = (f.head + 1) & (len(f.ring) - 1)
 	f.n--
 	return d, true
 }

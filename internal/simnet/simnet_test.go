@@ -1,8 +1,9 @@
 package simnet
 
 import (
+	"fmt"
 	"math/rand"
-	"sync"
+	"reflect"
 	"testing"
 
 	"lrcrace/internal/interval"
@@ -71,21 +72,28 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestCloseUnblocksRecv(t *testing.T) {
-	nw := New(1)
-	done := make(chan bool)
-	go func() {
-		_, ok := nw.Recv(0)
-		done <- ok
-	}()
-	nw.Close()
-	if ok := <-done; ok {
-		t.Error("Recv returned ok after Close with empty queue")
+// TestRecvAfterClose: Recv never waits. After Close it drains what is
+// queued, then reports false; a send after Close is charged but dropped.
+func TestRecvAfterClose(t *testing.T) {
+	nw := New(2)
+	if _, ok := nw.Recv(1); ok {
+		t.Error("Recv on an empty network returned ok")
 	}
-	// Send after close is dropped silently.
-	nw.Send(0, 0, &msg.DiffAck{}, 0)
-	if _, ok := nw.Recv(0); ok {
+	nw.Send(0, 1, &msg.PageReq{Page: 1}, 0)
+	nw.Send(1, 1, &msg.PageReq{Page: 2}, 0)
+	nw.Close()
+	nw.Send(0, 1, &msg.DiffAck{}, 0)
+	for _, want := range []mem.PageID{1, 2} {
+		d, ok := nw.Recv(1)
+		if !ok || d.Msg.(*msg.PageReq).Page != want {
+			t.Fatalf("Recv after Close = %+v, %v; want page %d", d, ok, want)
+		}
+	}
+	if _, ok := nw.Recv(1); ok {
 		t.Error("message delivered after close")
+	}
+	if got := nw.Stats().Messages[msg.TDiffAck]; got != 1 {
+		t.Errorf("send after Close charged %d messages, want 1", got)
 	}
 }
 
@@ -102,33 +110,30 @@ func TestCloseDrainsQueued(t *testing.T) {
 	}
 }
 
-func TestConcurrentSenders(t *testing.T) {
+// TestSendersQueuePerLink: four senders interleave sends to one endpoint.
+// Each link's FIFO keeps its sender's order, Recv takes the lowest sender's
+// link first, and every send is counted.
+func TestSendersQueuePerLink(t *testing.T) {
 	nw := New(4)
-	defer nw.Close()
-	const per = 200
-	var wg sync.WaitGroup
+	const per = 50
+	for i := 0; i < per; i++ {
+		for from := 3; from >= 0; from-- {
+			nw.Send(from, 3, &msg.PageReq{Page: 1}, int64(i))
+		}
+	}
 	for from := 0; from < 4; from++ {
-		wg.Add(1)
-		go func(from int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				nw.Send(from, 3, &msg.PageReq{Page: 1}, int64(i))
+		if n := nw.Link(from, 3).n; n != per {
+			t.Errorf("link %d->3 holds %d, want %d", from, n, per)
+		}
+		for i := 0; i < per; i++ {
+			d, ok := nw.Recv(3)
+			if !ok || d.From != from || d.VTime != int64(i) {
+				t.Fatalf("delivery %d of sender %d: %+v ok=%v", i, from, d, ok)
 			}
-		}(from)
-	}
-	counts := make(map[int]int)
-	for i := 0; i < 3*per+per; i++ {
-		d, ok := nw.Recv(3)
-		if !ok {
-			t.Fatal("short delivery")
 		}
-		counts[d.From]++
 	}
-	wg.Wait()
-	for from := 0; from < 4; from++ {
-		if counts[from] != per {
-			t.Errorf("from %d: got %d, want %d", from, counts[from], per)
-		}
+	if _, ok := nw.Recv(3); ok {
+		t.Error("extra delivery")
 	}
 	if got := nw.Stats().TotalMessages(); got != 4*per {
 		t.Errorf("TotalMessages = %d, want %d", got, 4*per)
@@ -211,25 +216,27 @@ func TestSendAllocatesOnlyTheDecode(t *testing.T) {
 	}
 }
 
-// TestInboxForgetsDelivered interleaves 10⁵ pushes and pops: the ring
-// grows only with the queue's length, and every slot recv has emptied is
-// zero, so a delivered message is not kept alive by the inbox.
-func TestInboxForgetsDelivered(t *testing.T) {
+// TestLinkForgetsDelivered interleaves 10⁵ pushes and pops on one link:
+// the ring grows only with the queue's length, and every slot Pop has
+// emptied is zero, so a delivered message is not kept alive by its link.
+func TestLinkForgetsDelivered(t *testing.T) {
 	const total = 100_000
-	b := newInbox(1)
-	q := &b.qs[0]
+	var q FIFO
 	rng := rand.New(rand.NewSource(1))
 	pushed, popped, longest := 0, 0, 0
 	for popped < total {
 		for k := rng.Intn(8); k >= 0 && pushed < total; k-- {
-			b.push(0, Delivery{From: pushed, Msg: &msg.PageReq{Page: mem.PageID(pushed)}})
+			q.Push(Delivery{VTime: int64(pushed), Msg: &msg.PageReq{Page: mem.PageID(pushed)}})
 			pushed++
 		}
 		longest = max(longest, pushed-popped)
 		for k := rng.Intn(8); k >= 0 && popped < pushed; k-- {
-			d, ok := b.recv(0)
-			if !ok || d.From != popped {
-				t.Fatalf("pop %d: got From %d ok %v", popped, d.From, ok)
+			if h := q.Peek(); h == nil || h.VTime != int64(popped) {
+				t.Fatalf("peek %d: %+v", popped, h)
+			}
+			d, ok := q.Pop()
+			if !ok || d.VTime != int64(popped) {
+				t.Fatalf("pop %d: got %d ok %v", popped, d.VTime, ok)
 			}
 			popped++
 			if s := q.ring[(q.head+len(q.ring)-1)%len(q.ring)]; s != (Delivery{}) {
@@ -242,27 +249,50 @@ func TestInboxForgetsDelivered(t *testing.T) {
 			t.Fatalf("drained ring still holds %+v in slot %d", s, i)
 		}
 	}
-	if c := cap(q.ring); c > max(16, 2*longest) {
+	if c := cap(q.ring); c > max(4, 2*longest) {
 		t.Errorf("ring capacity %d after a longest queue of %d", c, longest)
+	}
+	if _, ok := q.Pop(); ok || q.Peek() != nil || q.n != 0 {
+		t.Error("drained FIFO is not empty")
 	}
 }
 
-// TestInboxNext: next serves the lowest endpoint first, reports ErrQuiet
-// when empty and ErrClosed after close.
-func TestInboxNext(t *testing.T) {
-	b := newInbox(2)
-	b.push(1, Delivery{From: 7, Msg: &msg.DiffAck{}})
-	b.push(0, Delivery{From: 9, Msg: &msg.DiffAck{}})
-	if to, d, err := b.next(); err != nil || to != 0 || d.From != 9 {
-		t.Errorf("next = %d, %+v, %v; want endpoint 0's delivery", to, d, err)
+// TestLinkOrder: a send lands in its directed link's FIFO in send order;
+// OnHead hears of each delivery that lands in an empty FIFO, and only of
+// those; an interceptor takes the wire's deliveries instead of the FIFOs
+// and hands on with Push.
+func TestLinkOrder(t *testing.T) {
+	nw := New(3)
+	var heads []string
+	nw.OnHead(func(to int, d Delivery) { heads = append(heads, fmt.Sprintf("%d->%d@%d", d.From, to, d.VTime)) })
+	nw.Send(2, 0, &msg.DiffAck{}, 1)
+	nw.Send(1, 0, &msg.DiffAck{}, 2)
+	nw.Send(2, 0, &msg.DiffAck{}, 3)
+	nw.Send(0, 1, &msg.DiffAck{}, 4)
+	if want := []string{"2->0@1", "1->0@2", "0->1@4"}; !reflect.DeepEqual(heads, want) {
+		t.Errorf("heads %v, want %v", heads, want)
 	}
-	b.next()
-	if _, _, err := b.next(); err != ErrQuiet {
-		t.Errorf("next on an empty inbox: %v, want ErrQuiet", err)
+	for _, want := range []int64{1, 3} {
+		if d, ok := nw.Link(2, 0).Pop(); !ok || d.VTime != want {
+			t.Errorf("link 2->0 popped %+v, %v; want vtime %d", d, ok, want)
+		}
 	}
-	b.close()
-	if _, _, err := b.next(); err != ErrClosed {
-		t.Errorf("next after close: %v, want ErrClosed", err)
+	nw.Send(2, 0, &msg.DiffAck{}, 5) // the emptied link has a new head
+	if got := heads[len(heads)-1]; got != "2->0@5" {
+		t.Errorf("last head %s, want 2->0@5", got)
+	}
+
+	var seen []int
+	nw.Intercept(func(to int, d Delivery) {
+		seen = append(seen, to)
+		if d.VTime != 7 {
+			nw.Push(to, d)
+		}
+	})
+	nw.Send(0, 2, &msg.DiffAck{}, 6)
+	nw.Send(1, 2, &msg.DiffAck{}, 7) // withheld by the interceptor
+	if !reflect.DeepEqual(seen, []int{2, 2}) || nw.Link(0, 2).n != 1 || nw.Link(1, 2).n != 0 {
+		t.Errorf("intercepted %v; links 0->2 %d, 1->2 %d", seen, nw.Link(0, 2).n, nw.Link(1, 2).n)
 	}
 }
 
@@ -306,12 +336,12 @@ func TestForwardChargesLikeSend(t *testing.T) {
 			sent.Close()
 			fwd.Close()
 			for {
-				_, ws, werr := sent.Next()
-				_, gs, gerr := fwd.Next()
-				if werr != gerr {
+				ws, wok := sent.Recv(1)
+				gs, gok := fwd.Recv(1)
+				if wok != gok {
 					t.Fatalf("%v: delivery schedules differ in length", m.Type())
 				}
-				if werr != nil {
+				if !wok {
 					break
 				}
 				if gs.Msg != d.Msg {
