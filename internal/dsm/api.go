@@ -172,8 +172,8 @@ func (p *Proc) fetchPage(pg mem.PageID, write bool) {
 		p.protocolBug("fault on page %d answered with %d bytes, page size is %d",
 			pg, len(rep.Data), p.seg.PageSize)
 	}
-	// The delivered message is ours (Transport): its bytes become the frame,
-	// and the frame they replace goes back to the pool.
+	// The sender handed Data over as a frame of its own (Transport): it
+	// becomes our frame, and the frame it replaces goes back to the pool.
 	p.seg.AdoptPage(pg, rep.Data)
 	p.tel.Emit(p.id, telemetry.KPageFetch, p.vnow, int64(pg), int64(d.From), p.vnow-v)
 	if own {
@@ -233,8 +233,8 @@ func (p *Proc) flushDiffs() {
 	slices.Sort(p.twinned.pages)
 	for _, pg := range p.twinned.pages {
 		twin := p.twins[pg]
-		// The flush is serialized by the send, so one buffer serves
-		// every page.
+		// One scratch buffer serves every page; a flush sends a copy, since
+		// a sent message is frozen.
 		entries := diffPage(p.diffBuf[:0], p.seg.PageView(pg), twin)
 		p.diffBuf = entries
 		p.st.DiffsFlushed++
@@ -249,7 +249,7 @@ func (p *Proc) flushDiffs() {
 			p.writtenPages.add(pg)
 		}
 		if p.home(pg) != p.id && len(entries) > 0 {
-			p.send(p.home(pg), &msg.DiffFlush{Page: pg, Entries: entries}, v)
+			p.send(p.home(pg), &msg.DiffFlush{Page: pg, Entries: slices.Clone(entries)}, v)
 			acks++
 		}
 		mem.PutFrame(twin) // diffed: the entries hold what the flush needs
@@ -490,21 +490,22 @@ func (p *Proc) Consolidate() { p.Barrier() }
 // entry's bitmaps go to its owner (process 0 when the release carries no
 // ShardOwner assignment), and every distinct owner receives exactly one —
 // possibly empty — reply, so owners can close their collection round by
-// count alone.
+// count alone. A reply's entries are sorted by (index, page), the order its
+// owner looks them up in; the bitmaps are the stored ones, which no one
+// writes to once their interval has closed.
 func (p *Proc) sendBitmaps(rel *msg.BarrierRelease) {
 	b := &p.bitmaps
 	if b.replies == nil {
-		b.replies = make([]msg.BitmapReply, p.n)
-		b.inRound = make([]bool, p.n)
+		b.replies = make([]*msg.BitmapReply, p.n)
 		b.sent = make([][]vc.Index, p.sys.layout.NumPages)
 	}
+	// A sent message is frozen, so every round builds its replies afresh.
 	replyTo := func(to int) *msg.BitmapReply {
-		if !b.inRound[to] {
-			b.inRound[to] = true
+		if b.replies[to] == nil {
+			b.replies[to] = &msg.BitmapReply{Epoch: rel.Epoch}
 			b.order = append(b.order, to)
-			b.replies[to] = msg.BitmapReply{Epoch: rel.Epoch, Entries: b.replies[to].Entries[:0]}
 		}
-		return &b.replies[to]
+		return b.replies[to]
 	}
 	if len(rel.ShardOwner) > 0 {
 		for _, o := range rel.ShardOwner {
@@ -551,13 +552,11 @@ func (p *Proc) sendBitmaps(rel *msg.BarrierRelease) {
 		addSide(to, c.A, c.Page)
 		addSide(to, c.B, c.Page)
 	}
-	// Send serializes each reply and keeps no reference to it, so the
-	// scratch is free again once the sends return.
 	for _, to := range b.order {
-		r := &b.replies[to]
+		r := b.replies[to]
+		slices.SortFunc(r.Entries, compareEntries)
 		p.send(to, r, p.vnow)
-		clear(r.Entries) // drop the bitmaps until the next round
-		b.inRound[to] = false
+		b.replies[to] = nil
 	}
 	for _, pg := range b.pages {
 		b.sent[pg] = b.sent[pg][:0]
@@ -565,13 +564,12 @@ func (p *Proc) sendBitmaps(rel *msg.BarrierRelease) {
 	b.order, b.pages = b.order[:0], b.pages[:0]
 }
 
-// bitmapScratch is what sendBitmaps builds, kept from barrier to barrier:
-// one reply per owner (its Entries reused), the owners in first-appearance
-// order for deterministic sends, and the per-page dedup lists with the
-// pages that have one.
+// bitmapScratch is what sendBitmaps keeps from barrier to barrier: the
+// round's reply per owner (nil outside a round), the owners in
+// first-appearance order for deterministic sends, and the per-page dedup
+// lists with the pages that have one.
 type bitmapScratch struct {
-	replies []msg.BitmapReply
-	inRound []bool
+	replies []*msg.BitmapReply
 	order   []int
 	sent    [][]vc.Index
 	pages   []mem.PageID

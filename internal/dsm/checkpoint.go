@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"lrcrace/internal/castore"
@@ -105,9 +104,10 @@ type ckptEntry struct {
 // (process, epoch): manifests here, their chunks in an embedded
 // content-addressed store. Coordinated rollback restores every process
 // from the latest epoch for which all processes have a checkpoint whose
-// chunk closure verifies.
+// chunk closure verifies. Like the System it belongs to, a store is used by
+// one thread at a time — the run's scheduler, then whoever reads the
+// finished run — so it has no lock.
 type CheckpointStore struct {
-	mu     sync.Mutex
 	byProc map[int]map[int32]ckptEntry
 	chunks *castore.Store
 
@@ -164,8 +164,6 @@ func (s *System) initCheckpoints() {
 // replaces the entry and retires the old closure's references without
 // recounting the cumulative stats.
 func (cs *CheckpointStore) Put(proc int, epoch int32, manifest []byte, addrs []castore.Addr) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	m := cs.byProc[proc]
 	if m == nil {
 		m = make(map[int32]ckptEntry)
@@ -186,8 +184,6 @@ func (cs *CheckpointStore) Put(proc int, epoch int32, manifest []byte, addrs []c
 
 // Get returns proc's checkpoint manifest for epoch, or nil.
 func (cs *CheckpointStore) Get(proc int, epoch int32) []byte {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	return cs.byProc[proc][epoch].manifest
 }
 
@@ -197,12 +193,6 @@ func (cs *CheckpointStore) Get(proc int, epoch int32) []byte {
 // minimum over processes of their latest checkpoint epoch; 0 (the initial
 // state, before any barrier) if some process has none.
 func (cs *CheckpointStore) LatestCommonEpoch(n int) int32 {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.latestCommonLocked(n)
-}
-
-func (cs *CheckpointStore) latestCommonLocked(n int) int32 {
 	common := int32(-1)
 	for p := 0; p < n; p++ {
 		var latest int32
@@ -223,8 +213,6 @@ func (cs *CheckpointStore) latestCommonLocked(n int) int32 {
 
 // haveAll reports whether all n processes have deposited epoch.
 func (cs *CheckpointStore) haveAll(epoch int32, n int) bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	for p := 0; p < n; p++ {
 		if _, ok := cs.byProc[p][epoch]; !ok {
 			return false
@@ -239,16 +227,14 @@ func (cs *CheckpointStore) haveAll(epoch int32, n int) bool {
 // and the resident bytes released (chunks freed transitively through
 // their refcounts).
 func (cs *CheckpointStore) GC(n int) (removed int, freed int64) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	if cs.keepAll {
 		return 0, 0
 	}
-	cutoff := cs.latestCommonLocked(n) - ckptRetain
+	cutoff := cs.LatestCommonEpoch(n) - ckptRetain
 	if cutoff < 1 {
 		return 0, 0
 	}
-	before := cs.liveBytesLocked()
+	before := cs.liveBytes()
 	for _, m := range cs.byProc {
 		for e, ent := range m {
 			if e <= cutoff {
@@ -264,27 +250,19 @@ func (cs *CheckpointStore) GC(n int) (removed int, freed int64) {
 	if removed == 0 {
 		return 0, 0
 	}
-	after := cs.liveBytesLocked()
+	after := cs.liveBytes()
 	cs.gcRemoved += removed
 	cs.gcFreed += before - after
 	cs.gcBefore, cs.gcAfter = before, after
 	return removed, before - after
 }
 
-func (cs *CheckpointStore) liveBytesLocked() int64 {
+func (cs *CheckpointStore) liveBytes() int64 {
 	return cs.liveManifestBytes + cs.chunks.Stats().LiveBytes
-}
-
-func (cs *CheckpointStore) addEncodeNS(ns int64) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.encodeNS += ns
 }
 
 // Stats returns cumulative checkpoint counters.
 func (cs *CheckpointStore) Stats() CheckpointStats {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	ch := cs.chunks.Stats()
 	return CheckpointStats{
 		Count:             cs.count,
@@ -292,7 +270,7 @@ func (cs *CheckpointStore) Stats() CheckpointStats {
 		LogicalBytes:      cs.manifestBytes + ch.LogicalBytes,
 		ChunkPuts:         ch.Puts,
 		ChunkHits:         ch.Hits,
-		LiveBytes:         cs.liveBytesLocked(),
+		LiveBytes:         cs.liveBytes(),
 		GCRemoved:         cs.gcRemoved,
 		GCFreedBytes:      cs.gcFreed,
 		GCLiveBytesBefore: cs.gcBefore,
@@ -318,7 +296,7 @@ func (p *Proc) checkpoint() {
 	start := time.Now()
 	manifest, addrs, cst := p.encodeCheckpointInto(cs.Chunks(), cs.pageAddr)
 	cs.Put(p.id, p.epoch, manifest, addrs)
-	cs.addEncodeNS(time.Since(start).Nanoseconds())
+	cs.encodeNS += time.Since(start).Nanoseconds()
 	p.tel.Emit(p.id, telemetry.KCheckpoint, p.vnow,
 		int64(p.epoch), int64(len(manifest)), int64(len(manifest))+cst.logicalBytes)
 	if cst.puts > 0 {

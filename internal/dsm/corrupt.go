@@ -95,7 +95,6 @@ func (s *System) maybeCorrupt(epoch int32) {
 // and lexicographically sorted so the seeded choice is deterministic.
 // Returns the number of chunks attacked.
 func (cs *CheckpointStore) corruptEpoch(epoch int32, n int, cp *CorruptionPlan) int {
-	cs.mu.Lock()
 	seen := make(map[castore.Addr]bool)
 	var addrs []castore.Addr
 	for p := 0; p < n; p++ {
@@ -106,7 +105,6 @@ func (cs *CheckpointStore) corruptEpoch(epoch int32, n int, cp *CorruptionPlan) 
 			}
 		}
 	}
-	cs.mu.Unlock()
 	if len(addrs) == 0 {
 		return 0
 	}

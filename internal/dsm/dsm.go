@@ -201,24 +201,23 @@ type SyncEnforcer interface {
 // A send is delivered into the FIFO of its directed link in the network
 // (simnet.Network.Link), by the time Send returns or, over the sublayer,
 // once it is in sequence; the scheduler hands each link's head to its
-// handler from there. A sent message belongs to the receiver: nothing else
-// references it or what it points to, so the receiver may keep parts of it
-// (a fetched PageReply's Data, a pooled frame, becomes its page frame, and
-// the frame it replaces goes back to the pool). A forwarded one is shared
-// and read-only (Forward).
+// handler from there. A sent message is frozen: the network encodes it only
+// for its size and may deliver the very message sent, so the sender never
+// writes to it, or to anything it references, after Send, and receivers
+// only read it. A sender that would pass live or scratch state passes a
+// copy, or gives the state up. The one thing a receiver owns is a
+// PageReply's Data: the sender hands it over as a frame of its own
+// (mem.GetFrame), the fetching process keeps it as its page frame, and the
+// frame it replaces goes back to the pool.
 type Transport interface {
-	// Send serializes m toward process to, tagged with the sender's
-	// virtual clock, and returns the wire size in bytes. Send has
-	// serialized m when it returns and keeps no reference to it, so the
-	// caller may hand it live state (a page it then goes on writing).
+	// Send hands m to process to, tagged with the sender's virtual clock,
+	// and returns the wire size in bytes. m is frozen from then on.
 	Send(from, to int, m msg.Message, vtime int64) int
 	// Forward re-sends d, a message the caller has received, toward
 	// process to with the given virtual send time, and returns the wire
 	// size in bytes, which is what Send would return for d.Msg. The
 	// message was serialized once, for its byte count, when it was first
-	// sent; Forward may deliver the very copy the caller holds, so every
-	// receiver of a forwarded message shares it and must treat it, and
-	// everything it points to, as read-only.
+	// sent; Forward delivers the same frozen message again.
 	Forward(from, to int, d simnet.Delivery, vtime int64) int
 	// Stats returns traffic counters.
 	Stats() simnet.Stats

@@ -211,9 +211,12 @@ func (p *Proc) servePage(requester int, pg mem.PageID, write bool, vtime int64) 
 		p.state[pg] = pageReadOnly
 		p.tel.Emit(p.id, telemetry.KOwnershipXfer, vtime, int64(pg), int64(requester), 0)
 	}
-	// The reply carries the live page (or the zero page, if this process
-	// never needed a frame for it): Send serializes it before returning.
-	p.send(requester, &msg.PageReply{Page: pg, Ownership: write, Data: p.seg.PageView(pg)}, vtime)
+	// A sent message is frozen and its Data becomes the requester's frame,
+	// so the reply carries a copy of the live page (or of the zero page, if
+	// this process never needed a frame for it) in a frame of its own.
+	data := mem.GetFrame(p.seg.PageSize)
+	copy(data, p.seg.PageView(pg))
+	p.send(requester, &msg.PageReply{Page: pg, Ownership: write, Data: data}, vtime)
 }
 
 // drainPendingFwds services page forwards queued while ownership was

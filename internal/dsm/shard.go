@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"cmp"
-	"slices"
 	"sort"
 
 	"lrcrace/internal/mem"
@@ -56,7 +55,7 @@ type shardState struct {
 	got    int
 	from   []bool              // which procs' replies have arrived
 	maxArr int64               // latest virtual arrival among replies
-	source [][]msg.BitmapEntry // source[q]: q's reply entries, by (index, page) once all are in
+	source [][]msg.BitmapEntry // source[q]: q's reply entries, in (index, page) order
 
 	kidsLeft int // reduction-tree children yet to report
 	childV   int64
@@ -185,14 +184,26 @@ func (p *Proc) shardBitmap(d simnet.Delivery, m *msg.BitmapReply) {
 		p.protocolBug("duplicate BitmapReply from p%d", d.From)
 	}
 	// A process returns bitmaps of its own intervals only, each (interval,
-	// page) once: anything else would make the lookup ambiguous.
-	for _, e := range m.Entries {
+	// page) once and in (index, page) order: anything else would make the
+	// lookup ambiguous. The reply is frozen (Transport), so its entries
+	// become the source as they are.
+	for i, e := range m.Entries {
 		if int(e.Proc) != d.From {
 			p.protocolBug("BitmapReply from p%d carries a bitmap of interval (%d, %d) page %d",
 				d.From, e.Proc, e.Index, e.Page)
 		}
+		if i == 0 {
+			continue
+		}
+		switch c := compareEntries(m.Entries[i-1], e); {
+		case c == 0:
+			p.protocolBug("BitmapReply from p%d carries interval (%d, %d) page %d twice",
+				d.From, e.Proc, e.Index, e.Page)
+		case c > 0:
+			p.protocolBug("BitmapReply from p%d carries interval (%d, %d) page %d out of order",
+				d.From, e.Proc, e.Index, e.Page)
+		}
 	}
-	// The delivered reply is ours (Transport): its entries become the source.
 	sh.source[d.From] = m.Entries
 	if arr := p.arrival(d); arr > sh.maxArr {
 		sh.maxArr = arr
@@ -201,15 +212,6 @@ func (p *Proc) shardBitmap(d simnet.Delivery, m *msg.BitmapReply) {
 	sh.got++
 	if sh.got < sh.expect {
 		return
-	}
-	for q, ents := range sh.source {
-		slices.SortFunc(ents, compareEntries)
-		for i := 1; i < len(ents); i++ {
-			if compareEntries(ents[i-1], ents[i]) == 0 {
-				p.protocolBug("BitmapReply from p%d carries interval (%d, %d) page %d twice",
-					q, ents[i].Proc, ents[i].Index, ents[i].Page)
-			}
-		}
 	}
 
 	// All replies in: compare this shard. The work is charged to THIS

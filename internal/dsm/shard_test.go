@@ -13,10 +13,10 @@ import (
 )
 
 // TestBitmapReplyValidated: a process returns bitmaps of its own intervals
-// only, each (interval, page) once. A reply that names another process's
-// interval, a process out of range, or one (interval, page) twice is a
-// protocol bug at the owner that receives it, not an entry that silently
-// replaces another.
+// only, each (interval, page) once, in (index, page) order. A reply that
+// names another process's interval, a process out of range, one (interval,
+// page) twice, or entries out of order is a protocol bug at the owner that
+// receives it, not an entry that silently replaces or hides another.
 func TestBitmapReplyValidated(t *testing.T) {
 	s, err := New(Config{NumProcs: 2, SharedSize: 2 * mem.DefaultPageSize, Detect: true})
 	if err != nil {
@@ -35,6 +35,8 @@ func TestBitmapReplyValidated(t *testing.T) {
 			"BitmapReply from p1 carries a bitmap of interval (7, 1) page 0"},
 		{"repeated interval and page", []msg.BitmapEntry{own, {Proc: 1, Index: 1, Page: 0, Read: bm}},
 			"BitmapReply from p1 carries interval (1, 1) page 0 twice"},
+		{"out of order", []msg.BitmapEntry{{Proc: 1, Index: 2, Page: 0, Read: bm}, own},
+			"BitmapReply from p1 carries interval (1, 1) page 0 out of order"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -33,7 +33,8 @@ import (
 // received to its children before departing (Transport.Forward). The
 // release is serialized once, by the root's self-send, for its byte count;
 // every forward charges the wire those bytes again but delivers the same
-// decoded copy, so all N processes share one release and read it only.
+// message, so all N processes share the one release the root built, frozen
+// like every sent message, and read it only.
 // Under the star that is the root's N-way broadcast, every copy stamped
 // with the root's send time.
 // Under a tree forwarding is cut-through, not store-and-forward: a node

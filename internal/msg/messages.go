@@ -277,8 +277,9 @@ func (m *PageFwd) layout(w Wire) {
 }
 
 // PageReply delivers page contents; Ownership marks a single-writer
-// ownership transfer. A decoded PageReply's Data is a buffer from the
-// page-frame pool (mem.GetFrame) that the receiver owns.
+// ownership transfer. Data is the one part of a sent message its receiver
+// owns: the sender hands it over as a frame of its own, and a decoded
+// PageReply's Data is a buffer from the page-frame pool (mem.GetFrame).
 type PageReply struct {
 	Page      mem.PageID
 	Ownership bool

@@ -156,8 +156,10 @@ func (t *Transport) count(typ msg.Type, wire int) {
 
 // Send implements dsm.Transport: wrap m in a sequence-numbered envelope
 // with a piggybacked cumulative ACK, transmit it, and arm the link's
-// retransmission deadline. Self-sends bypass the sublayer (loopback cannot
-// lose messages).
+// retransmission deadline. The envelope carries m marshaled, the bytes a
+// retransmission resends, so the receiver gets a copy that deliver decodes
+// once. Self-sends bypass the sublayer (loopback cannot lose messages) and
+// hand m itself over, as the wire does.
 func (t *Transport) Send(from, to int, m msg.Message, vtime int64) int {
 	if t.killed[from] {
 		// A crashed process sends nothing; the caller is a coroutine that
@@ -269,14 +271,16 @@ func (t *Transport) data(at int, d simnet.Delivery, m *msg.RelData) {
 	}
 }
 
-// deliver unwraps the payload into its link's FIFO, keeping the
-// envelope's wire metadata (so the virtual cost model charges the arrival
-// exactly as the unwrapped transport would).
+// deliver decodes the payload, the one decode a message sent over the
+// sublayer gets, into its link's FIFO, keeping the envelope's wire
+// metadata (so the virtual cost model charges the arrival exactly as the
+// unwrapped transport would).
 func (t *Transport) deliver(at int, d simnet.Delivery, payload []byte) {
 	inner, err := msg.Unmarshal(payload)
 	if err != nil {
-		// Cannot happen over simnet (payloads round-trip before send);
-		// count and drop rather than wedge the protocol.
+		// Cannot happen over simnet: the payload is msg.Marshal's output,
+		// and the wire hands the envelope over unchanged. Count and drop
+		// rather than wedge the protocol.
 		t.st.Errors++
 		return
 	}

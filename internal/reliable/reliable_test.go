@@ -1,11 +1,14 @@
 package reliable
 
 import (
+	"reflect"
 	"testing"
 
+	"lrcrace/internal/interval"
+	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/simnet"
-	"lrcrace/internal/wiretest"
+	"lrcrace/internal/vc"
 )
 
 func wrapFaulty(t *testing.T, n int, plan *simnet.FaultPlan) *Transport {
@@ -258,10 +261,78 @@ func TestChaosSoakManyMessages(t *testing.T) {
 	}
 }
 
+// TestSendSharesNothing: the sublayer copies at send — the envelope carries
+// the message marshaled — so a delivery shares no memory with the message
+// sent, even with the sender writing to it afterwards and the wire's pooled
+// encode buffer written again. It sends a PageReply and an AcquireGrant
+// carrying records, overwrites every slice of the sent message, and sends
+// a second message of the same shape; each delivery must equal a deep copy
+// of its message taken before the send.
 func TestSendSharesNothing(t *testing.T) {
 	rt := wrapFaulty(t, 2, nil)
 	defer rt.Close()
-	wiretest.SendSharesNothing(t,
-		func(m msg.Message) { rt.Send(0, 1, m, 0) },
-		func() msg.Message { d, _ := rt.Recv(1); return d.Msg })
+	for _, mk := range []func(seed uint32) msg.Message{pageReply, acquireGrant} {
+		first, second := mk(1), mk(100)
+		want := []msg.Message{mk(1), mk(100)}
+		rt.Send(0, 1, first, 0)
+		scribble(first)
+		rt.Send(0, 1, second, 0)
+		scribble(second)
+		for i, w := range want {
+			if d, _ := rt.Recv(1); !reflect.DeepEqual(d.Msg, w) {
+				t.Errorf("delivery %d of %v:\n got %+v\nwant %+v", i, w.Type(), d.Msg, w)
+			}
+		}
+	}
+}
+
+func pageReply(seed uint32) msg.Message {
+	data := make([]byte, 256)
+	for i := range data {
+		data[i] = byte(seed) + byte(i)
+	}
+	return &msg.PageReply{Page: mem.PageID(seed), Ownership: true, Data: data}
+}
+
+func acquireGrant(seed uint32) msg.Message {
+	g := &msg.AcquireGrant{Lock: int32(seed)}
+	for i := uint32(0); i < 4; i++ {
+		s := seed + 10*i
+		g.Intervals = append(g.Intervals, &interval.Record{
+			ID:           vc.IntervalID{Proc: int(i), Index: vc.Index(s)},
+			VC:           vc.VC{vc.Index(s), vc.Index(s + 1), vc.Index(s + 2), vc.Index(s + 3)},
+			Epoch:        int32(s),
+			WriteNotices: []mem.PageID{mem.PageID(s), mem.PageID(s + 5)},
+			ReadNotices:  []mem.PageID{mem.PageID(s + 1), mem.PageID(s + 2), mem.PageID(s + 7)},
+		})
+	}
+	return g
+}
+
+// scribble overwrites every element of every slice m holds, and every
+// record's header fields.
+func scribble(m msg.Message) {
+	switch m := m.(type) {
+	case *msg.PageReply:
+		for i := range m.Data {
+			m.Data[i] = 0xEE
+		}
+	case *msg.AcquireGrant:
+		for _, r := range m.Intervals {
+			*r = interval.Record{
+				ID:           vc.IntervalID{Proc: 99, Index: 99},
+				VC:           fill(r.VC, 0xEEEE),
+				Epoch:        -1,
+				WriteNotices: fill(r.WriteNotices, -1),
+				ReadNotices:  fill(r.ReadNotices, -1),
+			}
+		}
+	}
+}
+
+func fill[S ~[]E, E any](s S, v E) S {
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }

@@ -3,21 +3,28 @@
 // traffic statistics.
 //
 // It substitutes for the paper's 155 Mbit ATM + UDP transport. Every send
-// marshals the message to bytes and every delivery re-parses those bytes,
-// so (a) no memory is ever shared between "processes" through a message,
-// exactly as on a real wire, and (b) the byte counts behind the bandwidth
-// results of Table 3 come from real encodings. Virtual transmission time is
-// computed by the receiver from the sender's virtual send time and the
-// byte count (see costmodel).
+// marshals the message to bytes, so the byte counts behind the bandwidth
+// results of Table 3 come from real encodings; virtual transmission time
+// is computed by the receiver from the sender's virtual send time and the
+// byte count (see costmodel). The encoding only sizes the message: what
+// the receiver gets is the sent message itself, not a parse of its bytes.
+// LRC is defined by messages and their order, not by whose memory holds
+// them, so a handed-over message serves the protocol exactly as a copy
+// would.
 //
-// The wire allocates only what the receiver keeps. Send encodes into a
-// pooled buffer (GetBuf, msg.AppendMarshal) and returns it to the pool once
-// Unmarshal has copied every field out; decoded interval records and their
-// version vectors come from one slab per list, and a PageReply's page image
-// from the page-frame pool (mem.GetFrame), to which the receiving DSM
-// returns the frame it replaces. Send has serialized the message when it
-// returns and keeps no reference to it — the contract dsm.Transport states
-// — so a sender may pass live state.
+// The contract that makes this safe is that a sent message is frozen: the
+// sender never writes to it, or to anything it references, once Send has
+// it, and every receiver only reads it. Sent state is therefore built
+// fresh, or given up, for each send. The one exception is a PageReply's
+// Data, which the sender hands over as a frame of its own (mem.GetFrame)
+// that the receiver keeps as its page frame. dsm.Transport states the same
+// contract to the DSM.
+//
+// Send encodes into a pooled buffer (msg.AppendMarshal) and returns it to
+// the pool at once, so the wire allocates nothing a message does not
+// already hold. In test binaries Send also proves the codec on every
+// message it carries: it decodes the encoding, re-encodes the result and
+// panics unless the two agree (checkCodec).
 //
 // A delivery waits in exactly one place: the FIFO of its directed link.
 // Send appends to it before returning, and so does the fault injector when
@@ -29,18 +36,20 @@
 // delivery it hands out. A Network belongs to one thread: nothing in it
 // waits or locks.
 //
-// Forward is the one exception to "every delivery re-parses": it re-sends a
-// message the caller received, charging the wire the bytes and fragments
-// that message was serialized to once, and delivers the same decoded copy.
-// The DSM forwards its barrier release this way, so a release is encoded
-// and parsed once per epoch, not once per receiver; the receivers of a
-// forwarded message share it and treat it as read-only.
+// Forward re-sends a message the caller received, charging the wire the
+// bytes and fragments that message was serialized to once, without
+// encoding it again. The DSM forwards its barrier release this way, so a
+// release is encoded once per epoch, not once per receiver; all N
+// processes receive the one message the root built.
 package simnet
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
+	"testing"
 
+	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/telemetry"
 )
@@ -183,25 +192,49 @@ func (nw *Network) Intercept(f func(to int, d Delivery)) { nw.intercept = f }
 // by their heads (the DSM scheduler) learns of each new head this way.
 func (nw *Network) OnHead(f func(to int, d Delivery)) { nw.onHead = f }
 
-// Send marshals m, accounts for it, and enqueues it at to, returning the
-// wire size in bytes. vtime is the sender's virtual clock at the moment of
-// sending. The message is re-parsed before delivery so sender and receiver
-// never share memory, and Send keeps no reference to m once it returns.
+// checkCodec makes Send prove the codec on every message it carries (see
+// roundTrip). It is on in test binaries only, so every test that sends a
+// message checks its encoding for free; other binaries skip the decode.
+var checkCodec = testing.Testing()
+
+// Send hands m to endpoint to and returns its wire size in bytes: m is
+// encoded only to size it — the size the stats, the fault injector and
+// the receiver's virtual arrival time are charged — and then delivered
+// itself. vtime is the sender's virtual clock at the moment of sending. m
+// is frozen from here on: the sender must not write to it or to anything
+// it references, and the receiver only reads it (see the package comment).
 func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
-	buf := GetBuf()
+	buf := getBuf()
 	wire := msg.AppendMarshal(*buf, m)
-	parsed, err := msg.Unmarshal(wire)
+	if checkCodec {
+		roundTrip(m, wire)
+	}
+	frags := max(1, (len(wire)+DefaultMTU-1)/DefaultMTU)
+	size := len(wire) + frags*UDPOverhead
 	*buf = wire
-	PutBuf(buf)
+	putBuf(buf)
+	return nw.transmit(to, Delivery{From: from, VTime: vtime, Bytes: size, Frags: frags, Msg: m})
+}
+
+// roundTrip panics unless wire, the encoding of m, decodes to a message
+// that encodes to wire again. The decoded copy is dropped, its page image
+// back into the frame pool.
+func roundTrip(m msg.Message, wire []byte) {
+	parsed, err := msg.Unmarshal(wire)
 	if err != nil {
 		panic(fmt.Sprintf("simnet: message %v does not survive the wire: %v", m.Type(), err))
 	}
-	frags := (len(wire) + DefaultMTU - 1) / DefaultMTU
-	if frags < 1 {
-		frags = 1
+	buf := getBuf()
+	again := msg.AppendMarshal(*buf, parsed)
+	same := bytes.Equal(again, wire)
+	*buf = again
+	putBuf(buf)
+	if rep, ok := parsed.(*msg.PageReply); ok {
+		mem.PutFrame(rep.Data)
 	}
-	size := len(wire) + frags*UDPOverhead
-	return nw.transmit(to, Delivery{From: from, VTime: vtime, Bytes: size, Frags: frags, Msg: parsed})
+	if !same {
+		panic(fmt.Sprintf("simnet: message %v re-encodes to other bytes after a round trip", m.Type()))
+	}
 }
 
 // Forward re-sends d, a delivery the caller has received, from endpoint
@@ -209,9 +242,8 @@ func (nw *Network) Send(from, to int, m msg.Message, vtime int64) int {
 // wire size in bytes.
 // The wire is charged exactly as Send would charge it — d.Bytes and
 // d.Frags under d.Msg's type, and the same fault injection — but the
-// message is neither encoded nor parsed again: to receives d.Msg itself.
-// Every receiver of a forwarded message shares that one decoded copy, so
-// each must treat it as read-only.
+// message is not encoded again: to receives d.Msg itself, frozen as every
+// sent message is.
 func (nw *Network) Forward(from, to int, d Delivery, vtime int64) int {
 	return nw.transmit(to, Delivery{From: from, VTime: vtime, Bytes: d.Bytes, Frags: d.Frags, Msg: d.Msg})
 }
@@ -297,17 +329,17 @@ const maxPooledBuf = 1 << 20
 
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// GetBuf returns an empty encode buffer from the pool shared by the
-// transports. Append to *b (msg.AppendMarshal), store the result back in *b
-// and hand b to PutBuf once nothing reads it any more.
-func GetBuf() *[]byte {
+// getBuf returns an empty encode buffer from the pool. Append to *b
+// (msg.AppendMarshal), store the result back in *b and hand b to putBuf
+// once nothing reads it any more.
+func getBuf() *[]byte {
 	b := bufPool.Get().(*[]byte)
 	*b = (*b)[:0]
 	return b
 }
 
-// PutBuf returns b to the pool. The caller must not touch *b afterwards.
-func PutBuf(b *[]byte) {
+// putBuf returns b to the pool. The caller must not touch *b afterwards.
+func putBuf(b *[]byte) {
 	if cap(*b) <= maxPooledBuf {
 		bufPool.Put(b)
 	}

@@ -1,16 +1,17 @@
 package simnet
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lrcrace/internal/interval"
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/vc"
-	"lrcrace/internal/wiretest"
 )
 
 func TestSendRecvRoundTrip(t *testing.T) {
@@ -28,9 +29,6 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	got, ok := d.Msg.(*msg.PageReq)
 	if !ok || got.Page != 7 || !got.Write {
 		t.Errorf("payload: %+v", d.Msg)
-	}
-	if got == sent {
-		t.Error("receiver shares memory with sender")
 	}
 	if d.Bytes <= UDPOverhead {
 		t.Errorf("Bytes = %d, want > header", d.Bytes)
@@ -177,16 +175,73 @@ func TestFragmentation(t *testing.T) {
 	}
 }
 
-func TestSendSharesNothing(t *testing.T) {
-	nw := New(2)
-	defer nw.Close()
-	wiretest.SendSharesNothing(t,
-		func(m msg.Message) { nw.Send(0, 1, m, 0) },
-		func() msg.Message { d, _ := nw.Recv(1); return d.Msg })
+// TestSendHandsOver: Send delivers the sent message itself, not a parse of
+// its bytes, and charges the wire exactly what the encoding weighs — Bytes
+// is len(msg.Marshal(m)) plus one UDPOverhead per fragment. On a clean and
+// on a faulty wire the Stats and the delivery schedule equal those of a
+// network that is sent decoded copies of the same messages.
+func TestSendHandsOver(t *testing.T) {
+	msgs := []msg.Message{
+		&msg.PageReq{Page: 7, Write: true},
+		&msg.PageReply{Page: 2, Ownership: true, Data: make([]byte, 3*DefaultMTU+100)}, // 4 fragments
+		&msg.AcquireGrant{Lock: 1, Intervals: []*interval.Record{
+			{ID: vc.IntervalID{Proc: 1, Index: 3}, VC: vc.VC{1, 3}, WriteNotices: []mem.PageID{1, 2}, ReadNotices: []mem.PageID{4}},
+		}},
+	}
+	plans := []*FaultPlan{nil, {Seed: 3, Drop: 0.2, Dup: 0.2, Reorder: 0.3, JitterNS: 500}}
+	for _, plan := range plans {
+		handed, copied := New(2), New(2)
+		if err := handed.SetFaults(plan); err != nil {
+			t.Fatal(err)
+		}
+		if err := copied.SetFaults(plan); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			m := msgs[i%len(msgs)]
+			wire := msg.Marshal(m)
+			frags := (len(wire) + DefaultMTU - 1) / DefaultMTU
+			if got, want := handed.Send(0, 1, m, int64(i)), len(wire)+frags*UDPOverhead; got != want {
+				t.Fatalf("%v: Send returned %d bytes, want %d", m.Type(), got, want)
+			}
+			parsed, err := msg.Unmarshal(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copied.Send(0, 1, parsed, int64(i))
+		}
+		if got, want := handed.Stats(), copied.Stats(); got != want {
+			t.Errorf("faults %v: stats %+v, sending copies %+v", plan != nil, got, want)
+		}
+		handed.Close()
+		copied.Close()
+		for n := 0; ; n++ {
+			hd, hok := handed.Recv(1)
+			cd, cok := copied.Recv(1)
+			if hok != cok {
+				t.Fatalf("faults %v: delivery schedules differ in length", plan != nil)
+			}
+			if !hok {
+				break
+			}
+			if !slices.Contains(msgs, hd.Msg) {
+				t.Fatalf("faults %v: delivery %d carries a copy of %v, not the sent message", plan != nil, n, hd.Msg.Type())
+			}
+			if !bytes.Equal(msg.Marshal(hd.Msg), msg.Marshal(cd.Msg)) {
+				t.Fatalf("faults %v: delivery %d is %v, sending copies delivers %v", plan != nil, n, hd.Msg.Type(), cd.Msg.Type())
+			}
+			hd.Msg, cd.Msg = nil, nil
+			if hd != cd {
+				t.Fatalf("faults %v: delivery %d is %+v, sending copies delivers %+v", plan != nil, n, hd, cd)
+			}
+		}
+	}
 }
 
-// TestSendAllocatesOnlyTheDecode: Send encodes into a pooled buffer, so a
-// send and its receive allocate no more than decoding the same bytes does.
+// TestSendAllocatesOnlyTheDecode: Send encodes into a pooled buffer and
+// hands the message over, so a send and its receive allocate nothing; in
+// test binaries, whose Send also round-trips every message (checkCodec),
+// they allocate no more than decoding the same bytes does.
 func TestSendAllocatesOnlyTheDecode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")
@@ -206,12 +261,20 @@ func TestSendAllocatesOnlyTheDecode(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		sendRecv := testing.AllocsPerRun(200, func() {
-			nw.Send(0, 1, m, 0)
-			nw.Recv(1)
-		})
-		if sendRecv > decode {
-			t.Errorf("%v: Send+Recv allocates %v times, Unmarshal alone %v", m.Type(), sendRecv, decode)
+		sendRecv := func() float64 {
+			return testing.AllocsPerRun(200, func() {
+				nw.Send(0, 1, m, 0)
+				nw.Recv(1)
+			})
+		}
+		if checked := sendRecv(); checked > decode {
+			t.Errorf("%v: Send+Recv with the codec check allocates %v times, Unmarshal alone %v", m.Type(), checked, decode)
+		}
+		checkCodec = false
+		plain := sendRecv()
+		checkCodec = true
+		if plain != 0 {
+			t.Errorf("%v: Send+Recv allocates %v times, want 0", m.Type(), plain)
 		}
 	}
 }
@@ -298,8 +361,8 @@ func TestLinkOrder(t *testing.T) {
 
 // TestForwardChargesLikeSend: forwarding a delivered message charges the
 // wire exactly what sending it again would — the same size and fragments,
-// the same counters, the same fault decisions on a faulty link — but hands
-// the receiver the forwarder's decoded copy instead of a new one.
+// the same counters, the same fault decisions on a faulty link — without
+// encoding it again, and hands the receiver the forwarder's copy.
 func TestForwardChargesLikeSend(t *testing.T) {
 	plans := []*FaultPlan{nil, {Seed: 5, Drop: 0.2, Dup: 0.2, Reorder: 0.2, JitterNS: 1000}}
 	for _, plan := range plans {
@@ -345,7 +408,7 @@ func TestForwardChargesLikeSend(t *testing.T) {
 					break
 				}
 				if gs.Msg != d.Msg {
-					t.Fatalf("%v: forwarded delivery carries a new copy", m.Type())
+					t.Fatalf("%v: forwarded delivery carries a copy", m.Type())
 				}
 				gs.Msg, ws.Msg = nil, nil
 				if gs != ws {
