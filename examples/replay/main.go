@@ -1,8 +1,10 @@
 // Command replay demonstrates the paper's §6.1 two-run reference
 // identification: run 1 detects a race by address while recording the
-// synchronization order; run 2 enforces that order and captures the source
-// locations of every access to the conflicting address — turning "race at
-// 0x40" into "read at main.worker (main.go:NN) vs write at ...".
+// synchronization order; run 2 captures the source locations of every
+// access to the conflicting address — turning "race at 0x40" into "read at
+// main.worker (main.go:NN) vs write at ...". The paper's run 2 enforces run
+// 1's order; here one scheduler gives each input one interleaving, so run 2
+// is the same Config run again, and re-recording its order confirms that.
 package main
 
 import (
@@ -33,20 +35,30 @@ func worker(ctr, status lrcrace.Addr) func(p *lrcrace.Proc) {
 	}
 }
 
-func build(rec *lrcrace.SyncRecord, enf *lrcrace.Enforcer, watch *lrcrace.SiteCollector) (*lrcrace.System, lrcrace.Addr, lrcrace.Addr) {
-	cfg := lrcrace.Config{NumProcs: procs, SharedSize: 8192, Detect: true}
-	// Run 1 records and run 2 watches, each through Config.Tracer. The nil
-	// checks matter: a nil pointer stored in the interface is not nil.
-	if rec != nil {
-		cfg.Tracer = rec
+// tee fans one run's events out to several tracers.
+type tee []lrcrace.Tracer
+
+func (t tee) each(f func(lrcrace.Tracer)) {
+	for _, tr := range t {
+		f(tr)
 	}
-	if enf != nil {
-		cfg.SyncEnforcer = enf
-	}
-	if watch != nil {
-		cfg.Tracer = watch
-	}
-	sys, err := lrcrace.New(cfg)
+}
+
+func (t tee) Read(p int, a lrcrace.Addr)  { t.each(func(tr lrcrace.Tracer) { tr.Read(p, a) }) }
+func (t tee) Write(p int, a lrcrace.Addr) { t.each(func(tr lrcrace.Tracer) { tr.Write(p, a) }) }
+func (t tee) Acquire(p, l int)            { t.each(func(tr lrcrace.Tracer) { tr.Acquire(p, l) }) }
+func (t tee) Release(p, l int)            { t.each(func(tr lrcrace.Tracer) { tr.Release(p, l) }) }
+func (t tee) BarrierArrive(p int, e int32) {
+	t.each(func(tr lrcrace.Tracer) { tr.BarrierArrive(p, e) })
+}
+func (t tee) BarrierDepart(p int, e int32) {
+	t.each(func(tr lrcrace.Tracer) { tr.BarrierDepart(p, e) })
+}
+
+// build makes one run of the program with tracer attached; both runs use
+// the same Config otherwise.
+func build(tracer lrcrace.Tracer) (*lrcrace.System, lrcrace.Addr, lrcrace.Addr) {
+	sys, err := lrcrace.New(lrcrace.Config{NumProcs: procs, SharedSize: 8192, Detect: true, Tracer: tracer})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +70,7 @@ func build(rec *lrcrace.SyncRecord, enf *lrcrace.Enforcer, watch *lrcrace.SiteCo
 func main() {
 	// Run 1: detect races by address, record synchronization order.
 	rec := lrcrace.NewSyncRecord()
-	sys1, ctr1, status1 := build(rec, nil, nil)
+	sys1, ctr1, status1 := build(rec)
 	if err := sys1.Run(worker(ctr1, status1)); err != nil {
 		log.Fatal(err)
 	}
@@ -71,14 +83,20 @@ func main() {
 	fmt.Printf("run 1: race detected at address 0x%x (variable %q)\n", uint64(conflicted), sym.Name)
 	fmt.Printf("run 1: recorded %d lock-0 tenures: %v\n", len(rec.Order(0)), rec.Order(0))
 
-	// Run 2: enforce the recorded order, watch the conflicting address.
+	// Run 2: the same Config again, watching the conflicting address and
+	// re-recording the order.
+	rec2 := lrcrace.NewSyncRecord()
 	watch := lrcrace.NewSiteCollector(conflicted)
-	sys2, ctr2, status2 := build(nil, lrcrace.NewEnforcer(rec), watch)
+	sys2, ctr2, status2 := build(tee{rec2, watch})
 	if err := sys2.Run(worker(ctr2, status2)); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("run 2 (replayed): counter = %d (want %d)\n",
+	fmt.Printf("run 2 (same Config): counter = %d (want %d)\n",
 		sys2.SnapshotWord(ctr2), procs*iters)
+	if !rec2.Equal(rec) {
+		log.Fatalf("run 2 recorded a different lock order: %v, run 1 %v", rec2.Order(0), rec.Order(0))
+	}
+	fmt.Println("run 2: re-recorded run 1's lock order, unforced")
 
 	fmt.Println("run 2: racing instructions for the conflicted address:")
 	for _, s := range watch.Sites() {

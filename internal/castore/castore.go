@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"lrcrace/internal/mem"
 )
@@ -63,13 +62,14 @@ type Stats struct {
 	Deletes      int64 // Delete fault injections applied
 }
 
-// Store is a refcounted content-addressed chunk store. Safe for concurrent
-// use. Chunk contents live in buffers from the page-frame pool
+// Store is a refcounted content-addressed chunk store. It is not safe for
+// concurrent use: a checkpoint store's chunks are written on its run's one
+// thread and read after it, so it takes no lock. Chunk contents live in
+// buffers from the page-frame pool
 // (mem.GetFrame); no buffer the store holds ever leaves it, so a chunk's
 // buffer goes back to the pool when an Unref frees the chunk, a heal
 // replaces its contents or a Delete fault drops them.
 type Store struct {
-	mu     sync.Mutex
 	chunks map[Addr]*chunk
 	stats  Stats
 }
@@ -88,8 +88,6 @@ func New() *Store {
 // heal); a clean dedup hit allocates nothing.
 func (s *Store) Put(b []byte) (Addr, bool) {
 	a := Sum(b)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.stats.Puts++
 	s.stats.Hashed++
 	s.stats.LogicalBytes += int64(len(b))
@@ -140,18 +138,15 @@ func (s *Store) PutAt(own, shared Addr, b []byte) (Addr, bool) {
 	if shared == own {
 		n = 1
 	}
-	s.mu.Lock()
 	for _, hint := range hints[:n] {
 		if c := s.chunks[hint]; c != nil && c.data != nil && bytes.Equal(c.data, b) {
 			s.stats.Puts++
 			s.stats.LogicalBytes += int64(len(b))
 			s.stats.Hits++
 			c.refs++
-			s.mu.Unlock()
 			return hint, false
 		}
 	}
-	s.mu.Unlock()
 	return s.Put(b)
 }
 
@@ -161,8 +156,6 @@ func (s *Store) PutAt(own, shared Addr, b []byte) (Addr, bool) {
 // nothing is stored there and ErrCorrupt if the stored bytes no longer hash
 // to a.
 func (s *Store) Get(a Addr) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	c := s.chunks[a]
 	if c == nil || c.data == nil {
 		return nil, fmt.Errorf("%w: %s", ErrMissing, a)
@@ -175,8 +168,6 @@ func (s *Store) Get(a Addr) ([]byte, error) {
 
 // Contains reports whether a chunk is resident at a (tampered or not).
 func (s *Store) Contains(a Addr) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.chunks[a] != nil
 }
 
@@ -184,8 +175,6 @@ func (s *Store) Contains(a Addr) bool {
 // reaches zero. Unref of an absent address is a no-op (the chunk may have
 // been deleted by fault injection).
 func (s *Store) Unref(a Addr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	c := s.chunks[a]
 	if c == nil {
 		return
@@ -201,23 +190,17 @@ func (s *Store) Unref(a Addr) {
 
 // Len returns the number of resident chunks.
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.chunks)
 }
 
 // Stats returns a copy of the store's accounting.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.stats
 }
 
 // Addrs returns every resident address in lexicographic order — the stable
 // enumeration deterministic fault injection indexes into.
 func (s *Store) Addrs() []Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Addr, 0, len(s.chunks))
 	for a := range s.chunks {
 		out = append(out, a)
@@ -230,8 +213,6 @@ func (s *Store) Addrs() []Addr {
 // fails with ErrCorrupt. It reports whether a chunk was there to corrupt.
 // Fault-injection hook; refcounts are untouched.
 func (s *Store) Tamper(a Addr) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	c := s.chunks[a]
 	if c == nil {
 		return false
@@ -252,8 +233,6 @@ func (s *Store) Tamper(a Addr) bool {
 // Put heals it. It reports whether a chunk was there to delete.
 // Fault-injection hook.
 func (s *Store) Delete(a Addr) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	c := s.chunks[a]
 	if c == nil || c.data == nil {
 		return false

@@ -165,8 +165,6 @@ func TestAddrsSortedDeterministic(t *testing.T) {
 // storeImage is everything observable about a store: accounting, and per
 // address the refcount and resident bytes.
 func storeImage(s *Store) (Stats, map[Addr]chunk) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	img := make(map[Addr]chunk, len(s.chunks))
 	for a, c := range s.chunks {
 		img[a] = chunk{data: c.data, refs: c.refs}

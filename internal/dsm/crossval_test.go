@@ -200,8 +200,8 @@ var pinnedPrograms = []struct {
 // arity-2 trees reach three hops: interior nodes that are themselves
 // children of interior nodes), 1–3 epochs, up to 4 accesses per process per
 // epoch. The race set of a lock-using schedule depends on the lock-grant
-// order the managers happen to serialize; runRandomized pins it by
-// record/replay.
+// order the managers serialize, which a barrier topology can move;
+// runRandomized records it to know when two runs must agree.
 type schedOp struct {
 	word  int
 	write bool
@@ -229,38 +229,21 @@ func randomSchedule(seed int64) (nproc int, sched [][][]schedOp) {
 	return nproc, sched
 }
 
-// tee fans one run's events out to several tracers.
-type tee []Tracer
-
-func (t tee) each(f func(Tracer)) {
-	for _, tr := range t {
-		f(tr)
-	}
-}
-
-func (t tee) Read(p int, a mem.Addr)       { t.each(func(tr Tracer) { tr.Read(p, a) }) }
-func (t tee) Write(p int, a mem.Addr)      { t.each(func(tr Tracer) { tr.Write(p, a) }) }
-func (t tee) Acquire(p, l int)             { t.each(func(tr Tracer) { tr.Acquire(p, l) }) }
-func (t tee) Release(p, l int)             { t.each(func(tr Tracer) { tr.Release(p, l) }) }
-func (t tee) BarrierArrive(p int, e int32) { t.each(func(tr Tracer) { tr.BarrierArrive(p, e) }) }
-func (t tee) BarrierDepart(p int, e int32) { t.each(func(tr Tracer) { tr.BarrierDepart(p, e) }) }
-
 // runSchedule executes the schedule under the pipeline with an hbdet
 // reference and the sync-order recorder rec attached to the same execution,
 // checks that both detectors flag exactly the same addresses, and returns
 // the run's outcome.
 func runSchedule(t *testing.T, pl pipeline, proto ProtocolKind, nproc int, sched [][][]schedOp,
-	rec *replay.SyncRecord, enf SyncEnforcer) outcome {
+	rec *replay.SyncRecord) outcome {
 	t.Helper()
 	hb := hbdet.New(nproc)
 	s, err := New(pl.on(Config{
-		NumProcs:     nproc,
-		SharedSize:   4 * 1024,
-		PageSize:     512,
-		Protocol:     proto,
-		Detect:       true,
-		Tracer:       tee{hb, rec},
-		SyncEnforcer: enf,
+		NumProcs:   nproc,
+		SharedSize: 4 * 1024,
+		PageSize:   512,
+		Protocol:   proto,
+		Detect:     true,
+		Tracer:     Tee{hb, rec},
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -301,27 +284,56 @@ func runSchedule(t *testing.T, pl pipeline, proto ProtocolKind, nproc int, sched
 	return outcomeOf(s)
 }
 
-// runRandomized runs one seed's schedule under the star (recording the
-// lock-grant order, §6.1 run 1) and then under each pipeline with a sync
-// Enforcer replaying that order — making the executions equivalent and the
-// comparison exact. Every run is also held against hbdet, and every replay
-// must re-record the order it replayed.
-func runRandomized(t *testing.T, seed int64, proto ProtocolKind, pipes []pipeline) {
+// comparison names one pipeline's run of one seed's schedule.
+type comparison struct {
+	seed  int64
+	proto ProtocolKind
+	pipe  string
+}
+
+// lockOrderDiverges lists the comparisons whose lock-grant order differs
+// from flat's. The tree moves barrier departure times and with them the
+// order in which lock requests reach their managers, so these runs are
+// different executions of the schedule: both sides report no race, but
+// the detector's counters differ. runRandomized fails if a listed
+// comparison repeats flat's order or an unlisted one does not.
+var lockOrderDiverges = map[comparison]bool{
+	{1030, SingleWriter, "tree-2"}:         true,
+	{1030, SingleWriter, "tree-3"}:         true,
+	{1030, SingleWriter, "tree-4"}:         true,
+	{1030, SingleWriter, "tree-2+sharded"}: true,
+}
+
+// runRandomized runs one seed's schedule under the star and then under
+// each pipeline, each run unforced and recording its lock-grant order (the
+// §6.1 run-1 record). Every run is held against hbdet on its own
+// execution. A run whose order equals flat's is the same execution and
+// must match flat exactly; one whose order differs must be listed in
+// lockOrderDiverges. It returns how many listed comparisons it met.
+func runRandomized(t *testing.T, seed int64, proto ProtocolKind, pipes []pipeline) (diverged int) {
 	t.Helper()
 	nproc, sched := randomSchedule(seed)
 	rec := replay.NewSyncRecord()
-	flat := runSchedule(t, flatPipe, proto, nproc, sched, rec, nil)
+	flat := runSchedule(t, flatPipe, proto, nproc, sched, rec)
 	for _, pl := range pipes {
 		if pl == flatPipe {
 			continue
 		}
 		again := replay.NewSyncRecord()
-		got := runSchedule(t, pl, proto, nproc, sched, again, replay.NewEnforcer(rec))
-		if !again.Equal(rec) {
-			t.Fatalf("%s %v seed %d: replay re-recorded a different lock order", pl.name, proto, seed)
+		got := runSchedule(t, pl, proto, nproc, sched, again)
+		same, listed := again.Equal(rec), lockOrderDiverges[comparison{seed, proto, pl.name}]
+		switch {
+		case same && listed:
+			t.Fatalf("%s %v seed %d: listed in lockOrderDiverges but repeats flat's lock order", pl.name, proto, seed)
+		case !same && !listed:
+			t.Fatalf("%s %v seed %d: lock order differs from flat's", pl.name, proto, seed)
+		case listed:
+			diverged++
+		default:
+			got.mustEqual(t, flat, pl.name)
 		}
-		got.mustEqual(t, flat, pl.name)
 	}
+	return diverged
 }
 
 // --- the suite ---
@@ -381,16 +393,17 @@ func TestShardedRandomizedMatchesSerial(t *testing.T) {
 
 // TestTreeRandomizedMatchesSerial: a third band for the tree rows (arities
 // 2–4, and the tree composed with the shard round), both protocols. Seed
-// 1030 is in the band because it diverges without the enforcer: the tree
-// moves barrier departure times and with them the order in which lock
-// requests arrive, so its single-writer tree-2 replay must defer a request
-// that comes ahead of its recorded turn (handleAcquireReq) and grant it
-// later (retryDeferred).
+// 1030 is in the band because its single-writer tree runs grant the locks
+// in another order than flat: it holds lockOrderDiverges to its entries.
 func TestTreeRandomizedMatchesSerial(t *testing.T) {
 	trees := []pipeline{tree2Pipe, tree3Pipe, tree4Pipe, tree2Shard}
+	diverged := 0
 	for _, seed := range []int64{201, 202, 203, 204, 205, 206, 1030} {
-		runRandomized(t, seed, SingleWriter, trees)
-		runRandomized(t, seed, MultiWriter, trees)
+		diverged += runRandomized(t, seed, SingleWriter, trees)
+		diverged += runRandomized(t, seed, MultiWriter, trees)
+	}
+	if diverged != len(lockOrderDiverges) {
+		t.Errorf("met %d of the %d comparisons in lockOrderDiverges", diverged, len(lockOrderDiverges))
 	}
 }
 

@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,8 +17,12 @@ import (
 	_ "lrcrace/internal/apps/sor"
 	_ "lrcrace/internal/apps/water"
 	"lrcrace/internal/dsm"
+	"lrcrace/internal/hbdet"
 	"lrcrace/internal/mem"
+	"lrcrace/internal/race"
+	"lrcrace/internal/replay"
 	"lrcrace/internal/simnet"
+	"lrcrace/internal/trace"
 )
 
 // deliveryProgram is one program of the delivery-order pin: setup
@@ -99,16 +106,17 @@ var deliveryWires = []struct {
 
 // deliveryRun runs prog once under cfg and writes one line per handled
 // delivery to h: (from, to, type, bytes, send vtime, arrival), then the
-// run's traffic counters. It returns the number of deliveries.
-func deliveryRun(prog deliveryProgram, cfg dsm.Config, h hash.Hash) (int, error) {
+// run's traffic counters. It returns the finished System and the number of
+// deliveries.
+func deliveryRun(prog deliveryProgram, cfg dsm.Config, h hash.Hash) (*dsm.System, int, error) {
 	cfg.SharedSize = prog.shared
 	s, err := dsm.New(cfg)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	body, check, err := prog.setup(s)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	n := 0
 	s.SeeDeliveries(func(to int, d simnet.Delivery, arrival int64) {
@@ -116,10 +124,10 @@ func deliveryRun(prog deliveryProgram, cfg dsm.Config, h hash.Hash) (int, error)
 		n++
 	})
 	if err := s.Run(body); err != nil {
-		return n, err
+		return s, n, err
 	}
 	fmt.Fprintf(h, "%+v\n", s.NetStats())
-	return n, check()
+	return s, n, check()
 }
 
 // TestDeliveryOrderPinned holds the order in which the scheduler hands
@@ -140,7 +148,7 @@ func TestDeliveryOrderPinned(t *testing.T) {
 				h := sha256.New()
 				cfg := dsm.Config{NumProcs: 4, Protocol: dsm.MultiWriter, Detect: true,
 					BarrierTree: pl.tree, ShardedCheck: pl.sharded, Faults: w.faults}
-				n, err := deliveryRun(prog, cfg, h)
+				_, n, err := deliveryRun(prog, cfg, h)
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", prog.name, pl.name, w.name, err)
 				}
@@ -174,29 +182,98 @@ func TestDeliveryOrderPinned(t *testing.T) {
 	}
 }
 
+// TestRunTwoIsRunOne is why the §6.1 scheme needs no enforcer: attaching a
+// tracer never moves the run. For three programs on every pinned wire and
+// pipeline, under both writer protocols, a run with no tracer, with a
+// replay.SyncRecord, a replay.SiteCollector, hbdet or a trace.Writer hands
+// out the same deliveries and reports the same races, detector state and
+// virtual time.
+func TestRunTwoIsRunOne(t *testing.T) {
+	progs := []deliveryProgram{lockBarrierProgram, appProgram("Water", 0.25), appProgram("SOR", 0.1)}
+	tracers := []struct {
+		name string
+		of   func(n int) dsm.Tracer
+	}{
+		{"none", func(int) dsm.Tracer { return nil }},
+		{"SyncRecord", func(int) dsm.Tracer { return replay.NewSyncRecord() }},
+		{"SiteCollector", func(int) dsm.Tracer { return replay.NewSiteCollector(0) }},
+		{"hbdet", func(n int) dsm.Tracer { return hbdet.New(n) }},
+		{"trace.Writer", func(n int) dsm.Tracer {
+			w, err := trace.NewWriter(io.Discard, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}},
+	}
+	type image struct {
+		deliveries string
+		races      []race.Report
+		det        race.State
+		virtualNS  int64
+	}
+	for _, prog := range progs {
+		for _, pl := range deliveryPipelines {
+			for _, w := range deliveryWires {
+				for _, proto := range []dsm.ProtocolKind{dsm.SingleWriter, dsm.MultiWriter} {
+					var want image
+					for i, tr := range tracers {
+						h := sha256.New()
+						cfg := dsm.Config{NumProcs: 4, Protocol: proto, Detect: true,
+							BarrierTree: pl.tree, ShardedCheck: pl.sharded, Faults: w.faults, Tracer: tr.of(4)}
+						s, _, err := deliveryRun(prog, cfg, h)
+						if err != nil {
+							t.Fatalf("%s %s %s %v %s: %v", prog.name, pl.name, w.name, proto, tr.name, err)
+						}
+						got := image{fmt.Sprintf("%x", h.Sum(nil)), s.Races(), s.DetectorState(), s.VirtualTime()}
+						if i == 0 {
+							want = got
+						} else if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s %s %s %v: the run with %s differs from the run with no tracer",
+								prog.name, pl.name, w.name, proto, tr.name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestConcurrentSystemsShareNothing runs the lock+barrier program on
-// eight Systems at once, half on a lossy wire, each in its own goroutine.
-// Every run must hand out the deliveries a run alone does: nothing on the
-// send or delivery path is shared between Systems (run it under -race).
+// eight Systems at once, half on a lossy wire, each in its own goroutine
+// with its own checkpoint store and its own tracers (hbdet, a
+// replay.SyncRecord and a replay.SiteCollector, none of which takes a
+// lock). Every run must hand out the deliveries a run alone does and leave
+// its tracers as a run alone does: nothing on the send or delivery path,
+// in a checkpoint's chunk store or in a tracer is shared between Systems
+// or touched off the run's thread (run it under -race).
 func TestConcurrentSystemsShareNothing(t *testing.T) {
 	const systems = 8
-	cfgOf := func(i int) dsm.Config {
-		return dsm.Config{NumProcs: 4, Protocol: dsm.MultiWriter, Detect: true,
-			Faults: deliveryWires[i%2].faults}
+	type result struct {
+		deliveries string
+		racy       []mem.Addr
+		order      *replay.SyncRecord
+		sites      []replay.AccessSite
 	}
-	run := func(i int) (string, error) {
+	run := func(i int) (result, error) {
 		h := sha256.New()
-		_, err := deliveryRun(lockBarrierProgram, cfgOf(i), h)
-		return fmt.Sprintf("%x", h.Sum(nil)), err
+		hb, rec, watch := hbdet.New(4), replay.NewSyncRecord(), replay.NewSiteCollector(0)
+		cfg := dsm.Config{NumProcs: 4, Protocol: dsm.MultiWriter, Detect: true,
+			Faults: deliveryWires[i%2].faults, Tracer: dsm.Tee{hb, rec, watch}}
+		_, _, err := deliveryRun(lockBarrierProgram, cfg, h)
+		return result{fmt.Sprintf("%x", h.Sum(nil)), hb.RacyAddrs(), rec, watch.Sites()}, err
 	}
-	alone := make([]string, 2)
+	alone := make([]result, 2)
 	for i := range alone {
 		var err error
 		if alone[i], err = run(i); err != nil {
 			t.Fatal(err)
 		}
+		if len(alone[i].racy) == 0 || len(alone[i].order.Order(0)) == 0 || len(alone[i].sites) == 0 {
+			t.Fatalf("%s wire: a tracer saw nothing, so comparing it proves nothing", deliveryWires[i].name)
+		}
 	}
-	got := make([]string, systems)
+	got := make([]result, systems)
 	errs := make([]error, systems)
 	var wg sync.WaitGroup
 	for i := 0; i < systems; i++ {
@@ -208,10 +285,14 @@ func TestConcurrentSystemsShareNothing(t *testing.T) {
 	}
 	wg.Wait()
 	for i, g := range got {
-		if errs[i] != nil {
+		want, wire := alone[i%2], deliveryWires[i%2].name
+		switch {
+		case errs[i] != nil:
 			t.Errorf("system %d: %v", i, errs[i])
-		} else if g != alone[i%2] {
-			t.Errorf("system %d (%s wire): deliveries differ from a run alone", i, deliveryWires[i%2].name)
+		case g.deliveries != want.deliveries:
+			t.Errorf("system %d (%s wire): deliveries differ from a run alone", i, wire)
+		case !slices.Equal(g.racy, want.racy) || !g.order.Equal(want.order) || !reflect.DeepEqual(g.sites, want.sites):
+			t.Errorf("system %d (%s wire): tracers differ from a run alone", i, wire)
 		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
@@ -113,12 +112,6 @@ type Config struct {
 	// replay.SiteCollector (run 2's access sites) all attach here.
 	Tracer Tracer
 
-	// SyncEnforcer, if non-nil, constrains lock-manager serialization to a
-	// previously recorded order — run 2 of the §6.1 two-run
-	// reference-identification scheme. Requests arriving ahead of their
-	// recorded turn are deferred by the manager.
-	SyncEnforcer SyncEnforcer
-
 	// Faults makes the simulated network lossy: a deterministic,
 	// seed-driven plan of per-link drops, duplications, bounded
 	// reordering, and latency jitter (see simnet.FaultPlan). The protocol
@@ -162,12 +155,13 @@ type Config struct {
 	Recorder *telemetry.Recorder
 }
 
-// Tracer observes the execution. Calls are ordered consistently with the
-// run: a Release is always delivered before the Acquire it enables, and all
-// of an epoch's BarrierArrive calls precede its BarrierDepart calls. So the
-// per-lock sequence of Acquire calls is the tenure order the lock managers
-// serialized, which is what replay.SyncRecord records. Implementations must
-// be safe for concurrent use. There are four: hbdet.Detector (the
+// Tracer observes the execution. Its methods are called on the run's one
+// thread, in run order: a Release is always delivered before the Acquire it
+// enables, and all of an epoch's BarrierArrive calls precede its
+// BarrierDepart calls. So the per-lock sequence of Acquire calls is the
+// tenure order the lock managers serialized, which is what
+// replay.SyncRecord records. An implementation needs no lock as long as it
+// is read only after Run returns. There are four: hbdet.Detector (the
 // happens-before reference), trace.Writer (the post-mortem log),
 // replay.SyncRecord (§6.1 run 1) and replay.SiteCollector (§6.1 run 2: the
 // call sites of accesses to one address).
@@ -178,14 +172,6 @@ type Tracer interface {
 	Release(proc, lock int)
 	BarrierArrive(proc int, epoch int32)
 	BarrierDepart(proc int, epoch int32)
-}
-
-// SyncEnforcer gates lock-manager serialization during replay. MayProceed
-// reports whether requester may take the next tenure of lock now (and, if
-// so, consumes that turn); a false return defers the request until the
-// recorded predecessor has been serialized.
-type SyncEnforcer interface {
-	MayProceed(lock, requester int) bool
 }
 
 // Transport carries the DSM's messages: the simulated network
@@ -354,9 +340,8 @@ type System struct {
 	crashSeen  bool         // an injected crashPanic unwound this attempt
 	aliveProcs map[int]bool // procs that proved themselves alive by accusing
 
-	runErr  error
-	runOnce sync.Once
-	ran     bool
+	runErr error
+	ran    bool // Run or RunEpochs has been called; runErr is its result
 }
 
 // New builds a System; call Alloc to lay out shared variables, then Run.
@@ -435,26 +420,22 @@ func (s *System) Symbols() []Symbol { return s.symbols }
 // rolls back, so it refuses a Config with crash plans before anything
 // runs: only RunEpochs recovers from a crash.
 func (s *System) Run(app func(p *Proc)) error {
-	var err error
-	s.runOnce.Do(func() { err = s.run(app) })
-	if err == nil && s.runErr != nil {
-		err = s.runErr
+	if !s.ran {
+		s.ran = true
+		s.runErr = s.run(app)
 	}
-	return err
+	return s.runErr
 }
 
 func (s *System) run(app func(p *Proc)) error {
-	s.ran = true
 	if len(s.cfg.Crashes) > 0 {
-		s.runErr = errors.New("dsm: Run cannot recover from Config.Crashes; crash plans need RunEpochs")
-		return s.runErr
+		return errors.New("dsm: Run cannot recover from Config.Crashes; crash plans need RunEpochs")
 	}
 	s.initCheckpoints()
-	s.runErr = s.attempt(func(p *Proc) {
+	return s.attempt(func(p *Proc) {
 		app(p)
 		p.Barrier() // final global synchronization = last detection pass
 	}, nil)
-	return s.runErr
 }
 
 // Races returns every race reported during the run, in detection order.

@@ -2,8 +2,25 @@ package dsm
 
 import (
 	"lrcrace/internal/castore"
+	"lrcrace/internal/mem"
 	"lrcrace/internal/simnet"
 )
+
+// Tee fans one run's events out to several tracers.
+type Tee []Tracer
+
+func (t Tee) each(f func(Tracer)) {
+	for _, tr := range t {
+		f(tr)
+	}
+}
+
+func (t Tee) Read(p int, a mem.Addr)       { t.each(func(tr Tracer) { tr.Read(p, a) }) }
+func (t Tee) Write(p int, a mem.Addr)      { t.each(func(tr Tracer) { tr.Write(p, a) }) }
+func (t Tee) Acquire(p, l int)             { t.each(func(tr Tracer) { tr.Acquire(p, l) }) }
+func (t Tee) Release(p, l int)             { t.each(func(tr Tracer) { tr.Release(p, l) }) }
+func (t Tee) BarrierArrive(p int, e int32) { t.each(func(tr Tracer) { tr.BarrierArrive(p, e) }) }
+func (t Tee) BarrierDepart(p int, e int32) { t.each(func(tr Tracer) { tr.BarrierDepart(p, e) }) }
 
 // Frames returns how many pages of p's copy of the segment have a frame.
 func (p *Proc) Frames() int { return p.seg.Resident() }

@@ -78,14 +78,7 @@ type lockState struct {
 	pending []pendingGrant // forwarded requests waiting for our release
 
 	// manager role
-	lastHolder int           // last proc the manager granted/forwarded to; -1 = free
-	deferred   []deferredReq // requests held back by a replay SyncEnforcer
-}
-
-// deferredReq is a manager-side request awaiting its recorded replay turn.
-type deferredReq struct {
-	d simnet.Delivery
-	m *msg.AcquireReq
+	lastHolder int // last proc the manager granted/forwarded to; -1 = free
 }
 
 type pendingGrant struct {

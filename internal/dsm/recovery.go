@@ -90,31 +90,27 @@ type rollbackPlan struct {
 // rollback. Epoch bodies must not couple across epochs through such state:
 // recovery re-executes only the failed epoch, not the ones before it.
 func (s *System) RunEpochs(epochs int32, appFactory func() EpochFunc) error {
-	var err error
-	s.runOnce.Do(func() { err = s.runEpochs(epochs, appFactory) })
-	if err == nil && s.runErr != nil {
-		err = s.runErr
+	if !s.ran {
+		s.ran = true
+		s.runErr = s.runEpochs(epochs, appFactory)
 	}
-	return err
+	return s.runErr
 }
 
 // maxRecoveries caps coordinated rollbacks per RunEpochs run.
 const maxRecoveries = 3
 
 func (s *System) runEpochs(epochs int32, appFactory func() EpochFunc) error {
-	s.ran = true
 	s.epochMode = true
 	if epochs < 1 {
-		s.runErr = fmt.Errorf("dsm: RunEpochs(%d): need at least one epoch", epochs)
-		return s.runErr
+		return fmt.Errorf("dsm: RunEpochs(%d): need at least one epoch", epochs)
 	}
 	s.initCheckpoints()
 	var plan *rollbackPlan
 	for {
 		app := appFactory()
 		if app == nil {
-			s.runErr = fmt.Errorf("dsm: RunEpochs: appFactory returned nil")
-			return s.runErr
+			return fmt.Errorf("dsm: RunEpochs: appFactory returned nil")
 		}
 		err := s.attempt(func(p *Proc) {
 			for e := p.epoch; e < epochs; e++ {
@@ -122,19 +118,13 @@ func (s *System) runEpochs(epochs int32, appFactory func() EpochFunc) error {
 				p.Barrier()
 			}
 		}, plan)
-		if err == nil {
-			s.runErr = nil
-			return nil
-		}
-		if !s.crashDetected() || !s.canRecover() || s.recStats.Recoveries >= maxRecoveries {
-			s.runErr = err
+		if err == nil || !s.crashDetected() || !s.canRecover() || s.recStats.Recoveries >= maxRecoveries {
 			return err
 		}
 		var rerr error
 		plan, rerr = s.planRollback()
 		if rerr != nil {
-			s.runErr = fmt.Errorf("dsm: recovery failed: %v (after %v)", rerr, err)
-			return s.runErr
+			return fmt.Errorf("dsm: recovery failed: %v (after %v)", rerr, err)
 		}
 	}
 }

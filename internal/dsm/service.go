@@ -54,27 +54,13 @@ func (p *Proc) handle(d simnet.Delivery) {
 
 // handleAcquireReq runs the lock-manager role: grant directly if the lock
 // is free (or being re-acquired by its last holder), otherwise forward to
-// the last holder, who will grant at its release. Under replay (§6.1), a
-// request arriving ahead of its recorded turn is deferred until the
-// recorded predecessor has been serialized.
+// the last holder, who will grant at its release. Either way the requester
+// becomes the lock's next tenure.
 func (p *Proc) handleAcquireReq(d simnet.Delivery, m *msg.AcquireReq) {
 	id := int(m.Lock)
 	if id%p.n != p.id {
 		p.protocolBug("AcquireReq for lock %d at non-manager", id)
 	}
-	if enf := p.sys.cfg.SyncEnforcer; enf != nil && !enf.MayProceed(id, d.From) {
-		ls := p.lock(id)
-		ls.deferred = append(ls.deferred, deferredReq{d: d, m: m})
-		return
-	}
-	p.serializeAcquire(d, m)
-	p.retryDeferred(id)
-}
-
-// serializeAcquire establishes the requester as the next tenure of
-// the lock and routes the grant or forward.
-func (p *Proc) serializeAcquire(d simnet.Delivery, m *msg.AcquireReq) {
-	id := int(m.Lock)
 	ls := p.lock(id)
 	arr := p.arrival(d) + p.model.Handler
 	switch {
@@ -102,27 +88,6 @@ func (p *Proc) serializeAcquire(d simnet.Delivery, m *msg.AcquireReq) {
 		p.send(ls.lastHolder, &msg.AcquireFwd{Lock: m.Lock, Requester: int32(d.From), VC: m.VC}, arr)
 	}
 	ls.lastHolder = d.From
-}
-
-// retryDeferred re-examines replay-deferred requests; serializing one
-// may unblock the next.
-func (p *Proc) retryDeferred(id int) {
-	enf := p.sys.cfg.SyncEnforcer
-	if enf == nil {
-		return
-	}
-	ls := p.lock(id)
-	for progress := true; progress; {
-		progress = false
-		for i, dr := range ls.deferred {
-			if enf.MayProceed(id, dr.d.From) {
-				ls.deferred = append(ls.deferred[:i], ls.deferred[i+1:]...)
-				p.serializeAcquire(dr.d, dr.m)
-				progress = true
-				break
-			}
-		}
-	}
 }
 
 // handleAcquireFwd runs the previous-holder role for a forwarded request.

@@ -124,7 +124,6 @@ func TestGoFrontValidation(t *testing.T) {
 // are never called.
 type anyHook struct {
 	dsm.Tracer
-	dsm.SyncEnforcer
 }
 
 // nonZero returns a non-zero value of t, for the dsm.Config field kinds.

@@ -18,7 +18,6 @@ package hbdet
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"lrcrace/internal/mem"
 )
@@ -82,9 +81,9 @@ func (r Race) String() string {
 }
 
 // Detector is the happens-before reference detector. Its methods implement
-// the dsm trace hook; they are safe for concurrent use.
+// the dsm trace hook, which calls them on the run's one thread; like every
+// tracer it takes no lock, so read it after the run.
 type Detector struct {
-	mu     sync.Mutex
 	n      int
 	clocks []Clock
 	locks  map[int]Clock
@@ -122,8 +121,6 @@ func (d *Detector) state(a mem.Addr) *varState {
 
 // Read processes a read of a by proc.
 func (d *Detector) Read(proc int, a mem.Addr) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	vs := d.state(a)
 	c := d.clocks[proc]
 	if vs.hasWrite && vs.lastWrite.proc != proc && vs.lastWrite.t > c[vs.lastWrite.proc] {
@@ -134,8 +131,6 @@ func (d *Detector) Read(proc int, a mem.Addr) {
 
 // Write processes a write of a by proc.
 func (d *Detector) Write(proc int, a mem.Addr) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	vs := d.state(a)
 	c := d.clocks[proc]
 	if vs.hasWrite && vs.lastWrite.proc != proc && vs.lastWrite.t > c[vs.lastWrite.proc] {
@@ -152,8 +147,6 @@ func (d *Detector) Write(proc int, a mem.Addr) {
 
 // Acquire processes a lock acquisition by proc.
 func (d *Detector) Acquire(proc, lock int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if lc := d.locks[lock]; lc != nil {
 		d.clocks[proc].join(lc)
 	}
@@ -161,8 +154,6 @@ func (d *Detector) Acquire(proc, lock int) {
 
 // Release processes a lock release by proc.
 func (d *Detector) Release(proc, lock int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	lc := d.locks[lock]
 	if lc == nil {
 		lc = make(Clock, d.n)
@@ -174,8 +165,6 @@ func (d *Detector) Release(proc, lock int) {
 
 // BarrierArrive folds proc's clock into the epoch's join point.
 func (d *Detector) BarrierArrive(proc int, ep int32) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	jc := d.epochs[ep]
 	if jc == nil {
 		jc = make(Clock, d.n)
@@ -188,8 +177,6 @@ func (d *Detector) BarrierArrive(proc int, ep int32) {
 // BarrierDepart gives proc the epoch's join point (all arrivals precede all
 // departures, so the join is complete by the time anyone departs).
 func (d *Detector) BarrierDepart(proc int, ep int32) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if jc := d.epochs[ep]; jc != nil {
 		d.clocks[proc].join(jc)
 	}
@@ -203,15 +190,11 @@ func (d *Detector) report(r Race) {
 
 // Races returns every conflict recorded, in detection order.
 func (d *Detector) Races() []Race {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return append([]Race(nil), d.races...)
 }
 
 // RacyAddrs returns the sorted set of addresses involved in any race.
 func (d *Detector) RacyAddrs() []mem.Addr {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := make([]mem.Addr, 0, len(d.seen))
 	for a := range d.seen {
 		out = append(out, a)

@@ -7,13 +7,17 @@
 //     tenures, as serialized by each lock's manager) alongside normal race
 //     detection. This is the paper's proposed CVM modification "to save
 //     synchronization ordering information from the first run".
-//   - Run 2 enforces the same per-lock tenure order — the lock manager
-//     defers requests that arrive ahead of their recorded turn — making the
-//     execution's synchronization ordering deterministic, and gathers
-//     call-site information only for accesses to the conflicting address.
+//   - Run 2 gathers call-site information only for accesses to the
+//     conflicting address. The paper's run 2 must also enforce run 1's
+//     order, because CVM executions are nondeterministic. Here one
+//     scheduler gives each input exactly one interleaving, and a tracer
+//     never moves it, so run 2 is the same Config run again: it repeats
+//     run 1's execution by construction, and a second SyncRecord in run 2
+//     confirms the lock order repeated.
 //
 // The recorder (SyncRecord) and the collector (SiteCollector) attach as
-// dsm.Config.Tracer, the enforcer (Enforcer) as dsm.Config.SyncEnforcer.
+// dsm.Config.Tracer. Both are called on the run's one thread and read
+// after it, so neither takes a lock.
 //
 // The "program counter" captured in run 2 is a real Go caller PC, resolved
 // to function, file and line — the honest analogue of the Alpha PC plus
@@ -26,7 +30,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 
 	"lrcrace/internal/mem"
 )
@@ -35,7 +38,6 @@ import (
 // sequence of processes granted tenures, in manager serialization order.
 // It is a dsm.Tracer that notes Acquire calls and ignores everything else.
 type SyncRecord struct {
-	mu    sync.Mutex
 	order map[int][]int
 }
 
@@ -48,9 +50,7 @@ func NewSyncRecord() *SyncRecord {
 // Release before the Acquire it enables, so per lock these calls arrive in
 // the managers' serialization order.
 func (r *SyncRecord) Acquire(proc, lock int) {
-	r.mu.Lock()
 	r.order[lock] = append(r.order[lock], proc)
-	r.mu.Unlock()
 }
 
 // The other dsm.Tracer events do not change a lock's tenure order.
@@ -63,62 +63,12 @@ func (*SyncRecord) BarrierDepart(int, int32) {}
 
 // Order returns the recorded tenure sequence for lock.
 func (r *SyncRecord) Order(lock int) []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return append([]int(nil), r.order[lock]...)
-}
-
-// Locks returns the locks with recorded history.
-func (r *SyncRecord) Locks() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []int
-	for l := range r.order {
-		out = append(out, l)
-	}
-	return out
 }
 
 // Equal reports whether two records describe the same ordering.
 func (r *SyncRecord) Equal(o *SyncRecord) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	return maps.EqualFunc(r.order, o.order, slices.Equal[[]int])
-}
-
-// Enforcer replays a SyncRecord: the lock manager consults it to decide
-// whether a request may be serialized now or must wait for its turn.
-type Enforcer struct {
-	mu  sync.Mutex
-	rec *SyncRecord
-	pos map[int]int
-}
-
-// NewEnforcer wraps a recorded order.
-func NewEnforcer(rec *SyncRecord) *Enforcer {
-	return &Enforcer{rec: rec, pos: make(map[int]int)}
-}
-
-// MayProceed reports whether requester is the next recorded tenure of lock
-// and, if so, consumes that slot. Requests beyond the recorded history
-// (e.g. the search explores slightly differently) are allowed through.
-func (e *Enforcer) MayProceed(lock, requester int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rec.mu.Lock()
-	seq := e.rec.order[lock]
-	e.rec.mu.Unlock()
-	i := e.pos[lock]
-	if i >= len(seq) {
-		return true // past recorded history: no constraint
-	}
-	if seq[i] != requester {
-		return false
-	}
-	e.pos[lock] = i + 1
-	return true
 }
 
 // AccessSite is one captured access to the watched address.
@@ -145,7 +95,6 @@ func (s AccessSite) String() string {
 type SiteCollector struct {
 	Addr mem.Addr
 
-	mu    sync.Mutex
 	sites []AccessSite
 	seen  map[uintptr]bool
 }
@@ -188,7 +137,6 @@ func (c *SiteCollector) note(proc int, a mem.Addr, write bool) {
 		if strings.Contains(f.Function, "internal/dsm.") {
 			inDSM = true
 		} else if inDSM {
-			c.mu.Lock()
 			if !c.seen[f.PC] {
 				c.seen[f.PC] = true
 				c.sites = append(c.sites, AccessSite{
@@ -196,7 +144,6 @@ func (c *SiteCollector) note(proc int, a mem.Addr, write bool) {
 					Func: f.Function, File: f.File, Line: f.Line,
 				})
 			}
-			c.mu.Unlock()
 			return
 		}
 		if !more {
@@ -207,7 +154,5 @@ func (c *SiteCollector) note(proc int, a mem.Addr, write bool) {
 
 // Sites returns the distinct access sites captured.
 func (c *SiteCollector) Sites() []AccessSite {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]AccessSite(nil), c.sites...)
 }

@@ -254,11 +254,12 @@ func TestCellFailureIsolation(t *testing.T) {
 // TestCellTimeout: a cell exceeding the deadline is recorded as timed out
 // while the rest of the grid completes.
 func TestCellTimeout(t *testing.T) {
-	// SOR at scale 4 finishes in well under a second even with the Go race
-	// detector on; TSP at the same scale (14 cities) searches for several
-	// seconds.
-	plan := &Plan{Apps: []string{"TSP", "SOR"}, Scales: []float64{4}, Procs: []int{2}}
-	s, err := New(plan, Options{Workers: 2, CellTimeout: 2 * time.Second})
+	// SOR at scale 4 takes about a second alone with the Go race detector
+	// on; TSP at the same scale (14 cities) searches for several seconds
+	// and keeps running after it is abandoned. One worker runs SOR first,
+	// so the TSP cell never shares the CPUs with the cell that must finish.
+	plan := &Plan{Apps: []string{"SOR", "TSP"}, Scales: []float64{4}, Procs: []int{2}}
+	s, err := New(plan, Options{Workers: 1, CellTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

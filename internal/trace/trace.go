@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"lrcrace/internal/hbdet"
 	"lrcrace/internal/mem"
@@ -72,10 +71,10 @@ func (e Event) KindString() string {
 }
 
 // Writer serializes the execution's events to a log. It implements the
-// dsm.Tracer interface, so attaching it is one Config field. Writes are
-// buffered; call Close (or Flush) before reading the log back.
+// dsm.Tracer interface, so attaching it is one Config field; the run calls
+// it on its one thread, so it takes no lock. Writes are buffered; call
+// Close (or Flush) before reading the log back.
 type Writer struct {
-	mu     sync.Mutex
 	w      *bufio.Writer
 	closer io.Closer
 	events int64
@@ -102,8 +101,6 @@ func NewWriter(w io.Writer, nprocs int) (*Writer, error) {
 }
 
 func (t *Writer) emit(kind byte, proc int, arg uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.err != nil {
 		return
 	}
@@ -142,8 +139,6 @@ func (t *Writer) BarrierDepart(proc int, epoch int32) {
 
 // Events returns the number of events emitted so far.
 func (t *Writer) Events() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.events
 }
 
@@ -154,8 +149,6 @@ func (t *Writer) Bytes() int64 {
 
 // Flush drains buffered events to the underlying writer.
 func (t *Writer) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.err != nil {
 		return t.err
 	}

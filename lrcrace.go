@@ -20,8 +20,8 @@
 //     address with symbol-table resolution;
 //   - §6.4 first-race filtering (Config.FirstOnly), §6.5 diff-derived write
 //     detection (Config.WritesFromDiffs), and the §6.1 two-run replay
-//     scheme (SyncRecord and SiteCollector attach via Config.Tracer,
-//     Enforcer via Config.SyncEnforcer);
+//     scheme (SyncRecord and SiteCollector attach via Config.Tracer; run 2
+//     is the same Config run again, which repeats run 1's execution);
 //   - the four benchmark applications of the paper's evaluation (FFT, SOR,
 //     TSP with its deliberately racy tour bound, Water with the seeded
 //     Splash2 write-write bug), and the experiment harness that regenerates
@@ -69,6 +69,9 @@ type (
 	Gate = dsm.Gate
 	// Protocol selects the coherence protocol.
 	Protocol = dsm.ProtocolKind
+	// Tracer observes a run's accesses and synchronization events, on the
+	// run's one thread and in run order; set it via Config.Tracer.
+	Tracer = dsm.Tracer
 	// Symbol names an allocated shared variable.
 	Symbol = dsm.Symbol
 	// Addr is a byte offset into the shared segment.
@@ -166,8 +169,6 @@ func DedupRaces(rs []Race) []Race { return race.DedupByAddr(rs) }
 type (
 	// SyncRecord records run 1's per-lock tenure order via Config.Tracer.
 	SyncRecord = replay.SyncRecord
-	// Enforcer replays a recorded order in run 2 via Config.SyncEnforcer.
-	Enforcer = replay.Enforcer
 	// SiteCollector captures run 2's racing call sites via Config.Tracer.
 	SiteCollector = replay.SiteCollector
 	// AccessSite is one captured racing instruction.
@@ -176,9 +177,6 @@ type (
 
 // NewSyncRecord returns an empty synchronization-order record.
 func NewSyncRecord() *SyncRecord { return replay.NewSyncRecord() }
-
-// NewEnforcer wraps a recorded order for replay.
-func NewEnforcer(rec *SyncRecord) *Enforcer { return replay.NewEnforcer(rec) }
 
 // NewSiteCollector watches one shared address during a replay run.
 func NewSiteCollector(addr Addr) *SiteCollector { return replay.NewSiteCollector(addr) }

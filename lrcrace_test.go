@@ -54,37 +54,56 @@ func TestFacadeHBDetector(t *testing.T) {
 	}
 }
 
-// TestFacadeReplay drives the §6.1 flow through the facade types.
+// tee fans one run's events out to several tracers.
+type tee []lrcrace.Tracer
+
+func (t tee) each(f func(lrcrace.Tracer)) {
+	for _, tr := range t {
+		f(tr)
+	}
+}
+
+func (t tee) Read(p int, a lrcrace.Addr)  { t.each(func(tr lrcrace.Tracer) { tr.Read(p, a) }) }
+func (t tee) Write(p int, a lrcrace.Addr) { t.each(func(tr lrcrace.Tracer) { tr.Write(p, a) }) }
+func (t tee) Acquire(p, l int)            { t.each(func(tr lrcrace.Tracer) { tr.Acquire(p, l) }) }
+func (t tee) Release(p, l int)            { t.each(func(tr lrcrace.Tracer) { tr.Release(p, l) }) }
+func (t tee) BarrierArrive(p int, e int32) {
+	t.each(func(tr lrcrace.Tracer) { tr.BarrierArrive(p, e) })
+}
+func (t tee) BarrierDepart(p int, e int32) {
+	t.each(func(tr lrcrace.Tracer) { tr.BarrierDepart(p, e) })
+}
+
+// TestFacadeReplay drives the §6.1 flow through the facade types: run 2 is
+// the same Config with a site collector, and re-records run 1's lock order.
 func TestFacadeReplay(t *testing.T) {
+	run := func(tracer lrcrace.Tracer) *lrcrace.System {
+		sys, err := lrcrace.New(lrcrace.Config{NumProcs: 2, SharedSize: 4096, Detect: true, Tracer: tracer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, _ := sys.AllocWords("x", 1)
+		if err := sys.Run(func(p *lrcrace.Proc) {
+			p.Lock(0)
+			p.Write(x, p.Read(x)+1)
+			p.Unlock(0)
+			_ = p.Read(x) // racy
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
 	rec := lrcrace.NewSyncRecord()
-	sys, _ := lrcrace.New(lrcrace.Config{
-		NumProcs: 2, SharedSize: 4096, Detect: true, Tracer: rec,
-	})
-	x, _ := sys.AllocWords("x", 1)
-	worker := func(p *lrcrace.Proc) {
-		p.Lock(0)
-		p.Write(x, p.Read(x)+1)
-		p.Unlock(0)
-		_ = p.Read(x) // racy
-	}
-	if err := sys.Run(worker); err != nil {
-		t.Fatal(err)
-	}
-	races := lrcrace.DedupRaces(sys.Races())
+	races := lrcrace.DedupRaces(run(rec).Races())
 	if len(races) == 0 {
 		t.Fatal("no race in run 1")
 	}
 
+	rec2 := lrcrace.NewSyncRecord()
 	watch := lrcrace.NewSiteCollector(races[0].Addr)
-	sys2, _ := lrcrace.New(lrcrace.Config{
-		NumProcs: 2, SharedSize: 4096, Detect: true,
-		SyncEnforcer: lrcrace.NewEnforcer(rec), Tracer: watch,
-	})
-	if _, err := sys2.AllocWords("x", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys2.Run(worker); err != nil {
-		t.Fatal(err)
+	run(tee{rec2, watch})
+	if !rec2.Equal(rec) {
+		t.Errorf("run 2 lock order %v, run 1 %v", rec2.Order(0), rec.Order(0))
 	}
 	if len(watch.Sites()) == 0 {
 		t.Error("no sites collected in run 2")
