@@ -238,6 +238,9 @@ func (l *SegLog) replaySegment(path, name string, onEntry func([]byte) error) (i
 		if n > maxEntryBytes {
 			return cut(off, fmt.Sprintf("implausible entry length %d", n))
 		}
+		if int64(n) > size-off-segHeaderSize {
+			return cut(off, "torn entry payload") // before allocating a length the file lacks
+		}
 		var addr Addr
 		copy(addr[:], hdr[5:])
 		if cap(payload) < int(n) {

@@ -1,9 +1,11 @@
 package castore
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -337,4 +339,56 @@ func TestSegLogConcurrentSyncRotate(t *testing.T) {
 	if len(got) != appenders*perApp || len(seen) != len(got) {
 		t.Fatalf("replayed %d entries (%d distinct), want %d", len(got), len(seen), appenders*perApp)
 	}
+}
+
+// FuzzSegLogReplay: replay must take any segment file — whatever the
+// bytes, OpenSegLog keeps the verifiable prefix, cuts the rest, and returns
+// no error — and the cut must heal: appending x and reopening replays the
+// same prefix plus x, with nothing left to cut.
+func FuzzSegLogReplay(f *testing.F) {
+	dir := f.TempDir()
+	l, _, err := OpenSegLog(dir, SegLogOptions{}, func([]byte) error { return nil })
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("entry-%d", i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	l.Close()
+	seg, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg, []byte("x"))
+	f.Add(seg[:len(seg)-3], []byte("x"))
+	flipped := append([]byte(nil), seg...)
+	flipped[len(seg)/2] ^= 0x40
+	f.Add(flipped, []byte("x"))
+
+	noSync := func(*os.File) error { return nil }
+	f.Fuzz(func(t *testing.T, data, x []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, prefix, _ := openCollect(t, dir, SegLogOptions{})
+		l.SetSyncFunc(noSync)
+		if _, err := l.Append(x); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l, got, trunc := openCollect(t, dir, SegLogOptions{})
+		l.SetSyncFunc(noSync)
+		defer l.Close()
+		if trunc != nil {
+			t.Fatalf("healed log truncates again: %v", trunc)
+		}
+		if want := append(prefix, x); !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Fatalf("reopen replayed %q, want the prefix plus x: %q", got, want)
+		}
+	})
 }

@@ -453,8 +453,9 @@ func (p *Proc) Barrier() {
 			p.crashNow()
 		}
 		p.sendBitmaps(rel)
-		done, _ := await[*msg.BarrierDone](p, "barrier bitmap round")
-		p.races = append(p.races, done.Races...)
+		// BarrierDone ends the round; its reports are the detector's, which
+		// keeps them at the root.
+		await[*msg.BarrierDone](p, "barrier bitmap round")
 	}
 
 	// The epoch has been checked for races: its trace information may now

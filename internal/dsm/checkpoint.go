@@ -24,9 +24,10 @@ import (
 // in flight. That makes the barrier departure the natural recovery line,
 // so at each departure every process serializes its recovery state — page
 // copies and protocol rights, twins, version vector, interval log and
-// stored bitmaps, lock table, accumulated race reports, statistics, and
-// (at process 0) the detector state — with internal/msg's wire walker, the
-// same one that encodes and decodes the wire messages.
+// stored bitmaps, lock table, statistics, and (at process 0) the detector
+// state, which holds the run's one list of race reports — with
+// internal/msg's wire walker, the same one that encodes and decodes the
+// wire messages.
 //
 // Since ckptVersion 3 the serialized form is a *manifest*: the bulky
 // payloads (page copies, twins, bitmap words) live in a content-addressed
@@ -43,11 +44,12 @@ import (
 
 const (
 	ckptMagic = 0x4c52434b // "LRCK"
-	// ckptVersion 3: page copies, twins, and bitmap words moved out of the
-	// manifest into the content-addressed chunk store; the manifest holds
-	// their addresses. (Version 2 inlined every payload.) The store is
-	// in-memory and per-run, so no cross-version decoding is needed.
-	ckptVersion = 3
+	// ckptVersion 4: race reports live once, in the master's detector
+	// state, and the fields restore derives (record queue, master flag,
+	// master barrier epoch) are gone. (3 chunked the bulky payloads; 2
+	// inlined them.) The store is in-memory and per-run, so no
+	// cross-version decoding is needed.
+	ckptVersion = 4
 	// addrSize is the serialized width of one chunk address.
 	addrSize = len(castore.Addr{})
 )
@@ -501,12 +503,12 @@ func compareBitmaps(a, b interval.StoredBitmap) int {
 // name a process (and any other page's must be -1), page copies and twins
 // must be page-sized, page sets and stored bitmaps must lie in the layout, a
 // stored bitmap must have a page's word count, a lock's last holder must
-// be -1 or name a process, the master's extras must sit at process 0 and
-// match whether the system detects, and flags must be 0 or 1. Counts are
-// bounded by the bytes left, and sets and maps (twins, page sets, locks,
-// the interval log, stored bitmaps, racy records) must come in the strictly
-// ascending order the encoder writes them in — so an accepted manifest
-// re-encodes to its own bytes.
+// be -1 or name a process, the master's detector state must match whether
+// the system detects, race reports must pass checkReports, and flags must
+// be 0 or 1. Counts are bounded by the bytes left, and sets and maps
+// (twins, page sets, locks, the interval log, stored bitmaps, racy
+// records) must come in the strictly ascending order the encoder writes
+// them in — so an accepted manifest re-encodes to its own bytes.
 func (p *Proc) checkpointLayout(w *ckptWire) {
 	dec := w.D != nil
 	magic, version, id, n := uint32(ckptMagic), uint8(ckptVersion), p.id, p.n
@@ -651,7 +653,9 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 		w.fail("lock table out of order")
 	}
 
-	// Interval log, current-epoch record queue, and stored access bitmaps.
+	// Interval log and stored access bitmaps. The current epoch's record
+	// queue is not written: Barrier hands it to the arrival and empties it,
+	// and nothing closes an interval between then and this cut.
 	logRecs := p.log.Records()
 	w.Records(&logRecs)
 	if dec {
@@ -662,7 +666,6 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 			p.log.Add(r)
 		}
 	}
-	w.Records(&p.epochRecords)
 	ents := p.store.Entries()
 	if k, ok := w.Count(len(ents), 11+addrSize); dec && ok {
 		ents = make([]interval.StoredBitmap, k)
@@ -691,22 +694,17 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 		w.fail("stored bitmaps out of order")
 	}
 
-	// Race reports and statistics.
-	w.Reports(&p.races)
 	for _, f := range procStatsFields(&p.st) {
 		msg.N64(w.Wire, f)
 	}
 
-	// Master extras: barrier epoch and the detector's mutable state.
-	master, detecting := p.id == 0, w.det != nil
-	w.Flag(&master)
-	if dec && master != (p.id == 0) {
-		w.fail("master extras %v at proc %d", master, p.id)
-	}
-	if !master {
+	// The master's extra: the detector's mutable state, race reports
+	// included. The header's proc id says whether this is the master, and
+	// restore realigns every barrier epoch with the process epoch.
+	if p.id != 0 {
 		return
 	}
-	msg.N32(w.Wire, &p.tree.epoch)
+	detecting := w.det != nil
 	hasDet := detecting
 	w.Flag(&hasDet)
 	if dec && hasDet != detecting {
@@ -722,6 +720,29 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 		if dec && (!ascending(w.det.RacyRecords, compareRecords) || !procsIn(w.det.RacyRecords, p.n)) {
 			w.fail("racy records out of order or naming a process outside [0, %d)", p.n)
 		}
+		w.Reports(&w.det.Reports)
+		if dec {
+			p.checkReports(w)
+		}
+	}
+}
+
+// checkReports fails the decode at the first restored race report the
+// detector could not have made before this manifest's epoch: one naming a
+// process outside [0, n), a word outside the layout or not at its own
+// address, a kind other than read or write, or an epoch at or past the
+// manifest's, negative, or below the report before it.
+func (p *Proc) checkReports(w *ckptWire) {
+	l, prev := p.sys.layout, int32(0)
+	for i, r := range w.det.Reports {
+		if r.A.Interval.Proc >= p.n || r.B.Interval.Proc >= p.n ||
+			r.Page < 0 || int(r.Page) >= l.NumPages || r.Word < 0 || r.Word >= l.WordsPerPage() ||
+			r.Addr != l.PageBase(r.Page)+mem.Addr(r.Word*mem.WordSize) ||
+			r.A.Kind > race.Write || r.B.Kind > race.Write || r.Epoch < prev || r.Epoch >= p.epoch {
+			w.fail("race report %d impossible at proc %d/%d, epoch %d: %v", i, p.id, p.n, p.epoch, r)
+			return
+		}
+		prev = r.Epoch
 	}
 }
 

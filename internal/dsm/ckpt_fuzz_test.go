@@ -7,6 +7,7 @@ import (
 
 	"lrcrace/internal/castore"
 	"lrcrace/internal/mem"
+	"lrcrace/internal/race"
 	"lrcrace/internal/vc"
 )
 
@@ -118,6 +119,59 @@ func TestCheckpointRangeChecks(t *testing.T) {
 		c.damage(p)
 		blob, _, _ := p.encodeCheckpointInto(s.ckpts.Chunks(), nil)
 		_, _, err = decodeCheckpoint(s, id, blob, s.ckpts.Chunks())
+		if c.name == "undamaged" {
+			if err != nil {
+				t.Fatalf("re-encoded manifest: %v", err)
+			}
+		} else if !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCheckpointCorrupt", c.name, err)
+		}
+	}
+}
+
+// TestCheckpointReportChecks: a restored race report must be one the
+// detector could have made before the manifest's epoch. Each case damages
+// one report of the master's decoded detector state and re-encodes the
+// master, so the rest of the manifest stays valid and its chunks resolve.
+func TestCheckpointReportChecks(t *testing.T) {
+	s := racyMWScenario().run(t, nil)
+	twin, err := New(s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const line = 2
+	n, l := s.cfg.NumProcs, s.layout
+	moveTo := func(r *race.Report, pg mem.PageID, word int) {
+		r.Page, r.Word, r.Addr = pg, word, l.PageBase(pg)+mem.Addr(word*mem.WordSize)
+	}
+	cases := []struct {
+		name   string
+		damage func(rs []race.Report)
+	}{
+		{"undamaged", func(rs []race.Report) {}},
+		{"endpoint process", func(rs []race.Report) { rs[0].B.Interval.Proc = n }},
+		{"page", func(rs []race.Report) { moveTo(&rs[0], mem.PageID(l.NumPages), 0) }},
+		{"negative page", func(rs []race.Report) { moveTo(&rs[0], -1, 0) }},
+		{"word", func(rs []race.Report) { moveTo(&rs[0], 0, l.WordsPerPage()) }},
+		{"negative word", func(rs []race.Report) { moveTo(&rs[0], 1, -1) }},
+		{"address", func(rs []race.Report) { rs[0].Addr += mem.WordSize }},
+		{"kind", func(rs []race.Report) { rs[0].A.Kind = race.Write + 1 }},
+		{"epoch of the manifest", func(rs []race.Report) { rs[len(rs)-1].Epoch = line }},
+		{"negative epoch", func(rs []race.Report) { rs[0].Epoch = -1 }},
+		{"epoch decreasing", func(rs []race.Report) { rs[0], rs[len(rs)-1] = rs[len(rs)-1], rs[0] }},
+	}
+	for _, c := range cases {
+		p, det, err := decodeCheckpoint(twin, 0, s.ckpts.Get(0, line), s.ckpts.Chunks())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs := det.Reports; len(rs) < 2 || rs[0].Epoch == rs[len(rs)-1].Epoch {
+			t.Fatalf("line %d carries reports %v, want some of two epochs", line, rs)
+		}
+		c.damage(det.Reports)
+		twin.detector.RestoreState(*det)
+		blob, _, _ := p.encodeCheckpointInto(nil, nil)
+		_, _, err = decodeCheckpoint(twin, 0, blob, s.ckpts.Chunks())
 		if c.name == "undamaged" {
 			if err != nil {
 				t.Fatalf("re-encoded manifest: %v", err)

@@ -51,7 +51,7 @@ func TestCompoundTwoVictimCrash(t *testing.T) {
 	for _, sc := range []recoveryScenario{tspScenario(), mwScenario()} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			baseRaces := stableRaceKeys(sc.run(t, nil).Races())
+			baseRaces := sc.run(t, nil).Races()
 			if len(baseRaces) == 0 {
 				t.Fatal("crash-free run found no races; the test would prove nothing")
 			}
@@ -67,8 +67,8 @@ func TestCompoundTwoVictimCrash(t *testing.T) {
 			if !s.CrashFired(0) && !s.CrashFired(1) {
 				t.Error("neither crash plan fired")
 			}
-			if got := stableRaceKeys(s.Races()); !reflect.DeepEqual(got, baseRaces) {
-				t.Errorf("two-victim race set differs from crash-free run:\ncrash-free: %v\nrecovered:  %v",
+			if got := s.Races(); !reflect.DeepEqual(got, baseRaces) {
+				t.Errorf("two-victim races differ from the crash-free run's:\ncrash-free: %v\nrecovered:  %v",
 					baseRaces, got)
 			}
 		})
@@ -83,7 +83,7 @@ func TestCompoundCrashDuringRecovery(t *testing.T) {
 	for _, sc := range []recoveryScenario{tspScenario(), mwScenario()} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			baseRaces := stableRaceKeys(sc.run(t, nil).Races())
+			baseRaces := sc.run(t, nil).Races()
 			crashes := []*CrashPlan{
 				{Victim: 1, Epoch: 1, Point: CrashMidInterval, AfterN: 2},
 				{Victim: 2, Epoch: 1, Point: CrashMidInterval, AfterN: 2, DuringRecovery: true},
@@ -96,8 +96,8 @@ func TestCompoundCrashDuringRecovery(t *testing.T) {
 			if !s.CrashFired(0) || !s.CrashFired(1) {
 				t.Errorf("plans fired = %v/%v, want both", s.CrashFired(0), s.CrashFired(1))
 			}
-			if got := stableRaceKeys(s.Races()); !reflect.DeepEqual(got, baseRaces) {
-				t.Errorf("race set differs from crash-free run:\ncrash-free: %v\nrecovered:  %v",
+			if got := s.Races(); !reflect.DeepEqual(got, baseRaces) {
+				t.Errorf("races differ from the crash-free run's:\ncrash-free: %v\nrecovered:  %v",
 					baseRaces, got)
 			}
 		})
@@ -114,7 +114,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 	for _, sc := range []recoveryScenario{tspScenario(), mwScenario()} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			baseRaces := stableRaceKeys(sc.run(t, nil).Races())
+			baseRaces := sc.run(t, nil).Races()
 			for _, mode := range []CorruptMode{CorruptChunk, DeleteChunk} {
 				mode := mode
 				t.Run(mode.String(), func(t *testing.T) {
@@ -137,8 +137,8 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 					if rs.LastEpoch >= corrupt.Epoch {
 						t.Errorf("recovered from epoch %d, but epoch %d was corrupted", rs.LastEpoch, corrupt.Epoch)
 					}
-					if got := stableRaceKeys(s.Races()); !reflect.DeepEqual(got, baseRaces) {
-						t.Errorf("race set differs from crash-free run:\ncrash-free: %v\nrecovered:  %v",
+					if got := s.Races(); !reflect.DeepEqual(got, baseRaces) {
+						t.Errorf("races differ from the crash-free run's:\ncrash-free: %v\nrecovered:  %v",
 							baseRaces, got)
 					}
 				})
@@ -149,16 +149,34 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 
 // TestFullRestartResetsDetector: when the only stored line fails
 // verification, rollback restarts from the initial state — the detector
-// included. A lock-free run makes the detector state deterministic, so the
-// restarted run must end with exactly the crash-free run's: nothing the
-// aborted attempt's barrier-1 check counted or retained may survive.
+// included. The restore must leave no race report behind, though the
+// aborted attempt's barrier-1 check had reported some; and a lock-free run
+// makes the detector state deterministic, so the restarted run must end
+// with exactly the crash-free run's: nothing the aborted attempt counted,
+// retained or reported may survive.
 func TestFullRestartResetsDetector(t *testing.T) {
 	sc := racyMWScenario()
 	want := sc.run(t, nil).DetectorState()
+	var s *System
+	aborted, restored := -1, -1
+	sc.rec = telemetry.New(telemetry.Config{Procs: 4, FlightSink: io.Discard, Observer: func(e telemetry.Event) {
+		switch e.Kind {
+		case telemetry.KRecoveryStart:
+			aborted = len(s.Races())
+		case telemetry.KRecoveryDone:
+			restored = len(s.Races())
+		}
+	}})
 	crash := &CrashPlan{Victim: 2, Epoch: 1, Point: CrashMidInterval, AfterN: 1}
-	s := sc.runCompound(t, []*CrashPlan{crash}, &CorruptionPlan{Epoch: 1})
+	s = compoundSys(t, 4, sc.proto, []*CrashPlan{crash}, &CorruptionPlan{Epoch: 1}, sc.rec)
+	if err := s.RunEpochs(sc.epochs, sc.setup(t, s)); err != nil {
+		t.Fatal(err)
+	}
 	if rs := s.RecoveryStats(); rs.Recoveries != 1 || rs.LastEpoch != 0 || rs.VerifyFailures != 1 {
 		t.Fatalf("recovery stats %+v, want one full restart after one verify failure", rs)
+	}
+	if aborted <= 0 || restored != 0 {
+		t.Errorf("the aborted attempt reported %d races and the restart restored %d, want some and none", aborted, restored)
 	}
 	if got := s.DetectorState(); !reflect.DeepEqual(got, want) {
 		t.Errorf("detector state after a full restart:\n got %+v\nwant %+v", got, want)

@@ -1,8 +1,9 @@
 package dsm
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lrcrace/internal/castore"
 	"lrcrace/internal/telemetry"
@@ -105,40 +106,21 @@ func (cs *CheckpointStore) corruptEpoch(epoch int32, n int, cp *CorruptionPlan) 
 			}
 		}
 	}
-	if len(addrs) == 0 {
-		return 0
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		for k := range addrs[i] {
-			if addrs[i][k] != addrs[j][k] {
-				return addrs[i][k] < addrs[j][k]
-			}
-		}
-		return false
-	})
-	count := cp.Count
-	if count <= 0 {
-		count = 1
-	}
-	if count > len(addrs) {
-		count = len(addrs)
-	}
+	slices.SortFunc(addrs, func(a, b castore.Addr) int { return bytes.Compare(a[:], b[:]) })
+	count := min(max(cp.Count, 1), len(addrs))
 	next := splitmix64(cp.Seed)
 	picked := make(map[int]bool, count)
-	hit := 0
-	for hit < count {
+	for range count {
 		i := int(next() % uint64(len(addrs)))
 		for picked[i] {
 			i = (i + 1) % len(addrs)
 		}
 		picked[i] = true
-		switch cp.Mode {
-		case DeleteChunk:
+		if cp.Mode == DeleteChunk {
 			cs.chunks.Delete(addrs[i])
-		default:
+		} else {
 			cs.chunks.Tamper(addrs[i])
 		}
-		hit++
 	}
-	return hit
+	return count
 }

@@ -443,7 +443,7 @@ func TestTreePaperScenariosMatchSerial(t *testing.T) { paperScenariosMatch(t, tr
 func crashGrid(t *testing.T, pl pipeline, plans func() []*CrashPlan, blame bool) {
 	for _, sc := range []recoveryScenario{tspScenario(), mwScenario()} {
 		t.Run(sc.name, func(t *testing.T) {
-			baseRaces := stableRaceKeys(sc.run(t, nil).Races()) // flat, crash-free
+			baseRaces := sc.run(t, nil).Races() // flat, crash-free
 			if len(baseRaces) == 0 {
 				t.Fatalf("crash-free %s run found no races; the grid would prove nothing", sc.name)
 			}
@@ -462,7 +462,7 @@ func crashGrid(t *testing.T, pl pipeline, plans func() []*CrashPlan, blame bool)
 
 			t.Run("crash-free", func(t *testing.T) {
 				s := run(t, nil)
-				if got := stableRaceKeys(s.Races()); !reflect.DeepEqual(got, baseRaces) {
+				if got := s.Races(); !reflect.DeepEqual(got, baseRaces) {
 					t.Errorf("%s crash-free races = %v, want %v", pl.name, got, baseRaces)
 				}
 				if rs := s.RecoveryStats(); rs.Recoveries != 0 {
@@ -472,7 +472,7 @@ func crashGrid(t *testing.T, pl pipeline, plans func() []*CrashPlan, blame bool)
 			for _, plan := range plans() {
 				t.Run(plan.Point.String()+"-victim", func(t *testing.T) {
 					s := run(t, plan)
-					if got := stableRaceKeys(s.Races()); !reflect.DeepEqual(got, baseRaces) {
+					if got := s.Races(); !reflect.DeepEqual(got, baseRaces) {
 						t.Errorf("recovered %s races = %v, want %v", pl.name, got, baseRaces)
 					}
 					rs := s.RecoveryStats()

@@ -122,8 +122,8 @@ type Config struct {
 	// NoCheckpoint disables barrier-epoch checkpointing, which is ON by
 	// default: at every barrier departure each process serializes its
 	// recovery state — page copies and rights, twins, version vector,
-	// interval log and bitmaps, lock table, race reports, statistics, and
-	// the master's detector state — as a chunked ckptVersion-3 manifest
+	// interval log and bitmaps, lock table, statistics, and the master's
+	// detector state with the run's race reports — as a chunked manifest
 	// whose unchanged payloads dedup across epochs (see CheckpointStats
 	// for the measured sizes). Incremental chunking is what makes
 	// always-on affordable; disable only for A/B overhead measurement.
@@ -438,13 +438,14 @@ func (s *System) run(app func(p *Proc)) error {
 	}, nil)
 }
 
-// Races returns every race reported during the run, in detection order.
-// (The master's copy; workers hold identical lists.)
+// Races returns every race reported during the run, in detection order,
+// or nil when detection is off. The list is the detector's, the one copy
+// the barrier master keeps (and checkpoints); the caller must not modify it.
 func (s *System) Races() []race.Report {
-	if len(s.procs) == 0 {
+	if s.detector == nil {
 		return nil
 	}
-	return s.procs[0].races
+	return s.detector.Reports()
 }
 
 // ExplainRace reconstructs the happens-before-1 derivation behind a
@@ -466,9 +467,9 @@ func (s *System) DetectorStats() race.Stats {
 }
 
 // DetectorState returns a deep snapshot of the detector's persistent state
-// (counters, first-racy-epoch marker, retained racy records). Every barrier
-// topology (Config.BarrierTree × Config.ShardedCheck) must produce
-// byte-identical snapshots on the same program.
+// (counters, first-racy-epoch marker, retained racy records, reports).
+// Every barrier topology (Config.BarrierTree × Config.ShardedCheck) must
+// produce byte-identical snapshots on the same program.
 func (s *System) DetectorState() race.State {
 	if s.detector == nil {
 		return race.State{}

@@ -8,7 +8,6 @@ import (
 	"lrcrace/internal/interval"
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
-	"lrcrace/internal/race"
 	"lrcrace/internal/simnet"
 	"lrcrace/internal/telemetry"
 	"lrcrace/internal/vc"
@@ -193,9 +192,8 @@ type Proc struct {
 	shard     *shardState
 	shardPend []simnet.Delivery
 
-	races []race.Report
-	st    Stats
-	vnow  int64
+	st   Stats
+	vnow int64
 
 	// Crash-plan trigger counters (see crash.go); only the victim's are
 	// ever advanced, shared across plans targeting this process.
@@ -303,10 +301,6 @@ func (p *Proc) Stats() Stats { return p.st }
 
 // VirtualTime returns the process's virtual clock.
 func (p *Proc) VirtualTime() int64 { return p.vnow }
-
-// Races returns the races this process has been told about (identical at
-// every process once a run finishes).
-func (p *Proc) Races() []race.Report { return p.races }
 
 func (p *Proc) home(pg mem.PageID) int { return int(pg) % p.n }
 

@@ -121,23 +121,6 @@ func mwScenario() recoveryScenario {
 	}
 }
 
-// stableRaceKeys reduces reports to their schedule-independent facts:
-// which address raced, in which epoch it was first caught, and whether it
-// was read-write or write-write. The representative interval pair inside a
-// report varies with lock-grant order even between two crash-free runs, so
-// it is excluded from the recovered-vs-baseline comparison.
-func stableRaceKeys(reports []race.Report) map[string]bool {
-	keys := map[string]bool{}
-	for _, r := range race.DedupByAddr(reports) {
-		kind := "read-write"
-		if r.WriteWrite() {
-			kind = "write-write"
-		}
-		keys[fmt.Sprintf("0x%x@epoch%d:%s", uint64(r.Addr), r.Epoch, kind)] = true
-	}
-	return keys
-}
-
 func (sc recoveryScenario) run(t *testing.T, crash *CrashPlan) *System {
 	t.Helper()
 	s := recoverySys(t, 4, sc.proto, crash, sc.rec)
@@ -160,7 +143,7 @@ func TestCrashRecoveryGrid(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			base := sc.run(t, nil)
-			baseRaces := stableRaceKeys(base.Races())
+			baseRaces := base.Races()
 			if len(baseRaces) == 0 {
 				t.Fatalf("crash-free %s run found no races; the grid would prove nothing", sc.name)
 			}
@@ -205,8 +188,8 @@ func TestCrashRecoveryGrid(t *testing.T) {
 					if rs.LastEpoch != wantLine {
 						t.Errorf("recovery line = epoch %d, want %d", rs.LastEpoch, wantLine)
 					}
-					if got := stableRaceKeys(s.Races()); !reflect.DeepEqual(got, baseRaces) {
-						t.Errorf("recovered race set differs from crash-free run:\ncrash-free: %v\nrecovered:  %v",
+					if got := s.Races(); !reflect.DeepEqual(got, baseRaces) {
+						t.Errorf("recovered races differ from the crash-free run's:\ncrash-free: %v\nrecovered:  %v",
 							baseRaces, got)
 					}
 					// Re-executed epochs deposit their checkpoints exactly once:
@@ -402,6 +385,36 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			blob[0] ^= 0xff
 			if _, _, err := decodeCheckpoint(s, 1, blob, s.ckpts.Chunks()); err == nil {
 				t.Error("bad magic accepted")
+			}
+		})
+	}
+}
+
+// TestCheckpointReportsArePrefix: the master's checkpoint at each line
+// carries exactly the races reported before the line's epoch, in detection
+// order — the list a rollback to that line resumes from.
+func TestCheckpointReportsArePrefix(t *testing.T) {
+	for _, sc := range []recoveryScenario{tspScenario(), mwScenario()} {
+		t.Run(sc.name, func(t *testing.T) {
+			s := sc.run(t, nil)
+			all := s.Races()
+			for line := int32(1); line <= sc.epochs; line++ {
+				_, det, err := decodeCheckpoint(s, 0, s.ckpts.Get(0, line), s.ckpts.Chunks())
+				if err != nil {
+					t.Fatalf("line %d: %v", line, err)
+				}
+				var want []race.Report
+				for _, r := range all {
+					if r.Epoch < line {
+						want = append(want, r)
+					}
+				}
+				if line == 1 && (len(want) == 0 || len(want) == len(all)) {
+					t.Fatalf("%d of %d reports precede line 1; the prefix would prove nothing", len(want), len(all))
+				}
+				if !reflect.DeepEqual(det.Reports, want) {
+					t.Errorf("line %d restores reports\n %v\nwant\n %v", line, det.Reports, want)
+				}
 			}
 		})
 	}
@@ -765,14 +778,14 @@ func TestCompoundBlameSameEpoch(t *testing.T) {
 	for _, sc := range []recoveryScenario{tspScenario(), mwScenario()} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			baseRaces := stableRaceKeys(sc.run(t, nil).Races())
+			baseRaces := sc.run(t, nil).Races()
 			s := sc.run(t, &CrashPlan{Victim: 2, Epoch: 1, Point: CrashHoldingLock})
 			rs := s.RecoveryStats()
 			if rs.LastVictim != 2 {
 				t.Errorf("blamed p%d (via %s), want the true victim p2", rs.LastVictim, rs.LastReason)
 			}
-			if got := stableRaceKeys(s.Races()); !reflect.DeepEqual(got, baseRaces) {
-				t.Errorf("race set differs from crash-free run:\ncrash-free: %v\nrecovered:  %v",
+			if got := s.Races(); !reflect.DeepEqual(got, baseRaces) {
+				t.Errorf("races differ from the crash-free run's:\ncrash-free: %v\nrecovered:  %v",
 					baseRaces, got)
 			}
 		})

@@ -54,13 +54,16 @@ func Explain(a, b *interval.Record) string {
 	return sb.String()
 }
 
-// Retain keeps the records referenced by reports so that races can be
-// explained (ExplainReport) after the epoch's other metadata is discarded.
-// The barrier master calls it right after Compare with the epoch's records.
+// Retain appends an epoch's reports to the detector's list (Reports) and
+// keeps the records they reference so that races can be explained
+// (ExplainReport) after the epoch's other metadata is discarded. The
+// barrier master calls it once per epoch with the folded reports and the
+// epoch's records.
 func (d *Detector) Retain(reports []Report, records []*interval.Record) {
 	if len(reports) == 0 {
 		return
 	}
+	d.reports = append(d.reports, reports...)
 	wanted := make([]vc.IntervalID, 0, 2*len(reports))
 	for _, r := range reports {
 		wanted = append(wanted, r.A.Interval, r.B.Interval)

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"lrcrace/internal/interval"
 	"lrcrace/internal/mem"
@@ -135,6 +134,7 @@ type Detector struct {
 	// ExplainReport can reconstruct derivations after epoch metadata is
 	// discarded.
 	racyRecords *interval.Log
+	reports     []Report // every report Retain was handed, in detection order
 
 	spans []indexSpan // countIntervals' scratch
 	marks []uint64
@@ -147,6 +147,10 @@ func NewDetector(l mem.Layout, opts Options) *Detector {
 
 // Stats returns accumulated counters.
 func (d *Detector) Stats() Stats { return d.stats }
+
+// Reports returns every race reported so far, in detection order. The
+// caller must not modify the list.
+func (d *Detector) Reports() []Report { return d.reports }
 
 // BuildCheckList runs steps 2–3 of §5 on the records of one epoch: it finds
 // concurrent interval pairs (a constant-time version-vector test per pair)
@@ -165,7 +169,7 @@ func (d *Detector) BuildCheckList(records []*interval.Record) []CheckEntry {
 	// scheduling; sort a copy by interval ID so entry orientation (A,B) and
 	// report endpoints come out identical on every run of the same program.
 	records = append([]*interval.Record(nil), records...)
-	sort.Slice(records, func(i, j int) bool { return lessID(records[i].ID, records[j].ID) })
+	slices.SortFunc(records, func(a, b *interval.Record) int { return interval.CompareIDs(a.ID, b.ID) })
 	var entries []CheckEntry
 	examine := func(a, b *interval.Record) {
 		d.stats.ConcurrentPairs++
@@ -257,26 +261,12 @@ func sortCheckEntries(entries []CheckEntry) {
 	slices.SortFunc(entries, func(a, b CheckEntry) int {
 		switch {
 		case a.A != b.A:
-			return compareID(a.A, b.A)
+			return interval.CompareIDs(a.A, b.A)
 		case a.B != b.B:
-			return compareID(a.B, b.B)
+			return interval.CompareIDs(a.B, b.B)
 		}
 		return cmp.Compare(a.Page, b.Page)
 	})
-}
-
-func compareID(a, b vc.IntervalID) int {
-	if lessID(a, b) {
-		return -1
-	}
-	return 1
-}
-
-func lessID(a, b vc.IntervalID) bool {
-	if a.Proc != b.Proc {
-		return a.Proc < b.Proc
-	}
-	return a.Index < b.Index
 }
 
 // overlap returns the pages on which a race between a and b could exist:

@@ -1,8 +1,10 @@
 package race
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
+	"lrcrace/internal/interval"
 	"lrcrace/internal/mem"
 )
 
@@ -84,11 +86,8 @@ func PartitionCheckList(entries []CheckEntry, nprocs int) []int32 {
 	for p := range count {
 		pages = append(pages, p)
 	}
-	sort.Slice(pages, func(i, j int) bool {
-		if count[pages[i]] != count[pages[j]] {
-			return count[pages[i]] > count[pages[j]]
-		}
-		return pages[i] < pages[j]
+	slices.SortFunc(pages, func(a, b mem.PageID) int {
+		return cmp.Or(cmp.Compare(count[b], count[a]), cmp.Compare(a, b))
 	})
 	load := make([]int, nprocs)
 	assigned := make(map[mem.PageID]int32, len(pages))
@@ -130,21 +129,10 @@ func kindRank(r Report) int {
 // Detector.Compare's output stream exactly; the cross-validation tests and
 // checkpoint byte-stability both rely on this.
 func SortReports(reports []Report) {
-	sort.SliceStable(reports, func(i, j int) bool {
-		a, b := reports[i], reports[j]
-		if a.A.Interval != b.A.Interval {
-			return lessID(a.A.Interval, b.A.Interval)
-		}
-		if a.B.Interval != b.B.Interval {
-			return lessID(a.B.Interval, b.B.Interval)
-		}
-		if a.Page != b.Page {
-			return a.Page < b.Page
-		}
-		if ra, rb := kindRank(a), kindRank(b); ra != rb {
-			return ra < rb
-		}
-		return a.Word < b.Word
+	slices.SortStableFunc(reports, func(a, b Report) int {
+		return cmp.Or(interval.CompareIDs(a.A.Interval, b.A.Interval),
+			interval.CompareIDs(a.B.Interval, b.B.Interval), cmp.Compare(a.Page, b.Page),
+			cmp.Compare(kindRank(a), kindRank(b)), cmp.Compare(a.Word, b.Word))
 	})
 }
 

@@ -62,7 +62,7 @@ func BuildPartialCheckList(_ Options, groups [][]*interval.Record) ([]CheckEntry
 	var st BuildStats
 	var entries []CheckEntry
 	examine := func(a, b *interval.Record) {
-		if lessID(b.ID, a.ID) {
+		if interval.CompareIDs(b.ID, a.ID) < 0 {
 			a, b = b, a
 		}
 		st.ConcurrentPairs++
