@@ -316,7 +316,7 @@ type System struct {
 	symbols   []Symbol
 
 	detector *race.Detector // lives at the barrier root (proc 0)
-	raceOpts race.Options   // detector options, for the per-node partial build
+	raceOpts race.Options   // detector options
 
 	// Crash recovery (see checkpoint.go / recovery.go).
 	ckpts       *CheckpointStore

@@ -552,7 +552,7 @@ func TestBarrierResetAcrossEpochs(t *testing.T) {
 		tr.gvc[1] = 9
 		tr.maxArr = 99
 		tr.minArr = 7
-		tr.entries = []race.CheckEntry{{}}
+		tr.runs = append(tr.runs, []race.CheckEntry{{}})
 		tr.merged.PairComparisons = 4
 
 		p.resetTree(epochBefore)
@@ -561,9 +561,9 @@ func TestBarrierResetAcrossEpochs(t *testing.T) {
 		if tr.epoch != epochBefore+1 {
 			t.Errorf("round %d: epoch %d, want %d", round, tr.epoch, epochBefore+1)
 		}
-		if tr.got != 0 || tr.sent || tr.records != nil || tr.groups != nil || tr.entries != nil {
-			t.Errorf("round %d: arrival state not reset: got=%d sent=%v records=%v groups=%v entries=%v",
-				round, tr.got, tr.sent, tr.records, tr.groups, tr.entries)
+		if tr.got != 0 || tr.sent || tr.records != nil || len(tr.groups) != 0 || len(tr.runs) != 0 {
+			t.Errorf("round %d: arrival state not reset: got=%d sent=%v records=%v groups=%v runs=%v",
+				round, tr.got, tr.sent, tr.records, tr.groups, tr.runs)
 		}
 		if tr.maxArr != 0 || tr.minArr != -1 || tr.merged != (race.BuildStats{}) {
 			t.Errorf("round %d: arrival clocks/work not reset: maxArr=%d minArr=%d merged=%+v",

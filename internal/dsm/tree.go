@@ -22,11 +22,13 @@ import (
 // children's. A node waits for its own arrival plus one
 // fully-reduced contribution per child, merges their interval records and
 // vectors, runs the partial check-list build over the pairs that first meet
-// at this node (race.BuildPartialCheckList — every cross-process pair spans
-// two contributions at exactly one node, the LCA of the two processes), and
-// forwards one TreeReduce to its parent. The root folds the partial lists
-// (race.FoldCheckLists) into the canonical check list — under the star
-// every pair meets at the root and the fold is the whole build — and sends
+// at this node (race.PartialBuilder — every cross-process pair spans two
+// contributions at exactly one node, the LCA of the two processes), merges
+// its own canonical-order list with its children's sorted lists
+// (race.MergeCheckLists), and forwards one TreeReduce to its parent. The
+// root's list is therefore already the canonical check list — under the
+// star every pair meets at the root and its build is the whole list — and
+// the root folds it into the detector (race.FoldCheckLists) and sends
 // itself the BarrierRelease.
 //
 // The release cascades down the same tree: every node forwards the copy it
@@ -99,8 +101,13 @@ type treeState struct {
 	maxArr  int64
 	minArr  int64 // earliest arrival in the subtree; -1 = none yet
 
-	entries []race.CheckEntry // partial check lists merged from children
-	merged  race.BuildStats
+	runs   [][]race.CheckEntry // children's sorted lists, frozen: read only
+	merged race.BuildStats
+
+	// build and partial are the check-list build's scratch, kept across
+	// epochs: what leaves the node is merged into a list of its own.
+	build   race.PartialBuilder
+	partial []race.CheckEntry
 }
 
 // newTreeState lays out process id's node for Config.BarrierTree = k.
@@ -127,8 +134,10 @@ func (t *treeState) clear() {
 	t.got = 0
 	t.sent = false
 	t.records = nil
-	t.groups = nil
-	t.entries = nil
+	clear(t.groups)
+	t.groups = t.groups[:0]
+	clear(t.runs)
+	t.runs = t.runs[:0]
 	t.merged = race.BuildStats{}
 	t.maxArr = 0
 	t.minArr = -1
@@ -192,7 +201,7 @@ func (p *Proc) treeContribute(from int, covers []int, recs []*interval.Record,
 	if minArr >= 0 && (t.minArr < 0 || minArr < t.minArr) {
 		t.minArr = minArr
 	}
-	t.entries = append(t.entries, entries...)
+	t.runs = append(t.runs, entries)
 	t.merged.Add(bst)
 	t.got++
 	if t.got == t.expect {
@@ -210,18 +219,14 @@ func (p *Proc) treeComplete() {
 	}
 	model := p.model
 	var work int64
+	var entries []race.CheckEntry
 	if p.sys.cfg.Detect {
-		entries, bst := race.BuildPartialCheckList(p.sys.raceOpts, t.groups)
+		var bst race.BuildStats
+		t.partial, bst = t.build.Build(t.partial[:0], t.groups)
 		work = bst.PairComparisons*model.IntervalCompare + bst.NoticesScanned*model.PageOverlap
 		p.st.TIntervalCmp += work
-		if t.entries == nil {
-			// No child brought entries (always so under the star): adopt the
-			// list instead of copying it.
-			t.entries = entries
-		} else {
-			t.entries = append(t.entries, entries...)
-		}
 		t.merged.Add(bst)
+		entries = t.mergeRuns()
 	}
 	doneV := t.maxArr + model.Handler + work
 	t.sent = true
@@ -233,7 +238,7 @@ func (p *Proc) treeComplete() {
 			VC:               vcToWire(t.gvc),
 			Intervals:        t.records,
 			MinArr:           t.minArr,
-			Entries:          t.entries,
+			Entries:          entries,
 			PairComparisons:  t.merged.PairComparisons,
 			ConcurrentPairs:  t.merged.ConcurrentPairs,
 			OverlappingPairs: t.merged.OverlappingPairs,
@@ -244,11 +249,12 @@ func (p *Proc) treeComplete() {
 		return
 	}
 
-	// Root: every interval of the epoch is here, complete and current. Fold
-	// the distributed build into the canonical check list and release.
+	// Root: every interval of the epoch is here, complete and current, and
+	// entries is the canonical check list. Fold it into the detector and
+	// release.
 	var check []race.CheckEntry
 	if p.sys.cfg.Detect {
-		check = p.sys.detector.FoldCheckLists(len(t.records), t.entries, t.merged)
+		check = p.sys.detector.FoldCheckLists(len(t.records), entries, t.merged)
 	}
 	p.tel.Emit(p.id, telemetry.KBarrierRelease, doneV,
 		int64(t.epoch), int64(len(t.records)), t.maxArr-t.minArr)
@@ -266,6 +272,21 @@ func (p *Proc) treeComplete() {
 	// children — sending copies here too would deliver the release twice.
 	nbytes := p.send(p.id, rel, doneV)
 	p.recordSyncSend(t.records, nbytes)
+}
+
+// mergeRuns merges the children's lists and this node's partial list, each
+// in canonical order, into one new list in canonical order: the node's
+// contribution to its TreeReduce, or at the root the check list.
+func (t *treeState) mergeRuns() []race.CheckEntry {
+	t.runs = append(t.runs, t.partial)
+	n := 0
+	for _, r := range t.runs {
+		n += len(r)
+	}
+	if n == 0 {
+		return nil
+	}
+	return race.MergeCheckLists(make([]race.CheckEntry, 0, n), t.runs...)
 }
 
 // handleBarrierRelease runs at every process when its copy of the release

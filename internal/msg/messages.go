@@ -478,9 +478,10 @@ func (m *ShardResult) layout(w Wire) {
 // TreeReduce carries a fully-reduced subtree up one hop of the combining
 // tree: the merged interval records and vector of every process in the
 // sender's subtree, the subtree's earliest arrival (for the skew gauge),
-// the partial check list the sender built over its cross-contribution
-// pairs (race.BuildPartialCheckList), and that build's work counters so
-// the root's race.Stats stay byte-identical to the serial master's.
+// every check entry built in the subtree (race.PartialBuilder at each
+// node, merged with race.MergeCheckLists), in canonical (A, B, Page)
+// order, and the subtree's build work counters so the root's race.Stats
+// stay byte-identical to the serial master's.
 type TreeReduce struct {
 	Epoch     int32
 	VC        []uint32

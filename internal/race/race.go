@@ -160,8 +160,9 @@ func (d *Detector) Reports() []Report { return d.reports }
 // ordered with respect to them — they never need to be examined.
 //
 // This is the pure-function reference for steps 2–3: the DSM barrier builds
-// the same list with BuildPartialCheckList per tree node and FoldCheckLists
-// at the root, and the tests (and bench/) hold that path to this one.
+// the same list with a PartialBuilder per tree node, merges the sorted
+// lists up the tree and folds them with FoldCheckLists at the root, and the
+// tests (and bench/) hold that path to this one.
 func (d *Detector) BuildCheckList(records []*interval.Record) []CheckEntry {
 	d.stats.Epochs++
 	d.stats.IntervalsTotal += len(records)
@@ -253,20 +254,24 @@ type indexSpan struct {
 }
 
 // sortCheckEntries establishes the canonical check-list order — interval
-// pair (A then B), then page. BuildCheckList emits it directly; the
-// distributed build (FoldCheckLists) restores it after merging per-node
-// partial lists, which is what keeps the two paths byte-identical. Entries
-// that compare equal are equal, so the sort needs no stability.
+// pair (A then B), then page. BuildCheckList and the partial build emit it
+// directly and tree nodes merge sorted lists (MergeCheckLists), which is
+// what keeps the two paths byte-identical; FoldCheckLists sorts only input
+// that arrives out of order. Entries that compare equal are equal, so the
+// sort needs no stability.
 func sortCheckEntries(entries []CheckEntry) {
-	slices.SortFunc(entries, func(a, b CheckEntry) int {
-		switch {
-		case a.A != b.A:
-			return interval.CompareIDs(a.A, b.A)
-		case a.B != b.B:
-			return interval.CompareIDs(a.B, b.B)
-		}
-		return cmp.Compare(a.Page, b.Page)
-	})
+	slices.SortFunc(entries, compareCheckEntries)
+}
+
+// compareCheckEntries orders check entries canonically.
+func compareCheckEntries(a, b CheckEntry) int {
+	switch {
+	case a.A != b.A:
+		return interval.CompareIDs(a.A, b.A)
+	case a.B != b.B:
+		return interval.CompareIDs(a.B, b.B)
+	}
+	return cmp.Compare(a.Page, b.Page)
 }
 
 // overlap returns the pages on which a race between a and b could exist:

@@ -78,31 +78,42 @@ func PartitionCheckList(entries []CheckEntry, nprocs int) []int32 {
 	if nprocs <= 1 {
 		return owner
 	}
-	count := make(map[mem.PageID]int, len(entries))
+	// slot is indexed by page: first the page's entry count, then, once
+	// the page is placed, its owner.
+	var top mem.PageID
 	for _, e := range entries {
-		count[e.Page]++
+		top = max(top, e.Page)
 	}
-	pages := make([]mem.PageID, 0, len(count))
-	for p := range count {
-		pages = append(pages, p)
+	slot := make([]int, top+1)
+	for _, e := range entries {
+		slot[e.Page]++
 	}
-	slices.SortFunc(pages, func(a, b mem.PageID) int {
-		return cmp.Or(cmp.Compare(count[b], count[a]), cmp.Compare(a, b))
+	type pageLoad struct {
+		page mem.PageID
+		n    int
+	}
+	var pages []pageLoad
+	for p, n := range slot {
+		if n > 0 {
+			pages = append(pages, pageLoad{mem.PageID(p), n})
+		}
+	}
+	slices.SortFunc(pages, func(a, b pageLoad) int {
+		return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.page, b.page))
 	})
 	load := make([]int, nprocs)
-	assigned := make(map[mem.PageID]int32, len(pages))
-	for _, p := range pages {
+	for _, pl := range pages {
 		best := 0
 		for q := 1; q < nprocs; q++ {
 			if load[q] < load[best] {
 				best = q
 			}
 		}
-		assigned[p] = int32(best)
-		load[best] += count[p]
+		slot[pl.page] = best
+		load[best] += pl.n
 	}
 	for i, e := range entries {
-		owner[i] = assigned[e.Page]
+		owner[i] = int32(slot[e.Page])
 	}
 	return owner
 }

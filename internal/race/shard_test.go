@@ -175,3 +175,38 @@ func TestShardedFirstRaceFiltering(t *testing.T) {
 		t.Error("scenario exercised no suppression")
 	}
 }
+
+// TestCompareShardEveryKindPair: when both sides of an entry read and
+// write the same word, the word races three ways, and CompareShard and
+// Detector.Compare each report exactly write-write, write-read and
+// read-write, in that order.
+func TestCompareShardEveryKindPair(t *testing.T) {
+	l := testLayout(t)
+	store := interval.NewBitmapStore()
+	x := l.PageBase(1) + 5*mem.WordSize
+	recs := []*interval.Record{
+		build(l, store, vc.IntervalID{Proc: 0, Index: 1}, vc.VC{1, 0}, 0, []mem.Addr{x}, []mem.Addr{x}),
+		build(l, store, vc.IntervalID{Proc: 1, Index: 1}, vc.VC{0, 1}, 0, []mem.Addr{x}, []mem.Addr{x}),
+	}
+	d := NewDetector(l, Options{})
+	entries := d.BuildCheckList(recs)
+	if len(entries) != 1 {
+		t.Fatalf("check list = %v, want one entry", entries)
+	}
+	want := [][2]AccessKind{{Write, Write}, {Write, Read}, {Read, Write}}
+	check := func(name string, reports []Report) {
+		t.Helper()
+		if len(reports) != len(want) {
+			t.Fatalf("%s: %d reports %v, want %d", name, len(reports), reports, len(want))
+		}
+		for i, r := range reports {
+			if r.A.Kind != want[i][0] || r.B.Kind != want[i][1] || r.Addr != x ||
+				r.A.Interval != entries[0].A || r.B.Interval != entries[0].B {
+				t.Errorf("%s: report %d = %v, want %v-%v at 0x%x", name, i, r, want[i][0], want[i][1], uint64(x))
+			}
+		}
+	}
+	shard, _ := CompareShard(l, entries, StoreSource{store}, 0)
+	check("CompareShard", shard)
+	check("Detector.Compare", d.Compare(entries, StoreSource{store}, 0))
+}

@@ -1,7 +1,10 @@
 package race
 
 import (
+	"slices"
+
 	"lrcrace/internal/interval"
+	"lrcrace/internal/mem"
 	"lrcrace/internal/vc"
 )
 
@@ -18,12 +21,14 @@ import (
 // the two processes' leaves, so summed over the whole tree the examined
 // pairs are exactly the cross-process pairs BuildCheckList examines, each
 // once. (Under the default star, Config.BarrierTree = 0, the root is the
-// only interior node and its contributions are one group per process.) The
-// per-node partial check lists and work counters ride up the tree on
-// TreeReduce messages; the root folds them (Detector.FoldCheckLists) into
-// the detector, restoring the canonical order — leaving the check list and
-// race.Stats byte-identical to BuildCheckList's, the reference the tests
-// hold this path to.
+// only interior node and its contributions are one group per process.)
+// Every node's list is in canonical order: the build emits its pairs in
+// (A, B, Page) order, and a node merges its children's sorted lists with
+// its own (MergeCheckLists) instead of concatenating them. The lists and
+// work counters ride up the tree on TreeReduce messages; the root folds
+// them (Detector.FoldCheckLists) into the detector, leaving the check list
+// and race.Stats byte-identical to BuildCheckList's, the reference the
+// tests hold this path to.
 
 // BuildStats counts the interval-pair search work of one partial
 // check-list build — the per-node slice of the Stats counters the serial
@@ -46,66 +51,169 @@ func (s *BuildStats) Add(o BuildStats) {
 }
 
 // BuildPartialCheckList runs steps 2–3 of §5 over the cross-group interval
-// pairs of one combining-tree node. groups are the node's direct
-// contributions; pairs within a single group are never examined here (they
-// were already examined at a descendant, or — for same-process pairs — are
-// ordered by program order and never examined at all). All the records of
-// one process must arrive in the same group, which the barrier guarantees:
-// a process's epoch records travel together and subtree merges keep them
-// together.
-//
-// The function is stateless — callable at any process, not just one
-// holding a Detector — and no option changes the build, so the Options
-// argument is unused. Entry orientation matches the serial build: A is the
-// interval that sorts first by (process, index).
+// pairs of one combining-tree node and returns the entries in canonical
+// order (PartialBuilder.Build). It is stateless — callable at any process,
+// not just one holding a Detector — and no option changes the build, so
+// the Options argument is unused.
 func BuildPartialCheckList(_ Options, groups [][]*interval.Record) ([]CheckEntry, BuildStats) {
+	return new(PartialBuilder).Build(nil, groups)
+}
+
+// PartialBuilder builds partial check lists and keeps its scratch between
+// builds, so a tree node that builds once per epoch allocates nothing but
+// the entries it keeps. The zero value is ready to use.
+type PartialBuilder struct {
+	members []member
+}
+
+// member is one record of a node's contributions, with the group it
+// arrived in and its page signatures.
+type member struct {
+	rec     *interval.Record
+	group   int
+	w, r    uint64 // bit p mod 64 set for every written / read page p
+	notices int64  // write plus read notices
+}
+
+// pageSig folds a page list into one word: bit p mod 64 for every page p.
+// Two lists whose signatures are disjoint share no page; the converse does
+// not hold, since pages 64 apart share a bit, so a signature only rules
+// pages out.
+func pageSig(pages []mem.PageID) uint64 {
+	var s uint64
+	for _, p := range pages {
+		s |= 1 << (uint32(p) % 64)
+	}
+	return s
+}
+
+// Build appends to dst the check entries of the cross-group interval pairs
+// of one combining-tree node, in canonical (A, B, Page) order, and returns
+// the extended list with the build's work counters. groups are the node's
+// direct contributions; pairs within a single group are never examined
+// here (they were already examined at a descendant, or — for same-process
+// pairs — are ordered by program order and never examined at all). All the
+// records of one process must arrive in the same group, which the barrier
+// guarantees: a process's epoch records travel together and subtree merges
+// keep them together.
+//
+// Every cross-group pair gets the constant-time version-vector test. A
+// concurrent pair's notice lists are merged only when their page
+// signatures meet on W_a∩(W_b∪R_b) ∪ R_a∩W_b; the merge decides every
+// entry, so the signature skips work and never changes the list. Entry
+// orientation matches the serial build: A is the interval that sorts first
+// by (process, index).
+func (b *PartialBuilder) Build(dst []CheckEntry, groups [][]*interval.Record) ([]CheckEntry, BuildStats) {
 	var st BuildStats
-	var entries []CheckEntry
-	examine := func(a, b *interval.Record) {
-		if interval.CompareIDs(b.ID, a.ID) < 0 {
-			a, b = b, a
-		}
-		st.ConcurrentPairs++
-		st.NoticesScanned += int64(len(a.WriteNotices) + len(a.ReadNotices) +
-			len(b.WriteNotices) + len(b.ReadNotices))
-		pages := OverlapViaMerge(a, b)
-		if len(pages) == 0 {
-			return
-		}
-		st.OverlappingPairs++
-		for _, p := range pages {
-			entries = append(entries, CheckEntry{A: a.ID, B: b.ID, Page: p})
+	if len(groups) < 2 {
+		return dst, st
+	}
+	ms := b.members[:0]
+	for g, recs := range groups {
+		for _, r := range recs {
+			ms = append(ms, member{rec: r, group: g, w: pageSig(r.WriteNotices), r: pageSig(r.ReadNotices),
+				notices: int64(len(r.WriteNotices) + len(r.ReadNotices))})
 		}
 	}
-	// The "very simple" all-pairs scan restricted to cross-group pairs: every
-	// cross-process pair spanning two groups is version-vector-compared (and
-	// counted) exactly once.
-	for gi := 0; gi < len(groups); gi++ {
-		for gj := gi + 1; gj < len(groups); gj++ {
-			for _, a := range groups[gi] {
-				for _, b := range groups[gj] {
-					if a.ID.Proc == b.ID.Proc {
-						continue // totally ordered by program order
-					}
-					st.PairComparisons++
-					if !vc.Concurrent(a.ID, a.VC, b.ID, b.VC) {
-						continue
-					}
-					examine(a, b)
-				}
+	slices.SortFunc(ms, func(x, y member) int { return interval.CompareIDs(x.rec.ID, y.rec.ID) })
+	for i := range ms {
+		x := &ms[i]
+		for j := i + 1; j < len(ms); j++ {
+			y := &ms[j]
+			if x.group == y.group || x.rec.ID.Proc == y.rec.ID.Proc {
+				continue // examined below this node, or ordered by program order
+			}
+			st.PairComparisons++
+			if !vc.Concurrent(x.rec.ID, x.rec.VC, y.rec.ID, y.rec.VC) {
+				continue
+			}
+			st.ConcurrentPairs++
+			st.NoticesScanned += x.notices + y.notices
+			if x.w&(y.w|y.r)|x.r&y.w == 0 {
+				continue
+			}
+			n := len(dst)
+			if dst = appendOverlap(dst, x.rec, y.rec); len(dst) > n {
+				st.OverlappingPairs++
 			}
 		}
 	}
-	return entries, st
+	clear(ms) // hold no record past the build
+	b.members = ms[:0]
+	return dst, st
+}
+
+// appendOverlap appends an entry (a, b, p) for every page p on which a race
+// between a and b could exist — p in W_a∩(W_b∪R_b) ∪ R_a∩W_b — in
+// ascending page order, walking each sorted notice list once. It yields
+// the pages OverlapViaMerge returns.
+func appendOverlap(dst []CheckEntry, a, b *interval.Record) []CheckEntry {
+	wa, ra, wb, rb := a.WriteNotices, a.ReadNotices, b.WriteNotices, b.ReadNotices
+	for (len(wa) > 0 || len(ra) > 0) && (len(wb) > 0 || len(rb) > 0) {
+		var p mem.PageID // the next page a touches
+		if len(ra) == 0 || len(wa) > 0 && wa[0] < ra[0] {
+			p = wa[0]
+		} else {
+			p = ra[0]
+		}
+		aw, ar := popPage(&wa, p), popPage(&ra, p)
+		bw, br := seekPage(&wb, p), seekPage(&rb, p)
+		if aw && (bw || br) || ar && bw {
+			dst = append(dst, CheckEntry{A: a.ID, B: b.ID, Page: p})
+		}
+	}
+	return dst
+}
+
+// popPage drops p from the head of the sorted list s and reports whether
+// it was there.
+func popPage(s *[]mem.PageID, p mem.PageID) bool {
+	if len(*s) > 0 && (*s)[0] == p {
+		*s = (*s)[1:]
+		return true
+	}
+	return false
+}
+
+// seekPage drops the pages below p from the head of the sorted list s and
+// reports whether p heads what is left.
+func seekPage(s *[]mem.PageID, p mem.PageID) bool {
+	for len(*s) > 0 && (*s)[0] < p {
+		*s = (*s)[1:]
+	}
+	return len(*s) > 0 && (*s)[0] == p
+}
+
+// MergeCheckLists appends to dst the entries of runs, each already in
+// canonical order, as one list in canonical order. The runs of one tree
+// node never share an entry (each pair meets at one node), so nothing is
+// dropped. The entries are only read, so a run may be a received message's
+// list; runs itself is used as scratch, its elements advanced past what
+// has been merged.
+func MergeCheckLists(dst []CheckEntry, runs ...[]CheckEntry) []CheckEntry {
+	for {
+		best := -1
+		for i, r := range runs {
+			if len(r) > 0 && (best < 0 || compareCheckEntries(r[0], runs[best][0]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return dst
+		}
+		dst = append(dst, runs[best][0])
+		runs[best] = runs[best][1:]
+	}
 }
 
 // FoldCheckLists folds a combining tree's merged build output into the
 // detector at the root: it accumulates the distributed build's work
-// counters into Stats, derives the epoch-level aggregates (intervals
-// involved, check entries) from the merged entries, and restores the
-// canonical serial order — leaving the detector's Stats and the returned
-// check list byte-identical to a serial BuildCheckList over the epoch's
-// full record set. nrecords is that full record count.
+// counters into Stats and derives the epoch-level aggregates (intervals
+// involved, check entries) from the merged entries — leaving the
+// detector's Stats and the returned check list byte-identical to a serial
+// BuildCheckList over the epoch's full record set. nrecords is that full
+// record count. The tree delivers the list in canonical order, which the
+// fold checks in one pass; a list out of order is sorted in place.
 func (d *Detector) FoldCheckLists(nrecords int, entries []CheckEntry, bst BuildStats) []CheckEntry {
 	d.stats.Epochs++
 	d.stats.IntervalsTotal += nrecords
@@ -113,7 +221,9 @@ func (d *Detector) FoldCheckLists(nrecords int, entries []CheckEntry, bst BuildS
 	d.stats.ConcurrentPairs += int(bst.ConcurrentPairs)
 	d.stats.OverlappingPairs += int(bst.OverlappingPairs)
 	d.stats.NoticesScanned += int(bst.NoticesScanned)
-	sortCheckEntries(entries)
+	if !slices.IsSortedFunc(entries, compareCheckEntries) {
+		sortCheckEntries(entries)
+	}
 	d.stats.IntervalsInvolved += d.countIntervals(entries)
 	d.stats.CheckEntries += len(entries)
 	return entries
