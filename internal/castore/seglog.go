@@ -1,6 +1,7 @@
 package castore
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,8 +13,8 @@ import (
 )
 
 // SegLog is an append-only, content-addressed segment log on disk: each
-// entry is framed as [magic][length][sha256 addr][payload] and every
-// replay re-hashes the payload against its address, so a torn tail, a
+// entry is framed as [magic][length][sha256 digest][payload] and every
+// replay re-hashes the payload against its digest, so a torn tail, a
 // flipped bit, or a record that no longer decodes is *detected* and cut
 // off at the last verifiable entry instead of being restored blindly —
 // the same verify-then-fallback discipline the checkpoint layer applies
@@ -88,8 +89,15 @@ type SegLogStats struct {
 	Fsyncs    int64 // explicit fsyncs issued
 }
 
+// Digest is a log entry's frame digest: the SHA-256 of its payload. It is
+// part of the on-disk format, independent of the chunk store's Key.
+type Digest [sha256.Size]byte
+
+// String renders the digest as abbreviated hex for logs.
+func (d Digest) String() string { return fmt.Sprintf("%x", d[:8]) }
+
 // Entry framing: 1 magic byte, 4-byte little-endian payload length, the
-// 32-byte payload address, then the payload itself.
+// 32-byte payload digest, then the payload itself.
 const (
 	segMagic       = 0x52 // 'R'
 	segHeaderSize  = 1 + 4 + 32
@@ -107,7 +115,7 @@ func segName(idx int) string { return fmt.Sprintf(segNameFormat, idx) }
 // OpenSegLog opens (creating if necessary) the segment log in dir and
 // replays every verifiable entry, oldest first, through onEntry. An
 // entry fails verification when its frame is torn, its payload no longer
-// hashes to its address, or onEntry rejects it (an undecodable payload
+// hashes to its digest, or onEntry rejects it (an undecodable payload
 // is as unusable as a corrupt one); the log is then truncated at the
 // last good entry, later segments are discarded, and the cut is
 // described by the returned *Truncation — replay never panics and never
@@ -241,8 +249,8 @@ func (l *SegLog) replaySegment(path, name string, onEntry func([]byte) error) (i
 		if int64(n) > size-off-segHeaderSize {
 			return cut(off, "torn entry payload") // before allocating a length the file lacks
 		}
-		var addr Addr
-		copy(addr[:], hdr[5:])
+		var want Digest
+		copy(want[:], hdr[5:])
 		if cap(payload) < int(n) {
 			payload = make([]byte, n)
 		}
@@ -250,8 +258,8 @@ func (l *SegLog) replaySegment(path, name string, onEntry func([]byte) error) (i
 		if _, err := io.ReadFull(f, payload); err != nil {
 			return cut(off, "torn entry payload")
 		}
-		if Sum(payload) != addr {
-			return cut(off, fmt.Sprintf("chunk %s: %v", addr, ErrCorrupt))
+		if Digest(sha256.Sum256(payload)) != want {
+			return cut(off, fmt.Sprintf("chunk %s: %v", want, ErrCorrupt))
 		}
 		if err := onEntry(payload); err != nil {
 			return cut(off, "entry rejected: "+err.Error())
@@ -288,9 +296,9 @@ func (l *SegLog) openSegment(idx int) error {
 
 // Append frames payload, writes it to the active segment (rotating
 // first when full), and fsyncs per the configured cadence. It returns
-// the payload's content address.
-func (l *SegLog) Append(payload []byte) (Addr, error) {
-	a := Sum(payload)
+// the payload's digest.
+func (l *SegLog) Append(payload []byte) (Digest, error) {
+	a := Digest(sha256.Sum256(payload))
 	if len(payload) > maxEntryBytes {
 		return a, fmt.Errorf("castore: entry of %d bytes exceeds the %d-byte frame limit", len(payload), maxEntryBytes)
 	}

@@ -392,3 +392,29 @@ func FuzzSegLogReplay(f *testing.F) {
 		}
 	})
 }
+
+// TestSegLogFramePinned holds the on-disk bytes of a small two-record log
+// (each frame: magic, little-endian length, SHA-256 of the payload, payload):
+// the frame is a durable format that replay checks on every open, so the
+// chunk store's key may change without moving one byte of it.
+func TestSegLogFramePinned(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _ := openCollect(t, dir, SegLogOptions{})
+	for _, p := range []string{`{"seq":1}`, "second record"} {
+		if _, err := l.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "52" + "09000000" + "b41e95c43f388d561b146326d84e3a6b9e31c4ef32ab97c04774c31aada3246a" + "7b22736571223a317d" +
+		"52" + "0d000000" + "8d18e628585a86caf45b9bb362fed443345dcb8b00bb3a15513199029ab074f8" + "7365636f6e64207265636f7264"
+	if hex := fmt.Sprintf("%x", got); hex != want {
+		t.Fatalf("log bytes moved:\n got  %s\n want %s", hex, want)
+	}
+}

@@ -175,6 +175,7 @@ func (p *Proc) fetchPage(pg mem.PageID, write bool) {
 	// The sender handed Data over as a frame of its own (Transport): it
 	// becomes our frame, and the frame it replaces goes back to the pool.
 	p.seg.AdoptPage(pg, rep.Data)
+	p.markDirty(pg)
 	p.tel.Emit(p.id, telemetry.KPageFetch, p.vnow, int64(pg), int64(d.From), p.vnow-v)
 	if own {
 		p.owned[pg] = true

@@ -1,11 +1,13 @@
 package dsm
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+	"testing"
 	"time"
 
 	"lrcrace/internal/castore"
@@ -31,11 +33,14 @@ import (
 //
 // Since ckptVersion 3 the serialized form is a *manifest*: the bulky
 // payloads (page copies, twins, bitmap words) live in a content-addressed
-// chunk store (internal/castore) and the manifest records their 32-byte
-// SHA-256 addresses. A page that did not change between barriers hashes to
-// the same address, so consecutive epochs share chunks instead of storing
+// chunk store (internal/castore) and the manifest records their 8-byte
+// keys (CRC-32C, length, collision index). Identical contents deposit to
+// the same chunk, so consecutive epochs share chunks instead of storing
 // them again — the dedup that makes per-barrier checkpointing cheap enough
-// to leave on by default. Because the address is the hash, decoding a
+// to leave on by default. And the protocol knows which pages changed: a
+// page nothing has written, fetched or diffed since the last checkpoint
+// re-references its chunk without being read at all (see Proc.ckptKey).
+// Because the store checks every chunk against its key, decoding a
 // manifest verifies the integrity of its whole chunk closure: a tampered
 // or missing chunk surfaces as a typed error, never as silently wrong
 // restored state. The encoding is versioned, deterministic (map contents
@@ -44,14 +49,14 @@ import (
 
 const (
 	ckptMagic = 0x4c52434b // "LRCK"
-	// ckptVersion 4: race reports live once, in the master's detector
-	// state, and the fields restore derives (record queue, master flag,
-	// master barrier epoch) are gone. (3 chunked the bulky payloads; 2
-	// inlined them.) The store is in-memory and per-run, so no
-	// cross-version decoding is needed.
-	ckptVersion = 4
-	// addrSize is the serialized width of one chunk address.
-	addrSize = len(castore.Addr{})
+	// ckptVersion 5: chunk references are 8-byte castore keys instead of
+	// 32-byte SHA-256 addresses. (4 kept race reports once, in the
+	// master's detector state; 3 chunked the bulky payloads; 2 inlined
+	// them.) The store is in-memory and per-run, so no cross-version
+	// decoding is needed.
+	ckptVersion = 5
+	// keySize is the serialized width of one chunk reference.
+	keySize = 8
 )
 
 // CheckpointVersion is the current checkpoint serialization format
@@ -64,7 +69,7 @@ const CheckpointVersion = ckptVersion
 // manifest itself (truncation, bit flips, implausible counts, a state the
 // decoding process cannot take); ErrCheckpointChunk covers an unresolvable
 // chunk closure (a referenced chunk is missing from the store or fails its
-// hash check). Rollback treats both the same way — the epoch is unusable
+// integrity check). Rollback treats both the same way — the epoch is unusable
 // and an older line must be tried — but telemetry and tests distinguish
 // them.
 var (
@@ -92,14 +97,14 @@ type CheckpointStats struct {
 	GCLiveBytesAfter  int64 // resident bytes just after it
 
 	// EncodeNS is cumulative wall time spent serializing checkpoints
-	// (hashing included). Wall-dependent: benchmark material, never part
-	// of the deterministic metrics document.
+	// (chunk deposits included). Wall-dependent: benchmark material, never
+	// part of the deterministic metrics document.
 	EncodeNS int64
 }
 
 type ckptEntry struct {
 	manifest []byte
-	addrs    []castore.Addr // one entry per chunk reference, duplicates kept
+	keys     []castore.Key // one entry per chunk reference, duplicates kept
 }
 
 // CheckpointStore is the stable store of serialized checkpoints, keyed by
@@ -115,14 +120,6 @@ type CheckpointStore struct {
 
 	// keepAll turns GC off: every epoch survives.
 	keepAll bool
-
-	// pageAddr remembers, per page, the chunk address any process last
-	// deposited its copy of the page under. At a barrier every process
-	// that holds a page usually holds the same bytes, so after the first
-	// deposit the rest are offered there as a second hint that the chunk
-	// store verifies (castore.Store.PutAt). Only encodes touch it, and the
-	// scheduler runs them one at a time. nil → no shared hints.
-	pageAddr []castore.Addr
 
 	count             int
 	manifestBytes     int64 // cumulative, new keys only
@@ -155,17 +152,16 @@ func (s *System) initCheckpoints() {
 	if s.cfg.checkpointing() && s.ckpts == nil {
 		s.ckpts = NewCheckpointStore()
 		s.ckpts.keepAll = s.keepCkpts
-		s.ckpts.pageAddr = make([]castore.Addr, s.layout.NumPages)
 	}
 }
 
 // Put deposits proc's checkpoint manifest for epoch along with the chunk
 // references it holds (the depositor already holds one chunk-store
-// reference per address; the store now owns them). A re-deposit of the
+// reference per key; the store now owns them). A re-deposit of the
 // same (proc, epoch) — rollback re-execution crossing the same barrier —
 // replaces the entry and retires the old closure's references without
 // recounting the cumulative stats.
-func (cs *CheckpointStore) Put(proc int, epoch int32, manifest []byte, addrs []castore.Addr) {
+func (cs *CheckpointStore) Put(proc int, epoch int32, manifest []byte, keys []castore.Key) {
 	m := cs.byProc[proc]
 	if m == nil {
 		m = make(map[int32]ckptEntry)
@@ -173,15 +169,15 @@ func (cs *CheckpointStore) Put(proc int, epoch int32, manifest []byte, addrs []c
 	}
 	if old, ok := m[epoch]; ok {
 		cs.liveManifestBytes -= int64(len(old.manifest))
-		for _, a := range old.addrs {
-			cs.chunks.Unref(a)
+		for _, k := range old.keys {
+			cs.chunks.Unref(k)
 		}
 	} else {
 		cs.count++
 		cs.manifestBytes += int64(len(manifest))
 	}
 	cs.liveManifestBytes += int64(len(manifest))
-	m[epoch] = ckptEntry{manifest: manifest, addrs: addrs}
+	m[epoch] = ckptEntry{manifest: manifest, keys: keys}
 }
 
 // Get returns proc's checkpoint manifest for epoch, or nil.
@@ -241,8 +237,8 @@ func (cs *CheckpointStore) GC(n int) (removed int, freed int64) {
 		for e, ent := range m {
 			if e <= cutoff {
 				cs.liveManifestBytes -= int64(len(ent.manifest))
-				for _, a := range ent.addrs {
-					cs.chunks.Unref(a)
+				for _, k := range ent.keys {
+					cs.chunks.Unref(k)
 				}
 				delete(m, e)
 				removed++
@@ -296,8 +292,11 @@ type ckptChunkStats struct {
 func (p *Proc) checkpoint() {
 	cs := p.sys.ckpts
 	start := time.Now()
-	manifest, addrs, cst := p.encodeCheckpointInto(cs.Chunks(), cs.pageAddr)
-	cs.Put(p.id, p.epoch, manifest, addrs)
+	if p.sys.allDirty {
+		clear(p.ckptClean)
+	}
+	manifest, keys, cst := p.encodeCheckpointInto(cs.Chunks())
+	cs.Put(p.id, p.epoch, manifest, keys)
 	cs.encodeNS += time.Since(start).Nanoseconds()
 	p.tel.Emit(p.id, telemetry.KCheckpoint, p.vnow,
 		int64(p.epoch), int64(len(manifest)), int64(len(manifest))+cst.logicalBytes)
@@ -329,19 +328,16 @@ func chunkBitmap(b []byte) mem.Bitmap {
 }
 
 // encodeCheckpointInto serializes the checkpointable state of p, chunking
-// the bulky payloads into cs (nil → hash-only: the addresses are computed,
-// the contents dropped). Each page copy is also offered at pageAddr's entry
-// for the page, which is then set to where the copy landed (nil → no
-// shared hints). It returns the manifest, the chunk references
+// the bulky payloads into cs. It returns the manifest, the chunk references
 // taken (one per manifest reference; the caller owns them and hands them to
 // CheckpointStore.Put), and the encode's chunking stats. No handler runs
 // during the capture (one thread of control, sched.go), so it is atomic
 // with respect to message handling. The manifest's buffer starts an eighth
 // longer than p's previous manifest, which a process's next one rarely
 // outgrows.
-func (p *Proc) encodeCheckpointInto(cs *castore.Store, pageAddr []castore.Addr) ([]byte, []castore.Addr, ckptChunkStats) {
+func (p *Proc) encodeCheckpointInto(cs *castore.Store) ([]byte, []castore.Key, ckptChunkStats) {
 	buf := make([]byte, 0, p.manifestLen+p.manifestLen/8)
-	w := &ckptWire{Wire: msg.Wire{E: msg.NewEncoder(buf)}, store: cs, pageAddr: pageAddr}
+	w := &ckptWire{Wire: msg.Wire{E: msg.NewEncoder(buf)}, store: cs}
 	if p.id == 0 && p.sys.detector != nil {
 		st := p.sys.detector.SnapshotState()
 		w.det = &st
@@ -349,12 +345,12 @@ func (p *Proc) encodeCheckpointInto(cs *castore.Store, pageAddr []castore.Addr) 
 	p.checkpointLayout(w)
 	manifest := w.E.Bytes()
 	p.manifestLen = len(manifest)
-	return manifest, w.addrs, w.cst
+	return manifest, w.keys, w.cst
 }
 
 // decodeCheckpoint decodes manifest b into a fresh process id of s,
 // resolving every chunk reference through chunks (nil → none resolve),
-// which verifies each chunk against its address. At process 0 of a
+// which verifies each chunk against its key. At process 0 of a
 // detecting system it also returns the detector state the manifest
 // carries; nothing outside the returned process is touched. Errors are
 // typed: ErrCheckpointChunk for an unresolvable closure,
@@ -384,57 +380,71 @@ func decodeCheckpoint(s *System, id int, b []byte, chunks *castore.Store) (*Proc
 // only a checkpoint has, the chunk reference.
 type ckptWire struct {
 	msg.Wire
-	// store is where encoding deposits chunks (nil → hash only) and where
-	// decoding resolves addresses (nil → none resolve).
+	// store is where encoding deposits chunks and where decoding resolves
+	// keys (nil → none resolve).
 	store *castore.Store
-	addrs []castore.Addr // encoding: the references taken
+	keys  []castore.Key // encoding: the references taken
 	cst   ckptChunkStats
 	det   *race.State // the master's detector state; nil → none
-
-	// pageAddr is the per-page shared hint table (CheckpointStore.pageAddr)
-	// when encoding into a store; nil → none.
-	pageAddr []castore.Addr
 }
 
-// chunk moves a bulky payload as its 32-byte address. Encoding deposits *b
-// at two hints — own, where this process last deposited these bytes'
-// predecessor, and shared, where any process did; the zero Addr for no
-// idea; the store verifies both — and writes the address the bytes landed
-// at. Decoding reads an address and resolves it through the verifying store
-// into *b. Either way it returns the address.
-func (w *ckptWire) chunk(own, shared castore.Addr, b *[]byte) castore.Addr {
-	var a castore.Addr
+// verifyClean makes every clean page's re-reference also compare the page
+// with the chunk in test binaries, so a mutation site that forgets to
+// clear Proc.ckptClean fails the suite instead of checkpointing stale
+// bytes. Other binaries never read a clean page.
+var verifyClean = testing.Testing()
+
+// chunk moves a bulky payload as its 8-byte key. Encoding re-references
+// the chunk named known when clean says *b is exactly its contents (Ref,
+// which never reads *b), and otherwise — or when the store refuses the
+// Ref — deposits *b; it writes the key either way. Decoding reads a key
+// and resolves it through the verifying store into *b. Either way it
+// returns the key.
+func (w *ckptWire) chunk(b *[]byte, known castore.Key, clean bool) castore.Key {
+	k := known
 	if w.D != nil {
-		copy(a[:], w.D.Raw(addrSize))
+		msg.N64(w.Wire, &k)
 		switch {
 		case w.D.Err() != nil:
 		case w.store == nil:
-			w.D.Fail(fmt.Errorf("%w: %s: no chunk store", ErrCheckpointChunk, a))
+			w.D.Fail(fmt.Errorf("%w: %s: no chunk store", ErrCheckpointChunk, k))
 		default:
-			data, err := w.store.Get(a)
+			data, err := w.store.Get(k)
 			if err != nil {
 				w.D.Fail(fmt.Errorf("%w: %v", ErrCheckpointChunk, err))
 			}
 			*b = data
 		}
-		return a
+		return k
 	}
 	w.cst.puts++
 	w.cst.logicalBytes += int64(len(*b))
-	if w.store == nil {
-		a = castore.Sum(*b)
+	if clean && w.store.Ref(k) {
+		w.cst.hits++
+		if verifyClean {
+			w.checkClean(k, *b)
+		}
 	} else {
 		var isNew bool
-		a, isNew = w.store.PutAt(own, shared, *b)
+		k, isNew = w.store.Put(*b)
 		if isNew {
 			w.cst.newBytes += int64(len(*b))
 		} else {
 			w.cst.hits++
 		}
-		w.addrs = append(w.addrs, a)
 	}
-	w.E.Raw(a[:])
-	return a
+	w.keys = append(w.keys, k)
+	msg.N64(w.Wire, &k)
+	return k
+}
+
+// checkClean panics unless b is the contents of the chunk named k.
+func (w *ckptWire) checkClean(k castore.Key, b []byte) {
+	data, err := w.store.Get(k)
+	if err != nil || !bytes.Equal(data, b) {
+		panic(fmt.Sprintf("dsm: checkpoint: a page marked clean differs from its chunk %s (%v): a mutation site did not mark it dirty", k, err))
+	}
+	mem.PutFrame(data)
 }
 
 // fail rejects the manifest being decoded; the first failure sticks.
@@ -532,15 +542,14 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 
 	// Page table and copies. Transient fault state (expecting/fetching/
 	// pendFwd) is quiescent at a barrier and is not serialized. Three pages
-	// in four are byte-identical to the previous epoch's copy, so each is
-	// offered at the address it was last deposited under (a process decoded
-	// from a checkpoint remembers the addresses it was restored from), and
-	// at the address another process deposited its copy under at this
-	// barrier. A page without a frame is encoded from the zero page and
-	// decoded into a frame of its own.
+	// in four are byte-identical to the previous epoch's copy: a clean one
+	// re-references the chunk it was last deposited under (or, in a process
+	// decoded from a checkpoint, restored from). A page without a frame is
+	// encoded from the zero page and decoded into a frame of its own.
 	np := len(p.state)
-	if p.ckptAddr == nil {
-		p.ckptAddr = make([]castore.Addr, np)
+	if p.ckptKey == nil {
+		p.ckptKey = make([]castore.Key, np)
+		p.ckptClean = make([]bool, np)
 	}
 	if got, _ := w.Count(np, 7); dec && got != np {
 		w.fail("checkpoint has %d pages, layout has %d", got, np)
@@ -564,16 +573,10 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 		}
 		if hasCopy {
 			b := p.seg.PageView(pg)
-			var shared castore.Addr
-			if w.pageAddr != nil {
-				shared = w.pageAddr[pg]
-			}
-			p.ckptAddr[pg] = w.chunk(p.ckptAddr[pg], shared, &b)
+			p.ckptKey[pg] = w.chunk(&b, p.ckptKey[pg], p.ckptClean[pg])
+			p.ckptClean[pg] = true
 			switch {
 			case !dec:
-				if w.pageAddr != nil {
-					w.pageAddr[pg] = p.ckptAddr[pg]
-				}
 			case len(b) != p.seg.PageSize:
 				w.fail("page %d copy has %d bytes, page size is %d", pg, len(b), p.seg.PageSize)
 			default:
@@ -589,7 +592,7 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 			twinPages = append(twinPages, mem.PageID(pg))
 		}
 	}
-	if k, ok := w.Count(len(twinPages), 4+addrSize); dec && ok {
+	if k, ok := w.Count(len(twinPages), 4+keySize); dec && ok {
 		twinPages = make([]mem.PageID, k)
 	}
 	for i := range twinPages {
@@ -600,7 +603,7 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 		if !dec {
 			tw = p.twins[pg]
 		}
-		w.chunk(castore.Addr{}, castore.Addr{}, &tw)
+		w.chunk(&tw, 0, false)
 		switch {
 		case !dec:
 		case pg < 0 || int(pg) >= len(p.twins):
@@ -667,7 +670,7 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 		}
 	}
 	ents := p.store.Entries()
-	if k, ok := w.Count(len(ents), 11+addrSize); dec && ok {
+	if k, ok := w.Count(len(ents), 11+keySize); dec && ok {
 		ents = make([]interval.StoredBitmap, k)
 	}
 	bitmapBytes := (p.seg.PageSize/mem.WordSize + 63) / 64 * 8 // one page's mem.Bitmap
@@ -677,7 +680,7 @@ func (p *Proc) checkpointLayout(w *ckptWire) {
 		msg.N32(w.Wire, &en.Page)
 		w.Flag(&en.Write)
 		words := bitmapChunk(en.Bits)
-		w.chunk(castore.Addr{}, castore.Addr{}, &words)
+		w.chunk(&words, 0, false)
 		switch {
 		case !dec:
 		case en.Page < 0 || int(en.Page) >= np:

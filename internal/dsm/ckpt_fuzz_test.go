@@ -117,7 +117,7 @@ func TestCheckpointRangeChecks(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.damage(p)
-		blob, _, _ := p.encodeCheckpointInto(s.ckpts.Chunks(), nil)
+		blob, _, _ := p.encodeCheckpointInto(s.ckpts.Chunks())
 		_, _, err = decodeCheckpoint(s, id, blob, s.ckpts.Chunks())
 		if c.name == "undamaged" {
 			if err != nil {
@@ -170,7 +170,7 @@ func TestCheckpointReportChecks(t *testing.T) {
 		}
 		c.damage(det.Reports)
 		twin.detector.RestoreState(*det)
-		blob, _, _ := p.encodeCheckpointInto(nil, nil)
+		blob := reencode(p, s.ckpts.Chunks())
 		_, _, err = decodeCheckpoint(twin, 0, blob, s.ckpts.Chunks())
 		if c.name == "undamaged" {
 			if err != nil {
@@ -186,8 +186,8 @@ func TestCheckpointReportChecks(t *testing.T) {
 // checkpoint is read back at the most fragile moment there is,
 // mid-recovery — and every rejection must carry one of the two typed
 // errors so the rollback planner can fall back instead of crashing.
-// Decoding is canonical: a manifest it accepts re-encodes, hash-only, to
-// exactly its bytes.
+// Decoding is canonical: a manifest it accepts re-encodes, into the store
+// it resolved from, to exactly its bytes.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	manifests, chunks := fuzzSeedCheckpoints(f, MultiWriter)
 	swManifests, swChunks := fuzzSeedCheckpoints(f, SingleWriter)
@@ -222,10 +222,20 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 					}
 					continue
 				}
-				if again, _, _ := p.encodeCheckpointInto(nil, nil); !bytes.Equal(again, data) {
+				if again := reencode(p, src); !bytes.Equal(again, data) {
 					t.Fatalf("accepted manifest re-encodes to different bytes:\n in  %x\n out %x", data, again)
 				}
 			}
 		}
 	})
+}
+
+// reencode encodes p into chunks and drops the references the encode took,
+// so the store's residents are as they were.
+func reencode(p *Proc, chunks *castore.Store) []byte {
+	m, keys, _ := p.encodeCheckpointInto(chunks)
+	for _, k := range keys {
+		chunks.Unref(k)
+	}
+	return m
 }

@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -72,7 +73,7 @@ func racyMWScenario() recoveryScenario {
 
 // TestCheckpointBytesPinned holds every checkpoint a few lock-free runs
 // deposit to testdata/ckpt_pins.txt: per (run, proc, epoch), the SHA-256 of
-// the manifest and of its chunk-address list. The runs cover both
+// the manifest and of its chunk-key list. The runs cover both
 // protocols, racy records in the master's extras, and a run after a
 // rollback. A codec edit that moves one manifest byte or one chunk
 // reference fails here. Rewrite the pins (-update-pins) only for a change
@@ -88,7 +89,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		{"racy-mw/rollback", racyMWScenario(), &CrashPlan{Victim: 2, Epoch: 2, Point: CrashMidInterval, AfterN: 1}},
 	}
 	var b strings.Builder
-	b.WriteString("# SHA-256 of each deposited checkpoint manifest and of its chunk-address list.\n")
+	b.WriteString("# SHA-256 of each deposited checkpoint manifest and of its chunk-key list (little-endian keys).\n")
 	b.WriteString("# Rewrite with: go test ./internal/dsm -run TestCheckpointBytesPinned -update-pins\n")
 	for _, r := range runs {
 		s := r.sc.run(t, r.crash)
@@ -107,8 +108,8 @@ func TestCheckpointBytesPinned(t *testing.T) {
 					t.Fatalf("%s: no checkpoint for proc %d epoch %d", r.name, proc, epoch)
 				}
 				h := sha256.New()
-				for _, a := range ent.addrs {
-					h.Write(a[:])
+				for _, k := range ent.keys {
+					h.Write(binary.LittleEndian.AppendUint64(nil, uint64(k)))
 				}
 				fmt.Fprintf(&b, "%s p%d e%d %x %x\n", r.name, proc, epoch, sha256.Sum256(ent.manifest), h.Sum(nil))
 			}

@@ -246,11 +246,11 @@ func TestTamperedCheckpointRejected(t *testing.T) {
 	}
 
 	// Tamper with one chunk of proc 1's epoch-2 closure.
-	addrs := s.ckpts.byProc[1][2].addrs
-	if len(addrs) == 0 {
+	keys := s.ckpts.byProc[1][2].keys
+	if len(keys) == 0 {
 		t.Fatal("epoch-2 checkpoint references no chunks")
 	}
-	if !s.ckpts.Chunks().Tamper(addrs[0]) {
+	if !s.ckpts.Chunks().Tamper(keys[0]) {
 		t.Fatal("tamper failed")
 	}
 	_, _, err := decodeCheckpoint(s, 1, blob, s.ckpts.Chunks())
@@ -259,7 +259,7 @@ func TestTamperedCheckpointRejected(t *testing.T) {
 	}
 
 	// Deleting the chunk is detected the same way.
-	if !s.ckpts.Chunks().Delete(addrs[0]) {
+	if !s.ckpts.Chunks().Delete(keys[0]) {
 		t.Fatal("delete failed")
 	}
 	if _, _, err := decodeCheckpoint(s, 1, blob, s.ckpts.Chunks()); !errors.Is(err, ErrCheckpointChunk) {
@@ -298,7 +298,7 @@ func TestCheckpointStoreGC(t *testing.T) {
 		// per-proc chunk, mimicking unchanged vs. changed pages.
 		shared, _ := cs.Chunks().Put([]byte(fmt.Sprintf("shared-%d", e)))
 		own, _ := cs.Chunks().Put([]byte(fmt.Sprintf("own-%d-%d", proc, e)))
-		cs.Put(proc, e, manifest(e), []castore.Addr{shared, own})
+		cs.Put(proc, e, manifest(e), []castore.Key{shared, own})
 	}
 	for e := int32(1); e <= 5; e++ {
 		for p := 0; p < nproc; p++ {

@@ -1,7 +1,6 @@
 package dsm
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 
@@ -14,7 +13,7 @@ type CorruptMode int
 
 const (
 	// CorruptChunk flips a bit in the stored copy of each victim chunk, so
-	// resolving it fails its hash check (castore.ErrCorrupt).
+	// resolving it fails its integrity check (castore.ErrCorrupt).
 	CorruptChunk CorruptMode = iota
 	// DeleteChunk drops each victim chunk's stored bytes entirely, so
 	// resolving it fails with castore.ErrMissing.
@@ -37,11 +36,11 @@ func (m CorruptMode) String() string {
 // simnet.FaultPlan (wire faults). Once every process has deposited its
 // checkpoint for Epoch, the plan fires exactly once per System: Count
 // chunks of that epoch's closure, chosen by a seeded PRNG over the sorted
-// address list, are tampered with or deleted.
+// key list, are tampered with or deleted.
 //
 // Corruption is silent until a rollback tries to use the damaged epoch;
-// then manifest decoding detects the broken closure (the address is the
-// hash) and recovery falls back to the newest older epoch that still
+// then manifest decoding detects the broken closure (the store checks each
+// chunk against its key) and recovery falls back to the newest older epoch that still
 // verifies. Re-execution across the damaged barrier re-deposits the true
 // chunk contents, healing the store.
 type CorruptionPlan struct {
@@ -93,33 +92,33 @@ func (s *System) maybeCorrupt(epoch int32) {
 
 // corruptEpoch applies the plan's damage to epoch's chunk closure: the
 // union of every process's chunk references at that epoch, deduplicated
-// and lexicographically sorted so the seeded choice is deterministic.
-// Returns the number of chunks attacked.
+// and sorted so the seeded choice is deterministic. Returns the number of
+// chunks attacked.
 func (cs *CheckpointStore) corruptEpoch(epoch int32, n int, cp *CorruptionPlan) int {
-	seen := make(map[castore.Addr]bool)
-	var addrs []castore.Addr
+	seen := make(map[castore.Key]bool)
+	var keys []castore.Key
 	for p := 0; p < n; p++ {
-		for _, a := range cs.byProc[p][epoch].addrs {
-			if !seen[a] {
-				seen[a] = true
-				addrs = append(addrs, a)
+		for _, k := range cs.byProc[p][epoch].keys {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
 			}
 		}
 	}
-	slices.SortFunc(addrs, func(a, b castore.Addr) int { return bytes.Compare(a[:], b[:]) })
-	count := min(max(cp.Count, 1), len(addrs))
+	slices.Sort(keys)
+	count := min(max(cp.Count, 1), len(keys))
 	next := splitmix64(cp.Seed)
 	picked := make(map[int]bool, count)
 	for range count {
-		i := int(next() % uint64(len(addrs)))
+		i := int(next() % uint64(len(keys)))
 		for picked[i] {
-			i = (i + 1) % len(addrs)
+			i = (i + 1) % len(keys)
 		}
 		picked[i] = true
 		if cp.Mode == DeleteChunk {
-			cs.chunks.Delete(addrs[i])
+			cs.chunks.Delete(keys[i])
 		} else {
-			cs.chunks.Tamper(addrs[i])
+			cs.chunks.Tamper(keys[i])
 		}
 	}
 	return count

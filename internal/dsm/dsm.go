@@ -27,6 +27,7 @@ import (
 	"math"
 	"sort"
 
+	"lrcrace/internal/castore"
 	"lrcrace/internal/mem"
 	"lrcrace/internal/msg"
 	"lrcrace/internal/race"
@@ -225,6 +226,9 @@ func (c *Config) Validate() error {
 		if _, err := mem.NewLayout(c.SharedSize, c.PageSize); err != nil {
 			return fmt.Errorf("dsm: PageSize = %d: %w", c.PageSize, err)
 		}
+		if c.PageSize > castore.MaxChunk && c.checkpointing() {
+			return fmt.Errorf("dsm: PageSize = %d: a checkpoint chunk holds at most %d bytes", c.PageSize, castore.MaxChunk)
+		}
 	}
 	if c.WritesFromDiffs && c.Protocol != MultiWriter {
 		return fmt.Errorf("dsm: WritesFromDiffs requires the multi-writer protocol")
@@ -321,6 +325,7 @@ type System struct {
 	// Crash recovery (see checkpoint.go / recovery.go).
 	ckpts       *CheckpointStore
 	keepCkpts   bool                            // test seam: the store never collects an epoch
+	allDirty    bool                            // test seam: every checkpoint deposits every page copy
 	wrapNet     func(Transport) Transport       // test seam: wraps each attempt's built transport
 	seeDelivery func(to int, d simnet.Delivery) // test seam: sees, and may alter, each delivery before its handler runs
 	rel         *reliable.Transport             // the current attempt's sublayer; nil when the run needs none

@@ -28,13 +28,16 @@ func (p *Proc) Frames() int { return p.seg.Resident() }
 // ChunkStats returns the checkpoint chunk store's accounting.
 func (s *System) ChunkStats() castore.Stats { return s.ckpts.Chunks().Stats() }
 
-// OfferOwnCkptHintsOnly makes the run's checkpoints offer each page at its
-// own process's remembered address only, as if no process shared hints.
-// Call it before Run.
-func (s *System) OfferOwnCkptHintsOnly() {
-	s.initCheckpoints()
-	s.ckpts.pageAddr = nil
-}
+// CheckpointAllDirty makes every checkpoint of the run deposit every page
+// copy, as if the protocol had changed them all. Call it before Run.
+func (s *System) CheckpointAllDirty() { s.allDirty = true }
+
+// KeepCheckpoints turns checkpoint retention off: every epoch survives the
+// run. Call it before Run.
+func (s *System) KeepCheckpoints() { s.keepCkpts = true }
+
+// Checkpoints returns the checkpoints the run holds, by process and epoch.
+func (s *System) Checkpoints() map[int]map[int32]ckptEntry { return s.ckpts.byProc }
 
 // CrashFired reports whether the run fired cfg.Crashes[i].
 func (s *System) CrashFired(i int) bool { return s.crashFired[i] }

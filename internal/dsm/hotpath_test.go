@@ -87,15 +87,15 @@ func waterScenario() recoveryScenario {
 	}
 }
 
-// TestCheckpointHintsChangeNothing: the per-page remembered chunk addresses,
-// the process's own and the ones shared between processes, are an
-// accelerator only. Every checkpoint a run deposited — encoded with
-// whatever the process and the store remembered at that barrier: nothing
-// at the first, warm addresses later, and after a rollback the ones it was
-// decoded from — is byte-identical, manifest and chunk references, to
-// re-encoding the same state with no remembered addresses, with all of
-// either kind right, and with all of them wrong; the chunk store accounts
-// them all the same, and a right hint saves a page its hash.
+// TestCheckpointHintsChangeNothing: the per-page remembered chunk keys and
+// their clean marks are an accelerator only. A run deposits exactly the
+// checkpoints, manifests and chunk references, that the same run deposits
+// with every page dirty at every barrier — across a rollback too, where the
+// restored processes start clean at the keys they were decoded from — and
+// its chunk store accounts for them the same bar the fingerprints saved.
+// And every deposited checkpoint re-encodes to itself from a process
+// decoded from it, clean (every page re-referenced, none fingerprinted)
+// and all dirty alike.
 func TestCheckpointHintsChangeNothing(t *testing.T) {
 	crashes := map[string]func() *CrashPlan{
 		"crash-free": func() *CrashPlan { return nil },
@@ -112,16 +112,25 @@ func TestCheckpointHintsChangeNothing(t *testing.T) {
 						t.Fatalf("recovery stats %+v, want one rollback to epoch %d", rs, crash.Epoch)
 					}
 				}
-				for _, p := range s.procs {
-					if p.ckptAddr == nil {
-						t.Fatalf("proc %d finished the run remembering no chunk addresses", p.id)
-					}
+				dirty := recoverySys(t, 4, sc.proto, plan(), nil)
+				dirty.CheckpointAllDirty()
+				if err := dirty.RunEpochs(sc.epochs, sc.setup(t, dirty)); err != nil {
+					t.Fatal(err)
 				}
+				if !reflect.DeepEqual(s.ckpts.byProc, dirty.ckpts.byProc) {
+					t.Fatal("checkpoints differ from the all-dirty run's")
+				}
+				got, want := s.ChunkStats(), dirty.ChunkStats()
+				if got.Hashed >= want.Hashed {
+					t.Errorf("fingerprinted %d chunks, %d all dirty: want fewer", got.Hashed, want.Hashed)
+				}
+				got.Hashed, want.Hashed = 0, 0
+				if got != want {
+					t.Fatalf("chunk store accounting differs:\n dirty set %+v\n all dirty %+v", got, want)
+				}
+
 				twin := recoverySys(t, 4, sc.proto, nil, nil)
 				chunks := s.ckpts.Chunks()
-				if s.ckpts.pageAddr == nil {
-					t.Fatal("the run kept no shared page hints")
-				}
 				for proc := 0; proc < 4; proc++ {
 					for epoch := int32(1); epoch <= sc.epochs; epoch++ {
 						stored, ok := s.ckpts.byProc[proc][epoch]
@@ -132,25 +141,29 @@ func TestCheckpointHintsChangeNothing(t *testing.T) {
 						if err != nil {
 							t.Fatalf("proc %d epoch %d: %v", proc, epoch, err)
 						}
-						fresh.ckptAddr = nil // forget the addresses it was decoded from
-
+						pages := int64(0) // page copies in the checkpoint
+						for _, clean := range fresh.ckptClean {
+							if clean {
+								pages++
+							}
+						}
 						type encoding struct {
 							cst   ckptChunkStats
 							delta castore.Stats
 						}
 						var hashed int64 // by the last encode
-						encode := func(what string, shared []castore.Addr) encoding {
+						encode := func(what string) encoding {
 							before := chunks.Stats()
-							manifest, addrs, cst := fresh.encodeCheckpointInto(chunks, shared)
+							manifest, keys, cst := fresh.encodeCheckpointInto(chunks)
 							after := chunks.Stats()
-							for _, a := range addrs {
-								chunks.Unref(a)
+							for _, k := range keys {
+								chunks.Unref(k)
 							}
 							if !bytes.Equal(manifest, stored.manifest) {
-								t.Fatalf("proc %d epoch %d, %s addresses: manifest differs from the one the run deposited", proc, epoch, what)
+								t.Fatalf("proc %d epoch %d, %s: manifest differs from the one the run deposited", proc, epoch, what)
 							}
-							if !reflect.DeepEqual(addrs, stored.addrs) {
-								t.Fatalf("proc %d epoch %d, %s addresses: chunk references differ", proc, epoch, what)
+							if !slices.Equal(keys, stored.keys) {
+								t.Fatalf("proc %d epoch %d, %s: chunk references differ", proc, epoch, what)
 							}
 							hashed = after.Hashed - before.Hashed
 							return encoding{cst, castore.Stats{
@@ -159,45 +172,18 @@ func TestCheckpointHintsChangeNothing(t *testing.T) {
 								Heals: after.Heals - before.Heals, Chunks: after.Chunks - before.Chunks, LiveBytes: after.LiveBytes - before.LiveBytes,
 							}}
 						}
-						cold := encode("no remembered", nil)
-						coldHashed := hashed
-						if fresh.ckptAddr == nil {
-							t.Fatal("encoding remembered no addresses")
+						clean := encode("clean")
+						cleanHashed := hashed
+						clear(fresh.ckptClean)
+						allDirty := encode("all dirty")
+						if want := hashed - pages; pages == 0 || cleanHashed != want {
+							t.Errorf("proc %d epoch %d: clean encode fingerprinted %d chunks, want %d (%d pages re-referenced)", proc, epoch, cleanHashed, want, pages)
 						}
-						right := slices.Clone(fresh.ckptAddr)
-						pages := int64(0) // page copies in the checkpoint
-						for _, a := range right {
-							if a != (castore.Addr{}) {
-								pages++
-							}
+						if clean != allDirty {
+							t.Fatalf("proc %d epoch %d: accounting differs:\n clean     %+v\n all dirty %+v", proc, epoch, clean, allDirty)
 						}
-						warm := encode("warm", nil)
-						if want := coldHashed - pages; hashed != want {
-							t.Errorf("proc %d epoch %d: warm own hints hashed %d chunks, want %d", proc, epoch, hashed, want)
-						}
-						// Every remembered address names another page's chunk.
-						wrong := append(slices.Clone(right[1:]), right[0])
-						copy(fresh.ckptAddr, wrong)
-						stale := encode("stale", nil)
-						// The cross-process hint: right, wrong, and wrong
-						// beside a wrong own hint. Encoding overwrites the
-						// table it is given, so each gets its own copy.
-						clear(fresh.ckptAddr)
-						shared := encode("shared", slices.Clone(right))
-						if want := coldHashed - pages; hashed != want {
-							t.Errorf("proc %d epoch %d: right shared hints hashed %d chunks, want %d", proc, epoch, hashed, want)
-						}
-						clear(fresh.ckptAddr)
-						sharedWrong := encode("wrong shared", slices.Clone(wrong))
-						copy(fresh.ckptAddr, wrong)
-						bothWrong := encode("both wrong", slices.Clone(wrong))
-						for _, e := range []encoding{warm, stale, shared, sharedWrong, bothWrong} {
-							if e != cold {
-								t.Fatalf("proc %d epoch %d: accounting differs:\n cold %+v\n got  %+v", proc, epoch, cold, e)
-							}
-						}
-						if cold.delta.Puts == 0 || cold.delta.Hits != cold.delta.Puts || cold.delta.Heals != 0 {
-							t.Fatalf("proc %d epoch %d: re-encoding resident state: %+v, want all hits", proc, epoch, cold.delta)
+						if clean.delta.Puts == 0 || clean.delta.Hits != clean.delta.Puts || clean.delta.Heals != 0 {
+							t.Fatalf("proc %d epoch %d: re-encoding resident state: %+v, want all hits", proc, epoch, clean.delta)
 						}
 					}
 				}

@@ -14,6 +14,19 @@ import (
 	"lrcrace/internal/simnet"
 )
 
+// TestPageSizeFitsAChunk: a checkpoint stores each page copy as one chunk,
+// so a checkpointing run rejects pages longer than a chunk may be.
+func TestPageSizeFitsAChunk(t *testing.T) {
+	cfg := Config{NumProcs: 2, SharedSize: 1 << 25, PageSize: 1 << 24}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "checkpoint chunk") {
+		t.Fatalf("Validate of %d-byte pages: %v, want the chunk limit", cfg.PageSize, err)
+	}
+	cfg.NoCheckpoint = true
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate of %d-byte pages without checkpoints: %v", cfg.PageSize, err)
+	}
+}
+
 // TestPageSizeMustBePowerOfTwo: page arithmetic is shifts and masks, so a
 // page size that is not a power of two is a configuration error, reported
 // by Validate and New rather than by a panic at the first access.

@@ -176,13 +176,19 @@ type Proc struct {
 	replies []simnet.Delivery // handled responses the application has not taken
 	crashed bool              // an injected crash killed the process
 
-	// ckptAddr remembers, per page, the chunk address the page's copy was
-	// last deposited under (allocated at the first checkpoint). It is only
-	// ever offered to the chunk store as a hint that the store verifies
-	// against the page's bytes (castore.Store.PutAt), so a stale entry —
-	// the page changed, or a rollback restored older contents — costs a
-	// hash, never a wrong address.
-	ckptAddr []castore.Addr
+	// ckptKey names, per page, the chunk the page's copy was last
+	// deposited under or restored from, and ckptClean marks the pages whose
+	// bytes are still exactly that chunk's. A clean page's next checkpoint
+	// re-references its chunk (castore.Store.Ref) without reading the page.
+	// The protocol knows every change, so the mark is cleared off the
+	// access path: when an interval closes, for the pages it wrote or
+	// twinned, and where a page is replaced, diffed or invalidated
+	// (markDirty). A clean page's chunk stays resident: the process's
+	// latest checkpoint, which retention never collects, references it.
+	// Both are nil until the first checkpoint or restore, so a fresh
+	// process is all dirty.
+	ckptKey   []castore.Key
+	ckptClean []bool
 
 	// Barrier arrival/reduction state (every process; see tree.go).
 	tree *treeState
@@ -414,6 +420,12 @@ func (p *Proc) bumpVTo(t int64) {
 // it for the next barrier-arrival message. The caller must then call
 // startInterval before any further shared access.
 func (p *Proc) closeInterval() {
+	for _, pg := range p.writtenPages.pages {
+		p.markDirty(pg)
+	}
+	for _, pg := range p.twinned.pages {
+		p.markDirty(pg)
+	}
 	if p.proto == MultiWriter {
 		p.flushDiffs()
 	}
@@ -498,6 +510,15 @@ func (p *Proc) invalidate(pg mem.PageID) {
 		p.fetchInv[pg] = true
 	}
 	p.state[pg] = pageInvalid
+	p.markDirty(pg)
+}
+
+// markDirty records that pg's bytes may no longer be its checkpoint
+// chunk's.
+func (p *Proc) markDirty(pg mem.PageID) {
+	if p.ckptClean != nil {
+		p.ckptClean[pg] = false
+	}
 }
 
 func (p *Proc) lock(id int) *lockState {

@@ -267,14 +267,14 @@ func (s *System) attempt(body func(p *Proc), plan *rollbackPlan) error {
 
 // planRollback selects the recovery line and decodes every process's
 // checkpoint at it into a fresh process, verifying each manifest's chunk
-// closure (the address is the hash, so decoding IS the integrity check).
-// A line whose closure does not verify — a chunk tampered with, deleted,
-// or a manifest bit-flipped — is rejected with a telemetry trip and
-// rollback falls back to the next older epoch; if no stored epoch
-// verifies, the plan is a full restart from the initial state (epoch 0,
-// and a new detector's state). Nothing shared is touched until the next
-// attempt adopts the plan. Called after a crash-aborted attempt has fully
-// wound down.
+// closure (the store checks every chunk against its key, so decoding IS
+// the integrity check). A line whose closure does not verify — a chunk
+// tampered with, deleted, or a manifest bit-flipped — is rejected with a
+// telemetry trip and rollback falls back to the next older epoch; if no
+// stored epoch verifies, the plan is a full restart from the initial state
+// (epoch 0, and a new detector's state). Nothing shared is touched until
+// the next attempt adopts the plan. Called after a crash-aborted attempt
+// has fully wound down.
 func (s *System) planRollback() (*rollbackPlan, error) {
 	n := s.cfg.NumProcs
 	suspect, via := s.suspectInfo()

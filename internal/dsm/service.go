@@ -209,6 +209,7 @@ func (p *Proc) handleDiffFlush(d simnet.Delivery, m *msg.DiffFlush) {
 	}
 	base := p.seg.PageBase(pg)
 	twin := p.twins[pg]
+	p.markDirty(pg)
 	for _, e := range m.Entries {
 		a := base + mem.Addr(int(e.Word)*mem.WordSize)
 		p.seg.SetWord(a, e.Val)
