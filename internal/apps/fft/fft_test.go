@@ -2,6 +2,8 @@ package fft
 
 import (
 	"math/cmplx"
+	"slices"
+	"sync"
 	"testing"
 
 	"lrcrace/internal/dsm"
@@ -65,6 +67,34 @@ func TestFFT3DMatchesReference(t *testing.T) {
 		if races := sys.Races(); len(races) != 0 {
 			t.Errorf("procs=%d: FFT reported races: %v", procs, races[0])
 		}
+	}
+}
+
+// TestReferenceComputedOncePerShape: Verify's reference is computed once
+// per grid shape and shared, also by instances asking at the same time,
+// and it is the transform Reference computes.
+func TestReferenceComputedOncePerShape(t *testing.T) {
+	cfg := Config{N1: 4, N2: 8, N3: 2}
+	got := make([][]complex128, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = New(cfg).reference()
+		}()
+	}
+	wg.Wait()
+	for i, r := range got {
+		if &r[0] != &got[0][0] {
+			t.Fatalf("instance %d computed its own reference", i)
+		}
+	}
+	if !slices.Equal(got[0], New(cfg).Reference()) {
+		t.Fatal("shared reference differs from Reference")
+	}
+	if other := New(Config{N1: 8, N2: 8, N3: 2}).reference(); len(other) == len(got[0]) {
+		t.Fatal("two grid shapes share a reference")
 	}
 }
 

@@ -86,11 +86,6 @@ func Default() Model {
 	}
 }
 
-// WireTime returns latency plus transmission time for a message of n bytes.
-func (m Model) WireTime(n int) int64 {
-	return m.MsgLatency + int64(float64(n)*m.PerByte)
-}
-
 // InstrCost returns the full per-instrumented-access cost (procedure call
 // plus access check).
 func (m Model) InstrCost() int64 { return m.ProcCall + m.AccessCheck }

@@ -36,16 +36,6 @@ func TestDefaultIsComplete(t *testing.T) {
 	}
 }
 
-func TestWireTime(t *testing.T) {
-	m := Model{MsgLatency: 1000, PerByte: 2}
-	if got := m.WireTime(0); got != 1000 {
-		t.Errorf("WireTime(0) = %d", got)
-	}
-	if got := m.WireTime(500); got != 2000 {
-		t.Errorf("WireTime(500) = %d", got)
-	}
-}
-
 func TestInstrCost(t *testing.T) {
 	m := Model{ProcCall: 40, AccessCheck: 390}
 	if got := m.InstrCost(); got != 430 {
@@ -71,8 +61,9 @@ func TestCalibrationShape(t *testing.T) {
 	if m.MsgLatency < 100*m.InstrCost() {
 		t.Errorf("MsgLatency (%d) too cheap relative to instrumentation", m.MsgLatency)
 	}
-	// An 8 KB page transfer should be latency+bandwidth dominated.
-	if m.WireTime(8192) < 2*m.MsgLatency {
-		t.Errorf("page transfer (%d) not bandwidth-significant", m.WireTime(8192))
+	// An 8 KB page transfer should be latency+bandwidth dominated: its
+	// transmission time at least matches the message latency.
+	if xfer := int64(8192 * m.PerByte); xfer < m.MsgLatency {
+		t.Errorf("page transfer (%d latency + %d transmission) not bandwidth-significant", m.MsgLatency, xfer)
 	}
 }

@@ -20,13 +20,14 @@ const gcEvery = 64
 // Instead of batching the concurrency check at barriers, it checks each
 // interval as it closes against every retained record that is concurrent
 // with it: the version-vector comparison is the same constant-time check,
-// the page-notice intersection the same pre-filter, and the word-bitmap
-// comparison the same race.CompareShard kernel the DSM barrier master
-// runs. Records ordered before every live goroutine's current knowledge
-// (the pointwise-minimum horizon) can never be concurrent with a future
-// interval and are retired, bounding the history — the Go-frontend
-// analogue of "our system only discards trace information when it has
-// been checked for races" (§6.4).
+// the page-notice intersection the same race.AppendPair the barrier's
+// partial build calls, and the word-bitmap comparison the same
+// race.CompareShard kernel the DSM barrier master runs. Records ordered
+// before every live goroutine's current knowledge (the pointwise-minimum
+// horizon) can never be concurrent with a future interval and are
+// retired, bounding the history — the Go-frontend analogue of "our system
+// only discards trace information when it has been checked for races"
+// (§6.4).
 //
 // The detector owns its history outright: each retained record carries its
 // own interval.Footprint, so the check reads a pair's bitmaps straight off
@@ -55,19 +56,25 @@ type detector struct {
 
 	// Per-close scratch, reused so a close that reports nothing allocates
 	// nothing per retained record.
-	pageScratch  []mem.PageID
 	entryScratch []race.CheckEntry
 	pair         pairSource
 }
 
-// retained is one closed interval still held for checking: the record's
-// identity, clock and notices, with the word bitmaps beside them.
+// retained is one closed interval still held for checking: the record, its
+// word bitmaps, and the page signatures race.AppendPair filters on.
 type retained struct {
-	ID           vc.IntervalID
-	VC           vc.VC
-	WriteNotices []mem.PageID
-	ReadNotices  []mem.PageID
-	fp           *interval.Footprint
+	rec  *interval.Record
+	fp   *interval.Footprint
+	w, r uint64 // bit p mod 64 set for every written / read page p
+}
+
+// pageSig folds a notice list into the signature race.AppendPair expects.
+func pageSig(pages []mem.PageID) uint64 {
+	var s uint64
+	for _, p := range pages {
+		s |= 1 << (uint32(p) % 64)
+	}
+	return s
 }
 
 // pairSource is the race.BitmapSource of one concurrent pair: the check
@@ -76,7 +83,7 @@ type pairSource struct{ a, b *retained }
 
 // Bitmaps implements race.BitmapSource.
 func (ps *pairSource) Bitmaps(id vc.IntervalID, p mem.PageID) (read, write mem.Bitmap) {
-	if id == ps.a.ID {
+	if id == ps.a.rec.ID {
 		return ps.a.fp.Get(p)
 	}
 	return ps.b.fp.Get(p)
@@ -137,7 +144,7 @@ func (d *detector) closeInterval(g int) vc.VC {
 		d.p.scope.Emit(g, telemetry.KIntervalClose, d.p.vt,
 			int64(d.idx[g]), int64(len(r.WriteNotices)), int64(len(r.ReadNotices)))
 		d.records = append(d.records, retained{
-			ID: r.ID, VC: r.VC, WriteNotices: r.WriteNotices, ReadNotices: r.ReadNotices, fp: fp,
+			rec: r, fp: fp, w: pageSig(r.WriteNotices), r: pageSig(r.ReadNotices),
 		})
 		d.check()
 	}
@@ -160,41 +167,27 @@ func (d *detector) join(g int, rel vc.VC) {
 
 // check compares the newly closed record — the last retained one — against
 // every earlier retained record of another goroutine that is concurrent
-// with it: page-notice overlap pre-filter, then the word-bitmap comparison
-// kernel, once per concurrent pair.
+// with it: the barrier's page-overlap step (race.AppendPair), then the
+// word-bitmap comparison kernel, once per concurrent pair.
 func (d *detector) check() {
 	last := len(d.records) - 1
 	r := &d.records[last]
 	pairs, bitmaps, found := 0, 0, 0
 	for i := range d.records[:last] {
 		s := &d.records[i]
-		if s.ID.Proc == r.ID.Proc {
+		if s.rec.ID.Proc == r.rec.ID.Proc {
 			continue
 		}
 		pairs++
-		if !vc.Concurrent(s.ID, s.VC, r.ID, r.VC) {
+		if !vc.Concurrent(s.rec.ID, s.rec.VC, r.rec.ID, r.rec.VC) {
 			continue
 		}
 		d.concurrentPairs++
-		pages := d.pageScratch[:0]
-		pages = interval.OverlapPages(s.WriteNotices, r.WriteNotices, pages)
-		pages = interval.OverlapPages(s.WriteNotices, r.ReadNotices, pages)
-		pages = interval.OverlapPages(s.ReadNotices, r.WriteNotices, pages)
-		d.pageScratch = pages
-		if len(pages) == 0 {
+		entries := race.AppendPair(d.entryScratch[:0], s.rec, r.rec, s.w, s.r, r.w, r.r)
+		d.entryScratch = entries
+		if len(entries) == 0 {
 			continue
 		}
-		interval.SortPages(pages)
-		entries := d.entryScratch[:0]
-		prev := mem.PageID(-1)
-		for _, pg := range pages {
-			if pg == prev {
-				continue
-			}
-			prev = pg
-			entries = append(entries, race.CheckEntry{A: s.ID, B: r.ID, Page: pg})
-		}
-		d.entryScratch = entries
 		d.pair = pairSource{a: s, b: r}
 		reports, st := race.CompareShard(d.p.layout, entries, &d.pair, 0)
 		d.checkEntries += len(entries)
@@ -205,7 +198,7 @@ func (d *detector) check() {
 		d.reports = append(d.reports, reports...)
 	}
 	d.pairsExamined += pairs
-	d.p.scope.Emit(r.ID.Proc, telemetry.KGoCheck, d.p.vt, int64(pairs), int64(bitmaps), int64(found))
+	d.p.scope.Emit(r.rec.ID.Proc, telemetry.KGoCheck, d.p.vt, int64(pairs), int64(bitmaps), int64(found))
 }
 
 // gc retires records — each with its bitmaps — at or below the knowledge
@@ -252,7 +245,7 @@ func (d *detector) gc() {
 	// adjustment.
 	kept := d.records[:0]
 	for _, r := range d.records {
-		if r.ID.Index > horizon[r.ID.Proc] {
+		if r.rec.ID.Index > horizon[r.rec.ID.Proc] {
 			kept = append(kept, r)
 		} else {
 			d.recordsGCed++

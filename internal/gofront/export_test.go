@@ -1,6 +1,10 @@
 package gofront
 
-import "lrcrace/internal/telemetry"
+import (
+	"testing"
+
+	"lrcrace/internal/telemetry"
+)
 
 // RunRandomProgram runs the seeded random program genProg(seed) with
 // detection on, recording into rec — the randomized family, exported to
@@ -8,4 +12,12 @@ import "lrcrace/internal/telemetry"
 // and they import this package).
 func RunRandomProgram(seed int64, rec *telemetry.Recorder) *Result {
 	return genProg(seed).runWith(Config{Seed: seed, Detect: true, Recorder: rec})
+}
+
+// RecordTraceOff runs the rest of t as a non-test binary would: with the
+// trace not recorded. t's cleanup restores recording.
+func RecordTraceOff(t testing.TB) {
+	old := recordTrace
+	recordTrace = false
+	t.Cleanup(func() { recordTrace = old })
 }

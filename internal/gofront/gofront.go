@@ -16,21 +16,22 @@
 // The yielding goroutine makes that pick itself: on picking itself it runs
 // on, otherwise it leaves the pick for Run's loop and suspends, and the loop
 // resumes the pick — one coroutine switch per scheduling step, no goroutine
-// wake. The same seed therefore produces the same linearization, the same
-// trace, and the same race set — which is what makes the package's
-// cross-validation contract testable: the linearized trace replays through
-// the classic per-access detector (internal/hbdet) via ReplayHB, and the two
-// detectors must flag identical racy-address sets. A panic in a modeled
-// goroutine (send on a closed channel, unlock by a non-holder) reaches Run's
-// caller.
+// wake. The same seed therefore produces the same linearization and the
+// same race set — which is what makes the package's cross-validation
+// contract testable: test binaries record the linearized trace, replay it
+// through the classic per-access detector (internal/hbdet) via ReplayHB,
+// and require both detectors to flag identical racy-address sets. Other
+// binaries record no trace, since the online detector never reads one. A
+// panic in a modeled goroutine (send on a closed channel, unlock by a
+// non-holder) reaches Run's caller.
 package gofront
 
 import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"sort"
+	"testing"
 
 	"lrcrace/internal/mem"
 	"lrcrace/internal/race"
@@ -62,8 +63,8 @@ type Config struct {
 	MaxGs int
 	// Seed drives the scheduler's runnable-goroutine choice.
 	Seed int64
-	// Detect enables the interval detector. The trace is recorded either
-	// way, so hbdet replay works on detection-off runs too.
+	// Detect enables the interval detector. Test binaries record the trace
+	// either way, so hbdet replay works on detection-off runs too.
 	Detect bool
 	// Recorder optionally receives scoped telemetry (KGoSync, KGoCheck,
 	// KIntervalClose, KRaceFound).
@@ -129,7 +130,8 @@ type G struct {
 func (g *G) ID() int { return g.id }
 
 // Program is one modeled Go program: shared memory, goroutines, sync
-// objects, the interval detector, and the linearized event trace.
+// objects, the interval detector, and (in test binaries) the linearized
+// event trace.
 type Program struct {
 	cfg    Config
 	layout mem.Layout
@@ -147,7 +149,7 @@ type Program struct {
 	finished         bool // set once Run has its result or a panic: yield and exit touch nothing
 
 	det   *detector
-	trace [][]Event // traceChunk-sized chunks; Result.Trace flattens them
+	trace []Event // recorded only when recordTrace is set
 	vt    int64
 
 	syms     []Symbol
@@ -313,18 +315,15 @@ func (g *G) Store(a mem.Addr, v uint64) {
 	p.seg.SetWord(a, v)
 }
 
-// traceChunk is the event count of one trace chunk. The trace grows a
-// chunk at a time, where regrowing one slice of 48-byte events by 1.25x
-// would allocate about five times the final trace, and is flattened only
-// when Result.Trace is called.
-const traceChunk = 1024
+// recordTrace makes emit keep the linearized trace. Only the tests read
+// it (hbdet cross-validation, schedule pins, determinism checks), so it is
+// on in test binaries and off everywhere else.
+var recordTrace = testing.Testing()
 
 func (p *Program) emit(op Op, g, obj, seq, seq2 int, a mem.Addr) {
-	if n := len(p.trace); n == 0 || len(p.trace[n-1]) == traceChunk {
-		p.trace = append(p.trace, make([]Event, 0, traceChunk))
+	if recordTrace {
+		p.trace = append(p.trace, Event{Op: op, G: g, Obj: obj, Seq: seq, Seq2: seq2, Addr: a})
 	}
-	last := &p.trace[len(p.trace)-1]
-	*last = append(*last, Event{Op: op, G: g, Obj: obj, Seq: seq, Seq2: seq2, Addr: a})
 	if op > OpStore { // sync ops only; loads/stores would flood the rings
 		p.scope.Emit(g, telemetry.KGoSync, p.vt, int64(op), int64(obj), int64(p.det.idx[g]))
 	}
@@ -367,15 +366,13 @@ type Result struct {
 	Deadlocked bool
 	Symbols    []Symbol
 
-	layout mem.Layout
-	trace  [][]Event
+	trace []Event
 }
 
 // Trace returns the linearized event stream, the input ReplayHB drives the
-// reference detector from. Each call flattens the run's trace chunks into
-// a new slice: only cross-validation reads the trace, so runs that never
-// ask for it never pay for the copy.
-func (r *Result) Trace() []Event { return slices.Concat(r.trace...) }
+// reference detector from. It is recorded only in test binaries; elsewhere
+// Trace returns nil. The caller must not modify the list.
+func (r *Result) Trace() []Event { return r.trace }
 
 // SymbolAt resolves a modeled address to "name[i]" via the Alloc table.
 func (r *Result) SymbolAt(a mem.Addr) (string, bool) {
@@ -423,7 +420,6 @@ func (p *Program) finish() *Result {
 		VirtualNS:  p.vt,
 		Deadlocked: p.deadlocked,
 		Symbols:    p.syms,
-		layout:     p.layout,
 		trace:      p.trace,
 	}
 }

@@ -695,7 +695,8 @@ func TestSymbolAt(t *testing.T) {
 	}
 }
 
-// Detection off still records the trace (for replay) but no intervals.
+// Detection off still records the trace (for replay, in a test binary) but
+// no intervals.
 func TestDetectOff(t *testing.T) {
 	p := New(Config{Seed: 0, Detect: false})
 	x := p.Alloc("x", 1)

@@ -31,7 +31,7 @@ func KnownFrontend(name string) bool {
 
 // runGoFront executes a go-frontend workload run: cfg.App names a
 // registered gofront workload, cfg.Procs is the client count, and the
-// result carries the gofront trace and race set in place of the DSM state.
+// result carries the gofront race set and stats in place of the DSM state.
 func runGoFront(cfg RunConfig) (*Result, error) {
 	// Rings are per goroutine here; workloads add a few service goroutines
 	// (janitor, actors) on top of the clients. Events from ids beyond this

@@ -57,12 +57,6 @@ func (e *Encoder) Blob(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// Raw writes b with no length prefix — for fixed-width fields (chunk
-// addresses) whose size both sides agree on out of band.
-func (e *Encoder) Raw(b []byte) {
-	e.buf = append(e.buf, b...)
-}
-
 // VC writes a version vector.
 func (e *Encoder) VC(v vc.VC) {
 	e.U16(uint16(len(v)))
@@ -169,16 +163,6 @@ func (d *Decoder) U64() uint64 {
 }
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
 func (d *Decoder) I32() int32 { return int32(d.U32()) }
-
-// Raw reads n bytes with no length prefix (the inverse of Encoder.Raw).
-func (d *Decoder) Raw(n int) []byte {
-	if d.err2(n) {
-		return nil
-	}
-	b := append([]byte{}, d.buf[d.off:d.off+n]...) // a copy, not zeroed first
-	d.off += n
-	return b
-}
 
 // Blob reads a length-prefixed byte slice into a buffer of its own, which
 // the caller owns: it shares nothing with the decoded buffer. The buffer

@@ -2,7 +2,7 @@ package race
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -314,19 +314,39 @@ func TestPropertyDetectorMatchesBruteForce(t *testing.T) {
 }
 
 // TestPropertyPageBitmapOverlapEquivalent: the §6.2 bitmap page-list
-// overlap returns exactly the sorted-list merge's pages — the only input a
-// check list takes from either — for every record pair of random epochs.
+// overlap and AppendPair, the kernel both frontends build check entries
+// with, return exactly the sorted-list merge's pages — the only input a
+// check list takes from any of them — in order, for every record pair of
+// random epochs. The second epoch of each seed spans 160 pages, so page
+// signatures alias (pages p and p+64 share a bit) and AppendPair's
+// signature test must never drop a page the merge keeps.
 func TestPropertyPageBitmapOverlapEquivalent(t *testing.T) {
+	const widePages = 160
 	l := testLayout(t)
-	scratchA, scratchB := mem.NewBitmap(l.NumPages), mem.NewBitmap(l.NumPages)
+	scratchA, scratchB := mem.NewBitmap(widePages), mem.NewBitmap(widePages)
+	pairPages := func(a, b *interval.Record) []mem.PageID {
+		var pages []mem.PageID
+		for _, e := range AppendPair(nil, a, b, pageSig(a.WriteNotices), pageSig(a.ReadNotices),
+			pageSig(b.WriteNotices), pageSig(b.ReadNotices)) {
+			if e.A != a.ID || e.B != b.ID {
+				t.Errorf("AppendPair(%v, %v) entry names %v × %v", a.ID, b.ID, e.A, e.B)
+			}
+			pages = append(pages, e.Page)
+		}
+		return pages
+	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		recs, _, _ := randomEpoch(r, l)
+		for _, byProc := range randomEpochRecords(r, widePages, 2+r.Intn(4)) {
+			recs = append(recs, byProc...)
+		}
 		for i, a := range recs {
 			for _, b := range recs[i+1:] {
 				merge, bitmaps := OverlapViaMerge(a, b), OverlapViaBitmaps(scratchA, scratchB, a, b)
-				if len(merge) != len(bitmaps) || (len(merge) > 0 && !reflect.DeepEqual(merge, bitmaps)) {
-					t.Logf("seed %d, %v × %v: merge %v, bitmaps %v", seed, a.ID, b.ID, merge, bitmaps)
+				ab, ba := pairPages(a, b), pairPages(b, a)
+				if !slices.Equal(merge, bitmaps) || !slices.Equal(merge, ab) || !slices.Equal(merge, ba) {
+					t.Logf("seed %d, %v × %v: merge %v, bitmaps %v, pair %v / %v", seed, a.ID, b.ID, merge, bitmaps, ab, ba)
 					return false
 				}
 			}

@@ -97,10 +97,9 @@ func pageSig(pages []mem.PageID) uint64 {
 // guarantees: a process's epoch records travel together and subtree merges
 // keep them together.
 //
-// Every cross-group pair gets the constant-time version-vector test. A
-// concurrent pair's notice lists are merged only when their page
-// signatures meet on W_a∩(W_b∪R_b) ∪ R_a∩W_b; the merge decides every
-// entry, so the signature skips work and never changes the list. Entry
+// Every cross-group pair gets the constant-time version-vector test, and
+// every concurrent pair goes to AppendPair with the signatures computed
+// once per record here: they skip work and never change the list. Entry
 // orientation matches the serial build: A is the interval that sorts first
 // by (process, index).
 func (b *PartialBuilder) Build(dst []CheckEntry, groups [][]*interval.Record) ([]CheckEntry, BuildStats) {
@@ -129,11 +128,8 @@ func (b *PartialBuilder) Build(dst []CheckEntry, groups [][]*interval.Record) ([
 			}
 			st.ConcurrentPairs++
 			st.NoticesScanned += x.notices + y.notices
-			if x.w&(y.w|y.r)|x.r&y.w == 0 {
-				continue
-			}
 			n := len(dst)
-			if dst = appendOverlap(dst, x.rec, y.rec); len(dst) > n {
+			if dst = AppendPair(dst, x.rec, y.rec, x.w, x.r, y.w, y.r); len(dst) > n {
 				st.OverlappingPairs++
 			}
 		}
@@ -143,10 +139,20 @@ func (b *PartialBuilder) Build(dst []CheckEntry, groups [][]*interval.Record) ([
 	return dst, st
 }
 
-// appendOverlap appends an entry (a, b, p) for every page p on which a race
-// between a and b could exist — p in W_a∩(W_b∪R_b) ∪ R_a∩W_b — in
-// ascending page order, walking each sorted notice list once. It yields
-// the pages OverlapViaMerge returns.
+// AppendPair runs step 3 of §5 on one concurrent pair, for the barrier's
+// partial build and the Go frontend alike: it appends an entry (a, b, p)
+// for every page p in W_a∩(W_b∪R_b) ∪ R_a∩W_b, in ascending order — the
+// pages OverlapViaMerge returns. aw, ar, bw and br are the signatures of
+// a's and b's write and read notices (bit p mod 64 set for every page p);
+// a pair whose signatures do not meet is skipped, inline, without a call.
+func AppendPair(dst []CheckEntry, a, b *interval.Record, aw, ar, bw, br uint64) []CheckEntry {
+	if aw&(bw|br)|ar&bw == 0 {
+		return dst
+	}
+	return appendOverlap(dst, a, b)
+}
+
+// appendOverlap is AppendPair's walk over each sorted notice list, once.
 func appendOverlap(dst []CheckEntry, a, b *interval.Record) []CheckEntry {
 	wa, ra, wb, rb := a.WriteNotices, a.ReadNotices, b.WriteNotices, b.ReadNotices
 	for (len(wa) > 0 || len(ra) > 0) && (len(wb) > 0 || len(rb) > 0) {

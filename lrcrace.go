@@ -274,7 +274,8 @@ func Apps() []string { return append([]string(nil), harness.AppNames...) }
 // GoWorkloads; the run's result comes back in ExperimentResult.GoFront.
 type (
 	// GoFrontResult is a go-frontend run's outcome: race reports, racy
-	// address set, the replayable sync/access trace, and detector stats.
+	// address set and detector stats. Only test binaries record its
+	// replayable sync/access trace.
 	GoFrontResult = gofront.Result
 	// GoFrontStats are the frontend's work counters (intervals built,
 	// pairs examined, bitmaps compared, records GCed, ...).
