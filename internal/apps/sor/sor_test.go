@@ -1,6 +1,8 @@
 package sor
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"lrcrace/internal/dsm"
@@ -76,5 +78,35 @@ func TestSORConfigDefaults(t *testing.T) {
 	scaled := New(Config{Scale: 28.4})
 	if scaled.cfg.Rows < 500 || scaled.cfg.Rows > 520 {
 		t.Errorf("paper scale gives %d rows, want ≈512", scaled.cfg.Rows)
+	}
+}
+
+// TestReferenceComputedOncePerShape: Verify's reference grid is computed
+// once per (Rows, Cols, Iters) and shared, also by instances asking at the
+// same time, and it is the grid Reference computes.
+func TestReferenceComputedOncePerShape(t *testing.T) {
+	cfg := Config{Rows: 16, Cols: 20, Iters: 3}
+	got := make([][][]float64, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = New(cfg).reference()
+		}()
+	}
+	wg.Wait()
+	for i, r := range got {
+		if &r[0] != &got[0][0] {
+			t.Fatalf("instance %d computed its own reference", i)
+		}
+	}
+	if !reflect.DeepEqual(got[0], New(cfg).Reference()) {
+		t.Fatal("shared reference differs from Reference")
+	}
+	for _, c := range []Config{{Rows: 18, Cols: 20, Iters: 3}, {Rows: 16, Cols: 22, Iters: 3}, {Rows: 16, Cols: 20, Iters: 4}} {
+		if other := New(c).reference(); &other[0] == &got[0][0] || reflect.DeepEqual(other, got[0]) {
+			t.Fatalf("%+v shares the reference of %+v", c, cfg)
+		}
 	}
 }

@@ -21,6 +21,7 @@ package water
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"lrcrace/internal/apps"
 	"lrcrace/internal/dsm"
@@ -381,12 +382,35 @@ func (w *Water) Reference() (pos, vel [][3]float64, kinTotal float64) {
 	return pos, vel, kinTotal
 }
 
+// trajectory is one Reference result.
+type trajectory struct {
+	pos, vel [][3]float64
+	kin      float64
+}
+
+// references holds one reference trajectory per problem shape, as a
+// func() trajectory keyed by [2]int{Molecules, Steps}. The reference
+// depends on nothing else, and Verify runs after every run, so the runs of
+// one shape — concurrent sweep cells included — compute it once and share
+// it read-only.
+var references sync.Map
+
+// reference returns the shared reference trajectory of w's shape.
+func (w *Water) reference() trajectory {
+	once, _ := references.LoadOrStore([2]int{w.cfg.Molecules, w.cfg.Steps}, sync.OnceValue(func() trajectory {
+		pos, vel, kin := w.Reference()
+		return trajectory{pos, vel, kin}
+	}))
+	return once.(func() trajectory)()
+}
+
 // Verify implements apps.App: trajectories must match the sequential
 // reference to floating-point reduction tolerance, and the lock-protected
 // kinetic energy likewise. The racy virial is deliberately not checked —
 // it is the seeded bug.
 func (w *Water) Verify(sys *dsm.System) error {
-	wantPos, wantVel, wantKin := w.Reference()
+	ref := w.reference()
+	wantPos, wantVel, wantKin := ref.pos, ref.vel, ref.kin
 	n := w.cfg.Molecules
 	const tol = 1e-9
 	for i := 0; i < n; i++ {

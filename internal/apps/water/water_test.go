@@ -1,6 +1,8 @@
 package water
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"lrcrace/internal/dsm"
@@ -87,5 +89,40 @@ func TestWaterConfig(t *testing.T) {
 	}
 	if app.SyncKinds() != "lock, barrier" {
 		t.Error("descriptors wrong")
+	}
+}
+
+// TestReferenceComputedOncePerShape: Verify's reference trajectory is
+// computed once per (Molecules, Steps) and shared, also by instances asking
+// at the same time, and it is the trajectory Reference computes. FixBug
+// changes only the unchecked virial, so it shares the reference too.
+func TestReferenceComputedOncePerShape(t *testing.T) {
+	cfg := Config{Molecules: 12, Steps: 2}
+	got := make([]trajectory, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := cfg
+			c.FixBug = i%2 == 1
+			got[i] = New(c).reference()
+		}()
+	}
+	wg.Wait()
+	for i, r := range got {
+		if &r.pos[0] != &got[0].pos[0] || &r.vel[0] != &got[0].vel[0] {
+			t.Fatalf("instance %d computed its own reference", i)
+		}
+	}
+	pos, vel, kin := New(cfg).Reference()
+	if !reflect.DeepEqual(got[0], trajectory{pos, vel, kin}) {
+		t.Fatal("shared reference differs from Reference")
+	}
+	if other := New(Config{Molecules: 12, Steps: 3}).reference(); other.kin == got[0].kin {
+		t.Fatal("two step counts share a reference")
+	}
+	if other := New(Config{Molecules: 16, Steps: 2}).reference(); len(other.pos) == len(got[0].pos) {
+		t.Fatal("two molecule counts share a reference")
 	}
 }

@@ -32,7 +32,8 @@ const gcEvery = 64
 // The detector owns its history outright: each retained record carries its
 // own interval.Footprint, so the check reads a pair's bitmaps straight off
 // the two records (no interval-keyed store to hash into), and the horizon
-// GC drops a record and its bitmaps in one step.
+// GC hands a record and its bitmaps back to their goroutine's builder in
+// one step, for the builder's next closes to reuse.
 type detector struct {
 	p       *Program
 	n       int
@@ -58,6 +59,7 @@ type detector struct {
 	// nothing per retained record.
 	entryScratch []race.CheckEntry
 	pair         pairSource
+	horizon      vc.VC
 }
 
 // retained is one closed interval still held for checking: the record, its
@@ -99,6 +101,7 @@ func newDetector(p *Program) *detector {
 		idx:     make([]vc.Index, n),
 		vcs:     make([]vc.VC, n),
 		bld:     make([]*interval.Builder, n),
+		horizon: vc.New(n),
 	}
 }
 
@@ -130,16 +133,24 @@ func (d *detector) noteWrite(g int, a mem.Addr) {
 }
 
 // closeInterval ends goroutine g's current interval and opens the next.
-// The returned release clock snapshots g's knowledge up to and including
-// the closed interval — but never the newly opened one, so joining it
-// elsewhere cannot falsely order accesses that follow this sync op. If
-// the interval recorded accesses, it is materialized and immediately
-// checked against the retained concurrent history.
-func (d *detector) closeInterval(g int) vc.VC {
-	rel := d.vcs[g].Copy()
-	if d.enabled && !d.bld[g].Empty() {
+// An op that releases gets back a release clock: a snapshot of g's
+// knowledge up to and including the closed interval — but never the newly
+// opened one, so joining it elsewhere cannot falsely order accesses that
+// follow this sync op. An op that only acquires gets nil. If the interval
+// recorded accesses, it is materialized, with the same snapshot as its
+// record's clock, and immediately checked against the retained concurrent
+// history. So a close copies g's clock at most once, and not at all for an
+// acquire that closes an empty interval; no one writes into a release
+// clock, which is what lets the record share it.
+func (d *detector) closeInterval(g int, release bool) vc.VC {
+	var snap vc.VC
+	record := d.enabled && !d.bld[g].Empty()
+	if release || record {
+		snap = d.vcs[g].Copy()
+	}
+	if record {
 		id := vc.IntervalID{Proc: g, Index: d.idx[g]}
-		r, fp := d.bld[g].FinishFootprint(id, d.vcs[g], 0)
+		r, fp := d.bld[g].FinishFootprint(id, snap, 0)
 		d.intervals++
 		d.p.scope.Emit(g, telemetry.KIntervalClose, d.p.vt,
 			int64(d.idx[g]), int64(len(r.WriteNotices)), int64(len(r.ReadNotices)))
@@ -154,7 +165,10 @@ func (d *detector) closeInterval(g int) vc.VC {
 	if d.enabled && d.closes%gcEvery == 0 {
 		d.gc()
 	}
-	return rel
+	if !release {
+		return nil
+	}
+	return snap
 }
 
 // join merges a release clock into goroutine g's current knowledge — the
@@ -204,7 +218,10 @@ func (d *detector) check() {
 // gc retires records — each with its bitmaps — at or below the knowledge
 // horizon: the pointwise minimum of every live goroutine's version vector.
 // Such a record precedes every interval any live goroutine can still open
-// (vectors only grow), so it can never again appear in a concurrent pair.
+// (vectors only grow), so it can never again appear in a concurrent pair,
+// and its goroutine's builder takes it back (interval.Builder.Recycle) to
+// reuse for a later close. Reports name intervals by ID, never by record,
+// so nothing reads a retired record again.
 //
 // A blocked goroutine contributes not its stale current clock but that
 // clock merged with its resume lower bound (futureLB): the clock it is
@@ -213,29 +230,26 @@ func (d *detector) check() {
 // this, a root goroutine parked in Join for the whole run would pin the
 // horizon at its spawn-time knowledge and nothing could ever be retired.
 func (d *detector) gc() {
-	var horizon vc.VC
+	horizon, live := d.horizon, false
 	for _, g := range d.p.gs {
 		if g.state == gDone || !d.started[g.id] {
 			continue
 		}
-		eff := d.vcs[g.id]
+		var lb vc.VC
 		if g.state == gBlocked && g.futureLB != nil {
-			if lb := g.futureLB(); lb != nil {
-				eff = eff.Copy()
-				eff.Merge(lb)
+			lb = g.futureLB.resumeLB()
+		}
+		for i, x := range d.vcs[g.id] {
+			if lb != nil {
+				x = max(x, lb[i])
 			}
-		}
-		if horizon == nil {
-			horizon = eff.Copy()
-			continue
-		}
-		for i, x := range eff {
-			if x < horizon[i] {
+			if !live || x < horizon[i] {
 				horizon[i] = x
 			}
 		}
+		live = true
 	}
-	if horizon == nil {
+	if !live {
 		return
 	}
 	// A goroutine slot that may still be spawned into has seen nothing
@@ -249,6 +263,7 @@ func (d *detector) gc() {
 			kept = append(kept, r)
 		} else {
 			d.recordsGCed++
+			d.bld[r.rec.ID.Proc].Recycle(r.rec, r.fp)
 		}
 	}
 	clear(d.records[len(kept):])
@@ -261,7 +276,7 @@ func (d *detector) gc() {
 func (d *detector) finishAll() {
 	for _, g := range d.p.gs {
 		if g.state != gDone && d.started[g.id] {
-			d.closeInterval(g.id)
+			d.closeInterval(g.id, false)
 		}
 	}
 }

@@ -118,13 +118,25 @@ type G struct {
 	joiners []*G
 	final   vcClock // release clock at exit, joined by Join
 
-	// futureLB, set while blocked, returns a clock the goroutine is
-	// guaranteed to merge before it runs again (the join target's or lock
-	// holder's current clock). The horizon GC uses it so a parked waiter
-	// — the ubiquitous root-waits-for-workers shape — does not pin the
-	// whole record history at its stale knowledge.
-	futureLB func() vcClock
+	// futureLB, set while blocked, is what the goroutine waits on. The
+	// horizon GC asks it for a clock the goroutine is guaranteed to merge
+	// before it runs again, so a parked waiter — the ubiquitous
+	// root-waits-for-workers shape — does not pin the whole record history
+	// at its stale knowledge.
+	futureLB resumeBound
 }
+
+// resumeBound is a sync object a goroutine can block on — or, for Join, the
+// goroutine it waits for. resumeLB returns a clock (the join target's or
+// lock holder's current clock, the running WaitGroup cycle's Dones) that a
+// goroutine blocked on it is guaranteed to merge before it runs again, or
+// nil if there is none yet. The sync objects and *G implement it, so a
+// blocking op stores a pointer it already has instead of a closure.
+type resumeBound interface{ resumeLB() vcClock }
+
+// resumeLB implements resumeBound for Join: the joiner will merge at least
+// the target's current knowledge.
+func (g *G) resumeLB() vcClock { return g.p.det.vcs[g.id] }
 
 // ID returns the goroutine's index (0 is the root).
 func (g *G) ID() int { return g.id }
@@ -267,7 +279,7 @@ func (g *G) Go(fn func(*G)) *G {
 	p.stats.Syncs++
 	p.stats.SpawnOps++
 	child := p.newG()
-	rel := p.det.closeInterval(g.id)
+	rel := p.det.closeInterval(g.id, true)
 	p.emit(OpSpawn, g.id, child.id, 0, 0, 0)
 	p.startG(child, rel, fn)
 	g.yield()
@@ -283,7 +295,7 @@ func (g *G) Join(t *G) {
 	p.vt += costSync
 	p.stats.Syncs++
 	p.stats.SpawnOps++
-	p.det.closeInterval(g.id)
+	p.det.closeInterval(g.id, false)
 	if t.state == gDone {
 		p.det.join(g.id, t.final)
 		p.emit(OpJoin, g.id, t.id, 0, 0, 0)
@@ -291,7 +303,7 @@ func (g *G) Join(t *G) {
 		return
 	}
 	t.joiners = append(t.joiners, g)
-	g.futureLB = func() vcClock { return p.det.vcs[t.id] }
+	g.futureLB = t
 	g.block()
 }
 

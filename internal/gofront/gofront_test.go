@@ -681,6 +681,49 @@ func TestHorizonGC(t *testing.T) {
 	}
 }
 
+// A release clock outlives the record that shares it. The root's write of
+// x under mu is record R, and mu keeps R's clock as its release clock. The
+// horizon GC retires R once the child has been spawned, and the root's
+// later closes reuse R's record. The child takes mu only after a long loop,
+// by which time R's record is reused; if reuse also overwrote R's clock,
+// the child would join the root's later knowledge and miss the race
+// between the root's unlocked write of x and its own read.
+func TestRecycledRecordKeepsReleaseClock(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		p := New(Config{Seed: seed, Detect: true, MaxGs: 2})
+		x := p.Alloc("x", 1)
+		y := p.Alloc("y", 1)
+		mu, other, own := p.NewMutex(), p.NewMutex(), p.NewMutex()
+		res := p.Run(func(g *G) {
+			mu.Lock(g)
+			g.Store(x, 1)
+			mu.Unlock(g)
+			g.Go(func(g *G) {
+				for i := 0; i < 1000; i++ {
+					own.Lock(g)
+					own.Unlock(g)
+				}
+				mu.Lock(g)
+				g.Load(x)
+				mu.Unlock(g)
+			})
+			g.Store(x, 2) // unsynchronized: races with the child's read
+			for i := 0; i < 100; i++ {
+				other.Lock(g)
+				g.Store(y, uint64(i))
+				other.Unlock(g)
+			}
+		})
+		if res.Stats.RecordsGCed == 0 {
+			t.Fatalf("seed %d: horizon GC never retired a record", seed)
+		}
+		wantRacy(t, res, x)
+		if hb := RacyAddrsHB(res.Trace(), res.NumGs); !addrsEqual(res.RacyAddrs, hb) {
+			t.Fatalf("seed %d: cross-validation mismatch: %v vs %v", seed, res.RacyAddrs, hb)
+		}
+	}
+}
+
 // Symbol resolution maps racy addresses back to Alloc names.
 func TestSymbolAt(t *testing.T) {
 	p := New(Config{Seed: 0, Detect: true})
@@ -717,7 +760,7 @@ func TestDetectOff(t *testing.T) {
 // records it is checked against: the per-pair path — vector compare, page
 // filter, check entries, bitmap compare — reuses detector scratch and reads
 // bitmaps off the records, so a close that reports nothing allocates only
-// its own record, footprint and clocks.
+// what the close itself needs.
 func TestCloseAllocsIndependentOfRetained(t *testing.T) {
 	closeAllocs := func(retained int) float64 {
 		p := New(Config{MaxGs: retained + 1, Detect: true})
@@ -729,13 +772,13 @@ func TestCloseAllocsIndependentOfRetained(t *testing.T) {
 		// probe's page, none its word.
 		for g := 1; g <= retained; g++ {
 			d.noteWrite(g, mem.Addr(g*mem.WordSize))
-			d.closeInterval(g)
+			d.closeInterval(g, true)
 		}
 		base := len(d.records)
 		entries := d.checkEntries
 		allocs := testing.AllocsPerRun(50, func() {
 			d.noteRead(0, 0)
-			d.closeInterval(0)
+			d.closeInterval(0, true)
 			d.records = d.records[:base]
 		})
 		if got := d.checkEntries - entries; got != 51*retained {
@@ -748,5 +791,53 @@ func TestCloseAllocsIndependentOfRetained(t *testing.T) {
 	}
 	if few, many := closeAllocs(2), closeAllocs(32); few != many {
 		t.Fatalf("a close allocates %v times against 2 retained records but %v against 32", few, many)
+	}
+}
+
+// TestSteadyStateCloseAllocs: once the horizon GC has handed retired
+// records back to the builder, a close allocates only the release clock it
+// publishes. An acquire that closes an empty interval allocates nothing; a
+// release, or an interval that recorded accesses, allocates the one
+// snapshot the record and the release share. The record, footprint,
+// bitmaps and notice lists are the recycled ones.
+func TestSteadyStateCloseAllocs(t *testing.T) {
+	p := New(Config{MaxGs: 2, Detect: true})
+	g := p.newG() // live, so the horizon GC retires what g closes
+	d := p.det
+	d.startG(g.id, nil)
+	recorded := func(release bool) func() {
+		return func() {
+			d.noteWrite(g.id, 8)
+			d.noteRead(g.id, pageBytes+16)
+			d.closeInterval(g.id, release)
+		}
+	}
+	for i := 0; i < 4*gcEvery; i++ {
+		recorded(true)()
+	}
+	if d.recordsGCed == 0 {
+		t.Fatal("warm-up retired no record")
+	}
+	for _, c := range []struct {
+		name  string
+		close func()
+		want  float64
+	}{
+		{"acquire, empty interval", func() { d.closeInterval(g.id, false) }, 0},
+		{"release, empty interval", func() { d.closeInterval(g.id, true) }, 1},
+		{"acquire, recorded interval", recorded(false), 1},
+		{"release, recorded interval", recorded(true), 1},
+	} {
+		// One run of many closes, so that the GC sweeps among them count
+		// too: AllocsPerRun rounds its per-run average down.
+		const closes = 4 * gcEvery
+		got := testing.AllocsPerRun(1, func() {
+			for range closes {
+				c.close()
+			}
+		})
+		if got != c.want*closes {
+			t.Errorf("%s: %v allocations over %d closes, want %v each", c.name, got, closes, c.want)
+		}
 	}
 }

@@ -132,3 +132,57 @@ func TestDetectorMatchesPinnedReference(t *testing.T) {
 		t.Errorf("%d runs, %d pinned; run with -update-pins after adding one", len(got), len(want))
 	}
 }
+
+// TestConcurrentProgramsShareNothing: two workloads run at the same time
+// report exactly what the same two report run one after the other. Each
+// goroutine's interval.Builder keeps the records, footprints and bitmaps
+// the horizon GC hands back for its own later closes; a free list shared
+// between programs would hand one program's recycled bitmap to the other
+// while it is still read, and the race lists, Stats or traces would differ.
+// CI runs it under -race, repeated.
+func TestConcurrentProgramsShareNothing(t *testing.T) {
+	cfgs := []struct {
+		name string
+		cfg  gofront.WorkloadConfig
+	}{
+		{"KV", gofront.WorkloadConfig{Clients: 6, Ops: 60, HotKeySkew: 0.5, Racy: true, Seed: 11, Detect: true}},
+		{"Sessions", gofront.WorkloadConfig{Clients: 6, Ops: 40, HotKeySkew: 0.5, Racy: true, Seed: 12, Detect: true}},
+	}
+	run := func(i int) *gofront.Result {
+		res, err := gofront.RunWorkload(cfgs[i].name, cfgs[i].cfg)
+		if err != nil {
+			t.Error(err)
+		}
+		return res
+	}
+	var seq [2]*gofront.Result
+	for i := range seq {
+		seq[i] = run(i)
+	}
+	for round := 0; round < 3; round++ {
+		var par [2]*gofront.Result
+		done := make(chan int)
+		for i := range par {
+			go func() {
+				par[i] = run(i)
+				done <- i
+			}()
+		}
+		<-done
+		<-done
+		for i, res := range par {
+			want := seq[i]
+			if res == nil || want == nil {
+				t.Fatalf("%s: no result", cfgs[i].name)
+			}
+			if !reflect.DeepEqual(res.Races, want.Races) || res.Stats != want.Stats ||
+				res.VirtualNS != want.VirtualNS || !reflect.DeepEqual(res.Trace(), want.Trace()) {
+				t.Fatalf("round %d, %s run beside another program: %d races, %+v; run alone: %d races, %+v",
+					round, cfgs[i].name, len(res.Races), res.Stats, len(want.Races), want.Stats)
+			}
+		}
+	}
+	if len(seq[0].Races) == 0 || seq[0].Stats.RecordsGCed == 0 || seq[1].Stats.RecordsGCed == 0 {
+		t.Fatalf("the programs must race and retire records: %+v / %+v", seq[0].Stats, seq[1].Stats)
+	}
+}

@@ -75,7 +75,7 @@ func (g *G) exit() {
 		return
 	}
 	p.vt += costSync
-	g.final = p.det.closeInterval(g.id)
+	g.final = p.det.closeInterval(g.id, true)
 	p.emit(OpExit, g.id, g.id, 0, 0, 0)
 	for _, j := range g.joiners {
 		p.det.join(j.id, g.final)

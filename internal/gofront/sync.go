@@ -58,11 +58,10 @@ func (ch *Chan) Send(g *G, v uint64) {
 	if ch.closed {
 		panic(fmt.Sprintf("gofront: send on closed channel %d", ch.id))
 	}
-	rel := p.det.closeInterval(g.id)
+	rel := p.det.closeInterval(g.id, true)
 	if ch.cap == 0 {
 		if len(ch.recvq) > 0 {
-			r := ch.recvq[0]
-			ch.recvq = ch.recvq[1:]
+			r := popFront(&ch.recvq)
 			ch.rendezvous(g, rel, r, v)
 			g.yield()
 			return
@@ -88,11 +87,10 @@ func (ch *Chan) Send(g *G, v uint64) {
 func (ch *Chan) Recv(g *G) (v uint64, ok bool) {
 	p := ch.p
 	ch.chanOp()
-	rel := p.det.closeInterval(g.id)
+	rel := p.det.closeInterval(g.id, true)
 	if ch.cap == 0 {
 		if len(ch.sendq) > 0 {
-			s := ch.sendq[0]
-			ch.sendq = ch.sendq[1:]
+			s := popFront(&ch.sendq)
 			v := s.sendVal
 			ch.rendezvousAsRecv(s, g, rel)
 			s.wake()
@@ -140,7 +138,7 @@ func (ch *Chan) Close(g *G) {
 	if len(ch.sendq) > 0 {
 		panic(fmt.Sprintf("gofront: close of channel %d with blocked senders", ch.id))
 	}
-	rel := p.det.closeInterval(g.id)
+	rel := p.det.closeInterval(g.id, true)
 	ch.closed = true
 	ch.closeRel = rel
 	p.emit(OpChanClose, g.id, ch.id, 0, 0, 0)
@@ -188,9 +186,7 @@ func (ch *Chan) commitSend(gid int, v uint64, rel vcClock) {
 	p := ch.p
 	ch.sends++
 	if ch.sends > ch.cap {
-		bp := ch.bpq[0]
-		ch.bpq = ch.bpq[1:]
-		p.det.join(gid, bp)
+		p.det.join(gid, popFront(&ch.bpq))
 	}
 	ch.buf = append(ch.buf, chanElem{v: v, rel: rel})
 	p.emit(OpChanSend, gid, ch.id, ch.sends, 0, 0)
@@ -201,8 +197,7 @@ func (ch *Chan) commitSend(gid int, v uint64, rel vcClock) {
 // knowledge at the call merged with the joined sender clock.
 func (ch *Chan) commitRecv(gid int, rRel vcClock) uint64 {
 	p := ch.p
-	e := ch.buf[0]
-	ch.buf = ch.buf[1:]
+	e := popFront(&ch.buf)
 	ch.recvs++
 	p.det.join(gid, e.rel)
 	bp := rRel.Copy()
@@ -218,8 +213,7 @@ func (ch *Chan) completeBlockedSender() {
 	if len(ch.sendq) == 0 || len(ch.buf) >= ch.cap {
 		return
 	}
-	s := ch.sendq[0]
-	ch.sendq = ch.sendq[1:]
+	s := popFront(&ch.sendq)
 	ch.commitSend(s.id, s.sendVal, s.rel)
 	s.wake()
 }
@@ -228,8 +222,7 @@ func (ch *Chan) completeBlockedSender() {
 // available.
 func (ch *Chan) drainRecvq() {
 	for len(ch.recvq) > 0 && len(ch.buf) > 0 {
-		r := ch.recvq[0]
-		ch.recvq = ch.recvq[1:]
+		r := popFront(&ch.recvq)
 		r.recvVal, r.recvOK = ch.commitRecv(r.id, r.rel), true
 		r.wake()
 	}
@@ -261,7 +254,7 @@ func (m *Mutex) lockOp() {
 func (m *Mutex) Lock(g *G) {
 	p := m.p
 	m.lockOp()
-	p.det.closeInterval(g.id)
+	p.det.closeInterval(g.id, false)
 	if m.holder == nil {
 		m.holder = g
 		p.det.join(g.id, m.rel)
@@ -270,15 +263,17 @@ func (m *Mutex) Lock(g *G) {
 		return
 	}
 	m.waitq = append(m.waitq, g)
-	// Resume lower bound for the horizon GC: the waiter will join a
-	// hand-off clock at least as large as the current holder's knowledge.
-	g.futureLB = func() vcClock {
-		if m.holder != nil {
-			return p.det.vcs[m.holder.id]
-		}
-		return nil
-	}
+	g.futureLB = m
 	g.block()
+}
+
+// resumeLB implements resumeBound: a Lock waiter will join a hand-off
+// clock at least as large as the current holder's knowledge.
+func (m *Mutex) resumeLB() vcClock {
+	if m.holder != nil {
+		return m.p.det.vcs[m.holder.id]
+	}
+	return nil
 }
 
 // Unlock releases the mutex and hands it to the head waiter, if any.
@@ -288,12 +283,11 @@ func (m *Mutex) Unlock(g *G) {
 	if m.holder != g {
 		panic(fmt.Sprintf("gofront: unlock of mutex %d by non-holder g%d", m.id, g.id))
 	}
-	rel := p.det.closeInterval(g.id)
+	rel := p.det.closeInterval(g.id, true)
 	m.rel = rel
 	p.emit(OpMuUnlock, g.id, m.id, 0, 0, 0)
 	if len(m.waitq) > 0 {
-		h := m.waitq[0]
-		m.waitq = m.waitq[1:]
+		h := popFront(&m.waitq)
 		m.holder = h
 		p.det.join(h.id, rel)
 		p.emit(OpMuLock, h.id, m.id, 0, 0, 0)
@@ -337,7 +331,7 @@ func (m *RWMutex) lockOp() {
 func (m *RWMutex) RLock(g *G) {
 	p := m.p
 	m.lockOp()
-	p.det.closeInterval(g.id)
+	p.det.closeInterval(g.id, false)
 	if m.wHolder == nil && len(m.wWaitq) == 0 {
 		m.readers++
 		p.det.join(g.id, m.wRel)
@@ -346,13 +340,17 @@ func (m *RWMutex) RLock(g *G) {
 		return
 	}
 	m.rWaitq = append(m.rWaitq, g)
-	g.futureLB = func() vcClock {
-		if m.wHolder != nil {
-			return p.det.vcs[m.wHolder.id]
-		}
-		return nil
-	}
+	g.futureLB = m
 	g.block()
+}
+
+// resumeLB implements resumeBound: a reader or writer waiting on the lock
+// will join at least the current writer's knowledge.
+func (m *RWMutex) resumeLB() vcClock {
+	if m.wHolder != nil {
+		return m.p.det.vcs[m.wHolder.id]
+	}
+	return nil
 }
 
 // RUnlock drops a read lock; when the last reader leaves, a waiting
@@ -363,7 +361,7 @@ func (m *RWMutex) RUnlock(g *G) {
 	if m.readers <= 0 {
 		panic(fmt.Sprintf("gofront: runlock of rwmutex %d with no readers", m.id))
 	}
-	rel := p.det.closeInterval(g.id)
+	rel := p.det.closeInterval(g.id, true)
 	m.readers--
 	m.runlocks++
 	if m.rdRel == nil {
@@ -382,7 +380,7 @@ func (m *RWMutex) RUnlock(g *G) {
 func (m *RWMutex) Lock(g *G) {
 	p := m.p
 	m.lockOp()
-	p.det.closeInterval(g.id)
+	p.det.closeInterval(g.id, false)
 	if m.wHolder == nil && m.readers == 0 {
 		m.wHolder = g
 		p.det.join(g.id, m.wRel)
@@ -393,12 +391,7 @@ func (m *RWMutex) Lock(g *G) {
 		return
 	}
 	m.wWaitq = append(m.wWaitq, g)
-	g.futureLB = func() vcClock {
-		if m.wHolder != nil {
-			return p.det.vcs[m.wHolder.id]
-		}
-		return nil
-	}
+	g.futureLB = m
 	g.block()
 }
 
@@ -410,7 +403,7 @@ func (m *RWMutex) Unlock(g *G) {
 	if m.wHolder != g {
 		panic(fmt.Sprintf("gofront: unlock of rwmutex %d by non-holder g%d", m.id, g.id))
 	}
-	rel := p.det.closeInterval(g.id)
+	rel := p.det.closeInterval(g.id, true)
 	m.wRel = rel
 	m.wHolder = nil
 	p.emit(OpRWUnlock, g.id, m.id, 0, 0, 0)
@@ -421,7 +414,7 @@ func (m *RWMutex) Unlock(g *G) {
 			p.emit(OpRWRLock, r.id, m.id, 0, 0, 0)
 			r.wake()
 		}
-		m.rWaitq = nil
+		m.rWaitq = truncate(m.rWaitq)
 	} else if len(m.wWaitq) > 0 {
 		m.admitWriter()
 	}
@@ -430,8 +423,7 @@ func (m *RWMutex) Unlock(g *G) {
 
 func (m *RWMutex) admitWriter() {
 	p := m.p
-	h := m.wWaitq[0]
-	m.wWaitq = m.wWaitq[1:]
+	h := popFront(&m.wWaitq)
 	m.wHolder = h
 	p.det.join(h.id, m.wRel)
 	p.det.join(h.id, m.rdRel)
@@ -481,7 +473,7 @@ func (w *WaitGroup) Done(g *G) {
 	if w.count <= 0 {
 		panic(fmt.Sprintf("gofront: negative WaitGroup %d counter", w.id))
 	}
-	rel := p.det.closeInterval(g.id)
+	rel := p.det.closeInterval(g.id, true)
 	w.count--
 	w.dones++
 	if w.acc == nil {
@@ -500,7 +492,7 @@ func (w *WaitGroup) Done(g *G) {
 			p.emit(OpWgWait, waiter.id, w.id, w.cycLo, w.cycHi, 0)
 			waiter.wake()
 		}
-		w.waitq = nil
+		w.waitq = truncate(w.waitq)
 	}
 	g.yield()
 }
@@ -512,7 +504,7 @@ func (w *WaitGroup) Wait(g *G) {
 	p.vt += costSync
 	p.stats.Syncs++
 	p.stats.WGOps++
-	p.det.closeInterval(g.id)
+	p.det.closeInterval(g.id, false)
 	if w.count == 0 {
 		p.det.join(g.id, w.cycRel)
 		p.emit(OpWgWait, g.id, w.id, w.cycLo, w.cycHi, 0)
@@ -520,8 +512,29 @@ func (w *WaitGroup) Wait(g *G) {
 		return
 	}
 	w.waitq = append(w.waitq, g)
-	// The waiter will join the cycle release clock, which accumulates every
-	// Done of the running cycle — the Dones merged so far bound it below.
-	g.futureLB = func() vcClock { return w.acc }
+	g.futureLB = w
 	g.block()
+}
+
+// resumeLB implements resumeBound: a waiter will join the cycle release
+// clock, which accumulates every Done of the running cycle — the Dones
+// merged so far bound it below.
+func (w *WaitGroup) resumeLB() vcClock { return w.acc }
+
+// popFront removes and returns the head of the FIFO q. It shifts the rest
+// down rather than reslicing past the head, so later appends reuse the
+// array instead of growing a new one.
+func popFront[T any](q *[]T) T {
+	s := *q
+	h := s[0]
+	copy(s, s[1:])
+	clear(s[len(s)-1:])
+	*q = s[:len(s)-1]
+	return h
+}
+
+// truncate empties the FIFO q, keeping its array for later appends.
+func truncate[T any](q []T) []T {
+	clear(q)
+	return q[:0]
 }

@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"testing"
 
 	"lrcrace/internal/mem"
 	"lrcrace/internal/vc"
@@ -81,10 +82,21 @@ func OverlapPages(a, b []mem.PageID, dst []mem.PageID) []mem.PageID {
 // slice indexed by PageID (nil until the page's first touch in the
 // interval), and the pages touched are listed on the side so that closing
 // the interval visits only them.
+//
+// A Builder whose owner knows when an interval's bitmaps will never be read
+// again hands them back with Recycle, and later intervals reuse them: the
+// Go frontend does, at its knowledge horizon. The DSM never does, since its
+// bitmaps stay readable in the BitmapStore, in checkpoints and in the
+// bitmap replies the barrier's shard owners hold.
 type Builder struct {
 	layout mem.Layout
 	read   side
 	write  side
+
+	// What Recycle handed back, for the next closes to reuse.
+	freeRecs []*Record
+	freeFPs  []*Footprint
+	freeBits []mem.Bitmap
 }
 
 // side is one access direction of a Builder.
@@ -93,28 +105,39 @@ type side struct {
 	pages []mem.PageID // the non-nil slots of bits, in first-touch order
 }
 
-// touch allocates page p's bitmap on its first access of the interval.
-func (s *side) touch(p mem.PageID, words int) mem.Bitmap {
-	bm := mem.NewBitmap(words)
+// touch gives page p of side s a cleared bitmap on its first access of the
+// interval: a recycled one if Recycle handed any back, else a new one.
+func (b *Builder) touch(s *side, p mem.PageID) mem.Bitmap {
+	bm := popFree(&b.freeBits)
+	if bm == nil {
+		bm = mem.NewBitmap(b.layout.WordsPerPage())
+	} else {
+		bm.Reset()
+	}
 	s.bits[p] = bm
 	s.pages = append(s.pages, p)
 	return bm
 }
 
 // drain sorts the touched-page list — it is the side's notice list — and
-// returns it with the matching bitmaps, leaving the side empty.
-func (s *side) drain() pageBits {
-	if len(s.pages) == 0 {
-		return pageBits{}
+// moves it with the matching bitmaps into dst, leaving the side empty. The
+// page array dst held, if any (a recycled footprint's), becomes the side's
+// list for the next interval, and dst's bitmap slice is reused if it is
+// large enough.
+func (s *side) drain(dst *pageBits) {
+	SortPages(s.pages)
+	spare := dst.pages[:0]
+	dst.pages = s.pages
+	if n := len(s.pages); cap(dst.bits) < n {
+		dst.bits = make([]mem.Bitmap, n)
+	} else {
+		dst.bits = dst.bits[:n]
 	}
-	out := pageBits{pages: s.pages, bits: make([]mem.Bitmap, len(s.pages))}
-	SortPages(out.pages)
-	for i, p := range out.pages {
-		out.bits[i] = s.bits[p]
+	for i, p := range dst.pages {
+		dst.bits[i] = s.bits[p]
 		s.bits[p] = nil
 	}
-	s.pages = nil
-	return out
+	s.pages = spare
 }
 
 // NewBuilder returns a Builder for the given segment layout.
@@ -131,7 +154,7 @@ func (b *Builder) NoteRead(a mem.Addr) {
 	p := b.layout.Page(a)
 	bm := b.read.bits[p]
 	if bm == nil {
-		bm = b.read.touch(p, b.layout.WordsPerPage())
+		bm = b.touch(&b.read, p)
 	}
 	bm.Set(b.layout.WordInPage(a))
 }
@@ -141,7 +164,7 @@ func (b *Builder) NoteWrite(a mem.Addr) {
 	p := b.layout.Page(a)
 	bm := b.write.bits[p]
 	if bm == nil {
-		bm = b.write.touch(p, b.layout.WordsPerPage())
+		bm = b.touch(&b.write, p)
 	}
 	bm.Set(b.layout.WordInPage(a))
 }
@@ -160,27 +183,97 @@ func (b *Builder) WrotePage(p mem.PageID) bool { return b.write.bits[p] != nil }
 
 // FinishFootprint turns the accumulated accesses into a Record with the
 // given identity and the interval's Footprint, and drains the builder for
-// reuse. The record and the footprint share the sorted notice lists;
-// neither modifies them. The footprint is nil when the interval recorded no
-// access.
+// reuse. The record keeps v as its VC, so the caller passes a clock that no
+// one writes to afterwards. The record and the footprint share the sorted
+// notice lists; neither modifies them. The footprint is nil when the
+// interval recorded no access. Both come from what Recycle handed back, if
+// anything.
 func (b *Builder) FinishFootprint(id vc.IntervalID, v vc.VC, epoch int32) (*Record, *Footprint) {
-	rd, wr := b.read.drain(), b.write.drain()
-	r := &Record{ID: id, VC: v.Copy(), Epoch: epoch, ReadNotices: rd.pages, WriteNotices: wr.pages}
-	if len(rd.pages)+len(wr.pages) == 0 {
+	r := popFree(&b.freeRecs)
+	if r == nil {
+		r = new(Record)
+	}
+	*r = Record{ID: id, VC: v, Epoch: epoch}
+	if b.Empty() {
 		return r, nil
 	}
-	return r, &Footprint{read: rd, write: wr}
+	fp := popFree(&b.freeFPs)
+	if fp == nil {
+		fp = new(Footprint)
+	}
+	b.read.drain(&fp.read)
+	b.write.drain(&fp.write)
+	r.ReadNotices, r.WriteNotices = fp.read.pages, fp.write.pages
+	return r, fp
 }
 
 // Finish is FinishFootprint with the footprint deposited into store, keyed
 // by the interval, where it stays until a barrier check list requests it or
-// the epoch is garbage collected.
+// the epoch is garbage collected. The record takes a copy of v.
 func (b *Builder) Finish(id vc.IntervalID, v vc.VC, epoch int32, store *BitmapStore) *Record {
-	r, fp := b.FinishFootprint(id, v, epoch)
+	r, fp := b.FinishFootprint(id, v.Copy(), epoch)
 	if store != nil && fp != nil {
 		store.put(id, fp)
 	}
 	return r
+}
+
+// poisonRecycled makes Recycle fill every bitmap it takes back with ones in
+// test binaries, so a reader that kept one past its record's retirement
+// sees words no interval touched — false races in every pinned suite —
+// instead of going unnoticed. The Builder clears a bitmap only when it
+// hands it out again. Other binaries never poison: it costs time on every
+// retirement.
+var poisonRecycled = testing.Testing()
+
+// Recycle hands back a record and its footprint (nil for an interval that
+// recorded no access), both made by this Builder's FinishFootprint, for
+// later closes to reuse: the Record, the Footprint, its bitmaps, its notice
+// lists and its bitmap slices. The caller states that nothing will read
+// any of them again, and must not touch them afterwards. The record's VC is
+// never reused — it may be shared, as the Go frontend's release clock is —
+// so Recycle only drops it.
+//
+// Only a Builder whose intervals are checked where they are built may
+// recycle: the DSM's builders never do, because their footprints stay in
+// the BitmapStore, and its bitmaps travel by reference in frozen
+// BitmapReply messages.
+func (b *Builder) Recycle(r *Record, fp *Footprint) {
+	*r = Record{}
+	b.freeRecs = append(b.freeRecs, r)
+	if fp == nil {
+		return
+	}
+	b.reclaim(&fp.read)
+	b.reclaim(&fp.write)
+	b.freeFPs = append(b.freeFPs, fp)
+}
+
+// popFree removes and returns the last entry of the free list l, or the
+// zero value if l is empty.
+func popFree[T any](l *[]T) T {
+	var x T
+	if n := len(*l); n > 0 {
+		x = (*l)[n-1]
+		clear((*l)[n-1:])
+		*l = (*l)[:n-1]
+	}
+	return x
+}
+
+// reclaim moves pb's bitmaps to the free list and empties pb, keeping its
+// arrays.
+func (b *Builder) reclaim(pb *pageBits) {
+	for i, bm := range pb.bits {
+		if poisonRecycled {
+			for w := range bm {
+				bm[w] = ^uint64(0)
+			}
+		}
+		b.freeBits = append(b.freeBits, bm)
+		pb.bits[i] = nil
+	}
+	pb.pages, pb.bits = pb.pages[:0], pb.bits[:0]
 }
 
 // BitmapStore retains the word-access bitmaps of locally created intervals

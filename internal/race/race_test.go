@@ -317,9 +317,12 @@ func TestPropertyDetectorMatchesBruteForce(t *testing.T) {
 // overlap and AppendPair, the kernel both frontends build check entries
 // with, return exactly the sorted-list merge's pages — the only input a
 // check list takes from any of them — in order, for every record pair of
-// random epochs. The second epoch of each seed spans 160 pages, so page
-// signatures alias (pages p and p+64 share a bit) and AppendPair's
-// signature test must never drop a page the merge keeps.
+// random epochs. Each seed adds an epoch over exactly 64 pages, where every
+// pair takes AppendPair's signature path (the pages read off the
+// signatures), and one spanning 160 pages, where page signatures alias
+// (pages p and p+64 share a bit) and most pairs take the notice-list walk,
+// whose signature test must never drop a page the merge keeps. Both paths
+// must produce entries.
 func TestPropertyPageBitmapOverlapEquivalent(t *testing.T) {
 	const widePages = 160
 	l := testLayout(t)
@@ -335,11 +338,14 @@ func TestPropertyPageBitmapOverlapEquivalent(t *testing.T) {
 		}
 		return pages
 	}
+	var viaSig, viaWalk int // pairs with entries, by the path AppendPair took
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		recs, _, _ := randomEpoch(r, l)
-		for _, byProc := range randomEpochRecords(r, widePages, 2+r.Intn(4)) {
-			recs = append(recs, byProc...)
+		for _, npages := range []int{64, widePages} {
+			for _, byProc := range randomEpochRecords(r, npages, 2+r.Intn(4)) {
+				recs = append(recs, byProc...)
+			}
 		}
 		for i, a := range recs {
 			for _, b := range recs[i+1:] {
@@ -349,12 +355,22 @@ func TestPropertyPageBitmapOverlapEquivalent(t *testing.T) {
 					t.Logf("seed %d, %v × %v: merge %v, bitmaps %v, pair %v / %v", seed, a.ID, b.ID, merge, bitmaps, ab, ba)
 					return false
 				}
+				switch {
+				case len(merge) == 0:
+				case below64(a) && below64(b):
+					viaSig++
+				default:
+					viaWalk++
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+	if viaSig == 0 || viaWalk == 0 {
+		t.Errorf("pairs with entries: %d off the signatures, %d by the notice walk; want both paths taken", viaSig, viaWalk)
 	}
 }
 

@@ -2,6 +2,7 @@ package race
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"lrcrace/internal/interval"
@@ -34,32 +35,46 @@ func CompareShard(layout mem.Layout, entries []CheckEntry, src BitmapSource, epo
 	for _, e := range entries {
 		ra, wa := src.Bitmaps(e.A, e.Page)
 		rb, wb := src.Bitmaps(e.B, e.Page)
-		for _, bm := range []mem.Bitmap{ra, wa, rb, wb} {
-			if bm != nil {
-				st.BitmapsCompared++
-			}
-		}
-		add := func(x, y mem.Bitmap, kx, ky AccessKind) {
-			if x == nil || y == nil {
-				return
-			}
-			for _, w := range x.Overlap(y, nil) {
-				st.WordOverlaps++
-				reports = append(reports, Report{
-					Page:  e.Page,
-					Word:  w,
-					Addr:  layout.PageBase(e.Page) + mem.Addr(w*mem.WordSize),
-					Epoch: epoch,
-					A:     Endpoint{Interval: e.A, Kind: kx},
-					B:     Endpoint{Interval: e.B, Kind: ky},
-				})
-			}
-		}
-		add(wa, wb, Write, Write)
-		add(wa, rb, Write, Read)
-		add(ra, wb, Read, Write)
+		st.BitmapsCompared += present(ra) + present(wa) + present(rb) + present(wb)
+		n := len(reports)
+		reports = appendReports(reports, layout, e, epoch, wa, wb, Write, Write)
+		reports = appendReports(reports, layout, e, epoch, wa, rb, Write, Read)
+		reports = appendReports(reports, layout, e, epoch, ra, wb, Read, Write)
+		st.WordOverlaps += len(reports) - n
 	}
 	return reports, st
+}
+
+// present is 1 for a bitmap that was fetched and 0 for a missing one.
+func present(bm mem.Bitmap) int {
+	if bm == nil {
+		return 0
+	}
+	return 1
+}
+
+// appendReports appends a report of kinds (kx, ky) for every word marked in
+// both x and y, in ascending word order, reading the AND of the two
+// bitmaps word by word. A nil bitmap marks nothing.
+func appendReports(dst []Report, layout mem.Layout, e CheckEntry, epoch int32, x, y mem.Bitmap, kx, ky AccessKind) []Report {
+	if x == nil || y == nil {
+		return dst
+	}
+	base := layout.PageBase(e.Page)
+	for i := range min(len(x), len(y)) {
+		for m := x[i] & y[i]; m != 0; m &= m - 1 {
+			w := i*64 + bits.TrailingZeros64(m)
+			dst = append(dst, Report{
+				Page:  e.Page,
+				Word:  w,
+				Addr:  base + mem.Addr(w*mem.WordSize),
+				Epoch: epoch,
+				A:     Endpoint{Interval: e.A, Kind: kx},
+				B:     Endpoint{Interval: e.B, Kind: ky},
+			})
+		}
+	}
+	return dst
 }
 
 // PartitionCheckList assigns each check entry to an owning process in
