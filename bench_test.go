@@ -1,10 +1,10 @@
-// Benchmarks regenerating the paper's evaluation, one per table and figure,
-// plus ablations of the design choices called out in DESIGN.md. Full-size
-// reproduction output comes from cmd/benchtables; these testing.B benches
-// run reduced inputs so `go test -bench=.` finishes in minutes and report
-// the papers' headline metrics via ReportMetric. Wall-clock kernel timings
-// (vc compare, bitmap intersect, message round trip, access check) live in
-// the bench/ ledger, not here.
+// Ablations of the design choices called out in DESIGN.md, each reporting
+// its headline metric via ReportMetric on inputs small enough that
+// `go test -bench=.` finishes in minutes. The paper's tables and figures
+// have one entry point, cmd/benchtables (harness.Suite; TestSmokeTables
+// runs that path). Wall-clock kernel timings (vc compare, bitmap
+// intersect, message round trip, access check) live in the bench/ ledger,
+// not here.
 package lrcrace_test
 
 import (
@@ -15,112 +15,11 @@ import (
 
 	"lrcrace"
 	"lrcrace/internal/harness"
-	"lrcrace/internal/instr"
 	"lrcrace/internal/interval"
 	"lrcrace/internal/mem"
 	"lrcrace/internal/race"
 	"lrcrace/internal/vc"
 )
-
-const benchScale = 0.25 // reduced inputs for bench runs
-
-// pairFor runs one baseline/detection pair and reports paper-shaped metrics.
-func pairFor(b *testing.B, app string, procs int) (*harness.Result, *harness.Result) {
-	b.Helper()
-	scale := benchScale * harness.PaperScaleFactors[app]
-	base, det, err := harness.Pair(harness.RunConfig{App: app, Scale: scale, Procs: procs})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return base, det
-}
-
-// BenchmarkTable1 regenerates Table 1's slowdown and intervals-per-barrier
-// columns per application.
-func BenchmarkTable1(b *testing.B) {
-	for _, app := range lrcrace.Apps() {
-		b.Run(app, func(b *testing.B) {
-			var slow, ipb float64
-			for i := 0; i < b.N; i++ {
-				base, det := pairFor(b, app, 4)
-				slow = harness.Slowdown(base, det)
-				ipb = det.IntervalsPerBarrier()
-			}
-			b.ReportMetric(slow, "slowdown")
-			b.ReportMetric(ipb, "intervals/barrier")
-		})
-	}
-}
-
-// BenchmarkTable2 regenerates Table 2: the ATOM-model classifier over the
-// synthesized application binaries.
-func BenchmarkTable2(b *testing.B) {
-	for _, app := range lrcrace.Apps() {
-		prof := instr.PaperProfiles[app]
-		b.Run(app, func(b *testing.B) {
-			var elim float64
-			for i := 0; i < b.N; i++ {
-				st := instr.Classify(instr.Synthesize(prof))
-				elim = st.PercentEliminated()
-			}
-			b.ReportMetric(elim, "%eliminated")
-		})
-	}
-}
-
-// BenchmarkTable3 regenerates Table 3's dynamic metrics per application.
-func BenchmarkTable3(b *testing.B) {
-	for _, app := range lrcrace.Apps() {
-		b.Run(app, func(b *testing.B) {
-			var iu, bu, mo float64
-			for i := 0; i < b.N; i++ {
-				_, det := pairFor(b, app, 4)
-				iu = det.IntervalsUsedPct()
-				bu = det.BitmapsUsedPct()
-				mo = det.MsgOverheadPct()
-			}
-			b.ReportMetric(iu, "%intervals-used")
-			b.ReportMetric(bu, "%bitmaps-used")
-			b.ReportMetric(mo, "%msg-overhead")
-		})
-	}
-}
-
-// BenchmarkFigure3 regenerates Figure 3's overhead decomposition.
-func BenchmarkFigure3(b *testing.B) {
-	for _, app := range lrcrace.Apps() {
-		b.Run(app, func(b *testing.B) {
-			var o harness.Overheads
-			for i := 0; i < b.N; i++ {
-				base, det := pairFor(b, app, 4)
-				o = harness.Breakdown(base, det)
-			}
-			b.ReportMetric(o.CVMMods, "%cvm-mods")
-			b.ReportMetric(o.ProcCall, "%proc-call")
-			b.ReportMetric(o.AccessCheck, "%access-check")
-			b.ReportMetric(o.Intervals, "%intervals")
-			b.ReportMetric(o.Bitmaps, "%bitmaps")
-		})
-	}
-}
-
-// BenchmarkFigure4 regenerates Figure 4: slowdown at 2, 4 and 8 processors.
-func BenchmarkFigure4(b *testing.B) {
-	for _, app := range lrcrace.Apps() {
-		for _, procs := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/procs=%d", app, procs), func(b *testing.B) {
-				var slow float64
-				for i := 0; i < b.N; i++ {
-					base, det := pairFor(b, app, procs)
-					slow = harness.Slowdown(base, det)
-				}
-				b.ReportMetric(slow, "slowdown")
-			})
-		}
-	}
-}
-
-// --- ablations ---
 
 // syntheticEpoch builds an epoch of interval records with random notices.
 func syntheticEpoch(nproc, perProc, pages, noticeLen int, seed int64) []*interval.Record {

@@ -7,8 +7,8 @@
 //
 //	racefind -app TSP -procs 8
 //	racefind -app Water -procs 4 -protocol mw
-//	racefind -frontend go -app KV -racy        # Go-native frontend (docs/GOFRONT.md)
-//	racefind -frontend go -app Sessions -hot-skew 0.8
+//	racefind -app KV -racy                   # Go-native frontend (docs/GOFRONT.md)
+//	racefind -app Sessions -hot-skew 0.8
 //	racefind -app SOR -first
 //	racefind -app Water -trace water.trc     # also write a post-mortem log
 //	racefind -analyze water.trc              # offline analysis of a log
@@ -32,8 +32,7 @@ import (
 )
 
 func main() {
-	app := flag.String("app", "TSP", "application: FFT, SOR, TSP, Water; with -frontend go: KV, Sessions")
-	frontend := flag.String("frontend", "", "execution frontend: dsm (default) or go (Go-native happens-before frontend)")
+	app := flag.String("app", "TSP", "application: FFT, SOR, TSP, Water on the DSM; KV, Sessions on the Go-native happens-before frontend")
 	racy := flag.Bool("racy", false, "go frontend: plant the workload's racy fast path")
 	hotSkew := flag.Float64("hot-skew", 0, "go frontend: fraction of reads hitting the hot keys (0 = uniform)")
 	ops := flag.Int("ops", 0, "go frontend: operations per client goroutine (0 = workload default)")
@@ -70,7 +69,7 @@ func main() {
 	}
 
 	// Every flag goes into the configuration as the user set it; which
-	// ones a frontend cannot take is the validator's call (RunExperiment
+	// ones an app's engine cannot take is the validator's call (RunExperiment
 	// reports it), not a second rule book here.
 	proto, err := parseProtocol(*protocol)
 	if err != nil {
@@ -81,8 +80,7 @@ func main() {
 		proto = lrcrace.MultiWriter
 	}
 	cfg := lrcrace.ExperimentConfig{
-		App:          canonical(*app, *frontend),
-		Frontend:     *frontend,
+		App:          canonical(*app),
 		Scale:        *scale,
 		Procs:        *procs,
 		Detect:       true,
@@ -236,17 +234,16 @@ func parseProtocol(name string) (lrcrace.Protocol, error) {
 	return 0, fmt.Errorf("unknown protocol %q (want sw or mw)", name)
 }
 
-func canonical(app, frontend string) string {
-	names := lrcrace.Apps()
-	if frontend == "go" {
-		names = lrcrace.GoWorkloads()
-	}
+// canonical spells app as the DSM benchmarks or the go-frontend workloads
+// name it, ignoring case.
+func canonical(app string) string {
+	names := append(lrcrace.Apps(), lrcrace.GoWorkloads()...)
 	for _, a := range names {
 		if strings.EqualFold(a, app) {
 			return a
 		}
 	}
-	fmt.Fprintf(os.Stderr, "unknown app %q for frontend %q (have %v)\n", app, frontend, names)
+	fmt.Fprintf(os.Stderr, "unknown app %q (have %v)\n", app, names)
 	os.Exit(2)
 	return ""
 }

@@ -35,14 +35,10 @@ func TestIndent(t *testing.T) {
 func TestCanonical(t *testing.T) {
 	for in, want := range map[string]string{
 		"tsp": "TSP", "TSP": "TSP", "water": "Water", "fft": "FFT", "sor": "SOR",
+		"kv": "KV", "KV": "KV", "sessions": "Sessions",
 	} {
-		if got := canonical(in, ""); got != want {
+		if got := canonical(in); got != want {
 			t.Errorf("canonical(%q) = %q, want %q", in, got, want)
-		}
-	}
-	for in, want := range map[string]string{"kv": "KV", "KV": "KV", "sessions": "Sessions"} {
-		if got := canonical(in, "go"); got != want {
-			t.Errorf("canonical(%q, go) = %q, want %q", in, got, want)
 		}
 	}
 }

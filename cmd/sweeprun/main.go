@@ -15,7 +15,7 @@
 //	sweeprun -apps TSP -drop 0.05 -seeds 0,1,2      # wire-fault sweep
 //	sweeprun -apps ChaosTSP -crash single,double -corrupt none,chunk -seeds 0,1
 //	sweeprun -apps TSP,Water -remote host:8321      # dispatch cells to racedsvc
-//	sweeprun -apps KV,Sessions -frontends go -hot-skews 0,0.8 -racy 0,1 -seeds 0,1
+//	sweeprun -apps KV,Sessions -hot-skews 0,0.8 -racy 0,1 -seeds 0,1
 package main
 
 import (
@@ -45,8 +45,7 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "checkpointing axis: true,false (default true)")
 	crash := flag.String("crash", "", "crash-mode axis for chaos apps: none,single,double,recovery (default none)")
 	corrupt := flag.String("corrupt", "", "checkpoint-corruption axis: none,chunk,delete (default none; needs -crash)")
-	seeds := flag.String("seeds", "", "fault-seed axis (default 0; needs a fault, chaos, or go-frontend flag)")
-	frontends := flag.String("frontends", "", "frontend axis: dsm,go (default dsm; go pairs with gofront workloads, see docs/GOFRONT.md)")
+	seeds := flag.String("seeds", "", "fault-seed axis (default 0; needs a fault or chaos flag, or a go-frontend app such as KV)")
 	hotSkews := flag.String("hot-skews", "", "go-frontend hot-key-skew axis in [0,1) (default 0)")
 	racy := flag.String("racy", "", "go-frontend racy-fast-path axis: true,false (default false)")
 	drop := flag.Float64("drop", 0, "fault template: per-message drop probability")
@@ -68,7 +67,7 @@ func main() {
 		apps: *apps, scales: *scales, procs: *procs, protocols: *protocols,
 		detect: *detect, sharded: *sharded, barrierTree: *barrierTree, checkpoint: *checkpoint,
 		crash: *crash, corrupt: *corrupt, seeds: *seeds,
-		frontends: *frontends, hotSkews: *hotSkews, racy: *racy,
+		hotSkews: *hotSkews, racy: *racy,
 		drop: *drop, dup: *dup, reorder: *reorder, jitterUS: *jitterUS,
 	})
 	if err != nil {
@@ -146,7 +145,7 @@ func main() {
 type axisFlags struct {
 	apps, scales, procs, protocols, detect, sharded string
 	barrierTree, checkpoint, crash, corrupt, seeds  string
-	frontends, hotSkews, racy                       string
+	hotSkews, racy                                  string
 	drop, dup, reorder                              float64
 	jitterUS                                        int64
 }
@@ -196,7 +195,6 @@ func buildPlan(planFile string, a axisFlags) (*sweep.Plan, error) {
 	if p.Seeds, err = cli.Int64s(a.seeds); err != nil {
 		return nil, fmt.Errorf("-seeds: %w", err)
 	}
-	p.Frontends = cli.Strings(a.frontends)
 	if p.HotSkews, err = cli.Floats(a.hotSkews); err != nil {
 		return nil, fmt.Errorf("-hot-skews: %w", err)
 	}

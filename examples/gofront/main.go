@@ -21,9 +21,8 @@ import (
 // everything else — seed, traffic mix, hot-key skew — is identical.
 func findRaces(racy bool) []string {
 	res, err := lrcrace.RunExperiment(lrcrace.ExperimentConfig{
-		App:        "KV",
-		Frontend:   "go",
-		Procs:      4, // client goroutines
+		App:        "KV", // a go-frontend workload: the app picks the engine
+		Procs:      4,    // client goroutines
 		Detect:     true,
 		Racy:       racy,
 		HotKeySkew: 0.7,

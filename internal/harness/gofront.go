@@ -9,26 +9,6 @@ import (
 	"lrcrace/internal/telemetry"
 )
 
-// Frontends are the execution engines a RunConfig can select.
-var Frontends = []string{"dsm", "go"}
-
-// IsGoFrontend reports whether the frontend name selects the gofront
-// engine ("" and "dsm" select the simulated DSM).
-func IsGoFrontend(name string) bool { return name == "go" }
-
-// KnownFrontend reports whether name is a valid Frontend value.
-func KnownFrontend(name string) bool {
-	if name == "" {
-		return true
-	}
-	for _, f := range Frontends {
-		if f == name {
-			return true
-		}
-	}
-	return false
-}
-
 // runGoFront executes a go-frontend workload run: cfg.App names a
 // registered gofront workload, cfg.Procs is the client count, and the
 // result carries the gofront race set and stats in place of the DSM state.

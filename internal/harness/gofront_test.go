@@ -12,7 +12,7 @@ import (
 
 func TestGoFrontRun(t *testing.T) {
 	res, err := Run(RunConfig{
-		App: "KV", Frontend: "go", Procs: 4, Detect: true,
+		App: "KV", Procs: 4, Detect: true,
 		Racy: true, HotKeySkew: 0.7, Seed: 3,
 		Telemetry: &telemetry.Config{},
 	})
@@ -56,7 +56,7 @@ func TestGoFrontRun(t *testing.T) {
 }
 
 func TestGoFrontCleanRun(t *testing.T) {
-	res, err := Run(RunConfig{App: "Sessions", Frontend: "go", Procs: 3, Detect: true, HotKeySkew: 0.5})
+	res, err := Run(RunConfig{App: "Sessions", Procs: 3, Detect: true, HotKeySkew: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,20 +66,18 @@ func TestGoFrontCleanRun(t *testing.T) {
 }
 
 func TestGoFrontValidation(t *testing.T) {
-	ok := RunConfig{App: "KV", Frontend: "go", Procs: 2, Detect: true}
+	ok := RunConfig{App: "KV", Procs: 2, Detect: true}
 	if err := ValidateRunConfig(ok); err != nil {
 		t.Fatalf("valid go-frontend config rejected: %v", err)
 	}
 	bad := []RunConfig{
-		{App: "KV", Frontend: "rust", Procs: 2},
-		{App: "FFT", Frontend: "go", Procs: 2},
-		{App: "KV", Frontend: "go", Procs: 2, HotKeySkew: 1.5},
-		{App: "KV", Frontend: "go", Procs: 2, OpsPerClient: -1},
-		{App: "KV", Frontend: "go", Procs: 2, DSM: dsm.Config{Protocol: dsm.MultiWriter}},
-		{App: "KV", Frontend: "go", Procs: 2, Detect: true, DSM: dsm.Config{ShardedCheck: true}},
-		{App: "KV", Frontend: "go", Procs: 2, DSM: dsm.Config{BarrierTree: 2}},
-		{App: "KV", Frontend: "go", Procs: 2, DSM: dsm.Config{Faults: &simnet.FaultPlan{Drop: 0.1}}},
-		{App: "KV", Frontend: "go", Procs: 2, CrashMode: "single"},
+		{App: "KV", Procs: 2, HotKeySkew: 1.5},
+		{App: "KV", Procs: 2, OpsPerClient: -1},
+		{App: "KV", Procs: 2, DSM: dsm.Config{Protocol: dsm.MultiWriter}},
+		{App: "KV", Procs: 2, Detect: true, DSM: dsm.Config{ShardedCheck: true}},
+		{App: "KV", Procs: 2, DSM: dsm.Config{BarrierTree: 2}},
+		{App: "KV", Procs: 2, DSM: dsm.Config{Faults: &simnet.FaultPlan{Drop: 0.1}}},
+		{App: "KV", Procs: 2, CrashMode: "single"},
 		{App: "FFT", Procs: 2, Racy: true},
 		{App: "FFT", Procs: 2, HotKeySkew: 0.5},
 		{App: "FFT", Procs: 2, OpsPerClient: 10},

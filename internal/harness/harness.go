@@ -40,15 +40,15 @@ type DSM = dsm.Config
 // a RunConfig with ValidateRunConfig: the promoted DSM.Validate sees only
 // the DSM half.
 type RunConfig struct {
-	App   string  // "FFT", "SOR", "TSP", "Water" — or a gofront workload
+	// App names what to run, and so the engine that runs it: a benchmark
+	// ("FFT", "SOR", "TSP", "Water") or chaos app runs on the simulated
+	// DSM; a registered gofront workload ("KV", "Sessions") runs as a
+	// Go-native program under the gofront happens-before frontend
+	// (goroutines, channels, and locks translated to interval-based
+	// detection), with Procs as the client count. See docs/GOFRONT.md.
+	App   string
 	Scale float64 // problem scale; 0 → 1 (laptop default)
 	Procs int
-	// Frontend selects the execution engine: "" or "dsm" runs App on the
-	// simulated DSM; "go" runs App as a Go-native workload under the
-	// gofront happens-before frontend (goroutines, channels, and locks
-	// translated to interval-based detection), with Procs as the client
-	// count. See docs/GOFRONT.md.
-	Frontend string
 	// HotKeySkew is the go-frontend hot-key probability in [0,1).
 	HotKeySkew float64
 	// Racy plants the go-frontend workload's racy fast path.
@@ -113,8 +113,9 @@ type Result struct {
 	// set (its metrics registry already includes the run's raw counters).
 	Telemetry *telemetry.Recorder
 
-	// GoFront is the go-frontend result when RunConfig.Frontend was "go";
-	// Sys, Model, Det, Net, and Procs stay zero-valued for such runs.
+	// GoFront is the go-frontend result when RunConfig.App named a gofront
+	// workload; Sys, Model, Det, Net, and Procs stay zero-valued for such
+	// runs.
 	GoFront *gofront.Result
 }
 
@@ -127,7 +128,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if IsGoFrontend(cfg.Frontend) {
+	if gofront.IsWorkload(cfg.App) {
 		return runGoFront(cfg)
 	}
 	dc.Recorder = recorderFor(cfg, cfg.Procs)

@@ -12,8 +12,8 @@ import (
 	"lrcrace/internal/gofront"
 )
 
-// ErrUnknownApp marks the rejection of a DSM-frontend application name
-// that no registry knows (test with errors.Is). The sweep keeps such cells
+// ErrUnknownApp marks the rejection of an application name that no
+// registry knows (test with errors.Is). The sweep keeps such cells
 // so a typo surfaces as failed cells instead of a silently smaller grid.
 var ErrUnknownApp = errors.New("unknown application")
 
@@ -33,7 +33,7 @@ func ValidateRunConfig(cfg RunConfig) error {
 	return err
 }
 
-// prepare validates cfg and, for the DSM frontend, returns what Run builds
+// prepare validates cfg and, for a DSM app, returns what Run builds
 // the System from: the application (nil for the chaos apps) and the
 // dsm.Config, recorder not yet attached.
 func prepare(cfg RunConfig) (apps.App, dsm.Config, error) {
@@ -49,14 +49,12 @@ func prepare(cfg RunConfig) (apps.App, dsm.Config, error) {
 	if cfg.Scale < 0 {
 		return fail("negative Scale %g", cfg.Scale)
 	}
-	if !KnownFrontend(cfg.Frontend) {
-		return fail("unknown frontend %q (have %s)", cfg.Frontend, strings.Join(Frontends, ", "))
-	}
-	if IsGoFrontend(cfg.Frontend) {
+	if gofront.IsWorkload(cfg.App) {
 		return nil, dsm.Config{}, validateGoFront(cfg)
 	}
 	if cfg.HotKeySkew != 0 || cfg.Racy || cfg.OpsPerClient != 0 {
-		return fail("HotKeySkew, Racy, and OpsPerClient parameterize go-frontend workloads; set Frontend to \"go\"")
+		return fail("HotKeySkew, Racy, and OpsPerClient parameterize go-frontend workloads (%s), not %s",
+			strings.Join(gofront.Workloads(), ", "), cfg.App)
 	}
 	derived := slices.DeleteFunc(setFields(&cfg.DSM), func(f string) bool { return !slices.Contains(derivedFields, f) })
 	if len(derived) > 0 {
@@ -68,13 +66,11 @@ func prepare(cfg RunConfig) (apps.App, dsm.Config, error) {
 		if chaosMode(cfg.CrashMode) != "none" || chaosMode(cfg.CorruptMode) != "none" {
 			return fail("%s is a whole-program benchmark and cannot recover; crash/corruption modes need a chaos app (%s)", cfg.App, chaosAppNames())
 		}
-		if gofront.IsWorkload(cfg.App) {
-			return fail("%s is a go-frontend workload; set Frontend to \"go\"", cfg.App)
-		}
 		var err error
 		if app, err = apps.New(cfg.App, cfg.Scale); err != nil {
-			return fail("%w %q (have %s and chaos apps %s)",
-				ErrUnknownApp, cfg.App, strings.Join(apps.Names(), ", "), chaosAppNames())
+			return fail("%w %q (have %s, chaos apps %s and go-frontend workloads %s)",
+				ErrUnknownApp, cfg.App, strings.Join(apps.Names(), ", "), chaosAppNames(),
+				strings.Join(gofront.Workloads(), ", "))
 		}
 		shared = app.SharedBytes()
 	}
@@ -104,16 +100,12 @@ func setFields(c *dsm.Config) []string {
 	return set
 }
 
-// validateGoFront gates the go-frontend configurations: the app must be a
-// registered gofront workload, the workload knobs must be in range, and
+// validateGoFront gates the go-frontend configurations (cfg.App is a
+// registered gofront workload): the workload knobs must be in range, and
 // the run takes no DSM settings — the gofront engine has no pages, wire,
 // barrier tree, or checkpoint store to configure, and keeps its own trace
 // (Result.GoFront) instead of a Tracer.
 func validateGoFront(cfg RunConfig) error {
-	if !gofront.IsWorkload(cfg.App) {
-		return fmt.Errorf("harness: unknown go-frontend workload %q (have %s)",
-			cfg.App, strings.Join(gofront.Workloads(), ", "))
-	}
 	if cfg.HotKeySkew < 0 || cfg.HotKeySkew >= 1 {
 		return fmt.Errorf("harness: HotKeySkew = %g (want [0,1))", cfg.HotKeySkew)
 	}

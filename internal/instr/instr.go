@@ -75,15 +75,6 @@ type Binary struct {
 	Funcs []Func
 }
 
-// NumLoadsStores returns the total number of memory-access instructions.
-func (b *Binary) NumLoadsStores() int {
-	n := 0
-	for _, f := range b.Funcs {
-		n += len(f.Instrs)
-	}
-	return n
-}
-
 // ClassifyStats breaks the binary's loads and stores into the categories of
 // the paper's Table 2.
 type ClassifyStats struct {

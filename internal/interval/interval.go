@@ -39,17 +39,6 @@ func (r *Record) Clone() *Record {
 	return c
 }
 
-// Wrote reports whether page p appears in the write notices.
-func (r *Record) Wrote(p mem.PageID) bool { return containsPage(r.WriteNotices, p) }
-
-// Read reports whether page p appears in the read notices.
-func (r *Record) Read(p mem.PageID) bool { return containsPage(r.ReadNotices, p) }
-
-func containsPage(s []mem.PageID, p mem.PageID) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= p })
-	return i < len(s) && s[i] == p
-}
-
 // SortPages sorts a page list in place (notices are kept sorted so that
 // membership tests and overlap scans are cheap).
 func SortPages(s []mem.PageID) { slices.Sort(s) }
@@ -175,11 +164,6 @@ func (b *Builder) Empty() bool { return len(b.read.pages) == 0 && len(b.write.pa
 // BitmapCount returns the number of per-page bitmaps currently accumulated
 // (read plus write) — the bitmaps the next Finish will deposit.
 func (b *Builder) BitmapCount() int { return len(b.read.pages) + len(b.write.pages) }
-
-// WrotePage reports whether any word of page p has been written in the
-// current interval (used by the single-writer protocol to avoid re-sending
-// write faults, and by tests).
-func (b *Builder) WrotePage(p mem.PageID) bool { return b.write.bits[p] != nil }
 
 // FinishFootprint turns the accumulated accesses into a Record with the
 // given identity and the interval's Footprint, and drains the builder for

@@ -38,12 +38,6 @@ func TestBuilderFinishProducesSortedNotices(t *testing.T) {
 	if len(r.ReadNotices) != 2 || r.ReadNotices[0] != 0 || r.ReadNotices[1] != 7 {
 		t.Errorf("read notices = %v, want [0 7]", r.ReadNotices)
 	}
-	if !r.Wrote(5) || r.Wrote(0) {
-		t.Error("Wrote membership wrong")
-	}
-	if !r.Read(7) || r.Read(5) {
-		t.Error("Read membership wrong")
-	}
 	if !b.Empty() {
 		t.Error("builder not drained by Finish")
 	}
@@ -59,22 +53,6 @@ func TestBuilderFinishProducesSortedNotices(t *testing.T) {
 	_, wr1 := store.Get(id, 1)
 	if wr1 == nil || !wr1.Get(1) {
 		t.Error("write bitmap for page 1 wrong")
-	}
-}
-
-func TestBuilderWrotePage(t *testing.T) {
-	l := layout(t)
-	b := NewBuilder(l)
-	if b.WrotePage(3) {
-		t.Error("fresh builder claims written page")
-	}
-	b.NoteWrite(l.PageBase(3))
-	if !b.WrotePage(3) {
-		t.Error("WrotePage false after NoteWrite")
-	}
-	b.NoteRead(l.PageBase(4))
-	if b.WrotePage(4) {
-		t.Error("read counted as write")
 	}
 }
 

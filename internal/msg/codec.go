@@ -49,7 +49,6 @@ func (e *Encoder) U64(v uint64) {
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
-func (e *Encoder) I32(v int32) { e.U32(uint32(v)) }
 
 // Blob writes a length-prefixed byte slice.
 func (e *Encoder) Blob(b []byte) {
@@ -75,7 +74,7 @@ func (e *Encoder) IntervalID(id vc.IntervalID) {
 func (e *Encoder) Pages(ps []mem.PageID) {
 	e.U32(uint32(len(ps)))
 	for _, p := range ps {
-		e.I32(int32(p))
+		e.U32(uint32(p))
 	}
 }
 
@@ -162,7 +161,6 @@ func (d *Decoder) U64() uint64 {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
-func (d *Decoder) I32() int32 { return int32(d.U32()) }
 
 // Blob reads a length-prefixed byte slice into a buffer of its own, which
 // the caller owns: it shares nothing with the decoded buffer. The buffer
@@ -233,7 +231,7 @@ func (d *Decoder) Pages() []mem.PageID {
 	}
 	ps := make([]mem.PageID, n)
 	for i := range ps {
-		ps[i] = mem.PageID(d.I32())
+		ps[i] = mem.PageID(d.U32())
 	}
 	return ps
 }

@@ -77,27 +77,26 @@ func TestGoFrontAdmission(t *testing.T) {
 	svc := New(Config{MaxSessions: 1})
 	defer svc.Close()
 	checkAdmission(t, svc, []admissionCase{
-		{"unknown frontend", RunRequest{App: "KV", Frontend: "rust"},
-			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "rust"}},
-		{"go frontend on dsm app", RunRequest{App: "FFT", Frontend: "go"},
-			&harness.RunConfig{App: "FFT", Procs: 4, Frontend: "go"}},
-		{"gofront workload without frontend", RunRequest{App: "KV"},
-			&harness.RunConfig{App: "KV", Procs: 4}},
+		// The app picks its engine; a frontend that names another one is
+		// refused before the validator is asked.
+		{"unknown frontend", RunRequest{App: "KV", Frontend: "rust"}, nil},
+		{"go frontend on dsm app", RunRequest{App: "FFT", Frontend: "go"}, nil},
+		{"gofront workload on dsm frontend", RunRequest{App: "KV", Frontend: "dsm"}, nil},
 		{"go with protocol", RunRequest{App: "KV", Frontend: "go", Protocol: "mw"},
-			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", DSM: dsm.Config{Protocol: dsm.MultiWriter}}},
+			&harness.RunConfig{App: "KV", Procs: 4, DSM: dsm.Config{Protocol: dsm.MultiWriter}}},
 		{"go with sharded check", RunRequest{App: "KV", Frontend: "go", Sharded: true},
-			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", DSM: dsm.Config{ShardedCheck: true}}},
+			&harness.RunConfig{App: "KV", Procs: 4, DSM: dsm.Config{ShardedCheck: true}}},
 		{"go with barrier tree", RunRequest{App: "KV", Frontend: "go", BarrierTree: 2},
-			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", DSM: dsm.Config{BarrierTree: 2}}},
+			&harness.RunConfig{App: "KV", Procs: 4, DSM: dsm.Config{BarrierTree: 2}}},
 		{"go without checkpoint layer", RunRequest{App: "KV", Frontend: "go", Checkpoint: boolPtr(false)},
-			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", DSM: dsm.Config{NoCheckpoint: true}}},
+			&harness.RunConfig{App: "KV", Procs: 4, DSM: dsm.Config{NoCheckpoint: true}}},
 		{"go with crash mode", RunRequest{App: "KV", Frontend: "go", CrashMode: "single"},
-			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", CrashMode: "single"}},
+			&harness.RunConfig{App: "KV", Procs: 4, CrashMode: "single"}},
 		{"hot skew on dsm app", RunRequest{App: "FFT", HotSkew: 0.5},
 			&harness.RunConfig{App: "FFT", Procs: 4, HotKeySkew: 0.5}},
 		{"racy on dsm app", RunRequest{App: "FFT", Racy: true},
 			&harness.RunConfig{App: "FFT", Procs: 4, Racy: true}},
 		{"hot skew out of range", RunRequest{App: "KV", Frontend: "go", HotSkew: 1.5},
-			&harness.RunConfig{App: "KV", Procs: 4, Frontend: "go", HotKeySkew: 1.5}},
+			&harness.RunConfig{App: "KV", Procs: 4, HotKeySkew: 1.5}},
 	})
 }

@@ -109,7 +109,6 @@ func TestRequestCellRoundTripGrid(t *testing.T) {
 		minCells, maxCells int
 	}{{&sweep.Plan{
 		Apps:         []string{"Water", "ChaosMW", "KV"},
-		Frontends:    []string{"dsm", "go"},
 		Scales:       []float64{0.25, 1},
 		Procs:        []int{3, 4},
 		Protocols:    []string{"sw", "mw"},
@@ -200,6 +199,10 @@ func TestRequestCellIDs(t *testing.T) {
 		{RunRequest{App: "ChaosMW", Seed: 3}, "ChaosMW-s1-p4-sw-d1-sh0-ck1-seed0"},
 		{RunRequest{App: "ChaosMW", Procs: 3, CrashMode: "double", Seed: 3, Protocol: "mw"}, "ChaosMW-s1-p3-mw-d1-sh0-ck1-crdouble-seed3"},
 		{RunRequest{App: "KV", Frontend: "go", Seed: 5, HotSkew: 0.8, Racy: true}, "KV-s1-p4-sw-d1-sh0-ck1-go-hk0.8-racy-seed5"},
+		// The app picks its engine: a request that leaves the frontend out
+		// names the cell that states it.
+		{RunRequest{App: "KV"}, "KV-s1-p4-sw-d1-sh0-ck1-go-seed0"},
+		{RunRequest{App: "KV", Frontend: "go"}, "KV-s1-p4-sw-d1-sh0-ck1-go-seed0"},
 		{RunRequest{App: "Sessions", Frontend: "go", Detect: boolPtr(false), Procs: 2, Scale: 0.5}, "Sessions-s0.5-p2-sw-d0-sh0-ck1-go-seed0"},
 		// The wire template describes the simulated network; a go-frontend
 		// session has none and has always ignored it.

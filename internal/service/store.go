@@ -397,13 +397,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Durable reports whether the store persists its records.
-func (s *Store) Durable() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.log != nil
-}
-
 // Since returns retained visible records with Seq > since, filtered to
 // one session when session is non-empty, at most max of them (0 → no
 // limit). lost is how many records between the cursor and the oldest

@@ -28,17 +28,16 @@ func init() {
 		})
 }
 
-// TestExpandGoFrontAxes: a mixed plan pairs DSM apps with dsm cells and
-// gofront workloads with go cells, go-only knobs never leak onto dsm cells,
+// TestExpandGoFrontAxes: a mixed plan runs DSM apps as dsm cells and
+// gofront workloads as go cells, go-only knobs never leak onto dsm cells,
 // and the seed axis survives for go frontends.
 func TestExpandGoFrontAxes(t *testing.T) {
 	p := &Plan{
-		Apps:      []string{"TSP", "KV"},
-		Frontends: []string{"dsm", "go"},
-		Procs:     []int{2, 4},
-		HotSkews:  []float64{0, 0.8},
-		Racy:      []bool{false, true},
-		Seeds:     []int64{0, 1},
+		Apps:     []string{"TSP", "KV"},
+		Procs:    []int{2, 4},
+		HotSkews: []float64{0, 0.8},
+		Racy:     []bool{false, true},
+		Seeds:    []int64{0, 1},
 	}
 	cells, err := p.Expand()
 	if err != nil {
@@ -52,16 +51,13 @@ func TestExpandGoFrontAxes(t *testing.T) {
 	for _, c := range cells {
 		switch c.App {
 		case "TSP":
-			if c.Frontend != "" || c.HotSkew != 0 || c.Racy {
+			if c.HotSkew != 0 || c.Racy {
 				t.Fatalf("go-frontend knobs leaked onto dsm cell %s", c.ID)
 			}
 			if strings.Contains(c.ID, "-go") {
 				t.Fatalf("dsm cell ID carries go suffix: %s", c.ID)
 			}
 		case "KV":
-			if c.Frontend != "go" {
-				t.Fatalf("KV cell not on go frontend: %s", c.ID)
-			}
 			if !strings.Contains(c.ID, "-go") {
 				t.Fatalf("go cell ID missing go suffix: %s", c.ID)
 			}
@@ -69,17 +65,14 @@ func TestExpandGoFrontAxes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cfg.Frontend != "go" || cfg.Seed != c.Seed ||
+			if cfg.Seed != c.Seed ||
 				cfg.HotKeySkew != c.HotSkew || cfg.Racy != c.Racy {
 				t.Fatalf("cell %s mapped to %+v", c.ID, cfg)
 			}
 		}
 	}
 
-	if _, err := (&Plan{Apps: []string{"KV"}, Frontends: []string{"zig"}}).Expand(); err == nil {
-		t.Error("bogus frontend expanded without error")
-	}
-	if _, err := (&Plan{Apps: []string{"KV"}, Frontends: []string{"go"}, HotSkews: []float64{1.5}}).Expand(); err == nil {
+	if _, err := (&Plan{Apps: []string{"KV"}, HotSkews: []float64{1.5}}).Expand(); err == nil {
 		t.Error("out-of-range hot skew expanded without error")
 	}
 }
@@ -111,12 +104,11 @@ func TestDsmCellIDsUnchanged(t *testing.T) {
 // racy cells found races while clean cells did not.
 func TestGoFrontSweepEndToEnd(t *testing.T) {
 	p := &Plan{
-		Apps:      []string{"KV", "Sessions"},
-		Frontends: []string{"go"},
-		Procs:     []int{3},
-		HotSkews:  []float64{0.6},
-		Racy:      []bool{false, true},
-		Seeds:     []int64{0, 1},
+		Apps:     []string{"KV", "Sessions"},
+		Procs:    []int{3},
+		HotSkews: []float64{0.6},
+		Racy:     []bool{false, true},
+		Seeds:    []int64{0, 1},
 	}
 	s, err := New(p, Options{Workers: 4})
 	if err != nil {
@@ -154,7 +146,7 @@ func TestGoFrontSweepEndToEnd(t *testing.T) {
 // reaches RunGuarded's recover, so the cell fails with the model's message
 // and the process lives on.
 func TestGoFrontModelPanicFailsCell(t *testing.T) {
-	cfg := harness.RunConfig{App: panicWorkload, Frontend: "go", Procs: 2, Detect: true}
+	cfg := harness.RunConfig{App: panicWorkload, Procs: 2, Detect: true}
 	rec := telemetry.New(telemetry.Config{Procs: cfg.Procs, Cap: TelemetryCap, FlightSink: io.Discard})
 	res, races := RunGuarded(context.Background(), "panic-cell", cfg, rec, time.Minute)
 	if res == nil || res.Status != StatusPanic || !strings.Contains(res.Error, "gofront: close of closed channel 0") {

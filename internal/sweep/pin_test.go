@@ -104,10 +104,7 @@ func TestExpandKeepsWhatValidatorAccepts(t *testing.T) {
 			kept[c.ID] = c
 		}
 		d := defaults(p)
-		fronts, hotSkews, racies := d.Frontends, d.HotSkews, d.Racy
-		if len(fronts) == 0 {
-			fronts = []string{"dsm"}
-		}
+		hotSkews, racies := d.HotSkews, d.Racy
 		if len(hotSkews) == 0 {
 			hotSkews = []float64{0}
 		}
@@ -116,37 +113,32 @@ func TestExpandKeepsWhatValidatorAccepts(t *testing.T) {
 		}
 		candidates := 0
 		for _, app := range d.Apps {
-			for _, front := range fronts {
-				for _, sc := range d.Scales {
-					for _, pc := range d.Procs {
-						for _, proto := range d.Protocols {
-							for _, det := range d.Detect {
-								for _, sh := range d.Sharded {
-									for _, bt := range d.BarrierTrees {
-										for _, ck := range d.Checkpoint {
-											for _, cr := range d.CrashModes {
-												for _, cx := range d.CorruptModes {
-													for _, hk := range hotSkews {
-														for _, racy := range racies {
-															for _, seed := range d.Seeds {
-																r := Request{App: app, Scale: sc, Procs: pc, Protocol: proto,
-																	Detect: &det, Sharded: sh, BarrierTree: bt, Checkpoint: &ck,
-																	CrashMode: cr, CorruptMode: cx, HotSkew: hk, Racy: racy, Seed: seed,
-																	Faults: p.Faults}
-																if front == "go" {
-																	r.Frontend = front
-																}
-																cfg, err := r.RunConfig()
-																if err != nil {
-																	t.Fatal(err)
-																}
-																candidates++
-																k, ok := kept[CellID(r)]
-																isKept := ok && reflect.DeepEqual(k.Request, r)
-																verr := harness.ValidateRunConfig(cfg)
-																if isKept != (verr == nil) {
-																	t.Errorf("%s: candidate %+v kept=%v but validator says %v", name, r, isKept, verr)
-																}
+			for _, sc := range d.Scales {
+				for _, pc := range d.Procs {
+					for _, proto := range d.Protocols {
+						for _, det := range d.Detect {
+							for _, sh := range d.Sharded {
+								for _, bt := range d.BarrierTrees {
+									for _, ck := range d.Checkpoint {
+										for _, cr := range d.CrashModes {
+											for _, cx := range d.CorruptModes {
+												for _, hk := range hotSkews {
+													for _, racy := range racies {
+														for _, seed := range d.Seeds {
+															r := Request{App: app, Scale: sc, Procs: pc, Protocol: proto,
+																Detect: &det, Sharded: sh, BarrierTree: bt, Checkpoint: &ck,
+																CrashMode: cr, CorruptMode: cx, HotSkew: hk, Racy: racy, Seed: seed,
+																Faults: p.Faults}
+															cfg, err := r.RunConfig()
+															if err != nil {
+																t.Fatal(err)
+															}
+															candidates++
+															k, ok := kept[CellID(r)]
+															isKept := ok && reflect.DeepEqual(k.Request, r)
+															verr := harness.ValidateRunConfig(cfg)
+															if isKept != (verr == nil) {
+																t.Errorf("%s: candidate %+v kept=%v but validator says %v", name, r, isKept, verr)
 															}
 														}
 													}

@@ -21,6 +21,7 @@ import (
 	"slices"
 
 	"lrcrace/internal/dsm"
+	"lrcrace/internal/gofront"
 	"lrcrace/internal/harness"
 	"lrcrace/internal/simnet"
 )
@@ -34,7 +35,9 @@ import (
 // failure. Expand has no combination rules of its own: it keeps exactly the
 // grid points whose run configuration harness.ValidateRunConfig accepts.
 type Plan struct {
-	// Apps are the benchmark applications to run (required).
+	// Apps are the applications to run (required). Each app fixes its
+	// engine: the registered gofront workloads run on the go frontend,
+	// every other app on the simulated DSM, so one plan can mix both.
 	Apps []string `json:"apps"`
 	// Scales are problem-scale multipliers; empty → [1].
 	Scales []float64 `json:"scales,omitempty"`
@@ -67,23 +70,15 @@ type Plan struct {
 	CorruptModes []string `json:"corrupt_modes,omitempty"`
 	// Seeds drive the fault, crash, and corruption plans' PRNGs — and the
 	// go frontend's scheduler and traffic PRNGs; empty → [0]. With no
-	// Faults, no non-"none" chaos mode, and no "go" frontend the axis is
-	// forced to its default: seed-varied deterministic runs would be
-	// identical cells under different names.
+	// Faults, no non-"none" chaos mode, and no gofront workload among the
+	// Apps the axis is forced to its default: seed-varied deterministic
+	// runs would be identical cells under different names.
 	Seeds []int64 `json:"seeds,omitempty"`
-	// Frontends select execution engines per cell: "dsm" (the simulated
-	// DSM) or "go" (the gofront happens-before frontend, whose apps are
-	// the registered gofront workloads); empty → ["dsm"]. Each app runs
-	// only under the frontends that know it, so a mixed plan pairs DSM
-	// benchmarks with "dsm" cells and KV workloads with "go" cells. The
-	// default is applied at expansion, not in defaults(), so pre-existing
-	// plan fingerprints are unchanged.
-	Frontends []string `json:"frontends,omitempty"`
 	// HotSkews are go-frontend hot-key-skew probabilities in [0,1);
-	// empty → [0]. Non-default values apply only to "go" cells.
+	// empty → [0]. Non-default values apply only to gofront workloads.
 	HotSkews []float64 `json:"hot_skews,omitempty"`
 	// Racy toggles the go-frontend workloads' planted racy fast path;
-	// empty → [false]. A true value applies only to "go" cells.
+	// empty → [false]. A true value applies only to gofront workloads.
 	Racy []bool `json:"racy,omitempty"`
 	// Faults, when non-nil, applies this fault template to every cell,
 	// with the cell's seed. Lossy templates imply the reliable sublayer.
@@ -121,9 +116,11 @@ type Request struct {
 	CrashMode   string  `json:"crash_mode,omitempty"`
 	CorruptMode string  `json:"corrupt_mode,omitempty"`
 	Seed        int64   `json:"seed,omitempty"`
-	// Frontend selects the execution engine: "" or "dsm" for the simulated
-	// DSM, "go" for the gofront happens-before frontend, whose apps are
-	// the gofront workloads and whose knobs are HotSkew and Racy.
+	// Frontend names the engine the client expects App to run on: "dsm"
+	// for the simulated DSM, "go" for the gofront happens-before frontend,
+	// whose apps are the gofront workloads and whose knobs are HotSkew and
+	// Racy. It chooses nothing — App does — so empty takes the app's
+	// engine and any other value is refused.
 	Frontend string     `json:"frontend,omitempty"`
 	HotSkew  float64    `json:"hot_skew,omitempty"`
 	Racy     bool       `json:"racy,omitempty"`
@@ -164,9 +161,9 @@ func CellID(r Request) string {
 	if r.CorruptMode != "" && r.CorruptMode != "none" {
 		id += "-cx" + r.CorruptMode
 	}
-	// Go-frontend suffixes only on "go" cells, so dsm cell names — and
-	// therefore pre-existing sweep checkpoints — are untouched.
-	if r.Frontend == "go" {
+	// Go-frontend suffixes only on gofront workloads, so dsm cell names —
+	// and therefore pre-existing sweep checkpoints — are untouched.
+	if gofront.IsWorkload(r.App) {
 		id += "-go"
 		if r.HotSkew != 0 {
 			id += fmt.Sprintf("-hk%g", r.HotSkew)
@@ -209,7 +206,7 @@ func (r Request) Defaulted() Request {
 	}
 	if r.CrashMode == "" {
 		r.CrashMode = "none"
-		if r.Faults == nil && !harness.IsGoFrontend(r.Frontend) {
+		if r.Faults == nil && !gofront.IsWorkload(r.App) {
 			r.Seed = 0
 		}
 	}
@@ -257,14 +254,7 @@ func defaults(p *Plan) Plan {
 
 // goFront reports whether any cell will run under the go frontend, whose
 // scheduler makes the Seeds axis meaningful without wire or chaos faults.
-func (p *Plan) goFront() bool {
-	for _, f := range p.Frontends {
-		if f == "go" {
-			return true
-		}
-	}
-	return false
-}
+func (p *Plan) goFront() bool { return slices.ContainsFunc(p.Apps, gofront.IsWorkload) }
 
 // chaotic reports whether any axis value injects seed-driven process
 // faults, making the Seeds axis meaningful without wire faults.
@@ -335,15 +325,6 @@ func (p *Plan) Expand() ([]Cell, error) {
 	}
 	// Go-frontend axes default locally (not in defaults()) to keep
 	// pre-existing plan fingerprints stable.
-	fronts := d.Frontends
-	if len(fronts) == 0 {
-		fronts = []string{"dsm"}
-	}
-	for _, f := range fronts {
-		if !harness.KnownFrontend(f) || f == "" {
-			return nil, fmt.Errorf("sweep: unknown frontend %q (want %v)", f, harness.Frontends)
-		}
-	}
 	hotSkews := d.HotSkews
 	if len(hotSkews) == 0 {
 		hotSkews = []float64{0}
@@ -360,7 +341,7 @@ func (p *Plan) Expand() ([]Cell, error) {
 
 	// Walk the product like an odometer, last axis fastest. No axis is
 	// empty after defaulting, so there is at least one candidate.
-	dims := [...]int{len(d.Apps), len(fronts), len(d.Scales), len(d.Procs), len(d.Protocols),
+	dims := [...]int{len(d.Apps), len(d.Scales), len(d.Procs), len(d.Protocols),
 		len(d.Detect), len(d.Sharded), len(d.BarrierTrees), len(d.Checkpoint),
 		len(d.CrashModes), len(d.CorruptModes), len(hotSkews), len(racies), len(d.Seeds)}
 	var at [len(dims)]int
@@ -371,14 +352,11 @@ func (p *Plan) Expand() ([]Cell, error) {
 	seen := make(map[string]bool)
 	for {
 		r := Request{
-			App: d.Apps[at[0]], Scale: d.Scales[at[2]], Procs: d.Procs[at[3]], Protocol: d.Protocols[at[4]],
-			Detect: ptr(d.Detect[at[5]]), Sharded: d.Sharded[at[6]], BarrierTree: d.BarrierTrees[at[7]],
-			Checkpoint: ptr(d.Checkpoint[at[8]]), CrashMode: cmp.Or(d.CrashModes[at[9]], one.CrashMode),
-			CorruptMode: cmp.Or(d.CorruptModes[at[10]], one.CorruptMode), HotSkew: hotSkews[at[11]],
-			Racy: racies[at[12]], Seed: d.Seeds[at[13]], Faults: d.Faults,
-		}
-		if front := fronts[at[1]]; harness.IsGoFrontend(front) {
-			r.Frontend = front
+			App: d.Apps[at[0]], Scale: d.Scales[at[1]], Procs: d.Procs[at[2]], Protocol: d.Protocols[at[3]],
+			Detect: ptr(d.Detect[at[4]]), Sharded: d.Sharded[at[5]], BarrierTree: d.BarrierTrees[at[6]],
+			Checkpoint: ptr(d.Checkpoint[at[7]]), CrashMode: cmp.Or(d.CrashModes[at[8]], one.CrashMode),
+			CorruptMode: cmp.Or(d.CorruptModes[at[9]], one.CorruptMode), HotSkew: hotSkews[at[10]],
+			Racy: racies[at[11]], Seed: d.Seeds[at[12]], Faults: d.Faults,
 		}
 		// An application no registry knows is kept: the typo then shows up
 		// as failed cells, not as a silently smaller (or empty) grid.
@@ -406,7 +384,7 @@ func ptr[T any](v T) *T { return &v }
 
 // Resolve names the request as given with the ID of its grid point, and
 // builds its run configuration, returning whatever error
-// harness.ValidateRunConfig (or an unknown protocol) rejects it with. It is
+// harness.ValidateRunConfig (or RunConfig) rejects it with. It is
 // the one Request → (Cell, RunConfig) step: Expand keeps the grid points
 // it accepts, and the service admits a submitted request, defaulted, only
 // when it accepts.
@@ -418,19 +396,26 @@ func (r Request) Resolve() (Cell, harness.RunConfig, error) {
 	return Cell{ID: CellID(r), Request: r}, cfg, err
 }
 
-// RunConfig builds the harness configuration for the request. Every field
-// is passed on, meaningful for the request's frontend or not, and the
-// validator — not this function — decides what a frontend cannot take. The
-// wire template (Faults) describes the simulated network
-// and so reaches DSM runs only.
+// RunConfig builds the harness configuration for the request; it refuses
+// an unknown protocol and a Frontend other than the app's engine. Every
+// other field is passed on, meaningful for the app's engine or not, and
+// the validator — not this function — decides what an engine cannot take.
+// The wire template (Faults) describes the simulated network and so
+// reaches DSM runs only.
 func (r Request) RunConfig() (harness.RunConfig, error) {
 	proto, err := protocolKind(r.Protocol)
 	if err != nil {
 		return harness.RunConfig{}, err
 	}
+	goApp, front := gofront.IsWorkload(r.App), "dsm"
+	if goApp {
+		front = "go"
+	}
+	if r.Frontend != "" && r.Frontend != front {
+		return harness.RunConfig{}, fmt.Errorf("sweep: %s runs on the %q frontend, not %q", r.App, front, r.Frontend)
+	}
 	cfg := harness.RunConfig{
 		App:         r.App,
-		Frontend:    r.Frontend,
 		Scale:       r.Scale,
 		Procs:       r.Procs,
 		Detect:      r.detect(),
@@ -446,10 +431,7 @@ func (r Request) RunConfig() (harness.RunConfig, error) {
 			NoCheckpoint: !r.checkpoint(),
 		},
 	}
-	if harness.IsGoFrontend(r.Frontend) {
-		return cfg, nil
-	}
-	if r.Faults != nil {
+	if r.Faults != nil && !goApp {
 		cfg.DSM.Faults = r.Faults.plan(r.Seed)
 	}
 	return cfg, nil

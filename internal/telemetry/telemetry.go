@@ -581,12 +581,6 @@ func (r *Recorder) Procs() int { return r.cfg.Procs }
 // Metrics returns the recorder's metrics registry.
 func (r *Recorder) Metrics() *Registry { return r.metrics }
 
-// ProcEvents returns the retained events of one process's ring (proc -1 or
-// out of range selects the system ring) in record order.
-func (r *Recorder) ProcEvents(proc int) []Event {
-	return r.ring(proc).events()
-}
-
 // Events returns every retained event across all rings in global record
 // order (by sequence number). Bounded rings may have dropped older events;
 // see Dropped.

@@ -23,10 +23,10 @@ func TestRecordAndReadBack(t *testing.T) {
 	sc.Emit(-1, KRetransmit, 300, 1, 2, 3)
 	sc.Emit(5, KLinkDead, 400, 1, 2, 3) // out of range → system ring
 
-	if got := len(r.ProcEvents(0)); got != 1 {
+	if got := len(r.ring(0).events()); got != 1 {
 		t.Fatalf("proc 0 retained %d events, want 1", got)
 	}
-	sys := r.ProcEvents(-1)
+	sys := r.ring(-1).events()
 	if len(sys) != 2 {
 		t.Fatalf("system ring retained %d events, want 2", len(sys))
 	}
@@ -60,7 +60,7 @@ func TestRingBounding(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sc.Emit(0, KLockRequest, int64(i), int64(i), 0, 0)
 	}
-	evs := r.ProcEvents(0)
+	evs := r.ring(0).events()
 	if len(evs) != 4 {
 		t.Fatalf("bounded ring retained %d, want 4", len(evs))
 	}
@@ -81,7 +81,7 @@ func TestUnboundedRing(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		sc.Emit(0, KPageFault, 0, 0, 0, 0)
 	}
-	if got := len(r.ProcEvents(0)); got != 10000 {
+	if got := len(r.ring(0).events()); got != 10000 {
 		t.Fatalf("unbounded ring retained %d, want 10000", got)
 	}
 	if r.Dropped() != 0 {

@@ -51,25 +51,6 @@ type Event struct {
 	Arg  uint64 // address for accesses, lock id for acquire/release, epoch for barriers
 }
 
-// KindString names the event kind.
-func (e Event) KindString() string {
-	switch e.Kind {
-	case evRead:
-		return "read"
-	case evWrite:
-		return "write"
-	case evAcquire:
-		return "acquire"
-	case evRelease:
-		return "release"
-	case evBarrierArrive:
-		return "barrier-arrive"
-	case evBarrierDepart:
-		return "barrier-depart"
-	}
-	return fmt.Sprintf("kind(%d)", e.Kind)
-}
-
 // Writer serializes the execution's events to a log. It implements the
 // dsm.Tracer interface, so attaching it is one Config field; the run calls
 // it on its one thread, so it takes no lock. Writes are buffered; call

@@ -52,9 +52,6 @@ func TestHeaderRoundTrip(t *testing.T) {
 		if e != we {
 			t.Errorf("event %d = %+v, want %+v", i, e, we)
 		}
-		if e.KindString() == "" {
-			t.Error("empty kind string")
-		}
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Errorf("expected EOF, got %v", err)

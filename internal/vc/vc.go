@@ -43,16 +43,6 @@ func (v VC) Merge(o VC) {
 	}
 }
 
-// Dominates reports whether v >= o entry-wise.
-func (v VC) Dominates(o VC) bool {
-	for i, x := range o {
-		if v[i] < x {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether v and o are identical.
 func (v VC) Equal(o VC) bool {
 	if len(v) != len(o) {

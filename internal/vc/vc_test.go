@@ -39,24 +39,6 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestDominates(t *testing.T) {
-	cases := []struct {
-		a, b VC
-		want bool
-	}{
-		{VC{1, 1}, VC{1, 1}, true},
-		{VC{2, 1}, VC{1, 1}, true},
-		{VC{0, 1}, VC{1, 1}, false},
-		{VC{5, 5}, VC{0, 0}, true},
-		{VC{0, 0}, VC{0, 0}, true},
-	}
-	for _, c := range cases {
-		if got := c.a.Dominates(c.b); got != c.want {
-			t.Errorf("%v dominates %v = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestEqualLengthMismatch(t *testing.T) {
 	if (VC{1}).Equal(VC{1, 0}) {
 		t.Error("vectors of different length reported equal")
@@ -236,12 +218,9 @@ func TestPropertyMergeIsLUB(t *testing.T) {
 		}
 		m := a.Copy()
 		m.Merge(b)
-		if !m.Dominates(a) || !m.Dominates(b) {
-			return false
-		}
-		// Least: any other upper bound dominates m.
+		// Upper bound, and least: each entry is one of the two it bounds.
 		for i := range m {
-			if m[i] != a[i] && m[i] != b[i] {
+			if m[i] < a[i] || m[i] < b[i] || (m[i] != a[i] && m[i] != b[i]) {
 				return false
 			}
 		}

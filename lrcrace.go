@@ -236,9 +236,11 @@ func NewHBDetector(n int) *HBDetector { return hbdet.New(n) }
 
 // Experiments.
 type (
-	// ExperimentConfig describes one harness run. Its DSM field is the
-	// Config the run's System is built from, minus what the harness
-	// derives (NumProcs, SharedSize, Detect, Recorder):
+	// ExperimentConfig describes one harness run. Its App picks the
+	// engine: one of the GoWorkloads runs on the Go-native frontend and
+	// takes no DSM settings; any other app runs on the DSM, and its DSM
+	// field is the Config the run's System is built from, minus what the
+	// harness derives (NumProcs, SharedSize, Detect, Recorder):
 	//
 	//	lrcrace.ExperimentConfig{
 	//		App: "Water", Procs: 4, Detect: true,
@@ -270,8 +272,8 @@ func Apps() []string { return append([]string(nil), harness.AppNames...) }
 // Go-native frontend (internal/gofront, docs/GOFRONT.md): the same
 // interval/vector-clock detector applied to Go concurrency primitives —
 // goroutines, channels, mutexes, wait groups — instead of DSM pages.
-// Select it with ExperimentConfig.Frontend = "go" and one of the
-// GoWorkloads; the run's result comes back in ExperimentResult.GoFront.
+// Name one of the GoWorkloads as ExperimentConfig.App to run on it; the
+// run's result comes back in ExperimentResult.GoFront.
 type (
 	// GoFrontResult is a go-frontend run's outcome: race reports, racy
 	// address set and detector stats. Only test binaries record its
@@ -281,10 +283,6 @@ type (
 	// pairs examined, bitmaps compared, records GCed, ...).
 	GoFrontStats = gofront.Stats
 )
-
-// Frontends lists the execution frontends an ExperimentConfig can select:
-// "dsm" (the default, also spelled "") and "go".
-func Frontends() []string { return append([]string(nil), harness.Frontends...) }
 
 // GoWorkloads lists the registered go-frontend workloads (KV, Sessions).
 func GoWorkloads() []string { return gofront.Workloads() }
