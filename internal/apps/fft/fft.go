@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"sync"
 
 	"lrcrace/internal/apps"
@@ -101,10 +102,27 @@ func (f *FFT) elem(base mem.Addr, x, y, z int) mem.Addr {
 	return base + mem.Addr(idx*2*mem.WordSize)
 }
 
-// input is the deterministic test signal.
-func input(x, y, z int, c Config) complex128 {
-	t := float64((x*c.N2+y)*c.N3+z) / float64(c.N1*c.N2*c.N3)
-	return complex(math.Sin(2*math.Pi*3*t)+0.5*math.Cos(2*math.Pi*7*t), 0.25*math.Sin(2*math.Pi*11*t))
+// inputs holds one input grid per shape, as a func() []complex128 keyed
+// by [3]int{N1, N2, N3}.
+var inputs sync.Map
+
+// input is the deterministic test signal, in grid A's x-major order:
+// element (x,y,z) at (x·N2+y)·N3+z. It depends on the grid shape alone, so
+// the runs of one shape — concurrent sweep cells included — compute it once
+// (inputs) and share it read-only. Filling the grid charges no Compute, so
+// the cache moves no virtual time.
+func (f *FFT) input() []complex128 {
+	c := f.cfg
+	once, _ := inputs.LoadOrStore([3]int{c.N1, c.N2, c.N3}, sync.OnceValue(func() []complex128 {
+		n := f.points()
+		in := make([]complex128, n)
+		for i := range in {
+			t := float64(i) / float64(n)
+			in[i] = complex(math.Sin(2*math.Pi*3*t)+0.5*math.Cos(2*math.Pi*7*t), 0.25*math.Sin(2*math.Pi*11*t))
+		}
+		return in
+	}))
+	return once.(func() []complex128)()
 }
 
 // Setup implements apps.App.
@@ -200,10 +218,11 @@ func chargePencil(p *dsm.Proc, n int) {
 func (f *FFT) Worker(p *dsm.Proc) {
 	c := f.cfg
 	if p.ID() == 0 {
+		in := f.input()
 		for x := 0; x < c.N1; x++ {
 			for y := 0; y < c.N2; y++ {
 				for z := 0; z < c.N3; z++ {
-					f.writeElem(p, x, y, z, input(x, y, z, c))
+					f.writeElem(p, x, y, z, in[(x*c.N2+y)*c.N3+z])
 				}
 			}
 		}
@@ -269,15 +288,8 @@ func (f *FFT) Worker(p *dsm.Proc) {
 // output layout (pencil-major: element x of pencil (y,z) at (y·N3+z)·N1+x).
 func (f *FFT) Reference() []complex128 {
 	c := f.cfg
-	a := make([]complex128, f.points())
+	a := slices.Clone(f.input())
 	at := func(x, y, z int) int { return (x*c.N2+y)*c.N3 + z }
-	for x := 0; x < c.N1; x++ {
-		for y := 0; y < c.N2; y++ {
-			for z := 0; z < c.N3; z++ {
-				a[at(x, y, z)] = input(x, y, z, c)
-			}
-		}
-	}
 	zbuf := make([]complex128, c.N3)
 	for x := 0; x < c.N1; x++ {
 		for y := 0; y < c.N2; y++ {

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"math"
 	"math/cmplx"
 	"slices"
 	"sync"
@@ -95,6 +96,52 @@ func TestReferenceComputedOncePerShape(t *testing.T) {
 	}
 	if other := New(Config{N1: 8, N2: 8, N3: 2}).reference(); len(other) == len(got[0]) {
 		t.Fatal("two grid shapes share a reference")
+	}
+}
+
+// TestInputComputedOncePerShape: the input grid Worker and Reference read
+// is computed once per grid shape and shared, also by instances asking at
+// the same time, and holds the signal at every element. Run it under
+// -race.
+func TestInputComputedOncePerShape(t *testing.T) {
+	cfg := Config{N1: 4, N2: 8, N3: 2}
+	got := make([][]complex128, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = New(cfg).input()
+		}()
+	}
+	wg.Wait()
+	for i, in := range got {
+		if &in[0] != &got[0][0] {
+			t.Fatalf("instance %d computed its own input", i)
+		}
+	}
+	n := 4 * 8 * 2
+	if len(got[0]) != n {
+		t.Fatalf("input has %d elements, want %d", len(got[0]), n)
+	}
+	for x := 0; x < 4; x++ {
+		for y := 0; y < 8; y++ {
+			for z := 0; z < 2; z++ {
+				tt := float64((x*8+y)*2+z) / float64(n)
+				want := complex(math.Sin(2*math.Pi*3*tt)+0.5*math.Cos(2*math.Pi*7*tt), 0.25*math.Sin(2*math.Pi*11*tt))
+				if v := got[0][(x*8+y)*2+z]; v != want {
+					t.Fatalf("input(%d,%d,%d) = %v, want %v", x, y, z, v, want)
+				}
+			}
+		}
+	}
+	if other := New(Config{N1: 8, N2: 8, N3: 2}).input(); len(other) == len(got[0]) {
+		t.Fatal("two grid shapes share an input")
+	}
+	before := slices.Clone(got[0])
+	New(cfg).Reference() // Reference transforms a copy
+	if !slices.Equal(got[0], before) {
+		t.Fatal("Reference changed the shared input")
 	}
 }
 

@@ -95,7 +95,8 @@ type Stats struct {
 // buffers from the page-frame pool
 // (mem.GetFrame); no buffer the store holds ever leaves it, so a chunk's
 // buffer goes back to the pool when an Unref frees the chunk, a heal
-// replaces its contents or a Delete fault drops them.
+// replaces its contents, a Delete fault drops them or Release empties the
+// store.
 type Store struct {
 	chains map[Key]*chunk // by fingerprint: the resident chunks sharing it
 	n      int            // resident chunks
@@ -255,6 +256,21 @@ func (s *Store) Unref(k Key) {
 		delete(s.chains, fp)
 	}
 	s.n--
+}
+
+// Release empties the store for an owner done with all of it, returning
+// every resident chunk's buffer to the frame pool (mem.PutFrame): no key
+// resolves afterwards. The cumulative Stats stay as they were; Chunks and
+// LiveBytes fall to zero, as nothing is resident.
+func (s *Store) Release() {
+	for _, head := range s.chains {
+		for c := head; c != nil; c = c.next {
+			mem.PutFrame(c.data) // nil for a Delete-faulted chunk: not pooled
+		}
+	}
+	clear(s.chains)
+	s.n = 0
+	s.stats.LiveBytes = 0
 }
 
 // Len returns the number of resident chunks.

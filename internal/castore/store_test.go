@@ -84,6 +84,44 @@ func TestRefcountFreesAtZero(t *testing.T) {
 	s.Unref(a) // absent key: must be a no-op
 }
 
+// TestReleaseEmptiesStore: Release returns every resident chunk's buffer
+// to the frame pool — intact, tampered and deleted ones alike — so no key
+// resolves afterwards, keeps the cumulative counters and zeroes what is
+// resident; the store takes deposits again.
+func TestReleaseEmptiesStore(t *testing.T) {
+	s := New()
+	page := bytes.Repeat([]byte{7}, 256)
+	var keys []Key
+	for _, b := range [][]byte{page, []byte("tampered"), []byte("deleted"), {}} {
+		k, _ := s.Put(b)
+		keys = append(keys, k)
+	}
+	s.Put(page) // a second reference
+	s.Tamper(keys[1])
+	s.Delete(keys[2])
+	held := s.lookup(keys[0]).data
+	before := s.Stats()
+	s.Release()
+	// Reading held now is what owners must not do; it shows here whether
+	// Release recycled the buffer, which a test binary poisons.
+	if bytes.Equal(held, page) {
+		t.Error("Release did not return the page's buffer to the pool")
+	}
+	for _, k := range keys {
+		if s.Contains(k) {
+			t.Errorf("chunk %s survived Release", k)
+		}
+	}
+	want := before
+	want.Chunks, want.LiveBytes = 0, 0
+	if got := s.Stats(); s.Len() != 0 || got != want {
+		t.Fatalf("after Release: Len %d, Stats %+v; want 0, %+v", s.Len(), got, want)
+	}
+	if k, isNew := s.Put(page); !isNew || k != keys[0] {
+		t.Fatalf("Put after Release: key %s new %v, want %s new", k, isNew, keys[0])
+	}
+}
+
 func TestTamperDetectedAndHealed(t *testing.T) {
 	s := New()
 	b := []byte("page bytes under test")

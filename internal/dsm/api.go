@@ -67,6 +67,7 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 			p.vnow += m.PageFault
 			p.st.WriteFaults++
 			p.tel.Emit(p.id, telemetry.KPageFault, p.vnow, int64(pg), 1, 0)
+			p.seg.PageBytes(pg) // a never-written page's first frame comes from the pool
 		}
 		p.writtenPages.add(pg)
 	case MultiWriter:
@@ -77,9 +78,10 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 			p.vnow += m.PageFault
 			p.st.WriteFaults++
 			p.tel.Emit(p.id, telemetry.KPageFault, p.vnow, int64(pg), 1, 0)
+			f := p.seg.PageBytes(pg) // a never-written page's first frame comes from the pool
 			if p.home(pg) != p.id || p.writesFromDiffs {
 				tw := mem.GetFrame(p.seg.PageSize)
-				copy(tw, p.seg.PageBytes(pg))
+				copy(tw, f)
 				p.twins[pg] = tw
 				p.twinned.add(pg)
 			}

@@ -128,6 +128,9 @@ type CheckpointStore struct {
 	gcFreed           int64
 	gcBefore, gcAfter int64
 	encodeNS          int64
+
+	// final is Stats as release found them; nil while the store is live.
+	final *CheckpointStats
 }
 
 // NewCheckpointStore returns an empty store with an empty chunk store.
@@ -259,8 +262,21 @@ func (cs *CheckpointStore) liveBytes() int64 {
 	return cs.liveManifestBytes + cs.chunks.Stats().LiveBytes
 }
 
+// release returns every chunk buffer to the frame pool, at the end of the
+// run the store belongs to. Stats keep reading what they read before.
+func (cs *CheckpointStore) release() {
+	if cs.final == nil {
+		st := cs.Stats()
+		cs.final = &st
+		cs.chunks.Release()
+	}
+}
+
 // Stats returns cumulative checkpoint counters.
 func (cs *CheckpointStore) Stats() CheckpointStats {
+	if cs.final != nil {
+		return *cs.final
+	}
 	ch := cs.chunks.Stats()
 	return CheckpointStats{
 		Count:             cs.count,

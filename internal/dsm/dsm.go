@@ -347,6 +347,7 @@ type System struct {
 
 	runErr error
 	ran    bool // Run or RunEpochs has been called; runErr is its result
+	closed bool // Close has returned the run's frames to the pool
 }
 
 // New builds a System; call Alloc to lay out shared variables, then Run.
@@ -493,10 +494,34 @@ func (s *System) NetStats() simnet.Stats {
 // Procs returns the process runtimes (valid after Run for stats reading).
 func (s *System) Procs() []*Proc { return s.procs }
 
+// Close returns every page frame the finished run still holds to the frame
+// pool (mem.PutFrame), so that the next run reuses them instead of
+// allocating: each process's page frames and twins, and every checkpoint
+// chunk. A frame's life is GetFrame (or make) → a segment, twin or chunk →
+// Close → the next GetFrame of its size. Call it once Run or RunEpochs has
+// returned and the run's memory has been read: afterwards SnapshotWord and
+// SnapshotF64 panic rather than read a page that is gone. Everything else
+// — races, symbols, detector, network, checkpoint and recovery statistics,
+// each process's Stats — reads as before. Close changes no counter, and a
+// second Close does nothing.
+func (s *System) Close() {
+	s.closed = true
+	for _, p := range s.procs {
+		p.release()
+	}
+	if s.ckpts != nil {
+		s.ckpts.release()
+	}
+}
+
 // SnapshotWord returns the authoritative value of the shared word at a
 // after a completed run: the owner's copy under the single-writer protocol,
-// the home's copy under multi-writer. Only valid once Run has returned.
+// the home's copy under multi-writer. Only valid once Run has returned, and
+// until Close: on a closed System it panics.
 func (s *System) SnapshotWord(a mem.Addr) uint64 {
+	if s.closed {
+		panic("dsm: SnapshotWord on a closed System: Close returned its pages")
+	}
 	pg := s.layout.Page(a)
 	switch s.cfg.Protocol {
 	case SingleWriter, EagerRC:

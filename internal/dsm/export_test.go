@@ -25,6 +25,17 @@ func (t Tee) BarrierDepart(p int, e int32) { t.each(func(tr Tracer) { tr.Barrier
 // Frames returns how many pages of p's copy of the segment have a frame.
 func (p *Proc) Frames() int { return p.seg.Resident() }
 
+// Twins returns how many pages of p have a twin.
+func (p *Proc) Twins() int {
+	n := 0
+	for _, tw := range p.twins {
+		if tw != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // ChunkStats returns the checkpoint chunk store's accounting.
 func (s *System) ChunkStats() castore.Stats { return s.ckpts.Chunks().Stats() }
 

@@ -285,7 +285,8 @@ func newProc(s *System, id int) *Proc {
 }
 
 // release returns p's page frames and twins to the frame pool. Call it
-// only on a process nothing reads again: one a rollback replaces.
+// only on a process nothing reads again: one a rollback replaces, or one
+// of a System that Close ends.
 func (p *Proc) release() {
 	p.seg.Release()
 	for pg, tw := range p.twins {

@@ -88,8 +88,12 @@ type RunConfig struct {
 
 // Result collects everything a run produced.
 type Result struct {
-	Cfg   RunConfig
-	App   apps.App
+	Cfg RunConfig
+	App apps.App
+	// Sys is the run's System, closed (dsm.System.Close) before Run
+	// returns: its races, symbols and statistics read as at the end of the
+	// run, but its page frames are back in the pool, so SnapshotWord
+	// panics. Run has verified the memory already.
 	Sys   *dsm.System
 	Model costmodel.Model
 
@@ -136,6 +140,9 @@ func Run(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Verify has read the run's memory and newResult its counters by the
+	// time this runs, on every path: the frames go back to the pool.
+	defer sys.Close()
 	if IsChaosApp(cfg.App) {
 		return runChaos(cfg, sys)
 	}

@@ -211,6 +211,7 @@ func (prog syntheticProgram) run(procs int, candidate func(*dsm.Config)) (pipeli
 	if err != nil {
 		return out, err
 	}
+	defer s.Close()
 	base, err := s.AllocWords("grid", pages*prog.pageSize/8)
 	if err != nil {
 		return out, err

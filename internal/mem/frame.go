@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"sync"
 	"testing"
@@ -22,8 +24,10 @@ var framePools [maxFrameShift + 1]sync.Pool // each holds the *byte of a frame's
 
 // poisonFrames makes PutFrame overwrite every buffer it recycles in test
 // binaries, so a use after recycling reads wrong memory in every test
-// instead of going unnoticed. Other binaries never poison: filling every
-// recycled buffer costs time on the protocol path.
+// instead of going unnoticed, and makes GetFrame check that a recycled
+// buffer still holds that pattern, so a write after recycling panics at
+// the next GetFrame of its size. Other binaries never poison: filling and
+// checking every recycled buffer costs time on the protocol path.
 var poisonFrames = testing.Testing()
 
 // frameShift returns log2(n) if n is a pooled size.
@@ -41,7 +45,11 @@ func frameShift(n int) (int, bool) {
 func GetFrame(n int) []byte {
 	if k, ok := frameShift(n); ok {
 		if p, _ := framePools[k].Get().(*byte); p != nil {
-			return unsafe.Slice(p, n)
+			b := unsafe.Slice(p, n)
+			if poisonFrames && !poisoned(b) {
+				panic(fmt.Sprintf("mem: a recycled %d-byte frame was written after PutFrame returned it to the pool", n))
+			}
+			return b
 		}
 	}
 	return make([]byte, n)
@@ -64,10 +72,27 @@ func PutFrame(b []byte) {
 	framePools[k].Put(unsafe.SliceData(b))
 }
 
-// poison fills b (at least one word long) with a non-zero pattern.
+// poisonWord is the pattern poison repeats through a recycled buffer.
+const poisonWord = 0xdeadbeef_a5c3_5a3c
+
+// poison fills b (at least one word long) with poisonWord.
 func poison(b []byte) {
-	binary.LittleEndian.PutUint64(b, 0xdeadbeef_a5c3_5a3c)
+	binary.LittleEndian.PutUint64(b, poisonWord)
 	for i := WordSize; i < len(b); i *= 2 {
 		copy(b[i:], b[:i])
 	}
+}
+
+// poisoned reports whether b (a power of two of at least one word) still
+// holds what poison wrote.
+func poisoned(b []byte) bool {
+	if binary.LittleEndian.Uint64(b) != poisonWord {
+		return false
+	}
+	for i := WordSize; i < len(b); i *= 2 {
+		if !bytes.Equal(b[i:2*i], b[:i]) {
+			return false
+		}
+	}
+	return true
 }

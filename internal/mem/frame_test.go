@@ -103,3 +103,28 @@ func TestSegmentRecyclesFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteAfterPutPanics: in a test binary, GetFrame refuses a recycled
+// frame that someone wrote after PutFrame took it, so a stale owner's
+// write fails the run that made it. The size is one no other test uses, so
+// a frame the pool did not hand straight back bothers no one.
+func TestWriteAfterPutPanics(t *testing.T) {
+	const n = 1 << 17
+	for try := 0; try < 100; try++ {
+		b := GetFrame(n)
+		PutFrame(b)
+		b[n-1] ^= 1 // the stale write
+		c, err := func() (c []byte, err any) {
+			defer func() { err = recover() }()
+			return GetFrame(n), nil
+		}()
+		if err != nil {
+			return
+		}
+		if &c[0] == &b[0] {
+			t.Fatal("GetFrame handed out a frame written after PutFrame")
+		}
+		PutFrame(c)
+	}
+	t.Fatal("the pool never handed the written frame back")
+}

@@ -83,15 +83,18 @@ func (l Layout) Contains(a Addr) bool {
 
 // Segment is one process's local copy of the shared address space. Each DSM
 // process holds its own Segment; coherence traffic (page fetches, diffs)
-// moves bytes between them. It holds one frame per page, allocated when the
-// page is first needed: SetWord allocates a zeroed frame, PageBytes takes
-// one from the pool (GetFrame) and zeroes it, AdoptPage installs a
-// caller's. A page without a frame reads as zero.
+// moves bytes between them. It holds one frame per page, installed when the
+// page is first needed: PageBytes takes one from the pool (GetFrame) and
+// zeroes it, AdoptPage installs a caller's, and SetWord, for a caller that
+// did neither, allocates a zeroed one. A page without a frame reads as
+// zero.
 //
 // The segment owns its frames. A frame it gives up — replaced by
-// AdoptPage, or dropped by Release — goes back to the pool at once, so no
-// one may keep a slice from PageBytes or PageView across an operation that
-// can replace the frame.
+// AdoptPage, or dropped by Release at the end of its owner's life — goes
+// back to the pool at once, so no one may keep a slice from PageBytes or
+// PageView across an operation that can replace the frame. A frame's life
+// is thus: GetFrame (or make) → this segment → PutFrame → the next
+// GetFrame of its size.
 type Segment struct {
 	Layout
 	frames [][]byte // one per page; nil until first needed
@@ -112,9 +115,10 @@ func (s *Segment) Word(a Addr) uint64 {
 	return binary.LittleEndian.Uint64(f[s.offset(a):])
 }
 
-// SetWord writes the 8-byte word at a (little-endian). A page's first
-// write installs a new zeroed frame rather than one from the pool: the
-// pool's call would make SetWord too costly to inline.
+// SetWord writes the 8-byte word at a (little-endian). A writer that wants
+// the page's first frame from the pool installs it with PageBytes first
+// (the DSM's write fault does); otherwise SetWord allocates a zeroed one
+// with make, as the pool's call would make SetWord too costly to inline.
 func (s *Segment) SetWord(a Addr, v uint64) {
 	f := s.frames[s.Page(a)]
 	if f == nil {

@@ -247,14 +247,18 @@ type (
 	//		DSM: lrcrace.Config{Protocol: lrcrace.MultiWriter, FirstOnly: true},
 	//	}
 	ExperimentConfig = harness.RunConfig
-	// ExperimentResult carries a run's metrics.
+	// ExperimentResult carries a run's metrics. Its Sys is stats-only: the
+	// run has handed its page frames back (System.Close), so Sys answers
+	// Races, ExplainRace, SymbolAt and the statistics, and SnapshotWord on
+	// it panics.
 	ExperimentResult = harness.Result
 	// Suite caches baseline/detection pairs and prints the paper's tables.
 	Suite = harness.Suite
 )
 
-// RunExperiment executes one benchmark configuration and verifies the
-// application's result.
+// RunExperiment executes one benchmark configuration, verifies the
+// application's result and closes the run's System, returning its page
+// frames to the pool for the next run.
 func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	return harness.Run(cfg)
 }
