@@ -10,6 +10,7 @@ import (
 	_ "lrcrace/internal/apps/sor"
 	_ "lrcrace/internal/apps/water"
 	"lrcrace/internal/dsm"
+	"lrcrace/internal/mem"
 )
 
 // TestFramesOnDemand: a process allocates a page frame when it first holds
@@ -26,6 +27,25 @@ func TestFramesOnDemand(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestZeroPageStaysZero: every process of a run views its frameless pages
+// through the one zero page of the page size that all segments share (a
+// home serving a page it never wrote copies from it), so nothing in a run
+// may write through it.
+func TestZeroPageStaysZero(t *testing.T) {
+	for _, name := range []string{"SOR", "FFT", "Water"} {
+		for _, proto := range []dsm.ProtocolKind{dsm.SingleWriter, dsm.MultiWriter} {
+			sys := runApp(t, name, 0.25, 4, proto, nil)
+			l := sys.Layout()
+			view := mem.NewSegment(l).PageView(0)
+			for i, b := range view {
+				if b != 0 {
+					t.Fatalf("%s, %v: the shared %d-byte zero page holds %#x at byte %d after the run", name, proto, l.PageSize, b, i)
+				}
+			}
+		}
 	}
 }
 

@@ -21,13 +21,13 @@ const gcEvery = 64
 // interval as it closes against every retained record that is concurrent
 // with it: the version-vector comparison is the same constant-time check,
 // the page-notice intersection the same race.AppendPair the barrier's
-// partial build calls, and the word-bitmap comparison the same
-// race.CompareShard kernel the DSM barrier master runs. Records ordered
-// before every live goroutine's current knowledge (the pointwise-minimum
-// horizon) can never be concurrent with a future interval and are
-// retired, bounding the history — the Go-frontend analogue of "our system
-// only discards trace information when it has been checked for races"
-// (§6.4).
+// partial build calls, and the word-bitmap comparison the same kernel the
+// DSM barrier master runs, appending straight into the report list
+// (race.AppendShard). Records ordered before every live goroutine's
+// current knowledge (the pointwise-minimum horizon) can never be
+// concurrent with a future interval and are retired, bounding the history
+// — the Go-frontend analogue of "our system only discards trace
+// information when it has been checked for races" (§6.4).
 //
 // The detector owns its history outright: each retained record carries its
 // own interval.Footprint, so the check reads a pair's bitmaps straight off
@@ -42,9 +42,11 @@ type detector struct {
 	started []bool
 	idx     []vc.Index
 	vcs     []vc.VC
+	rel     []vc.VC // per goroutine: the release clock of its last releasing close
 	bld     []*interval.Builder
 	records []retained // in close order
 	reports []race.Report
+	clocks  []vc.VC // retired records' clocks, for later records to reuse
 
 	closes          int
 	intervals       int
@@ -80,7 +82,7 @@ func pageSig(pages []mem.PageID) uint64 {
 }
 
 // pairSource is the race.BitmapSource of one concurrent pair: the check
-// entries handed to race.CompareShard name only its two intervals.
+// entries handed to race.AppendShard name only its two intervals.
 type pairSource struct{ a, b *retained }
 
 // Bitmaps implements race.BitmapSource.
@@ -100,6 +102,7 @@ func newDetector(p *Program) *detector {
 		started: make([]bool, n),
 		idx:     make([]vc.Index, n),
 		vcs:     make([]vc.VC, n),
+		rel:     make([]vc.VC, n),
 		bld:     make([]*interval.Builder, n),
 		horizon: vc.New(n),
 	}
@@ -111,6 +114,7 @@ func (d *detector) startG(g int, parentRel vc.VC) {
 	d.started[g] = true
 	d.idx[g] = 1
 	d.vcs[g] = vc.New(d.n)
+	d.rel[g] = vc.New(d.n)
 	if parentRel != nil {
 		d.vcs[g].Merge(parentRel)
 	}
@@ -136,21 +140,20 @@ func (d *detector) noteWrite(g int, a mem.Addr) {
 // An op that releases gets back a release clock: a snapshot of g's
 // knowledge up to and including the closed interval — but never the newly
 // opened one, so joining it elsewhere cannot falsely order accesses that
-// follow this sync op. An op that only acquires gets nil. If the interval
-// recorded accesses, it is materialized, with the same snapshot as its
-// record's clock, and immediately checked against the retained concurrent
-// history. So a close copies g's clock at most once, and not at all for an
-// acquire that closes an empty interval; no one writes into a release
-// clock, which is what lets the record share it.
+// follow this sync op. An op that only acquires gets nil.
+//
+// The release clock is g's own buffer (d.rel[g]), written in place. It
+// stays valid until g's next close: for as long as g is blocked, and for
+// good once g has exited, so a blocked goroutine's pending clock and an
+// exited one's final clock borrow it. A sync object that keeps an edge
+// past the op copies it into a clock it owns. If the interval recorded
+// accesses, it is materialized with a clock of its own, taken from the
+// clocks of retired records, and immediately checked against the retained
+// concurrent history. So a close in steady state allocates nothing.
 func (d *detector) closeInterval(g int, release bool) vc.VC {
-	var snap vc.VC
-	record := d.enabled && !d.bld[g].Empty()
-	if release || record {
-		snap = d.vcs[g].Copy()
-	}
-	if record {
+	if d.enabled && !d.bld[g].Empty() {
 		id := vc.IntervalID{Proc: g, Index: d.idx[g]}
-		r, fp := d.bld[g].FinishFootprint(id, snap, 0)
+		r, fp := d.bld[g].FinishFootprint(id, reuse(&d.clocks, d.vcs[g]), 0)
 		d.intervals++
 		d.p.scope.Emit(g, telemetry.KIntervalClose, d.p.vt,
 			int64(d.idx[g]), int64(len(r.WriteNotices)), int64(len(r.ReadNotices)))
@@ -159,16 +162,31 @@ func (d *detector) closeInterval(g int, release bool) vc.VC {
 		})
 		d.check()
 	}
+	var rel vc.VC
+	if release {
+		rel = d.rel[g]
+		copy(rel, d.vcs[g])
+	}
 	d.idx[g]++
 	d.vcs[g][g] = d.idx[g]
 	d.closes++
 	if d.enabled && d.closes%gcEvery == 0 {
 		d.gc()
 	}
-	if !release {
-		return nil
+	return rel
+}
+
+// reuse returns a copy of v written into the last clock of the free list
+// free, which it pops, or into a new clock if the list is empty.
+func reuse(free *[]vc.VC, v vc.VC) vc.VC {
+	n := len(*free)
+	if n == 0 {
+		return v.Copy()
 	}
-	return snap
+	c := (*free)[n-1]
+	*free = (*free)[:n-1]
+	copy(c, v)
+	return c
 }
 
 // join merges a release clock into goroutine g's current knowledge — the
@@ -203,13 +221,14 @@ func (d *detector) check() {
 			continue
 		}
 		d.pair = pairSource{a: s, b: r}
-		reports, st := race.CompareShard(d.p.layout, entries, &d.pair, 0)
+		n := len(d.reports)
+		var st race.ShardStats
+		d.reports, st = race.AppendShard(d.reports, d.p.layout, entries, &d.pair, 0)
 		d.checkEntries += len(entries)
 		d.bitmapsCompared += st.BitmapsCompared
 		d.wordOverlaps += st.WordOverlaps
 		bitmaps += st.BitmapsCompared
-		found += len(reports)
-		d.reports = append(d.reports, reports...)
+		found += len(d.reports) - n
 	}
 	d.pairsExamined += pairs
 	d.p.scope.Emit(r.rec.ID.Proc, telemetry.KGoCheck, d.p.vt, int64(pairs), int64(bitmaps), int64(found))
@@ -220,8 +239,9 @@ func (d *detector) check() {
 // Such a record precedes every interval any live goroutine can still open
 // (vectors only grow), so it can never again appear in a concurrent pair,
 // and its goroutine's builder takes it back (interval.Builder.Recycle) to
-// reuse for a later close. Reports name intervals by ID, never by record,
-// so nothing reads a retired record again.
+// reuse for a later close. The record's clock is its own, so the detector
+// keeps it for a later record. Reports name intervals by ID, never by
+// record, so nothing reads a retired record again.
 //
 // A blocked goroutine contributes not its stale current clock but that
 // clock merged with its resume lower bound (futureLB): the clock it is
@@ -263,6 +283,7 @@ func (d *detector) gc() {
 			kept = append(kept, r)
 		} else {
 			d.recordsGCed++
+			d.clocks = append(d.clocks, r.rec.VC)
 			d.bld[r.rec.ID.Proc].Recycle(r.rec, r.fp)
 		}
 	}

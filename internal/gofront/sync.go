@@ -8,6 +8,14 @@ package gofront
 // belong to the closed interval — and are completed later by the peer that
 // unblocks them; the completion event is appended at the peer's position,
 // which is the operation's linearization point.
+//
+// A release clock an op gets from detector.closeInterval is the releasing
+// goroutine's own buffer, valid only until that goroutine's next close. An
+// edge joined during the op, or by a peer while the releaser is blocked,
+// reads it directly; a sync object that keeps an edge past the op copies
+// it into a clock it owns and reuses (Mutex.rel, RWMutex.wRel and rdRel,
+// WaitGroup.acc and cycRel, a channel's buffered elements, backpressure
+// clocks and closeRel).
 
 import "fmt"
 
@@ -21,6 +29,7 @@ type Chan struct {
 
 	buf      []chanElem
 	bpq      []vcClock // receive-completion clocks, for the backpressure edge
+	free     []vcClock // joined backpressure clocks, for later elements
 	sends    int       // completed sends (1-based sequence)
 	recvs    int       // completed receives
 	sendq    []*G
@@ -31,7 +40,7 @@ type Chan struct {
 
 type chanElem struct {
 	v   uint64
-	rel vcClock // sender's release clock, joined by the receiver
+	rel vcClock // copy of the sender's release clock, joined by the receiver
 }
 
 // NewChan makes a channel of the given capacity.
@@ -140,7 +149,7 @@ func (ch *Chan) Close(g *G) {
 	}
 	rel := p.det.closeInterval(g.id, true)
 	ch.closed = true
-	ch.closeRel = rel
+	ch.closeRel = reuse(&ch.free, rel)
 	p.emit(OpChanClose, g.id, ch.id, 0, 0, 0)
 	for _, r := range ch.recvq {
 		r.recvVal, r.recvOK = 0, false
@@ -181,28 +190,31 @@ func (ch *Chan) rendezvousAsRecv(s *G, r *G, rRel vcClock) {
 
 // commitSend places a value in the buffer for sender g (which holds a
 // free slot), applying the backpressure edge when the send sequence
-// exceeds the capacity.
+// exceeds the capacity. The joined backpressure clock goes to the free
+// list, and the element keeps a copy of the sender's release clock.
 func (ch *Chan) commitSend(gid int, v uint64, rel vcClock) {
 	p := ch.p
 	ch.sends++
 	if ch.sends > ch.cap {
-		p.det.join(gid, popFront(&ch.bpq))
+		bp := popFront(&ch.bpq)
+		p.det.join(gid, bp)
+		ch.free = append(ch.free, bp)
 	}
-	ch.buf = append(ch.buf, chanElem{v: v, rel: rel})
+	ch.buf = append(ch.buf, chanElem{v: v, rel: reuse(&ch.free, rel)})
 	p.emit(OpChanSend, gid, ch.id, ch.sends, 0, 0)
 }
 
 // commitRecv takes the buffer head for receiver g and publishes the
 // receive-completion clock the backpressure edge carries: the receiver's
-// knowledge at the call merged with the joined sender clock.
+// knowledge at the call merged with the joined sender clock, merged into
+// the element's own clock.
 func (ch *Chan) commitRecv(gid int, rRel vcClock) uint64 {
 	p := ch.p
 	e := popFront(&ch.buf)
 	ch.recvs++
 	p.det.join(gid, e.rel)
-	bp := rRel.Copy()
-	bp.Merge(e.rel)
-	ch.bpq = append(ch.bpq, bp)
+	e.rel.Merge(rRel)
+	ch.bpq = append(ch.bpq, e.rel)
 	p.emit(OpChanRecv, gid, ch.id, ch.recvs, 0, 0)
 	return e.v
 }
@@ -233,7 +245,7 @@ type Mutex struct {
 	p      *Program
 	id     int
 	holder *G
-	rel    vcClock // release clock of the last Unlock
+	rel    vcClock // copy of the last Unlock's release clock
 	waitq  []*G
 }
 
@@ -284,7 +296,7 @@ func (m *Mutex) Unlock(g *G) {
 		panic(fmt.Sprintf("gofront: unlock of mutex %d by non-holder g%d", m.id, g.id))
 	}
 	rel := p.det.closeInterval(g.id, true)
-	m.rel = rel
+	m.rel = keep(m.rel, rel)
 	p.emit(OpMuUnlock, g.id, m.id, 0, 0, 0)
 	if len(m.waitq) > 0 {
 		h := popFront(&m.waitq)
@@ -307,8 +319,8 @@ type RWMutex struct {
 	id       int
 	wHolder  *G
 	readers  int
-	wRel     vcClock // last writer Unlock clock
-	rdRel    vcClock // merged RUnlock clocks since the last writer Lock
+	wRel     vcClock // copy of the last writer Unlock's clock
+	rdRel    vcClock // merged RUnlock clocks since the last writer Lock (zero after it)
 	runlocks int     // RUnlock sequence for the per-unlock reader edges
 	rWaitq   []*G
 	wWaitq   []*G
@@ -385,7 +397,7 @@ func (m *RWMutex) Lock(g *G) {
 		m.wHolder = g
 		p.det.join(g.id, m.wRel)
 		p.det.join(g.id, m.rdRel)
-		m.rdRel = nil
+		clear(m.rdRel)
 		p.emit(OpRWLock, g.id, m.id, 0, 0, 0)
 		g.yield()
 		return
@@ -404,7 +416,7 @@ func (m *RWMutex) Unlock(g *G) {
 		panic(fmt.Sprintf("gofront: unlock of rwmutex %d by non-holder g%d", m.id, g.id))
 	}
 	rel := p.det.closeInterval(g.id, true)
-	m.wRel = rel
+	m.wRel = keep(m.wRel, rel)
 	m.wHolder = nil
 	p.emit(OpRWUnlock, g.id, m.id, 0, 0, 0)
 	if len(m.rWaitq) > 0 {
@@ -427,7 +439,7 @@ func (m *RWMutex) admitWriter() {
 	m.wHolder = h
 	p.det.join(h.id, m.wRel)
 	p.det.join(h.id, m.rdRel)
-	m.rdRel = nil
+	clear(m.rdRel)
 	p.emit(OpRWLock, h.id, m.id, 0, 0, 0)
 	h.wake()
 }
@@ -439,7 +451,7 @@ type WaitGroup struct {
 	id     int
 	count  int
 	dones  int     // Done sequence counter
-	acc    vcClock // merged Done clocks of the running cycle
+	acc    vcClock // merged Done clocks of the running cycle (zero before its first)
 	cycRel vcClock // merged Done clocks of the last completed cycle
 	cycLo  int     // Done sequence range of the last completed cycle
 	cycHi  int
@@ -483,8 +495,8 @@ func (w *WaitGroup) Done(g *G) {
 	}
 	p.emit(OpWgDone, g.id, w.id, w.dones, 0, 0)
 	if w.count == 0 {
-		w.cycRel = w.acc
-		w.acc = nil
+		w.cycRel, w.acc = w.acc, w.cycRel
+		clear(w.acc)
 		w.cycLo = w.cycHi + 1
 		w.cycHi = w.dones
 		for _, waiter := range w.waitq {
@@ -518,7 +530,7 @@ func (w *WaitGroup) Wait(g *G) {
 
 // resumeLB implements resumeBound: a waiter will join the cycle release
 // clock, which accumulates every Done of the running cycle — the Dones
-// merged so far bound it below.
+// merged so far bound it below (a zero clock before the first).
 func (w *WaitGroup) resumeLB() vcClock { return w.acc }
 
 // popFront removes and returns the head of the FIFO q. It shifts the rest
@@ -531,6 +543,16 @@ func popFront[T any](q *[]T) T {
 	clear(s[len(s)-1:])
 	*q = s[:len(s)-1]
 	return h
+}
+
+// keep copies the release clock rel into dst, a clock the caller owns and
+// reuses, and returns it; a nil dst is allocated on first use.
+func keep(dst, rel vcClock) vcClock {
+	if dst == nil {
+		return rel.Copy()
+	}
+	copy(dst, rel)
+	return dst
 }
 
 // truncate empties the FIFO q, keeping its array for later appends.

@@ -214,9 +214,9 @@ var poisonRecycled = testing.Testing()
 // recorded no access), both made by this Builder's FinishFootprint, for
 // later closes to reuse: the Record, the Footprint, its bitmaps, its notice
 // lists and its bitmap slices. The caller states that nothing will read
-// any of them again, and must not touch them afterwards. The record's VC is
-// never reused — it may be shared, as the Go frontend's release clock is —
-// so Recycle only drops it.
+// any of them again, and must not touch them afterwards. Recycle drops the
+// record's VC: a caller that owns it, as the Go frontend's detector does,
+// takes it back first.
 //
 // Only a Builder whose intervals are checked where they are built may
 // recycle: the DSM's builders never do, because their footprints stay in

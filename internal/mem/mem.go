@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 )
 
 const (
@@ -98,7 +99,6 @@ func (l Layout) Contains(a Addr) bool {
 type Segment struct {
 	Layout
 	frames [][]byte // one per page; nil until first needed
-	zero   []byte   // PageView's all-zero page; allocated on first use
 }
 
 // NewSegment returns a segment with the given layout and no frames.
@@ -142,16 +142,31 @@ func (s *Segment) PageBytes(p PageID) []byte {
 }
 
 // PageView returns page p's contents for reading without allocating a
-// frame: the frame, or an all-zero page shared by every frameless page of
-// the segment. The caller must not write through it.
+// frame: the frame, or the all-zero page of its size that every frameless
+// page of every segment shares (zeroPage). The caller must not write
+// through it.
 func (s *Segment) PageView(p PageID) []byte {
 	if f := s.frames[p]; f != nil {
 		return f
 	}
-	if s.zero == nil {
-		s.zero = make([]byte, s.PageSize)
+	return zeroPage(s.shift, s.PageSize)
+}
+
+// zeroPages holds one read-only all-zero page per page size, indexed by
+// log2 of the size, made on first use. Segments of concurrent Systems
+// share them, which is safe because no one writes through a PageView.
+var zeroPages [64]atomic.Pointer[[]byte]
+
+// zeroPage returns the shared all-zero page of 1<<shift = n bytes.
+func zeroPage(shift uint, n int) []byte {
+	if z := zeroPages[shift].Load(); z != nil {
+		return *z
 	}
-	return s.zero
+	z := make([]byte, n)
+	if zeroPages[shift].CompareAndSwap(nil, &z) {
+		return z
+	}
+	return *zeroPages[shift].Load()
 }
 
 // AdoptPage makes b the frame of page p, without copying it; the segment

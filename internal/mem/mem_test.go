@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -283,5 +284,44 @@ func TestPropertyOverlapConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestZeroPageShared: every frameless page of every segment with the same
+// page size views one all-zero page, also when Systems on several
+// goroutines make it at once; another page size has its own.
+func TestZeroPageShared(t *testing.T) {
+	small, _ := NewLayout(4*256, 256)
+	big, _ := NewLayout(8*256, 256)
+	a, b := NewSegment(small), NewSegment(big)
+	va, vb := a.PageView(1), b.PageView(6)
+	if &va[0] != &vb[0] {
+		t.Error("two segments of one page size view different zero pages")
+	}
+	other, _ := NewLayout(4*512, 512)
+	if v := NewSegment(other).PageView(0); len(v) != 512 || cap(v) != 512 || &v[0] == &va[0] {
+		t.Errorf("a 512-byte segment's zero page: len %d cap %d, shared with 256-byte pages %v", len(v), cap(v), &v[0] == &va[0])
+	}
+
+	// A page size no other test uses, so the goroutines race to make it.
+	const size = 1 << 17
+	l, _ := NewLayout(2*size, size)
+	views := make([]*byte, 8)
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			views[i] = &NewSegment(l).PageView(1)[0]
+		}()
+	}
+	wg.Wait()
+	for i, v := range views {
+		if v != views[0] {
+			t.Fatalf("goroutine %d got a different %d-byte zero page", i, size)
+		}
+	}
+	if !bytes.Equal(NewSegment(l).PageView(0), make([]byte, size)) {
+		t.Fatal("shared zero page is not all zero")
 	}
 }

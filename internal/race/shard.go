@@ -30,7 +30,14 @@ type ShardStats struct {
 // entry, words ascending) — the same order Detector.Compare produces, so a
 // canonical merge of shard outputs reproduces the serial report stream.
 func CompareShard(layout mem.Layout, entries []CheckEntry, src BitmapSource, epoch int32) ([]Report, ShardStats) {
-	var reports []Report
+	return AppendShard(nil, layout, entries, src, epoch)
+}
+
+// AppendShard is CompareShard appending its reports to dst, so a caller
+// that keeps one report list (the Go frontend's close-time check) grows it
+// in place instead of copying a fresh slice per call.
+func AppendShard(dst []Report, layout mem.Layout, entries []CheckEntry, src BitmapSource, epoch int32) ([]Report, ShardStats) {
+	reports := dst
 	var st ShardStats
 	for _, e := range entries {
 		ra, wa := src.Bitmaps(e.A, e.Page)

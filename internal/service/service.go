@@ -223,6 +223,7 @@ type Service struct {
 	nextID   uint64
 	sessions map[string]*Session
 	order    []string // session IDs in admission order
+	finished int      // retained sessions in a terminal state (finish)
 	tenants  map[string]*tenantCounts
 
 	// reg holds the service's own series (svc_*), as opposed to its
@@ -379,25 +380,30 @@ func (svc *Service) tenantTransition(tenant string, dq, dr, run int) {
 	svc.mu.Unlock()
 }
 
-// evictDoneLocked drops the oldest finished sessions beyond KeepDone.
+// evictDoneLocked drops the oldest finished sessions, by admission, beyond
+// KeepDone. The finished count says how many must go, so it walks only the
+// prefix of the admission order that holds them, keeping the unfinished
+// sessions it passes.
 func (svc *Service) evictDoneLocked() {
-	var doneIDs []string
-	for _, id := range svc.order {
-		if s := svc.sessions[id]; s != nil && (s.State() == StateDone || s.State() == StateCanceled) {
-			doneIDs = append(doneIDs, id)
-		}
+	excess := svc.finished - svc.cfg.KeepDone
+	if excess <= 0 {
+		return
 	}
-	for len(doneIDs) > svc.cfg.KeepDone {
-		id := doneIDs[0]
-		doneIDs = doneIDs[1:]
-		delete(svc.sessions, id)
-		for i, oid := range svc.order {
-			if oid == id {
-				svc.order = append(svc.order[:i], svc.order[i+1:]...)
-				break
-			}
+	svc.finished -= excess
+	kept, i := 0, 0
+	for ; excess > 0; i++ {
+		id := svc.order[i]
+		if st := svc.sessions[id].State(); st == StateDone || st == StateCanceled {
+			delete(svc.sessions, id)
+			excess--
+			continue
 		}
+		svc.order[kept] = id
+		kept++
 	}
+	n := copy(svc.order[kept:], svc.order[i:])
+	clear(svc.order[kept+n:])
+	svc.order = svc.order[:kept+n]
 }
 
 // Session looks a session up by ID.
@@ -448,10 +454,7 @@ func (svc *Service) Close() {
 	for {
 		select {
 		case sess := <-svc.queue:
-			sess.mu.Lock()
-			sess.state = StateCanceled
-			sess.mu.Unlock()
-			close(sess.done)
+			svc.finish(sess, StateCanceled, nil, nil)
 			svc.tenantTransition(sess.tenant, 1, 0, 0)
 			svc.store.Append(Record{Session: sess.id, Tenant: sess.tenant, Kind: KindSession,
 				Detail: "canceled: service shutting down"})
@@ -510,11 +513,19 @@ func (svc *Service) runSession(sess *Session) {
 	fin := svc.store.Append(Record{Session: sess.id, Tenant: sess.tenant, Kind: KindSession,
 		Detail: fmt.Sprintf("finished: %s (%d races)", result.Status, result.Races)})
 	svc.store.Commit(fin.Seq)
+	svc.finish(sess, StateDone, result, races)
+}
+
+// finish puts sess in its terminal state and counts it as finished under
+// svc.mu, so the count evictDoneLocked reads always agrees with the states
+// of the retained sessions, then closes sess.done.
+func (svc *Service) finish(sess *Session, state SessionState, result *sweep.CellResult, races []race.Report) {
+	svc.mu.Lock()
 	sess.mu.Lock()
-	sess.state = StateDone
-	sess.result = result
-	sess.races = races
+	sess.state, sess.result, sess.races = state, result, races
 	sess.mu.Unlock()
+	svc.finished++
+	svc.mu.Unlock()
 	close(sess.done)
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lrcrace/internal/dsm"
+	"lrcrace/internal/gofront"
 	"lrcrace/internal/harness"
 	"lrcrace/internal/race"
 	"lrcrace/internal/simnet"
@@ -338,3 +339,64 @@ func TestClosedService(t *testing.T) {
 }
 
 func boolPtr(b bool) *bool { return &b }
+
+// gateOpen releases one run of the Gate workload per receive.
+var gateOpen = make(chan struct{})
+
+// Gate is a go-frontend workload that holds its session running until the
+// test lets it finish, so a test can make sessions finish in an order of
+// its choosing.
+func init() {
+	gofront.RegisterWorkload("Gate", "test only: runs once gateOpen lets it", func(cfg gofront.WorkloadConfig) (*gofront.Result, error) {
+		<-gateOpen
+		return gofront.New(gofront.Config{Seed: cfg.Seed}).Run(func(*gofront.G) {}), nil
+	})
+}
+
+// TestEvictionFollowsAdmissionOrder: with two workers, sessions finish in
+// another order than they were admitted, and admission evicts the oldest
+// finished sessions by admission, not by finish, keeping KeepDone of them.
+func TestEvictionFollowsAdmissionOrder(t *testing.T) {
+	svc := New(Config{MaxSessions: 2, KeepDone: 1, SessionTimeout: time.Minute})
+	defer svc.Close()
+	retained := func(want ...*Session) {
+		t.Helper()
+		var got, ids []string
+		for _, s := range svc.Sessions() {
+			got = append(got, s.ID())
+		}
+		for _, s := range want {
+			ids = append(ids, s.ID())
+		}
+		if fmt.Sprint(got) != fmt.Sprint(ids) {
+			t.Fatalf("retained %v, want %v", got, ids)
+		}
+	}
+	fft := RunRequest{App: "FFT", Scale: 0.25, Procs: 2}
+	gate, err := svc.Submit(RunRequest{App: "Gate", Procs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { // before Close, which waits for the gate session
+		select {
+		case <-gate.Done():
+		default:
+			gateOpen <- struct{}{}
+		}
+	}()
+	b := runOne(t, svc, fft)
+	c := runOne(t, svc, fft) // finds one finished session: nothing to evict
+	retained(gate, b, c)
+	d := runOne(t, svc, fft) // finds b and c finished: b goes
+	retained(gate, c, d)
+
+	gateOpen <- struct{}{}
+	<-gate.Done()
+	// gate, admitted first, finished last: this admission finds gate, c
+	// and d finished and evicts the two admitted first.
+	e := runOne(t, svc, fft)
+	retained(d, e)
+	if gate.State() != StateDone || gate.Result() == nil {
+		t.Fatalf("gate session: state %s, result %v", gate.State(), gate.Result())
+	}
+}
