@@ -71,7 +71,7 @@ func main() {
 	// Every flag goes into the configuration as the user set it; which
 	// ones an app's engine cannot take is the validator's call (RunExperiment
 	// reports it), not a second rule book here.
-	proto, err := parseProtocol(*protocol)
+	proto, err := lrcrace.ParseProtocol(*protocol)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -221,17 +221,6 @@ func indent(text, prefix string) string {
 		lines[i] = prefix + l
 	}
 	return strings.Join(lines, "\n")
-}
-
-// parseProtocol reads the -protocol flag: sw or mw.
-func parseProtocol(name string) (lrcrace.Protocol, error) {
-	switch name {
-	case "sw":
-		return lrcrace.SingleWriter, nil
-	case "mw":
-		return lrcrace.MultiWriter, nil
-	}
-	return 0, fmt.Errorf("unknown protocol %q (want sw or mw)", name)
 }
 
 // canonical spells app as the DSM benchmarks or the go-frontend workloads

@@ -66,6 +66,19 @@ func (k ProtocolKind) String() string {
 	}
 }
 
+// ParseProtocol reads a protocol's short name: "sw" (SingleWriter) or "mw"
+// (MultiWriter). It is the one parser of that name, for a plan's axis, a
+// service request and a command-line flag alike.
+func ParseProtocol(name string) (ProtocolKind, error) {
+	switch name {
+	case "sw":
+		return SingleWriter, nil
+	case "mw":
+		return MultiWriter, nil
+	}
+	return 0, fmt.Errorf("dsm: unknown protocol %q (want sw or mw)", name)
+}
+
 // Config describes one DSM instance.
 type Config struct {
 	NumProcs   int

@@ -49,6 +49,19 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+func TestParseProtocol(t *testing.T) {
+	for in, want := range map[string]ProtocolKind{"sw": SingleWriter, "mw": MultiWriter} {
+		if got, err := ParseProtocol(in); err != nil || got != want {
+			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"bogus", "", "MW", "multi-writer"} {
+		if got, err := ParseProtocol(in); err == nil {
+			t.Errorf("ParseProtocol(%q) = %v, want an error", in, got)
+		}
+	}
+}
+
 func TestAlloc(t *testing.T) {
 	s := newSys(t, 2, SingleWriter, false)
 	a, err := s.Alloc("x", 10) // rounds to 16

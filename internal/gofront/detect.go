@@ -22,12 +22,13 @@ const gcEvery = 64
 // with it: the version-vector comparison is the same constant-time check,
 // the page-notice intersection the same race.AppendPair the barrier's
 // partial build calls, and the word-bitmap comparison the same kernel the
-// DSM barrier master runs, appending straight into the report list
-// (race.AppendShard). Records ordered before every live goroutine's
-// current knowledge (the pointwise-minimum horizon) can never be
-// concurrent with a future interval and are retired, bounding the history
-// — the Go-frontend analogue of "our system only discards trace
-// information when it has been checked for races" (§6.4).
+// DSM barrier master runs (race.AppendShard); of the races it finds, it
+// keeps the first on each address and write-write kind. Records ordered
+// before every live goroutine's current knowledge (the pointwise-minimum
+// horizon) can never be concurrent with a future interval and are
+// retired, bounding the history — the Go-frontend analogue of "our system
+// only discards trace information when it has been checked for races"
+// (§6.4).
 //
 // The detector owns its history outright: each retained record carries its
 // own interval.Footprint, so the check reads a pair's bitmaps straight off
@@ -44,24 +45,25 @@ type detector struct {
 	vcs     []vc.VC
 	rel     []vc.VC // per goroutine: the release clock of its last releasing close
 	bld     []*interval.Builder
-	records []retained // in close order
-	reports []race.Report
-	clocks  []vc.VC // retired records' clocks, for later records to reuse
-
-	closes          int
-	intervals       int
-	pairsExamined   int
-	concurrentPairs int
-	checkEntries    int
-	bitmapsCompared int
-	wordOverlaps    int
-	recordsGCed     int
+	records []retained       // in close order
+	reports []race.Report    // one per (address, write-write), in first-found order
+	seen    map[raceKey]bool // the keys of reports
+	clocks  []vc.VC          // retired records' clocks, for later records to reuse
+	closes  int
 
 	// Per-close scratch, reused so a close that reports nothing allocates
 	// nothing per retained record.
 	entryScratch []race.CheckEntry
+	found        []race.Report
 	pair         pairSource
 	horizon      vc.VC
+}
+
+// raceKey is what a kept report stands for: every race found on its
+// address with the same write-write kind (race.DedupByAddr's key).
+type raceKey struct {
+	addr mem.Addr
+	ww   bool
 }
 
 // retained is one closed interval still held for checking: the record, its
@@ -99,6 +101,7 @@ func newDetector(p *Program) *detector {
 		p:       p,
 		n:       n,
 		enabled: p.cfg.Detect,
+		seen:    make(map[raceKey]bool),
 		started: make([]bool, n),
 		idx:     make([]vc.Index, n),
 		vcs:     make([]vc.VC, n),
@@ -154,7 +157,7 @@ func (d *detector) closeInterval(g int, release bool) vc.VC {
 	if d.enabled && !d.bld[g].Empty() {
 		id := vc.IntervalID{Proc: g, Index: d.idx[g]}
 		r, fp := d.bld[g].FinishFootprint(id, reuse(&d.clocks, d.vcs[g]), 0)
-		d.intervals++
+		d.p.stats.Intervals++
 		d.p.scope.Emit(g, telemetry.KIntervalClose, d.p.vt,
 			int64(d.idx[g]), int64(len(r.WriteNotices)), int64(len(r.ReadNotices)))
 		d.records = append(d.records, retained{
@@ -214,23 +217,28 @@ func (d *detector) check() {
 		if !vc.Concurrent(s.rec.ID, s.rec.VC, r.rec.ID, r.rec.VC) {
 			continue
 		}
-		d.concurrentPairs++
+		d.p.stats.ConcurrentPairs++
 		entries := race.AppendPair(d.entryScratch[:0], s.rec, r.rec, s.w, s.r, r.w, r.r)
 		d.entryScratch = entries
 		if len(entries) == 0 {
 			continue
 		}
 		d.pair = pairSource{a: s, b: r}
-		n := len(d.reports)
 		var st race.ShardStats
-		d.reports, st = race.AppendShard(d.reports, d.p.layout, entries, &d.pair, 0)
-		d.checkEntries += len(entries)
-		d.bitmapsCompared += st.BitmapsCompared
-		d.wordOverlaps += st.WordOverlaps
+		d.found, st = race.AppendShard(d.found[:0], d.p.layout, entries, &d.pair, 0)
+		for _, rep := range d.found {
+			if k := (raceKey{rep.Addr, rep.WriteWrite()}); !d.seen[k] {
+				d.seen[k] = true
+				d.reports = append(d.reports, rep)
+			}
+		}
+		d.p.stats.CheckEntries += len(entries)
+		d.p.stats.BitmapsCompared += st.BitmapsCompared
+		d.p.stats.WordOverlaps += st.WordOverlaps
 		bitmaps += st.BitmapsCompared
-		found += len(d.reports) - n
+		found += len(d.found)
 	}
-	d.pairsExamined += pairs
+	d.p.stats.PairsExamined += pairs
 	d.p.scope.Emit(r.rec.ID.Proc, telemetry.KGoCheck, d.p.vt, int64(pairs), int64(bitmaps), int64(found))
 }
 
@@ -282,7 +290,7 @@ func (d *detector) gc() {
 		if r.rec.ID.Index > horizon[r.rec.ID.Proc] {
 			kept = append(kept, r)
 		} else {
-			d.recordsGCed++
+			d.p.stats.RecordsGCed++
 			d.clocks = append(d.clocks, r.rec.VC)
 			d.bld[r.rec.ID.Proc].Recycle(r.rec, r.fp)
 		}

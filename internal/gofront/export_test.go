@@ -21,3 +21,15 @@ func RecordTraceOff(t testing.TB) {
 	recordTrace = false
 	t.Cleanup(func() { recordTrace = old })
 }
+
+// LeastAllocs is testing.AllocsPerRun(runs, f) measured three times, the
+// least kept. The runtime counts every goroutine's allocations, so one
+// straggling from an earlier test can land in a measurement; an allocation
+// in f shows in all three.
+func LeastAllocs(runs int, f func()) float64 {
+	least := testing.AllocsPerRun(runs, f)
+	for range 2 {
+		least = min(least, testing.AllocsPerRun(runs, f))
+	}
+	return least
+}

@@ -401,21 +401,11 @@ func (r *Result) SymbolAt(a mem.Addr) (string, bool) {
 
 func (p *Program) finish() *Result {
 	p.det.finishAll()
-	p.stats.Intervals = p.det.intervals
-	p.stats.PairsExamined = p.det.pairsExamined
-	p.stats.ConcurrentPairs = p.det.concurrentPairs
-	p.stats.CheckEntries = p.det.checkEntries
-	p.stats.BitmapsCompared = p.det.bitmapsCompared
-	p.stats.WordOverlaps = p.det.wordOverlaps
-	p.stats.RecordsGCed = p.det.recordsGCed
-
-	deduped := race.DedupByAddr(p.det.reports)
-	for _, rep := range deduped {
+	races := p.det.reports
+	addrSet := make(map[mem.Addr]bool)
+	for _, rep := range races {
 		p.scope.Emit(rep.A.Interval.Proc, telemetry.KRaceFound, p.vt,
 			int64(rep.Addr), 0, b2i(rep.WriteWrite()))
-	}
-	addrSet := make(map[mem.Addr]bool)
-	for _, rep := range deduped {
 		addrSet[rep.Addr] = true
 	}
 	addrs := make([]mem.Addr, 0, len(addrSet))
@@ -425,7 +415,7 @@ func (p *Program) finish() *Result {
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 
 	return &Result{
-		Races:      deduped,
+		Races:      races,
 		RacyAddrs:  addrs,
 		Stats:      p.stats,
 		NumGs:      len(p.gs),

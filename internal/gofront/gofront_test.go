@@ -777,14 +777,15 @@ func TestCloseAllocsIndependentOfRetained(t *testing.T) {
 			d.closeInterval(g, true)
 		}
 		base := len(d.records)
-		entries := d.checkEntries
-		allocs := testing.AllocsPerRun(50, func() {
+		entries := p.stats.CheckEntries
+		// Three measurements of 50 closes, each after one warm-up close.
+		allocs := LeastAllocs(50, func() {
 			d.noteRead(0, 0)
 			d.closeInterval(0, true)
 			d.records = d.records[:base]
 		})
-		if got := d.checkEntries - entries; got != 51*retained {
-			t.Fatalf("%d retained: %d check entries over 51 closes, want %d", retained, got, 51*retained)
+		if got := p.stats.CheckEntries - entries; got != 3*51*retained {
+			t.Fatalf("%d retained: %d check entries over 3×51 closes, want %d", retained, got, 3*51*retained)
 		}
 		if len(d.reports) != 0 {
 			t.Fatalf("%d retained: %d reports, want none", retained, len(d.reports))
@@ -816,7 +817,7 @@ func TestSteadyStateCloseAllocs(t *testing.T) {
 	for i := 0; i < 4*gcEvery; i++ {
 		recorded(true)()
 	}
-	if d.recordsGCed == 0 {
+	if p.stats.RecordsGCed == 0 {
 		t.Fatal("warm-up retired no record")
 	}
 	for _, c := range []struct {
@@ -831,7 +832,7 @@ func TestSteadyStateCloseAllocs(t *testing.T) {
 		// One run of many closes, so that the GC sweeps among them count
 		// too: AllocsPerRun rounds its per-run average down.
 		const closes = 4 * gcEvery
-		got := testing.AllocsPerRun(1, func() {
+		got := LeastAllocs(1, func() {
 			for range closes {
 				c.close()
 			}
@@ -946,28 +947,19 @@ func TestSteadyStateSyncOpAllocs(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p := New(Config{Seed: 1, Detect: true, MaxGs: 2})
 			op, peer := c.build(p)
-			// The runtime counts every goroutine's allocations, so one
-			// straggling from an earlier test can land in a measurement;
-			// the least of three is kept; an allocation in the op shows in
-			// all three. AllocsPerRun calls its function once to warm up,
-			// then once measured.
-			const tries = 3
-			got := -1.0
+			// LeastAllocs measures three times; AllocsPerRun calls its
+			// function once to warm up, then once measured.
+			var got float64
 			res := p.Run(func(g *G) {
-				w := g.Go(func(g *G) { peer(g, warm+tries*2*ops) })
+				w := g.Go(func(g *G) { peer(g, warm+3*2*ops) })
 				for range warm {
 					op(g)
 				}
-				for range tries {
-					n := testing.AllocsPerRun(1, func() {
-						for range ops {
-							op(g)
-						}
-					})
-					if got < 0 || n < got {
-						got = n
+				got = LeastAllocs(1, func() {
+					for range ops {
+						op(g)
 					}
-				}
+				})
 				g.Join(w)
 			})
 			if res.Deadlocked || res.Stats.RecordsGCed == 0 || len(res.Races) != 0 {

@@ -47,13 +47,9 @@ func IsChaosApp(name string) bool {
 
 func chaosAppNames() string { return strings.Join(ChaosAppNames, ", ") }
 
-// chaosMode normalizes an empty mode to "none".
-func chaosMode(m string) string {
-	if m == "" {
-		return "none"
-	}
-	return m
-}
+// ChaoticMode reports whether a crash or corruption mode injects faults:
+// it is set and not "none".
+func ChaoticMode(m string) bool { return m != "" && m != "none" }
 
 // chaosPlans derives the deterministic fault plans one chaos run injects
 // from its seed. Crash epochs are clamped to ≥1 so at least one checkpoint
@@ -64,10 +60,9 @@ func chaosMode(m string) string {
 // rollback planning reads the store.
 func chaosPlans(cfg RunConfig) ([]*dsm.CrashPlan, *dsm.CorruptionPlan, error) {
 	n, epochs, seed := cfg.Procs, chaosEpochs, uint64(cfg.Seed)
-	crashMode, corruptMode := chaosMode(cfg.CrashMode), chaosMode(cfg.CorruptMode)
-	if crashMode == "none" {
-		if corruptMode != "none" {
-			return nil, nil, fmt.Errorf("harness: CorruptMode %q requires a CrashMode: without a crash nothing ever reads the corrupted checkpoints back", corruptMode)
+	if !ChaoticMode(cfg.CrashMode) {
+		if ChaoticMode(cfg.CorruptMode) {
+			return nil, nil, fmt.Errorf("harness: CorruptMode %q requires a CrashMode: without a crash nothing ever reads the corrupted checkpoints back", cfg.CorruptMode)
 		}
 		return nil, nil, nil
 	}
@@ -80,8 +75,7 @@ func chaosPlans(cfg RunConfig) ([]*dsm.CrashPlan, *dsm.CorruptionPlan, error) {
 	}
 	crashes := []*dsm.CrashPlan{first}
 
-	switch crashMode {
-	case "single":
+	switch cfg.CrashMode {
 	case "double":
 		if n < 3 {
 			return nil, nil, fmt.Errorf("harness: CrashMode double needs at least 3 procs for two distinct victims, got %d", n)
@@ -97,19 +91,14 @@ func chaosPlans(cfg RunConfig) ([]*dsm.CrashPlan, *dsm.CorruptionPlan, error) {
 		second.Epoch = first.Epoch // strikes the re-executed epoch
 		second.DuringRecovery = true
 		crashes = append(crashes, second)
-	default:
-		return nil, nil, fmt.Errorf("harness: unknown CrashMode %q (want %s)", crashMode, strings.Join(CrashModes, "|"))
 	}
 
 	var corrupt *dsm.CorruptionPlan
-	switch corruptMode {
-	case "none":
+	switch cfg.CorruptMode {
 	case "chunk":
 		corrupt = &dsm.CorruptionPlan{Epoch: first.Epoch, Mode: dsm.CorruptChunk, Seed: seed ^ 0xc0ffee}
 	case "delete":
 		corrupt = &dsm.CorruptionPlan{Epoch: first.Epoch, Mode: dsm.DeleteChunk, Seed: seed ^ 0xc0ffee}
-	default:
-		return nil, nil, fmt.Errorf("harness: unknown CorruptMode %q (want %s)", corruptMode, strings.Join(CorruptModes, "|"))
 	}
 	return crashes, corrupt, nil
 }

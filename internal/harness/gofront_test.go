@@ -124,14 +124,16 @@ type anyHook struct {
 	dsm.Tracer
 }
 
-// nonZero returns a non-zero value of t, for the dsm.Config field kinds.
+// nonZero returns a non-zero value of t, for the dsm.Config field kinds. An
+// integer is 2, a value every integer field can take (arity 1 is a bad
+// BarrierTree, which the value rules refuse before the field is named).
 func nonZero(t reflect.Type) reflect.Value {
 	v := reflect.New(t).Elem()
 	switch t.Kind() {
 	case reflect.Bool:
 		v.SetBool(true)
 	case reflect.Int, reflect.Int32, reflect.Int64:
-		v.SetInt(1)
+		v.SetInt(2)
 	case reflect.Pointer:
 		v.Set(reflect.New(t.Elem()))
 	case reflect.Slice:

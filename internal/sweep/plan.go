@@ -155,10 +155,10 @@ func CellID(r Request) string {
 	if r.BarrierTree != 0 {
 		id += fmt.Sprintf("-bt%d", r.BarrierTree)
 	}
-	if r.CrashMode != "" && r.CrashMode != "none" {
+	if harness.ChaoticMode(r.CrashMode) {
 		id += "-cr" + r.CrashMode
 	}
-	if r.CorruptMode != "" && r.CorruptMode != "none" {
+	if harness.ChaoticMode(r.CorruptMode) {
 		id += "-cx" + r.CorruptMode
 	}
 	// Go-frontend suffixes only on gofront workloads, so dsm cell names —
@@ -173,16 +173,6 @@ func CellID(r Request) string {
 		}
 	}
 	return fmt.Sprintf("%s-seed%d", id, r.Seed)
-}
-
-func protocolKind(name string) (dsm.ProtocolKind, error) {
-	switch name {
-	case "sw", "":
-		return dsm.SingleWriter, nil
-	case "mw":
-		return dsm.MultiWriter, nil
-	}
-	return 0, fmt.Errorf("sweep: unknown protocol %q (want sw or mw)", name)
 }
 
 // Defaulted returns r the way a plan names the grid point: each scalar
@@ -259,80 +249,26 @@ func (p *Plan) goFront() bool { return slices.ContainsFunc(p.Apps, gofront.IsWor
 // chaotic reports whether any axis value injects seed-driven process
 // faults, making the Seeds axis meaningful without wire faults.
 func (p *Plan) chaotic() bool {
-	return slices.ContainsFunc(p.CrashModes, chaoticMode) || slices.ContainsFunc(p.CorruptModes, chaoticMode)
+	return slices.ContainsFunc(p.CrashModes, harness.ChaoticMode) || slices.ContainsFunc(p.CorruptModes, harness.ChaoticMode)
 }
 
-// chaoticMode reports whether a crash or corruption mode injects faults.
-func chaoticMode(m string) bool { return m != "" && m != "none" }
-
-func validMode(mode string, valid []string) bool {
-	if mode == "" {
-		return true
-	}
-	for _, v := range valid {
-		if v == mode {
-			return true
-		}
-	}
-	return false
-}
-
-// Expand validates the plan and returns its cell list in grid order: the
-// cartesian product of the axes, in Plan field order, minus the points
-// harness.ValidateRunConfig rejects. Values no cell could run with (an
-// unknown protocol, a negative scale, arity 1, a fault probability above
-// 1, ...) are errors rather than skips, as are duplicate cell IDs (a
-// repeated axis value).
+// Expand returns the plan's cell list in grid order: the cartesian product
+// of the axes, in Plan field order, classified by Resolve. A value no cell
+// could run with (an unknown protocol, a negative scale, arity 1, a fault
+// probability above 1, ...: an error wrapping harness.ErrBadValue) fails
+// the plan, as does a duplicate cell ID (a repeated axis value). A cell
+// naming an application no registry knows is kept; any other rejection
+// (a combination its app cannot run) skips the cell.
 func (p *Plan) Expand() ([]Cell, error) {
 	if len(p.Apps) == 0 {
 		return nil, fmt.Errorf("sweep: plan has no applications")
 	}
 	d := defaults(p)
-	for _, sc := range d.Scales {
-		if sc < 0 {
-			return nil, fmt.Errorf("sweep: negative scale %g", sc)
-		}
-	}
-	for _, proto := range d.Protocols {
-		if _, err := protocolKind(proto); err != nil {
-			return nil, err
-		}
-	}
-	for _, pc := range d.Procs {
-		if pc < 1 {
-			return nil, fmt.Errorf("sweep: invalid process count %d", pc)
-		}
-	}
-	for _, bt := range d.BarrierTrees {
-		if err := dsm.CheckBarrierTree(bt); err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
-	}
-	for _, m := range d.CrashModes {
-		if !validMode(m, harness.CrashModes) {
-			return nil, fmt.Errorf("sweep: unknown crash mode %q (want %v)", m, harness.CrashModes)
-		}
-	}
-	for _, m := range d.CorruptModes {
-		if !validMode(m, harness.CorruptModes) {
-			return nil, fmt.Errorf("sweep: unknown corrupt mode %q (want %v)", m, harness.CorruptModes)
-		}
-	}
-	if d.Faults != nil {
-		if err := d.Faults.plan(0).Validate(); err != nil {
-			return nil, fmt.Errorf("sweep: fault template: %w", err)
-		}
-	}
 	// Go-frontend axes default locally (not in defaults()) to keep
 	// pre-existing plan fingerprints stable.
 	hotSkews := d.HotSkews
 	if len(hotSkews) == 0 {
 		hotSkews = []float64{0}
-	}
-	for _, hk := range hotSkews {
-		if hk < 0 || hk >= 1 {
-			return nil, fmt.Errorf("sweep: hot-key skew %g out of [0,1)", hk)
-		}
 	}
 	racies := d.Racy
 	if len(racies) == 0 {
@@ -358,9 +294,13 @@ func (p *Plan) Expand() ([]Cell, error) {
 			CorruptMode: cmp.Or(d.CorruptModes[at[9]], one.CorruptMode), HotSkew: hotSkews[at[10]],
 			Racy: racies[at[11]], Seed: d.Seeds[at[12]], Faults: d.Faults,
 		}
+		c, _, err := r.Resolve()
+		if errors.Is(err, harness.ErrBadValue) {
+			return nil, fmt.Errorf("sweep: cell %s: %w", c.ID, err)
+		}
 		// An application no registry knows is kept: the typo then shows up
 		// as failed cells, not as a silently smaller (or empty) grid.
-		if c, _, err := r.Resolve(); err == nil || errors.Is(err, harness.ErrUnknownApp) {
+		if err == nil || errors.Is(err, harness.ErrUnknownApp) {
 			if seen[c.ID] {
 				return nil, fmt.Errorf("sweep: duplicate cell %s (repeated axis value?)", c.ID)
 			}
@@ -397,15 +337,16 @@ func (r Request) Resolve() (Cell, harness.RunConfig, error) {
 }
 
 // RunConfig builds the harness configuration for the request; it refuses
-// an unknown protocol and a Frontend other than the app's engine. Every
-// other field is passed on, meaningful for the app's engine or not, and
-// the validator — not this function — decides what an engine cannot take.
-// The wire template (Faults) describes the simulated network and so
-// reaches DSM runs only.
+// an unknown protocol and a fault template that no run can take (both
+// wrap harness.ErrBadValue), and a Frontend other than the app's engine.
+// Every other field is passed on, meaningful for the app's engine or not,
+// and the validator — not this function — decides what an engine cannot
+// take. The wire template (Faults) describes the simulated network and so
+// reaches DSM runs only, but is checked for every run.
 func (r Request) RunConfig() (harness.RunConfig, error) {
-	proto, err := protocolKind(r.Protocol)
+	proto, err := dsm.ParseProtocol(cmp.Or(r.Protocol, "sw"))
 	if err != nil {
-		return harness.RunConfig{}, err
+		return harness.RunConfig{}, fmt.Errorf("sweep: %w: %w", harness.ErrBadValue, err)
 	}
 	goApp, front := gofront.IsWorkload(r.App), "dsm"
 	if goApp {
@@ -431,8 +372,14 @@ func (r Request) RunConfig() (harness.RunConfig, error) {
 			NoCheckpoint: !r.checkpoint(),
 		},
 	}
-	if r.Faults != nil && !goApp {
-		cfg.DSM.Faults = r.Faults.plan(r.Seed)
+	if r.Faults != nil {
+		faults := r.Faults.plan(r.Seed)
+		if err := harness.CheckFaults(faults); err != nil {
+			return harness.RunConfig{}, err
+		}
+		if !goApp {
+			cfg.DSM.Faults = faults
+		}
 	}
 	return cfg, nil
 }

@@ -102,6 +102,9 @@ const (
 	EagerRC = dsm.EagerRC
 )
 
+// ParseProtocol reads a protocol's short name, "sw" or "mw".
+func ParseProtocol(name string) (Protocol, error) { return dsm.ParseProtocol(name) }
+
 // New builds a DSM instance. Allocate shared variables with Alloc, then
 // call Run with the per-process worker.
 func New(cfg Config) (*System, error) { return dsm.New(cfg) }
