@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"lrcrace/internal/sweep"
@@ -126,7 +127,13 @@ func (c *Client) call(ctx context.Context, method, path string, in, out interfac
 		return err
 	}
 	defer resp.Body.Close()
-	reply, err := io.ReadAll(resp.Body)
+	// json.Unmarshal and apiErrorOf copy what they keep, so the reply
+	// buffer goes back to the pool once they return.
+	buf := replyBufs.Get().(*bytes.Buffer)
+	defer putReplyBuf(buf)
+	buf.Reset()
+	_, err = buf.ReadFrom(resp.Body)
+	reply := buf.Bytes()
 	switch {
 	case err != nil:
 		return err
@@ -136,6 +143,14 @@ func (c *Client) call(ctx context.Context, method, path string, in, out interfac
 		return nil
 	}
 	return json.Unmarshal(reply, out)
+}
+
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putReplyBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuf {
+		replyBufs.Put(buf)
+	}
 }
 
 // Health checks the service's /healthz endpoint.

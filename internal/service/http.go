@@ -1,12 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"lrcrace/internal/telemetry"
@@ -71,12 +74,36 @@ const (
 	codeNotFound       = "not_found"
 )
 
+// jsonBuf is an encoder with the buffer it writes to, reused across
+// replies through jsonBufs.
+type jsonBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledBuf is the largest buffer a reply or stream hands back to its
+// pool; a rare huge reply is left to the collector rather than pinned.
+const maxPooledBuf = 1 << 20
+
+var jsonBufs = sync.Pool{New: func() any {
+	jb := new(jsonBuf)
+	jb.enc = json.NewEncoder(&jb.buf)
+	jb.enc.SetIndent("", "  ")
+	return jb
+}}
+
+// writeJSON replies with v, indented, in one Write. A value that does not
+// encode leaves the body empty, as encoding straight to w did.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	jb := jsonBufs.Get().(*jsonBuf)
+	jb.buf.Reset()
+	jb.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(jb.buf.Bytes())
+	if jb.buf.Cap() <= maxPooledBuf {
+		jsonBufs.Put(jb)
+	}
 }
 
 // writeAdmissionError maps Submit's typed errors onto HTTP statuses: a
@@ -218,17 +245,30 @@ func (svc *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
+	var frame bytes.Buffer // one frame at a time, reused across records
+	enc := json.NewEncoder(&frame)
 	for {
 		recs, err := sub.Next(r.Context())
 		if err != nil {
 			return
 		}
 		for _, rec := range recs {
-			b, _ := json.Marshal(rec) // a Record of strings and integers always marshals
-			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", rec.Seq, b)
+			writeSSE(w, &frame, enc, rec)
 		}
 		fl.Flush()
 	}
+}
+
+// writeSSE writes rec as one SSE frame, "id: <seq>\ndata: <json>\n\n",
+// built in frame by enc, which writes there.
+func writeSSE(w io.Writer, frame *bytes.Buffer, enc *json.Encoder, rec Record) {
+	frame.Reset()
+	frame.WriteString("id: ")
+	frame.Write(strconv.AppendUint(frame.AvailableBuffer(), rec.Seq, 10))
+	frame.WriteString("\ndata: ")
+	enc.Encode(rec) // a Record of strings and integers always encodes; Encode ends the line
+	frame.WriteByte('\n')
+	w.Write(frame.Bytes())
 }
 
 func (svc *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {

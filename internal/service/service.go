@@ -507,6 +507,9 @@ func (svc *Service) runSession(sess *Session) {
 	// Close waits for in-flight sessions rather than canceling them, so
 	// there is no context to give up on: the deadline is the only way out.
 	result, races := sweep.RunGuarded(context.Background(), sess.ck.ID, sess.cfg, rec, svc.cfg.SessionTimeout)
+	// From here the recorder is read only by /flight and, until finish,
+	// /metrics: it keeps its flight window and hands its rings back.
+	rec.Seal()
 
 	svc.tenantTransition(sess.tenant, 0, 1, 0) // running → done frees quota
 	// The session reports done only once its "finished" record is durable.

@@ -259,6 +259,7 @@ func (s *Sweep) runCell(ctx context.Context, c Cell) (*CellResult, error) {
 	s.flight[c.ID] = rec // retained after completion so /flight still answers
 	s.mu.Unlock()
 	res, _ := RunGuarded(ctx, c.ID, cfg, rec, s.opts.CellTimeout)
+	rec.Seal() // /flight reads only the window from here on
 	return res, nil
 }
 

@@ -44,16 +44,21 @@ func labelKey(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
+	ls := labels
+	if len(ls) > 1 {
+		ls = append([]Label(nil), labels...)
+		sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	}
+	b := make([]byte, 0, 64)
 	for i, l := range ls {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Value) // the bytes of %q
 	}
-	return b.String()
+	return string(b)
 }
 
 // seriesName renders name{k="v",...} for exposition and snapshot keys.

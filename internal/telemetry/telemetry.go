@@ -302,43 +302,96 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ring is one bounded (or unbounded) event buffer.
+// blockEvents is how many events one ring block holds.
+const blockEvents = 256
+
+// blockPool recycles full ring blocks across recorders: Seal hands a
+// finished recorder's blocks back, and the next ring to reach a new block
+// takes one.
+var blockPool = sync.Pool{New: func() any { return new([blockEvents]Event) }}
+
+// ring is one bounded (or unbounded) event buffer. It stores events in
+// blocks of blockEvents, each allocated when the ring first reaches it and
+// never copied; a bounded ring wraps across its blocks. Events land in Seq
+// order, since add draws the sequence number under the ring's lock.
 type ring struct {
 	mu      sync.Mutex
-	cap     int // <= 0: unbounded
-	buf     []Event
-	next    int  // bounded: index of the next write
-	wrapped bool // bounded: buf is full and next overwrites
+	cap     int       // <= 0: unbounded
+	blocks  [][]Event // slot i is blocks[i/blockEvents][i%blockEvents]
+	n       int       // events added since the ring was last emptied
 	dropped uint64
 }
 
-func (r *ring) add(e Event) {
-	r.mu.Lock()
-	if r.cap <= 0 {
-		r.buf = append(r.buf, e)
-	} else if len(r.buf) < r.cap {
-		r.buf = append(r.buf, e)
-		r.next = len(r.buf) % r.cap
-	} else {
-		r.buf[r.next] = e
-		r.next = (r.next + 1) % r.cap
-		r.wrapped = true
-		r.dropped++
+// add stamps e with the next sequence number and stores it, overwriting
+// the oldest event of a full bounded ring. It returns the stamped event.
+func (rg *ring) add(seq *atomic.Uint64, e Event) Event {
+	rg.mu.Lock()
+	e.Seq = seq.Add(1)
+	i := rg.n
+	if rg.cap > 0 {
+		if rg.n >= rg.cap {
+			rg.dropped++
+		}
+		i %= rg.cap
 	}
-	r.mu.Unlock()
+	rg.n++
+	b := i / blockEvents
+	if b == len(rg.blocks) {
+		rg.blocks = append(rg.blocks, rg.newBlock(b))
+	}
+	rg.blocks[b][i%blockEvents] = e
+	rg.mu.Unlock()
+	return e
+}
+
+// newBlock returns block b: from the pool when it holds blockEvents, else
+// the short last block of a bounded ring whose cap is not a multiple.
+func (rg *ring) newBlock(b int) []Event {
+	if rg.cap > 0 && rg.cap-b*blockEvents < blockEvents {
+		return make([]Event, rg.cap-b*blockEvents)
+	}
+	return blockPool.Get().(*[blockEvents]Event)[:]
+}
+
+// retained returns how many events the ring holds; rg.mu held.
+func (rg *ring) retained() int {
+	if rg.cap > 0 && rg.n > rg.cap {
+		return rg.cap
+	}
+	return rg.n
+}
+
+// at returns the k-th retained event, oldest first; rg.mu held.
+func (rg *ring) at(k int) *Event {
+	i := k
+	if rg.cap > 0 && rg.n > rg.cap {
+		i = (rg.n + k) % rg.cap
+	}
+	return &rg.blocks[i/blockEvents][i%blockEvents]
 }
 
 // events returns the ring's contents in record order.
-func (r *ring) events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.wrapped {
-		return append([]Event(nil), r.buf...)
+func (rg *ring) events() []Event {
+	rg.mu.Lock()
+	defer rg.mu.Unlock()
+	out := make([]Event, rg.retained())
+	for k := range out {
+		out[k] = *rg.at(k)
 	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
 	return out
+}
+
+// empty hands the ring's full blocks back to the pool and starts it over;
+// the overwritten count stays. rg.mu held.
+func (rg *ring) empty() {
+	for _, b := range rg.blocks {
+		if len(b) == blockEvents {
+			blockPool.Put((*[blockEvents]Event)(b))
+		}
+	}
+	clear(rg.blocks)
+	rg.blocks = rg.blocks[:0]
+	rg.n = 0
 }
 
 // Recorder is one recording session: per-process rings, a metrics
@@ -377,7 +430,11 @@ type Recorder struct {
 	recWall     *Counter
 	recLocks    *Counter
 
+	// dumpMu serializes dumps and Seal. sealed is the flight window Seal
+	// kept, in Seq order; it is written under dumpMu and every ring lock,
+	// and read under dumpMu.
 	dumpMu sync.Mutex
+	sealed []Event
 	trips  atomic.Int64
 }
 
@@ -502,15 +559,13 @@ func (r *Recorder) Trip(reason TripReason, detail string) {
 func (r *Recorder) Trips() int64 { return r.trips.Load() }
 
 func (r *Recorder) emit(proc int, k Kind, vt int64, a, b, c int64) {
-	e := Event{
-		Seq:  r.seq.Add(1),
+	e := r.ring(proc).add(&r.seq, Event{
 		Proc: int32(proc),
 		Kind: k,
 		VT:   vt,
 		Wall: int64(time.Since(r.start)),
 		A:    a, B: b, C: c,
-	}
-	r.ring(proc).add(e)
+	})
 	r.evCount[k].Add(1)
 	switch k {
 	case KPageFetch:
@@ -583,9 +638,12 @@ func (r *Recorder) Metrics() *Registry { return r.metrics }
 
 // Events returns every retained event across all rings in global record
 // order (by sequence number). Bounded rings may have dropped older events;
-// see Dropped.
+// see Dropped. A sealed recorder retains its flight window and whatever
+// was emitted after Seal.
 func (r *Recorder) Events() []Event {
-	var out []Event
+	r.dumpMu.Lock()
+	defer r.dumpMu.Unlock()
+	out := append([]Event(nil), r.sealed...)
 	for _, rg := range r.rings {
 		out = append(out, rg.events()...)
 	}
@@ -610,11 +668,9 @@ func (r *Recorder) Dropped() uint64 {
 func (r *Recorder) DumpFlight(w io.Writer, reason string) {
 	r.dumpMu.Lock()
 	defer r.dumpMu.Unlock()
-	evs := r.Events()
-	n := r.cfg.FlightN
-	if len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
+	r.lockRings()
+	evs := r.flightWindow()
+	r.unlockRings()
 	fmt.Fprintf(w, "--- flight recorder: %s ---\n", reason)
 	fmt.Fprintf(w, "last %d of %d retained events (%d overwritten):\n",
 		len(evs), r.seq.Load(), r.Dropped())
@@ -622,4 +678,72 @@ func (r *Recorder) DumpFlight(w io.Writer, reason string) {
 		fmt.Fprintln(w, e.String())
 	}
 	fmt.Fprintf(w, "--- end flight dump ---\n")
+}
+
+// Seal keeps only the recorder's flight window — the events DumpFlight
+// prints — and hands every full ring block back for the next recorder, so
+// a finished run holds FlightN events rather than its full rings. Dumps
+// are byte-identical before and after; Dropped and the metrics registry
+// are untouched. Events emitted after Seal (a run abandoned at its
+// deadline keeps going) land in fresh blocks and merge with the window.
+// Seal a recorder only once nothing reads its rings in full: Events and
+// WriteChromeTrace see the window and later events only.
+func (r *Recorder) Seal() {
+	r.dumpMu.Lock()
+	defer r.dumpMu.Unlock()
+	r.lockRings()
+	defer r.unlockRings()
+	r.sealed = r.flightWindow()
+	for _, rg := range r.rings {
+		rg.empty()
+	}
+}
+
+func (r *Recorder) lockRings() {
+	for _, rg := range r.rings {
+		rg.mu.Lock()
+	}
+}
+
+func (r *Recorder) unlockRings() {
+	for _, rg := range r.rings {
+		rg.mu.Unlock()
+	}
+}
+
+// flightWindow returns the last FlightN retained events in Seq order. It
+// merges the sealed window and the rings, each already in Seq order,
+// backwards from their newest events, so it reads only what it keeps.
+// dumpMu and every ring lock held.
+func (r *Recorder) flightWindow() []Event {
+	left := make([]int, len(r.rings)) // events not yet taken, per ring
+	total := len(r.sealed)
+	for i, rg := range r.rings {
+		left[i] = rg.retained()
+		total += left[i]
+	}
+	sealedLeft := len(r.sealed)
+	out := make([]Event, min(total, r.cfg.FlightN))
+	for j := len(out) - 1; j >= 0; j-- {
+		var newest *Event
+		from := -1 // ring index, or -1 for the sealed window
+		if sealedLeft > 0 {
+			newest = &r.sealed[sealedLeft-1]
+		}
+		for i, rg := range r.rings {
+			if left[i] == 0 {
+				continue
+			}
+			if e := rg.at(left[i] - 1); newest == nil || e.Seq > newest.Seq {
+				newest, from = e, i
+			}
+		}
+		out[j] = *newest
+		if from < 0 {
+			sealedLeft--
+		} else {
+			left[from]--
+		}
+	}
+	return out
 }
