@@ -70,7 +70,7 @@ func RunKV(cfg gofront.WorkloadConfig) (*gofront.Result, error) {
 
 	client := func(id int) func(*gofront.G) {
 		return func(g *gofront.G) {
-			rng := rand.New(rand.NewSource(cfg.Seed*1000003 + int64(id)))
+			rng := p.Rand(cfg.Seed*1000003 + int64(id))
 			for i := 0; i < ops; i++ {
 				k := hotOrUniform(rng, cfg.HotKeySkew)
 				mu := locks[k%kvShards]
@@ -202,7 +202,7 @@ func RunSessions(cfg gofront.WorkloadConfig) (*gofront.Result, error) {
 
 	client := func(id int) func(*gofront.G) {
 		return func(g *gofront.G) {
-			rng := rand.New(rand.NewSource(cfg.Seed*1000033 + int64(id)))
+			rng := p.Rand(cfg.Seed*1000033 + int64(id))
 			for i := 0; i < ops; i++ {
 				k := hotOrUniform(rng, cfg.HotKeySkew)
 				owner := k / sesPerOwn

@@ -197,20 +197,14 @@ func pairForce(pi, pj [3]float64) (f [3]float64, pot, vir float64) {
 	return f, -1 / math.Sqrt(r2+eps), r2 * inv
 }
 
-// pairsOf enumerates the cyclic half-interaction partners of molecule i:
-// j = (i+1..i+n/2) mod n, with the antipodal partner claimed by the lower
-// index only, so each unordered pair is computed exactly once system-wide.
-func pairsOf(i, n int) []int {
-	half := n / 2
-	var out []int
-	for k := 1; k <= half; k++ {
-		j := (i + k) % n
-		if n%2 == 0 && k == half && i > j {
-			continue
-		}
-		out = append(out, j)
-	}
-	return out
+// partner returns the k-th cyclic half-interaction partner of molecule i,
+// for k = 1..n/2: j = (i+k) mod n, except that the antipodal partner
+// (k = n/2, n even) belongs to the lower index only, so each unordered pair
+// is computed exactly once system-wide. ok is false where i does not own
+// the pair.
+func partner(i, k, n int) (j int, ok bool) {
+	j = (i + k) % n
+	return j, n%2 != 0 || k != n/2 || i < j
 }
 
 // Worker implements apps.App.
@@ -262,7 +256,11 @@ func (w *Water) Worker(p *dsm.Proc) {
 			for d := 0; d < 3; d++ {
 				pi[d] = p.ReadF64(w.fieldAddr(fPos, i, d))
 			}
-			for _, j := range pairsOf(i, n) {
+			for k := 1; k <= n/2; k++ {
+				j, ok := partner(i, k, n)
+				if !ok {
+					continue
+				}
 				var pj [3]float64
 				for d := 0; d < 3; d++ {
 					pj[d] = p.ReadF64(w.fieldAddr(fPos, j, d))
@@ -363,7 +361,11 @@ func (w *Water) Reference() (pos, vel [][3]float64, kinTotal float64) {
 		}
 		accNew := make([][3]float64, n)
 		for i := 0; i < n; i++ {
-			for _, j := range pairsOf(i, n) {
+			for k := 1; k <= n/2; k++ {
+				j, ok := partner(i, k, n)
+				if !ok {
+					continue
+				}
 				f, _, _ := pairForce(pos[i], pos[j])
 				for d := 0; d < 3; d++ {
 					accNew[i][d] += f[d]

@@ -126,3 +126,29 @@ func TestReferenceComputedOncePerShape(t *testing.T) {
 		t.Fatal("two molecule counts share a reference")
 	}
 }
+
+// TestPartnersCoverEachPairOnce: over every molecule i and k = 1..n/2, the
+// partners i owns name each unordered pair of distinct molecules exactly
+// once, for even and odd n.
+func TestPartnersCoverEachPairOnce(t *testing.T) {
+	for n := 1; n <= 12; n++ {
+		seen := map[[2]int]int{}
+		for i := 0; i < n; i++ {
+			for k := 1; k <= n/2; k++ {
+				if j, ok := partner(i, k, n); ok {
+					seen[[2]int{min(i, j), max(i, j)}]++
+				}
+			}
+		}
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if c := seen[[2]int{a, b}]; c != 1 {
+					t.Errorf("n=%d: pair (%d,%d) computed %d times, want once", n, a, b, c)
+				}
+			}
+		}
+		if want := n * (n - 1) / 2; len(seen) != want {
+			t.Errorf("n=%d: %d pairs, want %d", n, len(seen), want)
+		}
+	}
+}

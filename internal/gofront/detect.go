@@ -1,6 +1,8 @@
 package gofront
 
 import (
+	"sync"
+
 	"lrcrace/internal/interval"
 	"lrcrace/internal/mem"
 	"lrcrace/internal/race"
@@ -112,7 +114,10 @@ func newDetector(p *Program) *detector {
 }
 
 // startG opens goroutine g's first interval with the spawning parent's
-// release clock (nil for the root).
+// release clock (nil for the root). A goroutine Run starts takes the spares
+// of a finished run's builder (interval.Builder.Restock); one started
+// outside Run, by a test driving the detector directly, allocates as in
+// the first program of a process.
 func (d *detector) startG(g int, parentRel vc.VC) {
 	d.started[g] = true
 	d.idx[g] = 1
@@ -124,6 +129,9 @@ func (d *detector) startG(g int, parentRel vc.VC) {
 	d.vcs[g][g] = 1
 	if d.enabled {
 		d.bld[g] = interval.NewBuilder(d.p.layout)
+		if d.p.ran {
+			d.bld[g].Restock()
+		}
 	}
 }
 
@@ -297,6 +305,61 @@ func (d *detector) gc() {
 	}
 	clear(d.records[len(kept):])
 	d.records = kept
+}
+
+// detectorSpares is what a finished run's detector leaves for a later run
+// of the same clock width: its free record clocks, and its record list,
+// emptied.
+type detectorSpares struct {
+	clocks  []vc.VC
+	records []retained
+}
+
+// sparesByWidth maps a clock width (Config.MaxGs) to a *sync.Pool of
+// *detectorSpares.
+var sparesByWidth sync.Map
+
+func sparesOf(n int) *sync.Pool {
+	pool, ok := sparesByWidth.Load(n)
+	if !ok {
+		pool, _ = sparesByWidth.LoadOrStore(n, new(sync.Pool))
+	}
+	return pool.(*sync.Pool)
+}
+
+// restock takes the spares a finished run of the same width left, if any,
+// as Run starts: the run's closes reuse those clocks before they allocate.
+func (d *detector) restock() {
+	if !d.enabled {
+		return
+	}
+	if s, ok := sparesOf(d.n).Get().(*detectorSpares); ok {
+		d.clocks, d.records = s.clocks, s.records
+	}
+}
+
+// release hands back what the finished run's detector holds for later
+// runs: every goroutine's builder (interval.Builder.Release), and every
+// record still retained, with its clock and footprint. Nothing reads a
+// record once the Result is taken, so its clock joins the free clocks and
+// its goroutine's builder takes the rest back first.
+func (d *detector) release() {
+	if !d.p.cfg.Detect {
+		return
+	}
+	for _, r := range d.records {
+		d.clocks = append(d.clocks, r.rec.VC)
+		d.bld[r.rec.ID.Proc].Recycle(r.rec, r.fp)
+	}
+	clear(d.records)
+	sparesOf(d.n).Put(&detectorSpares{clocks: d.clocks, records: d.records[:0]})
+	d.clocks, d.records = nil, nil
+	for g, b := range d.bld {
+		if b != nil {
+			b.Release()
+			d.bld[g] = nil
+		}
+	}
 }
 
 // finishAll closes the current interval of every goroutine that has not

@@ -31,6 +31,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"lrcrace/internal/mem"
@@ -148,7 +149,8 @@ type Program struct {
 	cfg    Config
 	layout mem.Layout
 	seg    *mem.Segment
-	rng    *rand.Rand
+	rng    *rand.Rand   // the scheduler's, from Rand
+	rands  []*rand.Rand // every generator Rand handed out, for Run to hand back
 	scope  telemetry.Scope
 
 	gs []*G
@@ -185,11 +187,30 @@ func New(cfg Config) *Program {
 		cfg:    cfg,
 		layout: layout,
 		seg:    mem.NewSegment(layout),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		scope:  telemetry.To(cfg.Recorder),
 	}
+	p.rng = p.Rand(cfg.Seed)
 	p.det = newDetector(p)
 	return p
+}
+
+// rands holds the generators finished programs handed back, for Rand.
+var rands sync.Pool
+
+// Rand returns a generator that draws exactly what
+// rand.New(rand.NewSource(seed)) would, for the program's setup or its
+// goroutines. The program owns it until Run returns: Run hands it back for
+// a later program's Rand to reseed, so nothing may use it after Run. Like
+// Alloc, it is callable during setup or from a running goroutine.
+func (p *Program) Rand(seed int64) *rand.Rand {
+	r, ok := rands.Get().(*rand.Rand)
+	if ok {
+		r.Seed(seed)
+	} else {
+		r = rand.New(rand.NewSource(seed))
+	}
+	p.rands = append(p.rands, r)
+	return r
 }
 
 // Alloc reserves words consecutive shared words under name and returns the
@@ -401,6 +422,9 @@ func (r *Result) SymbolAt(a mem.Addr) (string, bool) {
 
 func (p *Program) finish() *Result {
 	p.det.finishAll()
+	// The Result is taken: what a stopped goroutine's deferred calls do
+	// from here on is not checked, and records nothing.
+	p.det.enabled = false
 	races := p.det.reports
 	addrSet := make(map[mem.Addr]bool)
 	for _, rep := range races {

@@ -978,13 +978,55 @@ func TestSteadyStateSyncOpAllocs(t *testing.T) {
 // clock, each free clock, and what the mutexes, the wait group and the
 // channel keep. A record that shared its goroutine's release buffer would
 // have its clock rewritten at the goroutine's next close, and a recycled
-// clock that was still someone's buffer would be rewritten by both.
+// clock that was still someone's buffer would be rewritten by both. The
+// root looks as its last step, while the run still holds everything; once
+// Run has returned, the detector has handed its records, free clocks and
+// builders back and holds none of them.
 func TestClocksShareNoArray(t *testing.T) {
 	const workers, rounds = 3, 100
 	p := New(Config{Seed: 5, Detect: true, MaxGs: workers + 1})
 	x, y := p.Alloc("x", 1), p.Alloc("y", 1)
 	mu, rw, wg := p.NewMutex(), p.NewRWMutex(), p.NewWaitGroup()
 	ch := p.NewChan(2)
+	d := p.det
+	var clocks, records, elems, chanClocks int
+	look := func() {
+		owners := map[*vc.Index]string{}
+		add := func(name string, c vcClock) {
+			if c == nil {
+				return
+			}
+			if other, ok := owners[&c[0]]; ok {
+				t.Errorf("%s shares its array with %s", name, other)
+			}
+			owners[&c[0]] = name
+		}
+		for g, c := range d.rel {
+			add(fmt.Sprintf("g%d's release buffer", g), c)
+		}
+		for i, r := range d.records {
+			add(fmt.Sprintf("record %v's clock", r.rec.ID), d.records[i].rec.VC)
+		}
+		for i, c := range d.clocks {
+			add(fmt.Sprintf("free record clock %d", i), c)
+		}
+		add("Mutex.rel", mu.rel)
+		add("RWMutex.wRel", rw.wRel)
+		add("RWMutex.rdRel", rw.rdRel)
+		add("WaitGroup.acc", wg.acc)
+		add("WaitGroup.cycRel", wg.cycRel)
+		for i, e := range ch.buf {
+			add(fmt.Sprintf("element %d's clock", i), e.rel)
+		}
+		for i, c := range ch.bpq {
+			add(fmt.Sprintf("backpressure clock %d", i), c)
+		}
+		for i, c := range ch.free {
+			add(fmt.Sprintf("free channel clock %d", i), c)
+		}
+		add("Chan.closeRel", ch.closeRel)
+		clocks, records, elems, chanClocks = len(d.clocks), len(d.records), len(ch.buf), len(ch.bpq)+len(ch.free)
+	}
 	res := p.Run(func(g *G) {
 		wg.Add(g, workers)
 		for range workers {
@@ -1009,47 +1051,21 @@ func TestClocksShareNoArray(t *testing.T) {
 		g.Store(y, 1)
 		rw.Unlock(g)
 		ch.Close(g)
+		look()
 	})
 	if res.Stats.RecordsGCed == 0 || len(res.Races) != 0 {
 		t.Fatalf("%d records retired, races %v: want a clean run that retires records", res.Stats.RecordsGCed, res.Races)
 	}
-	d := p.det
-	owners := map[*vc.Index]string{}
-	add := func(name string, c vcClock) {
-		if c == nil {
-			return
+	if clocks == 0 || records == 0 || elems == 0 || chanClocks == 0 {
+		t.Fatalf("%d free record clocks, %d records, %d elements, %d backpressure and free channel clocks: want some of each",
+			clocks, records, elems, chanClocks)
+	}
+	if len(d.clocks)+len(d.records) != 0 {
+		t.Fatalf("after Run the detector keeps %d free clocks and %d records, want all handed back", len(d.clocks), len(d.records))
+	}
+	for g, b := range d.bld {
+		if b != nil {
+			t.Fatalf("after Run the detector keeps g%d's builder, want it handed back", g)
 		}
-		if other, ok := owners[&c[0]]; ok {
-			t.Errorf("%s shares its array with %s", name, other)
-		}
-		owners[&c[0]] = name
-	}
-	for g, c := range d.rel {
-		add(fmt.Sprintf("g%d's release buffer", g), c)
-	}
-	for i, r := range d.records {
-		add(fmt.Sprintf("record %v's clock", r.rec.ID), d.records[i].rec.VC)
-	}
-	for i, c := range d.clocks {
-		add(fmt.Sprintf("free record clock %d", i), c)
-	}
-	add("Mutex.rel", mu.rel)
-	add("RWMutex.wRel", rw.wRel)
-	add("RWMutex.rdRel", rw.rdRel)
-	add("WaitGroup.acc", wg.acc)
-	add("WaitGroup.cycRel", wg.cycRel)
-	for i, e := range ch.buf {
-		add(fmt.Sprintf("element %d's clock", i), e.rel)
-	}
-	for i, c := range ch.bpq {
-		add(fmt.Sprintf("backpressure clock %d", i), c)
-	}
-	for i, c := range ch.free {
-		add(fmt.Sprintf("free channel clock %d", i), c)
-	}
-	add("Chan.closeRel", ch.closeRel)
-	if len(d.clocks) == 0 || len(ch.buf) == 0 || len(ch.bpq)+len(ch.free) == 0 {
-		t.Fatalf("%d free record clocks, %d elements, %d backpressure and %d free channel clocks: want some of each",
-			len(d.clocks), len(ch.buf), len(ch.bpq), len(ch.free))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	_ "lrcrace/internal/apps/kv" // registers the KV and Sessions workloads
@@ -75,6 +76,21 @@ func recordChecks(sums *goCheckSums) *telemetry.Recorder {
 	}})
 }
 
+var pinsPath = filepath.Join("testdata", "detector_pins.json")
+
+func readPins(t *testing.T) map[string]detectorPin {
+	t.Helper()
+	b, err := os.ReadFile(pinsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := map[string]detectorPin{}
+	if err := json.Unmarshal(b, &pins); err != nil {
+		t.Fatal(err)
+	}
+	return pins
+}
+
 // TestDetectorMatchesPinnedReference holds the close-time detector to the
 // output of the map-backed reference it replaced, run by run: the KV and
 // Sessions workloads (racy and clean, four seeds each) and 50 generated
@@ -102,25 +118,17 @@ func TestDetectorMatchesPinnedReference(t *testing.T) {
 		got[fmt.Sprintf("random/seed=%d", seed)] = pinOf(res, sums)
 	}
 
-	path := filepath.Join("testdata", "detector_pins.json")
 	if *updatePins {
 		b, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(pinsPath, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]detectorPin{}
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readPins(t)
 	for name, w := range want {
 		if g, ok := got[name]; !ok {
 			t.Errorf("%s: pinned but not run", name)
@@ -133,11 +141,70 @@ func TestDetectorMatchesPinnedReference(t *testing.T) {
 	}
 }
 
-// TestConcurrentProgramsShareNothing: two workloads run at the same time
-// report exactly what the same two report run one after the other. Each
-// goroutine's interval.Builder keeps the records, footprints and bitmaps
-// the horizon GC hands back for its own later closes; a free list shared
-// between programs would hand one program's recycled bitmap to the other
+// emptyPools drops everything finished programs handed back: a sync.Pool
+// keeps what was put into it across one garbage collection at most, so
+// after two the next program starts as the first of a process does.
+func emptyPools() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// TestPooledProgramsMatchFresh: a program that starts from what finished
+// programs handed back (interval builders and their spares, record clocks,
+// generators) reports exactly what the same program reports as the first
+// of a process — races, Stats, racy addresses, trace and virtual time — and
+// both match the pinned reference. Racy KV and Sessions runs fill the pools
+// first. The pool-fed runs must also allocate less, or they drew nothing.
+func TestPooledProgramsMatchFresh(t *testing.T) {
+	pins := readPins(t)
+	run := func(w string, racy bool, seed int64) (*gofront.Result, detectorPin, uint64) {
+		var sums goCheckSums
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		res, err := gofront.RunWorkload(w, gofront.WorkloadConfig{
+			Clients: 8, Ops: 120, HotKeySkew: 0.5, Racy: racy, Seed: seed,
+			Detect: true, Recorder: recordChecks(&sums),
+		})
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, pinOf(res, sums), ms.TotalAlloc - before
+	}
+	var freshBytes, pooledBytes uint64
+	for _, w := range []string{"KV", "Sessions"} {
+		for _, racy := range []bool{true, false} {
+			for seed := int64(1); seed <= 2; seed++ {
+				name := fmt.Sprintf("%s/racy=%v/seed=%d", w, racy, seed)
+				emptyPools()
+				fresh, freshPin, fb := run(w, racy, seed)
+				run("KV", true, 3)
+				run("Sessions", true, 3)
+				pooled, pooledPin, pb := run(w, racy, seed)
+				freshBytes, pooledBytes = freshBytes+fb, pooledBytes+pb
+				if !reflect.DeepEqual(pooled.Races, fresh.Races) || !reflect.DeepEqual(pooled.RacyAddrs, fresh.RacyAddrs) ||
+					!reflect.DeepEqual(pooledPin, freshPin) {
+					t.Fatalf("%s: pool-fed run differs from the fresh one:\n got %+v\nwant %+v", name, pooledPin, freshPin)
+				}
+				if want, ok := pins[name]; !ok || !reflect.DeepEqual(pooledPin, want) {
+					t.Fatalf("%s: pool-fed run drifted from the pinned reference:\n got %+v\nwant %+v", name, pooledPin, want)
+				}
+			}
+		}
+	}
+	if pooledBytes >= freshBytes {
+		t.Fatalf("pool-fed runs allocated %d bytes, fresh ones %d: the pools handed nothing out", pooledBytes, freshBytes)
+	}
+}
+
+// TestConcurrentProgramsShareNothing: two workloads run at the same time,
+// drawing on what earlier programs handed back, report exactly what the
+// same two report run one after the other, each as the first program of a
+// process. Each goroutine's interval.Builder keeps the records, footprints
+// and bitmaps the horizon GC hands back for its own later closes, and a
+// finished program hands them on; a free list or pool entry shared between
+// running programs would hand one program's recycled bitmap to the other
 // while it is still read, and the race lists, Stats or traces would differ.
 // CI runs it under -race, repeated.
 func TestConcurrentProgramsShareNothing(t *testing.T) {
@@ -157,6 +224,7 @@ func TestConcurrentProgramsShareNothing(t *testing.T) {
 	}
 	var seq [2]*gofront.Result
 	for i := range seq {
+		emptyPools()
 		seq[i] = run(i)
 	}
 	for round := 0; round < 3; round++ {

@@ -25,11 +25,27 @@ type stopSignal struct{}
 // and must not use the Program. A panic in a modeled goroutine stops the
 // others the same way and then continues in Run's caller with the same
 // value.
+//
+// A run draws on what finished runs handed back: its detector takes their
+// spare record clocks and its goroutines' interval builders their spare
+// records, footprints and bitmaps (detector.restock, startG). Once every
+// coroutine has stopped, a run that returns hands back in turn its
+// builders, its retained records and clocks, and the generators of Rand
+// (release); the Result references none of them.
 func (p *Program) Run(root func(*G)) *Result {
 	if p.ran {
 		panic("gofront: Run called twice")
 	}
 	p.ran = true
+	p.det.restock()
+	res := p.run(root)
+	p.release()
+	return res
+}
+
+// run is Run up to the hand-back: it schedules root's program to its end
+// and stops every coroutine as it returns or panics.
+func (p *Program) run(root func(*G)) *Result {
 	defer p.stopAll()
 	p.startG(p.newG(), nil, root)
 	for g := p.pick(); g != nil; g = p.baton {
@@ -38,6 +54,18 @@ func (p *Program) Run(root func(*G)) *Result {
 	}
 	p.deadlocked = p.nBlocked > 0
 	return p.finish()
+}
+
+// release hands back, for later programs, what the finished program drew
+// from the package pools or made: its detector's builders, records and
+// clocks, and every generator of Rand. No coroutine of the program runs
+// any more.
+func (p *Program) release() {
+	p.det.release()
+	for _, r := range p.rands {
+		rands.Put(r)
+	}
+	p.rands, p.rng = nil, nil
 }
 
 // stopAll marks the run finished and stops every goroutine's coroutine;

@@ -192,8 +192,21 @@ func TestBuilderDifferential(t *testing.T) {
 	}
 }
 
+// leastAllocs is testing.AllocsPerRun(runs, f) measured three times, the
+// least kept. The runtime counts every goroutine's allocations, so one
+// straggling from an earlier test can land in a measurement; an allocation
+// in f shows in all three.
+func leastAllocs(runs int, f func()) float64 {
+	least := testing.AllocsPerRun(runs, f)
+	for range 2 {
+		least = min(least, testing.AllocsPerRun(runs, f))
+	}
+	return least
+}
+
 // TestNoteAllocs: recording an access to a page the interval has already
-// touched allocates nothing — it is an index and a bit-set.
+// touched allocates nothing — it is an index and a bit-set. The Builder
+// may be one an earlier test released.
 func TestNoteAllocs(t *testing.T) {
 	l := layout(t)
 	b := NewBuilder(l)
@@ -203,7 +216,7 @@ func TestNoteAllocs(t *testing.T) {
 		b.NoteWrite(a)
 	}
 	i := 0
-	if n := testing.AllocsPerRun(1000, func() {
+	if n := leastAllocs(1000, func() {
 		a := addrs[i%len(addrs)] + mem.Addr(i%64*mem.WordSize)
 		b.NoteRead(a)
 		b.NoteWrite(a)
@@ -211,4 +224,69 @@ func TestNoteAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("NoteRead+NoteWrite on touched pages: %v allocs per run, want 0", n)
 	}
+}
+
+// TestReleasedBuilderIsNew: a Builder that built, recycled and was released
+// comes back from NewBuilder exactly as a new one — page tables with no slot
+// set, no touched page, no spares — so its next owner allocates as with a
+// new one. Its spares go to Restock instead, which hands them only to a
+// Builder without spares of its own; records built on them equal records
+// built without. Releasing a Builder that holds accesses panics in test
+// binaries.
+func TestReleasedBuilderIsNew(t *testing.T) {
+	// A layout of its own, so that no other test's Builders are in its pools.
+	l, err := mem.NewLayout(5*256, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(b *Builder, idx vc.Index) (*Record, *Footprint) {
+		for p := mem.PageID(0); p < 3; p++ {
+			b.NoteRead(l.PageBase(p) + mem.Addr(int(idx)%4*mem.WordSize))
+			b.NoteWrite(l.PageBase(p+2) + 8)
+		}
+		return b.FinishFootprint(vc.IntervalID{Proc: 0, Index: idx}, vc.New(2), 0)
+	}
+	used := NewBuilder(l)
+	var want []*Record
+	for idx := vc.Index(1); idx <= 4; idx++ {
+		r, fp := build(used, idx)
+		want = append(want, r.Clone())
+		used.Recycle(r, fp)
+	}
+	spares := len(used.free.recs)
+	used.Release()
+	fresh := &Builder{layout: l, read: side{bits: make([]mem.Bitmap, l.NumPages)}, write: side{bits: make([]mem.Bitmap, l.NumPages)}}
+	if !reflect.DeepEqual(used, fresh) {
+		t.Fatalf("released Builder %+v, want a new one %+v", used, fresh)
+	}
+
+	got := NewBuilder(l) // used, unless the pool dropped it
+	got.Restock()
+	if len(got.free.recs) == 0 {
+		t.Skip("the pool dropped the spares") // as a GC, or -race at random, may
+	}
+	if len(got.free.recs) != spares || len(got.free.bits) == 0 {
+		t.Fatalf("restocked with %d records and %d bitmaps, want the %d records and the bitmaps handed back",
+			len(got.free.recs), len(got.free.bits), spares)
+	}
+	for idx := vc.Index(1); idx <= 4; idx++ {
+		r, fp := build(got, idx)
+		if !reflect.DeepEqual(r, want[idx-1]) {
+			t.Fatalf("interval %d built on spares: %+v, want %+v", idx, r, want[idx-1])
+		}
+		got.Recycle(r, fp)
+	}
+	own := len(got.free.recs)
+	got.Restock() // it has spares of its own
+	if len(got.free.recs) != own {
+		t.Fatalf("Restock of a Builder with %d spares left it %d", own, len(got.free.recs))
+	}
+
+	got.NoteWrite(8)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Release of a Builder holding a write did not panic")
+		}
+	}()
+	got.Release()
 }

@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"lrcrace/internal/mem"
@@ -77,16 +78,28 @@ func OverlapPages(a, b []mem.PageID, dst []mem.PageID) []mem.PageID {
 // Go frontend does, at its knowledge horizon. The DSM never does, since its
 // bitmaps stay readable in the BitmapStore, in checkpoints and in the
 // bitmap replies the barrier's shard owners hold.
+//
+// An owner done with its Builder may Release it: a later NewBuilder of the
+// same layout takes the Builder back instead of allocating its page tables
+// again, and a later Restock takes what Recycle had handed it. The Go
+// frontend releases every goroutine's Builder when its run ends.
 type Builder struct {
 	layout mem.Layout
 	read   side
 	write  side
 
-	// What Recycle handed back, for the next closes to reuse.
-	freeRecs []*Record
-	freeFPs  []*Footprint
-	freeBits []mem.Bitmap
+	free spares // what Recycle handed back, for the next closes to reuse
 }
+
+// spares is what Recycle handed a Builder back: records, footprints and
+// bitmaps that no one reads any more.
+type spares struct {
+	recs []*Record
+	fps  []*Footprint
+	bits []mem.Bitmap
+}
+
+func (s *spares) empty() bool { return len(s.recs)+len(s.fps)+len(s.bits) == 0 }
 
 // side is one access direction of a Builder.
 type side struct {
@@ -97,7 +110,7 @@ type side struct {
 // touch gives page p of side s a cleared bitmap on its first access of the
 // interval: a recycled one if Recycle handed any back, else a new one.
 func (b *Builder) touch(s *side, p mem.PageID) mem.Bitmap {
-	bm := popFree(&b.freeBits)
+	bm := popFree(&b.free.bits)
 	if bm == nil {
 		bm = mem.NewBitmap(b.layout.WordsPerPage())
 	} else {
@@ -129,12 +142,77 @@ func (s *side) drain(dst *pageBits) {
 	s.pages = spare
 }
 
-// NewBuilder returns a Builder for the given segment layout.
+// pools holds what released Builders of one layout left: the Builders,
+// for NewBuilder, and their spares, for Restock.
+type pools struct {
+	builders sync.Pool // *Builder, empty and without spares
+	spares   sync.Pool // *spares
+}
+
+// poolsByLayout maps a mem.Layout to its *pools.
+var poolsByLayout sync.Map
+
+func poolsOf(l mem.Layout) *pools {
+	pl, ok := poolsByLayout.Load(l)
+	if !ok {
+		pl, _ = poolsByLayout.LoadOrStore(l, new(pools))
+	}
+	return pl.(*pools)
+}
+
+// NewBuilder returns an empty Builder for the given segment layout: one a
+// finished owner released, if its layout's pool has any, else a new one.
+// The two are indistinguishable, allocations included: a released Builder
+// keeps only its page tables, whose slots are all nil, and no spares.
 func NewBuilder(l mem.Layout) *Builder {
+	if b, ok := poolsOf(l).builders.Get().(*Builder); ok {
+		return b
+	}
 	return &Builder{
 		layout: l,
 		read:   side{bits: make([]mem.Bitmap, l.NumPages)},
 		write:  side{bits: make([]mem.Bitmap, l.NumPages)},
+	}
+}
+
+// strictRelease makes Release panic in test binaries on a Builder that
+// still holds an access of an unfinished interval, so an owner that
+// releases too early fails loudly. Other binaries drop such a Builder
+// instead of pooling it.
+var strictRelease = testing.Testing()
+
+// Release hands b back for a later NewBuilder of its layout, and what
+// Recycle handed b, if anything, for a later Restock. The caller states
+// that nothing uses b again. Only an empty Builder, one whose last
+// interval was finished, goes back, and it goes back without its spares:
+// the next owner of b allocates exactly as with a new Builder. Records,
+// footprints and bitmaps b made and the caller still holds stay valid.
+func (b *Builder) Release() {
+	if !b.Empty() {
+		if strictRelease {
+			panic("interval: Release of a Builder holding accesses")
+		}
+		return
+	}
+	pl := poolsOf(b.layout)
+	if !b.free.empty() {
+		sp := b.free
+		pl.spares.Put(&sp)
+	}
+	*b = Builder{layout: b.layout, read: side{bits: b.read.bits}, write: side{bits: b.write.bits}}
+	pl.builders.Put(b)
+}
+
+// Restock gives a Builder that has no spares of its own the spares a
+// released Builder of its layout left, if the pool has any: b's closes then
+// reuse those records, footprints and bitmaps before they allocate. Its
+// intervals are built exactly as without them.
+func (b *Builder) Restock() {
+	if !b.free.empty() {
+		return
+	}
+	if sp, ok := poolsOf(b.layout).spares.Get().(*spares); ok {
+		b.free = *sp
 	}
 }
 
@@ -173,7 +251,7 @@ func (b *Builder) BitmapCount() int { return len(b.read.pages) + len(b.write.pag
 // interval recorded no access. Both come from what Recycle handed back, if
 // anything.
 func (b *Builder) FinishFootprint(id vc.IntervalID, v vc.VC, epoch int32) (*Record, *Footprint) {
-	r := popFree(&b.freeRecs)
+	r := popFree(&b.free.recs)
 	if r == nil {
 		r = new(Record)
 	}
@@ -181,7 +259,7 @@ func (b *Builder) FinishFootprint(id vc.IntervalID, v vc.VC, epoch int32) (*Reco
 	if b.Empty() {
 		return r, nil
 	}
-	fp := popFree(&b.freeFPs)
+	fp := popFree(&b.free.fps)
 	if fp == nil {
 		fp = new(Footprint)
 	}
@@ -224,13 +302,13 @@ var poisonRecycled = testing.Testing()
 // BitmapReply messages.
 func (b *Builder) Recycle(r *Record, fp *Footprint) {
 	*r = Record{}
-	b.freeRecs = append(b.freeRecs, r)
+	b.free.recs = append(b.free.recs, r)
 	if fp == nil {
 		return
 	}
 	b.reclaim(&fp.read)
 	b.reclaim(&fp.write)
-	b.freeFPs = append(b.freeFPs, fp)
+	b.free.fps = append(b.free.fps, fp)
 }
 
 // popFree removes and returns the last entry of the free list l, or the
@@ -254,7 +332,7 @@ func (b *Builder) reclaim(pb *pageBits) {
 				bm[w] = ^uint64(0)
 			}
 		}
-		b.freeBits = append(b.freeBits, bm)
+		b.free.bits = append(b.free.bits, bm)
 		pb.bits[i] = nil
 	}
 	pb.pages, pb.bits = pb.pages[:0], pb.bits[:0]

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 )
 
 func dump(r *Recorder) string {
@@ -145,5 +146,66 @@ func TestSealRacingEmits(t *testing.T) {
 			t.Fatalf("proc %d: event a=%d, want a=%d", e.Proc, e.A, next[e.Proc])
 		}
 		next[e.Proc]++
+	}
+}
+
+// blockingWriter holds every Write until release is closed; started is
+// closed at the first Write.
+type blockingWriter struct {
+	started, release chan struct{}
+	once             sync.Once
+	buf              bytes.Buffer
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.started) })
+	<-w.release
+	return w.buf.Write(p)
+}
+
+// TestSlowFlightReaderStallsNothing: while a dump's writer is blocked, as a
+// slow /flight client's is, the recorder's emits, a Trip and a Seal all
+// complete, and the blocked dump still prints the window it took.
+func TestSlowFlightReaderStallsNothing(t *testing.T) {
+	r := New(Config{Procs: 3, Cap: 300, FlightN: 100, FlightSink: io.Discard})
+	emitMix(r, 0, 2000)
+	want := dump(r)
+	w := &blockingWriter{started: make(chan struct{}), release: make(chan struct{})}
+	dumped := make(chan struct{})
+	go func() {
+		defer close(dumped)
+		r.DumpFlight(w, "test")
+	}()
+	<-w.started
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			r.Trip(TripBarrierTimeout, "while a dump is blocked")
+		}()
+		go func() {
+			defer wg.Done()
+			emitMix(r, 2000, 10)
+			r.Seal()
+		}()
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		close(w.release)
+		t.Fatal("Trip or Seal waited for a blocked flight dump")
+	}
+	if r.Trips() != 1 {
+		t.Fatalf("Trips() = %d, want 1", r.Trips())
+	}
+	close(w.release)
+	<-dumped
+	if got := w.buf.String(); got != want {
+		t.Fatalf("blocked dump:\n%s\nwant the window it took:\n%s", got, want)
 	}
 }

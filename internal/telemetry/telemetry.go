@@ -653,27 +653,34 @@ func (r *Recorder) Events() []Event {
 
 // Dropped returns how many events bounded rings have overwritten.
 func (r *Recorder) Dropped() uint64 {
+	r.lockRings()
+	defer r.unlockRings()
+	return r.dropped()
+}
+
+// dropped is Dropped with every ring lock held.
+func (r *Recorder) dropped() uint64 {
 	var n uint64
 	for _, rg := range r.rings {
-		rg.mu.Lock()
 		n += rg.dropped
-		rg.mu.Unlock()
 	}
 	return n
 }
 
 // DumpFlight writes the last FlightN retained events (merged across rings,
 // global record order) to w, prefixed by the reason — the "black box" read
-// out after a failure.
+// out after a failure. It takes the window and its counts under the locks
+// and writes after releasing them, so a slow w (a /flight client) stalls
+// no emit, Trip or Seal of the recorder.
 func (r *Recorder) DumpFlight(w io.Writer, reason string) {
 	r.dumpMu.Lock()
-	defer r.dumpMu.Unlock()
 	r.lockRings()
-	evs := r.flightWindow()
+	evs, total, dropped := r.flightWindow(), r.seq.Load(), r.dropped()
 	r.unlockRings()
+	r.dumpMu.Unlock()
 	fmt.Fprintf(w, "--- flight recorder: %s ---\n", reason)
 	fmt.Fprintf(w, "last %d of %d retained events (%d overwritten):\n",
-		len(evs), r.seq.Load(), r.Dropped())
+		len(evs), total, dropped)
 	for _, e := range evs {
 		fmt.Fprintln(w, e.String())
 	}
